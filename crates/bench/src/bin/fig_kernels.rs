@@ -1,21 +1,26 @@
 //! Kernel-layer throughput harness: naive vs packed-panel vs
-//! packed+threaded GFLOP/s, backward-kernel rates for sim calibration, the
-//! zero-skip sparse entry point on 95%-zero input, and end-to-end training
-//! step time with the buffer pool on/off.
+//! packed+threaded GFLOP/s, backward-kernel rates, elementwise ops
+//! (ns/element beside the libm loops they replaced), a transformer block's
+//! measured backward/forward balance for sim calibration, the zero-skip
+//! sparse entry point on 95%-zero input, and end-to-end training step time
+//! with the buffer pool on/off.
 //!
 //! Writes `results/kernels.json` plus `BENCH_kernels.json` at the workspace
-//! root (the artifact CI uploads). The JSON carries a `calibration` section
-//! (measured `bwd_over_fwd` from the three kernel variants at the headline
-//! shape) that `chimera profile --calibration` feeds into the simulator's
-//! unit costs. Flags:
+//! root. The JSON carries a `calibration` section whose `bwd_over_fwd` —
+//! one block's backward time over its forward time, GEMMs and elementwise
+//! ops together — `chimera profile --calibration` feeds into the
+//! simulator's unit costs. Flags:
 //!
 //! * `--smoke`      short run for the CI bench-smoke job; still includes
-//!   the 512×1024×1024 headline shape the ROADMAP targets
+//!   the 512×1024×1024 headline shape the ROADMAP targets. Writes under
+//!   `target/smoke/` (the artifact CI uploads), never over the committed
+//!   full-run files
 //! * `--check`      enforce the committed baseline
 //!   (`crates/bench/baselines/kernels.json`, >20% regression fails), the
 //!   `speedup_vs_naive ≥ 4.0` floor on the headline shape, threading
 //!   (mt ≥ 1.5× 1t when ≥2 cores are actually available, mt ≥ 0.9× 1t
-//!   otherwise), and `end_to_end` pool ratio ≥ 1.0
+//!   otherwise), `gelu` ≥ 8× its libm loop (lost autovectorisation shows
+//!   here), and `end_to_end` pool ratio ≥ 1.0
 //! * `--threads N`  intra-op thread count (default: `max(4, cores)`)
 //!
 //! The committed baseline is deliberately conservative — set well below
@@ -23,12 +28,13 @@
 //! regressions (a lost packed panel, an accidental bounds check in the
 //! microkernel) rather than CI-runner noise.
 
+use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use chimera_bench::{arg_value, print_table, save_json};
-use chimera_nn::{ModelConfig, ReferenceTrainer, Stage, SyntheticData};
-use chimera_tensor::{kernels, pool, Rng, Tensor};
+use chimera_bench::{arg_value, output_root, print_table, write_json};
+use chimera_nn::{ModelConfig, ReferenceTrainer, Stage, SyntheticData, TransformerBlock};
+use chimera_tensor::{gelu, gelu_backward, kernels, layernorm, pool, softmax_rows, Rng, Tensor};
 
 /// Time `body` (called repeatedly) and return mean seconds per call:
 /// at least `min_reps` calls and at least ~0.2 s of total wall clock.
@@ -111,6 +117,128 @@ fn bench_backward(m: usize, k: usize, n: usize) -> (f64, f64) {
         kernels::matmul_t_into(&a, &bt, &mut out, m, k, n);
     });
     (gflops(m, k, n, t_mm), gflops(m, k, n, mm_t))
+}
+
+struct ElementwiseRow {
+    op: &'static str,
+    shape: String,
+    ns_per_elem: f64,
+    /// The same formula over `f32::tanh`/`f32::exp` through `Tensor::map`,
+    /// as `ops.rs` had it before `vmath`; `None` where no libm was involved.
+    libm_ns_per_elem: Option<f64>,
+}
+
+/// The libm loops the elementwise ops replaced, kept here (outside the
+/// crates whose `clippy.toml` bans libm) as the speed reference.
+mod libm {
+    use chimera_tensor::Tensor;
+
+    const C: f32 = 0.797_884_6;
+    const A: f32 = 0.044715;
+
+    pub fn gelu(x: &Tensor) -> Tensor {
+        x.map(|v| 0.5 * v * (1.0 + (C * (v + A * v * v * v)).tanh()))
+    }
+
+    pub fn gelu_backward(x: &Tensor, dy: &Tensor) -> Tensor {
+        let grad = x.map(|v| {
+            let t = (C * (v + A * v * v * v)).tanh();
+            0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * C * (1.0 + 3.0 * A * v * v)
+        });
+        grad.hadamard(dy)
+    }
+
+    pub fn softmax_rows(x: &Tensor) -> Tensor {
+        let mut out = x.clone();
+        for r in 0..out.rows() {
+            let row = out.row_mut(r);
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let mut sum = 0.0f32;
+            for v in row.iter_mut() {
+                *v = (*v - max).exp();
+                sum += *v;
+            }
+            let inv = 1.0 / sum;
+            row.iter_mut().for_each(|v| *v *= inv);
+        }
+        out
+    }
+}
+
+/// ns/element of the elementwise ops at the shapes the benchmark's wide
+/// model gives them (`[64, 1024]` MLP activation, `[128, 128]` scores,
+/// `[64, 256]` hidden rows).
+fn bench_elementwise() -> Vec<ElementwiseRow> {
+    let mut rng = Rng::new(9);
+    let act = Tensor::normal(64, 1024, 1.0, &mut rng);
+    let dact = Tensor::normal(64, 1024, 1.0, &mut rng);
+    let scores = Tensor::normal(128, 128, 1.0, &mut rng);
+    let hidden = Tensor::normal(64, 256, 1.0, &mut rng);
+    let (gamma, beta) = (vec![1.0f32; 256], vec![0.0f32; 256]);
+    let row = |op, t: &Tensor, ours: &mut dyn FnMut(), reference: Option<&mut dyn FnMut()>| {
+        let ns = |body: &mut dyn FnMut()| time_per_call(20, body) * 1e9 / t.len() as f64;
+        ElementwiseRow {
+            op,
+            shape: format!("{}x{}", t.rows(), t.cols()),
+            ns_per_elem: ns(ours),
+            libm_ns_per_elem: reference.map(ns),
+        }
+    };
+    vec![
+        row(
+            "gelu",
+            &act,
+            &mut || drop(black_box(gelu(black_box(&act)))),
+            Some(&mut || drop(black_box(libm::gelu(black_box(&act))))),
+        ),
+        row(
+            "gelu_backward",
+            &act,
+            &mut || drop(black_box(gelu_backward(black_box(&act), &dact))),
+            Some(&mut || drop(black_box(libm::gelu_backward(black_box(&act), &dact)))),
+        ),
+        row(
+            "softmax_rows",
+            &scores,
+            &mut || drop(black_box(softmax_rows(black_box(&scores)))),
+            Some(&mut || drop(black_box(libm::softmax_rows(black_box(&scores))))),
+        ),
+        row(
+            "layernorm",
+            &hidden,
+            &mut || drop(black_box(layernorm(black_box(&hidden), &gamma, &beta))),
+            None,
+        ),
+    ]
+}
+
+/// Seconds per forward and per backward of one transformer block at the
+/// benchmark's wide shape (hidden 256, 4 heads, one 64-token sequence),
+/// single-threaded. Their ratio is the backward/forward balance of a real
+/// pipeline op — GEMMs, attention and elementwise ops in the proportions
+/// the model has them — which is what the simulator's unit costs stand for.
+fn bench_block() -> (f64, f64) {
+    let mut rng = Rng::new(10);
+    let (hidden, heads, seq) = (256, 4, 64);
+    let block = TransformerBlock::new(hidden, heads, seq, true, &mut rng);
+    let x = Tensor::normal(seq, hidden, 1.0, &mut rng);
+    let dy = Tensor::normal(seq, hidden, 1.0, &mut rng);
+    let mut grad = vec![0.0f32; block.num_params()];
+    let (_, stash) = block.forward(&x);
+    kernels::set_threads(1);
+    // Alternating rounds, best of each: the ratio feeds the simulator, so a
+    // scheduler blip in one pass must not tilt it (same reasoning as
+    // `bench_end_to_end`).
+    let (mut fwd, mut bwd) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        fwd = fwd.min(time_per_call(10, || {
+            drop(black_box(block.forward(black_box(&x))));
+        }));
+        bwd = bwd.min(time_per_call(10, || {
+            drop(black_box(block.backward(&stash, black_box(&dy), &mut grad)));
+        }));
+    }
+    (fwd, bwd)
 }
 
 /// Dense kernel vs the documented sparse-aware entry point on an input
@@ -202,7 +330,12 @@ fn load_baseline() -> Option<serde_json::Value> {
     serde_json::from_str(&text).ok()
 }
 
-fn check_regressions(rows: &[MatmulRow], e2e: &EndToEnd, parallelism: usize) -> bool {
+fn check_regressions(
+    rows: &[MatmulRow],
+    elementwise: &[ElementwiseRow],
+    e2e: &EndToEnd,
+    parallelism: usize,
+) -> bool {
     let Some(baseline) = load_baseline() else {
         eprintln!("--check: no readable baseline; failing");
         return false;
@@ -279,6 +412,23 @@ fn check_regressions(rows: &[MatmulRow], e2e: &EndToEnd, parallelism: usize) -> 
             }
         }
     }
+    // Elementwise gate: `vmath` is plain slice loops that LLVM vectorises;
+    // measured ~30x the scalar libm loop, so below 8x the loop has stopped
+    // vectorising (a branch crept into `tanh`, or the build lost
+    // `target-cpu=native` and `mul_add` became a libm call itself).
+    for r in elementwise.iter().filter(|r| r.op == "gelu") {
+        let speedup = r.libm_ns_per_elem.unwrap_or(0.0) / r.ns_per_elem;
+        if speedup < 8.0 {
+            eprintln!(
+                "check gelu: ELEMENTWISE REGRESSION {:.2} ns/elem is only {speedup:.1}x \
+                 the libm loop (floor 8x)",
+                r.ns_per_elem
+            );
+            ok = false;
+        } else {
+            println!("check gelu: {speedup:.1}x the libm loop >= 8.0 ok");
+        }
+    }
     // Pool-payoff gate: recycling buffers must never cost step time. Both
     // sides are best-of-3, so a ratio below 1.0 is structural (a slow pool
     // hot path), not scheduler noise.
@@ -320,6 +470,9 @@ fn main() -> ExitCode {
         .map(|&(m, k, n)| bench_shape(m, k, n, threads))
         .collect();
 
+    let hw_parallelism = kernels::hw_parallelism();
+    let parallelism = threads.min(hw_parallelism);
+
     print_table(
         &format!("Matmul GFLOP/s (mt = {threads} threads)"),
         &["shape", "naive", "tiled 1t", "tiled mt", "mt/naive"],
@@ -337,8 +490,8 @@ fn main() -> ExitCode {
             .collect::<Vec<_>>(),
     );
 
-    // Backward-kernel rates at the headline shape → measured bwd/fwd ratio
-    // for the simulator's unit costs (`chimera profile --calibration`).
+    // Backward-kernel rates at the headline shape (the `matmul_backward`
+    // section; the simulator is calibrated from `bench_block` below).
     let (fwd_gf, t_mm_gf, mm_t_gf) = {
         let (m, k, n) = HEADLINE;
         let fwd = rows
@@ -350,9 +503,9 @@ fn main() -> ExitCode {
     };
     // Backward = dW (aᵀ@b) + dX (a@bᵀ), each the same flop count as the
     // forward product, so time ratio = fwd_rate/t_mm_rate + fwd_rate/mm_t_rate.
-    let bwd_over_fwd = fwd_gf / t_mm_gf + fwd_gf / mm_t_gf;
+    let gemm_bwd_over_fwd = fwd_gf / t_mm_gf + fwd_gf / mm_t_gf;
     print_table(
-        "Backward-kernel calibration (1t, headline shape)",
+        "Backward-kernel rates (1t, headline shape)",
         &["kernel", "GFLOP/s", "rel. to fwd"],
         &[
             vec!["fwd a@b".into(), format!("{fwd_gf:.2}"), "1.00".into()],
@@ -366,7 +519,49 @@ fn main() -> ExitCode {
                 format!("{mm_t_gf:.2}"),
                 format!("{:.2}", fwd_gf / mm_t_gf),
             ],
-            vec!["bwd total".into(), "-".into(), format!("{bwd_over_fwd:.2}")],
+            vec![
+                "bwd total".into(),
+                "-".into(),
+                format!("{gemm_bwd_over_fwd:.2}"),
+            ],
+        ],
+    );
+
+    let elementwise = bench_elementwise();
+    print_table(
+        "Elementwise ops (1t, ns/element)",
+        &["op", "shape", "vmath", "libm loop", "speedup"],
+        &elementwise
+            .iter()
+            .map(|r| {
+                vec![
+                    r.op.to_string(),
+                    r.shape.clone(),
+                    format!("{:.2}", r.ns_per_elem),
+                    r.libm_ns_per_elem.map_or("-".into(), |l| format!("{l:.2}")),
+                    r.libm_ns_per_elem
+                        .map_or("-".into(), |l| format!("{:.1}x", l / r.ns_per_elem)),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    );
+
+    let (block_fwd, block_bwd) = bench_block();
+    let bwd_over_fwd = block_bwd / block_fwd;
+    print_table(
+        "Transformer block balance (1t, hidden 256, 4 heads, 64 tokens)",
+        &["pass", "ms", "rel. to fwd"],
+        &[
+            vec![
+                "forward".into(),
+                format!("{:.3}", block_fwd * 1e3),
+                "1.00".into(),
+            ],
+            vec![
+                "backward".into(),
+                format!("{:.3}", block_bwd * 1e3),
+                format!("{bwd_over_fwd:.2}"),
+            ],
         ],
     );
 
@@ -401,10 +596,10 @@ fn main() -> ExitCode {
         ],
     );
 
-    let parallelism = threads.min(kernels::hw_parallelism());
     let pack = kernels::pack_stats();
     let payload = serde_json::json!({
         "threads": threads,
+        "hw_parallelism": hw_parallelism,
         "parallelism": parallelism,
         "simd": kernels::simd_available(),
         "smoke": smoke,
@@ -416,13 +611,29 @@ fn main() -> ExitCode {
             // Single-threaded ratio: the packed engine's win over the naive
             // loops, independent of how many cores the runner has.
             "speedup_vs_naive": r.tiled_1t / r.naive,
-            "speedup_mt_vs_1t": r.tiled_mt / r.tiled_1t,
+            // With one core the "mt" run is the 1t run again: a ratio near
+            // 1.0 there would read as "threading gains nothing" when it is
+            // only unmeasured.
+            "speedup_mt_vs_1t": (parallelism >= 2).then(|| r.tiled_mt / r.tiled_1t),
         })).collect::<Vec<_>>(),
-        "calibration": serde_json::json!({
+        "elementwise": elementwise.iter().map(|r| serde_json::json!({
+            "op": r.op,
+            "shape": r.shape,
+            "ns_per_elem": r.ns_per_elem,
+            "libm_ns_per_elem": r.libm_ns_per_elem,
+            "speedup_vs_libm": r.libm_ns_per_elem.map(|l| l / r.ns_per_elem),
+        })).collect::<Vec<_>>(),
+        "matmul_backward": serde_json::json!({
             "shape": format!("{}x{}x{}", HEADLINE.0, HEADLINE.1, HEADLINE.2),
             "fwd_gflops": fwd_gf,
             "t_matmul_gflops": t_mm_gf,
             "matmul_t_gflops": mm_t_gf,
+            "bwd_over_fwd": gemm_bwd_over_fwd,
+        }),
+        "calibration": serde_json::json!({
+            "block": "hidden 256, 4 heads, 64 tokens, causal",
+            "block_fwd_ms": block_fwd * 1e3,
+            "block_bwd_ms": block_bwd * 1e3,
             "bwd_over_fwd": bwd_over_fwd,
         }),
         "pack": serde_json::json!({
@@ -443,21 +654,13 @@ fn main() -> ExitCode {
             "step_time_ratio_off_over_on": e2e.pool_off_ms / e2e.pool_on_ms,
         }),
     });
-    save_json("kernels", payload.clone());
+    // `BENCH_kernels.json` sits at the root next to the other BENCH_*
+    // outputs; a smoke run puts both files under `target/smoke/` instead.
+    let root = output_root(smoke);
+    write_json(&root.join("results"), "kernels", &payload);
+    write_json(&root, "BENCH_kernels", &payload);
 
-    // The CI artifact lives at the workspace root next to the other BENCH_*
-    // outputs.
-    let root = std::env::var("CARGO_MANIFEST_DIR")
-        .map_or_else(|_| ".".to_string(), |m| format!("{m}/../.."));
-    let bench_path = format!("{root}/BENCH_kernels.json");
-    std::fs::write(
-        &bench_path,
-        serde_json::to_string_pretty(&payload).expect("serialize"),
-    )
-    .expect("write BENCH_kernels.json");
-    println!("[saved {bench_path}]");
-
-    if check && !check_regressions(&rows, &e2e, parallelism) {
+    if check && !check_regressions(&rows, &elementwise, &e2e, parallelism) {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

@@ -1,4 +1,6 @@
-//! Load generator for the planning service (`results/serve_load.json`).
+//! Load generator for the planning service (`results/serve_load.json`; a
+//! `--smoke` run writes `target/smoke/results/serve_load.json` instead,
+//! because committed results are full runs only).
 //!
 //! Drives a `chimera-serve` plan server — an in-process one on an ephemeral
 //! port by default, or an already-running one via `--addr` (the CI smoke
@@ -25,7 +27,7 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Instant;
 
-use chimera_bench::{arg_value, print_table, save_json};
+use chimera_bench::{arg_value, output_root, print_table, write_json};
 use chimera_serve::engine::{PlanEngine, ServeConfig};
 use chimera_serve::search::RealSearcher;
 use chimera_serve::server::PlanServer;
@@ -268,9 +270,10 @@ fn main() {
         ));
     }
 
-    save_json(
+    write_json(
+        &output_root(smoke).join("results"),
         "serve_load",
-        serde_json::json!({
+        &serde_json::json!({
             "mode": mode,
             "config": {
                 "connections": conns,

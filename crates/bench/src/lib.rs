@@ -6,7 +6,7 @@
 //! `results/`. Criterion micro-benchmarks live in `benches/`.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use chimera_perf::planner::Candidate;
 
@@ -49,23 +49,36 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 /// Write a JSON value to `results/<name>.json` (relative to the workspace
 /// root when run via `cargo run`, else the current directory).
 pub fn save_json(name: &str, value: serde_json::Value) {
-    let dir = results_dir();
-    fs::create_dir_all(&dir).expect("create results dir");
+    write_json(&output_root(false).join("results"), name, &value);
+}
+
+/// The directory a run's `results/` and `BENCH_*.json` go under: the
+/// workspace root for a full run, `target/smoke/` for a `--smoke` run.
+/// Committed results are full runs only, so a smoke run (CI, a quick local
+/// check) must never overwrite one.
+pub fn output_root(smoke: bool) -> PathBuf {
+    // CARGO_MANIFEST_DIR = crates/bench when run via `cargo run`.
+    let root = match std::env::var("CARGO_MANIFEST_DIR") {
+        Ok(m) => PathBuf::from(m).join("../.."),
+        Err(_) => PathBuf::from("."),
+    };
+    if smoke {
+        root.join("target/smoke")
+    } else {
+        root
+    }
+}
+
+/// Write `value` as pretty JSON to `<dir>/<name>.json`, creating `dir`.
+pub fn write_json(dir: &Path, name: &str, value: &serde_json::Value) {
+    fs::create_dir_all(dir).expect("create output dir");
     let path = dir.join(format!("{name}.json"));
     fs::write(
         &path,
-        serde_json::to_string_pretty(&value).expect("serialize"),
+        serde_json::to_string_pretty(value).expect("serialize"),
     )
     .expect("write results file");
     println!("[saved {}]", path.display());
-}
-
-fn results_dir() -> PathBuf {
-    // CARGO_MANIFEST_DIR = crates/bench; results live at the workspace root.
-    match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(m) => PathBuf::from(m).join("../../results"),
-        Err(_) => PathBuf::from("results"),
-    }
 }
 
 /// Value of a `--flag <value>` pair in the process arguments (e.g.

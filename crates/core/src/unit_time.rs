@@ -87,8 +87,8 @@ impl UnitCosts {
     }
 
     /// Costs with a **measured** backward/forward ratio, e.g. the
-    /// `calibration.bwd_over_fwd` value `fig_kernels` derives from the real
-    /// packed kernels (dW `aᵀ@b` + dX `a@bᵀ` time over forward `a@b` time).
+    /// `calibration.bwd_over_fwd` value `fig_kernels` measures: one
+    /// transformer block's backward time over its forward time.
     ///
     /// Uses `fwd = 100` ticks so the rounded ratio keeps ~1% resolution and
     /// all derived costs (half-micro chunks = `fwd/2`) stay integral.

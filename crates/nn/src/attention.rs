@@ -1,6 +1,6 @@
 //! Multi-head self-attention with explicit backward.
 
-use chimera_tensor::{softmax_rows, softmax_rows_backward, Rng, Tensor};
+use chimera_tensor::{scale_mask_softmax_rows, softmax_rows_backward, Rng, Tensor};
 
 use crate::linear::Linear;
 
@@ -103,16 +103,8 @@ impl Attention {
                 let q = self.extract(&qkv, r0, head * dk, s, dk);
                 let k = self.extract(&qkv, r0, h + head * dk, s, dk);
                 let v = self.extract(&qkv, r0, 2 * h + head * dk, s, dk);
-                let mut scores = q.matmul_t(&k);
-                scores.scale(scale);
-                if self.causal {
-                    for i in 0..s {
-                        for j in (i + 1)..s {
-                            scores.set(i, j, -1e30);
-                        }
-                    }
-                }
-                let p = softmax_rows(&scores);
+                let mut p = q.matmul_t(&k);
+                scale_mask_softmax_rows(&mut p, scale, self.causal);
                 let c = p.matmul(&v);
                 Self::add_into(&mut ctx, &c, r0, head * dk);
                 probs.push(p);
@@ -204,7 +196,7 @@ mod tests {
         for p in &stash.probs {
             for i in 0..p.rows() {
                 for j in (i + 1)..p.cols() {
-                    assert_eq!(p.get(i, j), 0.0, "future position attended");
+                    assert_eq!(p.get(i, j).to_bits(), 0, "future position attended");
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! Output head: final layer norm, vocabulary projection, and cross-entropy
 //! loss with its exact gradient.
 
-use chimera_tensor::{softmax_rows, Rng, Tensor};
+use chimera_tensor::{scale_mask_softmax_rows, Rng, Tensor};
 
 use crate::block::LayerNorm;
 use crate::linear::Linear;
@@ -58,9 +58,15 @@ impl OutputHead {
     pub fn forward_loss(&self, x: &Tensor, targets: &[u32]) -> (f32, HeadStash) {
         assert_eq!(x.rows(), targets.len());
         let (n, ln_stash) = self.ln.forward(x);
-        let logits = self.proj.forward(&n);
-        let probs = softmax_rows(&logits);
+        let mut probs = self.proj.forward(&n);
+        scale_mask_softmax_rows(&mut probs, 1.0, false);
         let mut loss = 0.0f64;
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the one libm call on the training path: the f64 `ln` of \
+                      the loss that is *reported*; backward starts from `probs`, \
+                      so its last bits cannot reach a parameter"
+        )]
         for (r, &t) in targets.iter().enumerate() {
             loss -= (probs.get(r, t as usize).max(1e-12) as f64).ln();
         }

@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+// `clippy.toml` keeps libm off the training path; tests use it as the oracle.
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 //! # chimera-nn
 //!

@@ -72,12 +72,41 @@ impl LrSchedule {
                     min
                 } else {
                     let progress = (t - warmup) as f64 / (total - warmup).max(1) as f64;
-                    let cos = 0.5 * (1.0 + (std::f64::consts::PI * progress).cos());
+                    let cos = 0.5 * (1.0 + cos_pi(progress));
                     min + (base - min) * cos as f32
                 }
             }
         }
     }
+}
+
+/// `cos(π·p)` for `p ∈ [0, 1]` as a fixed chain of exactly-rounded `f64`
+/// operations: the learning rate scales every update, and libm's `cos`
+/// leaves its last bits to the platform. `cos πp = sin π(½ − p)` puts the
+/// argument within ±π/2, where the Taylor series through `x¹⁷` (nested so
+/// each step is one multiply and one divide) is within 1e-13 of the truth.
+fn cos_pi(p: f64) -> f64 {
+    let x = std::f64::consts::PI * (0.5 - p);
+    let x2 = x * x;
+    let mut s = 1.0;
+    for k in (1..=8).rev() {
+        s = 1.0 - s * x2 / f64::from(2 * k * (2 * k + 1));
+    }
+    x * s
+}
+
+/// `base^n` as a fixed sequence of exactly-rounded multiplications
+/// (`f32::powi` leaves its precision, and so its bits, to the platform).
+fn pow_by_squaring(base: f32, mut n: u64) -> f32 {
+    let (mut acc, mut square) = (1.0f32, base);
+    while n > 0 {
+        if n & 1 == 1 {
+            acc *= square;
+        }
+        square *= square;
+        n >>= 1;
+    }
+    acc
 }
 
 /// Optimizer state for one flat parameter vector.
@@ -120,8 +149,8 @@ impl Optimizer {
                 }
             }
             OptimizerKind::Adam { beta1, beta2, eps } => {
-                let bc1 = 1.0 - beta1.powi(self.t as i32);
-                let bc2 = 1.0 - beta2.powi(self.t as i32);
+                let bc1 = 1.0 - pow_by_squaring(beta1, self.t);
+                let bc2 = 1.0 - pow_by_squaring(beta2, self.t);
                 for (((p, m), v), &g) in params
                     .iter_mut()
                     .zip(&mut self.m)
@@ -277,6 +306,15 @@ mod tests {
         // Floor at min.
         assert!((s.at(110) - 0.1).abs() < 1e-6);
         assert!((s.at(10_000) - 0.1).abs() < 1e-6);
+    }
+
+    #[test]
+    fn cos_pi_matches_libm() {
+        for i in 0..=1000 {
+            let p = f64::from(i) / 1000.0;
+            let want = (std::f64::consts::PI * p).cos();
+            assert!((cos_pi(p) - want).abs() < 1e-12, "cos_pi({p})");
+        }
     }
 
     #[test]

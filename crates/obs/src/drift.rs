@@ -232,7 +232,7 @@ pub fn drift(events: &[Event], scheme: &str, d: u32, n: u32) -> Result<DriftRepo
 
 /// [`drift`] under an explicit cost model — typically
 /// [`UnitCosts::calibrated`] built from the `calibration.bwd_over_fwd`
-/// ratio `fig_kernels` measures on the real packed kernels, so the drift
+/// ratio `fig_kernels` measures on a real transformer block, so the drift
 /// baseline reflects *this machine's* backward/forward ratio instead of
 /// the textbook 2×.
 pub fn drift_with_costs(

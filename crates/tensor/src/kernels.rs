@@ -7,7 +7,18 @@
 //! count, any tile size, and on any CPU** (with or without FMA hardware).
 //! The runtime's replica verification and checkpoint-replay tests compare
 //! parameters with `==`, so "close enough" floating point is not
-//! acceptable. The contract is enforced structurally:
+//! acceptable. What guarantees it is that every arithmetic step between
+//! the initial parameters and the updated ones is an exactly-rounded
+//! IEEE-754 operation (`mul_add`, `+ − × ÷`, `sqrt`, compare-and-select)
+//! applied in an order this crate's code fixes — such an operation has one
+//! possible result. That covers the matmuls below and, since
+//! [`crate::vmath`] replaced libm's `expf`/`tanhf` (whose last bits differ
+//! between C libraries), softmax, GELU and layernorm in [`crate::ops`] as
+//! well; clippy's `disallowed-methods` (`clippy.toml` in `chimera-tensor`
+//! and `chimera-nn`) rejects libm calls in their non-test code so that it
+//! stays covered, and the two that remain (Box–Muller at initialization,
+//! the `ln` of the reported loss) carry an `#[allow]` with the reason. For
+//! the matmuls the contract is enforced structurally:
 //!
 //! * Work is partitioned across threads by **output element**: the 2D
 //!   (row-tile × column-tile) grid gives every output element to exactly one

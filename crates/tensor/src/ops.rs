@@ -1,60 +1,111 @@
 //! Nonlinear kernels shared by the transformer layers: softmax, GELU, and
 //! layer normalization, each with its exact backward.
+//!
+//! No libm: `exp` and `tanh` come from [`crate::vmath`], `sqrt` and division
+//! are exactly-rounded IEEE operations, and every reduction has a fixed
+//! order written out below (eight lanes combined in ascending order for
+//! softmax, one ascending chain for layernorm), so results do not depend on
+//! the platform, the SIMD width or the thread count.
 
-use crate::tensor::Tensor;
+use crate::pool;
+use crate::tensor::{dot, Tensor};
+use crate::vmath;
+
+/// Reduce `row` with the combiner `f` (applied to elements and to lane
+/// partials alike) in eight independent lanes (element `i` goes to lane
+/// `i % 8`), combine lanes 0..8 in ascending order, then fold in the
+/// `len % 8` tail. The order is fixed by this code, not by the compiler's
+/// choice of vector width.
+#[inline(always)]
+fn lane_reduce(row: &[f32], init: f32, f: impl Fn(f32, f32) -> f32) -> f32 {
+    const LANES: usize = 8;
+    let mut acc = [init; LANES];
+    let chunks = row.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    for c in chunks {
+        for l in 0..LANES {
+            acc[l] = f(acc[l], c[l]);
+        }
+    }
+    acc.iter().chain(tail).fold(init, |a, &v| f(a, v))
+}
+
+/// `row = softmax(scale · row)`, numerically stabilized.
+fn softmax_row(row: &mut [f32], scale: f32) {
+    for v in row.iter_mut() {
+        *v *= scale;
+    }
+    let max = lane_reduce(row, f32::NEG_INFINITY, |a, v| if v > a { v } else { a });
+    for v in row.iter_mut() {
+        *v = vmath::exp(*v - max);
+    }
+    let inv = 1.0 / lane_reduce(row, 0.0, |a, v| a + v);
+    for v in row.iter_mut() {
+        // `exp` returns zero or a normal number, but a normal number times
+        // `inv < 1` can land in the subnormal range; flush that too, so no
+        // probability ever drags subnormal arithmetic into the products
+        // that consume it.
+        let p = *v * inv;
+        *v = if p < f32::MIN_POSITIVE { 0.0 } else { p };
+    }
+}
 
 /// Row-wise softmax (numerically stabilized).
 pub fn softmax_rows(x: &Tensor) -> Tensor {
     let mut out = x.clone();
-    for r in 0..out.rows() {
-        let row = out.row_mut(r);
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        let inv = 1.0 / sum;
-        for v in row.iter_mut() {
-            *v *= inv;
-        }
-    }
+    scale_mask_softmax_rows(&mut out, 1.0, false);
     out
+}
+
+/// Attention's `softmax(scale · x + mask)` in place, row by row.
+/// With `causal`, row `i` attends to columns `0..=i`: only those are
+/// exponentiated, and the rest of the row is written as exact `+0.0` (what
+/// `exp` of a `-∞` mask would give, without computing it).
+pub fn scale_mask_softmax_rows(x: &mut Tensor, scale: f32, causal: bool) {
+    let cols = x.cols();
+    for r in 0..x.rows() {
+        let live = if causal { (r + 1).min(cols) } else { cols };
+        let (seen, masked) = x.row_mut(r).split_at_mut(live);
+        softmax_row(seen, scale);
+        masked.fill(0.0);
+    }
 }
 
 /// Backward of row-wise softmax: given `y = softmax(x)` and `dy`, returns
 /// `dx = y ⊙ (dy - (y·dy))` per row.
 pub fn softmax_rows_backward(y: &Tensor, dy: &Tensor) -> Tensor {
     assert_eq!((y.rows(), y.cols()), (dy.rows(), dy.cols()));
-    let mut out = Tensor::zeros(y.rows(), y.cols());
+    let mut data = pool::take_spare(y.len());
     for r in 0..y.rows() {
-        let yr = y.row(r);
-        let dyr = dy.row(r);
-        let dot: f32 = yr.iter().zip(dyr).map(|(&a, &b)| a * b).sum();
-        for (o, (&yv, &dyv)) in out.row_mut(r).iter_mut().zip(yr.iter().zip(dyr)) {
-            *o = yv * (dyv - dot);
-        }
+        let (yr, dyr) = (y.row(r), dy.row(r));
+        let inner = dot(yr, dyr);
+        data.extend(yr.iter().zip(dyr).map(|(&yv, &dyv)| yv * (dyv - inner)));
     }
-    out
+    Tensor::from_vec(y.rows(), y.cols(), data)
 }
 
 const GELU_C: f32 = 0.797_884_6; // sqrt(2/π)
+const GELU_A: f32 = 0.044715;
+
+/// `tanh` of GELU's inner cubic.
+#[inline(always)]
+fn gelu_tanh(v: f32) -> f32 {
+    vmath::tanh(GELU_C * (v + GELU_A * v * v * v))
+}
 
 /// GELU activation (tanh approximation).
 pub fn gelu(x: &Tensor) -> Tensor {
-    x.map(|v| 0.5 * v * (1.0 + (GELU_C * (v + 0.044715 * v * v * v)).tanh()))
+    x.map(|v| 0.5 * v * (1.0 + gelu_tanh(v)))
 }
 
 /// Backward of [`gelu`]: `dx = dy * gelu'(x)`.
 pub fn gelu_backward(x: &Tensor, dy: &Tensor) -> Tensor {
-    assert_eq!((x.rows(), x.cols()), (dy.rows(), dy.cols()));
-    let grad = x.map(|v| {
-        let inner = GELU_C * (v + 0.044715 * v * v * v);
-        let t = inner.tanh();
+    x.zip_map(dy, |v, g| {
+        let t = gelu_tanh(v);
         let sech2 = 1.0 - t * t;
-        0.5 * (1.0 + t) + 0.5 * v * sech2 * GELU_C * (1.0 + 3.0 * 0.044715 * v * v)
-    });
-    grad.hadamard(dy)
+        let slope = 0.5 * (1.0 + t) + 0.5 * v * sech2 * GELU_C * (1.0 + 3.0 * GELU_A * v * v);
+        slope * g
+    })
 }
 
 /// Stash produced by [`layernorm`] for its backward.
@@ -86,25 +137,24 @@ pub fn layernorm(x: &Tensor, gamma: &[f32], beta: &[f32]) -> (Tensor, LayerNormS
     let n = x.cols();
     assert_eq!(gamma.len(), n);
     assert_eq!(beta.len(), n);
-    let mut xhat = x.clone();
+    let mut xhat = pool::take_spare(x.len());
+    let mut y = pool::take_spare(x.len());
     let mut inv_std = Vec::with_capacity(x.rows());
     for r in 0..x.rows() {
-        let row = xhat.row_mut(r);
+        let row = x.row(r);
         let mean = row.iter().sum::<f32>() / n as f32;
         let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / n as f32;
         let inv = 1.0 / (var + LN_EPS).sqrt();
-        for v in row.iter_mut() {
-            *v = (*v - mean) * inv;
-        }
+        xhat.extend(row.iter().map(|&v| (v - mean) * inv));
+        let hat = xhat[r * n..].iter().zip(gamma).zip(beta);
+        y.extend(hat.map(|((&h, &g), &b)| h * g + b));
         inv_std.push(inv);
     }
-    let mut y = xhat.clone();
-    for r in 0..y.rows() {
-        for (c, v) in y.row_mut(r).iter_mut().enumerate() {
-            *v = *v * gamma[c] + beta[c];
-        }
-    }
-    (y, LayerNormStash { xhat, inv_std })
+    let xhat = Tensor::from_vec(x.rows(), n, xhat);
+    (
+        Tensor::from_vec(x.rows(), n, y),
+        LayerNormStash { xhat, inv_std },
+    )
 }
 
 /// Backward of [`layernorm`]: returns `(dx, dγ, dβ)`.
@@ -114,34 +164,32 @@ pub fn layernorm_backward(
     dy: &Tensor,
 ) -> (Tensor, Vec<f32>, Vec<f32>) {
     let n = dy.cols();
+    let nf = n as f32;
     let mut dgamma = vec![0.0f32; n];
     let mut dbeta = vec![0.0f32; n];
-    let mut dx = Tensor::zeros(dy.rows(), n);
+    let mut dx = pool::take_spare(dy.len());
     for r in 0..dy.rows() {
         let xhat = stash.xhat.row(r);
         let dyr = dy.row(r);
+        // The dx row first holds dx̂ = dy ⊙ γ, then is rewritten in place.
+        dx.extend(dyr.iter().zip(gamma).map(|(&d, &g)| d * g));
+        let dxr = &mut dx[r * n..];
         let mut sum_dxhat = 0.0f32;
         let mut sum_dxhat_xhat = 0.0f32;
-        // dxhat = dy * gamma
-        for c in 0..n {
-            let dxhat = dyr[c] * gamma[c];
-            sum_dxhat += dxhat;
-            sum_dxhat_xhat += dxhat * xhat[c];
-            dgamma[c] += dyr[c] * xhat[c];
-            dbeta[c] += dyr[c];
+        for (&d, &h) in dxr.iter().zip(xhat) {
+            sum_dxhat += d;
+            sum_dxhat_xhat += d * h;
         }
-        let inv = stash.inv_std[r];
-        let nf = n as f32;
-        for c in 0..n {
-            let dxhat = dyr[c] * gamma[c];
-            dx.set(
-                r,
-                c,
-                inv / nf * (nf * dxhat - sum_dxhat - xhat[c] * sum_dxhat_xhat),
-            );
+        for ((dg, db), (&d, &h)) in dgamma.iter_mut().zip(&mut dbeta).zip(dyr.iter().zip(xhat)) {
+            *dg += d * h;
+            *db += d;
+        }
+        let k = stash.inv_std[r] / nf;
+        for (d, &h) in dxr.iter_mut().zip(xhat) {
+            *d = k * (nf * *d - sum_dxhat - h * sum_dxhat_xhat);
         }
     }
-    (dx, dgamma, dbeta)
+    (Tensor::from_vec(dy.rows(), n, dx), dgamma, dbeta)
 }
 
 #[cfg(test)]
@@ -207,6 +255,79 @@ mod tests {
         let analytic = gelu_backward(&x, &w);
         let numeric = num_grad(&x, &w, gelu);
         assert!(analytic.max_abs_diff(&numeric) < 2e-3);
+    }
+
+    /// libm is the accuracy oracle: the ops agree with the same formulas
+    /// over `f32::tanh`/`f32::exp` to within a few ulp.
+    #[test]
+    fn gelu_and_softmax_match_libm_oracle() {
+        let mut rng = Rng::new(6);
+        let x = Tensor::normal(8, 40, 3.0, &mut rng);
+        let dy = Tensor::normal(8, 40, 1.0, &mut rng);
+        let inner = |v: f32| GELU_C * (v + GELU_A * v * v * v);
+        let want = x.map(|v| 0.5 * v * (1.0 + inner(v).tanh()));
+        assert!(gelu(&x).max_abs_diff(&want) < 1e-6);
+        let want = x.zip_map(&dy, |v, g| {
+            let t = inner(v).tanh();
+            let sech2 = 1.0 - t * t;
+            g * (0.5 * (1.0 + t) + 0.5 * v * sech2 * GELU_C * (1.0 + 3.0 * GELU_A * v * v))
+        });
+        assert!(gelu_backward(&x, &dy).max_abs_diff(&want) < 1e-5);
+
+        let y = softmax_rows(&x);
+        for r in 0..x.rows() {
+            let max = x.row(r).iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let sum: f32 = x.row(r).iter().map(|&v| (v - max).exp()).sum();
+            for (&got, &v) in y.row(r).iter().zip(x.row(r)) {
+                assert!((got - (v - max).exp() / sum).abs() < 1e-6);
+            }
+        }
+    }
+
+    /// Element `i` of a long call equals the one-element call bit for bit:
+    /// the vector body, the remainder loop and the scalar path are one op
+    /// chain.
+    #[test]
+    fn gelu_is_lane_independent() {
+        let mut rng = Rng::new(8);
+        let pool = Tensor::normal(1, 80, 3.0, &mut rng);
+        for offset in 0..8 {
+            for len in 0..=67 {
+                let slice =
+                    |t: &Tensor| Tensor::from_vec(1, len, t.data()[offset..offset + len].to_vec());
+                let (x, dy) = (slice(&pool), slice(&pool.map(|v| 0.3 - v)));
+                let (y, dx) = (gelu(&x), gelu_backward(&x, &dy));
+                for i in 0..len {
+                    let one = |t: &Tensor| Tensor::from_vec(1, 1, vec![t.data()[i]]);
+                    assert_eq!(y.data()[i].to_bits(), gelu(&one(&x)).data()[0].to_bits());
+                    assert_eq!(
+                        dx.data()[i].to_bits(),
+                        gelu_backward(&one(&x), &one(&dy)).data()[0].to_bits()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn causal_rows_carry_exact_zeros_and_no_subnormals() {
+        let mut rng = Rng::new(9);
+        // A spread wide enough that many exponentials underflow; row 2
+        // holds an exponential that is normal until it is normalized.
+        let mut scores = Tensor::normal(19, 19, 60.0, &mut rng);
+        scores.row_mut(2)[..3].copy_from_slice(&[0.0, 0.0, -174.4]);
+        let mut p = scores.clone();
+        scale_mask_softmax_rows(&mut p, 0.5, true);
+        for i in 0..p.rows() {
+            let (seen, masked) = p.row(i).split_at(i + 1);
+            assert!(masked.iter().all(|v| v.to_bits() == 0), "row {i} mask");
+            assert!(seen.iter().all(|&v| v == 0.0 || v.is_normal()), "row {i}");
+            assert!((seen.iter().sum::<f32>() - 1.0).abs() < 1e-5);
+            // Same bits as the unmasked op on the visible prefix alone.
+            let prefix = Tensor::from_vec(1, i + 1, scores.row(i)[..=i].to_vec());
+            assert_eq!(softmax_rows(&prefix.map(|v| v * 0.5)).data(), seen);
+        }
+        assert_eq!(p.row(2)[..3], [0.5, 0.5, 0.0]);
     }
 
     #[test]

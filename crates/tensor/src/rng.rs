@@ -38,6 +38,11 @@ impl Rng {
     }
 
     /// Standard normal via Box–Muller.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "parameter initialization: runs once, before training, \
+                  identically for every path a build compares"
+    )]
     pub fn normal(&mut self) -> f32 {
         let u1 = (self.uniform() + 1e-7).min(1.0);
         let u2 = self.uniform();

@@ -290,16 +290,21 @@ impl Tensor {
         }
     }
 
-    /// Elementwise product.
-    pub fn hadamard(&self, other: &Tensor) -> Tensor {
+    /// Combine every element with the matching element of `other`.
+    pub fn zip_map(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         let mut data = pool::take_spare(self.data.len());
-        data.extend(self.data.iter().zip(&other.data).map(|(&a, &b)| a * b));
+        data.extend(self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)));
         Tensor {
             rows: self.rows,
             cols: self.cols,
             data,
         }
+    }
+
+    /// Elementwise product.
+    pub fn hadamard(&self, other: &Tensor) -> Tensor {
+        self.zip_map(other, |a, b| a * b)
     }
 
     /// Copy a contiguous block of rows.
