@@ -5,7 +5,6 @@
 
 use chimera_bench::scaling::{best_per_scheme, chimera_speedups};
 use chimera_bench::{arg_value, candidate_json, print_table, save_json};
-use chimera_core::chimera::ScaleMethod;
 use chimera_perf::planner::rebuild;
 use chimera_perf::{ClusterSpec, ModelSpec};
 use chimera_sim::simulate_span;
@@ -15,7 +14,7 @@ fn main() {
     let cluster = ClusterSpec::piz_daint();
     let p = 2048u32;
     let b_hat = 2048u64;
-    let results = best_per_scheme(model, cluster, p, b_hat, ScaleMethod::Direct);
+    let results = best_per_scheme(model, cluster, p, b_hat);
     let mut rows = Vec::new();
     let mut json = Vec::new();
     for (name, c) in &results {

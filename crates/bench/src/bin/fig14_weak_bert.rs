@@ -3,37 +3,15 @@
 //! P=64: Chimera beats PipeDream 1.94x, PipeDream-2BW 1.17x, GPipe 1.32x,
 //! GEMS 2.41x, DAPPLE 1.19x.
 
-use chimera_bench::scaling::{best_per_scheme, chimera_speedups};
-use chimera_bench::{candidate_headers, candidate_json, candidate_row, print_table, save_json};
-use chimera_core::chimera::ScaleMethod;
+use chimera_bench::scaling::weak_scaling;
 use chimera_perf::{ClusterSpec, ModelSpec};
 
 fn main() {
-    let model = ModelSpec::bert48();
-    let cluster = ClusterSpec::piz_daint();
-    let mut json = Vec::new();
-    for (p, b_hat) in [(16u32, 256u64), (32, 512), (64, 1024)] {
-        let results = best_per_scheme(model, cluster, p, b_hat, ScaleMethod::Direct);
-        let rows: Vec<Vec<String>> = results
-            .iter()
-            .filter_map(|(_, c)| c.as_ref().map(candidate_row))
-            .collect();
-        print_table(
-            &format!("Fig. 14: Bert-48 weak scaling, P={p}, B̂={b_hat}"),
-            &candidate_headers(),
-            &rows,
-        );
-        for (name, speedup) in chimera_speedups(&results) {
-            println!("  Chimera vs {name}: {speedup:.2}x");
-        }
-        for (name, c) in &results {
-            if let Some(c) = c {
-                let mut j = candidate_json(c);
-                j["p"] = serde_json::json!(p);
-                j["label"] = serde_json::json!(name);
-                json.push(j);
-            }
-        }
-    }
-    save_json("fig14_weak_bert", serde_json::json!(json));
+    weak_scaling(
+        "fig14_weak_bert",
+        "Fig. 14: Bert-48 weak scaling",
+        ModelSpec::bert48(),
+        ClusterSpec::piz_daint(),
+        &[(16, 256), (32, 512), (64, 1024)],
+    );
 }

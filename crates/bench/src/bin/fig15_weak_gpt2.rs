@@ -3,42 +3,17 @@
 //! 2.01x, PipeDream-2BW 1.16x, GPipe 1.42x, GEMS 2.34x, DAPPLE 1.38x, with
 //! 91.4% parallel efficiency from 512→2,048 nodes.
 
-use chimera_bench::scaling::{best_per_scheme, chimera_speedups};
-use chimera_bench::{candidate_headers, candidate_json, candidate_row, print_table, save_json};
-use chimera_core::chimera::ScaleMethod;
+use chimera_bench::scaling::weak_scaling;
 use chimera_perf::{ClusterSpec, ModelSpec};
 
 fn main() {
-    let model = ModelSpec::gpt2();
-    let cluster = ClusterSpec::piz_daint();
-    let mut json = Vec::new();
-    let mut chimera_throughputs = Vec::new();
-    for (p, b_hat) in [(512u32, 512u64), (1024, 1024), (2048, 2048)] {
-        let results = best_per_scheme(model, cluster, p, b_hat, ScaleMethod::Direct);
-        let rows: Vec<Vec<String>> = results
-            .iter()
-            .filter_map(|(_, c)| c.as_ref().map(candidate_row))
-            .collect();
-        print_table(
-            &format!("Fig. 15: GPT-2 weak scaling, P={p}, B̂={b_hat}"),
-            &candidate_headers(),
-            &rows,
-        );
-        for (name, speedup) in chimera_speedups(&results) {
-            println!("  Chimera vs {name}: {speedup:.2}x");
-        }
-        if let Some((_, Some(c))) = results.last() {
-            chimera_throughputs.push((p, c.throughput));
-        }
-        for (name, c) in &results {
-            if let Some(c) = c {
-                let mut j = candidate_json(c);
-                j["p"] = serde_json::json!(p);
-                j["label"] = serde_json::json!(name);
-                json.push(j);
-            }
-        }
-    }
+    let chimera_throughputs = weak_scaling(
+        "fig15_weak_gpt2",
+        "Fig. 15: GPT-2 weak scaling",
+        ModelSpec::gpt2(),
+        ClusterSpec::piz_daint(),
+        &[(512, 512), (1024, 1024), (2048, 2048)],
+    );
     if let (Some(&(p0, t0)), Some(&(p1, t1))) =
         (chimera_throughputs.first(), chimera_throughputs.last())
     {
@@ -48,5 +23,4 @@ fn main() {
             eff * 100.0
         );
     }
-    save_json("fig15_weak_gpt2", serde_json::json!(json));
 }

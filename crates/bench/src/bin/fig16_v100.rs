@@ -2,37 +2,15 @@
 //! cluster — P from 16 to 32, B̂ from 128 to 256. Paper: Chimera improves
 //! 1.10x–2.39x over synchronous and 1.05x–1.89x over asynchronous baselines.
 
-use chimera_bench::scaling::{best_per_scheme, chimera_speedups};
-use chimera_bench::{candidate_headers, candidate_json, candidate_row, print_table, save_json};
-use chimera_core::chimera::ScaleMethod;
+use chimera_bench::scaling::weak_scaling;
 use chimera_perf::{ClusterSpec, ModelSpec};
 
 fn main() {
-    let model = ModelSpec::bert48_seq512();
-    let cluster = ClusterSpec::v100_cluster();
-    let mut json = Vec::new();
-    for (p, b_hat) in [(16u32, 128u64), (32, 256)] {
-        let results = best_per_scheme(model, cluster, p, b_hat, ScaleMethod::Direct);
-        let rows: Vec<Vec<String>> = results
-            .iter()
-            .filter_map(|(_, c)| c.as_ref().map(candidate_row))
-            .collect();
-        print_table(
-            &format!("Fig. 16: Bert-48/seq512 on V100 cluster, P={p}, B̂={b_hat}"),
-            &candidate_headers(),
-            &rows,
-        );
-        for (name, speedup) in chimera_speedups(&results) {
-            println!("  Chimera vs {name}: {speedup:.2}x");
-        }
-        for (name, c) in &results {
-            if let Some(c) = c {
-                let mut j = candidate_json(c);
-                j["p"] = serde_json::json!(p);
-                j["label"] = serde_json::json!(name);
-                json.push(j);
-            }
-        }
-    }
-    save_json("fig16_v100", serde_json::json!(json));
+    weak_scaling(
+        "fig16_v100",
+        "Fig. 16: Bert-48/seq512 on V100 cluster",
+        ModelSpec::bert48_seq512(),
+        ClusterSpec::v100_cluster(),
+        &[(16, 128), (32, 256)],
+    );
 }

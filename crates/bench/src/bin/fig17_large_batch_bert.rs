@@ -5,53 +5,15 @@
 //! Chimera(direct) averages 1.13x over GPipe, 2.07x over GEMS, 1.06x over
 //! DAPPLE, and tracks PipeDream-2BW.
 
-use chimera_bench::scaling::baseline_schemes;
-use chimera_bench::{candidate_headers, candidate_json, candidate_row, print_table, save_json};
-use chimera_core::chimera::ScaleMethod;
-use chimera_perf::planner::{best, plan_chimera};
+use chimera_bench::scaling::large_batch;
 use chimera_perf::{ClusterSpec, ModelSpec};
 
 fn main() {
-    let model = ModelSpec::bert48();
-    let cluster = ClusterSpec::piz_daint();
-    let p = 32u32;
-    let mut json = Vec::new();
-    for b_hat in [512u64, 1024, 2048, 4096, 8192] {
-        let mut rows = Vec::new();
-        let mut add = |label: String, c: Option<chimera_perf::Candidate>| {
-            if let Some(c) = c {
-                let mut row = candidate_row(&c);
-                row[0] = label.clone();
-                rows.push(row);
-                let mut j = candidate_json(&c);
-                j["b_hat_setting"] = serde_json::json!(b_hat);
-                j["label"] = serde_json::json!(label);
-                json.push(j);
-            }
-        };
-        for scheme in baseline_schemes() {
-            add(scheme.label(), best(scheme, model, cluster, p, b_hat));
-        }
-        for scale in [
-            ScaleMethod::Direct,
-            ScaleMethod::ForwardDoubling { recompute: true },
-            ScaleMethod::BackwardHalving,
-        ] {
-            let label = match scale {
-                ScaleMethod::Direct => "Chimera (direct)",
-                ScaleMethod::ForwardDoubling { .. } => "Chimera (fwd-doubling)",
-                ScaleMethod::BackwardHalving => "Chimera (bwd-halving)",
-            };
-            add(
-                label.to_string(),
-                plan_chimera(1, scale, model, cluster, p, b_hat),
-            );
-        }
-        print_table(
-            &format!("Fig. 17: Bert-48 on P=32, B̂={b_hat}"),
-            &candidate_headers(),
-            &rows,
-        );
-    }
-    save_json("fig17_large_batch_bert", serde_json::json!(json));
+    large_batch(
+        "fig17_large_batch_bert",
+        "Fig. 17: Bert-48 on P=32",
+        ModelSpec::bert48(),
+        ClusterSpec::piz_daint(),
+        32,
+    );
 }

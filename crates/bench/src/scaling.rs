@@ -4,6 +4,8 @@ use chimera_core::chimera::ScaleMethod;
 use chimera_perf::planner::{best, plan_chimera, Candidate, PlanScheme};
 use chimera_perf::{ClusterSpec, ModelSpec};
 
+use crate::{candidate_headers, candidate_json, candidate_row, print_table, save_json};
+
 /// The baseline schemes in the paper's legend order.
 pub fn baseline_schemes() -> Vec<PlanScheme> {
     vec![
@@ -24,7 +26,6 @@ pub fn best_per_scheme(
     cluster: ClusterSpec,
     p: u32,
     b_hat: u64,
-    _chimera_scale: ScaleMethod,
 ) -> Vec<(String, Option<Candidate>)> {
     let mut out: Vec<(String, Option<Candidate>)> = baseline_schemes()
         .into_iter()
@@ -62,4 +63,80 @@ pub fn chimera_speedups(results: &[(String, Option<Candidate>)]) -> Vec<(String,
         .iter()
         .filter_map(|(name, c)| c.as_ref().map(|c| (name.clone(), chim / c.throughput)))
         .collect()
+}
+
+/// A weak-scaling figure (Figs. 14–16): for every `(P, B̂)` of `points`,
+/// print the best candidate per scheme and Chimera's speedup over each,
+/// then save all candidates to `results/<name>.json`. `title` is the part
+/// of each table heading before `, P=…`. Returns Chimera's `(P, samples/s)`
+/// per point.
+pub fn weak_scaling(
+    name: &str,
+    title: &str,
+    model: ModelSpec,
+    cluster: ClusterSpec,
+    points: &[(u32, u64)],
+) -> Vec<(u32, f64)> {
+    let mut json = Vec::new();
+    let mut chimera_throughputs = Vec::new();
+    for &(p, b_hat) in points {
+        let results = best_per_scheme(model, cluster, p, b_hat);
+        let rows: Vec<Vec<String>> = results
+            .iter()
+            .filter_map(|(_, c)| c.as_ref().map(candidate_row))
+            .collect();
+        print_table(
+            &format!("{title}, P={p}, B̂={b_hat}"),
+            &candidate_headers(),
+            &rows,
+        );
+        for (name, speedup) in chimera_speedups(&results) {
+            println!("  Chimera vs {name}: {speedup:.2}x");
+        }
+        if let Some((_, Some(c))) = results.last() {
+            chimera_throughputs.push((p, c.throughput));
+        }
+        for (name, c) in &results {
+            if let Some(c) = c {
+                let mut j = candidate_json(c);
+                j["p"] = serde_json::json!(p);
+                j["label"] = serde_json::json!(name);
+                json.push(j);
+            }
+        }
+    }
+    save_json(name, serde_json::json!(json));
+    chimera_throughputs
+}
+
+/// A large-mini-batch figure (Figs. 17/18): on `p` workers, for B̂ from 512
+/// to 8,192, print the tuned baselines next to each of Chimera's three §3.5
+/// strategies and save all candidates to `results/<name>.json`. `title` is
+/// the part of each table heading before `, B̂=…`.
+pub fn large_batch(name: &str, title: &str, model: ModelSpec, cluster: ClusterSpec, p: u32) {
+    let mut json = Vec::new();
+    for b_hat in [512u64, 1024, 2048, 4096, 8192] {
+        let mut rows = Vec::new();
+        let mut add = |c: Option<Candidate>| {
+            if let Some(c) = c {
+                rows.push(candidate_row(&c));
+                let mut j = candidate_json(&c);
+                j["b_hat_setting"] = serde_json::json!(b_hat);
+                j["label"] = serde_json::json!(c.scheme.label());
+                json.push(j);
+            }
+        };
+        for scheme in baseline_schemes() {
+            add(best(scheme, model, cluster, p, b_hat));
+        }
+        for scale in [
+            ScaleMethod::Direct,
+            ScaleMethod::ForwardDoubling { recompute: true },
+            ScaleMethod::BackwardHalving,
+        ] {
+            add(plan_chimera(1, scale, model, cluster, p, b_hat));
+        }
+        print_table(&format!("{title}, B̂={b_hat}"), &candidate_headers(), &rows);
+    }
+    save_json(name, serde_json::json!(json));
 }

@@ -1,10 +1,10 @@
 //! Gradient compression — the paper's stated next step: "to reduce the
 //! communication cost of gradient synchronization by exploiting
-//! sparsification [22, 47] and quantization [1] ... is our next step" (§5).
+//! sparsification [22, 47] and quantization \[1\] ... is our next step" (§5).
 //!
 //! Two classic compressors are implemented:
 //!
-//! * **QSGD** stochastic quantization [1]: each value is rounded to one of
+//! * **QSGD** stochastic quantization \[1\]: each value is rounded to one of
 //!   `s` levels of `‖v‖∞` with probabilities that make the estimate
 //!   unbiased; the wire format is one `f32` norm plus ⌈log2(2s+1)⌉ bits per
 //!   value.

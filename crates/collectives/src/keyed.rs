@@ -136,23 +136,34 @@ impl KeyedMember {
     /// Blocking wait: returns the reduced vector of this member's next
     /// un-fetched round (in deposit order).
     pub fn fetch(&self) -> Vec<f32> {
+        self.fetch_until(None)
+            .expect("a wait without a deadline ends only with the result")
+    }
+
+    /// Wait on the group's condition variable until this member's next
+    /// un-fetched round is complete or `deadline` passes; the round is
+    /// consumed only when its result is returned.
+    fn fetch_until(&self, deadline: Option<Instant>) -> Option<Vec<f32>> {
         let n = self.shared.n;
-        self.fetches.inc();
         let mut st = self.shared.state.lock();
         let round_idx = st.fetch_round[self.rank];
-        st.fetch_round[self.rank] += 1;
         loop {
             let slot = (round_idx - st.base) as usize;
-            if let Some(round) = st.rounds.get(slot) {
-                if let Some(result) = &round.result {
-                    let out = pooled_copy(result);
-                    let round = &mut st.rounds[slot];
-                    round.fetched += 1;
-                    retire_rounds(&mut st, n);
-                    return out;
+            if let Some(result) = st.rounds.get(slot).and_then(|r| r.result.as_ref()) {
+                let out = pooled_copy(result);
+                st.fetch_round[self.rank] = round_idx + 1;
+                st.rounds[slot].fetched += 1;
+                retire_rounds(&mut st, n);
+                self.fetches.inc();
+                return Some(out);
+            }
+            match deadline {
+                None => self.shared.cv.wait(&mut st),
+                Some(deadline) => {
+                    let remaining = deadline.checked_duration_since(Instant::now())?;
+                    self.shared.cv.wait_for(&mut st, remaining);
                 }
             }
-            self.shared.cv.wait(&mut st);
         }
     }
 
@@ -175,24 +186,13 @@ impl KeyedMember {
         Some(out)
     }
 
-    /// [`Self::fetch`] with a hard deadline: polls with bounded exponential
-    /// backoff and gives up after `timeout`, returning `None` without
-    /// consuming the round. A member of a group whose peer died would
-    /// otherwise block forever on the condition variable; every blocking
-    /// wait in the training runtime goes through this path.
+    /// [`Self::fetch`] with a hard deadline: gives up after `timeout`,
+    /// returning `None` without consuming the round. A member of a group
+    /// whose peer died would otherwise block forever on the condition
+    /// variable; every blocking wait in the training runtime goes through
+    /// this path.
     pub fn fetch_deadline(&self, timeout: Duration) -> Option<Vec<f32>> {
-        let deadline = Instant::now() + timeout;
-        let mut backoff_us = 10u64;
-        loop {
-            if let Some(out) = self.try_fetch() {
-                return Some(out);
-            }
-            if Instant::now() >= deadline {
-                return None;
-            }
-            std::thread::sleep(Duration::from_micros(backoff_us));
-            backoff_us = (backoff_us * 2).min(500);
-        }
+        self.fetch_until(Some(Instant::now() + timeout))
     }
 
     /// Blocking allreduce: [`Self::deposit`] + [`Self::fetch`].
@@ -384,6 +384,21 @@ mod tests {
         assert!(deposits.get() - d0 >= 1);
         assert!(fetches.get() - f0 >= 1);
         assert!(bytes.get() - b0 >= 6 * 4);
+    }
+
+    #[test]
+    fn deadline_expiry_leaves_the_round_for_a_later_fetch() {
+        let mut g = keyed_group(2);
+        let (m1, m0) = (g.pop().unwrap(), g.pop().unwrap());
+        m0.deposit(vec![(0, vec![1.0])]);
+        assert_eq!(m0.fetch_deadline(Duration::from_millis(5)), None);
+        assert_eq!(m0.fetch_deadline(Duration::ZERO), None);
+        // A waiter parked on the condition variable is woken by the deposit
+        // that completes its round.
+        let waiter = thread::spawn(move || m0.fetch_deadline(Duration::from_secs(30)));
+        m1.deposit(vec![(1, vec![2.0])]);
+        assert_eq!(waiter.join().unwrap(), Some(vec![3.0]));
+        assert_eq!(m1.fetch_deadline(Duration::ZERO), Some(vec![3.0]));
     }
 
     /// Two overlapping outstanding rounds: launch round 0 and round 1 before

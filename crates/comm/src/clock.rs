@@ -57,7 +57,7 @@ impl ClockSync {
 /// Agree on a shared trace epoch across the fabric.
 ///
 /// Every rank of `ep`'s fabric must call this at the same protocol point
-/// (it is a collective): rank 0 serves [`ROUNDS`] probe/response exchanges
+/// (it is a collective): rank 0 serves `ROUNDS` probe/response exchanges
 /// to every other rank and returns [`ClockSync::identity`]; every other
 /// rank measures its offset to rank 0's clock and returns the minimum-RTT
 /// estimate. `now` must be the same clock the caller stamps trace events

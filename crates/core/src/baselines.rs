@@ -1,5 +1,5 @@
 //! Baseline pipeline schemes evaluated in the paper (Table 2):
-//! GPipe [26], DAPPLE [16], GEMS [28], PipeDream [38], PipeDream-2BW [39].
+//! GPipe \[26\], DAPPLE \[16\], GEMS \[28\], PipeDream \[38\], PipeDream-2BW \[39\].
 
 use crate::ids::{MicroId, ReplicaId, StageId};
 use crate::onefb::{DirectionalPipeline, Mode};
@@ -7,7 +7,7 @@ use crate::op::Op;
 use crate::placement::Placement;
 use crate::schedule::{Schedule, Scheme, SyncStrategy};
 
-/// GPipe [26]: inject all `n` micro-batches, then run all backwards, then
+/// GPipe \[26\]: inject all `n` micro-batches, then run all backwards, then
 /// flush. Bubbles: `D-1` in each phase; activations: `n * Ma` (Table 2).
 pub fn gpipe(d: u32, n: u32) -> Schedule {
     assert!(d >= 1 && n >= 1);
@@ -37,7 +37,7 @@ pub fn gpipe(d: u32, n: u32) -> Schedule {
     sched
 }
 
-/// DAPPLE [16]: 1F1B schedule with periodic flushes. Same bubble count as
+/// DAPPLE \[16\]: 1F1B schedule with periodic flushes. Same bubble count as
 /// GPipe but activations bounded by `min(D - s, n)` micro-batches per stage.
 pub fn dapple(d: u32, n: u32) -> Schedule {
     assert!(d >= 1 && n >= 1);
@@ -63,7 +63,7 @@ pub fn dapple(d: u32, n: u32) -> Schedule {
     sched
 }
 
-/// GEMS [28]: two model replicas in opposite directions; micro-batches are
+/// GEMS \[28\]: two model replicas in opposite directions; micro-batches are
 /// processed in pairs with at most two concurrently active, so the second
 /// replica's forward overlaps the first's backward. Designed for small
 /// mini-batches; its bubble ratio (`≈ (D-1)/(D+1/2)`, Table 2) does not
@@ -117,7 +117,7 @@ pub fn gems(d: u32, n: u32) -> Schedule {
     sched
 }
 
-/// PipeDream [38]: asynchronous 1F1B without flushes. The model is updated
+/// PipeDream \[38\]: asynchronous 1F1B without flushes. The model is updated
 /// after each micro-batch's backward, which requires stashing up to `D - s`
 /// weight versions at stage `s`. Gradient synchronization (across the `W`
 /// data-parallel replicas) happens per micro-batch: a blocking
@@ -143,7 +143,7 @@ pub fn pipedream(d: u32, n: u32) -> Schedule {
     sched
 }
 
-/// PipeDream-2BW [39]: asynchronous 1F1B without flushes, gradient
+/// PipeDream-2BW \[39\]: asynchronous 1F1B without flushes, gradient
 /// accumulation over the `n` micro-batches and double-buffered weights
 /// (2 versions). One gradient synchronization per iteration, overlapped with
 /// the next iteration's compute (the wait is deferred; see

@@ -64,10 +64,7 @@ pub fn compact(
             assert_eq!(s.ops.len(), s.priority.len(), "priority per op required");
         }
     }
-    let all_ops = streams_per_worker
-        .iter()
-        .flat_map(|ws| ws.iter().flat_map(|s| s.ops.iter()));
-    let mut tracker = DepTracker::new(d, placement, all_ops);
+    let mut tracker = DepTracker::new(d, placement);
 
     // Retirement tracking: per micro, how many stage-0 backward half-units
     // remain (2 = one full backward or two halves).

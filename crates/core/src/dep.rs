@@ -1,11 +1,14 @@
-//! Shared dependency tracking for schedule executors.
+//! Op readiness: the one statement of which dependencies an op has and
+//! whether they are satisfied.
 //!
-//! Both the in-order executor ([`crate::unit_time`]) and the work-conserving
-//! compactor ([`crate::compact`]) need to answer the same question: given
-//! what has already executed, at which tick are an op's data dependencies
-//! satisfied? This module owns that logic.
+//! The in-order executor ([`crate::unit_time`]), the work-conserving
+//! compactor ([`crate::compact`]) and the static deadlock diagnosis in
+//! `chimera-verify` all ask the same question: given what has already
+//! executed, is an op ready — and if so at which tick, if not on what is it
+//! waiting? This module owns the answer.
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 use crate::ids::{MicroId, ReplicaId, StageId, WorkerId};
 use crate::op::{Chunk, Op, OpKind};
@@ -15,8 +18,31 @@ use crate::unit_time::CostProvider;
 type FwdKey = (MicroId, StageId, ReplicaId);
 type BwdKey = (MicroId, StageId, ReplicaId, u8); // 0/1 = half chunk, 2 = full
 
+/// One dependency of an op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Need {
+    /// The forward output of `(micro, stage, replica)`.
+    Fwd(MicroId, StageId, ReplicaId),
+    /// The backward output (gradient) of `(micro, stage, replica)`, as much
+    /// of it as a consumer of the given chunk reads.
+    Bwd(MicroId, StageId, ReplicaId, Chunk),
+    /// Completion of allreduce instance `.1` of the stage: every replica has
+    /// launched it.
+    Ar(StageId, usize),
+}
+
+impl std::fmt::Display for Need {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Need::Fwd(m, s, r) => write!(f, "forward of {m}@{s}/{r}"),
+            Need::Bwd(m, s, r, _) => write!(f, "backward of {m}@{s}/{r}"),
+            Need::Ar(s, inst) => write!(f, "allreduce instance {inst} of {s}"),
+        }
+    }
+}
+
 /// Tracks finished ops and derives dependency-ready times.
-pub(crate) struct DepTracker {
+pub struct DepTracker {
     d: u32,
     placement: Placement,
     fwd_finish: HashMap<FwdKey, u64>,
@@ -31,23 +57,10 @@ pub(crate) struct DepTracker {
     comm_busy: Vec<u64>,
     launch_count: HashMap<(WorkerId, StageId), usize>,
     wait_count: HashMap<(WorkerId, StageId), usize>,
-    /// `(replica, stage)` pairs whose backward recomputes, so their forwards
-    /// only stash the stage-boundary input.
-    recomputing: Vec<(ReplicaId, StageId)>,
 }
 
 impl DepTracker {
-    pub(crate) fn new<'a>(
-        d: u32,
-        placement: &Placement,
-        all_ops: impl Iterator<Item = &'a Op>,
-    ) -> Self {
-        let mut recomputing = Vec::new();
-        for op in all_ops {
-            if op.recomputes() && !recomputing.contains(&(op.replica, op.stage)) {
-                recomputing.push((op.replica, op.stage));
-            }
-        }
+    pub(crate) fn new(d: u32, placement: &Placement) -> Self {
         DepTracker {
             d,
             placement: placement.clone(),
@@ -58,27 +71,83 @@ impl DepTracker {
             comm_busy: vec![0; d as usize],
             launch_count: HashMap::new(),
             wait_count: HashMap::new(),
-            recomputing,
         }
     }
 
-    fn fwd_done(&self, m: MicroId, s: StageId, r: ReplicaId) -> Option<u64> {
-        self.fwd_finish.get(&(m, s, r)).copied()
+    /// Whether the half-`h` backward of `(m, s, r)` has executed.
+    pub fn bwd_half_done(&self, m: MicroId, s: StageId, r: ReplicaId, h: u8) -> bool {
+        self.bwd_finish.contains_key(&(m, s, r, h))
     }
 
-    fn bwd_done(&self, m: MicroId, s: StageId, r: ReplicaId, consumer: Chunk) -> Option<u64> {
-        match consumer {
-            Chunk::Half(h) => self
+    /// Allreduce launches of `stage` worker `w` has executed; its next
+    /// launch feeds the instance of that index.
+    pub fn launches(&self, w: WorkerId, stage: StageId) -> usize {
+        *self.launch_count.get(&(w, stage)).unwrap_or(&0)
+    }
+
+    /// Visit the dependencies of `op` on worker `w`, in the order they are
+    /// checked, until `visit` breaks.
+    fn try_needs<B>(
+        &self,
+        w: WorkerId,
+        op: &Op,
+        mut visit: impl FnMut(Need) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        match op.kind {
+            OpKind::Forward => {
+                if let Some(prev) = op.stage.0.checked_sub(1) {
+                    for m in op.covered_micros() {
+                        visit(Need::Fwd(m, StageId(prev), op.replica))?;
+                    }
+                }
+            }
+            OpKind::Backward { .. } => {
+                // The local forward must have stashed activations; every
+                // stage but the last also reads the next stage's gradient.
+                for m in op.covered_micros() {
+                    visit(Need::Fwd(m, op.stage, op.replica))?;
+                }
+                if op.stage.0 + 1 < self.d {
+                    for m in op.covered_micros() {
+                        visit(Need::Bwd(m, StageId(op.stage.0 + 1), op.replica, op.chunk))?;
+                    }
+                }
+            }
+            OpKind::AllReduceLaunch => {}
+            OpKind::AllReduceWait => {
+                let inst = *self.wait_count.get(&(w, op.stage)).unwrap_or(&0);
+                visit(Need::Ar(op.stage, inst))?;
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// Tick at which `need` was satisfied, or `None` if it is not yet.
+    fn done_at(&self, need: &Need) -> Option<u64> {
+        match *need {
+            Need::Fwd(m, s, r) => self.fwd_finish.get(&(m, s, r)).copied(),
+            Need::Bwd(m, s, r, Chunk::Half(h)) => self
                 .bwd_finish
                 .get(&(m, s, r, h))
                 .or_else(|| self.bwd_finish.get(&(m, s, r, 2)))
                 .copied(),
-            _ => self.bwd_finish.get(&(m, s, r, 2)).copied().or_else(|| {
+            Need::Bwd(m, s, r, _) => self.bwd_finish.get(&(m, s, r, 2)).copied().or_else(|| {
                 let h0 = self.bwd_finish.get(&(m, s, r, 0))?;
                 let h1 = self.bwd_finish.get(&(m, s, r, 1))?;
                 Some((*h0).max(*h1))
             }),
+            Need::Ar(stage, inst) => self.ar_complete.get(&(stage, inst)).copied(),
         }
+    }
+
+    /// The first dependency of `op` on worker `w` that has not executed yet,
+    /// or `None` if the op is ready.
+    pub fn first_unmet(&self, w: WorkerId, op: &Op) -> Option<Need> {
+        self.try_needs(w, op, |need| match self.done_at(&need) {
+            Some(_) => ControlFlow::Continue(()),
+            None => ControlFlow::Break(need),
+        })
+        .break_value()
     }
 
     /// Earliest tick at which `op`'s dependencies are satisfied, or `None`
@@ -89,42 +158,22 @@ impl DepTracker {
         w: WorkerId,
         op: &Op,
     ) -> Option<u64> {
-        match op.kind {
-            OpKind::Forward => {
-                if op.stage.0 == 0 {
-                    return Some(0);
+        let mut t = 0;
+        let unmet = self.try_needs(w, op, |need| {
+            let Some(done) = self.done_at(&need) else {
+                return ControlFlow::Break(());
+            };
+            // Outputs of a neighbouring stage arrive over the interconnect.
+            let hop = match need {
+                Need::Fwd(_, s, r) | Need::Bwd(_, s, r, _) if s != op.stage => {
+                    costs.p2p_delay(self.placement.worker(r, s), w, op)
                 }
-                let prev = StageId(op.stage.0 - 1);
-                let upstream = self.placement.worker(op.replica, prev);
-                let hop = costs.p2p_delay(upstream, w, op);
-                let mut t = 0;
-                for m in op.covered_micros() {
-                    t = t.max(self.fwd_done(m, prev, op.replica)? + hop);
-                }
-                Some(t)
-            }
-            OpKind::Backward { .. } => {
-                let mut t = 0;
-                // Local forward must have stashed activations.
-                for m in op.covered_micros() {
-                    t = t.max(self.fwd_done(m, op.stage, op.replica)?);
-                }
-                if op.stage.0 + 1 < self.d {
-                    let next = StageId(op.stage.0 + 1);
-                    let upstream = self.placement.worker(op.replica, next);
-                    let hop = costs.p2p_delay(upstream, w, op);
-                    for m in op.covered_micros() {
-                        t = t.max(self.bwd_done(m, next, op.replica, op.chunk)? + hop);
-                    }
-                }
-                Some(t)
-            }
-            OpKind::AllReduceLaunch => Some(0),
-            OpKind::AllReduceWait => {
-                let inst = *self.wait_count.get(&(w, op.stage)).unwrap_or(&0);
-                self.ar_complete.get(&(op.stage, inst)).copied()
-            }
-        }
+                _ => 0,
+            };
+            t = t.max(done + hop);
+            ControlFlow::Continue(())
+        });
+        unmet.is_continue().then_some(t)
     }
 
     /// Record completion of `op` at `finish`.
@@ -175,11 +224,5 @@ impl DepTracker {
                 *self.wait_count.entry((w, op.stage)).or_insert(0) += 1;
             }
         }
-    }
-
-    /// Whether `op`'s forward only stashes the stage-boundary input because
-    /// the matching backward recomputes.
-    pub(crate) fn stashes_boundary_only(&self, op: &Op) -> bool {
-        self.recomputing.contains(&(op.replica, op.stage))
     }
 }

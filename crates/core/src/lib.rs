@@ -37,7 +37,7 @@ pub mod analysis;
 pub mod baselines;
 pub mod chimera;
 pub mod compact;
-mod dep;
+pub mod dep;
 pub mod ids;
 pub mod named;
 pub mod onefb;

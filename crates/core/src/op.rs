@@ -56,7 +56,7 @@ pub enum OpKind {
     Forward,
     /// Backward pass. If `recompute` is set the stage re-runs its forward
     /// from the stashed stage-input before back-propagating (activation
-    /// recomputation, [11]; costs roughly one extra forward).
+    /// recomputation, \[11\]; costs roughly one extra forward).
     Backward {
         /// Run the forward again before the backward (activation
         /// recomputation).

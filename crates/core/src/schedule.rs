@@ -10,15 +10,15 @@ use crate::placement::Placement;
 pub enum Scheme {
     /// This paper: bidirectional pipelines (§3).
     Chimera,
-    /// GPipe [26]: inject all N micro-batches, then all backwards, flush.
+    /// GPipe \[26\]: inject all N micro-batches, then all backwards, flush.
     GPipe,
-    /// DAPPLE [16]: 1F1B with periodic flushes.
+    /// DAPPLE \[16\]: 1F1B with periodic flushes.
     Dapple,
-    /// GEMS [28]: two reversed replicas, at most two active micro-batches.
+    /// GEMS \[28\]: two reversed replicas, at most two active micro-batches.
     Gems,
-    /// PipeDream [38]: asynchronous 1F1B, weight stashing, update per micro.
+    /// PipeDream \[38\]: asynchronous 1F1B, weight stashing, update per micro.
     PipeDream,
-    /// PipeDream-2BW [39]: asynchronous 1F1B, double-buffered weights,
+    /// PipeDream-2BW \[39\]: asynchronous 1F1B, double-buffered weights,
     /// gradient accumulation over N micros.
     PipeDream2Bw,
 }
@@ -201,7 +201,7 @@ impl Schedule {
     }
 
     /// Turn every backward into a recomputing backward (activation
-    /// recomputation [11]: forwards stash only the stage-boundary input and
+    /// recomputation \[11\]: forwards stash only the stage-boundary input and
     /// the backward re-runs the forward, costing roughly one extra forward).
     pub fn with_recompute(mut self) -> Self {
         for ops in &mut self.workers {
@@ -212,6 +212,18 @@ impl Schedule {
             }
         }
         self
+    }
+
+    /// The `(replica, stage)` pairs whose backward recomputes, in order of
+    /// first appearance: their forwards stash only the stage-boundary input.
+    pub fn recomputing(&self) -> Vec<(ReplicaId, StageId)> {
+        let mut pairs = Vec::new();
+        for (_, _, op) in self.iter_ops() {
+            if op.recomputes() && !pairs.contains(&(op.replica, op.stage)) {
+                pairs.push((op.replica, op.stage));
+            }
+        }
+        pairs
     }
 
     /// Count forward/backward ops per worker — useful in tests.

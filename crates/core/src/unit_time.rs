@@ -48,7 +48,7 @@ pub struct UnitCosts {
     /// Ticks for a full-micro backward pass (≈ `2 * fwd` in practice, §2).
     pub bwd: u64,
     /// Extra ticks a backward pays for activation recomputation (≈ one
-    /// forward, [11]).
+    /// forward, \[11\]).
     pub recompute_extra: u64,
     /// Point-to-point transfer delay between dependent ops on different
     /// workers.
@@ -367,11 +367,45 @@ pub fn execute(schedule: &Schedule, costs: UnitCosts) -> Result<Timeline, ExecEr
     execute_with(schedule, &costs)
 }
 
+/// Where dependency-driven execution stopped making progress: every
+/// worker's frontier and the dependency state it is stuck against, so
+/// `chimera-verify` can say *why* (cycle, missing producer, dead collective).
+pub struct Stall {
+    /// Per worker: index of its next unexecuted op (`== len` when done).
+    pub next: Vec<usize>,
+    /// What had executed when progress stopped.
+    pub deps: DepTracker,
+}
+
+impl Stall {
+    /// Every worker stuck at its next op, in worker order.
+    pub fn blocked(&self, schedule: &Schedule) -> Vec<BlockedOp> {
+        (0..schedule.num_workers())
+            .filter(|&w| self.next[w] < schedule.workers[w].len())
+            .map(|w| BlockedOp {
+                worker: WorkerId(w as u32),
+                op_index: self.next[w],
+                op: schedule.workers[w][self.next[w]].to_string(),
+            })
+            .collect()
+    }
+}
+
 /// Execute `schedule` under any [`CostProvider`].
 pub fn execute_with<C: CostProvider>(
     schedule: &Schedule,
     costs: &C,
 ) -> Result<Timeline, ExecError> {
+    execute_or_stall(schedule, costs).map_err(|stall| ExecError::Deadlock {
+        blocked: stall.blocked(schedule),
+    })
+}
+
+/// [`execute_with`], handing back the stalled state itself on deadlock.
+pub fn execute_or_stall<C: CostProvider>(
+    schedule: &Schedule,
+    costs: &C,
+) -> Result<Timeline, Box<Stall>> {
     let nw = schedule.num_workers();
     let mut next = vec![0usize; nw];
     let mut free = vec![0u64; nw];
@@ -379,11 +413,8 @@ pub fn execute_with<C: CostProvider>(
     let mut spans: Vec<Vec<OpSpan>> = vec![Vec::new(); nw];
     // Activation deltas (tick, delta) per worker.
     let mut act_events: Vec<Vec<(u64, f64)>> = vec![Vec::new(); nw];
-    let mut st = DepTracker::new(
-        schedule.d,
-        &schedule.placement,
-        schedule.iter_ops().map(|(_, _, op)| op),
-    );
+    let mut st = DepTracker::new(schedule.d, &schedule.placement);
+    let recomputing = schedule.recomputing();
 
     let total: usize = schedule.workers.iter().map(Vec::len).sum();
     let mut done = 0usize;
@@ -403,7 +434,7 @@ pub fn execute_with<C: CostProvider>(
                 spans[w].push(OpSpan { op, start, finish });
                 match op.kind {
                     OpKind::Forward => {
-                        let amount = if st.stashes_boundary_only(&op) {
+                        let amount = if recomputing.contains(&(op.replica, op.stage)) {
                             costs.boundary_stash(&op)
                         } else {
                             costs.full_stash(&op)
@@ -434,17 +465,7 @@ pub fn execute_with<C: CostProvider>(
             }
         }
         if !progressed {
-            // Collect every stuck worker for diagnostics.
-            let blocked: Vec<BlockedOp> = (0..nw)
-                .filter(|&w| next[w] < schedule.workers[w].len())
-                .map(|w| BlockedOp {
-                    worker: WorkerId(w as u32),
-                    op_index: next[w],
-                    op: schedule.workers[w][next[w]].to_string(),
-                })
-                .collect();
-            assert!(!blocked.is_empty(), "no progress but all workers done");
-            return Err(ExecError::Deadlock { blocked });
+            return Err(Box::new(Stall { next, deps: st }));
         }
     }
 

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use crate::ids::{MicroId, ReplicaId, StageId, WorkerId};
 use crate::op::{Chunk, OpKind};
 use crate::schedule::Schedule;
-use crate::unit_time::{execute, BlockedOp, ExecError, UnitCosts};
+use crate::unit_time::{execute_or_stall, BlockedOp, UnitCosts};
 
 /// A semantic violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,16 +96,10 @@ pub fn validate(sched: &Schedule) -> Result<u64, ValidationError> {
     // syncs after every micro-batch), so the launch-after-last-backward rule
     // only applies to flushing schedules; balance is checked for all.
     sync_placement(sched, sched.flushes)?;
-    let tl = execute(sched, UnitCosts::equal()).map_err(|e| match e {
-        ExecError::Deadlock { blocked } => ValidationError::Deadlock { blocked },
-        // `execute` only fails by deadlocking; keep the mapping total anyway.
-        other => ValidationError::Deadlock {
-            blocked: vec![BlockedOp {
-                worker: WorkerId(0),
-                op_index: 0,
-                op: other.to_string(),
-            }],
-        },
+    let tl = execute_or_stall(sched, &UnitCosts::equal()).map_err(|stall| {
+        ValidationError::Deadlock {
+            blocked: stall.blocked(sched),
+        }
     })?;
     Ok(tl.makespan)
 }
@@ -248,6 +242,9 @@ pub struct WeightReport {
     /// its gradient was applied. Zero iff the schedule is equivalent to
     /// mini-batch SGD.
     pub max_staleness: u32,
+    /// `(worker, op index)` of the first backward (worker order, then
+    /// program order) that observes nonzero staleness.
+    pub first_stale: Option<(WorkerId, usize)>,
 }
 
 /// Analyze weight versions. The schedule is walked per worker in op order;
@@ -256,7 +253,8 @@ pub struct WeightReport {
 pub fn weight_analysis(sched: &Schedule, rule: UpdateRule) -> WeightReport {
     let mut max_versions = Vec::with_capacity(sched.num_workers());
     let mut max_staleness = 0u32;
-    for ops in &sched.workers {
+    let mut first_stale = None;
+    for (w, ops) in sched.workers.iter().enumerate() {
         // Per (replica, stage): current version, pending-version activation,
         // per-micro used version, backward count.
         #[derive(Default)]
@@ -271,11 +269,17 @@ pub fn weight_analysis(sched: &Schedule, rule: UpdateRule) -> WeightReport {
         let mut worker_peak = 0u32;
         // Track halves so a micro's backward counts once.
         let mut half_seen: HashMap<(ReplicaId, StageId, MicroId), u32> = HashMap::new();
-        for op in ops {
+        for (i, op) in ops.iter().enumerate() {
             if !op.is_compute() {
                 continue;
             }
             let st = states.entry((op.replica, op.stage)).or_default();
+            let mut observe = |staleness: u32| {
+                if staleness > 0 && first_stale.is_none() {
+                    first_stale = Some((WorkerId(w as u32), i));
+                }
+                max_staleness = max_staleness.max(staleness);
+            };
             match op.kind {
                 OpKind::Forward => {
                     for m in op.covered_micros() {
@@ -298,7 +302,7 @@ pub fn weight_analysis(sched: &Schedule, rule: UpdateRule) -> WeightReport {
                     }
                     for m in completed {
                         let used = st.used.remove(&m).unwrap_or(st.version);
-                        max_staleness = max_staleness.max(st.version - used);
+                        observe(st.version - used);
                         st.backwards += 1;
                         match rule {
                             UpdateRule::PerMicro => {
@@ -316,8 +320,7 @@ pub fn weight_analysis(sched: &Schedule, rule: UpdateRule) -> WeightReport {
                                     // requires them computed at `produced-1`.
                                     // The shortfall is the *application*
                                     // staleness (PipeDream-2BW: 1).
-                                    max_staleness = max_staleness
-                                        .max((st.produced - 1).saturating_sub(st.version));
+                                    observe((st.produced - 1).saturating_sub(st.version));
                                     st.pending.push(st.produced);
                                     if st.pending.len() > delay as usize {
                                         st.version = st.pending.remove(0).max(st.version);
@@ -349,6 +352,7 @@ pub fn weight_analysis(sched: &Schedule, rule: UpdateRule) -> WeightReport {
     WeightReport {
         max_versions,
         max_staleness,
+        first_stale,
     }
 }
 

@@ -7,7 +7,7 @@
 //!   clock into exclusive categories (compute, comm waits, gradient sync,
 //!   fault recovery, bubble). Categories sum to the analysis window by
 //!   construction, so the reported bubble ratios are trustworthy.
-//! * **Critical path & drift** ([`critical`], [`drift`]) — the longest
+//! * **Critical path & drift** ([`critical`], [`mod@drift`]) — the longest
 //!   dependency chain through the executed spans (the only ops whose
 //!   speedup shortens the run), and scale-free predicted-vs-actual drift
 //!   against the `chimera-sim` unit-cost model for the same

@@ -24,7 +24,7 @@ pub struct ClusterSpec {
     /// communication buffers, allocator fragmentation.
     pub reserved_mem_bytes: u64,
     /// Fraction of an async collective's duration that steals compute from
-    /// the launching worker (§3.2 / [24]).
+    /// the launching worker (§3.2 / \[24\]).
     pub comm_compute_interference: f64,
     /// Host-side cost per p2p message endpoint: fixed part.
     pub p2p_host_overhead_s: f64,

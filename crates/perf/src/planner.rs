@@ -12,8 +12,8 @@ use chimera_core::chimera::{chimera, ChimeraConfig, ScaleMethod};
 use chimera_core::schedule::{Schedule, Scheme, SyncStrategy};
 use chimera_core::sync::place_sync;
 use chimera_core::unit_time::UnitCosts;
-use chimera_sim::{simulate_span, SimCostModel, SimReport};
-use chimera_verify::{memory_v2, verify_span};
+use chimera_sim::{simulate_span, SimCostModel};
+use chimera_verify::{memory_v2, verify_with_memory};
 
 use crate::costs::{ClusterSpec, TrainConfig};
 use crate::eq1;
@@ -146,6 +146,35 @@ fn build_schedule(scheme: PlanScheme, d: u32, n: u32) -> Option<(Schedule, u32)>
     }
 }
 
+/// The schedule a `(W, D, B)` candidate with `n` micro-batches runs — sync
+/// ops placed, before any recomputation retry — with its byte/time cost
+/// model and the iterations its span covers.
+fn lower(
+    scheme: PlanScheme,
+    model: ModelSpec,
+    cluster: ClusterSpec,
+    w: u32,
+    d: u32,
+    b: u32,
+    n: u32,
+) -> Option<(Schedule, SimCostModel, u32)> {
+    let (base, iters) = build_schedule(scheme, d, n)?;
+    let cfg = TrainConfig {
+        model,
+        cluster,
+        d,
+        w,
+        b,
+        stage_replicas: base.placement.replicas(),
+    };
+    let sched = if base.flushes {
+        place_sync(base, SyncStrategy::EagerOpt, UnitCosts::practical())
+    } else {
+        base
+    };
+    Some((sched, cfg.cost_model(), iters))
+}
+
 /// Evaluate one `(W, D, B)` candidate for `scheme` training `model` on
 /// `cluster` with `p` workers and mini-batch `b_hat`. Returns `None` for
 /// structurally invalid combinations (non-divisible, scheme constraints).
@@ -179,45 +208,42 @@ pub fn evaluate(
         (n, b_hat)
     };
 
-    let (base, iters) = build_schedule(scheme, d, n)?;
-    let stage_replicas = base.placement.replicas();
-    let cfg = TrainConfig {
-        model,
-        cluster,
-        d,
-        w,
-        b,
-        stage_replicas,
-    };
-    let cost = cfg.cost_model();
+    let (synced, cost, iters) = lower(scheme, model, cluster, w, d, b, n)?;
 
-    let synced = if base.flushes {
-        place_sync(base, SyncStrategy::EagerOpt, UnitCosts::practical())
-    } else {
-        base
-    };
-
-    let run = |sched: &Schedule| simulate_span(sched, &cost, iters).ok();
+    // One static verification per candidate. Fit comes from its exact
+    // liveness peak, which is never above the coarse Table-2 bound — so the
+    // planner admits every configuration the old bound admitted, plus the
+    // ones the bound's slack was rejecting (PipeDream-2BW carries ~25-30%
+    // slack from refcounted weight versions). Capacity is judged below, on
+    // the variant that finally runs, so the verifier is given no budget.
+    let capacity = cluster.usable_mem();
     let mut recompute = false;
-    let mut sched = synced.clone();
-    let mut report: SimReport = run(&sched)?;
-    // Fit is judged by the exact liveness peak, which is never above the
-    // coarse Table-2 bound — so the planner admits every configuration the
-    // old bound admitted, plus the ones the bound's slack was rejecting
-    // (PipeDream-2BW carries ~25-30% slack from refcounted weight versions).
-    let mut mem = memory_v2(&sched, &cost);
+    let mut sched = synced;
+    let mut verdict = verify_with_memory(&sched, iters, &cost, u64::MAX);
+    let mut mem = verdict.memory_v2.take().expect("verified with memory");
     // Retry with activation recomputation (the paper's "R" label; Fig. 1
     // shows even PipeDream running with R in the authors' harness).
     // PipeDream's mini-batch size stays capped regardless: its weight
     // stashing (up to D parameter versions on stage 0) dominates memory.
-    if !mem.fits(cluster.usable_mem()) && !already_recomputes(&sched) {
-        sched = synced.with_recompute();
+    // Recomputation changes buffer sizes and op costs, never a dependency,
+    // a message or a weight version, so the verdict above stands for the
+    // variant and only its memory is walked again.
+    if !mem.fits(capacity) && !already_recomputes(&sched) {
+        sched = sched.with_recompute();
         recompute = true;
-        report = run(&sched)?;
         mem = memory_v2(&sched, &cost);
     }
-    let fits = mem.fits(cluster.usable_mem());
-    assert_verified(&sched, iters);
+    let report = simulate_span(&sched, &cost, iters).ok()?;
+    // Every schedule the planner hands out must pass static verification: a
+    // deadlocked or hazardous candidate would only fail later, inside a
+    // benchmark or a multi-process run, where the diagnosis is far worse.
+    assert!(
+        verdict.is_clean(),
+        "planner produced an invalid {} schedule (D={} N={}):\n{verdict}",
+        sched.scheme,
+        sched.d,
+        sched.n
+    );
 
     // Per-iteration time normalized to b_hat samples.
     let samples_per_span = sched.n as u64 * b as u64 * w as u64;
@@ -235,7 +261,7 @@ pub fn evaluate(
         b,
         n,
         recompute: recompute || already_recomputes(&sched),
-        fits,
+        fits: mem.fits(capacity),
         iter_time_s,
         throughput,
         peak_mem: mem.max_exact_peak(),
@@ -249,20 +275,6 @@ fn already_recomputes(sched: &Schedule) -> bool {
     sched.iter_ops().any(|(_, _, op)| op.recomputes())
 }
 
-/// Every schedule the planner hands out must pass static verification: a
-/// deadlocked or hazardous candidate would only fail later, inside a
-/// benchmark or a multi-process run, where the diagnosis is far worse.
-fn assert_verified(sched: &Schedule, iters: u32) {
-    let report = verify_span(sched, iters);
-    assert!(
-        report.is_clean(),
-        "planner produced an invalid {} schedule (D={} N={}):\n{report}",
-        sched.scheme,
-        sched.d,
-        sched.n
-    );
-}
-
 /// Rebuild the exact schedule, cost model and span iteration count a
 /// [`Candidate`] was evaluated with — e.g. to re-execute the winning
 /// configuration and export its timeline as a trace. Returns `None` only if
@@ -273,26 +285,10 @@ pub fn rebuild(
     model: ModelSpec,
     cluster: ClusterSpec,
 ) -> Option<(Schedule, SimCostModel, u32)> {
-    let (base, iters) = build_schedule(c.scheme, c.d, c.n)?;
-    let stage_replicas = base.placement.replicas();
-    let cfg = TrainConfig {
-        model,
-        cluster,
-        d: c.d,
-        w: c.w,
-        b: c.b,
-        stage_replicas,
-    };
-    let cost = cfg.cost_model();
-    let mut sched = if base.flushes {
-        place_sync(base, SyncStrategy::EagerOpt, UnitCosts::practical())
-    } else {
-        base
-    };
+    let (mut sched, cost, iters) = lower(c.scheme, model, cluster, c.w, c.d, c.b, c.n)?;
     if c.recompute && !already_recomputes(&sched) {
         sched = sched.with_recompute();
     }
-    assert_verified(&sched, iters);
     Some((sched, cost, iters))
 }
 
@@ -568,12 +564,22 @@ mod tests {
     #[test]
     fn rebuild_reproduces_the_evaluated_schedule() {
         let (m, c) = bert_setup();
+        // Fits only after the recomputation retry.
+        let retried = evaluate(PlanScheme::Dapple, m, c, 32, 8192, 8, 4, 32).unwrap();
+        assert!(retried.recompute);
         for cand in [
             evaluate(PlanScheme::Dapple, m, c, 32, 512, 8, 4, 4).unwrap(),
             plan_chimera(1, ScaleMethod::Direct, m, c, 32, 256).unwrap(),
             evaluate(PlanScheme::PipeDream2Bw, m, c, 32, 512, 8, 4, 2).unwrap(),
+            retried,
         ] {
             let (sched, cost, iters) = rebuild(&cand, m, c).unwrap();
+            // `rebuild` asserts nothing itself; what it returns — the
+            // recomputing variant included, which `evaluate` verified
+            // through its non-recomputing twin — is what a gate then finds.
+            assert!(cand.fits);
+            let gate = verify_with_memory(&sched, iters, &cost, c.usable_mem());
+            assert!(gate.is_clean(), "{:?}:\n{gate}", cand.scheme);
             let rep = simulate_span(&sched, &cost, iters).unwrap();
             assert!(
                 (rep.bubble_ratio - cand.bubble_ratio).abs() < 1e-12,

@@ -153,6 +153,7 @@ pub fn train_worker_process_recoverable(
     w: u32,
     recovery: Option<&RecoverySpec>,
 ) -> Result<Option<DistOutcome>, TrainError> {
+    crate::runtime::check_supported(sched)?;
     let d = sched.d;
     let per_group = sched.num_workers() as u32;
     assert_eq!(
@@ -234,12 +235,9 @@ pub fn train_worker_process_recoverable(
         }
         let worker = Worker::new(
             wid,
-            d,
+            sched,
             group,
             w,
-            sched.n,
-            sched.workers[lw as usize].clone(),
-            sched.placement.clone(),
             stages,
             sync,
             ep.clone(),
@@ -247,7 +245,6 @@ pub fn train_worker_process_recoverable(
             opts.clone(),
             seg,
             Vec::new(),
-            sched.flushes,
         );
         let result = worker.run().map_err(escalate)?;
         losses.extend(result.losses);
@@ -595,6 +592,35 @@ mod tests {
         {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    /// §3.5's chunked schedules are refused by every entry point with a typed
+    /// error — before any worker exists that could panic on the op or leave
+    /// its peers to time out.
+    #[test]
+    fn chunked_schedules_are_rejected_before_spawning() {
+        use chimera_core::chimera::ScaleMethod;
+
+        let sched = chimera(&ChimeraConfig {
+            d: 4,
+            n: 8,
+            f: 1,
+            scale: ScaleMethod::ForwardDoubling { recompute: true },
+        })
+        .unwrap();
+        let cfg = ModelConfig::tiny();
+        let rejected =
+            |e: Option<TrainError>| matches!(e, Some(TrainError::UnsupportedSchedule { .. }));
+        assert!(rejected(crate::train(&sched, cfg, opts(1)).err()));
+        assert!(rejected(train_hybrid(&sched, cfg, opts(1), 2).err()));
+        // The check precedes even the fabric-size assertion.
+        let ep = LocalFabric::new(1).pop().expect("one endpoint");
+        let err = train_worker_process(Arc::new(ep), &sched, cfg, opts(1), 1).err();
+        assert!(
+            err.as_ref().is_some_and(|e| e.to_string().contains("w0")),
+            "{err:?}"
+        );
+        assert!(rejected(err));
     }
 
     /// The cross-process recovery protocol end to end, minus the process

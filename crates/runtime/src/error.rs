@@ -190,6 +190,15 @@ pub enum TrainError {
     },
     /// Saving or restoring a recovery checkpoint failed.
     Checkpoint(CheckpointError),
+    /// The schedule contains an op the runtime cannot execute: only
+    /// full-micro chunks are lowered, not §3.5's forward-doubling pairs or
+    /// backward-halving halves. Reported before any worker is spawned.
+    UnsupportedSchedule {
+        /// Worker whose program holds the op.
+        worker: u32,
+        /// The first such op, e.g. `F m0+1@s0/r0`.
+        op: String,
+    },
 }
 
 impl std::fmt::Display for TrainError {
@@ -224,6 +233,11 @@ impl std::fmt::Display for TrainError {
                 write!(f, "no worker returned stage {stage}")
             }
             TrainError::Checkpoint(e) => write!(f, "recovery checkpoint failed: {e}"),
+            TrainError::UnsupportedSchedule { worker, op } => write!(
+                f,
+                "schedule op {op} on worker w{worker} is not a full-micro chunk; the \
+                 runtime does not execute forward-doubling or backward-halving schedules"
+            ),
         }
     }
 }

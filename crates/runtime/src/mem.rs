@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 
 use chimera_core::op::Op;
 use chimera_core::schedule::Schedule;
-use chimera_core::StageId;
+use chimera_core::{ReplicaId, StageId};
 use chimera_nn::{MicroStash, Stage};
 use chimera_tensor::{pool, Tensor};
 use chimera_verify::liveness::{self, BufferKind, BufferSizes};
@@ -135,15 +135,7 @@ pub struct WorkerMemPlan {
 /// fold each worker's live buffers into a per-size-class slot demand.
 pub fn plan(sched: &Schedule, fp: &ModelFootprint) -> Vec<WorkerMemPlan> {
     let rep = liveness::analyze(sched, fp);
-    let recomputing: Vec<(u32, u32)> = {
-        let mut v = Vec::new();
-        for (_, _, op) in sched.iter_ops() {
-            if op.recomputes() && !v.contains(&(op.replica.0, op.stage.0)) {
-                v.push((op.replica.0, op.stage.0));
-            }
-        }
-        v
-    };
+    let recomputing = sched.recomputing();
 
     rep.lives
         .iter()
@@ -198,7 +190,7 @@ pub fn plan(sched: &Schedule, fp: &ModelFootprint) -> Vec<WorkerMemPlan> {
             }
             for ((replica, stage, _), range) in stash_ranges {
                 let st = &fp.stages[stage as usize];
-                let cen = if recomputing.contains(&(replica, stage)) {
+                let cen = if recomputing.contains(&(ReplicaId(replica), StageId(stage))) {
                     &st.census_boundary
                 } else {
                     &st.census_full

@@ -31,7 +31,7 @@ use std::time::Duration;
 use chimera_collectives::keyed_group;
 use chimera_comm::{FaultInjection, KeyedReduce, LocalFabric, SendFault, Transport};
 use chimera_core::schedule::Schedule;
-use chimera_core::{StageId, WorkerId};
+use chimera_core::{Chunk, StageId, WorkerId};
 use chimera_nn::checkpoint;
 use chimera_nn::{ModelConfig, Optimizer, Stage, SyntheticData};
 use chimera_tensor::{kernels, pool};
@@ -111,6 +111,19 @@ pub fn train(
     train_hybrid(sched, cfg, opts, 1)
 }
 
+/// The runtime lowers full-micro chunks only — not §3.5's forward-doubling
+/// pairs or backward-halving halves. Name the first op it cannot execute, so
+/// the caller hears it before any worker is spawned.
+pub(crate) fn check_supported(sched: &Schedule) -> Result<(), TrainError> {
+    match sched.iter_ops().find(|(_, _, op)| op.chunk != Chunk::Full) {
+        Some((w, _, op)) => Err(TrainError::UnsupportedSchedule {
+            worker: w.0,
+            op: op.to_string(),
+        }),
+        None => Ok(()),
+    }
+}
+
 /// The supervisor's own trace lane (track id = worker count at launch, so
 /// it sits below the worker lanes in the Chrome view).
 struct SupervisorTrace {
@@ -160,6 +173,7 @@ pub fn train_hybrid(
     w: u32,
 ) -> Result<TrainResult, TrainError> {
     assert!(w >= 1);
+    check_supported(sched)?;
     let d = sched.d;
     let data = SyntheticData::new(cfg, opts.data_seed);
 
@@ -566,12 +580,9 @@ fn run_segment(
                 .collect();
             let worker = Worker::new(
                 wid,
-                d,
+                sched,
                 g,
                 w,
-                sched.n,
-                sched.workers[lw].clone(),
-                sched.placement.clone(),
                 stages,
                 sync,
                 ep,
@@ -579,7 +590,6 @@ fn run_segment(
                 wopts.clone(),
                 seg,
                 plan.clone(),
-                sched.flushes,
             );
             handles.push((
                 g,

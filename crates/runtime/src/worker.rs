@@ -19,7 +19,8 @@ use std::time::Duration;
 use chimera_comm::{KeyedReduce, MsgKey, Payload, Transport};
 use chimera_core::op::{Chunk, Op, OpKind};
 use chimera_core::placement::Placement;
-use chimera_core::{StageId, WorkerId};
+use chimera_core::schedule::Schedule;
+use chimera_core::{ReplicaId, StageId, WorkerId};
 use chimera_nn::{LrSchedule, MicroStash, Optimizer, OptimizerKind, Stage, SyntheticData};
 use chimera_tensor::{kernels, pool, Tensor};
 use chimera_trace::{now_ns, Counter, Event, MetricsRegistry, SpanEvent, SpanKind, TraceSink};
@@ -214,7 +215,7 @@ pub struct Worker {
     cur_iter: u32,
     stashes: HashMap<(u32, u32, u64), MicroStash>,
     grads: HashMap<StageKey, Vec<(u64, Vec<f32>)>>,
-    recomputing: Vec<StageKey>,
+    recomputing: Vec<(ReplicaId, StageId)>,
     losses: Vec<(u64, f32)>,
     /// Asynchronous schedules (PipeDream) update weights mid-stream; to keep
     /// forward/backward weight versions consistent, each in-flight
@@ -261,12 +262,9 @@ impl Worker {
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         id: WorkerId,
-        d: u32,
+        sched: &Schedule,
         group: u32,
         w_total: u32,
-        n_per_iter: u32,
-        ops: Vec<Op>,
-        placement: Placement,
         stages: Vec<(u32, u32, Stage, Optimizer)>,
         sync: HashMap<u32, Box<dyn KeyedReduce>>,
         ep: Arc<dyn Transport>,
@@ -274,20 +272,10 @@ impl Worker {
         opts: TrainOptions,
         seg: SegmentSpec,
         plan: Vec<(usize, usize)>,
-        flushes: bool,
     ) -> Self {
+        let d = sched.d;
+        let ops = sched.ops(id).to_vec();
         let has_sync_ops = ops.iter().any(|o| o.kind == OpKind::AllReduceWait);
-        let stash_weights = !flushes;
-        let recomputing: Vec<StageKey> = {
-            let mut v: Vec<StageKey> = ops
-                .iter()
-                .filter(|o| o.recomputes())
-                .map(|o| (o.replica.0, o.stage.0))
-                .collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
         let mut stage_map = HashMap::new();
         let mut optimizers = HashMap::new();
         for (r, s, stage, opt) in stages {
@@ -315,10 +303,10 @@ impl Worker {
             d,
             group,
             w_total,
-            n_per_iter,
+            n_per_iter: sched.n,
             ops,
             has_sync_ops,
-            placement,
+            placement: sched.placement.clone(),
             stages: stage_map,
             optimizers,
             sync,
@@ -329,9 +317,9 @@ impl Worker {
             cur_iter: seg.start_iter,
             stashes: HashMap::new(),
             grads: HashMap::new(),
-            recomputing,
+            recomputing: sched.recomputing(),
             losses: Vec::new(),
-            stash_weights,
+            stash_weights: !sched.flushes,
             versions: HashMap::new(),
             plan,
             mem: MemTracker::default(),
@@ -558,7 +546,8 @@ impl Worker {
     }
 
     fn exec_op(&mut self, op: &Op, offset: u64) -> Result<(), WorkerError> {
-        assert_eq!(op.chunk, Chunk::Full, "runtime supports full-micro chunks");
+        // `train*` reject anything else up front (`UnsupportedSchedule`).
+        debug_assert_eq!(op.chunk, Chunk::Full, "runtime supports full-micro chunks");
         match op.kind {
             OpKind::Forward => self.forward(op, offset),
             OpKind::Backward { .. } => self.backward(op, offset),
@@ -602,7 +591,7 @@ impl Worker {
             (s == 0).then_some(tokens.as_slice()),
             last.then_some(targets.as_slice()),
         );
-        if self.recomputing.contains(&(r, s)) {
+        if self.recomputing.contains(&(op.replica, op.stage)) {
             stash.drop_to_boundary();
         }
         let stashed_elems = stash.elements();

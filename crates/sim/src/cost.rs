@@ -58,7 +58,7 @@ pub struct SimCostModel {
     /// Fraction of an asynchronous collective's duration charged to the
     /// launching worker's compute time: progressing a non-blocking
     /// allreduce under computation steals cycles (threading/progression
-    /// overheads of §3.2 / [24]). This is what makes eager synchronization
+    /// overheads of §3.2 / \[24\]). This is what makes eager synchronization
     /// of the *middle* stages — which have no bubble to hide the collective
     /// in — a net loss (Fig. 12's eager-sync vs eager-sync-opt).
     pub comm_compute_interference: f64,

@@ -34,6 +34,36 @@ pub struct SimReport {
 }
 
 impl SimReport {
+    /// The fault-free report of an executed `timeline` (tick = 1 ns) covering
+    /// `iterations` iterations; byte accounting is `cost`'s.
+    pub(crate) fn from_timeline(
+        sched: &Schedule,
+        cost: &SimCostModel,
+        timeline: Timeline,
+        iterations: u32,
+    ) -> Self {
+        let span_s = SimCostModel::seconds(timeline.makespan);
+        SimReport {
+            span_s,
+            iter_time_s: span_s / iterations as f64,
+            bubble_ratio: timeline.bubble_ratio(),
+            busy_s: timeline
+                .busy
+                .iter()
+                .map(|&b| SimCostModel::seconds(b))
+                .collect(),
+            peak_act_bytes: timeline
+                .peak_activations
+                .iter()
+                .map(|&a| a.round() as u64)
+                .collect(),
+            weight_bytes: memory::weights_bytes(sched, cost),
+            peak_mem_bytes: memory::peak_memory_bytes(sched, cost, &timeline),
+            timeline,
+            recovery: None,
+        }
+    }
+
     /// Training throughput in samples/s for the whole job, given the
     /// mini-batch size `b_hat` consumed per iteration (across all `W`
     /// data-parallel groups).
@@ -198,30 +228,7 @@ pub fn simulate_span(
 ) -> Result<SimReport, ExecError> {
     validate_span(sched, iterations)?;
     let timeline = execute_with(sched, cost)?;
-    let span_s = SimCostModel::seconds(timeline.makespan);
-    let busy_s = timeline
-        .busy
-        .iter()
-        .map(|&b| SimCostModel::seconds(b))
-        .collect();
-    let peak_act_bytes: Vec<u64> = timeline
-        .peak_activations
-        .iter()
-        .map(|&a| a.round() as u64)
-        .collect();
-    let weight_bytes = memory::weights_bytes(sched, cost);
-    let peak_mem_bytes = memory::peak_memory_bytes(sched, cost, &timeline);
-    Ok(SimReport {
-        span_s,
-        iter_time_s: span_s / iterations as f64,
-        bubble_ratio: timeline.bubble_ratio(),
-        busy_s,
-        peak_act_bytes,
-        weight_bytes,
-        peak_mem_bytes,
-        timeline,
-        recovery: None,
-    })
+    Ok(SimReport::from_timeline(sched, cost, timeline, iterations))
 }
 
 #[cfg(test)]

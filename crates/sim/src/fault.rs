@@ -28,7 +28,6 @@ use chimera_trace::{Event, SpanEvent, SpanKind};
 
 use crate::cost::SimCostModel;
 use crate::engine::SimReport;
-use crate::memory;
 
 /// A deterministic, seeded fault scenario for one pipeline group.
 ///
@@ -479,26 +478,7 @@ pub fn simulate_faulty(
     validate_span(sched, 1)?;
     let perturbed = PerturbedCost::new(cost, plan, &sched.placement);
     let timeline = execute_with(sched, &perturbed)?;
-    let span_s = SimCostModel::seconds(timeline.makespan);
-    let mut rep = SimReport {
-        span_s,
-        iter_time_s: span_s,
-        bubble_ratio: timeline.bubble_ratio(),
-        busy_s: timeline
-            .busy
-            .iter()
-            .map(|&b| SimCostModel::seconds(b))
-            .collect(),
-        peak_act_bytes: timeline
-            .peak_activations
-            .iter()
-            .map(|&a| a.round() as u64)
-            .collect(),
-        weight_bytes: memory::weights_bytes(sched, cost),
-        peak_mem_bytes: memory::peak_memory_bytes(sched, cost, &timeline),
-        timeline,
-        recovery: None,
-    };
+    let mut rep = SimReport::from_timeline(sched, cost, timeline, 1);
 
     let iter_ns = rep.timeline.makespan.max(1);
     let healthy_ns = iter_ns * run_iterations as u64;

@@ -31,11 +31,11 @@
 //!   the op chain of the naive untiled loop. Panel padding is zero-filled
 //!   and only ever feeds accumulator lanes whose results are discarded.
 //! * For the dot-product kernel ([`matmul_t_into`]) each element is one
-//!   [`dot`](crate::tensor::dot)-ordered reduction (8 independent fma lanes,
+//!   [`dot`]-ordered reduction (8 independent fma lanes,
 //!   fixed combine order), whether computed one at a time or as a
 //!   [`micro::DT`]×[`micro::DT`] register tile.
 //! * The SIMD and scalar microkernels execute the same op chain with the
-//!   same exactly-rounded fused multiply-add (see [`crate::micro`]), so
+//!   same exactly-rounded fused multiply-add (see `crate::micro`), so
 //!   runtime CPU-feature dispatch never changes results.
 //!
 //! The [`naive`] module keeps the untiled single-threaded reference loops;
@@ -65,7 +65,7 @@
 //! `MR×NR` accumulator tile in registers across the `kcb` loop — this is
 //! what closes the gap to hardware: no strided `b` reads at large `n`, no
 //! per-step accumulator store/reload. Panels live in scratch buffers drawn
-//! from the thread-local buffer [`pool`](crate::pool) (classes
+//! from the thread-local buffer [`pool`] (classes
 //! [`pack_pool_classes`]), so steady-state packing allocates nothing.
 //!
 //! Ragged edges (`m % MR`, `n % NR`) run the same microkernel against
@@ -73,13 +73,13 @@
 //! tile; padded lanes compute values that are never written back.
 //!
 //! Products below [`PACKED_MIN_FLOPS`] use the simple cache-blocked loops
-//! ([`matmul_small`] and friends): packing is pure overhead there, and both
+//! (`matmul_small` and friends): packing is pure overhead there, and both
 //! paths are bit-identical anyway, so size dispatch is invisible.
 //!
 //! # Threading
 //!
 //! Kernels above [`PAR_MIN_FLOPS`] split the output over a 2D
-//! `tr × tc` grid of scoped threads ([`grid_for`] picks the squarest grid
+//! `tr × tc` grid of scoped threads (`grid_for` picks the squarest grid
 //! that still gives every cell whole register tiles). Each cell packs its
 //! own panels into its own pool scratch, so threads share nothing mutable.
 //! The thread count comes from [`set_threads`], falling back to the

@@ -51,7 +51,7 @@ pub const DT: usize = 4;
 /// FMA-capable hosts. Test hook for proving SIMD/scalar bit-identity.
 static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 
-/// Force the scalar microkernels (testing only; see [`FORCE_SCALAR`]).
+/// Force the scalar microkernels (testing only; see `FORCE_SCALAR`).
 pub fn set_force_scalar(on: bool) {
     FORCE_SCALAR.store(on, Ordering::SeqCst);
 }

@@ -93,7 +93,7 @@ pub fn exp(x: f32) -> f32 {
 
 /// `tanh x = (e²ᵃ − 1)/(e²ᵃ + 1)` with `a = |x|`, sign restored at the end,
 /// so it is odd bit for bit and `tanh(±0) == ±0`. The numerator comes from
-/// [`expm1_reduced`], not from `exp(2a) − 1`, so nothing cancels as
+/// `expm1_reduced`, not from `exp(2a) − 1`, so nothing cancels as
 /// `x → 0`; from `|x| ≈ 9.01` the quotient rounds to exactly 1.
 #[inline(always)]
 pub fn tanh(x: f32) -> f32 {

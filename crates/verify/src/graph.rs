@@ -2,18 +2,20 @@
 //! the actual waits-for cycle through worker frontiers, a dependency no op
 //! produces, or a collective that can never gather all its participants.
 //!
-//! The analysis is a token-based abstract interpretation of
-//! `chimera_core::unit_time::execute_with`: the same round-robin worker loop
-//! and the same `DepTracker` readiness rules, with times erased to booleans.
-//! Whether an op *can* execute never depends on tick values (only on which
-//! dependencies exist), so the abstract verdict provably coincides with the
-//! dynamic executor's — including the exact blocked-frontier set.
+//! Whether the schedule completes is decided by the executor itself
+//! (`chimera_core::unit_time::execute_or_stall` under unit costs; whether an
+//! op *can* execute never depends on tick values, only on which dependencies
+//! exist). This module only diagnoses the stalled state the executor hands
+//! back, asking `chimera_core::dep::DepTracker` — the one statement of op
+//! readiness — what each blocked frontier is waiting for.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use chimera_core::ids::{MicroId, ReplicaId, StageId};
+use chimera_core::dep::{DepTracker, Need};
+use chimera_core::ids::{StageId, WorkerId};
 use chimera_core::op::{Chunk, Op, OpKind};
 use chimera_core::schedule::Schedule;
+use chimera_core::unit_time::{execute_or_stall, Stall, UnitCosts};
 
 use crate::{Diagnostic, OpLoc, Severity};
 
@@ -29,189 +31,32 @@ pub struct Analysis {
     pub diagnostics: Vec<Diagnostic>,
 }
 
-/// The first unsatisfied dependency of a blocked op.
-enum Need {
-    /// Forward output of `(micro, stage, replica)` has not been produced.
-    Fwd(MicroId, StageId, ReplicaId),
-    /// Backward output (gradient) of `(micro, stage, replica)` compatible
-    /// with the consumer's chunk has not been produced.
-    Bwd(MicroId, StageId, ReplicaId, Chunk),
-    /// Allreduce instance `inst` of `stage` has not completed: not all
-    /// replicas have launched it yet.
-    Ar(StageId, usize),
-}
-
-impl std::fmt::Display for Need {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Need::Fwd(m, s, r) => write!(f, "forward of {m}@{s}/{r}"),
-            Need::Bwd(m, s, r, _) => write!(f, "backward of {m}@{s}/{r}"),
-            Need::Ar(s, inst) => write!(f, "allreduce instance {inst} of {s}"),
-        }
-    }
-}
-
-/// Boolean-token mirror of `DepTracker`.
-struct Tokens {
-    d: u32,
-    fwd: HashSet<(MicroId, StageId, ReplicaId)>,
-    /// Tag 0/1 = half chunk, 2 = full (same encoding as `DepTracker`).
-    bwd: HashSet<(MicroId, StageId, ReplicaId, u8)>,
-    /// Launches recorded per (stage, instance).
-    ar_launched: HashMap<(StageId, usize), u32>,
-    launch_count: HashMap<(usize, StageId), usize>,
-    wait_count: HashMap<(usize, StageId), usize>,
-    replicas: u32,
-}
-
-impl Tokens {
-    fn new(sched: &Schedule) -> Self {
-        Tokens {
-            d: sched.d,
-            fwd: HashSet::new(),
-            bwd: HashSet::new(),
-            ar_launched: HashMap::new(),
-            launch_count: HashMap::new(),
-            wait_count: HashMap::new(),
-            replicas: sched.placement.replicas(),
-        }
-    }
-
-    fn bwd_done(&self, m: MicroId, s: StageId, r: ReplicaId, consumer: Chunk) -> bool {
-        match consumer {
-            Chunk::Half(h) => self.bwd.contains(&(m, s, r, h)) || self.bwd.contains(&(m, s, r, 2)),
-            _ => {
-                self.bwd.contains(&(m, s, r, 2))
-                    || (self.bwd.contains(&(m, s, r, 0)) && self.bwd.contains(&(m, s, r, 1)))
-            }
-        }
-    }
-
-    /// First unsatisfied dependency of `op` on worker `w`, or `None` if the
-    /// op is ready. Checked in the same order as `DepTracker::ready_time`.
-    fn first_missing(&self, w: usize, op: &Op) -> Option<Need> {
-        match op.kind {
-            OpKind::Forward => {
-                if op.stage.0 == 0 {
-                    return None;
-                }
-                let prev = StageId(op.stage.0 - 1);
-                op.covered_micros()
-                    .find(|&m| !self.fwd.contains(&(m, prev, op.replica)))
-                    .map(|m| Need::Fwd(m, prev, op.replica))
-            }
-            OpKind::Backward { .. } => {
-                if let Some(m) = op
-                    .covered_micros()
-                    .find(|&m| !self.fwd.contains(&(m, op.stage, op.replica)))
-                {
-                    return Some(Need::Fwd(m, op.stage, op.replica));
-                }
-                if op.stage.0 + 1 < self.d {
-                    let next = StageId(op.stage.0 + 1);
-                    if let Some(m) = op
-                        .covered_micros()
-                        .find(|&m| !self.bwd_done(m, next, op.replica, op.chunk))
-                    {
-                        return Some(Need::Bwd(m, next, op.replica, op.chunk));
-                    }
-                }
-                None
-            }
-            OpKind::AllReduceLaunch => None,
-            OpKind::AllReduceWait => {
-                let inst = *self.wait_count.get(&(w, op.stage)).unwrap_or(&0);
-                // `>=`, not `==`: the dynamic tracker marks an instance
-                // complete the moment the replica-count'th launch lands and
-                // never unmarks it, even if stray launches pile on.
-                if self
-                    .ar_launched
-                    .get(&(op.stage, inst))
-                    .copied()
-                    .unwrap_or(0)
-                    >= self.replicas
-                {
-                    None
-                } else {
-                    Some(Need::Ar(op.stage, inst))
-                }
-            }
-        }
-    }
-
-    fn record(&mut self, w: usize, op: &Op) {
-        match op.kind {
-            OpKind::Forward => {
-                for m in op.covered_micros() {
-                    self.fwd.insert((m, op.stage, op.replica));
-                }
-            }
-            OpKind::Backward { .. } => {
-                let tag = match op.chunk {
-                    Chunk::Half(h) => h,
-                    _ => 2,
-                };
-                for m in op.covered_micros() {
-                    self.bwd.insert((m, op.stage, op.replica, tag));
-                }
-            }
-            OpKind::AllReduceLaunch => {
-                let count = self.launch_count.entry((w, op.stage)).or_insert(0);
-                let inst = *count;
-                *count += 1;
-                *self.ar_launched.entry((op.stage, inst)).or_insert(0) += 1;
-            }
-            OpKind::AllReduceWait => {
-                *self.wait_count.entry((w, op.stage)).or_insert(0) += 1;
-            }
-        }
-    }
-}
-
 /// Run the happens-before analysis on `sched`.
 pub fn analyze(sched: &Schedule) -> Analysis {
-    let nw = sched.num_workers();
-    let mut next = vec![0usize; nw];
-    let mut tok = Tokens::new(sched);
-    let total: usize = sched.workers.iter().map(Vec::len).sum();
-    let mut done = 0usize;
-
-    while done < total {
-        let mut progressed = false;
-        for (w, ops) in sched.workers.iter().enumerate() {
-            while next[w] < ops.len() {
-                let op = &ops[next[w]];
-                if tok.first_missing(w, op).is_some() {
-                    break;
-                }
-                tok.record(w, op);
-                next[w] += 1;
-                done += 1;
-                progressed = true;
-            }
-        }
-        if !progressed {
-            return diagnose(sched, &next, &tok);
-        }
-    }
-
-    Analysis {
-        deadlock: false,
-        blocked: Vec::new(),
-        diagnostics: Vec::new(),
+    match execute_or_stall(sched, &UnitCosts::equal()) {
+        Ok(_) => Analysis {
+            deadlock: false,
+            blocked: Vec::new(),
+            diagnostics: Vec::new(),
+        },
+        Err(stall) => diagnose(sched, &stall),
     }
 }
 
 /// Build the deadlock diagnostics from the stalled state: the blocked
 /// frontier set plus either the waits-for cycle, a missing producer, or an
 /// incomplete collective.
-fn diagnose(sched: &Schedule, next: &[usize], tok: &Tokens) -> Analysis {
-    let nw = sched.num_workers();
-    let blocked: Vec<OpLoc> = (0..nw)
-        .filter(|&w| next[w] < sched.workers[w].len())
-        .map(|w| OpLoc::of(sched, w, next[w]))
+fn diagnose(sched: &Schedule, stall: &Stall) -> Analysis {
+    let Stall { next, deps } = stall;
+    let blocked: Vec<OpLoc> = stall
+        .blocked(sched)
+        .into_iter()
+        .map(|b| OpLoc {
+            worker: b.worker.0,
+            op_index: b.op_index,
+            op: b.op,
+        })
         .collect();
-    assert!(!blocked.is_empty(), "no progress but all workers done");
 
     let mut diagnostics = Vec::new();
     // Walk the waits-for graph from the first blocked worker. Every blocked
@@ -252,11 +97,11 @@ fn diagnose(sched: &Schedule, next: &[usize], tok: &Tokens) -> Analysis {
         pos_of.insert(w, chain.len());
         let frontier = next[w];
         let op = &sched.workers[w][frontier];
-        let need = tok
-            .first_missing(w, op)
-            .expect("blocked frontier has a missing need");
+        let need = deps
+            .first_unmet(WorkerId(w as u32), op)
+            .expect("blocked frontier has an unmet need");
         chain.push((w, frontier, need.to_string()));
-        match producer_of(sched, next, tok, &need) {
+        match producer_of(sched, next, deps, &need) {
             Producer::Op(pw, _pi) => w = pw,
             Producer::Missing => {
                 diagnostics.push(Diagnostic {
@@ -301,7 +146,7 @@ enum Producer {
 }
 
 /// Find an unexecuted op that would produce `need`'s token.
-fn producer_of(sched: &Schedule, next: &[usize], tok: &Tokens, need: &Need) -> Producer {
+fn producer_of(sched: &Schedule, next: &[usize], deps: &DepTracker, need: &Need) -> Producer {
     match *need {
         Need::Fwd(m, s, r) => {
             let w = sched.placement.worker(r, s).idx();
@@ -328,7 +173,7 @@ fn producer_of(sched: &Schedule, next: &[usize], tok: &Tokens, need: &Need) -> P
                 match (consumer, op.chunk) {
                     (_, Chunk::Full | Chunk::Pair) => true,
                     (Chunk::Half(hc), Chunk::Half(hp)) => hc == hp,
-                    (_, Chunk::Half(hp)) => !tok.bwd.contains(&(m, s, r, hp)),
+                    (_, Chunk::Half(hp)) => !deps.bwd_half_done(m, s, r, hp),
                 }
             })
         }
@@ -338,7 +183,7 @@ fn producer_of(sched: &Schedule, next: &[usize], tok: &Tokens, need: &Need) -> P
             // `replicas` launches target it; find any worker whose next
             // unexecuted launch for this stage would land in `inst`.
             for (w, ops) in sched.workers.iter().enumerate() {
-                let mut seq = *tok.launch_count.get(&(w, stage)).unwrap_or(&0);
+                let mut seq = deps.launches(WorkerId(w as u32), stage);
                 for (i, op) in ops.iter().enumerate().skip(next[w]) {
                     if matches!(op.kind, OpKind::AllReduceLaunch) && op.stage == stage {
                         if seq == inst {

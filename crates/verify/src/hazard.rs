@@ -1,108 +1,28 @@
-//! Buffer-hazard lints: WAR/WAW on activation stash slots and weight-version
-//! staleness per stage replica.
+//! Weight-version staleness lint per stage replica.
 //!
-//! Activation discipline: a forward *writes* the stash slot
-//! `(replica, stage, micro)`; the matching backward *reads and frees* it
-//! (half backwards free one half each). Per worker, in program order:
+//! (The activation-stash discipline — `overwritten_stash`, `use_before_def`,
+//! `double_free` — is checked by the [`liveness`](crate::liveness) walk, which
+//! already tracks every stash half's live range.)
 //!
-//! - a forward over a still-live slot is `overwritten_stash` (WAW — the
-//!   previous micro's activations are clobbered before their backward read
-//!   them, silently corrupting gradients);
-//! - a backward over an empty slot is `use_before_def`;
-//! - a backward over a half it already freed is `double_free`.
-//!
-//! Weight discipline (synchronous schedules only): replays
-//! `validate::weight_analysis` with a per-iteration update rule. Any nonzero
-//! staleness means some forward read a weight version that a later update in
-//! the same span overwrote before the matching backward — a WAR hazard that
-//! breaks the scheme's mini-batch-SGD equivalence (Table 2's "convergence
-//! friendly" column). The dynamic validator never checks this.
+//! Synchronous schedules only: replays `validate::weight_analysis` with a
+//! per-iteration update rule. Any nonzero staleness means some forward read a
+//! weight version that a later update in the same span overwrote before the
+//! matching backward — a WAR hazard that breaks the scheme's
+//! mini-batch-SGD equivalence (Table 2's "convergence friendly" column). The
+//! dynamic validator never checks this.
 
 use std::collections::HashMap;
 
-use chimera_core::ids::{MicroId, ReplicaId, StageId};
-use chimera_core::op::{Chunk, OpKind};
+use chimera_core::ids::{ReplicaId, StageId};
+use chimera_core::op::OpKind;
 use chimera_core::schedule::Schedule;
 use chimera_core::validate::{weight_analysis, UpdateRule};
 
 use crate::{Diagnostic, OpLoc, Severity};
 
-/// Run both hazard lints on `sched` spanning `iterations` iterations.
-pub fn lint(sched: &Schedule, iterations: u32) -> Vec<Diagnostic> {
-    let mut out = stash_lint(sched);
-    out.extend(weight_lint(sched, iterations));
-    out
-}
-
-/// Per-slot 2-bit liveness mask scan.
-fn stash_lint(sched: &Schedule) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for (w, ops) in sched.workers.iter().enumerate() {
-        // (replica, stage, micro) -> live half mask (bit h = half h stashed).
-        let mut live: HashMap<(ReplicaId, StageId, MicroId), u8> = HashMap::new();
-        for (i, op) in ops.iter().enumerate() {
-            match op.kind {
-                OpKind::Forward => {
-                    for m in op.covered_micros() {
-                        let slot = live.entry((op.replica, op.stage, m)).or_insert(0);
-                        if *slot != 0 {
-                            out.push(Diagnostic {
-                                code: "overwritten_stash",
-                                severity: Severity::Error,
-                                message: format!(
-                                    "P{w} forward re-stashes {m}@{}/{} while the previous \
-                                     stash is still live (its backward has not read it)",
-                                    op.stage, op.replica
-                                ),
-                                locations: vec![OpLoc::of(sched, w, i)],
-                            });
-                        }
-                        *slot = 0b11;
-                    }
-                }
-                OpKind::Backward { .. } => {
-                    let mask: u8 = match op.chunk {
-                        Chunk::Half(h) => 1 << h.min(1),
-                        _ => 0b11,
-                    };
-                    for m in op.covered_micros() {
-                        let slot = live.entry((op.replica, op.stage, m)).or_insert(0);
-                        if *slot == 0 {
-                            out.push(Diagnostic {
-                                code: "use_before_def",
-                                severity: Severity::Error,
-                                message: format!(
-                                    "P{w} backward reads the stash of {m}@{}/{} before any \
-                                     forward wrote it",
-                                    op.stage, op.replica
-                                ),
-                                locations: vec![OpLoc::of(sched, w, i)],
-                            });
-                        } else if *slot & mask != mask {
-                            out.push(Diagnostic {
-                                code: "double_free",
-                                severity: Severity::Error,
-                                message: format!(
-                                    "P{w} backward frees a half of {m}@{}/{} that was already \
-                                     freed",
-                                    op.stage, op.replica
-                                ),
-                                locations: vec![OpLoc::of(sched, w, i)],
-                            });
-                        }
-                        *slot &= !mask;
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    out
-}
-
 /// Weight-version WAR via `weight_analysis`: nonzero staleness in a flushing
 /// (synchronous) schedule is a hazard.
-fn weight_lint(sched: &Schedule, iterations: u32) -> Vec<Diagnostic> {
+pub fn lint(sched: &Schedule, iterations: u32) -> Vec<Diagnostic> {
     if !sched.flushes || iterations == 0 {
         return Vec::new();
     }
@@ -138,7 +58,9 @@ fn weight_lint(sched: &Schedule, iterations: u32) -> Vec<Diagnostic> {
     if report.max_staleness == 0 {
         return Vec::new();
     }
-    let loc = locate_stale_backward(sched, quota);
+    let loc = report
+        .first_stale
+        .map(|(w, i)| OpLoc::of(sched, w.idx(), i));
     vec![Diagnostic {
         code: "weight_war",
         severity: Severity::Error,
@@ -151,59 +73,6 @@ fn weight_lint(sched: &Schedule, iterations: u32) -> Vec<Diagnostic> {
         ),
         locations: loc.into_iter().collect(),
     }]
-}
-
-/// Replay the per-(replica, stage) version walk to find the first backward
-/// that observes a stale version, for the diagnostic location.
-fn locate_stale_backward(sched: &Schedule, quota: u32) -> Option<OpLoc> {
-    for (w, ops) in sched.workers.iter().enumerate() {
-        #[derive(Default)]
-        struct St {
-            version: u32,
-            used: HashMap<MicroId, u32>,
-            backwards: u32,
-        }
-        let mut states: HashMap<(ReplicaId, StageId), St> = HashMap::new();
-        let mut half_seen: HashMap<(ReplicaId, StageId, MicroId), u32> = HashMap::new();
-        for (i, op) in ops.iter().enumerate() {
-            if !op.is_compute() {
-                continue;
-            }
-            let st = states.entry((op.replica, op.stage)).or_default();
-            match op.kind {
-                OpKind::Forward => {
-                    for m in op.covered_micros() {
-                        st.used.insert(m, st.version);
-                    }
-                }
-                OpKind::Backward { .. } => {
-                    for m in op.covered_micros() {
-                        let complete = match op.chunk {
-                            Chunk::Half(_) => {
-                                let seen = half_seen.entry((op.replica, op.stage, m)).or_insert(0);
-                                *seen += 1;
-                                *seen == 2
-                            }
-                            _ => true,
-                        };
-                        if !complete {
-                            continue;
-                        }
-                        let used = st.used.remove(&m).unwrap_or(st.version);
-                        if st.version > used {
-                            return Some(OpLoc::of(sched, w, i));
-                        }
-                        st.backwards += 1;
-                        if st.backwards.is_multiple_of(quota) {
-                            st.version += 1;
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -226,23 +95,6 @@ mod tests {
         }
         let multi = concat_iterations(&chimera(&ChimeraConfig::new(4, 8)).unwrap(), 3, false);
         assert!(lint(&multi, 3).is_empty());
-    }
-
-    #[test]
-    fn duplicated_forward_is_waw() {
-        let mut s = gpipe(2, 2);
-        let dup = s.workers[0][0];
-        s.workers[0].insert(1, dup);
-        let diags = stash_lint(&s);
-        assert!(diags.iter().any(|d| d.code == "overwritten_stash"));
-    }
-
-    #[test]
-    fn backward_without_forward_is_use_before_def() {
-        let mut s = gpipe(2, 2);
-        s.workers[1].swap(0, 2); // B(m0)@s1 before F(m0)@s1
-        let diags = stash_lint(&s);
-        assert!(diags.iter().any(|d| d.code == "use_before_def"));
     }
 
     #[test]

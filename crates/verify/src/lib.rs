@@ -5,41 +5,37 @@
 //! mis-cover. This crate finds the same classes of bugs (and several the
 //! executor cannot see) by analyzing the schedule as data:
 //!
-//! 1. **Deadlock as a cycle** ([`graph`]): a token-based abstract
-//!    interpretation of the cross-rank happens-before relation. When the
-//!    schedule cannot complete, the verifier extracts the actual waits-for
-//!    cycle through worker frontiers — the op chain, not just "stuck".
+//! 1. **Deadlock as a cycle** ([`graph`]): when the schedule cannot
+//!    complete, the verifier extracts the actual waits-for cycle through
+//!    worker frontiers — the op chain, not just "stuck" — by asking
+//!    `chimera_core::dep::DepTracker` what each stalled frontier waits for.
 //! 2. **Communication matching** ([`comm_lint`]): every cross-worker recv
 //!    must have exactly one matching send per `(src, dst, key)` channel,
 //!    with per-channel ordering consistent enough for the keyed-inbox
 //!    transport in `chimera-comm` (whose `MsgKey` does not distinguish
 //!    backward-halving chunks) to deliver the right payloads, and with a
 //!    provable bound on parked messages.
-//! 3. **Buffer hazards** ([`hazard`]): WAR/WAW detection on activation stash
-//!    slots and weight-version staleness per stage replica, reusing
-//!    `validate::weight_analysis`'s update-rule machinery.
-//! 4. **Memory** ([`memory`]): static peak activation/weight accounting per
-//!    worker checked against a device capacity, flagging OOM before any
-//!    simulation runs.
-//! 5. **Liveness** ([`liveness`]): a register-allocator-style def/use/kill
-//!    dataflow analysis assigning every buffer (stash halves, rematerialized
-//!    activations, stashed weight versions, gradient contributions) an exact
-//!    live range. Yields the *exact* peak-memory number ([`memory_v2`])
-//!    that replaces the coarse Table-2 bound, the memory-cliff op, the
-//!    interference-based pool pre-sizing plan, and lifetime lints
-//!    (`stash_overlap_range`, `stash_use_after_free`) with exact op ranges.
+//! 3. **Weight hazards** ([`hazard`]): weight-version staleness per stage
+//!    replica, from `validate::weight_analysis`'s update-rule machinery.
+//! 4. **Liveness** ([`liveness`]): the single program-order walk behind
+//!    everything static about buffers — a register-allocator-style
+//!    def/use/kill dataflow analysis assigning every buffer (stash halves,
+//!    rematerialized activations, stashed weight versions, gradient
+//!    contributions) an exact live range. One pass yields the activation
+//!    peak ([`VerifyReport::peak_activation_units`]), the *exact*
+//!    peak-memory number ([`memory_v2`]) next to the coarse Table-2 bound it
+//!    tightens, the memory-cliff op, the interference-based pool pre-sizing
+//!    plan, and the stash-discipline diagnostics (`overwritten_stash`,
+//!    `use_before_def`, `double_free`) with exact op ranges.
 //!
-//! The deadlock verdict is designed to agree *exactly* with
-//! `chimera_core::unit_time::execute`: the abstract interpreter mirrors the
-//! executor's round-robin loop and `DepTracker` token semantics, so
-//! static-pass ∧ dynamic-deadlock (or vice versa) is impossible by
-//! construction — and enforced by a randomized agreement test.
+//! The deadlock verdict agrees with `chimera_core::unit_time::execute` by
+//! construction — it *is* the executor's verdict; the randomized agreement
+//! test pins the blocked-frontier sets and the diagnosis on top of it.
 
 pub mod comm_lint;
 pub mod graph;
 pub mod hazard;
 pub mod liveness;
-pub mod memory;
 
 use chimera_core::schedule::Schedule;
 use chimera_core::unit_time::{validate_span, UnitCosts};
@@ -383,21 +379,6 @@ impl serde::Serialize for VerifyReport {
     }
 }
 
-/// Statically verify one iteration of `sched`. Equivalent to
-/// [`verify_span`]`(sched, 1)`.
-pub fn verify(sched: &Schedule) -> VerifyReport {
-    verify_span(sched, 1)
-}
-
-/// The boolean gate serving layers put in front of a schedule before
-/// handing it to a client: `true` iff [`verify_span`] reports no
-/// error-severity diagnostics. Exactly [`VerifyReport::is_clean`] — named
-/// as a function so call sites read as the policy they implement ("only
-/// clean schedules are ever served") rather than as a report inspection.
-pub fn is_clean_schedule(sched: &Schedule, iterations: u32) -> bool {
-    verify_span(sched, iterations).is_clean()
-}
-
 /// Statically verify `sched` as a span of `iterations` training iterations
 /// (matching `simulate_span` / `concat_iterations` semantics): happens-before
 /// deadlock analysis, communication matching, buffer hazards, and activation
@@ -425,10 +406,8 @@ pub fn verify_span(sched: &Schedule, iterations: u32) -> VerifyReport {
 
     diagnostics.extend(hazard::lint(sched, iterations));
 
-    let peaks = memory::static_peak_activations(sched, &UnitCosts::equal());
-
-    // Lifetime lints from the dataflow engine (activation-only sizing): exact
-    // overlap / use-after-free ranges the slot-mask hazard lint cannot name.
+    // One walk under activation-only unit sizing: the stash-discipline
+    // diagnostics and the per-worker activation peak in `Ma` units.
     let lifetimes = liveness::analyze(sched, &liveness::ActivationSizes(&UnitCosts::equal()));
     diagnostics.extend(lifetimes.diagnostics);
 
@@ -441,7 +420,7 @@ pub fn verify_span(sched: &Schedule, iterations: u32) -> VerifyReport {
         blocked: analysis.blocked,
         diagnostics,
         channels: comm.channels,
-        peak_activation_units: peaks.units,
+        peak_activation_units: lifetimes.activation_peak,
         memory_v2: None,
     };
     report.sort_diagnostics();
@@ -453,7 +432,6 @@ pub fn verify_span(sched: &Schedule, iterations: u32) -> VerifyReport {
 /// against the coarse Table-2 bound and paired with a pool pre-sizing plan.
 pub fn memory_v2(sched: &Schedule, cost: &SimCostModel) -> MemoryV2 {
     let coarse_weights = chimera_sim::memory::weights_bytes(sched, cost);
-    let coarse_acts = memory::static_peak_activations(sched, cost);
     let lifetimes = liveness::analyze(sched, &liveness::SimSizes(cost));
 
     let workers = (0..sched.num_workers())
@@ -469,7 +447,7 @@ pub fn memory_v2(sched: &Schedule, cost: &SimCostModel) -> MemoryV2 {
                 .sum();
             let dynamic = lifetimes.peak[w].round() as u64;
             let exact = resident + dynamic;
-            let coarse = coarse_weights[w] + coarse_acts.units[w].round() as u64;
+            let coarse = coarse_weights[w] + lifetimes.activation_peak[w].round() as u64;
             // Slot demand per size class (class over f32 element counts, the
             // same granularity the runtime pool uses).
             let mut by_class: std::collections::BTreeMap<u32, Vec<(usize, usize)>> =

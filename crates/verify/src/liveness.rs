@@ -1,8 +1,10 @@
-//! Whole-schedule buffer-liveness dataflow engine.
+//! Whole-schedule buffer-liveness dataflow engine: the one program-order walk
+//! behind everything static about a worker's buffers.
 //!
-//! [`memory`](crate::memory) proves the *activation peak* by replaying stash
-//! deltas; this module generalizes that replay into a register-allocator-style
-//! dataflow analysis over **every buffer a worker holds across ops**:
+//! A worker's ops run sequentially, so its allocation events happen in program
+//! order whatever the tick values. One register-allocator-style pass over
+//! **every buffer a worker holds across ops** therefore yields the exact
+//! memory picture of a schedule without executing it:
 //!
 //! * **Stash halves** — a forward defines one buffer per half-micro it covers
 //!   (forward doubling defines four, backward halving kills one at a time),
@@ -23,25 +25,30 @@
 //! runs). From the ranges the engine derives:
 //!
 //! 1. an **exact peak** per worker — the max prefix sum of def/kill deltas in
-//!    program order, which reproduces `Timeline::peak_activations` bit-for-bit
-//!    when versions and gradients are sized 0 (property-tested);
-//! 2. the **memory cliff** — the op whose execution first reaches the peak,
+//!    program order — and beside it the **activation-only** (stash + remat)
+//!    peak, which reproduces `Timeline::peak_activations` bit-for-bit for any
+//!    positive-cost provider (property-tested) and is the activation term of
+//!    the coarse Table-2 bound;
+//! 2. the **memory cliff** — the op whose execution first reaches each peak,
 //!    with a per-kind breakdown at that instant;
 //! 3. **interference**: two buffers interfere iff their ranges overlap; a
 //!    deterministic linear scan over the interval graph assigns buffers to
 //!    size-classed slots, and — intervals being an interval graph — uses
 //!    exactly max-clique many slots per class (also the pool pre-sizing
 //!    number the runtime consumes);
-//! 4. lints with exact ranges: `stash_overlap_range` (a forward re-defines a
-//!    half whose previous buffer is still live, reported def→def) and
-//!    `stash_use_after_free` (a backward kills a half with no live buffer).
+//! 4. the **stash-discipline diagnostics**, one per defective `(op, micro)`:
+//!    `overwritten_stash` (a forward re-defines a half whose previous buffer
+//!    is still live — WAW, the earlier activations are clobbered before their
+//!    backward read them; located def→def), `use_before_def` (a backward
+//!    over a micro with no live stash at all) and `double_free` (a backward
+//!    over a half that was already freed while the other is still live).
 
 use std::collections::HashMap;
 
 use chimera_core::op::{Chunk, Op, OpKind};
 use chimera_core::schedule::Schedule;
 use chimera_core::unit_time::CostProvider;
-use chimera_core::StageId;
+use chimera_core::{MicroId, ReplicaId, StageId};
 use chimera_sim::SimCostModel;
 
 use crate::{Diagnostic, OpLoc, Severity};
@@ -67,16 +74,6 @@ impl BufferKind {
             BufferKind::Remat => 1,
             BufferKind::WeightVersion => 2,
             BufferKind::Grad => 3,
-        }
-    }
-
-    /// Stable name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            BufferKind::Stash => "stash",
-            BufferKind::Remat => "remat",
-            BufferKind::WeightVersion => "weight_version",
-            BufferKind::Grad => "grad",
         }
     }
 }
@@ -127,8 +124,7 @@ pub trait BufferSizes {
 
 /// Activation-only sizing over any [`CostProvider`]: weight versions and
 /// gradient contributions are 0, so the liveness peak equals the executor's
-/// `peak_activations` (and [`crate::memory::static_peak_activations`])
-/// exactly.
+/// `peak_activations` exactly.
 pub struct ActivationSizes<'a, C: CostProvider>(pub &'a C);
 
 impl<C: CostProvider> BufferSizes for ActivationSizes<'_, C> {
@@ -204,7 +200,12 @@ pub struct LivenessReport {
     pub cliff: Vec<Option<usize>>,
     /// Per-kind breakdown at the cliff, per worker.
     pub breakdown: Vec<KindBreakdown>,
-    /// Lifetime lints: `stash_overlap_range`, `stash_use_after_free`.
+    /// Peak of stash + rematerialization buffers alone, per worker.
+    pub activation_peak: Vec<f64>,
+    /// Op index whose execution first reaches the activation peak.
+    pub activation_cliff: Vec<Option<usize>>,
+    /// Stash-discipline findings: `overwritten_stash`, `use_before_def`,
+    /// `double_free`.
     pub diagnostics: Vec<Diagnostic>,
 }
 
@@ -221,64 +222,99 @@ struct VersionState {
     open: HashMap<u64, (usize, u32)>,
 }
 
-/// Halves defined/killed by a compute op: `2·micro + h` for every covered
-/// half.
-fn halves(op: &Op) -> Vec<u64> {
+/// Half-micro ids (`2·micro + h`) of micro `m` that compute op `op` covers.
+fn halves(op: &Op, m: MicroId) -> std::ops::RangeInclusive<u64> {
+    let base = 2 * m.0 as u64;
     match op.chunk {
-        Chunk::Half(h) => vec![2 * op.micro.0 as u64 + u64::from(h.min(1))],
-        _ => op
-            .covered_micros()
-            .flat_map(|m| [2 * m.0 as u64, 2 * m.0 as u64 + 1])
-            .collect(),
+        Chunk::Half(h) => {
+            let half = base + u64::from(h.min(1));
+            half..=half
+        }
+        _ => base..=base + 1,
+    }
+}
+
+/// A running maximum and the op index that first reached it.
+#[derive(Default)]
+struct Peak {
+    value: f64,
+    at: Option<usize>,
+}
+
+impl Peak {
+    /// Whether `total` at op `i` is a new maximum.
+    fn observe(&mut self, total: f64, i: usize) -> bool {
+        let higher = total > self.value;
+        if higher {
+            self.value = total;
+            self.at = Some(i);
+        }
+        higher
     }
 }
 
 /// Run the dataflow analysis over every worker of `sched` under `sizes`.
 pub fn analyze<S: BufferSizes>(sched: &Schedule, sizes: &S) -> LivenessReport {
-    // A (replica, stage) whose backward recomputes stashes only the boundary
-    // input at its forwards — mirrors `memory::static_peak_activations`.
-    let recomputing: Vec<(u32, u32)> = {
-        let mut v = Vec::new();
-        for (_, _, op) in sched.iter_ops() {
-            if op.recomputes() && !v.contains(&(op.replica.0, op.stage.0)) {
-                v.push((op.replica.0, op.stage.0));
-            }
-        }
-        v
-    };
+    let recomputing = sched.recomputing();
     let stash_weights = !sched.flushes;
+    let (stash, remat, version, grad) = (
+        BufferKind::Stash.idx(),
+        BufferKind::Remat.idx(),
+        BufferKind::WeightVersion.idx(),
+        BufferKind::Grad.idx(),
+    );
 
-    let mut lives: Vec<Vec<BufferLife>> = Vec::with_capacity(sched.num_workers());
-    let mut peaks = Vec::with_capacity(sched.num_workers());
-    let mut cliffs = Vec::with_capacity(sched.num_workers());
-    let mut breakdowns = Vec::with_capacity(sched.num_workers());
-    let mut diagnostics = Vec::new();
+    let nw = sched.num_workers();
+    let mut rep = LivenessReport {
+        lives: Vec::with_capacity(nw),
+        peak: Vec::with_capacity(nw),
+        cliff: Vec::with_capacity(nw),
+        breakdown: Vec::with_capacity(nw),
+        activation_peak: Vec::with_capacity(nw),
+        activation_cliff: Vec::with_capacity(nw),
+        diagnostics: Vec::new(),
+    };
 
     for (w, ops) in sched.workers.iter().enumerate() {
         let mut wl: Vec<BufferLife> = Vec::new();
         // (replica, stage, half) → index into `wl` of the live stash buffer.
-        let mut open_stash: HashMap<(u32, u32, u64), usize> = HashMap::new();
+        let mut open_stash: HashMap<(ReplicaId, StageId, u64), usize> = HashMap::new();
         // Halves of a micro's stash already killed (half-backward schemes).
-        let mut half_done: HashMap<(u32, u32, u64), u32> = HashMap::new();
-        let mut versions: HashMap<(u32, u32), VersionState> = HashMap::new();
+        let mut half_done: HashMap<(ReplicaId, StageId, MicroId), u32> = HashMap::new();
+        let mut versions: HashMap<(ReplicaId, StageId), VersionState> = HashMap::new();
         // (replica, stage) → indices of pending gradient contributions.
-        let mut pending_grads: HashMap<(u32, u32), Vec<usize>> = HashMap::new();
+        let mut pending_grads: HashMap<(ReplicaId, StageId), Vec<usize>> = HashMap::new();
 
         let mut cur = [0.0f64; 4];
-        let mut peak = 0.0f64;
-        let mut cliff: Option<usize> = None;
+        let mut peak = Peak::default();
         let mut at_peak = KindBreakdown::default();
-        let mut check_peak = |cur: &[f64; 4], i: usize, cliff: &mut Option<usize>| {
-            let total: f64 = cur.iter().sum();
-            if total > peak {
-                peak = total;
-                *cliff = Some(i);
+        let mut activation_peak = Peak::default();
+        let mut check_peak = |cur: &[f64; 4], i: usize| {
+            if peak.observe(cur.iter().sum(), i) {
                 at_peak = KindBreakdown::from_cur(cur);
             }
+            activation_peak.observe(cur[stash] + cur[remat], i);
         };
 
         for (i, op) in ops.iter().enumerate() {
-            let rs = (op.replica.0, op.stage.0);
+            let rs = (op.replica, op.stage);
+            let life = |kind, key, kill, size| BufferLife {
+                kind,
+                replica: op.replica.0,
+                stage: op.stage.0,
+                key,
+                def: i,
+                kill,
+                size,
+            };
+            let mut defect = |code, message: String, at: Vec<usize>| {
+                rep.diagnostics.push(Diagnostic {
+                    code,
+                    severity: Severity::Error,
+                    message,
+                    locations: at.into_iter().map(|j| OpLoc::of(sched, w, j)).collect(),
+                });
+            };
             match op.kind {
                 OpKind::Forward => {
                     let total = if recomputing.contains(&rs) {
@@ -286,42 +322,36 @@ pub fn analyze<S: BufferSizes>(sched: &Schedule, sizes: &S) -> LivenessReport {
                     } else {
                         sizes.full_stash(op)
                     };
-                    let nh = halves(op);
-                    let per = total / nh.len() as f64;
-                    for half in nh {
-                        if let Some(&prev) = open_stash.get(&(rs.0, rs.1, half)) {
-                            let plife = wl[prev];
-                            diagnostics.push(Diagnostic {
-                                code: "stash_overlap_range",
-                                severity: Severity::Error,
-                                message: format!(
-                                    "P{w} re-stashes half {half} of s{}/r{} at op #{i} while \
-                                     the buffer defined at op #{} is still live — the live \
-                                     ranges overlap and the earlier activations are lost",
-                                    rs.1, rs.0, plife.def
-                                ),
-                                locations: vec![
-                                    OpLoc::of(sched, w, plife.def),
-                                    OpLoc::of(sched, w, i),
-                                ],
-                            });
-                            // Close the clobbered buffer here so accounting
-                            // stays bounded on broken schedules.
-                            wl[prev].kill = i;
-                            cur[BufferKind::Stash.idx()] -= plife.size;
+                    let per = total / f64::from(op.chunk.half_micros());
+                    for m in op.covered_micros() {
+                        // Def of the earliest still-live buffer this forward
+                        // clobbers.
+                        let mut clobbered: Option<usize> = None;
+                        for half in halves(op, m) {
+                            if let Some(prev) = open_stash.insert((rs.0, rs.1, half), wl.len()) {
+                                // Close the clobbered buffer here so accounting
+                                // stays bounded on broken schedules.
+                                let def = wl[prev].def;
+                                clobbered = Some(clobbered.map_or(def, |c| c.min(def)));
+                                wl[prev].kill = i;
+                                cur[stash] -= wl[prev].size;
+                            }
+                            wl.push(life(BufferKind::Stash, half, usize::MAX, per));
+                            cur[stash] += per;
                         }
-                        open_stash.insert((rs.0, rs.1, half), wl.len());
-                        wl.push(BufferLife {
-                            kind: BufferKind::Stash,
-                            replica: rs.0,
-                            stage: rs.1,
-                            key: half,
-                            def: i,
-                            kill: usize::MAX,
-                            size: per,
-                        });
-                        cur[BufferKind::Stash.idx()] += per;
-                        half_done.remove(&(rs.0, rs.1, half / 2));
+                        half_done.remove(&(rs.0, rs.1, m));
+                        if let Some(def) = clobbered {
+                            defect(
+                                "overwritten_stash",
+                                format!(
+                                    "P{w} forward re-stashes {m}@{}/{} at op #{i} while the \
+                                     stash defined at op #{def} is still live (its backward \
+                                     has not read it) — the earlier activations are lost",
+                                    op.stage, op.replica
+                                ),
+                                vec![def, i],
+                            );
+                        }
                     }
                     if stash_weights {
                         let st = versions.entry(rs).or_default();
@@ -330,63 +360,65 @@ pub fn analyze<S: BufferSizes>(sched: &Schedule, sizes: &S) -> LivenessReport {
                             st.current_refs += 1;
                         }
                     }
-                    check_peak(&cur, i, &mut cliff);
+                    check_peak(&cur, i);
                 }
                 OpKind::Backward { recompute } => {
+                    // Defs first: the rematerialization and the gradient are
+                    // resident together with the stash they are computed from.
+                    let remat_size = if recompute {
+                        sizes.full_stash(op) - sizes.boundary_stash(op)
+                    } else {
+                        0.0
+                    };
                     if recompute {
-                        let size = sizes.full_stash(op) - sizes.boundary_stash(op);
-                        wl.push(BufferLife {
-                            kind: BufferKind::Remat,
-                            replica: rs.0,
-                            stage: rs.1,
-                            key: i as u64,
-                            def: i,
-                            kill: i,
-                            size,
-                        });
-                        cur[BufferKind::Remat.idx()] += size;
-                        check_peak(&cur, i, &mut cliff);
+                        wl.push(life(BufferKind::Remat, i as u64, i, remat_size));
+                        cur[remat] += remat_size;
+                        check_peak(&cur, i);
                     }
                     let gsize = sizes.grad_contribution(op);
                     if gsize > 0.0 {
                         pending_grads.entry(rs).or_default().push(wl.len());
-                        wl.push(BufferLife {
-                            kind: BufferKind::Grad,
-                            replica: rs.0,
-                            stage: rs.1,
-                            key: i as u64,
-                            def: i,
-                            kill: usize::MAX,
-                            size: gsize,
-                        });
-                        cur[BufferKind::Grad.idx()] += gsize;
-                        check_peak(&cur, i, &mut cliff);
+                        wl.push(life(BufferKind::Grad, i as u64, usize::MAX, gsize));
+                        cur[grad] += gsize;
+                        check_peak(&cur, i);
                     }
                     // Kills: the consumed stash halves (and the transient
                     // rematerialization) die at this op's end.
-                    if recompute {
-                        let idx = wl
-                            .iter()
-                            .rposition(|b| b.kind == BufferKind::Remat && b.def == i)
-                            .expect("remat pushed above");
-                        cur[BufferKind::Remat.idx()] -= wl[idx].size;
-                    }
-                    for half in halves(op) {
-                        match open_stash.remove(&(rs.0, rs.1, half)) {
-                            Some(idx) => {
-                                wl[idx].kill = i;
-                                cur[BufferKind::Stash.idx()] -= wl[idx].size;
+                    cur[remat] -= remat_size;
+                    for m in op.covered_micros() {
+                        let base = 2 * m.0 as u64;
+                        let micro_live =
+                            (base..=base + 1).any(|h| open_stash.contains_key(&(rs.0, rs.1, h)));
+                        let mut missing = false;
+                        for half in halves(op, m) {
+                            match open_stash.remove(&(rs.0, rs.1, half)) {
+                                Some(idx) => {
+                                    wl[idx].kill = i;
+                                    cur[stash] -= wl[idx].size;
+                                }
+                                None => missing = true,
                             }
-                            None => diagnostics.push(Diagnostic {
-                                code: "stash_use_after_free",
-                                severity: Severity::Error,
-                                message: format!(
-                                    "P{w} backward at op #{i} frees half {half} of s{}/r{} \
-                                     with no live buffer (never stashed, or already freed)",
-                                    rs.1, rs.0
+                        }
+                        if missing && micro_live {
+                            defect(
+                                "double_free",
+                                format!(
+                                    "P{w} backward at op #{i} frees a half of {m}@{}/{} that \
+                                     was already freed",
+                                    op.stage, op.replica
                                 ),
-                                locations: vec![OpLoc::of(sched, w, i)],
-                            }),
+                                vec![i],
+                            );
+                        } else if missing {
+                            defect(
+                                "use_before_def",
+                                format!(
+                                    "P{w} backward at op #{i} reads the stash of {m}@{}/{} \
+                                     with no live buffer (never stashed, or already freed)",
+                                    op.stage, op.replica
+                                ),
+                                vec![i],
+                            );
                         }
                     }
                     if stash_weights {
@@ -394,8 +426,7 @@ pub fn analyze<S: BufferSizes>(sched: &Schedule, sizes: &S) -> LivenessReport {
                         for m in op.covered_micros() {
                             let complete = match op.chunk {
                                 Chunk::Half(_) => {
-                                    let done =
-                                        half_done.entry((rs.0, rs.1, m.0 as u64)).or_insert(0);
+                                    let done = half_done.entry((rs.0, rs.1, m)).or_insert(0);
                                     *done += 1;
                                     *done == 2
                                 }
@@ -414,7 +445,7 @@ pub fn analyze<S: BufferSizes>(sched: &Schedule, sizes: &S) -> LivenessReport {
                                     st.open.insert(v, (idx, refs - 1));
                                 } else {
                                     wl[idx].kill = i;
-                                    cur[BufferKind::WeightVersion.idx()] -= wl[idx].size;
+                                    cur[version] -= wl[idx].size;
                                 }
                             }
                         }
@@ -423,7 +454,7 @@ pub fn analyze<S: BufferSizes>(sched: &Schedule, sizes: &S) -> LivenessReport {
                 OpKind::AllReduceLaunch => {
                     for idx in pending_grads.remove(&rs).unwrap_or_default() {
                         wl[idx].kill = i;
-                        cur[BufferKind::Grad.idx()] -= wl[idx].size;
+                        cur[grad] -= wl[idx].size;
                     }
                 }
                 OpKind::AllReduceWait => {
@@ -435,17 +466,14 @@ pub fn analyze<S: BufferSizes>(sched: &Schedule, sizes: &S) -> LivenessReport {
                             // materialized before the update overwrites it.
                             let size = sizes.weight_version(op.stage);
                             st.open.insert(st.current, (wl.len(), st.current_refs));
-                            wl.push(BufferLife {
-                                kind: BufferKind::WeightVersion,
-                                replica: rs.0,
-                                stage: rs.1,
-                                key: st.current,
-                                def: i,
-                                kill: usize::MAX,
+                            wl.push(life(
+                                BufferKind::WeightVersion,
+                                st.current,
+                                usize::MAX,
                                 size,
-                            });
-                            cur[BufferKind::WeightVersion.idx()] += size;
-                            check_peak(&cur, i, &mut cliff);
+                            ));
+                            cur[version] += size;
+                            check_peak(&cur, i);
                         }
                         st.current += 1;
                         st.current_refs = 0;
@@ -461,19 +489,14 @@ pub fn analyze<S: BufferSizes>(sched: &Schedule, sizes: &S) -> LivenessReport {
                 b.kill = last;
             }
         }
-        lives.push(wl);
-        peaks.push(peak);
-        cliffs.push(cliff);
-        breakdowns.push(at_peak);
+        rep.lives.push(wl);
+        rep.peak.push(peak.value);
+        rep.cliff.push(peak.at);
+        rep.breakdown.push(at_peak);
+        rep.activation_peak.push(activation_peak.value);
+        rep.activation_cliff.push(activation_peak.at);
     }
-
-    LivenessReport {
-        lives,
-        peak: peaks,
-        cliff: cliffs,
-        breakdown: breakdowns,
-        diagnostics,
-    }
+    rep
 }
 
 /// Deterministic linear-scan slot assignment over one class of intervals.
@@ -539,41 +562,7 @@ pub fn max_overlap(intervals: &[(usize, usize)]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chimera_core::baselines::{dapple, gpipe, pipedream_steady};
-    use chimera_core::chimera::{chimera, ChimeraConfig, ScaleMethod};
-    use chimera_core::unit_time::UnitCosts;
-
-    #[test]
-    fn activation_peak_matches_memory_module() {
-        let mut costs = UnitCosts::practical();
-        costs.recompute_stash_fraction = 0.25;
-        for s in [
-            gpipe(4, 8),
-            dapple(4, 8),
-            chimera(&ChimeraConfig::new(4, 8)).unwrap(),
-            chimera(&ChimeraConfig {
-                d: 4,
-                n: 16,
-                f: 1,
-                scale: ScaleMethod::BackwardHalving,
-            })
-            .unwrap(),
-        ] {
-            let old = crate::memory::static_peak_activations(&s, &costs);
-            let new = analyze(&s, &ActivationSizes(&costs));
-            assert!(new.diagnostics.is_empty(), "{:?}", new.diagnostics);
-            for w in 0..s.num_workers() {
-                assert!(
-                    (old.units[w] - new.peak[w]).abs() < 1e-9,
-                    "{:?} worker {w}: memory.rs {} vs liveness {}",
-                    s.scheme,
-                    old.units[w],
-                    new.peak[w]
-                );
-                assert_eq!(old.peak_op[w], new.cliff[w], "{:?} worker {w}", s.scheme);
-            }
-        }
-    }
+    use chimera_core::baselines::pipedream_steady;
 
     #[test]
     fn abutting_ranges_interfere_but_disjoint_do_not() {

@@ -4,6 +4,8 @@
 //! reverse) is a failure, and when both deadlock the blocked frontier sets
 //! must be identical.
 
+use std::collections::HashMap;
+
 use chimera_core::baselines::{dapple, gems, gpipe, pipedream, pipedream_2bw};
 use chimera_core::chimera::{chimera, ChimeraConfig, ScaleMethod};
 use chimera_core::schedule::Schedule;
@@ -101,6 +103,33 @@ fn assert_agreement(s: &Schedule, ctx: &str) {
     }
 }
 
+/// A stash defect is one `(op, micro)`; it must surface under exactly one of
+/// the three stable codes, located (last) at the offending op — never twice,
+/// and never under a retired twin code.
+fn assert_one_code_per_stash_defect(s: &Schedule, ctx: &str) {
+    const STASH_CODES: [&str; 3] = ["overwritten_stash", "use_before_def", "double_free"];
+    let report = verify_span(s, 1);
+    let mut per_op: HashMap<(u32, usize), usize> = HashMap::new();
+    for d in &report.diagnostics {
+        assert!(
+            !d.code.starts_with("stash_"),
+            "{ctx}: retired code {}",
+            d.code
+        );
+        if STASH_CODES.contains(&d.code) {
+            let at = d.locations.last().expect("stash defects name their op");
+            *per_op.entry((at.worker, at.op_index)).or_insert(0) += 1;
+        }
+    }
+    for ((w, i), count) in per_op {
+        let micros = s.workers[w as usize][i].covered_micros().count();
+        assert!(
+            count <= micros,
+            "{ctx}: P{w} op #{i} covers {micros} micro(s) but carries {count} stash diagnostics"
+        );
+    }
+}
+
 /// Mutate `s` in place without breaking structural well-formedness: ops only
 /// ever move *within* a worker (placement stays consistent) or get deleted.
 fn mutate(s: &mut Schedule, rng: &mut Rng) -> String {
@@ -173,6 +202,7 @@ fn mutated_schedules_agree() {
                 }
                 let ctx = format!("{} D={d} [{}]", s.scheme, desc.join("; "));
                 assert_agreement(&s, &ctx);
+                assert_one_code_per_stash_defect(&s, &ctx);
                 total += 1;
                 if analyze(&s).deadlock {
                     deadlocks += 1;

@@ -1,8 +1,12 @@
-//! The liveness dataflow engine across the full scheme matrix.
+//! The liveness dataflow engine across the scheme space.
 //!
-//! 1. Exact-vs-executor: the engine's activation peak equals both the
-//!    incremental replay in `verify::memory` and the unit-time executor's
-//!    measured `peak_activations`, for all 9 schemes × D ∈ {2, 4, 8}.
+//! 1. Exact-vs-executor: on the retired replay's unit-test cases plus a
+//!    seeded sweep over (scheme, D ∈ {2, 4, 6, 8}, N ∈ {D, 2D, 4D}, f, §3.5
+//!    scale method, recompute, cost shape) the engine's activation peak
+//!    equals the unit-time executor's measured `peak_activations`, its
+//!    cliff is the first op whose live ranges sum to that peak, and the
+//!    exact byte peak never exceeds the Table-2 bound. Stash defects
+//!    surface once each, under the three stable codes.
 //! 2. Exact ≤ coarse: the exact byte peak never exceeds the coarse Table-2
 //!    bound it replaces, and the recovered slack ratio is reported.
 //! 3. Determinism: linear-scan slot assignment and the whole `memory_v2`
@@ -11,7 +15,13 @@
 //!    rematerialization whose def == kill is the op that also kills the
 //!    boundary stash) interfere and are both counted at the peak.
 
+use chimera_core::baselines::{
+    dapple, gems, gpipe, pipedream, pipedream_2bw_steady, pipedream_steady,
+};
+use chimera_core::chimera::{chimera, ChimeraConfig, ScaleMethod};
 use chimera_core::named::build_named;
+use chimera_core::op::Chunk;
+use chimera_core::schedule::Schedule;
 use chimera_core::unit_time::{execute, UnitCosts};
 use chimera_sim::{AllReduceAlgo, NetworkModel, SimCostModel, StageCosts, Topology};
 use chimera_verify::liveness::{analyze, assign_slots, ActivationSizes, BufferKind, SimSizes};
@@ -29,7 +39,7 @@ const SCHEMES: [&str; 9] = [
     "halving",
 ];
 
-fn matrix() -> Vec<(&'static str, u32, chimera_core::schedule::Schedule)> {
+fn matrix() -> Vec<(&'static str, u32, Schedule)> {
     let mut out = Vec::new();
     for scheme in SCHEMES {
         for d in [2u32, 4, 8] {
@@ -71,34 +81,177 @@ fn cost(d: u32) -> SimCostModel {
     }
 }
 
+/// Deterministic xorshift64* (the vendored proptest stub has no structured
+/// strategies, so the sweep draws its own samples from a fixed seed).
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        let mut x = self.0;
+        x ^= x >> 12;
+        x ^= x << 25;
+        x ^= x >> 27;
+        self.0 = x;
+        (x.wrapping_mul(0x2545_F491_4F6C_DD1D) % n as u64) as usize
+    }
+}
+
+/// One draw from (scheme, D, N, f, scale method, recompute); `None` where
+/// the generator rejects the combination.
+fn draw(rng: &mut Rng) -> Option<(String, Schedule)> {
+    let d = [2u32, 4, 6, 8][rng.below(4)];
+    let n = d * [1u32, 2, 4][rng.below(3)];
+    let (name, base) = match rng.below(7) {
+        0 => ("gpipe".to_string(), gpipe(d, n)),
+        1 => ("dapple".to_string(), dapple(d, n)),
+        2 => ("gems".to_string(), gems(d, n)),
+        3 => ("pipedream".to_string(), pipedream_steady(d, n, 2)),
+        4 => ("pipedream-2bw".to_string(), pipedream_2bw_steady(d, n, 2)),
+        _ => {
+            let divisors: Vec<u32> = (1..=d / 2).filter(|&f| (d / 2).is_multiple_of(f)).collect();
+            let f = divisors[rng.below(divisors.len())];
+            let scale = match rng.below(4) {
+                0 => ScaleMethod::ForwardDoubling { recompute: true },
+                1 => ScaleMethod::ForwardDoubling { recompute: false },
+                2 => ScaleMethod::BackwardHalving,
+                _ => ScaleMethod::Direct,
+            };
+            let s = chimera(&ChimeraConfig { d, n, f, scale }).ok()?;
+            (format!("chimera f={f} {scale:?}"), s)
+        }
+    };
+    let recompute = rng.below(2) == 1;
+    let s = if recompute {
+        base.with_recompute()
+    } else {
+        base
+    };
+    Some((format!("{name} D={d} N={n} recompute={recompute}"), s))
+}
+
+/// The cases the retired `verify::memory` replay was unit-tested on: every
+/// built-in scheme under `practical()` costs with a quarter of a micro's
+/// activations kept at the stage boundary.
+fn replay_cases() -> Vec<(String, Schedule, UnitCosts)> {
+    let mut costs = UnitCosts::practical();
+    costs.recompute_stash_fraction = 0.25;
+    let chimera_with = |d, n, f, scale| chimera(&ChimeraConfig { d, n, f, scale }).unwrap();
+    [
+        gpipe(4, 8),
+        dapple(4, 8),
+        gems(4, 8),
+        pipedream(4, 4),
+        chimera_with(4, 8, 1, ScaleMethod::Direct),
+        chimera_with(4, 16, 1, ScaleMethod::BackwardHalving),
+        chimera_with(8, 32, 2, ScaleMethod::ForwardDoubling { recompute: true }),
+    ]
+    .into_iter()
+    .map(|s| (format!("{} D={} N={}", s.scheme, s.d, s.n), s, costs))
+    .collect()
+}
+
 #[test]
-fn exact_activation_peak_matches_replay_and_executor_across_matrix() {
-    let costs = UnitCosts::equal();
-    for (scheme, d, s) in matrix() {
-        let replay = chimera_verify::memory::static_peak_activations(&s, &costs);
+fn activation_peak_and_cliff_match_the_executor_on_a_seeded_sweep() {
+    let mut rng = Rng(0x5EED_CAFE_F00D_0013);
+    let mut cases = replay_cases();
+    for _ in 0..240 {
+        let Some((ctx, s)) = draw(&mut rng) else {
+            continue;
+        };
+        let mut costs = if rng.below(2) == 0 {
+            UnitCosts::equal()
+        } else {
+            UnitCosts::practical()
+        };
+        costs.recompute_stash_fraction = [0.0, 0.25, 0.5][rng.below(3)];
+        cases.push((ctx, s, costs));
+    }
+    assert!(cases.len() >= 200, "only {} schedules built", cases.len());
+
+    for (ctx, s, costs) in cases {
         let engine = analyze(&s, &ActivationSizes(&costs));
         assert!(
             engine.diagnostics.is_empty(),
-            "{scheme} D={d}: {:?}",
+            "{ctx}: {:?}",
             engine.diagnostics
         );
-        let tl = execute(&s, costs).expect("matrix schedules execute");
+        let tl = execute(&s, costs).unwrap_or_else(|e| panic!("{ctx}: {e}"));
         for w in 0..s.num_workers() {
+            let peak = engine.activation_peak[w];
             assert!(
-                (engine.peak[w] - replay.units[w]).abs() < 1e-9,
-                "{scheme} D={d} P{w}: engine {} vs replay {}",
-                engine.peak[w],
-                replay.units[w]
-            );
-            assert!(
-                (engine.peak[w] - tl.peak_activations[w]).abs() < 1e-9,
-                "{scheme} D={d} P{w}: engine {} vs executor {}",
-                engine.peak[w],
+                (peak - tl.peak_activations[w]).abs() < 1e-9,
+                "{ctx} P{w}: engine {peak} vs executor {}",
                 tl.peak_activations[w]
             );
-            assert_eq!(engine.cliff[w], replay.peak_op[w], "{scheme} D={d} P{w}");
+            // Activation-only sizing: the overall peak is the same number.
+            assert_eq!(engine.peak[w], peak, "{ctx} P{w}");
+            assert_eq!(engine.cliff[w], engine.activation_cliff[w], "{ctx} P{w}");
+            // The cliff, recomputed from the live ranges alone: the first op
+            // whose resident stash + remat buffers sum to the peak.
+            let live_at = |i: usize| -> f64 {
+                engine.lives[w]
+                    .iter()
+                    .filter(|b| matches!(b.kind, BufferKind::Stash | BufferKind::Remat))
+                    .filter(|b| b.def <= i && i <= b.kill)
+                    .map(|b| b.size)
+                    .sum()
+            };
+            let first_at_peak =
+                (0..s.workers[w].len()).find(|&i| peak > 0.0 && (live_at(i) - peak).abs() < 1e-9);
+            assert_eq!(engine.activation_cliff[w], first_at_peak, "{ctx} P{w}");
+        }
+        let mem = memory_v2(&s, &cost(s.d));
+        for (w, wm) in mem.workers.iter().enumerate() {
+            assert!(
+                wm.exact_peak_bytes <= wm.coarse_bound_bytes,
+                "{ctx} P{w}: exact {} > Table-2 bound {}",
+                wm.exact_peak_bytes,
+                wm.coarse_bound_bytes
+            );
         }
     }
+}
+
+#[test]
+fn gpipe_cliff_is_its_last_injected_forward() {
+    let rep = analyze(&gpipe(2, 4), &ActivationSizes(&UnitCosts::equal()));
+    assert_eq!(rep.activation_cliff[0], Some(3));
+    assert_eq!(rep.activation_peak[0], 4.0);
+}
+
+/// `(code, op indices of its locations)` of every stash diagnostic.
+fn stash_codes(s: &Schedule) -> Vec<(&'static str, Vec<usize>)> {
+    analyze(s, &ActivationSizes(&UnitCosts::equal()))
+        .diagnostics
+        .iter()
+        .map(|d| (d.code, d.locations.iter().map(|l| l.op_index).collect()))
+        .collect()
+}
+
+/// The retired slot-mask lint's cases: each defect surfaces once, under its
+/// stable code, located at the offending op (def → def for an overwrite).
+#[test]
+fn stash_defects_surface_once_under_the_stable_codes() {
+    let mut s = gpipe(2, 2);
+    let dup = s.workers[0][0];
+    s.workers[0].insert(1, dup);
+    assert_eq!(stash_codes(&s), vec![("overwritten_stash", vec![0, 1])]);
+
+    let mut s = gpipe(2, 2);
+    s.workers[1].swap(0, 2); // B(m0)@s1 before F(m0)@s1
+    assert_eq!(stash_codes(&s), vec![("use_before_def", vec![0])]);
+
+    // A half backward run twice frees its half twice while the other half
+    // of the micro is still live.
+    let mut s = build_named("halving", 4, 8).unwrap();
+    let (w, i) = s
+        .iter_ops()
+        .find(|(_, _, op)| op.is_backward() && matches!(op.chunk, Chunk::Half(0)))
+        .map(|(w, i, _)| (w.idx(), i))
+        .expect("halving emits half backwards");
+    let dup = s.workers[w][i];
+    s.workers[w].insert(i + 1, dup);
+    assert_eq!(stash_codes(&s), vec![("double_free", vec![i + 1])]);
 }
 
 #[test]
