@@ -1,9 +1,10 @@
 //! Kernel-layer throughput harness: naive vs packed-panel vs
 //! packed+threaded GFLOP/s, backward-kernel rates, elementwise ops
-//! (ns/element beside the libm loops they replaced), a transformer block's
-//! measured backward/forward balance for sim calibration, the zero-skip
-//! sparse entry point on 95%-zero input, and end-to-end training step time
-//! with the buffer pool on/off.
+//! (ns/element beside the libm loops they replaced), the attention core
+//! (µs per call beside the per-head composition it replaced), a transformer
+//! block's measured backward/forward balance for sim calibration, the
+//! zero-skip sparse entry point on 95%-zero input, and end-to-end training
+//! step time with the buffer pool on/off.
 //!
 //! Writes `results/kernels.json` plus `BENCH_kernels.json` at the workspace
 //! root. The JSON carries a `calibration` section whose `bwd_over_fwd` —
@@ -20,7 +21,8 @@
 //!   `speedup_vs_naive ≥ 4.0` floor on the headline shape, threading
 //!   (mt ≥ 1.5× 1t when ≥2 cores are actually available, mt ≥ 0.9× 1t
 //!   otherwise), `gelu` ≥ 8× its libm loop (lost autovectorisation shows
-//!   here), and `end_to_end` pool ratio ≥ 1.0
+//!   here), the attention core ≥ 3× its per-head composition at the
+//!   long-sequence shape (same), and `end_to_end` pool ratio ≥ 1.0
 //! * `--threads N`  intra-op thread count (default: `max(4, cores)`)
 //!
 //! The committed baseline is deliberately conservative — set well below
@@ -33,7 +35,9 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use chimera_bench::{arg_value, output_root, print_table, write_json};
-use chimera_nn::{ModelConfig, ReferenceTrainer, Stage, SyntheticData, TransformerBlock};
+use chimera_nn::{
+    Attention, ModelConfig, ReferenceTrainer, Stage, SyntheticData, TransformerBlock,
+};
 use chimera_tensor::{gelu, gelu_backward, kernels, layernorm, pool, softmax_rows, Rng, Tensor};
 
 /// Time `body` (called repeatedly) and return mean seconds per call:
@@ -212,6 +216,155 @@ fn bench_elementwise() -> Vec<ElementwiseRow> {
     ]
 }
 
+/// The attention core one `(sample, head)` pair at a time — operands copied
+/// out of `qkv`, three products and a softmax per pair, results added back —
+/// as `chimera-nn` had it before `kernels::gemm_batch`; kept here as the
+/// speed reference (its twin in `attention.rs`'s tests is the numeric one).
+mod per_head {
+    use chimera_tensor::{scale_mask_softmax_rows, softmax_rows_backward, Tensor};
+
+    fn extract(src: &Tensor, r0: usize, c0: usize, rows: usize, cols: usize) -> Tensor {
+        let mut out = Tensor::zeros(rows, cols);
+        for r in 0..rows {
+            out.row_mut(r)
+                .copy_from_slice(&src.row(r0 + r)[c0..c0 + cols]);
+        }
+        out
+    }
+
+    fn add_into(dst: &mut Tensor, src: &Tensor, r0: usize, c0: usize) {
+        for r in 0..src.rows() {
+            let drow = dst.row_mut(r0 + r);
+            for (c, &v) in src.row(r).iter().enumerate() {
+                drow[c0 + c] += v;
+            }
+        }
+    }
+
+    pub fn attend(qkv: &Tensor, heads: usize, s: usize) -> (Vec<Tensor>, Tensor) {
+        let h = qkv.cols() / 3;
+        let d = h / heads;
+        let scale = 1.0 / (d as f32).sqrt();
+        let mut ctx = Tensor::zeros(qkv.rows(), h);
+        let mut probs = Vec::new();
+        for r0 in (0..qkv.rows()).step_by(s) {
+            for head in 0..heads {
+                let q = extract(qkv, r0, head * d, s, d);
+                let k = extract(qkv, r0, h + head * d, s, d);
+                let v = extract(qkv, r0, 2 * h + head * d, s, d);
+                let mut p = q.matmul_t(&k);
+                scale_mask_softmax_rows(&mut p, scale, Some(s));
+                add_into(&mut ctx, &p.matmul(&v), r0, head * d);
+                probs.push(p);
+            }
+        }
+        (probs, ctx)
+    }
+
+    pub fn attend_backward(qkv: &Tensor, probs: &[Tensor], dctx: &Tensor, s: usize) -> Tensor {
+        let h = qkv.cols() / 3;
+        let heads = probs.len() * s / qkv.rows();
+        let d = h / heads;
+        let scale = 1.0 / (d as f32).sqrt();
+        let mut dqkv = Tensor::zeros(qkv.rows(), 3 * h);
+        let mut probs = probs.iter();
+        for r0 in (0..qkv.rows()).step_by(s) {
+            for head in 0..heads {
+                let p = probs.next().expect("one per pair");
+                let q = extract(qkv, r0, head * d, s, d);
+                let k = extract(qkv, r0, h + head * d, s, d);
+                let v = extract(qkv, r0, 2 * h + head * d, s, d);
+                let dc = extract(dctx, r0, head * d, s, d);
+                let mut ds = dc.matmul_t(&v);
+                softmax_rows_backward(p, &mut ds, scale, Some(s));
+                add_into(&mut dqkv, &ds.matmul(&k), r0, head * d);
+                add_into(&mut dqkv, &ds.t_matmul(&q), r0, h + head * d);
+                add_into(&mut dqkv, &p.t_matmul(&dc), r0, 2 * h + head * d);
+            }
+        }
+        dqkv
+    }
+}
+
+struct AttentionRow {
+    model: &'static str,
+    shape: String,
+    /// Seconds per call: `[forward, backward]`.
+    batched: [f64; 2],
+    per_head: [f64; 2],
+    /// Flops the batched kernels report for one call (what the causal
+    /// mask leaves of the six products): `[forward, backward]`.
+    flops: [u64; 2],
+}
+
+impl AttentionRow {
+    fn speedup(&self) -> f64 {
+        (self.per_head[0] + self.per_head[1]) / (self.batched[0] + self.batched[1])
+    }
+}
+
+/// The attention core — everything between the layer's two projections —
+/// at the three model shapes of `benchmark/` (causal, single-threaded):
+/// the batched kernels against the per-head composition, alternating
+/// rounds and best of each so that the ratio the gate reads is not tilted
+/// by a slow minute.
+fn bench_attention_core(rounds: u32) -> Vec<AttentionRow> {
+    kernels::set_threads(1);
+    let shapes = [
+        ("A", 64, 8, 128, 1),
+        ("G", 256, 4, 64, 1),
+        ("S", 64, 4, 16, 2),
+    ];
+    let bench = |(model, hidden, heads, seq, b): (&'static str, usize, usize, usize, usize)| {
+        let mut rng = Rng::new(11);
+        let attn = Attention::new(hidden, heads, seq, true, &mut rng);
+        let qkv = Tensor::normal(b * seq, 3 * hidden, 1.0, &mut rng);
+        let dctx = Tensor::normal(b * seq, hidden, 1.0, &mut rng);
+        let (probs, _) = attn.attend(&qkv);
+        let (probs_per_head, _) = per_head::attend(&qkv, heads, seq);
+        let counted = |body: &mut dyn FnMut()| {
+            let before = kernels::stats().flops;
+            body();
+            kernels::stats().flops - before
+        };
+        let flops = [
+            counted(&mut || drop(attn.attend(&qkv))),
+            counted(&mut || drop(attn.attend_backward(&qkv, &probs, &dctx))),
+        ];
+        let (mut batched, mut per_head) = ([f64::INFINITY; 2], [f64::INFINITY; 2]);
+        for _ in 0..rounds {
+            let best = |slot: &mut f64, body: &mut dyn FnMut()| {
+                *slot = slot.min(time_per_call(20, body));
+            };
+            best(&mut batched[0], &mut || {
+                drop(black_box(attn.attend(black_box(&qkv))));
+            });
+            best(&mut per_head[0], &mut || {
+                drop(black_box(per_head::attend(black_box(&qkv), heads, seq)));
+            });
+            best(&mut batched[1], &mut || {
+                drop(black_box(attn.attend_backward(
+                    &qkv,
+                    &probs,
+                    black_box(&dctx),
+                )));
+            });
+            best(&mut per_head[1], &mut || {
+                let dqkv = per_head::attend_backward(&qkv, &probs_per_head, black_box(&dctx), seq);
+                drop(black_box(dqkv));
+            });
+        }
+        AttentionRow {
+            model,
+            shape: format!("[{},{hidden}] / {heads} heads / b={b}", b * seq),
+            batched,
+            per_head,
+            flops,
+        }
+    };
+    shapes.into_iter().map(bench).collect()
+}
+
 /// Seconds per forward and per backward of one transformer block at the
 /// benchmark's wide shape (hidden 256, 4 heads, one 64-token sequence),
 /// single-threaded. Their ratio is the backward/forward balance of a real
@@ -333,6 +486,7 @@ fn load_baseline() -> Option<serde_json::Value> {
 fn check_regressions(
     rows: &[MatmulRow],
     elementwise: &[ElementwiseRow],
+    attention: &[AttentionRow],
     e2e: &EndToEnd,
     parallelism: usize,
 ) -> bool {
@@ -427,6 +581,36 @@ fn check_regressions(
             ok = false;
         } else {
             println!("check gelu: {speedup:.1}x the libm loop >= 8.0 ok");
+        }
+    }
+    // Attention-core gate: both sides are timed in this run, so a slow
+    // runner moves neither; measured ~10x at the long-sequence shape, so
+    // below the floor the accumulator tile has stopped vectorising or the
+    // triangular skip is gone.
+    let floors = baseline
+        .get("attention_core_min_speedup")
+        .and_then(|v| v.as_object());
+    for (model, floor) in floors.into_iter().flatten() {
+        let (Some(floor), Some(r)) = (
+            floor.as_f64(),
+            attention.iter().find(|r| r.model == model.as_str()),
+        ) else {
+            eprintln!("check attention_core {model}: no such row or floor; failing");
+            ok = false;
+            continue;
+        };
+        if r.speedup() < floor {
+            eprintln!(
+                "check attention_core {model}: ATTENTION REGRESSION fwd+bwd is only {:.1}x \
+                 the per-head composition (floor {floor}x)",
+                r.speedup()
+            );
+            ok = false;
+        } else {
+            println!(
+                "check attention_core {model}: {:.1}x the per-head composition >= {floor} ok",
+                r.speedup()
+            );
         }
     }
     // Pool-payoff gate: recycling buffers must never cost step time. Both
@@ -546,6 +730,40 @@ fn main() -> ExitCode {
             .collect::<Vec<_>>(),
     );
 
+    let attention = bench_attention_core(if smoke { 2 } else { 5 });
+    print_table(
+        "Attention core (1t, causal; µs per call, GFLOP/s of executed flops)",
+        &[
+            "model",
+            "shape",
+            "fwd",
+            "bwd",
+            "fwd GF/s",
+            "bwd GF/s",
+            "per-head fwd",
+            "per-head bwd",
+            "speedup",
+        ],
+        &attention
+            .iter()
+            .map(|r| {
+                let us = |secs: f64| format!("{:.1}", secs * 1e6);
+                let rate = |i: usize| format!("{:.1}", r.flops[i] as f64 / r.batched[i] / 1e9);
+                vec![
+                    r.model.to_string(),
+                    r.shape.clone(),
+                    us(r.batched[0]),
+                    us(r.batched[1]),
+                    rate(0),
+                    rate(1),
+                    us(r.per_head[0]),
+                    us(r.per_head[1]),
+                    format!("{:.1}x", r.speedup()),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    );
+
     let (block_fwd, block_bwd) = bench_block();
     let bwd_over_fwd = block_bwd / block_fwd;
     print_table(
@@ -623,6 +841,17 @@ fn main() -> ExitCode {
             "libm_ns_per_elem": r.libm_ns_per_elem,
             "speedup_vs_libm": r.libm_ns_per_elem.map(|l| l / r.ns_per_elem),
         })).collect::<Vec<_>>(),
+        "attention_core": attention.iter().map(|r| serde_json::json!({
+            "model": r.model,
+            "shape": r.shape,
+            "fwd_us": r.batched[0] * 1e6,
+            "bwd_us": r.batched[1] * 1e6,
+            "fwd_gflops": r.flops[0] as f64 / r.batched[0] / 1e9,
+            "bwd_gflops": r.flops[1] as f64 / r.batched[1] / 1e9,
+            "per_head_fwd_us": r.per_head[0] * 1e6,
+            "per_head_bwd_us": r.per_head[1] * 1e6,
+            "speedup_vs_per_head": r.speedup(),
+        })).collect::<Vec<_>>(),
         "matmul_backward": serde_json::json!({
             "shape": format!("{}x{}x{}", HEADLINE.0, HEADLINE.1, HEADLINE.2),
             "fwd_gflops": fwd_gf,
@@ -660,7 +889,7 @@ fn main() -> ExitCode {
     write_json(&root.join("results"), "kernels", &payload);
     write_json(&root, "BENCH_kernels", &payload);
 
-    if check && !check_regressions(&rows, &elementwise, &e2e, parallelism) {
+    if check && !check_regressions(&rows, &elementwise, &attention, &e2e, parallelism) {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

@@ -1,5 +1,30 @@
 //! Multi-head self-attention with explicit backward.
+//!
+//! Between the two projections the layer is six small products per
+//! `(sample, head)` pair. Each is one [`gemm_batch`] call over all pairs,
+//! reading its operands where they lie — `q`, `k`, `v` as column blocks of
+//! the `[b·s, 3h]` projection `qkv`, `dc` as a column block of `dctx` —
+//! and writing its result where it belongs: the probabilities of all pairs
+//! in one `[b·heads·s, s]` tensor, `ctx` and `dqkv` column blocks in place.
+//! With `s` the sequence length and `d = h / heads`:
+//!
+//! | product      | `m, k, n` | `a` (ld, stored)    | `b` (ld, stored)    | `out` (ld)    | causal     |
+//! |--------------|-----------|---------------------|---------------------|---------------|------------|
+//! | `p = q·kᵀ`   | `s, d, s` | `q` (`3h`, as is)   | `k` (`3h`, transp.) | `p` (`s`)     | `LowerOut` |
+//! | `c = p·v`    | `s, s, d` | `p` (`s`, as is)    | `v` (`3h`, as is)   | `ctx` (`h`)   | `LowerA`   |
+//! | `dp = dc·vᵀ` | `s, d, s` | `dc` (`h`, as is)   | `v` (`3h`, transp.) | `dp` (`s`)    | `LowerOut` |
+//! | `dv = pᵀ·dc` | `s, s, d` | `p` (`s`, transp.)  | `dc` (`h`, as is)   | `dqkv` (`3h`) | `LowerA`   |
+//! | `dq = ds·k`  | `s, s, d` | `ds` (`s`, as is)   | `k` (`3h`, as is)   | `dqkv` (`3h`) | `LowerA`   |
+//! | `dk = dsᵀ·q` | `s, s, d` | `ds` (`s`, transp.) | `q` (`3h`, as is)   | `dqkv` (`3h`) | `LowerA`   |
+//!
+//! Under the causal mask `p` and `ds` are lower-triangular with exact
+//! `+0.0` above the diagonal (the softmax ops write it), which is what lets
+//! the last four skip the `k` steps above the diagonal without changing a
+//! bit, while the first and third never compute what the mask discards.
+//! Softmax runs over the stacked `p` in one pass, and its backward turns
+//! `dp` into `ds = scale · p ⊙ (dp − p·dp)` in place.
 
+use chimera_tensor::kernels::{gemm_batch, Operand, Triangle};
 use chimera_tensor::{scale_mask_softmax_rows, softmax_rows_backward, Rng, Tensor};
 
 use crate::linear::Linear;
@@ -25,28 +50,47 @@ pub struct Attention {
 pub struct AttnStash {
     x: Tensor,
     qkv: Tensor,
-    /// Per `(sample, head)` attention probabilities `[s, s]`.
-    probs: Vec<Tensor>,
+    /// Attention probabilities of every `(sample, head)` pair, stacked:
+    /// `[b·heads·s, s]`.
+    probs: Tensor,
     ctx: Tensor,
 }
 
 impl AttnStash {
+    fn buffers(&self) -> [&Tensor; 4] {
+        [&self.x, &self.qkv, &self.probs, &self.ctx]
+    }
+
     /// Total `f32` elements held by this stash.
     pub fn elements(&self) -> usize {
-        self.x.len()
-            + self.qkv.len()
-            + self.probs.iter().map(Tensor::len).sum::<usize>()
-            + self.ctx.len()
+        self.buffers().iter().map(|t| t.len()).sum()
     }
 
     /// Visit each pool-backed buffer's length.
     pub fn for_each_pooled(&self, f: &mut dyn FnMut(usize)) {
-        f(self.x.len());
-        f(self.qkv.len());
-        for p in &self.probs {
-            f(p.len());
+        for t in self.buffers() {
+            f(t.len());
         }
-        f(self.ctx.len());
+    }
+}
+
+/// Where one `(sample, head)` pair's blocks start in the layer's buffers.
+#[derive(Clone, Copy)]
+struct HeadAt {
+    /// `q` in `qkv` (and `dq` in `dqkv`); `k` lies `h` further, `v` `2h`.
+    q: usize,
+    /// The pair's `[s, s]` block in `probs` (and in `dp`).
+    p: usize,
+    /// The pair's column block in `ctx` (and in `dctx`).
+    c: usize,
+}
+
+/// `t`'s blocks, stored the way the product reads them or transposed.
+fn operand(t: &Tensor, trans: bool) -> Operand<'_> {
+    Operand {
+        data: t.data(),
+        ld: t.cols(),
+        trans,
     }
 }
 
@@ -68,48 +112,37 @@ impl Attention {
         self.wqkv.num_params() + self.wo.num_params()
     }
 
-    fn extract(&self, src: &Tensor, r0: usize, c0: usize, rows: usize, cols: usize) -> Tensor {
-        let mut out = Tensor::zeros(rows, cols);
-        for r in 0..rows {
-            out.row_mut(r)
-                .copy_from_slice(&src.row(r0 + r)[c0..c0 + cols]);
-        }
-        out
+    /// One offset triple per `(sample, head)` pair of `b` samples.
+    fn batch(&self, b: usize, item: impl Fn(HeadAt) -> [usize; 3]) -> Vec<[usize; 3]> {
+        let (h, s) = (self.wo.w.rows(), self.seq);
+        let d = h / self.heads;
+        (0..b * self.heads)
+            .map(|pair| {
+                let (sample, head) = (pair / self.heads, pair % self.heads);
+                item(HeadAt {
+                    q: sample * s * 3 * h + head * d,
+                    p: pair * s * s,
+                    c: sample * s * h + head * d,
+                })
+            })
+            .collect()
     }
 
-    fn add_into(dst: &mut Tensor, src: &Tensor, r0: usize, c0: usize) {
-        for r in 0..src.rows() {
-            let drow = dst.row_mut(r0 + r);
-            for (c, &v) in src.row(r).iter().enumerate() {
-                drow[c0 + c] += v;
-            }
+    /// What the causal mask lets the score-shaped products (`out` is
+    /// `[s, s]`) and the probability-weighted ones (`a` is `[s, s]`) skip.
+    fn triangles(&self) -> (Triangle, Triangle) {
+        if self.causal {
+            (Triangle::LowerOut, Triangle::LowerA)
+        } else {
+            (Triangle::Full, Triangle::Full)
         }
     }
 
     /// Forward over `[b·s, h]` rows (whole sequences).
     pub fn forward(&self, x: &Tensor) -> (Tensor, AttnStash) {
-        let h = self.wo.w.rows();
-        let s = self.seq;
-        assert_eq!(x.rows() % s, 0, "rows must be whole sequences");
-        let b = x.rows() / s;
-        let dk = h / self.heads;
-        let scale = 1.0 / (dk as f32).sqrt();
+        assert_eq!(x.rows() % self.seq, 0, "rows must be whole sequences");
         let qkv = self.wqkv.forward(x);
-        let mut ctx = Tensor::zeros(x.rows(), h);
-        let mut probs = Vec::with_capacity(b * self.heads);
-        for sample in 0..b {
-            let r0 = sample * s;
-            for head in 0..self.heads {
-                let q = self.extract(&qkv, r0, head * dk, s, dk);
-                let k = self.extract(&qkv, r0, h + head * dk, s, dk);
-                let v = self.extract(&qkv, r0, 2 * h + head * dk, s, dk);
-                let mut p = q.matmul_t(&k);
-                scale_mask_softmax_rows(&mut p, scale, self.causal);
-                let c = p.matmul(&v);
-                Self::add_into(&mut ctx, &c, r0, head * dk);
-                probs.push(p);
-            }
-        }
+        let (probs, ctx) = self.attend(&qkv);
         let out = self.wo.forward(&ctx);
         (
             out,
@@ -122,37 +155,100 @@ impl Attention {
         )
     }
 
+    /// The layer between its projections: from `qkv` (`[b·s, 3h]`), every
+    /// pair's probabilities `softmax(q·kᵀ/√d + mask)`, stacked
+    /// `[b·heads·s, s]`, and the context `[b·s, h]` they weight `v` into.
+    pub fn attend(&self, qkv: &Tensor) -> (Tensor, Tensor) {
+        let (h, s) = (self.wo.w.rows(), self.seq);
+        let b = qkv.rows() / s;
+        let d = h / self.heads;
+        let scale = 1.0 / (d as f32).sqrt();
+        let (scores, weighted) = self.triangles();
+        let mut probs = Tensor::zeros(b * self.heads * s, s);
+        gemm_batch(
+            (s, d, s),
+            operand(qkv, false),
+            operand(qkv, true),
+            probs.data_mut(),
+            s,
+            &self.batch(b, |at| [at.q, at.q + h, at.p]),
+            scores,
+        );
+        scale_mask_softmax_rows(&mut probs, scale, self.causal.then_some(s));
+        let mut ctx = Tensor::zeros(qkv.rows(), h);
+        gemm_batch(
+            (s, s, d),
+            operand(&probs, false),
+            operand(qkv, false),
+            ctx.data_mut(),
+            h,
+            &self.batch(b, |at| [at.p, at.q + 2 * h, at.c]),
+            weighted,
+        );
+        (probs, ctx)
+    }
+
     /// Backward: returns `dx`; accumulates `[d wqkv.., d wo..]` into `grad`.
     pub fn backward(&self, stash: &AttnStash, dy: &Tensor, grad: &mut [f32]) -> Tensor {
         assert_eq!(grad.len(), self.num_params());
-        let h = self.wo.w.rows();
-        let s = self.seq;
-        let b = stash.x.rows() / s;
-        let dk = h / self.heads;
-        let scale = 1.0 / (dk as f32).sqrt();
         let (gqkv, gwo) = grad.split_at_mut(self.wqkv.num_params());
         let dctx = self.wo.backward(&stash.ctx, dy, gwo);
-        let mut dqkv = Tensor::zeros(stash.x.rows(), 3 * h);
-        for sample in 0..b {
-            let r0 = sample * s;
-            for head in 0..self.heads {
-                let p = &stash.probs[sample * self.heads + head];
-                let q = self.extract(&stash.qkv, r0, head * dk, s, dk);
-                let k = self.extract(&stash.qkv, r0, h + head * dk, s, dk);
-                let v = self.extract(&stash.qkv, r0, 2 * h + head * dk, s, dk);
-                let dc = self.extract(&dctx, r0, head * dk, s, dk);
-                let dp = dc.matmul_t(&v);
-                let dv = p.t_matmul(&dc);
-                let mut ds = softmax_rows_backward(p, &dp);
-                ds.scale(scale);
-                let dq = ds.matmul(&k);
-                let dk_grad = ds.t_matmul(&q);
-                Self::add_into(&mut dqkv, &dq, r0, head * dk);
-                Self::add_into(&mut dqkv, &dk_grad, r0, h + head * dk);
-                Self::add_into(&mut dqkv, &dv, r0, 2 * h + head * dk);
-            }
-        }
+        let dqkv = self.attend_backward(&stash.qkv, &stash.probs, &dctx);
         self.wqkv.backward(&stash.x, &dqkv, gqkv)
+    }
+
+    /// Backward of [`Attention::attend`]: `dqkv` from the gradient of the
+    /// context.
+    pub fn attend_backward(&self, qkv: &Tensor, probs: &Tensor, dctx: &Tensor) -> Tensor {
+        let (h, s) = (self.wo.w.rows(), self.seq);
+        let b = qkv.rows() / s;
+        let d = h / self.heads;
+        let scale = 1.0 / (d as f32).sqrt();
+        let (scores, weighted) = self.triangles();
+        let mut dqkv = Tensor::zeros(qkv.rows(), 3 * h);
+        // dv = pᵀ·dc
+        gemm_batch(
+            (s, s, d),
+            operand(probs, true),
+            operand(dctx, false),
+            dqkv.data_mut(),
+            3 * h,
+            &self.batch(b, |at| [at.p, at.c, at.q + 2 * h]),
+            weighted,
+        );
+        // dp = dc·vᵀ, then ds in its place
+        let mut ds = Tensor::zeros(probs.rows(), s);
+        gemm_batch(
+            (s, d, s),
+            operand(dctx, false),
+            operand(qkv, true),
+            ds.data_mut(),
+            s,
+            &self.batch(b, |at| [at.c, at.q + 2 * h, at.p]),
+            scores,
+        );
+        softmax_rows_backward(probs, &mut ds, scale, self.causal.then_some(s));
+        // dq = ds·k
+        gemm_batch(
+            (s, s, d),
+            operand(&ds, false),
+            operand(qkv, false),
+            dqkv.data_mut(),
+            3 * h,
+            &self.batch(b, |at| [at.p, at.q + h, at.q]),
+            weighted,
+        );
+        // dk = dsᵀ·q
+        gemm_batch(
+            (s, s, d),
+            operand(&ds, true),
+            operand(qkv, false),
+            dqkv.data_mut(),
+            3 * h,
+            &self.batch(b, |at| [at.p, at.q, at.q + h]),
+            weighted,
+        );
+        dqkv
     }
 
     /// Append parameters (`[wqkv.., wo..]`).
@@ -172,13 +268,115 @@ impl Attention {
 mod tests {
     use super::*;
 
+    /// [`Attention::attend`] and its backward one `(sample, head)` pair at
+    /// a time, every operand copied out and every result added back: the
+    /// composition this module replaced, kept as the numeric oracle.
+    mod per_head {
+        use super::*;
+
+        fn extract(src: &Tensor, r0: usize, c0: usize, rows: usize, cols: usize) -> Tensor {
+            let mut out = Tensor::zeros(rows, cols);
+            for r in 0..rows {
+                out.row_mut(r)
+                    .copy_from_slice(&src.row(r0 + r)[c0..c0 + cols]);
+            }
+            out
+        }
+
+        fn add_into(dst: &mut Tensor, src: &Tensor, r0: usize, c0: usize) {
+            for r in 0..src.rows() {
+                let drow = dst.row_mut(r0 + r);
+                for (c, &v) in src.row(r).iter().enumerate() {
+                    drow[c0 + c] += v;
+                }
+            }
+        }
+
+        pub fn attend(a: &Attention, qkv: &Tensor) -> (Vec<Tensor>, Tensor) {
+            let (h, s) = (a.wo.w.rows(), a.seq);
+            let d = h / a.heads;
+            let scale = 1.0 / (d as f32).sqrt();
+            let mut ctx = Tensor::zeros(qkv.rows(), h);
+            let mut probs = Vec::new();
+            for r0 in (0..qkv.rows()).step_by(s) {
+                for head in 0..a.heads {
+                    let q = extract(qkv, r0, head * d, s, d);
+                    let k = extract(qkv, r0, h + head * d, s, d);
+                    let v = extract(qkv, r0, 2 * h + head * d, s, d);
+                    let mut p = q.matmul_t(&k);
+                    scale_mask_softmax_rows(&mut p, scale, a.causal.then_some(s));
+                    add_into(&mut ctx, &p.matmul(&v), r0, head * d);
+                    probs.push(p);
+                }
+            }
+            (probs, ctx)
+        }
+
+        pub fn attend_backward(
+            a: &Attention,
+            qkv: &Tensor,
+            probs: &[Tensor],
+            dctx: &Tensor,
+        ) -> Tensor {
+            let (h, s) = (a.wo.w.rows(), a.seq);
+            let d = h / a.heads;
+            let scale = 1.0 / (d as f32).sqrt();
+            let mut dqkv = Tensor::zeros(qkv.rows(), 3 * h);
+            let mut probs = probs.iter();
+            for r0 in (0..qkv.rows()).step_by(s) {
+                for head in 0..a.heads {
+                    let p = probs.next().expect("one per pair");
+                    let q = extract(qkv, r0, head * d, s, d);
+                    let k = extract(qkv, r0, h + head * d, s, d);
+                    let v = extract(qkv, r0, 2 * h + head * d, s, d);
+                    let dc = extract(dctx, r0, head * d, s, d);
+                    let mut ds = dc.matmul_t(&v);
+                    softmax_rows_backward(p, &mut ds, scale, a.causal.then_some(s));
+                    add_into(&mut dqkv, &ds.matmul(&k), r0, head * d);
+                    add_into(&mut dqkv, &ds.t_matmul(&q), r0, h + head * d);
+                    add_into(&mut dqkv, &p.t_matmul(&dc), r0, 2 * h + head * d);
+                }
+            }
+            dqkv
+        }
+    }
+
     fn attn(causal: bool) -> (Attention, Tensor, Tensor) {
+        sized(4, 3, 2, causal)
+    }
+
+    /// A two-head layer of head width `d` over `b` sequences of `s`, an
+    /// input and a weighting of the output that makes the loss `Σ y ⊙ w`.
+    fn sized(d: usize, s: usize, b: usize, causal: bool) -> (Attention, Tensor, Tensor) {
         let mut rng = Rng::new(7);
-        let (h, heads, s, b) = (8, 2, 3, 2);
-        let a = Attention::new(h, heads, s, causal, &mut rng);
+        let h = 2 * d;
+        let a = Attention::new(h, 2, s, causal, &mut rng);
         let x = Tensor::normal(b * s, h, 0.5, &mut rng);
         let w = Tensor::normal(b * s, h, 1.0, &mut rng);
         (a, x, w)
+    }
+
+    /// Ragged row and column tiles, `d < LANES`, `d ≥ NR`, one and two
+    /// samples, masked and not.
+    fn grid() -> impl Iterator<Item = (Attention, Tensor, Tensor)> {
+        [(1, 3), (4, 5), (8, 19), (16, 16), (64, 8)]
+            .into_iter()
+            .flat_map(|(d, s)| [(d, s, 1), (d, s, 2)])
+            .flat_map(|(d, s, b)| [sized(d, s, b, false), sized(d, s, b, true)])
+    }
+
+    fn loss(a: &Attention, x: &Tensor, w: &Tensor) -> f64 {
+        let y = a.forward(x).0;
+        let terms = y.data().iter().zip(w.data());
+        terms.map(|(&y, &w)| f64::from(y) * f64::from(w)).sum()
+    }
+
+    fn assert_close(got: f32, numeric: f64, what: &str) {
+        let tol = 5e-2 * numeric.abs().max(1.0);
+        assert!(
+            (f64::from(got) - numeric).abs() < tol,
+            "{what}: {got} vs {numeric}"
+        );
     }
 
     #[test]
@@ -186,68 +384,139 @@ mod tests {
         let (a, x, _) = attn(false);
         let (y, stash) = a.forward(&x);
         assert_eq!((y.rows(), y.cols()), (x.rows(), x.cols()));
-        assert_eq!(stash.probs.len(), 2 * 2); // b * heads
+        // One stacked `[b·heads·s, s]` tensor.
+        assert_eq!((stash.probs.rows(), stash.probs.cols()), (2 * 2 * 3, 3));
+    }
+
+    #[test]
+    fn stash_census_is_its_four_buffers() {
+        let (a, x, _) = sized(8, 19, 2, true);
+        let stash = a.forward(&x).1;
+        let (rows, h) = (x.rows(), x.cols());
+        let want = [rows * h, rows * 3 * h, 2 * 2 * 19 * 19, rows * h];
+        let mut seen = Vec::new();
+        stash.for_each_pooled(&mut |len| seen.push(len));
+        assert_eq!(seen, want);
+        assert_eq!(stash.elements(), want.iter().sum::<usize>());
+    }
+
+    /// After one warm-up cycle a forward + backward takes every buffer —
+    /// tensors and the batched kernel's pack scratch — from the pool. The
+    /// counters are this thread's own, so tests beside it cannot disturb
+    /// them.
+    #[test]
+    fn steady_state_takes_nothing_from_the_allocator() {
+        use chimera_tensor::pool;
+        let (a, x, w) = sized(8, 19, 2, true);
+        let mut grad = vec![0.0; a.num_params()];
+        let mut cycle = || {
+            let (_, stash) = a.forward(&x);
+            a.backward(&stash, &w, &mut grad);
+        };
+        cycle();
+        let before = pool::local_stats();
+        cycle();
+        let after = pool::local_stats();
+        assert_eq!(after.misses, before.misses);
+        assert!(after.hits > before.hits, "buffers must come from the pool");
     }
 
     #[test]
     fn causal_probs_lower_triangular() {
         let (a, x, _) = attn(true);
         let (_, stash) = a.forward(&x);
-        for p in &stash.probs {
-            for i in 0..p.rows() {
-                for j in (i + 1)..p.cols() {
-                    assert_eq!(p.get(i, j).to_bits(), 0, "future position attended");
-                }
+        let p = &stash.probs;
+        for r in 0..p.rows() {
+            for j in (r % a.seq + 1)..p.cols() {
+                assert_eq!(p.get(r, j).to_bits(), 0, "future position attended");
             }
         }
     }
 
     #[test]
     fn backward_matches_numeric_dx() {
-        for causal in [false, true] {
-            let (a, x, w) = attn(causal);
+        for (a, x, w) in grid() {
             let (_, stash) = a.forward(&x);
             let mut grad = vec![0.0; a.num_params()];
             let dx = a.backward(&stash, &w, &mut grad);
             let eps = 1e-2f32;
             // Spot-check a spread of coordinates (full check is O(n²) slow).
-            for i in (0..x.len()).step_by(7) {
+            for i in (0..x.len()).step_by(x.len() / 6 + 1) {
                 let mut xp = x.clone();
                 xp.data_mut()[i] += eps;
                 let mut xm = x.clone();
                 xm.data_mut()[i] -= eps;
-                let lp: f32 = a.forward(&xp).0.hadamard(&w).data().iter().sum();
-                let lm: f32 = a.forward(&xm).0.hadamard(&w).data().iter().sum();
-                let num = (lp - lm) / (2.0 * eps);
-                assert!(
-                    (dx.data()[i] - num).abs() < 5e-2,
-                    "causal={causal} dx[{i}]: {} vs {num}",
-                    dx.data()[i]
-                );
+                let num = (loss(&a, &xp, &w) - loss(&a, &xm, &w)) / f64::from(2.0 * eps);
+                let what = format!("d={} s={} causal={} dx[{i}]", x.cols() / 2, a.seq, a.causal);
+                assert_close(dx.data()[i], num, &what);
+            }
+        }
+    }
+
+    /// One weight in each of the q, k and v column blocks of `wqkv`, one of
+    /// its biases in the q and v blocks (the k bias shifts every score of a
+    /// row alike, so its gradient is zero), one weight and one bias of `wo`.
+    #[test]
+    fn backward_matches_numeric_weights() {
+        for (a, x, w) in grid() {
+            let h = x.cols();
+            let (_, stash) = a.forward(&x);
+            let mut grad = vec![0.0; a.num_params()];
+            a.backward(&stash, &w, &mut grad);
+            let wqkv_b = h * 3 * h;
+            let wo_w = wqkv_b + 3 * h;
+            let probes = [
+                ("wqkv.w q", (h - 1) * 3 * h + h - 1),
+                ("wqkv.w k", 3 * h + h + h / 2),
+                ("wqkv.w v", 2 * h),
+                ("wqkv.b q", wqkv_b + h / 2),
+                ("wqkv.b v", wqkv_b + 3 * h - 1),
+                ("wo.w", wo_w + (h / 2) * h + h - 1),
+                ("wo.b", wo_w + h * h),
+            ];
+            let mut flat = Vec::new();
+            a.write_params(&mut flat);
+            let eps = 1e-2f32;
+            for (name, i) in probes {
+                let at = |delta: f32| {
+                    let mut shifted = flat.clone();
+                    shifted[i] += delta;
+                    let mut layer = a.clone();
+                    layer.read_params(&shifted);
+                    loss(&layer, &x, &w)
+                };
+                let num = (at(eps) - at(-eps)) / f64::from(2.0 * eps);
+                let what = format!("d={} s={} causal={} {name}", h / 2, a.seq, a.causal);
+                assert_close(grad[i], num, &what);
             }
         }
     }
 
     #[test]
-    fn backward_matches_numeric_weights() {
-        let (a, x, w) = attn(false);
-        let (_, stash) = a.forward(&x);
-        let mut grad = vec![0.0; a.num_params()];
-        a.backward(&stash, &w, &mut grad);
-        let eps = 1e-2f32;
-        for i in [0usize, 33, 101] {
-            let mut ap = a.clone();
-            ap.wqkv.w.data_mut()[i] += eps;
-            let mut am = a.clone();
-            am.wqkv.w.data_mut()[i] -= eps;
-            let lp: f32 = ap.forward(&x).0.hadamard(&w).data().iter().sum();
-            let lm: f32 = am.forward(&x).0.hadamard(&w).data().iter().sum();
-            let num = (lp - lm) / (2.0 * eps);
-            assert!(
-                (grad[i] - num).abs() < 5e-2,
-                "dwqkv[{i}]: {} vs {num}",
-                grad[i]
-            );
+    fn agrees_with_the_per_head_composition() {
+        fn assert_rel(got: &[f32], want: &[f32], what: &str) {
+            let scale = want.iter().fold(1.0f32, |m, v| m.max(v.abs()));
+            for (i, (g, w)) in got.iter().zip(want).enumerate() {
+                assert!((g - w).abs() <= 1e-5 * scale, "{what}[{i}]: {g} vs {w}");
+            }
+        }
+        for (a, x, w) in grid() {
+            let what = format!("d={} s={} causal={}", x.cols() / 2, a.seq, a.causal);
+            let (out, stash) = a.forward(&x);
+            let mut grad = vec![0.0; a.num_params()];
+            let dx = a.backward(&stash, &w, &mut grad);
+            // The same projections around the per-head core.
+            let qkv = a.wqkv.forward(&x);
+            let (probs, ctx) = per_head::attend(&a, &qkv);
+            let want_out = a.wo.forward(&ctx);
+            let mut want_grad = vec![0.0; a.num_params()];
+            let (gqkv, gwo) = want_grad.split_at_mut(a.wqkv.num_params());
+            let dctx = a.wo.backward(&ctx, &w, gwo);
+            let dqkv = per_head::attend_backward(&a, &qkv, &probs, &dctx);
+            let want_dx = a.wqkv.backward(&x, &dqkv, gqkv);
+            assert_rel(out.data(), want_out.data(), &format!("{what} out"));
+            assert_rel(dx.data(), want_dx.data(), &format!("{what} dx"));
+            assert_rel(&grad, &want_grad, &format!("{what} grad"));
         }
     }
 

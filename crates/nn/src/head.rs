@@ -59,7 +59,7 @@ impl OutputHead {
         assert_eq!(x.rows(), targets.len());
         let (n, ln_stash) = self.ln.forward(x);
         let mut probs = self.proj.forward(&n);
-        scale_mask_softmax_rows(&mut probs, 1.0, false);
+        scale_mask_softmax_rows(&mut probs, 1.0, None);
         let mut loss = 0.0f64;
         #[allow(
             clippy::disallowed_methods,

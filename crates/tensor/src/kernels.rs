@@ -34,14 +34,32 @@
 //!   [`dot`]-ordered reduction (8 independent fma lanes,
 //!   fixed combine order), whether computed one at a time or as a
 //!   [`micro::DT`]×[`micro::DT`] register tile.
+//! * The strided, batched small-product kernel ([`gemm_batch`], attention's
+//!   six products) **writes** each output element as that same ascending
+//!   `mul_add` chain started at `+0.0`, for every combination of transposes
+//!   — including `q·kᵀ` and `dc·vᵀ`, which were [`dot`]-ordered while
+//!   attention went through [`matmul_t_into`]: at a head width of 8 the
+//!   `dot` order holds one product per lane and then only combines, whereas
+//!   the ascending chain vectorises across output columns. One thread, one
+//!   owner per element, and a tile that is safe code whose `mul_add` *is*
+//!   the fused instruction, so there is neither a grid nor a SIMD/scalar
+//!   pair to keep identical. Its [`Triangle`] hints skip work without
+//!   touching the chain of anything that is read: `LowerOut` leaves whole
+//!   tiles above the diagonal uncomputed (unspecified, for a masked softmax
+//!   that never reads them), and `LowerA` drops `k` steps whose multiplier
+//!   is a stored `±0.0` — exact, because the dropped step adds `±0.0` to an
+//!   accumulator that started at `+0.0`, and round-to-nearest produces
+//!   `−0.0` from a sum only when both addends are `−0.0`, so that
+//!   accumulator is never `−0.0` and either zero leaves it as it was.
 //! * The SIMD and scalar microkernels execute the same op chain with the
 //!   same exactly-rounded fused multiply-add (see `crate::micro`), so
 //!   runtime CPU-feature dispatch never changes results.
 //!
 //! The [`naive`] module keeps the untiled single-threaded reference loops;
 //! property tests assert bit-equality against them at thread counts
-//! {1, 2, 4, 8} on adversarial shapes (see `tests/kernel_equivalence.rs`
-//! and `tests/packed_panel.rs`).
+//! {1, 2, 4, 8} on adversarial shapes, and for [`gemm_batch`] over random
+//! strides, offsets, transposes and batches with and without the hints
+//! (see `tests/kernel_equivalence.rs` and `tests/packed_panel.rs`).
 //!
 //! # The packed-panel engine (GotoBLAS structure)
 //!
@@ -274,13 +292,17 @@ pub fn pack_pool_classes() -> [usize; 2] {
     ]
 }
 
-/// One thread's pack scratch: a zero-length pool buffer resized to panel
-/// capacity. Contents are fully overwritten before every use.
-fn take_scratch() -> (Vec<f32>, Vec<f32>) {
+/// One cell's pack scratch for an `m×k×n` product: buffers of the two
+/// [`pack_pool_classes`], resized (which zero-fills) only to the panels the
+/// cell will pack — `⌈min(m,MC)/MR⌉·MR × min(k,KC)` of `a` and
+/// `min(k,KC) × ⌈min(n,NC)/NR⌉·NR` of `b` — not to the classes' 576 KB.
+/// Contents are fully overwritten before every use.
+fn take_scratch(m: usize, k: usize, n: usize) -> (Vec<f32>, Vec<f32>) {
+    let kcb = k.min(KC);
     let mut apack = pool::take_spare(MC * KC);
-    apack.resize(MC * KC, 0.0);
+    apack.resize(m.min(MC).next_multiple_of(MR) * kcb, 0.0);
     let mut bpack = pool::take_spare(KC * NC);
-    bpack.resize(KC * NC, 0.0);
+    bpack.resize(kcb * n.min(NC).next_multiple_of(NR), 0.0);
     (apack, bpack)
 }
 
@@ -420,11 +442,8 @@ fn gemm_cell(
                             for row in edge.iter_mut().skip(h) {
                                 row.fill(0.0);
                             }
-                            {
-                                let mut views: Vec<&mut [f32]> =
-                                    edge.iter_mut().map(|r| &mut r[..]).collect();
-                                micro::gemm_micro(aslab, bslab, kcb, &mut views, 0);
-                            }
+                            let mut views = edge.each_mut().map(|r| &mut r[..]);
+                            micro::gemm_micro(aslab, bslab, kcb, &mut views, 0);
                             for r in 0..h {
                                 rows[ic + ip + r][jc + jp..jc + jp + w]
                                     .copy_from_slice(&edge[r][..w]);
@@ -515,13 +534,16 @@ fn run_grid<'a>(
     let (tr, tc) = grid_for(t.max(1), m, n);
     if tr * tc <= 1 {
         let mut rows: Vec<&mut [f32]> = out.chunks_mut(n).collect();
-        let (mut apack, mut bpack) = take_scratch();
+        let (mut apack, mut bpack) = take_scratch(m, k, n);
         gemm_cell(src_of(0, m), b, n, k, 0, &mut rows, &mut apack, &mut bpack);
         put_scratch(vec![(apack, bpack)]);
         return;
     }
     let cells = split_grid(out, m, n, tr, tc);
-    let mut scratch: Vec<(Vec<f32>, Vec<f32>)> = (0..tr * tc).map(|_| take_scratch()).collect();
+    // No cell is taller than `⌈m/tr⌉` or wider than `⌈n/tc⌉`.
+    let mut scratch: Vec<(Vec<f32>, Vec<f32>)> = (0..tr * tc)
+        .map(|_| take_scratch(m.div_ceil(tr), k, n.div_ceil(tc)))
+        .collect();
     std::thread::scope(|s| {
         for ((idx, mut rows), (apack, bpack)) in
             cells.into_iter().enumerate().zip(scratch.iter_mut())
@@ -805,6 +827,184 @@ fn matmul_t_cell(a: &[f32], b: &[f32], k: usize, j0: usize, rows: &mut [&mut [f3
     }
 }
 
+// --- strided, batched small products -----------------------------------------
+
+/// One operand of [`gemm_batch`]: a row-major matrix whose sub-blocks the
+/// batch reads in place.
+#[derive(Debug, Clone, Copy)]
+pub struct Operand<'a> {
+    /// The whole matrix; each batch item names its block by an offset.
+    pub data: &'a [f32],
+    /// Leading dimension: elements between the starts of two stored rows.
+    pub ld: usize,
+    /// Whether blocks are stored transposed (`[k, m]` for `a`, `[n, k]`
+    /// for `b`).
+    pub trans: bool,
+}
+
+impl Operand<'_> {
+    /// Panic unless a block of logical shape `rows × cols` at `offset` lies
+    /// inside the matrix without wrapping a stored row.
+    fn check(&self, offset: usize, rows: usize, cols: usize, what: &str) {
+        let (srows, scols) = if self.trans {
+            (cols, rows)
+        } else {
+            (rows, cols)
+        };
+        assert!(scols <= self.ld, "{what}: block wider than its ld");
+        // `k = 0` makes an empty block, which lies anywhere.
+        if srows > 0 && scols > 0 {
+            let end = offset + (srows - 1) * self.ld + scols;
+            assert!(end <= self.data.len(), "{what}: block out of bounds");
+        }
+    }
+}
+
+/// What [`gemm_batch`] may skip.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Triangle {
+    /// Nothing: every element of every product is computed.
+    Full,
+    /// Only elements `j ≤ i` of each output block are wanted. Tiles wholly
+    /// above the diagonal are not computed and the block's elements above
+    /// the diagonal are left unspecified (written or not).
+    LowerOut,
+    /// Every `a` block, *as stored*, holds `±0.0` at (row, col > row), and
+    /// `b` is finite. Steps of the `k` loop whose multiplier is one of
+    /// those zeros may be skipped, which changes no bit of the result: a
+    /// skipped step would have added `±0.0` to an accumulator that started
+    /// at `+0.0`, and such an accumulator is never `−0.0`.
+    LowerA,
+}
+
+/// The `k` range and the number of leading output columns a row tile
+/// `i..i + h` has to cover under `tri`.
+fn live_part(
+    tri: Triangle,
+    a_trans: bool,
+    i: usize,
+    h: usize,
+    k: usize,
+    n: usize,
+) -> (std::ops::Range<usize>, usize) {
+    match tri {
+        Triangle::Full => (0..k, n),
+        Triangle::LowerOut => (0..k, n.min(i + h)),
+        // Stored `[m, k]`: row `i` is zero past column `i`.
+        Triangle::LowerA if !a_trans => (0..k.min(i + h), n),
+        // Stored `[k, m]`: column `i` is zero before row `i`.
+        Triangle::LowerA => (i.min(k)..k, n),
+    }
+}
+
+/// `out_block = op(a_block) @ op(b_block)` for every item of `batch`, each
+/// item `[a_offset, b_offset, out_offset]` naming one `m×k` block of `a`,
+/// one `k×n` block of `b` (either stored transposed, see [`Operand`]) and
+/// one `m×n` block of `out` (leading dimension `ldo`), all read and written
+/// where they lie. Blocks of `a` and `b` may overlap each other; output
+/// blocks of one batch must not.
+///
+/// Every output element is **written**, not accumulated into: it is the
+/// chain `acc = a(i,kk).mul_add(b(kk,j), acc)` from `+0.0` over ascending
+/// `kk`, the chain of [`matmul_into`] on a zeroed output, whatever the
+/// strides, transposes, tiling or `tri`. [`naive::gemm_batch`] is the same
+/// chain untiled. Each `b` block is packed into [`LANES`]-wide panels (the
+/// packed engine's layout at half its width; one pool scratch per call,
+/// sized to one block), `a` is read in place, and the accumulator tile is
+/// [`MR`] rows of one 8-lane vector (`micro::axpy_tile`). One thread: the
+/// products this serves are far below [`PAR_MIN_FLOPS`].
+///
+/// Counts as one kernel call with the flops of the tiles it computes, so a
+/// triangular call reports about half the flops of a full one.
+pub fn gemm_batch(
+    (m, k, n): (usize, usize, usize),
+    a: Operand<'_>,
+    b: Operand<'_>,
+    out: &mut [f32],
+    ldo: usize,
+    batch: &[[usize; 3]],
+    tri: Triangle,
+) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    assert!(n <= ldo, "out: block wider than its ld");
+    for &[ao, bo, oo] in batch {
+        a.check(ao, m, k, "a");
+        b.check(bo, k, n, "b");
+        let end = oo + (m - 1) * ldo + n;
+        assert!(end <= out.len(), "out: block out of bounds");
+    }
+    let per_item: u64 = (0..m)
+        .step_by(MR)
+        .map(|i| {
+            let h = MR.min(m - i);
+            let (ks, cols) = live_part(tri, a.trans, i, h, k, n);
+            2 * (h * ks.len() * n.min(cols.next_multiple_of(LANES))) as u64
+        })
+        .sum();
+    let t0 = enter(per_item * batch.len() as u64);
+    let panel = k * LANES;
+    let packed = n.div_ceil(LANES) * panel;
+    // Zero-filled once: packing rewrites every real column for every item
+    // and never touches the padding columns.
+    let mut bpack = pool::take_spare(packed);
+    bpack.resize(packed, 0.0);
+    // Where `a(i, kk)` lies relative to its block's start.
+    let a_at = |i: usize, kk: usize| {
+        if a.trans {
+            kk * a.ld + i
+        } else {
+            i * a.ld + kk
+        }
+    };
+    for &[ao, bo, oo] in batch {
+        pack_b_block(b, bo, k, n, &mut bpack);
+        for i in (0..m).step_by(MR) {
+            let h = MR.min(m - i);
+            let (ks, cols) = live_part(tri, a.trans, i, h, k, n);
+            // An empty `k` range may start past the end of `a`.
+            let a_tile = a.data.get(ao + a_at(i, ks.start)..).unwrap_or(&[]);
+            for (p, j) in (0..cols).step_by(LANES).enumerate() {
+                let bpanel = &bpack[p * panel..][ks.start * LANES..ks.end * LANES];
+                let tile = micro::axpy_tile(a_tile, a.ld, a.trans, h, bpanel);
+                let w = LANES.min(n - j);
+                for (r, row) in tile.iter().enumerate().take(h) {
+                    out[oo + (i + r) * ldo + j..][..w].copy_from_slice(&row[..w]);
+                }
+            }
+        }
+    }
+    pool::put(bpack);
+    PACK_CALLS.fetch_add(batch.len() as u64, Ordering::Relaxed);
+    PACK_ELEMS.fetch_add((batch.len() * packed) as u64, Ordering::Relaxed);
+    leave(t0);
+}
+
+/// Pack the `k×n` block of `b` at `offset` into `W = LANES`-wide panels:
+/// `bpack[p·k·W + kk·W + c]` holds `b(kk, p·W + c)`. Padding columns are
+/// left as they are (zero, see the caller).
+fn pack_b_block(b: Operand<'_>, offset: usize, k: usize, n: usize, bpack: &mut [f32]) {
+    const W: usize = LANES;
+    let panel = k * W;
+    if b.trans {
+        for j in 0..n {
+            let src = &b.data[offset + j * b.ld..][..k];
+            let at = (j / W) * panel + j % W;
+            for (kk, &v) in src.iter().enumerate() {
+                bpack[at + kk * W] = v;
+            }
+        }
+    } else {
+        for kk in 0..k {
+            let src = &b.data[offset + kk * b.ld..][..n];
+            for (p, chunk) in src.chunks(W).enumerate() {
+                bpack[p * panel + kk * W..][..chunk.len()].copy_from_slice(chunk);
+            }
+        }
+    }
+}
+
 // --- naive reference loops ---------------------------------------------------
 
 /// The untiled, single-threaded reference loops the packed kernels must
@@ -814,6 +1014,7 @@ fn matmul_t_cell(a: &[f32], b: &[f32], k: usize, j0: usize, rows: &mut [&mut [f3
 /// exactly-rounded [`f32::mul_add`] per `k` step, so the fused-FMA SIMD
 /// paths are bit-identical to them.
 pub mod naive {
+    use super::Operand;
     use crate::tensor::dot;
 
     /// Naive `out += a @ b` in i-k-j order (the order the packed kernel
@@ -852,6 +1053,33 @@ pub mod naive {
             let a_row = &a[i * k..(i + 1) * k];
             for j in 0..n {
                 out[i * n + j] += dot(a_row, &b[j * k..(j + 1) * k]);
+            }
+        }
+    }
+
+    /// Naive [`gemm_batch`](super::gemm_batch): every element of every
+    /// output block, one `mul_add` chain from `+0.0` over ascending `k`,
+    /// no packing, no tiles, nothing skipped.
+    pub fn gemm_batch(
+        (m, k, n): (usize, usize, usize),
+        a: Operand<'_>,
+        b: Operand<'_>,
+        out: &mut [f32],
+        ldo: usize,
+        batch: &[[usize; 3]],
+    ) {
+        let (ars, acs) = if a.trans { (1, a.ld) } else { (a.ld, 1) };
+        let (brs, bcs) = if b.trans { (1, b.ld) } else { (b.ld, 1) };
+        for &[ao, bo, oo] in batch {
+            for i in 0..m {
+                for j in 0..n {
+                    let mut acc = 0.0f32;
+                    for kk in 0..k {
+                        let av = a.data[ao + i * ars + kk * acs];
+                        acc = av.mul_add(b.data[bo + kk * brs + j * bcs], acc);
+                    }
+                    out[oo + i * ldo + j] = acc;
+                }
             }
         }
     }

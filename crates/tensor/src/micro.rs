@@ -169,6 +169,68 @@ unsafe fn gemm_micro_fma(
     }
 }
 
+// --- `tile = a-block @ bpanel` with `a` read in place -------------------------
+
+/// One `MR×LANES` tile of a small product whose `a` operand is not packed:
+/// `tile[r][c] = Σ_t a(r, t) · bpanel[t·LANES + c]` over every step `t` of
+/// `bpanel` (`bpanel.len() / LANES` of them), ascending, one fma per step
+/// from `+0.0` — the op chain of [`gemm_micro`] on a zeroed tile.
+///
+/// `a` starts at the tile's element `(0, 0)`; `a(r, t)` lies at
+/// `a[r·ld + t]`, or at `a[t·ld + r]` when `trans`. Only the first `h ≤ MR`
+/// rows exist: the others repeat row `h − 1` and are for the caller to
+/// discard.
+///
+/// Safe code on purpose: the tile is a local array of `MR` rows of one
+/// 8-lane vector each, which the autovectorizer keeps in registers (it does
+/// not for 16-column rows, hence [`gemm_micro`]), and `f32::mul_add`
+/// compiles to the `vfmadd` it names, so there is no second path to keep
+/// bit-identical. A function of its own on purpose too: inlined into the
+/// caller's loop nest its row pointers are spilled and reloaded every step.
+#[inline(never)]
+pub fn axpy_tile(
+    a: &[f32],
+    ld: usize,
+    trans: bool,
+    h: usize,
+    bpanel: &[f32],
+) -> [[f32; LANES]; MR] {
+    #[inline(always)]
+    fn step(acc: &mut [[f32; LANES]; MR], av: [f32; MR], bv: &[f32]) {
+        for (accr, a) in acc.iter_mut().zip(av) {
+            for (o, &b) in accr.iter_mut().zip(bv) {
+                *o = a.mul_add(b, *o);
+            }
+        }
+    }
+    assert!((1..=MR).contains(&h));
+    let steps = bpanel.chunks_exact(LANES);
+    let mut acc = [[0.0f32; LANES]; MR];
+    if steps.len() == 0 {
+        // Nothing to read, and `a` may be empty.
+    } else if !trans {
+        let n = steps.len();
+        let rows: [&[f32]; MR] = std::array::from_fn(|r| &a[r.min(h - 1) * ld..][..n]);
+        for (t, bv) in steps.enumerate() {
+            step(&mut acc, std::array::from_fn(|r| rows[r][t]), bv);
+        }
+    } else if h == MR {
+        for (t, bv) in steps.enumerate() {
+            let av = a[t * ld..].first_chunk().expect("a block covers MR rows");
+            step(&mut acc, *av, bv);
+        }
+    } else {
+        for (t, bv) in steps.enumerate() {
+            step(
+                &mut acc,
+                std::array::from_fn(|r| a[t * ld + r.min(h - 1)]),
+                bv,
+            );
+        }
+    }
+    acc
+}
+
 // --- `out-tile += a-rows @ b-rowsᵀ` (the dot-product tile) -------------------
 
 /// `DT×DT` dot products at once: `out[i][j] += dot(a_rows[i], b_rows[j])`,

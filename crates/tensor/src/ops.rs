@@ -53,35 +53,67 @@ fn softmax_row(row: &mut [f32], scale: f32) {
 /// Row-wise softmax (numerically stabilized).
 pub fn softmax_rows(x: &Tensor) -> Tensor {
     let mut out = x.clone();
-    scale_mask_softmax_rows(&mut out, 1.0, false);
+    scale_mask_softmax_rows(&mut out, 1.0, None);
     out
 }
 
+/// Columns row `r` may attend to: all `cols` of them, or under a causal
+/// mask over stacked blocks of `block` rows each (`causal = Some(block)`)
+/// columns `0..=r % block`.
+fn live_cols(r: usize, cols: usize, causal: Option<usize>) -> usize {
+    causal.map_or(cols, |block| (r % block + 1).min(cols))
+}
+
+fn check_blocks(x: &Tensor, causal: Option<usize>) {
+    if let Some(block) = causal {
+        assert!(
+            block > 0 && x.rows().is_multiple_of(block),
+            "rows must be whole causal blocks"
+        );
+    }
+}
+
 /// Attention's `softmax(scale · x + mask)` in place, row by row.
-/// With `causal`, row `i` attends to columns `0..=i`: only those are
-/// exponentiated, and the rest of the row is written as exact `+0.0` (what
-/// `exp` of a `-∞` mask would give, without computing it).
-pub fn scale_mask_softmax_rows(x: &mut Tensor, scale: f32, causal: bool) {
+/// `causal = Some(block)` says `x` stacks score blocks of `block` rows
+/// each, every one under its own causal mask: row `r` attends to columns
+/// `0..=r % block`. Only those are read and exponentiated, and the rest of
+/// the row is written as exact `+0.0` (what `exp` of a `-∞` mask would
+/// give, without computing it).
+pub fn scale_mask_softmax_rows(x: &mut Tensor, scale: f32, causal: Option<usize>) {
+    check_blocks(x, causal);
     let cols = x.cols();
     for r in 0..x.rows() {
-        let live = if causal { (r + 1).min(cols) } else { cols };
-        let (seen, masked) = x.row_mut(r).split_at_mut(live);
+        let (seen, masked) = x.row_mut(r).split_at_mut(live_cols(r, cols, causal));
         softmax_row(seen, scale);
         masked.fill(0.0);
     }
 }
 
-/// Backward of row-wise softmax: given `y = softmax(x)` and `dy`, returns
-/// `dx = y ⊙ (dy - (y·dy))` per row.
-pub fn softmax_rows_backward(y: &Tensor, dy: &Tensor) -> Tensor {
-    assert_eq!((y.rows(), y.cols()), (dy.rows(), dy.cols()));
-    let mut data = pool::take_spare(y.len());
+/// Backward of [`scale_mask_softmax_rows`], in place: with `y` its output
+/// and `d` holding `dy`, overwrite `d` with the gradient of the scores,
+/// `scale · y ⊙ (dy − y·dy)` per row.
+///
+/// Only the live prefix of a row (all of it, or columns `0..=r % block`
+/// under `causal = Some(block)`) is read — the masked columns of `dy` need
+/// not have been computed — and the masked columns are written as exact
+/// `+0.0`. The row's inner product `y·dy` is therefore [`dot`] over the
+/// live prefix alone: prefix element `i` goes to lane `i % 8` while whole
+/// groups of eight last, lanes are summed in ascending order, and the
+/// remaining `live % 8` elements are folded in one `mul_add` at a time.
+pub fn softmax_rows_backward(y: &Tensor, d: &mut Tensor, scale: f32, causal: Option<usize>) {
+    assert_eq!((y.rows(), y.cols()), (d.rows(), d.cols()));
+    check_blocks(y, causal);
+    let cols = y.cols();
     for r in 0..y.rows() {
-        let (yr, dyr) = (y.row(r), dy.row(r));
-        let inner = dot(yr, dyr);
-        data.extend(yr.iter().zip(dyr).map(|(&yv, &dyv)| yv * (dyv - inner)));
+        let live = live_cols(r, cols, causal);
+        let yr = &y.row(r)[..live];
+        let (seen, masked) = d.row_mut(r).split_at_mut(live);
+        let inner = dot(yr, seen);
+        for (dv, &yv) in seen.iter_mut().zip(yr) {
+            *dv = yv * (*dv - inner) * scale;
+        }
+        masked.fill(0.0);
     }
-    Tensor::from_vec(y.rows(), y.cols(), data)
 }
 
 const GELU_C: f32 = 0.797_884_6; // sqrt(2/π)
@@ -232,7 +264,8 @@ mod tests {
         let x = Tensor::normal(3, 5, 1.0, &mut rng);
         let w = Tensor::normal(3, 5, 1.0, &mut rng);
         let y = softmax_rows(&x);
-        let analytic = softmax_rows_backward(&y, &w);
+        let mut analytic = w.clone();
+        softmax_rows_backward(&y, &mut analytic, 1.0, None);
         let numeric = num_grad(&x, &w, softmax_rows);
         assert!(
             analytic.max_abs_diff(&numeric) < 2e-3,
@@ -317,7 +350,7 @@ mod tests {
         let mut scores = Tensor::normal(19, 19, 60.0, &mut rng);
         scores.row_mut(2)[..3].copy_from_slice(&[0.0, 0.0, -174.4]);
         let mut p = scores.clone();
-        scale_mask_softmax_rows(&mut p, 0.5, true);
+        scale_mask_softmax_rows(&mut p, 0.5, Some(19));
         for i in 0..p.rows() {
             let (seen, masked) = p.row(i).split_at(i + 1);
             assert!(masked.iter().all(|v| v.to_bits() == 0), "row {i} mask");
@@ -328,6 +361,52 @@ mod tests {
             assert_eq!(softmax_rows(&prefix.map(|v| v * 0.5)).data(), seen);
         }
         assert_eq!(p.row(2)[..3], [0.5, 0.5, 0.0]);
+    }
+
+    /// On a stack of blocks the causal ops equal themselves on each block
+    /// alone, bit for bit; the backward reads no masked column of `dy`
+    /// (poisoned here) and matches central differences with `scale ≠ 1`.
+    #[test]
+    fn stacked_causal_blocks_match_single_blocks() {
+        let (blocks, block, scale) = (3, 5, 0.7);
+        let mut rng = Rng::new(10);
+        let scores = Tensor::normal(blocks * block, block, 2.0, &mut rng);
+        let w = Tensor::normal(blocks * block, block, 1.0, &mut rng);
+        let fwd = |x: &Tensor, causal| {
+            let mut p = x.clone();
+            scale_mask_softmax_rows(&mut p, scale, causal);
+            p
+        };
+        let y = fwd(&scores, Some(block));
+        let mut poisoned = w.clone();
+        for r in 0..poisoned.rows() {
+            poisoned.row_mut(r)[r % block + 1..].fill(f32::NAN);
+        }
+        let mut d = poisoned.clone();
+        softmax_rows_backward(&y, &mut d, scale, Some(block));
+        for r in 0..d.rows() {
+            let masked = &d.row(r)[r % block + 1..];
+            assert!(masked.iter().all(|v| v.to_bits() == 0), "row {r} mask");
+        }
+        for b in 0..blocks {
+            let one = fwd(&scores.rows_slice(b * block, block), Some(block));
+            assert_eq!(one, y.rows_slice(b * block, block));
+            let mut d1 = poisoned.rows_slice(b * block, block);
+            softmax_rows_backward(&one, &mut d1, scale, Some(block));
+            assert_eq!(d1, d.rows_slice(b * block, block));
+        }
+        let numeric = num_grad(&scores, &w, |x| fwd(x, Some(block)));
+        assert!(
+            d.max_abs_diff(&numeric) < 2e-3,
+            "{}",
+            d.max_abs_diff(&numeric)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "whole causal blocks")]
+    fn causal_block_must_divide_rows() {
+        scale_mask_softmax_rows(&mut Tensor::zeros(7, 3), 1.0, Some(3));
     }
 
     #[test]

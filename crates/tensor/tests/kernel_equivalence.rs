@@ -6,9 +6,15 @@
 //! Thread count is process-global state; kernels are bit-identical at any
 //! setting, so concurrent tests flipping it cannot perturb each other's
 //! results — that invariant is exactly what this file asserts.
+//!
+//! The strided, batched small-product kernel (`gemm_batch`) is held to the
+//! same standard against its own naive twin: any strides, offsets,
+//! transposes and batch, forced-scalar or not, and with the triangular
+//! hints, which must change no bit that is read.
 
 use proptest::prelude::*;
 
+use chimera_tensor::kernels::{gemm_batch, naive, Operand, Triangle};
 use chimera_tensor::{kernels, Rng, Tensor};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -172,4 +178,174 @@ fn chained_products_stable_across_thread_counts() {
         assert_eq!(run(t), base, "thread count {t} changed results");
     }
     kernels::set_threads(1);
+}
+
+// --- the strided, batched small-product kernel --------------------------------
+
+/// What an untouched output element holds.
+const SENTINEL: f32 = 7.5;
+
+/// One random `gemm_batch` call. Both operands are blocks of one backing
+/// matrix, so blocks overlap one another the way q, k and v blocks of one
+/// `qkv` buffer do; output blocks are disjoint column blocks of a wider
+/// matrix.
+struct Problem {
+    dims: (usize, usize, usize),
+    src: Vec<f32>,
+    a: (usize, bool),
+    b: (usize, bool),
+    ldo: usize,
+    out_len: usize,
+    batch: Vec<[usize; 3]>,
+}
+
+impl Problem {
+    fn random(seed: u64, dims: (usize, usize, usize), items: usize) -> Problem {
+        let (m, k, n) = dims;
+        let mut rng = Rng::new(seed);
+        let mut pick = |n: u32| rng.below(n) as usize;
+        let (ta, tb) = (pick(2) == 1, pick(2) == 1);
+        // Stored shapes, leading dimensions wider than the stored rows.
+        let (ar, ac) = if ta { (k, m) } else { (m, k) };
+        let (br, bc) = if tb { (n, k) } else { (k, n) };
+        let (lda, ldb, ldo) = (ac + 1 + pick(7), bc + 1 + pick(7), n + 1 + pick(7));
+        let col0 = pick((ldo - n) as u32 + 1);
+        let batch: Vec<[usize; 3]> = (0..items)
+            .map(|i| [1 + pick(40), 1 + pick(40), i * m * ldo + col0])
+            .collect();
+        let end = |off: usize, rows: usize, cols: usize, ld: usize| off + rows * ld + cols;
+        let len = batch
+            .iter()
+            .map(|&[ao, bo, _]| end(ao, ar, ac, lda).max(end(bo, br, bc, ldb)))
+            .max()
+            .unwrap_or(0);
+        Problem {
+            dims,
+            src: randvec(len, seed ^ 0xA5A5),
+            a: (lda, ta),
+            b: (ldb, tb),
+            ldo,
+            out_len: items * m * ldo + 3,
+            batch,
+        }
+    }
+
+    fn operands(&self) -> (Operand<'_>, Operand<'_>) {
+        let of = |(ld, trans): (usize, bool)| Operand {
+            data: &self.src,
+            ld,
+            trans,
+        };
+        (of(self.a), of(self.b))
+    }
+
+    fn run(&self, tri: Triangle) -> Vec<f32> {
+        let (a, b) = self.operands();
+        let mut out = vec![SENTINEL; self.out_len];
+        gemm_batch(self.dims, a, b, &mut out, self.ldo, &self.batch, tri);
+        out
+    }
+
+    fn run_naive(&self) -> Vec<f32> {
+        let (a, b) = self.operands();
+        let mut out = vec![SENTINEL; self.out_len];
+        naive::gemm_batch(self.dims, a, b, &mut out, self.ldo, &self.batch);
+        out
+    }
+
+    /// Write `±0.0` at stored (row, col > row) of every `a` block.
+    fn zero_a_above_diagonal(&mut self, seed: u64) {
+        let (m, k, _) = self.dims;
+        let (lda, ta) = self.a;
+        let (rows, cols) = if ta { (k, m) } else { (m, k) };
+        let mut rng = Rng::new(seed);
+        for &[ao, _, _] in &self.batch {
+            for r in 0..rows {
+                for c in r + 1..cols {
+                    self.src[ao + r * lda + c] = if rng.below(2) == 0 { 0.0 } else { -0.0 };
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Any shape up to 80, any strides, offsets, transposes and batch: the
+    /// tiled kernel equals its naive twin bit for bit, inside the output
+    /// blocks and (untouched) outside them, forced-scalar or not.
+    #[test]
+    fn strided_batched_matches_naive(m in 1usize..=80, k in 1usize..=80, n in 1usize..=80, items in 1usize..5, seed in 0u64..100_000) {
+        let p = Problem::random(seed, (m, k, n), items);
+        let want = bits(&p.run_naive());
+        prop_assert_eq!(bits(&p.run(Triangle::Full)), want.clone());
+        kernels::set_force_scalar(true);
+        let scalar = bits(&p.run(Triangle::Full));
+        kernels::set_force_scalar(false);
+        prop_assert_eq!(scalar, want);
+    }
+
+    /// `LowerA` skips only `k` steps whose multiplier is a `±0.0` of the
+    /// stored upper triangle: same bits as the full product over the same
+    /// operands.
+    #[test]
+    fn lower_a_skip_is_exact(m in 1usize..=80, k in 1usize..=80, n in 1usize..=40, items in 1usize..4, seed in 0u64..100_000) {
+        let mut p = Problem::random(seed, (m, k, n), items);
+        p.zero_a_above_diagonal(seed + 1);
+        prop_assert_eq!(bits(&p.run(Triangle::LowerA)), bits(&p.run_naive()));
+    }
+
+    /// `LowerOut` computes every element at or below the diagonal of every
+    /// output block exactly as the full product does, and writes nothing
+    /// outside the blocks.
+    #[test]
+    fn lower_out_keeps_the_lower_triangle(m in 1usize..=80, k in 1usize..=40, n in 1usize..=80, items in 1usize..4, seed in 0u64..100_000) {
+        let p = Problem::random(seed, (m, k, n), items);
+        let (want, mut got) = (p.run_naive(), p.run(Triangle::LowerOut));
+        // Above the diagonal a block is unspecified: take the reference's.
+        for &[_, _, oo] in &p.batch {
+            for i in 0..m {
+                for j in i + 1..n {
+                    got[oo + i * p.ldo + j] = want[oo + i * p.ldo + j];
+                }
+            }
+        }
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
+}
+
+/// Empty contractions write `+0.0` over the block (the kernel overwrites,
+/// it does not accumulate); empty outputs and empty batches write nothing.
+#[test]
+fn gemm_batch_degenerate_shapes() {
+    for tri in [Triangle::Full, Triangle::LowerOut, Triangle::LowerA] {
+        let p = Problem::random(3, (5, 0, 9), 2);
+        let got = p.run(tri);
+        for &[_, _, oo] in &p.batch {
+            for (i, j) in (0..5).flat_map(|i| (0..9).map(move |j| (i, j))) {
+                if tri != Triangle::LowerOut || j <= i {
+                    assert_eq!(got[oo + i * p.ldo + j].to_bits(), 0, "k = 0, {tri:?}");
+                }
+            }
+        }
+        for dims in [(0, 4, 6), (6, 4, 0), (0, 0, 0)] {
+            let p = Problem::random(4, dims, 3);
+            assert!(
+                p.run(tri).iter().all(|&v| v == SENTINEL),
+                "{dims:?} {tri:?}"
+            );
+        }
+        let p = Problem::random(5, (6, 4, 3), 0);
+        assert!(p.run(tri).iter().all(|&v| v == SENTINEL), "empty batch");
+    }
+}
+
+/// A block that does not fit its matrix is refused, not wrapped.
+#[test]
+#[should_panic(expected = "out of bounds")]
+fn gemm_batch_rejects_a_block_past_the_end() {
+    let mut p = Problem::random(6, (8, 8, 8), 1);
+    p.batch[0][0] = p.src.len();
+    p.run(Triangle::Full);
 }

@@ -73,4 +73,46 @@ fn exact_counter_accounting() {
     assert_eq!(ks.calls, 2);
     assert!(ks.nanos > 0);
     assert!(ks.gflops().is_some());
+
+    // A batched call is one call whatever the batch, with the flops of the
+    // tiles it computes: all of them, or with a triangular hint those at
+    // and below the diagonal tile by tile — 8-row tiles of 8-column panels,
+    // so 1 + 2 + 3 of the 3 + 3 + 3 tiles of a 24×24 output.
+    kernels::reset_stats();
+    let (s, d) = (24usize, 16usize);
+    let src = vec![1.0f32; s * d];
+    let q = kernels::Operand {
+        data: &src,
+        ld: d,
+        trans: false,
+    };
+    let kt = kernels::Operand { trans: true, ..q };
+    let mut scores = vec![0.0f32; 3 * s * s];
+    let batch = [[0, 0, 0], [0, 0, s * s], [0, 0, 2 * s * s]];
+    for (calls, tri, tiles) in [
+        (1, kernels::Triangle::Full, 9),
+        (2, kernels::Triangle::LowerOut, 6),
+    ] {
+        let before = kernels::stats().flops;
+        kernels::gemm_batch((s, d, s), q, kt, &mut scores, s, &batch, tri);
+        let ks = kernels::stats();
+        assert_eq!(ks.calls, calls);
+        assert_eq!(ks.flops - before, 3 * tiles * 2 * 8 * 8 * d as u64);
+    }
+    // One pool scratch per call, recycled: a miss, then a hit.
+    pool::clear_local();
+    pool::reset_stats();
+    for _ in 0..2 {
+        kernels::gemm_batch(
+            (s, d, s),
+            q,
+            kt,
+            &mut scores,
+            s,
+            &batch,
+            kernels::Triangle::Full,
+        );
+    }
+    let ps = pool::stats();
+    assert_eq!((ps.misses, ps.hits, ps.returns), (1, 1, 2));
 }
