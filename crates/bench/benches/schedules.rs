@@ -2,10 +2,11 @@
 
 // criterion_group! expands to an undocumented public fn.
 #![allow(missing_docs)]
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use chimera_core::baselines::{dapple, gems, gpipe, pipedream_2bw_steady};
 use chimera_core::chimera::{chimera, ChimeraConfig, ScaleMethod};
+use chimera_core::unit_time::{execute, UnitCosts};
 
 fn bench_generation(c: &mut Criterion) {
     let mut g = c.benchmark_group("schedule_generation");
@@ -55,5 +56,25 @@ fn bench_generation(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_generation);
+/// Generating a Chimera schedule next to its ceiling: executing the
+/// generated schedule once. Both rows report time per op of that schedule.
+fn bench_generation_vs_execution(c: &mut Criterion) {
+    let mut g = c.benchmark_group("generation_vs_execution");
+    g.sample_size(20);
+    for d in [8u32, 16] {
+        let cfg = ChimeraConfig::new(d, 8 * d);
+        let sched = chimera(&cfg).unwrap();
+        let ops: usize = sched.workers.iter().map(Vec::len).sum();
+        g.throughput(Throughput::Elements(ops as u64));
+        g.bench_with_input(BenchmarkId::new("chimera_n_8d", d), &cfg, |b, cfg| {
+            b.iter(|| chimera(black_box(cfg)).unwrap());
+        });
+        g.bench_with_input(BenchmarkId::new("execute", d), &sched, |b, sched| {
+            b.iter(|| execute(black_box(sched), UnitCosts::practical()).unwrap());
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_generation, bench_generation_vs_execution);
 criterion_main!(benches);

@@ -2,14 +2,16 @@
 
 // criterion_group! expands to an undocumented public fn.
 #![allow(missing_docs)]
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+use chimera_core::baselines::{dapple, pipedream_2bw_steady};
 use chimera_core::chimera::{chimera, ChimeraConfig};
 use chimera_core::schedule::SyncStrategy;
 use chimera_core::sync::place_sync;
-use chimera_core::unit_time::UnitCosts;
+use chimera_core::unit_time::{execute, UnitCosts};
 use chimera_perf::{ClusterSpec, ModelSpec, TrainConfig};
-use chimera_sim::simulate;
+use chimera_sim::{simulate, simulate_span};
+use chimera_verify::{comm_lint, verify_span};
 
 fn bench_simulate(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulate_iteration");
@@ -39,8 +41,61 @@ fn bench_simulate(c: &mut Criterion) {
     g.finish();
 }
 
+/// The static passes of the planning path next to their ceiling: what
+/// `simulate_span` pays to *execute* the same ops. Every row of a schedule
+/// reports time per op, so a pass's ratio to the ceiling is two numbers
+/// apart.
+fn bench_planning_passes(c: &mut Criterion) {
+    let mut g = c.benchmark_group("planning_passes");
+    g.sample_size(20);
+    for d in [8u32, 16] {
+        let n = 8 * d;
+        let synced = |s| place_sync(s, SyncStrategy::EagerOpt, UnitCosts::practical());
+        // (label, schedule as the planner lowers it, iterations its span covers)
+        let cases = [
+            ("dapple", synced(dapple(d, n)), 1),
+            (
+                "chimera",
+                synced(chimera(&ChimeraConfig::new(d, n)).unwrap()),
+                1,
+            ),
+            (
+                "pipedream_2bw_x6",
+                pipedream_2bw_steady(d, n, 6).with_recompute(),
+                6,
+            ),
+        ];
+        for (name, sched, iters) in cases {
+            let cost = TrainConfig {
+                model: ModelSpec::bert48(),
+                cluster: ClusterSpec::piz_daint(),
+                d,
+                w: 2,
+                b: 4,
+                stage_replicas: sched.placement.replicas(),
+            }
+            .cost_model();
+            let ops: usize = sched.workers.iter().map(Vec::len).sum();
+            g.throughput(Throughput::Elements(ops as u64));
+            let id = |pass| BenchmarkId::new(pass, format!("{name}_d{d}_n{n}"));
+            g.bench_with_input(id("simulate_span"), &sched, |b, s| {
+                b.iter(|| simulate_span(black_box(s), &cost, iters).unwrap());
+            });
+            g.bench_with_input(id("execute"), &sched, |b, s| {
+                b.iter(|| execute(black_box(s), UnitCosts::practical()).unwrap());
+            });
+            g.bench_with_input(id("comm_lint"), &sched, |b, s| {
+                b.iter(|| comm_lint::lint(black_box(s)));
+            });
+            g.bench_with_input(id("verify_span"), &sched, |b, s| {
+                b.iter(|| verify_span(black_box(s), iters));
+            });
+        }
+    }
+    g.finish();
+}
+
 fn bench_unit_executor(c: &mut Criterion) {
-    use chimera_core::unit_time::execute;
     let mut g = c.benchmark_group("unit_executor");
     for d in [8u32, 32] {
         let sched = chimera(&ChimeraConfig::new(d, 4 * d)).unwrap();
@@ -51,5 +106,10 @@ fn bench_unit_executor(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_simulate, bench_unit_executor);
+criterion_group!(
+    benches,
+    bench_simulate,
+    bench_unit_executor,
+    bench_planning_passes
+);
 criterion_main!(benches);

@@ -113,6 +113,27 @@ struct Unit {
 /// assert_eq!(tl.per_worker_bubbles(), vec![4, 4, 4, 4]);
 /// ```
 pub fn chimera(cfg: &ChimeraConfig) -> Result<Schedule, GenError> {
+    let (placement, streams, costs, micro_window) = merge_input(cfg)?;
+    let workers = compact(cfg.d, &placement, streams, costs, Some(micro_window))?;
+    let sched = Schedule {
+        scheme: Scheme::Chimera,
+        d: cfg.d,
+        n: cfg.n,
+        placement,
+        workers,
+        flushes: true,
+        sync: SyncStrategy::None,
+    };
+    sched.assert_well_formed();
+    Ok(sched)
+}
+
+/// What [`compact`] merges into the schedule for `cfg`: the placement, the
+/// per-worker streams, the merge costs and the micro window.
+#[allow(clippy::type_complexity)]
+pub(crate) fn merge_input(
+    cfg: &ChimeraConfig,
+) -> Result<(Placement, Vec<Vec<Stream>>, UnitCosts, u32), GenError> {
     let ChimeraConfig { d, n, f, scale } = *cfg;
     if d == 0 || d % 2 != 0 {
         return Err(GenError::InvalidConfig(format!("D must be even, got {d}")));
@@ -174,25 +195,7 @@ pub fn chimera(cfg: &ChimeraConfig) -> Result<Schedule, GenError> {
         }
         prio_offset = unit_max_prio;
     }
-
-    let workers = compact(
-        d,
-        &placement,
-        streams,
-        merge_costs_for(scale),
-        Some(micro_window),
-    )?;
-    let sched = Schedule {
-        scheme: Scheme::Chimera,
-        d,
-        n,
-        placement,
-        workers,
-        flushes: true,
-        sync: SyncStrategy::None,
-    };
-    sched.assert_well_formed();
-    Ok(sched)
+    Ok((placement, streams, merge_costs_for(scale), micro_window))
 }
 
 /// Equal-slot costs used to derive merge priorities for a mode: chosen so

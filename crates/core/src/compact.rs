@@ -8,10 +8,39 @@
 //! activation cap. This module performs that greedy execution once, under
 //! abstract costs, and freezes the resulting per-worker op order into the
 //! schedule.
+//!
+//! # What is kept, and what wakes a blocked head
+//!
+//! Every pick takes the minimum `(start, priority, worker, stream)` over all
+//! stream heads that are ready and inside the micro window. Nothing about a
+//! head is re-derived unless something it depends on changed:
+//!
+//! * per stream, the head's readiness is cached — `Ready` at a tick,
+//!   or `Blocked` on the dependency
+//!   [`DepTracker::first_unmet`](crate::dep::DepTracker::first_unmet) names;
+//! * per worker, the best admissible ready head is cached, and recomputed
+//!   only when the worker executed an op (its `free` tick moved), one of its
+//!   heads was re-evaluated, or the window moved;
+//! * an executed op re-evaluates its stream's next head, and the blocked
+//!   heads whose named dependency it produces. Those can only sit on its own
+//!   worker (a forward's stash is read by the local backward) or on the
+//!   holder of the next stage in its direction, so two workers' heads are
+//!   compared against it — not every head of every worker;
+//! * the window admits by comparison against `oldest_unretired`, so when a
+//!   stage-0 backward retires a micro-batch the readiness of window-blocked
+//!   forwards stands and only the workers' picks are recomputed;
+//! * allreduce waits are the one kind whose dependency moves without a
+//!   producer naming it (the instance a worker waits for advances with each
+//!   wait), so an allreduce op re-evaluates every allreduce-wait head.
+//!
+//! A head is therefore evaluated once when it reaches its cursor and once
+//! per dependency that wakes it: at most four times for a backward waiting
+//! on a stash and two gradient halves, where rescanning costs one evaluation
+//! per head per pick.
 
-use crate::dep::DepTracker;
-use crate::ids::WorkerId;
-use crate::op::{Chunk, Op};
+use crate::dep::{slot, DepTracker, Need};
+use crate::ids::{StageId, WorkerId};
+use crate::op::{Chunk, Op, OpKind};
 use crate::placement::Placement;
 use crate::unit_time::{CostProvider, UnitCosts};
 
@@ -41,6 +70,38 @@ impl std::fmt::Display for CompactError {
 
 impl std::error::Error for CompactError {}
 
+/// What the compactor knows about the op at a stream's cursor.
+#[derive(Clone, Copy)]
+enum Head {
+    /// The stream is exhausted.
+    Done,
+    /// Waiting for this dependency; only an op producing it can change that.
+    Blocked(Need),
+    /// Dependencies satisfied at tick `at`. A forward also carries the
+    /// newest micro-batch it covers, which the run-ahead window is checked
+    /// against at every pick.
+    Ready { at: u64, newest: Option<u64> },
+}
+
+/// Whether executing `op` can satisfy `need`.
+fn produces(op: &Op, need: &Need) -> bool {
+    let (m, s, r) = match (op.kind, *need) {
+        (OpKind::Forward, Need::Fwd(m, s, r)) => (m, s, r),
+        (OpKind::Backward { .. }, Need::Bwd(m, s, r, _)) => (m, s, r),
+        _ => return false,
+    };
+    op.stage == s && op.replica == r && op.covered_micros().any(|c| c == m)
+}
+
+/// Retirement units of a stage-0 backward: a micro-batch retires after two
+/// (one full backward or two halves).
+fn retire_units(op: &Op) -> u32 {
+    match op.chunk {
+        Chunk::Half(_) => 1,
+        _ => 2,
+    }
+}
+
 /// Greedily execute the per-worker streams and return the flattened
 /// per-worker op order.
 ///
@@ -51,6 +112,9 @@ impl std::error::Error for CompactError {}
 ///   forward doubling — and, unlike a raw per-worker stash cap, cannot
 ///   deadlock: the oldest unretired micro-batch is always admissible
 ///   everywhere, so its chain can always progress.
+///
+/// Every compute op must sit on the worker `placement` gives its
+/// `(replica, stage)`; a misplaced op is reported as an error.
 pub fn compact(
     d: u32,
     placement: &Placement,
@@ -58,73 +122,175 @@ pub fn compact(
     costs: UnitCosts,
     micro_window: Option<u32>,
 ) -> Result<Vec<Vec<Op>>, CompactError> {
-    let nw = streams_per_worker.len();
-    for streams in &streams_per_worker {
-        for s in streams {
-            assert_eq!(s.ops.len(), s.priority.len(), "priority per op required");
-        }
-    }
-    let mut tracker = DepTracker::new(d, placement);
+    run(d, placement, &streams_per_worker, costs, micro_window).map(|(out, _)| out)
+}
 
-    // Retirement tracking: per micro, how many stage-0 backward half-units
-    // remain (2 = one full backward or two halves).
-    let mut remaining: std::collections::BTreeMap<u64, u32> = std::collections::BTreeMap::new();
-    for ws in &streams_per_worker {
-        for stream in ws {
-            for op in &stream.ops {
-                if op.is_backward() && op.stage.0 == 0 {
-                    let units = match op.chunk {
-                        Chunk::Half(_) => 1,
-                        _ => 2,
-                    };
-                    for m in op.covered_micros() {
-                        *remaining.entry(m.0 as u64).or_insert(0) += units;
-                    }
+/// One worker's side of the merge.
+struct Lane<'a> {
+    streams: &'a [Stream],
+    /// Per stream: index of its next op, and what is known about that op.
+    cursors: Vec<usize>,
+    heads: Vec<Head>,
+    /// Streams with ops left; only these are ever looked at again.
+    live: Vec<usize>,
+    /// When the worker finishes the last op it was given.
+    free: u64,
+    /// `(start, priority, stream)` of the best admissible ready head. Stale
+    /// once `free`, a head of this worker, or the window moves.
+    best: Option<(u64, u64, usize)>,
+}
+
+/// The greedy execution's state.
+struct Merge<'a> {
+    costs: UnitCosts,
+    micro_window: Option<u32>,
+    tracker: DepTracker,
+    lanes: Vec<Lane<'a>>,
+    /// Oldest micro-batch whose stage-0 backward has not completed.
+    oldest_unretired: u64,
+    /// Readiness evaluations so far.
+    evaluations: usize,
+}
+
+impl Merge<'_> {
+    /// Look at the op under stream `k`'s cursor on worker `w` afresh.
+    fn evaluate(&mut self, w: usize, k: usize) {
+        let lane = &mut self.lanes[w];
+        let Some(op) = lane.streams[k].ops.get(lane.cursors[k]) else {
+            lane.heads[k] = Head::Done;
+            lane.live.retain(|&j| j != k);
+            return;
+        };
+        self.evaluations += 1;
+        let wid = WorkerId(w as u32);
+        lane.heads[k] = match self.tracker.ready_time(&self.costs, wid, op) {
+            Some(at) => Head::Ready {
+                at,
+                newest: op
+                    .is_forward()
+                    .then(|| op.covered_micros().map(|m| m.0 as u64).max().unwrap_or(0)),
+            },
+            None => Head::Blocked(
+                self.tracker
+                    .first_unmet(wid, op)
+                    .expect("an op that is not ready has an unmet need"),
+            ),
+        };
+    }
+
+    /// Bring worker `w`'s pick up to date, after re-evaluating those of its
+    /// blocked heads that `woken_by` — the op that just executed — unblocks.
+    fn refresh(&mut self, w: usize, woken_by: Option<&Op>) {
+        let mut best: Option<(u64, u64, usize)> = None;
+        for i in 0..self.lanes[w].live.len() {
+            let k = self.lanes[w].live[i];
+            if let (Some(op), Head::Blocked(need)) = (woken_by, self.lanes[w].heads[k]) {
+                if produces(op, &need) {
+                    self.evaluate(w, k);
                 }
             }
-        }
-    }
-    let mut oldest_unretired: u64 = remaining.keys().next().copied().unwrap_or(0);
-
-    let total: usize = streams_per_worker
-        .iter()
-        .map(|ws| ws.iter().map(|s| s.ops.len()).sum::<usize>())
-        .sum();
-    let mut cursors: Vec<Vec<usize>> = streams_per_worker
-        .iter()
-        .map(|ws| vec![0usize; ws.len()])
-        .collect();
-    let mut free = vec![0u64; nw];
-    let mut out: Vec<Vec<Op>> = vec![Vec::new(); nw];
-    let mut done = 0usize;
-
-    while done < total {
-        // Find the (worker, stream) whose head op can start earliest.
-        let mut best: Option<(u64, u64, usize, usize)> = None; // (start, prio, w, k)
-        for (w, streams) in streams_per_worker.iter().enumerate() {
-            for (k, stream) in streams.iter().enumerate() {
-                let c = cursors[w][k];
-                if c >= stream.ops.len() {
-                    continue;
+            let lane = &self.lanes[w];
+            let Head::Ready { at, newest } = lane.heads[k] else {
+                continue;
+            };
+            let admissible = match (self.micro_window, newest) {
+                (Some(window), Some(newest)) => {
+                    newest < self.oldest_unretired.saturating_add(window as u64)
                 }
-                let op = &stream.ops[c];
-                let Some(t) = tracker.ready_time(&costs, WorkerId(w as u32), op) else {
-                    continue;
-                };
-                if let (Some(window), true) = (micro_window, op.is_forward()) {
-                    let newest = op.covered_micros().map(|m| m.0 as u64).max().unwrap_or(0);
-                    if newest >= oldest_unretired + window as u64 {
-                        continue;
-                    }
-                }
-                let start = free[w].max(t);
-                let key = (start, stream.priority[c], w, k);
+                _ => true,
+            };
+            if admissible {
+                let key = (
+                    lane.free.max(at),
+                    lane.streams[k].priority[lane.cursors[k]],
+                    k,
+                );
                 if best.is_none_or(|b| key < b) {
                     best = Some(key);
                 }
             }
         }
-        let Some((start, _, w, k)) = best else {
+        self.lanes[w].best = best;
+    }
+}
+
+/// [`compact`], also returning how many times an op's readiness was
+/// evaluated.
+fn run(
+    d: u32,
+    placement: &Placement,
+    streams_per_worker: &[Vec<Stream>],
+    costs: UnitCosts,
+    micro_window: Option<u32>,
+) -> Result<(Vec<Vec<Op>>, usize), CompactError> {
+    let nw = streams_per_worker.len();
+    // Retirement tracking: per micro, how many stage-0 backward half-units
+    // remain; zero for a micro that has none (left).
+    let mut remaining: Vec<u32> = Vec::new();
+    for (w, streams) in streams_per_worker.iter().enumerate() {
+        for s in streams {
+            assert_eq!(s.ops.len(), s.priority.len(), "priority per op required");
+            for op in &s.ops {
+                // Waking only the producer's own worker and the consumer
+                // stage's holder (below) relies on this.
+                if op.is_compute() && placement.worker(op.replica, op.stage).idx() != w {
+                    return Err(CompactError {
+                        message: format!(
+                            "streams inconsistent: {op} is on worker {w} but placed on {}",
+                            placement.worker(op.replica, op.stage)
+                        ),
+                    });
+                }
+                if op.is_backward() && op.stage.0 == 0 {
+                    for m in op.covered_micros() {
+                        *slot(&mut remaining, m.idx(), 0) += retire_units(op);
+                    }
+                }
+            }
+        }
+    }
+    // Micros retire at most once, so the oldest unretired one only moves up.
+    let mut oldest = remaining.iter().position(|&r| r > 0);
+
+    let mut merge = Merge {
+        costs,
+        micro_window,
+        tracker: DepTracker::new(d, placement),
+        lanes: streams_per_worker
+            .iter()
+            .map(|streams| Lane {
+                streams,
+                cursors: vec![0; streams.len()],
+                heads: vec![Head::Done; streams.len()],
+                live: (0..streams.len()).collect(),
+                free: 0,
+                best: None,
+            })
+            .collect(),
+        oldest_unretired: oldest.map_or(0, |m| m as u64),
+        evaluations: 0,
+    };
+    for (w, streams) in streams_per_worker.iter().enumerate() {
+        for k in 0..streams.len() {
+            merge.evaluate(w, k);
+        }
+        merge.refresh(w, None);
+    }
+
+    let total: usize = streams_per_worker
+        .iter()
+        .map(|ws| ws.iter().map(|s| s.ops.len()).sum::<usize>())
+        .sum();
+    let mut out: Vec<Vec<Op>> = vec![Vec::new(); nw];
+    for done in 0..total {
+        // The (worker, stream) whose head op can start earliest.
+        let pick = merge
+            .lanes
+            .iter()
+            .enumerate()
+            .filter_map(|(w, lane)| lane.best.map(|(start, prio, k)| (start, prio, w, k)))
+            .min();
+        let Some((start, _, w, k)) = pick else {
             return Err(CompactError {
                 message: format!(
                     "compaction deadlock after {done}/{total} ops; \
@@ -132,36 +298,299 @@ pub fn compact(
                 ),
             });
         };
-        let op = streams_per_worker[w][k].ops[cursors[w][k]];
+        let lane = &mut merge.lanes[w];
+        let op = lane.streams[k].ops[lane.cursors[k]];
         let finish = start + costs.op_cost(&op);
-        tracker.record(&costs, WorkerId(w as u32), &op, finish);
-        if op.is_backward() && op.stage.0 == 0 {
-            let units = match op.chunk {
-                Chunk::Half(_) => 1,
-                _ => 2,
-            };
-            for m in op.covered_micros() {
-                if let Some(r) = remaining.get_mut(&(m.0 as u64)) {
-                    *r = r.saturating_sub(units);
-                    if *r == 0 {
-                        remaining.remove(&(m.0 as u64));
+        lane.free = finish;
+        lane.cursors[k] += 1;
+        out[w].push(op);
+        merge
+            .tracker
+            .record(&costs, WorkerId(w as u32), &op, finish);
+        merge.evaluate(w, k);
+
+        // Whose pick `op` changes: its own worker's; that of the worker it
+        // may wake; everyone's when collectives or the window move.
+        let mut everyone = false;
+        let mut remote = None;
+        match op.kind {
+            // A compute op's output is read by its own worker (a forward's
+            // stash, by the local backward) and by the holder of the next
+            // stage in its direction, nowhere else.
+            OpKind::Forward | OpKind::Backward { .. } => {
+                let consumer = if op.is_forward() {
+                    Some(op.stage.0 + 1).filter(|&s| s < d)
+                } else {
+                    op.stage.0.checked_sub(1)
+                };
+                remote = consumer
+                    .map(|s| placement.worker(op.replica, StageId(s)).idx())
+                    .filter(|&x| x != w && x < nw);
+            }
+            // Only allreduce waits depend on the collectives' state, and both
+            // a launch (completing an instance) and a wait (moving its
+            // worker on to the next instance) change it.
+            OpKind::AllReduceLaunch | OpKind::AllReduceWait => {
+                everyone = true;
+                for x in 0..nw {
+                    for i in 0..merge.lanes[x].live.len() {
+                        let lane = &merge.lanes[x];
+                        let j = lane.live[i];
+                        if matches!(
+                            lane.streams[j].ops[lane.cursors[j]].kind,
+                            OpKind::AllReduceWait
+                        ) {
+                            merge.evaluate(x, j);
+                        }
                     }
                 }
             }
-            oldest_unretired = remaining.keys().next().copied().unwrap_or(u64::MAX);
         }
-        free[w] = finish;
-        out[w].push(op);
-        cursors[w][k] += 1;
-        done += 1;
+        if op.is_backward() && op.stage.0 == 0 {
+            for m in op.covered_micros() {
+                remaining[m.idx()] = remaining[m.idx()].saturating_sub(retire_units(&op));
+            }
+            while oldest.is_some_and(|m| remaining[m] == 0) {
+                oldest = oldest.map(|m| m + 1).filter(|&m| m < remaining.len());
+            }
+            let moved = oldest.map_or(u64::MAX, |m| m as u64);
+            // Window-blocked forwards anywhere may have become admissible.
+            everyone |= moved != merge.oldest_unretired;
+            merge.oldest_unretired = moved;
+        }
+        let stale = if everyone { 0..nw } else { w..w + 1 };
+        for x in stale.chain(remote.filter(|_| !everyone)) {
+            merge.refresh(x, Some(&op));
+        }
     }
-    Ok(out)
+    Ok((out, merge.evaluations))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{MicroId, ReplicaId, StageId};
+    use crate::chimera::{merge_input, ChimeraConfig, ScaleMethod};
+    use crate::ids::{MicroId, ReplicaId};
+
+    /// The oracle: before every pick, re-derive the readiness of every
+    /// stream head of every worker. Returns the op order and the number of
+    /// readiness evaluations.
+    fn compact_rescan(
+        d: u32,
+        placement: &Placement,
+        streams_per_worker: &[Vec<Stream>],
+        costs: UnitCosts,
+        micro_window: Option<u32>,
+    ) -> Result<(Vec<Vec<Op>>, usize), CompactError> {
+        let nw = streams_per_worker.len();
+        let mut tracker = DepTracker::new(d, placement);
+        let mut remaining: std::collections::BTreeMap<u64, u32> = std::collections::BTreeMap::new();
+        for op in streams_per_worker.iter().flatten().flat_map(|s| &s.ops) {
+            if op.is_backward() && op.stage.0 == 0 {
+                for m in op.covered_micros() {
+                    *remaining.entry(m.0 as u64).or_insert(0) += retire_units(op);
+                }
+            }
+        }
+        let mut oldest_unretired: u64 = remaining.keys().next().copied().unwrap_or(0);
+        let total: usize = streams_per_worker
+            .iter()
+            .map(|ws| ws.iter().map(|s| s.ops.len()).sum::<usize>())
+            .sum();
+        let mut cursors: Vec<Vec<usize>> = streams_per_worker
+            .iter()
+            .map(|ws| vec![0usize; ws.len()])
+            .collect();
+        let mut free = vec![0u64; nw];
+        let mut out: Vec<Vec<Op>> = vec![Vec::new(); nw];
+        let mut evaluations = 0usize;
+        for done in 0..total {
+            let mut best: Option<(u64, u64, usize, usize)> = None; // (start, prio, w, k)
+            for (w, streams) in streams_per_worker.iter().enumerate() {
+                for (k, stream) in streams.iter().enumerate() {
+                    let c = cursors[w][k];
+                    if c >= stream.ops.len() {
+                        continue;
+                    }
+                    let op = &stream.ops[c];
+                    evaluations += 1;
+                    let Some(t) = tracker.ready_time(&costs, WorkerId(w as u32), op) else {
+                        continue;
+                    };
+                    if let (Some(window), true) = (micro_window, op.is_forward()) {
+                        let newest = op.covered_micros().map(|m| m.0 as u64).max().unwrap_or(0);
+                        if newest >= oldest_unretired.saturating_add(window as u64) {
+                            continue;
+                        }
+                    }
+                    let key = (free[w].max(t), stream.priority[c], w, k);
+                    if best.is_none_or(|b| key < b) {
+                        best = Some(key);
+                    }
+                }
+            }
+            let Some((start, _, w, k)) = best else {
+                return Err(CompactError {
+                    message: format!("compaction deadlock after {done}/{total} ops"),
+                });
+            };
+            let op = streams_per_worker[w][k].ops[cursors[w][k]];
+            let finish = start + costs.op_cost(&op);
+            tracker.record(&costs, WorkerId(w as u32), &op, finish);
+            if op.is_backward() && op.stage.0 == 0 {
+                for m in op.covered_micros() {
+                    if let Some(r) = remaining.get_mut(&(m.0 as u64)) {
+                        *r = r.saturating_sub(retire_units(&op));
+                        if *r == 0 {
+                            remaining.remove(&(m.0 as u64));
+                        }
+                    }
+                }
+                oldest_unretired = remaining.keys().next().copied().unwrap_or(u64::MAX);
+            }
+            free[w] = finish;
+            out[w].push(op);
+            cursors[w][k] += 1;
+        }
+        Ok((out, evaluations))
+    }
+
+    /// `(ops, evaluations by `run`, evaluations by the oracle)` for one
+    /// Chimera configuration, after asserting both emit the same order.
+    fn same_order_as_rescan(cfg: &ChimeraConfig) -> (usize, usize, usize) {
+        let (placement, streams, costs, window) = merge_input(cfg).unwrap();
+        let (fast, evals) = run(cfg.d, &placement, &streams, costs, Some(window)).unwrap();
+        let (slow, rescans) =
+            compact_rescan(cfg.d, &placement, &streams, costs, Some(window)).unwrap();
+        assert_eq!(fast, slow, "{cfg:?}");
+        (fast.iter().map(Vec::len).sum(), evals, rescans)
+    }
+
+    /// Every `(d, n, f, scale)` the crate's tests, `fig12`, `fig19` and the
+    /// planner's depth/batch candidates reach: the emitted per-worker order
+    /// is the rescan oracle's. Debug builds trim the matrix (the oracle is
+    /// O(ops × heads)); CI runs it whole in `--release`.
+    #[test]
+    fn order_matches_the_rescan_oracle() {
+        let full = !cfg!(debug_assertions);
+        let depths: &[u32] = if full {
+            &[2, 4, 6, 8, 12, 16, 32]
+        } else {
+            &[2, 4, 6, 8, 16]
+        };
+        let scales = [
+            ScaleMethod::Direct,
+            ScaleMethod::ForwardDoubling { recompute: true },
+            ScaleMethod::ForwardDoubling { recompute: false },
+            ScaleMethod::BackwardHalving,
+        ];
+        let mut configs = 0;
+        for &d in depths {
+            let mut ns = vec![1, d / 2, d - 1, d, d + 1, 2 * d, 3 * d, 4 * d];
+            if full {
+                ns.extend([6 * d, 8 * d]);
+            }
+            for n in ns.into_iter().filter(|&n| n > 0) {
+                for f in [1, 2, d / 2] {
+                    if f == 0 || !(d / 2).is_multiple_of(f) {
+                        continue;
+                    }
+                    for scale in scales {
+                        same_order_as_rescan(&ChimeraConfig { d, n, f, scale });
+                        configs += 1;
+                    }
+                }
+            }
+        }
+        assert!(configs >= 300, "matrix shrank to {configs} configurations");
+    }
+
+    /// The work gate, as an exact count: readiness is evaluated at most four
+    /// times per op (once when it reaches the head of its stream, once per
+    /// dependency that wakes it), where the rescan pays one evaluation per
+    /// head per pick.
+    #[test]
+    fn readiness_evaluations_are_linear_in_ops() {
+        for (d, n) in [(16, 64), (32, 32)] {
+            let (ops, evals, rescans) = same_order_as_rescan(&ChimeraConfig::new(d, n));
+            assert!(evals <= 4 * ops, "D={d} N={n}: {evals} for {ops} ops");
+            assert!(
+                rescans >= d as usize * ops,
+                "D={d} N={n}: the oracle rescans, {rescans} for {ops} ops"
+            );
+        }
+    }
+
+    /// Allreduce ops in the streams: a launch completes an instance some
+    /// other worker waits for, a wait moves its worker to the next instance.
+    #[test]
+    fn allreduce_streams_match_the_rescan_oracle() {
+        let placement = Placement::bidirectional(2, 1);
+        let streams: Vec<Vec<Stream>> = (0..2u32)
+            .map(|w| {
+                // Worker w holds stage w of replica 0 and stage 1-w of replica 1.
+                let (down, up) = (StageId(w), StageId(1 - w));
+                let compute = vec![
+                    Op::forward(MicroId(0), down, ReplicaId(0)),
+                    Op::backward(MicroId(0), down, ReplicaId(0)),
+                    Op::allreduce_launch(down, ReplicaId(0)),
+                    Op::allreduce_launch(down, ReplicaId(0)),
+                ];
+                let other = vec![
+                    Op::forward(MicroId(1), up, ReplicaId(1)),
+                    Op::backward(MicroId(1), up, ReplicaId(1)),
+                    Op::allreduce_launch(up, ReplicaId(1)),
+                    Op::allreduce_launch(up, ReplicaId(1)),
+                ];
+                let waits = vec![
+                    Op::allreduce_wait(down, ReplicaId(0)),
+                    Op::allreduce_wait(up, ReplicaId(1)),
+                    Op::allreduce_wait(down, ReplicaId(0)),
+                    Op::allreduce_wait(up, ReplicaId(1)),
+                ];
+                [compute, other, waits]
+                    .into_iter()
+                    .enumerate()
+                    .map(|(k, ops)| Stream {
+                        priority: (0..ops.len() as u64).map(|i| 3 * i + k as u64).collect(),
+                        ops,
+                    })
+                    .collect()
+            })
+            .collect();
+        let costs = UnitCosts {
+            allreduce: 3,
+            launch_overhead: 1,
+            ..UnitCosts::practical()
+        };
+        let (fast, _) = run(2, &placement, &streams, costs, Some(2)).unwrap();
+        let (slow, _) = compact_rescan(2, &placement, &streams, costs, Some(2)).unwrap();
+        assert_eq!(fast, slow);
+        assert_eq!(fast.iter().map(Vec::len).sum::<usize>(), 24);
+    }
+
+    #[test]
+    fn misplaced_op_is_reported() {
+        let placement = Placement::linear(2);
+        let stream = |ops: Vec<Op>| Stream {
+            priority: (0..ops.len() as u64).collect(),
+            ops,
+        };
+        let streams = vec![
+            vec![stream(vec![Op::forward(
+                MicroId(0),
+                StageId(1),
+                ReplicaId(0),
+            )])],
+            vec![stream(vec![Op::forward(
+                MicroId(0),
+                StageId(0),
+                ReplicaId(0),
+            )])],
+        ];
+        let err = compact(2, &placement, streams, UnitCosts::equal(), None).unwrap_err();
+        assert!(err.to_string().contains("placed on"), "{err}");
+    }
 
     /// D=2 linear pipeline, two units of 2 micros each, single stream per
     /// worker: compaction preserves a valid order and executes everything.

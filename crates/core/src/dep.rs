@@ -6,8 +6,22 @@
 //! `chimera-verify` all ask the same question: given what has already
 //! executed, is an op ready — and if so at which tick, if not on what is it
 //! waiting? This module owns the answer.
+//!
+//! Every key the tracker is asked about is a small bounded index, so what
+//! has executed lives in dense tables that grow on demand, with a sentinel tick
+//! standing for "not executed":
+//!
+//! | table | indexed by | holds |
+//! |---|---|---|
+//! | `fwd` | `[replica][stage][micro]` | forward finish tick |
+//! | `bwd` | `[replica][stage][3 * micro + tag]`, tag 0/1 = half chunk, 2 = full | backward finish tick |
+//! | `ar` | `[stage][instance]` | launches gathered, latest launch, completion tick |
+//! | `launch_count`, `wait_count` | `[worker][stage]` | allreduce ops the worker has executed |
+//!
+//! Nothing is sized by the caller: micro ids past `N` (the asynchronous
+//! schemes' unrolled spans, `concat_iterations`) extend a row when they are
+//! first recorded.
 
-use std::collections::HashMap;
 use std::ops::ControlFlow;
 
 use crate::ids::{MicroId, ReplicaId, StageId, WorkerId};
@@ -15,8 +29,56 @@ use crate::op::{Chunk, Op, OpKind};
 use crate::placement::Placement;
 use crate::unit_time::CostProvider;
 
-type FwdKey = (MicroId, StageId, ReplicaId);
-type BwdKey = (MicroId, StageId, ReplicaId, u8); // 0/1 = half chunk, 2 = full
+/// Finish tick of an op that has not executed.
+const NEVER: u64 = u64::MAX;
+
+/// `v[i]`, first extending `v` with `fill` up to `i`.
+pub(crate) fn slot<T: Clone>(v: &mut Vec<T>, i: usize, fill: T) -> &mut T {
+    if i >= v.len() {
+        v.resize(i + 1, fill);
+    }
+    &mut v[i]
+}
+
+/// Finish ticks indexed `[replica][stage][slot]`.
+#[derive(Default)]
+struct FinishTable(Vec<Vec<Vec<u64>>>);
+
+impl FinishTable {
+    fn get(&self, r: ReplicaId, s: StageId, slot: usize) -> Option<u64> {
+        let t = *self.0.get(r.idx())?.get(s.idx())?.get(slot)?;
+        (t != NEVER).then_some(t)
+    }
+
+    fn set(&mut self, r: ReplicaId, s: StageId, i: usize, finish: u64) {
+        let row = slot(slot(&mut self.0, r.idx(), Vec::new()), s.idx(), Vec::new());
+        *slot(row, i, NEVER) = finish;
+    }
+}
+
+/// Slot of a backward's finish tick in its `(replica, stage)` row.
+fn bwd_slot(m: MicroId, tag: usize) -> usize {
+    3 * m.idx() + tag
+}
+
+/// Tag of a half chunk (any nonzero index is the second half, as in the
+/// communication lint).
+fn half_tag(h: u8) -> usize {
+    usize::from(h != 0)
+}
+
+const FULL_TAG: usize = 2;
+
+/// One allreduce instance of a stage.
+#[derive(Clone)]
+struct Collective {
+    /// Launches gathered so far.
+    launched: u32,
+    /// Latest launch finish among them.
+    latest: u64,
+    /// Completion tick once every replica has launched.
+    complete: u64,
+}
 
 /// One dependency of an op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,18 +107,25 @@ impl std::fmt::Display for Need {
 pub struct DepTracker {
     d: u32,
     placement: Placement,
-    fwd_finish: HashMap<FwdKey, u64>,
-    bwd_finish: HashMap<BwdKey, u64>,
-    /// Per stage: launch finish times, grouped by allreduce instance.
-    ar_launches: HashMap<StageId, Vec<Vec<u64>>>,
-    /// Completion time of each fully-launched allreduce instance.
-    ar_complete: HashMap<(StageId, usize), u64>,
+    fwd: FinishTable,
+    bwd: FinishTable,
+    /// Per stage: its allreduce instances, in launch order.
+    ar: Vec<Vec<Collective>>,
     /// Per worker: when its communication resource frees up. Collectives
     /// sharing a participant serialize (one progress engine per process, as
     /// in GLOO), which is what makes eager launching (§3.2) pay off.
     comm_busy: Vec<u64>,
-    launch_count: HashMap<(WorkerId, StageId), usize>,
-    wait_count: HashMap<(WorkerId, StageId), usize>,
+    launch_count: Vec<Vec<usize>>,
+    wait_count: Vec<Vec<usize>>,
+}
+
+/// `counts[worker][stage]`, zero where nothing was counted yet.
+fn count(counts: &[Vec<usize>], w: WorkerId, stage: StageId) -> usize {
+    counts
+        .get(w.idx())
+        .and_then(|per_stage| per_stage.get(stage.idx()))
+        .copied()
+        .unwrap_or(0)
 }
 
 impl DepTracker {
@@ -64,25 +133,24 @@ impl DepTracker {
         DepTracker {
             d,
             placement: placement.clone(),
-            fwd_finish: HashMap::new(),
-            bwd_finish: HashMap::new(),
-            ar_launches: HashMap::new(),
-            ar_complete: HashMap::new(),
+            fwd: FinishTable::default(),
+            bwd: FinishTable::default(),
+            ar: Vec::new(),
             comm_busy: vec![0; d as usize],
-            launch_count: HashMap::new(),
-            wait_count: HashMap::new(),
+            launch_count: Vec::new(),
+            wait_count: Vec::new(),
         }
     }
 
     /// Whether the half-`h` backward of `(m, s, r)` has executed.
     pub fn bwd_half_done(&self, m: MicroId, s: StageId, r: ReplicaId, h: u8) -> bool {
-        self.bwd_finish.contains_key(&(m, s, r, h))
+        self.bwd.get(r, s, bwd_slot(m, half_tag(h))).is_some()
     }
 
     /// Allreduce launches of `stage` worker `w` has executed; its next
     /// launch feeds the instance of that index.
     pub fn launches(&self, w: WorkerId, stage: StageId) -> usize {
-        *self.launch_count.get(&(w, stage)).unwrap_or(&0)
+        count(&self.launch_count, w, stage)
     }
 
     /// Visit the dependencies of `op` on worker `w`, in the order they are
@@ -115,8 +183,7 @@ impl DepTracker {
             }
             OpKind::AllReduceLaunch => {}
             OpKind::AllReduceWait => {
-                let inst = *self.wait_count.get(&(w, op.stage)).unwrap_or(&0);
-                visit(Need::Ar(op.stage, inst))?;
+                visit(Need::Ar(op.stage, count(&self.wait_count, w, op.stage)))?;
             }
         }
         ControlFlow::Continue(())
@@ -125,18 +192,20 @@ impl DepTracker {
     /// Tick at which `need` was satisfied, or `None` if it is not yet.
     fn done_at(&self, need: &Need) -> Option<u64> {
         match *need {
-            Need::Fwd(m, s, r) => self.fwd_finish.get(&(m, s, r)).copied(),
+            Need::Fwd(m, s, r) => self.fwd.get(r, s, m.idx()),
             Need::Bwd(m, s, r, Chunk::Half(h)) => self
-                .bwd_finish
-                .get(&(m, s, r, h))
-                .or_else(|| self.bwd_finish.get(&(m, s, r, 2)))
-                .copied(),
-            Need::Bwd(m, s, r, _) => self.bwd_finish.get(&(m, s, r, 2)).copied().or_else(|| {
-                let h0 = self.bwd_finish.get(&(m, s, r, 0))?;
-                let h1 = self.bwd_finish.get(&(m, s, r, 1))?;
-                Some((*h0).max(*h1))
+                .bwd
+                .get(r, s, bwd_slot(m, half_tag(h)))
+                .or_else(|| self.bwd.get(r, s, bwd_slot(m, FULL_TAG))),
+            Need::Bwd(m, s, r, _) => self.bwd.get(r, s, bwd_slot(m, FULL_TAG)).or_else(|| {
+                let h0 = self.bwd.get(r, s, bwd_slot(m, 0))?;
+                let h1 = self.bwd.get(r, s, bwd_slot(m, 1))?;
+                Some(h0.max(h1))
             }),
-            Need::Ar(stage, inst) => self.ar_complete.get(&(stage, inst)).copied(),
+            Need::Ar(stage, inst) => {
+                let complete = self.ar.get(stage.idx())?.get(inst)?.complete;
+                (complete != NEVER).then_some(complete)
+            }
         }
     }
 
@@ -181,35 +250,43 @@ impl DepTracker {
         match op.kind {
             OpKind::Forward => {
                 for m in op.covered_micros() {
-                    self.fwd_finish.insert((m, op.stage, op.replica), finish);
+                    self.fwd.set(op.replica, op.stage, m.idx(), finish);
                 }
             }
             OpKind::Backward { .. } => {
                 let tag = match op.chunk {
-                    Chunk::Half(h) => h,
-                    _ => 2,
+                    Chunk::Half(h) => half_tag(h),
+                    _ => FULL_TAG,
                 };
                 for m in op.covered_micros() {
-                    self.bwd_finish
-                        .insert((m, op.stage, op.replica, tag), finish);
+                    self.bwd.set(op.replica, op.stage, bwd_slot(m, tag), finish);
                 }
             }
             OpKind::AllReduceLaunch => {
-                let count = self.launch_count.entry((w, op.stage)).or_insert(0);
-                let inst = *count;
-                *count += 1;
-                let slots = self.ar_launches.entry(op.stage).or_default();
-                while slots.len() <= inst {
-                    slots.push(Vec::new());
-                }
-                slots[inst].push(finish);
+                let launches = slot(
+                    slot(&mut self.launch_count, w.idx(), Vec::new()),
+                    op.stage.idx(),
+                    0,
+                );
+                let inst = *launches;
+                *launches += 1;
+                let collective = slot(
+                    slot(&mut self.ar, op.stage.idx(), Vec::new()),
+                    inst,
+                    Collective {
+                        launched: 0,
+                        latest: 0,
+                        complete: NEVER,
+                    },
+                );
+                collective.launched += 1;
+                collective.latest = collective.latest.max(finish);
                 // Once every replica of the stage has launched, schedule the
                 // collective on the participants' shared communication
                 // resource (collectives on one worker serialize).
-                let expected = self.placement.replicas() as usize;
-                if slots[inst].len() == expected {
+                if collective.launched == self.placement.replicas() {
                     let holders = self.placement.stage_holders(op.stage);
-                    let mut start = slots[inst].iter().copied().max().unwrap_or(0);
+                    let mut start = collective.latest;
                     for h in &holders {
                         start = start.max(self.comm_busy[h.idx()]);
                     }
@@ -217,12 +294,88 @@ impl DepTracker {
                     for h in &holders {
                         self.comm_busy[h.idx()] = complete;
                     }
-                    self.ar_complete.insert((op.stage, inst), complete);
+                    collective.complete = complete;
                 }
             }
             OpKind::AllReduceWait => {
-                *self.wait_count.entry((w, op.stage)).or_insert(0) += 1;
+                *slot(
+                    slot(&mut self.wait_count, w.idx(), Vec::new()),
+                    op.stage.idx(),
+                    0,
+                ) += 1;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::unit_time::UnitCosts;
+
+    /// Nothing tells the tracker how many micro-batches, replicas or stages
+    /// to expect: an id far past anything seen extends the tables, and ids
+    /// in between stay "not executed".
+    #[test]
+    fn tables_grow_on_demand() {
+        let costs = UnitCosts {
+            p2p: 3,
+            ..UnitCosts::equal()
+        };
+        let mut deps = DepTracker::new(2, &Placement::linear(2));
+        let (w0, w1) = (WorkerId(0), WorkerId(1));
+        let far = MicroId(5000);
+        deps.record(&costs, w0, &Op::forward(far, StageId(0), ReplicaId(0)), 7);
+        let next = Op::forward(far, StageId(1), ReplicaId(0));
+        assert_eq!(deps.ready_time(&costs, w1, &next), Some(7 + 3));
+        let gap = Op::forward(MicroId(4999), StageId(1), ReplicaId(0));
+        assert_eq!(deps.ready_time(&costs, w1, &gap), None);
+        assert_eq!(
+            deps.first_unmet(w1, &gap),
+            Some(Need::Fwd(MicroId(4999), StageId(0), ReplicaId(0)))
+        );
+        // A replica and a worker the placement does not know: not executed,
+        // nothing counted — not a panic.
+        let stray = Op::forward(MicroId(0), StageId(1), ReplicaId(9));
+        assert_eq!(deps.ready_time(&costs, w1, &stray), None);
+        assert_eq!(deps.launches(WorkerId(40), StageId(1)), 0);
+    }
+
+    /// A full backward's consumer is satisfied by one full producer or by
+    /// both halves (at the later of the two); a half's consumer by its own
+    /// half or by a full producer.
+    #[test]
+    fn halves_and_full_backwards_compose() {
+        let costs = UnitCosts::equal();
+        let mut deps = DepTracker::new(2, &Placement::linear(2));
+        let (m, r) = (MicroId(3), ReplicaId(0));
+        let half = |h, s| Op {
+            chunk: Chunk::Half(h),
+            ..Op::backward(m, StageId(s), r)
+        };
+        deps.record(&costs, WorkerId(0), &Op::forward(m, StageId(0), r), 1);
+        let full_consumer = Op::backward(m, StageId(0), r);
+        deps.record(&costs, WorkerId(1), &half(1, 1), 9);
+        assert!(deps.bwd_half_done(m, StageId(1), r, 1));
+        assert!(!deps.bwd_half_done(m, StageId(1), r, 0));
+        assert_eq!(deps.ready_time(&costs, WorkerId(0), &half(1, 0)), Some(9));
+        assert_eq!(deps.ready_time(&costs, WorkerId(0), &half(0, 0)), None);
+        assert_eq!(deps.ready_time(&costs, WorkerId(0), &full_consumer), None);
+        deps.record(&costs, WorkerId(1), &half(0, 1), 12);
+        assert_eq!(
+            deps.ready_time(&costs, WorkerId(0), &full_consumer),
+            Some(12)
+        );
+        let other = MicroId(4);
+        deps.record(&costs, WorkerId(0), &Op::forward(other, StageId(0), r), 2);
+        deps.record(&costs, WorkerId(1), &Op::backward(other, StageId(1), r), 20);
+        let half_consumer = Op {
+            micro: other,
+            ..half(0, 0)
+        };
+        assert_eq!(
+            deps.ready_time(&costs, WorkerId(0), &half_consumer),
+            Some(20)
+        );
     }
 }

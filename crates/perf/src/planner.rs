@@ -371,10 +371,10 @@ pub fn sweep_until(
         out.sort_by(|a, b| {
             b.b_hat
                 .cmp(&a.b_hat)
-                .then(b.throughput.partial_cmp(&a.throughput).unwrap())
+                .then(b.throughput.total_cmp(&a.throughput))
         });
     } else {
-        out.sort_by(|a, b| b.throughput.partial_cmp(&a.throughput).unwrap());
+        out.sort_by(|a, b| b.throughput.total_cmp(&a.throughput));
     }
     Ok(out)
 }
@@ -481,8 +481,7 @@ pub fn plan_chimera_until(
     Ok(per_wd.into_iter().min_by(|a, b| {
         a.predicted_s
             .unwrap_or(f64::INFINITY)
-            .partial_cmp(&b.predicted_s.unwrap_or(f64::INFINITY))
-            .unwrap()
+            .total_cmp(&b.predicted_s.unwrap_or(f64::INFINITY))
     }))
 }
 

@@ -19,34 +19,99 @@
 //! - **bounded parking** — an upper bound on messages parked in the
 //!   receiver's inbox, reported per channel (see
 //!   [`crate::ChannelStats::max_parked`]).
-
-use std::collections::HashMap;
+//!
+//! # How
+//!
+//! Every half-message is lowered once into a flat record, sends in one array
+//! and recvs in another: the channel `(src, dst)`, the message key
+//! `(direction, replica, consumer stage, micro, half)` packed into one
+//! integer whose order is the tuple's, the record's position `seq` in its
+//! channel's send (or recv) order, and the op it came from. Both arrays are
+//! sorted by `(channel, key, seq)` and walked in lockstep. Records with equal
+//! keys are then adjacent — a run longer than one is a duplicate, a run with
+//! no counterpart on the other side is unmatched — and because the half
+//! index is the key's lowest bit, so are the two halves of one runtime
+//! `MsgKey`. The diagnostics want their keys in order anyway, so the sort is
+//! not extra work; there is no per-channel or per-key container.
 
 use chimera_core::ids::StageId;
-use chimera_core::op::{Chunk, OpKind};
+use chimera_core::op::{Chunk, Op, OpKind};
 use chimera_core::schedule::Schedule;
 
 use crate::{ChannelStats, Diagnostic, OpLoc, Severity};
 
 /// Message direction, mirroring the runtime's `MsgKey::Act` / `MsgKey::Grad`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Dir {
     Act,
     Grad,
 }
 
-/// Full message identity: direction, replica, *consumer* stage, micro, half.
-/// The runtime's coarse `MsgKey` is this without the half.
-type Key = (Dir, u32, u32, u32, u8);
+/// Full message identity — direction, replica, *consumer* stage, micro,
+/// half — packed most significant first, so keys compare as that tuple does:
+/// `dir:1 | replica | stage:stage_bits | micro:32 | half:1`. The runtime's
+/// coarse `MsgKey` is this without the half: `key >> 1`.
+type Key = u64;
 
-#[derive(Debug, Clone, Copy)]
-struct Event {
+/// Where a schedule's keys keep their stage (everything else is fixed).
+#[derive(Clone, Copy)]
+struct KeyLayout {
+    stage_bits: u32,
+}
+
+impl KeyLayout {
+    fn of(sched: &Schedule) -> Self {
+        // Keys name replicas `0..R` and stages `0..=D` (a recv names its own
+        // op's stage, which the placement lookups bound by D, not D - 1).
+        let bits = |max: u32| 32 - max.leading_zeros();
+        let stage_bits = bits(sched.placement.d());
+        let replica_bits = bits(sched.placement.replicas() - 1);
+        assert!(
+            replica_bits + stage_bits <= 30,
+            "a placement of {} replicas x {} stages does not fit the lint's message keys",
+            sched.placement.replicas(),
+            sched.placement.d()
+        );
+        KeyLayout { stage_bits }
+    }
+
+    fn pack(self, dir: Dir, replica: u32, stage: u32, micro: u32, half: u8) -> Key {
+        (dir as Key) << 63
+            | ((replica as Key) << self.stage_bits | stage as Key) << 33
+            | (micro as Key) << 1
+            | half as Key
+    }
+
+    fn fmt(self, k: Key) -> String {
+        let d = if k >> 63 == Dir::Act as Key {
+            "act"
+        } else {
+            "grad"
+        };
+        let rs = k << 1 >> 34;
+        let (r, s) = (rs >> self.stage_bits, rs & ((1 << self.stage_bits) - 1));
+        let (m, h) = ((k >> 1) as u32, k & 1);
+        format!("{d} m{m}.{h}@s{s}/r{r}")
+    }
+}
+
+/// One half-message at its producer (a send) or its consumer (a recv) — the
+/// op at `op_index` on the channel's source (destination) worker. Field
+/// order is sort order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Msg {
+    /// `src << 32 | dst`.
+    channel: u64,
     key: Key,
-    /// Producer (for sends) or consumer (for recvs) op location.
-    worker: usize,
-    op_index: usize,
-    /// Position in the channel's send/recv order.
-    seq: usize,
+    /// Position in the channel's send (or recv) order.
+    seq: u32,
+    op_index: u32,
+}
+
+impl Msg {
+    fn half(&self) -> u8 {
+        self.key as u8 & 1
+    }
 }
 
 /// Lint outcome: diagnostics plus per-channel statistics.
@@ -57,189 +122,179 @@ pub struct CommLint {
     pub channels: Vec<ChannelStats>,
 }
 
-fn fmt_key(k: Key) -> String {
-    let (dir, r, s, m, h) = k;
-    let d = match dir {
-        Dir::Act => "act",
-        Dir::Grad => "grad",
-    };
-    format!("{d} m{m}.{h}@s{s}/r{r}")
+/// Split the longest prefix satisfying `pred` off `rest`.
+fn take_while<'a>(rest: &mut &'a [Msg], pred: impl Fn(&Msg) -> bool) -> &'a [Msg] {
+    let n = rest.iter().position(|m| !pred(m)).unwrap_or(rest.len());
+    let (head, tail) = rest.split_at(n);
+    *rest = tail;
+    head
+}
+
+/// The records of `rest` whose key, shifted right by `shift`, is `key`;
+/// `rest` is sorted and asked for ascending keys, so it is consumed up to
+/// and including them.
+fn run_of<'a>(rest: &mut &'a [Msg], key: Key, shift: u32) -> &'a [Msg] {
+    take_while(rest, |m| m.key >> shift < key);
+    take_while(rest, |m| m.key >> shift == key)
+}
+
+/// The halves an op's messages carry.
+fn halves(op: &Op) -> &'static [u8] {
+    match op.chunk {
+        Chunk::Half(0) => &[0],
+        Chunk::Half(_) => &[1],
+        _ => &[0, 1],
+    }
+}
+
+/// Lower every cross-worker dependency of `sched` to `(sends, recvs)`, each
+/// sorted by `(channel, key, seq)`.
+fn lower(sched: &Schedule, layout: KeyLayout) -> (Vec<Msg>, Vec<Msg>) {
+    let total: usize = sched.workers.iter().map(Vec::len).sum();
+    let mut sends: Vec<Msg> = Vec::with_capacity(2 * total);
+    let mut recvs: Vec<Msg> = Vec::with_capacity(2 * total);
+    let peers = sched.num_workers().max(sched.placement.d() as usize);
+    for (w, ops) in sched.workers.iter().enumerate() {
+        // All sends of channel (w, dst) and all recvs of channel (src, w)
+        // come from this worker's ops, in this order.
+        let mut send_seq = vec![0u32; peers];
+        let mut recv_seq = vec![0u32; peers];
+        for (i, op) in ops.iter().enumerate() {
+            // (direction, stage consuming this op's output, stage producing its input)
+            let (dir, down, up) = match op.kind {
+                OpKind::Forward => (
+                    Dir::Act,
+                    Some(op.stage.0 + 1).filter(|&s| s < sched.d),
+                    op.stage.0.checked_sub(1),
+                ),
+                OpKind::Backward { .. } => (
+                    Dir::Grad,
+                    op.stage.0.checked_sub(1),
+                    Some(op.stage.0 + 1).filter(|&s| s < sched.d),
+                ),
+                _ => continue,
+            };
+            let emit = |list: &mut Vec<Msg>, seq: &mut u32, channel: u64, stage: u32| {
+                for m in op.covered_micros() {
+                    for &h in halves(op) {
+                        list.push(Msg {
+                            channel,
+                            key: layout.pack(dir, op.replica.0, stage, m.0, h),
+                            seq: *seq,
+                            op_index: i as u32,
+                        });
+                        *seq += 1;
+                    }
+                }
+            };
+            if let Some(consumer) = down {
+                let dst = sched.placement.worker(op.replica, StageId(consumer)).idx();
+                if dst != w {
+                    let channel = (w as u64) << 32 | dst as u64;
+                    emit(&mut sends, &mut send_seq[dst], channel, consumer);
+                }
+            }
+            if let Some(producer) = up {
+                let src = sched.placement.worker(op.replica, StageId(producer)).idx();
+                if src != w {
+                    let channel = (src as u64) << 32 | w as u64;
+                    emit(&mut recvs, &mut recv_seq[src], channel, op.stage.0);
+                }
+            }
+        }
+    }
+    sends.sort_unstable();
+    recvs.sort_unstable();
+    (sends, recvs)
 }
 
 /// Run the communication lint on `sched`.
 pub fn lint(sched: &Schedule) -> CommLint {
-    // channel (src, dst) -> ordered send / recv event lists.
-    let mut sends: HashMap<(usize, usize), Vec<Event>> = HashMap::new();
-    let mut recvs: HashMap<(usize, usize), Vec<Event>> = HashMap::new();
-
-    for (w, ops) in sched.workers.iter().enumerate() {
-        for (i, op) in ops.iter().enumerate() {
-            let halves: &[u8] = match op.chunk {
-                Chunk::Half(h) => std::slice::from_ref(if h == 0 { &0 } else { &1 }),
-                _ => &[0, 1],
-            };
-            match op.kind {
-                OpKind::Forward => {
-                    // Send activations downstream.
-                    if op.stage.0 + 1 < sched.d {
-                        let consumer = StageId(op.stage.0 + 1);
-                        let dst = sched.placement.worker(op.replica, consumer).idx();
-                        if dst != w {
-                            for m in op.covered_micros() {
-                                for &h in halves {
-                                    push(
-                                        &mut sends,
-                                        (w, dst),
-                                        (Dir::Act, op.replica.0, consumer.0, m.0, h),
-                                        w,
-                                        i,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    // Receive the previous stage's activations.
-                    if op.stage.0 > 0 {
-                        let src = sched
-                            .placement
-                            .worker(op.replica, StageId(op.stage.0 - 1))
-                            .idx();
-                        if src != w {
-                            for m in op.covered_micros() {
-                                for &h in halves {
-                                    push(
-                                        &mut recvs,
-                                        (src, w),
-                                        (Dir::Act, op.replica.0, op.stage.0, m.0, h),
-                                        w,
-                                        i,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-                OpKind::Backward { .. } => {
-                    // Send input gradients upstream.
-                    if op.stage.0 > 0 {
-                        let consumer = StageId(op.stage.0 - 1);
-                        let dst = sched.placement.worker(op.replica, consumer).idx();
-                        if dst != w {
-                            for m in op.covered_micros() {
-                                for &h in halves {
-                                    push(
-                                        &mut sends,
-                                        (w, dst),
-                                        (Dir::Grad, op.replica.0, consumer.0, m.0, h),
-                                        w,
-                                        i,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    // Receive the next stage's output gradient.
-                    if op.stage.0 + 1 < sched.d {
-                        let src = sched
-                            .placement
-                            .worker(op.replica, StageId(op.stage.0 + 1))
-                            .idx();
-                        if src != w {
-                            for m in op.covered_micros() {
-                                for &h in halves {
-                                    push(
-                                        &mut recvs,
-                                        (src, w),
-                                        (Dir::Grad, op.replica.0, op.stage.0, m.0, h),
-                                        w,
-                                        i,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
+    let layout = KeyLayout::of(sched);
+    let (sends, recvs) = lower(sched, layout);
+    let fmt_key = |k| layout.fmt(k);
     let mut diagnostics = Vec::new();
     let mut channels = Vec::new();
-    let mut keys: Vec<(usize, usize)> = sends.keys().chain(recvs.keys()).copied().collect();
-    keys.sort_unstable();
-    keys.dedup();
+    let locs = |worker: u32, events: &[Msg]| {
+        let mut out: Vec<OpLoc> = events
+            .iter()
+            .map(|e| OpLoc::of(sched, worker as usize, e.op_index as usize))
+            .collect();
+        out.dedup();
+        out
+    };
 
-    for ch in keys {
-        let empty = Vec::new();
-        let s = sends.get(&ch).unwrap_or(&empty);
-        let r = recvs.get(&ch).unwrap_or(&empty);
-        let mut by_key_send: HashMap<Key, Vec<&Event>> = HashMap::new();
-        for e in s {
-            by_key_send.entry(e.key).or_default().push(e);
-        }
-        let mut by_key_recv: HashMap<Key, Vec<&Event>> = HashMap::new();
-        for e in r {
-            by_key_recv.entry(e.key).or_default().push(e);
-        }
+    let (mut sends, mut recvs) = (&sends[..], &recvs[..]);
+    while let Some(channel) = [sends.first(), recvs.first()]
+        .into_iter()
+        .flatten()
+        .map(|m| m.channel)
+        .min()
+    {
+        let s = take_while(&mut sends, |m| m.channel == channel);
+        let r = take_while(&mut recvs, |m| m.channel == channel);
+        let (src, dst) = ((channel >> 32) as u32, channel as u32);
 
-        for (key, rs) in sorted(&by_key_recv) {
+        // Bijection, recv side — and, over the matched pairs, the parking
+        // bound: the k-th recv matching the p-th send parks at most p - k
+        // messages (a duplicated send counts at its last position).
+        let mut max_parked = 0usize;
+        let mut matched = 0usize;
+        let mut rest = s;
+        for rs in r.chunk_by(|a, b| a.key == b.key) {
+            let key = rs[0].key;
             if rs.len() > 1 {
                 diagnostics.push(Diagnostic {
                     code: "duplicate_recv",
                     severity: Severity::Error,
                     message: format!(
-                        "P{} receives {} from P{} {} times",
-                        ch.1,
+                        "P{dst} receives {} from P{src} {} times",
                         fmt_key(key),
-                        ch.0,
                         rs.len()
                     ),
-                    locations: locs(sched, rs),
+                    locations: locs(dst, rs),
                 });
             }
-            if !by_key_send.contains_key(&key) {
-                diagnostics.push(Diagnostic {
+            match run_of(&mut rest, key, 0).last() {
+                Some(send) => {
+                    for e in rs {
+                        max_parked = max_parked.max(send.seq.saturating_sub(e.seq) as usize);
+                    }
+                    matched += rs.len();
+                }
+                None => diagnostics.push(Diagnostic {
                     code: "unmatched_recv",
                     severity: Severity::Error,
                     message: format!(
-                        "P{} expects {} from P{}, but P{} never sends it on this channel",
-                        ch.1,
+                        "P{dst} expects {} from P{src}, but P{src} never sends it on this channel",
                         fmt_key(key),
-                        ch.0,
-                        ch.0
                     ),
-                    locations: locs(sched, rs),
-                });
+                    locations: locs(dst, rs),
+                }),
             }
         }
-        for (key, ss) in sorted(&by_key_send) {
+
+        // Bijection, send side.
+        let mut rest = r;
+        for ss in s.chunk_by(|a, b| a.key == b.key) {
+            let key = ss[0].key;
             if ss.len() > 1 {
                 diagnostics.push(Diagnostic {
                     code: "duplicate_send",
                     severity: Severity::Error,
-                    message: format!(
-                        "P{} sends {} to P{} {} times",
-                        ch.0,
-                        fmt_key(key),
-                        ch.1,
-                        ss.len()
-                    ),
-                    locations: locs(sched, ss),
+                    message: format!("P{src} sends {} to P{dst} {} times", fmt_key(key), ss.len()),
+                    locations: locs(src, ss),
                 });
             }
-            if !by_key_recv.contains_key(&key) {
+            if run_of(&mut rest, key, 0).is_empty() {
                 diagnostics.push(Diagnostic {
                     code: "unconsumed_send",
                     severity: Severity::Warning,
                     message: format!(
-                        "P{} sends {} to P{}, but no op on P{} receives it",
-                        ch.0,
+                        "P{src} sends {} to P{dst}, but no op on P{dst} receives it",
                         fmt_key(key),
-                        ch.1,
-                        ch.1
                     ),
-                    locations: locs(sched, ss),
+                    locations: locs(src, ss),
                 });
             }
         }
@@ -247,64 +302,42 @@ pub fn lint(sched: &Schedule) -> CommLint {
         // Ordering under the coarse runtime key (no half index): halves of
         // one micro produced by *different* ops must be consumed in send
         // order, or the inbox hands the consumer the wrong half's payload.
-        let mut coarse_send: HashMap<(Dir, u32, u32, u32), Vec<&Event>> = HashMap::new();
-        for e in s {
-            let (d, r_, s_, m, _) = e.key;
-            coarse_send.entry((d, r_, s_, m)).or_default().push(e);
-        }
-        let mut coarse_recv: HashMap<(Dir, u32, u32, u32), Vec<&Event>> = HashMap::new();
-        for e in r {
-            let (d, r_, s_, m, _) = e.key;
-            coarse_recv.entry((d, r_, s_, m)).or_default().push(e);
-        }
-        for (coarse, ss) in sorted(&coarse_send) {
-            let Some(rs) = coarse_recv.get(&coarse) else {
-                continue;
-            };
+        let mut rest = r;
+        for ss in s.chunk_by(|a, b| a.key >> 1 == b.key >> 1) {
+            let coarse = ss[0].key >> 1;
+            let rs = run_of(&mut rest, coarse, 1);
             // Same producer op ⇒ one runtime message; nothing to misorder.
-            if ss.len() < 2
-                || ss
-                    .iter()
-                    .all(|e| e.op_index == ss[0].op_index && e.worker == ss[0].worker)
-            {
+            if rs.is_empty() || ss.iter().all(|e| e.op_index == ss[0].op_index) {
                 continue;
             }
-            let send_halves: Vec<u8> = ss.iter().map(|e| e.key.4).collect();
-            let recv_halves: Vec<u8> = rs.iter().map(|e| e.key.4).collect();
+            let in_channel_order = |events: &[Msg]| {
+                let mut v = events.to_vec();
+                v.sort_unstable_by_key(|e| e.seq);
+                v
+            };
+            let (ss, rs) = (in_channel_order(ss), in_channel_order(rs));
+            let send_halves: Vec<u8> = ss.iter().map(Msg::half).collect();
+            let recv_halves: Vec<u8> = rs.iter().map(Msg::half).collect();
             if send_halves != recv_halves {
-                let mut locations = locs(sched, ss);
-                locations.extend(locs(sched, rs));
+                let mut locations = locs(src, &ss);
+                locations.extend(locs(dst, &rs));
                 diagnostics.push(Diagnostic {
                     code: "misordered_channel",
                     severity: Severity::Error,
                     message: format!(
-                        "halves of {} travel P{}->P{} in send order {send_halves:?} but are \
+                        "halves of {} travel P{src}->P{dst} in send order {send_halves:?} but are \
                          consumed in order {recv_halves:?}; the runtime MsgKey does not carry \
                          the half index, so the inbox would deliver the wrong payload",
-                        fmt_key((coarse.0, coarse.1, coarse.2, coarse.3, 0)),
-                        ch.0,
-                        ch.1
+                        fmt_key(coarse << 1),
                     ),
                     locations,
                 });
             }
         }
 
-        // Parking bound: match each recv (in consumer order) to its send's
-        // channel position; the k-th recv matching the p-th send parks at
-        // most p - k messages.
-        let send_pos: HashMap<Key, usize> = s.iter().map(|e| (e.key, e.seq)).collect();
-        let mut max_parked = 0usize;
-        let mut matched = 0usize;
-        for e in r {
-            if let Some(&p) = send_pos.get(&e.key) {
-                max_parked = max_parked.max(p.saturating_sub(e.seq));
-                matched += 1;
-            }
-        }
         channels.push(ChannelStats {
-            src: ch.0 as u32,
-            dst: ch.1 as u32,
+            src,
+            dst,
             messages: matched,
             max_parked,
         });
@@ -314,38 +347,6 @@ pub fn lint(sched: &Schedule) -> CommLint {
         diagnostics,
         channels,
     }
-}
-
-fn push(
-    map: &mut HashMap<(usize, usize), Vec<Event>>,
-    ch: (usize, usize),
-    key: Key,
-    worker: usize,
-    op_index: usize,
-) {
-    let list = map.entry(ch).or_default();
-    let seq = list.len();
-    list.push(Event {
-        key,
-        worker,
-        op_index,
-        seq,
-    });
-}
-
-fn locs(sched: &Schedule, events: &[&Event]) -> Vec<OpLoc> {
-    let mut out: Vec<OpLoc> = events
-        .iter()
-        .map(|e| OpLoc::of(sched, e.worker, e.op_index))
-        .collect();
-    out.dedup();
-    out
-}
-
-fn sorted<K: Copy + Ord, V>(map: &HashMap<K, V>) -> Vec<(K, &V)> {
-    let mut v: Vec<(K, &V)> = map.iter().map(|(k, val)| (*k, val)).collect();
-    v.sort_by_key(|&(k, _)| k);
-    v
 }
 
 #[cfg(test)]
