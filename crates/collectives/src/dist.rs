@@ -6,8 +6,8 @@
 //!
 //! Bit-exactness carries over: [`TransportKeyed`] gathers every member's
 //! `(micro, gradient)` contributions at the group root and sums them with
-//! [`crate::keyed::sum_in_key_order`] — exactly the accumulation order the
-//! shared-memory `KeyedMember` uses — so a distributed data-parallel run
+//! the summation kernel the shared-memory `KeyedMember` uses, in the same
+//! `(key, member)` order — so a distributed data-parallel run
 //! produces parameters bitwise identical to the threaded one, which is what
 //! the TCP-loopback equivalence test asserts.
 //!
@@ -22,10 +22,11 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use chimera_comm::{CommError, KeyedReduce, MsgKey, Payload, Rank, Transport};
+use chimera_comm::{CommError, KeyedReduce, MsgKey, Payload, Rank, Reduced, Transport};
+use chimera_tensor::{ops, pool};
 use chimera_trace::{Counter, MetricsRegistry};
 
-use crate::keyed::sum_in_key_order;
+use crate::keyed::sum_keyed;
 
 type Contribution = Vec<(u64, Vec<f32>)>;
 
@@ -112,7 +113,7 @@ impl KeyedReduce for TransportKeyed {
         }
     }
 
-    fn fetch_deadline(&self, timeout: Duration) -> Option<Vec<f32>> {
+    fn fetch_deadline(&self, timeout: Duration) -> Option<Reduced> {
         self.fetches.inc();
         let round = self.fetch_round.fetch_add(1, Ordering::Relaxed);
         let root_key = MsgKey::Coll {
@@ -121,28 +122,31 @@ impl KeyedReduce for TransportKeyed {
             from: self.root(),
         };
         if self.me != 0 {
-            return Some(self.ep.recv_deadline(root_key, timeout).ok()?.into_flat());
+            let sum = self.ep.recv_deadline(root_key, timeout).ok()?.into_flat();
+            return Some(Reduced::new(sum));
         }
         let deadline = Instant::now() + timeout;
-        let own = self.stash.lock().remove(&round).unwrap_or_default();
-        let mut all: Vec<(u64, usize, Vec<f32>)> =
-            own.into_iter().map(|(k, v)| (k, 0, v)).collect();
-        for (idx, &m) in self.members.iter().enumerate().skip(1) {
+        // By member index, the root's own first.
+        let mut all = vec![self.stash.lock().remove(&round).unwrap_or_default()];
+        for &m in &self.members[1..] {
             let remaining = deadline.saturating_duration_since(Instant::now());
             let key = MsgKey::Coll {
                 tag: self.tag,
                 round,
                 from: m,
             };
-            let payload = self.ep.recv_deadline(key, remaining).ok()?;
-            all.extend(payload.into_keyed().into_iter().map(|(k, v)| (k, idx, v)));
+            all.push(self.ep.recv_deadline(key, remaining).ok()?.into_keyed());
         }
-        let sum = sum_in_key_order(all);
+        let mut sum = Vec::new();
+        sum_keyed(&mut sum, &all);
+        for (_, buf) in all.into_iter().flatten() {
+            pool::put(buf);
+        }
         for &m in &self.members[1..] {
             // A dead member can't stall the survivors' update.
             let _ = self.ep.send(m, root_key, Payload::Flat(sum.clone()));
         }
-        Some(sum)
+        Some(Reduced::new(sum))
     }
 }
 
@@ -205,10 +209,7 @@ pub fn exact_allreduce(
             from: m,
         };
         let c = ep.recv_deadline(key, remaining)?.into_flat();
-        assert_eq!(c.len(), buf.len(), "allreduce length mismatch");
-        for (a, b) in buf.iter_mut().zip(&c) {
-            *a += b;
-        }
+        ops::add_ordered(buf, &[&c]);
     }
     for &m in &members[1..] {
         ep.send(m, root_key, Payload::Flat(buf.to_vec()))?;
@@ -378,7 +379,12 @@ mod tests {
                     let mut outs = Vec::new();
                     for round in 0..4u64 {
                         member.deposit(vec![(i as u64, vec![round as f32])]);
-                        outs.push(member.fetch_deadline(Duration::from_secs(5)).unwrap());
+                        outs.push(
+                            member
+                                .fetch_deadline(Duration::from_secs(5))
+                                .unwrap()
+                                .to_vec(),
+                        );
                     }
                     outs
                 })

@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
+use chimera_tensor::ops;
 use chimera_trace::{Counter, MetricsRegistry};
 
 struct State {
@@ -82,20 +83,24 @@ impl ExactMember {
         if n == 1 {
             return;
         }
+        let mine = buf.to_vec();
         let mut st = self.shared.state.lock();
         let gen = st.generation;
-        st.contributions[self.rank] = Some(buf.to_vec());
+        st.contributions[self.rank] = Some(mine);
         st.arrived += 1;
         if st.arrived == n {
-            // Last to arrive reduces, strictly in rank order.
-            let mut acc = st.contributions[0].take().expect("rank 0 contributed");
-            for r in 1..n {
-                let c = st.contributions[r].take().expect("rank contributed");
-                assert_eq!(c.len(), acc.len(), "allreduce length mismatch");
-                for (a, b) in acc.iter_mut().zip(&c) {
-                    *a += b;
-                }
-            }
+            // Last to arrive reduces, strictly in rank order, with the lock
+            // released: nobody else can move until the result is published.
+            let all: Vec<Vec<f32>> = st
+                .contributions
+                .iter_mut()
+                .map(|c| c.take().expect("rank contributed"))
+                .collect();
+            drop(st);
+            let terms: Vec<&[f32]> = all.iter().map(Vec::as_slice).collect();
+            let mut acc = vec![0.0; buf.len()];
+            ops::sum_ordered(&mut acc, &terms);
+            st = self.shared.state.lock();
             st.result = Some(Arc::new(acc));
             self.shared.cv.notify_all();
         } else {
@@ -104,7 +109,9 @@ impl ExactMember {
             }
         }
         let result = st.result.as_ref().expect("result present").clone();
+        drop(st);
         buf.copy_from_slice(&result);
+        st = self.shared.state.lock();
         st.departed += 1;
         if st.departed == n {
             st.result = None;

@@ -26,5 +26,5 @@ pub mod ring;
 pub use compress::{dequantize, quantize, top_k, Quantized, Sparse};
 pub use dist::{exact_allreduce, ring_allreduce, TransportKeyed};
 pub use exact::{exact_group, ExactMember};
-pub use keyed::{keyed_group, sum_in_key_order, KeyedMember};
+pub use keyed::{keyed_group, sum_in_key_order, KeyedMember, PendingReduction};
 pub use ring::{ring_group, RingMember};

@@ -57,5 +57,5 @@ pub use fault::{FaultInjection, SendFault};
 pub use local::{LocalEndpoint, LocalFabric};
 pub use modelcheck::{explore, Exploration, StepOutcome};
 pub use tcp::{Liveness, SessionStats, TcpConfig, TcpEndpoint, TcpFabric, TAG_HEARTBEAT};
-pub use transport::{CommError, KeyedReduce, MsgKey, Payload, Rank, Transport};
+pub use transport::{CommError, KeyedReduce, MsgKey, Payload, Rank, Reduced, Transport};
 pub use wire::{read_raw_frame, write_raw_frame, Frame, MAX_FRAME, SEQ_UNSEQUENCED, WIRE_VERSION};

@@ -9,10 +9,11 @@
 //! `try_fetch`, ...), and [`explore`] enumerates every schedule of those
 //! steps by depth-first search, rebuilding the world from scratch to replay
 //! each branch. Because the inbox and keyed-reduce operations are
-//! linearizable (every operation happens under one lock), every real
-//! thread interleaving is equivalent to some sequential schedule of steps —
-//! so exhausting the schedules exhausts the behaviors, including
-//! drop/park/wake orderings.
+//! linearizable (every operation happens under one lock — the keyed
+//! reduction, which sums with the lock released, is modelled as two steps,
+//! `try_claim` and `complete`), every real thread interleaving is
+//! equivalent to some sequential schedule of steps — so exhausting the
+//! schedules exhausts the behaviors, including drop/park/wake orderings.
 //!
 //! A step may return [`StepOutcome::Blocked`] to model a wait whose
 //! condition is not yet true (e.g. `try_recv` returning `None`); blocked

@@ -1,6 +1,7 @@
 //! The transport abstraction: keyed, deadline-aware point-to-point
 //! messaging between ranks.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use chimera_tensor::Tensor;
@@ -221,7 +222,35 @@ pub trait KeyedReduce: Send {
 
     /// Deadline-aware wait for this member's next un-fetched round; `None`
     /// on expiry.
-    fn fetch_deadline(&self, timeout: Duration) -> Option<Vec<f32>>;
+    fn fetch_deadline(&self, timeout: Duration) -> Option<Reduced>;
+}
+
+/// One round's reduced vector: a read-only handle (it derefs to `[f32]`)
+/// that every member of the group may hold on the same buffer, so a fetch
+/// copies nothing. What happens to the buffer when the last handle drops is
+/// the backend's business — the shared-memory group recycles it.
+#[derive(Clone)]
+pub struct Reduced(Arc<dyn AsRef<[f32]> + Send + Sync>);
+
+impl Reduced {
+    /// Share `buf` as a round's result.
+    pub fn new(buf: impl AsRef<[f32]> + Send + Sync + 'static) -> Self {
+        Reduced(Arc::new(buf))
+    }
+}
+
+impl std::ops::Deref for Reduced {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        (*self.0).as_ref()
+    }
+}
+
+impl std::fmt::Debug for Reduced {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
 }
 
 /// Poll with bounded exponential backoff until `f` produces a value or the

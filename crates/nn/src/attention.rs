@@ -251,6 +251,12 @@ impl Attention {
         dqkv
     }
 
+    /// Visit each parameter slice in flat-layout order.
+    pub fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut [f32])) {
+        self.wqkv.for_each_param_mut(f);
+        self.wo.for_each_param_mut(f);
+    }
+
     /// Append parameters (`[wqkv.., wo..]`).
     pub fn write_params(&self, out: &mut Vec<f32>) {
         self.wqkv.write_params(out);

@@ -48,6 +48,12 @@ impl LayerNorm {
         dx
     }
 
+    /// Visit each parameter slice in flat-layout order (`γ`, then `β`).
+    pub fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut [f32])) {
+        f(&mut self.gamma);
+        f(&mut self.beta);
+    }
+
     /// Append parameters (`[γ.., β..]`).
     pub fn write_params(&self, out: &mut Vec<f32>) {
         out.extend_from_slice(&self.gamma);
@@ -175,6 +181,15 @@ impl TransformerBlock {
         let mut dx = self.ln1.backward(&stash.ln1, &d_a, g_ln1);
         dx.add_assign(&d_after_attn); // residual
         dx
+    }
+
+    /// Visit each parameter slice in flat-layout order.
+    pub fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut [f32])) {
+        self.ln1.for_each_param_mut(f);
+        self.attn.for_each_param_mut(f);
+        self.ln2.for_each_param_mut(f);
+        self.fc1.for_each_param_mut(f);
+        self.fc2.for_each_param_mut(f);
     }
 
     /// Append parameters.

@@ -62,6 +62,12 @@ impl Embedding {
         }
     }
 
+    /// Visit each parameter slice in flat-layout order (`table`, then `pos`).
+    pub fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut [f32])) {
+        f(self.table.data_mut());
+        f(self.pos.data_mut());
+    }
+
     /// Append parameters (`[table.., pos..]`).
     pub fn write_params(&self, out: &mut Vec<f32>) {
         out.extend_from_slice(self.table.data());

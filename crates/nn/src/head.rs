@@ -101,6 +101,12 @@ impl OutputHead {
         self.ln.backward(&stash.ln, &d_n, g_ln)
     }
 
+    /// Visit each parameter slice in flat-layout order.
+    pub fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut [f32])) {
+        self.ln.for_each_param_mut(f);
+        self.proj.for_each_param_mut(f);
+    }
+
     /// Append parameters (`[ln.., proj..]`).
     pub fn write_params(&self, out: &mut Vec<f32>) {
         self.ln.write_params(out);

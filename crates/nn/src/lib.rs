@@ -43,6 +43,6 @@ pub use data::SyntheticData;
 pub use embedding::Embedding;
 pub use head::OutputHead;
 pub use linear::Linear;
-pub use optim::{LrSchedule, Optimizer, OptimizerKind, Sgd};
+pub use optim::{LrSchedule, Optimizer, OptimizerKind, Sgd, StepInFlight};
 pub use reference::ReferenceTrainer;
 pub use stage::{MicroStash, ModelConfig, Stage, StageOutput};

@@ -45,6 +45,12 @@ impl Linear {
         dy.matmul_t(&self.w)
     }
 
+    /// Visit each parameter slice in flat-layout order (`W`, then `b`).
+    pub fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut [f32])) {
+        f(self.w.data_mut());
+        f(&mut self.b);
+    }
+
     /// Append parameters to `out` in the canonical `[W.., b..]` order.
     pub fn write_params(&self, out: &mut Vec<f32>) {
         out.extend_from_slice(self.w.data());

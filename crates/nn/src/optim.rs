@@ -136,34 +136,31 @@ impl Optimizer {
         }
     }
 
-    /// Apply one update with learning rate `lr`.
+    /// Apply one update with learning rate `lr` to the whole flat vector:
+    /// [`Self::begin_step`] and one [`StepInFlight::apply`] over everything.
     pub fn step(&mut self, params: &mut [f32], grad: &[f32], lr: f32) {
         assert_eq!(params.len(), self.m.len());
-        assert_eq!(params.len(), grad.len());
+        self.begin_step(lr).apply(0, params, grad);
+    }
+
+    /// Open update `t + 1`: the step count advances and Adam's bias
+    /// corrections are fixed here, once; the caller then applies the update
+    /// range by range — every element exactly once — wherever the parameters
+    /// live (see `Stage::step`, which never flattens them).
+    pub fn begin_step(&mut self, lr: f32) -> StepInFlight<'_> {
         self.t += 1;
-        match self.kind {
-            OptimizerKind::Sgd { momentum } => {
-                for ((p, m), &g) in params.iter_mut().zip(&mut self.m).zip(grad) {
-                    *m = momentum * *m + g;
-                    *p -= lr * *m;
-                }
-            }
-            OptimizerKind::Adam { beta1, beta2, eps } => {
-                let bc1 = 1.0 - pow_by_squaring(beta1, self.t);
-                let bc2 = 1.0 - pow_by_squaring(beta2, self.t);
-                for (((p, m), v), &g) in params
-                    .iter_mut()
-                    .zip(&mut self.m)
-                    .zip(&mut self.v)
-                    .zip(grad)
-                {
-                    *m = beta1 * *m + (1.0 - beta1) * g;
-                    *v = beta2 * *v + (1.0 - beta2) * g * g;
-                    let mhat = *m / bc1;
-                    let vhat = *v / bc2;
-                    *p -= lr * mhat / (vhat.sqrt() + eps);
-                }
-            }
+        let (bc1, bc2) = match self.kind {
+            OptimizerKind::Sgd { .. } => (1.0, 1.0),
+            OptimizerKind::Adam { beta1, beta2, .. } => (
+                1.0 - pow_by_squaring(beta1, self.t),
+                1.0 - pow_by_squaring(beta2, self.t),
+            ),
+        };
+        StepInFlight {
+            opt: self,
+            lr,
+            bc1,
+            bc2,
         }
     }
 
@@ -205,6 +202,49 @@ impl Optimizer {
     /// True when managing zero parameters.
     pub fn is_empty(&self) -> bool {
         self.m.is_empty()
+    }
+}
+
+/// One optimizer update being applied range by range; see
+/// [`Optimizer::begin_step`].
+pub struct StepInFlight<'a> {
+    opt: &'a mut Optimizer,
+    lr: f32,
+    bc1: f32,
+    bc2: f32,
+}
+
+impl StepInFlight<'_> {
+    /// Update `params`, the parameters at `offset..offset + params.len()` of
+    /// the flat layout, from the matching `grad` range. Elementwise, so the
+    /// bits do not depend on how the layout is cut into ranges.
+    pub fn apply(&mut self, offset: usize, params: &mut [f32], grad: &[f32]) {
+        assert_eq!(params.len(), grad.len());
+        let range = offset..offset + params.len();
+        let lr = self.lr;
+        match self.opt.kind {
+            OptimizerKind::Sgd { momentum } => {
+                for ((p, m), &g) in params.iter_mut().zip(&mut self.opt.m[range]).zip(grad) {
+                    *m = momentum * *m + g;
+                    *p -= lr * *m;
+                }
+            }
+            OptimizerKind::Adam { beta1, beta2, eps } => {
+                let (bc1, bc2) = (self.bc1, self.bc2);
+                for (((p, m), v), &g) in params
+                    .iter_mut()
+                    .zip(&mut self.opt.m[range.clone()])
+                    .zip(&mut self.opt.v[range])
+                    .zip(grad)
+                {
+                    *m = beta1 * *m + (1.0 - beta1) * g;
+                    *v = beta2 * *v + (1.0 - beta2) * g * g;
+                    let mhat = *m / bc1;
+                    let vhat = *v / bc2;
+                    *p -= lr * mhat / (vhat.sqrt() + eps);
+                }
+            }
+        }
     }
 }
 

@@ -4,7 +4,7 @@
 //! *bit-for-bit* — this is the executable form of the paper's
 //! "convergence friendly / no accuracy loss" claim (Table 2, §2).
 
-use chimera_tensor::pool;
+use chimera_tensor::{ops, pool};
 
 use crate::data::SyntheticData;
 use crate::optim::{LrSchedule, Optimizer, OptimizerKind};
@@ -95,9 +95,7 @@ impl ReferenceTrainer {
             let mut dy = None;
             for (i, stage) in self.stages.iter().enumerate().rev() {
                 let (dx, g) = stage.backward(&stashes[i], dy.take(), scale);
-                for (acc, v) in grads[i].iter_mut().zip(&g) {
-                    *acc += v;
-                }
+                ops::add_ordered(&mut grads[i], &[&g]);
                 pool::put(g);
                 dy = dx;
             }
@@ -105,10 +103,7 @@ impl ReferenceTrainer {
         // Update: the learning rate follows the schedule by update step.
         for ((stage, opt), g) in self.stages.iter_mut().zip(&mut self.optimizers).zip(grads) {
             let lr = self.lr_schedule.at(opt.steps());
-            let mut p = stage.params();
-            opt.step(&mut p, &g, lr);
-            stage.set_params(&p);
-            pool::put(p);
+            stage.step(opt, &g, lr);
             pool::put(g);
         }
         (loss_sum / n as f64) as f32

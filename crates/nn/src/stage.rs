@@ -7,6 +7,7 @@ use chimera_tensor::{pool, Rng, Tensor};
 use crate::block::{BlockStash, TransformerBlock};
 use crate::embedding::Embedding;
 use crate::head::{HeadStash, OutputHead};
+use crate::optim::Optimizer;
 
 /// Global model description.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -308,6 +309,35 @@ impl Stage {
             h.write_params(&mut out);
         }
         out
+    }
+
+    /// One optimizer update applied where the parameters live: `grad` (flat,
+    /// in [`Stage::params`] layout) is walked range by range alongside the
+    /// parameter tensors, so nothing is flattened or loaded back. Bit for
+    /// bit what `params` → [`Optimizer::step`] → `set_params` computes.
+    pub fn step(&mut self, opt: &mut Optimizer, grad: &[f32], lr: f32) {
+        assert_eq!(grad.len(), self.num_params());
+        assert_eq!(opt.len(), grad.len());
+        let mut update = opt.begin_step(lr);
+        let mut at = 0;
+        self.for_each_param_mut(&mut |p| {
+            update.apply(at, p, &grad[at..at + p.len()]);
+            at += p.len();
+        });
+        debug_assert_eq!(at, grad.len());
+    }
+
+    /// Visit every parameter slice in the flat layout's order.
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut [f32])) {
+        if let Some(e) = &mut self.embedding {
+            e.for_each_param_mut(f);
+        }
+        for b in &mut self.blocks {
+            b.for_each_param_mut(f);
+        }
+        if let Some(h) = &mut self.head {
+            h.for_each_param_mut(f);
+        }
     }
 
     /// Load flat parameters (layout of [`Stage::params`]).

@@ -153,7 +153,7 @@ pub fn train_worker_process_recoverable(
     w: u32,
     recovery: Option<&RecoverySpec>,
 ) -> Result<Option<DistOutcome>, TrainError> {
-    crate::runtime::check_supported(sched)?;
+    let mut programs = crate::program::lower(sched)?;
     let d = sched.d;
     let per_group = sched.num_workers() as u32;
     assert_eq!(
@@ -165,6 +165,7 @@ pub fn train_worker_process_recoverable(
     let group = rank / per_group;
     let lw = rank % per_group;
     let wid = WorkerId(lw);
+    let program = Arc::new(programs.swap_remove(lw as usize));
 
     let kind = opts.optimizer_kind();
     let canon_stages = Stage::build_all(cfg, d);
@@ -216,26 +217,23 @@ pub fn train_worker_process_recoverable(
         // the exact order the in-process runtime assigns, so the
         // key-ordered sum is bitwise identical. Rebuilt per segment so a
         // replayed segment restarts its rounds from zero on every rank.
-        let mut sync: HashMap<u32, Box<dyn KeyedReduce>> = HashMap::new();
-        for s in 0..d {
+        let mut sync: Vec<(u32, Box<dyn KeyedReduce>)> = Vec::new();
+        for &s in &program.reducer_stages {
             let holders = sched.placement.stage_holders(StageId(s));
-            if !holders.contains(&wid) {
-                continue;
-            }
             let mut members: Vec<Rank> = Vec::with_capacity(holders.len() * w as usize);
             for g in 0..w {
                 for h in &holders {
                     members.push(g * per_group + h.0);
                 }
             }
-            sync.insert(
+            sync.push((
                 s,
                 Box::new(TransportKeyed::new(ep.clone(), s, members)) as _,
-            );
+            ));
         }
         let worker = Worker::new(
             wid,
-            sched,
+            program.clone(),
             group,
             w,
             stages,
@@ -244,7 +242,6 @@ pub fn train_worker_process_recoverable(
             SyntheticData::new(cfg, opts.data_seed),
             opts.clone(),
             seg,
-            Vec::new(),
         );
         let result = worker.run().map_err(escalate)?;
         losses.extend(result.losses);

@@ -190,14 +190,19 @@ pub enum TrainError {
     },
     /// Saving or restoring a recovery checkpoint failed.
     Checkpoint(CheckpointError),
-    /// The schedule contains an op the runtime cannot execute: only
-    /// full-micro chunks are lowered, not §3.5's forward-doubling pairs or
-    /// backward-halving halves. Reported before any worker is spawned.
+    /// The schedule has a shape the runtime cannot execute — a chunked op
+    /// (§3.5's forward-doubling pairs and backward-halving halves are not
+    /// lowered), an op on a `(replica, stage)` its worker does not hold, a
+    /// backward without its forward, an allreduce wait without a launch, a
+    /// boundary message without a counterpart. Found while lowering the
+    /// schedule, before any worker is spawned.
     UnsupportedSchedule {
         /// Worker whose program holds the op.
         worker: u32,
         /// The first such op, e.g. `F m0+1@s0/r0`.
         op: String,
+        /// What about it cannot be executed.
+        reason: &'static str,
     },
 }
 
@@ -233,10 +238,9 @@ impl std::fmt::Display for TrainError {
                 write!(f, "no worker returned stage {stage}")
             }
             TrainError::Checkpoint(e) => write!(f, "recovery checkpoint failed: {e}"),
-            TrainError::UnsupportedSchedule { worker, op } => write!(
+            TrainError::UnsupportedSchedule { worker, op, reason } => write!(
                 f,
-                "schedule op {op} on worker w{worker} is not a full-micro chunk; the \
-                 runtime does not execute forward-doubling or backward-halving schedules"
+                "the runtime cannot execute schedule op {op} on worker w{worker}: {reason}"
             ),
         }
     }

@@ -269,6 +269,9 @@ pub struct MemReport {
     pub first_micro_misses: u64,
     /// Pool misses across the whole first iteration.
     pub first_iter_misses: u64,
+    /// Pool misses in every later iteration of the segment together. Zero
+    /// once the pool is balanced: each iteration then puts back what it took.
+    pub steady_misses: u64,
     /// Whether the worker pre-warmed its pool from the liveness plan.
     pub prewarmed: bool,
 }

@@ -31,7 +31,7 @@ use std::time::Duration;
 use chimera_collectives::keyed_group;
 use chimera_comm::{FaultInjection, KeyedReduce, LocalFabric, SendFault, Transport};
 use chimera_core::schedule::Schedule;
-use chimera_core::{Chunk, StageId, WorkerId};
+use chimera_core::{StageId, WorkerId};
 use chimera_nn::checkpoint;
 use chimera_nn::{ModelConfig, Optimizer, Stage, SyntheticData};
 use chimera_tensor::{kernels, pool};
@@ -40,6 +40,7 @@ use chimera_trace::{now_ns, CounterEvent, Event, MetricsRegistry, SpanEvent, Spa
 use crate::error::{TrainError, WorkerError};
 use crate::fault::RecoveryPolicy;
 use crate::mem::{MemReport, ModelFootprint};
+use crate::program::{self, Program};
 use crate::worker::{SegmentSpec, TrainOptions, Worker};
 
 /// Outcome of a pipelined training run.
@@ -111,19 +112,6 @@ pub fn train(
     train_hybrid(sched, cfg, opts, 1)
 }
 
-/// The runtime lowers full-micro chunks only — not §3.5's forward-doubling
-/// pairs or backward-halving halves. Name the first op it cannot execute, so
-/// the caller hears it before any worker is spawned.
-pub(crate) fn check_supported(sched: &Schedule) -> Result<(), TrainError> {
-    match sched.iter_ops().find(|(_, _, op)| op.chunk != Chunk::Full) {
-        Some((w, _, op)) => Err(TrainError::UnsupportedSchedule {
-            worker: w.0,
-            op: op.to_string(),
-        }),
-        None => Ok(()),
-    }
-}
-
 /// The supervisor's own trace lane (track id = worker count at launch, so
 /// it sits below the worker lanes in the Chrome view).
 struct SupervisorTrace {
@@ -173,7 +161,7 @@ pub fn train_hybrid(
     w: u32,
 ) -> Result<TrainResult, TrainError> {
     assert!(w >= 1);
-    check_supported(sched)?;
+    let mut programs = program::lower(sched)?;
     let d = sched.d;
     let data = SyntheticData::new(cfg, opts.data_seed);
 
@@ -218,6 +206,19 @@ pub fn train_hybrid(
     let mut checkpoint_bytes = checkpoint::save_state(&canon_stages, &canon_opts);
     ckpt_saves.inc();
 
+    // Pool pre-sizing plans from the exact liveness analysis: one measured
+    // footprint probe and one dataflow pass per run, shared by every segment
+    // and replica group (all are schedule-identical, and sizes depend on
+    // shapes only). Skipped when prewarming is off — the workers would
+    // ignore the plan anyway.
+    if opts.pool && opts.prewarm {
+        let fp = ModelFootprint::probe(&canon_stages, opts.micro_batch);
+        for (program, plan) in programs.iter_mut().zip(crate::mem::plan(sched, &fp)) {
+            program.pool_plan = plan.classes;
+        }
+    }
+    let programs: Vec<Arc<Program>> = programs.into_iter().map(Arc::new).collect();
+
     let seg_len = opts
         .checkpoint_every
         .filter(|&c| c > 0)
@@ -241,6 +242,7 @@ pub fn train_hybrid(
         let seg_start = sup.as_ref().map(|_| now_ns());
         let outcome = run_segment(
             sched,
+            &programs,
             &canon_stages,
             &canon_opts,
             seg,
@@ -274,6 +276,9 @@ pub fn train_hybrid(
                 }
                 canon_stages = out.stages;
                 canon_opts = out.optimizers;
+                // The superseded checkpoint goes first: the two are never
+                // needed together, and each is the size of the model.
+                drop(std::mem::take(&mut checkpoint_bytes));
                 checkpoint_bytes = checkpoint::save_state(&canon_stages, &canon_opts);
                 ckpt_saves.inc();
                 micro_base += seg_iters as u64 * sched.n as u64 * w_active as u64;
@@ -474,6 +479,7 @@ type TimeoutInfo = (u32, u32, u32, String, Duration);
 #[allow(clippy::too_many_arguments)]
 fn run_segment(
     sched: &Schedule,
+    programs: &[Arc<Program>],
     canon_stages: &[Stage],
     canon_opts: &[Optimizer],
     seg: SegmentSpec,
@@ -523,8 +529,8 @@ fn run_segment(
 
     // Allreduce groups: one keyed group per stage spanning every group's
     // holders, ranked (group, holder) for determinism.
-    let mut sync_per_worker: Vec<HashMap<u32, Box<dyn KeyedReduce>>> =
-        (0..total_workers).map(|_| HashMap::new()).collect();
+    let mut sync_per_worker: Vec<Vec<(u32, Box<dyn KeyedReduce>)>> =
+        (0..total_workers).map(|_| Vec::new()).collect();
     for s in 0..d {
         let holders = sched.placement.stage_holders(StageId(s));
         let mut members = keyed_group(holders.len() * w as usize);
@@ -533,24 +539,10 @@ fn run_segment(
             for h in &holders {
                 let global = g as usize * per_group + h.idx();
                 sync_per_worker[global]
-                    .insert(s, Box::new(members.pop().expect("member per holder")) as _);
+                    .push((s, Box::new(members.pop().expect("member per holder")) as _));
             }
         }
     }
-
-    // Pool pre-sizing plans from the exact liveness analysis: one measured
-    // footprint probe, one dataflow pass, shared by every replica group
-    // (groups are schedule-identical). Skipped when prewarming is off — the
-    // workers would ignore the plan anyway.
-    let plans: Vec<Vec<(usize, usize)>> = if opts.pool && opts.prewarm && pool::enabled() {
-        let fp = ModelFootprint::probe(canon_stages, opts.micro_batch);
-        crate::mem::plan(sched, &fp)
-            .into_iter()
-            .map(|p| p.classes)
-            .collect()
-    } else {
-        vec![Vec::new(); per_group]
-    };
 
     // Spawn workers on clones of the canonical stage + optimizer state.
     let wopts = TrainOptions {
@@ -561,7 +553,7 @@ fn run_segment(
     let mut sync_iter = sync_per_worker.into_iter();
     let mut ep_iter = endpoints.into_iter();
     for g in 0..w {
-        for (lw, plan) in plans.iter().enumerate() {
+        for (lw, program) in programs.iter().enumerate() {
             let wid = WorkerId(lw as u32);
             let ep: Arc<dyn Transport> = Arc::new(ep_iter.next().expect("endpoint per worker"));
             let sync = sync_iter.next().expect("sync map per worker");
@@ -580,7 +572,7 @@ fn run_segment(
                 .collect();
             let worker = Worker::new(
                 wid,
-                sched,
+                program.clone(),
                 g,
                 w,
                 stages,
@@ -589,7 +581,6 @@ fn run_segment(
                 data,
                 wopts.clone(),
                 seg,
-                plan.clone(),
             );
             handles.push((
                 g,

@@ -1,5 +1,7 @@
-//! One pipeline worker: a thread executing its schedule ops on real model
-//! stages.
+//! One pipeline worker: a thread executing its lowered schedule (a
+//! `program` of flat rows) on real model stages. Everything a row
+//! touches — stage, optimizer, pending gradients, stash, weight version,
+//! reducer — sits in a `Vec` the row indexes; nothing is looked up by key.
 //!
 //! Workers are generic over the interconnect: all point-to-point traffic
 //! goes through a [`chimera_comm::Transport`] endpoint (crossbeam channels
@@ -12,15 +14,11 @@
 //! and blocked op, and the supervisor in [`crate::runtime`] decides whether
 //! to recover.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use chimera_comm::{KeyedReduce, MsgKey, Payload, Transport};
-use chimera_core::op::{Chunk, Op, OpKind};
-use chimera_core::placement::Placement;
-use chimera_core::schedule::Schedule;
-use chimera_core::{ReplicaId, StageId, WorkerId};
+use chimera_comm::{KeyedReduce, Payload, Reduced, Transport};
+use chimera_core::WorkerId;
 use chimera_nn::{LrSchedule, MicroStash, Optimizer, OptimizerKind, Stage, SyntheticData};
 use chimera_tensor::{kernels, pool, Tensor};
 use chimera_trace::{now_ns, Counter, Event, MetricsRegistry, SpanEvent, SpanKind, TraceSink};
@@ -28,8 +26,7 @@ use chimera_trace::{now_ns, Counter, Event, MetricsRegistry, SpanEvent, SpanKind
 use crate::error::WorkerError;
 use crate::fault::{FaultSpec, RecoveryPolicy};
 use crate::mem::{MemReport, MemTracker};
-
-type StageKey = (u32, u32); // (replica, stage)
+use crate::program::{KeyTemplate, Program, Row, RowKind};
 
 /// Training hyper-parameters shared by every worker.
 #[derive(Debug, Clone)]
@@ -129,8 +126,8 @@ struct Tracer {
     p2p_bytes: Arc<Counter>,
     p2p_wait_ns: Arc<Counter>,
     allreduce_launches: Arc<Counter>,
-    /// Wall-clock compute nanoseconds per held stage.
-    stage_compute_ns: HashMap<u32, Arc<Counter>>,
+    /// Wall-clock compute nanoseconds per held stage, by held index.
+    stage_compute_ns: Vec<Arc<Counter>>,
 }
 
 impl Tracer {
@@ -189,22 +186,30 @@ pub struct SegmentSpec {
     pub micro_base: u64,
 }
 
+/// One `(replica, stage)` this worker holds, with everything that belongs
+/// to it. Rows address it by its index in [`Worker::held`].
+struct Held {
+    replica: u32,
+    stage_id: u32,
+    stage: Stage,
+    opt: Optimizer,
+    /// This iteration's per-micro gradients, waiting for the next launch.
+    grads: Vec<(u64, Vec<f32>)>,
+}
+
 /// One worker's runtime state.
 pub struct Worker {
     /// This worker's id within its pipeline group.
     pub id: WorkerId,
-    d: u32,
     /// Data-parallel group this worker belongs to (`0..W`, §3.3).
     group: u32,
     /// Total number of replicated pipeline groups `W`.
     w_total: u32,
-    n_per_iter: u32,
-    ops: Vec<Op>,
-    has_sync_ops: bool,
-    placement: Placement,
-    stages: HashMap<StageKey, Stage>,
-    optimizers: HashMap<StageKey, Optimizer>,
-    sync: HashMap<u32, Box<dyn KeyedReduce>>, // by stage
+    program: Arc<Program>,
+    /// Parallel to [`Program::held`].
+    held: Vec<Held>,
+    /// Parallel to [`Program::reducer_stages`].
+    reducers: Vec<Box<dyn KeyedReduce>>,
     /// This worker's interconnect endpoint; global rank `group · D + id`.
     ep: Arc<dyn Transport>,
     data: SyntheticData,
@@ -213,117 +218,101 @@ pub struct Worker {
     /// Global iteration currently executing (for fault matching and error
     /// diagnostics).
     cur_iter: u32,
-    stashes: HashMap<(u32, u32, u64), MicroStash>,
-    grads: HashMap<StageKey, Vec<(u64, Vec<f32>)>>,
-    recomputing: Vec<(ReplicaId, StageId)>,
-    losses: Vec<(u64, f32)>,
+    /// Activation stashes of in-flight micro-batches, by the row's slot.
+    stashes: Vec<Option<MicroStash>>,
     /// Asynchronous schedules (PipeDream) update weights mid-stream; to keep
     /// forward/backward weight versions consistent, each in-flight
     /// micro-batch must run its backward against the parameter version its
-    /// forward read (PipeDream's *weight stashing*).
-    stash_weights: bool,
-    /// Copy-on-update version store per held `(replica, stage)` — mirrors
-    /// the static walk in `chimera_verify::liveness`.
-    versions: HashMap<StageKey, VersionStore>,
-    /// Liveness-derived pool pre-sizing plan: `(size class, extra spares)`.
-    plan: Vec<(usize, usize)>,
+    /// forward read (PipeDream's *weight stashing*). Copy-on-update: the
+    /// update that would overwrite a still-referenced version parks **one**
+    /// copy here (not one per in-flight micro — PipeDream's Table-2 bound of
+    /// `D - s` resident versions at stage `s` is exactly what this attains
+    /// in steady state), in the slot lowering chose; the last backward that
+    /// reads it frees it.
+    versions: Vec<Option<Vec<f32>>>,
+    losses: Vec<(u64, f32)>,
     /// Element-exact accounting of held-across-op buffers.
     mem: MemTracker,
-    /// Index of the op currently executing within one iteration's schedule.
-    cur_op: usize,
     tracer: Option<Tracer>,
 }
 
-/// Copy-on-update weight versions of one `(replica, stage)`.
-///
-/// A forward merely records which version id it read; nothing is copied. The
-/// update that would overwrite a still-referenced version materializes **one**
-/// refcounted copy (not one per in-flight micro — PipeDream's Table-2 bound
-/// of `D - s` resident versions at stage `s` is exactly what this attains in
-/// steady state). The copy is freed when the last referencing micro's
-/// backward completes.
-#[derive(Default)]
-struct VersionStore {
-    /// Id of the live (in-`Stage`) parameter version.
-    current: u64,
-    /// In-flight micros whose forward read `current`.
-    current_refs: u32,
-    /// Global micro id → version id its forward read.
-    by_micro: HashMap<u64, u64>,
-    /// Materialized superseded versions: id → (params copy, refs).
-    stashed: HashMap<u64, (Vec<f32>, u32)>,
-}
-
 impl Worker {
-    /// Assemble a worker executing segment `seg`. Each `(replica, stage)`
-    /// entry carries the stage parameters **and** the optimizer state it
-    /// resumes from — fresh at iteration 0, restored from a checkpoint
-    /// after a recovery.
+    /// Assemble a worker executing segment `seg` of `program`. Each
+    /// `(replica, stage)` entry carries the stage parameters **and** the
+    /// optimizer state it resumes from — fresh at iteration 0, restored from
+    /// a checkpoint after a recovery; `sync` holds one `(stage, member)` per
+    /// distinct held stage. Both must cover exactly what the program holds.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         id: WorkerId,
-        sched: &Schedule,
+        program: Arc<Program>,
         group: u32,
         w_total: u32,
-        stages: Vec<(u32, u32, Stage, Optimizer)>,
-        sync: HashMap<u32, Box<dyn KeyedReduce>>,
+        mut stages: Vec<(u32, u32, Stage, Optimizer)>,
+        mut sync: Vec<(u32, Box<dyn KeyedReduce>)>,
         ep: Arc<dyn Transport>,
         data: SyntheticData,
         opts: TrainOptions,
         seg: SegmentSpec,
-        plan: Vec<(usize, usize)>,
     ) -> Self {
-        let d = sched.d;
-        let ops = sched.ops(id).to_vec();
-        let has_sync_ops = ops.iter().any(|o| o.kind == OpKind::AllReduceWait);
-        let mut stage_map = HashMap::new();
-        let mut optimizers = HashMap::new();
-        for (r, s, stage, opt) in stages {
-            debug_assert_eq!(opt.len(), stage.num_params());
-            optimizers.insert((r, s), opt);
-            stage_map.insert((r, s), stage);
-        }
+        stages.sort_by_key(|&(r, s, ..)| (r, s));
+        assert!(
+            stages
+                .iter()
+                .map(|&(r, s, ..)| (r, s))
+                .eq(program.held.iter().copied()),
+            "worker {id:?} must be given exactly the stages its program holds"
+        );
+        sync.sort_by_key(|&(s, _)| s);
+        assert!(
+            sync.iter()
+                .map(|&(s, _)| s)
+                .eq(program.reducer_stages.iter().copied()),
+            "worker {id:?} must be given one reducer per held stage"
+        );
+        let held: Vec<Held> = stages
+            .into_iter()
+            .map(|(replica, stage_id, stage, opt)| {
+                debug_assert_eq!(opt.len(), stage.num_params());
+                Held {
+                    replica,
+                    stage_id,
+                    stage,
+                    opt,
+                    grads: Vec::new(),
+                }
+            })
+            .collect();
         let tracer = opts.trace.clone().map(|sink| {
             let reg = MetricsRegistry::global();
-            let stage_compute_ns = stage_map
-                .keys()
-                .map(|&(_, s)| (s, reg.counter(&format!("runtime.stage.{s}.compute_ns"))))
-                .collect();
             Tracer {
                 sink,
-                track: group * d + id.0,
+                track: group * program.d + id.0,
                 p2p_bytes: reg.counter("runtime.p2p.bytes"),
                 p2p_wait_ns: reg.counter("runtime.p2p.wait_ns"),
                 allreduce_launches: reg.counter("runtime.allreduce.launches"),
-                stage_compute_ns,
+                stage_compute_ns: held
+                    .iter()
+                    .map(|h| reg.counter(&format!("runtime.stage.{}.compute_ns", h.stage_id)))
+                    .collect(),
             }
         });
         Worker {
             id,
-            d,
             group,
             w_total,
-            n_per_iter: sched.n,
-            ops,
-            has_sync_ops,
-            placement: sched.placement.clone(),
-            stages: stage_map,
-            optimizers,
-            sync,
+            held,
+            reducers: sync.into_iter().map(|(_, member)| member).collect(),
             ep,
             data,
             opts,
             seg,
             cur_iter: seg.start_iter,
-            stashes: HashMap::new(),
-            grads: HashMap::new(),
-            recomputing: sched.recomputing(),
+            stashes: (0..program.stash_slots).map(|_| None).collect(),
+            versions: vec![None; program.version_slots],
+            program,
             losses: Vec::new(),
-            stash_weights: !sched.flushes,
-            versions: HashMap::new(),
-            plan,
             mem: MemTracker::default(),
-            cur_op: 0,
             tracer,
         }
     }
@@ -336,100 +325,78 @@ impl Worker {
     /// reference uses, so keyed gradient reduction stays bit-exact across
     /// `W`.
     pub fn run(mut self) -> Result<WorkerResult, WorkerError> {
-        let ops = std::mem::take(&mut self.ops);
+        let program = self.program.clone();
         let prewarmed = self.opts.pool && self.opts.prewarm && pool::enabled();
         if prewarmed {
             self.prewarm();
         }
-        // Pool counters are thread-local, so this worker's first-iteration
-        // hit/miss behavior is measurable without races against siblings.
+        // Pool counters are thread-local, so this worker's hit/miss behavior
+        // is measurable without races against siblings.
         let miss_base = pool::local_stats().misses;
+        let misses = || pool::local_stats().misses - miss_base;
         let mut first_micro_misses = None;
-        let mut first_iter_misses = None;
+        let mut first_iter_misses = 0;
         for iter in 0..self.seg.iterations {
             self.cur_iter = self.seg.start_iter + iter;
             self.maybe_kill()?;
             let offset = self.seg.micro_base
-                + iter as u64 * self.n_per_iter as u64 * self.w_total as u64
-                + self.group as u64 * self.n_per_iter as u64;
-            for (i, op) in ops.iter().enumerate() {
-                self.cur_op = i;
-                self.exec(op, offset)?;
-                if iter == 0 && first_micro_misses.is_none() && op.is_compute() {
-                    first_micro_misses = Some(pool::local_stats().misses - miss_base);
+                + iter as u64 * self.program.n as u64 * self.w_total as u64
+                + self.group as u64 * self.program.n as u64;
+            let mut posthoc_start = None;
+            for (i, row) in program.rows.iter().enumerate() {
+                if i == program.implicit_from {
+                    posthoc_start = self.tracer.as_ref().map(|_| now_ns());
+                }
+                self.exec(row, offset)?;
+                if iter == 0 && first_micro_misses.is_none() && row.is_compute() {
+                    first_micro_misses = Some(misses());
                 }
             }
-            if !self.has_sync_ops {
-                // Implicit post-hoc synchronization: launch everything, then
-                // wait — partner workers may hold the same stages in a
-                // different order, so blocking per-stage reduces could
-                // deadlock.
-                self.cur_op = ops.len();
-                let t0 = self.tracer.as_ref().map(|_| now_ns());
-                let mut held: Vec<StageKey> = self.stages.keys().copied().collect();
-                held.sort_unstable();
-                for &(r, s) in &held {
-                    let contribution = self.grads.remove(&(r, s)).unwrap_or_default();
-                    let drained: usize = contribution.iter().map(|(_, g)| g.len()).sum();
-                    self.sync[&s].deposit(contribution);
-                    self.mem.sub(drained);
-                }
-                for &(r, s) in &held {
-                    let summed = self.fetch_reduced(s)?;
-                    self.apply_update(r, s, &summed);
-                    pool::put(summed);
-                }
-                if let (Some(tr), Some(start)) = (&self.tracer, t0) {
-                    tr.allreduce_launches.add(held.len() as u64);
-                    tr.span(
-                        SpanKind::AllReduce,
-                        format!("posthoc-sync i{}", self.cur_iter),
-                        start,
-                        now_ns(),
-                        None,
-                        None,
-                        None,
-                        None,
-                    );
-                }
+            // The implicit post-hoc rows trace as one allreduce span.
+            if let (Some(tr), Some(start)) = (&self.tracer, posthoc_start) {
+                tr.span(
+                    SpanKind::AllReduce,
+                    format!("posthoc-sync i{}", self.cur_iter),
+                    start,
+                    now_ns(),
+                    None,
+                    None,
+                    None,
+                    None,
+                );
             }
             if iter == 0 {
-                first_iter_misses = Some(pool::local_stats().misses - miss_base);
+                first_iter_misses = misses();
             }
         }
-        let mut stages: Vec<(u32, u32, Stage, Optimizer)> = Vec::new();
-        for ((r, s), stage) in self.stages {
-            let opt = self.optimizers.remove(&(r, s)).expect("optimizer held");
-            stages.push((r, s, stage, opt));
-        }
-        stages.sort_by_key(|&(r, s, ..)| (r, s));
         Ok(WorkerResult {
             losses: self.losses,
-            stages,
+            stages: self
+                .held
+                .into_iter()
+                .map(|h| (h.replica, h.stage_id, h.stage, h.opt))
+                .collect(),
             mem: MemReport {
                 high_water_elems: self.mem.high_water(),
                 high_at_op: self.mem.high_at(),
                 first_micro_misses: first_micro_misses.unwrap_or(0),
-                first_iter_misses: first_iter_misses.unwrap_or(0),
+                first_iter_misses,
+                steady_misses: misses() - first_iter_misses,
                 prewarmed,
             },
         })
     }
 
     /// Pre-warm this thread's pool: one dry forward/backward cycle per held
-    /// stage covers every transient size class a compute op touches (plus
-    /// two parameter-class spares for the optimizer and allreduce
-    /// round-trips); the liveness plan then tops each class up by the
-    /// maximum number of concurrently-held buffers (stashes, weight
-    /// versions, pending gradients). Shapes — not values — determine
-    /// allocation, so zeroed probe inputs warm exactly the classes training
-    /// will request.
+    /// stage covers every transient size class a compute op touches; the
+    /// liveness plan then tops each class up by the maximum number of
+    /// concurrently-held buffers (stashes, weight versions, pending
+    /// gradients). Shapes — not values — determine allocation, so zeroed
+    /// probe inputs warm exactly the classes training will request.
     fn prewarm(&mut self) {
-        let mut held: Vec<StageKey> = self.stages.keys().copied().collect();
-        held.sort_unstable();
-        for &(r, s) in &held {
-            let stage = &self.stages[&(r, s)];
-            let last = s + 1 == self.d;
+        for h in &self.held {
+            let (s, stage) = (h.stage_id, &h.stage);
+            let last = s + 1 == self.program.d;
             let cfg = stage.config();
             let rows = self.opts.micro_batch * cfg.seq;
             let tokens = vec![0u32; rows];
@@ -445,10 +412,15 @@ impl Worker {
             pool::put(grad);
             drop(dx);
             drop(stash);
-            pool::put(stage.params());
-            pool::put(stage.params());
+            if self.program.version_slots > 0 {
+                // A backward against a parked weight version swaps the live
+                // parameters out through one transient flat copy. (Updates
+                // and reduced gradients need none: parameters are stepped in
+                // place and the reduce result is shared, not copied.)
+                pool::put(stage.params());
+            }
         }
-        for &(class, extra) in &self.plan {
+        for &(class, extra) in &self.program.pool_plan {
             pool::prewarm(class, pool::spare_count(class) + extra);
         }
         // The packed GEMM engine draws per-grid-cell panel scratch from
@@ -495,119 +467,99 @@ impl Worker {
         })
     }
 
-    /// Wait (with deadline) for this worker's next reduced gradient of
-    /// stage `s`.
-    fn fetch_reduced(&self, s: u32) -> Result<Vec<f32>, WorkerError> {
-        self.sync[&s]
-            .fetch_deadline(self.opts.recv_timeout)
-            .ok_or(WorkerError::AllReduceTimeout {
-                group: self.group,
-                worker: self.id.0,
-                iteration: self.cur_iter,
-                stage: s,
-                waited: self.opts.recv_timeout,
-            })
-    }
-
-    fn exec(&mut self, op: &Op, offset: u64) -> Result<(), WorkerError> {
-        if self.tracer.is_none() {
-            return self.exec_op(op, offset);
-        }
+    /// Execute one row, under a span named after its op when tracing.
+    fn exec(&mut self, row: &Row, offset: u64) -> Result<(), WorkerError> {
+        let kind = self.tracer.as_ref().and_then(|tr| {
+            if row.kind == RowKind::Launch {
+                tr.allreduce_launches.inc();
+            }
+            row.span
+        });
+        let Some(kind) = kind else {
+            return self.exec_row(row, offset);
+        };
         let start = now_ns();
-        self.exec_op(op, offset)?;
+        self.exec_row(row, offset)?;
         let end = now_ns();
         let tr = self.tracer.as_ref().expect("tracer checked above");
-        let kind = match op.kind {
-            OpKind::Forward => SpanKind::Forward,
-            OpKind::Backward { recompute: false } => SpanKind::Backward,
-            OpKind::Backward { recompute: true } => SpanKind::Recompute,
-            OpKind::AllReduceLaunch => SpanKind::AllReduceLaunch,
-            OpKind::AllReduceWait => SpanKind::AllReduce,
-        };
-        if op.is_compute() {
-            if let Some(c) = tr.stage_compute_ns.get(&op.stage.0) {
-                c.add(end.saturating_sub(start));
-            }
+        if row.is_compute() {
+            tr.stage_compute_ns[row.held].add(end.saturating_sub(start));
         }
-        if op.kind == OpKind::AllReduceLaunch {
-            tr.allreduce_launches.inc();
-        }
+        let held = &self.held[row.held];
         tr.span(
             kind,
-            op.to_string(),
+            row.name.clone(),
             start,
             end,
-            Some(op.stage.0),
-            Some(op.replica.0),
-            op.is_compute().then(|| op.micro.0 as u64 + offset),
+            Some(held.stage_id),
+            Some(held.replica),
+            row.is_compute().then(|| row.micro as u64 + offset),
             None,
         );
         Ok(())
     }
 
-    fn exec_op(&mut self, op: &Op, offset: u64) -> Result<(), WorkerError> {
-        // `train*` reject anything else up front (`UnsupportedSchedule`).
-        debug_assert_eq!(op.chunk, Chunk::Full, "runtime supports full-micro chunks");
-        match op.kind {
-            OpKind::Forward => self.forward(op, offset),
-            OpKind::Backward { .. } => self.backward(op, offset),
-            OpKind::AllReduceLaunch => {
-                let contribution = self
-                    .grads
-                    .remove(&(op.replica.0, op.stage.0))
-                    .unwrap_or_default();
+    fn exec_row(&mut self, row: &Row, offset: u64) -> Result<(), WorkerError> {
+        match row.kind {
+            RowKind::Forward => self.forward(row, row.micro as u64 + offset),
+            RowKind::Backward => self.backward(row, row.micro as u64 + offset),
+            RowKind::Launch => {
+                let contribution = std::mem::take(&mut self.held[row.held].grads);
                 let drained: usize = contribution.iter().map(|(_, g)| g.len()).sum();
-                self.sync[&op.stage.0].deposit(contribution);
+                self.reducers[row.reducer].deposit(contribution);
                 self.mem.sub(drained);
                 Ok(())
             }
-            OpKind::AllReduceWait => {
-                self.note_update(op.replica.0, op.stage.0);
-                let summed = self.fetch_reduced(op.stage.0)?;
-                self.apply_update(op.replica.0, op.stage.0, &summed);
-                pool::put(summed);
+            RowKind::Wait => {
+                self.park_version(row);
+                let summed = self.fetch_reduced(row)?;
+                if !summed.is_empty() {
+                    let held = &mut self.held[row.held];
+                    let lr = self.opts.schedule().at(held.opt.steps());
+                    held.stage.step(&mut held.opt, &summed, lr);
+                }
                 Ok(())
             }
         }
     }
 
-    fn forward(&mut self, op: &Op, offset: u64) -> Result<(), WorkerError> {
-        let (r, s) = (op.replica.0, op.stage.0);
-        let g = op.micro.0 as u64 + offset;
-        let last = s + 1 == self.d;
+    /// Wait (with deadline) for the next reduced gradient of the row's stage.
+    fn fetch_reduced(&self, row: &Row) -> Result<Reduced, WorkerError> {
+        self.reducers[row.reducer]
+            .fetch_deadline(self.opts.recv_timeout)
+            .ok_or(WorkerError::AllReduceTimeout {
+                group: self.group,
+                worker: self.id.0,
+                iteration: self.cur_iter,
+                stage: self.held[row.held].stage_id,
+                waited: self.opts.recv_timeout,
+            })
+    }
+
+    fn forward(&mut self, row: &Row, g: u64) -> Result<(), WorkerError> {
+        let s = self.held[row.held].stage_id;
+        let last = s + 1 == self.program.d;
         let (tokens, targets) = if s == 0 || last {
             self.data.batch(g, self.opts.micro_batch)
         } else {
             (Vec::new(), Vec::new())
         };
-        let x = if s == 0 {
-            None
-        } else {
-            Some(self.recv(false, r, s - 1, g)?)
+        let x = match row.recv {
+            Some((_, key)) => Some(self.recv(key, g)?),
+            None => None,
         };
-        let stage = &self.stages[&(r, s)];
-        let (out, mut stash) = stage.forward(
+        let (out, mut stash) = self.held[row.held].stage.forward(
             x,
             (s == 0).then_some(tokens.as_slice()),
             last.then_some(targets.as_slice()),
         );
-        if self.recomputing.contains(&(op.replica, op.stage)) {
+        if row.boundary_only {
             stash.drop_to_boundary();
         }
-        let stashed_elems = stash.elements();
-        self.stashes.insert((r, s, g), stash);
-        self.mem.add(stashed_elems, self.cur_op);
-        if self.stash_weights {
-            // Copy-on-update: record which version this forward read —
-            // nothing is copied unless an update supersedes it while the
-            // micro is still in flight (see `note_update`).
-            let st = self.versions.entry((r, s)).or_default();
-            st.by_micro.insert(g, st.current);
-            st.current_refs += 1;
-        }
-        if let Some(act) = out.activation {
-            let to = self.placement.worker(op.replica, StageId(s + 1));
-            self.send(to, r, s, g, false, act)?;
+        self.mem.add(stash.elements(), row.op_ix);
+        self.stashes[row.stash_slot] = Some(stash);
+        if let (Some((to, key)), Some(act)) = (row.send, out.activation) {
+            self.send(to, key, g, act)?;
         }
         if let Some(loss) = out.loss {
             self.losses.push((g, loss));
@@ -615,107 +567,67 @@ impl Worker {
         Ok(())
     }
 
-    fn backward(&mut self, op: &Op, offset: u64) -> Result<(), WorkerError> {
-        let (r, s) = (op.replica.0, op.stage.0);
-        let g = op.micro.0 as u64 + offset;
-        let last = s + 1 == self.d;
-        let dy = if last {
-            None
-        } else {
-            Some(self.recv(true, r, s + 1, g)?)
+    fn backward(&mut self, row: &Row, g: u64) -> Result<(), WorkerError> {
+        let dy = match row.recv {
+            Some((_, key)) => Some(self.recv(key, g)?),
+            None => None,
         };
-        let mut stash = self
-            .stashes
-            .remove(&(r, s, g))
-            .expect("backward without stashed forward");
-        // PipeDream weight stashing (copy-on-update): the backward must use
-        // the parameter version this micro's forward read. Micros on the
-        // still-current version run in place — the values are identical, no
-        // swap needed; micros on a superseded version swap in the shared
-        // materialized copy and swap back after.
-        let mut restore: Option<(u64, Vec<f32>)> = None;
-        if self.stash_weights {
-            let st = self.versions.entry((r, s)).or_default();
-            if let Some(v) = st.by_micro.remove(&g) {
-                if v == st.current {
-                    st.current_refs = st.current_refs.saturating_sub(1);
-                } else {
-                    let stage = self.stages.get_mut(&(r, s)).expect("stage held");
-                    let saved = stage.params();
-                    let (version, _) = st.stashed.get(&v).expect("superseded version materialized");
-                    stage.set_params(version);
-                    restore = Some((v, saved));
-                }
-            }
-        }
-        let stage = &self.stages[&(r, s)];
+        let mut stash = self.stashes[row.stash_slot]
+            .take()
+            .expect("lowering pairs every backward with its forward's slot");
+        let held = &mut self.held[row.held];
+        let last = held.stage_id + 1 == self.program.d;
+        // Weight stashing: the backward must use the parameter version this
+        // micro's forward read. A micro on the still-current version runs in
+        // place; one on a superseded version swaps in the shared parked copy
+        // and swaps back after.
+        let saved = row.version_slot.map(|slot| {
+            let saved = held.stage.params();
+            let parked = self.versions[slot].as_ref().expect("version parked");
+            held.stage.set_params(parked);
+            saved
+        });
         if !stash.is_full() {
             let boundary = stash.elements();
             let (_, targets) = self.data.batch(g, self.opts.micro_batch);
-            stage.recompute(&mut stash, last.then_some(targets.as_slice()));
-            self.mem.add(stash.elements() - boundary, self.cur_op);
+            held.stage
+                .recompute(&mut stash, last.then_some(targets.as_slice()));
+            self.mem.add(stash.elements() - boundary, row.op_ix);
         }
-        let scale = 1.0 / (self.n_per_iter * self.w_total) as f32;
-        let (dx, grad) = stage.backward(&stash, dy, scale);
-        self.mem.add(grad.len(), self.cur_op);
-        if let Some((v, saved)) = restore {
-            self.stages
-                .get_mut(&(r, s))
-                .expect("stage held")
-                .set_params(&saved);
+        let scale = 1.0 / (self.program.n * self.w_total) as f32;
+        let (dx, grad) = held.stage.backward(&stash, dy, scale);
+        self.mem.add(grad.len(), row.op_ix);
+        if let Some(saved) = saved {
+            held.stage.set_params(&saved);
             pool::put(saved);
-            let st = self.versions.get_mut(&(r, s)).expect("version store");
-            let (_, refs) = st.stashed.get_mut(&v).expect("version present");
-            *refs -= 1;
-            if *refs == 0 {
-                let (buf, _) = st.stashed.remove(&v).expect("version present");
-                let freed = buf.len();
-                pool::put(buf);
-                self.mem.sub(freed);
+            if row.frees_version {
+                let slot = row.version_slot.expect("a version was swapped in");
+                let parked = self.versions[slot].take().expect("version parked");
+                self.mem.sub(parked.len());
+                pool::put(parked);
             }
         }
-        let freed_stash = stash.elements();
-        self.grads.entry((r, s)).or_default().push((g, grad));
-        self.mem.sub(freed_stash);
-        if let Some(dx) = dx {
-            let to = self.placement.worker(op.replica, StageId(s - 1));
-            self.send(to, r, s, g, true, dx)?;
+        held.grads.push((g, grad));
+        self.mem.sub(stash.elements());
+        drop(stash);
+        if let (Some((to, key)), Some(dx)) = (row.send, dx) {
+            self.send(to, key, g, dx)?;
         }
         Ok(())
     }
 
-    fn apply_update(&mut self, r: u32, s: u32, summed: &[f32]) {
-        if summed.is_empty() {
-            return;
-        }
-        let stage = self.stages.get_mut(&(r, s)).expect("stage held");
-        let opt = self.optimizers.get_mut(&(r, s)).expect("optimizer held");
-        let lr = self.opts.schedule().at(opt.steps());
-        let mut params = stage.params();
-        opt.step(&mut params, summed, lr);
-        stage.set_params(&params);
-        pool::put(params);
-    }
-
-    /// Record that `(r, s)`'s weights are about to change: if any in-flight
-    /// micro-batch still references the current version, materialize one
-    /// refcounted copy of it (copy-on-update), then open a fresh version.
+    /// The row's stage is about to be updated: if lowering found an
+    /// in-flight micro-batch still reading the current weights, park one
+    /// copy of them in the row's version slot first (copy-on-update).
     ///
     /// Mirrors the static liveness walk's `AllReduceWait` handling exactly,
     /// so tracked memory matches the analyzer's byte for byte.
-    fn note_update(&mut self, r: u32, s: u32) {
-        if !self.stash_weights {
-            return;
+    fn park_version(&mut self, row: &Row) {
+        if let Some(slot) = row.version_slot {
+            let params = self.held[row.held].stage.params();
+            self.mem.add(params.len(), row.op_ix);
+            self.versions[slot] = Some(params);
         }
-        let st = self.versions.entry((r, s)).or_default();
-        if st.current_refs > 0 {
-            let params = self.stages.get(&(r, s)).expect("stage held").params();
-            let n = params.len();
-            st.stashed.insert(st.current, (params, st.current_refs));
-            self.mem.add(n, self.cur_op);
-        }
-        st.current += 1;
-        st.current_refs = 0;
     }
 
     /// Ship one pipeline boundary tensor to worker `to` in this group.
@@ -726,67 +638,36 @@ impl Worker {
     /// across backends.
     fn send(
         &mut self,
-        to: WorkerId,
-        replica: u32,
-        stage: u32,
+        to: u32,
+        key: KeyTemplate,
         micro: u64,
-        grad: bool,
         tensor: Tensor,
     ) -> Result<(), WorkerError> {
-        let global = self.group * self.d + to.0;
-        let key = if grad {
-            MsgKey::Grad {
-                replica,
-                stage,
-                micro,
-            }
-        } else {
-            MsgKey::Act {
-                replica,
-                stage,
-                micro,
-            }
-        };
         self.ep
-            .send(global, key, Payload::Tensor(tensor))
+            .send(
+                self.group * self.program.d + to,
+                key.at(micro),
+                Payload::Tensor(tensor),
+            )
             .map_err(|_| WorkerError::PeerGone {
                 group: self.group,
                 worker: self.id.0,
                 iteration: self.cur_iter,
-                to: to.0,
+                to,
             })
     }
 
-    fn recv(
-        &mut self,
-        grad: bool,
-        replica: u32,
-        stage: u32,
-        micro: u64,
-    ) -> Result<Tensor, WorkerError> {
-        let key = if grad {
-            MsgKey::Grad {
-                replica,
-                stage,
-                micro,
-            }
-        } else {
-            MsgKey::Act {
-                replica,
-                stage,
-                micro,
-            }
-        };
+    fn recv(&mut self, key: KeyTemplate, micro: u64) -> Result<Tensor, WorkerError> {
         let start = self.tracer.as_ref().map(|_| now_ns());
-        let tensor = match self.ep.recv_deadline(key, self.opts.recv_timeout) {
+        let msg = key.at(micro);
+        let tensor = match self.ep.recv_deadline(msg, self.opts.recv_timeout) {
             Ok(payload) => payload.into_tensor(),
             Err(_) => {
-                let dir = if grad { "grad" } else { "act" };
                 return Err(WorkerError::RecvTimeout {
                     group: self.group,
                     worker: self.id.0,
                     iteration: self.cur_iter,
-                    op: format!("recv {dir} m{micro}@s{stage}/r{replica}"),
+                    op: format!("recv {}", msg.describe()),
                     waited: self.opts.recv_timeout,
                 });
             }
@@ -797,14 +678,14 @@ impl Worker {
             // the receive side totals all p2p traffic.
             tr.p2p_bytes.add(tensor.len() as u64 * 4);
             tr.p2p_wait_ns.add(end.saturating_sub(start));
-            let dir = if grad { "grad" } else { "act" };
+            let dir = if key.grad { "grad" } else { "act" };
             tr.span(
                 SpanKind::P2p,
-                format!("recv {dir} m{micro}@s{stage}"),
+                format!("recv {dir} m{micro}@s{}", key.stage),
                 start,
                 end,
-                Some(stage),
-                Some(replica),
+                Some(key.stage),
+                Some(key.replica),
                 Some(micro),
                 Some(tensor.len() as u64 * 4),
             );

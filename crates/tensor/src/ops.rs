@@ -224,6 +224,50 @@ pub fn layernorm_backward(
     (Tensor::from_vec(dy.rows(), n, dx), dgamma, dbeta)
 }
 
+/// Elements per block of [`sum_ordered`] / [`add_ordered`]: 16 KiB of
+/// accumulator, so it stays in L1 while every term is streamed past it once.
+pub const SUM_CHUNK: usize = 4096;
+
+/// `acc[i] = (..((start + terms[0][i]) + terms[1][i]) + ..)`, where `start` is
+/// `first[i]` if given and the old `acc[i]` otherwise. The per-element order
+/// is the order of `terms` whatever the blocking, so the bits are those of
+/// one whole-vector pass per term; the blocking only turns `terms.len()`
+/// read-modify-write sweeps of `acc` through memory into one.
+fn fold_ordered(acc: &mut [f32], first: Option<&[f32]>, terms: &[&[f32]]) {
+    for t in first.iter().chain(terms) {
+        assert_eq!(t.len(), acc.len(), "ordered sum length mismatch");
+    }
+    let mut at = 0;
+    for block in acc.chunks_mut(SUM_CHUNK) {
+        let range = at..at + block.len();
+        if let Some(first) = first {
+            block.copy_from_slice(&first[range.clone()]);
+        }
+        for t in terms {
+            for (a, b) in block.iter_mut().zip(&t[range.clone()]) {
+                *a += b;
+            }
+        }
+        at = range.end;
+    }
+}
+
+/// Overwrite `out` with the left-to-right sum of `terms`: the first term is
+/// copied, the rest added in order (`out` is left untouched when there are
+/// none). The one summation kernel under every deterministic reduction —
+/// keyed, exact, transport-backed — so they cannot drift apart in order.
+pub fn sum_ordered(out: &mut [f32], terms: &[&[f32]]) {
+    if let Some((first, rest)) = terms.split_first() {
+        fold_ordered(out, Some(first), rest);
+    }
+}
+
+/// `acc[i] = ((acc[i] + terms[0][i]) + terms[1][i]) + ..`: the
+/// accumulate-in-place form of [`sum_ordered`].
+pub fn add_ordered(acc: &mut [f32], terms: &[&[f32]]) {
+    fold_ordered(acc, None, terms);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,5 +502,24 @@ mod tests {
         let lp: f32 = layernorm(&x, &gp, &beta).0.hadamard(&w).data().iter().sum();
         let lm: f32 = layernorm(&x, &gm, &beta).0.hadamard(&w).data().iter().sum();
         assert!((dgamma[3] - (lp - lm) / (2.0 * eps)).abs() < 3e-3);
+    }
+
+    /// Blocking must not reassociate: each element is the left-to-right
+    /// chain over the terms, across a block edge too.
+    #[test]
+    fn ordered_sums_keep_term_order_across_blocks() {
+        let len = SUM_CHUNK + 3;
+        let terms = [vec![1e8f32; len], vec![1.0; len], vec![-1e8; len]];
+        let refs: Vec<&[f32]> = terms.iter().map(Vec::as_slice).collect();
+        let want = (1e8f32 + 1.0) + -1e8;
+        let mut out = vec![7.0f32; len];
+        sum_ordered(&mut out, &refs);
+        assert!(out.iter().all(|v| v.to_bits() == want.to_bits()));
+        // In place, the old contents lead the chain: 0 + (-0) is +0, not -0.
+        let mut acc = vec![0.0f32; len];
+        add_ordered(&mut acc, &[&vec![-0.0f32; len]]);
+        assert!(acc.iter().all(|v| v.to_bits() == 0));
+        sum_ordered(&mut out, &[]);
+        assert_eq!(out[0].to_bits(), want.to_bits(), "no terms, no write");
     }
 }
