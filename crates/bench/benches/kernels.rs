@@ -2,7 +2,8 @@
 //! loops, plus the buffer-pool fast path. `fig_kernels` is the headline
 //! harness (GFLOP/s table + regression gate); this bench gives
 //! statistically-sound per-kernel timings for local tuning of the
-//! MC/KC/NC blocking.
+//! MC/KC/NC blocking, and the microkernel tile on its own at every SIMD
+//! level the host has.
 
 // criterion_group! expands to an undocumented public fn.
 #![allow(missing_docs)]
@@ -54,7 +55,31 @@ fn bench_matmul_variants(c: &mut Criterion) {
     g.finish();
 }
 
-/// The two backward-pass kernels at a transformer-block gradient shape.
+/// The microkernel alone at every level the host supports: one `MR×NR` tile
+/// over one `KC`-deep pair of packed panels, no packing and no output
+/// traffic — `fig_kernels`' tile ceiling, per level (`2·MR·NR·KC` flops per
+/// iteration).
+fn bench_tile(c: &mut Criterion) {
+    let kcb = kernels::KC;
+    let apack = randvec(kcb * kernels::MR, 8);
+    let bpack = randvec(kcb * kernels::NR, 9);
+    let mut g = c.benchmark_group(format!("kernels/tile_{}x{}", kernels::MR, kernels::NR));
+    for &level in kernels::SimdLevel::supported() {
+        g.bench_function(level.name(), |bench| {
+            kernels::set_level_cap(level);
+            let mut tile = [[0.0f32; kernels::NR]; kernels::MR];
+            bench.iter(|| {
+                let mut rows = tile.each_mut().map(|r| &mut r[..]);
+                kernels::gemm_micro(black_box(&apack), black_box(&bpack), kcb, &mut rows, 0);
+            });
+            kernels::set_level_cap(kernels::SimdLevel::Avx512);
+        });
+    }
+    g.finish();
+}
+
+/// The two backward-pass kernels at a transformer-block gradient shape
+/// (both on the packed engine: `dX` packs its transposed operand).
 fn bench_backward_kernels(c: &mut Criterion) {
     let (m, k, n) = (128usize, 256usize, 256usize);
     let a = randvec(k * m, 3);
@@ -117,6 +142,7 @@ fn bench_linear_roundtrip(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_tile,
     bench_matmul_variants,
     bench_backward_kernels,
     bench_pool,

@@ -406,6 +406,10 @@ pub fn train_hybrid(
         }
         if kd.nanos > 0 {
             sup.counter("runtime.kernel.gflops", kd.flops as f64 / kd.nanos as f64);
+            // Which tile produced that rate (16 / 8 / 1 lanes): a trace from
+            // one host must not be read against another host's ceiling.
+            let lanes = kernels::simd_level().lanes();
+            sup.counter("runtime.kernel.simd_lanes", lanes as f64);
         }
     }
     if time_kernels {

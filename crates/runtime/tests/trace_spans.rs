@@ -38,14 +38,19 @@ fn workers_emit_spans_into_the_sink() {
         })
         .collect();
     // The supervisor reports kernel-layer health as trace counters.
-    let counters: Vec<&str> = events
+    let counters: Vec<(&str, f64)> = events
         .iter()
         .filter_map(|e| match e {
-            Event::Counter(c) => Some(c.name.as_str()),
+            Event::Counter(c) => Some((c.name.as_str(), c.value)),
             Event::Span(_) => None,
         })
         .collect();
-    assert!(counters.contains(&"runtime.pool.hit_rate"), "{counters:?}");
+    let counter = |name: &str| counters.iter().find(|c| c.0 == name).map(|c| c.1);
+    assert!(counter("runtime.pool.hit_rate").is_some(), "{counters:?}");
+    // The kernel rate comes with the vector width that produced it.
+    assert!(counter("runtime.kernel.gflops").is_some(), "{counters:?}");
+    let lanes = chimera_tensor::kernels::simd_level().lanes();
+    assert_eq!(counter("runtime.kernel.simd_lanes"), Some(lanes as f64));
     // Every worker produced compute spans on its own track.
     let tracks: std::collections::BTreeSet<u32> = spans.iter().map(|s| s.track).collect();
     assert_eq!(tracks.into_iter().collect::<Vec<_>>(), vec![0, 1]);

@@ -24,26 +24,21 @@
 //!   (row-tile × column-tile) grid gives every output element to exactly one
 //!   thread, so its accumulation order never depends on the thread count or
 //!   the grid shape.
-//! * Packing copies operand panels but never reassociates arithmetic. For
-//!   the accumulating kernels ([`matmul_into`], [`t_matmul_into`]) every
-//!   output element is accumulated in place with one exactly-rounded
-//!   [`f32::mul_add`] per `k` step, walking `k` in ascending order — exactly
-//!   the op chain of the naive untiled loop. Panel padding is zero-filled
-//!   and only ever feeds accumulator lanes whose results are discarded.
-//! * For the dot-product kernel ([`matmul_t_into`]) each element is one
-//!   [`dot`]-ordered reduction (8 independent fma lanes,
-//!   fixed combine order), whether computed one at a time or as a
-//!   [`micro::DT`]×[`micro::DT`] register tile.
+//! * Packing copies operand panels but never reassociates arithmetic. All
+//!   three products ([`matmul_into`], [`t_matmul_into`], [`matmul_t_into`])
+//!   accumulate every output element in place with one exactly-rounded
+//!   [`f32::mul_add`] per `k` step, walking `k` in ascending order and
+//!   continuing from the value already in `out` — exactly the op chain of
+//!   the naive untiled loop, and the same chain for all three, so `dX` and
+//!   `dW` are one engine's work. Panel padding is zero-filled and only ever
+//!   feeds accumulator lanes whose results are discarded.
 //! * The strided, batched small-product kernel ([`gemm_batch`], attention's
 //!   six products) **writes** each output element as that same ascending
 //!   `mul_add` chain started at `+0.0`, for every combination of transposes
-//!   — including `q·kᵀ` and `dc·vᵀ`, which were [`dot`]-ordered while
-//!   attention went through [`matmul_t_into`]: at a head width of 8 the
-//!   `dot` order holds one product per lane and then only combines, whereas
-//!   the ascending chain vectorises across output columns. One thread, one
-//!   owner per element, and a tile that is safe code whose `mul_add` *is*
-//!   the fused instruction, so there is neither a grid nor a SIMD/scalar
-//!   pair to keep identical. Its [`Triangle`] hints skip work without
+//!   — including `q·kᵀ` and `dc·vᵀ`. One thread, one owner per element,
+//!   and a tile that is safe code whose `mul_add` *is* the fused
+//!   instruction, so there is neither a grid nor a SIMD/scalar pair to keep
+//!   identical. Its [`Triangle`] hints skip work without
 //!   touching the chain of anything that is read: `LowerOut` leaves whole
 //!   tiles above the diagonal uncomputed (unspecified, for a masked softmax
 //!   that never reads them), and `LowerA` drops `k` steps whose multiplier
@@ -51,26 +46,28 @@
 //!   accumulator that started at `+0.0`, and round-to-nearest produces
 //!   `−0.0` from a sum only when both addends are `−0.0`, so that
 //!   accumulator is never `−0.0` and either zero leaves it as it was.
-//! * The SIMD and scalar microkernels execute the same op chain with the
-//!   same exactly-rounded fused multiply-add (see `crate::micro`), so
-//!   runtime CPU-feature dispatch never changes results.
+//! * The 512-bit, 256-bit and scalar bodies of the microkernel execute the
+//!   same op chain with the same exactly-rounded fused multiply-add (see
+//!   `crate::micro`), so runtime CPU-feature dispatch never changes results.
 //!
 //! The [`naive`] module keeps the untiled single-threaded reference loops;
-//! property tests assert bit-equality against them at thread counts
+//! property tests assert bit-equality against them at every microkernel
+//! level the host supports ([`SimdLevel::supported`]) and thread counts
 //! {1, 2, 4, 8} on adversarial shapes, and for [`gemm_batch`] over random
 //! strides, offsets, transposes and batches with and without the hints
 //! (see `tests/kernel_equivalence.rs` and `tests/packed_panel.rs`).
 //!
 //! # The packed-panel engine (GotoBLAS structure)
 //!
-//! Large products run the classic five-loop nest:
+//! Every product, whatever its size and whichever operand is transposed,
+//! runs the classic five-loop nest:
 //!
 //! ```text
 //! for jc in steps of NC:            // column panel of the output
 //!   for k0 in steps of KC:          // slab of the shared dimension
-//!     pack B[k0.., jc..] → bpack    // KC×NC, NR-interleaved, zero-padded
+//!     pack op(B)[k0.., jc..] → bpack  // KC×NC, NR-interleaved, zero-padded
 //!     for ic in steps of MC:        // row stripe
-//!       pack A[ic.., k0..] → apack  // MC×KC, MR-interleaved, zero-padded
+//!       pack op(A)[ic.., k0..] → apack  // MC×KC, MR-interleaved, zero-padded
 //!       for jr in steps of NR:      // register tile columns
 //!         for ir in steps of MR:    // register tile rows
 //!           gemm_micro: MR×NR accumulator tile in vector registers
@@ -82,17 +79,19 @@
 //! therefore streams both panels with stride-1 loads and keeps the full
 //! `MR×NR` accumulator tile in registers across the `kcb` loop — this is
 //! what closes the gap to hardware: no strided `b` reads at large `n`, no
-//! per-step accumulator store/reload. Panels live in scratch buffers drawn
-//! from the thread-local buffer [`pool`] (classes
-//! [`pack_pool_classes`]), so steady-state packing allocates nothing.
+//! per-step accumulator store/reload. One packed layout serves every
+//! microkernel level (see `crate::micro` for why one panel width does), and
+//! one pack routine serves both operands of all three products: an operand
+//! stored with the depth along its rows (`b` of `a @ b`, both of `aᵀ @ b`'s)
+//! is copied lane-group by lane-group, one stored along the other axis (`a`
+//! of `a @ b`, both of `a @ bᵀ`'s) is transposed in blocks whose reads and
+//! writes are both contiguous. Panels live in scratch buffers drawn from the
+//! thread-local buffer [`pool`] (classes [`pack_pool_classes`]), so
+//! steady-state packing allocates nothing.
 //!
 //! Ragged edges (`m % MR`, `n % NR`) run the same microkernel against
 //! zero-padded panels, staging the affected output cells through a stack
 //! tile; padded lanes compute values that are never written back.
-//!
-//! Products below [`PACKED_MIN_FLOPS`] use the simple cache-blocked loops
-//! (`matmul_small` and friends): packing is pure overhead there, and both
-//! paths are bit-identical anyway, so size dispatch is invisible.
 //!
 //! # Threading
 //!
@@ -103,16 +102,16 @@
 //! The thread count comes from [`set_threads`], falling back to the
 //! `CHIMERA_THREADS` environment variable, defaulting to 1, and is clamped
 //! to the machine's parallelism; the `*_with_threads` entry points bypass
-//! the gates for tests and benches that must exercise the grid on any host.
+//! the gate and the clamp for tests and benches that must exercise the grid
+//! on any host.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::micro;
-pub use crate::micro::{set_force_scalar, simd_available, DT, LANES, MR, NR};
+pub use crate::micro::{gemm_micro, set_level_cap, simd_level, SimdLevel, LANES, MR, NR};
 use crate::pool;
-use crate::tensor::dot;
 
 /// Row-stripe height of one packed `a` panel (a multiple of [`MR`]).
 pub const MC: usize = 64;
@@ -122,11 +121,6 @@ pub const KC: usize = 256;
 pub const NC: usize = 512;
 
 const _: () = assert!(MC.is_multiple_of(MR) && NC.is_multiple_of(NR));
-
-/// Minimum multiply-add count (`2·m·k·n`) before a product takes the
-/// packed-panel engine; below this the pack copies cost more than the
-/// strided reads they remove, so the simple cache-blocked loops win.
-pub const PACKED_MIN_FLOPS: u64 = 1 << 19;
 
 /// Minimum multiply-add count (`2·m·k·n`) before a kernel spawns threads;
 /// below this the scoped-spawn overhead exceeds the parallel win.
@@ -180,12 +174,17 @@ pub fn hw_parallelism() -> usize {
     *HW.get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
-/// Threads actually used for an `m×n` output with `flops` multiply-adds:
-/// 1 below [`PAR_MIN_FLOPS`], otherwise capped by the machine's parallelism
-/// and by the number of whole register tiles in the output (each grid cell
-/// must own at least one).
-fn effective_threads(m: usize, n: usize, flops: u64) -> usize {
-    if flops < PAR_MIN_FLOPS {
+/// The flop count (`2·m·k·n`) of an `m×k×n` product.
+fn flops_of(m: usize, k: usize, n: usize) -> u64 {
+    2 * (m as u64) * (k as u64) * (n as u64)
+}
+
+/// Threads actually used for an `m×k×n` product: 1 below
+/// [`PAR_MIN_FLOPS`], otherwise capped by the machine's parallelism and by
+/// the number of whole register tiles in the output (each grid cell must own
+/// at least one).
+fn effective_threads(m: usize, k: usize, n: usize) -> usize {
+    if flops_of(m, k, n) < PAR_MIN_FLOPS {
         return 1;
     }
     threads()
@@ -306,7 +305,7 @@ fn take_scratch(m: usize, k: usize, n: usize) -> (Vec<f32>, Vec<f32>) {
     (apack, bpack)
 }
 
-fn put_scratch(scratch: Vec<(Vec<f32>, Vec<f32>)>) {
+fn put_scratch(scratch: impl IntoIterator<Item = (Vec<f32>, Vec<f32>)>) {
     for (apack, bpack) in scratch {
         pool::put(apack);
         pool::put(bpack);
@@ -315,89 +314,150 @@ fn put_scratch(scratch: Vec<(Vec<f32>, Vec<f32>)>) {
 
 // --- packing -----------------------------------------------------------------
 
-/// How a cell reads its `MC×KC` stripes of `a`.
+/// One operand of the packed engine as its pack reads it. Element `(i, kk)`
+/// — output row `i` for the left operand, output column `i` for the right
+/// one, at depth `kk` — lies at `data[i·ld + kk]`, or at `data[kk·ld + i]`
+/// when `depth_major`.
 #[derive(Clone, Copy)]
-enum ASource<'a> {
-    /// `a` is `rows×k` row-major, already sliced to the cell's rows.
-    RowMajor { a: &'a [f32], k: usize },
-    /// `a` is the full `k×m` matrix of `aᵀ @ b`; the cell's output rows are
-    /// `a`'s columns starting at `c0`.
-    Transposed { a: &'a [f32], m: usize, c0: usize },
+struct Source<'a> {
+    data: &'a [f32],
+    ld: usize,
+    depth_major: bool,
 }
 
-impl ASource<'_> {
-    /// Pack rows `i0..i0+mcb` (cell-local) over `k0..k0+kcb` into MR-wide
-    /// interleaved panels: `apack[q·kcb·MR + kk·MR + r]` holds the element
-    /// for output row `i0 + q·MR + r` at depth `k0 + kk`. Rows past `mcb`
-    /// are zero-filled; the zeros feed only discarded accumulator lanes.
-    fn pack(&self, apack: &mut [f32], i0: usize, mcb: usize, k0: usize, kcb: usize) {
-        for (q, ip) in (0..mcb).step_by(MR).enumerate() {
-            let h = MR.min(mcb - ip);
-            let dst = &mut apack[q * kcb * MR..(q + 1) * kcb * MR];
-            match *self {
-                ASource::RowMajor { a, k } => {
-                    for r in 0..h {
-                        let src = &a[(i0 + ip + r) * k + k0..][..kcb];
-                        for (kk, &v) in src.iter().enumerate() {
-                            dst[kk * MR + r] = v;
-                        }
-                    }
-                    for r in h..MR {
-                        for kk in 0..kcb {
-                            dst[kk * MR + r] = 0.0;
-                        }
-                    }
-                }
-                ASource::Transposed { a, m, c0 } => {
-                    let col = c0 + i0 + ip;
-                    for kk in 0..kcb {
-                        let src = &a[(k0 + kk) * m + col..][..h];
-                        let d = &mut dst[kk * MR..kk * MR + MR];
-                        d[..h].copy_from_slice(src);
-                        d[h..].fill(0.0);
-                    }
-                }
+impl<'a> Source<'a> {
+    /// Every stored row is one output row (or column): `a` of `a @ b` and
+    /// `a @ bᵀ`, `b` of `a @ bᵀ`. Packing it is a transpose.
+    fn rows(data: &'a [f32], ld: usize) -> Self {
+        Source {
+            data,
+            ld,
+            depth_major: false,
+        }
+    }
+
+    /// Every stored row is one depth step: `b` of `a @ b` and `aᵀ @ b`, `a`
+    /// of `aᵀ @ b`. Packing it is a copy.
+    fn depth(data: &'a [f32], ld: usize) -> Self {
+        Source {
+            data,
+            ld,
+            depth_major: true,
+        }
+    }
+
+    /// Pack outputs `i0..i0+count` over depth `k0..k0+kcb` into `W`-wide
+    /// interleaved panels: `pack[p·kcb·W + kk·W + r]` holds element
+    /// `(i0 + p·W + r, k0 + kk)`. Lanes past `count` are zero-filled; the
+    /// zeros feed only discarded accumulator lanes.
+    fn pack<const W: usize>(
+        &self,
+        pack: &mut [f32],
+        i0: usize,
+        count: usize,
+        k0: usize,
+        kcb: usize,
+    ) {
+        for (p, ip) in (0..count).step_by(W).enumerate() {
+            let (i, w) = (i0 + ip, W.min(count - ip));
+            let panel = &mut pack[p * kcb * W..(p + 1) * kcb * W];
+            if self.depth_major {
+                copy_into::<W>(&self.data[k0 * self.ld + i..], self.ld, w, panel);
+            } else {
+                transpose_into::<W>(&self.data[i * self.ld + k0..], self.ld, w, panel);
             }
         }
         PACK_CALLS.fetch_add(1, Ordering::Relaxed);
-        PACK_ELEMS.fetch_add((mcb.div_ceil(MR) * MR * kcb) as u64, Ordering::Relaxed);
+        PACK_ELEMS.fetch_add((count.div_ceil(W) * W * kcb) as u64, Ordering::Relaxed);
     }
 }
 
-/// Pack `b[k0..k0+kcb, j0..j0+ncb]` (from the full `k×n` matrix) into
-/// NR-wide interleaved panels: `bpack[p·kcb·NR + kk·NR + c]` holds the
-/// element for output column `j0 + p·NR + c` at depth `k0 + kk`. Columns
-/// past `ncb` are zero-filled.
-fn pack_b(b: &[f32], bpack: &mut [f32], k0: usize, kcb: usize, j0: usize, ncb: usize, n: usize) {
-    for (p, jp) in (0..ncb).step_by(NR).enumerate() {
-        let w = NR.min(ncb - jp);
-        let dst = &mut bpack[p * kcb * NR..(p + 1) * kcb * NR];
-        for kk in 0..kcb {
-            let src = &b[(k0 + kk) * n + j0 + jp..][..w];
-            let d = &mut dst[kk * NR..kk * NR + NR];
-            d[..w].copy_from_slice(src);
+/// `panel[kk·W + r] = src[kk·ld + r]` for `r < w` and `0.0` for `w ≤ r < W`,
+/// over every `W`-wide step `kk` of `panel`: the copying pack.
+fn copy_into<const W: usize>(src: &[f32], ld: usize, w: usize, panel: &mut [f32]) {
+    let steps = panel.chunks_exact_mut(W).enumerate();
+    if w == W {
+        // A copy of constant size is a few vector moves, not a `memcpy` call.
+        for (kk, d) in steps {
+            d.copy_from_slice(&src[kk * ld..][..W]);
+        }
+    } else {
+        for (kk, d) in steps {
+            d[..w].copy_from_slice(&src[kk * ld..][..w]);
             d[w..].fill(0.0);
         }
     }
-    PACK_CALLS.fetch_add(1, Ordering::Relaxed);
-    PACK_ELEMS.fetch_add((ncb.div_ceil(NR) * NR * kcb) as u64, Ordering::Relaxed);
+}
+
+/// `panel[kk·W + r] = src[r·ld + kk]` for `r < w` and `0.0` for `w ≤ r < W`,
+/// over every `W`-wide step `kk` of `panel`: the transposing pack.
+///
+/// Reads and writes are both contiguous (a scatter `panel[kk·W + r] = v` one
+/// source row at a time touches a new cache line per element, and cost
+/// 2–3× as much): the source is taken `STEPS` depth steps at a time, eight
+/// rows by eight rows through [`interleave8`] into a stack block, and the
+/// block is written out as whole panel rows.
+fn transpose_into<const W: usize>(src: &[f32], ld: usize, w: usize, panel: &mut [f32]) {
+    /// Depth steps staged per block (8 KB of stack for the widest panel).
+    const STEPS: usize = 64;
+    /// What a lane past `w` reads.
+    static ZEROS: [f32; KC] = [0.0; KC];
+    const { assert!(W.is_multiple_of(8) && W <= NR) };
+    let kcb = panel.len() / W;
+    let row = |r: usize| match r < w {
+        true => &src[r * ld..][..kcb],
+        false => &ZEROS[..kcb],
+    };
+    if W == 8 {
+        return interleave8(std::array::from_fn(row), panel);
+    }
+    let mut block = [[0.0f32; STEPS * 8]; NR / 8];
+    for k0 in (0..kcb).step_by(STEPS) {
+        let steps = STEPS.min(kcb - k0);
+        for (g, staged) in block.iter_mut().enumerate().take(W / 8) {
+            let rows = std::array::from_fn(|r| &row(g * 8 + r)[k0..k0 + steps]);
+            interleave8(rows, &mut staged[..steps * 8]);
+        }
+        let out = panel[k0 * W..].chunks_exact_mut(W).take(steps);
+        for (kk, lanes) in out.enumerate() {
+            for (to, staged) in lanes.chunks_exact_mut(8).zip(&block) {
+                to.copy_from_slice(&staged[kk * 8..kk * 8 + 8]);
+            }
+        }
+    }
+}
+
+/// `out[i·8 + r] = rows[r][i]` for every whole group of eight in `out`: a
+/// loop the vectorizer turns into eight row loads, an in-register transpose
+/// and whole-vector stores.
+#[inline(always)]
+fn interleave8(rows: [&[f32]; 8], out: &mut [f32]) {
+    let [r0, r1, r2, r3, r4, r5, r6, r7] = rows;
+    for (i, o) in out.chunks_exact_mut(8).enumerate() {
+        o[0] = r0[i];
+        o[1] = r1[i];
+        o[2] = r2[i];
+        o[3] = r3[i];
+        o[4] = r4[i];
+        o[5] = r5[i];
+        o[6] = r6[i];
+        o[7] = r7[i];
+    }
 }
 
 // --- the packed-panel GEMM driver --------------------------------------------
 
-/// One grid cell of `out += a@b` / `out += aᵀ@b`: the full five-loop packed
-/// nest over this cell's rows and columns.
+/// One grid cell of `out += op(a) @ op(b)`: the full five-loop packed nest
+/// over this cell's rows and columns.
 ///
 /// * `rows` — the cell's output-row views, each exactly the cell's width.
-/// * `j0` — the cell's first output column (for reading `b`).
-/// * `src` — how to pack this cell's `a` stripes.
-#[allow(clippy::too_many_arguments)]
+/// * `(i0, j0)` — the cell's first output row and column (for reading `a`
+///   and `b`).
 fn gemm_cell(
-    src: ASource<'_>,
-    b: &[f32],
-    n: usize,
+    a: Source<'_>,
+    b: Source<'_>,
     k: usize,
-    j0: usize,
+    (i0, j0): (usize, usize),
     rows: &mut [&mut [f32]],
     apack: &mut [f32],
     bpack: &mut [f32],
@@ -415,10 +475,10 @@ fn gemm_cell(
         let ncb = NC.min(ncw - jc);
         for k0 in (0..k).step_by(KC) {
             let kcb = KC.min(k - k0);
-            pack_b(b, bpack, k0, kcb, j0 + jc, ncb, n);
+            b.pack::<NR>(bpack, j0 + jc, ncb, k0, kcb);
             for ic in (0..mrows).step_by(MC) {
                 let mcb = MC.min(mrows - ic);
-                src.pack(apack, ic, mcb, k0, kcb);
+                a.pack::<MR>(apack, i0 + ic, mcb, k0, kcb);
                 for (p, jp) in (0..ncb).step_by(NR).enumerate() {
                     let bslab = &bpack[p * kcb * NR..(p + 1) * kcb * NR];
                     let w = NR.min(ncb - jp);
@@ -426,7 +486,7 @@ fn gemm_cell(
                         let aslab = &apack[q * kcb * MR..(q + 1) * kcb * MR];
                         let h = MR.min(mcb - ip);
                         if h == MR && w == NR {
-                            micro::gemm_micro(
+                            gemm_micro(
                                 aslab,
                                 bslab,
                                 kcb,
@@ -443,7 +503,7 @@ fn gemm_cell(
                                 row.fill(0.0);
                             }
                             let mut views = edge.each_mut().map(|r| &mut r[..]);
-                            micro::gemm_micro(aslab, bslab, kcb, &mut views, 0);
+                            gemm_micro(aslab, bslab, kcb, &mut views, 0);
                             for r in 0..h {
                                 rows[ic + ip + r][jc + jp..jc + jp + w]
                                     .copy_from_slice(&edge[r][..w]);
@@ -514,18 +574,16 @@ fn split_grid(out: &mut [f32], m: usize, n: usize, tr: usize, tc: usize) -> Vec<
     cells
 }
 
-/// Run the packed engine over a `tr×tc` grid on scoped threads. `src_of`
-/// maps a cell's global row range to its [`ASource`]; each cell gets its
-/// own pool-backed pack scratch, taken and returned on the calling thread
-/// (worker threads are scoped and short-lived, so routing scratch through
-/// *their* thread-local pools would leak a miss/discard pair per call).
-fn run_grid<'a>(
-    src_of: impl Fn(usize, usize) -> ASource<'a>,
-    b: &[f32],
+/// Run the packed engine over a `tr×tc` grid on scoped threads. Each cell
+/// gets its own pool-backed pack scratch, taken and returned on the calling
+/// thread (worker threads are scoped and short-lived, so routing scratch
+/// through *their* thread-local pools would leak a miss/discard pair per
+/// call).
+fn run_grid(
+    a: Source<'_>,
+    b: Source<'_>,
     out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
+    (m, k, n): (usize, usize, usize),
     t: usize,
 ) {
     if m == 0 || n == 0 {
@@ -535,8 +593,8 @@ fn run_grid<'a>(
     if tr * tc <= 1 {
         let mut rows: Vec<&mut [f32]> = out.chunks_mut(n).collect();
         let (mut apack, mut bpack) = take_scratch(m, k, n);
-        gemm_cell(src_of(0, m), b, n, k, 0, &mut rows, &mut apack, &mut bpack);
-        put_scratch(vec![(apack, bpack)]);
+        gemm_cell(a, b, k, (0, 0), &mut rows, &mut apack, &mut bpack);
+        put_scratch([(apack, bpack)]);
         return;
     }
     let cells = split_grid(out, m, n, tr, tc);
@@ -548,41 +606,35 @@ fn run_grid<'a>(
         for ((idx, mut rows), (apack, bpack)) in
             cells.into_iter().enumerate().zip(scratch.iter_mut())
         {
-            let (ri, ci) = (idx / tc, idx % tc);
-            let (i0, i1) = (cut(ri, m, tr), cut(ri + 1, m, tr));
-            let j0 = cut(ci, n, tc);
-            let src = src_of(i0, i1 - i0);
-            s.spawn(move || gemm_cell(src, b, n, k, j0, &mut rows, apack, bpack));
+            let origin = (cut(idx / tc, m, tr), cut(idx % tc, n, tc));
+            s.spawn(move || gemm_cell(a, b, k, origin, &mut rows, apack, bpack));
         }
     });
     put_scratch(scratch);
 }
 
-// --- `a @ b` -----------------------------------------------------------------
+// --- the three products ------------------------------------------------------
+//
+// One engine for every size: the pack pays for itself from a few thousand
+// flops up (measured 2–6× the plain cache-blocked loops between 2¹² and 2¹⁹
+// flops, and behind them only below ~2¹⁰, where a call costs a fraction of a
+// microsecond either way), so there is no small path to keep bit-identical.
 
 /// `out += a @ b` where `a: [m,k]`, `b: [k,n]`, `out: [m,n]`, all row-major.
 ///
-/// Accumulates into `out` (zero it first for a plain product). Per output
-/// element the `k` dimension is walked in ascending order regardless of
-/// packing, tiling, or thread count.
+/// Accumulates into `out` (zero it first for a plain product): every output
+/// element continues, from the value already there, one ascending chain of
+/// exactly-rounded `mul_add` steps over `k`, regardless of packing, tiling,
+/// or thread count.
 pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    let flops = 2 * (m as u64) * (k as u64) * (n as u64);
-    let t0 = enter(flops);
-    if flops < PACKED_MIN_FLOPS {
-        matmul_small(a, b, out, m, k, n);
-    } else {
-        matmul_packed(a, b, out, m, k, n, effective_threads(m, n, flops));
-    }
-    leave(t0);
+    let t = effective_threads(m, k, n);
+    matmul_into_with_threads(a, b, out, m, k, n, t);
 }
 
-/// [`matmul_into`] forced onto the packed engine with exactly `t` grid
-/// threads: bypasses the size gates and the hardware-parallelism clamp.
-/// Bit-identical to every other path; for tests and benches that must
-/// exercise packing and the 2D grid regardless of shape or host.
+/// [`matmul_into`] with exactly `t` grid threads: bypasses the flop gate
+/// and the hardware-parallelism clamp. Bit-identical at every `t`; for tests
+/// and benches that must exercise the 2D grid regardless of shape or host.
 pub fn matmul_into_with_threads(
     a: &[f32],
     b: &[f32],
@@ -594,74 +646,24 @@ pub fn matmul_into_with_threads(
 ) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
-    let t0 = enter(2 * (m as u64) * (k as u64) * (n as u64));
-    matmul_packed(a, b, out, m, k, n, t);
+    let t0 = enter(flops_of(m, k, n));
+    run_grid(Source::rows(a, k), Source::depth(b, n), out, (m, k, n), t);
     leave(t0);
 }
-
-fn matmul_packed(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize, t: usize) {
-    run_grid(
-        |i0, rows| ASource::RowMajor {
-            a: &a[i0 * k..(i0 + rows) * k],
-            k,
-        },
-        b,
-        out,
-        m,
-        k,
-        n,
-        t,
-    );
-}
-
-/// Simple cache-blocked loops for small products (below
-/// [`PACKED_MIN_FLOPS`]): MC×KC×NC tiles, contiguous AXPY inner loop, one
-/// `mul_add` per step — the same per-element op chain as the packed engine.
-fn matmul_small(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    for i0 in (0..m).step_by(MC) {
-        let i1 = (i0 + MC).min(m);
-        for k0 in (0..k).step_by(KC) {
-            let k1 = (k0 + KC).min(k);
-            for j0 in (0..n).step_by(NC) {
-                let j1 = (j0 + NC).min(n);
-                for i in i0..i1 {
-                    let a_row = &a[i * k..(i + 1) * k];
-                    let out_row = &mut out[i * n + j0..i * n + j1];
-                    for (kk, &aik) in a_row[k0..k1].iter().enumerate() {
-                        let b_row = &b[(k0 + kk) * n + j0..(k0 + kk) * n + j1];
-                        for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                            *o = aik.mul_add(bv, *o);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-// --- `aᵀ @ b` ----------------------------------------------------------------
 
 /// `out += aᵀ @ b` where `a: [k,m]`, `b: [k,n]`, `out: [m,n]` — the
 /// `dW = Xᵀ dY` pattern, without materializing the transpose.
 ///
 /// Accumulates into `out`, so gradient buffers can take the product in
-/// place. Per output element the `k` dimension is walked in ascending order.
+/// place; the per-element chain is [`matmul_into`]'s.
 pub fn t_matmul_into(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usize) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    let flops = 2 * (m as u64) * (k as u64) * (n as u64);
-    let t0 = enter(flops);
-    if flops < PACKED_MIN_FLOPS {
-        t_matmul_small(a, b, out, k, m, n);
-    } else {
-        t_matmul_packed(a, b, out, k, m, n, effective_threads(m, n, flops));
-    }
-    leave(t0);
+    let t = effective_threads(m, k, n);
+    t_matmul_into_with_threads(a, b, out, k, m, n, t);
 }
 
-/// [`t_matmul_into`] forced onto the packed engine with exactly `t` grid
-/// threads (see [`matmul_into_with_threads`]).
+/// [`t_matmul_into`] with exactly `t` grid threads (see
+/// [`matmul_into_with_threads`]).
 pub fn t_matmul_into_with_threads(
     a: &[f32],
     b: &[f32],
@@ -673,65 +675,23 @@ pub fn t_matmul_into_with_threads(
 ) {
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(b.len(), k * n);
-    let t0 = enter(2 * (m as u64) * (k as u64) * (n as u64));
-    t_matmul_packed(a, b, out, k, m, n, t);
+    let t0 = enter(flops_of(m, k, n));
+    run_grid(Source::depth(a, m), Source::depth(b, n), out, (m, k, n), t);
     leave(t0);
 }
-
-fn t_matmul_packed(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usize, t: usize) {
-    run_grid(
-        |i0, _| ASource::Transposed { a, m, c0: i0 },
-        b,
-        out,
-        m,
-        k,
-        n,
-        t,
-    );
-}
-
-/// Simple blocked loops for small `aᵀ @ b` (ascending `k` per element).
-fn t_matmul_small(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usize) {
-    for i0 in (0..m).step_by(MC) {
-        let i1 = (i0 + MC).min(m);
-        for k0 in (0..k).step_by(KC) {
-            let k1 = (k0 + KC).min(k);
-            for j0 in (0..n).step_by(NC) {
-                let j1 = (j0 + NC).min(n);
-                for kk in k0..k1 {
-                    let a_row = &a[kk * m..(kk + 1) * m];
-                    let b_row = &b[kk * n + j0..kk * n + j1];
-                    for i in i0..i1 {
-                        let aik = a_row[i];
-                        let out_row = &mut out[i * n + j0..i * n + j1];
-                        for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                            *o = aik.mul_add(bv, *o);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-// --- `a @ bᵀ` ----------------------------------------------------------------
 
 /// `out += a @ bᵀ` where `a: [m,k]`, `b: [n,k]`, `out: [m,n]` — the
-/// `dX = dY Wᵀ` pattern. Each element is one [`dot`]-ordered reduction over
-/// two contiguous rows, computed [`DT`]×[`DT`] at a time in registers; its
-/// reduction order is fixed by `dot` alone.
+/// `dX = dY Wᵀ` pattern, without materializing the transpose.
+///
+/// Accumulates into `out`; the per-element chain is [`matmul_into`]'s.
 pub fn matmul_t_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(out.len(), m * n);
-    let flops = 2 * (m as u64) * (k as u64) * (n as u64);
-    let t0 = enter(flops);
-    matmul_t_threaded(a, b, out, m, k, n, effective_threads(m, n, flops));
-    leave(t0);
+    let t = effective_threads(m, k, n);
+    matmul_t_into_with_threads(a, b, out, m, k, n, t);
 }
 
-/// [`matmul_t_into`] with exactly `t` grid threads, bypassing the gates
-/// (see [`matmul_into_with_threads`]).
+/// [`matmul_t_into`] with exactly `t` grid threads (see
+/// [`matmul_into_with_threads`]).
 pub fn matmul_t_into_with_threads(
     a: &[f32],
     b: &[f32],
@@ -743,88 +703,9 @@ pub fn matmul_t_into_with_threads(
 ) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
-    let t0 = enter(2 * (m as u64) * (k as u64) * (n as u64));
-    matmul_t_threaded(a, b, out, m, k, n, t);
+    let t0 = enter(flops_of(m, k, n));
+    run_grid(Source::rows(a, k), Source::rows(b, k), out, (m, k, n), t);
     leave(t0);
-}
-
-fn matmul_t_threaded(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    t: usize,
-) {
-    if m == 0 || n == 0 {
-        return;
-    }
-    let (tr, tc) = grid_for(t.max(1), m, n);
-    if tr * tc <= 1 {
-        let mut rows: Vec<&mut [f32]> = out.chunks_mut(n).collect();
-        matmul_t_cell(a, b, k, 0, &mut rows);
-        return;
-    }
-    let cells = split_grid(out, m, n, tr, tc);
-    std::thread::scope(|s| {
-        for (idx, mut rows) in cells.into_iter().enumerate() {
-            let (ri, ci) = (idx / tc, idx % tc);
-            let i0 = cut(ri, m, tr);
-            let i1 = cut(ri + 1, m, tr);
-            let j0 = cut(ci, n, tc);
-            let a_cell = &a[i0 * k..i1 * k];
-            s.spawn(move || matmul_t_cell(a_cell, b, k, j0, &mut rows));
-        }
-    });
-}
-
-/// One grid cell of `out += a @ bᵀ`: [`MC`]-row stripes against `b`-row
-/// stripes, full [`DT`]×[`DT`] register tiles inside, per-element [`dot`]
-/// on the ragged edges (bit-identical either way).
-#[allow(clippy::needless_range_loop)] // edge loops index `rows[i + q]` beside the tile body
-fn matmul_t_cell(a: &[f32], b: &[f32], k: usize, j0: usize, rows: &mut [&mut [f32]]) {
-    /// `b`-row stripe width held hot per pass.
-    const JB: usize = 64;
-    let mrows = rows.len();
-    let ncw = rows.first().map_or(0, |r| r.len());
-    let arow = |i: usize| &a[i * k..(i + 1) * k];
-    let brow = |j: usize| &b[(j0 + j) * k..(j0 + j + 1) * k];
-    for i0 in (0..mrows).step_by(MC) {
-        let i1 = (i0 + MC).min(mrows);
-        for jb in (0..ncw).step_by(JB) {
-            let j1 = (jb + JB).min(ncw);
-            let mut i = i0;
-            while i + DT <= i1 {
-                let ar: [&[f32]; DT] = std::array::from_fn(|q| arow(i + q));
-                let mut j = jb;
-                while j + DT <= j1 {
-                    let br: [&[f32]; DT] = std::array::from_fn(|q| brow(j + q));
-                    let mut tile = [[0.0f32; DT]; DT];
-                    micro::dot_tile(&ar, &br, &mut tile);
-                    for (q, trow) in tile.iter().enumerate() {
-                        for (c, &v) in trow.iter().enumerate() {
-                            rows[i + q][j + c] += v;
-                        }
-                    }
-                    j += DT;
-                }
-                for jj in j..j1 {
-                    let bj = brow(jj);
-                    for (q, aq) in ar.iter().enumerate() {
-                        rows[i + q][jj] += dot(aq, bj);
-                    }
-                }
-                i += DT;
-            }
-            for ii in i..i1 {
-                let ai = arow(ii);
-                for jj in jb..j1 {
-                    rows[ii][jj] += dot(ai, brow(jj));
-                }
-            }
-        }
-    }
 }
 
 // --- strided, batched small products -----------------------------------------
@@ -1015,7 +896,6 @@ fn pack_b_block(b: Operand<'_>, offset: usize, k: usize, n: usize, bpack: &mut [
 /// paths are bit-identical to them.
 pub mod naive {
     use super::Operand;
-    use crate::tensor::dot;
 
     /// Naive `out += a @ b` in i-k-j order (the order the packed kernel
     /// reproduces per element).
@@ -1046,13 +926,17 @@ pub mod naive {
         }
     }
 
-    /// Naive `out += a @ bᵀ`: one [`dot`] per element, same as the tiled
-    /// kernel.
+    /// Naive `out += a @ bᵀ`: per element, the ascending `mul_add` chain
+    /// continued from the value in `out`.
     pub fn matmul_t_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
         for i in 0..m {
             let a_row = &a[i * k..(i + 1) * k];
             for j in 0..n {
-                out[i * n + j] += dot(a_row, &b[j * k..(j + 1) * k]);
+                let b_row = &b[j * k..(j + 1) * k];
+                let o = &mut out[i * n + j];
+                for (&av, &bv) in a_row.iter().zip(b_row) {
+                    *o = av.mul_add(bv, *o);
+                }
             }
         }
     }

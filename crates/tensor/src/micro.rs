@@ -9,19 +9,35 @@
 //! autovectorizer refuses to do that from scalar Rust: on this loop shape it
 //! picks the register-starved axis, chains dependent FMAs through a single
 //! register, and spills the tile (measured ~5 GFLOP/s where the explicit
-//! kernel reaches ~100). So the hot tile is written directly against
-//! `core::arch::x86_64` FMA intrinsics, with a scalar `f32::mul_add` kernel
-//! as both the portable fallback and the reference the SIMD path must match.
+//! kernel reaches its hardware rate). So the hot tile is written directly
+//! against `core::arch::x86_64` FMA intrinsics, with a scalar `f32::mul_add`
+//! kernel as both the portable fallback and the reference the SIMD bodies
+//! must match.
 //!
-//! # Bit-exactness across paths
+//! # One tile, three bodies
 //!
-//! `vfmaddps` and `f32::mul_add` are the *same* exactly-rounded IEEE 754
-//! fused multiply-add, and both kernels execute the identical per-element
-//! operation chain (ascending `k`, one fma per step). The SIMD and scalar
-//! kernels therefore produce **bit-identical** results — dispatching on
-//! runtime CPU features never changes numerics, and neither does
-//! `-C target-cpu`. The equivalence proptests pin this by running both
-//! paths explicitly (see [`set_force_scalar`]).
+//! [`gemm_micro`] has one contract — an [`MR`]`×`[`NR`]` = 8×32` tile over
+//! one packed `a` panel and one packed `b` panel — and a body per
+//! [`SimdLevel`]: `avx512f` holds the tile in 16 zmm registers (two 16-lane
+//! vectors per row), `avx2+fma` holds half of it in 16 ymm registers and
+//! walks the same 32-wide `b` panel twice (columns 0..16, then 16..32),
+//! scalar loops over `mul_add`. One panel width serves every level because
+//! the layout is a property of the *packing*, which must not depend on the
+//! CPU: a 32-wide panel is what a 512-bit tile needs, and a narrower body
+//! loses nothing by striding through it (each half-pass touches one cache
+//! line of every two, so its working set is the 16-wide panel's). The level
+//! is the best the host reports, detected once ([`SimdLevel::detected`]).
+//!
+//! # Bit-exactness across levels
+//!
+//! `vfmadd…ps` at either width and `f32::mul_add` are the *same*
+//! exactly-rounded IEEE 754 fused multiply-add, and every body executes the
+//! identical per-element operation chain (ascending `k`, one fma per step,
+//! continuing from the value already in the output). All levels therefore
+//! produce **bit-identical** results — dispatching on runtime CPU features
+//! never changes numerics, and neither does `-C target-cpu`. The equivalence
+//! proptests pin this by running every level the host has against the naive
+//! loops (see [`set_level_cap`]).
 //!
 //! # Safety
 //!
@@ -34,47 +50,95 @@
 // see the module docs and the root Cargo.toml lint comment.
 #![allow(unsafe_code)]
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Microkernel tile height (output rows held in registers).
 pub const MR: usize = 8;
-/// Microkernel tile width (output columns held in registers); two 8-lane
-/// vectors per row.
-pub const NR: usize = 16;
-/// SIMD lane width the kernels (and [`crate::tensor::dot`]) are specified
-/// in terms of.
+/// Microkernel tile width (output columns held in registers): two 16-lane
+/// vectors per row at `avx512f`, two passes of two 8-lane vectors at
+/// `avx2+fma`.
+pub const NR: usize = 32;
+/// Lane width `axpy_tile` (and [`crate::tensor::dot`]) are specified in
+/// terms of.
 pub const LANES: usize = 8;
-/// Dot-tile side: the `a @ bᵀ` kernel computes `DT×DT` dot products at once.
-pub const DT: usize = 4;
 
-/// When set, [`gemm_micro`] and [`dot_tile`] take the scalar path even on
-/// FMA-capable hosts. Test hook for proving SIMD/scalar bit-identity.
-static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
-
-/// Force the scalar microkernels (testing only; see `FORCE_SCALAR`).
-pub fn set_force_scalar(on: bool) {
-    FORCE_SCALAR.store(on, Ordering::SeqCst);
+/// Which body of [`gemm_micro`] runs. Ordered: a host that has a level has
+/// every level below it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum SimdLevel {
+    /// Portable `f32::mul_add` loops.
+    Scalar,
+    /// 256-bit FMA: the tile as two half-passes of 16 ymm accumulators.
+    Avx2Fma,
+    /// 512-bit FMA: the tile in 16 zmm accumulators.
+    Avx512,
 }
 
-/// Whether the explicit-FMA microkernels are compiled in *and* the CPU
-/// reports the features at runtime (cached after first query).
-pub fn simd_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        static CACHED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        *CACHED.get_or_init(|| {
-            std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-        })
+impl SimdLevel {
+    const ALL: [SimdLevel; 3] = [SimdLevel::Scalar, SimdLevel::Avx2Fma, SimdLevel::Avx512];
+
+    /// The CPU features the level needs, as reports name it.
+    pub fn name(self) -> &'static str {
+        match self {
+            SimdLevel::Scalar => "scalar",
+            SimdLevel::Avx2Fma => "avx2+fma",
+            SimdLevel::Avx512 => "avx512f",
+        }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
+
+    /// `f32` lanes per vector register at this level.
+    pub fn lanes(self) -> usize {
+        match self {
+            SimdLevel::Scalar => 1,
+            SimdLevel::Avx2Fma => 8,
+            SimdLevel::Avx512 => 16,
+        }
+    }
+
+    /// The best level this CPU reports (queried once, then cached).
+    pub fn detected() -> SimdLevel {
+        #[cfg(target_arch = "x86_64")]
+        {
+            static CACHED: std::sync::OnceLock<SimdLevel> = std::sync::OnceLock::new();
+            *CACHED.get_or_init(|| {
+                let avx2 = std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("fma");
+                if avx2 && std::arch::is_x86_feature_detected!("avx512f") {
+                    SimdLevel::Avx512
+                } else if avx2 {
+                    SimdLevel::Avx2Fma
+                } else {
+                    SimdLevel::Scalar
+                }
+            })
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            SimdLevel::Scalar
+        }
+    }
+
+    /// Every level this CPU can run, ascending; the last is
+    /// [`SimdLevel::detected`].
+    pub fn supported() -> &'static [SimdLevel] {
+        &Self::ALL[..=Self::detected() as usize]
     }
 }
 
-fn use_simd() -> bool {
-    simd_available() && !FORCE_SCALAR.load(Ordering::Relaxed)
+/// Highest level [`simd_level`] may return, as a `SimdLevel` discriminant.
+static LEVEL_CAP: AtomicU8 = AtomicU8::new(SimdLevel::Avx512 as u8);
+
+/// Cap the level [`gemm_micro`] dispatches to (testing only: lets the
+/// proptests walk every level the host has). A cap above what the host
+/// supports changes nothing; `SimdLevel::Avx512` removes the cap.
+pub fn set_level_cap(cap: SimdLevel) {
+    LEVEL_CAP.store(cap as u8, Ordering::SeqCst);
+}
+
+/// The level [`gemm_micro`] runs at: the detected one, unless capped lower.
+pub fn simd_level() -> SimdLevel {
+    let cap = SimdLevel::ALL[usize::from(LEVEL_CAP.load(Ordering::Relaxed))];
+    cap.min(SimdLevel::detected())
 }
 
 // --- `out-tile += apanel @ bpanel` (the GEMM microkernel) --------------------
@@ -91,18 +155,26 @@ pub fn gemm_micro(apack: &[f32], bpack: &[f32], kcb: usize, rows: &mut [&mut [f3
     for row in rows.iter() {
         assert!(row.len() >= j0 + NR);
     }
-    #[cfg(target_arch = "x86_64")]
-    if use_simd() {
-        // SAFETY: avx2+fma verified by `use_simd`; slice bounds asserted
-        // above match every pointer access inside.
-        unsafe { gemm_micro_fma(apack, bpack, kcb, rows, j0) };
-        return;
+    match simd_level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `simd_level` never exceeds what the CPU reports, so
+        // avx512f is available; slice bounds asserted above match every
+        // pointer access inside.
+        SimdLevel::Avx512 => unsafe { gemm_micro_avx512(apack, bpack, kcb, rows, j0) },
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2Fma => {
+            for half in [0, NR / 2] {
+                // SAFETY: avx2+fma available as above; `half + NR/2 <= NR`,
+                // so the asserted bounds cover both half-passes.
+                unsafe { gemm_micro_avx2(apack, bpack, kcb, rows, j0, half) };
+            }
+        }
+        _ => gemm_micro_scalar(apack, bpack, kcb, rows, j0),
     }
-    gemm_micro_scalar(apack, bpack, kcb, rows, j0);
 }
 
-/// Scalar reference tile. Same op chain as the FMA tile: `mul_add` is the
-/// same exactly-rounded operation as `vfmaddps`, so results are
+/// Scalar reference tile. Same op chain as the FMA tiles: `mul_add` is the
+/// same exactly-rounded operation as `vfmadd…ps`, so results are
 /// bit-identical.
 fn gemm_micro_scalar(apack: &[f32], bpack: &[f32], kcb: usize, rows: &mut [&mut [f32]], j0: usize) {
     let mut acc = [[0.0f32; NR]; MR];
@@ -124,16 +196,17 @@ fn gemm_micro_scalar(apack: &[f32], bpack: &[f32], kcb: usize, rows: &mut [&mut 
     }
 }
 
-/// Explicit-FMA tile: 16 accumulator vectors (8×16 tile as 2×8-lane
-/// columns), one broadcast + two fmas per packed `a` element.
+/// 512-bit tile: 16 accumulator vectors (8 rows × two 16-lane columns), two
+/// panel loads and eight broadcasts per `k` step, each broadcast feeding two
+/// fmas.
 ///
 /// # Safety
 ///
-/// Caller must guarantee avx2+fma are available and the bounds asserted in
+/// Caller must guarantee avx512f is available and the bounds asserted in
 /// [`gemm_micro`] hold.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn gemm_micro_fma(
+#[target_feature(enable = "avx512f")]
+unsafe fn gemm_micro_avx512(
     apack: &[f32],
     bpack: &[f32],
     kcb: usize,
@@ -141,30 +214,79 @@ unsafe fn gemm_micro_fma(
     j0: usize,
 ) {
     use std::arch::x86_64::*;
+    const W: usize = 16;
     unsafe {
-        let mut acc: [[__m256; 2]; MR] = [[_mm256_setzero_ps(); 2]; MR];
+        let mut acc: [[__m512; 2]; MR] = [[_mm512_setzero_ps(); 2]; MR];
         for (r, row) in rows.iter().enumerate() {
             let p = row.as_ptr().add(j0);
-            acc[r][0] = _mm256_loadu_ps(p);
-            acc[r][1] = _mm256_loadu_ps(p.add(LANES));
+            acc[r][0] = _mm512_loadu_ps(p);
+            acc[r][1] = _mm512_loadu_ps(p.add(W));
         }
         let mut ap = apack.as_ptr();
         let mut bp = bpack.as_ptr();
         for _ in 0..kcb {
-            let b0 = _mm256_loadu_ps(bp);
-            let b1 = _mm256_loadu_ps(bp.add(LANES));
+            let b0 = _mm512_loadu_ps(bp);
+            let b1 = _mm512_loadu_ps(bp.add(W));
             for (r, accr) in acc.iter_mut().enumerate() {
-                let a = _mm256_broadcast_ss(&*ap.add(r));
-                accr[0] = _mm256_fmadd_ps(a, b0, accr[0]);
-                accr[1] = _mm256_fmadd_ps(a, b1, accr[1]);
+                let a = _mm512_set1_ps(*ap.add(r));
+                accr[0] = _mm512_fmadd_ps(a, b0, accr[0]);
+                accr[1] = _mm512_fmadd_ps(a, b1, accr[1]);
             }
             ap = ap.add(MR);
             bp = bp.add(NR);
         }
         for (r, row) in rows.iter_mut().enumerate() {
             let p = row.as_mut_ptr().add(j0);
+            _mm512_storeu_ps(p, acc[r][0]);
+            _mm512_storeu_ps(p.add(W), acc[r][1]);
+        }
+    }
+}
+
+/// 256-bit half-tile: columns `half..half + 16` of the tile in 16
+/// accumulator vectors (8 rows × two 8-lane columns), striding through the
+/// 32-wide `b` panel; one broadcast + two fmas per packed `a` element.
+///
+/// # Safety
+///
+/// Caller must guarantee avx2+fma are available, `half + 16 <= NR`, and the
+/// bounds asserted in [`gemm_micro`] hold.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn gemm_micro_avx2(
+    apack: &[f32],
+    bpack: &[f32],
+    kcb: usize,
+    rows: &mut [&mut [f32]],
+    j0: usize,
+    half: usize,
+) {
+    use std::arch::x86_64::*;
+    const W: usize = 8;
+    unsafe {
+        let mut acc: [[__m256; 2]; MR] = [[_mm256_setzero_ps(); 2]; MR];
+        for (r, row) in rows.iter().enumerate() {
+            let p = row.as_ptr().add(j0 + half);
+            acc[r][0] = _mm256_loadu_ps(p);
+            acc[r][1] = _mm256_loadu_ps(p.add(W));
+        }
+        for kk in 0..kcb {
+            // Formed per step: `half` past the last step's row would lie
+            // outside `bpack`.
+            let ap = apack.as_ptr().add(kk * MR);
+            let bp = bpack.as_ptr().add(kk * NR + half);
+            let b0 = _mm256_loadu_ps(bp);
+            let b1 = _mm256_loadu_ps(bp.add(W));
+            for (r, accr) in acc.iter_mut().enumerate() {
+                let a = _mm256_broadcast_ss(&*ap.add(r));
+                accr[0] = _mm256_fmadd_ps(a, b0, accr[0]);
+                accr[1] = _mm256_fmadd_ps(a, b1, accr[1]);
+            }
+        }
+        for (r, row) in rows.iter_mut().enumerate() {
+            let p = row.as_mut_ptr().add(j0 + half);
             _mm256_storeu_ps(p, acc[r][0]);
-            _mm256_storeu_ps(p.add(LANES), acc[r][1]);
+            _mm256_storeu_ps(p.add(W), acc[r][1]);
         }
     }
 }
@@ -231,87 +353,9 @@ pub fn axpy_tile(
     acc
 }
 
-// --- `out-tile += a-rows @ b-rowsᵀ` (the dot-product tile) -------------------
-
-/// `DT×DT` dot products at once: `out[i][j] += dot(a_rows[i], b_rows[j])`,
-/// where each dot is **bit-identical** to [`crate::tensor::dot`] (8
-/// independent fma lanes over ascending `k`, lanes combined in ascending
-/// order, then the scalar fma tail).
-///
-/// All eight slices must share one length.
-pub fn dot_tile(a_rows: &[&[f32]; DT], b_rows: &[&[f32]; DT], out: &mut [[f32; DT]; DT]) {
-    let k = a_rows[0].len();
-    for s in a_rows.iter().chain(b_rows.iter()) {
-        assert_eq!(s.len(), k);
-    }
-    #[cfg(target_arch = "x86_64")]
-    if use_simd() {
-        // SAFETY: avx2+fma verified; all slices asserted to length `k`.
-        unsafe { dot_tile_fma(a_rows, b_rows, out, k) };
-        return;
-    }
-    for (i, arow) in a_rows.iter().enumerate() {
-        for (j, brow) in b_rows.iter().enumerate() {
-            out[i][j] += crate::tensor::dot(arow, brow);
-        }
-    }
-}
-
-/// Explicit-FMA dot tile: 16 accumulator vectors, 8 streaming loads per
-/// 8-deep `k` chunk, lane reduction replicated from
-/// [`crate::tensor::dot`]'s fixed order.
-///
-/// # Safety
-///
-/// Caller must guarantee avx2+fma and that all slices have length `k`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn dot_tile_fma(
-    a_rows: &[&[f32]; DT],
-    b_rows: &[&[f32]; DT],
-    out: &mut [[f32; DT]; DT],
-    k: usize,
-) {
-    use std::arch::x86_64::*;
-    unsafe {
-        let chunks = k / LANES;
-        let mut acc: [[__m256; DT]; DT] = [[_mm256_setzero_ps(); DT]; DT];
-        for c in 0..chunks {
-            let mut av = [_mm256_setzero_ps(); DT];
-            let mut bv = [_mm256_setzero_ps(); DT];
-            for i in 0..DT {
-                av[i] = _mm256_loadu_ps(a_rows[i].as_ptr().add(c * LANES));
-                bv[i] = _mm256_loadu_ps(b_rows[i].as_ptr().add(c * LANES));
-            }
-            for i in 0..DT {
-                for j in 0..DT {
-                    acc[i][j] = _mm256_fmadd_ps(av[i], bv[j], acc[i][j]);
-                }
-            }
-        }
-        for i in 0..DT {
-            for j in 0..DT {
-                // Fixed reduction order of `dot`: lanes 0..8 ascending...
-                let mut lanes = [0.0f32; LANES];
-                _mm256_storeu_ps(lanes.as_mut_ptr(), acc[i][j]);
-                let mut sum = 0.0f32;
-                for &lane in &lanes {
-                    sum += lane;
-                }
-                // ...then the scalar fma tail.
-                for p in chunks * LANES..k {
-                    sum = a_rows[i][p].mul_add(b_rows[j][p], sum);
-                }
-                out[i][j] += sum;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tensor::dot;
 
     fn seq(len: usize, salt: u32) -> Vec<f32> {
         (0..len)
@@ -319,53 +363,39 @@ mod tests {
             .collect()
     }
 
-    /// SIMD and scalar GEMM tiles agree bit-for-bit (on non-FMA hosts both
-    /// calls take the scalar path and the test is trivially green).
+    /// Every level the host has produces the scalar tile's bits, continuing
+    /// from a non-zero output at a column offset (on a host without FMA the
+    /// list is `[scalar]` and the test is trivially green).
     #[test]
-    fn gemm_micro_simd_matches_scalar() {
+    fn gemm_micro_levels_match_scalar() {
         for kcb in [0usize, 1, 5, 8, 64] {
             let apack = seq(kcb * MR, 1);
             let bpack = seq(kcb * NR, 2);
-            let run = |scalar: bool| {
-                set_force_scalar(scalar);
+            let run = |level: SimdLevel| {
+                set_level_cap(level);
                 let mut out: Vec<Vec<f32>> = (0..MR).map(|r| seq(NR + 3, 7 + r as u32)).collect();
                 let mut rows: Vec<&mut [f32]> = out.iter_mut().map(|r| &mut r[..]).collect();
                 gemm_micro(&apack, &bpack, kcb, &mut rows, 3);
                 out
             };
-            let simd = run(false);
-            let scalar = run(true);
-            set_force_scalar(false);
-            for (a, b) in simd.iter().flatten().zip(scalar.iter().flatten()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "kcb={kcb}");
+            let scalar = run(SimdLevel::Scalar);
+            for &level in SimdLevel::supported() {
+                let got = run(level);
+                for (a, b) in got.iter().flatten().zip(scalar.iter().flatten()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "kcb={kcb} {}", level.name());
+                }
             }
+            set_level_cap(SimdLevel::Avx512);
         }
     }
 
-    /// The dot tile reproduces `dot` exactly, SIMD or not, including tails.
     #[test]
-    fn dot_tile_matches_dot_bitexact() {
-        for k in [0usize, 1, 7, 8, 9, 64, 67] {
-            let a: Vec<Vec<f32>> = (0..DT).map(|i| seq(k, i as u32)).collect();
-            let b: Vec<Vec<f32>> = (0..DT).map(|i| seq(k, 40 + i as u32)).collect();
-            let ar: [&[f32]; DT] = std::array::from_fn(|i| &a[i][..]);
-            let br: [&[f32]; DT] = std::array::from_fn(|i| &b[i][..]);
-            for scalar in [false, true] {
-                set_force_scalar(scalar);
-                let mut out = [[1.5f32; DT]; DT];
-                dot_tile(&ar, &br, &mut out);
-                for i in 0..DT {
-                    for j in 0..DT {
-                        let want = 1.5f32 + dot(&a[i], &b[j]);
-                        assert_eq!(
-                            out[i][j].to_bits(),
-                            want.to_bits(),
-                            "k={k} scalar={scalar} ({i},{j})"
-                        );
-                    }
-                }
-            }
-            set_force_scalar(false);
-        }
+    fn supported_levels_ascend_to_the_detected_one() {
+        let supported = SimdLevel::supported();
+        assert_eq!(supported[0], SimdLevel::Scalar);
+        assert_eq!(*supported.last().unwrap(), SimdLevel::detected());
+        assert!(supported
+            .windows(2)
+            .all(|w| w[0] < w[1] && w[0].lanes() < w[1].lanes()));
     }
 }

@@ -335,10 +335,10 @@ impl Tensor {
 /// Split over 8 independent fused-multiply-add accumulator lanes with a
 /// **fixed** combine order: lanes 0..8 ascending, then a scalar `mul_add`
 /// tail. `f32::mul_add` is exactly rounded, and hardware FMA computes the
-/// identical bits, so the SIMD `dot_tile` microkernel, this scalar loop,
-/// and the soft-float fallback all produce the same sum — every caller
-/// (tiled kernels, naive reference, any thread, any CPU) is bit-identical
-/// for the same inputs.
+/// identical bits, so this loop, vectorised or not, and the soft-float
+/// fallback all produce the same sum on any CPU. (The matmul kernels do not
+/// reduce in this order — they run one ascending chain per element, see
+/// [`crate::kernels`]; `softmax_rows_backward` is the caller.)
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());

@@ -5,17 +5,23 @@
 //!
 //! Thread count is process-global state; kernels are bit-identical at any
 //! setting, so concurrent tests flipping it cannot perturb each other's
-//! results — that invariant is exactly what this file asserts.
+//! results — that invariant is exactly what this file asserts. The
+//! microkernel level is process-global too, and is walked under a lock
+//! (`at_every_level`) so that each level's body is known to have run: every
+//! level equals the naive loops, hence every level equals every other.
 //!
 //! The strided, batched small-product kernel (`gemm_batch`) is held to the
 //! same standard against its own naive twin: any strides, offsets,
-//! transposes and batch, forced-scalar or not, and with the triangular
-//! hints, which must change no bit that is read.
+//! transposes and batch, and with the triangular hints, which must change
+//! no bit that is read. (Its tile is safe code with no level to dispatch.)
 
 use proptest::prelude::*;
 
 use chimera_tensor::kernels::{gemm_batch, naive, Operand, Triangle};
 use chimera_tensor::{kernels, Rng, Tensor};
+
+mod common;
+use common::at_every_level;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -43,20 +49,35 @@ fn assert_all_variants_bitexact(m: usize, k: usize, n: usize, seed: u64) {
     let mut want_mt = vec![0.0f32; m * n];
     kernels::naive::matmul_t_into(&a, &bt, &mut want_mt, m, k, n);
 
-    for &t in &THREAD_COUNTS {
-        kernels::set_threads(t);
-        let mut got = vec![0.0f32; m * n];
-        kernels::matmul_into(&a, &b, &mut got, m, k, n);
-        assert_eq!(bits(&got), bits(&want_mm), "matmul {m}x{k}x{n} t={t}");
+    at_every_level(|level| {
+        let level = level.name();
+        for &t in &THREAD_COUNTS {
+            kernels::set_threads(t);
+            let mut got = vec![0.0f32; m * n];
+            kernels::matmul_into(&a, &b, &mut got, m, k, n);
+            assert_eq!(
+                bits(&got),
+                bits(&want_mm),
+                "matmul {m}x{k}x{n} t={t} {level}"
+            );
 
-        let mut got = vec![0.0f32; m * n];
-        kernels::t_matmul_into(&at, &b, &mut got, k, m, n);
-        assert_eq!(bits(&got), bits(&want_tm), "t_matmul {m}x{k}x{n} t={t}");
+            let mut got = vec![0.0f32; m * n];
+            kernels::t_matmul_into(&at, &b, &mut got, k, m, n);
+            assert_eq!(
+                bits(&got),
+                bits(&want_tm),
+                "t_matmul {m}x{k}x{n} t={t} {level}"
+            );
 
-        let mut got = vec![0.0f32; m * n];
-        kernels::matmul_t_into(&a, &bt, &mut got, m, k, n);
-        assert_eq!(bits(&got), bits(&want_mt), "matmul_t {m}x{k}x{n} t={t}");
-    }
+            let mut got = vec![0.0f32; m * n];
+            kernels::matmul_t_into(&a, &bt, &mut got, m, k, n);
+            assert_eq!(
+                bits(&got),
+                bits(&want_mt),
+                "matmul_t {m}x{k}x{n} t={t} {level}"
+            );
+        }
+    });
     kernels::set_threads(1);
 }
 
@@ -119,6 +140,21 @@ fn adversarial_shapes_bitexact() {
     ];
     for (i, &(m, k, n)) in cases.iter().enumerate() {
         assert_all_variants_bitexact(m, k, n, 7_000 + i as u64);
+    }
+}
+
+/// The output width on every residue of the 32-wide tile that has an edge
+/// of its own (none, one lane, either side of the 16-lane half, one short),
+/// with one and two whole tiles before it and `m` around a multiple of the
+/// tile height.
+#[test]
+fn tile_width_residues_bitexact() {
+    for (i, rem) in [0usize, 1, 15, 16, 17, 31].into_iter().enumerate() {
+        for n in [kernels::NR + rem, 2 * kernels::NR + rem] {
+            for m in [63usize, 64, 65] {
+                assert_all_variants_bitexact(m, 64, n, 8_000 + i as u64);
+            }
+        }
     }
 }
 
@@ -274,16 +310,11 @@ proptest! {
 
     /// Any shape up to 80, any strides, offsets, transposes and batch: the
     /// tiled kernel equals its naive twin bit for bit, inside the output
-    /// blocks and (untouched) outside them, forced-scalar or not.
+    /// blocks and (untouched) outside them.
     #[test]
     fn strided_batched_matches_naive(m in 1usize..=80, k in 1usize..=80, n in 1usize..=80, items in 1usize..5, seed in 0u64..100_000) {
         let p = Problem::random(seed, (m, k, n), items);
-        let want = bits(&p.run_naive());
-        prop_assert_eq!(bits(&p.run(Triangle::Full)), want.clone());
-        kernels::set_force_scalar(true);
-        let scalar = bits(&p.run(Triangle::Full));
-        kernels::set_force_scalar(false);
-        prop_assert_eq!(scalar, want);
+        prop_assert_eq!(bits(&p.run(Triangle::Full)), bits(&p.run_naive()));
     }
 
     /// `LowerA` skips only `k` steps whose multiplier is a `±0.0` of the

@@ -1,17 +1,21 @@
 //! Adversarial bit-exactness suite for the packed-panel GEMM engine.
 //!
-//! The `*_with_threads` entry points force the packed path and an exact 2D
-//! grid thread count, bypassing the size gates and the hardware-parallelism
-//! clamp — so this file exercises panel packing, the SIMD microkernel,
-//! zero-padded edge tiles, and the row×column output partitioning even on
-//! shapes the dispatcher would normally keep on the small path, and even on
-//! a single-core CI runner. Every result must match the naive reference
-//! loops **bit-for-bit**; the SIMD and forced-scalar microkernels must
-//! agree exactly too (same fused-multiply-add op chain).
+//! The `*_with_threads` entry points force an exact 2D grid thread count,
+//! bypassing the flop gate and the hardware-parallelism clamp — so this file
+//! exercises panel packing (copying and transposing), the microkernel,
+//! zero-padded edge tiles, and the row×column output partitioning on shapes
+//! far too small to thread, and on a single-core CI runner. Every result
+//! must match the naive reference loops **bit-for-bit** at every microkernel
+//! level the host supports (`at_every_level`): each level equals naive,
+//! hence each other — the same fused-multiply-add op chain at 512, 256 and
+//! 32 bits.
 
 use proptest::prelude::*;
 
 use chimera_tensor::{kernels, Rng};
+
+mod common;
+use common::at_every_level;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -41,51 +45,59 @@ fn assert_packed_bitexact(m: usize, k: usize, n: usize, seed: u64) {
     let mut want_mt = base.clone();
     kernels::naive::matmul_t_into(&a, &bt, &mut want_mt, m, k, n);
 
-    for &t in &THREAD_COUNTS {
-        let mut got = base.clone();
-        kernels::matmul_into_with_threads(&a, &b, &mut got, m, k, n, t);
-        assert_eq!(
-            bits(&got),
-            bits(&want_mm),
-            "packed matmul {m}x{k}x{n} t={t}"
-        );
+    at_every_level(|level| {
+        let level = level.name();
+        for &t in &THREAD_COUNTS {
+            let mut got = base.clone();
+            kernels::matmul_into_with_threads(&a, &b, &mut got, m, k, n, t);
+            assert_eq!(
+                bits(&got),
+                bits(&want_mm),
+                "packed matmul {m}x{k}x{n} t={t} {level}"
+            );
 
-        let mut got = base.clone();
-        kernels::t_matmul_into_with_threads(&at, &b, &mut got, k, m, n, t);
-        assert_eq!(
-            bits(&got),
-            bits(&want_tm),
-            "packed t_matmul {m}x{k}x{n} t={t}"
-        );
+            let mut got = base.clone();
+            kernels::t_matmul_into_with_threads(&at, &b, &mut got, k, m, n, t);
+            assert_eq!(
+                bits(&got),
+                bits(&want_tm),
+                "packed t_matmul {m}x{k}x{n} t={t} {level}"
+            );
 
-        let mut got = base.clone();
-        kernels::matmul_t_into_with_threads(&a, &bt, &mut got, m, k, n, t);
-        assert_eq!(
-            bits(&got),
-            bits(&want_mt),
-            "tiled matmul_t {m}x{k}x{n} t={t}"
-        );
-    }
+            let mut got = base.clone();
+            kernels::matmul_t_into_with_threads(&a, &bt, &mut got, m, k, n, t);
+            assert_eq!(
+                bits(&got),
+                bits(&want_mt),
+                "packed matmul_t {m}x{k}x{n} t={t} {level}"
+            );
+        }
+    });
 }
 
 /// Dimension values that straddle every boundary the engine tiles over:
-/// the microkernel register tile (MR=8, NR=16), the SIMD lane width, and
-/// the packing panels (MC), each ±1. A fixed-choice array is a strategy
-/// (uniform pick per case), so each sampled shape mixes these boundaries.
-fn lane_adversarial() -> [usize; 12] {
+/// the microkernel register tile (MR=8, NR=32) and its 16-lane half, the
+/// 8-lane step of the transposing pack, and the packing panels (MC), each
+/// ±1. A fixed-choice array is a strategy (uniform pick per case), so each
+/// sampled shape mixes these boundaries.
+fn lane_adversarial() -> [usize; 16] {
     [
         1, // single row/column
         2,
         kernels::MR - 1, // register-tile height edges
         kernels::MR,
         kernels::MR + 1,
+        kernels::NR / 2 - 1, // half-tile (one 512-bit, two 256-bit vectors) edges
+        kernels::NR / 2,
+        kernels::NR / 2 + 1,
         kernels::NR - 1, // register-tile width edges
+        kernels::NR,
         kernels::NR + 1,
         kernels::MC - 1, // a-panel stripe edges
         kernels::MC + 1,
-        kernels::LANES - 1, // SIMD lane edges
-        kernels::LANES,
+        kernels::LANES - 1, // pack-group edges
         2 * kernels::LANES + 3,
+        2 * kernels::NR + kernels::NR / 2 + 1, // whole tiles, then a ragged one
     ]
 }
 
@@ -98,33 +110,28 @@ proptest! {
     fn packed_bitexact_on_lane_adversarial_shapes(
         m in lane_adversarial(),
         n in lane_adversarial(),
-        k in [1usize, 2, 3, 7, 8, 9, 255, 256, 257],
+        k in [1usize, 2, 3, 7, 8, 9, 63, 64, 65, 255, 256, 257],
         seed in 0u64..10_000,
     ) {
         assert_packed_bitexact(m, k, n, seed);
     }
+}
 
-    /// The forced-scalar microkernel produces the same bits as the SIMD
-    /// one (identical fused-multiply-add op chain), so CPU-feature
-    /// dispatch can never change results. force_scalar is process-global
-    /// and results are bit-identical either way, so flipping it here is
-    /// safe for concurrently running tests.
-    #[test]
-    fn scalar_and_simd_microkernels_agree(
-        m in 1usize..40,
-        k in 1usize..70,
-        n in 1usize..40,
-        seed in 0u64..10_000,
-    ) {
-        let a = randvec(m * k, seed);
-        let b = randvec(k * n, seed + 1);
-        let mut simd = vec![0.0f32; m * n];
-        kernels::matmul_into_with_threads(&a, &b, &mut simd, m, k, n, 2);
-        kernels::set_force_scalar(true);
-        let mut scalar = vec![0.0f32; m * n];
-        kernels::matmul_into_with_threads(&a, &b, &mut scalar, m, k, n, 2);
-        kernels::set_force_scalar(false);
-        prop_assert_eq!(bits(&simd), bits(&scalar));
+/// The shapes the 32-wide tile makes adversarial, exhaustively: every
+/// residue of `n` against the tile and its 16-lane half, every kind of
+/// `m % 8`, and depths at the empty, the single step and either side of a
+/// `KC` slab.
+#[test]
+fn tile_width_edges() {
+    let (kc, nr, mr) = (kernels::KC, kernels::NR, kernels::MR);
+    let mut seed = 12_000;
+    for k in [0, 1, kc - 1, kc + 1] {
+        for rem in [0, 1, 15, 16, 17, 31] {
+            for m in [mr, mr + 1, 2 * mr - 1] {
+                seed += 1;
+                assert_packed_bitexact(m, k, nr + rem, seed);
+            }
+        }
     }
 }
 

@@ -74,6 +74,44 @@ fn exact_counter_accounting() {
     assert!(ks.nanos > 0);
     assert!(ks.gflops().is_some());
 
+    // Pack accounting, exact. One cell packs one `b` slab per (column
+    // panel, depth slab) and one `a` stripe per row stripe of each, every
+    // panel padded to whole `NR = 32`- or `MR = 8`-wide lanes: here two
+    // depth slabs of a 9×33 output, so 2 + 2 calls and (64 + 16)·k elements
+    // — the same for all three products, `a·bᵀ` packing its transposed
+    // operand like any other.
+    let (m, k, n) = (kernels::MR + 1, kernels::KC + 40, kernels::NR + 1);
+    let (a, b) = (vec![1.0f32; m * k], vec![1.0f32; k * n]);
+    let mut out = vec![0.0f32; m * n];
+    let padded = (n.next_multiple_of(kernels::NR) + m.next_multiple_of(kernels::MR)) * k;
+    assert_eq!(padded, (64 + 16) * k);
+    type Product = fn(&[f32], &[f32], &mut [f32], usize, usize, usize, usize);
+    let products: [Product; 3] = [
+        kernels::matmul_into_with_threads,
+        |a, b, out, m, k, n, t| kernels::t_matmul_into_with_threads(a, b, out, k, m, n, t),
+        kernels::matmul_t_into_with_threads,
+    ];
+    for product in products {
+        kernels::reset_stats();
+        product(&a, &b, &mut out, m, k, n, 1);
+        let ps = kernels::pack_stats();
+        assert_eq!((ps.calls, ps.elems), (4, padded as u64));
+    }
+    // There is no small path: the dispatching entries pack too, however
+    // small the product (one slab, one stripe), and draw both pack classes
+    // from the pool — two misses cold, then hits.
+    let (m, k, n) = (8usize, 16usize, 4usize);
+    kernels::reset_stats();
+    pool::clear_local();
+    pool::reset_stats();
+    kernels::matmul_into(&a[..m * k], &b[..k * n], &mut out[..m * n], m, k, n);
+    kernels::t_matmul_into(&a[..k * m], &b[..k * n], &mut out[..m * n], k, m, n);
+    kernels::matmul_t_into(&a[..m * k], &b[..n * k], &mut out[..m * n], m, k, n);
+    let ps = kernels::pack_stats();
+    assert_eq!((ps.calls, ps.elems), (6, 3 * ((32 + 8) * k) as u64));
+    let ps = pool::stats();
+    assert_eq!((ps.misses, ps.hits, ps.returns), (2, 4, 6));
+
     // A batched call is one call whatever the batch, with the flops of the
     // tiles it computes: all of them, or with a triangular hint those at
     // and below the diagonal tile by tile — 8-row tiles of 8-column panels,
