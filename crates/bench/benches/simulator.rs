@@ -6,12 +6,14 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 
 use chimera_core::baselines::{dapple, pipedream_2bw_steady};
 use chimera_core::chimera::{chimera, ChimeraConfig};
+use chimera_core::program::lower;
 use chimera_core::schedule::SyncStrategy;
 use chimera_core::sync::place_sync;
 use chimera_core::unit_time::{execute, UnitCosts};
 use chimera_perf::{ClusterSpec, ModelSpec, TrainConfig};
 use chimera_sim::{simulate, simulate_span};
-use chimera_verify::{comm_lint, verify_span};
+use chimera_verify::liveness::{analyze, SimSizes};
+use chimera_verify::{comm_lint, hazard, verify_span, verify_with_memory};
 
 fn bench_simulate(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulate_iteration");
@@ -89,6 +91,20 @@ fn bench_planning_passes(c: &mut Criterion) {
             });
             g.bench_with_input(id("verify_span"), &sched, |b, s| {
                 b.iter(|| verify_span(black_box(s), iters));
+            });
+            g.bench_with_input(id("hazard"), &sched, |b, s| {
+                b.iter(|| hazard::lint(black_box(s), iters));
+            });
+            // What a verified plan pays on top: the one lowering, a liveness
+            // report from scratch (lower + price), and the whole gate.
+            g.bench_with_input(id("lower"), &sched, |b, s| {
+                b.iter(|| lower(black_box(s), iters));
+            });
+            g.bench_with_input(id("liveness"), &sched, |b, s| {
+                b.iter(|| analyze(black_box(s), &SimSizes(&cost)));
+            });
+            g.bench_with_input(id("verify_with_memory"), &sched, |b, s| {
+                b.iter(|| verify_with_memory(black_box(s), iters, &cost, u64::MAX));
             });
         }
     }

@@ -19,9 +19,12 @@
 //!   and PipeDream-2BW ([`baselines`]);
 //! * gradient-synchronization placement (§3.2): post-hoc, eager, and
 //!   eager-opt ([`sync`]);
+//! * lowering ([`program`]): the one program-order walk of a schedule, into
+//!   the row tables the verifier prices and the runtime executes, plus the
+//!   typed defects that keep it from being executed as written;
 //! * an abstract-cost executor ([`unit_time`]) for timing, bubble-ratio and
-//!   activation-memory analysis, plus schedule validation ([`validate`]) and
-//!   the closed-form Table 2/3 formulas ([`analysis`]).
+//!   activation-memory analysis, plus weight-version analysis ([`validate`])
+//!   and the closed-form Table 2/3 formulas ([`analysis`]).
 //!
 //! ```
 //! use chimera_core::chimera::{chimera, ChimeraConfig};
@@ -43,6 +46,7 @@ pub mod named;
 pub mod onefb;
 pub mod op;
 pub mod placement;
+pub mod program;
 pub mod render;
 pub mod repeat;
 pub mod schedule;

@@ -171,7 +171,8 @@ impl Schedule {
     }
 
     /// Sanity-check basic structural invariants; panics with a description on
-    /// violation. Deep semantic validation lives in [`crate::validate`].
+    /// violation — a generator's self-check. [`crate::program::lower`] reports
+    /// the same violations, and the semantic ones, as typed defects.
     pub fn assert_well_formed(&self) {
         assert_eq!(
             self.workers.len(),

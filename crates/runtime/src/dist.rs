@@ -153,7 +153,7 @@ pub fn train_worker_process_recoverable(
     w: u32,
     recovery: Option<&RecoverySpec>,
 ) -> Result<Option<DistOutcome>, TrainError> {
-    let mut programs = crate::program::lower(sched)?;
+    let mut programs = crate::runtime::lower_for_run(sched)?;
     let d = sched.d;
     let per_group = sched.num_workers() as u32;
     assert_eq!(
@@ -234,6 +234,7 @@ pub fn train_worker_process_recoverable(
         let worker = Worker::new(
             wid,
             program.clone(),
+            Vec::new(),
             group,
             w,
             stages,

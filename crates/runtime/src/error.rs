@@ -190,12 +190,13 @@ pub enum TrainError {
     },
     /// Saving or restoring a recovery checkpoint failed.
     Checkpoint(CheckpointError),
-    /// The schedule has a shape the runtime cannot execute — a chunked op
-    /// (§3.5's forward-doubling pairs and backward-halving halves are not
-    /// lowered), an op on a `(replica, stage)` its worker does not hold, a
-    /// backward without its forward, an allreduce wait without a launch, a
-    /// boundary message without a counterpart. Found while lowering the
-    /// schedule, before any worker is spawned.
+    /// The schedule cannot be executed as written: lowering
+    /// (`chimera_core::program::lower`) found a defect — an op on a worker
+    /// that does not hold its `(replica, stage)`, a backward without its
+    /// forward, unbalanced or premature gradient synchronization, a boundary
+    /// message without a counterpart — or a row is chunked (§3.5's
+    /// forward-doubling pairs and backward-halving halves lower, but the
+    /// worker does not execute them yet). Found before any worker is spawned.
     UnsupportedSchedule {
         /// Worker whose program holds the op.
         worker: u32,

@@ -18,7 +18,6 @@ pub mod dist;
 pub mod error;
 pub mod fault;
 pub mod mem;
-mod program;
 pub mod runtime;
 pub mod worker;
 

@@ -9,18 +9,20 @@
 //!   [`chimera_verify::liveness::BufferSizes`] in **f32 elements**, so the
 //!   verifier's dataflow engine can price a schedule in exactly the units
 //!   the runtime's [`MemTracker`] counts.
-//! * [`plan`] expands each statically-live buffer into its pool size-class
+//! * [`plan`] prices the lowered programs — the rows the workers are about to
+//!   execute — expands each statically-live buffer into its pool size-class
 //!   census and takes the max-overlap per class: the number of same-class
 //!   buffers ever held concurrently. [`crate::worker::Worker`] pre-warms its
 //!   thread-local pool to that plan, so even the cold first micro-batch
 //!   allocates nothing.
-//! * [`MemTracker`] mirrors the static walk op for op inside the worker;
+//! * [`MemTracker`] measures the same buffers op for op inside the worker;
 //!   `tests/mem_oracle.rs` pins the static peak equal to the tracked
 //!   high-water mark, element-exact, across the scheme × depth matrix.
 
 use std::collections::BTreeMap;
 
 use chimera_core::op::Op;
+use chimera_core::program::{lower, Program};
 use chimera_core::schedule::Schedule;
 use chimera_core::{ReplicaId, StageId};
 use chimera_nn::{MicroStash, Stage};
@@ -131,10 +133,20 @@ pub struct WorkerMemPlan {
     pub cliff: Option<usize>,
 }
 
-/// Run the verifier's liveness engine over `sched` under measured sizes and
-/// fold each worker's live buffers into a per-size-class slot demand.
+/// Price `sched`'s lowered programs with the verifier's liveness pass under
+/// measured sizes and fold each worker's live buffers into a per-size-class
+/// slot demand.
 pub fn plan(sched: &Schedule, fp: &ModelFootprint) -> Vec<WorkerMemPlan> {
-    let rep = liveness::analyze(sched, fp);
+    plan_lowered(sched, &lower(sched, 1).programs, fp)
+}
+
+/// [`plan`] over the programs a `train` call already lowered.
+pub(crate) fn plan_lowered(
+    sched: &Schedule,
+    programs: &[Program],
+    fp: &ModelFootprint,
+) -> Vec<WorkerMemPlan> {
+    let rep = liveness::price(programs, fp);
     let recomputing = sched.recomputing();
 
     rep.lives
@@ -215,7 +227,7 @@ pub fn plan(sched: &Schedule, fp: &ModelFootprint) -> Vec<WorkerMemPlan> {
 /// Element-exact accounting of the buffers a worker holds *across* ops:
 /// activation stashes, rematerializations, copy-on-update weight versions,
 /// and pending gradient contributions. Mirrors the event order of the static
-/// walk in [`chimera_verify::liveness::analyze`] — defs (with a peak check)
+/// fold in [`chimera_verify::liveness::price`] — defs (with a peak check)
 /// before kills within one op — so the high-water mark is comparable to the
 /// static peak, element for element.
 #[derive(Debug, Clone, Copy, Default)]

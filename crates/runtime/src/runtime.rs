@@ -30,6 +30,8 @@ use std::time::Duration;
 
 use chimera_collectives::keyed_group;
 use chimera_comm::{FaultInjection, KeyedReduce, LocalFabric, SendFault, Transport};
+use chimera_core::op::Chunk;
+use chimera_core::program::{lower, Program};
 use chimera_core::schedule::Schedule;
 use chimera_core::{StageId, WorkerId};
 use chimera_nn::checkpoint;
@@ -40,7 +42,6 @@ use chimera_trace::{now_ns, CounterEvent, Event, MetricsRegistry, SpanEvent, Spa
 use crate::error::{TrainError, WorkerError};
 use crate::fault::RecoveryPolicy;
 use crate::mem::{MemReport, ModelFootprint};
-use crate::program::{self, Program};
 use crate::worker::{SegmentSpec, TrainOptions, Worker};
 
 /// Outcome of a pipelined training run.
@@ -112,6 +113,33 @@ pub fn train(
     train_hybrid(sched, cfg, opts, 1)
 }
 
+/// The runtime's front door: lower `sched` once for the whole run, or name
+/// the first op that cannot be executed — any defect
+/// [`chimera_core::program::lower`] finds, or a chunked row (§3.5's
+/// forward-doubling pairs and backward-halving halves lower, but the worker
+/// does not execute them yet). Returned before any thread exists that could
+/// panic on the op or leave its peers to time out.
+pub(crate) fn lower_for_run(sched: &Schedule) -> Result<Vec<Program>, TrainError> {
+    let lowered = lower(sched, 1);
+    let chunked = lowered.programs.iter().enumerate().find_map(|(w, p)| {
+        let row = p.rows.iter().find(|row| row.op.chunk != Chunk::Full)?;
+        let reason = "only full-micro chunks are executed, not forward-doubling pairs or \
+                      backward-halving halves";
+        Some((w, row.op_ix, reason))
+    });
+    let defect = lowered.defects.first();
+    let defect = defect.map(|d| (d.worker as usize, d.op_ix, d.kind.reason()));
+    match defect.or(chunked) {
+        None => Ok(lowered.programs),
+        Some((w, op_ix, reason)) => Err(TrainError::UnsupportedSchedule {
+            worker: w as u32,
+            op: (sched.workers.get(w).and_then(|ops| ops.get(op_ix)))
+                .map_or("(none)".to_string(), ToString::to_string),
+            reason,
+        }),
+    }
+}
+
 /// The supervisor's own trace lane (track id = worker count at launch, so
 /// it sits below the worker lanes in the Chrome view).
 struct SupervisorTrace {
@@ -161,7 +189,7 @@ pub fn train_hybrid(
     w: u32,
 ) -> Result<TrainResult, TrainError> {
     assert!(w >= 1);
-    let mut programs = program::lower(sched)?;
+    let programs = lower_for_run(sched)?;
     let d = sched.d;
     let data = SyntheticData::new(cfg, opts.data_seed);
 
@@ -207,16 +235,17 @@ pub fn train_hybrid(
     ckpt_saves.inc();
 
     // Pool pre-sizing plans from the exact liveness analysis: one measured
-    // footprint probe and one dataflow pass per run, shared by every segment
-    // and replica group (all are schedule-identical, and sizes depend on
-    // shapes only). Skipped when prewarming is off — the workers would
-    // ignore the plan anyway.
-    if opts.pool && opts.prewarm {
+    // footprint probe and one pricing of the programs just lowered per run,
+    // shared by every segment and replica group (all are schedule-identical,
+    // and sizes depend on shapes only). Skipped when prewarming is off — the
+    // workers would ignore the plan anyway.
+    let pool_plans: Vec<Vec<(usize, usize)>> = if opts.pool && opts.prewarm {
         let fp = ModelFootprint::probe(&canon_stages, opts.micro_batch);
-        for (program, plan) in programs.iter_mut().zip(crate::mem::plan(sched, &fp)) {
-            program.pool_plan = plan.classes;
-        }
-    }
+        let plans = crate::mem::plan_lowered(sched, &programs, &fp);
+        plans.into_iter().map(|plan| plan.classes).collect()
+    } else {
+        vec![Vec::new(); programs.len()]
+    };
     let programs: Vec<Arc<Program>> = programs.into_iter().map(Arc::new).collect();
 
     let seg_len = opts
@@ -243,6 +272,7 @@ pub fn train_hybrid(
         let outcome = run_segment(
             sched,
             &programs,
+            &pool_plans,
             &canon_stages,
             &canon_opts,
             seg,
@@ -484,6 +514,7 @@ type TimeoutInfo = (u32, u32, u32, String, Duration);
 fn run_segment(
     sched: &Schedule,
     programs: &[Arc<Program>],
+    pool_plans: &[Vec<(usize, usize)>],
     canon_stages: &[Stage],
     canon_opts: &[Optimizer],
     seg: SegmentSpec,
@@ -557,7 +588,7 @@ fn run_segment(
     let mut sync_iter = sync_per_worker.into_iter();
     let mut ep_iter = endpoints.into_iter();
     for g in 0..w {
-        for (lw, program) in programs.iter().enumerate() {
+        for (lw, (program, pool_plan)) in programs.iter().zip(pool_plans).enumerate() {
             let wid = WorkerId(lw as u32);
             let ep: Arc<dyn Transport> = Arc::new(ep_iter.next().expect("endpoint per worker"));
             let sync = sync_iter.next().expect("sync map per worker");
@@ -577,6 +608,7 @@ fn run_segment(
             let worker = Worker::new(
                 wid,
                 program.clone(),
+                pool_plan.clone(),
                 g,
                 w,
                 stages,

@@ -1,7 +1,8 @@
 //! One pipeline worker: a thread executing its lowered schedule (a
-//! `program` of flat rows) on real model stages. Everything a row
-//! touches — stage, optimizer, pending gradients, stash, weight version,
-//! reducer — sits in a `Vec` the row indexes; nothing is looked up by key.
+//! [`chimera_core::program::Program`] of flat rows — the same rows the
+//! verifier prices) on real model stages. Everything a row touches — stage,
+//! optimizer, pending gradients, stash, weight version, reducer — sits in a
+//! `Vec` the row indexes; nothing is looked up by key.
 //!
 //! Workers are generic over the interconnect: all point-to-point traffic
 //! goes through a [`chimera_comm::Transport`] endpoint (crossbeam channels
@@ -17,7 +18,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use chimera_comm::{KeyedReduce, Payload, Reduced, Transport};
+use chimera_comm::{KeyedReduce, MsgKey, Payload, Reduced, Transport};
+use chimera_core::op::OpKind;
+use chimera_core::program::{KeyTemplate, Program, Row};
 use chimera_core::WorkerId;
 use chimera_nn::{LrSchedule, MicroStash, Optimizer, OptimizerKind, Stage, SyntheticData};
 use chimera_tensor::{kernels, pool, Tensor};
@@ -26,7 +29,6 @@ use chimera_trace::{now_ns, Counter, Event, MetricsRegistry, SpanEvent, SpanKind
 use crate::error::WorkerError;
 use crate::fault::{FaultSpec, RecoveryPolicy};
 use crate::mem::{MemReport, MemTracker};
-use crate::program::{KeyTemplate, Program, Row, RowKind};
 
 /// Training hyper-parameters shared by every worker.
 #[derive(Debug, Clone)]
@@ -158,6 +160,28 @@ impl Tracer {
     }
 }
 
+/// The wire key of a row's boundary tensor for global micro-batch `micro`.
+fn msg_key(key: KeyTemplate, micro: u64) -> MsgKey {
+    let KeyTemplate {
+        grad,
+        replica,
+        stage,
+    } = key;
+    if grad {
+        MsgKey::Grad {
+            replica,
+            stage,
+            micro,
+        }
+    } else {
+        MsgKey::Act {
+            replica,
+            stage,
+            micro,
+        }
+    }
+}
+
 /// What a worker thread returns on success.
 pub struct WorkerResult {
     /// `(global_micro, loss)` for every micro-batch whose head this worker
@@ -206,6 +230,8 @@ pub struct Worker {
     /// Total number of replicated pipeline groups `W`.
     w_total: u32,
     program: Arc<Program>,
+    /// Pool pre-sizing from the liveness plan: `(size class, extra spares)`.
+    pool_plan: Vec<(usize, usize)>,
     /// Parallel to [`Program::held`].
     held: Vec<Held>,
     /// Parallel to [`Program::reducer_stages`].
@@ -242,10 +268,13 @@ impl Worker {
     /// optimizer state it resumes from — fresh at iteration 0, restored from
     /// a checkpoint after a recovery; `sync` holds one `(stage, member)` per
     /// distinct held stage. Both must cover exactly what the program holds.
+    /// `pool_plan` is this worker's [`crate::mem::WorkerMemPlan::classes`]
+    /// (empty: pre-warm the transient classes only).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         id: WorkerId,
         program: Arc<Program>,
+        pool_plan: Vec<(usize, usize)>,
         group: u32,
         w_total: u32,
         mut stages: Vec<(u32, u32, Stage, Optimizer)>,
@@ -311,6 +340,7 @@ impl Worker {
             stashes: (0..program.stash_slots).map(|_| None).collect(),
             versions: vec![None; program.version_slots],
             program,
+            pool_plan,
             losses: Vec::new(),
             mem: MemTracker::default(),
             tracer,
@@ -348,7 +378,7 @@ impl Worker {
                     posthoc_start = self.tracer.as_ref().map(|_| now_ns());
                 }
                 self.exec(row, offset)?;
-                if iter == 0 && first_micro_misses.is_none() && row.is_compute() {
+                if iter == 0 && first_micro_misses.is_none() && row.op.is_compute() {
                     first_micro_misses = Some(misses());
                 }
             }
@@ -420,7 +450,7 @@ impl Worker {
                 pool::put(stage.params());
             }
         }
-        for &(class, extra) in &self.program.pool_plan {
+        for &(class, extra) in &self.pool_plan {
             pool::prewarm(class, pool::spare_count(class) + extra);
         }
         // The packed GEMM engine draws per-grid-cell panel scratch from
@@ -467,54 +497,63 @@ impl Worker {
         })
     }
 
-    /// Execute one row, under a span named after its op when tracing.
+    /// Execute one row, under a span named after its op when tracing (the
+    /// implicit post-hoc rows share one span, recorded by [`Worker::run`]).
     fn exec(&mut self, row: &Row, offset: u64) -> Result<(), WorkerError> {
-        let kind = self.tracer.as_ref().and_then(|tr| {
-            if row.kind == RowKind::Launch {
-                tr.allreduce_launches.inc();
-            }
-            row.span
-        });
-        let Some(kind) = kind else {
+        let Some(tr) = &self.tracer else {
             return self.exec_row(row, offset);
+        };
+        if row.op.kind == OpKind::AllReduceLaunch {
+            tr.allreduce_launches.inc();
+        }
+        if row.op_ix == self.program.ops {
+            return self.exec_row(row, offset);
+        }
+        let kind = match row.op.kind {
+            OpKind::Forward => SpanKind::Forward,
+            OpKind::Backward { recompute: true } => SpanKind::Recompute,
+            OpKind::Backward { recompute: false } => SpanKind::Backward,
+            OpKind::AllReduceLaunch => SpanKind::AllReduceLaunch,
+            OpKind::AllReduceWait => SpanKind::AllReduce,
         };
         let start = now_ns();
         self.exec_row(row, offset)?;
         let end = now_ns();
         let tr = self.tracer.as_ref().expect("tracer checked above");
-        if row.is_compute() {
-            tr.stage_compute_ns[row.held].add(end.saturating_sub(start));
+        let h = row.held as usize;
+        if row.op.is_compute() {
+            tr.stage_compute_ns[h].add(end.saturating_sub(start));
         }
-        let held = &self.held[row.held];
         tr.span(
             kind,
-            row.name.clone(),
+            row.op.to_string(),
             start,
             end,
-            Some(held.stage_id),
-            Some(held.replica),
-            row.is_compute().then(|| row.micro as u64 + offset),
+            Some(row.op.stage.0),
+            Some(row.op.replica.0),
+            (row.op.is_compute()).then(|| u64::from(row.op.micro.0) + offset),
             None,
         );
         Ok(())
     }
 
     fn exec_row(&mut self, row: &Row, offset: u64) -> Result<(), WorkerError> {
-        match row.kind {
-            RowKind::Forward => self.forward(row, row.micro as u64 + offset),
-            RowKind::Backward => self.backward(row, row.micro as u64 + offset),
-            RowKind::Launch => {
-                let contribution = std::mem::take(&mut self.held[row.held].grads);
+        let h = row.held as usize;
+        match row.op.kind {
+            OpKind::Forward => self.forward(row, u64::from(row.op.micro.0) + offset),
+            OpKind::Backward { .. } => self.backward(row, u64::from(row.op.micro.0) + offset),
+            OpKind::AllReduceLaunch => {
+                let contribution = std::mem::take(&mut self.held[h].grads);
                 let drained: usize = contribution.iter().map(|(_, g)| g.len()).sum();
-                self.reducers[row.reducer].deposit(contribution);
+                self.reducers[row.reducer as usize].deposit(contribution);
                 self.mem.sub(drained);
                 Ok(())
             }
-            RowKind::Wait => {
+            OpKind::AllReduceWait => {
                 self.park_version(row);
                 let summed = self.fetch_reduced(row)?;
                 if !summed.is_empty() {
-                    let held = &mut self.held[row.held];
+                    let held = &mut self.held[h];
                     let lr = self.opts.schedule().at(held.opt.steps());
                     held.stage.step(&mut held.opt, &summed, lr);
                 }
@@ -525,19 +564,20 @@ impl Worker {
 
     /// Wait (with deadline) for the next reduced gradient of the row's stage.
     fn fetch_reduced(&self, row: &Row) -> Result<Reduced, WorkerError> {
-        self.reducers[row.reducer]
+        self.reducers[row.reducer as usize]
             .fetch_deadline(self.opts.recv_timeout)
             .ok_or(WorkerError::AllReduceTimeout {
                 group: self.group,
                 worker: self.id.0,
                 iteration: self.cur_iter,
-                stage: self.held[row.held].stage_id,
+                stage: self.held[row.held as usize].stage_id,
                 waited: self.opts.recv_timeout,
             })
     }
 
     fn forward(&mut self, row: &Row, g: u64) -> Result<(), WorkerError> {
-        let s = self.held[row.held].stage_id;
+        let h = row.held as usize;
+        let s = self.held[h].stage_id;
         let last = s + 1 == self.program.d;
         let (tokens, targets) = if s == 0 || last {
             self.data.batch(g, self.opts.micro_batch)
@@ -548,7 +588,7 @@ impl Worker {
             Some((_, key)) => Some(self.recv(key, g)?),
             None => None,
         };
-        let (out, mut stash) = self.held[row.held].stage.forward(
+        let (out, mut stash) = self.held[h].stage.forward(
             x,
             (s == 0).then_some(tokens.as_slice()),
             last.then_some(targets.as_slice()),
@@ -557,7 +597,7 @@ impl Worker {
             stash.drop_to_boundary();
         }
         self.mem.add(stash.elements(), row.op_ix);
-        self.stashes[row.stash_slot] = Some(stash);
+        self.stashes[row.micros[0].stash_slot as usize] = Some(stash);
         if let (Some((to, key)), Some(act)) = (row.send, out.activation) {
             self.send(to, key, g, act)?;
         }
@@ -572,18 +612,21 @@ impl Worker {
             Some((_, key)) => Some(self.recv(key, g)?),
             None => None,
         };
-        let mut stash = self.stashes[row.stash_slot]
+        let cov = row.micros[0];
+        let mut stash = self.stashes[cov.stash_slot as usize]
             .take()
             .expect("lowering pairs every backward with its forward's slot");
-        let held = &mut self.held[row.held];
+        let held = &mut self.held[row.held as usize];
         let last = held.stage_id + 1 == self.program.d;
         // Weight stashing: the backward must use the parameter version this
         // micro's forward read. A micro on the still-current version runs in
         // place; one on a superseded version swaps in the shared parked copy
         // and swaps back after.
-        let saved = row.version_slot.map(|slot| {
+        let saved = cov.version_slot.map(|slot| {
             let saved = held.stage.params();
-            let parked = self.versions[slot].as_ref().expect("version parked");
+            let parked = self.versions[slot as usize]
+                .as_ref()
+                .expect("version parked");
             held.stage.set_params(parked);
             saved
         });
@@ -600,9 +643,9 @@ impl Worker {
         if let Some(saved) = saved {
             held.stage.set_params(&saved);
             pool::put(saved);
-            if row.frees_version {
-                let slot = row.version_slot.expect("a version was swapped in");
-                let parked = self.versions[slot].take().expect("version parked");
+            if cov.frees_version {
+                let slot = cov.version_slot.expect("a version was swapped in");
+                let parked = self.versions[slot as usize].take().expect("version parked");
                 self.mem.sub(parked.len());
                 pool::put(parked);
             }
@@ -620,13 +663,13 @@ impl Worker {
     /// in-flight micro-batch still reading the current weights, park one
     /// copy of them in the row's version slot first (copy-on-update).
     ///
-    /// Mirrors the static liveness walk's `AllReduceWait` handling exactly,
-    /// so tracked memory matches the analyzer's byte for byte.
+    /// The liveness pass prices the same row's `parks_version`, so tracked
+    /// memory matches the analyzer's byte for byte.
     fn park_version(&mut self, row: &Row) {
-        if let Some(slot) = row.version_slot {
-            let params = self.held[row.held].stage.params();
+        if let Some(slot) = row.parks_version {
+            let params = self.held[row.held as usize].stage.params();
             self.mem.add(params.len(), row.op_ix);
-            self.versions[slot] = Some(params);
+            self.versions[slot as usize] = Some(params);
         }
     }
 
@@ -646,7 +689,7 @@ impl Worker {
         self.ep
             .send(
                 self.group * self.program.d + to,
-                key.at(micro),
+                msg_key(key, micro),
                 Payload::Tensor(tensor),
             )
             .map_err(|_| WorkerError::PeerGone {
@@ -659,7 +702,7 @@ impl Worker {
 
     fn recv(&mut self, key: KeyTemplate, micro: u64) -> Result<Tensor, WorkerError> {
         let start = self.tracer.as_ref().map(|_| now_ns());
-        let msg = key.at(micro);
+        let msg = msg_key(key, micro);
         let tensor = match self.ep.recv_deadline(msg, self.opts.recv_timeout) {
             Ok(payload) => payload.into_tensor(),
             Err(_) => {

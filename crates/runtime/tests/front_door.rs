@@ -1,11 +1,10 @@
 //! Schedules the runtime cannot execute are refused with a typed error when
 //! they are lowered — before a worker thread exists that could panic on the
-//! op or leave its peers waiting out their deadlines.
+//! op or leave its peers waiting out their deadlines — and the verifier,
+//! which reads the same lowering, calls exactly those schedules not clean.
 //!
-//! The defects are the drop and move-to-other-worker operators of
-//! `chimera-verify`'s `comm_lint_differential` test, applied exhaustively:
-//! every op of every worker dropped, and moved to the front and the back of
-//! the next worker's list.
+//! The defects are `tests/support/mutants.rs`'s: every op of every worker
+//! dropped, and moved to the front and the back of the next worker's list.
 
 use std::panic::AssertUnwindSafe;
 use std::time::{Duration, Instant};
@@ -16,35 +15,11 @@ use chimera_core::sync::place_sync;
 use chimera_core::unit_time::UnitCosts;
 use chimera_nn::ModelConfig;
 use chimera_runtime::{train, TrainError, TrainOptions};
+use chimera_verify::verify_span;
 
-/// Full-chunk schemes the runtime executes.
-const SCHEMES: [&str; 7] = [
-    "chimera",
-    "chimera-f2",
-    "dapple",
-    "gpipe",
-    "gems",
-    "pipedream",
-    "pipedream-2bw",
-];
-
-/// Each scheme as generated and, where that differs, with explicit eager
-/// allreduce ops, so sync rows are mutated too.
-fn clean_schedules(d: u32) -> Vec<(String, Schedule)> {
-    let mut out = Vec::new();
-    for scheme in SCHEMES {
-        if scheme == "chimera-f2" && !(d / 2).is_multiple_of(2) {
-            continue; // f = 2 needs f | D/2
-        }
-        let sched = build_named(scheme, d, 2 * d).expect("known scheme");
-        if sched.flushes && sched.sync == SyncStrategy::None {
-            let eager = place_sync(sched.clone(), SyncStrategy::Eager, UnitCosts::practical());
-            out.push((format!("{scheme}+eager D={d}"), eager));
-        }
-        out.push((format!("{scheme} D={d}"), sched));
-    }
-    out
-}
+#[path = "../../../tests/support/mutants.rs"]
+mod mutants;
+use mutants::{clean_schedules, for_each_mutant};
 
 /// Lowering must refuse `mutant`; a hang would show as a deadline error
 /// (or, at worst, as this test's own clock).
@@ -83,26 +58,45 @@ fn dropped_and_misplaced_ops_are_refused_at_lowering() {
     let mut mutants = 0;
     for d in [2u32, 4] {
         for (name, clean) in clean_schedules(d) {
-            for w in 0..clean.workers.len() {
-                for i in 0..clean.workers[w].len() {
-                    let mut dropped = clean.clone();
-                    let op = dropped.workers[w].remove(i);
-                    assert_refused(&dropped, &format!("{name}: drop {op} from P{w}"));
-
-                    let to = (w + 1) % clean.workers.len();
-                    for front in [true, false] {
-                        let mut moved = dropped.clone();
-                        let at = if front { 0 } else { moved.workers[to].len() };
-                        moved.workers[to].insert(at, op);
-                        assert_refused(&moved, &format!("{name}: move {op} P{w} → P{to} #{at}"));
-                        mutants += 1;
-                    }
-                    mutants += 1;
-                }
-            }
+            mutants += for_each_mutant(&name, &clean, assert_refused);
         }
     }
     assert!(mutants > 1000, "only {mutants} mutants tried");
+}
+
+/// One lowering, one verdict: on every base and every mutant, the verifier
+/// calls the schedule clean exactly when `train` does not refuse it.
+#[test]
+fn verify_is_clean_exactly_when_train_lowers() {
+    let refused = |sched: &Schedule| {
+        let opts = TrainOptions {
+            micro_batch: 1,
+            iterations: 1,
+            ..TrainOptions::default()
+        };
+        let cfg = ModelConfig {
+            layers: 8,
+            ..ModelConfig::tiny()
+        };
+        matches!(
+            train(sched, cfg, opts),
+            Err(TrainError::UnsupportedSchedule { .. })
+        )
+    };
+    let (mut inputs, mut runnable) = (0, 0);
+    for d in [2u32, 4] {
+        for (name, clean) in clean_schedules(d) {
+            let mut check = |sched: &Schedule, what: &str| {
+                let clean = verify_span(sched, 1).is_clean();
+                assert_eq!(clean, !refused(sched), "{what}: verify clean = {clean}");
+                inputs += 1;
+                runnable += usize::from(clean);
+            };
+            check(&clean, &name);
+            for_each_mutant(&name, &clean, check);
+        }
+    }
+    assert_eq!((inputs, runnable), (4128 + 22, 22));
 }
 
 /// The error names the worker and the op, and says what is wrong with it.
@@ -129,4 +123,43 @@ fn the_error_names_the_op_and_the_reason() {
         text.contains("w1") && text.contains(&format!("F{}", op.micro)),
         "{text}"
     );
+}
+
+/// A flushing schedule whose allreduce launches before the last backward of
+/// the gradients it carries would train — the ops pair up, nothing stalls —
+/// and quietly stop being mini-batch SGD: the late micro-batch's gradient
+/// rides into the next iteration's round. Refused, with the launch named.
+#[test]
+fn a_premature_sync_is_refused_with_the_launch_named() {
+    let mut sched = place_sync(
+        build_named("dapple", 2, 4).expect("known scheme"),
+        SyncStrategy::Eager,
+        UnitCosts::practical(),
+    );
+    // P0: … B3 AR+ AR?  →  … AR+ AR? B3
+    let ops = &mut sched.workers[0];
+    let last_backward = ops
+        .iter()
+        .rposition(chimera_core::Op::is_backward)
+        .expect("a backward");
+    assert_eq!(
+        last_backward + 3,
+        ops.len(),
+        "launch and wait close the list"
+    );
+    ops[last_backward..].rotate_left(1);
+    let launch = ops[last_backward];
+
+    let err = train(&sched, ModelConfig::tiny(), TrainOptions::default()).unwrap_err();
+    let TrainError::UnsupportedSchedule { worker, op, reason } = &err else {
+        panic!("expected UnsupportedSchedule, got {err}");
+    };
+    assert_eq!((*worker, op), (0, &launch.to_string()));
+    assert!(reason.contains("before the last backward"), "{reason}");
+    assert!(!verify_span(&sched, 1).is_clean());
+
+    // Asynchronous schemes synchronize mid-stream by design.
+    let pipedream = build_named("pipedream", 2, 4).expect("known scheme");
+    assert!(!pipedream.flushes);
+    train(&pipedream, ModelConfig::tiny(), TrainOptions::default()).expect("pipedream trains");
 }

@@ -1,15 +1,16 @@
 //! Weight-version staleness lint per stage replica.
 //!
 //! (The activation-stash discipline — `overwritten_stash`, `use_before_def`,
-//! `double_free` — is checked by the [`liveness`](crate::liveness) walk, which
-//! already tracks every stash half's live range.)
+//! `double_free` — is checked where the schedule is lowered,
+//! `chimera_core::program`, and rendered by [`liveness`](crate::liveness).)
 //!
 //! Synchronous schedules only: replays `validate::weight_analysis` with a
 //! per-iteration update rule. Any nonzero staleness means some forward read a
 //! weight version that a later update in the same span overwrote before the
 //! matching backward — a WAR hazard that breaks the scheme's
-//! mini-batch-SGD equivalence (Table 2's "convergence friendly" column). The
-//! dynamic validator never checks this.
+//! mini-batch-SGD equivalence (Table 2's "convergence friendly" column).
+//! Neither lowering nor the executor sees this: the ops pair up and the
+//! schedule completes.
 
 use std::collections::HashMap;
 
@@ -80,8 +81,9 @@ mod tests {
     use super::*;
     use chimera_core::baselines::{dapple, gems, gpipe};
     use chimera_core::chimera::{chimera, ChimeraConfig};
+    use chimera_core::program::lower;
     use chimera_core::repeat::concat_iterations;
-    use chimera_core::validate::validate;
+    use chimera_core::unit_time::{execute, UnitCosts};
 
     #[test]
     fn builtin_schemes_are_hazard_free() {
@@ -98,10 +100,10 @@ mod tests {
     }
 
     #[test]
-    fn late_forward_is_weight_war_but_passes_dynamic_validation() {
+    fn late_forward_is_weight_war_but_lowers_and_executes() {
         // Two GPipe iterations; slide iteration-2's first forward on worker 0
-        // before iteration-1's last backward. Dynamically fine (no deadlock,
-        // coverage intact) but the forward now reads pre-update weights for a
+        // before iteration-1's last backward. Executable (no defect, no
+        // deadlock) but the forward now reads pre-update weights for a
         // post-update gradient — staleness 1.
         let s = concat_iterations(&gpipe(2, 2), 2, false);
         let mut s = s;
@@ -109,7 +111,8 @@ mod tests {
         let ops = &mut s.workers[0];
         let f2 = ops.remove(4);
         ops.insert(3, f2);
-        validate(&s).expect("dynamic validation still passes");
+        assert_eq!(lower(&s, 2).defects, []);
+        execute(&s, UnitCosts::equal()).expect("still completes");
         let diags = lint(&s, 2);
         let war = diags
             .iter()

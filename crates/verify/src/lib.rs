@@ -1,9 +1,10 @@
 //! Static verification of pipeline schedules — no execution required.
 //!
-//! `chimera_core::validate` discovers scheduling bugs *dynamically*, by
-//! executing the schedule under abstract costs and watching it deadlock or
-//! mis-cover. This crate finds the same classes of bugs (and several the
-//! executor cannot see) by analyzing the schedule as data:
+//! The verifier analyzes the schedule as data, and starts where the runtime
+//! does: `chimera_core::program::lower` walks every worker's ops once into
+//! the row tables the runtime executes plus a list of typed defects, each
+//! surfaced here under its stable code. A schedule lowering refuses is never
+//! clean, so a schedule called clean is one `train` runs. On top of that:
 //!
 //! 1. **Deadlock as a cycle** ([`graph`]): when the schedule cannot
 //!    complete, the verifier extracts the actual waits-for cycle through
@@ -17,15 +18,15 @@
 //!    provable bound on parked messages.
 //! 3. **Weight hazards** ([`hazard`]): weight-version staleness per stage
 //!    replica, from `validate::weight_analysis`'s update-rule machinery.
-//! 4. **Liveness** ([`liveness`]): the single program-order walk behind
-//!    everything static about buffers — a register-allocator-style
-//!    def/use/kill dataflow analysis assigning every buffer (stash halves,
-//!    rematerialized activations, stashed weight versions, gradient
-//!    contributions) an exact live range. One pass yields the activation
-//!    peak ([`VerifyReport::peak_activation_units`]), the *exact*
-//!    peak-memory number ([`memory_v2`]) next to the coarse Table-2 bound it
-//!    tightens, the memory-cliff op, the interference-based pool pre-sizing
-//!    plan, and the stash-discipline diagnostics (`overwritten_stash`,
+//! 4. **Liveness** ([`liveness`]): the lowered rows say which buffers (stash
+//!    halves, rematerialized activations, stashed weight versions, gradient
+//!    contributions) each op defines and kills; pricing them under a size
+//!    model gives every buffer an exact live range. One lowering, priced in
+//!    activation units and in bytes, yields the activation peak
+//!    ([`VerifyReport::peak_activation_units`]), the *exact* peak-memory
+//!    number ([`memory_v2`]) next to the coarse Table-2 bound it tightens,
+//!    the memory-cliff op, the interference-based pool pre-sizing plan, and
+//!    the stash-discipline diagnostics (`overwritten_stash`,
 //!    `use_before_def`, `double_free`) with exact op ranges.
 //!
 //! The deadlock verdict agrees with `chimera_core::unit_time::execute` by
@@ -37,10 +38,13 @@ pub mod graph;
 pub mod hazard;
 pub mod liveness;
 
+use chimera_core::program::{lower_each, structural, Defect, DefectKind, Program};
 use chimera_core::schedule::Schedule;
 use chimera_core::unit_time::{validate_span, UnitCosts};
 use chimera_core::WorkerId;
 use chimera_sim::cost::SimCostModel;
+
+use crate::liveness::LivenessReport;
 
 /// Location of an op inside a schedule: worker + index in that worker's
 /// program order, plus a rendering of the op itself.
@@ -380,49 +384,106 @@ impl serde::Serialize for VerifyReport {
 }
 
 /// Statically verify `sched` as a span of `iterations` training iterations
-/// (matching `simulate_span` / `concat_iterations` semantics): happens-before
-/// deadlock analysis, communication matching, buffer hazards, and activation
-/// accounting. Purely static — the schedule is never executed.
+/// (matching `simulate_span` / `concat_iterations` semantics): lowering's
+/// defects, happens-before deadlock analysis, communication matching, weight
+/// hazards, and activation accounting. Purely static — the schedule is never
+/// executed — and total: any `Schedule` value gets a report.
 pub fn verify_span(sched: &Schedule, iterations: u32) -> VerifyReport {
-    sched.assert_well_formed();
-    let mut diagnostics = Vec::new();
+    let mut peaks = Vec::new();
+    let defects = lower_each(sched, iterations, |p| peaks.push(unit_peak(&p)));
+    report_of(sched, iterations, &defects, peaks)
+}
 
-    // Span consistency first: a schedule that does not cover every micro at
-    // every stage cannot be meaningfully graph-analyzed for completion.
-    if let Err(e) = validate_span(sched, iterations) {
-        diagnostics.push(Diagnostic {
-            code: "inconsistent_span",
+/// `program`'s activation peak in `Ma` units (activation-only unit sizing);
+/// its live ranges are dropped with the one-worker report.
+fn unit_peak(program: &Program) -> f64 {
+    let units = liveness::ActivationSizes(&UnitCosts::equal());
+    liveness::price(std::slice::from_ref(program), &units).activation_peak[0]
+}
+
+impl Diagnostic {
+    /// A lowering defect as an error under its stable code, located at its
+    /// op where it names one (def → def for an overwritten stash).
+    pub fn of_defect(sched: &Schedule, defect: &Defect) -> Self {
+        let (w, i) = (defect.worker as usize, defect.op_ix);
+        let op = sched.workers.get(w).and_then(|ops| ops.get(i));
+        let def = match defect.kind {
+            DefectKind::OverwrittenStash { def } => Some(def),
+            _ => None,
+        };
+        let reason = defect.kind.reason();
+        Diagnostic {
+            code: defect.kind.code(),
             severity: Severity::Error,
-            message: e.to_string(),
-            locations: Vec::new(),
-        });
+            message: op.map_or(reason.to_string(), |op| {
+                format!("P{w} op #{i} ({op}): {reason}")
+            }),
+            locations: (def.into_iter().chain([i]).filter(|_| op.is_some()))
+                .map(|j| OpLoc::of(sched, w, j))
+                .collect(),
+        }
     }
+}
 
-    let analysis = graph::analyze(sched);
-    diagnostics.extend(analysis.diagnostics);
-
-    let comm = comm_lint::lint(sched);
-    diagnostics.extend(comm.diagnostics);
-
-    diagnostics.extend(hazard::lint(sched, iterations));
-
-    // One walk under activation-only unit sizing: the stash-discipline
-    // diagnostics and the per-worker activation peak in `Ma` units.
-    let lifetimes = liveness::analyze(sched, &liveness::ActivationSizes(&UnitCosts::equal()));
-    diagnostics.extend(lifetimes.diagnostics);
-
+/// [`verify_span`]'s report from the defects of lowering `sched` and its
+/// rows' activation peaks.
+fn report_of(
+    sched: &Schedule,
+    iterations: u32,
+    defects: &[Defect],
+    peak_activation_units: Vec<f64>,
+) -> VerifyReport {
     let mut report = VerifyReport {
         scheme: sched.scheme.name().to_string(),
         d: sched.d,
         n: sched.n,
         ops: sched.workers.iter().map(Vec::len).sum(),
-        deadlock: analysis.deadlock,
-        blocked: analysis.blocked,
-        diagnostics,
-        channels: comm.channels,
-        peak_activation_units: lifetimes.activation_peak,
+        deadlock: false,
+        blocked: Vec::new(),
+        diagnostics: Vec::new(),
+        channels: Vec::new(),
+        peak_activation_units,
         memory_v2: None,
     };
+    let diagnostics = &mut report.diagnostics;
+
+    // A schedule with ids out of range or ops off their placement worker
+    // gets its defects only: the passes below index by stage.
+    if !structural(defects) {
+        // Span consistency first: a schedule that does not cover every micro
+        // at every stage cannot be meaningfully graph-analyzed for completion.
+        if let Err(e) = validate_span(sched, iterations) {
+            diagnostics.push(Diagnostic {
+                code: "inconsistent_span",
+                severity: Severity::Error,
+                message: e.to_string(),
+                locations: Vec::new(),
+            });
+        }
+
+        let analysis = graph::analyze(sched);
+        diagnostics.extend(analysis.diagnostics);
+        (report.deadlock, report.blocked) = (analysis.deadlock, analysis.blocked);
+
+        let comm = comm_lint::lint(sched);
+        diagnostics.extend(comm.diagnostics);
+        report.channels = comm.channels;
+
+        diagnostics.extend(hazard::lint(sched, iterations));
+    }
+
+    // Every defect under its own code — except the classes a pass above
+    // reports in its own terms: a stash nobody consumes miscounts the span,
+    // a lone boundary message is comm_lint's, holders that disagree on a
+    // stage's rounds stall the collective.
+    use DefectKind::{LoneRecv, LoneSend, RoundsDisagree, UnconsumedStash};
+    let own_code = (defects.iter()).filter(|d| {
+        !matches!(
+            d.kind,
+            UnconsumedStash | LoneSend | LoneRecv | RoundsDisagree
+        )
+    });
+    diagnostics.extend(own_code.map(|d| Diagnostic::of_defect(sched, d)));
     report.sort_diagnostics();
     report
 }
@@ -431,8 +492,16 @@ pub fn verify_span(sched: &Schedule, iterations: u32) -> VerifyReport {
 /// weight state plus the liveness engine's dynamic peak, cross-checked
 /// against the coarse Table-2 bound and paired with a pool pre-sizing plan.
 pub fn memory_v2(sched: &Schedule, cost: &SimCostModel) -> MemoryV2 {
+    memory_of(
+        sched,
+        &liveness::analyze(sched, &liveness::SimSizes(cost)),
+        cost,
+    )
+}
+
+/// [`memory_v2`] from `sched`'s rows priced under `cost`'s bytes.
+fn memory_of(sched: &Schedule, lifetimes: &LivenessReport, cost: &SimCostModel) -> MemoryV2 {
     let coarse_weights = chimera_sim::memory::weights_bytes(sched, cost);
-    let lifetimes = liveness::analyze(sched, &liveness::SimSizes(cost));
 
     let workers = (0..sched.num_workers())
         .map(|w| {
@@ -465,13 +534,7 @@ pub fn memory_v2(sched: &Schedule, cost: &SimCostModel) -> MemoryV2 {
             }
             let pool_classes = by_class
                 .into_iter()
-                .map(|(class, intervals)| {
-                    let slots = liveness::assign_slots(&intervals)
-                        .into_iter()
-                        .max()
-                        .map_or(0, |s| s + 1);
-                    (class, slots)
-                })
+                .map(|(class, intervals)| (class, liveness::max_overlap(&intervals) as u32))
                 .collect();
             WorkerMemory {
                 exact_peak_bytes: exact,
@@ -496,18 +559,31 @@ pub fn memory_v2(sched: &Schedule, cost: &SimCostModel) -> MemoryV2 {
 
 /// [`verify_span`] plus the exact memory lint: per-worker peak memory from
 /// the liveness dataflow engine ([`memory_v2`]) checked against
-/// `capacity_bytes`, flagging OOM with the memory-cliff op. The superseded
-/// coarse Table-2 bound rides along as a cross-check: `coarse_bound_exceeded`
-/// fires if the exact peak ever exceeds it (which would mean the old lint
-/// under-approximated).
+/// `capacity_bytes`, flagging OOM with the memory-cliff op. The schedule is
+/// lowered once and its rows priced twice, in activation units and in
+/// `cost`'s bytes. The superseded coarse Table-2 bound rides along as a
+/// cross-check: `coarse_bound_exceeded` fires if the exact peak ever exceeds
+/// it (which would mean the old lint under-approximated). A structurally
+/// defective schedule gets no memory section: its placement cannot be priced.
 pub fn verify_with_memory(
     sched: &Schedule,
     iterations: u32,
     cost: &SimCostModel,
     capacity_bytes: u64,
 ) -> VerifyReport {
-    let mut report = verify_span(sched, iterations);
-    let mem = memory_v2(sched, cost);
+    let (mut peaks, mut in_bytes) = (Vec::new(), LivenessReport::default());
+    let defects = lower_each(sched, iterations, |p| {
+        peaks.push(unit_peak(&p));
+        in_bytes.push_priced(&p, &liveness::SimSizes(cost));
+    });
+    // The live ranges fold into the memory section before the passes of the
+    // report allocate their own tables, so the two never coexist.
+    let mem = (!structural(&defects)).then(|| memory_of(sched, &in_bytes, cost));
+    drop(in_bytes);
+    let mut report = report_of(sched, iterations, &defects, peaks);
+    let Some(mem) = mem else {
+        return report;
+    };
     for (w, wm) in mem.workers.iter().enumerate() {
         if wm.exact_peak_bytes > capacity_bytes {
             report.diagnostics.push(Diagnostic {

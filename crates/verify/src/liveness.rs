@@ -1,28 +1,22 @@
-//! Whole-schedule buffer-liveness dataflow engine: the one program-order walk
-//! behind everything static about a worker's buffers.
+//! Whole-schedule buffer liveness: exact live ranges and peaks for every
+//! buffer a worker holds across ops, priced from the lowered rows.
 //!
 //! A worker's ops run sequentially, so its allocation events happen in program
-//! order whatever the tick values. One register-allocator-style pass over
-//! **every buffer a worker holds across ops** therefore yields the exact
-//! memory picture of a schedule without executing it:
-//!
-//! * **Stash halves** — a forward defines one buffer per half-micro it covers
-//!   (forward doubling defines four, backward halving kills one at a time),
-//!   killed by the backward that consumes the half. Under recomputation the
-//!   stashed buffer shrinks to the stage-boundary input and the backward
-//!   carries a **rematerialization** buffer whose def and kill are the same op.
-//! * **Weight versions** — non-flushing schedules (PipeDream-family weight
-//!   stashing) materialize a parameter copy *at the update that supersedes a
-//!   still-referenced version* (copy-on-update, one buffer per distinct
-//!   version — not one per in-flight micro), killed by the backward of the
-//!   last micro that references it.
-//! * **Gradient contributions** — each backward defines one flat gradient
-//!   buffer, killed by the next allreduce launch of its `(replica, stage)`
-//!   (or live to the end of the span under post-hoc synchronization).
+//! order whatever the tick values. `chimera_core::program::lower` walks that
+//! order once and records, per row, which buffers the op defines and kills;
+//! [`price`] folds the rows under a [`BufferSizes`] model — it owns no walk of
+//! its own, and the runtime's worker executes the very same rows. Four kinds
+//! of buffer ([`BufferKind`]): stash halves (forward → the backward that
+//! consumes the half), the rematerialization a recomputing backward carries
+//! (def and kill the same op), superseded weight versions of non-flushing
+//! schedules (the update that must park a still-referenced version → the
+//! last backward that reads it; one buffer per version, not per micro) and
+//! gradient contributions (backward → the next launch of its stage, or the
+//! end of the span under post-hoc synchronization).
 //!
 //! Every buffer gets an exact live range `[def, kill]` (op indices, inclusive
 //! on both ends: a buffer killed *by* op `i` is still resident while `i`
-//! runs). From the ranges the engine derives:
+//! runs). From the ranges the fold derives:
 //!
 //! 1. an **exact peak** per worker — the max prefix sum of def/kill deltas in
 //!    program order — and beside it the **activation-only** (stash + remat)
@@ -31,27 +25,22 @@
 //!    the coarse Table-2 bound;
 //! 2. the **memory cliff** — the op whose execution first reaches each peak,
 //!    with a per-kind breakdown at that instant;
-//! 3. **interference**: two buffers interfere iff their ranges overlap; a
-//!    deterministic linear scan over the interval graph assigns buffers to
-//!    size-classed slots, and — intervals being an interval graph — uses
-//!    exactly max-clique many slots per class (also the pool pre-sizing
-//!    number the runtime consumes);
-//! 4. the **stash-discipline diagnostics**, one per defective `(op, micro)`:
-//!    `overwritten_stash` (a forward re-defines a half whose previous buffer
-//!    is still live — WAW, the earlier activations are clobbered before their
-//!    backward read them; located def→def), `use_before_def` (a backward
-//!    over a micro with no live stash at all) and `double_free` (a backward
-//!    over a half that was already freed while the other is still live).
+//! 3. **interference**: two buffers interfere iff their ranges overlap, and —
+//!    intervals being an interval graph — a size class needs exactly
+//!    [`max_overlap`] many slots (the pool pre-sizing number the runtime
+//!    consumes).
+//!
+//! [`analyze`] adds lowering's stash-discipline defects as diagnostics
+//! (`overwritten_stash`, `use_before_def`, `double_free`).
 
-use std::collections::HashMap;
-
-use chimera_core::op::{Chunk, Op, OpKind};
+use chimera_core::op::{Op, OpKind};
+use chimera_core::program::{halves_in, lower_each, DefectKind, Program};
 use chimera_core::schedule::Schedule;
 use chimera_core::unit_time::CostProvider;
-use chimera_core::{MicroId, ReplicaId, StageId};
+use chimera_core::StageId;
 use chimera_sim::SimCostModel;
 
-use crate::{Diagnostic, OpLoc, Severity};
+use crate::Diagnostic;
 
 /// What a live buffer holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,17 +54,6 @@ pub enum BufferKind {
     WeightVersion,
     /// One backward's flat gradient contribution awaiting its allreduce.
     Grad,
-}
-
-impl BufferKind {
-    fn idx(self) -> usize {
-        match self {
-            BufferKind::Stash => 0,
-            BufferKind::Remat => 1,
-            BufferKind::WeightVersion => 2,
-            BufferKind::Grad => 3,
-        }
-    }
 }
 
 /// One buffer's exact static lifetime on a worker.
@@ -177,19 +155,8 @@ pub struct KindBreakdown {
     pub grads: f64,
 }
 
-impl KindBreakdown {
-    fn from_cur(cur: &[f64; 4]) -> Self {
-        KindBreakdown {
-            stash: cur[0],
-            remat: cur[1],
-            weight_versions: cur[2],
-            grads: cur[3],
-        }
-    }
-}
-
 /// The dataflow engine's result for one schedule.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LivenessReport {
     /// Every buffer's exact live range, per worker, in def order.
     pub lives: Vec<Vec<BufferLife>>,
@@ -207,31 +174,6 @@ pub struct LivenessReport {
     /// Stash-discipline findings: `overwritten_stash`, `use_before_def`,
     /// `double_free`.
     pub diagnostics: Vec<Diagnostic>,
-}
-
-/// Per-`(replica, stage)` weight-version walk state.
-#[derive(Default)]
-struct VersionState {
-    /// Current (resident) version id.
-    current: u64,
-    /// In-flight micros referencing the current (unmaterialized) version.
-    current_refs: u32,
-    /// Version each in-flight micro's forward read.
-    by_micro: HashMap<u64, u64>,
-    /// Materialized superseded versions: id → (lives index, refs).
-    open: HashMap<u64, (usize, u32)>,
-}
-
-/// Half-micro ids (`2·micro + h`) of micro `m` that compute op `op` covers.
-fn halves(op: &Op, m: MicroId) -> std::ops::RangeInclusive<u64> {
-    let base = 2 * m.0 as u64;
-    match op.chunk {
-        Chunk::Half(h) => {
-            let half = base + u64::from(h.min(1));
-            half..=half
-        }
-        _ => base..=base + 1,
-    }
 }
 
 /// A running maximum and the op index that first reached it.
@@ -253,51 +195,63 @@ impl Peak {
     }
 }
 
-/// Run the dataflow analysis over every worker of `sched` under `sizes`.
+/// Lower `sched` and price its rows under `sizes`: [`price`] plus lowering's
+/// stash-discipline defects as diagnostics.
 pub fn analyze<S: BufferSizes>(sched: &Schedule, sizes: &S) -> LivenessReport {
-    let recomputing = sched.recomputing();
-    let stash_weights = !sched.flushes;
-    let (stash, remat, version, grad) = (
-        BufferKind::Stash.idx(),
-        BufferKind::Remat.idx(),
-        BufferKind::WeightVersion.idx(),
-        BufferKind::Grad.idx(),
-    );
+    let mut rep = LivenessReport::default();
+    let defects = lower_each(sched, 1, |program| rep.push_priced(&program, sizes));
+    let stash_defects = defects.iter().filter(|defect| {
+        matches!(
+            defect.kind,
+            DefectKind::OverwrittenStash { .. } | DefectKind::UseBeforeDef | DefectKind::DoubleFree
+        )
+    });
+    rep.diagnostics = stash_defects
+        .map(|defect| Diagnostic::of_defect(sched, defect))
+        .collect();
+    rep
+}
 
-    let nw = sched.num_workers();
-    let mut rep = LivenessReport {
-        lives: Vec::with_capacity(nw),
-        peak: Vec::with_capacity(nw),
-        cliff: Vec::with_capacity(nw),
-        breakdown: Vec::with_capacity(nw),
-        activation_peak: Vec::with_capacity(nw),
-        activation_cliff: Vec::with_capacity(nw),
-        diagnostics: Vec::new(),
-    };
+/// Price `programs` — a schedule lowered by `chimera_core::program::lower` —
+/// under `sizes`, worker by worker ([`LivenessReport::push_priced`]).
+pub fn price<S: BufferSizes>(programs: &[Program], sizes: &S) -> LivenessReport {
+    let mut rep = LivenessReport::default();
+    for program in programs {
+        rep.push_priced(program, sizes);
+    }
+    rep
+}
 
-    for (w, ops) in sched.workers.iter().enumerate() {
+impl LivenessReport {
+    /// Price the next worker's `program` under `sizes` and append the result.
+    /// The rows say which buffers each op defines and kills; this fold
+    /// attaches sizes, live ranges and the running peak, back-patching each
+    /// buffer's kill through tables indexed by the row's own slots. The
+    /// implicit post-hoc rows are not priced: gradients a schedule never
+    /// launches stay pending to the end of the span.
+    pub fn push_priced<S: BufferSizes>(&mut self, program: &Program, sizes: &S) {
         let mut wl: Vec<BufferLife> = Vec::new();
-        // (replica, stage, half) → index into `wl` of the live stash buffer.
-        let mut open_stash: HashMap<(ReplicaId, StageId, u64), usize> = HashMap::new();
-        // Halves of a micro's stash already killed (half-backward schemes).
-        let mut half_done: HashMap<(ReplicaId, StageId, MicroId), u32> = HashMap::new();
-        let mut versions: HashMap<(ReplicaId, StageId), VersionState> = HashMap::new();
-        // (replica, stage) → indices of pending gradient contributions.
-        let mut pending_grads: HashMap<(ReplicaId, StageId), Vec<usize>> = HashMap::new();
+        // Index into `wl` of the live buffer: per stash slot and half, per
+        // version slot; per held stage, the pending gradient contributions
+        // and the number of updates so far (the next parked version's id).
+        let mut stash_life = vec![[0usize; 2]; program.stash_slots];
+        let mut version_life = vec![0usize; program.version_slots];
+        let mut pending_grads: Vec<Vec<usize>> = vec![Vec::new(); program.held.len()];
+        let mut updates = vec![0u64; program.held.len()];
 
-        let mut cur = [0.0f64; 4];
+        let mut cur = KindBreakdown::default();
         let mut peak = Peak::default();
         let mut at_peak = KindBreakdown::default();
         let mut activation_peak = Peak::default();
-        let mut check_peak = |cur: &[f64; 4], i: usize| {
-            if peak.observe(cur.iter().sum(), i) {
-                at_peak = KindBreakdown::from_cur(cur);
+        let mut check_peak = |cur: &KindBreakdown, i: usize| {
+            if peak.observe(cur.stash + cur.remat + cur.weight_versions + cur.grads, i) {
+                at_peak = *cur;
             }
-            activation_peak.observe(cur[stash] + cur[remat], i);
+            activation_peak.observe(cur.stash + cur.remat, i);
         };
 
-        for (i, op) in ops.iter().enumerate() {
-            let rs = (op.replica, op.stage);
+        for row in &program.rows[..program.implicit_from] {
+            let (i, op, h) = (row.op_ix, &row.op, row.held as usize);
             let life = |kind, key, kill, size| BufferLife {
                 kind,
                 replica: op.replica.0,
@@ -307,57 +261,28 @@ pub fn analyze<S: BufferSizes>(sched: &Schedule, sizes: &S) -> LivenessReport {
                 kill,
                 size,
             };
-            let mut defect = |code, message: String, at: Vec<usize>| {
-                rep.diagnostics.push(Diagnostic {
-                    code,
-                    severity: Severity::Error,
-                    message,
-                    locations: at.into_iter().map(|j| OpLoc::of(sched, w, j)).collect(),
-                });
-            };
             match op.kind {
                 OpKind::Forward => {
-                    let total = if recomputing.contains(&rs) {
+                    let total = if row.boundary_only {
                         sizes.boundary_stash(op)
                     } else {
                         sizes.full_stash(op)
                     };
                     let per = total / f64::from(op.chunk.half_micros());
-                    for m in op.covered_micros() {
-                        // Def of the earliest still-live buffer this forward
-                        // clobbers.
-                        let mut clobbered: Option<usize> = None;
-                        for half in halves(op, m) {
-                            if let Some(prev) = open_stash.insert((rs.0, rs.1, half), wl.len()) {
+                    for cov in row.covered() {
+                        let slot = &mut stash_life[cov.stash_slot as usize];
+                        for b in halves_in(cov.defines) {
+                            if cov.kills >> b & 1 == 1 {
                                 // Close the clobbered buffer here so accounting
                                 // stays bounded on broken schedules.
-                                let def = wl[prev].def;
-                                clobbered = Some(clobbered.map_or(def, |c| c.min(def)));
-                                wl[prev].kill = i;
-                                cur[stash] -= wl[prev].size;
+                                let prev = &mut wl[slot[b]];
+                                prev.kill = i;
+                                cur.stash -= prev.size;
                             }
-                            wl.push(life(BufferKind::Stash, half, usize::MAX, per));
-                            cur[stash] += per;
-                        }
-                        half_done.remove(&(rs.0, rs.1, m));
-                        if let Some(def) = clobbered {
-                            defect(
-                                "overwritten_stash",
-                                format!(
-                                    "P{w} forward re-stashes {m}@{}/{} at op #{i} while the \
-                                     stash defined at op #{def} is still live (its backward \
-                                     has not read it) — the earlier activations are lost",
-                                    op.stage, op.replica
-                                ),
-                                vec![def, i],
-                            );
-                        }
-                    }
-                    if stash_weights {
-                        let st = versions.entry(rs).or_default();
-                        for m in op.covered_micros() {
-                            st.by_micro.insert(m.0 as u64, st.current);
-                            st.current_refs += 1;
+                            slot[b] = wl.len();
+                            let key = 2 * u64::from(cov.micro) + b as u64;
+                            wl.push(life(BufferKind::Stash, key, usize::MAX, per));
+                            cur.stash += per;
                         }
                     }
                     check_peak(&cur, i);
@@ -372,172 +297,74 @@ pub fn analyze<S: BufferSizes>(sched: &Schedule, sizes: &S) -> LivenessReport {
                     };
                     if recompute {
                         wl.push(life(BufferKind::Remat, i as u64, i, remat_size));
-                        cur[remat] += remat_size;
+                        cur.remat += remat_size;
                         check_peak(&cur, i);
                     }
                     let gsize = sizes.grad_contribution(op);
                     if gsize > 0.0 {
-                        pending_grads.entry(rs).or_default().push(wl.len());
+                        pending_grads[h].push(wl.len());
                         wl.push(life(BufferKind::Grad, i as u64, usize::MAX, gsize));
-                        cur[grad] += gsize;
+                        cur.grads += gsize;
                         check_peak(&cur, i);
                     }
                     // Kills: the consumed stash halves (and the transient
-                    // rematerialization) die at this op's end.
-                    cur[remat] -= remat_size;
-                    for m in op.covered_micros() {
-                        let base = 2 * m.0 as u64;
-                        let micro_live =
-                            (base..=base + 1).any(|h| open_stash.contains_key(&(rs.0, rs.1, h)));
-                        let mut missing = false;
-                        for half in halves(op, m) {
-                            match open_stash.remove(&(rs.0, rs.1, half)) {
-                                Some(idx) => {
-                                    wl[idx].kill = i;
-                                    cur[stash] -= wl[idx].size;
-                                }
-                                None => missing = true,
-                            }
+                    // rematerialization) die at this op's end, and with the
+                    // last reader the weight version it read.
+                    cur.remat -= remat_size;
+                    for cov in row.covered() {
+                        for b in halves_in(cov.kills) {
+                            let dead = &mut wl[stash_life[cov.stash_slot as usize][b]];
+                            dead.kill = i;
+                            cur.stash -= dead.size;
                         }
-                        if missing && micro_live {
-                            defect(
-                                "double_free",
-                                format!(
-                                    "P{w} backward at op #{i} frees a half of {m}@{}/{} that \
-                                     was already freed",
-                                    op.stage, op.replica
-                                ),
-                                vec![i],
-                            );
-                        } else if missing {
-                            defect(
-                                "use_before_def",
-                                format!(
-                                    "P{w} backward at op #{i} reads the stash of {m}@{}/{} \
-                                     with no live buffer (never stashed, or already freed)",
-                                    op.stage, op.replica
-                                ),
-                                vec![i],
-                            );
-                        }
-                    }
-                    if stash_weights {
-                        let st = versions.entry(rs).or_default();
-                        for m in op.covered_micros() {
-                            let complete = match op.chunk {
-                                Chunk::Half(_) => {
-                                    let done = half_done.entry((rs.0, rs.1, m)).or_insert(0);
-                                    *done += 1;
-                                    *done == 2
-                                }
-                                _ => true,
-                            };
-                            if !complete {
-                                continue;
-                            }
-                            let Some(v) = st.by_micro.remove(&(m.0 as u64)) else {
-                                continue;
-                            };
-                            if v == st.current {
-                                st.current_refs = st.current_refs.saturating_sub(1);
-                            } else if let Some((idx, refs)) = st.open.remove(&v) {
-                                if refs > 1 {
-                                    st.open.insert(v, (idx, refs - 1));
-                                } else {
-                                    wl[idx].kill = i;
-                                    cur[version] -= wl[idx].size;
-                                }
-                            }
+                        if let (Some(slot), true) = (cov.version_slot, cov.frees_version) {
+                            let dead = &mut wl[version_life[slot as usize]];
+                            dead.kill = i;
+                            cur.weight_versions -= dead.size;
                         }
                     }
                 }
                 OpKind::AllReduceLaunch => {
-                    for idx in pending_grads.remove(&rs).unwrap_or_default() {
+                    for idx in pending_grads[h].drain(..) {
                         wl[idx].kill = i;
-                        cur[grad] -= wl[idx].size;
+                        cur.grads -= wl[idx].size;
                     }
                 }
                 OpKind::AllReduceWait => {
-                    if stash_weights {
-                        let st = versions.entry(rs).or_default();
-                        if st.current_refs > 0 {
-                            // Copy-on-update: the superseded version is still
-                            // referenced by in-flight micros and must be
-                            // materialized before the update overwrites it.
-                            let size = sizes.weight_version(op.stage);
-                            st.open.insert(st.current, (wl.len(), st.current_refs));
-                            wl.push(life(
-                                BufferKind::WeightVersion,
-                                st.current,
-                                usize::MAX,
-                                size,
-                            ));
-                            cur[version] += size;
-                            check_peak(&cur, i);
-                        }
-                        st.current += 1;
-                        st.current_refs = 0;
+                    if let Some(slot) = row.parks_version {
+                        // Copy-on-update: the superseded version is still
+                        // referenced by in-flight micros and is materialized
+                        // before the update overwrites it.
+                        let size = sizes.weight_version(op.stage);
+                        version_life[slot as usize] = wl.len();
+                        wl.push(life(
+                            BufferKind::WeightVersion,
+                            updates[h],
+                            usize::MAX,
+                            size,
+                        ));
+                        cur.weight_versions += size;
+                        check_peak(&cur, i);
                     }
+                    updates[h] += 1;
                 }
             }
         }
 
         // Buffers never killed in the span stay live through the tail.
-        let last = ops.len().saturating_sub(1);
+        let last = program.ops.saturating_sub(1);
         for b in &mut wl {
             if b.kill == usize::MAX {
                 b.kill = last;
             }
         }
-        rep.lives.push(wl);
-        rep.peak.push(peak.value);
-        rep.cliff.push(peak.at);
-        rep.breakdown.push(at_peak);
-        rep.activation_peak.push(activation_peak.value);
-        rep.activation_cliff.push(activation_peak.at);
+        self.lives.push(wl);
+        self.peak.push(peak.value);
+        self.cliff.push(peak.at);
+        self.breakdown.push(at_peak);
+        self.activation_peak.push(activation_peak.value);
+        self.activation_cliff.push(activation_peak.at);
     }
-    rep
-}
-
-/// Deterministic linear-scan slot assignment over one class of intervals.
-///
-/// Input intervals are inclusive `[def, kill]` ranges. Returns the slot index
-/// per interval (parallel to the input). The scan sorts by
-/// `(def, kill, input index)` — a pure function of the intervals, so the
-/// assignment is identical across runs, machines, and thread counts — and
-/// always reuses the lowest free slot. On interval graphs the linear scan is
-/// optimal: the number of slots used equals [`max_overlap`], the size of the
-/// largest set of simultaneously-live intervals.
-pub fn assign_slots(intervals: &[(usize, usize)]) -> Vec<u32> {
-    let mut order: Vec<usize> = (0..intervals.len()).collect();
-    order.sort_by_key(|&i| (intervals[i].0, intervals[i].1, i));
-    // Active = (kill, slot); free = min-heap of released slots.
-    let mut active: Vec<(usize, u32)> = Vec::new();
-    let mut free = std::collections::BinaryHeap::new();
-    let mut next = 0u32;
-    let mut slots = vec![0u32; intervals.len()];
-    for i in order {
-        let (def, kill) = intervals[i];
-        active.retain(|&(k, s)| {
-            if k < def {
-                free.push(std::cmp::Reverse(s));
-                false
-            } else {
-                true
-            }
-        });
-        let slot = match free.pop() {
-            Some(std::cmp::Reverse(s)) => s,
-            None => {
-                let s = next;
-                next += 1;
-                s
-            }
-        };
-        active.push((kill, slot));
-        slots[i] = slot;
-    }
-    slots
 }
 
 /// Largest number of simultaneously-live intervals (inclusive ranges) — the
@@ -593,9 +420,7 @@ mod tests {
         assert!(!a.interferes(&c) && !c.interferes(&a));
         assert_eq!(max_overlap(&[(0, 5), (5, 9)]), 2);
         assert_eq!(max_overlap(&[(0, 5), (6, 9)]), 1);
-        let slots = assign_slots(&[(0, 5), (5, 9), (6, 9)]);
-        assert_ne!(slots[0], slots[1], "abutting intervals share an op");
-        assert_eq!(slots[0], slots[2], "disjoint interval reuses the slot");
+        assert_eq!(max_overlap(&[(0, 5), (5, 9), (6, 9)]), 2);
     }
 
     #[test]
