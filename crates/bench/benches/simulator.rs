@@ -5,12 +5,15 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use chimera_core::baselines::{dapple, pipedream_2bw_steady};
+use chimera_core::chimera::ScaleMethod;
 use chimera_core::chimera::{chimera, ChimeraConfig};
 use chimera_core::program::lower;
 use chimera_core::schedule::SyncStrategy;
 use chimera_core::sync::place_sync;
 use chimera_core::unit_time::{execute, UnitCosts};
-use chimera_perf::{ClusterSpec, ModelSpec, TrainConfig};
+use chimera_perf::{
+    evaluate_with, ClusterSpec, ModelSpec, PlanScheme, StructureTable, TrainConfig,
+};
 use chimera_sim::{simulate, simulate_span};
 use chimera_verify::liveness::{analyze, SimSizes};
 use chimera_verify::{comm_lint, hazard, verify_span, verify_with_memory};
@@ -53,27 +56,36 @@ fn bench_planning_passes(c: &mut Criterion) {
     for d in [8u32, 16] {
         let n = 8 * d;
         let synced = |s| place_sync(s, SyncStrategy::EagerOpt, UnitCosts::practical());
-        // (label, schedule as the planner lowers it, iterations its span covers)
+        // (label, schedule as the planner lowers it, iterations its span
+        // covers, the planner's name for the scheme)
+        let direct = PlanScheme::Chimera {
+            f: 1,
+            scale: ScaleMethod::Direct,
+        };
         let cases = [
-            ("dapple", synced(dapple(d, n)), 1),
+            ("dapple", synced(dapple(d, n)), 1, PlanScheme::Dapple),
             (
                 "chimera",
                 synced(chimera(&ChimeraConfig::new(d, n)).unwrap()),
                 1,
+                direct,
             ),
             (
                 "pipedream_2bw_x6",
                 pipedream_2bw_steady(d, n, 6).with_recompute(),
                 6,
+                PlanScheme::PipeDream2Bw,
             ),
         ];
-        for (name, sched, iters) in cases {
+        let (model, cluster) = (ModelSpec::bert48(), ClusterSpec::piz_daint());
+        let (w, b) = (2u32, 4u32);
+        for (name, sched, iters, scheme) in cases {
             let cost = TrainConfig {
-                model: ModelSpec::bert48(),
-                cluster: ClusterSpec::piz_daint(),
+                model,
+                cluster,
                 d,
-                w: 2,
-                b: 4,
+                w,
+                b,
                 stage_replicas: sched.placement.replicas(),
             }
             .cost_model();
@@ -105,6 +117,25 @@ fn bench_planning_passes(c: &mut Criterion) {
             });
             g.bench_with_input(id("verify_with_memory"), &sched, |b, s| {
                 b.iter(|| verify_with_memory(black_box(s), iters, &cost, u64::MAX));
+            });
+            // The whole candidate — generate, analyse, price, simulate — at
+            // the first sight of its shape and at every later one. The
+            // difference is what a shape's structure costs: `verify_span`,
+            // and for flushing schemes `place_sync`'s execute, for Chimera
+            // Eq. 1's two more.
+            let (p, b_hat) = (w * d, u64::from(n * w * b));
+            let candidate = |table: &StructureTable| {
+                evaluate_with(table, scheme, model, cluster, p, b_hat, w, d, b)
+                    .expect("a clean schedule")
+                    .expect("a valid candidate")
+            };
+            g.bench_with_input(id("evaluate_first"), &scheme, |bench, _| {
+                bench.iter(|| candidate(&StructureTable::new()));
+            });
+            let seen = StructureTable::new();
+            candidate(&seen);
+            g.bench_with_input(id("evaluate_again"), &seen, |bench, seen| {
+                bench.iter(|| candidate(black_box(seen)));
             });
         }
     }

@@ -5,8 +5,8 @@
 
 use chimera_bench::scaling::{best_per_scheme, chimera_speedups};
 use chimera_bench::{arg_value, candidate_json, print_table, save_json};
-use chimera_perf::planner::rebuild;
-use chimera_perf::{ClusterSpec, ModelSpec};
+use chimera_perf::planner::{rebuild, reopen};
+use chimera_perf::{ClusterSpec, ModelSpec, StructureTable};
 use chimera_sim::simulate_span;
 
 fn main() {
@@ -14,16 +14,17 @@ fn main() {
     let cluster = ClusterSpec::piz_daint();
     let p = 2048u32;
     let b_hat = 2048u64;
-    let results = best_per_scheme(model, cluster, p, b_hat);
+    let table = StructureTable::new();
+    let results = best_per_scheme(&table, model, cluster, p, b_hat);
     let mut rows = Vec::new();
     let mut json = Vec::new();
     for (name, c) in &results {
         if let Some(c) = c {
             // Static verification gate: rebuild each winning candidate's
-            // exact schedule and require a clean report before publishing
-            // its numbers.
-            let (sched, _, iters) = rebuild(c, model, cluster).expect("candidate rebuilds");
-            let verdict = chimera_verify::verify_span(&sched, iters);
+            // exact schedule and require its shape's report to be clean
+            // before publishing its numbers.
+            let opened = reopen(&table, c, model, cluster).expect("candidate rebuilds");
+            let verdict = &opened.structure.report;
             assert!(
                 verdict.is_clean(),
                 "{name} best candidate fails static verification:\n{verdict}"

@@ -1,8 +1,12 @@
 //! Shared logic for the weak-scaling and large-mini-batch figures.
+//!
+//! A figure plans many `(P, B̂)` points whose candidates fall on one small
+//! lattice of schedule shapes (weak scaling keeps `B̂ / P`, hence every `N`,
+//! fixed), so each bin run plans against one [`StructureTable`].
 
 use chimera_core::chimera::ScaleMethod;
-use chimera_perf::planner::{best, plan_chimera, Candidate, PlanScheme};
-use chimera_perf::{ClusterSpec, ModelSpec};
+use chimera_perf::planner::{plan_until, Candidate, PlanScheme};
+use chimera_perf::{ClusterSpec, ModelSpec, StructureTable};
 
 use crate::{candidate_headers, candidate_json, candidate_row, print_table, save_json};
 
@@ -17,11 +21,35 @@ pub fn baseline_schemes() -> Vec<PlanScheme> {
     ]
 }
 
+/// `scheme`'s search against the bin's table. A figure has no deadline, and
+/// a planner bug stops it.
+fn search(
+    table: &StructureTable,
+    scheme: PlanScheme,
+    model: ModelSpec,
+    cluster: ClusterSpec,
+    p: u32,
+    b_hat: u64,
+) -> Option<Candidate> {
+    plan_until(table, scheme, model, cluster, p, b_hat, None).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Chimera (`f = 1`) under each of its three §3.5 scaling methods.
+fn chimera_variants() -> [PlanScheme; 3] {
+    [
+        ScaleMethod::Direct,
+        ScaleMethod::ForwardDoubling { recompute: true },
+        ScaleMethod::BackwardHalving,
+    ]
+    .map(|scale| PlanScheme::Chimera { f: 1, scale })
+}
+
 /// Best candidate per scheme at `(p, b_hat)`: baselines via full grid
 /// search; Chimera via Eq. 1 planning (§4.2.2), empirically picking the best
 /// of its three §3.5 scaling methods — "to select the best of the three
 /// methods is not a priori, which we rely on empirical results".
 pub fn best_per_scheme(
+    table: &StructureTable,
     model: ModelSpec,
     cluster: ClusterSpec,
     p: u32,
@@ -29,15 +57,11 @@ pub fn best_per_scheme(
 ) -> Vec<(String, Option<Candidate>)> {
     let mut out: Vec<(String, Option<Candidate>)> = baseline_schemes()
         .into_iter()
-        .map(|s| (s.label(), best(s, model, cluster, p, b_hat)))
+        .map(|s| (s.label(), search(table, s, model, cluster, p, b_hat)))
         .collect();
     let mut chim: Option<Candidate> = None;
-    for scale in [
-        ScaleMethod::Direct,
-        ScaleMethod::ForwardDoubling { recompute: true },
-        ScaleMethod::BackwardHalving,
-    ] {
-        if let Some(c) = plan_chimera(1, scale, model, cluster, p, b_hat) {
+    for variant in chimera_variants() {
+        if let Some(c) = search(table, variant, model, cluster, p, b_hat) {
             if chim.as_ref().is_none_or(|b| c.throughput > b.throughput) {
                 chim = Some(c);
             }
@@ -77,10 +101,11 @@ pub fn weak_scaling(
     cluster: ClusterSpec,
     points: &[(u32, u64)],
 ) -> Vec<(u32, f64)> {
+    let table = StructureTable::new();
     let mut json = Vec::new();
     let mut chimera_throughputs = Vec::new();
     for &(p, b_hat) in points {
-        let results = best_per_scheme(model, cluster, p, b_hat);
+        let results = best_per_scheme(&table, model, cluster, p, b_hat);
         let rows: Vec<Vec<String>> = results
             .iter()
             .filter_map(|(_, c)| c.as_ref().map(candidate_row))
@@ -114,6 +139,7 @@ pub fn weak_scaling(
 /// strategies and save all candidates to `results/<name>.json`. `title` is
 /// the part of each table heading before `, B̂=…`.
 pub fn large_batch(name: &str, title: &str, model: ModelSpec, cluster: ClusterSpec, p: u32) {
+    let table = StructureTable::new();
     let mut json = Vec::new();
     for b_hat in [512u64, 1024, 2048, 4096, 8192] {
         let mut rows = Vec::new();
@@ -126,15 +152,8 @@ pub fn large_batch(name: &str, title: &str, model: ModelSpec, cluster: ClusterSp
                 json.push(j);
             }
         };
-        for scheme in baseline_schemes() {
-            add(best(scheme, model, cluster, p, b_hat));
-        }
-        for scale in [
-            ScaleMethod::Direct,
-            ScaleMethod::ForwardDoubling { recompute: true },
-            ScaleMethod::BackwardHalving,
-        ] {
-            add(plan_chimera(1, scale, model, cluster, p, b_hat));
+        for scheme in baseline_schemes().into_iter().chain(chimera_variants()) {
+            add(search(&table, scheme, model, cluster, p, b_hat));
         }
         print_table(&format!("{title}, B̂={b_hat}"), &candidate_headers(), &rows);
     }

@@ -19,7 +19,7 @@ use crate::schedule::{Schedule, Scheme, SyncStrategy};
 use crate::unit_time::{execute, UnitCosts};
 
 /// How Chimera scales to more micro-batches than pipeline stages (§3.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ScaleMethod {
     /// Concatenate basic scheduling units of `D` micro-batches; the next
     /// unit's forwards occupy the previous unit's draining bubbles

@@ -11,10 +11,10 @@
 //!   hide the collective, synchronize post-hoc. The paper shows this avoids
 //!   the launch overhead extending the critical path (Fig. 12).
 
-use crate::ids::WorkerId;
+use crate::ids::{StageId, WorkerId};
 use crate::op::Op;
 use crate::schedule::{Schedule, SyncStrategy};
-use crate::unit_time::{execute, UnitCosts};
+use crate::unit_time::{execute, Timeline, UnitCosts};
 
 /// Insert allreduce ops into `sched` per `strategy`. Any existing sync ops
 /// are removed first. `costs` drives the timing analysis used by
@@ -45,44 +45,81 @@ pub fn place_sync(mut sched: Schedule, strategy: SyncStrategy, costs: UnitCosts)
         SyncStrategy::EagerOpt => {
             let tl = execute(&sched, costs)
                 .expect("compute schedule must execute before sync placement");
-            // Eager only where idle time follows the stage's last backward.
-            let mut eager_masks: Vec<Vec<bool>> = Vec::with_capacity(sched.num_workers());
-            for w in 0..sched.num_workers() {
+            let eager = FreeRegions::of(&sched, &tl).eager_mask();
+            sched = place_eager_opt(sched, &eager);
+        }
+    }
+    sched.sync = strategy;
+    sched.assert_well_formed();
+    sched
+}
+
+/// The free regions of a compute schedule on one unit-cost timeline (§3.4,
+/// Fig. 6), in ticks: the idle time that can hide a stage replica's gradient
+/// allreduce. Eager-opt placement and Eq. 1's overlap term both read these,
+/// so one `execute` serves the two.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FreeRegions {
+    /// Per worker: ticks between its last compute op and the end of the
+    /// iteration.
+    pub tail: Vec<u64>,
+    /// Per worker, per stage replica with local backwards in last-backward
+    /// order: the stage and the worker's idle ticks between that replica's
+    /// last backward and the worker's last compute op.
+    pub idle_after: Vec<Vec<(StageId, u64)>>,
+}
+
+impl FreeRegions {
+    /// The free regions of `sched` (compute ops only) as executed in `tl`.
+    pub fn of(sched: &Schedule, tl: &Timeline) -> Self {
+        let workers = 0..sched.num_workers();
+        let ends: Vec<u64> = (workers.clone())
+            .map(|w| tl.last_compute_finish(WorkerId(w as u32)))
+            .collect();
+        let idle_after = workers
+            .map(|w| {
                 let wid = WorkerId(w as u32);
-                let order = sync_order(&sched, w);
-                let end = tl.last_compute_finish(wid);
-                let mask = order
-                    .iter()
+                (sched.stage_replicas_by_last_backward(wid).iter())
                     .map(|&(r, s, _)| {
-                        // Replicas without local backwards contribute nothing
-                        // and sync post-hoc.
-                        let Some(t) = tl.last_backward_finish(wid, r, s) else {
-                            return false;
-                        };
+                        let t = (tl.last_backward_finish(wid, r, s))
+                            .expect("a replica in last-backward order has a backward");
                         let busy_after: u64 = tl.spans[w]
                             .iter()
                             .filter(|sp| sp.op.is_compute() && sp.start >= t)
                             .map(|sp| sp.finish - sp.start)
                             .sum();
-                        (end - t) > busy_after
+                        (s, ends[w] - t - busy_after)
                     })
-                    .collect();
-                eager_masks.push(mask);
-            }
-            #[allow(clippy::needless_range_loop)] // indices address two structures
-            for w in 0..sched.num_workers() {
-                let mask = eager_masks[w].clone();
-                let mut i = 0;
-                insert_eager(&mut sched, w, move |_, _| {
-                    let eager = mask[i];
-                    i += 1;
-                    eager
-                });
-            }
+                    .collect()
+            })
+            .collect();
+        FreeRegions {
+            tail: ends.iter().map(|&end| tl.makespan - end).collect(),
+            idle_after,
         }
     }
-    sched.sync = strategy;
-    sched.assert_well_formed();
+
+    /// Eager-opt's choice per worker, per stage replica in sync order: eager
+    /// only where idle time follows the replica's last backward. Replicas
+    /// without local backwards (past the end of a worker's list) contribute
+    /// nothing and sync post-hoc.
+    pub fn eager_mask(&self) -> Vec<Vec<bool>> {
+        (self.idle_after.iter())
+            .map(|worker| worker.iter().map(|&(_, idle)| idle > 0).collect())
+            .collect()
+    }
+}
+
+/// [`SyncStrategy::EagerOpt`] placement from a mask already derived
+/// ([`FreeRegions::eager_mask`]) — no execution. `sched` must carry no sync
+/// ops; the result is not self-checked (`place_sync` does that, and the
+/// verifier reports the same violations as typed defects).
+pub fn place_eager_opt(mut sched: Schedule, eager: &[Vec<bool>]) -> Schedule {
+    for (w, mask) in eager.iter().enumerate().take(sched.num_workers()) {
+        let mut mask = mask.iter();
+        insert_eager(&mut sched, w, |_, _| mask.next().is_some_and(|&e| e));
+    }
+    sched.sync = SyncStrategy::EagerOpt;
     sched
 }
 

@@ -2,16 +2,21 @@
 //!
 //! `T = (Ft + Comm_p2p)·Cf + (Bt + Comm_p2p)·Cb + max_i Comm_unoverlapped(i)`
 //!
-//! `Cf`/`Cb` — the number of forward/backward passes on the *critical path*
-//! — are derived by executing the schedule twice under abstract costs with
-//! different forward:backward ratios and solving the resulting linear
-//! system, which implements the paper's critical-path definition exactly for
-//! any schedule shape (including §3.5's scaled schedules).
+//! The model separates what a schedule *is* from what it *costs*.
+//! [`critical_path`] is the first half: `Cf`/`Cb` — the number of
+//! forward/backward passes on the critical path — derived by executing the
+//! schedule twice under abstract costs with different forward:backward
+//! ratios and solving the resulting linear system (the paper's critical-path
+//! definition, exact for any schedule shape including §3.5's scaled
+//! schedules), plus the free regions of Fig. 6 in ticks. [`price`] is the
+//! second: `Ft`, `Bt` and `Comm` from a cost model. The planner computes the
+//! first once per schedule shape and the second per candidate.
 
 use chimera_core::op::Op;
 use chimera_core::schedule::Schedule;
-use chimera_core::unit_time::{execute, CostProvider, UnitCosts};
-use chimera_core::{MicroId, ReplicaId, StageId, WorkerId};
+use chimera_core::sync::FreeRegions;
+use chimera_core::unit_time::{execute, CostProvider, ExecError, UnitCosts};
+use chimera_core::{MicroId, ReplicaId, StageId};
 use chimera_sim::SimCostModel;
 
 /// Output of the performance model.
@@ -29,16 +34,40 @@ pub struct PerfPrediction {
     pub unoverlapped_s: f64,
 }
 
-/// Predict the per-iteration time of `sched` under `cost` with Eq. 1.
-///
-/// `sched` may contain allreduce markers; only compute ops drive `Cf`/`Cb`,
-/// while the gradient-synchronization term comes from the §3.4 overlap
-/// analysis of the "free regions" in the schedule.
-pub fn predict(sched: &Schedule, cost: &SimCostModel) -> PerfPrediction {
+/// Everything Eq. 1 reads off a schedule — no cost model involved.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CriticalPath {
+    /// Forward passes on the critical path.
+    pub cf: f64,
+    /// Backward passes on the critical path.
+    pub cb: f64,
+    /// Pipeline depth (the representative pass is a middle stage's).
+    pub d: u32,
+    /// Whether backward passes recompute activations.
+    pub recomputes: bool,
+    /// Idle time that can hide gradient synchronization, in ticks of
+    /// [`UnitCosts::practical`] (a forward pass is two).
+    pub regions: FreeRegions,
+}
+
+/// The critical path of `sched`. Allreduce markers are ignored: only compute
+/// ops drive `Cf`/`Cb`, and the free regions are the compute schedule's.
+pub fn critical_path(sched: &Schedule) -> Result<CriticalPath, ExecError> {
     let mut compute_only = sched.clone();
     compute_only.strip_sync();
+    let tl = execute(&compute_only, UnitCosts::practical())?;
+    let regions = FreeRegions::of(&compute_only, &tl);
+    critical_path_with(&compute_only, regions)
+}
 
-    // --- Critical path: solve mA = f·Cf + bA·Cb, mB = f·Cf + bB·Cb. ---
+/// [`critical_path`] of a schedule without sync ops whose free regions under
+/// [`UnitCosts::practical`] are already known (eager-opt sync placement
+/// derives the same ones).
+pub fn critical_path_with(
+    compute_only: &Schedule,
+    regions: FreeRegions,
+) -> Result<CriticalPath, ExecError> {
+    // Solve mA = f·Cf + bA·Cb, mB = f·Cf + bB·Cb.
     let costs_a = UnitCosts {
         fwd: 4,
         bwd: 8,
@@ -46,23 +75,27 @@ pub fn predict(sched: &Schedule, cost: &SimCostModel) -> PerfPrediction {
         ..UnitCosts::equal()
     };
     let costs_b = UnitCosts { bwd: 12, ..costs_a };
-    let ma = execute(&compute_only, costs_a)
-        .expect("schedule must execute")
-        .makespan as f64;
-    let mb = execute(&compute_only, costs_b)
-        .expect("schedule must execute")
-        .makespan as f64;
+    let ma = execute(compute_only, costs_a)?.makespan as f64;
+    let mb = execute(compute_only, costs_b)?.makespan as f64;
     let cb = (mb - ma) / 4.0;
-    let cf = (ma - 8.0 * cb) / 4.0;
+    Ok(CriticalPath {
+        cf: (ma - 8.0 * cb) / 4.0,
+        cb,
+        d: compute_only.d,
+        recomputes: compute_only.iter_ops().any(|(_, _, op)| op.recomputes()),
+        regions,
+    })
+}
 
+/// Eq. 1 for a schedule with critical path `path`, under `cost`.
+pub fn price(path: &CriticalPath, cost: &SimCostModel) -> PerfPrediction {
     // --- Per-pass times, measured from the cost model exactly as §3.4
     // measures them with micro-benchmarks: a representative middle-stage
     // forward/backward including its host-side communication shares. ---
     let st = &cost.stages[0];
-    let recomputes = compute_only.iter_ops().any(|(_, _, op)| op.recomputes());
-    let mid = StageId(sched.d / 2);
+    let mid = StageId(path.d / 2);
     let probe_f = Op::forward(MicroId(0), mid, ReplicaId(0));
-    let probe_b = if recomputes {
+    let probe_b = if path.recomputes {
         Op::backward_recompute(MicroId(0), mid, ReplicaId(0))
     } else {
         Op::backward(MicroId(0), mid, ReplicaId(0))
@@ -72,40 +105,23 @@ pub fn predict(sched: &Schedule, cost: &SimCostModel) -> PerfPrediction {
     let comm_p2p = cost.network.p2p_time(st.boundary_bytes, false);
 
     // --- Gradient-synchronization overlap (Fig. 6's free regions). ---
-    let tl = execute(&compute_only, UnitCosts::practical()).expect("schedule must execute");
     let s_per_tick = ft / 2.0; // practical() uses fwd = 2 ticks
-    let makespan_s = tl.makespan as f64 * s_per_tick;
     let mut worst = 0.0f64;
-    for w in 0..compute_only.num_workers() {
-        let wid = WorkerId(w as u32);
-        let held = compute_only.stage_replicas_by_last_backward(wid);
-        if held.is_empty() {
-            continue;
-        }
+    for (held, &tail) in path.regions.idle_after.iter().zip(&path.regions.tail) {
         // Walk the worker's stage replicas in completion order: each
         // collective can only hide in idle time *after* its gradients exist
         // (minus what earlier collectives already consumed — they share the
         // worker's communication resource). The last-finishing replica has
         // no bubble after it, so its collective and progression overhead are
-        // exposed (this is why eager-opt leaves it post-hoc).
-        let end_local = tl.last_compute_finish(wid) as f64 * s_per_tick;
-        let tail = makespan_s - end_local;
+        // exposed (this is why eager-opt leaves it post-hoc). Idle time is
+        // summed in ticks — exactly — and scaled to seconds once.
         let mut consumed = 0.0f64;
         let mut unover = 0.0f64;
-        for (idx, &(r, st_id, _)) in held.iter().enumerate() {
-            let t_done = tl
-                .last_backward_finish(wid, r, st_id)
-                .unwrap_or(tl.makespan) as f64
-                * s_per_tick;
-            let busy_after: f64 = tl.spans[w]
-                .iter()
-                .filter(|sp| sp.op.is_compute() && (sp.start as f64 * s_per_tick) >= t_done)
-                .map(|sp| (sp.finish - sp.start) as f64 * s_per_tick)
-                .sum();
-            let idle_after = (end_local - t_done - busy_after).max(0.0) + tail;
+        for (idx, &(stage, idle)) in held.iter().enumerate() {
+            let idle_after = (idle + tail) as f64 * s_per_tick;
             let available = (idle_after - consumed).max(0.0);
             let is_last = idx == held.len() - 1;
-            let ar = cost.allreduce_s(st_id);
+            let ar = cost.allreduce_s(stage);
             let charge = ar
                 + cost.launch_overhead_s
                 + if is_last {
@@ -121,12 +137,21 @@ pub fn predict(sched: &Schedule, cost: &SimCostModel) -> PerfPrediction {
     }
 
     PerfPrediction {
-        t_iter_s: (ft + comm_p2p) * cf + (bt + comm_p2p) * cb + worst,
-        cf,
-        cb,
+        t_iter_s: (ft + comm_p2p) * path.cf + (bt + comm_p2p) * path.cb + worst,
+        cf: path.cf,
+        cb: path.cb,
         comm_p2p_s: comm_p2p,
         unoverlapped_s: worst,
     }
+}
+
+/// Predict the per-iteration time of `sched` under `cost` with Eq. 1:
+/// [`price`] of its [`critical_path`].
+///
+/// # Panics
+/// If `sched` does not execute (a deadlocked schedule has no critical path).
+pub fn predict(sched: &Schedule, cost: &SimCostModel) -> PerfPrediction {
+    price(&critical_path(sched).expect("schedule must execute"), cost)
 }
 
 #[cfg(test)]

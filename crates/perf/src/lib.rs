@@ -13,19 +13,24 @@
 //! * [`eq1`] — the paper's Equation 1 performance model with critical-path
 //!   extraction and gradient-sync overlap analysis;
 //! * [`planner`] — the (W, D, B) grid search used by the baselines and
-//!   Chimera's greedy-B + model-driven planning.
+//!   Chimera's greedy-B + model-driven planning;
+//! * [`structure`] — what a candidate's schedule shape says for itself
+//!   (verdict, sync placement, critical path), analysed once per
+//!   `(scheme, D, N)` in a table its owner keeps.
 
 pub mod costs;
 pub mod device;
 pub mod eq1;
 pub mod model;
 pub mod planner;
+pub mod structure;
 
 pub use costs::{ClusterSpec, TrainConfig};
 pub use device::DeviceProfile;
 pub use eq1::{predict, PerfPrediction};
 pub use model::ModelSpec;
 pub use planner::{
-    best, best_until, evaluate, plan_chimera, plan_chimera_until, sweep, sweep_until, Candidate,
-    PlanScheme, SearchTimeout,
+    best, best_until, evaluate, evaluate_with, plan_chimera, plan_chimera_until, plan_until, sweep,
+    sweep_until, Candidate, PlanScheme, SearchError,
 };
+pub use structure::{StructureKey, StructureTable, Unclean};

@@ -13,14 +13,15 @@ use chimera_core::schedule::{Schedule, Scheme, SyncStrategy};
 use chimera_core::sync::place_sync;
 use chimera_core::unit_time::UnitCosts;
 use chimera_sim::{simulate_span, SimCostModel};
-use chimera_verify::{memory_v2, verify_with_memory};
+use chimera_verify::memory_v2;
 
 use crate::costs::{ClusterSpec, TrainConfig};
 use crate::eq1;
 use crate::model::ModelSpec;
+use crate::structure::{Opened, StructureKey, StructureTable, Unclean};
 
 /// Which scheme to plan for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlanScheme {
     /// Chimera with `f` pipeline pairs and a §3.5 scaling method.
     Chimera {
@@ -146,10 +147,10 @@ fn build_schedule(scheme: PlanScheme, d: u32, n: u32) -> Option<(Schedule, u32)>
     }
 }
 
-/// The schedule a `(W, D, B)` candidate with `n` micro-batches runs — sync
-/// ops placed, before any recomputation retry — with its byte/time cost
-/// model and the iterations its span covers.
-fn lower(
+/// The schedule a `(W, D, B)` candidate with `n` micro-batches runs as its
+/// scheme generates it — no sync ops yet, before any recomputation retry —
+/// with its byte/time cost model and the iterations its span covers.
+fn generate(
     scheme: PlanScheme,
     model: ModelSpec,
     cluster: ClusterSpec,
@@ -167,17 +168,16 @@ fn lower(
         b,
         stage_replicas: base.placement.replicas(),
     };
-    let sched = if base.flushes {
-        place_sync(base, SyncStrategy::EagerOpt, UnitCosts::practical())
-    } else {
-        base
-    };
-    Some((sched, cfg.cost_model(), iters))
+    Some((base, cfg.cost_model(), iters))
 }
 
 /// Evaluate one `(W, D, B)` candidate for `scheme` training `model` on
 /// `cluster` with `p` workers and mini-batch `b_hat`. Returns `None` for
 /// structurally invalid combinations (non-divisible, scheme constraints).
+///
+/// # Panics
+/// If the candidate's schedule fails static verification (a planner bug;
+/// [`evaluate_with`] returns it as an error).
 #[allow(clippy::too_many_arguments)] // mirrors the paper's tuning dimensions
 pub fn evaluate(
     scheme: PlanScheme,
@@ -189,8 +189,37 @@ pub fn evaluate(
     d: u32,
     b: u32,
 ) -> Option<Candidate> {
+    unbudgeted(evaluate_with(
+        &StructureTable::new(),
+        scheme,
+        model,
+        cluster,
+        p,
+        b_hat,
+        w,
+        d,
+        b,
+    ))
+}
+
+/// [`evaluate`] against `table`: what the candidate's schedule shape says
+/// for itself — verdict, sync placement, Eq. 1's critical path — is looked
+/// up (analysed and kept at its first sight), and only its prices are
+/// computed here: exact memory, the simulated span, Eq. 1 in seconds.
+#[allow(clippy::too_many_arguments)] // evaluate's dimensions + the table
+pub fn evaluate_with(
+    table: &StructureTable,
+    scheme: PlanScheme,
+    model: ModelSpec,
+    cluster: ClusterSpec,
+    p: u32,
+    b_hat: u64,
+    w: u32,
+    d: u32,
+    b: u32,
+) -> Result<Option<Candidate>, Unclean> {
     if w * d != p || d < 2 || b == 0 {
-        return None;
+        return Ok(None);
     }
     // PipeDream updates per micro-batch: its mini-batch is W·B and N is the
     // pipeline occupancy (D micros in flight), not b_hat-driven.
@@ -199,28 +228,36 @@ pub fn evaluate(
     } else {
         let denom = (w as u64) * (b as u64);
         if !b_hat.is_multiple_of(denom) {
-            return None;
+            return Ok(None);
         }
         let n = (b_hat / denom) as u32;
         if n == 0 {
-            return None;
+            return Ok(None);
         }
         (n, b_hat)
     };
 
-    let (synced, cost, iters) = lower(scheme, model, cluster, w, d, b, n)?;
+    let Some((base, cost, iters)) = generate(scheme, model, cluster, w, d, b, n) else {
+        return Ok(None);
+    };
 
-    // One static verification per candidate. Fit comes from its exact
-    // liveness peak, which is never above the coarse Table-2 bound — so the
-    // planner admits every configuration the old bound admitted, plus the
-    // ones the bound's slack was rejecting (PipeDream-2BW carries ~25-30%
-    // slack from refcounted weight versions). Capacity is judged below, on
-    // the variant that finally runs, so the verifier is given no budget.
-    let capacity = cluster.usable_mem();
-    let mut recompute = false;
-    let mut sched = synced;
-    let mut verdict = verify_with_memory(&sched, iters, &cost, u64::MAX);
-    let mut mem = verdict.memory_v2.take().expect("verified with memory");
+    // One static verdict per candidate: its shape's structural report joined
+    // with this candidate's exact memory. Every schedule the planner hands
+    // out must pass it — a deadlocked or hazardous candidate would only fail
+    // later, inside a benchmark or a multi-process run, where the diagnosis
+    // is far worse. Fit comes from the exact liveness peak, which is never
+    // above the coarse Table-2 bound — so the planner admits every
+    // configuration the old bound admitted, plus the ones the bound's slack
+    // was rejecting (PipeDream-2BW carries ~25-30% slack from refcounted
+    // weight versions). Capacity is judged below, on the variant that finally
+    // runs, so the verdict is given no budget.
+    let key = StructureKey {
+        scheme,
+        d,
+        n,
+        recompute: false,
+    };
+    let (structure, mut sched, mut mem) = table.open(key, base, iters, &cost).check(u64::MAX)?;
     // Retry with activation recomputation (the paper's "R" label; Fig. 1
     // shows even PipeDream running with R in the authors' harness).
     // PipeDream's mini-batch size stays capped regardless: its weight
@@ -228,33 +265,32 @@ pub fn evaluate(
     // Recomputation changes buffer sizes and op costs, never a dependency,
     // a message or a weight version, so the verdict above stands for the
     // variant and only its memory is walked again.
+    let capacity = cluster.usable_mem();
+    let mut recompute = false;
     if !mem.fits(capacity) && !already_recomputes(&sched) {
         sched = sched.with_recompute();
         recompute = true;
         mem = memory_v2(&sched, &cost);
     }
-    let report = simulate_span(&sched, &cost, iters).ok()?;
-    // Every schedule the planner hands out must pass static verification: a
-    // deadlocked or hazardous candidate would only fail later, inside a
-    // benchmark or a multi-process run, where the diagnosis is far worse.
-    assert!(
-        verdict.is_clean(),
-        "planner produced an invalid {} schedule (D={} N={}):\n{verdict}",
-        sched.scheme,
-        sched.d,
-        sched.n
-    );
+    let Ok(report) = simulate_span(&sched, &cost, iters) else {
+        return Ok(None);
+    };
 
     // Per-iteration time normalized to b_hat samples.
     let samples_per_span = sched.n as u64 * b as u64 * w as u64;
     let throughput = samples_per_span as f64 / report.span_s;
     let iter_time_s = eff_b_hat as f64 / throughput;
-    let predicted_s = match scheme {
-        PlanScheme::Chimera { .. } => Some(eq1::predict(&sched, &cost).t_iter_s),
-        _ => None,
-    };
+    // The retried variant's Eq. 1 is priced from its own executions: its
+    // backward passes are longer, so its free regions are its own.
+    let predicted_s = matches!(scheme, PlanScheme::Chimera { .. }).then(|| {
+        match &structure.critical {
+            Some(path) if !recompute => eq1::price(path, &cost),
+            _ => eq1::predict(&sched, &cost),
+        }
+        .t_iter_s
+    });
 
-    Some(Candidate {
+    Ok(Some(Candidate {
         scheme,
         w,
         d,
@@ -268,7 +304,7 @@ pub fn evaluate(
         bubble_ratio: report.bubble_ratio,
         predicted_s,
         b_hat: eff_b_hat,
-    })
+    }))
 }
 
 fn already_recomputes(sched: &Schedule) -> bool {
@@ -285,11 +321,36 @@ pub fn rebuild(
     model: ModelSpec,
     cluster: ClusterSpec,
 ) -> Option<(Schedule, SimCostModel, u32)> {
-    let (mut sched, cost, iters) = lower(c.scheme, model, cluster, c.w, c.d, c.b, c.n)?;
+    let (base, cost, iters) = generate(c.scheme, model, cluster, c.w, c.d, c.b, c.n)?;
+    let mut sched = if base.flushes {
+        place_sync(base, SyncStrategy::EagerOpt, UnitCosts::practical())
+    } else {
+        base
+    };
     if c.recompute && !already_recomputes(&sched) {
         sched = sched.with_recompute();
     }
     Some((sched, cost, iters))
+}
+
+/// [`rebuild`] through `table`, for a gate: the candidate's schedule joined
+/// with its shape's structure — the retried variant is a shape of its own,
+/// verified at its first sight here — and its exact memory, ready for
+/// [`Opened::check`] against a budget.
+pub fn reopen(
+    table: &StructureTable,
+    c: &Candidate,
+    model: ModelSpec,
+    cluster: ClusterSpec,
+) -> Option<Opened> {
+    let (base, cost, iters) = generate(c.scheme, model, cluster, c.w, c.d, c.b, c.n)?;
+    let key = StructureKey {
+        scheme: c.scheme,
+        d: c.d,
+        n: c.n,
+        recompute: c.recompute && !already_recomputes(&base),
+    };
+    Some(table.open(key, base, iters, &cost))
 }
 
 /// Pipeline depths worth trying for `p` workers and `model`.
@@ -308,19 +369,33 @@ pub fn batch_candidates(b_hat: u64, w: u32) -> Vec<u32> {
         .collect()
 }
 
-/// A budgeted search ran out of time before covering its grid. The partial
-/// result is withheld — a "best" configuration from a truncated sweep would
-/// silently depend on grid iteration order.
+/// Why a search returned no answer at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SearchTimeout;
+pub enum SearchError {
+    /// A budgeted search ran out of time before covering its grid. The
+    /// partial result is withheld — a "best" configuration from a truncated
+    /// sweep would silently depend on grid iteration order.
+    Timeout,
+    /// A candidate's schedule failed static verification (a planner bug).
+    Unclean(Unclean),
+}
 
-impl std::fmt::Display for SearchTimeout {
+impl std::fmt::Display for SearchError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "schedule-space search hit its deadline")
+        match self {
+            SearchError::Timeout => write!(f, "schedule-space search hit its deadline"),
+            SearchError::Unclean(e) => e.fmt(f),
+        }
     }
 }
 
-impl std::error::Error for SearchTimeout {}
+impl std::error::Error for SearchError {}
+
+impl From<Unclean> for SearchError {
+    fn from(e: Unclean) -> Self {
+        SearchError::Unclean(e)
+    }
+}
 
 fn expired(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() >= d)
@@ -335,28 +410,44 @@ pub fn sweep(
     p: u32,
     b_hat: u64,
 ) -> Vec<Candidate> {
-    sweep_until(scheme, model, cluster, p, b_hat, None).expect("no deadline")
+    unbudgeted(sweep_until(
+        &StructureTable::new(),
+        scheme,
+        model,
+        cluster,
+        p,
+        b_hat,
+        None,
+    ))
 }
 
-/// [`sweep`] with a wall-clock budget: the deadline is checked before each
-/// candidate evaluation (the per-candidate simulation is the unit of work),
-/// and hitting it mid-grid aborts the whole search with [`SearchTimeout`].
+/// What the unbudgeted entry points make of a search's error: without a
+/// deadline only a planner bug is left, and they panic on it.
+fn unbudgeted<T, E: std::fmt::Display>(result: Result<T, E>) -> T {
+    result.unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`sweep`] against `table` (see [`evaluate_with`]) with a wall-clock
+/// budget: the deadline is checked before each candidate evaluation (the
+/// per-candidate simulation is the unit of work), and hitting it mid-grid
+/// aborts the whole search with [`SearchError::Timeout`].
 pub fn sweep_until(
+    table: &StructureTable,
     scheme: PlanScheme,
     model: ModelSpec,
     cluster: ClusterSpec,
     p: u32,
     b_hat: u64,
     deadline: Option<Instant>,
-) -> Result<Vec<Candidate>, SearchTimeout> {
+) -> Result<Vec<Candidate>, SearchError> {
     let mut out = Vec::new();
     for d in depth_candidates(p, &model) {
         let w = p / d;
         for b in batch_candidates(b_hat, w) {
             if expired(deadline) {
-                return Err(SearchTimeout);
+                return Err(SearchError::Timeout);
             }
-            if let Some(c) = evaluate(scheme, model, cluster, p, b_hat, w, d, b) {
+            if let Some(c) = evaluate_with(table, scheme, model, cluster, p, b_hat, w, d, b)? {
                 if c.fits {
                     out.push(c);
                 }
@@ -390,18 +481,21 @@ pub fn best(
     sweep(scheme, model, cluster, p, b_hat).into_iter().next()
 }
 
-/// [`best`] with a wall-clock budget (see [`sweep_until`]).
+/// [`best`] against `table` with a wall-clock budget (see [`sweep_until`]).
 pub fn best_until(
+    table: &StructureTable,
     scheme: PlanScheme,
     model: ModelSpec,
     cluster: ClusterSpec,
     p: u32,
     b_hat: u64,
     deadline: Option<Instant>,
-) -> Result<Option<Candidate>, SearchTimeout> {
-    Ok(sweep_until(scheme, model, cluster, p, b_hat, deadline)?
-        .into_iter()
-        .next())
+) -> Result<Option<Candidate>, SearchError> {
+    Ok(
+        sweep_until(table, scheme, model, cluster, p, b_hat, deadline)?
+            .into_iter()
+            .next(),
+    )
 }
 
 /// Chimera's planning procedure (§3.4/§4.2.2): per feasible (W, D) pick the
@@ -437,12 +531,23 @@ pub fn plan_chimera(
     p: u32,
     b_hat: u64,
 ) -> Option<Candidate> {
-    plan_chimera_until(f, scale, model, cluster, p, b_hat, None).expect("no deadline")
+    unbudgeted(plan_chimera_until(
+        &StructureTable::new(),
+        f,
+        scale,
+        model,
+        cluster,
+        p,
+        b_hat,
+        None,
+    ))
 }
 
-/// [`plan_chimera`] with a wall-clock budget (see [`sweep_until`]).
-#[allow(clippy::too_many_arguments)] // plan_chimera's dimensions + a deadline
+/// [`plan_chimera`] against `table` with a wall-clock budget (see
+/// [`sweep_until`]).
+#[allow(clippy::too_many_arguments)] // plan_chimera's dimensions + table and deadline
 pub fn plan_chimera_until(
+    table: &StructureTable,
     f: u32,
     scale: ScaleMethod,
     model: ModelSpec,
@@ -450,7 +555,7 @@ pub fn plan_chimera_until(
     p: u32,
     b_hat: u64,
     deadline: Option<Instant>,
-) -> Result<Option<Candidate>, SearchTimeout> {
+) -> Result<Option<Candidate>, SearchError> {
     let scheme = PlanScheme::Chimera { f, scale };
     let mut per_wd: Vec<Candidate> = Vec::new();
     for d in depth_candidates(p, &model) {
@@ -458,9 +563,9 @@ pub fn plan_chimera_until(
         let mut chosen: Option<Candidate> = None;
         for b in batch_candidates(b_hat, w) {
             if expired(deadline) {
-                return Err(SearchTimeout);
+                return Err(SearchError::Timeout);
             }
-            let Some(c) = evaluate(scheme, model, cluster, p, b_hat, w, d, b) else {
+            let Some(c) = evaluate_with(table, scheme, model, cluster, p, b_hat, w, d, b)? else {
                 continue;
             };
             if !c.fits {
@@ -485,9 +590,30 @@ pub fn plan_chimera_until(
     }))
 }
 
+/// The paper's search for `scheme` (§4.2) against `table`: Chimera plans by
+/// Eq. 1 ([`plan_chimera_until`]), a baseline takes the best of its grid
+/// ([`best_until`]).
+pub fn plan_until(
+    table: &StructureTable,
+    scheme: PlanScheme,
+    model: ModelSpec,
+    cluster: ClusterSpec,
+    p: u32,
+    b_hat: u64,
+    deadline: Option<Instant>,
+) -> Result<Option<Candidate>, SearchError> {
+    match scheme {
+        PlanScheme::Chimera { f, scale } => {
+            plan_chimera_until(table, f, scale, model, cluster, p, b_hat, deadline)
+        }
+        grid => best_until(table, grid, model, cluster, p, b_hat, deadline),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chimera_verify::verify_with_memory;
 
     fn bert_setup() -> (ModelSpec, ClusterSpec) {
         (ModelSpec::bert48(), ClusterSpec::piz_daint())
@@ -600,17 +726,18 @@ mod tests {
         let (m, c) = bert_setup();
         // An already-expired deadline aborts before evaluating anything.
         let past = Instant::now() - std::time::Duration::from_millis(1);
+        let table = StructureTable::new();
         assert_eq!(
-            sweep_until(PlanScheme::Dapple, m, c, 32, 512, Some(past)).err(),
-            Some(SearchTimeout)
+            sweep_until(&table, PlanScheme::Dapple, m, c, 32, 512, Some(past)).err(),
+            Some(SearchError::Timeout)
         );
         assert_eq!(
-            plan_chimera_until(1, ScaleMethod::Direct, m, c, 32, 256, Some(past)).err(),
-            Some(SearchTimeout)
+            plan_chimera_until(&table, 1, ScaleMethod::Direct, m, c, 32, 256, Some(past)).err(),
+            Some(SearchError::Timeout)
         );
         // A generous deadline returns exactly the unbudgeted result.
         let far = Instant::now() + std::time::Duration::from_secs(3600);
-        let budgeted = best_until(PlanScheme::Dapple, m, c, 32, 512, Some(far))
+        let budgeted = best_until(&table, PlanScheme::Dapple, m, c, 32, 512, Some(far))
             .unwrap()
             .unwrap();
         let plain = best(PlanScheme::Dapple, m, c, 32, 512).unwrap();
@@ -618,7 +745,7 @@ mod tests {
             (budgeted.w, budgeted.d, budgeted.b),
             (plain.w, plain.d, plain.b)
         );
-        let chim = plan_chimera_until(1, ScaleMethod::Direct, m, c, 32, 256, Some(far))
+        let chim = plan_chimera_until(&table, 1, ScaleMethod::Direct, m, c, 32, 256, Some(far))
             .unwrap()
             .unwrap();
         let chim_plain = plan_chimera(1, ScaleMethod::Direct, m, c, 32, 256).unwrap();

@@ -27,6 +27,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use chimera_comm::write_raw_frame;
+use chimera_perf::structure::TableStats;
+use chimera_perf::StructureTable;
 use chimera_trace::{Counter, Histogram, MetricsRegistry};
 use parking_lot::{Condvar, Mutex};
 use serde_json::Value;
@@ -146,6 +148,14 @@ pub struct ServeStats {
     pub errors: AtomicU64,
     /// Total nanoseconds spent inside searches.
     pub search_ns: AtomicU64,
+    /// Candidates whose schedule shape the engine's structure table already
+    /// held (as of the last finished search, like the two below).
+    pub structure_hits: AtomicU64,
+    /// Candidates whose shape was analysed at that sight.
+    pub structure_misses: AtomicU64,
+    /// Most shapes the table has held (it is emptied at its cap; the live
+    /// count is in [`PlanEngine::stats_json`]).
+    pub structure_entries: AtomicU64,
     latency_us: Histogram,
     mirror: Mirror,
 }
@@ -157,6 +167,9 @@ struct Mirror {
     shed: Arc<Counter>,
     errors: Arc<Counter>,
     search_ns: Arc<Counter>,
+    structure_hits: Arc<Counter>,
+    structure_misses: Arc<Counter>,
+    structure_entries: Arc<Counter>,
     latency_us: Arc<Histogram>,
 }
 
@@ -171,6 +184,9 @@ impl ServeStats {
             shed: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             search_ns: AtomicU64::new(0),
+            structure_hits: AtomicU64::new(0),
+            structure_misses: AtomicU64::new(0),
+            structure_entries: AtomicU64::new(0),
             latency_us: Histogram::default(),
             mirror: Mirror {
                 hits: reg.counter("serve.cache_hits"),
@@ -179,8 +195,32 @@ impl ServeStats {
                 shed: reg.counter("serve.shed"),
                 errors: reg.counter("serve.errors"),
                 search_ns: reg.counter("serve.search_ns"),
+                structure_hits: reg.counter("serve.structures.hits"),
+                structure_misses: reg.counter("serve.structures.misses"),
+                structure_entries: reg.counter("serve.structures.entries"),
                 latency_us: reg.histogram("serve.latency_us"),
             },
+        }
+    }
+
+    /// Bring the structure-table counters up to `now`, the table's snapshot
+    /// after a search. Workers finish searches in any order, so each counter
+    /// only moves forward (`fetch_max`) and the mirror gets what it moved by.
+    fn record_structures(&self, now: TableStats) {
+        for (seen, mirror, now) in [
+            (&self.structure_hits, &self.mirror.structure_hits, now.hits),
+            (
+                &self.structure_misses,
+                &self.mirror.structure_misses,
+                now.misses,
+            ),
+            (
+                &self.structure_entries,
+                &self.mirror.structure_entries,
+                now.entries,
+            ),
+        ] {
+            mirror.add(now.saturating_sub(seen.fetch_max(now, Ordering::Relaxed)));
         }
     }
 
@@ -203,6 +243,10 @@ impl ServeStats {
 pub struct PlanEngine {
     cfg: ServeConfig,
     cache: PlanCache<Waiter>,
+    /// The planner's per-shape analyses, kept across this engine's queries
+    /// and shared by its search workers. Owned here — not global — so an
+    /// engine starts empty, its counters are its own, and it dies with it.
+    structures: StructureTable,
     queue: Mutex<VecDeque<Job>>,
     available: Condvar,
     stop: AtomicBool,
@@ -216,6 +260,7 @@ impl PlanEngine {
     pub fn start(cfg: ServeConfig, searcher: Box<dyn Searcher>) -> Arc<PlanEngine> {
         let engine = Arc::new(PlanEngine {
             cache: PlanCache::new(cfg.cache_cap),
+            structures: StructureTable::new(),
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             stop: AtomicBool::new(false),
@@ -289,6 +334,12 @@ impl PlanEngine {
     /// Stats snapshot (`chimera-serve/stats/v1`).
     pub fn stats_json(&self) -> Value {
         let s = &self.stats;
+        let table = self.structures.stats();
+        let structures = serde_json::json!({
+            "hits": table.hits,
+            "misses": table.misses,
+            "entries": table.entries,
+        });
         serde_json::json!({
             "ok": true,
             "schema": "chimera-serve/stats/v1",
@@ -308,6 +359,7 @@ impl PlanEngine {
                 "p99": s.latency_us.p99(),
             },
             "cache_entries": self.cache.len(),
+            "structures": structures,
             "queue_cap": self.cfg.queue_cap,
             "workers": self.cfg.workers,
         })
@@ -415,8 +467,11 @@ impl PlanEngine {
                 self.stats.misses.fetch_add(1, Ordering::Relaxed);
                 self.stats.mirror.misses.inc();
                 let t0 = Instant::now();
-                let result = catch_unwind(AssertUnwindSafe(|| self.searcher.search(&q, deadline)))
-                    .unwrap_or_else(|_| Err(ServeError::Internal("search panicked".into())));
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    self.searcher.search_with(&q, deadline, &self.structures)
+                }))
+                .unwrap_or_else(|_| Err(ServeError::Internal("search panicked".into())));
+                self.stats.record_structures(self.structures.stats());
                 let spent = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
                 self.stats.search_ns.fetch_add(spent, Ordering::Relaxed);
                 self.stats.mirror.search_ns.add(spent);

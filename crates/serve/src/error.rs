@@ -85,6 +85,20 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
+impl From<chimera_perf::SearchError> for ServeError {
+    /// A search that ran out of time is the client's deadline; one whose
+    /// planner built a schedule that does not verify is ours, and the
+    /// message names the schedule and the first diagnostic code.
+    fn from(e: chimera_perf::SearchError) -> Self {
+        match e {
+            chimera_perf::SearchError::Timeout => ServeError::DeadlineExceeded,
+            unclean @ chimera_perf::SearchError::Unclean(_) => {
+                ServeError::Internal(unclean.to_string())
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,6 +161,30 @@ mod tests {
         assert_eq!((e.code(), e.http_status()), ("shed", 503));
         // The one retryable-by-design variant: the message must say so.
         assert!(e.to_string().contains("retry"), "{e}");
+    }
+
+    #[test]
+    fn a_search_error_is_the_clients_deadline_or_our_bug() {
+        use chimera_perf::{PlanScheme, SearchError, StructureKey, Unclean};
+        assert_eq!(
+            ServeError::from(SearchError::Timeout),
+            ServeError::DeadlineExceeded
+        );
+        let unclean = Unclean {
+            key: StructureKey {
+                scheme: PlanScheme::Dapple,
+                d: 4,
+                n: 8,
+                recompute: false,
+            },
+            code: "deadlock_cycle",
+        };
+        let e = ServeError::from(SearchError::Unclean(unclean));
+        assert_eq!((e.code(), e.http_status()), ("internal", 500));
+        let message = e.to_string();
+        for part in ["DAPPLE", "D=4 N=8", "deadlock_cycle"] {
+            assert!(message.contains(part), "{message}");
+        }
     }
 
     #[test]

@@ -14,10 +14,13 @@
 //! * [`cache`] — bounded LRU plan cache with single-flight coalescing:
 //!   identical in-flight queries share one search.
 //! * [`engine`] — bounded worker pool with admission control (queue full →
-//!   typed `shed` error), per-query deadlines, and `serve.*` trace
-//!   counters.
+//!   typed `shed` error), per-query deadlines, `serve.*` trace counters,
+//!   and the engine's `chimera_perf::StructureTable`: what the planner
+//!   derives from a schedule's shape alone is analysed once per engine, so
+//!   *different* queries share work the plan cache cannot.
 //! * [`search`] — the production [`search::Searcher`] running the planner
-//!   sweeps and the verify gate.
+//!   searches against that table and the verify gate (lookup + price
+//!   against the tenant's budget).
 //! * [`server`] — two front doors: the framed protocol
 //!   ([`server::PlanServer`]) and JSON-over-HTTP ([`server::HttpServer`]).
 //! * [`client`] — pipelined framed-protocol client.

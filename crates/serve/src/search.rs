@@ -6,10 +6,10 @@
 use std::time::Instant;
 
 use chimera_core::chimera::ScaleMethod;
-use chimera_perf::planner::rebuild;
-use chimera_perf::{best_until, plan_chimera_until, Candidate, ClusterSpec, PlanScheme};
+use chimera_perf::planner::reopen;
+use chimera_perf::{plan_until, Candidate, ClusterSpec, PlanScheme, StructureTable};
 use chimera_sim::NetScenario;
-use chimera_verify::{verify_with_memory, MEMORY_SCHEMA_V2};
+use chimera_verify::MEMORY_SCHEMA_V2;
 use serde_json::Value;
 
 use crate::error::ServeError;
@@ -23,6 +23,20 @@ pub trait Searcher: Send + Sync {
     /// Answer `q`, observing `deadline` (abort with
     /// [`ServeError::DeadlineExceeded`] once it passes).
     fn search(&self, q: &PlanQuery, deadline: Option<Instant>) -> Result<Value, ServeError>;
+
+    /// [`Searcher::search`] for a caller that plans repeatedly and keeps the
+    /// planner's per-shape analyses between queries (the engine does; see
+    /// [`StructureTable`]). The answer must not depend on what `structures`
+    /// holds. Searchers that do not plan ignore it.
+    fn search_with(
+        &self,
+        q: &PlanQuery,
+        deadline: Option<Instant>,
+        structures: &StructureTable,
+    ) -> Result<Value, ServeError> {
+        let _ = structures;
+        self.search(q, deadline)
+    }
 }
 
 /// The production searcher: the full `chimera-perf` planner pipeline.
@@ -48,43 +62,19 @@ pub fn load_measured_floor(path: &str) -> Option<(f64, f64)> {
     Some((alpha_s, beta))
 }
 
-/// Map a canonical scheme id to its planner entry point and run it.
-fn run_scheme(
-    id: &str,
-    model: chimera_perf::ModelSpec,
-    cluster: ClusterSpec,
-    p: u32,
-    b_hat: u64,
-    deadline: Option<Instant>,
-) -> Result<Option<Candidate>, chimera_perf::SearchTimeout> {
+/// The planner's name for a canonical scheme id.
+fn scheme_of(id: &str) -> PlanScheme {
+    let chimera = |f, scale| PlanScheme::Chimera { f, scale };
     match id {
-        "chimera" => plan_chimera_until(1, ScaleMethod::Direct, model, cluster, p, b_hat, deadline),
-        "chimera-f2" => {
-            plan_chimera_until(2, ScaleMethod::Direct, model, cluster, p, b_hat, deadline)
-        }
-        "doubling" => plan_chimera_until(
-            1,
-            ScaleMethod::ForwardDoubling { recompute: true },
-            model,
-            cluster,
-            p,
-            b_hat,
-            deadline,
-        ),
-        "halving" => plan_chimera_until(
-            1,
-            ScaleMethod::BackwardHalving,
-            model,
-            cluster,
-            p,
-            b_hat,
-            deadline,
-        ),
-        "gpipe" => best_until(PlanScheme::GPipe, model, cluster, p, b_hat, deadline),
-        "dapple" => best_until(PlanScheme::Dapple, model, cluster, p, b_hat, deadline),
-        "gems" => best_until(PlanScheme::Gems, model, cluster, p, b_hat, deadline),
-        "pipedream" => best_until(PlanScheme::PipeDream, model, cluster, p, b_hat, deadline),
-        "pipedream-2bw" => best_until(PlanScheme::PipeDream2Bw, model, cluster, p, b_hat, deadline),
+        "chimera" => chimera(1, ScaleMethod::Direct),
+        "chimera-f2" => chimera(2, ScaleMethod::Direct),
+        "doubling" => chimera(1, ScaleMethod::ForwardDoubling { recompute: true }),
+        "halving" => chimera(1, ScaleMethod::BackwardHalving),
+        "gpipe" => PlanScheme::GPipe,
+        "dapple" => PlanScheme::Dapple,
+        "gems" => PlanScheme::Gems,
+        "pipedream" => PlanScheme::PipeDream,
+        "pipedream-2bw" => PlanScheme::PipeDream2Bw,
         other => unreachable!("scheme id {other:?} passed query validation"),
     }
 }
@@ -112,7 +102,17 @@ pub fn resolve_cluster(
 }
 
 impl Searcher for RealSearcher {
+    /// A one-off search: plans against a fresh table.
     fn search(&self, q: &PlanQuery, deadline: Option<Instant>) -> Result<Value, ServeError> {
+        self.search_with(q, deadline, &StructureTable::new())
+    }
+
+    fn search_with(
+        &self,
+        q: &PlanQuery,
+        deadline: Option<Instant>,
+        structures: &StructureTable,
+    ) -> Result<Value, ServeError> {
         let model =
             model_by_name(&q.model).ok_or_else(|| ServeError::UnknownModel(q.model.clone()))?;
         let cluster = resolve_cluster(q, self.measured_floor)?;
@@ -120,28 +120,28 @@ impl Searcher for RealSearcher {
         let mut results: Vec<(String, Candidate, Value)> = Vec::new();
         let mut infeasible: Vec<String> = Vec::new();
         for id in q.scheme_list() {
-            let cand = run_scheme(id, model, cluster, q.devices, q.b_hat, deadline)
-                .map_err(|_| ServeError::DeadlineExceeded)?;
-            match cand {
+            let scheme = scheme_of(id);
+            let (p, b_hat) = (q.devices, q.b_hat);
+            match plan_until(structures, scheme, model, cluster, p, b_hat, deadline)? {
                 Some(c) => {
                     // Re-verify before serving: rebuild the exact schedule
-                    // the candidate was evaluated with and run the static
-                    // verifier — including the exact liveness memory check
-                    // against this tenant's budget — over it. A schedule
-                    // that fails here is a planner bug — refuse to serve it
-                    // rather than hand a deadlocked or OOM plan to a tenant.
-                    let Some((sched, cost, iters)) = rebuild(&c, model, cluster) else {
+                    // the candidate was evaluated with and join its shape's
+                    // structural report — looked up; analysed here if the
+                    // winner is a recomputation retry nobody verified yet —
+                    // with the exact liveness memory check against this
+                    // tenant's budget. A schedule that fails here is a
+                    // planner bug — refuse to serve it rather than hand a
+                    // deadlocked or OOM plan to a tenant.
+                    let Some(opened) = reopen(structures, &c, model, cluster) else {
                         return Err(ServeError::Internal(format!(
                             "candidate for {id} does not rebuild"
                         )));
                     };
-                    let report = verify_with_memory(&sched, iters, &cost, cluster.usable_mem());
-                    if !report.is_clean() {
-                        return Err(ServeError::Internal(format!(
-                            "candidate for {id} failed re-verification"
-                        )));
-                    }
-                    let mem = report.memory_v2.as_ref().expect("verified with memory");
+                    let (_, _, mem) = opened.check(cluster.usable_mem()).map_err(|e| {
+                        ServeError::Internal(format!(
+                            "candidate for {id} failed re-verification: {e}"
+                        ))
+                    })?;
                     let mem_json = serde_json::json!({
                         "schema": MEMORY_SCHEMA_V2,
                         "exact_peak_bytes": mem.max_exact_peak(),

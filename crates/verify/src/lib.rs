@@ -557,20 +557,17 @@ fn memory_of(sched: &Schedule, lifetimes: &LivenessReport, cost: &SimCostModel) 
     MemoryV2 { workers }
 }
 
-/// [`verify_span`] plus the exact memory lint: per-worker peak memory from
-/// the liveness dataflow engine ([`memory_v2`]) checked against
-/// `capacity_bytes`, flagging OOM with the memory-cliff op. The schedule is
-/// lowered once and its rows priced twice, in activation units and in
-/// `cost`'s bytes. The superseded coarse Table-2 bound rides along as a
-/// cross-check: `coarse_bound_exceeded` fires if the exact peak ever exceeds
-/// it (which would mean the old lint under-approximated). A structurally
-/// defective schedule gets no memory section: its placement cannot be priced.
-pub fn verify_with_memory(
+/// [`verify_span`]'s report and [`memory_v2`]'s accounting from one lowering
+/// of `sched`: its rows are priced twice, in activation units and in `cost`'s
+/// bytes. The report is the *structural* half of [`verify_with_memory`] — a
+/// function of the schedule alone; the memory is the half a cost model
+/// prices, joined to it by [`VerifyReport::priced`]. A structurally defective
+/// schedule gets no memory: its placement cannot be priced.
+pub fn verify_parts(
     sched: &Schedule,
     iterations: u32,
     cost: &SimCostModel,
-    capacity_bytes: u64,
-) -> VerifyReport {
+) -> (VerifyReport, Option<MemoryV2>) {
     let (mut peaks, mut in_bytes) = (Vec::new(), LivenessReport::default());
     let defects = lower_each(sched, iterations, |p| {
         peaks.push(unit_peak(&p));
@@ -580,45 +577,77 @@ pub fn verify_with_memory(
     // report allocate their own tables, so the two never coexist.
     let mem = (!structural(&defects)).then(|| memory_of(sched, &in_bytes, cost));
     drop(in_bytes);
-    let mut report = report_of(sched, iterations, &defects, peaks);
-    let Some(mem) = mem else {
-        return report;
-    };
-    for (w, wm) in mem.workers.iter().enumerate() {
-        if wm.exact_peak_bytes > capacity_bytes {
-            report.diagnostics.push(Diagnostic {
-                code: "capacity_overflow",
-                severity: Severity::Error,
-                message: format!(
-                    "{} exact peak memory {:.2} GiB (resident {:.2} + dynamic {:.2}) \
-                     exceeds device capacity {:.2} GiB",
-                    WorkerId(w as u32),
-                    wm.exact_peak_bytes as f64 / (1u64 << 30) as f64,
-                    wm.resident_bytes as f64 / (1u64 << 30) as f64,
-                    wm.dynamic_peak_bytes as f64 / (1u64 << 30) as f64,
-                    capacity_bytes as f64 / (1u64 << 30) as f64
-                ),
-                locations: wm.cliff.clone().into_iter().collect(),
-            });
+    (report_of(sched, iterations, &defects, peaks), mem)
+}
+
+impl MemoryV2 {
+    /// The priced findings of a report: `capacity_overflow` where a worker's
+    /// exact peak exceeds `capacity_bytes`, located at the memory-cliff op,
+    /// and `coarse_bound_exceeded` where it exceeds the superseded Table-2
+    /// bound (which would mean the old lint under-approximated).
+    pub fn diagnostics(&self, capacity_bytes: u64) -> Vec<Diagnostic> {
+        let mut out = Vec::new();
+        for (w, wm) in self.workers.iter().enumerate() {
+            if wm.exact_peak_bytes > capacity_bytes {
+                out.push(Diagnostic {
+                    code: "capacity_overflow",
+                    severity: Severity::Error,
+                    message: format!(
+                        "{} exact peak memory {:.2} GiB (resident {:.2} + dynamic {:.2}) \
+                         exceeds device capacity {:.2} GiB",
+                        WorkerId(w as u32),
+                        wm.exact_peak_bytes as f64 / (1u64 << 30) as f64,
+                        wm.resident_bytes as f64 / (1u64 << 30) as f64,
+                        wm.dynamic_peak_bytes as f64 / (1u64 << 30) as f64,
+                        capacity_bytes as f64 / (1u64 << 30) as f64
+                    ),
+                    locations: wm.cliff.clone().into_iter().collect(),
+                });
+            }
+            if wm.exact_peak_bytes > wm.coarse_bound_bytes {
+                out.push(Diagnostic {
+                    code: "coarse_bound_exceeded",
+                    severity: Severity::Error,
+                    message: format!(
+                        "{} exact peak {} B exceeds the coarse Table-2 bound {} B — \
+                         the superseded lint under-approximated this schedule",
+                        WorkerId(w as u32),
+                        wm.exact_peak_bytes,
+                        wm.coarse_bound_bytes
+                    ),
+                    locations: wm.cliff.clone().into_iter().collect(),
+                });
+            }
         }
-        if wm.exact_peak_bytes > wm.coarse_bound_bytes {
-            report.diagnostics.push(Diagnostic {
-                code: "coarse_bound_exceeded",
-                severity: Severity::Error,
-                message: format!(
-                    "{} exact peak {} B exceeds the coarse Table-2 bound {} B — \
-                     the superseded lint under-approximated this schedule",
-                    WorkerId(w as u32),
-                    wm.exact_peak_bytes,
-                    wm.coarse_bound_bytes
-                ),
-                locations: wm.cliff.clone().into_iter().collect(),
-            });
-        }
+        out
     }
-    report.memory_v2 = Some(mem);
-    report.sort_diagnostics();
-    report
+}
+
+impl VerifyReport {
+    /// This structural report joined with its priced half: `mem` as the
+    /// memory section and [`MemoryV2::diagnostics`] against `capacity_bytes`.
+    pub fn priced(mut self, mem: MemoryV2, capacity_bytes: u64) -> VerifyReport {
+        self.diagnostics.extend(mem.diagnostics(capacity_bytes));
+        self.memory_v2 = Some(mem);
+        self.sort_diagnostics();
+        self
+    }
+}
+
+/// [`verify_span`] plus the exact memory lint — structure ⊕ price: the
+/// report of [`verify_parts`] with per-worker peak memory from the liveness
+/// dataflow engine ([`memory_v2`]) checked against `capacity_bytes`
+/// ([`VerifyReport::priced`]), the schedule lowered once.
+pub fn verify_with_memory(
+    sched: &Schedule,
+    iterations: u32,
+    cost: &SimCostModel,
+    capacity_bytes: u64,
+) -> VerifyReport {
+    match verify_parts(sched, iterations, cost) {
+        (structure, Some(mem)) => structure.priced(mem, capacity_bytes),
+        (structure, None) => structure,
+    }
 }
 
 #[cfg(test)]
