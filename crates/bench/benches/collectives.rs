@@ -1,66 +1,13 @@
-//! Criterion: exact (rank-ordered) vs ring allreduce across threads, and the
-//! gradient path's two kernels — the keyed reduction of four contributions
-//! and the in-place optimizer step — per element, beside a plain copy.
+//! Criterion: the gradient path's two kernels — the keyed reduction of four
+//! contributions and the in-place optimizer step — per element, beside a
+//! plain copy.
 
 // criterion_group! expands to an undocumented public fn.
 #![allow(missing_docs)]
-use std::thread;
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-
-use chimera_collectives::{exact_group, ring_group};
 use chimera_nn::{ModelConfig, Optimizer, OptimizerKind, Stage};
 use chimera_tensor::ops;
-
-fn run_exact(n: usize, len: usize) {
-    let members = exact_group(n);
-    let handles: Vec<_> = members
-        .into_iter()
-        .map(|m| {
-            thread::spawn(move || {
-                let mut buf = vec![m.rank() as f32; len];
-                for _ in 0..4 {
-                    m.allreduce_sum(&mut buf);
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-}
-
-fn run_ring(n: usize, len: usize) {
-    let members = ring_group(n);
-    let handles: Vec<_> = members
-        .into_iter()
-        .map(|m| {
-            thread::spawn(move || {
-                let mut buf = vec![m.rank() as f32; len];
-                for _ in 0..4 {
-                    m.allreduce_sum(&mut buf);
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-}
-
-fn bench_collectives(c: &mut Criterion) {
-    let mut g = c.benchmark_group("allreduce_4ranks");
-    g.sample_size(20);
-    for len in [1usize << 10, 1 << 16, 1 << 20] {
-        g.bench_with_input(BenchmarkId::new("exact", len), &len, |b, &len| {
-            b.iter(|| run_exact(4, len));
-        });
-        g.bench_with_input(BenchmarkId::new("ring", len), &len, |b, &len| {
-            b.iter(|| run_ring(4, len));
-        });
-    }
-    g.finish();
-}
 
 /// What one worker does per held stage per step once the gradients exist,
 /// at the size of a `pipe_chimera` stage (the benchmark's wide model cut in
@@ -103,5 +50,5 @@ fn bench_gradient_path(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_collectives, bench_gradient_path);
+criterion_group!(benches, bench_gradient_path);
 criterion_main!(benches);

@@ -16,7 +16,7 @@ use chimera_perf::{
 };
 use chimera_sim::{simulate, simulate_span};
 use chimera_verify::liveness::{analyze, SimSizes};
-use chimera_verify::{comm_lint, hazard, verify_span, verify_with_memory};
+use chimera_verify::{comm_lint, verify_span, verify_with_memory};
 
 fn bench_simulate(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulate_iteration");
@@ -103,9 +103,6 @@ fn bench_planning_passes(c: &mut Criterion) {
             });
             g.bench_with_input(id("verify_span"), &sched, |b, s| {
                 b.iter(|| verify_span(black_box(s), iters));
-            });
-            g.bench_with_input(id("hazard"), &sched, |b, s| {
-                b.iter(|| hazard::lint(black_box(s), iters));
             });
             // What a verified plan pays on top: the one lowering, a liveness
             // report from scratch (lower + price), and the whole gate.

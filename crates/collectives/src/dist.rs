@@ -1,8 +1,7 @@
-//! Transport-backed collectives: the same reductions as [`crate::exact`],
-//! [`crate::ring`], and [`crate::keyed`], but running over a
-//! [`chimera_comm::Transport`] — so one group can span OS processes (the
-//! TCP backend) or stay in-process (the local backend) without the caller
-//! changing anything.
+//! The transport-backed collective: the same reduction as [`crate::keyed`],
+//! but running over a [`chimera_comm::Transport`] — so one group can span OS
+//! processes (the TCP backend) or stay in-process (the local backend) without
+//! the caller changing anything.
 //!
 //! Bit-exactness carries over: [`TransportKeyed`] gathers every member's
 //! `(micro, gradient)` contributions at the group root and sums them with
@@ -22,8 +21,8 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use chimera_comm::{CommError, KeyedReduce, MsgKey, Payload, Rank, Reduced, Transport};
-use chimera_tensor::{ops, pool};
+use chimera_comm::{KeyedReduce, MsgKey, Payload, Rank, Reduced, Transport};
+use chimera_tensor::pool;
 use chimera_trace::{Counter, MetricsRegistry};
 
 use crate::keyed::sum_keyed;
@@ -150,163 +149,6 @@ impl KeyedReduce for TransportKeyed {
     }
 }
 
-/// Position of `ep.rank()` in `members`, or a protocol error.
-fn member_index(ep: &dyn Transport, members: &[Rank]) -> Result<usize, CommError> {
-    members.iter().position(|&m| m == ep.rank()).ok_or_else(|| {
-        CommError::Protocol(format!(
-            "rank {} is not in collective group {members:?}",
-            ep.rank()
-        ))
-    })
-}
-
-/// Gather → member-ordered sum → broadcast over a transport: bitwise
-/// deterministic regardless of arrival timing, like
-/// [`crate::exact_group`]. `round` must advance per call so back-to-back
-/// collectives on the same `(tag, members)` never collide.
-pub fn exact_allreduce(
-    ep: &dyn Transport,
-    members: &[Rank],
-    tag: u32,
-    round: u64,
-    buf: &mut [f32],
-    timeout: Duration,
-) -> Result<(), CommError> {
-    let me = member_index(ep, members)?;
-    let reg = MetricsRegistry::global();
-    reg.counter("collectives.exact.calls").inc();
-    reg.counter("collectives.exact.bytes_reduced")
-        .add(buf.len() as u64 * 4);
-    if members.len() == 1 {
-        return Ok(());
-    }
-    let root = members[0];
-    let root_key = MsgKey::Coll {
-        tag,
-        round,
-        from: root,
-    };
-    if me != 0 {
-        ep.send(
-            root,
-            MsgKey::Coll {
-                tag,
-                round,
-                from: ep.rank(),
-            },
-            Payload::Flat(buf.to_vec()),
-        )?;
-        let result = ep.recv_deadline(root_key, timeout)?.into_flat();
-        buf.copy_from_slice(&result);
-        return Ok(());
-    }
-    let deadline = Instant::now() + timeout;
-    for &m in &members[1..] {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        let key = MsgKey::Coll {
-            tag,
-            round,
-            from: m,
-        };
-        let c = ep.recv_deadline(key, remaining)?.into_flat();
-        ops::add_ordered(buf, &[&c]);
-    }
-    for &m in &members[1..] {
-        ep.send(m, root_key, Payload::Flat(buf.to_vec()))?;
-    }
-    Ok(())
-}
-
-/// Ring allreduce (reduce-scatter + allgather) over a transport — the same
-/// bandwidth-optimal algorithm as [`crate::ring_group`], with each hop a
-/// keyed transport message. Deterministic across runs, but the reduction
-/// order depends on ring position, so results are not bitwise equal to
-/// [`exact_allreduce`].
-pub fn ring_allreduce(
-    ep: &dyn Transport,
-    members: &[Rank],
-    tag: u32,
-    round: u64,
-    buf: &mut [f32],
-    timeout: Duration,
-) -> Result<(), CommError> {
-    let me = member_index(ep, members)?;
-    let n = members.len();
-    let reg = MetricsRegistry::global();
-    reg.counter("collectives.ring.calls").inc();
-    if n == 1 {
-        return Ok(());
-    }
-    reg.counter("collectives.ring.rounds")
-        .add(2 * (n as u64 - 1));
-    let bytes_sent = reg.counter("collectives.ring.bytes_sent");
-    let next = members[(me + 1) % n];
-    let prev = members[(me + n - 1) % n];
-    let steps = 2 * (n as u64 - 1);
-    let chunks = chunk_ranges(buf.len(), n);
-    let deadline = Instant::now() + timeout;
-    // Each hop gets a unique wire round: global collective round × total
-    // steps + step index.
-    let hop = |step: u64, send_idx: usize, buf: &mut [f32]| -> Result<Vec<f32>, CommError> {
-        let r = &chunks[send_idx];
-        bytes_sent.add(r.len() as u64 * 4);
-        ep.send(
-            next,
-            MsgKey::Coll {
-                tag,
-                round: round * steps + step,
-                from: ep.rank(),
-            },
-            Payload::Flat(buf[r.clone()].to_vec()),
-        )?;
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        Ok(ep
-            .recv_deadline(
-                MsgKey::Coll {
-                    tag,
-                    round: round * steps + step,
-                    from: prev,
-                },
-                remaining,
-            )?
-            .into_flat())
-    };
-    // Reduce-scatter: step t, send chunk (me - t), accumulate chunk
-    // (me - t - 1).
-    for t in 0..n - 1 {
-        let send_idx = (me + n - t) % n;
-        let recv = hop(t as u64, send_idx, buf)?;
-        let rr = &chunks[(me + n - t - 1) % n];
-        for (a, b) in buf[rr.clone()].iter_mut().zip(&recv) {
-            *a += b;
-        }
-    }
-    // Allgather: step t, send fully-reduced chunk (me + 1 - t), overwrite
-    // chunk (me - t).
-    for t in 0..n - 1 {
-        let send_idx = (me + 1 + n - t) % n;
-        let recv = hop((n - 1 + t) as u64, send_idx, buf)?;
-        let rr = &chunks[(me + n - t) % n];
-        buf[rr.clone()].copy_from_slice(&recv);
-    }
-    Ok(())
-}
-
-/// Split `len` elements into `n` contiguous ranges (first `len % n` ranges
-/// one element longer) — identical to the shared-memory ring's layout.
-fn chunk_ranges(len: usize, n: usize) -> Vec<std::ops::Range<usize>> {
-    let base = len / n;
-    let rem = len % n;
-    let mut out = Vec::with_capacity(n);
-    let mut start = 0;
-    for i in 0..n {
-        let size = base + usize::from(i < rem);
-        out.push(start..start + size);
-        start += size;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,71 +248,5 @@ mod tests {
         let member = TransportKeyed::new(e0, 0, vec![0, 1]);
         member.deposit(vec![(0, vec![1.0])]);
         assert!(member.fetch_deadline(Duration::from_millis(50)).is_none());
-    }
-
-    #[test]
-    fn exact_allreduce_sums_in_member_order() {
-        let eps = fabric(3);
-        let vals = [1e8f32, 1.0, -1e8];
-        // Expected: strictly member-ordered accumulation.
-        let expect = ((1e8f32 + 1.0) + -1e8).to_bits();
-        let handles: Vec<_> = eps
-            .into_iter()
-            .enumerate()
-            .map(|(i, ep)| {
-                thread::spawn(move || {
-                    let mut buf = vec![vals[i]];
-                    exact_allreduce(&*ep, &[0, 1, 2], 0, 0, &mut buf, Duration::from_secs(5))
-                        .unwrap();
-                    buf[0].to_bits()
-                })
-            })
-            .collect();
-        for h in handles {
-            assert_eq!(h.join().unwrap(), expect);
-        }
-    }
-
-    #[test]
-    fn ring_allreduce_matches_expected_sum() {
-        for (n, len) in [(2usize, 8usize), (3, 7), (4, 16)] {
-            let eps = fabric(n as u32);
-            let members: Vec<Rank> = (0..n as u32).collect();
-            let handles: Vec<_> = eps
-                .into_iter()
-                .enumerate()
-                .map(|(rank, ep)| {
-                    let members = members.clone();
-                    thread::spawn(move || {
-                        let mut buf: Vec<f32> = (0..len).map(|i| (rank * len + i) as f32).collect();
-                        for round in 0..2u64 {
-                            let mut b = buf.clone();
-                            ring_allreduce(
-                                &*ep,
-                                &members,
-                                1,
-                                round,
-                                &mut b,
-                                Duration::from_secs(5),
-                            )
-                            .unwrap();
-                            if round == 1 {
-                                buf = b;
-                            }
-                        }
-                        buf
-                    })
-                })
-                .collect();
-            let expect: Vec<f32> = (0..len)
-                .map(|i| (0..n).map(|r| (r * len + i) as f32).sum())
-                .collect();
-            for h in handles {
-                let got = h.join().unwrap();
-                for (a, b) in got.iter().zip(&expect) {
-                    assert!((a - b).abs() < 1e-4, "n={n} len={len}");
-                }
-            }
-        }
     }
 }

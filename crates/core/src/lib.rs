@@ -20,11 +20,13 @@
 //! * gradient-synchronization placement (§3.2): post-hoc, eager, and
 //!   eager-opt ([`sync`]);
 //! * lowering ([`program`]): the one program-order walk of a schedule, into
-//!   the row tables the verifier prices and the runtime executes, plus the
-//!   typed defects that keep it from being executed as written;
+//!   the row tables the verifier prices and the runtime executes — stash
+//!   slots, weight-version slots (Table 2's "weights memory"), boundary
+//!   messages — plus the typed defects that keep it from being executed as
+//!   written;
 //! * an abstract-cost executor ([`unit_time`]) for timing, bubble-ratio and
-//!   activation-memory analysis, plus weight-version analysis ([`validate`])
-//!   and the closed-form Table 2/3 formulas ([`analysis`]).
+//!   activation-memory analysis, and the closed-form Table 2/3 formulas
+//!   ([`analysis`]).
 //!
 //! ```
 //! use chimera_core::chimera::{chimera, ChimeraConfig};
@@ -52,7 +54,6 @@ pub mod repeat;
 pub mod schedule;
 pub mod sync;
 pub mod unit_time;
-pub mod validate;
 
 pub use crate::chimera::{chimera as chimera_schedule, ChimeraConfig, ScaleMethod};
 pub use crate::ids::{MicroId, ReplicaId, StageId, WorkerId};

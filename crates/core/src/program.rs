@@ -104,6 +104,8 @@ impl Row {
 /// One worker's schedule, lowered. Identical for every data-parallel group.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
+    /// The worker, by its rank in the pipeline group, whose op list this is.
+    pub worker: u32,
     /// Pipeline depth `D` of the schedule.
     pub d: u32,
     /// Micro-batches per iteration `N` of the schedule.
@@ -118,8 +120,14 @@ pub struct Program {
     pub reducer_stages: Vec<u32>,
     /// Peak number of simultaneously live stashes.
     pub stash_slots: usize,
-    /// Peak number of simultaneously parked weight versions.
+    /// Peak number of simultaneously parked weight versions: with one live
+    /// copy per entry of `held`, Table 2's "weights memory" column.
     pub version_slots: usize,
+    /// Per entry of `held`: the half-micro backwards that make one
+    /// iteration's gradient, which a launch must have behind it. Zero where
+    /// no such count exists: the schedule does not flush, or the stage's
+    /// backwards do not divide into the span's iterations.
+    pub quota: Vec<u32>,
     /// First implicit post-hoc row (`rows.len()` when sync is explicit).
     pub implicit_from: usize,
 }
@@ -289,7 +297,7 @@ struct Versions {
 }
 
 /// Halves of a micro-batch an op with this chunk touches, bit `h` = half `h`.
-fn half_mask(chunk: Chunk) -> u8 {
+pub fn half_mask(chunk: Chunk) -> u8 {
     match chunk {
         Chunk::Half(h) => 1 << h.min(1),
         Chunk::Full | Chunk::Pair => 0b11,
@@ -496,6 +504,7 @@ fn lower_worker(sched: &Schedule, w: usize, iterations: u32, defects: &mut Vec<D
         }
     }
     Program {
+        worker,
         d,
         n,
         ops: ops.len(),
@@ -504,6 +513,7 @@ fn lower_worker(sched: &Schedule, w: usize, iterations: u32, defects: &mut Vec<D
         reducer_stages,
         stash_slots: stash.count as usize,
         version_slots: version_slots.count as usize,
+        quota,
         implicit_from,
     }
 }
@@ -559,9 +569,11 @@ pub fn lower_each(sched: &Schedule, iterations: u32, mut each: impl FnMut(Progra
     for w in 0..nw {
         let p = lower_worker(sched, w, iterations, &mut defects);
         let implicit = p.ops;
-        // Per reducer: launches, and the op of the last one.
+        // Per reducer: launches the schedule states, and the op of the last
+        // one. The trailing implicit rows are not rounds a partner's explicit
+        // ops can pair with: the executor's collective never sees them.
         let mut rounds = vec![(0u32, implicit); p.reducer_stages.len()];
-        for row in &p.rows {
+        for row in &p.rows[..p.implicit_from] {
             if row.op.kind == OpKind::AllReduceLaunch {
                 let (count, at) = &mut rounds[row.reducer as usize];
                 *count += 1;
@@ -824,6 +836,103 @@ mod tests {
                 kind: DefectKind::RoundsDisagree,
             }]
         );
+    }
+
+    /// A stage one holder synchronizes explicitly and its partner implicitly
+    /// is refused at the explicit holder's last launch: the executor's
+    /// collective waits for a launch op the partner's list does not have.
+    #[test]
+    fn mixed_explicit_and_implicit_sync_is_a_rounds_mismatch() {
+        let eager = place_sync(
+            chimera(&ChimeraConfig::new(4, 4)).unwrap(),
+            SyncStrategy::Eager,
+            UnitCosts::practical(),
+        );
+        assert_eq!(lower(&eager, 1).defects, []);
+        let last_launch = |sched: &Schedule, w: usize, stage: u32| {
+            let is_launch = |op: &Op| op.kind == OpKind::AllReduceLaunch && op.stage.0 == stage;
+            sched.workers[w].iter().rposition(is_launch).unwrap()
+        };
+        // Stage 0 lives on P0 and P3; either may be the one left explicit.
+        for (stripped, explicit) in [(0, 3), (3, 0)] {
+            let mut sched = eager.clone();
+            sched.workers[stripped].retain(|op| op.is_compute() || op.stage.0 != 0);
+            assert_eq!(
+                lower(&sched, 1).defects,
+                [Defect {
+                    worker: explicit as u32,
+                    op_ix: last_launch(&sched, explicit, 0),
+                    kind: DefectKind::RoundsDisagree,
+                }]
+            );
+            assert!(execute(&sched, UnitCosts::equal()).is_err(), "deadlocks");
+        }
+    }
+
+    /// Table 2, "weights memory": the copies of a stage's weights a worker
+    /// keeps are the live one per held replica plus the parked versions.
+    fn weight_copies(sched: &Schedule, iterations: u32) -> Vec<usize> {
+        let lowered = lower(sched, iterations);
+        assert_eq!(lowered.defects, [], "{:?}", sched.scheme);
+        let copies = |p: &Program| p.held.len() + p.version_slots;
+        lowered.programs.iter().map(copies).collect()
+    }
+
+    /// A backward that reads a parked version applies its gradient to weights
+    /// updated since its forward: Table 2's "convergence friendly" column.
+    fn has_stale_backward(sched: &Schedule, iterations: u32) -> bool {
+        let programs = lower(sched, iterations).programs;
+        let mut covered = programs
+            .iter()
+            .flat_map(|p| p.rows.iter().flat_map(Row::covered));
+        covered.any(|cov| cov.version_slot.is_some())
+    }
+
+    /// Synchronous schemes keep one copy per held replica and no backward
+    /// reads superseded weights, over several iterations too.
+    #[test]
+    fn synchronous_schemes_keep_one_weight_version() {
+        let chimera_4_8 = chimera(&ChimeraConfig::new(4, 8)).unwrap();
+        for sched in [gpipe(4, 8), dapple(4, 8), gems(4, 8), chimera_4_8.clone()] {
+            let held = |w| sched.placement.held_by(WorkerId(w)).len();
+            assert_eq!(
+                weight_copies(&sched, 1),
+                (0..4).map(held).collect::<Vec<_>>()
+            );
+            assert!(!has_stale_backward(&sched, 1), "{:?}", sched.scheme);
+        }
+        // One version per stage replica; each Chimera worker holds two.
+        let many = crate::repeat::concat_iterations(&chimera_4_8, 3, false);
+        assert_eq!(weight_copies(&many, 3), [2; 4]);
+        assert!(!has_stale_backward(&many, 3));
+    }
+
+    /// PipeDream keeps up to D weight versions at the first stage and 1 at
+    /// the last (Table 2: [Mθ, D·Mθ]) and is stale.
+    #[test]
+    fn pipedream_weight_stash_matches_table2() {
+        let d = 4;
+        let s = crate::repeat::concat_iterations(&pipedream(d, 8), 3, false);
+        let copies = weight_copies(&s, 3);
+        assert_eq!(copies[0], d as usize, "first stage keeps D versions");
+        assert_eq!(copies[d as usize - 1], 1, "last stage keeps 1");
+        assert!(copies.windows(2).all(|w| w[1] <= w[0]), "{copies:?}");
+        assert!(has_stale_backward(&s, 3), "PipeDream is asynchronous");
+    }
+
+    /// PipeDream-2BW's gradient accumulation + 1-delay double buffering needs
+    /// 2 versions wherever a micro-batch is in flight across an update, never
+    /// more (Table 2: 2Mθ), and stays stale.
+    #[test]
+    fn pipedream_2bw_double_buffering() {
+        let s = crate::baselines::pipedream_2bw_steady(4, 8, 4);
+        let copies = weight_copies(&s, 4);
+        assert_eq!(copies[0], 2, "the first stage double-buffers");
+        assert!(copies.iter().all(|&v| v <= 2), "{copies:?}");
+        assert!(has_stale_backward(&s, 4), "2BW uses 1-stale weights");
+        // One iteration after another, no micro-batch spans an update.
+        let drained = crate::repeat::concat_iterations(&pipedream_2bw(4, 8), 4, true);
+        assert_eq!(weight_copies(&drained, 4), [1; 4]);
     }
 
     #[test]

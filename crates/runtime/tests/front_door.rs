@@ -163,3 +163,26 @@ fn a_premature_sync_is_refused_with_the_launch_named() {
     assert!(!pipedream.flushes);
     train(&pipedream, ModelConfig::tiny(), TrainOptions::default()).expect("pipedream trains");
 }
+
+/// A stage one holder synchronizes with explicit ops and its partner post-hoc
+/// is not a schedule any generator or `place_sync` strategy emits, and the
+/// executor's collective model stalls on it: refused, with the explicit
+/// holder's launch named, and not clean.
+#[test]
+fn mixed_explicit_and_implicit_sync_is_refused() {
+    let mut sched = place_sync(
+        build_named("chimera", 4, 4).expect("known scheme"),
+        SyncStrategy::Eager,
+        UnitCosts::practical(),
+    );
+    // Stage 0 lives on P0 and P3; P3 keeps its explicit ops.
+    sched.workers[0].retain(|op| op.is_compute() || op.stage.0 != 0);
+    let err = train(&sched, ModelConfig::tiny(), TrainOptions::default()).unwrap_err();
+    let TrainError::UnsupportedSchedule { worker, op, reason } = &err else {
+        panic!("expected UnsupportedSchedule, got {err}");
+    };
+    assert_eq!(*worker, 3);
+    assert!(op.starts_with("AR+(s0"), "{op}");
+    assert!(reason.contains("disagree on its rounds"), "{reason}");
+    assert!(!verify_span(&sched, 1).is_clean());
+}

@@ -1,7 +1,7 @@
 //! Communication-matching lint: prove the keyed-inbox transport semantics of
 //! `chimera-comm` are sufficient for a schedule.
 //!
-//! Every cross-worker data dependency is lowered to messages in *half-micro*
+//! Every cross-worker data dependency is a message in *half-micro*
 //! units (so §3.5's backward-halving chunks compare against full backwards):
 //! a forward at stage `s` sends both halves of each covered micro's output
 //! activation to stage `s+1`'s holder; a backward at stage `s` sends the
@@ -9,7 +9,7 @@
 //! checks, per channel `(src, dst)`:
 //!
 //! - **bijection** — each recv matches exactly one send with the same
-//!   `(direction, replica, consumer stage, micro, half)` and vice versa
+//!   `(direction, replica, stage, micro, half)` and vice versa
 //!   (`unmatched_recv`, `duplicate_send`, `duplicate_recv`,
 //!   `unconsumed_send`);
 //! - **ordering** — the runtime `MsgKey` carries no half index, so two half
@@ -22,77 +22,63 @@
 //!
 //! # How
 //!
-//! Every half-message is lowered once into a flat record, sends in one array
-//! and recvs in another: the channel `(src, dst)`, the message key
-//! `(direction, replica, consumer stage, micro, half)` packed into one
+//! The messages are not derived here: `chimera_core::program` lowers each
+//! compute op to a row that states the boundary tensor it waits for and the
+//! one it ships — `(peer, KeyTemplate)` — and the micro-batches and halves it
+//! covers, and the runtime sends exactly those. The lint is a fold over the
+//! programs as `lower_each` hands them out, one worker at a time: every
+//! half-message of a program's rows becomes a flat record, sends in one array
+//! and recvs in another — the channel `(src, dst)`, the message key
+//! `(direction, replica, producer stage, micro, half)` packed into one
 //! integer whose order is the tuple's, the record's position `seq` in its
-//! channel's send (or recv) order, and the op it came from. Both arrays are
-//! sorted by `(channel, key, seq)` and walked in lockstep. Records with equal
-//! keys are then adjacent — a run longer than one is a duplicate, a run with
-//! no counterpart on the other side is unmatched — and because the half
-//! index is the key's lowest bit, so are the two halves of one runtime
-//! `MsgKey`. The diagnostics want their keys in order anyway, so the sort is
-//! not extra work; there is no per-channel or per-key container.
+//! channel's send (or recv) order, and the op it came from. A channel is
+//! judged as soon as the workers at both of its ends have been seen and its
+//! records are dropped, so the arrays hold about two workers' messages, never
+//! the schedule's.
+//!
+//! Both arrays are sorted by `(channel, key, seq)` and a channel's two sides
+//! walked in lockstep. Records with equal keys are then adjacent — a run
+//! longer than one is a duplicate, a run with no counterpart on the other
+//! side is unmatched — and because the half index is the key's lowest bit, so
+//! are the two halves of one runtime `MsgKey`. The diagnostics want their keys
+//! in order anyway, so the sort is not extra work; there is no per-channel or
+//! per-key container.
+//!
+//! An op lowering gives no row — one off its placement worker, or naming ids
+//! outside the schedule — has no messages here; `verify_span` reports such a
+//! schedule under `misplaced_op` / `id_out_of_range` and does not lint it.
 
-use chimera_core::ids::StageId;
-use chimera_core::op::{Chunk, Op, OpKind};
+use chimera_core::program::{half_mask, halves_in, lower_each, KeyTemplate, Program};
 use chimera_core::schedule::Schedule;
 
 use crate::{ChannelStats, Diagnostic, OpLoc, Severity};
 
-/// Message direction, mirroring the runtime's `MsgKey::Act` / `MsgKey::Grad`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Dir {
-    Act,
-    Grad,
-}
-
-/// Full message identity — direction, replica, *consumer* stage, micro,
-/// half — packed most significant first, so keys compare as that tuple does:
-/// `dir:1 | replica | stage:stage_bits | micro:32 | half:1`. The runtime's
-/// coarse `MsgKey` is this without the half: `key >> 1`.
+/// Full message identity — a row's [`KeyTemplate`], micro and half — packed
+/// most significant first, so keys compare as that tuple does:
+/// `grad:1 | replica · D + stage:30 | micro:32 | half:1`. The runtime's coarse
+/// `MsgKey` is this without the half: `key >> 1`.
 type Key = u64;
 
-/// Where a schedule's keys keep their stage (everything else is fixed).
-#[derive(Clone, Copy)]
-struct KeyLayout {
-    stage_bits: u32,
+fn pack(d: u32, tensor: KeyTemplate, micro: u32, half: usize) -> Key {
+    let pair = tensor.replica as Key * d as Key + tensor.stage as Key;
+    assert!(
+        pair < 1 << 30,
+        "replica {} of a depth-{d} schedule does not fit the lint's message keys",
+        tensor.replica
+    );
+    (tensor.grad as Key) << 63 | pair << 33 | (micro as Key) << 1 | half as Key
 }
 
-impl KeyLayout {
-    fn of(sched: &Schedule) -> Self {
-        // Keys name replicas `0..R` and stages `0..=D` (a recv names its own
-        // op's stage, which the placement lookups bound by D, not D - 1).
-        let bits = |max: u32| 32 - max.leading_zeros();
-        let stage_bits = bits(sched.placement.d());
-        let replica_bits = bits(sched.placement.replicas() - 1);
-        assert!(
-            replica_bits + stage_bits <= 30,
-            "a placement of {} replicas x {} stages does not fit the lint's message keys",
-            sched.placement.replicas(),
-            sched.placement.d()
-        );
-        KeyLayout { stage_bits }
-    }
-
-    fn pack(self, dir: Dir, replica: u32, stage: u32, micro: u32, half: u8) -> Key {
-        (dir as Key) << 63
-            | ((replica as Key) << self.stage_bits | stage as Key) << 33
-            | (micro as Key) << 1
-            | half as Key
-    }
-
-    fn fmt(self, k: Key) -> String {
-        let d = if k >> 63 == Dir::Act as Key {
-            "act"
-        } else {
-            "grad"
-        };
-        let rs = k << 1 >> 34;
-        let (r, s) = (rs >> self.stage_bits, rs & ((1 << self.stage_bits) - 1));
-        let (m, h) = ((k >> 1) as u32, k & 1);
-        format!("{d} m{m}.{h}@s{s}/r{r}")
-    }
+/// A key as the diagnostics name it: by the stage that *consumes* the tensor.
+fn fmt_key(d: u32, k: Key) -> String {
+    let pair = (k << 1 >> 34) as u32;
+    let (r, producer) = (pair / d, pair % d);
+    let (dir, s) = match k >> 63 {
+        0 => ("act", producer + 1),
+        _ => ("grad", producer - 1),
+    };
+    let (m, h) = ((k >> 1) as u32, k & 1);
+    format!("{dir} m{m}.{h}@s{s}/r{r}")
 }
 
 /// One half-message at its producer (a send) or its consumer (a recv) — the
@@ -122,6 +108,99 @@ pub struct CommLint {
     pub channels: Vec<ChannelStats>,
 }
 
+/// Run the communication lint on `sched`.
+pub fn lint(sched: &Schedule) -> CommLint {
+    let mut messages = Messages::default();
+    lower_each(sched, 1, |program| messages.push(sched, &program));
+    messages.finish()
+}
+
+/// The lint as a fold over the programs `lower_each` hands out: the records
+/// of the channels still waiting for the worker at their other end, each
+/// array in `(channel, key, seq)` order, and the verdicts on the channels both
+/// of whose ends have been seen.
+#[derive(Default)]
+pub(crate) struct Messages {
+    sends: Vec<Msg>,
+    recvs: Vec<Msg>,
+    channels: Vec<(ChannelStats, Vec<Diagnostic>)>,
+}
+
+impl Messages {
+    /// Record what the next worker's rows send and wait for, and lint every
+    /// channel that completes; `sched`, the schedule being lowered, renders
+    /// the op locations.
+    pub(crate) fn push(&mut self, sched: &Schedule, program: &Program) {
+        let w = program.worker;
+        // All sends of channel (w, dst) and all recvs of channel (src, w)
+        // come from this worker's rows, in this order.
+        let mut send_seq = vec![0u32; program.d as usize];
+        let mut recv_seq = vec![0u32; program.d as usize];
+        for row in &program.rows {
+            for (end, sending) in [(row.send, true), (row.recv, false)] {
+                let Some((peer, tensor)) = end.filter(|&(peer, _)| peer != w) else {
+                    continue;
+                };
+                let (list, seq, src, dst) = match sending {
+                    true => (&mut self.sends, &mut send_seq[peer as usize], w, peer),
+                    false => (&mut self.recvs, &mut recv_seq[peer as usize], peer, w),
+                };
+                for cov in row.covered() {
+                    for half in halves_in(half_mask(row.op.chunk)) {
+                        list.push(Msg {
+                            channel: (src as u64) << 32 | dst as u64,
+                            key: pack(program.d, tensor, cov.micro, half),
+                            seq: *seq,
+                            op_index: row.op_ix as u32,
+                        });
+                        *seq += 1;
+                    }
+                }
+            }
+        }
+
+        // The records kept from earlier workers are in order already: the
+        // stable sort merges this worker's into that run.
+        let (mut sends, mut recvs) = (
+            std::mem::take(&mut self.sends),
+            std::mem::take(&mut self.recvs),
+        );
+        sends.sort();
+        recvs.sort();
+        // `lower_each` hands the programs over in worker order: a channel
+        // whose other end is a worker still to come keeps its records, every
+        // other channel is complete.
+        let (mut sends, mut recvs) = (&sends[..], &recvs[..]);
+        while let Some(channel) = [sends.first(), recvs.first()]
+            .into_iter()
+            .flatten()
+            .map(|m| m.channel)
+            .min()
+        {
+            let s = take_while(&mut sends, |m| m.channel == channel);
+            let r = take_while(&mut recvs, |m| m.channel == channel);
+            let (src, dst) = ((channel >> 32) as u32, channel as u32);
+            if src.max(dst) > w {
+                self.sends.extend_from_slice(s);
+                self.recvs.extend_from_slice(r);
+            } else {
+                self.channels.push(lint_channel(sched, (src, dst), s, r));
+            }
+        }
+    }
+
+    /// The verdict, once every worker's program has been pushed.
+    pub(crate) fn finish(mut self) -> CommLint {
+        self.channels
+            .sort_by_key(|(stats, _)| (stats.src, stats.dst));
+        let (channels, diagnostics): (Vec<_>, Vec<_>) = self.channels.into_iter().unzip();
+        CommLint {
+            diagnostics: diagnostics.into_iter().flatten().collect(),
+            channels,
+        }
+    }
+}
+
 /// Split the longest prefix satisfying `pred` off `rest`.
 fn take_while<'a>(rest: &mut &'a [Msg], pred: impl Fn(&Msg) -> bool) -> &'a [Msg] {
     let n = rest.iter().position(|m| !pred(m)).unwrap_or(rest.len());
@@ -138,83 +217,16 @@ fn run_of<'a>(rest: &mut &'a [Msg], key: Key, shift: u32) -> &'a [Msg] {
     take_while(rest, |m| m.key >> shift == key)
 }
 
-/// The halves an op's messages carry.
-fn halves(op: &Op) -> &'static [u8] {
-    match op.chunk {
-        Chunk::Half(0) => &[0],
-        Chunk::Half(_) => &[1],
-        _ => &[0, 1],
-    }
-}
-
-/// Lower every cross-worker dependency of `sched` to `(sends, recvs)`, each
-/// sorted by `(channel, key, seq)`.
-fn lower(sched: &Schedule, layout: KeyLayout) -> (Vec<Msg>, Vec<Msg>) {
-    let total: usize = sched.workers.iter().map(Vec::len).sum();
-    let mut sends: Vec<Msg> = Vec::with_capacity(2 * total);
-    let mut recvs: Vec<Msg> = Vec::with_capacity(2 * total);
-    let peers = sched.num_workers().max(sched.placement.d() as usize);
-    for (w, ops) in sched.workers.iter().enumerate() {
-        // All sends of channel (w, dst) and all recvs of channel (src, w)
-        // come from this worker's ops, in this order.
-        let mut send_seq = vec![0u32; peers];
-        let mut recv_seq = vec![0u32; peers];
-        for (i, op) in ops.iter().enumerate() {
-            // (direction, stage consuming this op's output, stage producing its input)
-            let (dir, down, up) = match op.kind {
-                OpKind::Forward => (
-                    Dir::Act,
-                    Some(op.stage.0 + 1).filter(|&s| s < sched.d),
-                    op.stage.0.checked_sub(1),
-                ),
-                OpKind::Backward { .. } => (
-                    Dir::Grad,
-                    op.stage.0.checked_sub(1),
-                    Some(op.stage.0 + 1).filter(|&s| s < sched.d),
-                ),
-                _ => continue,
-            };
-            let emit = |list: &mut Vec<Msg>, seq: &mut u32, channel: u64, stage: u32| {
-                for m in op.covered_micros() {
-                    for &h in halves(op) {
-                        list.push(Msg {
-                            channel,
-                            key: layout.pack(dir, op.replica.0, stage, m.0, h),
-                            seq: *seq,
-                            op_index: i as u32,
-                        });
-                        *seq += 1;
-                    }
-                }
-            };
-            if let Some(consumer) = down {
-                let dst = sched.placement.worker(op.replica, StageId(consumer)).idx();
-                if dst != w {
-                    let channel = (w as u64) << 32 | dst as u64;
-                    emit(&mut sends, &mut send_seq[dst], channel, consumer);
-                }
-            }
-            if let Some(producer) = up {
-                let src = sched.placement.worker(op.replica, StageId(producer)).idx();
-                if src != w {
-                    let channel = (src as u64) << 32 | w as u64;
-                    emit(&mut recvs, &mut recv_seq[src], channel, op.stage.0);
-                }
-            }
-        }
-    }
-    sends.sort_unstable();
-    recvs.sort_unstable();
-    (sends, recvs)
-}
-
-/// Run the communication lint on `sched`.
-pub fn lint(sched: &Schedule) -> CommLint {
-    let layout = KeyLayout::of(sched);
-    let (sends, recvs) = lower(sched, layout);
-    let fmt_key = |k| layout.fmt(k);
+/// Lint one channel from all of its sends `s` and recvs `r`, each sorted by
+/// `(key, seq)`.
+fn lint_channel(
+    sched: &Schedule,
+    (src, dst): (u32, u32),
+    s: &[Msg],
+    r: &[Msg],
+) -> (ChannelStats, Vec<Diagnostic>) {
+    let fmt_key = |k| fmt_key(sched.d, k);
     let mut diagnostics = Vec::new();
-    let mut channels = Vec::new();
     let locs = |worker: u32, events: &[Msg]| {
         let mut out: Vec<OpLoc> = events
             .iter()
@@ -224,129 +236,113 @@ pub fn lint(sched: &Schedule) -> CommLint {
         out
     };
 
-    let (mut sends, mut recvs) = (&sends[..], &recvs[..]);
-    while let Some(channel) = [sends.first(), recvs.first()]
-        .into_iter()
-        .flatten()
-        .map(|m| m.channel)
-        .min()
-    {
-        let s = take_while(&mut sends, |m| m.channel == channel);
-        let r = take_while(&mut recvs, |m| m.channel == channel);
-        let (src, dst) = ((channel >> 32) as u32, channel as u32);
-
-        // Bijection, recv side — and, over the matched pairs, the parking
-        // bound: the k-th recv matching the p-th send parks at most p - k
-        // messages (a duplicated send counts at its last position).
-        let mut max_parked = 0usize;
-        let mut matched = 0usize;
-        let mut rest = s;
-        for rs in r.chunk_by(|a, b| a.key == b.key) {
-            let key = rs[0].key;
-            if rs.len() > 1 {
-                diagnostics.push(Diagnostic {
-                    code: "duplicate_recv",
-                    severity: Severity::Error,
-                    message: format!(
-                        "P{dst} receives {} from P{src} {} times",
-                        fmt_key(key),
-                        rs.len()
-                    ),
-                    locations: locs(dst, rs),
-                });
-            }
-            match run_of(&mut rest, key, 0).last() {
-                Some(send) => {
-                    for e in rs {
-                        max_parked = max_parked.max(send.seq.saturating_sub(e.seq) as usize);
-                    }
-                    matched += rs.len();
+    // Bijection, recv side — and, over the matched pairs, the parking
+    // bound: the k-th recv matching the p-th send parks at most p - k
+    // messages (a duplicated send counts at its last position).
+    let mut max_parked = 0usize;
+    let mut matched = 0usize;
+    let mut rest = s;
+    for rs in r.chunk_by(|a, b| a.key == b.key) {
+        let key = rs[0].key;
+        if rs.len() > 1 {
+            diagnostics.push(Diagnostic {
+                code: "duplicate_recv",
+                severity: Severity::Error,
+                message: format!(
+                    "P{dst} receives {} from P{src} {} times",
+                    fmt_key(key),
+                    rs.len()
+                ),
+                locations: locs(dst, rs),
+            });
+        }
+        match run_of(&mut rest, key, 0).last() {
+            Some(send) => {
+                for e in rs {
+                    max_parked = max_parked.max(send.seq.saturating_sub(e.seq) as usize);
                 }
-                None => diagnostics.push(Diagnostic {
-                    code: "unmatched_recv",
-                    severity: Severity::Error,
-                    message: format!(
-                        "P{dst} expects {} from P{src}, but P{src} never sends it on this channel",
-                        fmt_key(key),
-                    ),
-                    locations: locs(dst, rs),
-                }),
+                matched += rs.len();
             }
+            None => diagnostics.push(Diagnostic {
+                code: "unmatched_recv",
+                severity: Severity::Error,
+                message: format!(
+                    "P{dst} expects {} from P{src}, but P{src} never sends it on this channel",
+                    fmt_key(key),
+                ),
+                locations: locs(dst, rs),
+            }),
         }
-
-        // Bijection, send side.
-        let mut rest = r;
-        for ss in s.chunk_by(|a, b| a.key == b.key) {
-            let key = ss[0].key;
-            if ss.len() > 1 {
-                diagnostics.push(Diagnostic {
-                    code: "duplicate_send",
-                    severity: Severity::Error,
-                    message: format!("P{src} sends {} to P{dst} {} times", fmt_key(key), ss.len()),
-                    locations: locs(src, ss),
-                });
-            }
-            if run_of(&mut rest, key, 0).is_empty() {
-                diagnostics.push(Diagnostic {
-                    code: "unconsumed_send",
-                    severity: Severity::Warning,
-                    message: format!(
-                        "P{src} sends {} to P{dst}, but no op on P{dst} receives it",
-                        fmt_key(key),
-                    ),
-                    locations: locs(src, ss),
-                });
-            }
-        }
-
-        // Ordering under the coarse runtime key (no half index): halves of
-        // one micro produced by *different* ops must be consumed in send
-        // order, or the inbox hands the consumer the wrong half's payload.
-        let mut rest = r;
-        for ss in s.chunk_by(|a, b| a.key >> 1 == b.key >> 1) {
-            let coarse = ss[0].key >> 1;
-            let rs = run_of(&mut rest, coarse, 1);
-            // Same producer op ⇒ one runtime message; nothing to misorder.
-            if rs.is_empty() || ss.iter().all(|e| e.op_index == ss[0].op_index) {
-                continue;
-            }
-            let in_channel_order = |events: &[Msg]| {
-                let mut v = events.to_vec();
-                v.sort_unstable_by_key(|e| e.seq);
-                v
-            };
-            let (ss, rs) = (in_channel_order(ss), in_channel_order(rs));
-            let send_halves: Vec<u8> = ss.iter().map(Msg::half).collect();
-            let recv_halves: Vec<u8> = rs.iter().map(Msg::half).collect();
-            if send_halves != recv_halves {
-                let mut locations = locs(src, &ss);
-                locations.extend(locs(dst, &rs));
-                diagnostics.push(Diagnostic {
-                    code: "misordered_channel",
-                    severity: Severity::Error,
-                    message: format!(
-                        "halves of {} travel P{src}->P{dst} in send order {send_halves:?} but are \
-                         consumed in order {recv_halves:?}; the runtime MsgKey does not carry \
-                         the half index, so the inbox would deliver the wrong payload",
-                        fmt_key(coarse << 1),
-                    ),
-                    locations,
-                });
-            }
-        }
-
-        channels.push(ChannelStats {
-            src,
-            dst,
-            messages: matched,
-            max_parked,
-        });
     }
 
-    CommLint {
-        diagnostics,
-        channels,
+    // Bijection, send side.
+    let mut rest = r;
+    for ss in s.chunk_by(|a, b| a.key == b.key) {
+        let key = ss[0].key;
+        if ss.len() > 1 {
+            diagnostics.push(Diagnostic {
+                code: "duplicate_send",
+                severity: Severity::Error,
+                message: format!("P{src} sends {} to P{dst} {} times", fmt_key(key), ss.len()),
+                locations: locs(src, ss),
+            });
+        }
+        if run_of(&mut rest, key, 0).is_empty() {
+            diagnostics.push(Diagnostic {
+                code: "unconsumed_send",
+                severity: Severity::Warning,
+                message: format!(
+                    "P{src} sends {} to P{dst}, but no op on P{dst} receives it",
+                    fmt_key(key),
+                ),
+                locations: locs(src, ss),
+            });
+        }
     }
+
+    // Ordering under the coarse runtime key (no half index): halves of
+    // one micro produced by *different* ops must be consumed in send
+    // order, or the inbox hands the consumer the wrong half's payload.
+    let mut rest = r;
+    for ss in s.chunk_by(|a, b| a.key >> 1 == b.key >> 1) {
+        let coarse = ss[0].key >> 1;
+        let rs = run_of(&mut rest, coarse, 1);
+        // Same producer op ⇒ one runtime message; nothing to misorder.
+        if rs.is_empty() || ss.iter().all(|e| e.op_index == ss[0].op_index) {
+            continue;
+        }
+        let in_channel_order = |events: &[Msg]| {
+            let mut v = events.to_vec();
+            v.sort_unstable_by_key(|e| e.seq);
+            v
+        };
+        let (ss, rs) = (in_channel_order(ss), in_channel_order(rs));
+        let send_halves: Vec<u8> = ss.iter().map(Msg::half).collect();
+        let recv_halves: Vec<u8> = rs.iter().map(Msg::half).collect();
+        if send_halves != recv_halves {
+            let mut locations = locs(src, &ss);
+            locations.extend(locs(dst, &rs));
+            diagnostics.push(Diagnostic {
+                code: "misordered_channel",
+                severity: Severity::Error,
+                message: format!(
+                    "halves of {} travel P{src}->P{dst} in send order {send_halves:?} but are \
+                 consumed in order {recv_halves:?}; the runtime MsgKey does not carry \
+                 the half index, so the inbox would deliver the wrong payload",
+                    fmt_key(coarse << 1),
+                ),
+                locations,
+            });
+        }
+    }
+
+    let stats = ChannelStats {
+        src,
+        dst,
+        messages: matched,
+        max_parked,
+    };
+    (stats, diagnostics)
 }
 
 #[cfg(test)]

@@ -4,20 +4,25 @@
 //! does: `chimera_core::program::lower` walks every worker's ops once into
 //! the row tables the runtime executes plus a list of typed defects, each
 //! surfaced here under its stable code. A schedule lowering refuses is never
-//! clean, so a schedule called clean is one `train` runs. On top of that:
+//! clean, so a schedule called clean is one `train` runs. The rows are the
+//! verifier's only reading of the schedule besides the executor's: as each
+//! worker's program streams out of `lower_each`, three folds take what they
+//! need from it and the rows are dropped.
 //!
 //! 1. **Deadlock as a cycle** ([`graph`]): when the schedule cannot
 //!    complete, the verifier extracts the actual waits-for cycle through
 //!    worker frontiers — the op chain, not just "stuck" — by asking
 //!    `chimera_core::dep::DepTracker` what each stalled frontier waits for.
-//! 2. **Communication matching** ([`comm_lint`]): every cross-worker recv
-//!    must have exactly one matching send per `(src, dst, key)` channel,
-//!    with per-channel ordering consistent enough for the keyed-inbox
-//!    transport in `chimera-comm` (whose `MsgKey` does not distinguish
-//!    backward-halving chunks) to deliver the right payloads, and with a
-//!    provable bound on parked messages.
-//! 3. **Weight hazards** ([`hazard`]): weight-version staleness per stage
-//!    replica, from `validate::weight_analysis`'s update-rule machinery.
+//! 2. **Communication matching** ([`comm_lint`]): the boundary messages the
+//!    rows state — the ones the runtime sends — must pair up: every
+//!    cross-worker recv has exactly one matching send per `(src, dst, key)`
+//!    channel, with per-channel ordering consistent enough for the
+//!    keyed-inbox transport in `chimera-comm` (whose `MsgKey` does not
+//!    distinguish backward-halving chunks) to deliver the right payloads, and
+//!    with a provable bound on parked messages.
+//! 3. **Weight hazards** (`hazard`): weight-version staleness per stage
+//!    replica — the rows' forward / backward order against the per-iteration
+//!    quota lowering holds every allreduce launch to.
 //! 4. **Liveness** ([`liveness`]): the lowered rows say which buffers (stash
 //!    halves, rematerialized activations, stashed weight versions, gradient
 //!    contributions) each op defines and kills; pricing them under a size
@@ -35,7 +40,7 @@
 
 pub mod comm_lint;
 pub mod graph;
-pub mod hazard;
+mod hazard;
 pub mod liveness;
 
 use chimera_core::program::{lower_each, structural, Defect, DefectKind, Program};
@@ -389,16 +394,30 @@ impl serde::Serialize for VerifyReport {
 /// hazards, and activation accounting. Purely static — the schedule is never
 /// executed — and total: any `Schedule` value gets a report.
 pub fn verify_span(sched: &Schedule, iterations: u32) -> VerifyReport {
-    let mut peaks = Vec::new();
-    let defects = lower_each(sched, iterations, |p| peaks.push(unit_peak(&p)));
-    report_of(sched, iterations, &defects, peaks)
+    let mut rows = RowFolds::default();
+    let defects = lower_each(sched, iterations, |p| rows.push(sched, &p));
+    report_of(sched, iterations, &defects, rows)
 }
 
-/// `program`'s activation peak in `Ma` units (activation-only unit sizing);
-/// its live ranges are dropped with the one-worker report.
-fn unit_peak(program: &Program) -> f64 {
-    let units = liveness::ActivationSizes(&UnitCosts::equal());
-    liveness::price(std::slice::from_ref(program), &units).activation_peak[0]
+/// What a report takes from the rows, folded one worker's program at a time
+/// so that no two programs are ever alive together.
+#[derive(Default)]
+struct RowFolds {
+    /// Per worker: the activation peak in `Ma` units (activation-only unit
+    /// sizing); its live ranges are dropped with the one-worker report.
+    peaks: Vec<f64>,
+    messages: comm_lint::Messages,
+    staleness: hazard::Staleness,
+}
+
+impl RowFolds {
+    fn push(&mut self, sched: &Schedule, program: &Program) {
+        let units = liveness::ActivationSizes(&UnitCosts::equal());
+        let priced = liveness::price(std::slice::from_ref(program), &units);
+        self.peaks.push(priced.activation_peak[0]);
+        self.messages.push(sched, program);
+        self.staleness.push(program);
+    }
 }
 
 impl Diagnostic {
@@ -425,13 +444,13 @@ impl Diagnostic {
     }
 }
 
-/// [`verify_span`]'s report from the defects of lowering `sched` and its
-/// rows' activation peaks.
+/// [`verify_span`]'s report from the defects of lowering `sched` and the
+/// folds over its rows.
 fn report_of(
     sched: &Schedule,
     iterations: u32,
     defects: &[Defect],
-    peak_activation_units: Vec<f64>,
+    rows: RowFolds,
 ) -> VerifyReport {
     let mut report = VerifyReport {
         scheme: sched.scheme.name().to_string(),
@@ -442,13 +461,14 @@ fn report_of(
         blocked: Vec::new(),
         diagnostics: Vec::new(),
         channels: Vec::new(),
-        peak_activation_units,
+        peak_activation_units: rows.peaks,
         memory_v2: None,
     };
     let diagnostics = &mut report.diagnostics;
 
     // A schedule with ids out of range or ops off their placement worker
-    // gets its defects only: the passes below index by stage.
+    // gets its defects only: the passes below index by stage, and the ops
+    // lowering refused have no rows to fold.
     if !structural(defects) {
         // Span consistency first: a schedule that does not cover every micro
         // at every stage cannot be meaningfully graph-analyzed for completion.
@@ -465,11 +485,11 @@ fn report_of(
         diagnostics.extend(analysis.diagnostics);
         (report.deadlock, report.blocked) = (analysis.deadlock, analysis.blocked);
 
-        let comm = comm_lint::lint(sched);
+        let comm = rows.messages.finish();
         diagnostics.extend(comm.diagnostics);
         report.channels = comm.channels;
 
-        diagnostics.extend(hazard::lint(sched, iterations));
+        diagnostics.extend(rows.staleness.lint(sched));
     }
 
     // Every defect under its own code — except the classes a pass above
@@ -568,16 +588,16 @@ pub fn verify_parts(
     iterations: u32,
     cost: &SimCostModel,
 ) -> (VerifyReport, Option<MemoryV2>) {
-    let (mut peaks, mut in_bytes) = (Vec::new(), LivenessReport::default());
+    let (mut rows, mut in_bytes) = (RowFolds::default(), LivenessReport::default());
     let defects = lower_each(sched, iterations, |p| {
-        peaks.push(unit_peak(&p));
+        rows.push(sched, &p);
         in_bytes.push_priced(&p, &liveness::SimSizes(cost));
     });
     // The live ranges fold into the memory section before the passes of the
     // report allocate their own tables, so the two never coexist.
     let mem = (!structural(&defects)).then(|| memory_of(sched, &in_bytes, cost));
     drop(in_bytes);
-    (report_of(sched, iterations, &defects, peaks), mem)
+    (report_of(sched, iterations, &defects, rows), mem)
 }
 
 impl MemoryV2 {

@@ -3,12 +3,20 @@
 //! it. Same diagnostics (code, severity, message, locations, in order) and
 //! same `ChannelStats`, on clean schedules of every scheme and on mutants
 //! that break the send/recv bijection, the channel order, or both.
+//!
+//! The oracle derives its messages from the ops and the placement; the lint
+//! reads them off `chimera_core::program`'s rows, which exist only for ops on
+//! their placement worker. A mutant with an op elsewhere is therefore not
+//! linted by `verify_span` at all: it is refused under a structural code, and
+//! that refusal is what this test asserts for it.
 
 use chimera_core::baselines::{dapple, gems, gpipe, pipedream, pipedream_2bw};
 use chimera_core::chimera::{chimera, ChimeraConfig, ScaleMethod};
 use chimera_core::op::Chunk;
+use chimera_core::program::{lower, structural};
 use chimera_core::schedule::Schedule;
 use chimera_verify::comm_lint::lint;
+use chimera_verify::verify_span;
 
 /// The map-per-channel lint, as it stood before the sort-merge one.
 mod oracle {
@@ -369,7 +377,7 @@ fn schedules_for(d: u32, n: u32) -> Vec<Schedule> {
 }
 
 /// Apply one random defect to `s`; returns what it did. Ops may leave their
-/// placement worker — the lint must cope with that too.
+/// placement worker: those mutants are lowering's to refuse.
 fn mutate(s: &mut Schedule, rng: &mut Rng) -> String {
     loop {
         let w = rng.below(s.workers.len());
@@ -450,10 +458,22 @@ fn assert_same_verdict(s: &Schedule, ctx: &str) {
     assert_eq!(new.channels, channels, "{ctx}: channel stats differ");
 }
 
+/// A mutant lowering gives no rows for: not clean, under a structural code,
+/// with no channel linted.
+fn assert_refused(s: &Schedule, ctx: &str) {
+    let report = verify_span(s, 1);
+    let structural_code = |code| ["misplaced_op", "id_out_of_range"].contains(&code);
+    assert!(
+        report.errors().any(|d| structural_code(d.code)),
+        "{ctx}: not refused:\n{report}"
+    );
+    assert_eq!(report.channels, [], "{ctx}: linted all the same");
+}
+
 #[test]
 fn sort_merge_lint_matches_the_map_oracle() {
     let mut rng = Rng(0x00C0_FFEE_D15E_A5E5);
-    let (mut clean, mut defective) = (0, 0);
+    let (mut clean, mut defective, mut refused, mut linted) = (0, 0, 0, 0);
     let mut seen = std::collections::BTreeSet::new();
     for d in [2u32, 4, 6, 8] {
         for n in [d, 2 * d, 4 * d] {
@@ -467,7 +487,14 @@ fn sort_merge_lint_matches_the_map_oracle() {
                     let mut m = s.clone();
                     let what: Vec<String> =
                         (0..1 + k % 3).map(|_| mutate(&mut m, &mut rng)).collect();
-                    assert_same_verdict(&m, &format!("{name} after {what:?}"));
+                    let ctx = format!("{name} after {what:?}");
+                    if structural(&lower(&m, 1).defects) {
+                        assert_refused(&m, &ctx);
+                        refused += 1;
+                        continue;
+                    }
+                    assert_same_verdict(&m, &ctx);
+                    linted += 1;
                     let found = lint(&m).diagnostics;
                     defective += usize::from(!found.is_empty());
                     seen.extend(found.iter().map(|d| d.code));
@@ -476,8 +503,12 @@ fn sort_merge_lint_matches_the_map_oracle() {
         }
     }
     assert_eq!(clean, 102);
-    // The mutants must actually exercise the diagnostics.
-    assert!(defective > 20 * clean, "only {defective} defective mutants");
+    println!("{linted} mutants compared to the oracle, {refused} refused by lowering");
+    assert_eq!(linted + refused, 24 * clean);
+    // Both arms must be taken, and the linted mutants must actually
+    // exercise the diagnostics.
+    assert!(refused > 0 && linted > 2 * refused);
+    assert!(defective > 13 * clean, "only {defective} defective mutants");
     let codes = [
         "duplicate_recv",
         "duplicate_send",

@@ -125,6 +125,30 @@ fn an_unwaited_launch_is_an_error() {
     assert_eq!(codes(&verdict(&sched, "dropped wait")), ["unbalanced_sync"]);
 }
 
+/// A stage synchronized explicitly by one holder and post-hoc by the other:
+/// the executor's collective stalls on it and lowering refuses it, so not
+/// clean ⇔ has a defect holds off the mutant set's operators too.
+#[test]
+fn mixed_explicit_and_implicit_sync_is_not_clean_and_does_not_lower() {
+    let eager = place_sync(
+        build_named("chimera", 4, 4).expect("known scheme"),
+        SyncStrategy::Eager,
+        UnitCosts::practical(),
+    );
+    // Stage 0 lives on P0 and P3.
+    for (stripped, explicit) in [(0usize, 3u32), (3, 0)] {
+        let mut sched = eager.clone();
+        sched.workers[stripped].retain(|op| op.is_compute() || op.stage.0 != 0);
+        let defects = lower(&sched, 1).defects;
+        let named: Vec<_> = defects.iter().map(|d| (d.worker, d.kind.code())).collect();
+        assert_eq!(named, [(explicit, "sync_rounds_mismatch")]);
+        let launch = sched.workers[explicit as usize][defects[0].op_ix];
+        assert_eq!(launch, Op::allreduce_launch(StageId(0), launch.replica));
+        let report = verdict(&sched, "mixed sync");
+        assert!(report.deadlock && !report.is_clean(), "{report}");
+    }
+}
+
 /// What `assert_well_formed` panics on is a report with a structural code.
 #[test]
 fn malformed_schedules_get_structural_diagnostics() {

@@ -6,12 +6,13 @@ use proptest::prelude::*;
 use chimera::core::analysis::{
     chimera_practical_bubble_ratio, onedir_practical_bubble_ratio, table2, table3,
 };
-use chimera::core::baselines::{dapple, gems, gpipe, pipedream, pipedream_2bw};
+use chimera::core::baselines::{dapple, gems, gpipe, pipedream, pipedream_2bw_steady};
 use chimera::core::chimera::{chimera, ChimeraConfig, ScaleMethod};
+use chimera::core::program::{lower, Program};
 use chimera::core::repeat::concat_iterations;
-use chimera::core::schedule::Scheme;
+use chimera::core::schedule::{Schedule, Scheme};
 use chimera::core::unit_time::{execute, UnitCosts};
-use chimera::core::validate::{weight_analysis, UpdateRule};
+use chimera::verify::verify_span;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -111,40 +112,47 @@ fn gems_bubble_vs_table2() {
 }
 
 /// Weight-version requirements match Table 2: PipeDream [Mθ, D·Mθ],
-/// PipeDream-2BW 2Mθ, synchronous schemes 1 per held replica.
+/// PipeDream-2BW 2Mθ, synchronous schemes 1 per held replica — read off the
+/// rows the runtime executes: one live copy per held replica plus the slots
+/// lowering parks superseded versions in. A backward reading a parked version
+/// is the "not convergence friendly" column.
 #[test]
 fn weight_versions_match_table2() {
     let d = 6;
     let n = 12;
-    let pd = concat_iterations(&pipedream(d, n), 3, false);
-    let rep = weight_analysis(&pd, UpdateRule::PerMicro);
-    assert_eq!(*rep.max_versions.iter().max().unwrap(), d);
-    assert_eq!(*rep.max_versions.iter().min().unwrap(), 1);
+    let copies = |sched: &Schedule, iterations| -> Vec<usize> {
+        let lowered = lower(sched, iterations);
+        assert_eq!(lowered.defects, [], "{:?}", sched.scheme);
+        let per_worker = lowered.programs.iter();
+        per_worker.map(|p| p.held.len() + p.version_slots).collect()
+    };
+    let stale = |sched: &Schedule, iterations| {
+        let programs = lower(sched, iterations).programs;
+        let mut rows = programs.iter().flat_map(|p| p.rows.iter());
+        rows.any(|row| row.covered().iter().any(|cov| cov.version_slot.is_some()))
+    };
 
-    let bw = concat_iterations(&pipedream_2bw(d, n), 4, true);
-    let rep = weight_analysis(
-        &bw,
-        UpdateRule::PerIteration {
-            micros_per_iter: n,
-            delay: 1,
-        },
-    );
-    assert!(rep.max_versions.iter().all(|&v| v <= 2));
-    assert!(rep.max_staleness >= 1, "2BW uses stale weights");
+    let pd = concat_iterations(&pipedream(d, n), 3, false);
+    assert_eq!(copies(&pd, 3).into_iter().max(), Some(d as usize));
+    assert_eq!(copies(&pd, 3).into_iter().min(), Some(1));
+    assert!(stale(&pd, 3), "PipeDream uses stale weights");
+
+    let bw = pipedream_2bw_steady(d, n, 4);
+    assert_eq!(copies(&bw, 4).into_iter().max(), Some(2));
+    assert!(stale(&bw, 4), "2BW uses stale weights");
 
     for sched in [
         gpipe(d, n),
         dapple(d, n),
         chimera(&ChimeraConfig::new(d, n)).unwrap(),
     ] {
-        let rep = weight_analysis(
-            &sched,
-            UpdateRule::PerIteration {
-                micros_per_iter: n,
-                delay: 0,
-            },
-        );
-        assert_eq!(rep.max_staleness, 0, "{:?}", sched.scheme);
+        let held = |p: &Program| p.held.len();
+        let one_each: Vec<usize> = lower(&sched, 1).programs.iter().map(held).collect();
+        let many = concat_iterations(&sched, 3, false);
+        assert_eq!(copies(&many, 3), one_each, "{:?}", sched.scheme);
+        assert!(!stale(&many, 3), "{:?}", sched.scheme);
+        // No forward reads weights an update overwrites before its backward.
+        assert!(verify_span(&many, 3).is_clean(), "{:?}", sched.scheme);
     }
 }
 
