@@ -11,9 +11,9 @@ use chimera_bench::{print_table, save_json};
 use chimera_core::baselines::{dapple, gems, gpipe, pipedream, pipedream_2bw};
 use chimera_core::chimera::{chimera, ChimeraConfig};
 use chimera_core::schedule::{Schedule, Scheme};
-use chimera_core::unit_time::execute_with;
 use chimera_perf::{ClusterSpec, ModelSpec, TrainConfig};
 use chimera_sim::{memory, SimCostModel};
+use chimera_verify::memory_v2;
 
 const GIB: f64 = (1u64 << 30) as f64;
 
@@ -28,9 +28,10 @@ fn build(scheme: Scheme, d: u32, n: u32) -> Schedule {
     }
 }
 
+/// The paper's Fig. 9 is the Table-2 accounting: the coarse bound.
 fn peaks(sched: &Schedule, cost: &SimCostModel) -> Vec<u64> {
-    let tl = execute_with(sched, cost).expect("schedule executes");
-    memory::peak_memory_bytes(sched, cost, &tl)
+    let workers = memory_v2(sched, cost).workers;
+    workers.iter().map(|w| w.coarse_bound_bytes).collect()
 }
 
 fn main() {

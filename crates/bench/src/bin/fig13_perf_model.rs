@@ -4,12 +4,13 @@
 
 use chimera_bench::{print_table, save_json};
 use chimera_core::chimera::{chimera, ChimeraConfig};
-use chimera_core::schedule::SyncStrategy;
+use chimera_core::schedule::{Schedule, SyncStrategy};
 use chimera_core::sync::place_sync;
 use chimera_core::unit_time::UnitCosts;
 use chimera_perf::planner::{batch_candidates, depth_candidates};
 use chimera_perf::{predict, ClusterSpec, ModelSpec, TrainConfig};
 use chimera_sim::simulate;
+use chimera_verify::memory_v2;
 
 fn main() {
     let cluster = ClusterSpec::piz_daint();
@@ -44,18 +45,19 @@ fn main() {
                     stage_replicas: 2,
                 }
                 .cost_model();
-                let rep = simulate(&sched, &cost).expect("simulates");
-                let (sched, rep, rec) = if rep.fits(cluster.usable_mem()) {
-                    (sched, rep, false)
+                let fits = |s: &Schedule| memory_v2(s, &cost).fits(cluster.usable_mem());
+                let (sched, rec) = if fits(&sched) {
+                    (sched, false)
                 } else {
-                    let r = sched.with_recompute();
-                    let rep = simulate(&r, &cost).expect("simulates");
-                    (r, rep, true)
+                    let recomputing = sched.with_recompute();
+                    if !fits(&recomputing) {
+                        continue;
+                    }
+                    (recomputing, true)
                 };
-                if rep.fits(cluster.usable_mem()) {
-                    picked = Some((b, n, sched, cost, rep, rec));
-                    break;
-                }
+                let rep = simulate(&sched, &cost).expect("simulates");
+                picked = Some((b, n, sched, cost, rep, rec));
+                break;
             }
             let Some((b, n, sched, cost, rep, rec)) = picked else {
                 continue;

@@ -8,8 +8,8 @@
 //! zero-skip sparse entry point on 95%-zero input, and end-to-end training
 //! step time with the buffer pool on/off.
 //!
-//! Writes `results/kernels.json` plus `BENCH_kernels.json` at the workspace
-//! root. The JSON carries a `calibration` section whose `bwd_over_fwd` —
+//! Writes `BENCH_kernels.json` at the workspace root. The JSON carries a
+//! `calibration` section whose `bwd_over_fwd` —
 //! one block's backward time over its forward time, GEMMs and elementwise
 //! ops together — `chimera profile --calibration` feeds into the
 //! simulator's unit costs. Flags:
@@ -1002,10 +1002,8 @@ fn main() -> ExitCode {
         }),
     });
     // `BENCH_kernels.json` sits at the root next to the other BENCH_*
-    // outputs; a smoke run puts both files under `target/smoke/` instead.
-    let root = output_root(smoke);
-    write_json(&root.join("results"), "kernels", &payload);
-    write_json(&root, "BENCH_kernels", &payload);
+    // outputs; a smoke run puts it under `target/smoke/` instead.
+    write_json(&output_root(smoke), "BENCH_kernels", &payload);
 
     if check
         && !check_regressions(

@@ -1,10 +1,11 @@
 //! Seeded network-chaos plans: per-frame link faults for both backends.
 //!
-//! Where [`crate::fault::FaultInjection`] targets *one* message (a
-//! surgically placed drop or delay), a [`NetChaos`] plan degrades a whole
-//! run the way a real cluster does: a flaky link dropping a few percent of
-//! frames, a partition window during which nothing gets through, frames
-//! duplicated or reordered in flight, a uniformly slow link, and a
+//! A [`NetChaos`] plan degrades a whole run the way a real cluster does,
+//! beneath the session layer, where the transport heals it (a message lost
+//! *for good* is a fault above the session, and the runtime's worker injects
+//! it): a flaky link dropping a few percent of frames, a partition window
+//! during which nothing gets through, frames duplicated or reordered in
+//! flight, a uniformly slow link, and a
 //! one-shot hard socket break. Every decision is a pure function of
 //! `(seed, link, event index)` — SplitMix64-hashed — so a chaotic run is
 //! exactly reproducible from its seed, which is what lets CI assert

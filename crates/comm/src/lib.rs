@@ -30,13 +30,14 @@
 //! the session replayed — a transient link failure is invisible above the
 //! [`Transport`] trait. See [`tcp`] for the protocol.
 //!
-//! The transport layer also owns **fault injection**, in two flavors:
-//! [`FaultInjection`] drops or delays one specific message (surgical
-//! recovery tests), while a seeded [`NetChaos`] plan degrades whole links —
-//! flaky loss, duplication, reordering, slow links, partition windows, and
-//! hard socket breaks — deterministically in its seed, uniformly for both
-//! backends. `chimera-runtime` and the chaos-soak CI job build their
-//! recovery guarantees on top of these.
+//! Faults live in two layers. **Beneath the session** they are the
+//! transport's: a seeded [`NetChaos`] plan degrades whole links — flaky
+//! loss healed by retransmit, duplication, reordering, slow links, partition
+//! windows, hard socket breaks — deterministically in its seed, on both
+//! backends. **Above the session** (kill a worker, lose or stall one
+//! boundary message for good) they are the worker's, in `chimera-runtime`;
+//! no endpoint knows about them. `chimera-sim`'s `FaultPlan` is the analytic
+//! mirror of both.
 //!
 //! For multi-process tracing, [`clock`] aligns every process's trace clock
 //! to rank 0's via a probe/response rendezvous ([`rendezvous_epoch`]), so
@@ -44,7 +45,6 @@
 
 pub mod chaos;
 pub mod clock;
-pub mod fault;
 pub mod local;
 pub mod modelcheck;
 pub mod tcp;
@@ -53,7 +53,6 @@ pub mod wire;
 
 pub use chaos::{LinkChaos, NetChaos, Verdict};
 pub use clock::{rendezvous_epoch, ClockSync, EPOCH_TAG};
-pub use fault::{FaultInjection, SendFault};
 pub use local::{LocalEndpoint, LocalFabric};
 pub use modelcheck::{explore, Exploration, StepOutcome};
 pub use tcp::{Liveness, SessionStats, TcpConfig, TcpEndpoint, TcpFabric, TAG_HEARTBEAT};

@@ -31,7 +31,6 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::chaos::{LinkChaos, NetChaos};
-use crate::fault::FaultInjection;
 use crate::transport::{poll_deadline, CommError, MsgKey, Payload, Rank, Transport};
 
 /// Builds the full set of in-process endpoints for one fabric.
@@ -56,7 +55,6 @@ impl LocalFabric {
                 tx: txs.clone(),
                 inbox: Mutex::new(HashMap::new()),
                 dedup: Mutex::new(HashMap::new()),
-                fault: None,
                 chaos: None,
                 links: (0..world)
                     .map(|_| Mutex::new(LinkState::default()))
@@ -114,7 +112,6 @@ pub struct LocalEndpoint {
     tx: Vec<Sender<Parcel>>,
     inbox: Mutex<HashMap<MsgKey, VecDeque<Payload>>>,
     dedup: Mutex<HashMap<Rank, RecvTrack>>,
-    fault: Option<FaultInjection>,
     chaos: Option<NetChaos>,
     links: Vec<Mutex<LinkState>>,
     next_seq: Vec<AtomicU64>,
@@ -124,12 +121,6 @@ pub struct LocalEndpoint {
 }
 
 impl LocalEndpoint {
-    /// Arm send-path fault injection on this endpoint (before it is shared
-    /// with its worker thread).
-    pub fn install_fault(&mut self, fault: FaultInjection) {
-        self.fault = Some(fault);
-    }
-
     /// Arm a seeded chaos plan on this endpoint's outbound links (before
     /// it is shared with its worker thread). See the module docs for how
     /// verdicts degrade on a lossless medium.
@@ -214,11 +205,6 @@ impl Transport for LocalEndpoint {
     }
 
     fn send(&self, to: Rank, key: MsgKey, payload: Payload) -> Result<(), CommError> {
-        if let Some(fault) = &self.fault {
-            if fault.on_send(&key) {
-                return Ok(());
-            }
-        }
         if to as usize >= self.tx.len() {
             return Err(CommError::PeerGone { to });
         }
@@ -299,7 +285,6 @@ impl Drop for LocalEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::SendFault;
     use std::sync::Arc;
 
     fn key(micro: u64) -> MsgKey {
@@ -346,22 +331,6 @@ mod tests {
         drop(eps.remove(1));
         let err = eps[0].send(1, key(0), Payload::Flat(vec![])).unwrap_err();
         assert_eq!(err, CommError::PeerGone { to: 1 });
-    }
-
-    #[test]
-    fn installed_drop_fault_loses_exactly_one_message() {
-        let mut eps = LocalFabric::new(2);
-        eps[0].install_fault(FaultInjection::drop_msg(SendFault {
-            grad: false,
-            micro: 0,
-        }));
-        let b = Arc::new(eps.remove(1));
-        let a = Arc::new(eps.remove(0));
-        a.send(1, key(0), Payload::Flat(vec![1.0])).unwrap();
-        assert!(b.recv_deadline(key(0), Duration::from_millis(30)).is_err());
-        // One-shot: the retransmission goes through.
-        a.send(1, key(0), Payload::Flat(vec![1.0])).unwrap();
-        assert!(b.recv_deadline(key(0), Duration::from_secs(1)).is_ok());
     }
 
     #[test]

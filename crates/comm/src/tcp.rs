@@ -70,7 +70,6 @@ use parking_lot::Mutex;
 use chimera_trace::{Counter, MetricsRegistry};
 
 use crate::chaos::{LinkChaos, NetChaos};
-use crate::fault::FaultInjection;
 use crate::transport::{poll_deadline, CommError, MsgKey, Payload, Rank, Transport};
 use crate::wire::{self, Frame, MAX_FRAME, SEQ_UNSEQUENCED};
 
@@ -407,7 +406,6 @@ pub struct TcpEndpoint {
     world: u32,
     ctx: Arc<SessionCtx>,
     shared: Arc<Shared>,
-    fault: Option<FaultInjection>,
     chaos: Option<NetChaos>,
     sent: AtomicU64,
     metrics_sent: Arc<Counter>,
@@ -500,19 +498,12 @@ impl TcpEndpoint {
             world: config.world,
             ctx,
             shared,
-            fault: None,
             chaos: None,
             sent: AtomicU64::new(0),
             metrics_sent: reg.counter("comm.tcp.bytes_sent"),
             acceptor: Some(acceptor),
             maintenance: Some(maintenance),
         })
-    }
-
-    /// Arm send-path fault injection on this endpoint (before it is shared
-    /// with its worker thread).
-    pub fn install_fault(&mut self, fault: FaultInjection) {
-        self.fault = Some(fault);
     }
 
     /// Arm a seeded chaos plan on this endpoint's outbound links (before
@@ -603,11 +594,6 @@ impl Transport for TcpEndpoint {
     }
 
     fn send(&self, to: Rank, key: MsgKey, payload: Payload) -> Result<(), CommError> {
-        if let Some(fault) = &self.fault {
-            if fault.on_send(&key) {
-                return Ok(());
-            }
-        }
         if to >= self.world {
             return Err(CommError::PeerGone { to });
         }

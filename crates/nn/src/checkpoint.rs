@@ -14,7 +14,10 @@
 //! every subsequent update. Optimizer moments are flat per-parameter
 //! vectors, so they re-partition exactly like the parameters themselves.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+/// The little-endian cursor traits checkpoints are written and read through;
+/// re-exported so the runtime's per-rank checkpoints use the same ones.
+pub use bytes::{Buf, BufMut};
+use bytes::{Bytes, BytesMut};
 
 use crate::optim::{Optimizer, OptimizerKind};
 use crate::stage::{ModelConfig, Stage};
@@ -86,6 +89,31 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
+/// Split the next `n` bytes off the front of `buf`, or
+/// [`CheckpointError::Truncated`] — the length check every little-endian
+/// decoder in the workspace reads through: check one fixed-layout group,
+/// then read its fields off the returned slice.
+pub fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], CheckpointError> {
+    let (head, tail) = buf.split_at_checked(n).ok_or(CheckpointError::Truncated)?;
+    *buf = tail;
+    Ok(head)
+}
+
+/// Append `vals` as little-endian `f32`s (no length prefix).
+pub fn put_f32s(buf: &mut impl BufMut, vals: &[f32]) {
+    for &v in vals {
+        buf.put_f32_le(v);
+    }
+}
+
+/// Read `n` little-endian `f32`s, length-checked before anything is
+/// allocated for them.
+pub fn get_f32s(buf: &mut &[u8], n: usize) -> Result<Vec<f32>, CheckpointError> {
+    let bytes = n.checked_mul(4).ok_or(CheckpointError::Truncated)?;
+    let mut raw = take(buf, bytes)?;
+    Ok((0..n).map(|_| raw.get_f32_le()).collect())
+}
+
 fn put_header(buf: &mut BytesMut, cfg: &ModelConfig, version: u32, total: usize) {
     buf.put_u32_le(MAGIC);
     buf.put_u32_le(version);
@@ -109,9 +137,7 @@ pub fn save(stages: &[Stage]) -> Bytes {
     let mut buf = BytesMut::with_capacity(64 + total * 4);
     put_header(&mut buf, &cfg, VERSION_PARAMS, total);
     for stage in stages {
-        for v in stage.params() {
-            buf.put_f32_le(v);
-        }
+        put_f32s(&mut buf, &stage.params());
     }
     buf.freeze()
 }
@@ -147,9 +173,7 @@ pub fn save_state(stages: &[Stage], optimizers: &[Optimizer]) -> Bytes {
     let mut buf = BytesMut::with_capacity(96 + total * 4 * per_param);
     put_header(&mut buf, &cfg, VERSION_STATE, total);
     for stage in stages {
-        for v in stage.params() {
-            buf.put_f32_le(v);
-        }
+        put_f32s(&mut buf, &stage.params());
     }
     match kind {
         OptimizerKind::Sgd { momentum } => {
@@ -165,17 +189,11 @@ pub fn save_state(stages: &[Stage], optimizers: &[Optimizer]) -> Bytes {
     }
     buf.put_u64_le(t);
     for opt in optimizers {
-        let (m, _, _) = opt.state();
-        for &x in m {
-            buf.put_f32_le(x);
-        }
+        put_f32s(&mut buf, opt.state().0);
     }
     if matches!(kind, OptimizerKind::Adam { .. }) {
         for opt in optimizers {
-            let (_, v, _) = opt.state();
-            for &x in v {
-                buf.put_f32_le(x);
-            }
+            put_f32s(&mut buf, opt.state().1);
         }
     }
     buf.freeze()
@@ -186,33 +204,29 @@ fn parse(
     depth: u32,
 ) -> Result<(Vec<Stage>, Option<Vec<Optimizer>>), CheckpointError> {
     let mut buf = bytes;
-    if buf.remaining() < 8 {
-        return Err(CheckpointError::Truncated);
-    }
-    if buf.get_u32_le() != MAGIC {
+    let mut head = take(&mut buf, 8)?;
+    if head.get_u32_le() != MAGIC {
         return Err(CheckpointError::BadMagic);
     }
-    let version = buf.get_u32_le();
+    let version = head.get_u32_le();
     if version != VERSION_PARAMS && version != VERSION_STATE {
         return Err(CheckpointError::BadVersion(version));
     }
-    if buf.remaining() < 5 * 8 + 1 + 8 + 8 {
-        return Err(CheckpointError::Truncated);
-    }
+    let mut head = take(&mut buf, 5 * 8 + 1 + 8 + 8)?;
     let cfg = ModelConfig {
-        vocab: buf.get_u64_le() as usize,
-        hidden: buf.get_u64_le() as usize,
-        seq: buf.get_u64_le() as usize,
-        layers: buf.get_u64_le() as usize,
-        heads: buf.get_u64_le() as usize,
-        causal: buf.get_u8() != 0,
-        seed: buf.get_u64_le(),
+        vocab: head.get_u64_le() as usize,
+        hidden: head.get_u64_le() as usize,
+        seq: head.get_u64_le() as usize,
+        layers: head.get_u64_le() as usize,
+        heads: head.get_u64_le() as usize,
+        causal: head.get_u8() != 0,
+        seed: head.get_u64_le(),
     };
     if !cfg.layers.is_multiple_of(depth as usize) || depth == 0 {
         return Err(CheckpointError::BadDepth(depth));
     }
-    let total = buf.get_u64_le() as usize;
-    if buf.remaining() < total * 4 {
+    let total = head.get_u64_le() as usize;
+    if buf.remaining() / 4 < total {
         return Err(CheckpointError::ShapeMismatch {
             expected: total,
             got: buf.remaining() / 4,
@@ -227,60 +241,29 @@ fn parse(
         });
     }
     for stage in &mut stages {
-        let mut flat = vec![0.0f32; stage.num_params()];
-        for v in &mut flat {
-            *v = buf.get_f32_le();
-        }
-        stage.set_params(&flat);
+        stage.set_params(&get_f32s(&mut buf, stage.num_params())?);
     }
     let optimizers = if version == VERSION_STATE {
-        if buf.remaining() < 1 {
-            return Err(CheckpointError::Truncated);
-        }
-        let tag = buf.get_u8();
-        let (kind, has_v) = match tag {
-            OPT_TAG_SGD => {
-                if buf.remaining() < 4 {
-                    return Err(CheckpointError::Truncated);
-                }
-                (
-                    OptimizerKind::Sgd {
-                        momentum: buf.get_f32_le(),
-                    },
-                    false,
-                )
-            }
+        let kind = match take(&mut buf, 1)?[0] {
+            OPT_TAG_SGD => OptimizerKind::Sgd {
+                momentum: take(&mut buf, 4)?.get_f32_le(),
+            },
             OPT_TAG_ADAM => {
-                if buf.remaining() < 12 {
-                    return Err(CheckpointError::Truncated);
+                let mut hyper = take(&mut buf, 12)?;
+                OptimizerKind::Adam {
+                    beta1: hyper.get_f32_le(),
+                    beta2: hyper.get_f32_le(),
+                    eps: hyper.get_f32_le(),
                 }
-                (
-                    OptimizerKind::Adam {
-                        beta1: buf.get_f32_le(),
-                        beta2: buf.get_f32_le(),
-                        eps: buf.get_f32_le(),
-                    },
-                    true,
-                )
             }
             other => return Err(CheckpointError::UnknownOptimizer(other)),
         };
-        if buf.remaining() < 8 {
-            return Err(CheckpointError::Truncated);
-        }
-        let t = buf.get_u64_le();
-        let moments = total * if has_v { 2 } else { 1 };
-        if buf.remaining() < moments * 4 {
-            return Err(CheckpointError::Truncated);
-        }
-        let mut m_flat = vec![0.0f32; total];
-        for x in &mut m_flat {
-            *x = buf.get_f32_le();
-        }
-        let mut v_flat = vec![0.0f32; if has_v { total } else { 0 }];
-        for x in &mut v_flat {
-            *x = buf.get_f32_le();
-        }
+        let t = take(&mut buf, 8)?.get_u64_le();
+        let m_flat = get_f32s(&mut buf, total)?;
+        let v_flat = match kind {
+            OptimizerKind::Sgd { .. } => Vec::new(),
+            OptimizerKind::Adam { .. } => get_f32s(&mut buf, total)?,
+        };
         // Moments are flat per-parameter vectors in the same global order
         // as the parameters, so they re-partition by the same split.
         let mut optimizers = Vec::with_capacity(stages.len());
@@ -288,11 +271,7 @@ fn parse(
         for stage in &stages {
             let n = stage.num_params();
             let m = m_flat[off..off + n].to_vec();
-            let v = if has_v {
-                v_flat[off..off + n].to_vec()
-            } else {
-                Vec::new()
-            };
+            let v = v_flat.get(off..off + n).unwrap_or_default().to_vec();
             optimizers.push(Optimizer::from_state(kind, m, v, t));
             off += n;
         }

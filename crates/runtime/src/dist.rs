@@ -30,18 +30,20 @@
 //! codes and the transport failure detector, kills the stragglers, and
 //! gang-restarts every worker with `resume` set.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
 use chimera_collectives::TransportKeyed;
 use chimera_comm::{KeyedReduce, MsgKey, Payload, Rank, Transport};
 use chimera_core::schedule::Schedule;
-use chimera_core::{StageId, WorkerId};
+use chimera_core::WorkerId;
+use chimera_nn::checkpoint::{get_f32s, put_f32s, take, Buf, BufMut};
 use chimera_nn::{CheckpointError, ModelConfig, Optimizer, Stage, SyntheticData};
 
-use crate::error::{TrainError, WorkerError};
+use crate::error::TrainError;
+use crate::setup::{assemble, configure, reducer_members};
 use crate::worker::{SegmentSpec, TrainOptions, Worker};
 
 /// Control-plane tag carrying a worker's `(micro, loss)` pairs to rank 0.
@@ -66,47 +68,41 @@ pub struct DistOutcome {
     pub flat_params: Vec<f32>,
 }
 
-fn escalate(e: WorkerError) -> TrainError {
-    let (group, worker, iteration) = e.location();
-    match e {
-        WorkerError::Killed { .. } => TrainError::WorkerLost {
-            group,
-            worker,
-            iteration,
-            recoveries: 0,
-        },
-        WorkerError::RecvTimeout { op, waited, .. } => TrainError::Timeout {
-            group,
-            worker,
-            iteration,
-            op,
-            waited,
-        },
-        WorkerError::AllReduceTimeout { stage, waited, .. } => TrainError::Timeout {
-            group,
-            worker,
-            iteration,
-            op: format!("allreduce wait for stage {stage}"),
-            waited,
-        },
-        WorkerError::PeerGone { to, .. } => TrainError::Timeout {
-            group,
-            worker,
-            iteration,
-            op: format!("send to dead peer w{to}"),
-            waited: Duration::ZERO,
-        },
-    }
+/// A length-prefixed run of `f32`s.
+fn put_f32_vec(buf: &mut Vec<u8>, vals: &[f32]) {
+    buf.put_u64_le(vals.len() as u64);
+    put_f32s(buf, vals);
 }
 
-/// A gather at rank 0 that never completed.
-fn gather_timeout(iterations: u32, key: MsgKey, waited: Duration) -> TrainError {
-    TrainError::Timeout {
-        group: 0,
-        worker: 0,
-        iteration: iterations,
-        op: format!("gather {}", key.describe()),
-        waited,
+fn get_f32_vec(buf: &mut &[u8]) -> Result<Vec<f32>, CheckpointError> {
+    let n = take(buf, 8)?.get_u64_le();
+    get_f32s(
+        buf,
+        usize::try_from(n).map_err(|_| CheckpointError::Truncated)?,
+    )
+}
+
+impl DistOutcome {
+    /// The outcome as bytes — what rank 0 of `chimera-cli launch` leaves
+    /// for its supervisor. Little-endian, each vector length-prefixed.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_f32_vec(&mut buf, &self.iteration_losses);
+        put_f32_vec(&mut buf, &self.flat_params);
+        buf
+    }
+
+    /// Inverse of [`DistOutcome::encode`]; a short, empty or over-long input
+    /// is [`CheckpointError::Truncated`], never a panic.
+    pub fn decode(mut bytes: &[u8]) -> Result<Self, CheckpointError> {
+        let outcome = DistOutcome {
+            iteration_losses: get_f32_vec(&mut bytes)?,
+            flat_params: get_f32_vec(&mut bytes)?,
+        };
+        if !bytes.is_empty() {
+            return Err(CheckpointError::Truncated);
+        }
+        Ok(outcome)
     }
 }
 
@@ -153,8 +149,7 @@ pub fn train_worker_process_recoverable(
     w: u32,
     recovery: Option<&RecoverySpec>,
 ) -> Result<Option<DistOutcome>, TrainError> {
-    let mut programs = crate::runtime::lower_for_run(sched)?;
-    let d = sched.d;
+    let run = configure(sched, cfg, &opts)?;
     let per_group = sched.num_workers() as u32;
     assert_eq!(
         ep.world(),
@@ -163,20 +158,17 @@ pub fn train_worker_process_recoverable(
     );
     let rank = ep.rank();
     let group = rank / per_group;
-    let lw = rank % per_group;
-    let wid = WorkerId(lw);
-    let program = Arc::new(programs.swap_remove(lw as usize));
-
-    let kind = opts.optimizer_kind();
-    let canon_stages = Stage::build_all(cfg, d);
+    let wid = WorkerId(rank % per_group);
+    let program = &run.programs[wid.idx()];
 
     // Fresh state at iteration 0…
+    let kind = opts.optimizer_kind();
     let mut stages: Vec<(u32, u32, Stage, Optimizer)> = sched
         .placement
         .held_by(wid)
         .into_iter()
         .map(|(r, s)| {
-            let stage = canon_stages[s.0 as usize].clone();
+            let stage = run.stages[s.idx()].clone();
             let opt = Optimizer::new(kind, stage.num_params());
             (r.0, s.0, stage, opt)
         })
@@ -188,11 +180,7 @@ pub fn train_worker_process_recoverable(
     // (ranks that got further before the crash roll back with everyone).
     if let Some(rec) = recovery.filter(|r| r.resume) {
         if let Some(seg) = latest_committed(&rec.dir, ep.world()) {
-            let (ck_losses, ck_stages) =
-                load_rank_ckpt(&rank_ckpt_path(&rec.dir, rank, seg), kind, &stages)
-                    .map_err(TrainError::Checkpoint)?;
-            losses = ck_losses;
-            stages = ck_stages;
+            (losses, stages) = load_rank_ckpt(&rank_ckpt_path(&rec.dir, rank, seg), kind, &stages)?;
             done = seg;
         }
     }
@@ -212,29 +200,22 @@ pub fn train_worker_process_recoverable(
             // gang-restarts at full strength), so the cursor is derivable.
             micro_base: done as u64 * sched.n as u64 * w as u64,
         };
-        // One keyed-ordered allreduce group per held stage, spanning every
-        // data-parallel group's holders in (group, holder) member order —
-        // the exact order the in-process runtime assigns, so the
-        // key-ordered sum is bitwise identical. Rebuilt per segment so a
-        // replayed segment restarts its rounds from zero on every rank.
-        let mut sync: Vec<(u32, Box<dyn KeyedReduce>)> = Vec::new();
-        for &s in &program.reducer_stages {
-            let holders = sched.placement.stage_holders(StageId(s));
-            let mut members: Vec<Rank> = Vec::with_capacity(holders.len() * w as usize);
-            for g in 0..w {
-                for h in &holders {
-                    members.push(g * per_group + h.0);
-                }
-            }
-            sync.push((
-                s,
-                Box::new(TransportKeyed::new(ep.clone(), s, members)) as _,
-            ));
-        }
+        // One keyed-ordered allreduce group per held stage, rebuilt per
+        // segment so a replayed segment restarts its rounds from zero on
+        // every rank.
+        let sync = (program.reducer_stages.iter())
+            .map(|&s| {
+                let members = reducer_members(sched, s, w);
+                (
+                    s,
+                    Box::new(TransportKeyed::new(ep.clone(), s, members)) as Box<dyn KeyedReduce>,
+                )
+            })
+            .collect();
         let worker = Worker::new(
             wid,
             program.clone(),
-            Vec::new(),
+            run.pool_plans[wid.idx()].clone(),
             group,
             w,
             stages,
@@ -244,7 +225,7 @@ pub fn train_worker_process_recoverable(
             opts.clone(),
             seg,
         );
-        let result = worker.run().map_err(escalate)?;
+        let result = worker.run()?;
         losses.extend(result.losses);
         stages = result.stages;
         done += len;
@@ -254,96 +235,52 @@ pub fn train_worker_process_recoverable(
                 rank,
                 &losses,
                 &stages,
-            )
-            .map_err(TrainError::Checkpoint)?;
+            )?;
         }
     }
-    let result_losses = losses;
-    let result_stages = stages;
 
     if rank != 0 {
         // Ship this worker's slice to rank 0. A failed send means rank 0 is
         // gone; there is nobody left to report to, so exit quietly.
-        let _ = ep.send(
-            0,
-            MsgKey::Ctrl {
-                tag: LOSS_TAG,
-                from: rank,
-            },
-            Payload::Losses(result_losses),
-        );
-        for (r, s, stage, _) in result_stages {
-            let _ = ep.send(
-                0,
-                MsgKey::Ctrl {
-                    tag: stage_tag(r, s),
-                    from: rank,
-                },
-                Payload::Flat(stage.params()),
-            );
+        let ship = |tag: u32, payload: Payload| {
+            let _ = ep.send(0, MsgKey::Ctrl { tag, from: rank }, payload);
+        };
+        ship(LOSS_TAG, Payload::Losses(losses));
+        for (r, s, stage, _) in stages {
+            ship(stage_tag(r, s), Payload::Flat(stage.params()));
         }
         return Ok(None);
     }
 
-    // Rank 0: gather losses and every (replica, stage) parameter copy.
-    let mut losses = result_losses;
-    for from in 1..ep.world() {
-        let key = MsgKey::Ctrl {
-            tag: LOSS_TAG,
-            from,
-        };
-        let payload = ep
-            .recv_deadline(key, timeout)
-            .map_err(|_| gather_timeout(iterations, key, timeout))?;
-        losses.extend(payload.into_losses());
-    }
-    losses.sort_unstable_by_key(|&(g, _)| g);
-
-    let mut replica_params: HashMap<u32, Vec<Vec<f32>>> = HashMap::new();
-    for (_, s, stage, _) in &result_stages {
-        replica_params.entry(*s).or_default().push(stage.params());
-    }
-    for from in 1..ep.world() {
-        let peer = WorkerId(from % per_group);
-        for (r, s) in sched.placement.held_by(peer) {
-            let key = MsgKey::Ctrl {
-                tag: stage_tag(r.0, s.0),
-                from,
-            };
-            let payload = ep
-                .recv_deadline(key, timeout)
-                .map_err(|_| gather_timeout(iterations, key, timeout))?;
-            replica_params
-                .entry(s.0)
-                .or_default()
-                .push(payload.into_flat());
-        }
-    }
-
-    // Verify all 2f·W replica copies of each stage agree bit-for-bit, then
-    // deduplicate — same contract as the in-process supervisor.
-    let mut flat_params = Vec::new();
-    for s in 0..d {
-        let copies = replica_params
-            .remove(&s)
-            .ok_or(TrainError::MissingStage { stage: s })?;
-        let (canonical, rest) = copies.split_first().expect("at least one replica");
-        if rest.iter().any(|c| c != canonical) {
-            return Err(TrainError::ReplicaDivergence { stage: s });
-        }
-        flat_params.extend_from_slice(canonical);
-    }
-
-    let per = sched.n as usize * w as usize;
-    let iteration_losses = (0..iterations as usize)
-        .map(|i| {
-            let slice = &losses[i * per..(i + 1) * per];
-            (slice.iter().map(|&(_, l)| l as f64).sum::<f64>() / per as f64) as f32
-        })
+    // Rank 0: gather losses and every (replica, stage) parameter copy. A
+    // gather that never completes is rank 0's own blocked wait.
+    let gather = |tag: u32, from: Rank| {
+        let key = MsgKey::Ctrl { tag, from };
+        ep.recv_deadline(key, timeout)
+            .map_err(|_| TrainError::Timeout {
+                group: 0,
+                worker: 0,
+                iteration: iterations,
+                op: format!("gather {}", key.describe()),
+                waited: timeout,
+            })
+    };
+    let mut copies: Vec<(u32, Vec<f32>)> = stages
+        .iter()
+        .map(|(_, s, stage, _)| (*s, stage.params()))
         .collect();
+    for from in 1..ep.world() {
+        losses.extend(gather(LOSS_TAG, from)?.into_losses());
+        for (r, s) in sched.placement.held_by(WorkerId(from % per_group)) {
+            copies.push((s.0, gather(stage_tag(r.0, s.0), from)?.into_flat()));
+        }
+    }
+    let per_iteration = sched.n as usize * w as usize;
+    let (iteration_losses, canonical) =
+        assemble(sched.d, per_iteration, losses, copies, |c| Cow::Borrowed(c))?;
     Ok(Some(DistOutcome {
         iteration_losses,
-        flat_params,
+        flat_params: canonical.concat(),
     }))
 }
 
@@ -390,51 +327,6 @@ pub fn latest_committed(dir: &Path, world: u32) -> Option<u32> {
         .max()
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32s(buf: &mut Vec<u8>, vs: &[f32]) {
-    put_u64(buf, vs.len() as u64);
-    for v in vs {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-struct Reader<'a>(&'a [u8]);
-
-impl Reader<'_> {
-    fn bytes(&mut self, n: usize) -> Result<&[u8], CheckpointError> {
-        if self.0.len() < n {
-            return Err(CheckpointError::Truncated);
-        }
-        let (head, tail) = self.0.split_at(n);
-        self.0 = tail;
-        Ok(head)
-    }
-
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
-    }
-
-    fn f32s(&mut self) -> Result<Vec<f32>, CheckpointError> {
-        let n = self.u64()? as usize;
-        let raw = self.bytes(n.checked_mul(4).ok_or(CheckpointError::Truncated)?)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-}
-
 /// Atomically persist one rank's segment state: its loss log plus, per
 /// held `(replica, stage)`: parameters and optimizer moments.
 fn save_rank_ckpt(
@@ -444,23 +336,23 @@ fn save_rank_ckpt(
     stages: &[(u32, u32, Stage, Optimizer)],
 ) -> Result<(), CheckpointError> {
     let mut buf = Vec::new();
-    put_u32(&mut buf, RANK_CKPT_MAGIC);
-    put_u32(&mut buf, RANK_CKPT_VERSION);
-    put_u32(&mut buf, rank);
-    put_u64(&mut buf, losses.len() as u64);
+    buf.put_u32_le(RANK_CKPT_MAGIC);
+    buf.put_u32_le(RANK_CKPT_VERSION);
+    buf.put_u32_le(rank);
+    buf.put_u64_le(losses.len() as u64);
     for &(g, l) in losses {
-        put_u64(&mut buf, g);
-        put_u32(&mut buf, l.to_bits());
+        buf.put_u64_le(g);
+        buf.put_f32_le(l);
     }
-    put_u32(&mut buf, stages.len() as u32);
+    buf.put_u32_le(stages.len() as u32);
     for (r, s, stage, opt) in stages {
-        put_u32(&mut buf, *r);
-        put_u32(&mut buf, *s);
-        put_f32s(&mut buf, &stage.params());
+        buf.put_u32_le(*r);
+        buf.put_u32_le(*s);
+        put_f32_vec(&mut buf, &stage.params());
         let (m, v, t) = opt.state();
-        put_u64(&mut buf, t);
-        put_f32s(&mut buf, m);
-        put_f32s(&mut buf, v);
+        buf.put_u64_le(t);
+        put_f32_vec(&mut buf, m);
+        put_f32_vec(&mut buf, v);
     }
     let io = |e: std::io::Error| CheckpointError::Io(format!("{}: {e}", path.display()));
     let tmp = path.with_extension("ckpt.tmp");
@@ -482,23 +374,26 @@ fn load_rank_ckpt(
 ) -> Result<RankCkpt, CheckpointError> {
     let raw =
         std::fs::read(path).map_err(|e| CheckpointError::Io(format!("{}: {e}", path.display())))?;
-    let mut rd = Reader(&raw);
-    if rd.u32()? != RANK_CKPT_MAGIC {
+    let mut rd = raw.as_slice();
+    // magic, version, rank, loss count
+    let mut head = take(&mut rd, 4 + 4 + 4 + 8)?;
+    if head.get_u32_le() != RANK_CKPT_MAGIC {
         return Err(CheckpointError::BadMagic);
     }
-    let version = rd.u32()?;
+    let version = head.get_u32_le();
     if version != RANK_CKPT_VERSION {
         return Err(CheckpointError::BadVersion(version));
     }
-    let _rank = rd.u32()?;
-    let n_losses = rd.u64()? as usize;
-    let mut losses = Vec::with_capacity(n_losses);
-    for _ in 0..n_losses {
-        let g = rd.u64()?;
-        let l = f32::from_bits(rd.u32()?);
-        losses.push((g, l));
-    }
-    let n_stages = rd.u32()? as usize;
+    let _rank = head.get_u32_le();
+    let n_losses = usize::try_from(head.get_u64_le()).map_err(|_| CheckpointError::Truncated)?;
+    let mut log = take(
+        &mut rd,
+        n_losses.checked_mul(12).ok_or(CheckpointError::Truncated)?,
+    )?;
+    let losses = (0..n_losses)
+        .map(|_| (log.get_u64_le(), log.get_f32_le()))
+        .collect();
+    let n_stages = take(&mut rd, 4)?.get_u32_le() as usize;
     if n_stages != template.len() {
         return Err(CheckpointError::ShapeMismatch {
             expected: template.len(),
@@ -507,26 +402,26 @@ fn load_rank_ckpt(
     }
     let mut out = Vec::with_capacity(n_stages);
     for (er, es, estage, _) in template {
-        let r = rd.u32()?;
-        let s = rd.u32()?;
+        let mut id = take(&mut rd, 8)?;
+        let (r, s) = (id.get_u32_le(), id.get_u32_le());
         if (r, s) != (*er, *es) {
             return Err(CheckpointError::BadMagic);
         }
-        let params = rd.f32s()?;
+        let params = get_f32_vec(&mut rd)?;
         if params.len() != estage.num_params() {
             return Err(CheckpointError::ShapeMismatch {
                 expected: estage.num_params(),
                 got: params.len(),
             });
         }
-        let t = rd.u64()?;
-        let m = rd.f32s()?;
-        let v = rd.f32s()?;
+        let t = take(&mut rd, 8)?.get_u64_le();
+        let m = get_f32_vec(&mut rd)?;
+        let v = get_f32_vec(&mut rd)?;
         let mut stage = estage.clone();
         stage.set_params(&params);
         out.push((r, s, stage, Optimizer::from_state(kind, m, v, t)));
     }
-    if !rd.0.is_empty() {
+    if !rd.is_empty() {
         return Err(CheckpointError::Truncated);
     }
     Ok((losses, out))
@@ -539,6 +434,7 @@ mod tests {
     use chimera_comm::LocalFabric;
     use chimera_core::chimera::{chimera, ChimeraConfig};
     use std::thread;
+    use std::time::Duration;
 
     fn opts(iterations: u32) -> TrainOptions {
         TrainOptions {
@@ -551,45 +447,62 @@ mod tests {
         }
     }
 
-    /// Every rank in its own "process" (thread + its own endpoint of a
-    /// local fabric, no shared state beyond the transport): the distributed
-    /// path must be bit-identical to the in-process supervisor.
+    /// The `launch` result file round-trips, and anything but a whole one —
+    /// empty, cut anywhere, a length prefix promising more than is there,
+    /// trailing bytes — is a typed error rather than a slice panic in the
+    /// supervisor.
     #[test]
-    fn distributed_run_matches_in_process_bitwise() {
-        let sched = chimera(&ChimeraConfig::new(2, 2)).unwrap();
-        let cfg = ModelConfig::tiny();
-        let w = 2u32;
-        let world = sched.num_workers() as u32 * w;
+    fn result_file_roundtrips_and_rejects_truncation() {
+        let outcome = DistOutcome {
+            iteration_losses: vec![3.5, 3.25],
+            flat_params: vec![0.1, -0.2, f32::MIN_POSITIVE],
+        };
+        let bytes = outcome.encode();
+        assert_eq!(DistOutcome::decode(&bytes), Ok(outcome));
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                DistOutcome::decode(&bytes[..cut]),
+                Err(CheckpointError::Truncated),
+                "cut at {cut}"
+            );
+        }
+        let mut long = bytes.clone();
+        long.push(0);
+        assert_eq!(DistOutcome::decode(&long), Err(CheckpointError::Truncated));
+        let huge = u64::MAX.to_le_bytes();
+        assert_eq!(DistOutcome::decode(&huge), Err(CheckpointError::Truncated));
+    }
 
-        let handles: Vec<_> = LocalFabric::new(world)
-            .into_iter()
-            .map(|e| {
-                let sched = sched.clone();
-                thread::spawn(move || {
-                    train_worker_process(Arc::new(e), &sched, cfg, opts(3), w).unwrap()
-                })
+    /// A rank checkpoint cut short is `Truncated`, not a panic, at any cut.
+    #[test]
+    fn truncated_rank_checkpoint_is_rejected() {
+        let sched = chimera(&ChimeraConfig::new(2, 2)).unwrap();
+        let kind = opts(1).optimizer_kind();
+        let canon = Stage::build_all(ModelConfig::tiny(), 2);
+        let stages: Vec<_> = (sched.placement.held_by(WorkerId(0)).into_iter())
+            .map(|(r, s)| {
+                let stage = canon[s.idx()].clone();
+                let opt = Optimizer::new(kind, stage.num_params());
+                (r.0, s.0, stage, opt)
             })
             .collect();
-        let mut outcomes: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        let dist = outcomes.remove(0).expect("rank 0 assembles the outcome");
-        assert!(outcomes.iter().all(Option::is_none));
-
-        let reference = train_hybrid(&sched, cfg, opts(3), w).unwrap();
-        let dist_bits: Vec<u32> = dist.flat_params.iter().map(|f| f.to_bits()).collect();
-        let ref_bits: Vec<u32> = reference
-            .flat_params()
-            .iter()
-            .map(|f| f.to_bits())
-            .collect();
-        assert_eq!(dist_bits, ref_bits);
-        assert_eq!(dist.iteration_losses.len(), 3);
-        for (a, b) in dist
-            .iteration_losses
-            .iter()
-            .zip(&reference.iteration_losses)
-        {
-            assert_eq!(a.to_bits(), b.to_bits());
+        let dir = std::env::temp_dir().join(format!("chimera-rank-ckpt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = rank_ckpt_path(&dir, 0, 1);
+        save_rank_ckpt(&path, 0, &[(0, 3.5), (1, 3.25)], &stages).unwrap();
+        let whole = std::fs::read(&path).unwrap();
+        let (losses, restored) = load_rank_ckpt(&path, kind, &stages).unwrap();
+        assert_eq!(losses, vec![(0, 3.5), (1, 3.25)]);
+        assert_eq!(restored[0].2.params(), stages[0].2.params());
+        for cut in [0, 3, 19, 20, 44, 48, whole.len() / 2, whole.len() - 1] {
+            std::fs::write(&path, &whole[..cut]).unwrap();
+            assert_eq!(
+                load_rank_ckpt(&path, kind, &stages).err(),
+                Some(CheckpointError::Truncated),
+                "cut at {cut}"
+            );
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// §3.5's chunked schedules are refused by every entry point with a typed

@@ -99,48 +99,27 @@ impl WorkerError {
 
 impl std::fmt::Display for WorkerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (group, worker, iteration) = self.location();
+        write!(f, "worker g{group}-w{worker} ")?;
         match self {
-            WorkerError::Killed {
-                group,
-                worker,
-                iteration,
-                ..
-            } => write!(
+            WorkerError::Killed { .. } => {
+                write!(f, "killed by injected fault at iteration {iteration}")
+            }
+            WorkerError::RecvTimeout { op, waited, .. } => write!(
                 f,
-                "worker g{group}-w{worker} killed by injected fault at iteration {iteration}"
+                "timed out after {waited:?} at iteration {iteration} waiting on {op}"
             ),
-            WorkerError::RecvTimeout {
-                group,
-                worker,
-                iteration,
-                op,
-                waited,
-            } => write!(
+            WorkerError::AllReduceTimeout { stage, waited, .. } => write!(
                 f,
-                "worker g{group}-w{worker} timed out after {waited:?} at iteration \
-                 {iteration} waiting on {op}"
+                "timed out after {waited:?} at iteration {iteration} waiting on allreduce \
+                 for stage {stage}"
             ),
-            WorkerError::AllReduceTimeout {
-                group,
-                worker,
-                iteration,
-                stage,
-                waited,
-            } => write!(
-                f,
-                "worker g{group}-w{worker} timed out after {waited:?} at iteration \
-                 {iteration} waiting on allreduce for stage {stage}"
-            ),
-            WorkerError::PeerGone {
-                group,
-                worker,
-                iteration,
-                to,
-            } => write!(
-                f,
-                "worker g{group}-w{worker} failed to send to dead peer w{to} at \
-                 iteration {iteration}"
-            ),
+            WorkerError::PeerGone { to, .. } => {
+                write!(
+                    f,
+                    "failed to send to dead peer w{to} at iteration {iteration}"
+                )
+            }
         }
     }
 }
@@ -252,6 +231,39 @@ impl std::error::Error for TrainError {
         match self {
             TrainError::Checkpoint(e) => Some(e),
             _ => None,
+        }
+    }
+}
+
+/// How a worker's failure reads to the caller of either driver: a kill the
+/// supervisor did not absorb is a lost worker; any other stop is a blocked
+/// wait, named by its op.
+impl From<WorkerError> for TrainError {
+    fn from(e: WorkerError) -> Self {
+        let (group, worker, iteration) = e.location();
+        let (op, waited) = match e {
+            WorkerError::Killed { .. } => {
+                return TrainError::WorkerLost {
+                    group,
+                    worker,
+                    iteration,
+                    recoveries: 0,
+                }
+            }
+            WorkerError::RecvTimeout { op, waited, .. } => (op, waited),
+            WorkerError::AllReduceTimeout { stage, waited, .. } => {
+                (format!("allreduce wait for stage {stage}"), waited)
+            }
+            WorkerError::PeerGone { to, .. } => {
+                (format!("send to dead peer w{to}"), Duration::ZERO)
+            }
+        };
+        TrainError::Timeout {
+            group,
+            worker,
+            iteration,
+            op,
+            waited,
         }
     }
 }

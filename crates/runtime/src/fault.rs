@@ -1,11 +1,15 @@
-//! Injected faults for exercising the supervised training runtime.
+//! Injected faults above the session layer — the ones no transport can heal.
 //!
 //! A [`FaultSpec`] describes deterministic, targeted faults: kill one worker
-//! thread at a given iteration, or drop/delay one specific p2p boundary
-//! message. Faults are injected at well-defined points (iteration start for
-//! kills, the send path for message faults), so a faulty run is exactly
-//! reproducible — which is what lets the recovery tests assert bit-identical
-//! final parameters against the fault-free run.
+//! at a given iteration, or lose / stall one specific p2p boundary message
+//! for good. All three are interpreted in one place, [`crate::Worker`]
+//! (iteration start for kills, `send` for message faults), so they behave
+//! the same over every transport and under either driver, and a faulty run
+//! is exactly reproducible — which is what lets the recovery tests assert
+//! bit-identical final parameters against the fault-free run. Faults
+//! *beneath* the session (loss healed by retransmit, duplication, reorder,
+//! partition, break) are the transport's: `chimera_comm::NetChaos`.
+//! `chimera_sim`'s `FaultPlan` mirrors both analytically.
 
 use std::time::Duration;
 
@@ -79,11 +83,5 @@ impl FaultSpec {
             }),
             ..FaultSpec::default()
         }
-    }
-
-    /// True when the plan contains no faults (e.g. after its kill was
-    /// consumed by a recovery).
-    pub fn is_empty(&self) -> bool {
-        self.kill.is_none() && self.drop_msg.is_none() && self.delay_msg.is_none()
     }
 }

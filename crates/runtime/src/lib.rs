@@ -19,6 +19,7 @@ pub mod error;
 pub mod fault;
 pub mod mem;
 pub mod runtime;
+mod setup;
 pub mod worker;
 
 pub use dist::{

@@ -23,17 +23,15 @@
 //! Blocked waits with no detected death (a lost message) surface as
 //! [`TrainError::Timeout`] naming the blocked op.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 use chimera_collectives::keyed_group;
-use chimera_comm::{FaultInjection, KeyedReduce, LocalFabric, SendFault, Transport};
-use chimera_core::op::Chunk;
-use chimera_core::program::{lower, Program};
+use chimera_comm::{KeyedReduce, LocalFabric, Transport};
+use chimera_core::program::Program;
 use chimera_core::schedule::Schedule;
-use chimera_core::{StageId, WorkerId};
+use chimera_core::WorkerId;
 use chimera_nn::checkpoint;
 use chimera_nn::{ModelConfig, Optimizer, Stage, SyntheticData};
 use chimera_tensor::{kernels, pool};
@@ -41,7 +39,8 @@ use chimera_trace::{now_ns, CounterEvent, Event, MetricsRegistry, SpanEvent, Spa
 
 use crate::error::{TrainError, WorkerError};
 use crate::fault::RecoveryPolicy;
-use crate::mem::{MemReport, ModelFootprint};
+use crate::mem::MemReport;
+use crate::setup::{assemble, configure, reducer_members};
 use crate::worker::{SegmentSpec, TrainOptions, Worker};
 
 /// Outcome of a pipelined training run.
@@ -113,33 +112,6 @@ pub fn train(
     train_hybrid(sched, cfg, opts, 1)
 }
 
-/// The runtime's front door: lower `sched` once for the whole run, or name
-/// the first op that cannot be executed — any defect
-/// [`chimera_core::program::lower`] finds, or a chunked row (§3.5's
-/// forward-doubling pairs and backward-halving halves lower, but the worker
-/// does not execute them yet). Returned before any thread exists that could
-/// panic on the op or leave its peers to time out.
-pub(crate) fn lower_for_run(sched: &Schedule) -> Result<Vec<Program>, TrainError> {
-    let lowered = lower(sched, 1);
-    let chunked = lowered.programs.iter().enumerate().find_map(|(w, p)| {
-        let row = p.rows.iter().find(|row| row.op.chunk != Chunk::Full)?;
-        let reason = "only full-micro chunks are executed, not forward-doubling pairs or \
-                      backward-halving halves";
-        Some((w, row.op_ix, reason))
-    });
-    let defect = lowered.defects.first();
-    let defect = defect.map(|d| (d.worker as usize, d.op_ix, d.kind.reason()));
-    match defect.or(chunked) {
-        None => Ok(lowered.programs),
-        Some((w, op_ix, reason)) => Err(TrainError::UnsupportedSchedule {
-            worker: w as u32,
-            op: (sched.workers.get(w).and_then(|ops| ops.get(op_ix)))
-                .map_or("(none)".to_string(), ToString::to_string),
-            reason,
-        }),
-    }
-}
-
 /// The supervisor's own trace lane (track id = worker count at launch, so
 /// it sits below the worker lanes in the Chrome view).
 struct SupervisorTrace {
@@ -185,30 +157,16 @@ impl SupervisorTrace {
 pub fn train_hybrid(
     sched: &Schedule,
     cfg: ModelConfig,
-    opts: TrainOptions,
+    mut opts: TrainOptions,
     w: u32,
 ) -> Result<TrainResult, TrainError> {
     assert!(w >= 1);
-    let programs = lower_for_run(sched)?;
-    let d = sched.d;
-    let data = SyntheticData::new(cfg, opts.data_seed);
-
-    // Kernel configuration for this run. Thread count only affects wall
-    // clock — kernels are bit-identical at any setting — and the pool only
-    // affects allocation traffic.
-    if let Some(t) = opts.threads {
-        kernels::set_threads(t);
-    }
-    pool::set_enabled(opts.pool);
     let pool_before = pool::stats();
     let kernels_before = kernels::stats();
     let pack_before = kernels::pack_stats();
-    // Tracing pays for kernel wall-clock timing; untraced runs skip the two
-    // clock reads per matmul.
-    let time_kernels = opts.trace.is_some();
-    if time_kernels {
-        kernels::set_timing(true);
-    }
+    let run = configure(sched, cfg, &opts)?;
+    let d = sched.d;
+    let data = SyntheticData::new(cfg, opts.data_seed);
 
     let reg = MetricsRegistry::global();
     let ckpt_saves = reg.counter("runtime.checkpoint.saves");
@@ -226,7 +184,7 @@ pub fn train_hybrid(
     // replicas of a stage evolve identically, so one copy is enough; it is
     // cloned out to every (replica, stage) holder at each segment launch.
     let kind = opts.optimizer_kind();
-    let mut canon_stages = Stage::build_all(cfg, d);
+    let mut canon_stages = run.stages;
     let mut canon_opts: Vec<Optimizer> = canon_stages
         .iter()
         .map(|s| Optimizer::new(kind, s.num_params()))
@@ -234,25 +192,10 @@ pub fn train_hybrid(
     let mut checkpoint_bytes = checkpoint::save_state(&canon_stages, &canon_opts);
     ckpt_saves.inc();
 
-    // Pool pre-sizing plans from the exact liveness analysis: one measured
-    // footprint probe and one pricing of the programs just lowered per run,
-    // shared by every segment and replica group (all are schedule-identical,
-    // and sizes depend on shapes only). Skipped when prewarming is off — the
-    // workers would ignore the plan anyway.
-    let pool_plans: Vec<Vec<(usize, usize)>> = if opts.pool && opts.prewarm {
-        let fp = ModelFootprint::probe(&canon_stages, opts.micro_batch);
-        let plans = crate::mem::plan_lowered(sched, &programs, &fp);
-        plans.into_iter().map(|plan| plan.classes).collect()
-    } else {
-        vec![Vec::new(); programs.len()]
-    };
-    let programs: Vec<Arc<Program>> = programs.into_iter().map(Arc::new).collect();
-
     let seg_len = opts
         .checkpoint_every
         .filter(|&c| c > 0)
         .unwrap_or(opts.iterations.max(1));
-    let mut fault = opts.fault.clone().unwrap_or_default();
     let mut iteration_losses: Vec<f32> = Vec::with_capacity(opts.iterations as usize);
     let mut done = 0u32;
     let mut micro_base = 0u64;
@@ -271,14 +214,13 @@ pub fn train_hybrid(
         let seg_start = sup.as_ref().map(|_| now_ns());
         let outcome = run_segment(
             sched,
-            &programs,
-            &pool_plans,
+            &run.programs,
+            &run.pool_plans,
             &canon_stages,
             &canon_opts,
             seg,
             w_active,
             &opts,
-            (!fault.is_empty()).then(|| fault.clone()),
             data,
         );
         match outcome {
@@ -295,12 +237,7 @@ pub fn train_hybrid(
                         );
                     }
                 }
-                let per = sched.n as usize * w_active as usize;
-                for i in 0..seg_iters as usize {
-                    let slice = &out.losses[i * per..(i + 1) * per];
-                    let mean = slice.iter().map(|&(_, l)| l as f64).sum::<f64>() / per as f64;
-                    iteration_losses.push(mean as f32);
-                }
+                iteration_losses.extend(out.iteration_losses);
                 if mem.is_empty() {
                     mem = out.mem;
                 }
@@ -341,7 +278,9 @@ pub fn train_hybrid(
                 }
                 // The kill fired (or the worker panicked); don't re-kill
                 // during the replay.
-                fault.kill = None;
+                if let Some(fault) = &mut opts.fault {
+                    fault.kill = None;
+                }
                 let restore_start = sup.as_ref().map(|_| now_ns());
                 let (stages, optimizers) = checkpoint::load_state(&checkpoint_bytes, d)?;
                 canon_stages = stages;
@@ -365,27 +304,7 @@ pub fn train_hybrid(
                 }
                 replaying = true;
             }
-            Err(SegmentFailure::Timeout {
-                group,
-                worker,
-                iteration,
-                op,
-                waited,
-            }) => {
-                return Err(TrainError::Timeout {
-                    group,
-                    worker,
-                    iteration,
-                    op,
-                    waited,
-                });
-            }
-            Err(SegmentFailure::Divergence { stage }) => {
-                return Err(TrainError::ReplicaDivergence { stage });
-            }
-            Err(SegmentFailure::Missing { stage }) => {
-                return Err(TrainError::MissingStage { stage });
-            }
+            Err(SegmentFailure::Fatal(e)) => return Err(e),
         }
     }
 
@@ -399,51 +318,39 @@ pub fn train_hybrid(
 
     // Publish this run's kernel and pool activity: registry deltas always,
     // derived rates onto the trace when one is attached.
-    let pd = {
-        let now = pool::stats();
-        PoolDelta {
-            hits: now.hits - pool_before.hits,
-            misses: now.misses - pool_before.misses,
-        }
-    };
-    let kd = {
-        let now = kernels::stats();
-        KernelDelta {
-            calls: now.calls - kernels_before.calls,
-            flops: now.flops - kernels_before.flops,
-            nanos: now.nanos - kernels_before.nanos,
-        }
-    };
-    let pack_now = kernels::pack_stats();
-    let pack_calls = pack_now.calls - pack_before.calls;
-    let pack_elems = pack_now.elems - pack_before.elems;
-    reg.counter("runtime.pool.hits").add(pd.hits);
-    reg.counter("runtime.pool.misses").add(pd.misses);
-    reg.counter("runtime.kernel.calls").add(kd.calls);
-    reg.counter("runtime.kernel.flops").add(kd.flops);
-    reg.counter("runtime.kernel.ns").add(kd.nanos);
+    let (pool_now, kernels_now, pack_now) =
+        (pool::stats(), kernels::stats(), kernels::pack_stats());
+    let hits = pool_now.hits - pool_before.hits;
+    let misses = pool_now.misses - pool_before.misses;
+    let flops = kernels_now.flops - kernels_before.flops;
+    let nanos = kernels_now.nanos - kernels_before.nanos;
+    reg.counter("runtime.pool.hits").add(hits);
+    reg.counter("runtime.pool.misses").add(misses);
+    reg.counter("runtime.kernel.calls")
+        .add(kernels_now.calls - kernels_before.calls);
+    reg.counter("runtime.kernel.flops").add(flops);
+    reg.counter("runtime.kernel.ns").add(nanos);
     // Panel-copy traffic of the packed GEMM engine: elems/flops bounds the
     // pack overhead (a healthy large-GEMM run packs a tiny fraction of the
     // flops it executes; small-path-only runs report zero).
-    reg.counter("runtime.kernel.pack.calls").add(pack_calls);
-    reg.counter("runtime.kernel.pack.elems").add(pack_elems);
+    reg.counter("runtime.kernel.pack.calls")
+        .add(pack_now.calls - pack_before.calls);
+    reg.counter("runtime.kernel.pack.elems")
+        .add(pack_now.elems - pack_before.elems);
     if let Some(sup) = &sup {
-        if pd.hits + pd.misses > 0 {
+        if hits + misses > 0 {
             sup.counter(
                 "runtime.pool.hit_rate",
-                pd.hits as f64 / (pd.hits + pd.misses) as f64,
+                hits as f64 / (hits + misses) as f64,
             );
         }
-        if kd.nanos > 0 {
-            sup.counter("runtime.kernel.gflops", kd.flops as f64 / kd.nanos as f64);
+        if nanos > 0 {
+            sup.counter("runtime.kernel.gflops", flops as f64 / nanos as f64);
             // Which tile produced that rate (16 / 8 / 1 lanes): a trace from
             // one host must not be read against another host's ceiling.
             let lanes = kernels::simd_level().lanes();
             sup.counter("runtime.kernel.simd_lanes", lanes as f64);
         }
-    }
-    if time_kernels {
-        kernels::set_timing(false);
     }
 
     Ok(TrainResult {
@@ -455,22 +362,9 @@ pub fn train_hybrid(
     })
 }
 
-/// Pool activity attributable to one training run.
-struct PoolDelta {
-    hits: u64,
-    misses: u64,
-}
-
-/// Kernel activity attributable to one training run.
-struct KernelDelta {
-    calls: u64,
-    flops: u64,
-    nanos: u64,
-}
-
 struct SegmentOutcome {
-    /// `(global_micro, loss)` sorted by micro id.
-    losses: Vec<(u64, f32)>,
+    /// Mean loss of each iteration of the segment.
+    iteration_losses: Vec<f32>,
     /// Canonical stages, deduplicated from verified replica copies.
     stages: Vec<Stage>,
     /// Canonical per-stage optimizer state.
@@ -488,24 +382,10 @@ enum SegmentFailure {
         /// When the fault fired, if the worker reported it.
         at_ns: Option<u64>,
     },
-    /// A worker blocked past its deadline with no death to blame — fatal.
-    Timeout {
-        group: u32,
-        worker: u32,
-        iteration: u32,
-        op: String,
-        waited: Duration,
-    },
-    Divergence {
-        stage: u32,
-    },
-    Missing {
-        stage: u32,
-    },
+    /// A worker blocked past its deadline with no death to blame, or the
+    /// replicas it returned do not assemble.
+    Fatal(TrainError),
 }
-
-/// A deadlined wait that expired: `(group, worker, iteration, op, waited)`.
-type TimeoutInfo = (u32, u32, u32, String, Duration);
 
 /// Launch `w` pipeline groups on the canonical state, run one segment, and
 /// join. Classifies failures: a death outranks the timeouts it causes in
@@ -520,7 +400,6 @@ fn run_segment(
     seg: SegmentSpec,
     w: u32,
     opts: &TrainOptions,
-    fault: Option<crate::fault::FaultSpec>,
     data: SyntheticData,
 ) -> Result<SegmentOutcome, SegmentFailure> {
     let d = sched.d;
@@ -528,62 +407,18 @@ fn run_segment(
     let total_workers = per_group * w as usize;
 
     // Interconnect: one in-process fabric endpoint per global worker
-    // (group-major layout). Injected message faults compile down to
-    // transport-level send faults installed on the faulty sender's endpoint,
-    // so the same injection path exercises every backend.
-    let mut endpoints = LocalFabric::new(total_workers as u32);
-    if let Some(f) = &fault {
-        // Per-sender plan: (message to drop, message to delay + how long).
-        type FaultPlan = (Option<SendFault>, Option<(SendFault, Duration)>);
-        let mut plans: HashMap<usize, FaultPlan> = HashMap::new();
-        if let Some(dm) = f.drop_msg {
-            let global = dm.group as usize * per_group + dm.from_worker as usize;
-            plans.entry(global).or_default().0 = Some(SendFault {
-                grad: dm.grad,
-                micro: dm.micro,
-            });
-        }
-        if let Some((dm, delay)) = f.delay_msg {
-            let global = dm.group as usize * per_group + dm.from_worker as usize;
-            plans.entry(global).or_default().1 = Some((
-                SendFault {
-                    grad: dm.grad,
-                    micro: dm.micro,
-                },
-                delay,
-            ));
-        }
-        for (global, (drop_msg, delay_msg)) in plans {
-            let mut inj = FaultInjection::new(drop_msg, delay_msg);
-            if let Some(sink) = &opts.trace {
-                inj = inj.with_trace(sink.clone(), global as u32);
-            }
-            endpoints[global].install_fault(inj);
-        }
-    }
-
-    // Allreduce groups: one keyed group per stage spanning every group's
-    // holders, ranked (group, holder) for determinism.
+    // (group-major layout), and one keyed allreduce group per stage.
+    let endpoints = LocalFabric::new(total_workers as u32);
     let mut sync_per_worker: Vec<Vec<(u32, Box<dyn KeyedReduce>)>> =
         (0..total_workers).map(|_| Vec::new()).collect();
     for s in 0..d {
-        let holders = sched.placement.stage_holders(StageId(s));
-        let mut members = keyed_group(holders.len() * w as usize);
-        members.reverse(); // pop from the front in rank order
-        for g in 0..w {
-            for h in &holders {
-                let global = g as usize * per_group + h.idx();
-                sync_per_worker[global]
-                    .push((s, Box::new(members.pop().expect("member per holder")) as _));
-            }
+        let ranks = reducer_members(sched, s, w);
+        for (member, rank) in keyed_group(ranks.len()).into_iter().zip(ranks) {
+            sync_per_worker[rank as usize].push((s, Box::new(member) as _));
         }
     }
 
     // Spawn workers on clones of the canonical stage + optimizer state.
-    let wopts = TrainOptions {
-        fault,
-        ..opts.clone()
-    };
     let mut handles = Vec::with_capacity(total_workers);
     let mut sync_iter = sync_per_worker.into_iter();
     let mut ep_iter = endpoints.into_iter();
@@ -615,7 +450,7 @@ fn run_segment(
                 sync,
                 ep,
                 data,
-                wopts.clone(),
+                opts.clone(),
                 seg,
             );
             handles.push((
@@ -631,10 +466,11 @@ fn run_segment(
 
     // Join everyone, then classify. A kill makes its peers fail too (send
     // errors, deadlined waits), so a detected death takes precedence over
-    // the secondary errors it causes; a timeout with *no* death anywhere is
-    // a lost message or deadlock and is fatal.
+    // the secondary errors it causes; a blocked wait with *no* death
+    // anywhere is a lost message or deadlock and is fatal — the receive that
+    // expired names it best, then an allreduce wait, then a failed send.
     let mut death: Option<(u32, u32, u32, Option<u64>)> = None;
-    let mut timeout: Option<(u32, TimeoutInfo)> = None;
+    let mut blocked: Option<(u32, WorkerError)> = None;
     let mut results = Vec::with_capacity(total_workers);
     for (g, lw, h) in handles {
         match h.join() {
@@ -650,7 +486,7 @@ fn run_segment(
             })) => {
                 // A reported kill beats a bare panic: it carries the fault
                 // timestamp for the detection-latency span.
-                if death.is_none() || death.is_some_and(|(.., at)| at.is_none()) {
+                if death.is_none_or(|(.., at)| at.is_none()) {
                     death = Some((group, worker, iteration, Some(at_ns)));
                 }
             }
@@ -660,22 +496,11 @@ fn run_segment(
                     WorkerError::AllReduceTimeout { .. } => 1,
                     _ => 2,
                 };
-                let (group, worker, iteration) = e.location();
-                let (op, waited) = match e {
-                    WorkerError::RecvTimeout { op, waited, .. } => (op, waited),
-                    WorkerError::AllReduceTimeout { stage, waited, .. } => {
-                        (format!("allreduce wait for stage {stage}"), waited)
-                    }
-                    WorkerError::PeerGone { to, .. } => {
-                        (format!("send to dead peer w{to}"), Duration::ZERO)
-                    }
-                    WorkerError::Killed { .. } => unreachable!("handled above"),
-                };
-                if timeout.as_ref().is_none_or(|&(r, _)| rank < r) {
-                    timeout = Some((rank, (group, worker, iteration, op, waited)));
+                if blocked.as_ref().is_none_or(|&(r, _)| rank < r) {
+                    blocked = Some((rank, e));
                 }
             }
-            Ok(Ok(res)) => results.push((g, lw, res)),
+            Ok(Ok(res)) => results.push((g, res)),
         }
     }
     if let Some((group, worker, iteration, at_ns)) = death {
@@ -686,51 +511,32 @@ fn run_segment(
             at_ns,
         });
     }
-    if let Some((_, (group, worker, iteration, op, waited))) = timeout {
-        return Err(SegmentFailure::Timeout {
-            group,
-            worker,
-            iteration,
-            op,
-            waited,
-        });
+    if let Some((_, e)) = blocked {
+        return Err(SegmentFailure::Fatal(e.into()));
     }
 
-    // Verify all 2f·W replica copies of each stage agree bit-for-bit, then
-    // deduplicate into the canonical per-stage state.
     let mut losses: Vec<(u64, f32)> = Vec::new();
-    let mut replica_stages: HashMap<u32, Vec<(Stage, Optimizer)>> = HashMap::new();
-    let mut mem_by_lw: Vec<(u32, MemReport)> = Vec::new();
-    for (g, lw, res) in results {
+    let mut copies: Vec<(u32, (Stage, Optimizer))> = Vec::new();
+    // Joined in spawn order, so group 0's reports arrive by local worker id.
+    let mut mem: Vec<MemReport> = Vec::new();
+    for (g, res) in results {
         losses.extend(res.losses);
         if g == 0 {
-            mem_by_lw.push((lw, res.mem));
+            mem.push(res.mem);
         }
-        for (_, s, stage, opt) in res.stages {
-            replica_stages.entry(s).or_default().push((stage, opt));
-        }
+        copies.extend(res.stages.into_iter().map(|(_, s, st, opt)| (s, (st, opt))));
     }
-    mem_by_lw.sort_unstable_by_key(|&(lw, _)| lw);
-    let mem: Vec<MemReport> = mem_by_lw.into_iter().map(|(_, m)| m).collect();
-    let mut stages = Vec::with_capacity(d as usize);
-    let mut optimizers = Vec::with_capacity(d as usize);
-    for s in 0..d {
-        let mut copies = replica_stages
-            .remove(&s)
-            .ok_or(SegmentFailure::Missing { stage: s })?;
-        let (canonical, opt) = copies.pop().expect("at least one replica");
-        let reference = canonical.params();
-        for (copy, _) in &copies {
-            if copy.params() != reference {
-                return Err(SegmentFailure::Divergence { stage: s });
-            }
-        }
-        stages.push(canonical);
-        optimizers.push(opt);
-    }
-    losses.sort_unstable_by_key(|&(g, _)| g);
-    Ok(SegmentOutcome {
+    let (iteration_losses, canonical) = assemble(
+        d,
+        sched.n as usize * w as usize,
         losses,
+        copies,
+        |(stage, _)| Cow::Owned(stage.params()),
+    )
+    .map_err(SegmentFailure::Fatal)?;
+    let (stages, optimizers) = canonical.into_iter().unzip();
+    Ok(SegmentOutcome {
+        iteration_losses,
         stages,
         optimizers,
         mem,

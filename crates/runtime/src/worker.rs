@@ -14,6 +14,13 @@
 //! peer, a worker returns a [`WorkerError`] naming the worker, iteration,
 //! and blocked op, and the supervisor in [`crate::runtime`] decides whether
 //! to recover.
+//!
+//! The worker is also where a [`FaultSpec`] is interpreted — all of it: the
+//! kill at an iteration's start, a lost or stalled boundary message in
+//! `send`. These are the faults *above* the session layer, which no
+//! transport can heal; both drivers run this worker, so they behave the
+//! same under either and over every backend. Faults beneath the session are
+//! the transport's (`chimera_comm::NetChaos`).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -27,7 +34,7 @@ use chimera_tensor::{kernels, pool, Tensor};
 use chimera_trace::{now_ns, Counter, Event, MetricsRegistry, SpanEvent, SpanKind, TraceSink};
 
 use crate::error::WorkerError;
-use crate::fault::{FaultSpec, RecoveryPolicy};
+use crate::fault::{FaultSpec, MsgFault, RecoveryPolicy};
 use crate::mem::{MemReport, MemTracker};
 
 /// Training hyper-parameters shared by every worker.
@@ -399,6 +406,13 @@ impl Worker {
                 first_iter_misses = misses();
             }
         }
+        // Published per worker, so a driver that gathers no `MemReport`s
+        // (one rank per process) can still state "the cold start allocated
+        // nothing".
+        let first_micro_misses = first_micro_misses.unwrap_or(0);
+        MetricsRegistry::global()
+            .counter("runtime.pool.first_micro_misses")
+            .add(first_micro_misses);
         Ok(WorkerResult {
             losses: self.losses,
             stages: self
@@ -409,7 +423,7 @@ impl Worker {
             mem: MemReport {
                 high_water_elems: self.mem.high_water(),
                 high_at_op: self.mem.high_at(),
-                first_micro_misses: first_micro_misses.unwrap_or(0),
+                first_micro_misses,
                 first_iter_misses,
                 steady_misses: misses() - first_iter_misses,
                 prewarmed,
@@ -676,9 +690,9 @@ impl Worker {
     /// Ship one pipeline boundary tensor to worker `to` in this group.
     ///
     /// p2p stays within the pipeline group (§3.3): transport ranks are
-    /// global worker ids `group · D + local id`. Fault injection (message
-    /// drop/delay) lives inside the transport, so it behaves identically
-    /// across backends.
+    /// global worker ids `group · D + local id`. An injected message fault
+    /// is interpreted here, above the session, so it behaves identically
+    /// over every backend and under either driver.
     fn send(
         &mut self,
         to: u32,
@@ -686,6 +700,9 @@ impl Worker {
         micro: u64,
         tensor: Tensor,
     ) -> Result<(), WorkerError> {
+        if self.lose_or_stall(key, micro) {
+            return Ok(());
+        }
         self.ep
             .send(
                 self.group * self.program.d + to,
@@ -698,6 +715,51 @@ impl Worker {
                 iteration: self.cur_iter,
                 to,
             })
+    }
+
+    /// Fire the injected message faults aimed at this boundary tensor, each
+    /// at most once per worker: `true` when the message is lost (the send
+    /// must not happen); a stall sleeps here and lets it through. Only
+    /// boundary tensors pass through [`Worker::send`], so collective and
+    /// control traffic is never matched.
+    fn lose_or_stall(&mut self, key: KeyTemplate, micro: u64) -> bool {
+        let (group, id) = (self.group, self.id.0);
+        let aimed = |m: &MsgFault| {
+            (m.group, m.from_worker, m.grad, m.micro) == (group, id, key.grad, micro)
+        };
+        let Some(fault) = self.opts.fault.as_mut() else {
+            return false;
+        };
+        let lost = fault.drop_msg.take_if(|m| aimed(m)).is_some();
+        let stall = if lost {
+            None
+        } else {
+            fault.delay_msg.take_if(|(m, _)| aimed(m))
+        };
+        let (verb, counter) = match (lost, stall) {
+            (true, _) => ("drop", "runtime.fault.dropped_msgs"),
+            (false, Some(_)) => ("delay", "runtime.fault.delayed_msgs"),
+            (false, None) => return false,
+        };
+        MetricsRegistry::global().counter(counter).inc();
+        let start = now_ns();
+        let end = stall.map_or(start, |(_, stall)| {
+            std::thread::sleep(stall);
+            now_ns()
+        });
+        if let Some(tr) = &self.tracer {
+            tr.span(
+                SpanKind::Fault,
+                format!("{verb} m{micro}@s{}", key.stage),
+                start,
+                end,
+                Some(key.stage),
+                Some(key.replica),
+                Some(micro),
+                None,
+            );
+        }
+        lost
     }
 
     fn recv(&mut self, key: KeyTemplate, micro: u64) -> Result<Tensor, WorkerError> {
@@ -734,5 +796,169 @@ impl Worker {
             );
         }
         Ok(tensor)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::setup::configure;
+    use chimera_collectives::TransportKeyed;
+    use chimera_comm::{LocalEndpoint, LocalFabric};
+    use chimera_core::chimera::{chimera, ChimeraConfig};
+    use chimera_nn::ModelConfig;
+    use std::time::Instant;
+
+    const ACT: KeyTemplate = KeyTemplate {
+        grad: false,
+        replica: 0,
+        stage: 0,
+    };
+    const GRAD: KeyTemplate = KeyTemplate {
+        grad: true,
+        replica: 1,
+        stage: 1,
+    };
+
+    /// Worker `g0-w0` of a Chimera D = 2 group on rank 0 of a two-rank
+    /// fabric with `fault` armed (its reducers rooted at rank 1, so its
+    /// deposits travel), plus rank 1's endpoint to observe what arrives.
+    fn worker0(fault: FaultSpec) -> (Worker, LocalEndpoint) {
+        let sched = chimera(&ChimeraConfig::new(2, 2)).unwrap();
+        let opts = TrainOptions {
+            fault: Some(fault),
+            ..TrainOptions::default()
+        };
+        let run = configure(&sched, ModelConfig::tiny(), &opts).expect("runs");
+        let program = run.programs[0].clone();
+        let mut eps = LocalFabric::new(2);
+        let peer = eps.pop().expect("rank 1");
+        let ep: Arc<dyn Transport> = Arc::new(eps.pop().expect("rank 0"));
+        let stages = (program.held.iter())
+            .map(|&(r, s)| {
+                let stage = run.stages[s as usize].clone();
+                let opt = Optimizer::new(opts.optimizer_kind(), stage.num_params());
+                (r, s, stage, opt)
+            })
+            .collect();
+        let sync = (program.reducer_stages.iter())
+            .map(|&s| {
+                let member = TransportKeyed::new(ep.clone(), s, vec![1, 0]);
+                (s, Box::new(member) as Box<dyn KeyedReduce>)
+            })
+            .collect();
+        let seg = SegmentSpec {
+            start_iter: 0,
+            iterations: 1,
+            micro_base: 0,
+        };
+        let data = SyntheticData::new(ModelConfig::tiny(), 1);
+        let plan = run.pool_plans[0].clone();
+        let worker = Worker::new(
+            WorkerId(0),
+            program,
+            plan,
+            0,
+            1,
+            stages,
+            sync,
+            ep,
+            data,
+            opts,
+            seg,
+        );
+        (worker, peer)
+    }
+
+    fn aimed(group: u32, from_worker: u32, key: KeyTemplate, micro: u64) -> MsgFault {
+        MsgFault {
+            group,
+            from_worker,
+            grad: key.grad,
+            micro,
+        }
+    }
+
+    /// Send one boundary tensor to rank 1 and say whether it arrived.
+    fn arrives(w: &mut Worker, peer: &LocalEndpoint, key: KeyTemplate, micro: u64) -> bool {
+        w.send(1, key, micro, Tensor::zeros(1, 1))
+            .expect("peer alive");
+        peer.try_recv(&msg_key(key, micro)).is_some()
+    }
+
+    #[test]
+    fn drop_is_one_shot_and_direction_selective() {
+        let (mut w, peer) = worker0(FaultSpec {
+            drop_msg: Some(aimed(0, 0, ACT, 3)),
+            ..FaultSpec::default()
+        });
+        assert!(arrives(&mut w, &peer, ACT, 2), "wrong micro passes");
+        assert!(arrives(&mut w, &peer, GRAD, 3), "wrong direction passes");
+        assert!(!arrives(&mut w, &peer, ACT, 3), "target is dropped");
+        assert!(
+            arrives(&mut w, &peer, ACT, 3),
+            "second matching send passes"
+        );
+    }
+
+    #[test]
+    fn a_fault_aimed_at_another_sender_never_fires() {
+        for (group, from) in [(1, 0), (0, 1)] {
+            let (mut w, peer) = worker0(FaultSpec {
+                drop_msg: Some(aimed(group, from, ACT, 3)),
+                ..FaultSpec::default()
+            });
+            assert!(
+                arrives(&mut w, &peer, ACT, 3),
+                "g{group}-w{from} is not g0-w0"
+            );
+        }
+    }
+
+    #[test]
+    fn delay_sleeps_then_delivers_once() {
+        let (mut w, peer) = worker0(FaultSpec {
+            delay_msg: Some((aimed(0, 0, GRAD, 1), Duration::from_millis(25))),
+            ..FaultSpec::default()
+        });
+        let t0 = Instant::now();
+        assert!(
+            arrives(&mut w, &peer, GRAD, 1),
+            "delayed message still delivers"
+        );
+        assert!(t0.elapsed() >= Duration::from_millis(25));
+        let t1 = Instant::now();
+        assert!(arrives(&mut w, &peer, GRAD, 1));
+        assert!(
+            t1.elapsed() < Duration::from_millis(20),
+            "delay is one-shot"
+        );
+    }
+
+    /// Gradient deposits and control messages leave through the worker's
+    /// endpoint without passing `Worker::send`: a fault on micro 0 neither
+    /// touches them nor is used up by them.
+    #[test]
+    fn collective_and_control_traffic_is_never_matched() {
+        let (mut w, peer) = worker0(FaultSpec {
+            drop_msg: Some(aimed(0, 0, ACT, 0)),
+            ..FaultSpec::default()
+        });
+        let stage = w.program.reducer_stages[0];
+        w.reducers[0].deposit(vec![(0, vec![1.0])]);
+        let coll = MsgKey::Coll {
+            tag: stage,
+            round: 0,
+            from: 0,
+        };
+        assert!(
+            peer.try_recv(&coll).is_some(),
+            "deposit of micro 0, round 0"
+        );
+        let ctrl = MsgKey::Ctrl { tag: 0, from: 0 };
+        w.ep.send(1, ctrl, Payload::Flat(vec![0.0]))
+            .expect("peer alive");
+        assert!(peer.try_recv(&ctrl).is_some());
+        assert!(!arrives(&mut w, &peer, ACT, 0), "the fault is still armed");
     }
 }

@@ -7,7 +7,6 @@ use chimera_trace::Event;
 
 use crate::cost::SimCostModel;
 use crate::fault::{RecoveryAccounting, RecoveryModel};
-use crate::memory;
 
 /// Result of simulating one schedule under a cost model.
 #[derive(Debug, Clone)]
@@ -22,10 +21,6 @@ pub struct SimReport {
     pub busy_s: Vec<f64>,
     /// Peak activation bytes per worker.
     pub peak_act_bytes: Vec<u64>,
-    /// Static weight bytes per worker (params × versions + grad/opt state).
-    pub weight_bytes: Vec<u64>,
-    /// Peak total memory per worker.
-    pub peak_mem_bytes: Vec<u64>,
     /// The executed timeline (tick = 1 ns).
     pub timeline: Timeline,
     /// Fault and recovery accounting, populated by
@@ -35,13 +30,8 @@ pub struct SimReport {
 
 impl SimReport {
     /// The fault-free report of an executed `timeline` (tick = 1 ns) covering
-    /// `iterations` iterations; byte accounting is `cost`'s.
-    pub(crate) fn from_timeline(
-        sched: &Schedule,
-        cost: &SimCostModel,
-        timeline: Timeline,
-        iterations: u32,
-    ) -> Self {
+    /// `iterations` iterations.
+    pub(crate) fn from_timeline(timeline: Timeline, iterations: u32) -> Self {
         let span_s = SimCostModel::seconds(timeline.makespan);
         SimReport {
             span_s,
@@ -57,8 +47,6 @@ impl SimReport {
                 .iter()
                 .map(|&a| a.round() as u64)
                 .collect(),
-            weight_bytes: memory::weights_bytes(sched, cost),
-            peak_mem_bytes: memory::peak_memory_bytes(sched, cost, &timeline),
             timeline,
             recovery: None,
         }
@@ -69,16 +57,6 @@ impl SimReport {
     /// data-parallel groups).
     pub fn throughput(&self, b_hat: u64) -> f64 {
         b_hat as f64 / self.iter_time_s
-    }
-
-    /// Largest per-worker peak memory.
-    pub fn max_peak_mem(&self) -> u64 {
-        self.peak_mem_bytes.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Whether the configuration fits in `capacity_bytes` per device.
-    pub fn fits(&self, capacity_bytes: u64) -> bool {
-        memory::fits(&self.peak_mem_bytes, capacity_bytes)
     }
 
     /// The executed timeline as trace events: one track per worker, one span
@@ -195,14 +173,12 @@ impl serde::Serialize for Breakdown {
 impl serde::Serialize for SimReport {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::ser::SerializeStruct;
-        let mut st = serializer.serialize_struct("SimReport", 8)?;
+        let mut st = serializer.serialize_struct("SimReport", 6)?;
         st.serialize_field("span_s", &self.span_s)?;
         st.serialize_field("iter_time_s", &self.iter_time_s)?;
         st.serialize_field("bubble_ratio", &self.bubble_ratio)?;
         st.serialize_field("busy_s", &self.busy_s)?;
         st.serialize_field("peak_act_bytes", &self.peak_act_bytes)?;
-        st.serialize_field("weight_bytes", &self.weight_bytes)?;
-        st.serialize_field("peak_mem_bytes", &self.peak_mem_bytes)?;
         st.serialize_field("recovery", &self.recovery)?;
         st.end()
     }
@@ -228,7 +204,7 @@ pub fn simulate_span(
 ) -> Result<SimReport, ExecError> {
     validate_span(sched, iterations)?;
     let timeline = execute_with(sched, cost)?;
-    Ok(SimReport::from_timeline(sched, cost, timeline, iterations))
+    Ok(SimReport::from_timeline(timeline, iterations))
 }
 
 #[cfg(test)]
@@ -348,15 +324,12 @@ mod tests {
     }
 
     #[test]
-    fn throughput_and_fit_helpers() {
+    fn throughput_helper() {
         let d = 4;
         let c = cost(d);
         let rep = simulate(&dapple(d, 4), &c).unwrap();
         let thr = rep.throughput(512);
         assert!((thr - 512.0 / rep.iter_time_s).abs() < 1e-9);
-        assert!(rep.fits(u64::MAX));
-        assert!(!rep.fits(1));
-        assert!(rep.max_peak_mem() > 0);
     }
 
     /// The bare-assert panic path is gone: bad spans are descriptive errors.

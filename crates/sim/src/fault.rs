@@ -478,7 +478,7 @@ pub fn simulate_faulty(
     validate_span(sched, 1)?;
     let perturbed = PerturbedCost::new(cost, plan, &sched.placement);
     let timeline = execute_with(sched, &perturbed)?;
-    let mut rep = SimReport::from_timeline(sched, cost, timeline, 1);
+    let mut rep = SimReport::from_timeline(timeline, 1);
 
     let iter_ns = rep.timeline.makespan.max(1);
     let healthy_ns = iter_ns * run_iterations as u64;

@@ -1,11 +1,10 @@
-//! Per-worker memory accounting (§4.1, Fig. 9).
-//!
-//! Peak memory = static weights (parameters × stashed versions + gradient and
-//! optimizer buffers, for every stage replica the worker holds) + the peak of
-//! dynamically stashed activations measured by the executor.
+//! The weight term of the coarse Table-2 memory bound (§4.1, Fig. 9):
+//! parameters × stashed versions + gradient and optimizer buffers, for every
+//! stage replica a worker holds. `chimera_verify::memory_v2` adds the
+//! activation peak to it (`coarse_bound_bytes`) beside the exact peak, and is
+//! the one answer to "does it fit".
 
 use chimera_core::schedule::{Schedule, Scheme};
-use chimera_core::unit_time::Timeline;
 use chimera_core::WorkerId;
 
 use crate::cost::SimCostModel;
@@ -39,20 +38,6 @@ pub fn weights_bytes(sched: &Schedule, cost: &SimCostModel) -> Vec<u64> {
         .collect()
 }
 
-/// Peak memory per worker: weights + measured activation peak.
-pub fn peak_memory_bytes(sched: &Schedule, cost: &SimCostModel, timeline: &Timeline) -> Vec<u64> {
-    weights_bytes(sched, cost)
-        .into_iter()
-        .zip(&timeline.peak_activations)
-        .map(|(w, &a)| w + a.round() as u64)
-        .collect()
-}
-
-/// Whether every worker fits in `capacity_bytes` of device memory.
-pub fn fits(peaks: &[u64], capacity_bytes: u64) -> bool {
-    peaks.iter().all(|&p| p <= capacity_bytes)
-}
-
 /// Memory imbalance: `(max - min) / max` across workers; Chimera's schedule
 /// yields a markedly lower value than DAPPLE/PipeDream-2BW (Fig. 9).
 pub fn imbalance(peaks: &[u64]) -> f64 {
@@ -73,7 +58,6 @@ mod tests {
     use crate::network::{NetworkModel, Topology};
     use chimera_core::baselines::{dapple, pipedream, pipedream_2bw};
     use chimera_core::chimera::{chimera, ChimeraConfig};
-    use chimera_core::unit_time::execute_with;
 
     fn cost(d: u32) -> SimCostModel {
         SimCostModel {
@@ -136,30 +120,6 @@ mod tests {
         let d = 4;
         let w = weights_bytes(&pipedream_2bw(d, 8), &cost(d));
         assert!(w.iter().all(|&b| b == 2 * (100 << 20) + (200 << 20)));
-    }
-
-    #[test]
-    fn chimera_more_balanced_than_dapple() {
-        let d = 8;
-        let c = cost(d);
-        let chim = chimera(&ChimeraConfig::new(d, d)).unwrap();
-        let dap = dapple(d, d);
-        let tl_c = execute_with(&chim, &c).unwrap();
-        let tl_d = execute_with(&dap, &c).unwrap();
-        let peaks_c = peak_memory_bytes(&chim, &c, &tl_c);
-        let peaks_d = peak_memory_bytes(&dap, &c, &tl_d);
-        assert!(
-            imbalance(&peaks_c) < imbalance(&peaks_d),
-            "chimera {:?} vs dapple {:?}",
-            peaks_c,
-            peaks_d
-        );
-    }
-
-    #[test]
-    fn fits_checks_capacity() {
-        assert!(fits(&[10, 20], 20));
-        assert!(!fits(&[10, 21], 20));
     }
 
     #[test]

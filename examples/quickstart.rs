@@ -15,6 +15,7 @@ use chimera::nn::{ModelConfig, ReferenceTrainer, Stage, SyntheticData};
 use chimera::perf::{ClusterSpec, ModelSpec, TrainConfig};
 use chimera::runtime::{train, TrainOptions};
 use chimera::sim::simulate;
+use chimera::verify::memory_v2;
 
 fn main() {
     // ------------------------------------------------------------------
@@ -57,7 +58,7 @@ fn main() {
         "Simulated on 32 P100 nodes (W=8, B=8): {:.3} s/iteration, {:.0} samples/s, peak {:.1} GiB",
         report.iter_time_s,
         report.throughput(8 * 8 * 4),
-        report.max_peak_mem() as f64 / (1u64 << 30) as f64
+        memory_v2(&synced, &cost).max_exact_peak() as f64 / (1u64 << 30) as f64
     );
 
     // ------------------------------------------------------------------

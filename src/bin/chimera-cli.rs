@@ -78,7 +78,8 @@ use chimera::obs::{
 use chimera::perf::planner::{best, plan_chimera, PlanScheme};
 use chimera::perf::{ClusterSpec, ModelSpec, TrainConfig};
 use chimera::runtime::{
-    train, train_hybrid, train_worker_process_recoverable, FaultSpec, RecoverySpec, TrainOptions,
+    train, train_hybrid, train_worker_process_recoverable, DistOutcome, FaultSpec, RecoverySpec,
+    TrainOptions,
 };
 use chimera::serve::{
     load_measured_floor, HttpServer, PlanClient, PlanEngine, PlanQuery, PlanServer, QueryLimits,
@@ -86,11 +87,11 @@ use chimera::serve::{
 };
 use chimera::sim::simulate;
 use chimera::trace::{now_ns, read_jsonl, write_jsonl, BufferSink, MetricsRegistry};
-use chimera::verify::{verify_span, verify_with_memory, VerifyReport};
+use chimera::verify::{memory_v2, verify_span, verify_with_memory, VerifyReport};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  chimera-cli render  <scheme> [D] [N]\n  chimera-cli plan    <bert48|gpt2> [P] [B_hat] [--json]\n  chimera-cli serve   [--addr a] [--http-addr a] [--workers n] [--queue-cap n]\n                      [--cache-cap n] [--no-floor]\n  chimera-cli query   [--addr a] [--model m --devices P] [--b-hat n] [--topology t]\n                      [--congestion-pct c] [--mem-budget-bytes b] [--schemes s,s]\n                      [--deadline-ms ms] [--stats] [--ping]\n  chimera-cli simulate <scheme> <bert48|gpt2> <P> <D> <B> <B_hat>\n  chimera-cli train   [D] [N] [iters] [--trace file.jsonl]\n  chimera-cli launch  --workers P [--transport tcp|local] [--d D] [--n N] [--iters I]\n                      [--trace dir] [--metrics-every ms] [--metrics-out file] [--metrics-port p]\n                      [--ckpt-dir dir] [--ckpt-every k] [--max-respawns r] [--stats-dir dir]\n                      [--kill-rank R --kill-iter I]\n                      [--chaos-seed s] [--chaos-flaky p] [--chaos-dup p] [--chaos-reorder p]\n                      [--chaos-partition start:len] [--chaos-break frame]\n  chimera-cli verify  [scheme [D] [N]] [--liveness] [--json]\n  chimera-cli profile <trace.jsonl>... [--sim scheme D N] [--calibration kernels.json] [--json]\n  chimera-cli overhead-check [D] [N] [iters] [--repeats R]\n\nschemes: chimera | chimera-f2 | doubling | halving | dapple | gpipe | gems |\n         pipedream | pipedream-2bw"
+        "usage:\n  chimera-cli render  <scheme> [D] [N]\n  chimera-cli plan    <bert48|gpt2> [P] [B_hat] [--json]\n  chimera-cli serve   [--addr a] [--http-addr a] [--workers n] [--queue-cap n]\n                      [--cache-cap n] [--no-floor]\n  chimera-cli query   [--addr a] [--model m --devices P] [--b-hat n] [--topology t]\n                      [--congestion-pct c] [--mem-budget-bytes b] [--schemes s,s]\n                      [--deadline-ms ms] [--stats] [--ping]\n  chimera-cli simulate <scheme> <bert48|gpt2> <P> <D> <B> <B_hat>\n  chimera-cli train   [D] [N] [iters] [--trace file.jsonl]\n  chimera-cli launch  --workers P [--transport tcp|local] [--d D] [--n N] [--iters I]\n                      [--trace dir] [--metrics-every ms] [--metrics-out file] [--metrics-port p]\n                      [--ckpt-dir dir] [--ckpt-every k] [--max-respawns r] [--stats-dir dir]\n                      [--kill-rank R --kill-iter I]\n                      [--chaos-seed s] [--chaos-flaky p] [--chaos-dup p] [--chaos-reorder p]\n                      [--chaos-partition start:len] [--chaos-break frame]\n  chimera-cli verify  [scheme [D] [N]] [--liveness] [--json]\n  chimera-cli profile <trace.jsonl>... [--sim scheme D N] [--calibration BENCH_kernels.json] [--json]\n  chimera-cli overhead-check [D] [N] [iters] [--repeats R]\n\nschemes: chimera | chimera-f2 | doubling | halving | dapple | gpipe | gems |\n         pipedream | pipedream-2bw"
     );
     std::process::exit(2);
 }
@@ -361,14 +362,15 @@ fn cmd_simulate(mut args: std::env::Args) {
     }
     .cost_model();
     let rep = simulate(&sched, &cost).expect("simulates");
+    let mem = memory_v2(&sched, &cost);
     println!(
         "{scheme} {} P={p} (W={w} D={d} B={b} N={n}):\n  iteration {:.4}s | {:.1} samples/s | bubble {:.3} | peak {:.2} GiB{}",
         model.name,
         rep.iter_time_s,
         rep.throughput(b_hat),
         rep.bubble_ratio,
-        rep.max_peak_mem() as f64 / (1u64 << 30) as f64,
-        if rep.fits(cluster.usable_mem()) { "" } else { "  [OOM]" }
+        mem.max_exact_peak() as f64 / (1u64 << 30) as f64,
+        if mem.fits(cluster.usable_mem()) { "" } else { "  [OOM]" }
     );
 }
 
@@ -624,24 +626,6 @@ fn launch_model(d: u32) -> ModelConfig {
     }
 }
 
-fn write_f32s(out: &mut Vec<u8>, vals: &[f32]) {
-    out.extend_from_slice(&(vals.len() as u32).to_le_bytes());
-    for v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-fn read_f32s(bytes: &[u8], pos: &mut usize) -> Vec<f32> {
-    let n = u32::from_le_bytes(bytes[*pos..*pos + 4].try_into().unwrap()) as usize;
-    *pos += 4;
-    let vals = bytes[*pos..*pos + n * 4]
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    *pos += n * 4;
-    vals
-}
-
 /// Spawn `P` worker processes over TCP, then verify the distributed result
 /// is bit-identical to the in-process run of the same configuration.
 fn cmd_launch(args: std::env::Args) {
@@ -853,8 +837,14 @@ fn cmd_launch(args: std::env::Args) {
                 }
             }
 
-            let bytes = std::fs::read(&out_path).expect("rank 0 result file");
+            let outcome = std::fs::read(&out_path)
+                .map_err(|e| e.to_string())
+                .and_then(|bytes| DistOutcome::decode(&bytes).map_err(|e| e.to_string()));
             let _ = std::fs::remove_file(&out_path);
+            let outcome = outcome.unwrap_or_else(|e| {
+                eprintln!("✗ rank 0 result file {}: {e}", out_path.display());
+                std::process::exit(1);
+            });
             if let Some(dir) = &trace_dir {
                 println!("trace: per-rank files in {dir}/trace-rank*.jsonl (shared time axis)");
             }
@@ -898,10 +888,7 @@ fn cmd_launch(args: std::env::Args) {
                 let _ = std::fs::remove_dir_all(&stats_dir);
             }
 
-            let mut pos = 0;
-            let losses = read_f32s(&bytes, &mut pos);
-            let params = read_f32s(&bytes, &mut pos);
-            (losses, params)
+            (outcome.iteration_losses, outcome.flat_params)
         }
         other => {
             eprintln!("unknown transport {other:?} (use tcp or local)");
@@ -1069,10 +1056,7 @@ fn cmd_worker(args: std::env::Args) {
     {
         Ok(Some(outcome)) => {
             if let Some(path) = flags.get("out") {
-                let mut bytes = Vec::new();
-                write_f32s(&mut bytes, &outcome.iteration_losses);
-                write_f32s(&mut bytes, &outcome.flat_params);
-                std::fs::write(path, bytes).expect("write result file");
+                std::fs::write(path, outcome.encode()).expect("write result file");
             }
         }
         Ok(None) => {}
@@ -1133,7 +1117,7 @@ fn cmd_worker(args: std::env::Args) {
 }
 
 /// Read `calibration.bwd_over_fwd` from a `fig_kernels` results artifact
-/// (`results/kernels.json` schema) and build the matching unit costs.
+/// (`BENCH_kernels.json`) and build the matching unit costs.
 fn load_calibrated_costs(path: &str) -> Result<UnitCosts, String> {
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     let doc: serde_json::Value = serde_json::from_str(&text).map_err(|e| e.to_string())?;
@@ -1190,7 +1174,7 @@ fn cmd_profile(args: std::env::Args) {
             }
         }
     }
-    // A kernel-bench artifact (results/kernels.json) carries the measured
+    // A kernel-bench artifact (BENCH_kernels.json) carries the measured
     // bwd/fwd ratio of the packed kernels; drifting against calibrated
     // costs asks "does the pipeline behave as *this machine's* kernels
     // predict" instead of assuming the textbook 2x backward.

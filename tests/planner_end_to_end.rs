@@ -118,9 +118,9 @@ fn model_selection_near_optimal() {
 fn memory_balance_claim() {
     use chimera::core::baselines::dapple;
     use chimera::core::chimera::{chimera, ChimeraConfig};
-    use chimera::core::unit_time::execute_with;
     use chimera::perf::TrainConfig;
     use chimera::sim::memory;
+    use chimera::verify::memory_v2;
 
     let cfg = |replicas| TrainConfig {
         model: ModelSpec::gpt2(),
@@ -134,8 +134,15 @@ fn memory_balance_claim() {
     let dap = dapple(8, 16);
     let cost_c = cfg(2).cost_model();
     let cost_d = cfg(1).cost_model();
-    let peaks_c = memory::peak_memory_bytes(&chim, &cost_c, &execute_with(&chim, &cost_c).unwrap());
-    let peaks_d = memory::peak_memory_bytes(&dap, &cost_d, &execute_with(&dap, &cost_d).unwrap());
+    let peaks = |sched, cost| -> Vec<u64> {
+        let workers = memory_v2(sched, cost).workers;
+        assert!(workers
+            .iter()
+            .all(|w| w.coarse_bound_bytes >= w.exact_peak_bytes));
+        workers.iter().map(|w| w.coarse_bound_bytes).collect()
+    };
+    let peaks_c = peaks(&chim, &cost_c);
+    let peaks_d = peaks(&dap, &cost_d);
     assert!(memory::imbalance(&peaks_c) < 0.5 * memory::imbalance(&peaks_d));
     let max_c = *peaks_c.iter().max().unwrap() as f64;
     let max_d = *peaks_d.iter().max().unwrap() as f64;
@@ -143,4 +150,63 @@ fn memory_balance_claim() {
         max_c < 1.25 * max_d,
         "chimera peak {max_c} vs dapple {max_d}"
     );
+}
+
+/// One answer to "does it fit": the peak `chimera-cli simulate` prints is the
+/// exact walk's (`memory_v2`), not a second model beside it — checked on the
+/// asynchronous schemes, where the coarse Table-2 bound it used to print can
+/// sit above the exact peak. For PipeDream that is `Candidate::peak_mem`,
+/// what `chimera-cli plan` and serve report for the same `(W, D, B)`; the
+/// planner's PipeDream-2BW candidate recomputes by default (a different
+/// schedule, a smaller peak), so there the reference is the exact peak of
+/// the schedule `simulate` names.
+#[test]
+fn simulate_prints_the_exact_peak() {
+    use chimera::core::build_named;
+    use chimera::perf::planner::evaluate;
+    use chimera::perf::TrainConfig;
+    use chimera::verify::memory_v2;
+
+    let (model, cluster) = (ModelSpec::bert48(), ClusterSpec::piz_daint());
+    let (p, b_hat, w, d, b) = (32u32, 512u64, 4u32, 8u32, 8u32);
+    let printed = |name: &str| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_chimera-cli"))
+            .args(["simulate", name, "bert48"])
+            .args([p, d, b].map(|v| v.to_string()))
+            .arg(b_hat.to_string())
+            .output()
+            .expect("chimera-cli runs");
+        String::from_utf8(out.stdout).expect("utf-8")
+    };
+    let peak = |bytes: u64| format!("peak {:.2} GiB", bytes as f64 / (1u64 << 30) as f64);
+
+    let cand = evaluate(PlanScheme::PipeDream, model, cluster, p, b_hat, w, d, b).unwrap();
+    let out = printed("pipedream");
+    assert!(out.contains(&peak(cand.peak_mem)), "{out}");
+
+    let cand = evaluate(PlanScheme::PipeDream2Bw, model, cluster, p, b_hat, w, d, b).unwrap();
+    assert!(cand.recompute);
+    let sched = build_named("pipedream-2bw", d, (b_hat / (w * b) as u64) as u32).unwrap();
+    let cost = TrainConfig {
+        model,
+        cluster,
+        d,
+        w,
+        b,
+        stage_replicas: sched.placement.replicas(),
+    }
+    .cost_model();
+    let mem = memory_v2(&sched, &cost);
+    let coarse = mem
+        .workers
+        .iter()
+        .map(|w| w.coarse_bound_bytes)
+        .max()
+        .unwrap();
+    assert!(
+        peak(coarse) != peak(mem.max_exact_peak()),
+        "2BW carries slack"
+    );
+    let out = printed("pipedream-2bw");
+    assert!(out.contains(&peak(mem.max_exact_peak())), "{out}");
 }

@@ -11,13 +11,14 @@ use chimera::core::unit_time::UnitCosts;
 use chimera::perf::planner::{depth_candidates, evaluate, sweep, PlanScheme};
 use chimera::perf::{ClusterSpec, ModelSpec, TrainConfig};
 use chimera::sim::simulate;
+use chimera::verify::memory_v2;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Simulated iteration time is at least the busiest worker's compute
-    /// time; the bubble ratio lies in [0, 1); peak memory at least covers
-    /// the static weights.
+    /// time; the bubble ratio lies in [0, 1); the coarse memory bound is an
+    /// upper bound on the exact peak on every worker.
     #[test]
     fn simulation_physical_sanity(
         dh in 1u32..5,
@@ -47,8 +48,8 @@ proptest! {
         let max_busy = rep.busy_s.iter().copied().fold(0.0, f64::max);
         prop_assert!(rep.iter_time_s >= max_busy - 1e-9);
         prop_assert!((0.0..1.0).contains(&rep.bubble_ratio));
-        for (peak, weights) in rep.peak_mem_bytes.iter().zip(&rep.weight_bytes) {
-            prop_assert!(peak >= weights);
+        for wm in &memory_v2(&sched, &cost).workers {
+            prop_assert!(wm.coarse_bound_bytes >= wm.exact_peak_bytes);
         }
         prop_assert!(rep.throughput((n as u64) * (b as u64) * (w as u64)) > 0.0);
     }
@@ -95,9 +96,8 @@ proptest! {
             stage_replicas: 1,
         }
         .cost_model();
-        let g = simulate(&gpipe(d, n), &cost).unwrap();
-        let a = simulate(&dapple(d, n), &cost).unwrap();
-        prop_assert!(g.max_peak_mem() >= a.max_peak_mem());
+        let peak = |sched| memory_v2(&sched, &cost).max_exact_peak();
+        prop_assert!(peak(gpipe(d, n)) >= peak(dapple(d, n)));
     }
 }
 
