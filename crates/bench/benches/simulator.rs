@@ -15,7 +15,7 @@ use chimera_perf::{
     evaluate_with, ClusterSpec, ModelSpec, PlanScheme, StructureTable, TrainConfig,
 };
 use chimera_sim::{simulate, simulate_span};
-use chimera_verify::liveness::{analyze, SimSizes};
+use chimera_verify::liveness::analyze;
 use chimera_verify::{comm_lint, verify_span, verify_with_memory};
 
 fn bench_simulate(c: &mut Criterion) {
@@ -110,7 +110,7 @@ fn bench_planning_passes(c: &mut Criterion) {
                 b.iter(|| lower(black_box(s), iters));
             });
             g.bench_with_input(id("liveness"), &sched, |b, s| {
-                b.iter(|| analyze(black_box(s), &SimSizes(&cost)));
+                b.iter(|| analyze(black_box(s), &cost));
             });
             g.bench_with_input(id("verify_with_memory"), &sched, |b, s| {
                 b.iter(|| verify_with_memory(black_box(s), iters, &cost, u64::MAX));

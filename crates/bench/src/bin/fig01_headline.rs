@@ -91,12 +91,15 @@ fn main() {
     if let Some(path) = json_path {
         let report_json = serde_json::to_value(&report).expect("report serializes");
         let breakdown = serde_json::to_value(report.breakdown()).expect("breakdown serializes");
+        let memory = serde_json::to_value(chimera_verify::memory_v2(&sched, &cost))
+            .expect("memory serializes");
         let doc = serde_json::json!({
             "figure": "fig01_headline",
             "candidates": json,
             "chimera_label": label,
             "chimera_report": report_json,
             "chimera_breakdown": breakdown,
+            "chimera_memory": memory,
         });
         std::fs::write(
             &path,

@@ -54,7 +54,7 @@ fn main() {
         );
         let tl = execute(&sched, UnitCosts::practical()).unwrap();
         let measured_bubble = tl.bubble_ratio();
-        let acts = &tl.peak_activations;
+        let acts = &verdict.peak_activation_units;
         let act_min = acts.iter().copied().fold(f64::INFINITY, f64::min);
         let act_max = acts.iter().copied().fold(0.0f64, f64::max);
         rows.push(vec![

@@ -23,7 +23,7 @@ fn main() {
         })
         .unwrap();
         let tl = execute(&sched, UnitCosts::equal()).unwrap();
-        let acts = &tl.peak_activations;
+        let acts = &chimera_verify::verify_span(&sched, 1).peak_activation_units;
         let act_min = acts.iter().copied().fold(f64::INFINITY, f64::min);
         let act_max = acts.iter().copied().fold(0.0f64, f64::max);
         // Weights replicas held per worker.

@@ -211,6 +211,7 @@ pub fn pipedream_2bw_steady(d: u32, n: u32, iters: u32) -> Schedule {
 mod tests {
     use super::*;
     use crate::op::OpKind;
+    use crate::program::lower;
     use crate::unit_time::{execute, UnitCosts};
 
     #[test]
@@ -227,7 +228,7 @@ mod tests {
                 expected
             );
             // Activations proportional to N on the first worker.
-            assert_eq!(tl.peak_activations[0], n as f64);
+            assert_eq!(lower(&s, 1).programs[0].stash_slots, n as usize);
         }
     }
 
@@ -238,14 +239,12 @@ mod tests {
             let a = execute(&dapple(d, n), UnitCosts::practical()).unwrap();
             assert_eq!(g.makespan, a.makespan, "same bubble overhead");
             // DAPPLE stashes at most min(D - s, n) micros (Table 2: [Ma, D*Ma]).
-            for (s, peak) in a.peak_activations.iter().enumerate() {
-                let bound = (d - s as u32).min(n) as f64;
-                assert!(
-                    (*peak - bound).abs() < 1e-9,
-                    "stage {s}: peak {peak} != {bound}"
-                );
+            let programs = lower(&dapple(d, n), 1).programs;
+            for (s, p) in programs.iter().enumerate() {
+                let bound = (d - s as u32).min(n) as usize;
+                assert_eq!(p.stash_slots, bound, "stage {s}");
             }
-            assert_eq!(*a.peak_activations.last().unwrap(), 1.0);
+            assert_eq!(programs.last().unwrap().stash_slots, 1);
         }
     }
 
@@ -282,11 +281,9 @@ mod tests {
 
     #[test]
     fn gems_low_activation_memory() {
-        let s = gems(8, 8);
-        let tl = execute(&s, UnitCosts::practical()).unwrap();
         // At most the two active micro-batches are stashed anywhere.
-        for peak in &tl.peak_activations {
-            assert!(*peak <= 2.0 + 1e-9);
+        for p in lower(&gems(8, 8), 1).programs {
+            assert!(p.stash_slots <= 2);
         }
     }
 

@@ -3,7 +3,7 @@
 //! surface accepts the same scheme strings.
 
 use crate::baselines::{dapple, gems, gpipe, pipedream_2bw_steady, pipedream_steady};
-use crate::chimera::{chimera, ChimeraConfig, ScaleMethod};
+use crate::chimera::{chimera, ChimeraConfig, GenError, ScaleMethod};
 use crate::schedule::Schedule;
 
 /// Every scheme name [`build_named`] accepts, in presentation order.
@@ -21,41 +21,37 @@ pub const NAMED_SCHEMES: [&str; 9] = [
 
 /// Build the schedule for scheme `name` at depth `d` with `n` micro-batches.
 ///
-/// Returns `None` for an unknown name. Panics if the configuration is
-/// invalid for the scheme (e.g. odd `d` for Chimera) — name-driven callers
-/// are CLI-adjacent and want the generator's own error message. The
-/// steady-state PipeDream schedules cover two iterations back to back, as
-/// everywhere else in the workspace.
-pub fn build_named(name: &str, d: u32, n: u32) -> Option<Schedule> {
-    Some(match name {
-        "chimera" => chimera(&ChimeraConfig::new(d, n)).expect("valid config"),
-        "chimera-f2" => chimera(&ChimeraConfig {
-            d,
-            n,
-            f: 2,
-            scale: ScaleMethod::Direct,
-        })
-        .expect("valid config"),
-        "doubling" => chimera(&ChimeraConfig {
-            d,
-            n,
-            f: 1,
-            scale: ScaleMethod::ForwardDoubling { recompute: true },
-        })
-        .expect("valid config"),
-        "halving" => chimera(&ChimeraConfig {
-            d,
-            n,
-            f: 1,
-            scale: ScaleMethod::BackwardHalving,
-        })
-        .expect("valid config"),
+/// Refuses, naming the violated constraint, an unknown name and every shape
+/// the scheme's generator rejects (zero `d` or `n`, odd `d` for the
+/// bidirectional schemes, `f ∤ D/2`, odd `n` for GEMS): the arguments come
+/// from a command line. The steady-state PipeDream schedules cover two
+/// iterations back to back, as everywhere else in the workspace.
+pub fn build_named(name: &str, d: u32, n: u32) -> Result<Schedule, GenError> {
+    let refuse = |why: String| Err(GenError::InvalidConfig(why));
+    if !NAMED_SCHEMES.contains(&name) {
+        let known = NAMED_SCHEMES.join(" | ");
+        return refuse(format!("unknown scheme {name:?}, expected {known}"));
+    }
+    if d == 0 || n == 0 {
+        return refuse(format!("D and N must be >= 1, got D={d} N={n}"));
+    }
+    let chimera_with = |f, scale| chimera(&ChimeraConfig { d, n, f, scale });
+    Ok(match name {
+        "chimera" => chimera_with(1, ScaleMethod::Direct)?,
+        "chimera-f2" => chimera_with(2, ScaleMethod::Direct)?,
+        "doubling" => chimera_with(1, ScaleMethod::ForwardDoubling { recompute: true })?,
+        "halving" => chimera_with(1, ScaleMethod::BackwardHalving)?,
         "dapple" => dapple(d, n),
         "gpipe" => gpipe(d, n),
+        "gems" if !d.is_multiple_of(2) || !n.is_multiple_of(2) => {
+            return refuse(format!(
+                "GEMS pairs micro-batches over a reversed replica: D and N must be even, \
+                 got D={d} N={n}"
+            ));
+        }
         "gems" => gems(d, n),
         "pipedream" => pipedream_steady(d, n, 2),
-        "pipedream-2bw" => pipedream_2bw_steady(d, n, 2),
-        _ => return None,
+        _ => pipedream_2bw_steady(d, n, 2),
     })
 }
 
@@ -67,10 +63,23 @@ mod tests {
     #[test]
     fn every_registered_name_builds_and_executes() {
         for name in NAMED_SCHEMES {
-            let sched = build_named(name, 4, 4).unwrap_or_else(|| panic!("{name} builds"));
+            let sched = build_named(name, 4, 4).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert!(sched.num_workers() > 0, "{name}");
             execute(&sched, UnitCosts::practical()).unwrap_or_else(|e| panic!("{name}: {e:?}"));
         }
-        assert!(build_named("nonsense", 4, 4).is_none());
+    }
+
+    #[test]
+    fn rejected_shapes_are_refused_by_name_of_the_constraint() {
+        let refusal = |name, d, n| build_named(name, d, n).unwrap_err().to_string();
+        assert!(refusal("nonsense", 4, 4).contains("unknown scheme"));
+        assert!(refusal("chimera", 3, 3).contains("D must be even"));
+        assert!(refusal("chimera-f2", 6, 6).contains("f must divide D/2"));
+        assert!(refusal("gems", 4, 3).contains("N must be even"));
+        assert!(refusal("gems", 3, 4).contains("D and N must be even"));
+        for name in NAMED_SCHEMES {
+            assert!(refusal(name, 0, 4).contains(">= 1"), "{name}");
+            assert!(refusal(name, 4, 0).contains(">= 1"), "{name}");
+        }
     }
 }

@@ -39,14 +39,14 @@ pub fn render(timeline: &Timeline) -> String {
     out
 }
 
-/// Compact single-line summary of a timeline.
-pub fn summary(timeline: &Timeline) -> String {
+/// Compact single-line summary of a timeline and the schedule's per-worker
+/// activation peaks in `Ma` (the verifier's `peak_activation_units`).
+pub fn summary(timeline: &Timeline, peak_act: &[f64]) -> String {
     format!(
         "makespan={} bubble_ratio={:.4} peak_act={:?}",
         timeline.makespan,
         timeline.bubble_ratio(),
-        timeline
-            .peak_activations
+        peak_act
             .iter()
             .map(|p| (p * 10.0).round() / 10.0)
             .collect::<Vec<_>>()
@@ -86,8 +86,9 @@ mod tests {
     fn summary_mentions_metrics() {
         let s = dapple(2, 2);
         let tl = execute(&s, UnitCosts::equal()).unwrap();
-        let txt = summary(&tl);
+        let txt = summary(&tl, &[1.25, 1.0]);
         assert!(txt.contains("makespan="));
         assert!(txt.contains("bubble_ratio="));
+        assert!(txt.ends_with("peak_act=[1.3, 1.0]"), "{txt}");
     }
 }

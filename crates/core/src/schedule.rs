@@ -215,18 +215,6 @@ impl Schedule {
         self
     }
 
-    /// The `(replica, stage)` pairs whose backward recomputes, in order of
-    /// first appearance: their forwards stash only the stage-boundary input.
-    pub fn recomputing(&self) -> Vec<(ReplicaId, StageId)> {
-        let mut pairs = Vec::new();
-        for (_, _, op) in self.iter_ops() {
-            if op.recomputes() && !pairs.contains(&(op.replica, op.stage)) {
-                pairs.push((op.replica, op.stage));
-            }
-        }
-        pairs
-    }
-
     /// Count forward/backward ops per worker — useful in tests.
     pub fn compute_op_counts(&self, w: WorkerId) -> (usize, usize) {
         let fwd = self.workers[w.idx()]

@@ -31,17 +31,10 @@ pub trait CostProvider {
     /// Duration of the gradient allreduce for `stage`, measured from the
     /// last participant's launch.
     fn allreduce_duration(&self, stage: StageId) -> u64;
-    /// Stash units a forward of `op` allocates (freed by the backward).
-    /// [`UnitCosts`] counts micro-batches (`Ma` units); the simulator counts
-    /// bytes.
-    fn full_stash(&self, op: &Op) -> f64;
-    /// Stash units a forward allocates when the matching backward will
-    /// recompute (only the stage-boundary input is kept).
-    fn boundary_stash(&self, op: &Op) -> f64;
 }
 
 /// Abstract op costs in ticks.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnitCosts {
     /// Ticks for a full-micro forward pass.
     pub fwd: u64,
@@ -58,10 +51,6 @@ pub struct UnitCosts {
     /// Compute-time overhead a worker pays to launch a non-blocking
     /// allreduce (initialization/threading overheads of §3.2).
     pub launch_overhead: u64,
-    /// Fraction of one micro-batch's activation memory that remains stashed
-    /// when a stage will recompute (the stage-boundary input). `0.0` ignores
-    /// it; the byte-accurate simulator models it properly.
-    pub recompute_stash_fraction: f64,
 }
 
 impl UnitCosts {
@@ -74,7 +63,6 @@ impl UnitCosts {
             p2p: 0,
             allreduce: 0,
             launch_overhead: 0,
-            recompute_stash_fraction: 0.0,
         }
     }
 
@@ -109,7 +97,6 @@ impl UnitCosts {
             p2p: 0,
             allreduce: 0,
             launch_overhead: 0,
-            recompute_stash_fraction: 0.0,
         }
     }
 
@@ -151,23 +138,6 @@ impl CostProvider for UnitCosts {
     fn allreduce_duration(&self, _stage: StageId) -> u64 {
         self.allreduce
     }
-
-    fn full_stash(&self, op: &Op) -> f64 {
-        chunk_units(op)
-    }
-
-    fn boundary_stash(&self, op: &Op) -> f64 {
-        chunk_units(op) * self.recompute_stash_fraction
-    }
-}
-
-/// Micro-batch coverage of an op as a fraction of one full micro-batch.
-fn chunk_units(op: &Op) -> f64 {
-    match op.chunk {
-        Chunk::Full => 1.0,
-        Chunk::Pair => 2.0,
-        Chunk::Half(_) => 0.5,
-    }
 }
 
 /// Start/finish of one executed op.
@@ -191,9 +161,6 @@ pub struct Timeline {
     /// Compute ticks per worker (forward + backward, incl. recompute and
     /// launch overhead; excludes waiting).
     pub busy: Vec<u64>,
-    /// Peak concurrently-stashed activations per worker, in units of `Ma`
-    /// (one stage's activations for one full micro-batch).
-    pub peak_activations: Vec<f64>,
 }
 
 impl Timeline {
@@ -411,10 +378,7 @@ pub fn execute_or_stall<C: CostProvider>(
     let mut free = vec![0u64; nw];
     let mut busy = vec![0u64; nw];
     let mut spans: Vec<Vec<OpSpan>> = vec![Vec::new(); nw];
-    // Activation deltas (tick, delta) per worker.
-    let mut act_events: Vec<Vec<(u64, f64)>> = vec![Vec::new(); nw];
     let mut st = DepTracker::new(schedule.d, &schedule.placement);
-    let recomputing = schedule.recomputing();
 
     let total: usize = schedule.workers.iter().map(Vec::len).sum();
     let mut done = 0usize;
@@ -432,29 +396,6 @@ pub fn execute_or_stall<C: CostProvider>(
                 let finish = start + cost;
                 st.record(costs, WorkerId(w as u32), &op, finish);
                 spans[w].push(OpSpan { op, start, finish });
-                match op.kind {
-                    OpKind::Forward => {
-                        let amount = if recomputing.contains(&(op.replica, op.stage)) {
-                            costs.boundary_stash(&op)
-                        } else {
-                            costs.full_stash(&op)
-                        };
-                        act_events[w].push((finish, amount));
-                    }
-                    OpKind::Backward { recompute } => {
-                        let held = costs.full_stash(&op);
-                        if recompute {
-                            // Rematerialized activations live for the span of
-                            // the backward.
-                            let stashed = costs.boundary_stash(&op);
-                            act_events[w].push((start, held - stashed));
-                            act_events[w].push((finish, -held));
-                        } else {
-                            act_events[w].push((finish, -held));
-                        }
-                    }
-                    _ => {}
-                }
                 if op.is_compute() || matches!(op.kind, OpKind::AllReduceLaunch) {
                     busy[w] += cost;
                 }
@@ -470,26 +411,10 @@ pub fn execute_or_stall<C: CostProvider>(
     }
 
     let makespan = free.iter().copied().max().unwrap_or(0);
-    let peak_activations = act_events
-        .into_iter()
-        .map(|mut ev| {
-            // Frees (negative deltas) apply before allocations at the same tick.
-            ev.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.partial_cmp(&b.1).unwrap()));
-            let mut cur = 0.0f64;
-            let mut peak = 0.0f64;
-            for (_, delta) in ev {
-                cur += delta;
-                peak = peak.max(cur);
-            }
-            peak
-        })
-        .collect();
-
     Ok(Timeline {
         spans,
         makespan,
         busy,
-        peak_activations,
     })
 }
 
@@ -498,6 +423,7 @@ mod tests {
     use super::*;
     use crate::ids::MicroId;
     use crate::placement::Placement;
+    use crate::program::lower;
     use crate::schedule::{Scheme, SyncStrategy};
 
     /// D=2 GPipe-style schedule used across tests.
@@ -599,13 +525,13 @@ mod tests {
     fn activation_peak_gpipe_is_n() {
         // GPipe stashes all N micros (Table 2: N * Ma).
         for n in [2u32, 4, 8] {
-            let t = execute(&gpipe2(n), UnitCosts::practical()).unwrap();
-            assert_eq!(t.peak_activations[0], n as f64, "n={n}");
+            let programs = lower(&gpipe2(n), 1).programs;
+            assert_eq!(programs[0].stash_slots, n as usize, "n={n}");
         }
     }
 
     #[test]
-    fn recompute_costs_extra_and_stashes_nothing() {
+    fn recompute_costs_extra_and_stashes_the_boundary_only() {
         let mut s = gpipe2(2);
         for ops in &mut s.workers {
             for op in ops.iter_mut() {
@@ -617,9 +543,11 @@ mod tests {
                 }
             }
         }
+        let forwards = lower(&s, 1).programs.into_iter().flat_map(|p| p.rows);
+        assert!(forwards
+            .filter(|row| row.op.is_forward())
+            .all(|row| row.boundary_only));
         let t = execute(&s, UnitCosts::practical()).unwrap();
-        // Peak = rematerialized single micro during backward.
-        assert_eq!(t.peak_activations[0], 1.0);
         // Backward cost = 4 + 2 recompute ticks.
         let b = t.spans[0].iter().find(|sp| sp.op.is_backward()).unwrap();
         assert_eq!(b.finish - b.start, 6);
@@ -714,7 +642,6 @@ mod tests {
             spans: Vec::new(),
             makespan: 7,
             busy: Vec::new(),
-            peak_activations: Vec::new(),
         };
         assert_eq!(t.bubble_ratio(), 0.0);
         assert!(t.per_worker_bubbles().is_empty());

@@ -57,6 +57,14 @@ pub enum CheckpointError {
     /// [`load_state`] was asked to restore optimizer state from a
     /// parameters-only (version 1) checkpoint.
     MissingState,
+    /// A per-rank segment checkpoint written by another rank than the one
+    /// loading it.
+    WrongRank {
+        /// The loading rank.
+        expected: u32,
+        /// The rank stored in the file.
+        got: u32,
+    },
     /// Reading or writing the checkpoint's backing storage failed.
     Io(String),
 }
@@ -81,6 +89,9 @@ impl std::fmt::Display for CheckpointError {
             }
             CheckpointError::MissingState => {
                 write!(f, "checkpoint has no optimizer state (version 1)")
+            }
+            CheckpointError::WrongRank { expected, got } => {
+                write!(f, "checkpoint of rank {got} offered to rank {expected}")
             }
             CheckpointError::Io(e) => write!(f, "checkpoint storage: {e}"),
         }

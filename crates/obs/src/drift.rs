@@ -242,8 +242,7 @@ pub fn drift_with_costs(
     n: u32,
     costs: UnitCosts,
 ) -> Result<DriftReport, String> {
-    let sched = build_named(scheme, d, n)
-        .ok_or_else(|| format!("unknown scheme {scheme:?} (see chimera-core named schemes)"))?;
+    let sched = build_named(scheme, d, n).map_err(|e| format!("{scheme} D={d} N={n}: {e}"))?;
     let sim =
         execute(&sched, costs).map_err(|e| format!("simulating {scheme} D={d} N={n}: {e:?}"))?;
 

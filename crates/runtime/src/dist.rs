@@ -180,7 +180,8 @@ pub fn train_worker_process_recoverable(
     // (ranks that got further before the crash roll back with everyone).
     if let Some(rec) = recovery.filter(|r| r.resume) {
         if let Some(seg) = latest_committed(&rec.dir, ep.world()) {
-            (losses, stages) = load_rank_ckpt(&rank_ckpt_path(&rec.dir, rank, seg), kind, &stages)?;
+            let path = rank_ckpt_path(&rec.dir, rank, seg);
+            (losses, stages) = load_rank_ckpt(&path, rank, kind, &stages)?;
             done = seg;
         }
     }
@@ -364,11 +365,14 @@ fn save_rank_ckpt(
 /// the rank's owned `(replica, stage)` entries with their optimizer state.
 type RankCkpt = (Vec<(u64, f32)>, Vec<(u32, u32, Stage, Optimizer)>);
 
-/// Restore one rank's segment state. `template` fixes which
+/// Restore `rank`'s segment state. `template` fixes which
 /// `(replica, stage)` entries (and parameter shapes) this rank must hold;
-/// a checkpoint disagreeing with it is rejected rather than trusted.
+/// a checkpoint disagreeing with it is rejected rather than trusted — as is
+/// another rank's: every data-parallel group's worker `w` holds the same
+/// template, so only the stored rank tells their files apart.
 fn load_rank_ckpt(
     path: &Path,
+    rank: Rank,
     kind: chimera_nn::OptimizerKind,
     template: &[(u32, u32, Stage, Optimizer)],
 ) -> Result<RankCkpt, CheckpointError> {
@@ -384,7 +388,13 @@ fn load_rank_ckpt(
     if version != RANK_CKPT_VERSION {
         return Err(CheckpointError::BadVersion(version));
     }
-    let _rank = head.get_u32_le();
+    let stored = head.get_u32_le();
+    if stored != rank {
+        return Err(CheckpointError::WrongRank {
+            expected: rank,
+            got: stored,
+        });
+    }
     let n_losses = usize::try_from(head.get_u64_le()).map_err(|_| CheckpointError::Truncated)?;
     let mut log = take(
         &mut rd,
@@ -473,7 +483,8 @@ mod tests {
         assert_eq!(DistOutcome::decode(&huge), Err(CheckpointError::Truncated));
     }
 
-    /// A rank checkpoint cut short is `Truncated`, not a panic, at any cut.
+    /// A rank checkpoint cut short is `Truncated`, not a panic, at any cut;
+    /// a whole one written by the rank's data-parallel twin is `WrongRank`.
     #[test]
     fn truncated_rank_checkpoint_is_rejected() {
         let sched = chimera(&ChimeraConfig::new(2, 2)).unwrap();
@@ -491,15 +502,31 @@ mod tests {
         let path = rank_ckpt_path(&dir, 0, 1);
         save_rank_ckpt(&path, 0, &[(0, 3.5), (1, 3.25)], &stages).unwrap();
         let whole = std::fs::read(&path).unwrap();
-        let (losses, restored) = load_rank_ckpt(&path, kind, &stages).unwrap();
+        let (losses, restored) = load_rank_ckpt(&path, 0, kind, &stages).unwrap();
         assert_eq!(losses, vec![(0, 3.5), (1, 3.25)]);
         assert_eq!(restored[0].2.params(), stages[0].2.params());
-        for cut in [0, 3, 19, 20, 44, 48, whole.len() / 2, whole.len() - 1] {
-            std::fs::write(&path, &whole[..cut]).unwrap();
+        // W = 2: rank D + 0 is worker 0 of the second group, same template.
+        let twin_path = rank_ckpt_path(&dir, 2, 1);
+        save_rank_ckpt(&twin_path, 2, &[(0, 3.5), (1, 3.25)], &stages).unwrap();
+        let twin = std::fs::read(&twin_path).unwrap();
+        let cuts = [0, 3, 19, 20, 44, 48, whole.len() / 2, whole.len() - 1];
+        let cut_short = |cut| {
+            (
+                format!("cut at {cut}"),
+                &whole[..cut],
+                CheckpointError::Truncated,
+            )
+        };
+        let mut cases: Vec<_> = cuts.into_iter().map(cut_short).collect();
+        let (expected, got) = (0, 2);
+        let wrong_rank = CheckpointError::WrongRank { expected, got };
+        cases.push(("rank 2's file as rank 0's".into(), &twin, wrong_rank));
+        for (what, bytes, error) in cases {
+            std::fs::write(&path, bytes).unwrap();
             assert_eq!(
-                load_rank_ckpt(&path, kind, &stages).err(),
-                Some(CheckpointError::Truncated),
-                "cut at {cut}"
+                load_rank_ckpt(&path, 0, kind, &stages).err(),
+                Some(error),
+                "{what}"
             );
         }
         let _ = std::fs::remove_dir_all(&dir);

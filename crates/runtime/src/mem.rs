@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use chimera_core::op::Op;
 use chimera_core::program::{lower, Program};
 use chimera_core::schedule::Schedule;
-use chimera_core::{ReplicaId, StageId};
+use chimera_core::StageId;
 use chimera_nn::{MicroStash, Stage};
 use chimera_tensor::{pool, Tensor};
 use chimera_verify::liveness::{self, BufferKind, BufferSizes};
@@ -137,22 +137,23 @@ pub struct WorkerMemPlan {
 /// measured sizes and fold each worker's live buffers into a per-size-class
 /// slot demand.
 pub fn plan(sched: &Schedule, fp: &ModelFootprint) -> Vec<WorkerMemPlan> {
-    plan_lowered(sched, &lower(sched, 1).programs, fp)
+    plan_lowered(&lower(sched, 1).programs, fp)
 }
 
 /// [`plan`] over the programs a `train` call already lowered.
-pub(crate) fn plan_lowered(
-    sched: &Schedule,
-    programs: &[Program],
-    fp: &ModelFootprint,
-) -> Vec<WorkerMemPlan> {
+pub(crate) fn plan_lowered(programs: &[Program], fp: &ModelFootprint) -> Vec<WorkerMemPlan> {
     let rep = liveness::price(programs, fp);
-    let recomputing = sched.recomputing();
 
     rep.lives
         .iter()
         .enumerate()
         .map(|(w, lives)| {
+            let program = &programs[w];
+            // Per held stage: whether its forwards stash the boundary only.
+            let mut boundary_only = vec![false; program.held.len()];
+            for row in &program.rows {
+                boundary_only[row.held as usize] |= row.boundary_only;
+            }
             let mut intervals: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
             let push = |intervals: &mut BTreeMap<usize, Vec<(usize, usize)>>,
                         class: usize,
@@ -202,7 +203,8 @@ pub(crate) fn plan_lowered(
             }
             for ((replica, stage, _), range) in stash_ranges {
                 let st = &fp.stages[stage as usize];
-                let cen = if recomputing.contains(&(ReplicaId(replica), StageId(stage))) {
+                let held = program.held.binary_search(&(replica, stage));
+                let cen = if boundary_only[held.expect("a stash of a held stage")] {
                     &st.census_boundary
                 } else {
                     &st.census_full

@@ -95,7 +95,7 @@ pub(crate) fn configure(
     let stages = Stage::build_all(cfg, sched.d);
     let pool_plans = if opts.pool && opts.prewarm {
         let fp = ModelFootprint::probe(&stages, opts.micro_batch);
-        let plans = plan_lowered(sched, &programs, &fp);
+        let plans = plan_lowered(&programs, &fp);
         plans.into_iter().map(|plan| plan.classes).collect()
     } else {
         vec![Vec::new(); programs.len()]

@@ -197,14 +197,6 @@ impl CostProvider for SimCostModel {
     fn allreduce_duration(&self, stage: StageId) -> u64 {
         to_ns(self.allreduce_s(stage))
     }
-
-    fn full_stash(&self, op: &Op) -> f64 {
-        self.stages[op.stage.idx()].act_bytes as f64 * Self::chunk_scale(op)
-    }
-
-    fn boundary_stash(&self, op: &Op) -> f64 {
-        self.stages[op.stage.idx()].boundary_bytes as f64 * Self::chunk_scale(op)
-    }
 }
 
 #[cfg(test)]
@@ -270,14 +262,6 @@ mod tests {
         assert_eq!(m.p2p_delay(WorkerId(3), WorkerId(0), &f0), 0);
         // Same worker: free.
         assert_eq!(m.p2p_delay(WorkerId(1), WorkerId(1), &f1), 0);
-    }
-
-    #[test]
-    fn stash_in_bytes() {
-        let m = model(2);
-        let f = Op::forward(MicroId(0), StageId(0), ReplicaId(0));
-        assert_eq!(m.full_stash(&f), 8_000_000.0);
-        assert_eq!(m.boundary_stash(&f), 1_000_000.0);
     }
 
     #[test]

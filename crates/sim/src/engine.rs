@@ -19,8 +19,6 @@ pub struct SimReport {
     pub bubble_ratio: f64,
     /// Compute-busy seconds per worker.
     pub busy_s: Vec<f64>,
-    /// Peak activation bytes per worker.
-    pub peak_act_bytes: Vec<u64>,
     /// The executed timeline (tick = 1 ns).
     pub timeline: Timeline,
     /// Fault and recovery accounting, populated by
@@ -41,11 +39,6 @@ impl SimReport {
                 .busy
                 .iter()
                 .map(|&b| SimCostModel::seconds(b))
-                .collect(),
-            peak_act_bytes: timeline
-                .peak_activations
-                .iter()
-                .map(|&a| a.round() as u64)
                 .collect(),
             timeline,
             recovery: None,
@@ -173,12 +166,11 @@ impl serde::Serialize for Breakdown {
 impl serde::Serialize for SimReport {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::ser::SerializeStruct;
-        let mut st = serializer.serialize_struct("SimReport", 6)?;
+        let mut st = serializer.serialize_struct("SimReport", 5)?;
         st.serialize_field("span_s", &self.span_s)?;
         st.serialize_field("iter_time_s", &self.iter_time_s)?;
         st.serialize_field("bubble_ratio", &self.bubble_ratio)?;
         st.serialize_field("busy_s", &self.busy_s)?;
-        st.serialize_field("peak_act_bytes", &self.peak_act_bytes)?;
         st.serialize_field("recovery", &self.recovery)?;
         st.end()
     }

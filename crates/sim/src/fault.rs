@@ -295,14 +295,6 @@ impl CostProvider for PerturbedCost<'_> {
     fn allreduce_duration(&self, stage: StageId) -> u64 {
         self.base.allreduce_duration(stage)
     }
-
-    fn full_stash(&self, op: &Op) -> f64 {
-        self.base.full_stash(op)
-    }
-
-    fn boundary_stash(&self, op: &Op) -> f64 {
-        self.base.boundary_stash(op)
-    }
 }
 
 /// One crash survived during a simulated run.
@@ -473,8 +465,6 @@ pub fn simulate_faulty(
     recovery: &RecoveryModel,
     run_iterations: u32,
 ) -> Result<SimReport, ExecError> {
-    // Execute under the perturbed provider; memory footprints are unaffected
-    // by timing faults, so byte accounting stays on the base model.
     validate_span(sched, 1)?;
     let perturbed = PerturbedCost::new(cost, plan, &sched.placement);
     let timeline = execute_with(sched, &perturbed)?;

@@ -12,14 +12,16 @@
 //!   ([`network`]),
 //! * the Rabenseifner / ring / flat-tree collective cost models of §3.4
 //!   ([`collective`]),
-//! * per-stage compute costs and byte-accurate memory footprints ([`cost`],
-//!   [`memory`]),
+//! * per-stage compute costs and byte footprints ([`cost`]; [`memory`] holds
+//!   the weight term of the coarse Table-2 bound),
 //! * seeded fault injection (stragglers, degraded links, crashes) with
 //!   checkpoint-restart recovery accounting ([`fault`]).
 //!
-//! Timing, bubbles, communication overlap (eager non-blocking allreduce,
-//! §3.2) and per-worker peak memory all emerge from executing the schedule,
-//! exactly as they do on the real machine.
+//! Timing, bubbles and communication overlap (eager non-blocking allreduce,
+//! §3.2) emerge from executing the schedule, exactly as they do on the real
+//! machine. What is resident when is not a question of time: `chimera-verify`
+//! prices the schedule's lowered rows under this crate's byte footprints
+//! (`memory_v2`).
 
 pub mod collective;
 pub mod cost;

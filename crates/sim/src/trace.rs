@@ -182,7 +182,6 @@ mod tests {
             ]],
             makespan: 7,
             busy: vec![7],
-            peak_activations: vec![0.0],
         };
         let events = timeline_events(&t, 3, true);
         let kinds: Vec<SpanKind> = events

@@ -45,7 +45,7 @@ pub mod liveness;
 
 use chimera_core::program::{lower_each, structural, Defect, DefectKind, Program};
 use chimera_core::schedule::Schedule;
-use chimera_core::unit_time::{validate_span, UnitCosts};
+use chimera_core::unit_time::validate_span;
 use chimera_core::WorkerId;
 use chimera_sim::cost::SimCostModel;
 
@@ -222,8 +222,7 @@ pub struct VerifyReport {
     /// Per-channel communication statistics.
     pub channels: Vec<ChannelStats>,
     /// Static peak concurrently-stashed activations per worker, in units of
-    /// one micro-batch's activations (matches
-    /// `Timeline::peak_activations` under `UnitCosts`).
+    /// one micro-batch's activations ([`liveness::UnitMa`]).
     pub peak_activation_units: Vec<f64>,
     /// Exact memory accounting (schema `memory/v2`); present when the
     /// verifier was given a byte-level cost model
@@ -412,8 +411,7 @@ struct RowFolds {
 
 impl RowFolds {
     fn push(&mut self, sched: &Schedule, program: &Program) {
-        let units = liveness::ActivationSizes(&UnitCosts::equal());
-        let priced = liveness::price(std::slice::from_ref(program), &units);
+        let priced = liveness::price(std::slice::from_ref(program), &liveness::UnitMa);
         self.peaks.push(priced.activation_peak[0]);
         self.messages.push(sched, program);
         self.staleness.push(program);
@@ -512,11 +510,7 @@ fn report_of(
 /// weight state plus the liveness engine's dynamic peak, cross-checked
 /// against the coarse Table-2 bound and paired with a pool pre-sizing plan.
 pub fn memory_v2(sched: &Schedule, cost: &SimCostModel) -> MemoryV2 {
-    memory_of(
-        sched,
-        &liveness::analyze(sched, &liveness::SimSizes(cost)),
-        cost,
-    )
+    memory_of(sched, &liveness::analyze(sched, cost), cost)
 }
 
 /// [`memory_v2`] from `sched`'s rows priced under `cost`'s bytes.
@@ -591,7 +585,7 @@ pub fn verify_parts(
     let (mut rows, mut in_bytes) = (RowFolds::default(), LivenessReport::default());
     let defects = lower_each(sched, iterations, |p| {
         rows.push(sched, &p);
-        in_bytes.push_priced(&p, &liveness::SimSizes(cost));
+        in_bytes.push_priced(&p, cost);
     });
     // The live ranges fold into the memory section before the passes of the
     // report allocate their own tables, so the two never coexist.

@@ -20,9 +20,7 @@
 //!
 //! 1. an **exact peak** per worker — the max prefix sum of def/kill deltas in
 //!    program order — and beside it the **activation-only** (stash + remat)
-//!    peak, which reproduces `Timeline::peak_activations` bit-for-bit for any
-//!    positive-cost provider (property-tested) and is the activation term of
-//!    the coarse Table-2 bound;
+//!    peak, the activation term of the coarse Table-2 bound;
 //! 2. the **memory cliff** — the op whose execution first reaches each peak,
 //!    with a per-kind breakdown at that instant;
 //! 3. **interference**: two buffers interfere iff their ranges overlap, and —
@@ -36,7 +34,6 @@
 use chimera_core::op::{Op, OpKind};
 use chimera_core::program::{halves_in, lower_each, DefectKind, Program};
 use chimera_core::schedule::Schedule;
-use chimera_core::unit_time::CostProvider;
 use chimera_core::StageId;
 use chimera_sim::SimCostModel;
 
@@ -100,17 +97,17 @@ pub trait BufferSizes {
     fn grad_contribution(&self, op: &Op) -> f64;
 }
 
-/// Activation-only sizing over any [`CostProvider`]: weight versions and
-/// gradient contributions are 0, so the liveness peak equals the executor's
-/// `peak_activations` exactly.
-pub struct ActivationSizes<'a, C: CostProvider>(pub &'a C);
+/// One micro-batch's activations as the unit (`Ma`, Table 2), boundary
+/// stashes, weight versions and gradient contributions 0: what
+/// `VerifyReport::peak_activation_units` is priced in.
+pub struct UnitMa;
 
-impl<C: CostProvider> BufferSizes for ActivationSizes<'_, C> {
+impl BufferSizes for UnitMa {
     fn full_stash(&self, op: &Op) -> f64 {
-        self.0.full_stash(op)
+        f64::from(op.chunk.half_micros()) / 2.0
     }
-    fn boundary_stash(&self, op: &Op) -> f64 {
-        self.0.boundary_stash(op)
+    fn boundary_stash(&self, _op: &Op) -> f64 {
+        0.0
     }
     fn weight_version(&self, _stage: StageId) -> f64 {
         0.0
@@ -120,22 +117,20 @@ impl<C: CostProvider> BufferSizes for ActivationSizes<'_, C> {
     }
 }
 
-/// Simulator-byte sizing: stashes in `act_bytes`, weight versions in
-/// `param_bytes`. Gradient contributions are sized 0 — the paper's Table-2
-/// memory model folds the gradient accumulation buffer into the resident
-/// `grad_opt_bytes`, and the coarse bound this analysis is cross-checked
-/// against does the same.
-pub struct SimSizes<'a>(pub &'a SimCostModel);
-
-impl BufferSizes for SimSizes<'_> {
+/// Simulator bytes: stashes in `act_bytes` (`boundary_bytes` under
+/// recomputation), weight versions in `param_bytes`. Gradient contributions
+/// are sized 0 — the paper's Table-2 memory model folds the gradient
+/// accumulation buffer into the resident `grad_opt_bytes`, and the coarse
+/// bound this analysis is cross-checked against does the same.
+impl BufferSizes for SimCostModel {
     fn full_stash(&self, op: &Op) -> f64 {
-        CostProvider::full_stash(self.0, op)
+        self.stages[op.stage.idx()].act_bytes as f64 * UnitMa.full_stash(op)
     }
     fn boundary_stash(&self, op: &Op) -> f64 {
-        CostProvider::boundary_stash(self.0, op)
+        self.stages[op.stage.idx()].boundary_bytes as f64 * UnitMa.full_stash(op)
     }
     fn weight_version(&self, stage: StageId) -> f64 {
-        self.0.stages[stage.idx()].param_bytes as f64
+        self.stages[stage.idx()].param_bytes as f64
     }
     fn grad_contribution(&self, _op: &Op) -> f64 {
         0.0

@@ -15,7 +15,7 @@ use chimera::nn::{ModelConfig, ReferenceTrainer, Stage, SyntheticData};
 use chimera::perf::{ClusterSpec, ModelSpec, TrainConfig};
 use chimera::runtime::{train, TrainOptions};
 use chimera::sim::simulate;
-use chimera::verify::memory_v2;
+use chimera::verify::{memory_v2, verify_span};
 
 fn main() {
     // ------------------------------------------------------------------
@@ -26,7 +26,8 @@ fn main() {
     println!("Chimera D=4 N=4 (backward = 2x forward):\n");
     let tl = execute(&sched, UnitCosts::practical()).expect("executes");
     println!("{}", render::render(&tl));
-    println!("{}\n", render::summary(&tl));
+    let peak_act = verify_span(&sched, 1).peak_activation_units;
+    println!("{}\n", render::summary(&tl, &peak_act));
 
     // Compare with DAPPLE (1F1B + flush): twice the bubbles.
     let tl_dapple = execute(&dapple(4, 4), UnitCosts::practical()).expect("executes");

@@ -15,6 +15,7 @@ use chimera::core::chimera::{chimera, ChimeraConfig, ScaleMethod};
 use chimera::core::render;
 use chimera::core::schedule::Scheme;
 use chimera::core::unit_time::{execute, UnitCosts};
+use chimera::verify::verify_span;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -59,15 +60,16 @@ fn main() {
         }
     };
 
+    let peak_act = verify_span(&sched, 1).peak_activation_units;
     println!("--- equal forward/backward workloads ---");
     let tl = execute(&sched, UnitCosts::equal()).expect("schedule executes");
     println!("{}", render::render(&tl));
-    println!("{}", render::summary(&tl));
+    println!("{}", render::summary(&tl, &peak_act));
 
     println!("\n--- practical workloads (backward = 2x forward) ---");
     let tl = execute(&sched, UnitCosts::practical()).expect("schedule executes");
     println!("{}", render::render(&tl));
-    println!("{}", render::summary(&tl));
+    println!("{}", render::summary(&tl, &peak_act));
 
     if matches!(
         sched.scheme,

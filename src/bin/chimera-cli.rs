@@ -37,6 +37,11 @@
 //! pre-sizing plan land in the report (schema `memory/v2` under `--json`).
 //! Exit status 1 when any diagnostic of error severity is found.
 //!
+//! Every command that builds a schedule by name (`render`, `simulate`,
+//! `verify`, `profile --sim`) refuses a shape the scheme's generator rejects
+//! — odd `D` for the bidirectional schemes, `f ∤ D/2`, odd `N` for GEMS, zero
+//! `D`, `N` or `B` — with the violated constraint on stderr and exit status 2.
+//!
 //! `launch` spawns `P` worker **processes** (one pipeline worker each, `W =
 //! P/D` data-parallel groups) connected over the TCP transport, then re-runs
 //! the identical configuration in-process and verifies the two parameter
@@ -100,8 +105,15 @@ fn parse<T: std::str::FromStr>(s: Option<String>, default: T) -> T {
     s.and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
+/// A request the generators reject: the reason on stderr, exit status 2.
+fn refuse(reason: impl std::fmt::Display) -> ! {
+    eprintln!("chimera-cli: {reason}");
+    std::process::exit(2);
+}
+
 fn build_schedule(scheme: &str, d: u32, n: u32) -> Schedule {
-    chimera::core::build_named(scheme, d, n).unwrap_or_else(|| usage())
+    chimera::core::build_named(scheme, d, n)
+        .unwrap_or_else(|e| refuse(format_args!("{scheme} D={d} N={n}: {e}")))
 }
 
 fn model_spec(name: &str) -> ModelSpec {
@@ -121,7 +133,8 @@ fn cmd_render(mut args: std::env::Args) {
     let tl = execute(&sched, UnitCosts::practical()).expect("executes");
     println!("{scheme} D={d} N={n} (backward = 2x forward):\n");
     println!("{}", render::render(&tl));
-    println!("{}", render::summary(&tl));
+    let peak_act = verify_span(&sched, verify_iterations(&scheme)).peak_activation_units;
+    println!("{}", render::summary(&tl, &peak_act));
     if matches!(
         sched.scheme,
         Scheme::Chimera | Scheme::Dapple | Scheme::GPipe | Scheme::Gems
@@ -342,6 +355,11 @@ fn cmd_simulate(mut args: std::env::Args) {
     let d = parse(args.next(), 4u32);
     let b = parse(args.next(), 4u32);
     let b_hat = parse(args.next(), 512u64);
+    if d == 0 || b == 0 || p < d {
+        refuse(format_args!(
+            "simulate needs D >= 1, B >= 1 and P >= D, got P={p} D={d} B={b}"
+        ));
+    }
     let w = p / d;
     let n = (b_hat / (w as u64 * b as u64)).max(1) as u32;
     let base = build_schedule(&scheme, d, n);
@@ -1148,6 +1166,8 @@ fn cmd_profile(args: std::env::Args) {
                     eprintln!("--sim needs <scheme> <D> <N>");
                     usage();
                 }
+                // A shape the generator rejects is refused before any trace is read.
+                build_schedule(&scheme, d, n);
                 sim = Some((scheme, d, n));
             }
             "--calibration" => {

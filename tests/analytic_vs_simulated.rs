@@ -68,20 +68,15 @@ proptest! {
         for f in [1u32, 2] {
             if (d / 2) % f != 0 { continue; }
             let a = table3(d, n, f);
-            let tl = execute(
-                &chimera(&ChimeraConfig { d, n, f, scale: ScaleMethod::Direct }).unwrap(),
-                UnitCosts::equal(),
-            )
-            .unwrap();
-            for peak in &tl.peak_activations {
+            let sched = chimera(&ChimeraConfig { d, n, f, scale: ScaleMethod::Direct }).unwrap();
+            for peak in &verify_span(&sched, 1).peak_activation_units {
                 prop_assert!(*peak >= a.activations_memory.0 - 1e-9, "f={} low {}", f, peak);
                 prop_assert!(*peak <= a.activations_memory.1 + 1e-9, "f={} high {}", f, peak);
             }
         }
         // DAPPLE: [Ma, min(D, N) Ma].
-        let tl = execute(&dapple(d, n), UnitCosts::equal()).unwrap();
         let a = table2(Scheme::Dapple, d, n);
-        for peak in &tl.peak_activations {
+        for peak in &verify_span(&dapple(d, n), 1).peak_activation_units {
             prop_assert!(*peak >= a.activations_memory.0 - 1e-9);
             prop_assert!(*peak <= a.activations_memory.1 + 1e-9);
         }

@@ -13,6 +13,7 @@ use chimera::core::program::lower;
 use chimera::core::schedule::{Schedule, SyncStrategy};
 use chimera::core::sync::place_sync;
 use chimera::core::unit_time::{execute, UnitCosts};
+use chimera::verify::verify_span;
 
 /// The schedule lowers without a defect and runs to completion.
 fn validate(sched: &Schedule) -> Result<(), String> {
@@ -63,7 +64,6 @@ proptest! {
         };
         let sched = chimera(&ChimeraConfig { d, n, f: 1, scale }).unwrap();
         validate(&sched).unwrap();
-        let tl = execute(&sched, UnitCosts::practical()).unwrap();
         let cap = match scale {
             ScaleMethod::ForwardDoubling { .. } => 2.0 * d as f64,
             // Backward halving admits a 2D-micro unit; its stash stays near
@@ -72,7 +72,7 @@ proptest! {
             ScaleMethod::BackwardHalving => d as f64 + 1.0,
             ScaleMethod::Direct => d as f64,
         };
-        for peak in &tl.peak_activations {
+        for peak in &verify_span(&sched, 1).peak_activation_units {
             prop_assert!(*peak <= cap + 1e-9, "peak {} cap {}", peak, cap);
         }
         // Every micro visits every stage twice (fwd + bwd).
@@ -111,8 +111,9 @@ proptest! {
         let g = execute(&gpipe(d, n), UnitCosts::practical()).unwrap();
         let a = execute(&dapple(d, n), UnitCosts::practical()).unwrap();
         prop_assert_eq!(g.makespan, a.makespan);
-        prop_assert!((g.peak_activations[0] - n as f64).abs() < 1e-9);
-        prop_assert!(a.peak_activations[0] <= d.min(n) as f64 + 1e-9);
+        let peak0 = |sched| verify_span(&sched, 1).peak_activation_units[0];
+        prop_assert!((peak0(gpipe(d, n)) - n as f64).abs() < 1e-9);
+        prop_assert!(peak0(dapple(d, n)) <= d.min(n) as f64 + 1e-9);
     }
 
     /// Chimera's makespan never exceeds DAPPLE's for N = D (the bubble
