@@ -2,8 +2,11 @@
 //! ceiling every packed rate is reported as a fraction of), naive vs
 //! packed-panel vs packed+threaded GFLOP/s, backward-kernel rates,
 //! elementwise ops
-//! (ns/element beside the libm loops they replaced), the attention core
-//! (µs per call beside the per-head composition it replaced), a transformer
+//! (ns/element beside the libm loops they replaced), softmax over
+//! attention's stacked scores at every level (ns per live element and per
+//! row, masked and not), the attention core
+//! (µs per call beside the per-head composition it replaced, and its
+//! score-shaped product on either tile), a transformer
 //! block's measured backward/forward balance for sim calibration, the
 //! zero-skip sparse entry point on 95%-zero input, and end-to-end training
 //! step time with the buffer pool on/off.
@@ -24,8 +27,10 @@
 //!   `speedup_vs_naive ≥ 4.0` floor on the headline shape, threading
 //!   (mt ≥ 1.5× 1t when ≥2 cores are actually available, mt ≥ 0.9× 1t
 //!   otherwise), `gelu` ≥ 8× its libm loop (lost autovectorisation shows
-//!   here), the attention core ≥ 1.4× its per-head composition at the
-//!   long-sequence shape (same), and `end_to_end` pool ratio ≥ 1.0
+//!   here), the attention core over its per-head composition at the
+//!   long-sequence shape (same), the causal softmax stack under the unmasked
+//!   one and `q·kᵀ` on the wide tile over the 8-lane one (a lost lockstep
+//!   body or tile shows there), and `end_to_end` pool ratio ≥ 1.0
 //! * `--threads N`  intra-op thread count (default: `max(4, cores)`)
 //!
 //! The committed baseline is deliberately conservative — about half the
@@ -42,7 +47,10 @@ use chimera_bench::{arg_value, output_root, print_table, write_json};
 use chimera_nn::{
     Attention, ModelConfig, ReferenceTrainer, Stage, SyntheticData, TransformerBlock,
 };
-use chimera_tensor::{gelu, gelu_backward, kernels, layernorm, pool, softmax_rows, Rng, Tensor};
+use chimera_tensor::{
+    gelu, gelu_backward, kernels, layernorm, pool, scale_mask_softmax_rows, softmax_rows,
+    softmax_rows_backward, Rng, Tensor,
+};
 
 /// Time `body` (called repeatedly) and return mean seconds per call:
 /// at least `min_reps` calls and at least ~0.2 s of total wall clock.
@@ -254,6 +262,92 @@ fn bench_elementwise() -> Vec<ElementwiseRow> {
     ]
 }
 
+struct SoftmaxStackRow {
+    op: &'static str,
+    level: kernels::SimdLevel,
+    causal: bool,
+    secs: f64,
+}
+
+impl SoftmaxStackRow {
+    fn mask(&self) -> &'static str {
+        if self.causal {
+            "causal"
+        } else {
+            "none"
+        }
+    }
+
+    /// Per element the op reads and exponentiates (or differentiates).
+    fn ns_per_live_elem(&self) -> f64 {
+        let (blocks, s) = STACK;
+        let live = if self.causal {
+            blocks * s * (s + 1) / 2
+        } else {
+            blocks * s * s
+        };
+        self.secs * 1e9 / live as f64
+    }
+
+    fn ns_per_row(&self) -> f64 {
+        self.secs * 1e9 / (STACK.0 * STACK.1) as f64
+    }
+}
+
+/// Attention's stacked scores at the benchmark's long-sequence model: eight
+/// `[128, 128]` blocks.
+const STACK: (usize, usize) = (8, 128);
+
+/// Softmax and its backward over [`STACK`], in place as attention runs
+/// them, under the causal mask and without it, at every level the host
+/// supports. `softmax_rows` at 128×128 above is a per-element number; the
+/// cost that hid behind it was per row — the masked half of the elements
+/// cost nothing less — so these rows report both. Best of alternating
+/// rounds, the restoring copy timed apart and subtracted.
+fn bench_softmax_stack(rounds: u32) -> Vec<SoftmaxStackRow> {
+    let (blocks, s) = STACK;
+    let mut rng = Rng::new(12);
+    let scores = Tensor::normal(blocks * s, s, 1.0, &mut rng);
+    let dy = Tensor::normal(blocks * s, s, 1.0, &mut rng);
+    let scale = 0.35;
+    let mut buf = scores.clone();
+    let mut rows = Vec::new();
+    for &level in kernels::SimdLevel::supported() {
+        kernels::set_level_cap(level);
+        let mut best = [[f64::INFINITY; 2]; 2];
+        let mut copy = f64::INFINITY;
+        for _ in 0..rounds {
+            copy = copy.min(time_per_call(20, || {
+                buf.data_mut().copy_from_slice(black_box(scores.data()));
+            }));
+            for (m, causal) in [Some(s), None].into_iter().enumerate() {
+                let mut y = scores.clone();
+                scale_mask_softmax_rows(&mut y, scale, causal);
+                best[0][m] = best[0][m].min(time_per_call(20, || {
+                    buf.data_mut().copy_from_slice(scores.data());
+                    scale_mask_softmax_rows(black_box(&mut buf), scale, causal);
+                }));
+                best[1][m] = best[1][m].min(time_per_call(20, || {
+                    buf.data_mut().copy_from_slice(dy.data());
+                    softmax_rows_backward(&y, black_box(&mut buf), scale, causal);
+                }));
+            }
+        }
+        for (o, op) in ["softmax", "softmax_backward"].into_iter().enumerate() {
+            for (m, causal) in [true, false].into_iter().enumerate() {
+                rows.push(SoftmaxStackRow {
+                    op,
+                    level,
+                    causal,
+                    secs: best[o][m] - copy,
+                });
+            }
+        }
+    }
+    kernels::set_level_cap(kernels::SimdLevel::Avx512);
+    rows
+}
+
 /// The attention core one `(sample, head)` pair at a time — operands copied
 /// out of `qkv`, three products and a softmax per pair, results added back —
 /// as `chimera-nn` had it before `kernels::gemm_batch`; kept here as the
@@ -333,9 +427,28 @@ struct AttentionRow {
     /// Flops the batched kernels report for one call (what the causal
     /// mask leaves of the six products): `[forward, backward]`.
     flops: [u64; 2],
+    /// `p = q·kᵀ` alone, seconds per call: at the dispatched level, and
+    /// capped to scalar, where it runs on the 8-lane tile whatever `n` is.
+    scores: [f64; 2],
+    /// The flops `q·kᵀ` reports at the dispatched level.
+    scores_flops: u64,
 }
 
 impl AttentionRow {
+    /// GFLOP/s of the executed flops, forward (`0`) or backward (`1`).
+    fn gflops(&self, pass: usize) -> f64 {
+        self.flops[pass] as f64 / self.batched[pass] / 1e9
+    }
+
+    fn scores_gflops(&self) -> f64 {
+        self.scores_flops as f64 / self.scores[0] / 1e9
+    }
+
+    /// `q·kᵀ` on the wide tile over the same call on the 8-lane one.
+    fn scores_wide_speedup(&self) -> f64 {
+        self.scores[1] / self.scores[0]
+    }
+
     fn speedup(&self) -> f64 {
         (self.per_head[0] + self.per_head[1]) / (self.batched[0] + self.batched[1])
     }
@@ -369,11 +482,43 @@ fn bench_attention_core(rounds: u32) -> Vec<AttentionRow> {
             counted(&mut || drop(attn.attend(&qkv))),
             counted(&mut || drop(attn.attend_backward(&qkv, &probs, &dctx))),
         ];
+        // `q·kᵀ` as `attend` issues it, on its own.
+        let d = hidden / heads;
+        let offsets: Vec<[usize; 3]> = (0..b * heads)
+            .map(|pair| {
+                let (sample, head) = (pair / heads, pair % heads);
+                let q = sample * seq * 3 * hidden + head * d;
+                [q, q + hidden, pair * seq * seq]
+            })
+            .collect();
+        let operand = |trans| kernels::Operand {
+            data: qkv.data(),
+            ld: 3 * hidden,
+            trans,
+        };
+        let mut p = Tensor::zeros(b * heads * seq, seq);
+        let mut q_kt = || {
+            kernels::gemm_batch(
+                (seq, d, seq),
+                operand(false),
+                operand(true),
+                black_box(p.data_mut()),
+                seq,
+                &offsets,
+                kernels::Triangle::LowerOut,
+            );
+        };
+        let scores_flops = counted(&mut q_kt);
         let (mut batched, mut per_head) = ([f64::INFINITY; 2], [f64::INFINITY; 2]);
+        let mut scores = [f64::INFINITY; 2];
         for _ in 0..rounds {
             let best = |slot: &mut f64, body: &mut dyn FnMut()| {
                 *slot = slot.min(time_per_call(20, body));
             };
+            best(&mut scores[0], &mut q_kt);
+            kernels::set_level_cap(kernels::SimdLevel::Scalar);
+            best(&mut scores[1], &mut q_kt);
+            kernels::set_level_cap(kernels::SimdLevel::Avx512);
             best(&mut batched[0], &mut || {
                 drop(black_box(attn.attend(black_box(&qkv))));
             });
@@ -398,6 +543,8 @@ fn bench_attention_core(rounds: u32) -> Vec<AttentionRow> {
             batched,
             per_head,
             flops,
+            scores,
+            scores_flops,
         }
     };
     shapes.into_iter().map(bench).collect()
@@ -524,6 +671,7 @@ fn check_regressions(
     ceilings: &[(kernels::SimdLevel, f64)],
     rows: &[MatmulRow],
     elementwise: &[ElementwiseRow],
+    softmax: &[SoftmaxStackRow],
     attention: &[AttentionRow],
     e2e: &EndToEnd,
     parallelism: usize,
@@ -679,6 +827,67 @@ fn check_regressions(
                 "check attention_core {model}: {:.1}x the per-head composition >= {floor} ok",
                 r.speedup()
             );
+        }
+    }
+    // Lockstep gate, at the levels that have the body (the baseline names
+    // them): half of a causal stack is masked, so it must cost clearly less
+    // than the same stack unmasked. Row by row it costs as much or more
+    // (measured 1.0–1.06x): a row's chains and its ragged end, not its
+    // elements, are what take the time.
+    let floors = baseline
+        .get("softmax_causal_max_fraction_of_unmasked")
+        .and_then(|v| v.as_object());
+    for (level, floor) in floors.into_iter().flatten() {
+        let time = |causal| {
+            let mut at = softmax.iter().filter(|r| r.level.name() == level.as_str());
+            at.find(|r| r.op == "softmax" && r.causal == causal)
+                .map(|r| r.secs)
+        };
+        let (Some(floor), Some(masked), Some(unmasked)) = (floor.as_f64(), time(true), time(false))
+        else {
+            continue; // a level this host does not have
+        };
+        if masked > floor * unmasked {
+            eprintln!(
+                "check softmax {level}: LOCKSTEP REGRESSION the causal stack takes {:.2}x the \
+                 unmasked one (ceiling {floor}x)",
+                masked / unmasked
+            );
+            ok = false;
+        } else {
+            println!(
+                "check softmax {level}: causal stack at {:.2}x the unmasked one <= {floor} ok",
+                masked / unmasked
+            );
+        }
+    }
+    // Wide-tile gate, the shape of the dispatch gate above: where the level
+    // has a vector body `q·kᵀ` runs on the microkernel's tile, and must
+    // beat the same call capped to scalar, which runs on the 8-lane tile
+    // (measured 1.7x at 512 bits, 1.6x at 256).
+    let floors = baseline
+        .get("scores_wide_tile_min_speedup")
+        .and_then(|v| v.as_object());
+    for (model, floor) in floors.into_iter().flatten() {
+        let (Some(floor), Some(r)) = (
+            floor.as_f64(),
+            attention.iter().find(|r| r.model == model.as_str()),
+        ) else {
+            eprintln!("check q.kT {model}: no such row or floor; failing");
+            ok = false;
+            continue;
+        };
+        let speedup = r.scores_wide_speedup();
+        if kernels::simd_level() == kernels::SimdLevel::Scalar {
+            println!("check q.kT {model}: no vector level on this host, nothing to compare");
+        } else if speedup < floor {
+            eprintln!(
+                "check q.kT {model}: WIDE-TILE REGRESSION only {speedup:.2}x the 8-lane tile \
+                 (floor {floor}x)"
+            );
+            ok = false;
+        } else {
+            println!("check q.kT {model}: {speedup:.2}x the 8-lane tile >= {floor} ok");
         }
     }
     // Pool-payoff gate: recycling buffers must never cost step time. Both
@@ -837,9 +1046,32 @@ fn main() -> ExitCode {
             .collect::<Vec<_>>(),
     );
 
+    let softmax = bench_softmax_stack(if smoke { 2 } else { 5 });
+    print_table(
+        &format!(
+            "Softmax over [{},{}] stacked scores (1t, in place)",
+            STACK.0 * STACK.1,
+            STACK.1
+        ),
+        &["op", "level", "mask", "µs", "ns/live elem", "ns/row"],
+        &softmax
+            .iter()
+            .map(|r| {
+                vec![
+                    r.op.to_string(),
+                    r.level.name().to_string(),
+                    r.mask().to_string(),
+                    format!("{:.1}", r.secs * 1e6),
+                    format!("{:.2}", r.ns_per_live_elem()),
+                    format!("{:.1}", r.ns_per_row()),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    );
+
     let attention = bench_attention_core(if smoke { 2 } else { 5 });
     print_table(
-        "Attention core (1t, causal; µs per call, GFLOP/s of executed flops)",
+        "Attention core (1t, causal; µs per call, GFLOP/s of executed flops, of the tile ceiling)",
         &[
             "model",
             "shape",
@@ -847,6 +1079,10 @@ fn main() -> ExitCode {
             "bwd",
             "fwd GF/s",
             "bwd GF/s",
+            "fwd/ceil",
+            "bwd/ceil",
+            "q.kT GF/s",
+            "q.kT wide/8-lane",
             "per-head fwd",
             "per-head bwd",
             "speedup",
@@ -855,14 +1091,17 @@ fn main() -> ExitCode {
             .iter()
             .map(|r| {
                 let us = |secs: f64| format!("{:.1}", secs * 1e6);
-                let rate = |i: usize| format!("{:.1}", r.flops[i] as f64 / r.batched[i] / 1e9);
                 vec![
                     r.model.to_string(),
                     r.shape.clone(),
                     us(r.batched[0]),
                     us(r.batched[1]),
-                    rate(0),
-                    rate(1),
+                    format!("{:.1}", r.gflops(0)),
+                    format!("{:.1}", r.gflops(1)),
+                    format!("{:.2}", r.gflops(0) / ceiling),
+                    format!("{:.2}", r.gflops(1) / ceiling),
+                    format!("{:.1}", r.scores_gflops()),
+                    format!("{:.2}x", r.scores_wide_speedup()),
                     us(r.per_head[0]),
                     us(r.per_head[1]),
                     format!("{:.1}x", r.speedup()),
@@ -956,13 +1195,28 @@ fn main() -> ExitCode {
             "libm_ns_per_elem": r.libm_ns_per_elem,
             "speedup_vs_libm": r.libm_ns_per_elem.map(|l| l / r.ns_per_elem),
         })).collect::<Vec<_>>(),
+        "softmax_stack": softmax.iter().map(|r| serde_json::json!({
+            "op": r.op,
+            "level": r.level.name(),
+            "mask": r.mask(),
+            "shape": format!("{}x{}", STACK.0 * STACK.1, STACK.1),
+            "us": r.secs * 1e6,
+            "ns_per_live_elem": r.ns_per_live_elem(),
+            "ns_per_row": r.ns_per_row(),
+        })).collect::<Vec<_>>(),
         "attention_core": attention.iter().map(|r| serde_json::json!({
             "model": r.model,
             "shape": r.shape,
             "fwd_us": r.batched[0] * 1e6,
             "bwd_us": r.batched[1] * 1e6,
-            "fwd_gflops": r.flops[0] as f64 / r.batched[0] / 1e9,
-            "bwd_gflops": r.flops[1] as f64 / r.batched[1] / 1e9,
+            "fwd_gflops": r.gflops(0),
+            "bwd_gflops": r.gflops(1),
+            "fwd_fraction_of_tile_ceiling": r.gflops(0) / ceiling,
+            "bwd_fraction_of_tile_ceiling": r.gflops(1) / ceiling,
+            "scores_us": r.scores[0] * 1e6,
+            "scores_gflops": r.scores_gflops(),
+            "scores_lane_tile_us": r.scores[1] * 1e6,
+            "scores_wide_over_lane_tile": r.scores_wide_speedup(),
             "per_head_fwd_us": r.per_head[0] * 1e6,
             "per_head_bwd_us": r.per_head[1] * 1e6,
             "speedup_vs_per_head": r.speedup(),
@@ -1010,6 +1264,7 @@ fn main() -> ExitCode {
             &ceilings,
             &rows,
             &elementwise,
+            &softmax,
             &attention,
             &e2e,
             parallelism,

@@ -85,6 +85,27 @@ struct HeadAt {
     c: usize,
 }
 
+/// Every pair's [`HeadAt`], computed once per pass over the layer, and the
+/// offset triples of the product at hand derived from it: one allocation
+/// holds both halves.
+struct Offsets {
+    /// `[q, p, c]` per pair, then as many slots for a product's triples.
+    table: Vec<[usize; 3]>,
+}
+
+impl Offsets {
+    /// The triples `item` makes of each pair's offsets, for
+    /// [`gemm_batch`].
+    fn batch(&mut self, item: impl Fn(HeadAt) -> [usize; 3]) -> &[[usize; 3]] {
+        let pairs = self.table.len() / 2;
+        let (heads, triples) = self.table.split_at_mut(pairs);
+        for (triple, &[q, p, c]) in triples.iter_mut().zip(heads.iter()) {
+            *triple = item(HeadAt { q, p, c });
+        }
+        triples
+    }
+}
+
 /// `t`'s blocks, stored the way the product reads them or transposed.
 fn operand(t: &Tensor, trans: bool) -> Operand<'_> {
     Operand {
@@ -112,20 +133,23 @@ impl Attention {
         self.wqkv.num_params() + self.wo.num_params()
     }
 
-    /// One offset triple per `(sample, head)` pair of `b` samples.
-    fn batch(&self, b: usize, item: impl Fn(HeadAt) -> [usize; 3]) -> Vec<[usize; 3]> {
+    /// Where the blocks of each `(sample, head)` pair of `b` samples lie.
+    fn offsets(&self, b: usize) -> Offsets {
         let (h, s) = (self.wo.w.rows(), self.seq);
         let d = h / self.heads;
-        (0..b * self.heads)
-            .map(|pair| {
-                let (sample, head) = (pair / self.heads, pair % self.heads);
-                item(HeadAt {
-                    q: sample * s * 3 * h + head * d,
-                    p: pair * s * s,
-                    c: sample * s * h + head * d,
-                })
-            })
-            .collect()
+        let mut table = Vec::with_capacity(2 * b * self.heads);
+        for sample in 0..b {
+            for head in 0..self.heads {
+                let pair = table.len();
+                table.push([
+                    sample * s * 3 * h + head * d,
+                    pair * s * s,
+                    sample * s * h + head * d,
+                ]);
+            }
+        }
+        table.resize(2 * table.len(), [0; 3]);
+        Offsets { table }
     }
 
     /// What the causal mask lets the score-shaped products (`out` is
@@ -164,6 +188,7 @@ impl Attention {
         let d = h / self.heads;
         let scale = 1.0 / (d as f32).sqrt();
         let (scores, weighted) = self.triangles();
+        let mut at = self.offsets(b);
         let mut probs = Tensor::zeros(b * self.heads * s, s);
         gemm_batch(
             (s, d, s),
@@ -171,7 +196,7 @@ impl Attention {
             operand(qkv, true),
             probs.data_mut(),
             s,
-            &self.batch(b, |at| [at.q, at.q + h, at.p]),
+            at.batch(|at| [at.q, at.q + h, at.p]),
             scores,
         );
         scale_mask_softmax_rows(&mut probs, scale, self.causal.then_some(s));
@@ -182,7 +207,7 @@ impl Attention {
             operand(qkv, false),
             ctx.data_mut(),
             h,
-            &self.batch(b, |at| [at.p, at.q + 2 * h, at.c]),
+            at.batch(|at| [at.p, at.q + 2 * h, at.c]),
             weighted,
         );
         (probs, ctx)
@@ -205,6 +230,7 @@ impl Attention {
         let d = h / self.heads;
         let scale = 1.0 / (d as f32).sqrt();
         let (scores, weighted) = self.triangles();
+        let mut at = self.offsets(b);
         let mut dqkv = Tensor::zeros(qkv.rows(), 3 * h);
         // dv = pᵀ·dc
         gemm_batch(
@@ -213,7 +239,7 @@ impl Attention {
             operand(dctx, false),
             dqkv.data_mut(),
             3 * h,
-            &self.batch(b, |at| [at.p, at.c, at.q + 2 * h]),
+            at.batch(|at| [at.p, at.c, at.q + 2 * h]),
             weighted,
         );
         // dp = dc·vᵀ, then ds in its place
@@ -224,7 +250,7 @@ impl Attention {
             operand(qkv, true),
             ds.data_mut(),
             s,
-            &self.batch(b, |at| [at.c, at.q + 2 * h, at.p]),
+            at.batch(|at| [at.c, at.q + 2 * h, at.p]),
             scores,
         );
         softmax_rows_backward(probs, &mut ds, scale, self.causal.then_some(s));
@@ -235,7 +261,7 @@ impl Attention {
             operand(qkv, false),
             dqkv.data_mut(),
             3 * h,
-            &self.batch(b, |at| [at.p, at.q + h, at.q]),
+            at.batch(|at| [at.p, at.q + h, at.q]),
             weighted,
         );
         // dk = dsᵀ·q
@@ -245,7 +271,7 @@ impl Attention {
             operand(qkv, false),
             dqkv.data_mut(),
             3 * h,
-            &self.batch(b, |at| [at.p, at.q, at.q + h]),
+            at.batch(|at| [at.p, at.q, at.q + h]),
             weighted,
         );
         dqkv

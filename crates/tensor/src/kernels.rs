@@ -35,10 +35,11 @@
 //! * The strided, batched small-product kernel ([`gemm_batch`], attention's
 //!   six products) **writes** each output element as that same ascending
 //!   `mul_add` chain started at `+0.0`, for every combination of transposes
-//!   — including `q·kᵀ` and `dc·vᵀ`. One thread, one owner per element,
-//!   and a tile that is safe code whose `mul_add` *is* the fused
-//!   instruction, so there is neither a grid nor a SIMD/scalar pair to keep
-//!   identical. Its [`Triangle`] hints skip work without
+//!   — including `q·kᵀ` and `dc·vᵀ`. One thread and one owner per element,
+//!   so there is no grid; of its two tiles the 8-lane one is safe code
+//!   whose `mul_add` *is* the fused instruction, and the wide one is the
+//!   microkernel started from zero (next bullet), so which of them a shape
+//!   and a level select changes no bit. Its [`Triangle`] hints skip work without
 //!   touching the chain of anything that is read: `LowerOut` leaves whole
 //!   tiles above the diagonal uncomputed (unspecified, for a masked softmax
 //!   that never reads them), and `LowerA` drops `k` steps whose multiplier
@@ -48,7 +49,9 @@
 //!   accumulator is never `−0.0` and either zero leaves it as it was.
 //! * The 512-bit, 256-bit and scalar bodies of the microkernel execute the
 //!   same op chain with the same exactly-rounded fused multiply-add (see
-//!   `crate::micro`), so runtime CPU-feature dispatch never changes results.
+//!   `crate::micro`), so runtime CPU-feature dispatch never changes results
+//!   — nor does it for softmax, whose lockstep bodies keep the portable
+//!   row's operations and reduction order (`crate::micro::softmax`).
 //!
 //! The [`naive`] module keeps the untiled single-threaded reference loops;
 //! property tests assert bit-equality against them at every microkernel
@@ -110,7 +113,9 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::micro;
-pub use crate::micro::{gemm_micro, set_level_cap, simd_level, SimdLevel, LANES, MR, NR};
+pub use crate::micro::{
+    gemm_micro, gemm_micro_from_zero, set_level_cap, simd_level, SimdLevel, LANES, MR, NR,
+};
 use crate::pool;
 
 /// Row-stripe height of one packed `a` panel (a multiple of [`MR`]).
@@ -358,13 +363,19 @@ impl<'a> Source<'a> {
         k0: usize,
         kcb: usize,
     ) {
-        for (p, ip) in (0..count).step_by(W).enumerate() {
-            let (i, w) = (i0 + ip, W.min(count - ip));
-            let panel = &mut pack[p * kcb * W..(p + 1) * kcb * W];
-            if self.depth_major {
+        let panels = pack[..count.div_ceil(W) * kcb * W].chunks_exact_mut(kcb * W);
+        let panels = panels.zip((0..count).step_by(W).map(|ip| (i0 + ip, W.min(count - ip))));
+        if self.depth_major {
+            for (panel, (i, w)) in panels {
                 copy_into::<W>(&self.data[k0 * self.ld + i..], self.ld, w, panel);
-            } else {
-                transpose_into::<W>(&self.data[i * self.ld + k0..], self.ld, w, panel);
+            }
+        } else {
+            // Cleared once per call, not once per panel: 8 KB of stores is
+            // most of what a shallow panel costs.
+            let mut block = [[0.0f32; TRANSPOSE_STEPS * 8]; NR / 8];
+            for (panel, (i, w)) in panels {
+                let src = &self.data[i * self.ld + k0..];
+                transpose_into::<W>(src, self.ld, w, panel, &mut block);
             }
         }
         PACK_CALLS.fetch_add(1, Ordering::Relaxed);
@@ -389,17 +400,26 @@ fn copy_into<const W: usize>(src: &[f32], ld: usize, w: usize, panel: &mut [f32]
     }
 }
 
+/// Depth steps the transposing pack stages per block (8 KB of stack for the
+/// widest panel).
+const TRANSPOSE_STEPS: usize = 64;
+
 /// `panel[kk·W + r] = src[r·ld + kk]` for `r < w` and `0.0` for `w ≤ r < W`,
 /// over every `W`-wide step `kk` of `panel`: the transposing pack.
 ///
 /// Reads and writes are both contiguous (a scatter `panel[kk·W + r] = v` one
 /// source row at a time touches a new cache line per element, and cost
 /// 2–3× as much): the source is taken `STEPS` depth steps at a time, eight
-/// rows by eight rows through [`interleave8`] into a stack block, and the
-/// block is written out as whole panel rows.
-fn transpose_into<const W: usize>(src: &[f32], ld: usize, w: usize, panel: &mut [f32]) {
-    /// Depth steps staged per block (8 KB of stack for the widest panel).
-    const STEPS: usize = 64;
+/// rows by eight rows through [`interleave8`] into the caller's stack
+/// `block`, and the block is written out as whole panel rows.
+fn transpose_into<const W: usize>(
+    src: &[f32],
+    ld: usize,
+    w: usize,
+    panel: &mut [f32],
+    block: &mut [[f32; TRANSPOSE_STEPS * 8]; NR / 8],
+) {
+    const STEPS: usize = TRANSPOSE_STEPS;
     /// What a lane past `w` reads.
     static ZEROS: [f32; KC] = [0.0; KC];
     const { assert!(W.is_multiple_of(8) && W <= NR) };
@@ -411,7 +431,6 @@ fn transpose_into<const W: usize>(src: &[f32], ld: usize, w: usize, panel: &mut 
     if W == 8 {
         return interleave8(std::array::from_fn(row), panel);
     }
-    let mut block = [[0.0f32; STEPS * 8]; NR / 8];
     for k0 in (0..kcb).step_by(STEPS) {
         let steps = STEPS.min(kcb - k0);
         for (g, staged) in block.iter_mut().enumerate().take(W / 8) {
@@ -420,7 +439,7 @@ fn transpose_into<const W: usize>(src: &[f32], ld: usize, w: usize, panel: &mut 
         }
         let out = panel[k0 * W..].chunks_exact_mut(W).take(steps);
         for (kk, lanes) in out.enumerate() {
-            for (to, staged) in lanes.chunks_exact_mut(8).zip(&block) {
+            for (to, staged) in lanes.chunks_exact_mut(8).zip(block.iter()) {
                 to.copy_from_slice(&staged[kk * 8..kk * 8 + 8]);
             }
         }
@@ -723,7 +742,17 @@ pub struct Operand<'a> {
     pub trans: bool,
 }
 
-impl Operand<'_> {
+impl<'a> Operand<'a> {
+    /// The block at `offset` as the packed engine's pack reads it.
+    fn source(&self, offset: usize, depth_major: bool) -> Source<'a> {
+        Source {
+            // An empty block may start past the end of its matrix.
+            data: self.data.get(offset..).unwrap_or(&[]),
+            ld: self.ld,
+            depth_major,
+        }
+    }
+
     /// Panic unless a block of logical shape `rows × cols` at `offset` lies
     /// inside the matrix without wrapping a stored row.
     fn check(&self, offset: usize, rows: usize, cols: usize, what: &str) {
@@ -789,11 +818,19 @@ fn live_part(
 /// chain `acc = a(i,kk).mul_add(b(kk,j), acc)` from `+0.0` over ascending
 /// `kk`, the chain of [`matmul_into`] on a zeroed output, whatever the
 /// strides, transposes, tiling or `tri`. [`naive::gemm_batch`] is the same
-/// chain untiled. Each `b` block is packed into [`LANES`]-wide panels (the
-/// packed engine's layout at half its width; one pool scratch per call,
-/// sized to one block), `a` is read in place, and the accumulator tile is
-/// [`MR`] rows of one 8-lane vector (`micro::axpy_tile`). One thread: the
-/// products this serves are far below [`PAR_MIN_FLOPS`].
+/// chain untiled. One thread: the products this serves are far below
+/// [`PAR_MIN_FLOPS`].
+///
+/// Two tiles, chosen by what the call can see. Where the output fills the
+/// microkernel's width (`n ≥ NR`: attention's score-shaped products, and
+/// all six at head widths from 32) and the level has a vector body, each
+/// item's blocks are packed as the packed engine packs them and every
+/// `MR×NR` tile is [`gemm_micro_from_zero`]'s. Otherwise each `b`
+/// block is packed into [`LANES`]-wide panels, `a` is read in place, and
+/// the tile is [`MR`] rows of one 8-lane vector (`micro::axpy_tile`), which
+/// a narrow output (`d = 8`) fills where the wide tile would idle three
+/// lanes in four. Pack scratch is the packed engine's, or one pool buffer
+/// sized to one `b` block.
 ///
 /// Counts as one kernel call with the flops of the tiles it computes, so a
 /// triangular call reports about half the flops of a full one.
@@ -816,15 +853,35 @@ pub fn gemm_batch(
         let end = oo + (m - 1) * ldo + n;
         assert!(end <= out.len(), "out: block out of bounds");
     }
+    let wide = n >= NR && simd_level() > SimdLevel::Scalar;
+    let width = if wide { NR } else { LANES };
     let per_item: u64 = (0..m)
         .step_by(MR)
         .map(|i| {
             let h = MR.min(m - i);
             let (ks, cols) = live_part(tri, a.trans, i, h, k, n);
-            2 * (h * ks.len() * n.min(cols.next_multiple_of(LANES))) as u64
+            2 * (h * ks.len() * n.min(cols.next_multiple_of(width))) as u64
         })
         .sum();
     let t0 = enter(per_item * batch.len() as u64);
+    if wide {
+        batch_on_micro_tiles((m, k, n), a, b, out, ldo, batch, tri);
+    } else {
+        batch_on_lane_tiles((m, k, n), a, b, out, ldo, batch, tri);
+    }
+    leave(t0);
+}
+
+/// [`gemm_batch`] on the `MR×LANES` tile.
+fn batch_on_lane_tiles(
+    (m, k, n): (usize, usize, usize),
+    a: Operand<'_>,
+    b: Operand<'_>,
+    out: &mut [f32],
+    ldo: usize,
+    batch: &[[usize; 3]],
+    tri: Triangle,
+) {
     let panel = k * LANES;
     let packed = n.div_ceil(LANES) * panel;
     // Zero-filled once: packing rewrites every real column for every item
@@ -859,7 +916,100 @@ pub fn gemm_batch(
     pool::put(bpack);
     PACK_CALLS.fetch_add(batch.len() as u64, Ordering::Relaxed);
     PACK_ELEMS.fetch_add((batch.len() * packed) as u64, Ordering::Relaxed);
-    leave(t0);
+}
+
+/// [`gemm_batch`] on the microkernel's tile: [`gemm_cell`]'s loop nest per
+/// item, over blocks addressed by offset and leading dimension, with each
+/// tile written from `+0.0` by the first depth slab, accumulated into by the
+/// rest, and left alone where `tri` spares it.
+fn batch_on_micro_tiles(
+    (m, k, n): (usize, usize, usize),
+    a: Operand<'_>,
+    b: Operand<'_>,
+    out: &mut [f32],
+    ldo: usize,
+    batch: &[[usize; 3]],
+    tri: Triangle,
+) {
+    let (mut apack, mut bpack) = take_scratch(m, k, n);
+    let mut edge = [[0.0f32; NR]; MR];
+    for &[ao, bo, oo] in batch {
+        let (asrc, bsrc) = (a.source(ao, a.trans), b.source(bo, !b.trans));
+        for jc in (0..n).step_by(NC) {
+            let ncb = NC.min(n - jc);
+            // `k = 0` still owes the output its zeros: one slab of no steps.
+            for k0 in (0..k.max(1)).step_by(KC) {
+                let kcb = KC.min(k - k0);
+                if kcb > 0 {
+                    bsrc.pack::<NR>(&mut bpack, jc, ncb, k0, kcb);
+                }
+                for ic in (0..m).step_by(MC) {
+                    let mcb = MC.min(m - ic);
+                    if kcb > 0 {
+                        asrc.pack::<MR>(&mut apack, ic, mcb, k0, kcb);
+                    }
+                    for (q, i) in (ic..ic + mcb).step_by(MR).enumerate() {
+                        let h = MR.min(ic + mcb - i);
+                        let (ks, cols) = live_part(tri, a.trans, i, h, k, n);
+                        // This slab's steps inside the stripe's live range.
+                        let (lo, hi) = (k0, k0 + kcb);
+                        let steps = ks.start.clamp(lo, hi) - k0..ks.end.clamp(lo, hi) - k0;
+                        let aslab = &apack[q * kcb * MR..][steps.start * MR..steps.end * MR];
+                        for (p, j) in (jc..cols.min(jc + ncb)).step_by(NR).enumerate() {
+                            let bslab = &bpack[p * kcb * NR..][steps.start * NR..steps.end * NR];
+                            let w = NR.min(jc + ncb - j);
+                            let cells = &mut out[oo + i * ldo + j..];
+                            micro_tile(aslab, bslab, cells, ldo, (h, w), k0 == 0, &mut edge);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    put_scratch([(apack, bpack)]);
+}
+
+/// One microkernel tile over the `h×w` cells at the head of `cells` (rows
+/// `ldo` apart): written from `+0.0` when `first`, accumulated into
+/// otherwise. A ragged tile is staged through `edge` as [`gemm_cell`]
+/// stages its own.
+fn micro_tile(
+    aslab: &[f32],
+    bslab: &[f32],
+    cells: &mut [f32],
+    ldo: usize,
+    (h, w): (usize, usize),
+    first: bool,
+    edge: &mut [[f32; NR]; MR],
+) {
+    let kcb = aslab.len() / MR;
+    if (h, w) == (MR, NR) {
+        let mut rows = cells.chunks_mut(ldo);
+        let mut rows: [&mut [f32]; MR] =
+            std::array::from_fn(|_| &mut rows.next().expect("blocks checked on entry")[..NR]);
+        let tile = if first {
+            gemm_micro_from_zero
+        } else {
+            gemm_micro
+        };
+        return tile(aslab, bslab, kcb, &mut rows, 0);
+    }
+    for (r, staged) in edge.iter_mut().enumerate() {
+        staged.fill(0.0);
+        if r < h && !first {
+            staged[..w].copy_from_slice(&cells[r * ldo..][..w]);
+        }
+    }
+    gemm_micro(
+        aslab,
+        bslab,
+        kcb,
+        &mut edge.each_mut().map(|r| &mut r[..]),
+        0,
+    );
+    for (r, staged) in edge.iter().enumerate().take(h) {
+        cells[r * ldo..][..w].copy_from_slice(&staged[..w]);
+    }
 }
 
 /// Pack the `k×n` block of `b` at `offset` into `W = LANES`-wide panels:

@@ -1,5 +1,6 @@
-//! Register-blocked microkernels: the only SIMD-explicit (and only
-//! `unsafe`-bearing) code in the workspace.
+//! Register-blocked microkernels, and (in [`softmax`]) softmax over lockstep
+//! rows: the only SIMD-explicit (and only `unsafe`-bearing) code in the
+//! workspace.
 //!
 //! # Why explicit intrinsics
 //!
@@ -41,16 +42,19 @@
 //!
 //! # Safety
 //!
-//! `unsafe` is confined to this module and used for exactly two things:
-//! calling `#[target_feature]` functions after a cached
-//! `is_x86_feature_detected!` check, and raw-pointer vector load/store into
-//! slices whose bounds are asserted (not merely debug-asserted) on entry.
+//! `unsafe` is confined to this module and the one it owns, and used for
+//! exactly two things: calling `#[target_feature]` functions after a cached
+//! `is_x86_feature_detected!` check, and raw-pointer vector load/store
+//! (masked, at a row's ragged end) into slices whose bounds are asserted
+//! (not merely debug-asserted) on entry.
 
 // The one sanctioned exception to the workspace-wide `deny(unsafe_code)`;
 // see the module docs and the root Cargo.toml lint comment.
 #![allow(unsafe_code)]
 
 use std::sync::atomic::{AtomicU8, Ordering};
+
+pub mod softmax;
 
 /// Microkernel tile height (output rows held in registers).
 pub const MR: usize = 8;
@@ -62,8 +66,8 @@ pub const NR: usize = 32;
 /// terms of.
 pub const LANES: usize = 8;
 
-/// Which body of [`gemm_micro`] runs. Ordered: a host that has a level has
-/// every level below it.
+/// Which body of [`gemm_micro`] (and of the other explicit kernels) runs.
+/// Ordered: a host that has a level has every level below it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
     /// Portable `f32::mul_add` loops.
@@ -128,14 +132,15 @@ impl SimdLevel {
 /// Highest level [`simd_level`] may return, as a `SimdLevel` discriminant.
 static LEVEL_CAP: AtomicU8 = AtomicU8::new(SimdLevel::Avx512 as u8);
 
-/// Cap the level [`gemm_micro`] dispatches to (testing only: lets the
+/// Cap the level every explicit body dispatches on (testing only: lets the
 /// proptests walk every level the host has). A cap above what the host
 /// supports changes nothing; `SimdLevel::Avx512` removes the cap.
 pub fn set_level_cap(cap: SimdLevel) {
     LEVEL_CAP.store(cap as u8, Ordering::SeqCst);
 }
 
-/// The level [`gemm_micro`] runs at: the detected one, unless capped lower.
+/// The level the explicit bodies run at: the detected one, unless capped
+/// lower.
 pub fn simd_level() -> SimdLevel {
     let cap = SimdLevel::ALL[usize::from(LEVEL_CAP.load(Ordering::Relaxed))];
     cap.min(SimdLevel::detected())
@@ -150,6 +155,30 @@ pub fn simd_level() -> SimdLevel {
 /// [`crate::kernels`]); `rows` must hold exactly [`MR`] row slices each
 /// covering at least `j0 + NR` elements.
 pub fn gemm_micro(apack: &[f32], bpack: &[f32], kcb: usize, rows: &mut [&mut [f32]], j0: usize) {
+    tile::<true>(apack, bpack, kcb, rows, j0);
+}
+
+/// [`gemm_micro`] with `=` for `+=`: the same chain started at `+0.0`
+/// instead of at what `rows` hold, which is not read.
+pub fn gemm_micro_from_zero(
+    apack: &[f32],
+    bpack: &[f32],
+    kcb: usize,
+    rows: &mut [&mut [f32]],
+    j0: usize,
+) {
+    tile::<false>(apack, bpack, kcb, rows, j0);
+}
+
+/// The tile at the current level, continuing from `rows` when `LOAD` and
+/// from `+0.0` otherwise.
+fn tile<const LOAD: bool>(
+    apack: &[f32],
+    bpack: &[f32],
+    kcb: usize,
+    rows: &mut [&mut [f32]],
+    j0: usize,
+) {
     assert_eq!(rows.len(), MR);
     assert!(apack.len() >= kcb * MR && bpack.len() >= kcb * NR);
     for row in rows.iter() {
@@ -160,26 +189,34 @@ pub fn gemm_micro(apack: &[f32], bpack: &[f32], kcb: usize, rows: &mut [&mut [f3
         // SAFETY: `simd_level` never exceeds what the CPU reports, so
         // avx512f is available; slice bounds asserted above match every
         // pointer access inside.
-        SimdLevel::Avx512 => unsafe { gemm_micro_avx512(apack, bpack, kcb, rows, j0) },
+        SimdLevel::Avx512 => unsafe { gemm_micro_avx512::<LOAD>(apack, bpack, kcb, rows, j0) },
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2Fma => {
             for half in [0, NR / 2] {
                 // SAFETY: avx2+fma available as above; `half + NR/2 <= NR`,
                 // so the asserted bounds cover both half-passes.
-                unsafe { gemm_micro_avx2(apack, bpack, kcb, rows, j0, half) };
+                unsafe { gemm_micro_avx2::<LOAD>(apack, bpack, kcb, rows, j0, half) };
             }
         }
-        _ => gemm_micro_scalar(apack, bpack, kcb, rows, j0),
+        _ => gemm_micro_scalar::<LOAD>(apack, bpack, kcb, rows, j0),
     }
 }
 
 /// Scalar reference tile. Same op chain as the FMA tiles: `mul_add` is the
 /// same exactly-rounded operation as `vfmadd…ps`, so results are
 /// bit-identical.
-fn gemm_micro_scalar(apack: &[f32], bpack: &[f32], kcb: usize, rows: &mut [&mut [f32]], j0: usize) {
+fn gemm_micro_scalar<const LOAD: bool>(
+    apack: &[f32],
+    bpack: &[f32],
+    kcb: usize,
+    rows: &mut [&mut [f32]],
+    j0: usize,
+) {
     let mut acc = [[0.0f32; NR]; MR];
-    for (r, row) in rows.iter().enumerate() {
-        acc[r].copy_from_slice(&row[j0..j0 + NR]);
+    if LOAD {
+        for (r, row) in rows.iter().enumerate() {
+            acc[r].copy_from_slice(&row[j0..j0 + NR]);
+        }
     }
     for kk in 0..kcb {
         let av = &apack[kk * MR..kk * MR + MR];
@@ -203,10 +240,10 @@ fn gemm_micro_scalar(apack: &[f32], bpack: &[f32], kcb: usize, rows: &mut [&mut 
 /// # Safety
 ///
 /// Caller must guarantee avx512f is available and the bounds asserted in
-/// [`gemm_micro`] hold.
+/// [`tile`] hold.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn gemm_micro_avx512(
+unsafe fn gemm_micro_avx512<const LOAD: bool>(
     apack: &[f32],
     bpack: &[f32],
     kcb: usize,
@@ -217,10 +254,12 @@ unsafe fn gemm_micro_avx512(
     const W: usize = 16;
     unsafe {
         let mut acc: [[__m512; 2]; MR] = [[_mm512_setzero_ps(); 2]; MR];
-        for (r, row) in rows.iter().enumerate() {
-            let p = row.as_ptr().add(j0);
-            acc[r][0] = _mm512_loadu_ps(p);
-            acc[r][1] = _mm512_loadu_ps(p.add(W));
+        if LOAD {
+            for (r, row) in rows.iter().enumerate() {
+                let p = row.as_ptr().add(j0);
+                acc[r][0] = _mm512_loadu_ps(p);
+                acc[r][1] = _mm512_loadu_ps(p.add(W));
+            }
         }
         let mut ap = apack.as_ptr();
         let mut bp = bpack.as_ptr();
@@ -250,10 +289,10 @@ unsafe fn gemm_micro_avx512(
 /// # Safety
 ///
 /// Caller must guarantee avx2+fma are available, `half + 16 <= NR`, and the
-/// bounds asserted in [`gemm_micro`] hold.
+/// bounds asserted in [`tile`] hold.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn gemm_micro_avx2(
+unsafe fn gemm_micro_avx2<const LOAD: bool>(
     apack: &[f32],
     bpack: &[f32],
     kcb: usize,
@@ -265,10 +304,12 @@ unsafe fn gemm_micro_avx2(
     const W: usize = 8;
     unsafe {
         let mut acc: [[__m256; 2]; MR] = [[_mm256_setzero_ps(); 2]; MR];
-        for (r, row) in rows.iter().enumerate() {
-            let p = row.as_ptr().add(j0 + half);
-            acc[r][0] = _mm256_loadu_ps(p);
-            acc[r][1] = _mm256_loadu_ps(p.add(W));
+        if LOAD {
+            for (r, row) in rows.iter().enumerate() {
+                let p = row.as_ptr().add(j0 + half);
+                acc[r][0] = _mm256_loadu_ps(p);
+                acc[r][1] = _mm256_loadu_ps(p.add(W));
+            }
         }
         for kk in 0..kcb {
             // Formed per step: `half` past the last step's row would lie
@@ -353,6 +394,15 @@ pub fn axpy_tile(
     acc
 }
 
+/// Held by a unit test while it moves the level cap, so that the level it
+/// set is the level its calls run at.
+#[cfg(test)]
+fn cap_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,6 +418,7 @@ mod tests {
     /// list is `[scalar]` and the test is trivially green).
     #[test]
     fn gemm_micro_levels_match_scalar() {
+        let _cap = cap_lock();
         for kcb in [0usize, 1, 5, 8, 64] {
             let apack = seq(kcb * MR, 1);
             let bpack = seq(kcb * NR, 2);

@@ -7,6 +7,7 @@
 //! softmax, one ascending chain for layernorm), so results do not depend on
 //! the platform, the SIMD width or the thread count.
 
+use crate::micro::softmax::{dot_lockstep, softmax_lockstep, R};
 use crate::pool;
 use crate::tensor::{dot, Tensor};
 use crate::vmath;
@@ -73,19 +74,83 @@ fn check_blocks(x: &Tensor, causal: Option<usize>) {
     }
 }
 
+/// Hand `each` the rows the lockstep bodies take [`R`] at a time, as
+/// `(first row, rows between two of the group, live columns)`: row `i` of
+/// `R` consecutive causal blocks — all `i + 1` columns live — or `R`
+/// consecutive unmasked rows. Returns how many leading rows of the stack
+/// the groups cover.
+fn for_each_group(
+    rows: usize,
+    cols: usize,
+    causal: Option<usize>,
+    mut each: impl FnMut((usize, usize, usize)),
+) -> usize {
+    let block = causal.unwrap_or(1);
+    // A row of no columns has nothing to group (or to do).
+    let covered = if cols == 0 {
+        0
+    } else {
+        rows - rows % (R * block)
+    };
+    for r0 in (0..covered).step_by(R * block) {
+        for i in 0..block {
+            let live = causal.map_or(cols, |_| cols.min(i + 1));
+            each((r0 + i, block, live));
+        }
+    }
+    covered
+}
+
+/// Rows `first`, `first + step`, … ([`R`] of them) of the row-major `data`,
+/// each cut to its `live` columns, the masked rest of it written as `+0.0`.
+fn live_rows(
+    data: &mut [f32],
+    cols: usize,
+    (first, step, live): (usize, usize, usize),
+) -> [&mut [f32]; R] {
+    let mut rows = data[first * cols..].chunks_mut(step * cols);
+    std::array::from_fn(|_| {
+        let row = &mut rows.next().expect("whole groups")[..cols];
+        let (seen, masked) = row.split_at_mut(live);
+        // Not a `memset` call for the nothing an unmasked row leaves.
+        if !masked.is_empty() {
+            masked.fill(0.0);
+        }
+        seen
+    })
+}
+
 /// Attention's `softmax(scale · x + mask)` in place, row by row.
 /// `causal = Some(block)` says `x` stacks score blocks of `block` rows
 /// each, every one under its own causal mask: row `r` attends to columns
 /// `0..=r % block`. Only those are read and exponentiated, and the rest of
 /// the row is written as exact `+0.0` (what `exp` of a `-∞` mask would
 /// give, without computing it).
+///
+/// Rows of equal live length go through `micro::softmax`'s lockstep body
+/// where the SIMD level has one; the portable row loop is what that body
+/// must equal bit for bit, and what every other row runs.
 pub fn scale_mask_softmax_rows(x: &mut Tensor, scale: f32, causal: Option<usize>) {
     check_blocks(x, causal);
-    let cols = x.cols();
-    for r in 0..x.rows() {
+    let (rows, cols) = (x.rows(), x.cols());
+    let covered = for_each_group(rows, cols, causal, |group| {
+        let mut seen = live_rows(x.data_mut(), cols, group);
+        if !softmax_lockstep(&mut seen, scale) {
+            seen.into_iter().for_each(|row| softmax_row(row, scale));
+        }
+    });
+    for r in covered..rows {
         let (seen, masked) = x.row_mut(r).split_at_mut(live_cols(r, cols, causal));
         softmax_row(seen, scale);
         masked.fill(0.0);
+    }
+}
+
+/// One row of [`softmax_rows_backward`] once its inner product is known:
+/// `d = scale · y ⊙ (d − inner)`.
+fn centre_and_scale(y: &[f32], d: &mut [f32], inner: f32, scale: f32) {
+    for (dv, &yv) in d.iter_mut().zip(y) {
+        *dv = yv * (*dv - inner) * scale;
     }
 }
 
@@ -100,18 +165,25 @@ pub fn scale_mask_softmax_rows(x: &mut Tensor, scale: f32, causal: Option<usize>
 /// live prefix alone: prefix element `i` goes to lane `i % 8` while whole
 /// groups of eight last, lanes are summed in ascending order, and the
 /// remaining `live % 8` elements are folded in one `mul_add` at a time.
+/// Rows are grouped as in the forward op.
 pub fn softmax_rows_backward(y: &Tensor, d: &mut Tensor, scale: f32, causal: Option<usize>) {
     assert_eq!((y.rows(), y.cols()), (d.rows(), d.cols()));
     check_blocks(y, causal);
-    let cols = y.cols();
-    for r in 0..y.rows() {
-        let live = live_cols(r, cols, causal);
-        let yr = &y.row(r)[..live];
-        let (seen, masked) = d.row_mut(r).split_at_mut(live);
-        let inner = dot(yr, seen);
-        for (dv, &yv) in seen.iter_mut().zip(yr) {
-            *dv = yv * (*dv - inner) * scale;
+    let (rows, cols) = (y.rows(), y.cols());
+    let covered = for_each_group(rows, cols, causal, |group| {
+        let (first, step, live) = group;
+        let yr: [&[f32]; R] = std::array::from_fn(|r| &y.row(first + r * step)[..live]);
+        let seen = live_rows(d.data_mut(), cols, group);
+        let inner = dot_lockstep(&yr, &seen.each_ref().map(|row| &**row))
+            .unwrap_or_else(|| std::array::from_fn(|r| dot(yr[r], seen[r])));
+        for ((yr, dr), inner) in yr.into_iter().zip(seen).zip(inner) {
+            centre_and_scale(yr, dr, inner, scale);
         }
+    });
+    for r in covered..rows {
+        let live = live_cols(r, cols, causal);
+        let (yr, (seen, masked)) = (&y.row(r)[..live], d.row_mut(r).split_at_mut(live));
+        centre_and_scale(yr, seen, dot(yr, seen), scale);
         masked.fill(0.0);
     }
 }

@@ -10,9 +10,13 @@
 //! thread and on any CPU; and because every lane runs the same chain, LLVM
 //! turns the plain slice loops over [`exp`] and [`tanh`] into SIMD code
 //! under the workspace's `target-cpu=native` without `unsafe` or
-//! intrinsics. `micro.rs`-style intrinsics would be justified only by a
-//! measurement showing that a loop here stopped vectorising (`fig_kernels`
-//! reports ns/element and gates `gelu` at 8× the libm loop).
+//! intrinsics (`fig_kernels` reports ns/element and gates `gelu` at 8× the
+//! libm loop). Intrinsics take a measurement to justify, and softmax over
+//! attention's stacked scores had one: 113 µs per `[1024, 128]` stack
+//! whether masked or not, bound by each row's chains and ragged end, which
+//! no per-element loop can help. So [`exp`] has one explicit twin, 16 lanes
+//! wide inside `micro::softmax`'s lockstep rows, held to this scalar
+//! definition bit for bit over the accuracy sweep below.
 //!
 //! Method (Cephes `expf` constants): `x = n·ln2 + r` with `n` rounded to
 //! nearest by the add-a-magic-constant trick and `|r| ≤ ln2/2` by a
@@ -36,13 +40,13 @@ pub const EXP_HI: f32 = 88.72;
 /// keeps `2ⁿ` far from overflow.
 const TANH_SAT: f32 = 10.0;
 
-const LN2_HI: f32 = 355.0 / 512.0; // 9 significant bits: `n * LN2_HI` is exact
-const LN2_LO: f32 = -2.121_944_4e-4; // ln 2 − LN2_HI
+pub(crate) const LN2_HI: f32 = 355.0 / 512.0; // 9 significant bits: `n * LN2_HI` is exact
+pub(crate) const LN2_LO: f32 = -2.121_944_4e-4; // ln 2 − LN2_HI
 /// `1.5·2²³`: adding it rounds to the nearest integer (ties to even) and
 /// leaves that integer in the low mantissa bits.
-const ROUND_MAGIC: f32 = 12_582_912.0;
+pub(crate) const ROUND_MAGIC: f32 = 12_582_912.0;
 
-const P: [f32; 6] = [
+pub(crate) const P: [f32; 6] = [
     1.987_569_1e-4,
     1.398_2e-3,
     8.333_452e-3,
@@ -105,6 +109,21 @@ pub fn tanh(x: f32) -> f32 {
     (em1 / (em1 + 2.0)).copysign(x)
 }
 
+/// `points` values evenly spaced over `[lo, hi]`, ends included.
+#[cfg(test)]
+fn sweep(lo: f32, hi: f32, points: u32) -> impl Iterator<Item = f32> {
+    let step = (f64::from(hi) - f64::from(lo)) / f64::from(points - 1);
+    (0..points)
+        .map(move |i| (f64::from(lo) + step * f64::from(i)).clamp(lo.into(), hi.into()) as f32)
+}
+
+/// What the `exp` tests walk: 1.2M points over the domain, 0.4M more where
+/// softmax lives.
+#[cfg(test)]
+pub(crate) fn exp_sweep() -> impl Iterator<Item = f32> {
+    sweep(EXP_LO, EXP_HI, 1_200_000).chain(sweep(-20.0, 0.0, 400_000))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,18 +136,10 @@ mod tests {
         (f64::from(got) - want).abs() / spacing
     }
 
-    /// `points` values evenly spaced over `[lo, hi]`, ends included.
-    fn sweep(lo: f32, hi: f32, points: u32) -> impl Iterator<Item = f32> {
-        let step = (f64::from(hi) - f64::from(lo)) / f64::from(points - 1);
-        (0..points)
-            .map(move |i| (f64::from(lo) + step * f64::from(i)).clamp(lo.into(), hi.into()) as f32)
-    }
-
     #[test]
     fn exp_within_two_ulp_of_f64_oracle() {
         let mut worst = 0.0f64;
-        // 1.2M points over the domain, 0.4M more where softmax lives.
-        for x in sweep(EXP_LO, EXP_HI, 1_200_000).chain(sweep(-20.0, 0.0, 400_000)) {
+        for x in exp_sweep() {
             let got = exp(x);
             assert!(got.is_normal(), "exp({x}) = {got:e} is not a normal f32");
             worst = worst.max(ulps(got, f64::from(x).exp()));

@@ -13,7 +13,8 @@
 //! The strided, batched small-product kernel (`gemm_batch`) is held to the
 //! same standard against its own naive twin: any strides, offsets,
 //! transposes and batch, and with the triangular hints, which must change
-//! no bit that is read. (Its tile is safe code with no level to dispatch.)
+//! no bit that is read — at every level too, since an output at least `NR`
+//! wide runs on the microkernel's tile wherever that has a vector body.
 
 use proptest::prelude::*;
 
@@ -305,6 +306,37 @@ impl Problem {
     }
 }
 
+/// `n` on either side of the microkernel's width and of two tiles of it:
+/// where `gemm_batch` changes tile, and where the wide tile has an edge.
+fn width_around_nr(pick: usize) -> usize {
+    [31, 32, 33, 64, 65][pick % 5]
+}
+
+/// Every element of `p`'s product equals the naive twin's, at every level;
+/// under `LowerOut` above the diagonal of a block anything goes.
+fn assert_matches_naive(p: &Problem, tri: Triangle) {
+    let (m, _, n) = p.dims;
+    let want = p.run_naive();
+    at_every_level(|level| {
+        let mut got = p.run(tri);
+        if tri == Triangle::LowerOut {
+            // Unspecified there: take the reference's.
+            for &[_, _, oo] in &p.batch {
+                for (i, j) in (0..m).flat_map(|i| (i + 1..n).map(move |j| (i, j))) {
+                    got[oo + i * p.ldo + j] = want[oo + i * p.ldo + j];
+                }
+            }
+        }
+        assert_eq!(
+            bits(&got),
+            bits(&want),
+            "{:?} {tri:?} at {}",
+            p.dims,
+            level.name()
+        );
+    });
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -313,8 +345,11 @@ proptest! {
     /// blocks and (untouched) outside them.
     #[test]
     fn strided_batched_matches_naive(m in 1usize..=80, k in 1usize..=80, n in 1usize..=80, items in 1usize..5, seed in 0u64..100_000) {
-        let p = Problem::random(seed, (m, k, n), items);
-        prop_assert_eq!(bits(&p.run(Triangle::Full)), bits(&p.run_naive()));
+        assert_matches_naive(&Problem::random(seed, (m, k, n), items), Triangle::Full);
+        // The same call at the widths where the tile changes (any `m`, so
+        // ragged row tiles come with them).
+        let n = width_around_nr(n);
+        assert_matches_naive(&Problem::random(seed, (m, k, n), items), Triangle::Full);
     }
 
     /// `LowerA` skips only `k` steps whose multiplier is a `±0.0` of the
@@ -322,9 +357,11 @@ proptest! {
     /// operands.
     #[test]
     fn lower_a_skip_is_exact(m in 1usize..=80, k in 1usize..=80, n in 1usize..=40, items in 1usize..4, seed in 0u64..100_000) {
-        let mut p = Problem::random(seed, (m, k, n), items);
-        p.zero_a_above_diagonal(seed + 1);
-        prop_assert_eq!(bits(&p.run(Triangle::LowerA)), bits(&p.run_naive()));
+        for n in [n, width_around_nr(n)] {
+            let mut p = Problem::random(seed, (m, k, n), items);
+            p.zero_a_above_diagonal(seed + 1);
+            assert_matches_naive(&p, Triangle::LowerA);
+        }
     }
 
     /// `LowerOut` computes every element at or below the diagonal of every
@@ -332,17 +369,24 @@ proptest! {
     /// outside the blocks.
     #[test]
     fn lower_out_keeps_the_lower_triangle(m in 1usize..=80, k in 1usize..=40, n in 1usize..=80, items in 1usize..4, seed in 0u64..100_000) {
-        let p = Problem::random(seed, (m, k, n), items);
-        let (want, mut got) = (p.run_naive(), p.run(Triangle::LowerOut));
-        // Above the diagonal a block is unspecified: take the reference's.
-        for &[_, _, oo] in &p.batch {
-            for i in 0..m {
-                for j in i + 1..n {
-                    got[oo + i * p.ldo + j] = want[oo + i * p.ldo + j];
-                }
-            }
+        for n in [n, width_around_nr(n)] {
+            assert_matches_naive(&Problem::random(seed, (m, k, n), items), Triangle::LowerOut);
         }
-        prop_assert_eq!(bits(&got), bits(&want));
+    }
+}
+
+/// A depth past one packed slab (`k > KC`), under every hint: later slabs
+/// accumulate into what the first one wrote, and `LowerA`'s live range cuts
+/// through a slab edge.
+#[test]
+fn gemm_batch_deeper_than_a_slab() {
+    let (m, k, n) = (kernels::KC + 20, kernels::KC + 20, kernels::NR + 3);
+    for tri in [Triangle::Full, Triangle::LowerOut, Triangle::LowerA] {
+        let mut p = Problem::random(9, (m, k, n), 2);
+        if tri == Triangle::LowerA {
+            p.zero_a_above_diagonal(10);
+        }
+        assert_matches_naive(&p, tri);
     }
 }
 
@@ -350,26 +394,33 @@ proptest! {
 /// it does not accumulate); empty outputs and empty batches write nothing.
 #[test]
 fn gemm_batch_degenerate_shapes() {
-    for tri in [Triangle::Full, Triangle::LowerOut, Triangle::LowerA] {
-        let p = Problem::random(3, (5, 0, 9), 2);
-        let got = p.run(tri);
-        for &[_, _, oo] in &p.batch {
-            for (i, j) in (0..5).flat_map(|i| (0..9).map(move |j| (i, j))) {
-                if tri != Triangle::LowerOut || j <= i {
-                    assert_eq!(got[oo + i * p.ldo + j].to_bits(), 0, "k = 0, {tri:?}");
+    at_every_level(|level| {
+        for tri in [Triangle::Full, Triangle::LowerOut, Triangle::LowerA] {
+            for (m, n) in [(5, 9), (9, 40)] {
+                let p = Problem::random(3, (m, 0, n), 2);
+                let got = p.run(tri);
+                for &[_, _, oo] in &p.batch {
+                    for (i, j) in (0..m).flat_map(|i| (0..n).map(move |j| (i, j))) {
+                        if tri != Triangle::LowerOut || j <= i {
+                            let what = format!("k = 0, {tri:?} at {}", level.name());
+                            assert_eq!(got[oo + i * p.ldo + j].to_bits(), 0, "{what}");
+                        }
+                    }
                 }
             }
+            for dims in [(0, 4, 6), (6, 4, 0), (0, 4, 40), (0, 0, 0)] {
+                let p = Problem::random(4, dims, 3);
+                assert!(
+                    p.run(tri).iter().all(|&v| v == SENTINEL),
+                    "{dims:?} {tri:?}"
+                );
+            }
+            for n in [3, 40] {
+                let p = Problem::random(5, (6, 4, n), 0);
+                assert!(p.run(tri).iter().all(|&v| v == SENTINEL), "empty batch");
+            }
         }
-        for dims in [(0, 4, 6), (6, 4, 0), (0, 0, 0)] {
-            let p = Problem::random(4, dims, 3);
-            assert!(
-                p.run(tri).iter().all(|&v| v == SENTINEL),
-                "{dims:?} {tri:?}"
-            );
-        }
-        let p = Problem::random(5, (6, 4, 3), 0);
-        assert!(p.run(tri).iter().all(|&v| v == SENTINEL), "empty batch");
-    }
+    });
 }
 
 /// A block that does not fit its matrix is refused, not wrapped.

@@ -137,6 +137,29 @@ fn exact_counter_accounting() {
         assert_eq!(ks.calls, calls);
         assert_eq!(ks.flops - before, 3 * tiles * 2 * 8 * 8 * d as u64);
     }
+    // An output at least `NR` wide runs on the microkernel's tile where the
+    // level has a vector body, and both counters follow the tile that ran:
+    // 8-row tiles of 32-column panels — under `LowerOut` 1, 1, 1, 1, 2, 2,
+    // 2, 2 of the 2 per stripe of a 64×64 output — and per item one packed
+    // `b` block and one packed `a` block, `(64 + 64)·d` elements.
+    if kernels::simd_level() > kernels::SimdLevel::Scalar {
+        let s = 64usize;
+        let src = vec![1.0f32; s * d];
+        let q = kernels::Operand { data: &src, ..q };
+        let kt = kernels::Operand { trans: true, ..q };
+        let mut scores = vec![0.0f32; 2 * s * s];
+        let batch = [[0, 0, 0], [0, 0, s * s]];
+        for (tri, tiles) in [
+            (kernels::Triangle::Full, 16),
+            (kernels::Triangle::LowerOut, 12),
+        ] {
+            kernels::reset_stats();
+            kernels::gemm_batch((s, d, s), q, kt, &mut scores, s, &batch, tri);
+            assert_eq!(kernels::stats().flops, 2 * tiles * 2 * 8 * 32 * d as u64);
+            let ps = kernels::pack_stats();
+            assert_eq!((ps.calls, ps.elems), (4, (2 * (s + s) * d) as u64));
+        }
+    }
     // One pool scratch per call, recycled: a miss, then a hit.
     pool::clear_local();
     pool::reset_stats();
