@@ -128,6 +128,15 @@ pub fn chimera(cfg: &ChimeraConfig) -> Result<Schedule, GenError> {
     Ok(sched)
 }
 
+/// Whether the backwards of [`chimera`]'s schedule for `cfg` recompute — some
+/// basic unit is a forward-doubling one with recomputation on — answered from
+/// the unit plan alone, for a caller that must name the schedule's shape
+/// without generating it.
+pub fn recomputes(cfg: &ChimeraConfig) -> bool {
+    let doubling = |unit: &Unit| matches!(unit.mode, Mode::Doubling { recompute: true });
+    cfg.d > 0 && plan_units(cfg.d, cfg.n, cfg.scale).iter().any(doubling)
+}
+
 /// What [`compact`] merges into the schedule for `cfg`: the placement, the
 /// per-worker streams, the merge costs and the micro window.
 #[allow(clippy::type_complexity)]
@@ -567,6 +576,31 @@ mod tests {
             chimera(&ChimeraConfig::new(4, 0)),
             Err(GenError::InvalidConfig(_))
         ));
+    }
+
+    /// `recomputes` names what the generator does, on every shape it accepts.
+    #[test]
+    fn recomputes_says_what_the_generated_backwards_do() {
+        let scales = [
+            ScaleMethod::Direct,
+            ScaleMethod::ForwardDoubling { recompute: true },
+            ScaleMethod::ForwardDoubling { recompute: false },
+            ScaleMethod::BackwardHalving,
+        ];
+        let mut recomputing = 0;
+        for (d, f) in [(2, 1), (4, 1), (4, 2), (8, 1), (8, 2)] {
+            for n in (1..=4 * d).chain([5 * d, 8 * d]) {
+                for scale in scales {
+                    let cfg = ChimeraConfig { d, n, f, scale };
+                    let Ok(s) = chimera(&cfg) else { continue };
+                    let generated = s.iter_ops().any(|(_, _, op)| op.recomputes());
+                    assert_eq!(recomputes(&cfg), generated, "{cfg:?}");
+                    recomputing += usize::from(generated);
+                }
+            }
+        }
+        assert!(recomputing > 50, "{recomputing} recomputing shapes");
+        assert!(!recomputes(&ChimeraConfig::new(0, 4)));
     }
 
     /// f = D/2 makes each pipeline a single stage deep... every worker hosts

@@ -15,8 +15,9 @@
 //! * [`planner`] — the (W, D, B) grid search used by the baselines and
 //!   Chimera's greedy-B + model-driven planning;
 //! * [`structure`] — what a candidate's schedule shape says for itself
-//!   (verdict, sync placement, critical path), analysed once per
-//!   `(scheme, D, N)` in a table its owner keeps.
+//!   (the schedule with its sync ops, its verdict, its critical path),
+//!   generated and analysed once per `(scheme, D, N)` in a table its owner
+//!   keeps.
 
 pub mod costs;
 pub mod device;

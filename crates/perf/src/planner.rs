@@ -5,10 +5,11 @@
 //! the largest micro-batch that fits memory and lets the §3.4 performance
 //! model pick (W, D).
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use chimera_core::baselines::{dapple, gems, gpipe, pipedream_2bw_steady, pipedream_steady};
-use chimera_core::chimera::{chimera, ChimeraConfig, ScaleMethod};
+use chimera_core::chimera::{chimera, recomputes, ChimeraConfig, ScaleMethod};
 use chimera_core::schedule::{Schedule, Scheme, SyncStrategy};
 use chimera_core::sync::place_sync;
 use chimera_core::unit_time::UnitCosts;
@@ -18,7 +19,7 @@ use chimera_verify::memory_v2;
 use crate::costs::{ClusterSpec, TrainConfig};
 use crate::eq1;
 use crate::model::ModelSpec;
-use crate::structure::{Opened, StructureKey, StructureTable, Unclean};
+use crate::structure::{Opened, Structure, StructureKey, StructureTable, Unclean};
 
 /// Which scheme to plan for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -147,28 +148,37 @@ fn build_schedule(scheme: PlanScheme, d: u32, n: u32) -> Option<(Schedule, u32)>
     }
 }
 
-/// The schedule a `(W, D, B)` candidate with `n` micro-batches runs as its
-/// scheme generates it — no sync ops yet, before any recomputation retry —
-/// with its byte/time cost model and the iterations its span covers.
-fn generate(
-    scheme: PlanScheme,
+/// Whether `scheme`'s own schedule at `(d, n)` already recomputes, so that
+/// the planner's retry has nothing to add: 2BW by default, forward doubling
+/// where a doubled unit exists. Answered without generating — a gate must
+/// name a winner's shape before it can look it up.
+fn already_recomputes(scheme: PlanScheme, d: u32, n: u32) -> bool {
+    match scheme {
+        PlanScheme::PipeDream2Bw => true,
+        PlanScheme::Chimera { f, scale } => recomputes(&ChimeraConfig { d, n, f, scale }),
+        _ => false,
+    }
+}
+
+/// The byte/time cost model of a `(W, D, B)` candidate, given its schedule.
+fn price_list(
     model: ModelSpec,
     cluster: ClusterSpec,
     w: u32,
     d: u32,
     b: u32,
-    n: u32,
-) -> Option<(Schedule, SimCostModel, u32)> {
-    let (base, iters) = build_schedule(scheme, d, n)?;
-    let cfg = TrainConfig {
-        model,
-        cluster,
-        d,
-        w,
-        b,
-        stage_replicas: base.placement.replicas(),
-    };
-    Some((base, cfg.cost_model(), iters))
+) -> impl Fn(&Schedule) -> SimCostModel {
+    move |sched| {
+        TrainConfig {
+            model,
+            cluster,
+            d,
+            w,
+            b,
+            stage_replicas: sched.placement.replicas(),
+        }
+        .cost_model()
+    }
 }
 
 /// Evaluate one `(W, D, B)` candidate for `scheme` training `model` on
@@ -203,9 +213,10 @@ pub fn evaluate(
 }
 
 /// [`evaluate`] against `table`: what the candidate's schedule shape says
-/// for itself — verdict, sync placement, Eq. 1's critical path — is looked
-/// up (analysed and kept at its first sight), and only its prices are
-/// computed here: exact memory, the simulated span, Eq. 1 in seconds.
+/// for itself — the schedule, its verdict, Eq. 1's critical path — is looked
+/// up (generated, analysed and kept at its first sight), and only its prices
+/// are computed here: exact memory and Eq. 1 in seconds (`price_with`),
+/// then the simulated span.
 #[allow(clippy::too_many_arguments)] // evaluate's dimensions + the table
 pub fn evaluate_with(
     table: &StructureTable,
@@ -218,7 +229,73 @@ pub fn evaluate_with(
     d: u32,
     b: u32,
 ) -> Result<Option<Candidate>, Unclean> {
-    if w * d != p || d < 2 || b == 0 {
+    let priced = price_with(table, scheme, model, cluster, p, b_hat, w, d, b)?;
+    Ok(priced.and_then(Priced::simulate))
+}
+
+/// A candidate priced — verdict, exact memory, fit, Eq. 1 — and not yet
+/// simulated: all that Chimera's planning ranks by.
+struct Priced {
+    /// Scheme, `D` and `N` (per iteration — an asynchronous scheme's schedule
+    /// is a span of several).
+    key: StructureKey,
+    w: u32,
+    b: u32,
+    /// The effective mini-batch size.
+    b_hat: u64,
+    /// Whether the candidate recomputes, by its scheme or by the retry.
+    recompute: bool,
+    fits: bool,
+    peak_mem: u64,
+    predicted_s: Option<f64>,
+    structure: Arc<Structure>,
+    /// The schedule after the recomputation retry, where that was taken.
+    retried: Option<Schedule>,
+    cost: SimCostModel,
+}
+
+impl Priced {
+    /// The candidate with its simulated span. A schedule with a clean verdict
+    /// simulates: the errors of `simulate_span` — a deadlock, a span its op
+    /// counts do not cover — are findings of the verdict.
+    fn simulate(self) -> Option<Candidate> {
+        let sched = self.retried.as_ref().unwrap_or(&self.structure.sched);
+        let report = simulate_span(sched, &self.cost, self.structure.iterations).ok()?;
+        // Per-iteration time normalized to b_hat samples.
+        let samples_per_span = sched.n as u64 * self.b as u64 * self.w as u64;
+        let throughput = samples_per_span as f64 / report.span_s;
+        Some(Candidate {
+            scheme: self.key.scheme,
+            w: self.w,
+            d: self.key.d,
+            b: self.b,
+            n: self.key.n,
+            recompute: self.recompute,
+            fits: self.fits,
+            iter_time_s: self.b_hat as f64 / throughput,
+            throughput,
+            peak_mem: self.peak_mem,
+            bubble_ratio: report.bubble_ratio,
+            predicted_s: self.predicted_s,
+            b_hat: self.b_hat,
+        })
+    }
+}
+
+/// The first half of [`evaluate_with`]: everything but the simulation.
+#[allow(clippy::too_many_arguments)] // evaluate_with's
+fn price_with(
+    table: &StructureTable,
+    scheme: PlanScheme,
+    model: ModelSpec,
+    cluster: ClusterSpec,
+    p: u32,
+    b_hat: u64,
+    w: u32,
+    d: u32,
+    b: u32,
+) -> Result<Option<Priced>, Unclean> {
+    if w.checked_mul(d) != Some(p) || d < 2 || b == 0 {
         return Ok(None);
     }
     // PipeDream updates per micro-batch: its mini-batch is W·B and N is the
@@ -237,10 +314,6 @@ pub fn evaluate_with(
         (n, b_hat)
     };
 
-    let Some((base, cost, iters)) = generate(scheme, model, cluster, w, d, b, n) else {
-        return Ok(None);
-    };
-
     // One static verdict per candidate: its shape's structural report joined
     // with this candidate's exact memory. Every schedule the planner hands
     // out must pass it — a deadlocked or hazardous candidate would only fail
@@ -257,7 +330,11 @@ pub fn evaluate_with(
         n,
         recompute: false,
     };
-    let (structure, mut sched, mut mem) = table.open(key, base, iters, &cost).check(u64::MAX)?;
+    let cost_of = price_list(model, cluster, w, d, b);
+    let Some(opened) = table.open(key, || build_schedule(scheme, d, n), cost_of) else {
+        return Ok(None);
+    };
+    let (structure, cost, mut mem) = opened.check(u64::MAX)?;
     // Retry with activation recomputation (the paper's "R" label; Fig. 1
     // shows even PipeDream running with R in the authors' harness).
     // PipeDream's mini-batch size stays capped regardless: its weight
@@ -266,49 +343,35 @@ pub fn evaluate_with(
     // a message or a weight version, so the verdict above stands for the
     // variant and only its memory is walked again.
     let capacity = cluster.usable_mem();
-    let mut recompute = false;
-    if !mem.fits(capacity) && !already_recomputes(&sched) {
-        sched = sched.with_recompute();
-        recompute = true;
+    let recomputes = already_recomputes(scheme, d, n);
+    let retried = (!mem.fits(capacity) && !recomputes).then(|| {
+        let sched = structure.sched.clone().with_recompute();
         mem = memory_v2(&sched, &cost);
-    }
-    let Ok(report) = simulate_span(&sched, &cost, iters) else {
-        return Ok(None);
-    };
-
-    // Per-iteration time normalized to b_hat samples.
-    let samples_per_span = sched.n as u64 * b as u64 * w as u64;
-    let throughput = samples_per_span as f64 / report.span_s;
-    let iter_time_s = eff_b_hat as f64 / throughput;
+        sched
+    });
     // The retried variant's Eq. 1 is priced from its own executions: its
     // backward passes are longer, so its free regions are its own.
     let predicted_s = matches!(scheme, PlanScheme::Chimera { .. }).then(|| {
-        match &structure.critical {
-            Some(path) if !recompute => eq1::price(path, &cost),
-            _ => eq1::predict(&sched, &cost),
+        match (&structure.critical, &retried) {
+            (Some(path), None) => eq1::price(path, &cost),
+            (_, sched) => eq1::predict(sched.as_ref().unwrap_or(&structure.sched), &cost),
         }
         .t_iter_s
     });
 
-    Ok(Some(Candidate {
-        scheme,
+    Ok(Some(Priced {
+        key,
         w,
-        d,
         b,
-        n,
-        recompute: recompute || already_recomputes(&sched),
-        fits: mem.fits(capacity),
-        iter_time_s,
-        throughput,
-        peak_mem: mem.max_exact_peak(),
-        bubble_ratio: report.bubble_ratio,
-        predicted_s,
         b_hat: eff_b_hat,
+        recompute: recomputes || retried.is_some(),
+        fits: mem.fits(capacity),
+        peak_mem: mem.max_exact_peak(),
+        predicted_s,
+        structure,
+        retried,
+        cost,
     }))
-}
-
-fn already_recomputes(sched: &Schedule) -> bool {
-    sched.iter_ops().any(|(_, _, op)| op.recomputes())
 }
 
 /// Rebuild the exact schedule, cost model and span iteration count a
@@ -321,21 +384,23 @@ pub fn rebuild(
     model: ModelSpec,
     cluster: ClusterSpec,
 ) -> Option<(Schedule, SimCostModel, u32)> {
-    let (base, cost, iters) = generate(c.scheme, model, cluster, c.w, c.d, c.b, c.n)?;
+    let (base, iters) = build_schedule(c.scheme, c.d, c.n)?;
+    let cost = price_list(model, cluster, c.w, c.d, c.b)(&base);
     let mut sched = if base.flushes {
         place_sync(base, SyncStrategy::EagerOpt, UnitCosts::practical())
     } else {
         base
     };
-    if c.recompute && !already_recomputes(&sched) {
+    if c.recompute && !already_recomputes(c.scheme, c.d, c.n) {
         sched = sched.with_recompute();
     }
     Some((sched, cost, iters))
 }
 
-/// [`rebuild`] through `table`, for a gate: the candidate's schedule joined
-/// with its shape's structure — the retried variant is a shape of its own,
-/// verified at its first sight here — and its exact memory, ready for
+/// [`rebuild`] through `table`, for a gate: the candidate joined with its
+/// shape's structure — the schedule it was priced from, kept since the
+/// shape's first sight; the retried variant is a shape of its own, generated
+/// and verified at its first sight here — and its exact memory, ready for
 /// [`Opened::check`] against a budget.
 pub fn reopen(
     table: &StructureTable,
@@ -343,14 +408,14 @@ pub fn reopen(
     model: ModelSpec,
     cluster: ClusterSpec,
 ) -> Option<Opened> {
-    let (base, cost, iters) = generate(c.scheme, model, cluster, c.w, c.d, c.b, c.n)?;
     let key = StructureKey {
         scheme: c.scheme,
         d: c.d,
         n: c.n,
-        recompute: c.recompute && !already_recomputes(&base),
+        recompute: c.recompute && !already_recomputes(c.scheme, c.d, c.n),
     };
-    Some(table.open(key, base, iters, &cost))
+    let cost_of = price_list(model, cluster, c.w, c.d, c.b);
+    table.open(key, || build_schedule(c.scheme, c.d, c.n), cost_of)
 }
 
 /// Pipeline depths worth trying for `p` workers and `model`.
@@ -557,37 +622,33 @@ pub fn plan_chimera_until(
     deadline: Option<Instant>,
 ) -> Result<Option<Candidate>, SearchError> {
     let scheme = PlanScheme::Chimera { f, scale };
-    let mut per_wd: Vec<Candidate> = Vec::new();
+    let predicted = |c: &Priced| c.predicted_s.unwrap_or(f64::INFINITY);
+    let mut per_wd: Vec<Priced> = Vec::new();
     for d in depth_candidates(p, &model) {
         let w = p / d;
-        let mut chosen: Option<Candidate> = None;
+        let mut chosen: Option<Priced> = None;
         for b in batch_candidates(b_hat, w) {
             if expired(deadline) {
                 return Err(SearchError::Timeout);
             }
-            let Some(c) = evaluate_with(table, scheme, model, cluster, p, b_hat, w, d, b)? else {
+            let Some(c) = price_with(table, scheme, model, cluster, p, b_hat, w, d, b)? else {
                 continue;
             };
-            if !c.fits {
-                continue;
-            }
-            let better = chosen.as_ref().is_none_or(|cur| {
-                c.predicted_s.unwrap_or(f64::INFINITY) < cur.predicted_s.unwrap_or(f64::INFINITY)
-            });
-            if better {
+            if c.fits
+                && chosen
+                    .as_ref()
+                    .is_none_or(|cur| predicted(&c) < predicted(cur))
+            {
                 chosen = Some(c);
             }
         }
-        if let Some(c) = chosen {
-            per_wd.push(c);
-        }
+        per_wd.extend(chosen);
     }
-    // Model-driven selection: minimize the Eq. 1 prediction.
-    Ok(per_wd.into_iter().min_by(|a, b| {
-        a.predicted_s
-            .unwrap_or(f64::INFINITY)
-            .total_cmp(&b.predicted_s.unwrap_or(f64::INFINITY))
-    }))
+    // Model-driven selection: minimize the Eq. 1 prediction. Every candidate
+    // above was verified, priced and checked for fit; the model ranks them,
+    // so only the one it picks is simulated.
+    let best = (per_wd.into_iter()).min_by(|a, b| predicted(a).total_cmp(&predicted(b)));
+    Ok(best.and_then(Priced::simulate))
 }
 
 /// The paper's search for `scheme` (§4.2) against `table`: Chimera plans by
@@ -633,6 +694,8 @@ mod tests {
         let (m, c) = bert_setup();
         assert!(evaluate(PlanScheme::Dapple, m, c, 32, 512, 4, 4, 4).is_none()); // W*D != P
         assert!(evaluate(PlanScheme::Dapple, m, c, 32, 512, 8, 4, 3).is_none()); // not divisible
+        let wraps = 1 << 31; // W·D = 2³² is P = 0 in `u32`, and N = 1 would build
+        assert!(evaluate(PlanScheme::Dapple, m, c, 0, 1 << 31, wraps, 2, 1).is_none());
         assert!(evaluate(
             PlanScheme::Chimera {
                 f: 1,

@@ -13,9 +13,11 @@
 //! The table belongs to whoever plans repeatedly — `chimera-serve`'s engine
 //! owns one for its lifetime, a bare planner call makes a fresh one — and is
 //! never global: its hit rate, its memory and its counters are its owner's.
-//! Schedules and lowered rows are *not* stored (they are the bulk of a
-//! planning pass's memory); every candidate is still generated, lowered for
-//! its bytes, and simulated.
+//! The shape's schedule is part of its structure: it is generated, given its
+//! sync ops and verified at the first sight, and every later candidate of the
+//! shape is lowered for its bytes — and simulated — from that one copy. What
+//! the table holds is bounded in ops ([`StructureTable::OP_CAP`]); lowered
+//! rows are not kept (a row is several times an op).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,29 +50,68 @@ pub struct StructureKey {
 /// Everything the planner reads off a schedule shape that no price changes.
 #[derive(Debug)]
 pub struct Structure {
-    /// [`chimera_verify::verify_span`]'s report of the shape's schedule
-    /// (sync ops placed, recomputation applied).
+    /// The shape's schedule: eager-opt sync ops placed where the scheme
+    /// flushes, recomputation applied where the key says so.
+    pub sched: Schedule,
+    /// Training iterations the schedule's span covers.
+    pub iterations: u32,
+    /// [`chimera_verify::verify_span`]'s report of `sched`.
     pub report: VerifyReport,
-    /// Eager-opt sync placement — flushing schemes; `None` where the
-    /// schedule carries no sync ops (asynchronous schemes, or a compute
-    /// schedule that does not execute, which the report then says).
-    pub eager: Option<Vec<Vec<bool>>>,
     /// Eq. 1's critical path — Chimera shapes without the retry, the ones
     /// whose prediction is priced from here. Its free regions are the ones
-    /// `eager` was derived from: one timeline serves both.
+    /// the sync ops were placed by: one timeline serves both.
     pub critical: Option<CriticalPath>,
 }
 
-/// A shape's schedule from `base`, the schedule as generated.
-fn shape_schedule(base: Schedule, eager: Option<&[Vec<bool>]>, recompute: bool) -> Schedule {
-    let synced = match eager {
-        Some(mask) => place_eager_opt(base, mask),
-        None => base,
-    };
-    if recompute {
-        synced.with_recompute()
-    } else {
-        synced
+impl Structure {
+    /// The analysis of `base`, shape `key`'s schedule as its scheme generates
+    /// it (no sync ops, no retry), and the schedule's memory under `cost`:
+    /// one unit-cost execution for the free regions (which place the sync ops
+    /// and, for Chimera, are Eq. 1's overlap windows), two more for Chimera's
+    /// `Cf`/`Cb`, and one lowering verified and priced ([`verify_parts`]).
+    fn analyse(
+        key: StructureKey,
+        base: Schedule,
+        iterations: u32,
+        cost: &SimCostModel,
+    ) -> (Structure, Option<MemoryV2>) {
+        // The retried variant places its sync ops where the scheme's own
+        // schedule does, and its Eq. 1 is priced from its own executions.
+        let regions = (base.flushes)
+            .then(|| execute(&base, UnitCosts::practical()).ok())
+            .flatten()
+            .map(|tl| FreeRegions::of(&base, &tl));
+        let eager = regions.as_ref().map(FreeRegions::eager_mask);
+        let critical = match (key.scheme, key.recompute, regions) {
+            (PlanScheme::Chimera { .. }, false, Some(regions)) => {
+                eq1::critical_path_with(&base, regions).ok()
+            }
+            _ => None,
+        };
+        let mut sched = match eager {
+            Some(mask) => place_eager_opt(base, &mask),
+            None => base,
+        };
+        if key.recompute {
+            sched = sched.with_recompute();
+        }
+        // Kept for the table's lifetime: give back what placing the sync ops
+        // over-allocated.
+        sched.workers.iter_mut().for_each(Vec::shrink_to_fit);
+        let (report, mem) = verify_parts(&sched, iterations, cost);
+        let mem = mem.filter(|_| report.is_clean());
+        let structure = Structure {
+            sched,
+            iterations,
+            report,
+            critical,
+        };
+        (structure, mem)
+    }
+
+    /// Ops of the schedule.
+    fn ops(&self) -> usize {
+        self.report.ops
     }
 }
 
@@ -100,16 +141,16 @@ impl std::fmt::Display for Unclean {
 
 impl std::error::Error for Unclean {}
 
-/// A candidate's schedule joined with its shape's [`Structure`] and its
-/// exact memory under one cost model.
+/// A candidate joined with its shape's [`Structure`] — the schedule included
+/// — and its exact memory under its cost model.
 #[derive(Debug)]
 pub struct Opened {
     /// The shape.
     pub key: StructureKey,
     /// Its analysis — from the table, or made at this first sight.
     pub structure: Arc<Structure>,
-    /// The schedule: sync ops placed, recomputation applied.
-    pub sched: Schedule,
+    /// The candidate's price list.
+    pub cost: SimCostModel,
     /// Exact per-worker memory; `None` for a schedule whose structure is
     /// not clean (nothing prices it).
     pub mem: Option<MemoryV2>,
@@ -123,7 +164,7 @@ impl Opened {
     pub fn check(
         self,
         capacity_bytes: u64,
-    ) -> Result<(Arc<Structure>, Schedule, MemoryV2), Unclean> {
+    ) -> Result<(Arc<Structure>, SimCostModel, MemoryV2), Unclean> {
         let unclean = |code| Unclean {
             key: self.key,
             code,
@@ -134,23 +175,26 @@ impl Opened {
         let mem = self.mem.expect("a clean structure is priced");
         match mem.diagnostics(capacity_bytes).first() {
             Some(first) => Err(unclean(first.code)),
-            None => Ok((self.structure, self.sched, mem)),
+            None => Ok((self.structure, self.cost, mem)),
         }
     }
 }
 
-/// Counters of a [`StructureTable`] (monotone, except `entries`).
+/// Counters of a [`StructureTable`] (monotone, except `entries` and `ops`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TableStats {
     /// Lookups answered from the table.
     pub hits: u64,
-    /// Lookups that ran the full structural analysis: one
-    /// `verify_span`-equivalent each, never more than one per lookup. Every
-    /// [`StructureTable::open`] is one lookup and prices one candidate, so
-    /// `hits + misses` is the number of candidates priced.
+    /// Lookups that generated the shape's schedule and ran the full
+    /// structural analysis: one `verify_span`-equivalent each, never more
+    /// than one per lookup. Every [`StructureTable::open`] is one lookup and
+    /// prices one candidate, so `hits + misses` is the number of candidates
+    /// priced.
     pub misses: u64,
     /// Shapes held now.
     pub entries: u64,
+    /// Schedule ops held now, over all shapes.
+    pub ops: u64,
 }
 
 /// Shape → [`Structure`], shared by the search workers of one owner.
@@ -162,11 +206,13 @@ pub struct StructureTable {
 }
 
 impl StructureTable {
-    /// Most shapes held at once. The lattice of `(scheme, D, N)` a service
-    /// sees is a few hundred points and an entry is a report plus `O(D)`
-    /// integers, so the table is emptied rather than aged when a workload
-    /// walks past this: every shape then costs one more analysis.
-    pub const CAP: usize = 512;
+    /// Most schedule ops held at once, over all shapes: 8 MiB of 16-byte ops.
+    /// One cold pass of the serve benchmark holds 96 892 in 92 shapes, all
+    /// nine schemes on its six query shapes 156 196 in 189. The table is
+    /// emptied rather than aged when a workload walks past this — every shape
+    /// then costs one more generation and analysis — and a shape that alone
+    /// exceeds it is analysed and priced like any other but not kept.
+    pub const OP_CAP: usize = 1 << 19;
 
     /// An empty table.
     pub fn new() -> Self {
@@ -181,80 +227,67 @@ impl StructureTable {
 
     /// Counter snapshot.
     pub fn stats(&self) -> TableStats {
+        let entries = self.entries();
         TableStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.entries().len() as u64,
+            entries: entries.len() as u64,
+            ops: entries.values().map(|s| s.ops() as u64).sum(),
         }
     }
 
-    /// The schedule of shape `key` built from `base` — that shape's schedule
-    /// as generated, without sync ops — with its structure and its memory
-    /// under `cost`; `iterations` is the span `base` covers.
+    /// Shape `key` with its structure and, under the price list `cost_of`
+    /// makes of its schedule, its memory. `generate` builds the shape's
+    /// schedule as its scheme generates it (no sync ops, no recomputation
+    /// retry) with the iterations its span covers; a shape it refuses (`None`)
+    /// is `None` here and no lookup.
     ///
-    /// On the first sight of `key` this runs the planner's full static
-    /// analysis: one unit-cost execution for the free regions (which place
-    /// the sync ops and, for Chimera, are Eq. 1's overlap windows), two more
-    /// for Chimera's `Cf`/`Cb`, and one lowering verified and priced
-    /// ([`verify_parts`]). From then on: the stored placement, and one
-    /// lowering priced ([`memory_v2`]). The analysis runs outside the
-    /// table's lock; of two workers racing on one shape both compute, the
-    /// results are equal, and the first insert stays. An unclean structure
-    /// is stored like a clean one — same answer on every sight.
+    /// On the first sight of `key` this runs `generate` and the planner's
+    /// full static analysis of what it returns (`Structure::analyse`). From
+    /// then on nothing is generated: the kept schedule is lowered once more,
+    /// priced ([`memory_v2`]). The analysis runs outside the table's lock; of
+    /// two workers racing on one shape both compute, the results are equal,
+    /// and the first insert stays. An unclean structure is stored like a
+    /// clean one — same answer on every sight.
     pub fn open(
         &self,
         key: StructureKey,
-        base: Schedule,
-        iterations: u32,
-        cost: &SimCostModel,
-    ) -> Opened {
+        generate: impl FnOnce() -> Option<(Schedule, u32)>,
+        cost_of: impl FnOnce(&Schedule) -> SimCostModel,
+    ) -> Option<Opened> {
         let found = self.entries().get(&key).cloned();
         if let Some(structure) = found {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            let sched = shape_schedule(base, structure.eager.as_deref(), key.recompute);
-            let mem = (structure.report.is_clean()).then(|| memory_v2(&sched, cost));
-            return Opened {
+            let cost = cost_of(&structure.sched);
+            let mem = (structure.report.is_clean()).then(|| memory_v2(&structure.sched, &cost));
+            return Some(Opened {
                 key,
                 structure,
-                sched,
+                cost,
                 mem,
-            };
+            });
         }
+        let (base, iterations) = generate()?;
         self.misses.fetch_add(1, Ordering::Relaxed);
+        let cost = cost_of(&base);
+        let (structure, mem) = Structure::analyse(key, base, iterations, &cost);
+        let structure = Arc::new(structure);
 
-        // The retried variant places its sync ops where the scheme's own
-        // schedule does, and its Eq. 1 is priced from its own executions.
-        let regions = (base.flushes)
-            .then(|| execute(&base, UnitCosts::practical()).ok())
-            .flatten()
-            .map(|tl| FreeRegions::of(&base, &tl));
-        let eager = regions.as_ref().map(FreeRegions::eager_mask);
-        let critical = match (key.scheme, key.recompute, regions) {
-            (PlanScheme::Chimera { .. }, false, Some(regions)) => {
-                eq1::critical_path_with(&base, regions).ok()
+        let structure = if structure.ops() > Self::OP_CAP {
+            structure
+        } else {
+            let mut entries = self.entries();
+            let held: usize = entries.values().map(|s| s.ops()).sum();
+            if held + structure.ops() > Self::OP_CAP && !entries.contains_key(&key) {
+                entries.clear();
             }
-            _ => None,
+            entries.entry(key).or_insert(structure).clone()
         };
-        let sched = shape_schedule(base, eager.as_deref(), key.recompute);
-        let (report, mem) = verify_parts(&sched, iterations, cost);
-        let mem = mem.filter(|_| report.is_clean());
-        let structure = Arc::new(Structure {
-            report,
-            eager,
-            critical,
-        });
-
-        let mut entries = self.entries();
-        if entries.len() >= Self::CAP && !entries.contains_key(&key) {
-            entries.clear();
-        }
-        let structure = entries.entry(key).or_insert(structure).clone();
-        drop(entries);
-        Opened {
+        Some(Opened {
             key,
             structure,
-            sched,
+            cost,
             mem,
-        }
+        })
     }
 }

@@ -7,13 +7,13 @@
 
 use std::collections::HashSet;
 
-use chimera_core::baselines::dapple;
+use chimera_core::baselines::{dapple, gpipe, pipedream_2bw_steady};
 use chimera_core::chimera::{chimera, ChimeraConfig, ScaleMethod};
 use chimera_core::schedule::Schedule;
 use chimera_perf::planner::{
-    batch_candidates, depth_candidates, evaluate, evaluate_with, reopen, Candidate,
+    batch_candidates, depth_candidates, evaluate, evaluate_with, rebuild, reopen, Candidate,
 };
-use chimera_perf::structure::TableStats;
+use chimera_perf::structure::{Opened, TableStats};
 use chimera_perf::{
     best, plan_chimera, plan_until, ClusterSpec, ModelSpec, PlanScheme, StructureKey,
     StructureTable, TrainConfig,
@@ -86,16 +86,19 @@ fn search(
 }
 
 /// (a) Table-backed `evaluate` equals fresh-table `evaluate` on every grid
-/// point, and (d) the counters of one pass say that nothing was dropped:
-/// full structural verifications (`misses`) == distinct shapes seen, pricings
-/// (`hits + misses`, one per `open`) == candidates (+ gated winners, for a
-/// pass with gates).
+/// point, a lived-in table's search and gate equal a fresh table's, and (d)
+/// the counters of one pass say that nothing was dropped: generations with
+/// their full structural verification (`misses`) == distinct shapes seen,
+/// pricings (`hits + misses`, one per `open`) == candidates (+ gated winners,
+/// for a pass with gates).
 #[test]
 fn the_table_changes_no_answer_and_drops_no_check() {
     let cluster = ClusterSpec::piz_daint();
     // `grid`: every candidate evaluated once. `pass`: what the service does
     // per query — search, then gate the winner.
     let (grid, pass) = (StructureTable::new(), StructureTable::new());
+    // `keys`: every recomputing candidate gated, for the key its gate takes.
+    let keys = StructureTable::new();
     let (mut candidates, mut gates) = (0u64, 0u64);
     let (mut grid_keys, mut pass_keys) = (HashSet::new(), HashSet::new());
     for (model, p, b_hat) in shapes() {
@@ -111,6 +114,10 @@ fn the_table_changes_no_answer_and_drops_no_check() {
                     if let Some(c) = fresh {
                         candidates += 1;
                         grid_keys.insert((scheme, c.d, c.n));
+                        if c.recompute {
+                            let gate = reopen(&keys, &c, model, cluster).expect("it rebuilds");
+                            assert_eq!(gate.key.recompute, takes_the_retry(&c, model, cluster));
+                        }
                     }
                 }
             }
@@ -124,9 +131,9 @@ fn the_table_changes_no_answer_and_drops_no_check() {
                 let opened = reopen(&pass, &c, model, cluster).expect("a winner rebuilds");
                 gates += 1;
                 pass_keys.insert(opened.key);
-                opened
-                    .check(cluster.usable_mem())
-                    .expect("a winner passes its gate");
+                assert_eq!(opened.key.recompute, takes_the_retry(&c, model, cluster));
+                let alone = reopen(&StructureTable::new(), &c, model, cluster).unwrap();
+                assert_same_gate(opened, alone, &c, model, cluster);
             }
         }
     }
@@ -141,6 +148,7 @@ fn the_table_changes_no_answer_and_drops_no_check() {
             hits: candidates - shapes_seen,
             misses: shapes_seen,
             entries: shapes_seen,
+            ops: grid.stats().ops,
         }
     );
     // The pass saw the grid's shapes plus the retried variant of each winner
@@ -156,8 +164,49 @@ fn the_table_changes_no_answer_and_drops_no_check() {
             hits: candidates + gates - shapes_seen - retried,
             misses: shapes_seen + retried,
             entries: shapes_seen + retried,
+            ops: pass.stats().ops,
         }
     );
+    // The retried variants are as long as the shapes they retry.
+    assert!(pass.stats().ops > grid.stats().ops && grid.stats().ops > 100_000);
+}
+
+/// Whether `c`'s gate must open the retried variant of its shape: it
+/// recomputes, and its scheme's own schedule — `rebuild` with the flag off —
+/// does not.
+fn takes_the_retry(c: &Candidate, model: ModelSpec, cluster: ClusterSpec) -> bool {
+    let own = Candidate {
+        recompute: false,
+        ..c.clone()
+    };
+    let (own, _, _) = rebuild(&own, model, cluster).expect("it rebuilds");
+    c.recompute && !own.iter_ops().any(|(_, _, op)| op.recomputes())
+}
+
+/// A gate through a lived-in table and one through a fresh table pass with
+/// the same parts, and the schedule they priced is the one `rebuild` makes
+/// from nothing.
+fn assert_same_gate(
+    lived_in: Opened,
+    alone: Opened,
+    c: &Candidate,
+    model: ModelSpec,
+    cluster: ClusterSpec,
+) {
+    assert_eq!(lived_in.key, alone.key);
+    let budget = cluster.usable_mem();
+    let (structure, _, mem) = lived_in.check(budget).expect("a winner passes its gate");
+    let (fresh, _, fresh_mem) = alone.check(budget).expect("and alone");
+    assert_eq!(mem, fresh_mem, "{c:?}");
+    assert_eq!(mem.max_exact_peak(), c.peak_mem);
+    let (rebuilt, _, iterations) = rebuild(c, model, cluster).expect("it rebuilds");
+    for kept in [&structure, &fresh] {
+        assert_eq!(kept.sched.workers, rebuilt.workers, "{c:?}");
+        assert_eq!(kept.sched.sync, rebuilt.sync);
+        assert_eq!(kept.iterations, iterations);
+    }
+    assert_eq!(structure.report.to_json(), fresh.report.to_json());
+    assert_eq!(structure.critical, fresh.critical);
 }
 
 fn cost(model: ModelSpec, cluster: ClusterSpec, d: u32, w: u32, b: u32) -> SimCostModel {
@@ -188,7 +237,7 @@ fn a_shape_is_the_same_under_every_price_list() {
         n: 8,
         recompute: false,
     };
-    let base = || chimera(&ChimeraConfig::new(4, 8)).unwrap();
+    let base = || Some((chimera(&ChimeraConfig::new(4, 8)).unwrap(), 1));
     let v100 = ClusterSpec::v100_cluster();
     let fat_tree = ClusterSpec::from_scenario(&NetScenario::by_name("fat-tree").unwrap());
     let prices = [
@@ -198,7 +247,7 @@ fn a_shape_is_the_same_under_every_price_list() {
         cost(ModelSpec::bert48(), v100, 4, 1, 16),
     ];
     let opened: Vec<_> = (prices.iter())
-        .map(|c| table.open(key, base(), 1, c))
+        .map(|c| table.open(key, base, |_| c.clone()).unwrap())
         .collect();
     let first = &opened[0];
     assert!(
@@ -206,11 +255,12 @@ fn a_shape_is_the_same_under_every_price_list() {
         "{}",
         first.structure.report
     );
-    assert!(first.structure.critical.is_some() && first.structure.eager.is_some());
+    assert!(first.structure.critical.is_some());
+    let sched = &first.structure.sched;
+    assert!(sched.iter_ops().any(|(_, _, op)| !op.is_compute()));
+    assert!(sched.workers.iter().all(|ops| ops.capacity() == ops.len()));
     for o in &opened[1..] {
         assert!(std::sync::Arc::ptr_eq(&o.structure, &first.structure));
-        assert_eq!(o.sched.workers, first.sched.workers);
-        assert_eq!(o.sched.sync, first.sched.sync);
         // The prices differ: same buffers, different bytes.
         assert_ne!(
             o.mem.as_ref().unwrap().max_exact_peak(),
@@ -218,33 +268,119 @@ fn a_shape_is_the_same_under_every_price_list() {
         );
     }
     // Analysed again from scratch under another price list: the same value.
-    let again = StructureTable::new().open(key, base(), 1, &prices[2]);
-    assert_eq!(again.sched.workers, first.sched.workers);
+    let again = (StructureTable::new().open(key, base, |_| prices[2].clone())).unwrap();
+    assert_eq!(again.structure.sched.workers, sched.workers);
+    assert_eq!(again.structure.sched.sync, sched.sync);
     assert_eq!(
         again.structure.report.to_json(),
         first.structure.report.to_json()
     );
-    assert_eq!(again.structure.eager, first.structure.eager);
     assert_eq!(again.structure.critical, first.structure.critical);
     assert_eq!((table.stats().misses, table.stats().entries), (1, 1));
 
-    let retried = table.open(
-        StructureKey {
-            recompute: true,
-            ..key
-        },
-        base(),
-        1,
-        &prices[0],
-    );
+    let retried_key = StructureKey {
+        recompute: true,
+        ..key
+    };
+    let retried = (table.open(retried_key, base, |_| prices[0].clone())).unwrap();
     assert_eq!((table.stats().misses, table.stats().entries), (2, 2));
+    assert_eq!(table.stats().ops, 2 * first.structure.report.ops as u64);
     assert!(retried.structure.report.is_clean());
-    assert_eq!(retried.structure.eager, first.structure.eager);
+    // Sync ops where the scheme's own schedule has them.
     assert_eq!(
-        retried.sched.workers,
-        first.sched.clone().with_recompute().workers
+        retried.structure.sched.workers,
+        sched.clone().with_recompute().workers
     );
-    assert_ne!(retried.sched.workers, first.sched.workers);
+    assert_ne!(retried.structure.sched.workers, sched.workers);
+}
+
+/// The generator a table is handed runs at a shape's first sight and never
+/// again: generations == `misses`, a hit builds nothing, and a shape the
+/// generator refuses is no lookup at all.
+#[test]
+fn a_hit_generates_nothing() {
+    let table = StructureTable::new();
+    let cluster = ClusterSpec::piz_daint();
+    let chimera_direct = PlanScheme::Chimera {
+        f: 1,
+        scale: ScaleMethod::Direct,
+    };
+    let generated = std::cell::Cell::new(0u64);
+    let generate = |scheme: PlanScheme, d: u32, n: u32| {
+        let built = match scheme {
+            PlanScheme::Dapple => (dapple(d, n), 1),
+            PlanScheme::GPipe => (gpipe(d, n), 1),
+            PlanScheme::PipeDream2Bw if n >= d => {
+                (pipedream_2bw_steady(d, n, 6).with_recompute(), 6)
+            }
+            PlanScheme::Chimera { .. } => (chimera(&ChimeraConfig::new(d, n)).ok()?, 1),
+            _ => return None,
+        };
+        generated.set(generated.get() + 1);
+        Some(built)
+    };
+    let (mut lookups, mut seen) = (0u64, HashSet::new());
+    for (model, p, b_hat) in shapes() {
+        for scheme in [
+            chimera_direct,
+            PlanScheme::Dapple,
+            PlanScheme::GPipe,
+            PlanScheme::PipeDream2Bw,
+        ] {
+            for d in depth_candidates(p, &model) {
+                let w = p / d;
+                for b in batch_candidates(b_hat, w) {
+                    let n = (b_hat / (u64::from(w) * u64::from(b))) as u32;
+                    let key = StructureKey {
+                        scheme,
+                        d,
+                        n,
+                        recompute: false,
+                    };
+                    let before = generated.get();
+                    let price = |_: &Schedule| cost(model, cluster, d, w, b);
+                    let opened = table.open(key, || generate(scheme, d, n), price);
+                    let first_sight = opened.is_some() && seen.insert(key);
+                    lookups += u64::from(opened.is_some());
+                    assert_eq!(generated.get() - before, u64::from(first_sight), "{key:?}");
+                    let stats = table.stats();
+                    assert_eq!(stats.misses, generated.get());
+                    assert_eq!(stats.hits + stats.misses, lookups);
+                }
+            }
+        }
+    }
+    let stats = table.stats();
+    assert!(
+        stats.hits > 3 * stats.misses && stats.misses > 50,
+        "{stats:?}"
+    );
+    assert_eq!(stats.entries, seen.len() as u64);
+}
+
+/// A shape with more ops than the table may hold is analysed and priced at
+/// every sight, and never kept.
+#[test]
+fn a_shape_over_the_op_bound_is_priced_and_not_kept() {
+    let table = StructureTable::new();
+    let (d, n) = (2, StructureTable::OP_CAP as u32 / 4 + 1);
+    let key = StructureKey {
+        scheme: PlanScheme::Dapple,
+        d,
+        n,
+        recompute: false,
+    };
+    let price = |_: &Schedule| cost(ModelSpec::bert48(), ClusterSpec::piz_daint(), d, 2, 1);
+    let open = || table.open(key, || Some((dapple(d, n), 1)), price).unwrap();
+    let (first, again) = (open(), open());
+    assert!(first.structure.report.ops > StructureTable::OP_CAP);
+    assert!(first.structure.report.is_clean() && first.mem.is_some());
+    assert_eq!(first.mem, again.mem);
+    let stats = table.stats();
+    assert_eq!(
+        (stats.hits, stats.misses, stats.entries, stats.ops),
+        (0, 2, 0, 0)
+    );
 }
 
 /// A winner that takes the recomputation retry was evaluated under its
@@ -273,8 +409,8 @@ fn a_recompute_winners_first_gate_is_a_miss() {
         let opened = reopen(&table, &c, model, cluster).unwrap();
         assert!(opened.key.recompute);
         assert_eq!(table.stats().misses, misses, "gate {sight}");
-        let (_, sched, mem) = opened.check(cluster.usable_mem()).unwrap();
-        assert!(sched.iter_ops().any(|(_, _, op)| op.recomputes()));
+        let (structure, _, mem) = opened.check(cluster.usable_mem()).unwrap();
+        assert!(structure.sched.iter_ops().any(|(_, _, op)| op.recomputes()));
         assert_eq!(mem.max_exact_peak(), c.peak_mem);
     }
     assert_eq!(table.stats().entries, 2);
@@ -307,10 +443,12 @@ fn an_unclean_structure_is_refused_on_every_sight() {
         let cost = cost(ModelSpec::bert48(), ClusterSpec::piz_daint(), 4, 2, 4);
         mutants::for_each_mutant("base", &clean, |mutant, what| {
             let table = StructureTable::new();
-            let first = (table.open(key, mutant.clone(), 1, &cost).check(u64::MAX))
-                .expect_err("a mutant is not clean");
-            let second = (table.open(key, mutant.clone(), 1, &cost).check(u64::MAX))
-                .expect_err("nor at its second sight");
+            let open = || {
+                let opened = table.open(key, || Some((mutant.clone(), 1)), |_| cost.clone());
+                opened.expect("a schedule was generated").check(u64::MAX)
+            };
+            let first = open().expect_err("a mutant is not clean");
+            let second = open().expect_err("nor at its second sight");
             assert_eq!(first, second, "{what}");
             assert_eq!(first.key, key);
             assert!(!first.code.is_empty() && first.to_string().contains(first.code));

@@ -153,9 +153,12 @@ pub struct ServeStats {
     pub structure_hits: AtomicU64,
     /// Candidates whose shape was analysed at that sight.
     pub structure_misses: AtomicU64,
-    /// Most shapes the table has held (it is emptied at its cap; the live
-    /// count is in [`PlanEngine::stats_json`]).
+    /// Most shapes the table has held (it is emptied at its op bound; the
+    /// live count is in [`PlanEngine::stats_json`]).
     pub structure_entries: AtomicU64,
+    /// Most schedule ops the table has held, over all its shapes — never
+    /// above `StructureTable::OP_CAP`.
+    pub structure_ops: AtomicU64,
     latency_us: Histogram,
     mirror: Mirror,
 }
@@ -170,6 +173,7 @@ struct Mirror {
     structure_hits: Arc<Counter>,
     structure_misses: Arc<Counter>,
     structure_entries: Arc<Counter>,
+    structure_ops: Arc<Counter>,
     latency_us: Arc<Histogram>,
 }
 
@@ -187,6 +191,7 @@ impl ServeStats {
             structure_hits: AtomicU64::new(0),
             structure_misses: AtomicU64::new(0),
             structure_entries: AtomicU64::new(0),
+            structure_ops: AtomicU64::new(0),
             latency_us: Histogram::default(),
             mirror: Mirror {
                 hits: reg.counter("serve.cache_hits"),
@@ -198,6 +203,7 @@ impl ServeStats {
                 structure_hits: reg.counter("serve.structures.hits"),
                 structure_misses: reg.counter("serve.structures.misses"),
                 structure_entries: reg.counter("serve.structures.entries"),
+                structure_ops: reg.counter("serve.structures.ops"),
                 latency_us: reg.histogram("serve.latency_us"),
             },
         }
@@ -219,6 +225,7 @@ impl ServeStats {
                 &self.mirror.structure_entries,
                 now.entries,
             ),
+            (&self.structure_ops, &self.mirror.structure_ops, now.ops),
         ] {
             mirror.add(now.saturating_sub(seen.fetch_max(now, Ordering::Relaxed)));
         }
@@ -339,6 +346,7 @@ impl PlanEngine {
             "hits": table.hits,
             "misses": table.misses,
             "entries": table.entries,
+            "ops": table.ops,
         });
         serde_json::json!({
             "ok": true,

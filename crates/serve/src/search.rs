@@ -124,14 +124,14 @@ impl Searcher for RealSearcher {
             let (p, b_hat) = (q.devices, q.b_hat);
             match plan_until(structures, scheme, model, cluster, p, b_hat, deadline)? {
                 Some(c) => {
-                    // Re-verify before serving: rebuild the exact schedule
-                    // the candidate was evaluated with and join its shape's
-                    // structural report — looked up; analysed here if the
-                    // winner is a recomputation retry nobody verified yet —
-                    // with the exact liveness memory check against this
-                    // tenant's budget. A schedule that fails here is a
-                    // planner bug — refuse to serve it rather than hand a
-                    // deadlocked or OOM plan to a tenant.
+                    // Re-verify before serving: the shape's structure — the
+                    // schedule the candidate was priced from and its
+                    // structural report, looked up; generated and analysed
+                    // here if the winner is a recomputation retry nobody
+                    // verified yet — joined with the exact liveness memory
+                    // check against this tenant's budget. A schedule that
+                    // fails here is a planner bug — refuse to serve it rather
+                    // than hand a deadlocked or OOM plan to a tenant.
                     let Some(opened) = reopen(structures, &c, model, cluster) else {
                         return Err(ServeError::Internal(format!(
                             "candidate for {id} does not rebuild"

@@ -1,6 +1,6 @@
 //! The engine's structure table: it changes no answer, it survives a search
-//! that dies, two workers may race on it, it is bounded, and its counters
-//! are on the stats endpoint.
+//! that dies, two workers may race on it, the ops it holds are bounded, and
+//! its counters are on the stats endpoint.
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Barrier};
@@ -210,33 +210,41 @@ fn two_workers_racing_on_one_shape_agree() {
     shared.shutdown();
 }
 
+/// Schedule ops the engine's table holds now, from the stats endpoint.
+fn held_ops(engine: &PlanEngine) -> u64 {
+    engine.stats_json()["structures"]["ops"]
+        .as_u64()
+        .expect("a counter")
+}
+
 /// Distinct mini-batch sizes inside `QueryLimits` walk the table past its
-/// cap: it never holds more than the cap, and the engine answers as before.
+/// op bound: what it holds never exceeds the bound, and the queries around
+/// the emptying are answered as a new engine answers them.
 #[test]
-fn the_table_never_outgrows_its_cap() {
-    let cap = StructureTable::CAP as u64;
+fn the_table_never_outgrows_its_op_bound() {
+    let cap = StructureTable::OP_CAP as u64;
     let engine = engine(1);
-    let (mut misses, mut emptied, mut last) = (0, false, None);
+    let (mut most, mut before, mut after_emptying) = (0, 0, 0);
     for k in (1u64..200).step_by(2) {
-        if misses > cap + cap / 4 {
-            break;
-        }
         // 32·k for odd k: every power-of-two micro-batch size divides it, and
-        // no N repeats an earlier query's.
+        // no N repeats an earlier query's — every shape is new, and longer.
         let q = query("piz-daint", &["dapple", "gpipe"], ("bert48", 4, 32 * k));
         let answer = engine.submit_blocking(q.clone()).expect("a served plan");
-        let (_, now, entries) = structures(&engine);
-        assert!(entries <= cap, "{entries} entries");
-        emptied |= entries < now - misses;
-        misses = now;
-        last = Some((q, answer));
+        let ops = held_ops(&engine);
+        assert!(ops <= cap, "{ops} ops held");
+        most = most.max(ops);
+        after_emptying += u64::from(after_emptying > 0 || ops < before);
+        before = ops;
+        if after_emptying > 0 {
+            assert_eq!(answer.to_string(), fresh_answer(&q), "{q}");
+        }
+        if after_emptying == 2 {
+            break;
+        }
     }
-    assert!(
-        misses > cap && emptied,
-        "{misses} misses never filled the table"
-    );
-    let (q, answer) = last.expect("at least one query");
-    assert_eq!(answer.to_string(), fresh_answer(&q));
+    assert_eq!(after_emptying, 2, "{most} ops never filled the table");
+    assert!(most > cap / 2, "emptied at {most} ops");
+    assert_eq!(engine.stats().structure_ops.load(Ordering::Relaxed), most);
     engine.shutdown();
 }
 
@@ -250,10 +258,12 @@ fn structure_counters_are_served_with_the_cache_counters() {
         mirrored("serve.structures.hits"),
         mirrored("serve.structures.misses"),
         mirrored("serve.structures.entries"),
+        mirrored("serve.structures.ops"),
     );
     let engine = engine(1);
     let empty = engine.stats_json();
     assert_eq!(empty["structures"]["entries"].as_u64(), Some(0));
+    assert_eq!(empty["structures"]["ops"].as_u64(), Some(0));
     assert_eq!(empty["cache_entries"].as_u64(), Some(0));
 
     let q = query("piz-daint", &["chimera", "dapple"], ("bert48", 8, 64));
@@ -264,9 +274,13 @@ fn structure_counters_are_served_with_the_cache_counters() {
     assert_eq!(stats.structure_hits.load(Ordering::Relaxed), hits);
     assert_eq!(stats.structure_misses.load(Ordering::Relaxed), misses);
     assert_eq!(stats.structure_entries.load(Ordering::Relaxed), entries);
+    let ops = held_ops(&engine);
+    assert!(ops > entries, "{entries} schedules of {ops} ops");
+    assert_eq!(stats.structure_ops.load(Ordering::Relaxed), ops);
     // Tests of this binary share the registry: lower bounds only.
     assert!(mirrored("serve.structures.hits") >= before.0 + hits);
     assert!(mirrored("serve.structures.misses") >= before.1 + misses);
     assert!(mirrored("serve.structures.entries") >= before.2 + entries);
+    assert!(mirrored("serve.structures.ops") >= before.3 + ops);
     engine.shutdown();
 }

@@ -49,8 +49,6 @@ use chimera_core::unit_time::validate_span;
 use chimera_core::WorkerId;
 use chimera_sim::cost::SimCostModel;
 
-use crate::liveness::LivenessReport;
-
 /// Location of an op inside a schedule: worker + index in that worker's
 /// program order, plus a rendering of the op itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -403,7 +401,7 @@ pub fn verify_span(sched: &Schedule, iterations: u32) -> VerifyReport {
 #[derive(Default)]
 struct RowFolds {
     /// Per worker: the activation peak in `Ma` units (activation-only unit
-    /// sizing); its live ranges are dropped with the one-worker report.
+    /// sizing).
     peaks: Vec<f64>,
     messages: comm_lint::Messages,
     staleness: hazard::Staleness,
@@ -411,8 +409,8 @@ struct RowFolds {
 
 impl RowFolds {
     fn push(&mut self, sched: &Schedule, program: &Program) {
-        let priced = liveness::price(std::slice::from_ref(program), &liveness::UnitMa);
-        self.peaks.push(priced.activation_peak[0]);
+        let priced = liveness::price_worker(program, &liveness::UnitMa);
+        self.peaks.push(priced.activation_peak);
         self.messages.push(sched, program);
         self.staleness.push(program);
     }
@@ -509,66 +507,73 @@ fn report_of(
 /// Exact per-worker memory accounting under `cost`'s byte model: resident
 /// weight state plus the liveness engine's dynamic peak, cross-checked
 /// against the coarse Table-2 bound and paired with a pool pre-sizing plan.
+/// One pass over each worker's rows as it is lowered; nothing of a worker
+/// outlives its [`WorkerMemory`].
 pub fn memory_v2(sched: &Schedule, cost: &SimCostModel) -> MemoryV2 {
-    memory_of(sched, &liveness::analyze(sched, cost), cost)
+    let mut mem = MemoryFold::new(sched, cost);
+    lower_each(sched, 1, |p| mem.push(&p));
+    mem.finish()
 }
 
-/// [`memory_v2`] from `sched`'s rows priced under `cost`'s bytes.
-fn memory_of(sched: &Schedule, lifetimes: &LivenessReport, cost: &SimCostModel) -> MemoryV2 {
-    let coarse_weights = chimera_sim::memory::weights_bytes(sched, cost);
+/// [`memory_v2`], one worker's program at a time.
+struct MemoryFold<'a> {
+    sched: &'a Schedule,
+    cost: &'a SimCostModel,
+    /// The weight term of the coarse Table-2 bound per worker — read off the
+    /// placement once a first program shows that it has the schedule's shape.
+    coarse_weights: Vec<u64>,
+    workers: Vec<WorkerMemory>,
+}
 
-    let workers = (0..sched.num_workers())
-        .map(|w| {
-            let resident: u64 = sched
-                .placement
-                .held_by(chimera_core::WorkerId(w as u32))
-                .into_iter()
-                .map(|(_, stage)| {
-                    let st = &cost.stages[stage.idx()];
-                    st.param_bytes + st.grad_opt_bytes
-                })
-                .sum();
-            let dynamic = lifetimes.peak[w].round() as u64;
-            let exact = resident + dynamic;
-            let coarse = coarse_weights[w] + lifetimes.activation_peak[w].round() as u64;
-            // Slot demand per size class (class over f32 element counts, the
-            // same granularity the runtime pool uses).
-            let mut by_class: std::collections::BTreeMap<u32, Vec<(usize, usize)>> =
-                std::collections::BTreeMap::new();
-            for b in &lifetimes.lives[w] {
-                let elems = (b.size / 4.0).round() as u64;
-                if elems == 0 {
-                    continue;
-                }
-                let class = 64 - u64::leading_zeros(elems.next_power_of_two().max(1));
-                by_class
-                    .entry(class.saturating_sub(1))
-                    .or_default()
-                    .push((b.def, b.kill));
-            }
-            let pool_classes = by_class
-                .into_iter()
-                .map(|(class, intervals)| (class, liveness::max_overlap(&intervals) as u32))
-                .collect();
-            WorkerMemory {
-                exact_peak_bytes: exact,
-                resident_bytes: resident,
-                dynamic_peak_bytes: dynamic,
-                coarse_bound_bytes: coarse,
-                slack_ratio: if exact == 0 {
-                    1.0
-                } else {
-                    coarse as f64 / exact as f64
-                },
-                cliff: lifetimes.cliff[w].map(|i| OpLoc::of(sched, w, i)),
-                stash_at_peak_bytes: (lifetimes.breakdown[w].stash + lifetimes.breakdown[w].remat)
-                    .round() as u64,
-                versions_at_peak_bytes: lifetimes.breakdown[w].weight_versions.round() as u64,
-                pool_classes,
-            }
-        })
-        .collect();
-    MemoryV2 { workers }
+impl<'a> MemoryFold<'a> {
+    fn new(sched: &'a Schedule, cost: &'a SimCostModel) -> Self {
+        MemoryFold {
+            sched,
+            cost,
+            coarse_weights: Vec::new(),
+            workers: Vec::new(),
+        }
+    }
+
+    /// Price the next worker's `program` in `cost`'s bytes.
+    fn push(&mut self, program: &Program) {
+        let (sched, cost) = (self.sched, self.cost);
+        if self.workers.is_empty() {
+            self.coarse_weights = chimera_sim::memory::weights_bytes(sched, cost);
+        }
+        let w = self.workers.len();
+        let priced = liveness::price_worker(program, cost);
+        let resident: u64 = (program.held.iter())
+            .map(|&(_, stage)| {
+                let st = &cost.stages[stage as usize];
+                st.param_bytes + st.grad_opt_bytes
+            })
+            .sum();
+        let dynamic = priced.peak.round() as u64;
+        let exact = resident + dynamic;
+        let coarse = self.coarse_weights[w] + priced.activation_peak.round() as u64;
+        self.workers.push(WorkerMemory {
+            exact_peak_bytes: exact,
+            resident_bytes: resident,
+            dynamic_peak_bytes: dynamic,
+            coarse_bound_bytes: coarse,
+            slack_ratio: if exact == 0 {
+                1.0
+            } else {
+                coarse as f64 / exact as f64
+            },
+            cliff: priced.cliff.map(|i| OpLoc::of(sched, w, i)),
+            stash_at_peak_bytes: (priced.breakdown.stash + priced.breakdown.remat).round() as u64,
+            versions_at_peak_bytes: priced.breakdown.weight_versions.round() as u64,
+            pool_classes: priced.slots,
+        });
+    }
+
+    fn finish(self) -> MemoryV2 {
+        MemoryV2 {
+            workers: self.workers,
+        }
+    }
 }
 
 /// [`verify_span`]'s report and [`memory_v2`]'s accounting from one lowering
@@ -582,15 +587,12 @@ pub fn verify_parts(
     iterations: u32,
     cost: &SimCostModel,
 ) -> (VerifyReport, Option<MemoryV2>) {
-    let (mut rows, mut in_bytes) = (RowFolds::default(), LivenessReport::default());
+    let (mut rows, mut mem) = (RowFolds::default(), MemoryFold::new(sched, cost));
     let defects = lower_each(sched, iterations, |p| {
         rows.push(sched, &p);
-        in_bytes.push_priced(&p, cost);
+        mem.push(&p);
     });
-    // The live ranges fold into the memory section before the passes of the
-    // report allocate their own tables, so the two never coexist.
-    let mem = (!structural(&defects)).then(|| memory_of(sched, &in_bytes, cost));
-    drop(in_bytes);
+    let mem = (!structural(&defects)).then(|| mem.finish());
     (report_of(sched, iterations, &defects, rows), mem)
 }
 

@@ -26,7 +26,8 @@
 //! 3. **interference**: two buffers interfere iff their ranges overlap, and —
 //!    intervals being an interval graph — a size class needs exactly
 //!    [`max_overlap`] many slots (the pool pre-sizing number the runtime
-//!    consumes).
+//!    consumes); the fold counts the same number per class as the buffers
+//!    come and go ([`WorkerPeaks::slots`]), so pricing sorts nothing.
 //!
 //! [`analyze`] adds lowering's stash-discipline defects as diagnostics
 //! (`overwritten_stash`, `use_before_def`, `double_free`).
@@ -95,6 +96,12 @@ pub trait BufferSizes {
     fn weight_version(&self, stage: StageId) -> f64;
     /// One backward's flat gradient contribution.
     fn grad_contribution(&self, op: &Op) -> f64;
+    /// The pool size class a buffer of `size` falls in, for the slot demand
+    /// of [`WorkerPeaks::slots`]; `None` where the model has no classes or
+    /// the buffer takes no slot.
+    fn size_class(&self, _size: f64) -> Option<u32> {
+        None
+    }
 }
 
 /// One micro-batch's activations as the unit (`Ma`, Table 2), boundary
@@ -135,6 +142,12 @@ impl BufferSizes for SimCostModel {
     fn grad_contribution(&self, _op: &Op) -> f64 {
         0.0
     }
+    /// `ceil(log2(f32 elements))`, the granularity of the runtime's pool; a
+    /// buffer of no elements takes no slot.
+    fn size_class(&self, size: f64) -> Option<u32> {
+        let elems = (size / 4.0).round() as u64;
+        (elems > 0).then(|| elems.next_power_of_two().trailing_zeros())
+    }
 }
 
 /// Peak breakdown by buffer kind, in the size model's unit.
@@ -166,6 +179,8 @@ pub struct LivenessReport {
     pub activation_peak: Vec<f64>,
     /// Op index whose execution first reaches the activation peak.
     pub activation_cliff: Vec<Option<usize>>,
+    /// Slot demand per size class, per worker ([`WorkerPeaks::slots`]).
+    pub slots: Vec<Vec<(u32, u32)>>,
     /// Stash-discipline findings: `overwritten_stash`, `use_before_def`,
     /// `double_free`.
     pub diagnostics: Vec<Diagnostic>,
@@ -218,147 +233,250 @@ pub fn price<S: BufferSizes>(programs: &[Program], sizes: &S) -> LivenessReport 
 }
 
 impl LivenessReport {
-    /// Price the next worker's `program` under `sizes` and append the result.
-    /// The rows say which buffers each op defines and kills; this fold
-    /// attaches sizes, live ranges and the running peak, back-patching each
-    /// buffer's kill through tables indexed by the row's own slots. The
-    /// implicit post-hoc rows are not priced: gradients a schedule never
-    /// launches stay pending to the end of the span.
+    /// Price the next worker's `program` under `sizes` ([`price_worker`]) and
+    /// append the result, live ranges included.
     pub fn push_priced<S: BufferSizes>(&mut self, program: &Program, sizes: &S) {
-        let mut wl: Vec<BufferLife> = Vec::new();
-        // Index into `wl` of the live buffer: per stash slot and half, per
-        // version slot; per held stage, the pending gradient contributions
-        // and the number of updates so far (the next parked version's id).
-        let mut stash_life = vec![[0usize; 2]; program.stash_slots];
-        let mut version_life = vec![0usize; program.version_slots];
-        let mut pending_grads: Vec<Vec<usize>> = vec![Vec::new(); program.held.len()];
-        let mut updates = vec![0u64; program.held.len()];
+        let mut lives = Vec::new();
+        let priced = walk::<S, true>(program, sizes, &mut lives);
+        self.lives.push(lives);
+        self.peak.push(priced.peak);
+        self.cliff.push(priced.cliff);
+        self.breakdown.push(priced.breakdown);
+        self.activation_peak.push(priced.activation_peak);
+        self.activation_cliff.push(priced.activation_cliff);
+        self.slots.push(priced.slots);
+    }
+}
 
-        let mut cur = KindBreakdown::default();
-        let mut peak = Peak::default();
-        let mut at_peak = KindBreakdown::default();
-        let mut activation_peak = Peak::default();
-        let mut check_peak = |cur: &KindBreakdown, i: usize| {
-            if peak.observe(cur.stash + cur.remat + cur.weight_versions + cur.grads, i) {
-                at_peak = *cur;
-            }
-            activation_peak.observe(cur.stash + cur.remat, i);
+/// One worker's program priced: what [`LivenessReport`] holds per worker,
+/// without the live ranges.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct WorkerPeaks {
+    /// Exact peak resident dynamic memory (size-model units).
+    pub peak: f64,
+    /// Op index whose execution first reaches the peak.
+    pub cliff: Option<usize>,
+    /// Per-kind breakdown at the cliff.
+    pub breakdown: KindBreakdown,
+    /// Peak of stash + rematerialization buffers alone.
+    pub activation_peak: f64,
+    /// Op index whose execution first reaches the activation peak.
+    pub activation_cliff: Option<usize>,
+    /// Slot demand per size class ([`BufferSizes::size_class`]), ascending.
+    pub slots: Vec<(u32, u32)>,
+}
+
+/// Price one worker's `program` under `sizes` in one pass over its rows, a
+/// constant amount of work per buffer defined or killed and no table of
+/// live ranges: what a caller that folds workers as they stream out of
+/// `lower_each` keeps of each.
+pub fn price_worker<S: BufferSizes>(program: &Program, sizes: &S) -> WorkerPeaks {
+    walk::<S, false>(program, sizes, &mut Vec::new())
+}
+
+/// A live buffer as the walk remembers it between its def and its kill.
+#[derive(Clone, Copy, Default)]
+struct Held {
+    size: f64,
+    /// Its size class, worked out once.
+    class: Option<u32>,
+    /// Index of its [`BufferLife`], where live ranges are recorded.
+    life: usize,
+}
+
+/// What the walk keeps per worker besides its running totals: slot demand
+/// per size class, counted as the buffers come and go, and, for a caller that
+/// asked (`LIVES`), every buffer's live range. A buffer killed by an op is
+/// resident while the op runs, so its slot is given back once the op is over
+/// — an op's defs land on top of what it kills, and the next op's do not:
+/// [`max_overlap`]'s order of events, without the sort.
+struct Buffers<'a, const LIVES: bool> {
+    live: [u32; 64],
+    most: [u32; 64],
+    /// Classes of the buffers the current op kills.
+    dying: Vec<u32>,
+    lives: &'a mut Vec<BufferLife>,
+}
+
+impl<const LIVES: bool> Buffers<'_, LIVES> {
+    fn def(&mut self, life: BufferLife, class: Option<u32>) -> Held {
+        if let Some(c) = class {
+            let c = c as usize;
+            self.live[c] += 1;
+            self.most[c] = self.most[c].max(self.live[c]);
+        }
+        let held = Held {
+            size: life.size,
+            class,
+            life: self.lives.len(),
         };
+        if LIVES {
+            self.lives.push(life);
+        }
+        held
+    }
 
-        for row in &program.rows[..program.implicit_from] {
-            let (i, op, h) = (row.op_ix, &row.op, row.held as usize);
-            let life = |kind, key, kill, size| BufferLife {
-                kind,
-                replica: op.replica.0,
-                stage: op.stage.0,
-                key,
-                def: i,
-                kill,
-                size,
-            };
-            match op.kind {
-                OpKind::Forward => {
-                    let total = if row.boundary_only {
-                        sizes.boundary_stash(op)
-                    } else {
-                        sizes.full_stash(op)
-                    };
-                    let per = total / f64::from(op.chunk.half_micros());
-                    for cov in row.covered() {
-                        let slot = &mut stash_life[cov.stash_slot as usize];
-                        for b in halves_in(cov.defines) {
-                            if cov.kills >> b & 1 == 1 {
-                                // Close the clobbered buffer here so accounting
-                                // stays bounded on broken schedules.
-                                let prev = &mut wl[slot[b]];
-                                prev.kill = i;
-                                cur.stash -= prev.size;
-                            }
-                            slot[b] = wl.len();
-                            let key = 2 * u64::from(cov.micro) + b as u64;
-                            wl.push(life(BufferKind::Stash, key, usize::MAX, per));
-                            cur.stash += per;
+    fn kill(&mut self, held: Held, at: usize) {
+        self.dying.extend(held.class);
+        if LIVES {
+            self.lives[held.life].kill = at;
+        }
+    }
+
+    fn end_op(&mut self) {
+        for c in self.dying.drain(..) {
+            self.live[c as usize] -= 1;
+        }
+    }
+}
+
+/// The fold behind [`price_worker`] and [`LivenessReport::push_priced`]. The
+/// rows say which buffers each op defines and kills; the walk attaches sizes
+/// and keeps the running totals, remembering each live buffer in tables
+/// indexed by the row's own slots (through which, with `LIVES`, the kill of
+/// its live range in `lives` is back-patched). The implicit post-hoc rows are
+/// not priced: gradients a schedule never launches stay pending to the end
+/// of the span.
+fn walk<S: BufferSizes, const LIVES: bool>(
+    program: &Program,
+    sizes: &S,
+    lives: &mut Vec<BufferLife>,
+) -> WorkerPeaks {
+    let mut buffers = Buffers::<LIVES> {
+        live: [0; 64],
+        most: [0; 64],
+        dying: Vec::new(),
+        lives,
+    };
+    // The live buffer per stash slot and half, per version slot; per held
+    // stage, the pending gradient contributions and the number of updates so
+    // far (the next parked version's id).
+    let mut stash_live = vec![[Held::default(); 2]; program.stash_slots];
+    let mut version_live = vec![Held::default(); program.version_slots];
+    let mut pending_grads: Vec<Vec<Held>> = vec![Vec::new(); program.held.len()];
+    let mut updates = vec![0u64; program.held.len()];
+
+    let mut cur = KindBreakdown::default();
+    let mut peak = Peak::default();
+    let mut at_peak = KindBreakdown::default();
+    let mut activation_peak = Peak::default();
+    let mut check_peak = |cur: &KindBreakdown, i: usize| {
+        if peak.observe(cur.stash + cur.remat + cur.weight_versions + cur.grads, i) {
+            at_peak = *cur;
+        }
+        activation_peak.observe(cur.stash + cur.remat, i);
+    };
+
+    for row in &program.rows[..program.implicit_from] {
+        buffers.end_op();
+        let (i, op, h) = (row.op_ix, &row.op, row.held as usize);
+        let life = |kind, key, kill, size| BufferLife {
+            kind,
+            replica: op.replica.0,
+            stage: op.stage.0,
+            key,
+            def: i,
+            kill,
+            size,
+        };
+        match op.kind {
+            OpKind::Forward => {
+                let total = if row.boundary_only {
+                    sizes.boundary_stash(op)
+                } else {
+                    sizes.full_stash(op)
+                };
+                let per = total / f64::from(op.chunk.half_micros());
+                let class = sizes.size_class(per);
+                for cov in row.covered() {
+                    let slot = &mut stash_live[cov.stash_slot as usize];
+                    for b in halves_in(cov.defines) {
+                        if cov.kills >> b & 1 == 1 {
+                            // Close the clobbered buffer here so accounting
+                            // stays bounded on broken schedules.
+                            buffers.kill(slot[b], i);
+                            cur.stash -= slot[b].size;
                         }
+                        let key = 2 * u64::from(cov.micro) + b as u64;
+                        slot[b] = buffers.def(life(BufferKind::Stash, key, usize::MAX, per), class);
+                        cur.stash += per;
                     }
+                }
+                check_peak(&cur, i);
+            }
+            OpKind::Backward { recompute } => {
+                // Defs first: the rematerialization and the gradient are
+                // resident together with the stash they are computed from.
+                let mut remat_size = 0.0;
+                if recompute {
+                    remat_size = sizes.full_stash(op) - sizes.boundary_stash(op);
+                    let class = sizes.size_class(remat_size);
+                    let remat =
+                        buffers.def(life(BufferKind::Remat, i as u64, i, remat_size), class);
+                    cur.remat += remat_size;
+                    check_peak(&cur, i);
+                    buffers.kill(remat, i);
+                }
+                let gsize = sizes.grad_contribution(op);
+                if gsize > 0.0 {
+                    let class = sizes.size_class(gsize);
+                    let grad = life(BufferKind::Grad, i as u64, usize::MAX, gsize);
+                    pending_grads[h].push(buffers.def(grad, class));
+                    cur.grads += gsize;
                     check_peak(&cur, i);
                 }
-                OpKind::Backward { recompute } => {
-                    // Defs first: the rematerialization and the gradient are
-                    // resident together with the stash they are computed from.
-                    let remat_size = if recompute {
-                        sizes.full_stash(op) - sizes.boundary_stash(op)
-                    } else {
-                        0.0
-                    };
-                    if recompute {
-                        wl.push(life(BufferKind::Remat, i as u64, i, remat_size));
-                        cur.remat += remat_size;
-                        check_peak(&cur, i);
+                // Kills: the consumed stash halves (and the transient
+                // rematerialization) die at this op's end, and with the
+                // last reader the weight version it read.
+                cur.remat -= remat_size;
+                for cov in row.covered() {
+                    for b in halves_in(cov.kills) {
+                        let dead = stash_live[cov.stash_slot as usize][b];
+                        buffers.kill(dead, i);
+                        cur.stash -= dead.size;
                     }
-                    let gsize = sizes.grad_contribution(op);
-                    if gsize > 0.0 {
-                        pending_grads[h].push(wl.len());
-                        wl.push(life(BufferKind::Grad, i as u64, usize::MAX, gsize));
-                        cur.grads += gsize;
-                        check_peak(&cur, i);
+                    if let (Some(slot), true) = (cov.version_slot, cov.frees_version) {
+                        let dead = version_live[slot as usize];
+                        buffers.kill(dead, i);
+                        cur.weight_versions -= dead.size;
                     }
-                    // Kills: the consumed stash halves (and the transient
-                    // rematerialization) die at this op's end, and with the
-                    // last reader the weight version it read.
-                    cur.remat -= remat_size;
-                    for cov in row.covered() {
-                        for b in halves_in(cov.kills) {
-                            let dead = &mut wl[stash_life[cov.stash_slot as usize][b]];
-                            dead.kill = i;
-                            cur.stash -= dead.size;
-                        }
-                        if let (Some(slot), true) = (cov.version_slot, cov.frees_version) {
-                            let dead = &mut wl[version_life[slot as usize]];
-                            dead.kill = i;
-                            cur.weight_versions -= dead.size;
-                        }
-                    }
-                }
-                OpKind::AllReduceLaunch => {
-                    for idx in pending_grads[h].drain(..) {
-                        wl[idx].kill = i;
-                        cur.grads -= wl[idx].size;
-                    }
-                }
-                OpKind::AllReduceWait => {
-                    if let Some(slot) = row.parks_version {
-                        // Copy-on-update: the superseded version is still
-                        // referenced by in-flight micros and is materialized
-                        // before the update overwrites it.
-                        let size = sizes.weight_version(op.stage);
-                        version_life[slot as usize] = wl.len();
-                        wl.push(life(
-                            BufferKind::WeightVersion,
-                            updates[h],
-                            usize::MAX,
-                            size,
-                        ));
-                        cur.weight_versions += size;
-                        check_peak(&cur, i);
-                    }
-                    updates[h] += 1;
                 }
             }
+            OpKind::AllReduceLaunch => {
+                for dead in pending_grads[h].drain(..) {
+                    buffers.kill(dead, i);
+                    cur.grads -= dead.size;
+                }
+            }
+            OpKind::AllReduceWait => {
+                if let Some(slot) = row.parks_version {
+                    // Copy-on-update: the superseded version is still
+                    // referenced by in-flight micros and is materialized
+                    // before the update overwrites it.
+                    let size = sizes.weight_version(op.stage);
+                    let version = life(BufferKind::WeightVersion, updates[h], usize::MAX, size);
+                    version_live[slot as usize] = buffers.def(version, sizes.size_class(size));
+                    cur.weight_versions += size;
+                    check_peak(&cur, i);
+                }
+                updates[h] += 1;
+            }
         }
+    }
 
-        // Buffers never killed in the span stay live through the tail.
-        let last = program.ops.saturating_sub(1);
-        for b in &mut wl {
-            if b.kill == usize::MAX {
-                b.kill = last;
-            }
-        }
-        self.lives.push(wl);
-        self.peak.push(peak.value);
-        self.cliff.push(peak.at);
-        self.breakdown.push(at_peak);
-        self.activation_peak.push(activation_peak.value);
-        self.activation_cliff.push(activation_peak.at);
+    // Buffers never killed in the span stay live through the tail.
+    let last = program.ops.saturating_sub(1);
+    for b in buffers.lives.iter_mut().filter(|b| b.kill == usize::MAX) {
+        b.kill = last;
+    }
+    let in_use = (buffers.most.iter().enumerate()).filter(|(_, &most)| most > 0);
+    WorkerPeaks {
+        peak: peak.value,
+        cliff: peak.at,
+        breakdown: at_peak,
+        activation_peak: activation_peak.value,
+        activation_cliff: activation_peak.at,
+        slots: in_use.map(|(class, &most)| (class as u32, most)).collect(),
     }
 }
 

@@ -14,6 +14,11 @@
 //! 4. Off-by-one boundary: live ranges that abut at exactly one op (a
 //!    rematerialization whose def == kill is the op that also kills the
 //!    boundary stash) interfere and are both counted at the peak.
+//! 5. One pass == the table it replaced: `memory_v2`, which folds each worker
+//!    as it is lowered and counts slot demand as buffers come and go, equals
+//!    field for field the accounting it superseded — all live ranges first,
+//!    then a `max_overlap` sort per size class — kept here as the reference,
+//!    on the sweep, the matrix and every single-op mutant.
 
 use chimera_core::baselines::{
     dapple, gems, gpipe, pipedream, pipedream_2bw_steady, pipedream_steady,
@@ -25,7 +30,10 @@ use chimera_core::schedule::Schedule;
 use chimera_core::StageId;
 use chimera_sim::{AllReduceAlgo, NetworkModel, SimCostModel, StageCosts, Topology};
 use chimera_verify::liveness::{analyze, max_overlap, BufferKind, BufferSizes, UnitMa};
-use chimera_verify::{memory_v2, verify_with_memory};
+use chimera_verify::{memory_v2, verify_with_memory, MemoryV2, OpLoc, WorkerMemory};
+
+#[path = "../../../tests/support/mutants.rs"]
+mod mutants;
 
 /// Activations in `Ma` with `boundary` of a micro-batch's stash kept at the
 /// stage boundary under recomputation; nothing else has a size.
@@ -376,4 +384,161 @@ fn remat_and_boundary_stash_abut_at_the_backward_op() {
         }
     }
     assert!(checked > 0, "doubling must produce recomputing backwards");
+}
+
+/// Byte sizes that differ by stage, so that a worker's buffers fall in
+/// several size classes — stage 0's boundary stash in none (under one `f32`).
+fn varied_cost(d: u32) -> SimCostModel {
+    let mut c = cost(d);
+    for (s, st) in c.stages.iter_mut().enumerate() {
+        st.act_bytes = (3 << 20) << (s % 3);
+        st.boundary_bytes = if s == 0 {
+            2
+        } else {
+            (1 << 16) * (s as u64 + 1)
+        };
+        st.param_bytes = (50 << 20) * (s as u64 + 1);
+    }
+    c
+}
+
+/// `memory_v2` as it was before it became one pass: every worker's live
+/// ranges from `analyze`, then per size class the intervals gathered in a map
+/// and sorted by `max_overlap`.
+fn reference_memory(sched: &Schedule, cost: &SimCostModel) -> MemoryV2 {
+    let lifetimes = analyze(sched, cost);
+    let coarse_weights = chimera_sim::memory::weights_bytes(sched, cost);
+    let workers = (0..sched.num_workers())
+        .map(|w| {
+            let resident: u64 = sched
+                .placement
+                .held_by(chimera_core::WorkerId(w as u32))
+                .into_iter()
+                .map(|(_, stage)| {
+                    let st = &cost.stages[stage.idx()];
+                    st.param_bytes + st.grad_opt_bytes
+                })
+                .sum();
+            let dynamic = lifetimes.peak[w].round() as u64;
+            let exact = resident + dynamic;
+            let coarse = coarse_weights[w] + lifetimes.activation_peak[w].round() as u64;
+            let mut by_class: std::collections::BTreeMap<u32, Vec<(usize, usize)>> =
+                std::collections::BTreeMap::new();
+            for b in &lifetimes.lives[w] {
+                let elems = (b.size / 4.0).round() as u64;
+                if elems == 0 {
+                    continue;
+                }
+                let class = 64 - u64::leading_zeros(elems.next_power_of_two().max(1));
+                by_class
+                    .entry(class.saturating_sub(1))
+                    .or_default()
+                    .push((b.def, b.kill));
+            }
+            let pool_classes = by_class
+                .into_iter()
+                .map(|(class, intervals)| (class, max_overlap(&intervals) as u32))
+                .collect();
+            WorkerMemory {
+                exact_peak_bytes: exact,
+                resident_bytes: resident,
+                dynamic_peak_bytes: dynamic,
+                coarse_bound_bytes: coarse,
+                slack_ratio: if exact == 0 {
+                    1.0
+                } else {
+                    coarse as f64 / exact as f64
+                },
+                cliff: lifetimes.cliff[w].map(|i| OpLoc::of(sched, w, i)),
+                stash_at_peak_bytes: (lifetimes.breakdown[w].stash + lifetimes.breakdown[w].remat)
+                    .round() as u64,
+                versions_at_peak_bytes: lifetimes.breakdown[w].weight_versions.round() as u64,
+                pool_classes,
+            }
+        })
+        .collect();
+    MemoryV2 { workers }
+}
+
+/// `memory_v2` of `s` equals the reference under both cost models, and the
+/// fold's slot demand is `analyze`'s too; returns the classes it filled.
+fn assert_one_pass_matches(s: &Schedule, ctx: &str) -> usize {
+    let mut classes = 0;
+    for c in [cost(s.d), varied_cost(s.d)] {
+        let reference = reference_memory(s, &c);
+        assert_eq!(memory_v2(s, &c), reference, "{ctx}");
+        let slots = analyze(s, &c).slots;
+        for (w, wm) in reference.workers.iter().enumerate() {
+            assert_eq!(slots[w], wm.pool_classes, "{ctx} P{w}");
+            classes += wm.pool_classes.len();
+        }
+    }
+    classes
+}
+
+#[test]
+fn one_pass_memory_matches_the_live_range_table_on_the_sweep_and_the_matrix() {
+    let mut rng = Rng(0x5EED_CAFE_F00D_0013);
+    let mut cases: Vec<(String, Schedule)> = (replay_cases().into_iter())
+        .map(|(ctx, s, _)| (ctx, s))
+        .collect();
+    cases.extend((0..240).filter_map(|_| draw(&mut rng)));
+    cases.extend((matrix().into_iter()).map(|(scheme, d, s)| (format!("{scheme} D={d}"), s)));
+    assert!(cases.len() >= 220, "only {} schedules built", cases.len());
+    let classes: usize = (cases.iter())
+        .map(|(ctx, s)| assert_one_pass_matches(s, ctx))
+        .sum();
+    assert!(classes > 4 * cases.len(), "{classes} size classes compared");
+}
+
+/// A buffer killed by the op that defines another needs a slot beside it;
+/// one killed by the op before does not.
+#[test]
+fn a_kill_and_a_def_at_one_op_take_two_slots_and_abutting_ops_one() {
+    let stash_slots = |s: &Schedule, w: usize| -> Vec<u32> {
+        let classes = &memory_v2(s, &cost(s.d)).workers[w].pool_classes;
+        classes.iter().map(|&(_, slots)| slots).collect()
+    };
+    // The last stage runs strictly F B F B: each stash — two half-micro
+    // buffers — dies the op before the next is defined.
+    let one_f_one_b = dapple(2, 3);
+    assert_eq!(stash_slots(&one_f_one_b, 1), vec![2]);
+    // A forward run twice overwrites its stash: the clobbered buffer is
+    // resident while the op that defines its successor runs.
+    let mut overwritten = gpipe(2, 1);
+    let dup = overwritten.workers[0][0];
+    overwritten.workers[0].insert(1, dup);
+    assert_eq!(stash_codes(&overwritten)[0].0, "overwritten_stash");
+    assert_eq!(stash_slots(&overwritten, 0), vec![4]);
+    assert_one_pass_matches(&overwritten, "overwritten");
+
+    // A half backward run twice: the second finds its half already freed.
+    let mut twice = build_named("halving", 4, 8).unwrap();
+    let (w, i) = (twice.iter_ops())
+        .find(|(_, _, op)| op.is_backward() && matches!(op.chunk, Chunk::Half(0)))
+        .map(|(w, i, _)| (w.idx(), i))
+        .expect("halving emits half backwards");
+    let dup = twice.workers[w][i];
+    twice.workers[w].insert(i + 1, dup);
+    assert_eq!(stash_codes(&twice)[0].0, "double_free");
+    assert_one_pass_matches(&twice, "double free");
+}
+
+/// Every single-op drop / move mutant of the clean matrix — stash defects
+/// included — is priced by the one pass as by the table.
+#[test]
+fn one_pass_memory_matches_the_live_range_table_on_every_mutant() {
+    let (mut mutants, mut stash_defects) = (0, 0);
+    for d in [2, 4] {
+        for (name, clean) in mutants::clean_schedules(d) {
+            mutants += mutants::for_each_mutant(&name, &clean, |mutant, what| {
+                assert_one_pass_matches(mutant, what);
+                stash_defects += usize::from(!stash_codes(mutant).is_empty());
+            });
+        }
+    }
+    assert!(
+        mutants > 4000 && stash_defects > 500,
+        "{mutants} mutants, {stash_defects} with a stash defect"
+    );
 }
