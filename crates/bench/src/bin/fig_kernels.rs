@@ -6,7 +6,9 @@
 //! attention's stacked scores at every level (ns per live element and per
 //! row, masked and not), the attention core
 //! (µs per call beside the per-head composition it replaced, and its
-//! score-shaped product on either tile), a transformer
+//! score-shaped product on either tile), model G's forward and `dX`
+//! products at 64, 128 and 256 rows per call (what stacking micro-batches
+//! buys), a transformer
 //! block's measured backward/forward balance for sim calibration, the
 //! zero-skip sparse entry point on 95%-zero input, and end-to-end training
 //! step time with the buffer pool on/off.
@@ -30,7 +32,8 @@
 //!   here), the attention core over its per-head composition at the
 //!   long-sequence shape (same), the causal softmax stack under the unmasked
 //!   one and `q·kᵀ` on the wide tile over the 8-lane one (a lost lockstep
-//!   body or tile shows there), and `end_to_end` pool ratio ≥ 1.0
+//!   body or tile shows there), model G's products at 128 rows per call
+//!   over 64, and `end_to_end` pool ratio ≥ 1.0
 //! * `--threads N`  intra-op thread count (default: `max(4, cores)`)
 //!
 //! The committed baseline is deliberately conservative — about half the
@@ -579,6 +582,66 @@ fn bench_block() -> (f64, f64) {
     (fwd, bwd)
 }
 
+/// Model G's weights as `(in, out)`: a block's four projections (`wqkv`,
+/// `wo`, `fc1`, `fc2`) and the head's.
+const G_WEIGHTS: [(usize, usize); 5] =
+    [(256, 768), (256, 256), (256, 1024), (1024, 256), (256, 512)];
+
+/// Rows per call of [`bench_rows_per_call`]: one micro-batch of model G,
+/// two stacked, four stacked.
+const ROWS_PER_CALL: [usize; 3] = [64, 128, 256];
+
+struct RowsPerCallRow {
+    rows: usize,
+    /// Seconds for the forward and the `dX` product of every weight.
+    secs: f64,
+}
+
+impl RowsPerCallRow {
+    fn gflops(&self) -> f64 {
+        let per_row: usize = G_WEIGHTS.iter().map(|&(i, o)| 2 * 2 * i * o).sum();
+        (self.rows * per_row) as f64 / self.secs / 1e9
+    }
+}
+
+/// Model G's forward and `dX` products (`x·W`, `dy·Wᵀ`) over every weight of
+/// [`G_WEIGHTS`] at 64, 128 and 256 rows per call, single-threaded,
+/// hot-cache: the packed engine packs each weight once per call and each
+/// packed element of it feeds `rows` fmas, so a taller call is what closes
+/// the distance to the tile ceiling at this width — what the sequential
+/// reference's stacked micro-batches buy. Alternating rounds, best of each.
+fn bench_rows_per_call(rounds: u32) -> Vec<RowsPerCallRow> {
+    kernels::set_threads(1);
+    let weights: Vec<Vec<f32>> = (0..)
+        .zip(G_WEIGHTS)
+        .map(|(seed, (i, o))| randvec(i * o, 20 + seed))
+        .collect();
+    let widest = G_WEIGHTS.iter().map(|&(i, o)| i.max(o)).max().unwrap_or(0);
+    let rows_max = ROWS_PER_CALL[ROWS_PER_CALL.len() - 1];
+    let a = randvec(rows_max * widest, 30);
+    let mut out = vec![0.0f32; rows_max * widest];
+    let mut best = [f64::INFINITY; ROWS_PER_CALL.len()];
+    for _ in 0..rounds {
+        for (slot, &rows) in best.iter_mut().zip(&ROWS_PER_CALL) {
+            *slot = slot.min(time_per_call(5, || {
+                for (w, &(i, o)) in weights.iter().zip(&G_WEIGHTS) {
+                    let y = &mut out[..rows * o];
+                    y.fill(0.0);
+                    kernels::matmul_into(&a[..rows * i], w, black_box(y), rows, i, o);
+                    let dx = &mut out[..rows * i];
+                    dx.fill(0.0);
+                    kernels::matmul_t_into(&a[..rows * o], w, black_box(dx), rows, o, i);
+                }
+            }));
+        }
+    }
+    ROWS_PER_CALL
+        .iter()
+        .zip(best)
+        .map(|(&rows, secs)| RowsPerCallRow { rows, secs })
+        .collect()
+}
+
 /// Dense kernel vs the documented sparse-aware entry point on an input
 /// that is 95% exact zeros (effective GFLOP/s: dense-equivalent flops over
 /// wall clock, so the zero-skip win shows up as a higher number).
@@ -906,6 +969,44 @@ fn check_regressions(
     ok
 }
 
+/// The rows-per-call gate against the committed baseline: both rates are
+/// timed in this run. A taller call reuses each packed weight for more rows
+/// (measured ~1.15x at 128 rows over 64); if it stops paying, the pack is no
+/// longer amortised over the rows and the stacked reference gains nothing.
+fn check_rows_per_call(rows_per_call: &[RowsPerCallRow]) -> bool {
+    let Some(baseline) = load_baseline() else {
+        eprintln!("--check: no readable baseline; failing");
+        return false;
+    };
+    let mut ok = true;
+    let floors = baseline
+        .get("rows_per_call_min_rate_over_64")
+        .and_then(|v| v.as_object());
+    for (rows, floor) in floors.into_iter().flatten() {
+        let at = |n: usize| rows_per_call.iter().find(|r| r.rows == n);
+        let (Some(floor), Some(r), Some(base)) = (
+            floor.as_f64(),
+            rows.parse().ok().and_then(at),
+            at(ROWS_PER_CALL[0]),
+        ) else {
+            eprintln!("check rows_per_call {rows}: no such row or floor; failing");
+            ok = false;
+            continue;
+        };
+        let ratio = r.gflops() / base.gflops();
+        if ratio < floor {
+            eprintln!(
+                "check rows_per_call {rows}: STACKING REGRESSION {ratio:.2}x the rate at 64 rows \
+                 (floor {floor}x)"
+            );
+            ok = false;
+        } else {
+            println!("check rows_per_call {rows}: {ratio:.2}x the rate at 64 rows >= {floor} ok");
+        }
+    }
+    ok
+}
+
 fn main() -> ExitCode {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let check = std::env::args().any(|a| a == "--check");
@@ -1129,6 +1230,33 @@ fn main() -> ExitCode {
         ],
     );
 
+    let rows_per_call = bench_rows_per_call(if smoke { 2 } else { 5 });
+    let rate_over_64 = |r: &RowsPerCallRow| r.gflops() / rows_per_call[0].gflops();
+    print_table(
+        "Model G's forward + dX products by rows per call (1t; every block and head weight)",
+        &[
+            "rows",
+            "µs",
+            "µs per 64 rows",
+            "GFLOP/s",
+            "of ceiling",
+            "rate / 64 rows",
+        ],
+        &rows_per_call
+            .iter()
+            .map(|r| {
+                vec![
+                    r.rows.to_string(),
+                    format!("{:.1}", r.secs * 1e6),
+                    format!("{:.1}", r.secs * 1e6 * 64.0 / r.rows as f64),
+                    format!("{:.1}", r.gflops()),
+                    format!("{:.2}", r.gflops() / ceiling),
+                    format!("{:.2}x", rate_over_64(r)),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    );
+
     let (zs_m, zs_k, zs_n) = if smoke {
         (128, 256, 256)
     } else {
@@ -1231,6 +1359,18 @@ fn main() -> ExitCode {
             "matmul_t_fraction_of_tile_ceiling": mm_t_gf / ceiling,
             "bwd_over_fwd": gemm_bwd_over_fwd,
         }),
+        "rows_per_call": rows_per_call.iter().map(|r| serde_json::json!({
+            "rows": r.rows,
+            "us": r.secs * 1e6,
+            "us_per_64_rows": r.secs * 1e6 * 64.0 / r.rows as f64,
+            "gflops": r.gflops(),
+            "fraction_of_tile_ceiling": r.gflops() / ceiling,
+            "rate_over_64_rows": rate_over_64(r),
+        })).collect::<Vec<_>>(),
+        "rows_per_call_products": G_WEIGHTS
+            .iter()
+            .map(|(i, o)| format!("{i}x{o}"))
+            .collect::<Vec<_>>(),
         "calibration": serde_json::json!({
             "block": "hidden 256, 4 heads, 64 tokens, causal",
             "block_fwd_ms": block_fwd * 1e3,
@@ -1259,8 +1399,9 @@ fn main() -> ExitCode {
     // outputs; a smoke run puts it under `target/smoke/` instead.
     write_json(&output_root(smoke), "BENCH_kernels", &payload);
 
-    if check
-        && !check_regressions(
+    if check {
+        // Both run, so that one report lists every failure.
+        let passed = check_regressions(
             &ceilings,
             &rows,
             &elementwise,
@@ -1268,9 +1409,10 @@ fn main() -> ExitCode {
             &attention,
             &e2e,
             parallelism,
-        )
-    {
-        return ExitCode::FAILURE;
+        ) & check_rows_per_call(&rows_per_call);
+        if !passed {
+            return ExitCode::FAILURE;
+        }
     }
     ExitCode::SUCCESS
 }

@@ -28,6 +28,7 @@ use chimera_tensor::kernels::{gemm_batch, Operand, Triangle};
 use chimera_tensor::{scale_mask_softmax_rows, softmax_rows_backward, Rng, Tensor};
 
 use crate::linear::Linear;
+use crate::micros::Micros;
 
 /// Multi-head self-attention: fused QKV projection, per-head scaled
 /// dot-product attention (optionally causal), output projection.
@@ -215,11 +216,24 @@ impl Attention {
 
     /// Backward: returns `dx`; accumulates `[d wqkv.., d wo..]` into `grad`.
     pub fn backward(&self, stash: &AttnStash, dy: &Tensor, grad: &mut [f32]) -> Tensor {
+        self.backward_stacked(stash, dy, grad, Micros::ONE)
+    }
+
+    /// [`Attention::backward`] over `micros.count` stacked micro-batches:
+    /// the core runs over every `(sample, head)` pair at once, the
+    /// projections' weight gradients one chain per micro-batch.
+    pub fn backward_stacked(
+        &self,
+        stash: &AttnStash,
+        dy: &Tensor,
+        grad: &mut [f32],
+        micros: Micros,
+    ) -> Tensor {
         assert_eq!(grad.len(), self.num_params());
         let (gqkv, gwo) = grad.split_at_mut(self.wqkv.num_params());
-        let dctx = self.wo.backward(&stash.ctx, dy, gwo);
+        let dctx = self.wo.backward_stacked(&stash.ctx, dy, gwo, micros);
         let dqkv = self.attend_backward(&stash.qkv, &stash.probs, &dctx);
-        self.wqkv.backward(&stash.x, &dqkv, gqkv)
+        self.wqkv.backward_stacked(&stash.x, &dqkv, gqkv, micros)
     }
 
     /// Backward of [`Attention::attend`]: `dqkv` from the gradient of the

@@ -1,11 +1,12 @@
 //! Pre-norm transformer block: `x + Attn(LN(x))` then `x + MLP(LN(x))`.
 
 use chimera_tensor::{
-    gelu, gelu_backward, layernorm, layernorm_backward, LayerNormStash, Rng, Tensor,
+    gelu, gelu_backward, layernorm, layernorm_backward, pool, LayerNormStash, Rng, Tensor,
 };
 
 use crate::attention::{Attention, AttnStash};
 use crate::linear::Linear;
+use crate::micros::Micros;
 
 /// Learnable layer-norm parameters.
 #[derive(Debug, Clone)]
@@ -37,15 +38,25 @@ impl LayerNorm {
 
     /// Backward; accumulates `[dγ.., dβ..]` into `grad`.
     pub fn backward(&self, stash: &LayerNormStash, dy: &Tensor, grad: &mut [f32]) -> Tensor {
-        let (dx, dgamma, dbeta) = layernorm_backward(stash, &self.gamma, dy);
-        let n = self.gamma.len();
-        for (g, v) in grad[..n].iter_mut().zip(&dgamma) {
-            *g += v;
-        }
-        for (g, v) in grad[n..].iter_mut().zip(&dbeta) {
-            *g += v;
-        }
-        dx
+        self.backward_stacked(stash, dy, grad, Micros::ONE)
+    }
+
+    /// [`LayerNorm::backward`] over `micros.count` stacked micro-batches:
+    /// `dx` row by row, `[dγ.., dβ..]` one chain per micro-batch, folded
+    /// into `grad` in micro order.
+    pub fn backward_stacked(
+        &self,
+        stash: &LayerNormStash,
+        dy: &Tensor,
+        grad: &mut [f32],
+        micros: Micros,
+    ) -> Tensor {
+        let rows = micros.rows_each(dy.rows());
+        let mut dx = pool::take_spare(dy.len());
+        micros.fold(grad, |m, g| {
+            layernorm_backward(stash, &self.gamma, dy, m * rows..(m + 1) * rows, &mut dx, g);
+        });
+        Tensor::from_vec(dy.rows(), dy.cols(), dx)
     }
 
     /// Visit each parameter slice in flat-layout order (`γ`, then `β`).
@@ -164,21 +175,39 @@ impl TransformerBlock {
     /// Backward; accumulates the flat gradient
     /// (`[ln1, attn, ln2, fc1, fc2]` layout) into `grad` and returns `dx`.
     pub fn backward(&self, stash: &BlockStash, dy: &Tensor, grad: &mut [f32]) -> Tensor {
+        self.backward_stacked(stash, dy, grad, Micros::ONE)
+    }
+
+    /// [`TransformerBlock::backward`] over `micros.count` stacked
+    /// micro-batches (see [`Micros`]).
+    pub fn backward_stacked(
+        &self,
+        stash: &BlockStash,
+        dy: &Tensor,
+        grad: &mut [f32],
+        micros: Micros,
+    ) -> Tensor {
         let (g_ln1, rest) = grad.split_at_mut(self.ln1.num_params());
         let (g_attn, rest) = rest.split_at_mut(self.attn.num_params());
         let (g_ln2, rest) = rest.split_at_mut(self.ln2.num_params());
         let (g_fc1, g_fc2) = rest.split_at_mut(self.fc1.num_params());
 
         // MLP branch.
-        let d_gelu = self.fc2.backward(&stash.gelu_out, dy, g_fc2);
+        let d_gelu = self
+            .fc2
+            .backward_stacked(&stash.gelu_out, dy, g_fc2, micros);
         let d_fc1 = gelu_backward(&stash.fc1_out, &d_gelu);
-        let d_n2 = self.fc1.backward(&stash.ln2_out, &d_fc1, g_fc1);
-        let mut d_after_attn = self.ln2.backward(&stash.ln2, &d_n2, g_ln2);
+        let d_n2 = self
+            .fc1
+            .backward_stacked(&stash.ln2_out, &d_fc1, g_fc1, micros);
+        let mut d_after_attn = self.ln2.backward_stacked(&stash.ln2, &d_n2, g_ln2, micros);
         d_after_attn.add_assign(dy); // residual
 
         // Attention branch.
-        let d_a = self.attn.backward(&stash.attn, &d_after_attn, g_attn);
-        let mut dx = self.ln1.backward(&stash.ln1, &d_a, g_ln1);
+        let d_a = self
+            .attn
+            .backward_stacked(&stash.attn, &d_after_attn, g_attn, micros);
+        let mut dx = self.ln1.backward_stacked(&stash.ln1, &d_a, g_ln1, micros);
         dx.add_assign(&d_after_attn); // residual
         dx
     }

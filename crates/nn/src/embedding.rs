@@ -3,6 +3,8 @@
 
 use chimera_tensor::{Rng, Tensor};
 
+use crate::micros::Micros;
+
 /// Token embedding table plus learned position embeddings.
 #[derive(Debug, Clone)]
 pub struct Embedding {
@@ -45,21 +47,37 @@ impl Embedding {
     /// Backward: scatter-add `dy` into the token/position tables' gradient
     /// (flat layout `[table.., pos..]`).
     pub fn backward(&self, tokens: &[u32], seq: usize, dy: &Tensor, grad: &mut [f32]) {
+        self.backward_stacked(tokens, seq, dy, grad, Micros::ONE);
+    }
+
+    /// [`Embedding::backward`] over `micros.count` stacked micro-batches:
+    /// one scatter-add chain per micro-batch over its own rows, folded into
+    /// `grad` in micro order.
+    pub fn backward_stacked(
+        &self,
+        tokens: &[u32],
+        seq: usize,
+        dy: &Tensor,
+        grad: &mut [f32],
+        micros: Micros,
+    ) {
         assert_eq!(grad.len(), self.num_params());
         let h = self.table.cols();
-        let (tg, pg) = grad.split_at_mut(self.table.len());
-        for (i, &t) in tokens.iter().enumerate() {
-            let dyr = dy.row(i);
-            let trow = &mut tg[t as usize * h..(t as usize + 1) * h];
-            for (g, &v) in trow.iter_mut().zip(dyr) {
-                *g += v;
+        let rows = micros.rows_each(tokens.len());
+        micros.fold(grad, |m, g| {
+            let (tg, pg) = g.split_at_mut(self.table.len());
+            let span = m * rows..(m + 1) * rows;
+            for (i, &t) in span.clone().zip(&tokens[span]) {
+                let (t, dyr) = (t as usize, dy.row(i));
+                for (g, &v) in tg[t * h..(t + 1) * h].iter_mut().zip(dyr) {
+                    *g += v;
+                }
+                let p = i % seq;
+                for (g, &v) in pg[p * h..(p + 1) * h].iter_mut().zip(dyr) {
+                    *g += v;
+                }
             }
-            let p = i % seq;
-            let prow = &mut pg[p * h..(p + 1) * h];
-            for (g, &v) in prow.iter_mut().zip(dyr) {
-                *g += v;
-            }
-        }
+        });
     }
 
     /// Visit each parameter slice in flat-layout order (`table`, then `pos`).

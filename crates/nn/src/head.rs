@@ -5,6 +5,7 @@ use chimera_tensor::{scale_mask_softmax_rows, Rng, Tensor};
 
 use crate::block::LayerNorm;
 use crate::linear::Linear;
+use crate::micros::{self, Micros};
 
 /// Language-model head.
 #[derive(Debug, Clone)]
@@ -56,22 +57,41 @@ impl OutputHead {
 
     /// Forward + mean cross-entropy over the micro-batch's tokens.
     pub fn forward_loss(&self, x: &Tensor, targets: &[u32]) -> (f32, HeadStash) {
+        let (losses, stash) = self.forward_losses(x, targets, 1);
+        (losses[0], stash)
+    }
+
+    /// [`OutputHead::forward_loss`] over `micros` stacked micro-batches: one
+    /// mean cross-entropy per micro-batch, each over its own rows in order.
+    pub fn forward_losses(
+        &self,
+        x: &Tensor,
+        targets: &[u32],
+        micros: usize,
+    ) -> (Vec<f32>, HeadStash) {
         assert_eq!(x.rows(), targets.len());
+        let tokens = micros::rows_each(targets.len(), micros);
         let (n, ln_stash) = self.ln.forward(x);
         let mut probs = self.proj.forward(&n);
         scale_mask_softmax_rows(&mut probs, 1.0, None);
-        let mut loss = 0.0f64;
-        #[allow(
-            clippy::disallowed_methods,
-            reason = "the one libm call on the training path: the f64 `ln` of \
-                      the loss that is *reported*; backward starts from `probs`, \
-                      so its last bits cannot reach a parameter"
-        )]
-        for (r, &t) in targets.iter().enumerate() {
-            loss -= (probs.get(r, t as usize).max(1e-12) as f64).ln();
-        }
+        let losses = (0..micros)
+            .map(|m| {
+                let mut loss = 0.0f64;
+                let span = m * tokens..(m + 1) * tokens;
+                #[allow(
+                    clippy::disallowed_methods,
+                    reason = "the one libm call on the training path: the f64 `ln` \
+                              of the loss that is *reported*; backward starts from \
+                              `probs`, so its last bits cannot reach a parameter"
+                )]
+                for (r, &t) in span.clone().zip(&targets[span]) {
+                    loss -= (probs.get(r, t as usize).max(1e-12) as f64).ln();
+                }
+                (loss / tokens as f64) as f32
+            })
+            .collect();
         (
-            (loss / targets.len() as f64) as f32,
+            losses,
             HeadStash {
                 ln: ln_stash,
                 ln_out: n,
@@ -85,8 +105,20 @@ impl OutputHead {
     /// then through the projection and layer norm. `scale` lets gradient
     /// accumulation over `N` micro-batches average (pass `1/N`).
     pub fn backward(&self, stash: &HeadStash, scale: f32, grad: &mut [f32]) -> Tensor {
+        self.backward_stacked(stash, scale, grad, Micros::ONE)
+    }
+
+    /// [`OutputHead::backward`] over `micros.count` stacked micro-batches,
+    /// `tokens` being one micro-batch's.
+    pub fn backward_stacked(
+        &self,
+        stash: &HeadStash,
+        scale: f32,
+        grad: &mut [f32],
+        micros: Micros,
+    ) -> Tensor {
         assert_eq!(grad.len(), self.num_params());
-        let tokens = stash.targets.len();
+        let tokens = micros.rows_each(stash.targets.len());
         let mut dlogits = stash.probs.clone();
         let s = scale / tokens as f32;
         for (r, &t) in stash.targets.iter().enumerate() {
@@ -97,8 +129,10 @@ impl OutputHead {
             row[t as usize] -= s;
         }
         let (g_ln, g_proj) = grad.split_at_mut(self.ln.num_params());
-        let d_n = self.proj.backward(&stash.ln_out, &dlogits, g_proj);
-        self.ln.backward(&stash.ln, &d_n, g_ln)
+        let d_n = self
+            .proj
+            .backward_stacked(&stash.ln_out, &dlogits, g_proj, micros);
+        self.ln.backward_stacked(&stash.ln, &d_n, g_ln, micros)
     }
 
     /// Visit each parameter slice in flat-layout order.

@@ -14,10 +14,11 @@
 //!   pipeline stages starts bit-identical ([`stage::Stage::build`]).
 //! * **Exact gradients**: every layer is gradient-checked against central
 //!   differences.
-//! * **Deterministic accumulation**: per-micro-batch gradients are summed in
-//!   micro-batch order, so synchronous pipeline schedules can be compared
-//!   bit-for-bit against the sequential reference
-//!   ([`reference::ReferenceTrainer`]).
+//! * **Deterministic accumulation**: each micro-batch's weight gradient is
+//!   one chain per weight, summed into the accumulator in micro-batch order,
+//!   so synchronous pipeline schedules can be compared bit-for-bit against
+//!   the sequential reference ([`reference::ReferenceTrainer`]), which runs
+//!   its micro-batches stacked ([`micros`]).
 //! * **Activation recomputation**: stashes can be dropped to the stage
 //!   boundary and rebuilt ([`stage::MicroStash::drop_to_boundary`]),
 //!   matching the "R" configurations of §4.
@@ -29,6 +30,7 @@ pub mod data;
 pub mod embedding;
 pub mod head;
 pub mod linear;
+pub mod micros;
 pub mod optim;
 pub mod reference;
 pub mod stage;
@@ -43,6 +45,7 @@ pub use data::SyntheticData;
 pub use embedding::Embedding;
 pub use head::OutputHead;
 pub use linear::Linear;
+pub use micros::Micros;
 pub use optim::{LrSchedule, Optimizer, OptimizerKind, Sgd, StepInFlight};
 pub use reference::ReferenceTrainer;
 pub use stage::{MicroStash, ModelConfig, Stage, StageOutput};

@@ -1,6 +1,8 @@
 //! Fully-connected layer with explicit backward.
 
-use chimera_tensor::{Rng, Tensor};
+use chimera_tensor::{kernels, Rng, Tensor};
+
+use crate::micros::Micros;
 
 /// `y = x W + b`, `W: [in, out]`.
 #[derive(Debug, Clone)]
@@ -38,10 +40,33 @@ impl Linear {
     /// `dW` and `db` are accumulated straight into `grad` — no intermediate
     /// tensor or column-sum vector is materialized.
     pub fn backward(&self, x: &Tensor, dy: &Tensor, grad: &mut [f32]) -> Tensor {
+        self.backward_stacked(x, dy, grad, Micros::ONE)
+    }
+
+    /// [`Linear::backward`] over `micros.count` stacked micro-batches: `dx`
+    /// is one product over every row, `[dW.., db..]` one chain per
+    /// micro-batch over its own rows, folded into `grad` in micro order.
+    pub fn backward_stacked(
+        &self,
+        x: &Tensor,
+        dy: &Tensor,
+        grad: &mut [f32],
+        micros: Micros,
+    ) -> Tensor {
         assert_eq!(grad.len(), self.num_params());
-        let (gw, gb) = grad.split_at_mut(self.w.len());
-        x.t_matmul_acc(dy, gw);
-        dy.sum_rows_into(gb);
+        assert_eq!(x.rows(), dy.rows(), "t_matmul shape mismatch");
+        let (input, output) = (self.w.rows(), self.w.cols());
+        let rows = micros.rows_each(dy.rows());
+        micros.fold(grad, |m, g| {
+            let (gw, gb) = g.split_at_mut(self.w.len());
+            let dy = micros.rows_of(dy, m);
+            kernels::t_matmul_into(micros.rows_of(x, m), dy, gw, rows, input, output);
+            for row in dy.chunks_exact(output) {
+                for (o, &v) in gb.iter_mut().zip(row) {
+                    *o += v;
+                }
+            }
+        });
         dy.matmul_t(&self.w)
     }
 

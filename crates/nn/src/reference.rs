@@ -4,11 +4,29 @@
 //! *bit-for-bit* — this is the executable form of the paper's
 //! "convergence friendly / no accuracy loss" claim (Table 2, §2).
 
-use chimera_tensor::{ops, pool};
+use chimera_tensor::pool;
 
 use crate::data::SyntheticData;
 use crate::optim::{LrSchedule, Optimizer, OptimizerKind};
 use crate::stage::Stage;
+
+/// The sizes of the stacked passes an iteration of `n` micro-batches runs,
+/// in order: `⌈n / k⌉` groups differing by at most one (the larger first),
+/// each of at most `k = 1 + ⌊params / stash⌋` micro-batches, where `params`
+/// is the model's parameter count and `stash` one micro-batch's stash
+/// elements ([`Stage::stash_elements`]).
+///
+/// A one-micro step holds the accumulator, one micro-batch's stash and a
+/// per-micro gradient of the model's size; a stacked step holds the
+/// accumulator, `k` stashes and a layer-sized scratch. `(k − 1) · stash ≤
+/// params` makes the second never the larger: the group size is the memory
+/// the per-micro gradient buffer freed, spent on stashes.
+fn groups(n: u32, params: usize, stash: usize) -> impl Iterator<Item = u32> {
+    let k = u32::try_from(1 + params / stash.max(1)).unwrap_or(u32::MAX);
+    let count = n.div_ceil(k);
+    let (each, larger) = (n / count.max(1), n % count.max(1));
+    (0..count).map(move |i| each + u32::from(i < larger))
+}
 
 /// A sequential trainer over a stage-partitioned model.
 pub struct ReferenceTrainer {
@@ -64,40 +82,58 @@ impl ReferenceTrainer {
     /// `[first_micro, first_micro + n)`. Returns the mean loss.
     ///
     /// Per-micro gradients are accumulated in micro order and averaged via
-    /// the head's `1/n` loss scale, exactly like the pipelined runtime.
+    /// the head's `1/n` loss scale, exactly like the pipelined runtime. The
+    /// micro-batches run in groups, each one stacked pass
+    /// ([`Stage::forward_stacked`], [`Stage::backward_into`]) that folds its
+    /// micro-batches' chains straight into the one accumulator per stage:
+    /// bit for bit the one-micro gradients summed in order. The group size
+    /// follows from the model's sizes alone, so that the grouped step never
+    /// holds more memory than the one-micro step it replaced.
     pub fn train_iteration(&mut self, first_micro: u64, n: u32) -> f32 {
+        assert!(n > 0, "train_iteration: n must be at least one micro-batch");
         let scale = 1.0 / n as f32;
         let mut grads: Vec<Vec<f32>> = self
             .stages
             .iter()
             .map(|s| pool::take_zeroed(s.num_params()))
             .collect();
+        let params = self.stages.iter().map(Stage::num_params).sum();
+        let stash = self
+            .stages
+            .iter()
+            .map(|s| s.stash_elements(self.micro_batch))
+            .sum();
         let mut loss_sum = 0.0f64;
-        for m in 0..n as u64 {
-            let (tokens, targets) = self.data.batch(first_micro + m, self.micro_batch);
+        let mut next = first_micro;
+        for (g, k) in groups(n, params, stash).enumerate() {
+            let (mut tokens, mut targets) = (Vec::new(), Vec::new());
+            for m in next..next + u64::from(k) {
+                let (to, ta) = self.data.batch(m, self.micro_batch);
+                tokens.extend(to);
+                targets.extend(ta);
+            }
+            next += u64::from(k);
             // Forward through the chain.
             let mut stashes = Vec::with_capacity(self.stages.len());
             let mut act = None;
             for (i, stage) in self.stages.iter().enumerate() {
                 let last = i == self.stages.len() - 1;
-                let (out, stash) = stage.forward(
+                let (y, losses, stash) = stage.forward_stacked(
                     act.take(),
                     (i == 0).then_some(tokens.as_slice()),
                     last.then_some(targets.as_slice()),
+                    k as usize,
                 );
-                if let Some(l) = out.loss {
+                for l in losses {
                     loss_sum += l as f64;
                 }
-                act = out.activation;
+                act = y;
                 stashes.push(stash);
             }
             // Backward in reverse.
             let mut dy = None;
-            for (i, stage) in self.stages.iter().enumerate().rev() {
-                let (dx, g) = stage.backward(&stashes[i], dy.take(), scale);
-                ops::add_ordered(&mut grads[i], &[&g]);
-                pool::put(g);
-                dy = dx;
+            for ((stage, stash), grad) in self.stages.iter().zip(stashes).zip(&mut grads).rev() {
+                dy = stage.backward_into(&stash, dy.take(), scale, grad, g == 0);
             }
         }
         // Update: the learning rate follows the schedule by update step.
@@ -173,5 +209,43 @@ mod tests {
         a.train_iteration(0, 4);
         b.train_iteration(0, 4);
         assert_eq!(a.flat_params(), b.flat_params());
+    }
+
+    /// Zero micro-batches used to divide by zero into a NaN loss and still
+    /// step the optimizer (and its schedule) on a zero gradient.
+    #[test]
+    #[should_panic(expected = "n must be at least one micro-batch")]
+    fn zero_micro_batches_refused() {
+        trainer(1, 0.05).train_iteration(0, 0);
+    }
+
+    /// Every group fits the memory the per-micro gradient freed, `(k − 1) ·
+    /// stash ≤ params`, groups differ by at most one, the larger lead, and
+    /// they cover `n` in as few groups as that allows.
+    #[test]
+    fn groups_spend_at_most_the_freed_gradient_on_stashes() {
+        let sizes = [
+            (1, 1),
+            (100, 1),
+            (1, 100),
+            (1_859_072, 622_912),
+            (224_768, 1_082_496),
+        ];
+        for (params, stash) in sizes {
+            let k = 1 + params / stash;
+            for n in 0..=40u32 {
+                let got: Vec<u32> = groups(n, params, stash).collect();
+                assert_eq!(got.iter().sum::<u32>(), n, "{params}/{stash} n={n}");
+                assert_eq!(got.len(), n.div_ceil(k as u32) as usize);
+                for &g in &got {
+                    assert!(g >= 1 && (g as usize - 1) * stash <= params);
+                }
+                assert!(got.windows(2).all(|w| w[0] >= w[1] && w[0] - w[1] <= 1));
+            }
+        }
+        // The benchmark's two sequential models: G stacks pairs, A runs
+        // one micro-batch at a time.
+        assert_eq!(groups(4, 1_859_072, 622_912).collect::<Vec<_>>(), [2, 2]);
+        assert_eq!(groups(4, 224_768, 1_082_496).collect::<Vec<_>>(), [1; 4]);
     }
 }

@@ -7,6 +7,7 @@ use chimera_tensor::{pool, Rng, Tensor};
 use crate::block::{BlockStash, TransformerBlock};
 use crate::embedding::Embedding;
 use crate::head::{HeadStash, OutputHead};
+use crate::micros::Micros;
 use crate::optim::Optimizer;
 
 /// Global model description.
@@ -69,7 +70,8 @@ pub struct Stage {
     cfg: ModelConfig,
 }
 
-/// Per-micro-batch activation stash of a stage.
+/// Per-micro-batch activation stash of a stage (of every micro-batch a
+/// stacked pass ran, see [`Stage::forward_stacked`]).
 #[derive(Debug, Clone)]
 pub struct MicroStash {
     tokens: Option<Vec<u32>>,
@@ -77,6 +79,8 @@ pub struct MicroStash {
     input: Option<Tensor>,
     block_stashes: Vec<BlockStash>,
     head: Option<HeadStash>,
+    /// Micro-batches stacked in the stash's rows.
+    micros: usize,
 }
 
 impl MicroStash {
@@ -186,6 +190,29 @@ impl Stage {
             + self.head.as_ref().map_or(0, OutputHead::num_params)
     }
 
+    /// `f32` elements one micro-batch of `micro_batch` sequences leaves in
+    /// this stage's full stash ([`MicroStash::elements`]): the boundary
+    /// input (not on stage 0); per block sixteen `rows × h` activations, two
+    /// rows of `1/σ` and every head's `[s, s]` probabilities; on the last
+    /// stage the head's normalized input and its output, a row of `1/σ` and
+    /// the `rows × vocab` probabilities.
+    pub fn stash_elements(&self, micro_batch: usize) -> usize {
+        let c = &self.cfg;
+        let (h, s) = (c.hidden, c.seq);
+        let rows = micro_batch * s;
+        let input = if self.embedding.is_some() {
+            0
+        } else {
+            rows * h
+        };
+        let block = 16 * rows * h + 2 * rows + micro_batch * c.heads * s * s;
+        let head = self
+            .head
+            .as_ref()
+            .map_or(0, |_| 2 * rows * h + rows + rows * c.vocab);
+        input + self.blocks.len() * block + head
+    }
+
     /// Forward one micro-batch. Stage 0 takes `tokens`; later stages take
     /// the previous boundary activation `x`. The last stage needs `targets`.
     pub fn forward(
@@ -194,11 +221,28 @@ impl Stage {
         tokens: Option<&[u32]>,
         targets: Option<&[u32]>,
     ) -> (StageOutput, MicroStash) {
+        let (activation, losses, stash) = self.forward_stacked(x, tokens, targets, 1);
+        let loss = losses.first().copied();
+        (StageOutput { activation, loss }, stash)
+    }
+
+    /// [`Stage::forward`] over `micros` micro-batches stacked in micro order
+    /// (their `x` rows, `tokens` and `targets` concatenated): one pass, one
+    /// stash, and on the last stage one loss per micro-batch. Every row
+    /// comes out as the one-micro forward computes it.
+    pub fn forward_stacked(
+        &self,
+        x: Option<Tensor>,
+        tokens: Option<&[u32]>,
+        targets: Option<&[u32]>,
+        micros: usize,
+    ) -> (Option<Tensor>, Vec<f32>, MicroStash) {
         let mut stash = MicroStash {
             tokens: tokens.map(<[u32]>::to_vec),
             input: None,
             block_stashes: Vec::with_capacity(self.blocks.len()),
             head: None,
+            micros,
         };
         let mut cur = match (&self.embedding, x) {
             (Some(emb), None) => {
@@ -219,23 +263,11 @@ impl Stage {
         match &self.head {
             Some(head) => {
                 let t = targets.expect("last stage needs targets");
-                let (loss, hs) = head.forward_loss(&cur, t);
+                let (losses, hs) = head.forward_losses(&cur, t, micros);
                 stash.head = Some(hs);
-                (
-                    StageOutput {
-                        activation: None,
-                        loss: Some(loss),
-                    },
-                    stash,
-                )
+                (None, losses, stash)
             }
-            None => (
-                StageOutput {
-                    activation: Some(cur),
-                    loss: None,
-                },
-                stash,
-            ),
+            None => (Some(cur), Vec::new(), stash),
         }
     }
 
@@ -246,7 +278,7 @@ impl Stage {
     pub fn recompute(&self, stash: &mut MicroStash, targets: Option<&[u32]>) {
         let tokens = stash.tokens.clone();
         let x = stash.input.clone();
-        let (_, full) = self.forward(x, tokens.as_deref(), targets);
+        let (_, _, full) = self.forward_stacked(x, tokens.as_deref(), targets, stash.micros);
         stash.block_stashes = full.block_stashes;
         stash.head = full.head;
     }
@@ -261,8 +293,32 @@ impl Stage {
         dy: Option<Tensor>,
         loss_scale: f32,
     ) -> (Option<Tensor>, Vec<f32>) {
-        assert!(stash.is_full(), "backward needs a full stash (recompute?)");
         let mut grad = pool::take_zeroed(self.num_params());
+        let dx = self.backward_into(stash, dy, loss_scale, &mut grad, true);
+        (dx, grad)
+    }
+
+    /// The backward of a stash of any number of stacked micro-batches:
+    /// `dX` over all their rows at once, and each micro-batch's parameter
+    /// gradient one chain per weight, added into `grad` (flat,
+    /// [`Stage::params`] layout) in micro order — bit for bit
+    /// `ops::add_ordered(grad, &[g])` of each one-micro [`Stage::backward`]'s
+    /// `g` in turn. Pass `zeroed` only for a `grad` of `+0.0` that nothing
+    /// has been added to yet: the first micro-batch's chains then run in it.
+    pub fn backward_into(
+        &self,
+        stash: &MicroStash,
+        dy: Option<Tensor>,
+        loss_scale: f32,
+        grad: &mut [f32],
+        zeroed: bool,
+    ) -> Option<Tensor> {
+        assert!(stash.is_full(), "backward needs a full stash (recompute?)");
+        assert_eq!(grad.len(), self.num_params());
+        let micros = Micros {
+            count: stash.micros,
+            first_in_place: zeroed,
+        };
         let emb_len = self.embedding.as_ref().map_or(0, Embedding::num_params);
         let head_len = self.head.as_ref().map_or(0, OutputHead::num_params);
         let blocks_len = grad.len() - emb_len - head_len;
@@ -271,7 +327,7 @@ impl Stage {
             (Some(head), None) => {
                 let hs = stash.head.as_ref().expect("head stash");
                 let g = &mut grad[emb_len + blocks_len..];
-                head.backward(hs, loss_scale, g)
+                head.backward_stacked(hs, loss_scale, g, micros)
             }
             (None, Some(dy)) => dy,
             _ => panic!("stage backward input mismatch"),
@@ -281,16 +337,16 @@ impl Stage {
         for (blk, bs) in self.blocks.iter().zip(&stash.block_stashes).rev() {
             let len = blk.num_params();
             offset -= len;
-            d = blk.backward(bs, &d, &mut grad[offset..offset + len]);
+            d = blk.backward_stacked(bs, &d, &mut grad[offset..offset + len], micros);
         }
 
         match &self.embedding {
             Some(emb) => {
                 let tokens = stash.tokens.as_ref().expect("stage-0 stash has tokens");
-                emb.backward(tokens, self.cfg.seq, &d, &mut grad[..emb_len]);
-                (None, grad)
+                emb.backward_stacked(tokens, self.cfg.seq, &d, &mut grad[..emb_len], micros);
+                None
             }
-            None => (Some(d), grad),
+            None => Some(d),
         }
     }
 
@@ -447,14 +503,27 @@ mod tests {
         let (o0, s0) = stages[0].forward(None, Some(&tokens), None);
         let blocks0 = stages[0].blocks.len();
         assert_eq!(s0.elements(), blocks0 * per_block, "stage 0 (no input)");
+        assert_eq!(stages[0].stash_elements(b), s0.elements());
 
-        let (_, s1) = stages[1].forward(o0.activation, None, Some(&targets));
+        let (_, s1) = stages[1].forward(o0.activation.clone(), None, Some(&targets));
         let blocks1 = stages[1].blocks.len();
         assert_eq!(
             s1.elements(),
             rows * h + blocks1 * per_block + head,
             "stage 1 (boundary input + head)"
         );
+        assert_eq!(stages[1].stash_elements(b), s1.elements());
+
+        // A stacked pass holds one micro-batch's stash per micro-batch.
+        let (_, _, s0x2) =
+            stages[0].forward_stacked(None, Some(&[&tokens[..], &tokens].concat()), None, 2);
+        assert_eq!(s0x2.elements(), 2 * s0.elements());
+        let x = o0.activation.expect("stage 0 hands on an activation");
+        let stacked = Tensor::from_vec(2 * x.rows(), x.cols(), [x.data(), x.data()].concat());
+        let targets2 = [&targets[..], &targets].concat();
+        let (_, losses, s1x2) = stages[1].forward_stacked(Some(stacked), None, Some(&targets2), 2);
+        assert_eq!(s1x2.elements(), 2 * s1.elements());
+        assert_eq!(losses.len(), 2);
 
         for (stash, blocks, has_head) in [(&s0, blocks0, false), (&s1, blocks1, true)] {
             let mut pooled = 0usize;

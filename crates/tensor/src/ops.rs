@@ -7,6 +7,8 @@
 //! softmax, one ascending chain for layernorm), so results do not depend on
 //! the platform, the SIMD width or the thread count.
 
+use std::ops::Range;
+
 use crate::micro::softmax::{dot_lockstep, softmax_lockstep, R};
 use crate::pool;
 use crate::tensor::{dot, Tensor};
@@ -261,30 +263,38 @@ pub fn layernorm(x: &Tensor, gamma: &[f32], beta: &[f32]) -> (Tensor, LayerNormS
     )
 }
 
-/// Backward of [`layernorm`]: returns `(dx, dγ, dβ)`.
+/// Backward of [`layernorm`] over rows `rows` of `dy`: appends those rows of
+/// `dx` to `dx`, and adds their `dγ` and `dβ` into `dparams` (`[dγ.., dβ..]`)
+/// as one ascending chain per column, continued from the value already
+/// there. A pass over stacked micro-batches calls it once per micro-batch,
+/// so that each one's chain can start from `+0.0` of its own.
 pub fn layernorm_backward(
     stash: &LayerNormStash,
     gamma: &[f32],
     dy: &Tensor,
-) -> (Tensor, Vec<f32>, Vec<f32>) {
+    rows: Range<usize>,
+    dx: &mut Vec<f32>,
+    dparams: &mut [f32],
+) {
     let n = dy.cols();
     let nf = n as f32;
-    let mut dgamma = vec![0.0f32; n];
-    let mut dbeta = vec![0.0f32; n];
-    let mut dx = pool::take_spare(dy.len());
-    for r in 0..dy.rows() {
+    assert_eq!(dparams.len(), 2 * n, "dparams is [dγ.., dβ..]");
+    let (dgamma, dbeta) = dparams.split_at_mut(n);
+    for r in rows {
         let xhat = stash.xhat.row(r);
         let dyr = dy.row(r);
         // The dx row first holds dx̂ = dy ⊙ γ, then is rewritten in place.
+        let at = dx.len();
         dx.extend(dyr.iter().zip(gamma).map(|(&d, &g)| d * g));
-        let dxr = &mut dx[r * n..];
+        let dxr = &mut dx[at..];
         let mut sum_dxhat = 0.0f32;
         let mut sum_dxhat_xhat = 0.0f32;
         for (&d, &h) in dxr.iter().zip(xhat) {
             sum_dxhat += d;
             sum_dxhat_xhat += d * h;
         }
-        for ((dg, db), (&d, &h)) in dgamma.iter_mut().zip(&mut dbeta).zip(dyr.iter().zip(xhat)) {
+        let params = dgamma.iter_mut().zip(dbeta.iter_mut());
+        for ((dg, db), (&d, &h)) in params.zip(dyr.iter().zip(xhat)) {
             *dg += d * h;
             *db += d;
         }
@@ -293,7 +303,6 @@ pub fn layernorm_backward(
             *d = k * (nf * *d - sum_dxhat - h * sum_dxhat_xhat);
         }
     }
-    (Tensor::from_vec(dy.rows(), n, dx), dgamma, dbeta)
 }
 
 /// Elements per block of [`sum_ordered`] / [`add_ordered`]: 16 KiB of
@@ -553,7 +562,10 @@ mod tests {
         let beta: Vec<f32> = (0..8).map(|i| 0.05 * i as f32).collect();
         let w = Tensor::normal(2, 8, 1.0, &mut rng);
         let (_, stash) = layernorm(&x, &gamma, &beta);
-        let (dx, dgamma, dbeta) = layernorm_backward(&stash, &gamma, &w);
+        let (mut dx, mut dparams) = (Vec::new(), vec![0.0f32; 16]);
+        layernorm_backward(&stash, &gamma, &w, 0..2, &mut dx, &mut dparams);
+        let dx = Tensor::from_vec(2, 8, dx);
+        let (dgamma, dbeta) = dparams.split_at(8);
         let numeric = num_grad(&x, &w, |t| layernorm(t, &gamma, &beta).0);
         assert!(
             dx.max_abs_diff(&numeric) < 3e-3,
@@ -574,6 +586,14 @@ mod tests {
         let lp: f32 = layernorm(&x, &gp, &beta).0.hadamard(&w).data().iter().sum();
         let lm: f32 = layernorm(&x, &gm, &beta).0.hadamard(&w).data().iter().sum();
         assert!((dgamma[3] - (lp - lm) / (2.0 * eps)).abs() < 3e-3);
+        // Split at a row, the calls append the same dx rows and continue
+        // the same chains.
+        let (mut split_dx, mut split_params) = (Vec::new(), vec![0.0f32; 16]);
+        for rows in [0..1, 1..2] {
+            layernorm_backward(&stash, &gamma, &w, rows, &mut split_dx, &mut split_params);
+        }
+        assert_eq!(split_dx, dx.data());
+        assert_eq!(split_params, dparams);
     }
 
     /// Blocking must not reassociate: each element is the left-to-right
