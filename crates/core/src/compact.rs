@@ -38,7 +38,7 @@
 //! on a stash and two gradient halves, where rescanning costs one evaluation
 //! per head per pick.
 
-use crate::dep::{slot, DepTracker, Need};
+use crate::dep::{DepTracker, Need};
 use crate::ids::{StageId, WorkerId};
 use crate::op::{Chunk, Op, OpKind};
 use crate::placement::Placement;
@@ -91,6 +91,22 @@ fn produces(op: &Op, need: &Need) -> bool {
         _ => return false,
     };
     op.stage == s && op.replica == r && op.covered_micros().any(|c| c == m)
+}
+
+/// The readiness tables for `streams_per_worker`'s ops, each named by its
+/// position in its stream.
+fn tracker(
+    d: u32,
+    placement: &Placement,
+    streams_per_worker: &[Vec<Stream>],
+) -> Result<DepTracker, CompactError> {
+    let ops = (streams_per_worker.iter().enumerate()).flat_map(|(w, streams)| {
+        (streams.iter().flat_map(|s| s.ops.iter().enumerate())).map(move |(i, op)| (w, i, op))
+    });
+    let sized = DepTracker::sized(d, u32::MAX, placement, streams_per_worker.len(), ops);
+    sized.map(|(deps, _)| deps).map_err(|e| CompactError {
+        message: format!("streams inconsistent: {e}"),
+    })
 }
 
 /// Retirement units of a stage-0 backward: a micro-batch retires after two
@@ -224,9 +240,10 @@ fn run(
     micro_window: Option<u32>,
 ) -> Result<(Vec<Vec<Op>>, usize), CompactError> {
     let nw = streams_per_worker.len();
+    let tracker = tracker(d, placement, streams_per_worker)?;
     // Retirement tracking: per micro, how many stage-0 backward half-units
     // remain; zero for a micro that has none (left).
-    let mut remaining: Vec<u32> = Vec::new();
+    let mut remaining = vec![0u32; tracker.micros()];
     for (w, streams) in streams_per_worker.iter().enumerate() {
         for s in streams {
             assert_eq!(s.ops.len(), s.priority.len(), "priority per op required");
@@ -243,7 +260,7 @@ fn run(
                 }
                 if op.is_backward() && op.stage.0 == 0 {
                     for m in op.covered_micros() {
-                        *slot(&mut remaining, m.idx(), 0) += retire_units(op);
+                        remaining[m.idx()] += retire_units(op);
                     }
                 }
             }
@@ -255,7 +272,7 @@ fn run(
     let mut merge = Merge {
         costs,
         micro_window,
-        tracker: DepTracker::new(d, placement),
+        tracker,
         lanes: streams_per_worker
             .iter()
             .map(|streams| Lane {
@@ -383,7 +400,7 @@ mod tests {
         micro_window: Option<u32>,
     ) -> Result<(Vec<Vec<Op>>, usize), CompactError> {
         let nw = streams_per_worker.len();
-        let mut tracker = DepTracker::new(d, placement);
+        let mut tracker = tracker(d, placement, streams_per_worker)?;
         let mut remaining: std::collections::BTreeMap<u64, u32> = std::collections::BTreeMap::new();
         for op in streams_per_worker.iter().flatten().flat_map(|s| &s.ops) {
             if op.is_backward() && op.stage.0 == 0 {

@@ -518,15 +518,103 @@ fn lower_worker(sched: &Schedule, w: usize, iterations: u32, defects: &mut Vec<D
     }
 }
 
-/// Both ends of one boundary tensor, counted in half-micro units (so a full
-/// producer may feed two half consumers), with the index of the last op seen
-/// at each end on the worker the placement puts it on.
-#[derive(Clone, Copy, Default)]
-struct Wire {
-    sent: [u8; 2],
-    received: [u8; 2],
-    sender: u32,
-    receiver: u32,
+/// [`Wire::count`]'s row for the end of a boundary tensor that ships it.
+pub const SEND: usize = 0;
+/// [`Wire::count`]'s row for the end that waits for it.
+pub const RECV: usize = 1;
+
+/// One half-message at one end of its wire: the op there, and its position
+/// in its channel — among the half-messages the op's worker sends to
+/// (receives from) the peer, in program order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct End {
+    /// Index of the op in its worker's list.
+    pub op: u32,
+    /// Position in the channel.
+    pub seq: u32,
+}
+
+/// One boundary tensor of one micro-batch, at both of its ends.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Wire {
+    /// Per [`SEND`] / [`RECV`] end, per half: occurrences (saturating).
+    /// Halves count apart, so a full producer may feed two half consumers.
+    pub count: [[u8; 2]; 2],
+    /// Per end, per half: the first occurrence.
+    first: [[End; 2]; 2],
+}
+
+/// Both ends of every boundary tensor of a schedule, as lowering paired them
+/// up: a [`Wire`] per `(direction, replica, producer stage, micro)`, in the
+/// order of those keys. Rows exist only for ops on their placement worker, so
+/// the key decides the worker at each end. Occurrences past an end's first
+/// go to a side list: a schedule without duplicates allocates nothing per
+/// message.
+#[derive(Debug, Clone, Default)]
+pub struct Wires {
+    /// `(replicas, D, N)`.
+    shape: (usize, usize, usize),
+    wires: Vec<Wire>,
+    /// `(4 · wire + 2 · end + half, occurrence)`, in that order once lowered.
+    more: Vec<(usize, End)>,
+}
+
+impl Wires {
+    /// Index of `key`'s wire for micro-batch 0; micro `m`'s is `m` past it.
+    fn tensor(&self, key: KeyTemplate) -> usize {
+        let (replicas, d, n) = self.shape;
+        ((usize::from(key.grad) * replicas + key.replica as usize) * d + key.stage as usize) * n
+    }
+
+    /// Record the halves in `mask` of wire `at` at `end` from op `op`, the
+    /// first at channel position `seq`; returns the position after them.
+    #[inline(always)]
+    fn add(&mut self, at: usize, end: usize, mask: u8, op: u32, mut seq: u32) -> u32 {
+        let Wire { count, first } = &mut self.wires[at];
+        if mask == 0b11 && count[end] == [0; 2] {
+            // Both halves seen for the first time: one row per end, the rule.
+            (count[end], first[end]) = ([1; 2], [End { op, seq }, End { op, seq: seq + 1 }]);
+            return seq + 2;
+        }
+        for half in halves_in(mask) {
+            match count[end][half] {
+                0 => first[end][half] = End { op, seq },
+                _ => self.more.push((4 * at + 2 * end + half, End { op, seq })),
+            }
+            count[end][half] = count[end][half].saturating_add(1);
+            seq += 1;
+        }
+        seq
+    }
+
+    /// Every tensor in key order: its key, the index of its first wire, and
+    /// its wires, one per micro-batch.
+    pub fn tensors(&self) -> impl Iterator<Item = (KeyTemplate, usize, &[Wire])> {
+        let (replicas, d, n) = self.shape;
+        (self.wires.chunks(n.max(1)).enumerate()).map(move |(t, wires)| {
+            let key = KeyTemplate {
+                grad: t >= replicas * d,
+                replica: (t / d % replicas) as u32,
+                stage: (t % d) as u32,
+            };
+            (key, t * n, wires)
+        })
+    }
+
+    /// Every occurrence of half `h` of wire `at` at `end`, in channel order.
+    #[inline]
+    pub fn ends(&self, at: usize, end: usize, h: usize) -> impl Iterator<Item = End> + Clone + '_ {
+        let (wire, slot) = (&self.wires[at], 4 * at + 2 * end + h);
+        let more = match wire.count[end][h] {
+            0 | 1 => &[][..],
+            _ => {
+                let from = |slot| self.more.partition_point(|e| e.0 < slot);
+                &self.more[from(slot)..from(slot + 1)]
+            }
+        };
+        let first = (wire.count[end][h] > 0).then_some(wire.first[end][h]);
+        first.into_iter().chain(more.iter().map(|e| e.1))
+    }
 }
 
 /// Lower every worker of `sched`, a span of `iterations` training iterations
@@ -538,34 +626,44 @@ struct Wire {
 /// until its deadline.
 pub fn lower(sched: &Schedule, iterations: u32) -> Lowered {
     let mut programs = Vec::with_capacity(sched.workers.len());
-    let defects = lower_each(sched, iterations, |program| programs.push(program));
+    let (defects, _) = lower_each(sched, iterations, |program| programs.push(program));
     Lowered { programs, defects }
 }
 
 /// [`lower`], handing each worker's program to `each` in worker order as
 /// soon as it is lowered instead of collecting them: a consumer that folds
 /// the rows (the verifier pricing them) never holds more than one worker's.
-pub fn lower_each(sched: &Schedule, iterations: u32, mut each: impl FnMut(Program)) -> Vec<Defect> {
+/// Also returns the boundary tensors with both ends paired, each half-message
+/// at its position in its channel: what the communication lint reads.
+pub fn lower_each(
+    sched: &Schedule,
+    iterations: u32,
+    mut each: impl FnMut(Program),
+) -> (Vec<Defect>, Wires) {
     let nw = sched.workers.len();
     let (d, n) = (sched.d as usize, sched.n as usize);
     if sched.placement.d() != sched.d || nw != d {
         // No worker can be lowered against a placement of another shape.
-        return vec![defect_at(0, usize::MAX, DefectKind::Shape)];
+        let shape = defect_at(0, usize::MAX, DefectKind::Shape);
+        return (vec![shape], Wires::default());
     }
     let mut defects = Vec::new();
     // Rows exist only for ops on their placement worker, so a message's key
     // and micro-batch determine the workers at both of its ends.
     let replicas = sched.placement.replicas() as usize;
-    let mut wires = vec![Wire::default(); 2 * replicas * d * n];
-    let wire_of = |key: KeyTemplate, micro: u32| {
-        ((usize::from(key.grad) * replicas + key.replica as usize) * d + key.stage as usize) * n
-            + micro as usize
+    let mut wires = Wires {
+        shape: (replicas, d, n),
+        wires: vec![Wire::default(); 2 * replicas * d * n],
+        more: Vec::new(),
     };
     // Rounds per stage as its first holder launches them, with that holder's
     // last launch; later holders must launch as many. Two holders that both
     // synchronize implicitly agree, so a disagreement has a launch op to name.
     let mut first: Vec<Option<(u32, Defect)>> = vec![None; d];
     let mut disagreeing = Vec::new();
+    // Per peer, per end: the worker's half-messages so far, i.e. the next
+    // one's position in its channel.
+    let mut seq = vec![[0u32; 2]; d];
     for w in 0..nw {
         let p = lower_worker(sched, w, iterations, &mut defects);
         let implicit = p.ops;
@@ -573,27 +671,22 @@ pub fn lower_each(sched: &Schedule, iterations: u32, mut each: impl FnMut(Progra
         // one. The trailing implicit rows are not rounds a partner's explicit
         // ops can pair with: the executor's collective never sees them.
         let mut rounds = vec![(0u32, implicit); p.reducer_stages.len()];
+        seq.fill([0; 2]);
         for row in &p.rows[..p.implicit_from] {
             if row.op.kind == OpKind::AllReduceLaunch {
                 let (count, at) = &mut rounds[row.reducer as usize];
                 *count += 1;
                 *at = row.op_ix;
             }
-            let halves = halves_in(half_mask(row.op.chunk));
-            for cov in row.covered() {
-                if let Some((_, key)) = row.send {
-                    let wire = &mut wires[wire_of(key, cov.micro)];
-                    wire.sender = row.op_ix as u32;
-                    for b in halves.clone() {
-                        wire.sent[b] = wire.sent[b].saturating_add(1);
-                    }
-                }
-                if let Some((_, key)) = row.recv {
-                    let wire = &mut wires[wire_of(key, cov.micro)];
-                    wire.receiver = row.op_ix as u32;
-                    for b in halves.clone() {
-                        wire.received[b] = wire.received[b].saturating_add(1);
-                    }
+            for (end, tensor) in [(SEND, row.send), (RECV, row.recv)] {
+                let Some((peer, key)) = tensor else {
+                    continue;
+                };
+                let (seq, mask) = (&mut seq[peer as usize][end], half_mask(row.op.chunk));
+                let tensor = wires.tensor(key);
+                for cov in row.covered() {
+                    let at = tensor + cov.micro as usize;
+                    *seq = wires.add(at, end, mask, row.op_ix as u32, *seq);
                 }
             }
         }
@@ -606,27 +699,34 @@ pub fn lower_each(sched: &Schedule, iterations: u32, mut each: impl FnMut(Progra
         }
         each(p);
     }
+    wires.more.sort_by_key(|e| e.0);
 
-    let unmatched = (wires.iter().enumerate()).filter(|(_, wire)| wire.sent != wire.received);
-    for (at, wire) in unmatched {
-        let (grad, replica, stage) = (at / (n * d * replicas), at / (n * d) % replicas, at / n % d);
-        let consumer = if grad == 1 { stage - 1 } else { stage + 1 };
-        let worker_of = |stage: usize| {
-            let (replica, stage) = (crate::ReplicaId(replica as u32), StageId(stage as u32));
-            sched.placement.worker(replica, stage).0
-        };
-        let more = |a: [u8; 2], b: [u8; 2]| a[0] > b[0] || a[1] > b[1];
-        if more(wire.sent, wire.received) {
-            let sender = wire.sender as usize;
-            defects.push(defect_at(worker_of(stage), sender, DefectKind::LoneSend));
-        }
-        if more(wire.received, wire.sent) {
-            let (at, kind) = (wire.receiver as usize, DefectKind::LoneRecv);
-            defects.push(defect_at(worker_of(consumer), at, kind));
+    for (key, first, table) in wires.tensors() {
+        let replica = crate::ReplicaId(key.replica);
+        let worker_of = |stage| sched.placement.worker(replica, StageId(stage)).0;
+        for (at, wire) in (first..).zip(table) {
+            let [sent, received] = wire.count;
+            // A lone end is named at its last op.
+            let last = |end| {
+                (0..2)
+                    .flat_map(|h| wires.ends(at, end, h))
+                    .map(|e| e.op)
+                    .max()
+            };
+            let more = |a: [u8; 2], b: [u8; 2]| a[0] > b[0] || a[1] > b[1];
+            if more(sent, received) {
+                let at = last(SEND).expect("sent") as usize;
+                defects.push(defect_at(worker_of(key.stage), at, DefectKind::LoneSend));
+            }
+            if more(received, sent) {
+                let (consumer, at) = (key.stage + 1 - 2 * u32::from(key.grad), last(RECV));
+                let at = at.expect("received") as usize;
+                defects.push(defect_at(worker_of(consumer), at, DefectKind::LoneRecv));
+            }
         }
     }
     defects.extend(disagreeing);
-    defects
+    (defects, wires)
 }
 
 #[cfg(test)]

@@ -256,6 +256,9 @@ pub enum ExecError {
         /// Half-micros covered by the stage's backward ops.
         backward_half_micros: u64,
     },
+    /// The op names a stage or replica the placement does not have, or a
+    /// micro-batch past the schedule's `N`: nothing is executed.
+    OutOfRange(BlockedOp),
 }
 
 impl std::fmt::Display for ExecError {
@@ -287,6 +290,7 @@ impl std::fmt::Display for ExecError {
                  forward / {backward_half_micros} backward half-micros, expected \
                  {expected_half_micros} each"
             ),
+            ExecError::OutOfRange(op) => write!(f, "{op} names ids outside the schedule"),
         }
     }
 }
@@ -297,8 +301,15 @@ impl std::error::Error for ExecError {}
 /// training iterations: `iterations` must be a positive divisor of the
 /// schedule's micro-batch total, and every stage must forward and backward
 /// each micro-batch exactly once (counted in half-micro units, so §3.5's
-/// doubled and halved chunks are weighted correctly).
+/// doubled and halved chunks are weighted correctly). Ids outside the
+/// schedule are refused first.
 pub fn validate_span(sched: &Schedule, iterations: u32) -> Result<(), ExecError> {
+    span_tracker(sched, iterations).map(drop)
+}
+
+/// The executor's tables for `sched`, once [`validate_span`] passes.
+fn span_tracker(sched: &Schedule, iterations: u32) -> Result<DepTracker, ExecError> {
+    let (deps, covered) = DepTracker::of(sched)?;
     if iterations == 0 || !sched.n.is_multiple_of(iterations) {
         return Err(ExecError::InvalidIterations {
             iterations,
@@ -306,26 +317,15 @@ pub fn validate_span(sched: &Schedule, iterations: u32) -> Result<(), ExecError>
         });
     }
     let expected = 2 * sched.n as u64;
-    let mut fwd = vec![0u64; sched.d as usize];
-    let mut bwd = vec![0u64; sched.d as usize];
-    for (_, _, op) in sched.iter_ops() {
-        match op.kind {
-            OpKind::Forward => fwd[op.stage.idx()] += op.chunk.half_micros() as u64,
-            OpKind::Backward { .. } => bwd[op.stage.idx()] += op.chunk.half_micros() as u64,
-            _ => {}
-        }
+    match covered.iter().position(|&c| c != [expected; 2]) {
+        Some(s) => Err(ExecError::InconsistentSpan {
+            stage: StageId(s as u32),
+            expected_half_micros: expected,
+            forward_half_micros: covered[s][0],
+            backward_half_micros: covered[s][1],
+        }),
+        None => Ok(deps),
     }
-    for s in 0..sched.d as usize {
-        if fwd[s] != expected || bwd[s] != expected {
-            return Err(ExecError::InconsistentSpan {
-                stage: StageId(s as u32),
-                expected_half_micros: expected,
-                forward_half_micros: fwd[s],
-                backward_half_micros: bwd[s],
-            });
-        }
-    }
-    Ok(())
 }
 
 /// Execute `schedule` under [`UnitCosts`]; returns the timeline or a
@@ -356,6 +356,12 @@ impl Stall {
             })
             .collect()
     }
+
+    fn deadlock(&self, schedule: &Schedule) -> ExecError {
+        ExecError::Deadlock {
+            blocked: self.blocked(schedule),
+        }
+    }
 }
 
 /// Execute `schedule` under any [`CostProvider`].
@@ -363,22 +369,42 @@ pub fn execute_with<C: CostProvider>(
     schedule: &Schedule,
     costs: &C,
 ) -> Result<Timeline, ExecError> {
-    execute_or_stall(schedule, costs).map_err(|stall| ExecError::Deadlock {
-        blocked: stall.blocked(schedule),
-    })
+    execute_or_stall(schedule, costs)?.map_err(|stall| stall.deadlock(schedule))
+}
+
+/// [`execute_with`] on a span of `iterations` training iterations, refused
+/// as [`validate_span`] refuses it: one pass over the ops both sizes the
+/// tables and counts the span.
+pub fn execute_span<C: CostProvider>(
+    schedule: &Schedule,
+    costs: &C,
+    iterations: u32,
+) -> Result<Timeline, ExecError> {
+    let deps = span_tracker(schedule, iterations)?;
+    run(schedule, costs, deps).map_err(|stall| stall.deadlock(schedule))
 }
 
 /// [`execute_with`], handing back the stalled state itself on deadlock.
 pub fn execute_or_stall<C: CostProvider>(
     schedule: &Schedule,
     costs: &C,
+) -> Result<Result<Timeline, Box<Stall>>, ExecError> {
+    Ok(run(schedule, costs, DepTracker::of(schedule)?.0))
+}
+
+/// Execute `schedule` from `st`, its tracker with nothing recorded.
+fn run<C: CostProvider>(
+    schedule: &Schedule,
+    costs: &C,
+    mut st: DepTracker,
 ) -> Result<Timeline, Box<Stall>> {
     let nw = schedule.num_workers();
     let mut next = vec![0usize; nw];
     let mut free = vec![0u64; nw];
     let mut busy = vec![0u64; nw];
-    let mut spans: Vec<Vec<OpSpan>> = vec![Vec::new(); nw];
-    let mut st = DepTracker::new(schedule.d, &schedule.placement);
+    let mut spans: Vec<Vec<OpSpan>> = (schedule.workers.iter())
+        .map(|ops| Vec::with_capacity(ops.len()))
+        .collect();
 
     let total: usize = schedule.workers.iter().map(Vec::len).sum();
     let mut done = 0usize;

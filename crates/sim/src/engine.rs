@@ -2,7 +2,7 @@
 
 use chimera_core::op::OpKind;
 use chimera_core::schedule::Schedule;
-use chimera_core::unit_time::{execute_with, validate_span, ExecError, Timeline};
+use chimera_core::unit_time::{execute_span, ExecError, Timeline};
 use chimera_trace::Event;
 
 use crate::cost::SimCostModel;
@@ -188,14 +188,14 @@ pub fn simulate(sched: &Schedule, cost: &SimCostModel) -> Result<SimReport, Exec
 /// Fails with [`ExecError::InvalidIterations`] when `iterations` is zero or
 /// does not divide the schedule's micro-batch total, and with
 /// [`ExecError::InconsistentSpan`] when some stage's op count cannot cover
-/// the claimed span.
+/// the claimed span, and with [`ExecError::OutOfRange`] when an op names ids
+/// outside the schedule.
 pub fn simulate_span(
     sched: &Schedule,
     cost: &SimCostModel,
     iterations: u32,
 ) -> Result<SimReport, ExecError> {
-    validate_span(sched, iterations)?;
-    let timeline = execute_with(sched, cost)?;
+    let timeline = execute_span(sched, cost, iterations)?;
     Ok(SimReport::from_timeline(timeline, iterations))
 }
 

@@ -22,7 +22,7 @@
 use chimera_core::op::{Op, OpKind};
 use chimera_core::placement::Placement;
 use chimera_core::schedule::Schedule;
-use chimera_core::unit_time::{execute_with, validate_span, CostProvider, ExecError};
+use chimera_core::unit_time::{execute_span, CostProvider, ExecError};
 use chimera_core::{StageId, WorkerId};
 use chimera_trace::{Event, SpanEvent, SpanKind};
 
@@ -465,9 +465,8 @@ pub fn simulate_faulty(
     recovery: &RecoveryModel,
     run_iterations: u32,
 ) -> Result<SimReport, ExecError> {
-    validate_span(sched, 1)?;
     let perturbed = PerturbedCost::new(cost, plan, &sched.placement);
-    let timeline = execute_with(sched, &perturbed)?;
+    let timeline = execute_span(sched, &perturbed, 1)?;
     let mut rep = SimReport::from_timeline(timeline, 1);
 
     let iter_ns = rep.timeline.makespan.max(1);

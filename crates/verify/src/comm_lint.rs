@@ -22,83 +22,23 @@
 //!
 //! # How
 //!
-//! The messages are not derived here: `chimera_core::program` lowers each
-//! compute op to a row that states the boundary tensor it waits for and the
-//! one it ships — `(peer, KeyTemplate)` — and the micro-batches and halves it
-//! covers, and the runtime sends exactly those. The lint is a fold over the
-//! programs as `lower_each` hands them out, one worker at a time: every
-//! half-message of a program's rows becomes a flat record, sends in one array
-//! and recvs in another — the channel `(src, dst)`, the message key
-//! `(direction, replica, producer stage, micro, half)` packed into one
-//! integer whose order is the tuple's, the record's position `seq` in its
-//! channel's send (or recv) order, and the op it came from. A channel is
-//! judged as soon as the workers at both of its ends have been seen and its
-//! records are dropped, so the arrays hold about two workers' messages, never
-//! the schedule's.
-//!
-//! Both arrays are sorted by `(channel, key, seq)` and a channel's two sides
-//! walked in lockstep. Records with equal keys are then adjacent — a run
-//! longer than one is a duplicate, a run with no counterpart on the other
-//! side is unmatched — and because the half index is the key's lowest bit, so
-//! are the two halves of one runtime `MsgKey`. The diagnostics want their keys
-//! in order anyway, so the sort is not extra work; there is no per-channel or
-//! per-key container.
+//! `chimera_core::program` lowers each compute op to a row naming the
+//! boundary tensor it waits for and the one it ships, and pairs the two ends
+//! of every tensor as it goes ([`Wires`]: per half-micro and end, how often
+//! and where — the op and the message's position in its channel). The
+//! table's index is the message key, so a channel's wires in index order are
+//! its keys in the order the diagnostics name them, and every check reads
+//! one wire; nothing is recorded or sorted per message.
 //!
 //! An op lowering gives no row — one off its placement worker, or naming ids
 //! outside the schedule — has no messages here; `verify_span` reports such a
 //! schedule under `misplaced_op` / `id_out_of_range` and does not lint it.
 
-use chimera_core::program::{half_mask, halves_in, lower_each, KeyTemplate, Program};
+use chimera_core::ids::{ReplicaId, StageId};
+use chimera_core::program::{lower_each, End, KeyTemplate, Wires, RECV, SEND};
 use chimera_core::schedule::Schedule;
 
 use crate::{ChannelStats, Diagnostic, OpLoc, Severity};
-
-/// Full message identity — a row's [`KeyTemplate`], micro and half — packed
-/// most significant first, so keys compare as that tuple does:
-/// `grad:1 | replica · D + stage:30 | micro:32 | half:1`. The runtime's coarse
-/// `MsgKey` is this without the half: `key >> 1`.
-type Key = u64;
-
-fn pack(d: u32, tensor: KeyTemplate, micro: u32, half: usize) -> Key {
-    let pair = tensor.replica as Key * d as Key + tensor.stage as Key;
-    assert!(
-        pair < 1 << 30,
-        "replica {} of a depth-{d} schedule does not fit the lint's message keys",
-        tensor.replica
-    );
-    (tensor.grad as Key) << 63 | pair << 33 | (micro as Key) << 1 | half as Key
-}
-
-/// A key as the diagnostics name it: by the stage that *consumes* the tensor.
-fn fmt_key(d: u32, k: Key) -> String {
-    let pair = (k << 1 >> 34) as u32;
-    let (r, producer) = (pair / d, pair % d);
-    let (dir, s) = match k >> 63 {
-        0 => ("act", producer + 1),
-        _ => ("grad", producer - 1),
-    };
-    let (m, h) = ((k >> 1) as u32, k & 1);
-    format!("{dir} m{m}.{h}@s{s}/r{r}")
-}
-
-/// One half-message at its producer (a send) or its consumer (a recv) — the
-/// op at `op_index` on the channel's source (destination) worker. Field
-/// order is sort order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Msg {
-    /// `src << 32 | dst`.
-    channel: u64,
-    key: Key,
-    /// Position in the channel's send (or recv) order.
-    seq: u32,
-    op_index: u32,
-}
-
-impl Msg {
-    fn half(&self) -> u8 {
-        self.key as u8 & 1
-    }
-}
 
 /// Lint outcome: diagnostics plus per-channel statistics.
 pub struct CommLint {
@@ -110,239 +50,204 @@ pub struct CommLint {
 
 /// Run the communication lint on `sched`.
 pub fn lint(sched: &Schedule) -> CommLint {
-    let mut messages = Messages::default();
-    lower_each(sched, 1, |program| messages.push(sched, &program));
-    messages.finish()
+    check(sched, &lower_each(sched, 1, drop).1)
 }
 
-/// The lint as a fold over the programs `lower_each` hands out: the records
-/// of the channels still waiting for the worker at their other end, each
-/// array in `(channel, key, seq)` order, and the verdicts on the channels both
-/// of whose ends have been seen.
-#[derive(Default)]
-pub(crate) struct Messages {
-    sends: Vec<Msg>,
-    recvs: Vec<Msg>,
-    channels: Vec<(ChannelStats, Vec<Diagnostic>)>,
+/// A key as the diagnostics name it: by the stage that *consumes* the tensor.
+fn fmt_key(key: KeyTemplate, micro: u32, half: usize) -> String {
+    let (dir, s) = match key.grad {
+        false => ("act", key.stage + 1),
+        true => ("grad", key.stage - 1),
+    };
+    format!("{dir} m{micro}.{half}@s{s}/r{}", key.replica)
 }
 
-impl Messages {
-    /// Record what the next worker's rows send and wait for, and lint every
-    /// channel that completes; `sched`, the schedule being lowered, renders
-    /// the op locations.
-    pub(crate) fn push(&mut self, sched: &Schedule, program: &Program) {
-        let w = program.worker;
-        // All sends of channel (w, dst) and all recvs of channel (src, w)
-        // come from this worker's rows, in this order.
-        let mut send_seq = vec![0u32; program.d as usize];
-        let mut recv_seq = vec![0u32; program.d as usize];
-        for row in &program.rows {
-            for (end, sending) in [(row.send, true), (row.recv, false)] {
-                let Some((peer, tensor)) = end.filter(|&(peer, _)| peer != w) else {
-                    continue;
-                };
-                let (list, seq, src, dst) = match sending {
-                    true => (&mut self.sends, &mut send_seq[peer as usize], w, peer),
-                    false => (&mut self.recvs, &mut recv_seq[peer as usize], peer, w),
-                };
-                for cov in row.covered() {
-                    for half in halves_in(half_mask(row.op.chunk)) {
-                        list.push(Msg {
-                            channel: (src as u64) << 32 | dst as u64,
-                            key: pack(program.d, tensor, cov.micro, half),
-                            seq: *seq,
-                            op_index: row.op_ix as u32,
-                        });
-                        *seq += 1;
-                    }
-                }
-            }
-        }
-
-        // The records kept from earlier workers are in order already: the
-        // stable sort merges this worker's into that run.
-        let (mut sends, mut recvs) = (
-            std::mem::take(&mut self.sends),
-            std::mem::take(&mut self.recvs),
-        );
-        sends.sort();
-        recvs.sort();
-        // `lower_each` hands the programs over in worker order: a channel
-        // whose other end is a worker still to come keeps its records, every
-        // other channel is complete.
-        let (mut sends, mut recvs) = (&sends[..], &recvs[..]);
-        while let Some(channel) = [sends.first(), recvs.first()]
-            .into_iter()
-            .flatten()
-            .map(|m| m.channel)
-            .min()
-        {
-            let s = take_while(&mut sends, |m| m.channel == channel);
-            let r = take_while(&mut recvs, |m| m.channel == channel);
-            let (src, dst) = ((channel >> 32) as u32, channel as u32);
-            if src.max(dst) > w {
-                self.sends.extend_from_slice(s);
-                self.recvs.extend_from_slice(r);
+/// The lint of `sched` from the boundary tensors its lowering paired up.
+pub(crate) fn check(sched: &Schedule, wires: &Wires) -> CommLint {
+    // Each tensor travels one channel: from its producing stage's holder to
+    // its consuming stage's.
+    let mut tensors: Vec<_> = (wires.tensors())
+        .filter_map(|(key, first, table)| {
+            let consumer = if key.grad {
+                key.stage.checked_sub(1)?
             } else {
-                self.channels.push(lint_channel(sched, (src, dst), s, r));
-            }
+                key.stage + 1
+            };
+            let holder = |s| sched.placement.worker(ReplicaId(key.replica), StageId(s)).0;
+            let channel = (consumer < sched.d).then(|| (holder(key.stage), holder(consumer)))?;
+            (channel.0 != channel.1).then_some((channel, key, first, table))
+        })
+        .collect();
+    tensors.sort_unstable_by_key(|&(channel, key, ..)| (channel, key));
+    let mut lint = CommLint {
+        diagnostics: Vec::new(),
+        channels: Vec::new(),
+    };
+    for tensors in tensors.chunk_by(|a, b| a.0 == b.0) {
+        let (src, dst) = tensors[0].0;
+        let stats = ChannelStats {
+            src,
+            dst,
+            messages: 0,
+            max_parked: 0,
+        };
+        let mut on = Channel {
+            sched,
+            wires,
+            stats,
+            found: Default::default(),
+        };
+        let in_use = tensors.iter().flat_map(|&(_, key, first, table)| {
+            let wires = (0..).zip(first..).zip(table);
+            wires
+                .filter(|(_, wire)| wire.count != [[0; 2]; 2])
+                .map(move |(at, _)| (key, at))
+        });
+        let mut used = false;
+        for (key, (micro, at)) in in_use {
+            used = true;
+            on.bijection(key, micro, at);
+            let misordered = on.misordered(key, micro, at);
+            on.found[2].extend(misordered);
+        }
+        if used {
+            lint.channels.push(on.stats);
+            lint.diagnostics.extend(on.found.into_iter().flatten());
         }
     }
-
-    /// The verdict, once every worker's program has been pushed.
-    pub(crate) fn finish(mut self) -> CommLint {
-        self.channels
-            .sort_by_key(|(stats, _)| (stats.src, stats.dst));
-        let (channels, diagnostics): (Vec<_>, Vec<_>) = self.channels.into_iter().unzip();
-        CommLint {
-            diagnostics: diagnostics.into_iter().flatten().collect(),
-            channels,
-        }
-    }
+    lint
 }
 
-/// Split the longest prefix satisfying `pred` off `rest`.
-fn take_while<'a>(rest: &mut &'a [Msg], pred: impl Fn(&Msg) -> bool) -> &'a [Msg] {
-    let n = rest.iter().position(|m| !pred(m)).unwrap_or(rest.len());
-    let (head, tail) = rest.split_at(n);
-    *rest = tail;
-    head
+/// One channel's wires, read in key order.
+struct Channel<'a> {
+    sched: &'a Schedule,
+    wires: &'a Wires,
+    stats: ChannelStats,
+    /// Recv-side, send-side and ordering findings, each in key order.
+    found: [Vec<Diagnostic>; 3],
 }
 
-/// The records of `rest` whose key, shifted right by `shift`, is `key`;
-/// `rest` is sorted and asked for ascending keys, so it is consumed up to
-/// and including them.
-fn run_of<'a>(rest: &mut &'a [Msg], key: Key, shift: u32) -> &'a [Msg] {
-    take_while(rest, |m| m.key >> shift < key);
-    take_while(rest, |m| m.key >> shift == key)
-}
-
-/// Lint one channel from all of its sends `s` and recvs `r`, each sorted by
-/// `(key, seq)`.
-fn lint_channel(
-    sched: &Schedule,
-    (src, dst): (u32, u32),
-    s: &[Msg],
-    r: &[Msg],
-) -> (ChannelStats, Vec<Diagnostic>) {
-    let fmt_key = |k| fmt_key(sched.d, k);
-    let mut diagnostics = Vec::new();
-    let locs = |worker: u32, events: &[Msg]| {
-        let mut out: Vec<OpLoc> = events
-            .iter()
-            .map(|e| OpLoc::of(sched, worker as usize, e.op_index as usize))
-            .collect();
+impl Channel<'_> {
+    /// The locations of `ops` on `worker`, repeats of one op once.
+    fn locs(&self, worker: u32, ops: impl Iterator<Item = u32>) -> Vec<OpLoc> {
+        let mut out: Vec<OpLoc> =
+            (ops.map(|op| OpLoc::of(self.sched, worker as usize, op as usize))).collect();
         out.dedup();
         out
-    };
+    }
 
-    // Bijection, recv side — and, over the matched pairs, the parking
-    // bound: the k-th recv matching the p-th send parks at most p - k
-    // messages (a duplicated send counts at its last position).
-    let mut max_parked = 0usize;
-    let mut matched = 0usize;
-    let mut rest = s;
-    for rs in r.chunk_by(|a, b| a.key == b.key) {
-        let key = rs[0].key;
-        if rs.len() > 1 {
-            diagnostics.push(Diagnostic {
-                code: "duplicate_recv",
-                severity: Severity::Error,
-                message: format!(
-                    "P{dst} receives {} from P{src} {} times",
-                    fmt_key(key),
-                    rs.len()
-                ),
-                locations: locs(dst, rs),
-            });
+    /// An error at every one of `ends`, on `worker`.
+    fn error(
+        &self,
+        code: &'static str,
+        message: String,
+        worker: u32,
+        ends: impl Iterator<Item = End>,
+    ) -> Diagnostic {
+        let locations = self.locs(worker, ends.map(|e| e.op));
+        let severity = Severity::Error;
+        Diagnostic {
+            code,
+            severity,
+            message,
+            locations,
         }
-        match run_of(&mut rest, key, 0).last() {
-            Some(send) => {
-                for e in rs {
-                    max_parked = max_parked.max(send.seq.saturating_sub(e.seq) as usize);
-                }
-                matched += rs.len();
+    }
+
+    /// Both halves' bijection findings on wire `at`, into `found[0]` (recv
+    /// side) and `found[1]` (send side), and — over the matched recvs — the
+    /// parking bound: the k-th recv matching the p-th send parks at most
+    /// p - k messages (a duplicated send counts at its last position).
+    fn bijection(&mut self, key: KeyTemplate, micro: u32, at: usize) {
+        let (src, dst) = (self.stats.src, self.stats.dst);
+        for half in [0, 1] {
+            let name = || fmt_key(key, micro, half);
+            let (sends, recvs) = (
+                self.wires.ends(at, SEND, half),
+                self.wires.ends(at, RECV, half),
+            );
+            let (sent, received) = (sends.clone().count(), recvs.clone().count());
+            if received > 1 {
+                let message = format!("P{dst} receives {} from P{src} {received} times", name());
+                self.found[0].push(self.error("duplicate_recv", message, dst, recvs.clone()));
             }
-            None => diagnostics.push(Diagnostic {
-                code: "unmatched_recv",
-                severity: Severity::Error,
-                message: format!(
-                    "P{dst} expects {} from P{src}, but P{src} never sends it on this channel",
-                    fmt_key(key),
-                ),
-                locations: locs(dst, rs),
-            }),
+            match sends.clone().last() {
+                _ if received == 0 => {}
+                Some(send) => {
+                    for e in recvs {
+                        let parked = send.seq.saturating_sub(e.seq) as usize;
+                        self.stats.max_parked = self.stats.max_parked.max(parked);
+                    }
+                    self.stats.messages += received;
+                }
+                None => {
+                    let never = format!("but P{src} never sends it on this channel");
+                    let message = format!("P{dst} expects {} from P{src}, {never}", name());
+                    self.found[0].push(self.error("unmatched_recv", message, dst, recvs));
+                }
+            }
+            if sent > 1 {
+                let message = format!("P{src} sends {} to P{dst} {sent} times", name());
+                self.found[1].push(self.error("duplicate_send", message, src, sends.clone()));
+            }
+            if sent > 0 && received == 0 {
+                let nobody = format!("but no op on P{dst} receives it");
+                let message = format!("P{src} sends {} to P{dst}, {nobody}", name());
+                let unconsumed = self.error("unconsumed_send", message, src, sends);
+                self.found[1].push(Diagnostic {
+                    severity: Severity::Warning,
+                    ..unconsumed
+                });
+            }
         }
     }
 
-    // Bijection, send side.
-    let mut rest = r;
-    for ss in s.chunk_by(|a, b| a.key == b.key) {
-        let key = ss[0].key;
-        if ss.len() > 1 {
-            diagnostics.push(Diagnostic {
-                code: "duplicate_send",
-                severity: Severity::Error,
-                message: format!("P{src} sends {} to P{dst} {} times", fmt_key(key), ss.len()),
-                locations: locs(src, ss),
-            });
-        }
-        if run_of(&mut rest, key, 0).is_empty() {
-            diagnostics.push(Diagnostic {
-                code: "unconsumed_send",
-                severity: Severity::Warning,
-                message: format!(
-                    "P{src} sends {} to P{dst}, but no op on P{dst} receives it",
-                    fmt_key(key),
-                ),
-                locations: locs(src, ss),
-            });
-        }
+    /// Wire `at`'s occurrences at `end`, both halves merged into channel
+    /// order: `(half, op)` each.
+    fn in_order(&self, at: usize, end: usize) -> impl Iterator<Item = (u8, u32)> + '_ {
+        let (mut h0, mut h1) = (
+            self.wires.ends(at, end, 0).peekable(),
+            self.wires.ends(at, end, 1).peekable(),
+        );
+        std::iter::from_fn(move || match (h0.peek(), h1.peek()) {
+            (Some(a), Some(b)) if b.seq < a.seq => h1.next().map(|e| (1, e.op)),
+            (Some(_), _) => h0.next().map(|e| (0, e.op)),
+            _ => h1.next().map(|e| (1, e.op)),
+        })
     }
 
-    // Ordering under the coarse runtime key (no half index): halves of
-    // one micro produced by *different* ops must be consumed in send
-    // order, or the inbox hands the consumer the wrong half's payload.
-    let mut rest = r;
-    for ss in s.chunk_by(|a, b| a.key >> 1 == b.key >> 1) {
-        let coarse = ss[0].key >> 1;
-        let rs = run_of(&mut rest, coarse, 1);
+    /// Ordering under the coarse runtime key (no half index): halves of one
+    /// micro produced by *different* ops must be consumed in send order, or
+    /// the inbox hands the consumer the wrong half's payload.
+    fn misordered(&self, key: KeyTemplate, micro: u32, at: usize) -> Option<Diagnostic> {
+        let ops = |end| self.in_order(at, end).map(|(_, op)| op);
+        let halves = |end| self.in_order(at, end).map(|(half, _)| half);
         // Same producer op ⇒ one runtime message; nothing to misorder.
-        if rs.is_empty() || ss.iter().all(|e| e.op_index == ss[0].op_index) {
-            continue;
+        let mut producers = ops(SEND);
+        let first = producers.next()?;
+        if ops(RECV).next().is_none()
+            || producers.all(|op| op == first)
+            || halves(SEND).eq(halves(RECV))
+        {
+            return None;
         }
-        let in_channel_order = |events: &[Msg]| {
-            let mut v = events.to_vec();
-            v.sort_unstable_by_key(|e| e.seq);
-            v
-        };
-        let (ss, rs) = (in_channel_order(ss), in_channel_order(rs));
-        let send_halves: Vec<u8> = ss.iter().map(Msg::half).collect();
-        let recv_halves: Vec<u8> = rs.iter().map(Msg::half).collect();
-        if send_halves != recv_halves {
-            let mut locations = locs(src, &ss);
-            locations.extend(locs(dst, &rs));
-            diagnostics.push(Diagnostic {
-                code: "misordered_channel",
-                severity: Severity::Error,
-                message: format!(
-                    "halves of {} travel P{src}->P{dst} in send order {send_halves:?} but are \
+        let (send_halves, recv_halves): (Vec<u8>, Vec<u8>) =
+            (halves(SEND).collect(), halves(RECV).collect());
+        let (src, dst) = (self.stats.src, self.stats.dst);
+        let mut locations = self.locs(src, ops(SEND));
+        locations.extend(self.locs(dst, ops(RECV)));
+        Some(Diagnostic {
+            code: "misordered_channel",
+            severity: Severity::Error,
+            message: format!(
+                "halves of {} travel P{src}->P{dst} in send order {send_halves:?} but are \
                  consumed in order {recv_halves:?}; the runtime MsgKey does not carry \
                  the half index, so the inbox would deliver the wrong payload",
-                    fmt_key(coarse << 1),
-                ),
-                locations,
-            });
-        }
+                fmt_key(key, micro, 0),
+            ),
+            locations,
+        })
     }
-
-    let stats = ChannelStats {
-        src,
-        dst,
-        messages: matched,
-        max_parked,
-    };
-    (stats, diagnostics)
 }
 
 #[cfg(test)]

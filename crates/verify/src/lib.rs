@@ -43,7 +43,7 @@ pub mod graph;
 mod hazard;
 pub mod liveness;
 
-use chimera_core::program::{lower_each, structural, Defect, DefectKind, Program};
+use chimera_core::program::{lower_each, structural, Defect, DefectKind, Program, Wires};
 use chimera_core::schedule::Schedule;
 use chimera_core::unit_time::validate_span;
 use chimera_core::WorkerId;
@@ -392,8 +392,8 @@ impl serde::Serialize for VerifyReport {
 /// executed — and total: any `Schedule` value gets a report.
 pub fn verify_span(sched: &Schedule, iterations: u32) -> VerifyReport {
     let mut rows = RowFolds::default();
-    let defects = lower_each(sched, iterations, |p| rows.push(sched, &p));
-    report_of(sched, iterations, &defects, rows)
+    let (defects, wires) = lower_each(sched, iterations, |p| rows.push(&p));
+    report_of(sched, iterations, &defects, wires, rows)
 }
 
 /// What a report takes from the rows, folded one worker's program at a time
@@ -403,15 +403,13 @@ struct RowFolds {
     /// Per worker: the activation peak in `Ma` units (activation-only unit
     /// sizing).
     peaks: Vec<f64>,
-    messages: comm_lint::Messages,
     staleness: hazard::Staleness,
 }
 
 impl RowFolds {
-    fn push(&mut self, sched: &Schedule, program: &Program) {
+    fn push(&mut self, program: &Program) {
         let priced = liveness::price_worker(program, &liveness::UnitMa);
         self.peaks.push(priced.activation_peak);
-        self.messages.push(sched, program);
         self.staleness.push(program);
     }
 }
@@ -440,12 +438,13 @@ impl Diagnostic {
     }
 }
 
-/// [`verify_span`]'s report from the defects of lowering `sched` and the
-/// folds over its rows.
+/// [`verify_span`]'s report from the defects and boundary tensors of
+/// lowering `sched` and the folds over its rows.
 fn report_of(
     sched: &Schedule,
     iterations: u32,
     defects: &[Defect],
+    wires: Wires,
     rows: RowFolds,
 ) -> VerifyReport {
     let mut report = VerifyReport {
@@ -466,6 +465,9 @@ fn report_of(
     // gets its defects only: the passes below index by stage, and the ops
     // lowering refused have no rows to fold.
     if !structural(defects) {
+        // The lint's table goes before the executor builds its own.
+        let comm = comm_lint::check(sched, &wires);
+        drop(wires);
         // Span consistency first: a schedule that does not cover every micro
         // at every stage cannot be meaningfully graph-analyzed for completion.
         if let Err(e) = validate_span(sched, iterations) {
@@ -481,7 +483,6 @@ fn report_of(
         diagnostics.extend(analysis.diagnostics);
         (report.deadlock, report.blocked) = (analysis.deadlock, analysis.blocked);
 
-        let comm = rows.messages.finish();
         diagnostics.extend(comm.diagnostics);
         report.channels = comm.channels;
 
@@ -588,12 +589,12 @@ pub fn verify_parts(
     cost: &SimCostModel,
 ) -> (VerifyReport, Option<MemoryV2>) {
     let (mut rows, mut mem) = (RowFolds::default(), MemoryFold::new(sched, cost));
-    let defects = lower_each(sched, iterations, |p| {
-        rows.push(sched, &p);
+    let (defects, wires) = lower_each(sched, iterations, |p| {
+        rows.push(&p);
         mem.push(&p);
     });
     let mem = (!structural(&defects)).then(|| mem.finish());
-    (report_of(sched, iterations, &defects, rows), mem)
+    (report_of(sched, iterations, &defects, wires, rows), mem)
 }
 
 impl MemoryV2 {

@@ -209,7 +209,7 @@ impl Peak {
 /// stash-discipline defects as diagnostics.
 pub fn analyze<S: BufferSizes>(sched: &Schedule, sizes: &S) -> LivenessReport {
     let mut rep = LivenessReport::default();
-    let defects = lower_each(sched, 1, |program| rep.push_priced(&program, sizes));
+    let (defects, _) = lower_each(sched, 1, |program| rep.push_priced(&program, sizes));
     let stash_defects = defects.iter().filter(|defect| {
         matches!(
             defect.kind,

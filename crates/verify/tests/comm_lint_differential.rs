@@ -1,8 +1,11 @@
-//! Differential test of `comm_lint::lint` against the implementation it
+//! Differential test of `comm_lint::lint` against an implementation it
 //! replaced: per channel, hash maps from message key to the events carrying
 //! it. Same diagnostics (code, severity, message, locations, in order) and
 //! same `ChannelStats`, on clean schedules of every scheme and on mutants
-//! that break the send/recv bijection, the channel order, or both.
+//! that break the send/recv bijection, the channel order, or both — from
+//! `lint` itself and from the reports of `verify_span` and `verify_parts`,
+//! the planner's path, where the lint reads the wire table of the one
+//! lowering the report is built on.
 //!
 //! The oracle derives its messages from the ops and the placement; the lint
 //! reads them off `chimera_core::program`'s rows, which exist only for ops on
@@ -15,8 +18,9 @@ use chimera_core::chimera::{chimera, ChimeraConfig, ScaleMethod};
 use chimera_core::op::Chunk;
 use chimera_core::program::{lower, structural};
 use chimera_core::schedule::Schedule;
+use chimera_sim::{AllReduceAlgo, NetworkModel, SimCostModel, StageCosts, Topology};
 use chimera_verify::comm_lint::lint;
-use chimera_verify::verify_span;
+use chimera_verify::{verify_parts, verify_span, Diagnostic, Severity, VerifyReport};
 
 /// The map-per-channel lint, as it stood before the sort-merge one.
 mod oracle {
@@ -451,11 +455,64 @@ fn mutate(s: &mut Schedule, rng: &mut Rng) -> String {
     }
 }
 
+/// A byte model for `verify_parts`; the lint does not read it.
+fn cost(d: u32) -> SimCostModel {
+    let stage = StageCosts {
+        fwd_s: 1e-3,
+        bwd_s: 2e-3,
+        recompute_s: 1e-3,
+        boundary_bytes: 1 << 20,
+        act_bytes: 8 << 20,
+        param_bytes: 100 << 20,
+        grad_opt_bytes: 200 << 20,
+    };
+    SimCostModel {
+        stages: vec![stage; d as usize],
+        network: NetworkModel::cray_aries(),
+        topology: Topology::one_per_node(d),
+        allreduce_participants: 2,
+        allreduce_algo: AllReduceAlgo::Rabenseifner,
+        allreduce_beta_factor: 1.0,
+        launch_overhead_s: 0.0,
+        half_chunk_penalty: 1.0,
+        comm_compute_interference: 0.0,
+        p2p_host_overhead_s: 0.0,
+        p2p_host_s_per_byte: 0.0,
+        grad_compression: 1.0,
+    }
+}
+
+/// The communication lint's share of a report: its findings, in the order
+/// the report sorts findings (errors first, then by code; stably).
+fn comm_findings(report: &VerifyReport) -> Vec<Diagnostic> {
+    let codes = [
+        "duplicate_recv",
+        "duplicate_send",
+        "misordered_channel",
+        "unconsumed_send",
+        "unmatched_recv",
+    ];
+    (report.diagnostics.iter())
+        .filter(|d| codes.contains(&d.code))
+        .cloned()
+        .collect()
+}
+
 fn assert_same_verdict(s: &Schedule, ctx: &str) {
     let new = lint(s);
-    let (diagnostics, channels) = oracle::lint(s);
+    let (mut diagnostics, channels) = oracle::lint(s);
     assert_eq!(new.diagnostics, diagnostics, "{ctx}: diagnostics differ");
     assert_eq!(new.channels, channels, "{ctx}: channel stats differ");
+    diagnostics.sort_by_key(|d| (d.severity != Severity::Error, d.code));
+    let (parts, _) = verify_parts(s, 1, &cost(s.d));
+    for (path, report) in [("verify_span", verify_span(s, 1)), ("verify_parts", parts)] {
+        assert_eq!(
+            comm_findings(&report),
+            diagnostics,
+            "{ctx}: {path}'s comm findings differ"
+        );
+        assert_eq!(report.channels, channels, "{ctx}: {path}'s channels differ");
+    }
 }
 
 /// A mutant lowering gives no rows for: not clean, under a structural code,

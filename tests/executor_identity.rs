@@ -10,8 +10,10 @@
 //! spans whose micro ids run past one iteration's N (the asynchronous
 //! schemes' steady state, `concat_iterations`). `GOLDEN` was generated at
 //! PR 14's commit (the `HashMap`-keyed tracker and the rescanning compactor);
-//! regenerate with
-//! `cargo test --test executor_identity -- --ignored --nocapture`.
+//! `GOLDEN_V100` simulates the same cases on the V100 cluster, whose
+//! eight-GPU nodes price every hop as intra-node (`piz_daint` has one GPU per
+//! node), and was generated before the readiness tables went flat. Regenerate
+//! both with `cargo test --test executor_identity -- --ignored --nocapture`.
 
 use chimera::core::baselines::{
     dapple, gems, gpipe, pipedream, pipedream_2bw, pipedream_2bw_steady, pipedream_steady,
@@ -118,27 +120,32 @@ fn cases(d: u32) -> Vec<(String, Schedule, u32)> {
     out
 }
 
-/// `(label, [equal, practical, simulated])` for every case.
-fn computed() -> Vec<(String, [u64; 3])> {
+/// `(label, [equal, practical, simulated], simulated on the V100 cluster)`
+/// for every case.
+fn computed() -> Vec<(String, [u64; 3], u64)> {
     let mut rows = Vec::new();
     for d in [2u32, 4, 8] {
         for (label, s, iters) in cases(d) {
-            let cost = TrainConfig {
-                model: ModelSpec::bert48(),
-                cluster: ClusterSpec::piz_daint(),
-                d,
-                w: 2,
-                b: 4,
-                stage_replicas: s.placement.replicas(),
-            }
-            .cost_model();
+            let simulated = |cluster| {
+                let cost = TrainConfig {
+                    model: ModelSpec::bert48(),
+                    cluster,
+                    d,
+                    w: 2,
+                    b: 4,
+                    stage_replicas: s.placement.replicas(),
+                }
+                .cost_model();
+                checksum(&simulate_span(&s, &cost, iters).unwrap().timeline)
+            };
             rows.push((
                 label,
                 [
                     checksum(&execute(&s, UnitCosts::equal()).unwrap()),
                     checksum(&execute(&s, UnitCosts::practical()).unwrap()),
-                    checksum(&simulate_span(&s, &cost, iters).unwrap().timeline),
+                    simulated(ClusterSpec::piz_daint()),
                 ],
+                simulated(ClusterSpec::v100_cluster()),
             ));
         }
     }
@@ -146,10 +153,14 @@ fn computed() -> Vec<(String, [u64; 3])> {
 }
 
 #[test]
-#[ignore = "prints the table to paste into GOLDEN"]
+#[ignore = "prints the tables to paste into GOLDEN and GOLDEN_V100"]
 fn print_golden() {
-    for (label, [equal, practical, sim]) in computed() {
+    let rows = computed();
+    for (label, [equal, practical, sim], _) in &rows {
         println!("    (\"{label}\", [{equal:#018x}, {practical:#018x}, {sim:#018x}]),");
+    }
+    for (label, _, v100) in &rows {
+        println!("    (\"{label}\", {v100:#018x}),");
     }
 }
 
@@ -157,12 +168,16 @@ fn print_golden() {
 fn timelines_match_the_pinned_checksums() {
     let rows = computed();
     assert_eq!(rows.len(), GOLDEN.len(), "the case matrix changed");
-    for ((label, sums), (golden_label, golden)) in rows.iter().zip(GOLDEN) {
+    assert_eq!(rows.len(), GOLDEN_V100.len(), "the case matrix changed");
+    let pinned = GOLDEN.iter().zip(GOLDEN_V100);
+    for ((label, sums, v100), ((golden_label, golden), (_, golden_v100))) in rows.iter().zip(pinned)
+    {
         assert_eq!(label, golden_label, "the case matrix changed");
         assert_eq!(
             sums, golden,
             "{label}: [equal, practical, simulated] timeline checksums moved"
         );
+        assert_eq!(v100, golden_v100, "{label}: V100 timeline checksum moved");
     }
 }
 
@@ -226,4 +241,66 @@ const GOLDEN: &[(&str, [u64; 3])] = &[
     ("pipedream-2bw/d8", [0x1ee06aa81d8d5f19, 0x15b6683245452d9f, 0x213fbe007fc5fc25]),
     ("pipedream x6/d8", [0xb72a3077f555ccd9, 0x707e840b9ba32430, 0x00bcef1b85b0667e]),
     ("pipedream-2bw x6/d8", [0x3ef146838378dca9, 0x1e6fcb3180cbce30, 0x6003264ee5c6b6bf]),
+];
+
+#[rustfmt::skip]
+const GOLDEN_V100: &[(&str, u64)] = &[
+    ("gpipe/d2", 0x2b3e5a8d0dc80739),
+    ("gpipe+sync/d2", 0xa7990a82a784b8df),
+    ("dapple/d2", 0x24c09096744171f3),
+    ("dapple+sync/d2", 0x63dbb901d8207183),
+    ("dapple+sync x3/d2", 0xf1a762ce5908ce2a),
+    ("gems/d2", 0xf6404a9b13739cae),
+    ("gems+sync/d2", 0x226d23ec79c1a858),
+    ("chimera/d2", 0x7d0217232c44775c),
+    ("chimera+sync/d2", 0xdbef848f654bfb37),
+    ("chimera+sync x3/d2", 0x18975df9f623125e),
+    ("chimera-halving/d2", 0x5f1afd5701b7bca4),
+    ("chimera-halving+sync/d2", 0x4927fc47516c2801),
+    ("chimera-doubling/d2", 0x122d4eaabccb70bd),
+    ("chimera-doubling+sync/d2", 0xdac5fd9fc3289a1d),
+    ("pipedream/d2", 0xa3be5b4cce6bf96e),
+    ("pipedream-2bw/d2", 0x63dbb901d8207183),
+    ("pipedream x6/d2", 0x49fc170d16620f55),
+    ("pipedream-2bw x6/d2", 0xd9dd17c78cb20d70),
+    ("gpipe/d4", 0x96e07d928b46ac23),
+    ("gpipe+sync/d4", 0x925da1ae8a521074),
+    ("dapple/d4", 0x51a4e1a0886d43a7),
+    ("dapple+sync/d4", 0xa86d35c5fdd78ea4),
+    ("dapple+sync x3/d4", 0x8fb64f998b291e1c),
+    ("gems/d4", 0x8637fbf6c8793482),
+    ("gems+sync/d4", 0xdbe7d4b7a74663fa),
+    ("chimera/d4", 0x4af1c90f651e8bb9),
+    ("chimera+sync/d4", 0x7ede79160bfebead),
+    ("chimera+sync x3/d4", 0xce206764c631852f),
+    ("chimera-halving/d4", 0xd7e93577288487d6),
+    ("chimera-halving+sync/d4", 0xf1645b700340de9c),
+    ("chimera-doubling/d4", 0x8799cc465b5d0f97),
+    ("chimera-doubling+sync/d4", 0x1d290c9c9050024d),
+    ("chimera-f2/d4", 0x71af5e23caa3401c),
+    ("chimera-f2+sync/d4", 0x3d63cebccf234527),
+    ("pipedream/d4", 0xcf3fb04eb6b0964d),
+    ("pipedream-2bw/d4", 0xa86d35c5fdd78ea4),
+    ("pipedream x6/d4", 0xd1d8ea4c09b4cb69),
+    ("pipedream-2bw x6/d4", 0x12fb84116ee83e8c),
+    ("gpipe/d8", 0xe387cd85887bad59),
+    ("gpipe+sync/d8", 0x43dbb144eb84ac9a),
+    ("dapple/d8", 0x82fdfc854d823a7e),
+    ("dapple+sync/d8", 0x689d44149f2dd976),
+    ("dapple+sync x3/d8", 0x1fc6de1e19b85bb7),
+    ("gems/d8", 0xd6b9d68cd648affc),
+    ("gems+sync/d8", 0x1397360f1cff3cc5),
+    ("chimera/d8", 0xf685fca4561ab318),
+    ("chimera+sync/d8", 0xc12d4e928988caa8),
+    ("chimera+sync x3/d8", 0xaa99f6e3e66de946),
+    ("chimera-halving/d8", 0x19fd026e6d68f322),
+    ("chimera-halving+sync/d8", 0xdcabc349c5db1211),
+    ("chimera-doubling/d8", 0xd9b547738732df2b),
+    ("chimera-doubling+sync/d8", 0x8a51dc26555c3e70),
+    ("chimera-f2/d8", 0x8516d458dd240a88),
+    ("chimera-f2+sync/d8", 0x580004b7b87a886b),
+    ("pipedream/d8", 0x2a5606e13cfe57e9),
+    ("pipedream-2bw/d8", 0x689d44149f2dd976),
+    ("pipedream x6/d8", 0x667a2eef04cc6de9),
+    ("pipedream-2bw x6/d8", 0x712a50a1c419c213),
 ];
