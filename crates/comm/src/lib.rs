@@ -42,9 +42,12 @@
 //! For multi-process tracing, [`clock`] aligns every process's trace clock
 //! to rank 0's via a probe/response rendezvous ([`rendezvous_epoch`]), so
 //! per-rank trace exports share one time axis.
+//!
+//! [`listen`] is the accept loop and HTTP codec the control-plane servers share.
 
 pub mod chaos;
 pub mod clock;
+pub mod listen;
 pub mod local;
 pub mod modelcheck;
 pub mod tcp;
@@ -53,6 +56,7 @@ pub mod wire;
 
 pub use chaos::{LinkChaos, NetChaos, Verdict};
 pub use clock::{rendezvous_epoch, ClockSync, EPOCH_TAG};
+pub use listen::{HttpRequest, HttpResponder, Listener};
 pub use local::{LocalEndpoint, LocalFabric};
 pub use modelcheck::{explore, Exploration, StepOutcome};
 pub use tcp::{Liveness, SessionStats, TcpConfig, TcpEndpoint, TcpFabric, TAG_HEARTBEAT};

@@ -8,16 +8,15 @@
 //! those messages concurrently with training (the keyed inboxes are
 //! thread-safe), keeps the latest snapshot per rank, and exposes the
 //! merged view three ways: a JSON document, Prometheus-style exposition
-//! text, and an optional `std::net` HTTP endpoint serving both.
+//! text, and an HTTP endpoint on `chimera_comm::listen` serving both.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use chimera_comm::{MsgKey, Payload, Transport};
+use chimera_comm::{Listener, MsgKey, Payload, Transport};
 use chimera_trace::MetricsRegistry;
 use parking_lot::Mutex;
 
@@ -266,10 +265,9 @@ pub fn prometheus_text(merged: &serde_json::Value) -> String {
 
 /// A minimal HTTP endpoint serving a merged-metrics provider.
 pub struct MetricsServer {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
     /// The bound address (useful when the caller asked for port 0).
     pub addr: SocketAddr,
+    listener: Listener,
 }
 
 impl MetricsServer {
@@ -278,67 +276,28 @@ impl MetricsServer {
     /// provider is polled per request, so responses are always current.
     pub fn serve(
         addr: SocketAddr,
-        provider: impl Fn() -> serde_json::Value + Send + 'static,
+        provider: impl Fn() -> serde_json::Value + Send + Sync + 'static,
     ) -> std::io::Result<MetricsServer> {
-        let listener = TcpListener::bind(addr)?;
-        let bound = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let handle = std::thread::spawn(move || {
-            while !stop2.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((mut stream, _)) => {
-                        let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-                        let mut buf = [0u8; 1024];
-                        let n = stream.read(&mut buf).unwrap_or(0);
-                        let request = String::from_utf8_lossy(&buf[..n]);
-                        let want_json = request
-                            .lines()
-                            .next()
-                            .is_some_and(|l| l.contains("/metrics.json"));
-                        let merged = provider();
-                        let (ctype, body) = if want_json {
-                            ("application/json", merged.to_string())
-                        } else {
-                            ("text/plain; version=0.0.4", prometheus_text(&merged))
-                        };
-                        let _ = write!(
-                            stream,
-                            "HTTP/1.0 200 OK\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                            body.len()
-                        );
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(20));
-                    }
-                    Err(_) => break,
-                }
+        let listener = Listener::http(addr, move |request, conn| match request {
+            Err(refusal) => conn.send(400, "text/plain", refusal.as_bytes()),
+            Ok(request) if request.path.contains("/metrics.json") => {
+                conn.send(200, "application/json", provider().to_string().as_bytes());
             }
-        });
+            Ok(_) => conn.send(
+                200,
+                "text/plain; version=0.0.4",
+                prometheus_text(&provider()).as_bytes(),
+            ),
+        })?;
         Ok(MetricsServer {
-            stop,
-            handle: Some(handle),
-            addr: bound,
+            addr: listener.addr,
+            listener,
         })
     }
 
     /// Stop accepting and join the server thread.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.shutdown();
+    pub fn stop(self) {
+        self.listener.stop();
     }
 }
 
@@ -346,6 +305,7 @@ impl Drop for MetricsServer {
 mod tests {
     use super::*;
     use chimera_comm::LocalFabric;
+    use std::io::{Read, Write};
 
     #[test]
     fn publisher_ships_snapshots_to_rank0_aggregator() {
@@ -412,6 +372,15 @@ mod tests {
         let json = fetch("/metrics.json");
         assert!(json.contains("application/json"));
         assert!(json.contains("obs.live.http.hits"));
+
+        // A request line split across two writes is still one request.
+        let mut s = std::net::TcpStream::connect(addr).unwrap();
+        s.write_all(b"GET /metri").unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        s.write_all(b"cs.json HTTP/1.0\r\n\r\n").unwrap();
+        let mut split = String::new();
+        s.read_to_string(&mut split).unwrap();
+        assert!(split.contains("application/json"), "{split}");
         server.stop();
     }
 }

@@ -1,6 +1,8 @@
 //! The planning engine: a bounded worker pool pulling queries off an
 //! admission-controlled queue, answering through the single-flight plan
-//! cache, and delivering results to pluggable responders.
+//! cache, and handing each result to the [`Responder`] callback its caller
+//! passed. The engine knows no wire format; the front doors in
+//! [`crate::server`] encode what the callback receives.
 //!
 //! Control flow per query (all inside a worker thread):
 //!
@@ -19,14 +21,11 @@
 //! growing an unbounded backlog.
 
 use std::collections::VecDeque;
-use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::time::Instant;
 
-use chimera_comm::write_raw_frame;
 use chimera_perf::structure::TableStats;
 use chimera_perf::StructureTable;
 use chimera_trace::{Counter, Histogram, MetricsRegistry};
@@ -64,58 +63,9 @@ impl Default for ServeConfig {
     }
 }
 
-/// Where a finished answer goes.
-pub enum Responder {
-    /// In-process caller blocked on a channel (HTTP handler, CLI, tests).
-    Chan(SyncSender<Result<Value, ServeError>>),
-    /// Length-prefixed frame connection: the response JSON (with the
-    /// client's `id` echoed) is framed onto the shared connection writer.
-    Frame {
-        /// The connection's write half, shared across workers.
-        writer: Arc<Mutex<TcpStream>>,
-        /// Client correlation id, echoed verbatim.
-        id: Value,
-    },
-}
-
-/// Finalize a successful response body: shared plan value + per-request
-/// decorations (`cached`, and `id` for framed responders).
-fn finalize(v: &Value, cached: bool, id: Option<&Value>) -> Value {
-    let mut out = v.clone();
-    if let Some(obj) = out.as_object_mut() {
-        obj.insert("cached".into(), Value::Bool(cached));
-        if let Some(id) = id {
-            obj.insert("id".into(), id.clone());
-        }
-    }
-    out
-}
-
-impl Responder {
-    fn deliver(self, delivery: Result<(Arc<Value>, bool), ServeError>) {
-        match self {
-            Responder::Chan(tx) => {
-                let _ = tx.try_send(delivery.map(|(v, cached)| finalize(&v, cached, None)));
-            }
-            Responder::Frame { writer, id } => {
-                let body = match delivery {
-                    Ok((v, cached)) => finalize(&v, cached, Some(&id)),
-                    Err(e) => {
-                        let mut body = e.to_json();
-                        if let Some(obj) = body.as_object_mut() {
-                            obj.insert("id".into(), id);
-                        }
-                        body
-                    }
-                };
-                let bytes = body.to_string().into_bytes();
-                // A client that vanished mid-response is not an engine
-                // error; the connection reader will observe the close.
-                let _ = write_raw_frame(&mut *writer.lock(), &bytes);
-            }
-        }
-    }
-}
+/// Where a finished answer goes: called once, on whichever thread finishes
+/// the query, with the plan (`cached` set) or the typed failure.
+pub type Responder = Box<dyn FnOnce(Result<Value, ServeError>) + Send>;
 
 /// A request attached to an in-flight search.
 struct Waiter {
@@ -327,11 +277,16 @@ impl PlanEngine {
         self.respond(responder, Err(ServeError::Shed), submitted, None);
     }
 
-    /// Submit and wait for the finalized response JSON (used by the HTTP
-    /// front door, the CLI's local mode, and tests).
+    /// Submit and wait for the finalized response JSON (used by the
+    /// benchmark and tests).
     pub fn submit_blocking(&self, raw: Value) -> Result<Value, ServeError> {
         let (tx, rx) = std::sync::mpsc::sync_channel(1);
-        self.submit(raw, Responder::Chan(tx));
+        self.submit(
+            raw,
+            Box::new(move |r| {
+                let _ = tx.try_send(r);
+            }),
+        );
         match rx.recv() {
             Ok(result) => result,
             Err(_) => Err(ServeError::Internal("response channel closed".into())),
@@ -424,7 +379,13 @@ impl PlanEngine {
         let us = submitted.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         self.stats.latency_us.record(us);
         self.stats.mirror.latency_us.record(us);
-        responder.deliver(delivery);
+        responder(delivery.map(|(v, cached)| {
+            let mut out = Value::clone(&v);
+            if let Some(obj) = out.as_object_mut() {
+                obj.insert("cached".into(), Value::Bool(cached));
+            }
+            out
+        }));
     }
 
     fn handle(&self, job: Job) {
@@ -628,13 +589,23 @@ mod tests {
             .into_iter()
             .map(|d| {
                 let (tx, rx) = std::sync::mpsc::sync_channel(1);
-                engine.submit(query(d), Responder::Chan(tx));
+                engine.submit(
+                    query(d),
+                    Box::new(move |r| {
+                        let _ = tx.try_send(r);
+                    }),
+                );
                 rx
             })
             .collect();
         // The next request must be shed immediately, typed, not dropped.
         let (tx, rx) = std::sync::mpsc::sync_channel(1);
-        engine.submit(query(32), Responder::Chan(tx));
+        engine.submit(
+            query(32),
+            Box::new(move |r| {
+                let _ = tx.try_send(r);
+            }),
+        );
         assert_eq!(
             rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap(),
             Err(ServeError::Shed)

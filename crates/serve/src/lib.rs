@@ -17,12 +17,14 @@
 //!   typed `shed` error), per-query deadlines, `serve.*` trace counters,
 //!   and the engine's `chimera_perf::StructureTable`: what the planner
 //!   derives from a schedule's shape alone is analysed once per engine, so
-//!   *different* queries share work the plan cache cannot.
+//!   *different* queries share work the plan cache cannot. Answers go to a
+//!   [`Responder`] callback; the engine knows no wire format.
 //! * [`search`] — the production [`search::Searcher`] running the planner
 //!   searches against that table and the verify gate (lookup + price
 //!   against the tenant's budget).
-//! * [`server`] — two front doors: the framed protocol
-//!   ([`server::PlanServer`]) and JSON-over-HTTP ([`server::HttpServer`]).
+//! * [`server`] — two front doors on `chimera_comm::listen`, the framed
+//!   protocol ([`server::PlanServer`]) and JSON-over-HTTP
+//!   ([`server::HttpServer`]), with one request path behind them.
 //! * [`client`] — pipelined framed-protocol client.
 //! * [`error`] — the typed client-facing error enum.
 //! * [`response`] — the one plan serializer shared with `chimera-cli plan

@@ -1,317 +1,193 @@
-//! Network front doors for the planning engine.
+//! Network front doors for the planning engine, both on
+//! `chimera_comm::Listener`:
 //!
-//! Two protocols over one engine:
+//! * [`PlanServer`] — `u32`-LE length-prefixed JSON frames, **pipelined**:
+//!   many queries may be outstanding on one connection, and replies carry
+//!   the client's `id` in completion order. `{"op": "stats"}` and
+//!   `{"op": "ping"}` are answered inline; any other `op` is a
+//!   `malformed_query`.
+//! * [`HttpServer`] — `POST /plan`, `GET /stats`, `GET /healthz`; any other
+//!   route is `404 not_found`.
 //!
-//! * [`PlanServer`] — the native framed protocol: `u32`-LE length-prefixed
-//!   JSON frames (the `chimera-comm` wire discipline, via
-//!   `read_raw_frame`/`write_raw_frame`). Connections are **pipelined**: a
-//!   client may have many queries outstanding; responses carry the client's
-//!   `id` and may arrive out of submission order (workers finish
-//!   independently). `{"op": "stats"}` and `{"op": "ping"}` are answered
-//!   inline by the connection reader.
-//! * [`HttpServer`] — a JSON-over-HTTP front door in the style of the obs
-//!   crate's `MetricsServer`: `POST /plan` runs a query (blocking),
-//!   `GET /stats` returns engine counters, `GET /healthz` is a liveness
-//!   probe. Errors map to status codes via `ServeError::http_status`.
+//! A door only decodes bytes into a `Request` and encodes the reply:
+//! `answer` answers every request, and `reply` builds the body (the `id`
+//! echoed on the framed door) and the status ([`ServeError::http_status`]).
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-use chimera_comm::{read_raw_frame, write_raw_frame};
+use chimera_comm::{read_raw_frame, write_raw_frame, HttpRequest, HttpResponder, Listener};
 use parking_lot::Mutex;
 use serde_json::Value;
 
 use crate::engine::{PlanEngine, Responder};
 use crate::error::ServeError;
 
+/// What a client asked, whichever door it came through.
+enum Request {
+    /// Framed `{"op": "ping"}`.
+    Ping,
+    /// `GET /healthz`.
+    Health,
+    /// Framed `{"op": "stats"}`, `GET /stats`.
+    Stats,
+    /// A frame without `op`, the body of `POST /plan`.
+    Plan(Value),
+}
+
+/// Answer `request` — or the error decoding it — through `respond`.
+fn answer(engine: &PlanEngine, request: Result<Request, ServeError>, respond: Responder) {
+    match request {
+        Ok(Request::Ping) => respond(Ok(serde_json::json!({"ok": true, "op": "pong"}))),
+        Ok(Request::Health) => respond(Ok(serde_json::json!({"ok": true}))),
+        Ok(Request::Stats) => respond(Ok(engine.stats_json())),
+        Ok(Request::Plan(raw)) => engine.submit(raw, respond),
+        Err(e) => respond(Err(e)),
+    }
+}
+
+/// The reply to `result`: its HTTP status and its body, with `id` echoed
+/// when the framed door passes one.
+fn reply(result: Result<Value, ServeError>, id: Option<Value>) -> (u16, Value) {
+    let (status, mut body) = match result {
+        Ok(v) => (200, v),
+        Err(e) => (e.http_status(), e.to_json()),
+    };
+    if let (Some(id), Some(obj)) = (id, body.as_object_mut()) {
+        obj.insert("id".into(), id);
+    }
+    (status, body)
+}
+
+/// Request bytes as JSON.
+fn parse(bytes: &[u8]) -> Result<Value, ServeError> {
+    let text = std::str::from_utf8(bytes)
+        .map_err(|e| ServeError::MalformedQuery(format!("invalid UTF-8 body: {e}")))?;
+    serde_json::from_str(text).map_err(|e| ServeError::MalformedQuery(format!("invalid JSON: {e}")))
+}
+
 /// The framed-protocol server.
 pub struct PlanServer {
     /// Bound address (useful when the caller asked for port 0).
     pub addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    listener: Listener,
 }
 
 impl PlanServer {
     /// Bind `addr` and serve framed plan queries against `engine`.
     pub fn bind(addr: SocketAddr, engine: Arc<PlanEngine>) -> std::io::Result<PlanServer> {
-        let listener = TcpListener::bind(addr)?;
-        let bound = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let handle = std::thread::spawn(move || {
-            while !stop2.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let eng = engine.clone();
-                        let stop3 = stop2.clone();
-                        std::thread::spawn(move || serve_conn(stream, &eng, &stop3));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
+        let listener = Listener::bind(addr, move |stream, stop| {
+            serve_frames(stream, &engine, stop);
+        })?;
         Ok(PlanServer {
-            addr: bound,
-            stop,
-            handle: Some(handle),
+            addr: listener.addr,
+            listener,
         })
     }
 
-    /// Stop accepting connections and join the acceptor thread. Established
-    /// connections drain naturally when clients hang up.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+    /// Stop accepting connections and join the acceptor thread. An
+    /// established connection closes at its next frame.
+    pub fn stop(self) {
+        self.listener.stop();
     }
 }
 
-impl Drop for PlanServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// One framed connection: read frames until EOF, answer ops inline, hand
-/// plan queries to the engine with a shared-writer responder.
-fn serve_conn(stream: TcpStream, engine: &Arc<PlanEngine>, stop: &AtomicBool) {
-    let mut reader = match stream.try_clone() {
-        Ok(r) => r,
-        Err(_) => return,
+/// One framed connection: decode frames until EOF or stop; every reply is
+/// framed onto the shared write half, by whichever thread has it.
+fn serve_frames(stream: TcpStream, engine: &PlanEngine, stop: &AtomicBool) {
+    let Ok(mut reader) = stream.try_clone() else {
+        return;
     };
     let writer = Arc::new(Mutex::new(stream));
-    loop {
-        if stop.load(Ordering::Relaxed) {
+    while !stop.load(Ordering::Relaxed) {
+        let Ok(Some(frame)) = read_raw_frame(&mut reader) else {
             return;
-        }
-        let body = match read_raw_frame(&mut reader) {
-            Ok(Some(b)) => b,
-            Ok(None) => return, // clean EOF at a frame boundary
-            Err(_) => return,
         };
-        let parsed: Result<Value, _> = std::str::from_utf8(&body)
-            .map_err(|e| e.to_string())
-            .and_then(|s| serde_json::from_str(s).map_err(|e| e.to_string()));
-        let raw = match parsed {
-            Ok(v) => v,
-            Err(e) => {
-                // Unparseable bytes still get a typed response, not a
-                // dropped connection. No id is recoverable.
-                let mut resp = ServeError::MalformedQuery(format!("invalid JSON: {e}")).to_json();
-                if let Some(obj) = resp.as_object_mut() {
-                    obj.insert("id".into(), Value::Null);
-                }
-                if write_frame_value(&writer, &resp).is_err() {
-                    return;
-                }
-                continue;
-            }
+        let (id, request) = match parse(&frame) {
+            // Unparseable bytes still get a typed reply; no id is recoverable.
+            Err(e) => (Value::Null, Err(e)),
+            Ok(raw) => (
+                raw.get("id").cloned().unwrap_or(Value::Null),
+                decode_op(raw),
+            ),
         };
-        let id = raw.get("id").cloned().unwrap_or(Value::Null);
-        match raw.get("op").and_then(Value::as_str) {
-            Some("stats") => {
-                let mut resp = engine.stats_json();
-                if let Some(obj) = resp.as_object_mut() {
-                    obj.insert("id".into(), id);
-                }
-                if write_frame_value(&writer, &resp).is_err() {
-                    return;
-                }
-            }
-            Some("ping") => {
-                let resp = serde_json::json!({"ok": true, "op": "pong", "id": id});
-                if write_frame_value(&writer, &resp).is_err() {
-                    return;
-                }
-            }
-            Some(other) => {
-                let mut resp =
-                    ServeError::MalformedQuery(format!("unknown op {other:?}")).to_json();
-                if let Some(obj) = resp.as_object_mut() {
-                    obj.insert("id".into(), id);
-                }
-                if write_frame_value(&writer, &resp).is_err() {
-                    return;
-                }
-            }
-            None => {
-                engine.submit(
-                    raw,
-                    Responder::Frame {
-                        writer: writer.clone(),
-                        id,
-                    },
-                );
-            }
-        }
+        let writer = writer.clone();
+        let respond: Responder = Box::new(move |result| {
+            let (_, body) = reply(result, Some(id));
+            // A client that vanished mid-response is not an error here;
+            // the reader observes the close.
+            let _ = write_raw_frame(&mut *writer.lock(), body.to_string().as_bytes());
+        });
+        answer(engine, request, respond);
     }
 }
 
-fn write_frame_value(writer: &Arc<Mutex<TcpStream>>, v: &Value) -> std::io::Result<()> {
-    write_raw_frame(&mut *writer.lock(), v.to_string().as_bytes())
+/// A frame's request: a plan query unless it names an `op`.
+fn decode_op(raw: Value) -> Result<Request, ServeError> {
+    let Some(op) = raw.get("op") else {
+        return Ok(Request::Plan(raw));
+    };
+    match op.as_str() {
+        Some("ping") => Ok(Request::Ping),
+        Some("stats") => Ok(Request::Stats),
+        Some(other) => Err(ServeError::MalformedQuery(format!("unknown op {other:?}"))),
+        None => Err(ServeError::MalformedQuery(format!("unknown op {op}"))),
+    }
 }
 
 /// The JSON-over-HTTP front door.
 pub struct HttpServer {
     /// Bound address.
     pub addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    listener: Listener,
 }
 
 impl HttpServer {
     /// Serve `POST /plan`, `GET /stats`, `GET /healthz` on `addr`.
     pub fn serve(addr: SocketAddr, engine: Arc<PlanEngine>) -> std::io::Result<HttpServer> {
-        let listener = TcpListener::bind(addr)?;
-        let bound = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let handle = std::thread::spawn(move || {
-            while !stop2.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let eng = engine.clone();
-                        std::thread::spawn(move || {
-                            let _ = serve_http_conn(stream, &eng);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
+        let listener = Listener::http(addr, move |request, conn| route(&engine, request, conn))?;
         Ok(HttpServer {
-            addr: bound,
-            stop,
-            handle: Some(handle),
+            addr: listener.addr,
+            listener,
         })
     }
 
     /// Stop accepting and join the acceptor thread.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+    pub fn stop(self) {
+        self.listener.stop();
     }
 }
 
-impl Drop for HttpServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn http_response(stream: &mut TcpStream, status: u16, body: &Value) -> std::io::Result<()> {
-    let reason = match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        422 => "Unprocessable Entity",
-        500 => "Internal Server Error",
-        503 => "Service Unavailable",
-        504 => "Gateway Timeout",
-        _ => "Error",
+/// Route one HTTP request; the reply goes out when its answer is ready.
+fn route(engine: &PlanEngine, request: Result<HttpRequest, &str>, conn: HttpResponder) {
+    let send = move |status, body: Value| {
+        conn.send(status, "application/json", body.to_string().as_bytes());
     };
-    let body = body.to_string();
-    write!(
-        stream,
-        "HTTP/1.0 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-}
-
-/// Read one HTTP request (request line + headers + `Content-Length` body),
-/// route it, respond, close.
-fn serve_http_conn(mut stream: TcpStream, engine: &Arc<PlanEngine>) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let header_end = loop {
-        if let Some(pos) = find_header_end(&buf) {
-            break pos;
-        }
-        if buf.len() > 64 * 1024 {
-            let e = ServeError::MalformedQuery("request headers too large".into());
-            return http_response(&mut stream, e.http_status(), &e.to_json());
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Ok(()); // client hung up
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = String::from_utf8_lossy(&buf[..header_end]).into_owned();
-    let mut lines = head.lines();
-    let request_line = lines.next().unwrap_or_default().to_string();
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or_default().to_ascii_uppercase();
-    let path = parts.next().unwrap_or_default().to_string();
-    let content_length = lines
-        .filter_map(|l| l.split_once(':'))
-        .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.trim().parse::<usize>().ok())
-        .unwrap_or(0);
-    if content_length > 1 << 20 {
-        let e = ServeError::MalformedQuery("request body too large".into());
-        return http_response(&mut stream, e.http_status(), &e.to_json());
-    }
-    let mut body = buf[header_end + 4..].to_vec();
-    while body.len() < content_length {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            break;
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-
-    match (method.as_str(), path.as_str()) {
-        ("GET", "/healthz") => http_response(&mut stream, 200, &serde_json::json!({"ok": true})),
-        ("GET", "/stats") => http_response(&mut stream, 200, &engine.stats_json()),
-        ("POST", "/plan") => {
-            let parsed: Result<Value, ServeError> = std::str::from_utf8(&body)
-                .map_err(|e| ServeError::MalformedQuery(format!("invalid UTF-8 body: {e}")))
-                .and_then(|s| {
-                    serde_json::from_str(s)
-                        .map_err(|e| ServeError::MalformedQuery(format!("invalid JSON: {e}")))
-                });
-            let result = parsed.and_then(|raw| engine.submit_blocking(raw));
-            match result {
-                Ok(v) => http_response(&mut stream, 200, &v),
-                Err(e) => http_response(&mut stream, e.http_status(), &e.to_json()),
+    let request = match request {
+        Err(refusal) => Err(ServeError::MalformedQuery(refusal.into())),
+        Ok(r) => match (r.method.as_str(), r.path.as_str()) {
+            ("GET", "/healthz") => Ok(Request::Health),
+            ("GET", "/stats") => Ok(Request::Stats),
+            ("POST", "/plan") => parse(&r.body).map(Request::Plan),
+            (method, path) => {
+                let message = format!("no route {method} {path}");
+                return send(
+                    404,
+                    serde_json::json!({
+                        "ok": false,
+                        "error": {"code": "not_found", "message": message},
+                    }),
+                );
             }
-        }
-        _ => {
-            let body = serde_json::json!({
-                "ok": false,
-                "error": {"code": "not_found", "message": format!("no route {method} {path}")},
-            });
-            http_response(&mut stream, 404, &body)
-        }
-    }
-}
-
-fn find_header_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+        },
+    };
+    answer(
+        engine,
+        request,
+        Box::new(move |result| {
+            let (status, body) = reply(result, None);
+            send(status, body);
+        }),
+    );
 }

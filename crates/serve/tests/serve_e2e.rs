@@ -109,14 +109,20 @@ fn malformed_frames_get_typed_errors_not_hangups() {
     let v: Value = serde_json::from_str(std::str::from_utf8(&body).unwrap()).unwrap();
     assert_eq!(v["error"]["code"].as_str(), Some("malformed_query"));
 
-    // Unknown op, id echoed.
-    chimera_comm::write_raw_frame(&mut raw, br#"{"op": "launder", "id": 7}"#).unwrap();
-    let body = chimera_comm::read_raw_frame(&mut raw).unwrap().unwrap();
-    let v: Value = serde_json::from_str(std::str::from_utf8(&body).unwrap()).unwrap();
-    assert_eq!(v["error"]["code"].as_str(), Some("malformed_query"));
-    assert_eq!(v["id"].as_u64(), Some(7));
+    // Unknown op, id echoed — also when the op is not a string, even on an
+    // otherwise valid plan query.
+    for (frame, id) in [
+        (&br#"{"op": "launder", "id": 7}"#[..], 7),
+        (br#"{"op": 7, "id": 8, "model": "bert48", "devices": 4}"#, 8),
+    ] {
+        chimera_comm::write_raw_frame(&mut raw, frame).unwrap();
+        let body = chimera_comm::read_raw_frame(&mut raw).unwrap().unwrap();
+        let v: Value = serde_json::from_str(std::str::from_utf8(&body).unwrap()).unwrap();
+        assert_eq!(v["error"]["code"].as_str(), Some("malformed_query"));
+        assert_eq!(v["id"].as_u64(), Some(id));
+    }
 
-    // The connection survived both; a valid query still works.
+    // The connection survived them all; a valid query still works.
     drop(raw);
     let mut client = PlanClient::connect(server.addr).unwrap();
     assert_eq!(client.ping().unwrap()["op"].as_str(), Some("pong"));
@@ -160,6 +166,12 @@ fn http_front_door_end_to_end() {
     assert_eq!(status, 200);
     assert_eq!(body["schema"].as_str(), Some("chimera-serve/plan/v1"));
     assert!(!body["results"].as_array().unwrap().is_empty());
+
+    // The body is exactly Content-Length bytes: what follows it on the
+    // connection is not parsed with it.
+    let (status, body) = http_request(addr, &format!("{req}\r\n\r\nGET /stats HTTP/1.0"));
+    assert_eq!(status, 200);
+    assert_eq!(body["schema"].as_str(), Some("chimera-serve/plan/v1"));
 
     // Error mapping: unknown model → 404 with the typed code.
     let q = r#"{"model": "nope", "devices": 4}"#;
