@@ -16,7 +16,7 @@ use chimera_perf::{
 };
 use chimera_sim::{simulate, simulate_span};
 use chimera_verify::liveness::analyze;
-use chimera_verify::{comm_lint, memory_v2, verify_span, verify_with_memory};
+use chimera_verify::{comm_lint, memory_v2, verify_span, verify_states, verify_with_memory};
 
 fn bench_simulate(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulate_iteration");
@@ -105,9 +105,10 @@ fn bench_planning_passes(c: &mut Criterion) {
                 b.iter(|| verify_span(black_box(s), iters));
             });
             // What a verified plan pays on top: the one lowering, a liveness
-            // report from scratch (lower + price, live ranges kept), the
-            // pricing every candidate pays (lower + one pass per worker, no
-            // live ranges), and the whole gate.
+            // report from scratch (lower + price, live ranges kept), memory
+            // from scratch (lower + a size-free pass per worker + pricing its
+            // states), the pricing every candidate pays (the states a shape
+            // keeps, priced in bytes), and the whole gate.
             g.bench_with_input(id("lower"), &sched, |b, s| {
                 b.iter(|| lower(black_box(s), iters));
             });
@@ -117,12 +118,18 @@ fn bench_planning_passes(c: &mut Criterion) {
             g.bench_with_input(id("memory_v2"), &sched, |b, s| {
                 b.iter(|| memory_v2(black_box(s), &cost));
             });
+            let states = verify_states(&sched, iters, false)
+                .1
+                .expect("a clean schedule");
+            g.bench_with_input(id("price"), &sched, |b, s| {
+                b.iter(|| black_box(&states).price(s, &cost));
+            });
             g.bench_with_input(id("verify_with_memory"), &sched, |b, s| {
                 b.iter(|| verify_with_memory(black_box(s), iters, &cost, u64::MAX));
             });
             // The whole candidate at the first sight of its shape — generate,
-            // analyse, price, simulate — and at every later one — price,
-            // simulate. The difference is what a shape's structure costs:
+            // analyse, price, simulate — and at every later one — price the
+            // kept states, simulate. The difference is what a shape's structure costs:
             // the generator, `verify_span`, and for flushing schemes
             // `place_sync`'s execute, for Chimera Eq. 1's two more.
             let (p, b_hat) = (w * d, u64::from(n * w * b));

@@ -25,6 +25,8 @@
 //! stage, micro)` — so lowering is linear in the ops even for GPipe, which
 //! keeps all `N` stashes open at once.
 
+use std::cell::Cell;
+
 use crate::ids::{StageId, WorkerId};
 use crate::op::{Chunk, Op, OpKind};
 use crate::schedule::Schedule;
@@ -630,6 +632,18 @@ pub fn lower(sched: &Schedule, iterations: u32) -> Lowered {
     Lowered { programs, defects }
 }
 
+thread_local! {
+    /// Schedules the thread has lowered: [`lowerings`].
+    static LOWERINGS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many schedules the calling thread has lowered so far ([`lower_each`]
+/// calls, [`lower`]'s included): what a test reads to pin that a path prices
+/// a schedule without reading its rows.
+pub fn lowerings() -> u64 {
+    LOWERINGS.with(Cell::get)
+}
+
 /// [`lower`], handing each worker's program to `each` in worker order as
 /// soon as it is lowered instead of collecting them: a consumer that folds
 /// the rows (the verifier pricing them) never holds more than one worker's.
@@ -640,6 +654,7 @@ pub fn lower_each(
     iterations: u32,
     mut each: impl FnMut(Program),
 ) -> (Vec<Defect>, Wires) {
+    LOWERINGS.with(|n| n.set(n.get() + 1));
     let nw = sched.workers.len();
     let (d, n) = (sched.d as usize, sched.n as usize);
     if sched.placement.d() != sched.d || nw != d {

@@ -14,7 +14,6 @@ use chimera_core::schedule::{Schedule, Scheme, SyncStrategy};
 use chimera_core::sync::place_sync;
 use chimera_core::unit_time::UnitCosts;
 use chimera_sim::{simulate_span, SimCostModel};
-use chimera_verify::memory_v2;
 
 use crate::costs::{ClusterSpec, TrainConfig};
 use crate::eq1;
@@ -152,7 +151,7 @@ fn build_schedule(scheme: PlanScheme, d: u32, n: u32) -> Option<(Schedule, u32)>
 /// the planner's retry has nothing to add: 2BW by default, forward doubling
 /// where a doubled unit exists. Answered without generating — a gate must
 /// name a winner's shape before it can look it up.
-fn already_recomputes(scheme: PlanScheme, d: u32, n: u32) -> bool {
+pub(crate) fn already_recomputes(scheme: PlanScheme, d: u32, n: u32) -> bool {
     match scheme {
         PlanScheme::PipeDream2Bw => true,
         PlanScheme::Chimera { f, scale } => recomputes(&ChimeraConfig { d, n, f, scale }),
@@ -249,17 +248,22 @@ struct Priced {
     peak_mem: u64,
     predicted_s: Option<f64>,
     structure: Arc<Structure>,
-    /// The schedule after the recomputation retry, where that was taken.
-    retried: Option<Schedule>,
+    /// Whether the recomputation retry was taken: the candidate runs
+    /// `structure.sched.with_recompute()`.
+    retried: bool,
     cost: SimCostModel,
 }
 
 impl Priced {
     /// The candidate with its simulated span. A schedule with a clean verdict
     /// simulates: the errors of `simulate_span` — a deadlock, a span its op
-    /// counts do not cover — are findings of the verdict.
+    /// counts do not cover — are findings of the verdict. The retried
+    /// schedule is derived here, for a candidate that is simulated.
     fn simulate(self) -> Option<Candidate> {
-        let sched = self.retried.as_ref().unwrap_or(&self.structure.sched);
+        let retried = self
+            .retried
+            .then(|| self.structure.sched.clone().with_recompute());
+        let sched = retried.as_ref().unwrap_or(&self.structure.sched);
         let report = simulate_span(sched, &self.cost, self.structure.iterations).ok()?;
         // Per-iteration time normalized to b_hat samples.
         let samples_per_span = sched.n as u64 * self.b as u64 * self.w as u64;
@@ -341,20 +345,22 @@ fn price_with(
     // stashing (up to D parameter versions on stage 0) dominates memory.
     // Recomputation changes buffer sizes and op costs, never a dependency,
     // a message or a weight version, so the verdict above stands for the
-    // variant and only its memory is walked again.
+    // variant, and its memory is priced from the states the shape keeps for
+    // it.
     let capacity = cluster.usable_mem();
     let recomputes = already_recomputes(scheme, d, n);
-    let retried = (!mem.fits(capacity) && !recomputes).then(|| {
-        let sched = structure.sched.clone().with_recompute();
-        mem = memory_v2(&sched, &cost);
-        sched
-    });
-    // The retried variant's Eq. 1 is priced from its own executions: its
-    // backward passes are longer, so its free regions are its own.
+    let retried = !mem.fits(capacity) && !recomputes;
+    if retried {
+        mem = structure
+            .memory(&cost, true)
+            .expect("a clean structure is priced");
+    }
+    // The retried variant's Eq. 1 is priced from its own critical path.
     let predicted_s = matches!(scheme, PlanScheme::Chimera { .. }).then(|| {
-        match (&structure.critical, &retried) {
-            (Some(path), None) => eq1::price(path, &cost),
-            (_, sched) => eq1::predict(sched.as_ref().unwrap_or(&structure.sched), &cost),
+        match (&structure.critical, retried) {
+            (_, true) => eq1::price(structure.retried_critical(), &cost),
+            (Some(path), false) => eq1::price(path, &cost),
+            (None, false) => eq1::predict(&structure.sched, &cost),
         }
         .t_iter_s
     });
@@ -364,7 +370,7 @@ fn price_with(
         w,
         b,
         b_hat: eff_b_hat,
-        recompute: recomputes || retried.is_some(),
+        recompute: recomputes || retried,
         fits: mem.fits(capacity),
         peak_mem: mem.max_exact_peak(),
         predicted_s,
@@ -674,7 +680,7 @@ pub fn plan_until(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chimera_verify::verify_with_memory;
+    use chimera_verify::{memory_v2, verify_with_memory};
 
     fn bert_setup() -> (ModelSpec, ClusterSpec) {
         (ModelSpec::bert48(), ClusterSpec::piz_daint())

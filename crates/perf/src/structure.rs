@@ -15,22 +15,30 @@
 //! never global: its hit rate, its memory and its counters are its owner's.
 //! The shape's schedule is part of its structure: it is generated, given its
 //! sync ops and verified at the first sight, and every later candidate of the
-//! shape is lowered for its bytes — and simulated — from that one copy. What
-//! the table holds is bounded in ops ([`StructureTable::OP_CAP`]); lowered
-//! rows are not kept (a row is several times an op).
+//! shape is simulated from that one copy. So is its memory: the lowering that
+//! verifies the schedule also walks it, without sizes, into the few
+//! live-buffer count states that can decide a peak
+//! ([`chimera_verify::MemoryStates`]) — the schedule's own and its
+//! recomputation retry's, where a candidate may take it — and a candidate
+//! prices its exact peak, cliff and pool slots from those, lowering nothing.
+//! One cold pass of the serve benchmark holds 96 892 ops and 3 274 states in
+//! 92 shapes. What the table holds is bounded in ops
+//! ([`StructureTable::OP_CAP`]), and so in states: each of a shape's two
+//! lists holds at most one state per op of its clean schedule. Lowered rows
+//! are not kept (a row is several times an op).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use chimera_core::schedule::Schedule;
 use chimera_core::sync::{place_eager_opt, FreeRegions};
 use chimera_core::unit_time::{execute, UnitCosts};
 use chimera_sim::SimCostModel;
-use chimera_verify::{memory_v2, verify_parts, MemoryV2, VerifyReport};
+use chimera_verify::{verify_states, MemoryStates, MemoryV2, VerifyReport};
 
 use crate::eq1::{self, CriticalPath};
-use crate::planner::PlanScheme;
+use crate::planner::{already_recomputes, PlanScheme};
 
 /// A schedule shape: what [`Structure`] is a function of.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -61,20 +69,24 @@ pub struct Structure {
     /// whose prediction is priced from here. Its free regions are the ones
     /// the sync ops were placed by: one timeline serves both.
     pub critical: Option<CriticalPath>,
+    /// The live-buffer count states of `sched`, walked from the lowering that
+    /// verified it ([`chimera_verify::verify_states`]) — with those of
+    /// `sched.with_recompute()` for a shape whose candidates may take the
+    /// planner's recomputation retry (one without it, whose scheme does not
+    /// already recompute); `None` for an unclean report (nothing prices it).
+    pub states: Option<MemoryStates>,
+    /// Eq. 1's critical path of `sched.with_recompute()`, built at the first
+    /// candidate of the shape that takes the recomputation retry.
+    retried_critical: OnceLock<CriticalPath>,
 }
 
 impl Structure {
     /// The analysis of `base`, shape `key`'s schedule as its scheme generates
-    /// it (no sync ops, no retry), and the schedule's memory under `cost`:
-    /// one unit-cost execution for the free regions (which place the sync ops
-    /// and, for Chimera, are Eq. 1's overlap windows), two more for Chimera's
-    /// `Cf`/`Cb`, and one lowering verified and priced ([`verify_parts`]).
-    fn analyse(
-        key: StructureKey,
-        base: Schedule,
-        iterations: u32,
-        cost: &SimCostModel,
-    ) -> (Structure, Option<MemoryV2>) {
+    /// it (no sync ops, no retry): one unit-cost execution for the free
+    /// regions (which place the sync ops and, for Chimera, are Eq. 1's overlap
+    /// windows), two more for Chimera's `Cf`/`Cb`, and one lowering verified
+    /// and walked into count states ([`verify_states`]).
+    fn analyse(key: StructureKey, base: Schedule, iterations: u32) -> Structure {
         // The retried variant places its sync ops where the scheme's own
         // schedule does, and its Eq. 1 is priced from its own executions.
         let regions = (base.flushes)
@@ -98,20 +110,49 @@ impl Structure {
         // Kept for the table's lifetime: give back what placing the sync ops
         // over-allocated.
         sched.workers.iter_mut().for_each(Vec::shrink_to_fit);
-        let (report, mem) = verify_parts(&sched, iterations, cost);
-        let mem = mem.filter(|_| report.is_clean());
-        let structure = Structure {
+        let retries = !key.recompute && !already_recomputes(key.scheme, key.d, key.n);
+        let (report, states) = verify_states(&sched, iterations, retries);
+        Structure {
+            states: states.filter(|_| report.is_clean()),
             sched,
             iterations,
             report,
             critical,
-        };
-        (structure, mem)
+            retried_critical: OnceLock::new(),
+        }
     }
 
     /// Ops of the schedule.
     fn ops(&self) -> usize {
         self.report.ops
+    }
+
+    /// Count states held, the retry's included.
+    fn held_states(&self) -> usize {
+        self.states.as_ref().map_or(0, MemoryStates::len)
+    }
+
+    /// The exact memory of `sched` — or, with `retried`, of
+    /// `sched.with_recompute()` — under `cost`, priced from the kept states;
+    /// `None` where they are not kept.
+    pub fn memory(&self, cost: &SimCostModel, retried: bool) -> Option<MemoryV2> {
+        let states = self.states.as_ref()?;
+        match retried {
+            true => states.price_retried(&self.sched, cost),
+            false => Some(states.price(&self.sched, cost)),
+        }
+    }
+
+    /// Eq. 1's critical path of `sched.with_recompute()`: its backward passes
+    /// are longer, so its free regions are its own. Built once per shape.
+    ///
+    /// # Panics
+    /// If the schedule does not execute (a clean verdict says it does).
+    pub fn retried_critical(&self) -> &CriticalPath {
+        self.retried_critical.get_or_init(|| {
+            let retried = self.sched.clone().with_recompute();
+            eq1::critical_path(&retried).expect("schedule must execute")
+        })
     }
 }
 
@@ -195,6 +236,8 @@ pub struct TableStats {
     pub entries: u64,
     /// Schedule ops held now, over all shapes.
     pub ops: u64,
+    /// Live-buffer count states held now, over all shapes.
+    pub states: u64,
 }
 
 /// Shape → [`Structure`], shared by the search workers of one owner.
@@ -233,6 +276,7 @@ impl StructureTable {
             misses: self.misses.load(Ordering::Relaxed),
             entries: entries.len() as u64,
             ops: entries.values().map(|s| s.ops() as u64).sum(),
+            states: entries.values().map(|s| s.held_states() as u64).sum(),
         }
     }
 
@@ -244,11 +288,11 @@ impl StructureTable {
     ///
     /// On the first sight of `key` this runs `generate` and the planner's
     /// full static analysis of what it returns (`Structure::analyse`). From
-    /// then on nothing is generated: the kept schedule is lowered once more,
-    /// priced ([`memory_v2`]). The analysis runs outside the table's lock; of
-    /// two workers racing on one shape both compute, the results are equal,
-    /// and the first insert stays. An unclean structure is stored like a
-    /// clean one — same answer on every sight.
+    /// then on nothing is generated and nothing lowered: the kept states are
+    /// priced ([`Structure::memory`]). The analysis runs outside the table's
+    /// lock; of two workers racing on one shape both compute, the results are
+    /// equal, and the first insert stays. An unclean structure is stored like
+    /// a clean one — same answer on every sight.
     pub fn open(
         &self,
         key: StructureKey,
@@ -256,38 +300,38 @@ impl StructureTable {
         cost_of: impl FnOnce(&Schedule) -> SimCostModel,
     ) -> Option<Opened> {
         let found = self.entries().get(&key).cloned();
-        if let Some(structure) = found {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            let cost = cost_of(&structure.sched);
-            let mem = (structure.report.is_clean()).then(|| memory_v2(&structure.sched, &cost));
-            return Some(Opened {
-                key,
-                structure,
-                cost,
-                mem,
-            });
-        }
-        let (base, iterations) = generate()?;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let cost = cost_of(&base);
-        let (structure, mem) = Structure::analyse(key, base, iterations, &cost);
-        let structure = Arc::new(structure);
-
-        let structure = if structure.ops() > Self::OP_CAP {
-            structure
-        } else {
-            let mut entries = self.entries();
-            let held: usize = entries.values().map(|s| s.ops()).sum();
-            if held + structure.ops() > Self::OP_CAP && !entries.contains_key(&key) {
-                entries.clear();
+        let structure = match found {
+            Some(structure) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                structure
             }
-            entries.entry(key).or_insert(structure).clone()
+            None => {
+                let (base, iterations) = generate()?;
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.keep(key, Arc::new(Structure::analyse(key, base, iterations)))
+            }
         };
+        let cost = cost_of(&structure.sched);
+        let mem = structure.memory(&cost, false);
         Some(Opened {
             key,
             structure,
             cost,
             mem,
         })
+    }
+
+    /// Hold `structure` as `key`'s unless it alone exceeds the bound; returns
+    /// the one held (an earlier racer's, if any).
+    fn keep(&self, key: StructureKey, structure: Arc<Structure>) -> Arc<Structure> {
+        if structure.ops() > Self::OP_CAP {
+            return structure;
+        }
+        let mut entries = self.entries();
+        let held: usize = entries.values().map(|s| s.ops()).sum();
+        if held + structure.ops() > Self::OP_CAP && !entries.contains_key(&key) {
+            entries.clear();
+        }
+        entries.entry(key).or_insert(structure).clone()
     }
 }

@@ -9,6 +9,7 @@ use std::collections::HashSet;
 
 use chimera_core::baselines::{dapple, gpipe, pipedream_2bw_steady};
 use chimera_core::chimera::{chimera, ChimeraConfig, ScaleMethod};
+use chimera_core::program::lowerings;
 use chimera_core::schedule::Schedule;
 use chimera_perf::planner::{
     batch_candidates, depth_candidates, evaluate, evaluate_with, rebuild, reopen, Candidate,
@@ -19,6 +20,7 @@ use chimera_perf::{
     StructureTable, TrainConfig,
 };
 use chimera_sim::{NetScenario, SimCostModel};
+use chimera_verify::verify_states;
 
 #[allow(dead_code)] // only the mutation operators, not the clean matrix
 #[path = "../../../tests/support/mutants.rs"]
@@ -149,6 +151,7 @@ fn the_table_changes_no_answer_and_drops_no_check() {
             misses: shapes_seen,
             entries: shapes_seen,
             ops: grid.stats().ops,
+            states: grid.stats().states,
         }
     );
     // The pass saw the grid's shapes plus the retried variant of each winner
@@ -165,6 +168,7 @@ fn the_table_changes_no_answer_and_drops_no_check() {
             misses: shapes_seen + retried,
             entries: shapes_seen + retried,
             ops: pass.stats().ops,
+            states: pass.stats().states,
         }
     );
     // The retried variants are as long as the shapes they retry.
@@ -462,4 +466,74 @@ fn an_unclean_structure_is_refused_on_every_sight() {
         });
     }
     assert_eq!(refused, 3 * (64 + 32), "mutants");
+}
+
+/// What `f` returns, and how many schedules it lowered on this thread.
+fn counting_lowerings<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = lowerings();
+    let out = f();
+    (out, lowerings() - before)
+}
+
+/// A shape's memory is structure too: the lowering that verifies its
+/// schedule at the first sight also walks it into count states, and from then
+/// on a hit, a candidate that takes the recomputation retry and a gate hit
+/// price their memory from the states and lower nothing — counted the way
+/// the generator is. The kept states are the ones a walk of the kept
+/// schedule gives: the schedule's own and, where the retry can be taken, its
+/// `with_recompute` variant's.
+#[test]
+fn a_hit_lowers_nothing() {
+    let (model, cluster) = (ModelSpec::bert48(), ClusterSpec::piz_daint());
+    let (p, b_hat) = (32, 2048);
+    let table = StructureTable::new();
+    let (mut candidates, mut retried, mut gates) = (0, HashSet::new(), 0);
+    for scheme in schemes() {
+        // Depths whose schedules the table keeps at this mini-batch.
+        for d in depth_candidates(p, &model).into_iter().filter(|&d| d <= 8) {
+            let w = p / d;
+            for b in batch_candidates(b_hat, w) {
+                let evaluate = || evaluate_with(&table, scheme, model, cluster, p, b_hat, w, d, b);
+                let (first, _) = counting_lowerings(evaluate);
+                let (again, lowered) = counting_lowerings(evaluate);
+                let what = format!("{scheme:?} W={w} D={d} B={b}");
+                assert_eq!(lowered, 0, "{what}: a hit");
+                let first = first.unwrap();
+                assert_same(&first, &again.unwrap(), &what);
+                let Some(c) = first else {
+                    continue;
+                };
+                candidates += 1;
+                if c.recompute && takes_the_retry(&c, model, cluster) {
+                    retried.insert(scheme);
+                }
+                // The gate: its first sight of a retried shape is a miss, its
+                // second a hit.
+                let gate = || reopen(&table, &c, model, cluster).expect("it rebuilds");
+                counting_lowerings(gate);
+                let (opened, lowered) = counting_lowerings(gate);
+                assert_eq!(lowered, 0, "{what}: a gate hit");
+                let (checked, lowered) = counting_lowerings(|| opened.check(u64::MAX));
+                let (structure, _, _) = checked.expect("a clean structure");
+                assert_eq!(lowered, 0, "{what}: a gate's check");
+                gates += 1;
+
+                // The retry's states are kept where the retry can be taken:
+                // on a shape whose schedule does not recompute already.
+                let recomputes = structure.sched.iter_ops().any(|(_, _, op)| op.recomputes());
+                let (_, rewalked) = verify_states(&structure.sched, 1, !recomputes);
+                assert_eq!(structure.states, rewalked, "{what}");
+            }
+        }
+    }
+    assert!(
+        candidates > 100 && gates == candidates,
+        "{candidates} candidates"
+    );
+    // A Chimera candidate prices its retried Eq. 1 too, a grid scheme's only
+    // its memory.
+    assert!(
+        retried.contains(&schemes()[0]) && retried.contains(&PlanScheme::Dapple),
+        "{retried:?}"
+    );
 }

@@ -302,6 +302,7 @@ impl PlanEngine {
             "misses": table.misses,
             "entries": table.entries,
             "ops": table.ops,
+            "states": table.states,
         });
         serde_json::json!({
             "ok": true,

@@ -217,9 +217,18 @@ fn held_ops(engine: &PlanEngine) -> u64 {
         .expect("a counter")
 }
 
+/// Live-buffer count states the engine's table holds now.
+fn held_states(engine: &PlanEngine) -> u64 {
+    engine.stats_json()["structures"]["states"]
+        .as_u64()
+        .expect("a counter")
+}
+
 /// Distinct mini-batch sizes inside `QueryLimits` walk the table past its
-/// op bound: what it holds never exceeds the bound, and the queries around
-/// the emptying are answered as a new engine answers them.
+/// op bound: what it holds never exceeds the bound — in ops, and so in count
+/// states, at most one per op of a clean schedule for each of the two a
+/// shape keeps — and the queries around the emptying are answered as a new
+/// engine answers them.
 #[test]
 fn the_table_never_outgrows_its_op_bound() {
     let cap = StructureTable::OP_CAP as u64;
@@ -230,8 +239,12 @@ fn the_table_never_outgrows_its_op_bound() {
         // no N repeats an earlier query's — every shape is new, and longer.
         let q = query("piz-daint", &["dapple", "gpipe"], ("bert48", 4, 32 * k));
         let answer = engine.submit_blocking(q.clone()).expect("a served plan");
-        let ops = held_ops(&engine);
+        let (ops, states) = (held_ops(&engine), held_states(&engine));
         assert!(ops <= cap, "{ops} ops held");
+        assert!(
+            0 < states && states <= 2 * ops,
+            "{states} states in {ops} ops"
+        );
         most = most.max(ops);
         after_emptying += u64::from(after_emptying > 0 || ops < before);
         before = ops;

@@ -43,11 +43,13 @@ pub mod graph;
 mod hazard;
 pub mod liveness;
 
+use chimera_core::op::OpKind;
 use chimera_core::program::{lower_each, structural, Defect, DefectKind, Program, Wires};
 use chimera_core::schedule::Schedule;
 use chimera_core::unit_time::validate_span;
 use chimera_core::WorkerId;
 use chimera_sim::cost::SimCostModel;
+use liveness::{count_states, CountStates, WorkerStates};
 
 /// Location of an op inside a schedule: worker + index in that worker's
 /// program order, plus a rendering of the op itself.
@@ -391,24 +393,48 @@ impl serde::Serialize for VerifyReport {
 /// hazards, and activation accounting. Purely static — the schedule is never
 /// executed — and total: any `Schedule` value gets a report.
 pub fn verify_span(sched: &Schedule, iterations: u32) -> VerifyReport {
-    let mut rows = RowFolds::default();
+    verify_states(sched, iterations, false).0
+}
+
+/// [`verify_span`]'s report and, from the same lowering, the memory states of
+/// `sched` ([`MemoryStates`]) — with its `with_recompute` variant's where
+/// `retried` asks for them: the structural half of [`verify_with_memory`], a
+/// function of the schedule alone, and all that its priced half reads. A
+/// structurally defective schedule gets no states: its placement cannot be
+/// priced.
+pub fn verify_states(
+    sched: &Schedule,
+    iterations: u32,
+    retried: bool,
+) -> (VerifyReport, Option<MemoryStates>) {
+    let mut rows = RowFolds {
+        peaks: Vec::new(),
+        staleness: hazard::Staleness::default(),
+        states: MemoryStates::new(retried),
+    };
     let (defects, wires) = lower_each(sched, iterations, |p| rows.push(&p));
-    report_of(sched, iterations, &defects, wires, rows)
+    let states = (!structural(&defects)).then(|| {
+        let mut states = std::mem::take(&mut rows.states);
+        states.shrink_to_fit();
+        states
+    });
+    (report_of(sched, iterations, &defects, wires, rows), states)
 }
 
 /// What a report takes from the rows, folded one worker's program at a time
 /// so that no two programs are ever alive together.
-#[derive(Default)]
 struct RowFolds {
     /// Per worker: the activation peak in `Ma` units (activation-only unit
     /// sizing).
     peaks: Vec<f64>,
     staleness: hazard::Staleness,
+    states: MemoryStates,
 }
 
 impl RowFolds {
     fn push(&mut self, program: &Program) {
-        let priced = liveness::price_worker(program, &liveness::UnitMa);
+        let own = self.states.push(program);
+        let priced = own.price(&program.held, &liveness::UnitMa);
         self.peaks.push(priced.activation_peak);
         self.staleness.push(program);
     }
@@ -508,43 +534,94 @@ fn report_of(
 /// Exact per-worker memory accounting under `cost`'s byte model: resident
 /// weight state plus the liveness engine's dynamic peak, cross-checked
 /// against the coarse Table-2 bound and paired with a pool pre-sizing plan.
-/// One pass over each worker's rows as it is lowered; nothing of a worker
-/// outlives its [`WorkerMemory`].
+/// One size-free pass over each worker's rows as it is lowered
+/// ([`liveness::count_states`]), then its few states priced in bytes.
 pub fn memory_v2(sched: &Schedule, cost: &SimCostModel) -> MemoryV2 {
-    let mut mem = MemoryFold::new(sched, cost);
-    lower_each(sched, 1, |p| mem.push(&p));
-    mem.finish()
+    let mut states = MemoryStates::new(false);
+    lower_each(sched, 1, |p| {
+        states.push(&p);
+    });
+    states.price(sched, cost)
 }
 
-/// [`memory_v2`], one worker's program at a time.
-struct MemoryFold<'a> {
-    sched: &'a Schedule,
-    cost: &'a SimCostModel,
-    /// The weight term of the coarse Table-2 bound per worker — read off the
-    /// placement once a first program shows that it has the schedule's shape.
-    coarse_weights: Vec<u64>,
-    workers: Vec<WorkerMemory>,
+/// A schedule's live-buffer count states ([`CountStates`]) and, where they
+/// were asked for, those of its `with_recompute` variant: its memory as a
+/// function of the schedule alone, which [`MemoryStates::price`] turns into
+/// [`memory_v2`]'s accounting under any byte model.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MemoryStates {
+    /// Every worker's states, in worker order.
+    own: CountStates,
+    /// The `with_recompute` variant's, from the same walk.
+    retried: Option<CountStates>,
 }
 
-impl<'a> MemoryFold<'a> {
-    fn new(sched: &'a Schedule, cost: &'a SimCostModel) -> Self {
-        MemoryFold {
-            sched,
-            cost,
-            coarse_weights: Vec::new(),
-            workers: Vec::new(),
+impl MemoryStates {
+    /// No worker yet; the retry's states recorded too where `retried` asks.
+    fn new(retried: bool) -> Self {
+        MemoryStates {
+            own: CountStates::default(),
+            retried: retried.then(CountStates::default),
         }
     }
 
-    /// Price the next worker's `program` in `cost`'s bytes.
-    fn push(&mut self, program: &Program) {
-        let (sched, cost) = (self.sched, self.cost);
-        if self.workers.is_empty() {
-            self.coarse_weights = chimera_sim::memory::weights_bytes(sched, cost);
+    /// Walk the next worker's `program` into the states; returns the
+    /// schedule's own states of it.
+    fn push(&mut self, program: &Program) -> WorkerStates {
+        let (own, retried) = count_states(program, self.retried.is_some());
+        self.own.push(&own);
+        if let (Some(states), Some(worker)) = (&mut self.retried, retried) {
+            states.push(&worker);
         }
-        let w = self.workers.len();
-        let priced = liveness::price_worker(program, cost);
-        let resident: u64 = (program.held.iter())
+        own
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.own.shrink_to_fit();
+        self.retried.iter_mut().for_each(CountStates::shrink_to_fit);
+    }
+
+    /// States kept over all workers, the retry's included.
+    pub fn len(&self) -> usize {
+        self.own.len() + self.retried.as_ref().map_or(0, CountStates::len)
+    }
+
+    /// Whether no worker keeps a state.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// [`memory_v2`]'s accounting of `sched`, the schedule the states were
+    /// walked from, under `cost`.
+    pub fn price(&self, sched: &Schedule, cost: &SimCostModel) -> MemoryV2 {
+        price_states(&self.own, false, sched, cost)
+    }
+
+    /// [`memory_v2`]'s accounting of `sched.with_recompute()` under `cost`,
+    /// `sched` being the schedule the states were walked from; `None` where
+    /// the retry's states were not recorded.
+    pub fn price_retried(&self, sched: &Schedule, cost: &SimCostModel) -> Option<MemoryV2> {
+        Some(price_states(self.retried.as_ref()?, true, sched, cost))
+    }
+}
+
+/// [`MemoryStates::price`] of `states` — with `recomputed`, the retry's,
+/// whose cliff names a backward as recomputing.
+fn price_states(
+    states: &CountStates,
+    recomputed: bool,
+    sched: &Schedule,
+    cost: &SimCostModel,
+) -> MemoryV2 {
+    // The weight term of the coarse Table-2 bound per worker, read off the
+    // placement once a first worker shows that it has the schedule's shape.
+    let coarse_weights = match states.workers() {
+        0 => Vec::new(),
+        _ => chimera_sim::memory::weights_bytes(sched, cost),
+    };
+    let priced = states.price(sched, cost).into_iter().enumerate();
+    let workers = priced.map(|(w, (held, priced))| {
+        let resident: u64 = (held.iter())
             .map(|&(_, stage)| {
                 let st = &cost.stages[stage as usize];
                 st.param_bytes + st.grad_opt_bytes
@@ -552,8 +629,20 @@ impl<'a> MemoryFold<'a> {
             .sum();
         let dynamic = priced.peak.round() as u64;
         let exact = resident + dynamic;
-        let coarse = self.coarse_weights[w] + priced.activation_peak.round() as u64;
-        self.workers.push(WorkerMemory {
+        let coarse = coarse_weights[w] + priced.activation_peak.round() as u64;
+        // The cliff's op as the priced schedule has it.
+        let locate = |i: usize| {
+            let mut op = sched.workers[w][i];
+            if recomputed && op.is_backward() {
+                op.kind = OpKind::Backward { recompute: true };
+            }
+            OpLoc {
+                worker: w as u32,
+                op_index: i,
+                op: op.to_string(),
+            }
+        };
+        WorkerMemory {
             exact_peak_bytes: exact,
             resident_bytes: resident,
             dynamic_peak_bytes: dynamic,
@@ -563,23 +652,21 @@ impl<'a> MemoryFold<'a> {
             } else {
                 coarse as f64 / exact as f64
             },
-            cliff: priced.cliff.map(|i| OpLoc::of(sched, w, i)),
+            cliff: priced.cliff.map(locate),
             stash_at_peak_bytes: (priced.breakdown.stash + priced.breakdown.remat).round() as u64,
             versions_at_peak_bytes: priced.breakdown.weight_versions.round() as u64,
             pool_classes: priced.slots,
-        });
-    }
-
-    fn finish(self) -> MemoryV2 {
-        MemoryV2 {
-            workers: self.workers,
         }
+    });
+    MemoryV2 {
+        workers: workers.collect(),
     }
 }
 
 /// [`verify_span`]'s report and [`memory_v2`]'s accounting from one lowering
-/// of `sched`: its rows are priced twice, in activation units and in `cost`'s
-/// bytes. The report is the *structural* half of [`verify_with_memory`] — a
+/// of `sched`: its rows are walked once for the report and the count states,
+/// and the states priced twice, in activation units and in `cost`'s bytes.
+/// The report is the *structural* half of [`verify_with_memory`] — a
 /// function of the schedule alone; the memory is the half a cost model
 /// prices, joined to it by [`VerifyReport::priced`]. A structurally defective
 /// schedule gets no memory: its placement cannot be priced.
@@ -588,13 +675,8 @@ pub fn verify_parts(
     iterations: u32,
     cost: &SimCostModel,
 ) -> (VerifyReport, Option<MemoryV2>) {
-    let (mut rows, mut mem) = (RowFolds::default(), MemoryFold::new(sched, cost));
-    let (defects, wires) = lower_each(sched, iterations, |p| {
-        rows.push(&p);
-        mem.push(&p);
-    });
-    let mem = (!structural(&defects)).then(|| mem.finish());
-    (report_of(sched, iterations, &defects, wires, rows), mem)
+    let (report, states) = verify_states(sched, iterations, false);
+    (report, states.map(|states| states.price(sched, cost)))
 }
 
 impl MemoryV2 {

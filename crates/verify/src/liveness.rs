@@ -31,11 +31,21 @@
 //!
 //! [`analyze`] adds lowering's stash-discipline defects as diagnostics
 //! (`overwritten_stash`, `use_before_def`, `double_free`).
+//!
+//! A peak needs no live ranges, and no sizes until the end: [`count_states`]
+//! walks a worker's rows once without a size model and records, at every
+//! peak check, how many buffers of each kind are live ([`CountStates`]) —
+//! for the schedule as lowered and for its `with_recompute` variant at once,
+//! the two differing only in which halves a forward stashes and where a
+//! rematerialization is checked. [`CountStates::price`] turns the few
+//! states that can decide a peak into the numbers the fold above computes,
+//! under any size model that prices gradient contributions at zero: what a
+//! planner keeps per schedule shape and prices per candidate.
 
-use chimera_core::op::{Op, OpKind};
+use chimera_core::op::{Chunk, Op, OpKind};
 use chimera_core::program::{halves_in, lower_each, DefectKind, Program};
 use chimera_core::schedule::Schedule;
-use chimera_core::StageId;
+use chimera_core::{MicroId, ReplicaId, StageId};
 use chimera_sim::SimCostModel;
 
 use crate::Diagnostic;
@@ -87,6 +97,12 @@ impl BufferLife {
 
 /// Buffer sizes for the four buffer kinds. Implementations choose the unit:
 /// abstract activation units, simulator bytes, or measured runtime bytes.
+///
+/// A size is never negative (a rematerialization, full minus boundary stash,
+/// aside), and it may depend on an op's stage, replica and chunk but not on
+/// its micro-batch; one stash half of a stage has one size whatever the
+/// chunk of the forward that defines it. [`CountStates::price`] sizes a
+/// state's buffers by one probe op per held stage and chunk.
 pub trait BufferSizes {
     /// Full activation stash of one compute op (all halves it covers).
     fn full_stash(&self, op: &Op) -> f64;
@@ -233,11 +249,11 @@ pub fn price<S: BufferSizes>(programs: &[Program], sizes: &S) -> LivenessReport 
 }
 
 impl LivenessReport {
-    /// Price the next worker's `program` under `sizes` ([`price_worker`]) and
-    /// append the result, live ranges included.
+    /// Price the next worker's `program` under `sizes` and append the result,
+    /// live ranges included.
     pub fn push_priced<S: BufferSizes>(&mut self, program: &Program, sizes: &S) {
         let mut lives = Vec::new();
-        let priced = walk::<S, true>(program, sizes, &mut lives);
+        let priced = walk(program, sizes, &mut lives);
         self.lives.push(lives);
         self.peak.push(priced.peak);
         self.cliff.push(priced.cliff);
@@ -248,8 +264,8 @@ impl LivenessReport {
     }
 }
 
-/// One worker's program priced: what [`LivenessReport`] holds per worker,
-/// without the live ranges.
+/// One worker priced: what [`LivenessReport`] holds per worker, without the
+/// live ranges.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WorkerPeaks {
     /// Exact peak resident dynamic memory (size-model units).
@@ -266,14 +282,6 @@ pub struct WorkerPeaks {
     pub slots: Vec<(u32, u32)>,
 }
 
-/// Price one worker's `program` under `sizes` in one pass over its rows, a
-/// constant amount of work per buffer defined or killed and no table of
-/// live ranges: what a caller that folds workers as they stream out of
-/// `lower_each` keeps of each.
-pub fn price_worker<S: BufferSizes>(program: &Program, sizes: &S) -> WorkerPeaks {
-    walk::<S, false>(program, sizes, &mut Vec::new())
-}
-
 /// A live buffer as the walk remembers it between its def and its kill.
 #[derive(Clone, Copy, Default)]
 struct Held {
@@ -285,12 +293,12 @@ struct Held {
 }
 
 /// What the walk keeps per worker besides its running totals: slot demand
-/// per size class, counted as the buffers come and go, and, for a caller that
-/// asked (`LIVES`), every buffer's live range. A buffer killed by an op is
-/// resident while the op runs, so its slot is given back once the op is over
-/// — an op's defs land on top of what it kills, and the next op's do not:
-/// [`max_overlap`]'s order of events, without the sort.
-struct Buffers<'a, const LIVES: bool> {
+/// per size class, counted as the buffers come and go, and every buffer's
+/// live range. A buffer killed by an op is resident while the op runs, so its
+/// slot is given back once the op is over — an op's defs land on top of what
+/// it kills, and the next op's do not: [`max_overlap`]'s order of events,
+/// without the sort.
+struct Buffers<'a> {
     live: [u32; 64],
     most: [u32; 64],
     /// Classes of the buffers the current op kills.
@@ -298,7 +306,7 @@ struct Buffers<'a, const LIVES: bool> {
     lives: &'a mut Vec<BufferLife>,
 }
 
-impl<const LIVES: bool> Buffers<'_, LIVES> {
+impl Buffers<'_> {
     fn def(&mut self, life: BufferLife, class: Option<u32>) -> Held {
         if let Some(c) = class {
             let c = c as usize;
@@ -310,17 +318,13 @@ impl<const LIVES: bool> Buffers<'_, LIVES> {
             class,
             life: self.lives.len(),
         };
-        if LIVES {
-            self.lives.push(life);
-        }
+        self.lives.push(life);
         held
     }
 
     fn kill(&mut self, held: Held, at: usize) {
         self.dying.extend(held.class);
-        if LIVES {
-            self.lives[held.life].kill = at;
-        }
+        self.lives[held.life].kill = at;
     }
 
     fn end_op(&mut self) {
@@ -330,19 +334,14 @@ impl<const LIVES: bool> Buffers<'_, LIVES> {
     }
 }
 
-/// The fold behind [`price_worker`] and [`LivenessReport::push_priced`]. The
-/// rows say which buffers each op defines and kills; the walk attaches sizes
-/// and keeps the running totals, remembering each live buffer in tables
-/// indexed by the row's own slots (through which, with `LIVES`, the kill of
-/// its live range in `lives` is back-patched). The implicit post-hoc rows are
-/// not priced: gradients a schedule never launches stay pending to the end
-/// of the span.
-fn walk<S: BufferSizes, const LIVES: bool>(
-    program: &Program,
-    sizes: &S,
-    lives: &mut Vec<BufferLife>,
-) -> WorkerPeaks {
-    let mut buffers = Buffers::<LIVES> {
+/// The fold behind [`LivenessReport::push_priced`]. The rows say which
+/// buffers each op defines and kills; the walk attaches sizes and keeps the
+/// running totals, remembering each live buffer in tables indexed by the
+/// row's own slots (through which the kill of its live range in `lives` is
+/// back-patched). The implicit post-hoc rows are not priced: gradients a
+/// schedule never launches stay pending to the end of the span.
+fn walk<S: BufferSizes>(program: &Program, sizes: &S, lives: &mut Vec<BufferLife>) -> WorkerPeaks {
+    let mut buffers = Buffers {
         live: [0; 64],
         most: [0; 64],
         dying: Vec::new(),
@@ -480,6 +479,486 @@ fn walk<S: BufferSizes, const LIVES: bool>(
     }
 }
 
+/// Live-buffer *count states* of a schedule's workers, in worker order and,
+/// per worker, in program order: at a peak check of the pricing walk, how
+/// many stash halves and parked weight versions each held stage has live,
+/// and which rematerialization the op carries — numbers of buffers, no
+/// sizes, and no placement: which stages a worker holds is its schedule's to
+/// say. [`count_states`] records them, [`CountStates::price`] prices them.
+///
+/// Only the states that can decide a peak are kept. Under any size model of
+/// the contract of [`BufferSizes`], a state that an earlier one covers
+/// (at least as many of every buffer, the same rematerialization) never
+/// reaches a peak first, so it is not recorded; and a kept state that a later
+/// one exceeds (more of every buffer it has, neither rematerializing) either
+/// prices below the later one or at zero, so it is dropped.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CountStates {
+    /// Per worker, in worker order, one LEB128 number after another (seven
+    /// bits a byte, low bits first: most are below 128): the header `[h,
+    /// states, clobbered]` of a worker holding `h` stages, `⌈h / 32⌉` words
+    /// of flags (bit `i`: held stage `i`'s forwards stash the boundary only),
+    /// then its states — each the op whose execution reaches it, as the
+    /// distance from the previous state's, and `2h + 1` counts — then its
+    /// clobbered states, counts only. A state's counts are the live stash
+    /// halves per held stage, the parked weight versions per held stage, and
+    /// the live rematerialization: 0 for none, else `1 + 3i + k` for a
+    /// backward of held stage `i` covering half a micro-batch (`k = 0`), one
+    /// (1) or two (2). A clobbered state holds the counts as the pool sees
+    /// them at a forward that clobbers live halves (a defective schedule):
+    /// the clobbered halves stay resident while the op runs, so slot demand
+    /// reads them and peaks do not.
+    bytes: Vec<u8>,
+    /// Workers recorded.
+    workers: usize,
+    /// States kept, the clobbering forwards' included.
+    states: usize,
+}
+
+/// One worker's count states as [`count_states`] leaves them: its entries of
+/// a [`CountStates`] as plain numbers, each state's op an op index.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WorkerStates {
+    words: Vec<u32>,
+}
+
+impl WorkerStates {
+    /// The states priced under `sizes`, the worker holding `held`
+    /// ([`Program::held`]): the numbers the row walk of
+    /// [`LivenessReport::push_priced`] computes — peak, cliff, breakdown at
+    /// the cliff, activation peak and cliff, slot demand per size class — for
+    /// a size model that prices gradient contributions at zero (the counts
+    /// have none; `UnitMa` and `SimCostModel` are such models, the runtime's
+    /// footprint is not and prices rows).
+    pub fn price<S: BufferSizes>(&self, held: &[(u32, u32)], sizes: &S) -> WorkerPeaks {
+        Worker::parse(&self.words).price(held, sizes)
+    }
+}
+
+/// Append `n` to `bytes` as LEB128.
+fn put(bytes: &mut Vec<u8>, mut n: u32) {
+    while n >= 0x80 {
+        bytes.push(n as u8 | 0x80);
+        n >>= 7;
+    }
+    bytes.push(n as u8);
+}
+
+/// The LEB128 number `bytes` starts with; `bytes` moves past it.
+fn take(bytes: &mut &[u8]) -> u32 {
+    let mut n = 0;
+    for shift in (0..32).step_by(7) {
+        let (&byte, rest) = bytes.split_first().expect("a recorded worker");
+        *bytes = rest;
+        n |= u32::from(byte & 0x7f) << shift;
+        if byte < 0x80 {
+            break;
+        }
+    }
+    n
+}
+
+/// One worker's entries of a [`CountStates`].
+struct Worker<'a> {
+    /// Held stages.
+    held: usize,
+    boundary: &'a [u32],
+    /// `2 · held + 2` words per state: the op, then the counts.
+    states: &'a [u32],
+    /// `2 · held + 1` counts per clobbered state.
+    clobbered: &'a [u32],
+}
+
+impl<'a> Worker<'a> {
+    /// The worker `words` holds: a worker's entries of [`CountStates::bytes`]
+    /// as [`WorkerStates`] has them.
+    fn parse(words: &'a [u32]) -> Worker<'a> {
+        let [held, states] = [words[0], words[1]].map(|n| n as usize);
+        let (boundary, rest) = words[3..].split_at(held.div_ceil(32));
+        let (states, clobbered) = rest.split_at(states * (2 * held + 2));
+        Worker {
+            held,
+            boundary,
+            states,
+            clobbered,
+        }
+    }
+
+    /// Read the worker `bytes` starts with into `words`, the layout of
+    /// [`WorkerStates`]; `bytes` moves past it.
+    fn decode(bytes: &mut &[u8], words: &mut Vec<u32>) {
+        words.clear();
+        let header = [take(bytes), take(bytes), take(bytes)];
+        let [held, states, clobbered] = header.map(|n| n as usize);
+        let flags = held.div_ceil(32);
+        let entries = flags + states * (2 * held + 2) + clobbered * (2 * held + 1);
+        words.extend(header);
+        words.extend((0..entries).map(|_| take(bytes)));
+        let states = &mut words[3 + flags..3 + flags + states * (2 * held + 2)];
+        let mut at = 0;
+        for op in states.iter_mut().step_by(2 * held + 2) {
+            at += *op;
+            *op = at;
+        }
+    }
+
+    /// Whether held stage `h`'s forwards stash the boundary only.
+    fn boundary_only(&self, h: usize) -> bool {
+        self.boundary[h / 32] >> (h % 32) & 1 == 1
+    }
+
+    /// The states priced under `sizes`, the worker holding `held`.
+    fn price<S: BufferSizes>(&self, held: &[(u32, u32)], sizes: &S) -> WorkerPeaks {
+        let nh = self.held;
+        assert_eq!(held.len(), nh, "the states of a worker holding {nh} stages");
+        let probe = |h: usize, chunk, backward| {
+            let (replica, stage) = (ReplicaId(held[h].0), StageId(held[h].1));
+            let op = match backward {
+                true => Op::backward_recompute(MicroId(0), stage, replica),
+                false => Op::forward(MicroId(0), stage, replica),
+            };
+            Op { chunk, ..op }
+        };
+        // One buffer of each counted kind: per held stage a stash half and a
+        // weight version, per held stage and chunk a rematerialization. A
+        // worker holds a few stages: their sizes stay on the stack.
+        let (mut on_stack, mut on_heap) = ([0.0; 8], Vec::new());
+        let size = match 2 * nh <= on_stack.len() {
+            true => &mut on_stack[..2 * nh],
+            false => {
+                on_heap.resize(2 * nh, 0.0);
+                &mut on_heap[..]
+            }
+        };
+        for (h, &(_, stage)) in held.iter().enumerate() {
+            let forward = probe(h, Chunk::Full, false);
+            debug_assert_eq!(sizes.grad_contribution(&probe(h, Chunk::Full, true)), 0.0);
+            let total = match self.boundary_only(h) {
+                true => sizes.boundary_stash(&forward),
+                false => sizes.full_stash(&forward),
+            };
+            size[h] = total / f64::from(Chunk::Full.half_micros());
+            size[nh + h] = sizes.weight_version(StageId(stage));
+        }
+        let size = &*size;
+        let remat = |code: u32| {
+            code.checked_sub(1).map(|c| {
+                let chunk = [Chunk::Half(0), Chunk::Full, Chunk::Pair][c as usize % 3];
+                let backward = probe(c as usize / 3, chunk, true);
+                sizes.full_stash(&backward) - sizes.boundary_stash(&backward)
+            })
+        };
+
+        let (mut peak, mut activation_peak) = (Peak::default(), Peak::default());
+        let mut at_peak = KindBreakdown::default();
+        let sum = |counts: &[u32], sizes: &[f64]| {
+            (counts.iter().zip(sizes)).fold(0.0, |sum, (&n, size)| sum + f64::from(n) * size)
+        };
+        for state in self.states.chunks_exact(2 * nh + 2) {
+            let (at, counts) = (state[0] as usize, &state[1..]);
+            let cur = KindBreakdown {
+                stash: sum(&counts[..nh], &size[..nh]),
+                remat: remat(counts[2 * nh]).unwrap_or(0.0),
+                weight_versions: sum(&counts[nh..2 * nh], &size[nh..]),
+                grads: 0.0,
+            };
+            if peak.observe(cur.stash + cur.remat + cur.weight_versions + cur.grads, at) {
+                at_peak = cur;
+            }
+            activation_peak.observe(cur.stash + cur.remat, at);
+        }
+
+        // Slot demand: per size class, the most buffers of the class live in
+        // any state, the clobbering forwards' included. `seen` marks the
+        // classes a buffer took.
+        let (mut live, mut most, mut seen) = ([0u32; 64], [0u32; 64], 0u64);
+        let states = self
+            .states
+            .chunks_exact(2 * nh + 2)
+            .map(|state| &state[1..]);
+        for counts in states.chain(self.clobbered.chunks_exact(2 * nh + 1)) {
+            let remat_class = remat(counts[2 * nh]).and_then(|size| sizes.size_class(size));
+            let buffers = (size.iter().zip(counts)).map(|(&size, &n)| (sizes.size_class(size), n));
+            let buffers = buffers.chain([(remat_class, 1)]);
+            for (c, n) in buffers.clone() {
+                if let (Some(c), true) = (c, n > 0) {
+                    live[c as usize] += n;
+                    seen |= 1 << c;
+                }
+            }
+            for (c, _) in buffers {
+                if let Some(c) = c {
+                    most[c as usize] = most[c as usize].max(live[c as usize]);
+                    live[c as usize] = 0;
+                }
+            }
+        }
+        let in_use = (0..64u32).filter(|&c| seen >> c & 1 == 1);
+        WorkerPeaks {
+            peak: peak.value,
+            cliff: peak.at,
+            breakdown: at_peak,
+            activation_peak: activation_peak.value,
+            activation_cliff: activation_peak.at,
+            slots: in_use.map(|class| (class, most[class as usize])).collect(),
+        }
+    }
+}
+
+/// A rematerialization's chunk as a state counts it.
+fn chunk_kind(chunk: Chunk) -> u32 {
+    match chunk {
+        Chunk::Half(_) => 0,
+        Chunk::Full => 1,
+        Chunk::Pair => 2,
+    }
+}
+
+/// Whether counts `k` cover counts `s`: the same rematerialization and at
+/// least as many of every other buffer.
+fn covers(k: &[u32], s: &[u32]) -> bool {
+    let (&remat, counts) = s.split_last().expect("a state has its remat count");
+    k[counts.len()] == remat && k.iter().zip(counts).all(|(k, s)| k >= s)
+}
+
+/// Whether counts `s` exceed counts `k`: neither rematerializes, and `s` has
+/// more of every buffer `k` has and at least as many of the others.
+fn exceeds(s: &[u32], k: &[u32]) -> bool {
+    let remat = s.len() - 1;
+    s[remat] == 0
+        && k[remat] == 0
+        && (s[..remat].iter().zip(&k[..remat])).all(|(&s, &k)| k == 0 || s > k)
+}
+
+/// One worker's states of one kind as [`count_states`] records them: the
+/// states without a live rematerialization, or those with one.
+struct Recorder {
+    /// Counts per state.
+    width: usize,
+    states: Vec<u32>,
+    clobbered: Vec<u32>,
+}
+
+impl Recorder {
+    fn new(width: usize) -> Self {
+        Recorder {
+            width,
+            states: Vec::new(),
+            clobbered: Vec::new(),
+        }
+    }
+
+    /// Record `cur`, the counts at a peak check of op `at`, unless a kept
+    /// state covers it; drop the kept states it exceeds.
+    fn record(&mut self, cur: &[u32], at: u32) {
+        let stride = self.width + 1;
+        // Latest first: in a steady state the one that covers it.
+        if (self.states.chunks_exact(stride).rev()).any(|k| covers(&k[1..], cur)) {
+            return;
+        }
+        // Room for a few at once: most workers keep one or two of a kind.
+        self.states.reserve(4 * stride);
+        let mut kept = 0;
+        for i in 0..self.states.len() / stride {
+            let state = i * stride..(i + 1) * stride;
+            if !exceeds(cur, &self.states[state.start + 1..state.end]) {
+                self.states.copy_within(state, kept * stride);
+                kept += 1;
+            }
+        }
+        self.states.truncate(kept * stride);
+        self.states.push(at);
+        self.states.extend_from_slice(cur);
+    }
+
+    /// Record `cur` with `n` more halves of held stage `h` for slot demand
+    /// only.
+    fn record_clobbered(&mut self, cur: &[u32], h: usize, n: u32) {
+        let from = self.clobbered.len();
+        self.clobbered.extend_from_slice(cur);
+        self.clobbered[from + h] += n;
+    }
+
+    /// The states of `self` and `other`, each in program order, in program
+    /// order: an op is a check of one kind only.
+    fn merged<'a>(&'a self, other: &'a Recorder) -> impl Iterator<Item = &'a [u32]> {
+        let stride = self.width + 1;
+        let mut a = self.states.chunks_exact(stride).peekable();
+        let mut b = other.states.chunks_exact(stride).peekable();
+        std::iter::from_fn(move || match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) if y[0] < x[0] => b.next(),
+            (Some(_), _) => a.next(),
+            (None, _) => b.next(),
+        })
+    }
+
+    /// A worker holding `held` stages with these flags (one `u32` per stage,
+    /// 1: it stashes the boundary only): its states without a
+    /// rematerialization (`self`, with the clobbering forwards') and with one.
+    fn worker(&self, held: usize, boundary: &[u32], remat: &Recorder) -> WorkerStates {
+        let states = (self.states.len() + remat.states.len()) / (self.width + 1);
+        let clobbered = self.clobbered.len() / self.width;
+        let flags = boundary
+            .chunks(32)
+            .map(|flags| (flags.iter().enumerate()).fold(0u32, |word, (i, &b)| word | b << i));
+        let mut words = Vec::with_capacity(4 + self.states.len() + remat.states.len());
+        words.extend([held, states, clobbered].map(|n| n as u32));
+        words.extend(flags);
+        words.extend(self.merged(remat).flatten());
+        words.extend_from_slice(&self.clobbered);
+        WorkerStates { words }
+    }
+}
+
+impl CountStates {
+    /// Workers recorded.
+    pub fn workers(&self) -> usize {
+        self.workers
+    }
+
+    /// States kept over all workers, the clobbering forwards' included.
+    pub fn len(&self) -> usize {
+        self.states
+    }
+
+    /// Whether no worker keeps a state.
+    pub fn is_empty(&self) -> bool {
+        self.states == 0
+    }
+
+    /// Give back what the walk over-allocated: the states are kept.
+    pub fn shrink_to_fit(&mut self) {
+        self.bytes.shrink_to_fit();
+    }
+
+    /// Append the next worker's states.
+    pub fn push(&mut self, worker: &WorkerStates) {
+        let parsed = Worker::parse(&worker.words);
+        let stride = 2 * parsed.held + 2;
+        self.bytes.reserve(worker.words.len());
+        for &n in &worker.words[..3 + parsed.boundary.len()] {
+            put(&mut self.bytes, n);
+        }
+        let mut before = 0;
+        for state in parsed.states.chunks_exact(stride) {
+            put(&mut self.bytes, state[0] - before);
+            before = state[0];
+            for &n in &state[1..] {
+                put(&mut self.bytes, n);
+            }
+        }
+        for &n in parsed.clobbered {
+            put(&mut self.bytes, n);
+        }
+        self.workers += 1;
+        self.states += parsed.states.len() / stride + parsed.clobbered.len() / (stride - 1);
+    }
+
+    /// Every worker's states priced under `sizes`, with the `(replica,
+    /// stage)` pairs it holds in `sched` — the schedule the states were
+    /// walked from, or its `with_recompute` variant — in worker order.
+    pub fn price<S: BufferSizes>(
+        &self,
+        sched: &Schedule,
+        sizes: &S,
+    ) -> Vec<(Vec<(u32, u32)>, WorkerPeaks)> {
+        // What each worker holds, ascending, in one pass over the placement;
+        // a placement of another shape (no worker recorded) adds nothing.
+        let placement = &sched.placement;
+        let mut held = vec![Vec::new(); self.workers];
+        for replica in 0..placement.replicas() {
+            for stage in 0..placement.d() {
+                let w = placement.worker(ReplicaId(replica), StageId(stage)).idx();
+                if let Some(held) = held.get_mut(w) {
+                    held.push((replica, stage));
+                }
+            }
+        }
+        let (mut bytes, mut words) = (&self.bytes[..], Vec::new());
+        (held.into_iter())
+            .map(|held| {
+                Worker::decode(&mut bytes, &mut words);
+                let priced = Worker::parse(&words).price(&held, sizes);
+                (held, priced)
+            })
+            .collect()
+    }
+}
+
+/// The size-free walk: one worker's states as `program` is lowered and,
+/// with `retried`, from the same pass over its rows, as its schedule's
+/// `with_recompute` variant would be. The two share every count and differ in
+/// what they size: under the variant every held stage with a backward stashes
+/// its boundary only, and every backward is a peak check with its
+/// rematerialization live. The checks are [`LivenessReport::push_priced`]'s
+/// — after a forward's defs (a clobbered half already gone), at a
+/// recomputing backward with its stash still live, after an update parks a
+/// weight version — minus the one a gradient contribution makes, which the
+/// counts do not hold. A state without a rematerialization is neither
+/// covered by nor exceeds one with, so the two kinds are pruned apart and
+/// the first kind, the same under the variant, is recorded once.
+pub fn count_states(program: &Program, retried: bool) -> (WorkerStates, Option<WorkerStates>) {
+    let nh = program.held.len();
+    let remat = 2 * nh;
+    // The counts, then per held stage whether its forwards stash the
+    // boundary only: as lowered, then under the retry. A worker holds a few
+    // stages: they stay on the stack.
+    let (mut on_stack, mut on_heap) = ([0u32; 25], Vec::new());
+    let tables = match remat + 1 + 2 * nh <= on_stack.len() {
+        true => &mut on_stack[..remat + 1 + 2 * nh],
+        false => {
+            on_heap.resize(remat + 1 + 2 * nh, 0);
+            &mut on_heap[..]
+        }
+    };
+    let (cur, boundary) = tables.split_at_mut(remat + 1);
+    let mut plain = Recorder::new(remat + 1);
+    let mut own_remat = Recorder::new(remat + 1);
+    let mut retried_remat = retried.then(|| Recorder::new(remat + 1));
+    for row in &program.rows[..program.implicit_from] {
+        let (h, at) = (row.held as usize, row.op_ix as u32);
+        match row.op.kind {
+            OpKind::Forward => {
+                boundary[h] = u32::from(row.boundary_only);
+                let mut clobbered = 0;
+                for cov in row.covered() {
+                    clobbered += cov.kills.count_ones();
+                    cur[h] = cur[h] - cov.kills.count_ones() + cov.defines.count_ones();
+                }
+                plain.record(cur, at);
+                if clobbered > 0 {
+                    plain.record_clobbered(cur, h, clobbered);
+                }
+            }
+            OpKind::Backward { recompute } => {
+                boundary[nh + h] = 1;
+                cur[remat] = 1 + 3 * h as u32 + chunk_kind(row.op.chunk);
+                if recompute {
+                    own_remat.record(cur, at);
+                }
+                if let Some(states) = &mut retried_remat {
+                    states.record(cur, at);
+                }
+                cur[remat] = 0;
+                for cov in row.covered() {
+                    cur[h] -= cov.kills.count_ones();
+                    cur[nh + h] -= u32::from(cov.version_slot.is_some() && cov.frees_version);
+                }
+            }
+            OpKind::AllReduceLaunch => {}
+            OpKind::AllReduceWait => {
+                if row.parks_version.is_some() {
+                    cur[nh + h] += 1;
+                    plain.record(cur, at);
+                }
+            }
+        }
+    }
+    let own = plain.worker(nh, &boundary[..nh], &own_remat);
+    let retried = retried_remat.map(|remat| plain.worker(nh, &boundary[nh..], &remat));
+    (own, retried)
+}
+
 /// Largest number of simultaneously-live intervals (inclusive ranges) — the
 /// max clique of the interference graph, and the exact slot demand.
 pub fn max_overlap(intervals: &[(usize, usize)]) -> usize {
@@ -502,7 +981,45 @@ pub fn max_overlap(intervals: &[(usize, usize)]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chimera_core::baselines::pipedream_steady;
+    use chimera_core::baselines::{dapple, gpipe, pipedream_steady};
+    use chimera_core::program::lower;
+
+    /// GPipe's forwards each exceed the one before, and 1F1B's steady state
+    /// comes back to its warm-up peak: one state per worker decides it — two
+    /// under recomputation, the peak and the first backward that
+    /// rematerializes on top of it — and priced it is what the row walk
+    /// computes.
+    #[test]
+    fn a_peak_needs_one_state_under_gpipe_and_1f1b() {
+        for (s, kept) in [(gpipe(4, 16), 1), (dapple(4, 16), 1)] {
+            let recomputing = s.clone().with_recompute();
+            for (program, again) in lower(&s, 1)
+                .programs
+                .iter()
+                .zip(lower(&recomputing, 1).programs)
+            {
+                let (own, retried) = count_states(program, true);
+                let (recomputed, _) = count_states(&again, false);
+                let retried = retried.expect("asked for");
+                let kept_of = |worker: &WorkerStates| {
+                    let mut states = CountStates::default();
+                    states.push(worker);
+                    states.len()
+                };
+                assert_eq!(kept_of(&own), kept, "{} P{}", s.scheme, program.worker);
+                assert_eq!(
+                    kept_of(&retried),
+                    kept + 1,
+                    "{} P{}",
+                    s.scheme,
+                    program.worker
+                );
+                assert_eq!(retried, recomputed);
+                let walked = walk(&again, &UnitMa, &mut Vec::new());
+                assert_eq!(recomputed.price(&again.held, &UnitMa), walked);
+            }
+        }
+    }
 
     #[test]
     fn abutting_ranges_interfere_but_disjoint_do_not() {

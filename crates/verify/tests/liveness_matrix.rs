@@ -14,11 +14,17 @@
 //! 4. Off-by-one boundary: live ranges that abut at exactly one op (a
 //!    rematerialization whose def == kill is the op that also kills the
 //!    boundary stash) interfere and are both counted at the peak.
-//! 5. One pass == the table it replaced: `memory_v2`, which folds each worker
-//!    as it is lowered and counts slot demand as buffers come and go, equals
-//!    field for field the accounting it superseded — all live ranges first,
-//!    then a `max_overlap` sort per size class — kept here as the reference,
-//!    on the sweep, the matrix and every single-op mutant.
+//! 5. States == the table they replaced: `memory_v2`, which walks each
+//!    worker's rows into the few live-buffer count states that can decide a
+//!    peak and prices those, equals field for field the accounting it
+//!    superseded — all live ranges first, then a `max_overlap` sort per size
+//!    class — kept here as the reference, on the sweep, the matrix and every
+//!    single-op mutant, under six byte models: four of them make pruned
+//!    states tie the peak (a rematerialization of no bytes, a boundary of no
+//!    bytes, stash halves of an odd half-byte, free activations on every
+//!    other stage). The `with_recompute`
+//!    variant's states, walked from the schedule without the retry, price as
+//!    `memory_v2` of the retried schedule.
 
 use chimera_core::baselines::{
     dapple, gems, gpipe, pipedream, pipedream_2bw_steady, pipedream_steady,
@@ -30,7 +36,7 @@ use chimera_core::schedule::Schedule;
 use chimera_core::StageId;
 use chimera_sim::{AllReduceAlgo, NetworkModel, SimCostModel, StageCosts, Topology};
 use chimera_verify::liveness::{analyze, max_overlap, BufferKind, BufferSizes, UnitMa};
-use chimera_verify::{memory_v2, verify_with_memory, MemoryV2, OpLoc, WorkerMemory};
+use chimera_verify::{memory_v2, verify_states, verify_with_memory, MemoryV2, OpLoc, WorkerMemory};
 
 #[path = "../../../tests/support/mutants.rs"]
 mod mutants;
@@ -460,11 +466,41 @@ fn reference_memory(sched: &Schedule, cost: &SimCostModel) -> MemoryV2 {
     MemoryV2 { workers }
 }
 
-/// `memory_v2` of `s` equals the reference under both cost models, and the
-/// fold's slot demand is `analyze`'s too; returns the classes it filled.
+/// Byte models under which states a pruning drops tie the kept ones: a
+/// boundary as large as the stash (every rematerialization is of no bytes),
+/// a boundary of no bytes (a recomputing stage's halves price at zero), an
+/// odd stash (halves of a half byte, the totals' rounding at stake), and
+/// every other stage's activations free (a later state with more of those
+/// halves ties an earlier one, which must stay the cliff).
+fn tying_costs(d: u32) -> [SimCostModel; 4] {
+    let with = |f: &dyn Fn(usize, &mut StageCosts)| {
+        let mut c = cost(d);
+        c.stages.iter_mut().enumerate().for_each(|(s, st)| f(s, st));
+        c
+    };
+    [
+        with(&|_, st| st.boundary_bytes = st.act_bytes),
+        with(&|_, st| st.boundary_bytes = 0),
+        with(&|_, st| st.act_bytes = (5 << 20) + 3),
+        with(&|s, st| {
+            if s % 2 == 1 {
+                (st.act_bytes, st.boundary_bytes) = (0, 0);
+            }
+        }),
+    ]
+}
+
+/// `memory_v2` of `s` equals the reference under every byte model, the
+/// rows' slot demand is `analyze`'s too, and the `with_recompute` variant's
+/// states price as the retried schedule's `memory_v2`; returns the classes
+/// it filled.
 fn assert_one_pass_matches(s: &Schedule, ctx: &str) -> usize {
     let mut classes = 0;
-    for c in [cost(s.d), varied_cost(s.d)] {
+    // A schedule with an op off its placement has no states to price.
+    let (_, states) = verify_states(s, 1, true);
+    let recomputing = s.clone().with_recompute();
+    let tying = tying_costs(s.d);
+    for c in [cost(s.d), varied_cost(s.d)].into_iter().chain(tying) {
         let reference = reference_memory(s, &c);
         assert_eq!(memory_v2(s, &c), reference, "{ctx}");
         let slots = analyze(s, &c).slots;
@@ -472,6 +508,17 @@ fn assert_one_pass_matches(s: &Schedule, ctx: &str) -> usize {
             assert_eq!(slots[w], wm.pool_classes, "{ctx} P{w}");
             classes += wm.pool_classes.len();
         }
+        let Some(states) = &states else {
+            continue;
+        };
+        assert_eq!(states.price(s, &c), reference, "{ctx}");
+        let retried_mem = states.price_retried(s, &c).expect("asked for");
+        assert_eq!(retried_mem, memory_v2(&recomputing, &c), "{ctx} retried");
+        assert_eq!(
+            retried_mem,
+            reference_memory(&recomputing, &c),
+            "{ctx} retried"
+        );
     }
     classes
 }
@@ -488,7 +535,10 @@ fn one_pass_memory_matches_the_live_range_table_on_the_sweep_and_the_matrix() {
     let classes: usize = (cases.iter())
         .map(|(ctx, s)| assert_one_pass_matches(s, ctx))
         .sum();
-    assert!(classes > 4 * cases.len(), "{classes} size classes compared");
+    assert!(
+        classes > 10 * cases.len(),
+        "{classes} size classes compared"
+    );
 }
 
 /// A buffer killed by the op that defines another needs a slot beside it;
