@@ -229,7 +229,7 @@ pub fn evaluate_with(
     b: u32,
 ) -> Result<Option<Candidate>, Unclean> {
     let priced = price_with(table, scheme, model, cluster, p, b_hat, w, d, b)?;
-    Ok(priced.and_then(Priced::simulate))
+    priced.map(|c| c.simulate(table)).transpose()
 }
 
 /// A candidate priced — verdict, exact memory, fit, Eq. 1 — and not yet
@@ -255,20 +255,39 @@ struct Priced {
 }
 
 impl Priced {
-    /// The candidate with its simulated span. A schedule with a clean verdict
-    /// simulates: the errors of `simulate_span` — a deadlock, a span its op
-    /// counts do not cover — are findings of the verdict. The retried
+    /// Samples one simulated span trains on.
+    fn samples_per_span(&self) -> f64 {
+        (self.structure.sched.n as u64 * self.b as u64 * self.w as u64) as f64
+    }
+
+    /// An upper bound on the throughput [`Priced::simulate`] finds: the
+    /// samples of a span over the shape's [`chimera_sim::SpanBound`] in
+    /// seconds, which is never above the simulated span (and seconds, and so
+    /// this quotient, are monotone in ticks).
+    fn throughput_bound(&self) -> f64 {
+        let ticks = self.structure.bound().ticks(&self.cost, self.retried);
+        self.samples_per_span() / SimCostModel::seconds(ticks)
+    }
+
+    /// The candidate with its simulated span, counted in `table`'s stats. A
+    /// schedule with a clean verdict simulates: an error of `simulate_span`
+    /// — a deadlock, a span its op counts do not cover — is a finding the
+    /// verdict missed, refused as [`Unclean::SIMULATION_FAILED`]. The retried
     /// schedule is derived here, for a candidate that is simulated.
-    fn simulate(self) -> Option<Candidate> {
+    fn simulate(self, table: &StructureTable) -> Result<Candidate, Unclean> {
+        table.count_simulated();
         let retried = self
             .retried
             .then(|| self.structure.sched.clone().with_recompute());
         let sched = retried.as_ref().unwrap_or(&self.structure.sched);
-        let report = simulate_span(sched, &self.cost, self.structure.iterations).ok()?;
+        let report =
+            simulate_span(sched, &self.cost, self.structure.iterations).map_err(|_| Unclean {
+                key: self.key,
+                code: Unclean::SIMULATION_FAILED,
+            })?;
         // Per-iteration time normalized to b_hat samples.
-        let samples_per_span = sched.n as u64 * self.b as u64 * self.w as u64;
-        let throughput = samples_per_span as f64 / report.span_s;
-        Some(Candidate {
+        let throughput = self.samples_per_span() / report.span_s;
+        Ok(Candidate {
             scheme: self.key.scheme,
             w: self.w,
             d: self.key.d,
@@ -473,7 +492,10 @@ fn expired(deadline: Option<Instant>) -> bool {
 }
 
 /// Grid-search all `(W, D, B)` combinations (Figs. 10/11). Returns all
-/// valid, memory-fitting candidates sorted by descending throughput.
+/// valid, memory-fitting candidates, every one simulated, sorted by
+/// descending throughput (PipeDream: by mini-batch first). The full grid is
+/// what the figures plot, and [`best_until`]'s pruned search is held to its
+/// first entry.
 pub fn sweep(
     scheme: PlanScheme,
     model: ModelSpec,
@@ -498,10 +520,36 @@ fn unbudgeted<T, E: std::fmt::Display>(result: Result<T, E>) -> T {
     result.unwrap_or_else(|e| panic!("{e}"))
 }
 
+/// Every candidate of the `(W, D, B)` grid that fits, priced (see
+/// [`evaluate_with`]) and not simulated, in grid order — `D` ascending, then
+/// `B`. The deadline is checked before each pricing.
+fn fitting_grid(
+    table: &StructureTable,
+    scheme: PlanScheme,
+    model: ModelSpec,
+    cluster: ClusterSpec,
+    p: u32,
+    b_hat: u64,
+    deadline: Option<Instant>,
+) -> Result<Vec<Priced>, SearchError> {
+    let mut out = Vec::new();
+    for d in depth_candidates(p, &model) {
+        let w = p / d;
+        for b in batch_candidates(b_hat, w) {
+            if expired(deadline) {
+                return Err(SearchError::Timeout);
+            }
+            let priced = price_with(table, scheme, model, cluster, p, b_hat, w, d, b)?;
+            out.extend(priced.filter(|c| c.fits));
+        }
+    }
+    Ok(out)
+}
+
 /// [`sweep`] against `table` (see [`evaluate_with`]) with a wall-clock
-/// budget: the deadline is checked before each candidate evaluation (the
-/// per-candidate simulation is the unit of work), and hitting it mid-grid
-/// aborts the whole search with [`SearchError::Timeout`].
+/// budget: the deadline is checked before each candidate is priced and
+/// before each is simulated, and hitting it mid-grid aborts the whole search
+/// with [`SearchError::Timeout`].
 pub fn sweep_until(
     table: &StructureTable,
     scheme: PlanScheme,
@@ -512,18 +560,11 @@ pub fn sweep_until(
     deadline: Option<Instant>,
 ) -> Result<Vec<Candidate>, SearchError> {
     let mut out = Vec::new();
-    for d in depth_candidates(p, &model) {
-        let w = p / d;
-        for b in batch_candidates(b_hat, w) {
-            if expired(deadline) {
-                return Err(SearchError::Timeout);
-            }
-            if let Some(c) = evaluate_with(table, scheme, model, cluster, p, b_hat, w, d, b)? {
-                if c.fits {
-                    out.push(c);
-                }
-            }
+    for c in fitting_grid(table, scheme, model, cluster, p, b_hat, deadline)? {
+        if expired(deadline) {
+            return Err(SearchError::Timeout);
         }
+        out.push(c.simulate(table)?);
     }
     if scheme == PlanScheme::PipeDream {
         // The paper's policy: PipeDream runs "the maximum B̂ fitting in the
@@ -552,7 +593,20 @@ pub fn best(
     sweep(scheme, model, cluster, p, b_hat).into_iter().next()
 }
 
-/// [`best`] against `table` with a wall-clock budget (see [`sweep_until`]).
+/// [`best`] against `table` with a wall-clock budget (see [`sweep_until`]),
+/// simulating only the candidates that can still win.
+///
+/// Every candidate of the grid is priced as [`sweep_until`] prices it — its
+/// shape generated and verified at the first sight, its exact memory and fit
+/// checked — and only the fitting ones can be the answer; PipeDream's sweep
+/// ranks by mini-batch first, so only its largest can. Those are simulated
+/// in descending order of their throughput bound (the samples of a span
+/// over the shape's [`chimera_sim::SpanBound`], ties in grid order), and the
+/// search stops at the first whose bound is below the best throughput
+/// simulated so far: no candidate from there on can reach it. The answer is
+/// `sweep(..)[0]` bit for bit — ties in throughput go to the earlier grid
+/// point, as in the sweep's stable sort — and a simulation that fails is an
+/// error, never a candidate dropped.
 pub fn best_until(
     table: &StructureTable,
     scheme: PlanScheme,
@@ -562,11 +616,36 @@ pub fn best_until(
     b_hat: u64,
     deadline: Option<Instant>,
 ) -> Result<Option<Candidate>, SearchError> {
-    Ok(
-        sweep_until(table, scheme, model, cluster, p, b_hat, deadline)?
-            .into_iter()
-            .next(),
-    )
+    let mut grid = fitting_grid(table, scheme, model, cluster, p, b_hat, deadline)?;
+    if scheme == PlanScheme::PipeDream {
+        let largest = grid.iter().map(|c| c.b_hat).max();
+        grid.retain(|c| Some(c.b_hat) == largest);
+    }
+    let mut ranked: Vec<(f64, usize, Priced)> = (grid.into_iter().enumerate())
+        .map(|(at, c)| (c.throughput_bound(), at, c))
+        .collect();
+    ranked.sort_by(|a, b| b.0.total_cmp(&a.0));
+    let mut best: Option<(usize, Candidate)> = None;
+    for (bound, at, c) in ranked {
+        if best
+            .as_ref()
+            .is_some_and(|(_, b)| bound.total_cmp(&b.throughput).is_lt())
+        {
+            break;
+        }
+        if expired(deadline) {
+            return Err(SearchError::Timeout);
+        }
+        let c = c.simulate(table)?;
+        let wins = best.as_ref().is_none_or(|(first, b)| {
+            let order = c.throughput.total_cmp(&b.throughput);
+            order.then(first.cmp(&at)).is_gt()
+        });
+        if wins {
+            best = Some((at, c));
+        }
+    }
+    Ok(best.map(|(_, c)| c))
 }
 
 /// Chimera's planning procedure (§3.4/§4.2.2): per feasible (W, D) pick the
@@ -654,7 +733,7 @@ pub fn plan_chimera_until(
     // above was verified, priced and checked for fit; the model ranks them,
     // so only the one it picks is simulated.
     let best = (per_wd.into_iter()).min_by(|a, b| predicted(a).total_cmp(&predicted(b)));
-    Ok(best.and_then(Priced::simulate))
+    Ok(best.map(|c| c.simulate(table)).transpose()?)
 }
 
 /// The paper's search for `scheme` (§4.2) against `table`: Chimera plans by
@@ -824,6 +903,37 @@ mod tests {
             (chim.w, chim.d, chim.b),
             (chim_plain.w, chim_plain.d, chim_plain.b)
         );
+    }
+
+    /// A candidate that simulation refuses after a clean verdict — here a
+    /// span its op counts do not cover — fails the search with its own code;
+    /// it is never a candidate silently dropped from the grid.
+    #[test]
+    fn a_candidate_that_fails_to_simulate_fails_the_search() {
+        let (m, c) = bert_setup();
+        let table = StructureTable::new();
+        let priced = price_with(&table, PlanScheme::Dapple, m, c, 32, 512, 8, 4, 4)
+            .unwrap()
+            .unwrap();
+        let key = priced.key;
+        let miscounted = Structure::analyse(key, dapple(key.d, key.n), 3);
+        let broken = Priced {
+            structure: Arc::new(miscounted),
+            ..priced
+        };
+        let err = broken.simulate(&table).unwrap_err();
+        assert_eq!(
+            err,
+            Unclean {
+                key,
+                code: Unclean::SIMULATION_FAILED
+            }
+        );
+        assert_eq!(table.stats().simulated, 1);
+        let searched = SearchError::from(err).to_string();
+        assert!(searched.contains(Unclean::SIMULATION_FAILED), "{searched}");
+        let frozen = std::panic::catch_unwind(|| unbudgeted(Err::<(), _>(SearchError::from(err))));
+        assert!(frozen.is_err(), "the frozen wrappers panic on it");
     }
 
     #[test]

@@ -15,9 +15,12 @@
 //! never global: its hit rate, its memory and its counters are its owner's.
 //! The shape's schedule is part of its structure: it is generated, given its
 //! sync ops and verified at the first sight, and every later candidate of the
-//! shape is simulated from that one copy. So is its memory: the lowering that
-//! verifies the schedule also walks it, without sizes, into the few
-//! live-buffer count states that can decide a peak
+//! shape is simulated from that one copy — if it is simulated at all: the
+//! schedule's op counts ([`chimera_sim::SpanBound`]) are structure too, a
+//! candidate prices a lower bound on its span from them, and a grid search
+//! simulates only the candidates whose bound can still win. So is its
+//! memory: the lowering that verifies the schedule also walks it, without
+//! sizes, into the few live-buffer count states that can decide a peak
 //! ([`chimera_verify::MemoryStates`]) — the schedule's own and its
 //! recomputation retry's, where a candidate may take it — and a candidate
 //! prices its exact peak, cliff and pool slots from those, lowering nothing.
@@ -34,7 +37,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use chimera_core::schedule::Schedule;
 use chimera_core::sync::{place_eager_opt, FreeRegions};
 use chimera_core::unit_time::{execute, UnitCosts};
-use chimera_sim::SimCostModel;
+use chimera_sim::{SimCostModel, SpanBound};
 use chimera_verify::{verify_states, MemoryStates, MemoryV2, VerifyReport};
 
 use crate::eq1::{self, CriticalPath};
@@ -78,6 +81,9 @@ pub struct Structure {
     /// Eq. 1's critical path of `sched.with_recompute()`, built at the first
     /// candidate of the shape that takes the recomputation retry.
     retried_critical: OnceLock<CriticalPath>,
+    /// `sched`'s op counts, made at the first candidate of the shape that a
+    /// grid search ranks (see [`Structure::bound`]).
+    bound: OnceLock<SpanBound>,
 }
 
 impl Structure {
@@ -86,7 +92,7 @@ impl Structure {
     /// regions (which place the sync ops and, for Chimera, are Eq. 1's overlap
     /// windows), two more for Chimera's `Cf`/`Cb`, and one lowering verified
     /// and walked into count states ([`verify_states`]).
-    fn analyse(key: StructureKey, base: Schedule, iterations: u32) -> Structure {
+    pub(crate) fn analyse(key: StructureKey, base: Schedule, iterations: u32) -> Structure {
         // The retried variant places its sync ops where the scheme's own
         // schedule does, and its Eq. 1 is priced from its own executions.
         let regions = (base.flushes)
@@ -119,6 +125,7 @@ impl Structure {
             report,
             critical,
             retried_critical: OnceLock::new(),
+            bound: OnceLock::new(),
         }
     }
 
@@ -143,6 +150,14 @@ impl Structure {
         }
     }
 
+    /// `sched`'s op counts, from which a candidate prices a lower bound on
+    /// its simulated span — the retried variant's too, with no schedule of
+    /// its own. Counted once per shape, at the first candidate a grid search
+    /// ranks: Chimera's planning ranks by Eq. 1 and never asks.
+    pub fn bound(&self) -> &SpanBound {
+        self.bound.get_or_init(|| SpanBound::of(&self.sched))
+    }
+
     /// Eq. 1's critical path of `sched.with_recompute()`: its backward passes
     /// are longer, so its free regions are its own. Built once per shape.
     ///
@@ -156,15 +171,24 @@ impl Structure {
     }
 }
 
-/// A schedule the planner built does not pass static verification: a
-/// planner bug, refused before the schedule is simulated or served.
+/// A schedule the planner built does not pass static verification, or
+/// passes it and then fails to simulate: a planner bug, refused before the
+/// schedule is served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Unclean {
     /// The shape whose schedule is defective.
     pub key: StructureKey,
     /// Stable code of its first error diagnostic: the structural report's,
-    /// else the priced half's.
+    /// else the priced half's; [`Unclean::SIMULATION_FAILED`] for a clean
+    /// verdict the simulator refuses.
     pub code: &'static str,
+}
+
+impl Unclean {
+    /// The code of a candidate whose schedule verified clean and whose
+    /// simulation failed: the verdict missed a deadlock or a span the op
+    /// counts do not cover.
+    pub const SIMULATION_FAILED: &'static str = "simulation_failed";
 }
 
 impl std::fmt::Display for Unclean {
@@ -238,6 +262,10 @@ pub struct TableStats {
     pub ops: u64,
     /// Live-buffer count states held now, over all shapes.
     pub states: u64,
+    /// Candidates simulated: at most one per pricing, and in a search far
+    /// fewer — a grid search simulates only the candidates whose span bound
+    /// can still beat its best, Chimera's planning only its winner.
+    pub simulated: u64,
 }
 
 /// Shape → [`Structure`], shared by the search workers of one owner.
@@ -246,6 +274,7 @@ pub struct StructureTable {
     entries: Mutex<HashMap<StructureKey, Arc<Structure>>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    simulated: AtomicU64,
 }
 
 impl StructureTable {
@@ -277,7 +306,13 @@ impl StructureTable {
             entries: entries.len() as u64,
             ops: entries.values().map(|s| s.ops() as u64).sum(),
             states: entries.values().map(|s| s.held_states() as u64).sum(),
+            simulated: self.simulated.load(Ordering::Relaxed),
         }
+    }
+
+    /// Count one candidate simulated.
+    pub(crate) fn count_simulated(&self) {
+        self.simulated.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Shape `key` with its structure and, under the price list `cost_of`

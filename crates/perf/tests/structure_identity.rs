@@ -3,7 +3,8 @@
 //! must drop no check — only repeat none.
 //!
 //! The grid is the serve benchmark's `plan_cold` workload: its six
-//! `(model, devices, mini-batch)` shapes, every scheme id the service knows.
+//! `(model, devices, mini-batch)` shapes, every scheme id the service knows
+//! and, for the searches' answers, its five topology presets.
 
 use std::collections::HashSet;
 
@@ -16,10 +17,10 @@ use chimera_perf::planner::{
 };
 use chimera_perf::structure::{Opened, TableStats};
 use chimera_perf::{
-    best, plan_chimera, plan_until, ClusterSpec, ModelSpec, PlanScheme, StructureKey,
+    best, best_until, plan_chimera, plan_until, ClusterSpec, ModelSpec, PlanScheme, StructureKey,
     StructureTable, TrainConfig,
 };
-use chimera_sim::{NetScenario, SimCostModel};
+use chimera_sim::{NetScenario, SimCostModel, SpanBound};
 use chimera_verify::verify_states;
 
 #[allow(dead_code)] // only the mutation operators, not the clean matrix
@@ -152,6 +153,7 @@ fn the_table_changes_no_answer_and_drops_no_check() {
             entries: shapes_seen,
             ops: grid.stats().ops,
             states: grid.stats().states,
+            simulated: candidates,
         }
     );
     // The pass saw the grid's shapes plus the retried variant of each winner
@@ -169,10 +171,119 @@ fn the_table_changes_no_answer_and_drops_no_check() {
             entries: shapes_seen + retried,
             ops: pass.stats().ops,
             states: pass.stats().states,
+            simulated: pass.stats().simulated,
         }
+    );
+    // A search simulates what can still win, not its grid.
+    assert!(
+        pass.stats().simulated < candidates / 2,
+        "{:?}",
+        pass.stats()
     );
     // The retried variants are as long as the shapes they retry.
     assert!(pass.stats().ops > grid.stats().ops && grid.stats().ops > 100_000);
+}
+
+/// The service's answer on every topology preset: each scheme's search —
+/// the pruned grid search of a baseline, Chimera's Eq. 1 planning — against
+/// one lived-in table per preset equals the frozen wrapper's, field for
+/// field, and a baseline's equals the first entry of its full sweep.
+#[test]
+fn the_pruned_search_answers_what_the_full_sweep_answers_on_every_preset() {
+    let mut searches = 0;
+    for scenario in NetScenario::all() {
+        let cluster = ClusterSpec::from_scenario(&scenario);
+        let table = StructureTable::new();
+        for (model, p, b_hat) in shapes() {
+            for scheme in schemes() {
+                let what = format!("{} {} {scheme:?}", scenario.name, model.name);
+                let (served, frozen) = search(&table, scheme, model, cluster, p, b_hat);
+                assert_same(&frozen, &served, &what);
+                searches += 1;
+            }
+        }
+        let stats = table.stats();
+        assert!(stats.simulated < stats.hits + stats.misses, "{stats:?}");
+    }
+    assert_eq!(searches, 5 * 6 * 9);
+}
+
+/// The throughput bound a grid search ranks `c` by, recomputed from the
+/// schedule `rebuild` makes for it: its samples over its `SpanBound`.
+fn throughput_bound(c: &Candidate, model: ModelSpec, cluster: ClusterSpec) -> f64 {
+    let (sched, cost, _) = rebuild(c, model, cluster).expect("it rebuilds");
+    let ticks = SpanBound::of(&sched).ticks(&cost, false);
+    let samples = u64::from(sched.n) * u64::from(c.b) * u64::from(c.w);
+    samples as f64 / SimCostModel::seconds(ticks)
+}
+
+/// A grid search simulates exactly what can still win: every candidate
+/// whose bound exceeds the winner's throughput, and none whose bound is
+/// below a throughput simulated before it — in descending bound order, ties
+/// in grid order, stopping at the first that cannot reach the best so far.
+/// Counted by the table's `simulated`, on every preset, shape and grid
+/// scheme.
+#[test]
+fn a_grid_search_simulates_only_what_can_still_win() {
+    let (mut fitting, mut simulated, mut reaching) = (0, 0, 0);
+    for scenario in NetScenario::all() {
+        let cluster = ClusterSpec::from_scenario(&scenario);
+        for (model, p, b_hat) in shapes() {
+            for scheme in schemes() {
+                if matches!(scheme, PlanScheme::Chimera { .. }) {
+                    continue;
+                }
+                // The grid's fitting candidates, in grid order.
+                let mut grid: Vec<Candidate> = Vec::new();
+                for d in depth_candidates(p, &model) {
+                    let w = p / d;
+                    for b in batch_candidates(b_hat, w) {
+                        let c = evaluate(scheme, model, cluster, p, b_hat, w, d, b);
+                        grid.extend(c.filter(|c| c.fits));
+                    }
+                }
+                if scheme == PlanScheme::PipeDream {
+                    let largest = grid.iter().map(|c| c.b_hat).max();
+                    grid.retain(|c| Some(c.b_hat) == largest);
+                }
+                let mut ranked: Vec<(f64, &Candidate)> = (grid.iter())
+                    .map(|c| (throughput_bound(c, model, cluster), c))
+                    .collect();
+                ranked.sort_by(|a, b| b.0.total_cmp(&a.0));
+                let what = format!("{} {} {scheme:?}", scenario.name, model.name);
+                let table = StructureTable::new();
+                let found = best_until(&table, scheme, model, cluster, p, b_hat, None).unwrap();
+                let frozen = best(scheme, model, cluster, p, b_hat);
+                assert_same(&frozen, &found, &what);
+                let count = table.stats().simulated as usize;
+                let Some(winner) = found else {
+                    assert_eq!(count, 0, "{what}");
+                    continue;
+                };
+                for (at, &(bound, c)) in ranked.iter().enumerate() {
+                    assert!(bound >= c.throughput, "{what}: {c:?} above its bound");
+                    if bound > winner.throughput {
+                        assert!(at < count, "{what}: {c:?} can win and was skipped");
+                    }
+                    let before = ranked[..at].iter().map(|(_, c)| c.throughput);
+                    if before.clone().any(|t| bound < t) {
+                        assert!(at >= count, "{what}: {c:?} cannot win and was simulated");
+                    }
+                }
+                fitting += grid.len();
+                simulated += count;
+                reaching += ranked
+                    .iter()
+                    .filter(|(b, _)| *b >= winner.throughput)
+                    .count();
+            }
+        }
+    }
+    println!("{fitting} fitting, {reaching} reach their winner, {simulated} simulated");
+    assert!(
+        simulated < fitting / 2,
+        "{simulated} of {fitting} simulated"
+    );
 }
 
 /// Whether `c`'s gate must open the retried variant of its shape: it

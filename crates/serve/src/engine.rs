@@ -300,6 +300,7 @@ impl PlanEngine {
         let structures = serde_json::json!({
             "hits": table.hits,
             "misses": table.misses,
+            "simulated": table.simulated,
             "entries": table.entries,
             "ops": table.ops,
             "states": table.states,

@@ -262,7 +262,8 @@ fn the_table_never_outgrows_its_op_bound() {
 }
 
 /// The structure counters sit next to the plan-cache counters: in
-/// `ServeStats`, in the stats snapshot, and mirrored into the one registry.
+/// `ServeStats`, in the stats snapshot, and mirrored into the one registry;
+/// the snapshot's `simulated` shows the grid searches pruned.
 #[test]
 fn structure_counters_are_served_with_the_cache_counters() {
     let registry = MetricsRegistry::global();
@@ -277,12 +278,23 @@ fn structure_counters_are_served_with_the_cache_counters() {
     let empty = engine.stats_json();
     assert_eq!(empty["structures"]["entries"].as_u64(), Some(0));
     assert_eq!(empty["structures"]["ops"].as_u64(), Some(0));
+    assert_eq!(empty["structures"]["simulated"].as_u64(), Some(0));
     assert_eq!(empty["cache_entries"].as_u64(), Some(0));
 
     let q = query("piz-daint", &["chimera", "dapple"], ("bert48", 8, 64));
     engine.submit_blocking(q).expect("a served plan");
     let (hits, misses, entries) = structures(&engine);
     assert!(hits > 0 && misses > 0 && entries == misses);
+    // A cold pass simulates Chimera's winner and the grid candidates that can
+    // still win — fewer than it priced.
+    let simulated = engine.stats_json()["structures"]["simulated"]
+        .as_u64()
+        .expect("a counter");
+    assert!(
+        simulated > 0 && simulated < hits + misses,
+        "{simulated} simulated of {} priced",
+        hits + misses
+    );
     let stats = engine.stats();
     assert_eq!(stats.structure_hits.load(Ordering::Relaxed), hits);
     assert_eq!(stats.structure_misses.load(Ordering::Relaxed), misses);

@@ -14,6 +14,8 @@
 //!   ([`collective`]),
 //! * per-stage compute costs and byte footprints ([`cost`]; [`memory`] holds
 //!   the weight term of the coarse Table-2 bound),
+//! * an admissible lower bound on the simulated makespan, priced from op
+//!   counts without executing ([`bound`]),
 //! * seeded fault injection (stragglers, degraded links, crashes) with
 //!   checkpoint-restart recovery accounting ([`fault`]).
 //!
@@ -23,6 +25,7 @@
 //! prices the schedule's lowered rows under this crate's byte footprints
 //! (`memory_v2`).
 
+pub mod bound;
 pub mod collective;
 pub mod cost;
 pub mod engine;
@@ -32,6 +35,7 @@ pub mod network;
 pub mod scenario;
 pub mod trace;
 
+pub use bound::SpanBound;
 pub use collective::{allreduce_time, AllReduceAlgo};
 pub use cost::{SimCostModel, StageCosts};
 pub use engine::{simulate, simulate_span, Breakdown, SimReport, WorkerBreakdown};
