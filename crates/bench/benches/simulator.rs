@@ -11,9 +11,7 @@ use chimera_core::program::lower;
 use chimera_core::schedule::SyncStrategy;
 use chimera_core::sync::place_sync;
 use chimera_core::unit_time::{execute, UnitCosts};
-use chimera_perf::{
-    evaluate_with, ClusterSpec, ModelSpec, PlanScheme, StructureTable, TrainConfig,
-};
+use chimera_perf::{evaluate, ClusterSpec, ModelSpec, PlanScheme, StructureTable, TrainConfig};
 use chimera_sim::{simulate, simulate_span};
 use chimera_verify::liveness::analyze;
 use chimera_verify::{comm_lint, memory_v2, verify_span, verify_states, verify_with_memory};
@@ -134,7 +132,7 @@ fn bench_planning_passes(c: &mut Criterion) {
             // `place_sync`'s execute, for Chimera Eq. 1's two more.
             let (p, b_hat) = (w * d, u64::from(n * w * b));
             let candidate = |table: &StructureTable| {
-                evaluate_with(table, scheme, model, cluster, p, b_hat, w, d, b)
+                evaluate(table, scheme, model, cluster, p, b_hat, w, d, b)
                     .expect("a clean schedule")
                     .expect("a valid candidate")
             };

@@ -145,8 +145,9 @@ mod tests {
     #[test]
     fn headers_match_row_arity() {
         use chimera_perf::planner::{evaluate, PlanScheme};
-        use chimera_perf::{ClusterSpec, ModelSpec};
+        use chimera_perf::{ClusterSpec, ModelSpec, StructureTable};
         let c = evaluate(
+            &StructureTable::new(),
             PlanScheme::Dapple,
             ModelSpec::bert48(),
             ClusterSpec::piz_daint(),
@@ -156,6 +157,7 @@ mod tests {
             4,
             4,
         )
+        .unwrap()
         .unwrap();
         assert_eq!(candidate_row(&c).len(), candidate_headers().len());
         let j = candidate_json(&c);

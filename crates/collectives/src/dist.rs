@@ -79,11 +79,6 @@ impl TransportKeyed {
         self.members.len()
     }
 
-    /// This member's index within the group.
-    pub fn member_index(&self) -> usize {
-        self.me
-    }
-
     fn root(&self) -> Rank {
         self.members[0]
     }

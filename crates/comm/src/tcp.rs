@@ -514,11 +514,6 @@ impl TcpEndpoint {
         }
     }
 
-    /// The data-listener address of `rank` (from the rendezvous table).
-    pub fn peer_addr(&self, rank: Rank) -> Option<SocketAddr> {
-        self.ctx.peers.get(rank as usize).copied()
-    }
-
     /// Failure-detector verdict on `peer`, from heartbeat/traffic silence.
     pub fn liveness(&self, peer: Rank) -> Liveness {
         let heard = self.shared.last_heard.lock().get(&peer).copied();

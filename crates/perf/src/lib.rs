@@ -12,8 +12,8 @@
 //!   `(model, cluster, D, W, B)` configuration;
 //! * [`eq1`] — the paper's Equation 1 performance model with critical-path
 //!   extraction and gradient-sync overlap analysis;
-//! * [`planner`] — the (W, D, B) grid search used by the baselines and
-//!   Chimera's greedy-B + model-driven planning;
+//! * [`planner`] — the one (W, D, B) search: Chimera's pick ranked by
+//!   Eq. 1, a baseline's best ranked by a bound on its simulated span;
 //! * [`structure`] — what a candidate's schedule shape says for itself
 //!   (the schedule with its sync ops, its verdict, its critical path),
 //!   generated and analysed once per `(scheme, D, N)` in a table its owner
@@ -31,7 +31,6 @@ pub use device::DeviceProfile;
 pub use eq1::{predict, PerfPrediction};
 pub use model::ModelSpec;
 pub use planner::{
-    best, best_until, evaluate, evaluate_with, plan_chimera, plan_chimera_until, plan_until, sweep,
-    sweep_until, Candidate, PlanScheme, SearchError,
+    best, evaluate, plan_chimera, plan_until, sweep, Candidate, PlanScheme, SearchError,
 };
 pub use structure::{StructureKey, StructureTable, Unclean};

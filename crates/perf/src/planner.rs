@@ -1,18 +1,18 @@
-//! Configuration planning: the (W, D, B) searches of §4.2.
+//! Configuration planning: the (W, D, B) search of §4.2.
 //!
-//! For the baselines the best configuration "is not obvious a priori"
-//! (Figs. 10/11) and requires a grid search; Chimera instead greedily takes
-//! the largest micro-batch that fits memory and lets the §3.4 performance
-//! model pick (W, D).
+//! Chimera and its baselines are planned over the same grid. For the
+//! baselines the best configuration "is not obvious a priori" (Figs. 10/11)
+//! and is found by simulation; Chimera lets the §3.4 performance model pick
+//! and runs only its pick. [`plan_until`] is that one search with two
+//! orderings; [`sweep`] is the full grid the figures plot and the tests
+//! hold the search to.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use chimera_core::baselines::{dapple, gems, gpipe, pipedream_2bw_steady, pipedream_steady};
 use chimera_core::chimera::{chimera, recomputes, ChimeraConfig, ScaleMethod};
-use chimera_core::schedule::{Schedule, Scheme, SyncStrategy};
-use chimera_core::sync::place_sync;
-use chimera_core::unit_time::UnitCosts;
+use chimera_core::schedule::{Schedule, Scheme};
 use chimera_sim::{simulate_span, SimCostModel};
 
 use crate::costs::{ClusterSpec, TrainConfig};
@@ -181,43 +181,16 @@ fn price_list(
 }
 
 /// Evaluate one `(W, D, B)` candidate for `scheme` training `model` on
-/// `cluster` with `p` workers and mini-batch `b_hat`. Returns `None` for
-/// structurally invalid combinations (non-divisible, scheme constraints).
-///
-/// # Panics
-/// If the candidate's schedule fails static verification (a planner bug;
-/// [`evaluate_with`] returns it as an error).
-#[allow(clippy::too_many_arguments)] // mirrors the paper's tuning dimensions
+/// `cluster` with `p` workers and mini-batch `b_hat`, against `table`: what
+/// the candidate's schedule shape says for itself — the schedule, its
+/// verdict, Eq. 1's critical path — is looked up (generated, analysed and
+/// kept at its first sight), and only its prices are computed here: exact
+/// memory and Eq. 1 in seconds (`price`), then the simulated span. `None`
+/// for structurally invalid combinations (non-divisible, scheme
+/// constraints); an error for a schedule that fails static verification or
+/// simulation (a planner bug).
+#[allow(clippy::too_many_arguments)] // the paper's tuning dimensions + the table
 pub fn evaluate(
-    scheme: PlanScheme,
-    model: ModelSpec,
-    cluster: ClusterSpec,
-    p: u32,
-    b_hat: u64,
-    w: u32,
-    d: u32,
-    b: u32,
-) -> Option<Candidate> {
-    unbudgeted(evaluate_with(
-        &StructureTable::new(),
-        scheme,
-        model,
-        cluster,
-        p,
-        b_hat,
-        w,
-        d,
-        b,
-    ))
-}
-
-/// [`evaluate`] against `table`: what the candidate's schedule shape says
-/// for itself — the schedule, its verdict, Eq. 1's critical path — is looked
-/// up (generated, analysed and kept at its first sight), and only its prices
-/// are computed here: exact memory and Eq. 1 in seconds (`price_with`),
-/// then the simulated span.
-#[allow(clippy::too_many_arguments)] // evaluate's dimensions + the table
-pub fn evaluate_with(
     table: &StructureTable,
     scheme: PlanScheme,
     model: ModelSpec,
@@ -228,7 +201,7 @@ pub fn evaluate_with(
     d: u32,
     b: u32,
 ) -> Result<Option<Candidate>, Unclean> {
-    let priced = price_with(table, scheme, model, cluster, p, b_hat, w, d, b)?;
+    let priced = price(table, scheme, model, cluster, p, b_hat, w, d, b)?;
     priced.map(|c| c.simulate(table)).transpose()
 }
 
@@ -305,9 +278,9 @@ impl Priced {
     }
 }
 
-/// The first half of [`evaluate_with`]: everything but the simulation.
-#[allow(clippy::too_many_arguments)] // evaluate_with's
-fn price_with(
+/// The first half of [`evaluate`]: everything but the simulation.
+#[allow(clippy::too_many_arguments)] // evaluate's
+fn price(
     table: &StructureTable,
     scheme: PlanScheme,
     model: ModelSpec,
@@ -401,25 +374,18 @@ fn price_with(
 
 /// Rebuild the exact schedule, cost model and span iteration count a
 /// [`Candidate`] was evaluated with — e.g. to re-execute the winning
-/// configuration and export its timeline as a trace. Returns `None` only if
-/// the candidate's parameters no longer build (which would indicate it was
-/// not produced by [`evaluate`]).
+/// configuration and export its timeline as a trace: [`reopen`] on a fresh
+/// table, so the schedule is the one its shape's analysis made. Returns
+/// `None` only if the candidate's parameters no longer build (which would
+/// indicate it was not produced by [`evaluate`]).
 pub fn rebuild(
     c: &Candidate,
     model: ModelSpec,
     cluster: ClusterSpec,
 ) -> Option<(Schedule, SimCostModel, u32)> {
-    let (base, iters) = build_schedule(c.scheme, c.d, c.n)?;
-    let cost = price_list(model, cluster, c.w, c.d, c.b)(&base);
-    let mut sched = if base.flushes {
-        place_sync(base, SyncStrategy::EagerOpt, UnitCosts::practical())
-    } else {
-        base
-    };
-    if c.recompute && !already_recomputes(c.scheme, c.d, c.n) {
-        sched = sched.with_recompute();
-    }
-    Some((sched, cost, iters))
+    let opened = reopen(&StructureTable::new(), c, model, cluster)?;
+    let structure = &opened.structure;
+    Some((structure.sched.clone(), opened.cost, structure.iterations))
 }
 
 /// [`rebuild`] through `table`, for a gate: the candidate joined with its
@@ -494,7 +460,7 @@ fn expired(deadline: Option<Instant>) -> bool {
 /// Grid-search all `(W, D, B)` combinations (Figs. 10/11). Returns all
 /// valid, memory-fitting candidates, every one simulated, sorted by
 /// descending throughput (PipeDream: by mini-batch first). The full grid is
-/// what the figures plot, and [`best_until`]'s pruned search is held to its
+/// what the figures plot, and [`plan_until`]'s pruned search is held to its
 /// first entry.
 pub fn sweep(
     scheme: PlanScheme,
@@ -503,15 +469,24 @@ pub fn sweep(
     p: u32,
     b_hat: u64,
 ) -> Vec<Candidate> {
-    unbudgeted(sweep_until(
-        &StructureTable::new(),
-        scheme,
-        model,
-        cluster,
-        p,
-        b_hat,
-        None,
-    ))
+    let table = StructureTable::new();
+    let grid = unbudgeted(fitting_grid(&table, scheme, model, cluster, p, b_hat, None));
+    let simulated = grid.into_iter().map(|c| c.simulate(&table));
+    let mut out = unbudgeted(simulated.collect::<Result<Vec<_>, _>>());
+    if scheme == PlanScheme::PipeDream {
+        // The paper's policy: PipeDream runs "the maximum B̂ fitting in the
+        // device memory" — maximize its W·B mini-batch first, then
+        // throughput. Without this its throughput-best configurations
+        // collapse to degenerate tiny mini-batches (W = 1).
+        out.sort_by(|a, b| {
+            b.b_hat
+                .cmp(&a.b_hat)
+                .then(b.throughput.total_cmp(&a.throughput))
+        });
+    } else {
+        out.sort_by(|a, b| b.throughput.total_cmp(&a.throughput));
+    }
+    out
 }
 
 /// What the unbudgeted entry points make of a search's error: without a
@@ -521,7 +496,7 @@ fn unbudgeted<T, E: std::fmt::Display>(result: Result<T, E>) -> T {
 }
 
 /// Every candidate of the `(W, D, B)` grid that fits, priced (see
-/// [`evaluate_with`]) and not simulated, in grid order — `D` ascending, then
+/// [`evaluate`]) and not simulated, in grid order — `D` ascending, then
 /// `B`. The deadline is checked before each pricing.
 fn fitting_grid(
     table: &StructureTable,
@@ -539,75 +514,38 @@ fn fitting_grid(
             if expired(deadline) {
                 return Err(SearchError::Timeout);
             }
-            let priced = price_with(table, scheme, model, cluster, p, b_hat, w, d, b)?;
+            let priced = price(table, scheme, model, cluster, p, b_hat, w, d, b)?;
             out.extend(priced.filter(|c| c.fits));
         }
     }
     Ok(out)
 }
 
-/// [`sweep`] against `table` (see [`evaluate_with`]) with a wall-clock
-/// budget: the deadline is checked before each candidate is priced and
-/// before each is simulated, and hitting it mid-grid aborts the whole search
-/// with [`SearchError::Timeout`].
-pub fn sweep_until(
-    table: &StructureTable,
-    scheme: PlanScheme,
-    model: ModelSpec,
-    cluster: ClusterSpec,
-    p: u32,
-    b_hat: u64,
-    deadline: Option<Instant>,
-) -> Result<Vec<Candidate>, SearchError> {
-    let mut out = Vec::new();
-    for c in fitting_grid(table, scheme, model, cluster, p, b_hat, deadline)? {
-        if expired(deadline) {
-            return Err(SearchError::Timeout);
-        }
-        out.push(c.simulate(table)?);
-    }
-    if scheme == PlanScheme::PipeDream {
-        // The paper's policy: PipeDream runs "the maximum B̂ fitting in the
-        // device memory" — maximize its W·B mini-batch first, then
-        // throughput. Without this its throughput-best configurations
-        // collapse to degenerate tiny mini-batches (W = 1).
-        out.sort_by(|a, b| {
-            b.b_hat
-                .cmp(&a.b_hat)
-                .then(b.throughput.total_cmp(&a.throughput))
-        });
-    } else {
-        out.sort_by(|a, b| b.throughput.total_cmp(&a.throughput));
-    }
-    Ok(out)
-}
-
-/// Best configuration from a [`sweep`], if any fits.
-pub fn best(
-    scheme: PlanScheme,
-    model: ModelSpec,
-    cluster: ClusterSpec,
-    p: u32,
-    b_hat: u64,
-) -> Option<Candidate> {
-    sweep(scheme, model, cluster, p, b_hat).into_iter().next()
-}
-
-/// [`best`] against `table` with a wall-clock budget (see [`sweep_until`]),
-/// simulating only the candidates that can still win.
+/// The paper's search for `scheme` (§4.2) against `table`, with a
+/// wall-clock budget: one loop over the `(W, D, B)` grid with two orderings.
 ///
-/// Every candidate of the grid is priced as [`sweep_until`] prices it — its
-/// shape generated and verified at the first sight, its exact memory and fit
-/// checked — and only the fitting ones can be the answer; PipeDream's sweep
-/// ranks by mini-batch first, so only its largest can. Those are simulated
-/// in descending order of their throughput bound (the samples of a span
-/// over the shape's [`chimera_sim::SpanBound`], ties in grid order), and the
-/// search stops at the first whose bound is below the best throughput
-/// simulated so far: no candidate from there on can reach it. The answer is
-/// `sweep(..)[0]` bit for bit — ties in throughput go to the earlier grid
-/// point, as in the sweep's stable sort — and a simulation that fails is an
-/// error, never a candidate dropped.
-pub fn best_until(
+/// Every candidate of the grid is priced — its shape generated and verified
+/// at the first sight, its exact memory and fit checked — and only the
+/// fitting ones can be the answer. They are ranked and simulated in rank
+/// order until none left can win:
+///
+/// * *Chimera* (§3.4/§4.2.2) ranks by its Eq. 1 prediction, least first,
+///   and simulates only its first: the model picks `(W, D)` and the
+///   micro-batch size. The paper greedily takes the largest `B` fitting
+///   memory; in its regime (B̂ ≫ P) that also keeps `N ≥ D`, but when
+///   `B̂ ≈ P` it would collapse to `N = 1`, so the model ranks `B` too.
+/// * *A grid scheme* needs the search because its best configuration "is
+///   not obvious a priori" (Figs. 10/11). It ranks by its throughput bound
+///   (the samples of a span over the shape's [`chimera_sim::SpanBound`]),
+///   highest first, and stops at the first bound below the best throughput
+///   simulated so far. PipeDream's sweep ranks by mini-batch first, so only
+///   its largest is ranked at all. The answer is `sweep(..)[0]` bit for bit.
+///
+/// Ties rank in grid order, and ties in throughput go to the earlier grid
+/// point. The deadline is checked before each pricing and each simulation,
+/// and hitting it aborts the whole search with [`SearchError::Timeout`]; a
+/// simulation that fails is an error, never a candidate dropped.
+pub fn plan_until(
     table: &StructureTable,
     scheme: PlanScheme,
     model: ModelSpec,
@@ -616,21 +554,39 @@ pub fn best_until(
     b_hat: u64,
     deadline: Option<Instant>,
 ) -> Result<Option<Candidate>, SearchError> {
-    let mut grid = fitting_grid(table, scheme, model, cluster, p, b_hat, deadline)?;
+    let grid = fitting_grid(table, scheme, model, cluster, p, b_hat, deadline)?;
+    simulate_ranked(table, scheme, grid, deadline)
+}
+
+/// [`plan_until`]'s loop over `scheme`'s fitting `grid`, given in grid
+/// order: rank it, then simulate in rank order until none left can win.
+fn simulate_ranked(
+    table: &StructureTable,
+    scheme: PlanScheme,
+    mut grid: Vec<Priced>,
+    deadline: Option<Instant>,
+) -> Result<Option<Candidate>, SearchError> {
     if scheme == PlanScheme::PipeDream {
         let largest = grid.iter().map(|c| c.b_hat).max();
         grid.retain(|c| Some(c.b_hat) == largest);
     }
+    let by_eq1 = matches!(scheme, PlanScheme::Chimera { .. });
+    // Highest rank first; the sort is stable, so ties stay in grid order.
+    let rank = |c: &Priced| {
+        if by_eq1 {
+            -c.predicted_s.unwrap_or(f64::INFINITY)
+        } else {
+            c.throughput_bound()
+        }
+    };
     let mut ranked: Vec<(f64, usize, Priced)> = (grid.into_iter().enumerate())
-        .map(|(at, c)| (c.throughput_bound(), at, c))
+        .map(|(at, c)| (rank(&c), at, c))
         .collect();
     ranked.sort_by(|a, b| b.0.total_cmp(&a.0));
     let mut best: Option<(usize, Candidate)> = None;
-    for (bound, at, c) in ranked {
-        if best
-            .as_ref()
-            .is_some_and(|(_, b)| bound.total_cmp(&b.throughput).is_lt())
-        {
+    for (rank, at, c) in ranked {
+        let settled = |b: &Candidate| by_eq1 || rank.total_cmp(&b.throughput).is_lt();
+        if best.as_ref().is_some_and(|(_, b)| settled(b)) {
             break;
         }
         if expired(deadline) {
@@ -648,14 +604,27 @@ pub fn best_until(
     Ok(best.map(|(_, c)| c))
 }
 
-/// Chimera's planning procedure (§3.4/§4.2.2): per feasible (W, D) pick the
-/// micro-batch size, then the (W, D), by the best Eq. 1 prediction.
-///
-/// The paper greedily takes the largest `B` fitting memory; in its regime
-/// (B̂ ≫ P) that also keeps `N ≥ D`. When `B̂ ≈ P` the greedy choice would
-/// collapse to `N = 1` and reopen the bubble/efficiency trade-off, so we let
-/// the same §3.4 model that ranks (W, D) also rank `B` — the tuning space
-/// stays tiny compared with the baselines' full grid.
+/// [`plan_until`] on a fresh table, with no deadline.
+pub fn best(
+    scheme: PlanScheme,
+    model: ModelSpec,
+    cluster: ClusterSpec,
+    p: u32,
+    b_hat: u64,
+) -> Option<Candidate> {
+    unbudgeted(plan_until(
+        &StructureTable::new(),
+        scheme,
+        model,
+        cluster,
+        p,
+        b_hat,
+        None,
+    ))
+}
+
+/// Chimera's planning procedure (§3.4/§4.2.2): [`best`] for
+/// `PlanScheme::Chimera { f, scale }`.
 /// ```
 /// use chimera_core::chimera::ScaleMethod;
 /// use chimera_perf::planner::plan_chimera;
@@ -681,79 +650,7 @@ pub fn plan_chimera(
     p: u32,
     b_hat: u64,
 ) -> Option<Candidate> {
-    unbudgeted(plan_chimera_until(
-        &StructureTable::new(),
-        f,
-        scale,
-        model,
-        cluster,
-        p,
-        b_hat,
-        None,
-    ))
-}
-
-/// [`plan_chimera`] against `table` with a wall-clock budget (see
-/// [`sweep_until`]).
-#[allow(clippy::too_many_arguments)] // plan_chimera's dimensions + table and deadline
-pub fn plan_chimera_until(
-    table: &StructureTable,
-    f: u32,
-    scale: ScaleMethod,
-    model: ModelSpec,
-    cluster: ClusterSpec,
-    p: u32,
-    b_hat: u64,
-    deadline: Option<Instant>,
-) -> Result<Option<Candidate>, SearchError> {
-    let scheme = PlanScheme::Chimera { f, scale };
-    let predicted = |c: &Priced| c.predicted_s.unwrap_or(f64::INFINITY);
-    let mut per_wd: Vec<Priced> = Vec::new();
-    for d in depth_candidates(p, &model) {
-        let w = p / d;
-        let mut chosen: Option<Priced> = None;
-        for b in batch_candidates(b_hat, w) {
-            if expired(deadline) {
-                return Err(SearchError::Timeout);
-            }
-            let Some(c) = price_with(table, scheme, model, cluster, p, b_hat, w, d, b)? else {
-                continue;
-            };
-            if c.fits
-                && chosen
-                    .as_ref()
-                    .is_none_or(|cur| predicted(&c) < predicted(cur))
-            {
-                chosen = Some(c);
-            }
-        }
-        per_wd.extend(chosen);
-    }
-    // Model-driven selection: minimize the Eq. 1 prediction. Every candidate
-    // above was verified, priced and checked for fit; the model ranks them,
-    // so only the one it picks is simulated.
-    let best = (per_wd.into_iter()).min_by(|a, b| predicted(a).total_cmp(&predicted(b)));
-    Ok(best.map(|c| c.simulate(table)).transpose()?)
-}
-
-/// The paper's search for `scheme` (§4.2) against `table`: Chimera plans by
-/// Eq. 1 ([`plan_chimera_until`]), a baseline takes the best of its grid
-/// ([`best_until`]).
-pub fn plan_until(
-    table: &StructureTable,
-    scheme: PlanScheme,
-    model: ModelSpec,
-    cluster: ClusterSpec,
-    p: u32,
-    b_hat: u64,
-    deadline: Option<Instant>,
-) -> Result<Option<Candidate>, SearchError> {
-    match scheme {
-        PlanScheme::Chimera { f, scale } => {
-            plan_chimera_until(table, f, scale, model, cluster, p, b_hat, deadline)
-        }
-        grid => best_until(table, grid, model, cluster, p, b_hat, deadline),
-    }
+    best(PlanScheme::Chimera { f, scale }, model, cluster, p, b_hat)
 }
 
 #[cfg(test)]
@@ -763,6 +660,21 @@ mod tests {
 
     fn bert_setup() -> (ModelSpec, ClusterSpec) {
         (ModelSpec::bert48(), ClusterSpec::piz_daint())
+    }
+
+    /// [`evaluate`] on a fresh table; a planner bug fails the test.
+    #[allow(clippy::too_many_arguments)] // evaluate's
+    fn eval(
+        scheme: PlanScheme,
+        m: ModelSpec,
+        c: ClusterSpec,
+        p: u32,
+        b_hat: u64,
+        w: u32,
+        d: u32,
+        b: u32,
+    ) -> Option<Candidate> {
+        evaluate(&StructureTable::new(), scheme, m, c, p, b_hat, w, d, b).unwrap()
     }
 
     #[test]
@@ -777,11 +689,11 @@ mod tests {
     #[test]
     fn evaluate_rejects_invalid() {
         let (m, c) = bert_setup();
-        assert!(evaluate(PlanScheme::Dapple, m, c, 32, 512, 4, 4, 4).is_none()); // W*D != P
-        assert!(evaluate(PlanScheme::Dapple, m, c, 32, 512, 8, 4, 3).is_none()); // not divisible
+        assert!(eval(PlanScheme::Dapple, m, c, 32, 512, 4, 4, 4).is_none()); // W*D != P
+        assert!(eval(PlanScheme::Dapple, m, c, 32, 512, 8, 4, 3).is_none()); // not divisible
         let wraps = 1 << 31; // W·D = 2³² is P = 0 in `u32`, and N = 1 would build
-        assert!(evaluate(PlanScheme::Dapple, m, c, 0, 1 << 31, wraps, 2, 1).is_none());
-        assert!(evaluate(
+        assert!(eval(PlanScheme::Dapple, m, c, 0, 1 << 31, wraps, 2, 1).is_none());
+        assert!(eval(
             PlanScheme::Chimera {
                 f: 1,
                 scale: ScaleMethod::Direct
@@ -838,12 +750,12 @@ mod tests {
     fn rebuild_reproduces_the_evaluated_schedule() {
         let (m, c) = bert_setup();
         // Fits only after the recomputation retry.
-        let retried = evaluate(PlanScheme::Dapple, m, c, 32, 8192, 8, 4, 32).unwrap();
+        let retried = eval(PlanScheme::Dapple, m, c, 32, 8192, 8, 4, 32).unwrap();
         assert!(retried.recompute);
         for cand in [
-            evaluate(PlanScheme::Dapple, m, c, 32, 512, 8, 4, 4).unwrap(),
+            eval(PlanScheme::Dapple, m, c, 32, 512, 8, 4, 4).unwrap(),
             plan_chimera(1, ScaleMethod::Direct, m, c, 32, 256).unwrap(),
-            evaluate(PlanScheme::PipeDream2Bw, m, c, 32, 512, 8, 4, 2).unwrap(),
+            eval(PlanScheme::PipeDream2Bw, m, c, 32, 512, 8, 4, 2).unwrap(),
             retried,
         ] {
             let (sched, cost, iters) = rebuild(&cand, m, c).unwrap();
@@ -874,35 +786,57 @@ mod tests {
     #[test]
     fn budgeted_search_times_out_and_unbudgeted_agrees() {
         let (m, c) = bert_setup();
-        // An already-expired deadline aborts before evaluating anything.
         let past = Instant::now() - std::time::Duration::from_millis(1);
-        let table = StructureTable::new();
-        assert_eq!(
-            sweep_until(&table, PlanScheme::Dapple, m, c, 32, 512, Some(past)).err(),
-            Some(SearchError::Timeout)
-        );
-        assert_eq!(
-            plan_chimera_until(&table, 1, ScaleMethod::Direct, m, c, 32, 256, Some(past)).err(),
-            Some(SearchError::Timeout)
-        );
-        // A generous deadline returns exactly the unbudgeted result.
         let far = Instant::now() + std::time::Duration::from_secs(3600);
-        let budgeted = best_until(&table, PlanScheme::Dapple, m, c, 32, 512, Some(far))
+        let table = StructureTable::new();
+        let chimera = PlanScheme::Chimera {
+            f: 1,
+            scale: ScaleMethod::Direct,
+        };
+        for (scheme, b_hat) in [(PlanScheme::Dapple, 512), (chimera, 256)] {
+            // An already-expired deadline aborts before evaluating anything.
+            assert_eq!(
+                plan_until(&table, scheme, m, c, 32, b_hat, Some(past)).err(),
+                Some(SearchError::Timeout)
+            );
+            // A generous deadline returns exactly the unbudgeted result.
+            let budgeted = plan_until(&table, scheme, m, c, 32, b_hat, Some(far))
+                .unwrap()
+                .unwrap();
+            let plain = best(scheme, m, c, 32, b_hat).unwrap();
+            assert_eq!(
+                (budgeted.w, budgeted.d, budgeted.b),
+                (plain.w, plain.d, plain.b)
+            );
+        }
+    }
+
+    /// Of equal Eq. 1 predictions the first grid point is Chimera's pick,
+    /// as in the two-level pick of `(W, D)` and `B` it replaced, and it
+    /// alone is simulated. No preset's grid ties at its least prediction,
+    /// so the tie is made here.
+    #[test]
+    fn chimera_takes_the_first_of_equal_predictions() {
+        let (m, c) = bert_setup();
+        let chimera = PlanScheme::Chimera {
+            f: 1,
+            scale: ScaleMethod::Direct,
+        };
+        let table = StructureTable::new();
+        let grid = fitting_grid(&table, chimera, m, c, 32, 512, None).unwrap();
+        assert!(grid.len() > 2);
+        let tied: Vec<Priced> = (grid.into_iter().rev())
+            .map(|c| Priced {
+                predicted_s: Some(1.0),
+                ..c
+            })
+            .collect();
+        let first = (tied[0].w, tied[0].key.d, tied[0].b);
+        let pick = simulate_ranked(&table, chimera, tied, None)
             .unwrap()
             .unwrap();
-        let plain = best(PlanScheme::Dapple, m, c, 32, 512).unwrap();
-        assert_eq!(
-            (budgeted.w, budgeted.d, budgeted.b),
-            (plain.w, plain.d, plain.b)
-        );
-        let chim = plan_chimera_until(&table, 1, ScaleMethod::Direct, m, c, 32, 256, Some(far))
-            .unwrap()
-            .unwrap();
-        let chim_plain = plan_chimera(1, ScaleMethod::Direct, m, c, 32, 256).unwrap();
-        assert_eq!(
-            (chim.w, chim.d, chim.b),
-            (chim_plain.w, chim_plain.d, chim_plain.b)
-        );
+        assert_eq!((pick.w, pick.d, pick.b), first);
+        assert_eq!(table.stats().simulated, 1);
     }
 
     /// A candidate that simulation refuses after a clean verdict — here a
@@ -912,7 +846,7 @@ mod tests {
     fn a_candidate_that_fails_to_simulate_fails_the_search() {
         let (m, c) = bert_setup();
         let table = StructureTable::new();
-        let priced = price_with(&table, PlanScheme::Dapple, m, c, 32, 512, 8, 4, 4)
+        let priced = price(&table, PlanScheme::Dapple, m, c, 32, 512, 8, 4, 4)
             .unwrap()
             .unwrap();
         let key = priced.key;
@@ -932,21 +866,25 @@ mod tests {
         assert_eq!(table.stats().simulated, 1);
         let searched = SearchError::from(err).to_string();
         assert!(searched.contains(Unclean::SIMULATION_FAILED), "{searched}");
-        let frozen = std::panic::catch_unwind(|| unbudgeted(Err::<(), _>(SearchError::from(err))));
-        assert!(frozen.is_err(), "the frozen wrappers panic on it");
+        let panicked =
+            std::panic::catch_unwind(|| unbudgeted(Err::<(), _>(SearchError::from(err))));
+        assert!(
+            panicked.is_err(),
+            "the entry points without a deadline panic on it"
+        );
     }
 
     #[test]
     fn gems_requires_even_pairs() {
         let (m, c) = bert_setup();
         // N = 512 / (16*32) = 1 -> GEMS invalid.
-        assert!(evaluate(PlanScheme::Gems, m, c, 32, 512, 16, 2, 32).is_none());
+        assert!(eval(PlanScheme::Gems, m, c, 32, 512, 16, 2, 32).is_none());
     }
 
     #[test]
     fn pipedream_ignores_b_hat() {
         let (m, c) = bert_setup();
-        let cand = evaluate(PlanScheme::PipeDream, m, c, 32, 512, 8, 4, 2).unwrap();
+        let cand = eval(PlanScheme::PipeDream, m, c, 32, 512, 8, 4, 2).unwrap();
         assert_eq!(cand.b_hat, 16); // W * B
         assert_eq!(cand.n, 4); // D micros in flight
     }

@@ -13,12 +13,12 @@ use chimera_core::chimera::{chimera, ChimeraConfig, ScaleMethod};
 use chimera_core::program::lowerings;
 use chimera_core::schedule::Schedule;
 use chimera_perf::planner::{
-    batch_candidates, depth_candidates, evaluate, evaluate_with, rebuild, reopen, Candidate,
+    batch_candidates, depth_candidates, evaluate, rebuild, reopen, Candidate,
 };
 use chimera_perf::structure::{Opened, TableStats};
 use chimera_perf::{
-    best, best_until, plan_chimera, plan_until, ClusterSpec, ModelSpec, PlanScheme, StructureKey,
-    StructureTable, TrainConfig,
+    plan_until, sweep, ClusterSpec, ModelSpec, PlanScheme, StructureKey, StructureTable,
+    TrainConfig,
 };
 use chimera_sim::{NetScenario, SimCostModel, SpanBound};
 use chimera_verify::verify_states;
@@ -70,30 +70,73 @@ fn assert_same(a: &Option<Candidate>, b: &Option<Candidate>, what: &str) {
     assert_eq!(a.as_ref().map(bits), b.as_ref().map(bits), "{what}");
 }
 
-/// The search the service runs for `scheme`, and the frozen wrapper that
-/// must agree with it.
-fn search(
-    table: &StructureTable,
+/// `scheme`'s candidate at one grid point, evaluated on a fresh table.
+#[allow(clippy::too_many_arguments)] // evaluate's, without the table
+fn evaluate_alone(
     scheme: PlanScheme,
     model: ModelSpec,
     cluster: ClusterSpec,
     p: u32,
     b_hat: u64,
-) -> (Option<Candidate>, Option<Candidate>) {
-    let served = plan_until(table, scheme, model, cluster, p, b_hat, None).unwrap();
-    let frozen = match scheme {
-        PlanScheme::Chimera { f, scale } => plan_chimera(f, scale, model, cluster, p, b_hat),
-        grid => best(grid, model, cluster, p, b_hat),
+    w: u32,
+    d: u32,
+    b: u32,
+) -> Option<Candidate> {
+    let table = StructureTable::new();
+    evaluate(&table, scheme, model, cluster, p, b_hat, w, d, b).unwrap()
+}
+
+/// The valid candidates of `scheme`'s grid, in grid order (`D` ascending,
+/// then `B`), each evaluated on a fresh table.
+fn valid_grid(
+    scheme: PlanScheme,
+    model: ModelSpec,
+    cluster: ClusterSpec,
+    p: u32,
+    b_hat: u64,
+) -> Vec<Candidate> {
+    let mut out = Vec::new();
+    for d in depth_candidates(p, &model) {
+        let w = p / d;
+        for b in batch_candidates(b_hat, w) {
+            let c = evaluate_alone(scheme, model, cluster, p, b_hat, w, d, b);
+            out.extend(c);
+        }
+    }
+    out
+}
+
+/// The answer the search must give for `scheme`, built without the search.
+/// Chimera's is the first of its grid points that fit (`grid`, as
+/// `valid_grid` lists them) with the least Eq. 1 prediction, as simulated
+/// by `evaluate`; a grid scheme's is the first entry of its full sweep.
+fn oracle(
+    scheme: PlanScheme,
+    grid: Vec<Candidate>,
+    model: ModelSpec,
+    cluster: ClusterSpec,
+    p: u32,
+    b_hat: u64,
+) -> Option<Candidate> {
+    let PlanScheme::Chimera { .. } = scheme else {
+        return sweep(scheme, model, cluster, p, b_hat).into_iter().next();
     };
-    (served, frozen)
+    let predicted = |c: &Candidate| c.predicted_s.expect("Chimera is priced by Eq. 1");
+    let mut pick: Option<Candidate> = None;
+    for c in grid.into_iter().filter(|c| c.fits) {
+        if pick.as_ref().is_none_or(|b| predicted(&c) < predicted(b)) {
+            pick = Some(c);
+        }
+    }
+    pick
 }
 
 /// (a) Table-backed `evaluate` equals fresh-table `evaluate` on every grid
-/// point, a lived-in table's search and gate equal a fresh table's, and (d)
-/// the counters of one pass say that nothing was dropped: generations with
-/// their full structural verification (`misses`) == distinct shapes seen,
-/// pricings (`hits + misses`, one per `open`) == candidates (+ gated winners,
-/// for a pass with gates).
+/// point, a lived-in table's search equals its oracle and its gate a fresh
+/// table's, and (d) the counters of one pass say that nothing was dropped:
+/// generations with their full structural verification (`misses`) ==
+/// distinct shapes seen, pricings (`hits + misses`, one per `open`) ==
+/// candidates (+ gated winners, for a pass with gates).
 #[test]
 fn the_table_changes_no_answer_and_drops_no_check() {
     let cluster = ClusterSpec::piz_daint();
@@ -106,13 +149,14 @@ fn the_table_changes_no_answer_and_drops_no_check() {
     let (mut grid_keys, mut pass_keys) = (HashSet::new(), HashSet::new());
     for (model, p, b_hat) in shapes() {
         for scheme in schemes() {
+            let mut valid = Vec::new();
             for d in depth_candidates(p, &model) {
                 let w = p / d;
                 for b in batch_candidates(b_hat, w) {
                     let what = format!("{} {scheme:?} W={w} D={d} B={b}", model.name);
-                    let fresh = evaluate(scheme, model, cluster, p, b_hat, w, d, b);
+                    let fresh = evaluate_alone(scheme, model, cluster, p, b_hat, w, d, b);
                     let tabled =
-                        evaluate_with(&grid, scheme, model, cluster, p, b_hat, w, d, b).unwrap();
+                        evaluate(&grid, scheme, model, cluster, p, b_hat, w, d, b).unwrap();
                     assert_same(&fresh, &tabled, &what);
                     if let Some(c) = fresh {
                         candidates += 1;
@@ -121,12 +165,13 @@ fn the_table_changes_no_answer_and_drops_no_check() {
                             let gate = reopen(&keys, &c, model, cluster).expect("it rebuilds");
                             assert_eq!(gate.key.recompute, takes_the_retry(&c, model, cluster));
                         }
+                        valid.push(c);
                     }
                 }
             }
-            let (served, frozen) = search(&pass, scheme, model, cluster, p, b_hat);
+            let served = plan_until(&pass, scheme, model, cluster, p, b_hat, None).unwrap();
             assert_same(
-                &frozen,
+                &oracle(scheme, valid, model, cluster, p, b_hat),
                 &served,
                 &format!("{} {scheme:?} winner", model.name),
             );
@@ -184,10 +229,10 @@ fn the_table_changes_no_answer_and_drops_no_check() {
     assert!(pass.stats().ops > grid.stats().ops && grid.stats().ops > 100_000);
 }
 
-/// The service's answer on every topology preset: each scheme's search —
-/// the pruned grid search of a baseline, Chimera's Eq. 1 planning — against
-/// one lived-in table per preset equals the frozen wrapper's, field for
-/// field, and a baseline's equals the first entry of its full sweep.
+/// The service's answer on every topology preset: each scheme's search
+/// against one lived-in table per preset equals its oracle, field for field
+/// — a baseline's the first entry of its full sweep, a Chimera variant's
+/// the first fitting grid point with the least Eq. 1 prediction.
 #[test]
 fn the_pruned_search_answers_what_the_full_sweep_answers_on_every_preset() {
     let mut searches = 0;
@@ -197,8 +242,13 @@ fn the_pruned_search_answers_what_the_full_sweep_answers_on_every_preset() {
         for (model, p, b_hat) in shapes() {
             for scheme in schemes() {
                 let what = format!("{} {} {scheme:?}", scenario.name, model.name);
-                let (served, frozen) = search(&table, scheme, model, cluster, p, b_hat);
-                assert_same(&frozen, &served, &what);
+                let served = plan_until(&table, scheme, model, cluster, p, b_hat, None).unwrap();
+                let grid = match scheme {
+                    PlanScheme::Chimera { .. } => valid_grid(scheme, model, cluster, p, b_hat),
+                    _ => Vec::new(),
+                };
+                let oracle = oracle(scheme, grid, model, cluster, p, b_hat);
+                assert_same(&oracle, &served, &what);
                 searches += 1;
             }
         }
@@ -206,6 +256,57 @@ fn the_pruned_search_answers_what_the_full_sweep_answers_on_every_preset() {
         assert!(stats.simulated < stats.hits + stats.misses, "{stats:?}");
     }
     assert_eq!(searches, 5 * 6 * 9);
+}
+
+/// Chimera's answer under a tenant's memory budget (8 GiB, a budget serve
+/// accepts) on every preset equals its oracle's. Here some candidates that
+/// do not fit predict less than every one that does, so the oracle's fit
+/// rule decides.
+#[test]
+fn chimera_answers_its_oracle_under_a_memory_budget() {
+    let mut unfit_below = 0;
+    for scenario in NetScenario::all() {
+        let cluster = ClusterSpec::from_scenario(&scenario).with_mem_budget(8 << 30);
+        let table = StructureTable::new();
+        for (model, p, b_hat) in shapes() {
+            for scheme in schemes() {
+                let PlanScheme::Chimera { .. } = scheme else {
+                    continue;
+                };
+                let what = format!("{} {} {scheme:?}", scenario.name, model.name);
+                let served = plan_until(&table, scheme, model, cluster, p, b_hat, None).unwrap();
+                let grid = valid_grid(scheme, model, cluster, p, b_hat);
+                let oracle = oracle(scheme, grid.clone(), model, cluster, p, b_hat);
+                assert_same(&oracle, &served, &what);
+                let least = oracle.and_then(|c| c.predicted_s).unwrap_or(f64::INFINITY);
+                let unfit = grid.iter().filter(|c| !c.fits);
+                unfit_below += unfit
+                    .filter(|c| c.predicted_s.is_some_and(|s| s < least))
+                    .count();
+            }
+        }
+    }
+    assert!(unfit_below > 0, "no unfit candidate predicts below a pick");
+}
+
+/// The Chimera oracle's tie rule: of equal predictions, the first grid
+/// point. No preset's grid ties at its least prediction, so the tie is made
+/// here, from a real grid.
+#[test]
+fn the_chimera_oracle_takes_the_first_of_equal_predictions() {
+    let (model, cluster) = (ModelSpec::bert48(), ClusterSpec::piz_daint());
+    let scheme = schemes()[0];
+    let tied: Vec<Candidate> = (valid_grid(scheme, model, cluster, 8, 64).into_iter())
+        .filter(|c| c.fits)
+        .map(|c| Candidate {
+            predicted_s: Some(1.0),
+            ..c
+        })
+        .collect();
+    assert!(tied.len() > 2);
+    let first = Some(tied[0].clone());
+    let oracle = oracle(scheme, tied, model, cluster, 8, 64);
+    assert_same(&first, &oracle, "ties");
 }
 
 /// The throughput bound a grid search ranks `c` by, recomputed from the
@@ -233,15 +334,8 @@ fn a_grid_search_simulates_only_what_can_still_win() {
                 if matches!(scheme, PlanScheme::Chimera { .. }) {
                     continue;
                 }
-                // The grid's fitting candidates, in grid order.
-                let mut grid: Vec<Candidate> = Vec::new();
-                for d in depth_candidates(p, &model) {
-                    let w = p / d;
-                    for b in batch_candidates(b_hat, w) {
-                        let c = evaluate(scheme, model, cluster, p, b_hat, w, d, b);
-                        grid.extend(c.filter(|c| c.fits));
-                    }
-                }
+                let mut grid = valid_grid(scheme, model, cluster, p, b_hat);
+                grid.retain(|c| c.fits);
                 if scheme == PlanScheme::PipeDream {
                     let largest = grid.iter().map(|c| c.b_hat).max();
                     grid.retain(|c| Some(c.b_hat) == largest);
@@ -252,9 +346,9 @@ fn a_grid_search_simulates_only_what_can_still_win() {
                 ranked.sort_by(|a, b| b.0.total_cmp(&a.0));
                 let what = format!("{} {} {scheme:?}", scenario.name, model.name);
                 let table = StructureTable::new();
-                let found = best_until(&table, scheme, model, cluster, p, b_hat, None).unwrap();
-                let frozen = best(scheme, model, cluster, p, b_hat);
-                assert_same(&frozen, &found, &what);
+                let found = plan_until(&table, scheme, model, cluster, p, b_hat, None).unwrap();
+                let full = sweep(scheme, model, cluster, p, b_hat).into_iter().next();
+                assert_same(&full, &found, &what);
                 let count = table.stats().simulated as usize;
                 let Some(winner) = found else {
                     assert_eq!(count, 0, "{what}");
@@ -505,7 +599,7 @@ fn a_shape_over_the_op_bound_is_priced_and_not_kept() {
 fn a_recompute_winners_first_gate_is_a_miss() {
     let (model, cluster) = (ModelSpec::bert48(), ClusterSpec::piz_daint());
     let table = StructureTable::new();
-    let c = evaluate_with(
+    let c = evaluate(
         &table,
         PlanScheme::Dapple,
         model,
@@ -604,7 +698,7 @@ fn a_hit_lowers_nothing() {
         for d in depth_candidates(p, &model).into_iter().filter(|&d| d <= 8) {
             let w = p / d;
             for b in batch_candidates(b_hat, w) {
-                let evaluate = || evaluate_with(&table, scheme, model, cluster, p, b_hat, w, d, b);
+                let evaluate = || evaluate(&table, scheme, model, cluster, p, b_hat, w, d, b);
                 let (first, _) = counting_lowerings(evaluate);
                 let (again, lowered) = counting_lowerings(evaluate);
                 let what = format!("{scheme:?} W={w} D={d} B={b}");

@@ -80,11 +80,12 @@ pub fn plan_results_json(
 mod tests {
     use super::*;
     use chimera_perf::planner::{evaluate, PlanScheme};
-    use chimera_perf::{ClusterSpec, ModelSpec};
+    use chimera_perf::{ClusterSpec, ModelSpec, StructureTable};
 
     #[test]
     fn response_schema_holds() {
         let c = evaluate(
+            &StructureTable::new(),
             PlanScheme::Dapple,
             ModelSpec::bert48(),
             ClusterSpec::piz_daint(),
@@ -94,6 +95,7 @@ mod tests {
             4,
             4,
         )
+        .unwrap()
         .unwrap();
         let ctx = PlanContext {
             model: "bert48",

@@ -6,7 +6,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use chimera_perf::{best_until, ClusterSpec, ModelSpec, PlanScheme, StructureTable};
+use chimera_perf::{plan_until, ClusterSpec, ModelSpec, PlanScheme, StructureTable};
 use chimera_serve::engine::{PlanEngine, ServeConfig};
 use chimera_serve::search::{RealSearcher, Searcher};
 use chimera_serve::{PlanQuery, ServeError};
@@ -121,7 +121,7 @@ impl Searcher for DiesMidSearch {
     ) -> Result<Value, ServeError> {
         if q.model == "gpt2" {
             let (model, cluster) = (ModelSpec::gpt2(), ClusterSpec::piz_daint());
-            let found = best_until(structures, PlanScheme::Dapple, model, cluster, 8, 32, None);
+            let found = plan_until(structures, PlanScheme::Dapple, model, cluster, 8, 32, None);
             assert!(found.is_ok_and(|c| c.is_some()));
             panic!("dying mid-search, as the test asks");
         }

@@ -71,7 +71,7 @@ use std::sync::Arc;
 use chimera::comm::{rendezvous_epoch, ClockSync};
 use chimera::comm::{Liveness, NetChaos, TcpConfig, TcpFabric, Transport};
 use chimera::core::analysis;
-use chimera::core::chimera::{chimera as chimera_sched, ChimeraConfig, ScaleMethod};
+use chimera::core::chimera::{chimera as chimera_sched, ChimeraConfig};
 use chimera::core::render;
 use chimera::core::schedule::{Schedule, Scheme, SyncStrategy};
 use chimera::core::sync::place_sync;
@@ -80,7 +80,6 @@ use chimera::nn::{ModelConfig, ReferenceTrainer, Stage, SyntheticData};
 use chimera::obs::{
     drift_with_costs, load_comm_fits, profile, MetricsAggregator, MetricsPublisher, MetricsServer,
 };
-use chimera::perf::planner::{best, plan_chimera, PlanScheme};
 use chimera::perf::{ClusterSpec, ModelSpec, TrainConfig};
 use chimera::runtime::{
     train, train_hybrid, train_worker_process_recoverable, DistOutcome, FaultSpec, RecoverySpec,
@@ -88,11 +87,12 @@ use chimera::runtime::{
 };
 use chimera::serve::{
     load_measured_floor, HttpServer, PlanClient, PlanEngine, PlanQuery, PlanServer, QueryLimits,
-    RealSearcher, Searcher, ServeConfig,
+    RealSearcher, Searcher, ServeConfig, ServeError,
 };
 use chimera::sim::simulate;
 use chimera::trace::{now_ns, read_jsonl, write_jsonl, BufferSink, MetricsRegistry};
 use chimera::verify::{memory_v2, verify_span, verify_with_memory, VerifyReport};
+use serde_json::Value;
 
 fn usage() -> ! {
     eprintln!(
@@ -101,8 +101,15 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// The value `s` names, or `default` where it is absent; a value that is
+/// present and does not parse is refused, never replaced by the default.
 fn parse<T: std::str::FromStr>(s: Option<String>, default: T) -> T {
-    s.and_then(|v| v.parse().ok()).unwrap_or(default)
+    match s {
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| refuse(format_args!("malformed value {v:?}"))),
+        None => default,
+    }
 }
 
 /// A request the generators reject: the reason on stderr, exit status 2.
@@ -159,70 +166,54 @@ fn cmd_plan(args: std::env::Args) {
     let model_name = rest.next().unwrap_or_else(|| usage());
     let p = parse(rest.next(), 32u32);
     let b_hat = parse(rest.next(), 512u64);
+    // One search for both outputs: the planning service's, with its query
+    // validation and its verify gate. `--json` prints its response, byte
+    // for byte what a `chimera-serve` plan response holds; the table prints
+    // the same rows.
+    let fail = |e: ServeError, status| -> ! {
+        eprintln!("chimera-cli plan: {e}");
+        std::process::exit(status);
+    };
+    let raw = serde_json::json!({"model": model_name, "devices": p, "b_hat": b_hat});
+    let q = PlanQuery::parse(&raw, &QueryLimits::default()).unwrap_or_else(|e| fail(e, 2));
+    let v = RealSearcher::default()
+        .search(&q, None)
+        .unwrap_or_else(|e| fail(e, 1));
     if json {
-        // Same serializer as the planning service: `plan --json` output is
-        // byte-compatible with a `chimera-serve` plan response.
-        let raw = serde_json::json!({"model": model_name, "devices": p, "b_hat": b_hat});
-        let q = match PlanQuery::parse(&raw, &QueryLimits::default()) {
-            Ok(q) => q,
-            Err(e) => {
-                eprintln!("chimera-cli plan: {e}");
-                std::process::exit(2);
-            }
-        };
-        match RealSearcher::default().search(&q, None) {
-            Ok(v) => println!(
-                "{}",
-                serde_json::to_string_pretty(&v).unwrap_or_else(|_| v.to_string())
-            ),
-            Err(e) => {
-                eprintln!("chimera-cli plan: {e}");
-                std::process::exit(1);
-            }
-        }
+        let text = serde_json::to_string_pretty(&v).unwrap_or_else(|_| v.to_string());
+        println!("{text}");
         return;
     }
-    let model = model_spec(&model_name);
-    let cluster = ClusterSpec::piz_daint();
-    println!("{} on P={p} (Piz Daint profile), B̂={b_hat}:\n", model.name);
+    // The search resolved the model: an unknown one failed it.
+    let model = chimera::serve::query::model_by_name(&q.model).map_or("", |m| m.name);
+    println!("{model} on P={p} (Piz Daint profile), B̂={b_hat}:\n");
     println!(
         "{:<24} {:>4} {:>4} {:>4} {:>5} {:>4} {:>12} {:>8}",
         "scheme", "W", "D", "B", "N", "rec", "samples/s", "peakGiB"
     );
-    let print_cand = |label: String, c: Option<chimera::perf::Candidate>| match c {
-        Some(c) => println!(
+    let results = v.get("results").and_then(Value::as_array);
+    for id in q.scheme_list() {
+        let found = (results.into_iter().flatten())
+            .find(|r| r.get("scheme_id").and_then(Value::as_str) == Some(id));
+        let Some(r) = found else {
+            println!("{id:<24} (no feasible configuration)");
+            continue;
+        };
+        let int = |k: &str| r.get(k).and_then(Value::as_u64).unwrap_or(0);
+        let recompute = r.get("recompute").and_then(Value::as_bool) == Some(true);
+        println!(
             "{:<24} {:>4} {:>4} {:>4} {:>5} {:>4} {:>12.1} {:>8.2}",
-            label,
-            c.w,
-            c.d,
-            c.b,
-            c.n,
-            if c.recompute { "R" } else { "-" },
-            c.throughput,
-            c.peak_mem as f64 / (1u64 << 30) as f64
-        ),
-        None => println!("{label:<24} (no feasible configuration)"),
-    };
-    for scheme in [
-        PlanScheme::GPipe,
-        PlanScheme::Dapple,
-        PlanScheme::Gems,
-        PlanScheme::PipeDream,
-        PlanScheme::PipeDream2Bw,
-    ] {
-        print_cand(scheme.label(), best(scheme, model, cluster, p, b_hat));
-    }
-    for scale in [
-        ScaleMethod::Direct,
-        ScaleMethod::ForwardDoubling { recompute: true },
-        ScaleMethod::BackwardHalving,
-    ] {
-        let c = plan_chimera(1, scale, model, cluster, p, b_hat);
-        let label = c
-            .as_ref()
-            .map(|c| c.scheme.label())
-            .unwrap_or_else(|| "Chimera".into());
-        print_cand(label, c);
+            r.get("scheme").and_then(Value::as_str).unwrap_or(id),
+            int("w"),
+            int("d"),
+            int("b"),
+            int("n"),
+            if recompute { "R" } else { "-" },
+            r.get("throughput")
+                .and_then(Value::as_f64)
+                .unwrap_or(f64::NAN),
+            int("peak_mem_bytes") as f64 / (1u64 << 30) as f64
+        );
     }
 }
 

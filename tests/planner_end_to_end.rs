@@ -3,7 +3,7 @@
 
 use chimera::core::chimera::ScaleMethod;
 use chimera::perf::planner::{best, plan_chimera, PlanScheme};
-use chimera::perf::{ClusterSpec, ModelSpec};
+use chimera::perf::{ClusterSpec, ModelSpec, StructureTable};
 
 fn chimera_best(model: ModelSpec, cluster: ClusterSpec, p: u32, b_hat: u64) -> f64 {
     [
@@ -96,7 +96,8 @@ fn model_selection_near_optimal() {
     for d in depth_candidates(p, &model) {
         let w = p / d;
         for b in batch_candidates(b_hat, w) {
-            if let Some(c) = evaluate(scheme, model, cluster, p, b_hat, w, d, b) {
+            let table = StructureTable::new();
+            if let Some(c) = evaluate(&table, scheme, model, cluster, p, b_hat, w, d, b).unwrap() {
                 if c.fits {
                     best_sim = best_sim.max(c.throughput);
                 }
@@ -180,11 +181,15 @@ fn simulate_prints_the_exact_peak() {
     };
     let peak = |bytes: u64| format!("peak {:.2} GiB", bytes as f64 / (1u64 << 30) as f64);
 
-    let cand = evaluate(PlanScheme::PipeDream, model, cluster, p, b_hat, w, d, b).unwrap();
+    let evaluate = |scheme| {
+        let table = StructureTable::new();
+        evaluate(&table, scheme, model, cluster, p, b_hat, w, d, b).unwrap()
+    };
+    let cand = evaluate(PlanScheme::PipeDream).unwrap();
     let out = printed("pipedream");
     assert!(out.contains(&peak(cand.peak_mem)), "{out}");
 
-    let cand = evaluate(PlanScheme::PipeDream2Bw, model, cluster, p, b_hat, w, d, b).unwrap();
+    let cand = evaluate(PlanScheme::PipeDream2Bw).unwrap();
     assert!(cand.recompute);
     let sched = build_named("pipedream-2bw", d, (b_hat / (w * b) as u64) as u32).unwrap();
     let cost = TrainConfig {
@@ -209,4 +214,58 @@ fn simulate_prints_the_exact_peak() {
     );
     let out = printed("pipedream-2bw");
     assert!(out.contains(&peak(mem.max_exact_peak())), "{out}");
+}
+
+/// `chimera-cli plan`'s stdout, stderr and exit status for `args`.
+fn plan_cli(args: &[&str]) -> (String, String, Option<i32>) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_chimera-cli"))
+        .arg("plan")
+        .args(args)
+        .output()
+        .expect("chimera-cli runs");
+    let text = |bytes: Vec<u8>| String::from_utf8(bytes).expect("utf-8");
+    (text(out.stdout), text(out.stderr), out.status.code())
+}
+
+/// A number that is present and malformed is refused with the value named,
+/// never replaced by its default: `8O` devices is not a plan for P = 32.
+#[test]
+fn plan_refuses_a_malformed_number() {
+    let (stdout, stderr, status) = plan_cli(&["bert48", "8O", "64"]);
+    assert_eq!(status, Some(2), "{stdout}");
+    assert!(stderr.contains("\"8O\""), "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+}
+
+/// `plan`'s table and `plan --json` are one answer: a row per scheme of the
+/// query, and each row's W/D/B/N and throughput are its JSON result's.
+#[test]
+fn plan_table_prints_the_json_answer() {
+    use serde_json::Value;
+
+    let (table, _, status) = plan_cli(&["bert48", "8", "64"]);
+    assert_eq!(status, Some(0));
+    let (json, _, status) = plan_cli(&["bert48", "8", "64", "--json"]);
+    assert_eq!(status, Some(0));
+    let doc: Value = serde_json::from_str(&json).expect("plan --json is JSON");
+    let results = doc.get("results").and_then(Value::as_array).unwrap();
+    let infeasible = doc.get("infeasible").and_then(Value::as_array).unwrap();
+    assert!(!results.is_empty());
+    let rows: Vec<&str> = table.lines().skip(3).collect();
+    assert_eq!(rows.len(), results.len() + infeasible.len(), "{table}");
+    for r in results {
+        let label = r.get("scheme").and_then(Value::as_str).unwrap();
+        let row = (rows.iter())
+            .find(|row| row.get(..24).map(str::trim_end) == Some(label))
+            .unwrap_or_else(|| panic!("no row for {label}:\n{table}"));
+        let cells: Vec<&str> = row[24..].split_whitespace().collect();
+        let int = |k: &str| r.get(k).and_then(Value::as_u64).unwrap().to_string();
+        assert_eq!(
+            &cells[..4],
+            [int("w"), int("d"), int("b"), int("n")],
+            "{row}"
+        );
+        let throughput = r.get("throughput").and_then(Value::as_f64).unwrap();
+        assert_eq!(cells[5], format!("{throughput:.1}"), "{row}");
+    }
 }

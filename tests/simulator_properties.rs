@@ -9,7 +9,7 @@ use chimera::core::schedule::SyncStrategy;
 use chimera::core::sync::place_sync;
 use chimera::core::unit_time::UnitCosts;
 use chimera::perf::planner::{depth_candidates, evaluate, sweep, PlanScheme};
-use chimera::perf::{ClusterSpec, ModelSpec, TrainConfig};
+use chimera::perf::{ClusterSpec, ModelSpec, StructureTable, TrainConfig};
 use chimera::sim::simulate;
 use chimera::verify::memory_v2;
 
@@ -133,6 +133,7 @@ fn planner_invariants() {
     // evaluate() agrees with sweep on a point it contains.
     let best = &sweep(PlanScheme::Dapple, model, cluster, p, b_hat)[0];
     let again = evaluate(
+        &StructureTable::new(),
         PlanScheme::Dapple,
         model,
         cluster,
@@ -142,6 +143,7 @@ fn planner_invariants() {
         best.d,
         best.b,
     )
+    .unwrap()
     .unwrap();
     assert!((again.throughput - best.throughput).abs() < 1e-6);
 }
