@@ -44,7 +44,7 @@ fn bench_generation(c: &mut Criterion) {
                 d: 8,
                 n: 32,
                 f: 1,
-                scale: ScaleMethod::ForwardDoubling { recompute: true },
+                scale: ScaleMethod::ForwardDoubling,
             })
             .unwrap()
         });

@@ -11,6 +11,7 @@ use chimera_core::program::lower;
 use chimera_core::schedule::SyncStrategy;
 use chimera_core::sync::place_sync;
 use chimera_core::unit_time::{execute, UnitCosts};
+use chimera_perf::planner::{batch_candidates, depth_candidates};
 use chimera_perf::{evaluate, ClusterSpec, ModelSpec, PlanScheme, StructureTable, TrainConfig};
 use chimera_sim::{simulate, simulate_span};
 use chimera_verify::liveness::analyze;
@@ -146,7 +147,45 @@ fn bench_planning_passes(c: &mut Criterion) {
             });
         }
     }
+    // What every first sight of a Chimera shape pays for its schedule
+    // alone: `chimera()` — stand-alone 1F1B slot times, then the merge —
+    // over the direct (D, N) shapes the `plan_cold` queries reach.
+    let shapes = plan_cold_direct_shapes();
+    assert_eq!(shapes.len(), 25, "plan_cold's grid moved");
+    let generate = |&(d, n): &(u32, u32)| chimera(&ChimeraConfig::new(d, n)).unwrap();
+    let ops: usize = shapes
+        .iter()
+        .map(|s| generate(s).workers.iter().map(Vec::len).sum::<usize>())
+        .sum();
+    g.throughput(Throughput::Elements(ops as u64));
+    let id = BenchmarkId::new("chimera_generate", "plan_cold_direct_x25");
+    g.bench_with_input(id, &shapes, |b, shapes| {
+        b.iter(|| shapes.iter().map(generate).for_each(|s| drop(black_box(s))));
+    });
     g.finish();
+}
+
+/// The distinct `(D, N)` of Chimera (f = 1, direct) over the planner's
+/// `(W, D, B)` grid for the six `(model, P, B̂)` queries of `plan_cold`
+/// (`benchmark/src/plan.rs`'s `SHAPES`).
+fn plan_cold_direct_shapes() -> Vec<(u32, u32)> {
+    let queries = [
+        (ModelSpec::bert48(), 4, 32),
+        (ModelSpec::bert48(), 8, 64),
+        (ModelSpec::bert48(), 16, 128),
+        (ModelSpec::gpt2(), 8, 32),
+        (ModelSpec::gpt2_32(), 16, 64),
+        (ModelSpec::gpt2_32(), 8, 32),
+    ];
+    let mut shapes = std::collections::BTreeSet::new();
+    for (model, p, b_hat) in queries {
+        for d in depth_candidates(p, &model) {
+            for b in batch_candidates(b_hat, p / d) {
+                shapes.insert((d, (b_hat / u64::from(p / d * b)) as u32));
+            }
+        }
+    }
+    shapes.into_iter().collect()
 }
 
 fn bench_unit_executor(c: &mut Criterion) {

@@ -38,7 +38,7 @@ fn search(
 fn chimera_variants() -> [PlanScheme; 3] {
     [
         ScaleMethod::Direct,
-        ScaleMethod::ForwardDoubling { recompute: true },
+        ScaleMethod::ForwardDoubling,
         ScaleMethod::BackwardHalving,
     ]
     .map(|scale| PlanScheme::Chimera { f: 1, scale })

@@ -1,8 +1,9 @@
 //! Baseline pipeline schemes evaluated in the paper (Table 2):
 //! GPipe \[26\], DAPPLE \[16\], GEMS \[28\], PipeDream \[38\], PipeDream-2BW \[39\].
 
+use crate::chimera::ScaleMethod;
 use crate::ids::{MicroId, ReplicaId, StageId};
-use crate::onefb::{DirectionalPipeline, Mode};
+use crate::onefb::DirectionalPipeline;
 use crate::op::Op;
 use crate::placement::Placement;
 use crate::schedule::{Schedule, Scheme, SyncStrategy};
@@ -47,7 +48,7 @@ pub fn dapple(d: u32, n: u32) -> Schedule {
         replica: ReplicaId(0),
         first_micro: 0,
         num_micros: n,
-        mode: Mode::Normal,
+        mode: ScaleMethod::Direct,
     };
     let workers = (0..d).map(|s| pipe.stage_ops(StageId(s))).collect();
     let sched = Schedule {

@@ -10,30 +10,29 @@
 //! any `f | D/2`, and any `N` — including the `N > D` scaling strategies of
 //! §3.5 (*direct concatenation*, *forward doubling*, *backward halving*).
 
-use crate::compact::{compact, CompactError, Stream};
+use crate::compact::{compact, Stream};
 use crate::ids::{ReplicaId, StageId, WorkerId};
-use crate::onefb::{DirectionalPipeline, Mode};
+use crate::onefb::DirectionalPipeline;
 use crate::op::Op;
 use crate::placement::Placement;
 use crate::schedule::{Schedule, Scheme, SyncStrategy};
 use crate::unit_time::{execute, UnitCosts};
 
-/// How Chimera scales to more micro-batches than pipeline stages (§3.5).
+/// How Chimera scales to more micro-batches than pipeline stages (§3.5),
+/// which is also how a [`DirectionalPipeline`] chunks its micro-batches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ScaleMethod {
-    /// Concatenate basic scheduling units of `D` micro-batches; the next
-    /// unit's forwards occupy the previous unit's draining bubbles
-    /// (Fig. 7(b)). Leaves intermediate bubbles because backward ≈ 2×
-    /// forward.
+    /// One full micro-batch per forward and per backward — a single 1F1B
+    /// pipeline, as DAPPLE runs it. For Chimera: concatenate basic scheduling
+    /// units of `D` micro-batches; the next unit's forwards occupy the
+    /// previous unit's draining bubbles (Fig. 7(b)). Leaves intermediate
+    /// bubbles because backward ≈ 2× forward.
     #[default]
     Direct,
     /// Equalize forward and backward slots by fusing two micro-batches per
-    /// forward pass (Fig. 7(c,d)). Doubles activation pressure, so backwards
-    /// usually recompute.
-    ForwardDoubling {
-        /// Recompute activations in the backward pass.
-        recompute: bool,
-    },
+    /// forward pass (Fig. 7(c,d)). Doubles activation pressure, so every
+    /// backward recomputes its activations (§3.5).
+    ForwardDoubling,
     /// Equalize slots by splitting each backward into two half-micro-batch
     /// chunks instead; no extra activation memory, but the halved batch may
     /// compute less efficiently.
@@ -86,18 +85,12 @@ impl std::fmt::Display for GenError {
 
 impl std::error::Error for GenError {}
 
-impl From<CompactError> for GenError {
-    fn from(e: CompactError) -> Self {
-        GenError::Merge(e.message)
-    }
-}
-
 /// One basic scheduling unit: a block of micro-batches distributed over the
 /// `2f` pipelines.
 struct Unit {
     first_micro: u32,
     num_micros: u32,
-    mode: Mode,
+    mode: ScaleMethod,
 }
 
 /// Generate the Chimera schedule for `cfg`.
@@ -114,7 +107,7 @@ struct Unit {
 /// ```
 pub fn chimera(cfg: &ChimeraConfig) -> Result<Schedule, GenError> {
     let (placement, streams, costs, micro_window) = merge_input(cfg)?;
-    let workers = compact(cfg.d, &placement, streams, costs, Some(micro_window))?;
+    let (workers, _) = compact(cfg.d, &placement, &streams, costs, micro_window)?;
     let sched = Schedule {
         scheme: Scheme::Chimera,
         d: cfg.d,
@@ -129,11 +122,10 @@ pub fn chimera(cfg: &ChimeraConfig) -> Result<Schedule, GenError> {
 }
 
 /// Whether the backwards of [`chimera`]'s schedule for `cfg` recompute — some
-/// basic unit is a forward-doubling one with recomputation on — answered from
-/// the unit plan alone, for a caller that must name the schedule's shape
-/// without generating it.
+/// basic unit is a forward-doubling one — answered from the unit plan alone,
+/// for a caller that must name the schedule's shape without generating it.
 pub fn recomputes(cfg: &ChimeraConfig) -> bool {
-    let doubling = |unit: &Unit| matches!(unit.mode, Mode::Doubling { recompute: true });
+    let doubling = |unit: &Unit| unit.mode == ScaleMethod::ForwardDoubling;
     cfg.d > 0 && plan_units(cfg.d, cfg.n, cfg.scale).iter().any(doubling)
 }
 
@@ -204,39 +196,30 @@ pub(crate) fn merge_input(
         }
         prio_offset = unit_max_prio;
     }
-    Ok((placement, streams, merge_costs_for(scale), micro_window))
+    Ok((placement, streams, merge_costs(scale), micro_window))
 }
 
 /// Equal-slot costs used to derive merge priorities for a mode: chosen so
 /// every slot of the mode has the same duration, which is the regime in which
 /// the paper's conflict-freedom guarantee holds.
-fn merge_costs(mode: Mode) -> UnitCosts {
+fn merge_costs(mode: ScaleMethod) -> UnitCosts {
     match mode {
         // F = 2, B = 2.
-        Mode::Normal => UnitCosts::equal(),
-        // F(pair) = 4, B(full + recompute) = 2 + 2 = 4. Without recompute the
-        // slots are unequal in reality but the skeleton is the same.
-        Mode::Doubling { .. } => UnitCosts {
+        ScaleMethod::Direct => UnitCosts::equal(),
+        // F(pair) = 4, B(full + recompute) = 2 + 2 = 4.
+        ScaleMethod::ForwardDoubling => UnitCosts {
             fwd: 2,
             bwd: 2,
             recompute_extra: 2,
             ..UnitCosts::equal()
         },
         // F = 2, B(half) = 4 / 2 = 2.
-        Mode::Halving => UnitCosts {
+        ScaleMethod::BackwardHalving => UnitCosts {
             fwd: 2,
             bwd: 4,
             ..UnitCosts::equal()
         },
     }
-}
-
-fn merge_costs_for(scale: ScaleMethod) -> UnitCosts {
-    merge_costs(match scale {
-        ScaleMethod::Direct => Mode::Normal,
-        ScaleMethod::ForwardDoubling { recompute } => Mode::Doubling { recompute },
-        ScaleMethod::BackwardHalving => Mode::Halving,
-    })
 }
 
 /// Merge tie-break (derived from the paper's Figs. 3/5/8): at equal slots,
@@ -256,7 +239,7 @@ fn tie_break(d: u32, op: &Op) -> u64 {
 fn split_unit(d: u32, f: u32, unit: &Unit) -> Vec<DirectionalPipeline> {
     let replicas = 2 * f;
     let granularity = match unit.mode {
-        Mode::Doubling { .. } => 2,
+        ScaleMethod::ForwardDoubling => 2,
         _ => 1,
     };
     let blocks = unit.num_micros / granularity;
@@ -294,16 +277,15 @@ fn plan_units(d: u32, n: u32, scale: ScaleMethod) -> Vec<Unit> {
     let mut units = Vec::new();
     let mut first = 0u32;
     let mut left = n;
-    let (unit_size, mode) = match scale {
-        ScaleMethod::Direct => (d, Mode::Normal),
-        ScaleMethod::ForwardDoubling { recompute } => (2 * d, Mode::Doubling { recompute }),
-        ScaleMethod::BackwardHalving => (2 * d, Mode::Halving),
+    let unit_size = match scale {
+        ScaleMethod::Direct => d,
+        _ => 2 * d,
     };
     while left >= unit_size {
         units.push(Unit {
             first_micro: first,
             num_micros: unit_size,
-            mode,
+            mode: scale,
         });
         first += unit_size;
         left -= unit_size;
@@ -311,8 +293,8 @@ fn plan_units(d: u32, n: u32, scale: ScaleMethod) -> Vec<Unit> {
     if left > 0 {
         // Residual: full-D residue keeps the scaling mode when it still fits
         // the mode's granularity; otherwise fall back to a normal unit.
-        let residual_mode = match mode {
-            Mode::Doubling { .. } if !left.is_multiple_of(2) || left < 2 => Mode::Normal,
+        let residual_mode = match scale {
+            ScaleMethod::ForwardDoubling if !left.is_multiple_of(2) => ScaleMethod::Direct,
             m => m,
         };
         units.push(Unit {
@@ -517,7 +499,7 @@ mod tests {
             d,
             n,
             f: 1,
-            scale: ScaleMethod::ForwardDoubling { recompute: false },
+            scale: ScaleMethod::ForwardDoubling,
         })
         .unwrap();
         let costs = UnitCosts {
@@ -583,8 +565,7 @@ mod tests {
     fn recomputes_says_what_the_generated_backwards_do() {
         let scales = [
             ScaleMethod::Direct,
-            ScaleMethod::ForwardDoubling { recompute: true },
-            ScaleMethod::ForwardDoubling { recompute: false },
+            ScaleMethod::ForwardDoubling,
             ScaleMethod::BackwardHalving,
         ];
         let mut recomputing = 0;

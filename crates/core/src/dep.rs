@@ -1,11 +1,11 @@
 //! Op readiness: the one statement of which dependencies an op has and
 //! whether they are satisfied.
 //!
-//! The in-order executor ([`crate::unit_time`]), the work-conserving
-//! compactor ([`crate::compact`]) and the static deadlock diagnosis in
-//! `chimera-verify` all ask the same question: given what has already
-//! executed, is an op ready — and if so at which tick, if not on what is it
-//! waiting? This module owns the answer.
+//! The in-order executor ([`crate::unit_time`]), Chimera's private
+//! work-conserving merge (`compact`, inside [`crate::chimera::chimera`]) and
+//! the static deadlock diagnosis in `chimera-verify` all ask the same
+//! question: given what has already executed, is an op ready — and if so at
+//! which tick, if not on what is it waiting? This module owns the answer.
 //!
 //! Every key the tracker is asked about is a small bounded index, so what
 //! has executed lives in flat tables, sized by one pass over the ops before

@@ -41,7 +41,7 @@
 pub mod analysis;
 pub mod baselines;
 pub mod chimera;
-pub mod compact;
+mod compact;
 pub mod dep;
 pub mod ids;
 pub mod named;

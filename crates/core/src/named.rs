@@ -39,7 +39,7 @@ pub fn build_named(name: &str, d: u32, n: u32) -> Result<Schedule, GenError> {
     Ok(match name {
         "chimera" => chimera_with(1, ScaleMethod::Direct)?,
         "chimera-f2" => chimera_with(2, ScaleMethod::Direct)?,
-        "doubling" => chimera_with(1, ScaleMethod::ForwardDoubling { recompute: true })?,
+        "doubling" => chimera_with(1, ScaleMethod::ForwardDoubling)?,
         "halving" => chimera_with(1, ScaleMethod::BackwardHalving)?,
         "dapple" => dapple(d, n),
         "gpipe" => gpipe(d, n),

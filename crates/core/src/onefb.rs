@@ -4,26 +4,9 @@
 //! Chimera builds its bidirectional schedule by merging 2f of these (§3.1);
 //! DAPPLE is exactly one of them with a flush.
 
+use crate::chimera::ScaleMethod;
 use crate::ids::{MicroId, ReplicaId, StageId};
 use crate::op::{Chunk, Op, OpKind};
-
-/// How micro-batches are chunked through the pipeline (§3.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// One full micro-batch per forward and per backward.
-    Normal,
-    /// *Forward doubling*: forwards fuse two consecutive micro-batches; each
-    /// backward covers one micro-batch and (typically) recomputes, so that
-    /// forward and backward slots have roughly equal duration.
-    Doubling {
-        /// Whether backwards recompute activations (needed when doubled
-        /// activations exceed device memory — the common case, §3.5).
-        recompute: bool,
-    },
-    /// *Backward halving*: forwards cover one micro-batch; backwards are
-    /// split into two half-micro-batch chunks of roughly forward duration.
-    Halving,
-}
 
 /// One directional pipeline: a contiguous block of micro-batches flowing
 /// through `d` stages mapped to workers by the owning replica's placement.
@@ -36,17 +19,17 @@ pub struct DirectionalPipeline {
     /// First micro-batch id assigned to this pipeline.
     pub first_micro: u32,
     /// Number of micro-batches assigned (must be even for
-    /// [`Mode::Doubling`]).
+    /// [`ScaleMethod::ForwardDoubling`]).
     pub num_micros: u32,
-    /// Chunking mode.
-    pub mode: Mode,
+    /// How micro-batches are chunked through the pipeline.
+    pub mode: ScaleMethod,
 }
 
 impl DirectionalPipeline {
     /// Number of 1F1B *flow units*: pairs under doubling, micros otherwise.
     pub fn units(&self) -> u32 {
         match self.mode {
-            Mode::Doubling { .. } => {
+            ScaleMethod::ForwardDoubling => {
                 assert!(
                     self.num_micros.is_multiple_of(2),
                     "forward doubling needs an even micro count per pipeline"
@@ -60,7 +43,7 @@ impl DirectionalPipeline {
     /// The forward op of flow unit `u` at `stage`.
     pub fn forward_op(&self, u: u32, stage: StageId) -> Op {
         match self.mode {
-            Mode::Doubling { .. } => Op {
+            ScaleMethod::ForwardDoubling => Op {
                 kind: OpKind::Forward,
                 micro: MicroId(self.first_micro + 2 * u),
                 stage,
@@ -74,25 +57,19 @@ impl DirectionalPipeline {
     /// The backward ops of flow unit `u` at `stage`, in execution order.
     pub fn backward_ops(&self, u: u32, stage: StageId) -> Vec<Op> {
         match self.mode {
-            Mode::Normal => vec![Op::backward(
+            ScaleMethod::Direct => vec![Op::backward(
                 MicroId(self.first_micro + u),
                 stage,
                 self.replica,
             )],
-            Mode::Doubling { recompute } => {
-                let mk = |m: u32| Op {
-                    kind: OpKind::Backward { recompute },
-                    micro: MicroId(m),
-                    stage,
-                    replica: self.replica,
-                    chunk: Chunk::Full,
-                };
+            ScaleMethod::ForwardDoubling => {
+                let mk = |m: u32| Op::backward_recompute(MicroId(m), stage, self.replica);
                 vec![
                     mk(self.first_micro + 2 * u),
                     mk(self.first_micro + 2 * u + 1),
                 ]
             }
-            Mode::Halving => {
+            ScaleMethod::BackwardHalving => {
                 let mk = |h: u8| Op {
                     kind: OpKind::Backward { recompute: false },
                     micro: MicroId(self.first_micro + u),
@@ -134,7 +111,7 @@ impl DirectionalPipeline {
 mod tests {
     use super::*;
 
-    fn pipe(d: u32, n: u32, mode: Mode) -> DirectionalPipeline {
+    fn pipe(d: u32, n: u32, mode: ScaleMethod) -> DirectionalPipeline {
         DirectionalPipeline {
             d,
             replica: ReplicaId(0),
@@ -150,7 +127,7 @@ mod tests {
 
     #[test]
     fn last_stage_alternates_strictly() {
-        let p = pipe(4, 4, Mode::Normal);
+        let p = pipe(4, 4, ScaleMethod::Direct);
         assert_eq!(
             render(&p.stage_ops(StageId(3))),
             vec![
@@ -168,7 +145,7 @@ mod tests {
 
     #[test]
     fn first_stage_warms_up_d_forwards() {
-        let p = pipe(4, 6, Mode::Normal);
+        let p = pipe(4, 6, ScaleMethod::Direct);
         let ops = p.stage_ops(StageId(0));
         // warmup = min(D, n) = 4 forwards.
         assert!(ops[..4].iter().all(Op::is_forward));
@@ -180,7 +157,7 @@ mod tests {
 
     #[test]
     fn fewer_micros_than_depth_runs_all_forwards_first() {
-        let p = pipe(4, 2, Mode::Normal);
+        let p = pipe(4, 2, ScaleMethod::Direct);
         assert_eq!(
             render(&p.stage_ops(StageId(0))),
             vec!["Fm0@s0/r0", "Fm1@s0/r0", "Bm0@s0/r0", "Bm1@s0/r0"]
@@ -194,7 +171,7 @@ mod tests {
 
     #[test]
     fn doubling_pairs_forwards_and_splits_backwards() {
-        let p = pipe(4, 4, Mode::Doubling { recompute: true });
+        let p = pipe(4, 4, ScaleMethod::ForwardDoubling);
         assert_eq!(p.units(), 2);
         let ops = p.stage_ops(StageId(3));
         assert_eq!(
@@ -212,7 +189,7 @@ mod tests {
 
     #[test]
     fn halving_emits_two_half_chunks() {
-        let p = pipe(2, 2, Mode::Halving);
+        let p = pipe(2, 2, ScaleMethod::BackwardHalving);
         let ops = p.stage_ops(StageId(1));
         assert_eq!(
             render(&ops),
@@ -234,7 +211,7 @@ mod tests {
             replica: ReplicaId(1),
             first_micro: 6,
             num_micros: 2,
-            mode: Mode::Normal,
+            mode: ScaleMethod::Direct,
         };
         let micros: Vec<u32> = p.micros().map(|m| m.0).collect();
         assert_eq!(micros, vec![6, 7]);
@@ -244,6 +221,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "even micro count")]
     fn doubling_rejects_odd_micro_count() {
-        pipe(4, 3, Mode::Doubling { recompute: false }).units();
+        pipe(4, 3, ScaleMethod::ForwardDoubling).units();
     }
 }

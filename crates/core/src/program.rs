@@ -772,7 +772,7 @@ mod tests {
             pipedream_2bw(4, 8),
             chimera(&ChimeraConfig::new(4, 4)).unwrap(),
             chimera(&ChimeraConfig::new(8, 32)).unwrap(),
-            chimera_scaled(8, 32, 2, ScaleMethod::ForwardDoubling { recompute: true }),
+            chimera_scaled(8, 32, 2, ScaleMethod::ForwardDoubling),
             chimera_scaled(8, 32, 1, ScaleMethod::BackwardHalving),
         ] {
             assert_eq!(kinds(&sched), [], "{:?}", sched.scheme);
@@ -841,7 +841,7 @@ mod tests {
     /// a halved backward kills one half at a time.
     #[test]
     fn rows_are_chunk_aware() {
-        let doubling = chimera_scaled(4, 8, 1, ScaleMethod::ForwardDoubling { recompute: true });
+        let doubling = chimera_scaled(4, 8, 1, ScaleMethod::ForwardDoubling);
         let programs = lower(&doubling, 1).programs;
         let pair = (programs[0].rows.iter())
             .find(|r| r.op.chunk == Chunk::Pair)

@@ -61,7 +61,7 @@ impl PlanScheme {
             PlanScheme::Chimera { f, scale } => {
                 let scale = match scale {
                     ScaleMethod::Direct => "direct",
-                    ScaleMethod::ForwardDoubling { .. } => "fwd-doubling",
+                    ScaleMethod::ForwardDoubling => "fwd-doubling",
                     ScaleMethod::BackwardHalving => "bwd-halving",
                 };
                 if *f == 1 {

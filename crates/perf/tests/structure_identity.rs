@@ -44,7 +44,7 @@ fn schemes() -> [PlanScheme; 9] {
     [
         chimera(1, ScaleMethod::Direct),
         chimera(2, ScaleMethod::Direct),
-        chimera(1, ScaleMethod::ForwardDoubling { recompute: true }),
+        chimera(1, ScaleMethod::ForwardDoubling),
         chimera(1, ScaleMethod::BackwardHalving),
         PlanScheme::GPipe,
         PlanScheme::Dapple,

@@ -543,7 +543,7 @@ mod tests {
             d: 4,
             n: 8,
             f: 1,
-            scale: ScaleMethod::ForwardDoubling { recompute: true },
+            scale: ScaleMethod::ForwardDoubling,
         })
         .unwrap();
         let cfg = ModelConfig::tiny();

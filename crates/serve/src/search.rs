@@ -68,7 +68,7 @@ fn scheme_of(id: &str) -> PlanScheme {
     match id {
         "chimera" => chimera(1, ScaleMethod::Direct),
         "chimera-f2" => chimera(2, ScaleMethod::Direct),
-        "doubling" => chimera(1, ScaleMethod::ForwardDoubling { recompute: true }),
+        "doubling" => chimera(1, ScaleMethod::ForwardDoubling),
         "halving" => chimera(1, ScaleMethod::BackwardHalving),
         "gpipe" => PlanScheme::GPipe,
         "dapple" => PlanScheme::Dapple,

@@ -53,7 +53,7 @@ fn schedules_for(d: u32) -> Vec<Schedule> {
             d,
             n,
             f: 1,
-            scale: ScaleMethod::ForwardDoubling { recompute: true },
+            scale: ScaleMethod::ForwardDoubling,
         })
         .unwrap(),
     ];

@@ -371,7 +371,7 @@ fn schedules_for(d: u32, n: u32) -> Vec<Schedule> {
         gems(d, n),
         chim(1, ScaleMethod::Direct),
         chim(1, ScaleMethod::BackwardHalving),
-        chim(1, ScaleMethod::ForwardDoubling { recompute: true }),
+        chim(1, ScaleMethod::ForwardDoubling),
     ];
     // f = 2 needs f | D/2.
     if (d / 2).is_multiple_of(2) {

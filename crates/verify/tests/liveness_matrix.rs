@@ -144,8 +144,8 @@ fn draw(rng: &mut Rng) -> Option<(String, Schedule)> {
             let divisors: Vec<u32> = (1..=d / 2).filter(|&f| (d / 2).is_multiple_of(f)).collect();
             let f = divisors[rng.below(divisors.len())];
             let scale = match rng.below(4) {
-                0 => ScaleMethod::ForwardDoubling { recompute: true },
-                1 => ScaleMethod::ForwardDoubling { recompute: false },
+                // Doubling takes two draws of the four.
+                0 | 1 => ScaleMethod::ForwardDoubling,
                 2 => ScaleMethod::BackwardHalving,
                 _ => ScaleMethod::Direct,
             };
@@ -174,7 +174,7 @@ fn replay_cases() -> Vec<(String, Schedule, f64)> {
         pipedream(4, 4),
         chimera_with(4, 8, 1, ScaleMethod::Direct),
         chimera_with(4, 16, 1, ScaleMethod::BackwardHalving),
-        chimera_with(8, 32, 2, ScaleMethod::ForwardDoubling { recompute: true }),
+        chimera_with(8, 32, 2, ScaleMethod::ForwardDoubling),
     ]
     .into_iter()
     .map(|s| (format!("{} D={} N={}", s.scheme, s.d, s.n), s, 0.25))

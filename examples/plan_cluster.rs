@@ -50,7 +50,7 @@ fn main() {
     // vs simulated iteration time too.
     for scale in [
         ScaleMethod::Direct,
-        ScaleMethod::ForwardDoubling { recompute: true },
+        ScaleMethod::ForwardDoubling,
         ScaleMethod::BackwardHalving,
     ] {
         if let Some(c) = plan_chimera(1, scale, model, cluster, p, b_hat) {

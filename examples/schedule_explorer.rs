@@ -36,7 +36,7 @@ fn main() {
             d,
             n,
             f: 1,
-            scale: ScaleMethod::ForwardDoubling { recompute: true },
+            scale: ScaleMethod::ForwardDoubling,
         })
         .unwrap(),
         "halving" => chimera(&ChimeraConfig {

@@ -41,6 +41,9 @@
 //! `verify`, `profile --sim`) refuses a shape the scheme's generator rejects
 //! — odd `D` for the bidirectional schemes, `f ∤ D/2`, odd `N` for GEMS, zero
 //! `D`, `N` or `B` — with the violated constraint on stderr and exit status 2.
+//! `simulate` also refuses, the same way, a `P` that `D` does not divide or
+//! a `B̂` that is not a positive multiple of `W·B`, so the throughput it
+//! prints is for the `B̂` samples it simulated.
 //!
 //! `launch` spawns `P` worker **processes** (one pipeline worker each, `W =
 //! P/D` data-parallel groups) connected over the TCP transport, then re-runs
@@ -351,8 +354,24 @@ fn cmd_simulate(mut args: std::env::Args) {
             "simulate needs D >= 1, B >= 1 and P >= D, got P={p} D={d} B={b}"
         ));
     }
+    // The planner grid's rules: W·D = P, and N = B̂ / (W·B) micro-batches
+    // make up exactly the B̂ samples the throughput is quoted for.
+    if !p.is_multiple_of(d) {
+        refuse(format_args!(
+            "simulate needs P to be a multiple of D, got P={p} D={d}"
+        ));
+    }
     let w = p / d;
-    let n = (b_hat / (w as u64 * b as u64)).max(1) as u32;
+    let span = w as u64 * b as u64;
+    let n = Some(b_hat / span)
+        .filter(|&n| n > 0 && n * span == b_hat)
+        .and_then(|n| u32::try_from(n).ok())
+        .unwrap_or_else(|| {
+            refuse(format_args!(
+                "simulate needs B_hat to be a positive multiple of W*B = {span}, \
+                 got B_hat={b_hat} (W={w} B={b})"
+            ))
+        });
     let base = build_schedule(&scheme, d, n);
     let replicas = base.placement.replicas();
     let sched = if base.flushes {

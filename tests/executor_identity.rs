@@ -87,10 +87,7 @@ fn cases(d: u32) -> Vec<(String, Schedule, u32)> {
         ("gems", gems(d, n)),
         ("chimera", chim(1, ScaleMethod::Direct)),
         ("chimera-halving", chim(1, ScaleMethod::BackwardHalving)),
-        (
-            "chimera-doubling",
-            chim(1, ScaleMethod::ForwardDoubling { recompute: true }),
-        ),
+        ("chimera-doubling", chim(1, ScaleMethod::ForwardDoubling)),
     ];
     // f = 2 needs f | D/2.
     if (d / 2).is_multiple_of(2) {

@@ -8,7 +8,7 @@ use chimera::perf::{ClusterSpec, ModelSpec, StructureTable};
 fn chimera_best(model: ModelSpec, cluster: ClusterSpec, p: u32, b_hat: u64) -> f64 {
     [
         ScaleMethod::Direct,
-        ScaleMethod::ForwardDoubling { recompute: true },
+        ScaleMethod::ForwardDoubling,
         ScaleMethod::BackwardHalving,
     ]
     .into_iter()
@@ -268,4 +268,37 @@ fn plan_table_prints_the_json_answer() {
         let throughput = r.get("throughput").and_then(Value::as_f64).unwrap();
         assert_eq!(cells[5], format!("{throughput:.1}"), "{row}");
     }
+}
+
+/// `simulate` quotes throughput for the B̂ it is given, so it refuses a shape
+/// whose micro-batches cannot make up exactly B̂ samples — `P` not a multiple
+/// of `D`, or `B̂` not a positive multiple of `W·B` — with the values named
+/// and exit status 2, as the planner's grid leaves such shapes out.
+#[test]
+fn simulate_refuses_a_span_that_is_not_b_hat() {
+    let simulate = |args: &str| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_chimera-cli"))
+            .arg("simulate")
+            .args(args.split(' '))
+            .output()
+            .expect("chimera-cli runs");
+        let text = |bytes: Vec<u8>| String::from_utf8(bytes).expect("utf-8");
+        (text(out.stdout), text(out.stderr), out.status.code())
+    };
+    // W·B = 8·4 = 32 samples per micro-batch round: 500 is 15 rounds and 20.
+    let (stdout, stderr, status) = simulate("chimera bert48 32 4 4 500");
+    assert_eq!(status, Some(2), "{stdout}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(
+        stderr.contains("B_hat=500") && stderr.contains("= 32"),
+        "{stderr}"
+    );
+    let (stdout, stderr, status) = simulate("chimera bert48 30 4 4 512");
+    assert_eq!(status, Some(2), "{stdout}");
+    assert!(stderr.contains("P=30 D=4"), "{stderr}");
+    let (_, stderr, status) = simulate("chimera bert48 32 4 4 0");
+    assert_eq!(status, Some(2), "{stderr}");
+    let (stdout, _, status) = simulate("chimera bert48 32 4 4 512");
+    assert_eq!(status, Some(0));
+    assert!(stdout.contains("P=32 (W=8 D=4 B=4 N=16)"), "{stdout}");
 }

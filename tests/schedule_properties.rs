@@ -59,13 +59,13 @@ proptest! {
     ) {
         let scale = match method {
             0 => ScaleMethod::Direct,
-            1 => ScaleMethod::ForwardDoubling { recompute: true },
+            1 => ScaleMethod::ForwardDoubling,
             _ => ScaleMethod::BackwardHalving,
         };
         let sched = chimera(&ChimeraConfig { d, n, f: 1, scale }).unwrap();
         validate(&sched).unwrap();
         let cap = match scale {
-            ScaleMethod::ForwardDoubling { .. } => 2.0 * d as f64,
+            ScaleMethod::ForwardDoubling => 2.0 * d as f64,
             // Backward halving admits a 2D-micro unit; its stash stays near
             // D (Table 2: "does not increase the activation memory"), with
             // at most one extra micro in flight transiently.
