@@ -48,7 +48,7 @@ fn main() {
             let sched = place_sync(base.clone(), strat, UnitCosts::practical());
             let rep = simulate(&sched, &cost).expect("simulates");
             if trace_path.is_some() && p == 64 {
-                trace_events.extend(timeline_events(&rep.timeline, idx as u32, true));
+                trace_events.extend(timeline_events(&rep.timeline, idx as u32));
             }
             per_strategy.push((strat, rep.throughput(b_hat)));
         }

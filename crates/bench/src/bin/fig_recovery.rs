@@ -58,7 +58,7 @@ fn main() {
         let iter_ns = healthy.timeline.makespan;
         // One crash at ~60% of the run, landing mid-iteration.
         let crash_tick = (run_iterations as u64 * 6 / 10) * iter_ns + iter_ns / 3;
-        let plan = FaultPlan::new(0xC1).crash_at(1, crash_tick);
+        let plan = FaultPlan::default().crash_at(1, crash_tick);
         for every in [1u32, 2, 4, 8] {
             let recovery = RecoveryModel {
                 detect_s: 5.0,
@@ -165,7 +165,7 @@ fn main() {
             checkpoint_every: 4,
         };
         for (name, chaos) in &scenarios {
-            let plan = FaultPlan::new(0xC2).net_chaos(0, 1, chaos, rto_s);
+            let plan = FaultPlan::default().net_chaos(0, 1, chaos, rto_s);
             let rep = simulate_faulty(&sched, &cost, &plan, &recovery, run_iterations)
                 .expect("simulates");
             let acc = rep

@@ -178,7 +178,7 @@ fn sim_timeline_trace_matches_sim_bubble_accounting() {
     use chimera_core::unit_time::{execute, UnitCosts};
     let sched = build_named("chimera", 4, 4).unwrap();
     let tl = execute(&sched, UnitCosts::practical()).unwrap();
-    let events = chimera_sim::timeline_events(&tl, 0, true);
+    let events = chimera_sim::timeline_events(&tl, 0);
     let a = analyze(&events);
     for lane in &a.lanes {
         assert_eq!(lane.breakdown.total(), a.window_ns());

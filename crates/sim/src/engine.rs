@@ -57,7 +57,7 @@ impl SimReport {
     /// [`chimera_trace::write_chrome_trace`] or [`chimera_trace::write_jsonl`].
     /// Faulty runs additionally carry crash/detect/restore/replay spans.
     pub fn to_trace(&self) -> Vec<Event> {
-        let mut events = crate::trace::timeline_events(&self.timeline, 0, true);
+        let mut events = crate::trace::timeline_events(&self.timeline, 0);
         if let Some(acc) = &self.recovery {
             events.extend(acc.trace_events(0));
         }

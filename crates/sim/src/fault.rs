@@ -1,26 +1,26 @@
-//! Fault injection and checkpoint-restart recovery modeling.
+//! Crash and network-chaos modeling with checkpoint-restart recovery.
 //!
 //! The paper's evaluation assumes a healthy machine; at the scale Chimera
-//! targets (thousands of nodes, multi-day runs) stragglers, degraded links
-//! and outright node failures are routine. This module perturbs the
-//! simulator's cost model deterministically from a seed ([`FaultPlan`] +
-//! [`PerturbedCost`]) and accounts for the cost of surviving crashes via
-//! periodic checkpoints ([`RecoveryModel`], [`simulate_faulty`]):
-//! detect the failure, restore the last checkpoint, replay the lost work.
+//! targets (thousands of nodes, multi-day runs) node failures and flaky
+//! links are routine. A [`FaultPlan`] mirrors the two faults the runtime
+//! injects: a worker crash ([`FaultPlan::crash_at`], the runtime's
+//! `FaultSpec` kill) and the transport's seeded [`chimera_comm::NetChaos`]
+//! plans ([`FaultPlan::net_chaos`]). [`simulate_faulty`] runs the schedule
+//! with the chaos on its links and accounts for surviving the crashes via
+//! periodic checkpoints ([`RecoveryModel`]): detect the failure, restore the
+//! last checkpoint, replay the lost work.
 //!
-//! Everything is a pure function of `(plan.seed, op identity)` — two runs
-//! with the same plan produce bit-identical reports, which is what makes
-//! fault scenarios usable in regression tests.
+//! Everything is a pure function of the plan — two runs with the same plan
+//! produce bit-identical reports, which is what makes fault scenarios usable
+//! in regression tests.
 //!
-//! [`FaultPlan::net_chaos`] mirrors the transport layer's seeded
-//! [`chimera_comm::NetChaos`] plans analytically: frame loss, duplication,
-//! reordering, slow links, partition windows and socket breaks are mapped
-//! onto link bandwidth factors, expected retransmit stalls and one-time
-//! outage charges, so a chaos scenario run on the real TCP backend has a
-//! simulated counterpart to drift-check against.
+//! The chaos mirror is analytic: frame loss, duplication, reordering, slow
+//! links, partition windows and socket breaks are mapped onto link delay
+//! factors, expected retransmit stalls and one-time outage charges, so a
+//! chaos scenario run on the real TCP backend has a simulated counterpart
+//! to drift-check against.
 
-use chimera_core::op::{Op, OpKind};
-use chimera_core::placement::Placement;
+use chimera_core::op::Op;
 use chimera_core::schedule::Schedule;
 use chimera_core::unit_time::{execute_span, CostProvider, ExecError};
 use chimera_core::{StageId, WorkerId};
@@ -29,86 +29,35 @@ use chimera_trace::{Event, SpanEvent, SpanKind};
 use crate::cost::SimCostModel;
 use crate::engine::SimReport;
 
-/// A deterministic, seeded fault scenario for one pipeline group.
-///
-/// Built with the chainable constructors and consumed by [`PerturbedCost`]
-/// (slowdowns, jitter, link degradation) and [`simulate_faulty`] (crashes).
-#[derive(Debug, Clone, PartialEq)]
+/// A deterministic fault scenario for one pipeline group: worker crashes
+/// and mirrored network chaos, consumed by [`simulate_faulty`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
-    /// Seed for the per-op jitter hash.
-    pub seed: u64,
-    /// Per-worker compute slowdown factors (≥ 1 for stragglers).
-    slowdowns: Vec<(u32, f64)>,
-    /// Per-link `(from, to, factor)` p2p delay multipliers.
-    links: Vec<(u32, u32, f64)>,
-    /// Fractional compute jitter amplitude: each compute op's cost is
-    /// multiplied by a deterministic factor in `[1-a, 1+a)`.
-    jitter: f64,
     /// Worker crashes: `(worker, tick)` into the training run.
     crashes: Vec<(u32, u64)>,
-    /// Additive per-message p2p delay in seconds for `(from, to)` links —
-    /// expected retransmit/reorder stalls, chaos slow-link delays.
-    extra_delays: Vec<(u32, u32, f64)>,
-    /// One-time link outages in seconds charged to the whole run —
-    /// partition windows and socket breaks healed by reconnect.
-    outages: Vec<(u32, u32, f64)>,
+    /// Mirrored network chaos, one entry per [`FaultPlan::net_chaos`] call.
+    links: Vec<LinkChaos>,
+}
+
+/// One [`FaultPlan::net_chaos`] call: what it does to the link `from → to`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct LinkChaos {
+    from: u32,
+    to: u32,
+    /// Multiplier on the p2p delay of every message on the link.
+    factor: f64,
+    /// Seconds added to every message on the link — expected retransmit and
+    /// reorder stalls, chaos slow-link delays.
+    delay_s: f64,
+    /// One-time link outage in seconds charged to the whole run — partition
+    /// windows and socket breaks healed by reconnect.
+    outage_s: f64,
 }
 
 impl FaultPlan {
-    /// A healthy plan with the given jitter seed.
-    pub fn new(seed: u64) -> Self {
-        FaultPlan {
-            seed,
-            slowdowns: Vec::new(),
-            links: Vec::new(),
-            jitter: 0.0,
-            crashes: Vec::new(),
-            extra_delays: Vec::new(),
-            outages: Vec::new(),
-        }
-    }
-
-    /// Multiply `worker`'s compute cost by `factor` (a straggler for
-    /// `factor > 1`).
-    pub fn slow_worker(mut self, worker: u32, factor: f64) -> Self {
-        assert!(factor > 0.0, "slowdown factor must be positive");
-        self.slowdowns.push((worker, factor));
-        self
-    }
-
-    /// Multiply the p2p delay of messages `from → to` by `factor`.
-    pub fn degrade_link(mut self, from: u32, to: u32, factor: f64) -> Self {
-        assert!(factor > 0.0, "link factor must be positive");
-        self.links.push((from, to, factor));
-        self
-    }
-
-    /// Add deterministic per-op compute jitter of fractional amplitude
-    /// `a` (each compute op scaled by a seeded factor in `[1-a, 1+a)`).
-    pub fn with_jitter(mut self, a: f64) -> Self {
-        assert!((0.0..1.0).contains(&a), "jitter amplitude must be in [0,1)");
-        self.jitter = a;
-        self
-    }
-
     /// Crash `worker` at absolute tick `at` (ns) into the training run.
     pub fn crash_at(mut self, worker: u32, at: u64) -> Self {
         self.crashes.push((worker, at));
-        self
-    }
-
-    /// Add `seconds` of fixed delay to every p2p message `from → to`.
-    pub fn delay_link(mut self, from: u32, to: u32, seconds: f64) -> Self {
-        assert!(seconds >= 0.0, "link delay must be non-negative");
-        self.extra_delays.push((from, to, seconds));
-        self
-    }
-
-    /// Charge a one-time `seconds` outage of the link `from → to` to the
-    /// run (a partition window or a socket break healed by reconnect).
-    pub fn link_outage(mut self, from: u32, to: u32, seconds: f64) -> Self {
-        assert!(seconds >= 0.0, "outage must be non-negative");
-        self.outages.push((from, to, seconds));
         self
     }
 
@@ -129,110 +78,57 @@ impl FaultPlan {
     /// - **partition `(start, len)`** — every frame in the window is
     ///   dropped and recovered one RTO later: a `len·rto` outage;
     /// - **break** — one reconnect-plus-replay stall of about one RTO.
-    pub fn net_chaos(self, from: u32, to: u32, chaos: &chimera_comm::NetChaos, rto_s: f64) -> Self {
+    pub fn net_chaos(
+        mut self,
+        from: u32,
+        to: u32,
+        chaos: &chimera_comm::NetChaos,
+        rto_s: f64,
+    ) -> Self {
         assert!(rto_s > 0.0, "retransmit timeout must be positive");
-        let mut plan = self;
+        let mut link = LinkChaos {
+            from,
+            to,
+            factor: 1.0,
+            delay_s: 0.0,
+            outage_s: 0.0,
+        };
         if chaos.flaky > 0.0 {
             assert!(chaos.flaky < 1.0, "a fully lossy link never converges");
-            plan = plan
-                .degrade_link(from, to, 1.0 / (1.0 - chaos.flaky))
-                .delay_link(from, to, chaos.flaky * rto_s);
+            link.factor *= 1.0 / (1.0 - chaos.flaky);
+            link.delay_s += chaos.flaky * rto_s;
         }
         if chaos.duplicate > 0.0 {
-            plan = plan.degrade_link(from, to, 1.0 + chaos.duplicate);
+            link.factor *= 1.0 + chaos.duplicate;
         }
         if chaos.reorder > 0.0 {
-            plan = plan.delay_link(from, to, chaos.reorder * rto_s / 2.0);
+            link.delay_s += chaos.reorder * rto_s / 2.0;
         }
         if let Some(d) = chaos.slow {
-            plan = plan.delay_link(from, to, d.as_secs_f64());
+            link.delay_s += d.as_secs_f64();
         }
         if let Some((_, len)) = chaos.partition {
-            plan = plan.link_outage(from, to, len as f64 * rto_s);
+            link.outage_s += len as f64 * rto_s;
         }
         if chaos.break_at.is_some() {
-            plan = plan.link_outage(from, to, rto_s);
+            link.outage_s += rto_s;
         }
-        plan
+        self.links.push(link);
+        self
     }
 
-    /// Combined compute slowdown of `worker`.
-    pub fn compute_factor(&self, worker: u32) -> f64 {
-        self.slowdowns
-            .iter()
-            .filter(|&&(w, _)| w == worker)
-            .map(|&(_, f)| f)
-            .product()
-    }
-
-    /// Combined delay factor of the link `from → to`.
-    pub fn link_factor(&self, from: u32, to: u32) -> f64 {
-        self.links
-            .iter()
-            .filter(|&&(f, t, _)| f == from && t == to)
-            .map(|&(_, _, f)| f)
-            .product()
-    }
-
-    /// Deterministic jitter multiplier for one compute op on `worker`.
-    pub fn jitter_factor(&self, worker: u32, op: &Op) -> f64 {
-        if self.jitter == 0.0 {
-            return 1.0;
-        }
-        let kind = match op.kind {
-            OpKind::Forward => 0u64,
-            OpKind::Backward { recompute: false } => 1,
-            OpKind::Backward { recompute: true } => 2,
-            OpKind::AllReduceLaunch => 3,
-            OpKind::AllReduceWait => 4,
-        };
-        let ident = (op.micro.0 as u64) << 32
-            | (op.stage.0 as u64) << 16
-            | (op.replica.0 as u64) << 8
-            | kind;
-        let u = unit_hash(self.seed ^ (worker as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ ident);
-        1.0 + self.jitter * (2.0 * u - 1.0)
-    }
-
-    /// Scheduled crashes, sorted by tick.
-    pub fn crashes(&self) -> Vec<(u32, u64)> {
-        let mut c = self.crashes.clone();
-        c.sort_by_key(|&(_, t)| t);
-        c
-    }
-
-    /// Total additive delay of the link `from → to`, seconds.
-    pub fn extra_delay_s(&self, from: u32, to: u32) -> f64 {
-        self.extra_delays
-            .iter()
-            .filter(|&&(f, t, _)| f == from && t == to)
-            .map(|&(_, _, s)| s)
-            .sum()
+    /// The combined delay factor and added seconds of the link `from → to`.
+    fn link(&self, from: u32, to: u32) -> (f64, f64) {
+        let on_link = self.links.iter().filter(|l| l.from == from && l.to == to);
+        on_link.fold((1.0, 0.0), |(factor, delay_s), l| {
+            (factor * l.factor, delay_s + l.delay_s)
+        })
     }
 
     /// Total one-time link-outage seconds charged to the run.
-    pub fn outage_s(&self) -> f64 {
-        self.outages.iter().map(|&(_, _, s)| s).sum()
+    fn outage_s(&self) -> f64 {
+        self.links.iter().fold(0.0, |sum, l| sum + l.outage_s)
     }
-
-    /// Whether the plan perturbs anything at all.
-    pub fn is_healthy(&self) -> bool {
-        self.slowdowns.is_empty()
-            && self.links.is_empty()
-            && self.jitter == 0.0
-            && self.crashes.is_empty()
-            && self.extra_delays.is_empty()
-            && self.outages.is_empty()
-    }
-}
-
-/// splitmix64 finalizer → uniform f64 in `[0, 1)`.
-fn unit_hash(mut x: u64) -> f64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Recovery cost model: how failures are survived.
@@ -257,39 +153,23 @@ impl RecoveryModel {
     }
 }
 
-/// A [`CostProvider`] that perturbs a base [`SimCostModel`] according to a
-/// [`FaultPlan`]: per-worker compute slowdowns and jitter, per-link delay
-/// degradation. Crashes are handled by [`simulate_faulty`], not here.
-pub struct PerturbedCost<'a> {
+/// A [`CostProvider`] that puts a [`FaultPlan`]'s network chaos on a base
+/// [`SimCostModel`]'s p2p delays; compute and allreduce costs are the base's.
+/// Crashes are handled by [`simulate_faulty`], not here.
+struct ChaoticLinks<'a> {
     base: &'a SimCostModel,
     plan: &'a FaultPlan,
-    placement: &'a Placement,
 }
 
-impl<'a> PerturbedCost<'a> {
-    /// Wrap `base` with the perturbations of `plan`; `placement` maps each
-    /// op's `(replica, stage)` to the worker whose slowdown applies.
-    pub fn new(base: &'a SimCostModel, plan: &'a FaultPlan, placement: &'a Placement) -> Self {
-        PerturbedCost {
-            base,
-            plan,
-            placement,
-        }
-    }
-}
-
-impl CostProvider for PerturbedCost<'_> {
+impl CostProvider for ChaoticLinks<'_> {
     fn op_cost(&self, op: &Op) -> u64 {
-        let base = self.base.op_cost(op);
-        let w = self.placement.worker(op.replica, op.stage).0;
-        let factor = self.plan.compute_factor(w) * self.plan.jitter_factor(w, op);
-        (base as f64 * factor).round() as u64
+        self.base.op_cost(op)
     }
 
     fn p2p_delay(&self, from: WorkerId, to: WorkerId, op: &Op) -> u64 {
         let base = self.base.p2p_delay(from, to, op);
-        let scaled = base as f64 * self.plan.link_factor(from.0, to.0);
-        scaled.round() as u64 + SimCostModel::ticks(self.plan.extra_delay_s(from.0, to.0))
+        let (factor, delay_s) = self.plan.link(from.0, to.0);
+        (base as f64 * factor).round() as u64 + SimCostModel::ticks(delay_s)
     }
 
     fn allreduce_duration(&self, stage: StageId) -> u64 {
@@ -345,7 +225,7 @@ pub struct RecoveryAccounting {
     pub checkpoint_every: u32,
     /// Checkpoints written during the run (excluding the initial one).
     pub checkpoints: u32,
-    /// Fault-free run time under the perturbed cost model, seconds.
+    /// Crash-free run time under the plan's network chaos, seconds.
     pub healthy_run_s: f64,
     /// Seconds spent writing checkpoints.
     pub checkpoint_overhead_s: f64,
@@ -447,14 +327,14 @@ impl serde::Serialize for RecoveryAccounting {
     }
 }
 
-/// Simulate `run_iterations` training iterations of `sched` under the
-/// perturbations of `plan` and the recovery costs of `recovery`.
+/// Simulate `run_iterations` training iterations of `sched` under the faults
+/// of `plan` and the recovery costs of `recovery`.
 ///
-/// The schedule is executed once under [`PerturbedCost`] to obtain the
-/// per-iteration time (stragglers, jitter and degraded links shift the
-/// critical path organically); crashes and checkpoints are then accounted
+/// The schedule is executed once with the plan's network chaos on its links
+/// to obtain the per-iteration time (a slowed link shifts the critical path
+/// organically); crashes, checkpoints and link outages are then accounted
 /// analytically on top: every crash costs detection + restore + replay of
-/// all work since the last checkpoint. The returned report is the perturbed
+/// all work since the last checkpoint. The returned report is the chaotic
 /// single-iteration report with [`SimReport::recovery`] populated.
 ///
 /// Deterministic: identical inputs produce bit-identical reports.
@@ -465,8 +345,8 @@ pub fn simulate_faulty(
     recovery: &RecoveryModel,
     run_iterations: u32,
 ) -> Result<SimReport, ExecError> {
-    let perturbed = PerturbedCost::new(cost, plan, &sched.placement);
-    let timeline = execute_span(sched, &perturbed, 1)?;
+    let chaotic = ChaoticLinks { base: cost, plan };
+    let timeline = execute_span(sched, &chaotic, 1)?;
     let mut rep = SimReport::from_timeline(timeline, 1);
 
     let iter_ns = rep.timeline.makespan.max(1);
@@ -477,8 +357,10 @@ pub fn simulate_faulty(
 
     let detect_ns = SimCostModel::ticks(recovery.detect_s);
     let restore_ns = SimCostModel::ticks(recovery.restore_s);
+    let mut scheduled = plan.crashes.clone();
+    scheduled.sort_by_key(|&(_, t)| t);
     let mut crashes = Vec::new();
-    for (worker, at) in plan.crashes() {
+    for (worker, at) in scheduled {
         // Clamp into the run; a crash scheduled past the end never fires.
         if at >= healthy_ns {
             continue;
@@ -562,69 +444,72 @@ mod tests {
         }
     }
 
+    /// The chaos of the tests below on one link: every `NetChaos` knob the
+    /// mirror reads.
+    fn every_knob(rto_s: f64) -> FaultPlan {
+        let chaos = chimera_comm::NetChaos::new(7)
+            .with_flaky(0.2)
+            .with_duplicate(0.1)
+            .with_reorder(0.1)
+            .with_slow(std::time::Duration::from_millis(1))
+            .with_partition(30, 10)
+            .with_break_at(50);
+        FaultPlan::default().net_chaos(0, 1, &chaos, rto_s)
+    }
+
     #[test]
-    fn same_seed_is_bit_identical() {
+    fn a_plan_simulates_bit_identically() {
         let d = 4;
         let sched = chimera(&ChimeraConfig::new(d, d)).unwrap();
         let c = cost(d);
-        let plan = FaultPlan::new(7)
-            .with_jitter(0.2)
-            .slow_worker(1, 1.5)
-            .crash_at(2, 300_000_000);
+        let plan = every_knob(0.1).crash_at(2, 300_000_000);
         let a = simulate_faulty(&sched, &c, &plan, &recovery(2), 16).unwrap();
         let b = simulate_faulty(&sched, &c, &plan, &recovery(2), 16).unwrap();
-        assert_eq!(a.span_s.to_bits(), b.span_s.to_bits());
+        let bits = |r: &SimReport| {
+            let floats = [r.span_s, r.iter_time_s, r.bubble_ratio].into_iter();
+            floats
+                .chain(r.busy_s.iter().copied())
+                .map(f64::to_bits)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&a), bits(&b));
+        assert_eq!(a.timeline.spans, b.timeline.spans);
         let (ra, rb) = (a.recovery.unwrap(), b.recovery.unwrap());
         assert_eq!(ra, rb);
         assert_eq!(ra.run_s.to_bits(), rb.run_s.to_bits());
+        assert_eq!(ra.crashes.len(), 1);
     }
 
+    /// Chaos on `0 → 1` slows messages on that link only: the span
+    /// stretches, no worker computes longer, and `1 → 0` keeps its delay.
     #[test]
-    fn different_seed_changes_jittered_costs() {
+    fn link_chaos_delays_messages_and_nothing_else() {
         let d = 4;
         let c = cost(d);
         let sched = chimera(&ChimeraConfig::new(d, d)).unwrap();
-        let p7 = FaultPlan::new(7).with_jitter(0.2);
-        let p8 = FaultPlan::new(8).with_jitter(0.2);
-        let a = PerturbedCost::new(&c, &p7, &sched.placement);
-        let b = PerturbedCost::new(&c, &p8, &sched.placement);
-        let op = Op::forward(MicroId(1), StageId(2), ReplicaId(0));
-        assert_ne!(a.op_cost(&op), b.op_cost(&op));
-    }
-
-    #[test]
-    fn straggler_stretches_the_span() {
-        let d = 4;
-        let c = cost(d);
-        let sched = chimera(&ChimeraConfig::new(d, d)).unwrap();
+        let plan = every_knob(0.1);
         let healthy = simulate(&sched, &c).unwrap();
-        let plan = FaultPlan::new(0).slow_worker(0, 2.0);
-        let slow = simulate_faulty(&sched, &c, &plan, &recovery(0), 1).unwrap();
+        let chaotic = simulate_faulty(&sched, &c, &plan, &recovery(0), 1).unwrap();
         assert!(
-            slow.span_s > healthy.span_s,
-            "straggler {} vs healthy {}",
-            slow.span_s,
+            chaotic.span_s > healthy.span_s,
+            "chaos {} vs healthy {}",
+            chaotic.span_s,
             healthy.span_s
         );
-        // The straggler's own busy time doubled exactly.
-        assert!((slow.busy_s[0] - 2.0 * healthy.busy_s[0]).abs() < 1e-9);
-    }
-
-    #[test]
-    fn degraded_link_inflates_p2p() {
-        let d = 4;
-        let c = cost(d);
-        let sched = chimera(&ChimeraConfig::new(d, d)).unwrap();
-        let plan = FaultPlan::new(0).degrade_link(0, 1, 10.0);
-        let p = PerturbedCost::new(&c, &plan, &sched.placement);
-        let op = Op::forward(MicroId(0), StageId(1), ReplicaId(0));
-        let base = c.p2p_delay(WorkerId(0), WorkerId(1), &op);
-        assert_eq!(p.p2p_delay(WorkerId(0), WorkerId(1), &op), 10 * base);
-        // Other direction untouched.
-        let bop = Op::backward(MicroId(0), StageId(0), ReplicaId(0));
+        assert_eq!(chaotic.timeline.busy, healthy.timeline.busy);
+        let p = ChaoticLinks {
+            base: &c,
+            plan: &plan,
+        };
+        let fwd = Op::forward(MicroId(0), StageId(1), ReplicaId(0));
+        assert!(
+            p.p2p_delay(WorkerId(0), WorkerId(1), &fwd)
+                > c.p2p_delay(WorkerId(0), WorkerId(1), &fwd)
+        );
+        let bwd = Op::backward(MicroId(0), StageId(0), ReplicaId(0));
         assert_eq!(
-            p.p2p_delay(WorkerId(1), WorkerId(0), &bop),
-            c.p2p_delay(WorkerId(1), WorkerId(0), &bop)
+            p.p2p_delay(WorkerId(1), WorkerId(0), &bwd),
+            c.p2p_delay(WorkerId(1), WorkerId(0), &bwd)
         );
     }
 
@@ -638,7 +523,7 @@ mod tests {
         // Crash in the middle of iteration 5 with checkpoints every 2
         // iterations: the last checkpoint is at iteration 4.
         let at = 5 * iter_ns + iter_ns / 2;
-        let plan = FaultPlan::new(0).crash_at(1, at);
+        let plan = FaultPlan::default().crash_at(1, at);
         let rec = recovery(2);
         let rep = simulate_faulty(&sched, &c, &plan, &rec, 8).unwrap();
         let acc = rep.recovery.unwrap();
@@ -662,7 +547,7 @@ mod tests {
         let c = cost(d);
         let sched = chimera(&ChimeraConfig::new(d, d)).unwrap();
         let iter_ns = simulate(&sched, &c).unwrap().timeline.makespan;
-        let plan = FaultPlan::new(0).crash_at(0, 7 * iter_ns + 1);
+        let plan = FaultPlan::default().crash_at(0, 7 * iter_ns + 1);
         let dense = simulate_faulty(&sched, &c, &plan, &recovery(1), 8)
             .unwrap()
             .recovery
@@ -681,28 +566,19 @@ mod tests {
     /// only on the chaotic link, and visible in the run accounting.
     #[test]
     fn net_chaos_mirror_inflates_links_and_accounts_outages() {
-        use chimera_comm::NetChaos;
         let d = 4;
         let c = cost(d);
         let sched = chimera(&ChimeraConfig::new(d, d)).unwrap();
-        let chaos = NetChaos::new(7)
-            .with_flaky(0.2)
-            .with_duplicate(0.1)
-            .with_reorder(0.1)
-            .with_slow(std::time::Duration::from_millis(1))
-            .with_partition(30, 10)
-            .with_break_at(50);
         let rto = 0.1;
-        let plan = FaultPlan::new(7).net_chaos(0, 1, &chaos, rto);
-        assert!(!plan.is_healthy());
+        let plan = every_knob(rto);
+        let (factor, delay_s) = plan.link(0, 1);
         // Bandwidth inflation: retransmits 1/(1-p), duplicates 1+p.
-        assert!((plan.link_factor(0, 1) - 1.1 / 0.8).abs() < 1e-12);
+        assert!((factor - 1.1 / 0.8).abs() < 1e-12);
         // Expected stalls: flaky p·rto, reorder p·rto/2, slow d.
         let want = 0.2 * rto + 0.1 * rto / 2.0 + 1e-3;
-        assert!((plan.extra_delay_s(0, 1) - want).abs() < 1e-12);
+        assert!((delay_s - want).abs() < 1e-12);
         // The reverse link is untouched.
-        assert_eq!(plan.link_factor(1, 0), 1.0);
-        assert_eq!(plan.extra_delay_s(1, 0), 0.0);
+        assert_eq!(plan.link(1, 0), (1.0, 0.0));
         // Outages: the partition window plus one reconnect.
         assert!((plan.outage_s() - 11.0 * rto).abs() < 1e-12);
         // Mirrored chaos stretches both the iteration and the run.
@@ -722,7 +598,7 @@ mod tests {
         let d = 4;
         let c = cost(d);
         let sched = chimera(&ChimeraConfig::new(d, d)).unwrap();
-        let plan = FaultPlan::new(0).crash_at(3, u64::MAX);
+        let plan = FaultPlan::default().crash_at(3, u64::MAX);
         let acc = simulate_faulty(&sched, &c, &plan, &recovery(1), 2)
             .unwrap()
             .recovery
@@ -751,7 +627,7 @@ mod tests {
         let c = cost(d);
         let sched = chimera(&ChimeraConfig::new(d, d)).unwrap();
         let iter_ns = simulate(&sched, &c).unwrap().timeline.makespan;
-        let plan = FaultPlan::new(0)
+        let plan = FaultPlan::default()
             .crash_at(2, iter_ns / 2)
             .crash_at(0, 3 * iter_ns);
         let rep = simulate_faulty(&sched, &c, &plan, &recovery(1), 4).unwrap();
@@ -799,7 +675,7 @@ mod tests {
         let c = cost(d);
         let sched = chimera(&ChimeraConfig::new(d, d)).unwrap();
         let iter_ns = simulate(&sched, &c).unwrap().timeline.makespan;
-        let plan = FaultPlan::new(0).crash_at(1, 2 * iter_ns + 5);
+        let plan = FaultPlan::default().crash_at(1, 2 * iter_ns + 5);
         let rep = simulate_faulty(&sched, &c, &plan, &recovery(2), 4).unwrap();
         let v = serde_json::to_value(&rep).unwrap();
         assert_eq!(v["recovery"]["run_iterations"].as_u64().unwrap(), 4);

@@ -16,8 +16,8 @@
 //!   the weight term of the coarse Table-2 bound),
 //! * an admissible lower bound on the simulated makespan, priced from op
 //!   counts without executing ([`bound`]),
-//! * seeded fault injection (stragglers, degraded links, crashes) with
-//!   checkpoint-restart recovery accounting ([`fault`]).
+//! * the runtime's injected faults (worker crashes, mirrored network chaos)
+//!   with checkpoint-restart recovery accounting ([`fault`]).
 //!
 //! Timing, bubbles and communication overlap (eager non-blocking allreduce,
 //! §3.2) emerge from executing the schedule, exactly as they do on the real
@@ -39,9 +39,7 @@ pub use bound::SpanBound;
 pub use collective::{allreduce_time, AllReduceAlgo};
 pub use cost::{SimCostModel, StageCosts};
 pub use engine::{simulate, simulate_span, Breakdown, SimReport, WorkerBreakdown};
-pub use fault::{
-    simulate_faulty, CrashRecord, FaultPlan, PerturbedCost, RecoveryAccounting, RecoveryModel,
-};
+pub use fault::{simulate_faulty, CrashRecord, FaultPlan, RecoveryAccounting, RecoveryModel};
 pub use network::{LinkParams, NetworkModel, Topology};
 pub use scenario::NetScenario;
 pub use trace::timeline_events;

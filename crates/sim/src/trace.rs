@@ -22,18 +22,18 @@ fn span_kind(kind: OpKind) -> SpanKind {
 
 /// Convert `timeline` into trace events under process group `pid`.
 ///
-/// Emits one [`SpanEvent`] per executed op and, when `include_idle` is set,
-/// one `Idle` span per gap between consecutive ops on a worker (including
-/// the ramp-up gap before its first op). Zero-duration spans (e.g. an
+/// Emits one [`SpanEvent`] per executed op and one `Idle` span per gap
+/// between consecutive ops on a worker (including the ramp-up gap before its
+/// first op and the tail gap after its last). Zero-duration spans (e.g. an
 /// allreduce wait that was already satisfied) are kept: Perfetto renders
 /// them as instants.
-pub fn timeline_events(timeline: &Timeline, pid: u32, include_idle: bool) -> Vec<Event> {
+pub fn timeline_events(timeline: &Timeline, pid: u32) -> Vec<Event> {
     let mut out = Vec::new();
     for (w, spans) in timeline.spans.iter().enumerate() {
         let track = w as u32;
         let mut cursor = 0u64;
         for s in spans {
-            if include_idle && s.start > cursor {
+            if s.start > cursor {
                 out.push(Event::Span(SpanEvent {
                     kind: SpanKind::Idle,
                     name: "idle".to_string(),
@@ -61,7 +61,7 @@ pub fn timeline_events(timeline: &Timeline, pid: u32, include_idle: bool) -> Vec
             }));
             cursor = cursor.max(s.finish);
         }
-        if include_idle && cursor < timeline.makespan && !spans.is_empty() {
+        if cursor < timeline.makespan && !spans.is_empty() {
             out.push(Event::Span(SpanEvent {
                 kind: SpanKind::Idle,
                 name: "idle".to_string(),
@@ -95,18 +95,18 @@ mod tests {
         let sched = dapple(4, 4);
         let t = execute(&sched, UnitCosts::practical()).unwrap();
         let total_ops: usize = t.spans.iter().map(Vec::len).sum();
-        let events = timeline_events(&t, 0, false);
-        assert_eq!(events.len(), total_ops);
-        let with_idle = timeline_events(&t, 0, true);
-        assert!(with_idle.len() > total_ops);
-        // Idle time reconstructed from the events matches the timeline.
-        let idle_ns: u64 = with_idle
+        let events = timeline_events(&t, 0);
+        let idle: Vec<u64> = events
             .iter()
             .filter_map(|e| match e {
                 Event::Span(s) if s.kind == SpanKind::Idle => Some(s.dur_ns),
                 _ => None,
             })
-            .sum();
+            .collect();
+        assert!(!idle.is_empty());
+        assert_eq!(events.len(), total_ops + idle.len());
+        // Idle time reconstructed from the events matches the timeline.
+        let idle_ns: u64 = idle.iter().sum();
         // Busy excludes allreduce waits, whose spans are zero-width here, so
         // total bubbles == emitted idle.
         let bubbles: u64 = t.per_worker_bubbles().iter().sum();
@@ -125,7 +125,7 @@ mod tests {
             UnitCosts::practical(),
         );
         let t = execute(&sched, UnitCosts::practical()).unwrap();
-        let events = timeline_events(&t, 0, true);
+        let events = timeline_events(&t, 0);
         let path = std::env::temp_dir().join("chimera_sim_trace_test.json");
         chimera_trace::write_chrome_trace(&path, &events, &[(0, "chimera d4 n4")]).unwrap();
 
@@ -183,7 +183,7 @@ mod tests {
             makespan: 7,
             busy: vec![7],
         };
-        let events = timeline_events(&t, 3, true);
+        let events = timeline_events(&t, 3);
         let kinds: Vec<SpanKind> = events
             .iter()
             .map(|e| match e {

@@ -494,29 +494,26 @@ fn walk<S: BufferSizes>(program: &Program, sizes: &S, lives: &mut Vec<BufferLife
 /// prices below the later one or at zero, so it is dropped.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CountStates {
-    /// Per worker, in worker order, one LEB128 number after another (seven
-    /// bits a byte, low bits first: most are below 128): the header `[h,
-    /// states, clobbered]` of a worker holding `h` stages, `⌈h / 32⌉` words
-    /// of flags (bit `i`: held stage `i`'s forwards stash the boundary only),
-    /// then its states — each the op whose execution reaches it, as the
-    /// distance from the previous state's, and `2h + 1` counts — then its
-    /// clobbered states, counts only. A state's counts are the live stash
-    /// halves per held stage, the parked weight versions per held stage, and
-    /// the live rematerialization: 0 for none, else `1 + 3i + k` for a
-    /// backward of held stage `i` covering half a micro-batch (`k = 0`), one
-    /// (1) or two (2). A clobbered state holds the counts as the pool sees
-    /// them at a forward that clobbers live halves (a defective schedule):
-    /// the clobbered halves stay resident while the op runs, so slot demand
-    /// reads them and peaks do not.
-    bytes: Vec<u8>,
-    /// Workers recorded.
-    workers: usize,
+    /// Every worker's [`WorkerStates`] words back to back, in worker order.
+    words: Vec<u32>,
+    /// Where each worker's words end, in worker order.
+    ends: Vec<usize>,
     /// States kept, the clobbering forwards' included.
     states: usize,
 }
 
-/// One worker's count states as [`count_states`] leaves them: its entries of
-/// a [`CountStates`] as plain numbers, each state's op an op index.
+/// One worker's count states as [`count_states`] leaves them: the header
+/// `[h, states, clobbered]` of a worker holding `h` stages, `⌈h / 32⌉` words
+/// of flags (bit `i`: held stage `i`'s forwards stash the boundary only),
+/// then its states — each the op index whose execution reaches it and `2h +
+/// 1` counts — then its clobbered states, counts only. A state's counts are
+/// the live stash halves per held stage, the parked weight versions per held
+/// stage, and the live rematerialization: 0 for none, else `1 + 3i + k` for a
+/// backward of held stage `i` covering half a micro-batch (`k = 0`), one (1)
+/// or two (2). A clobbered state holds the counts as the pool sees them at a
+/// forward that clobbers live halves (a defective schedule): the clobbered
+/// halves stay resident while the op runs, so slot demand reads them and
+/// peaks do not.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerStates {
     words: Vec<u32>,
@@ -535,29 +532,6 @@ impl WorkerStates {
     }
 }
 
-/// Append `n` to `bytes` as LEB128.
-fn put(bytes: &mut Vec<u8>, mut n: u32) {
-    while n >= 0x80 {
-        bytes.push(n as u8 | 0x80);
-        n >>= 7;
-    }
-    bytes.push(n as u8);
-}
-
-/// The LEB128 number `bytes` starts with; `bytes` moves past it.
-fn take(bytes: &mut &[u8]) -> u32 {
-    let mut n = 0;
-    for shift in (0..32).step_by(7) {
-        let (&byte, rest) = bytes.split_first().expect("a recorded worker");
-        *bytes = rest;
-        n |= u32::from(byte & 0x7f) << shift;
-        if byte < 0x80 {
-            break;
-        }
-    }
-    n
-}
-
 /// One worker's entries of a [`CountStates`].
 struct Worker<'a> {
     /// Held stages.
@@ -570,8 +544,7 @@ struct Worker<'a> {
 }
 
 impl<'a> Worker<'a> {
-    /// The worker `words` holds: a worker's entries of [`CountStates::bytes`]
-    /// as [`WorkerStates`] has them.
+    /// The worker `words` holds, laid out as [`WorkerStates`] has them.
     fn parse(words: &'a [u32]) -> Worker<'a> {
         let [held, states] = [words[0], words[1]].map(|n| n as usize);
         let (boundary, rest) = words[3..].split_at(held.div_ceil(32));
@@ -581,24 +554,6 @@ impl<'a> Worker<'a> {
             boundary,
             states,
             clobbered,
-        }
-    }
-
-    /// Read the worker `bytes` starts with into `words`, the layout of
-    /// [`WorkerStates`]; `bytes` moves past it.
-    fn decode(bytes: &mut &[u8], words: &mut Vec<u32>) {
-        words.clear();
-        let header = [take(bytes), take(bytes), take(bytes)];
-        let [held, states, clobbered] = header.map(|n| n as usize);
-        let flags = held.div_ceil(32);
-        let entries = flags + states * (2 * held + 2) + clobbered * (2 * held + 1);
-        words.extend(header);
-        words.extend((0..entries).map(|_| take(bytes)));
-        let states = &mut words[3 + flags..3 + flags + states * (2 * held + 2)];
-        let mut at = 0;
-        for op in states.iter_mut().step_by(2 * held + 2) {
-            at += *op;
-            *op = at;
         }
     }
 
@@ -813,7 +768,7 @@ impl Recorder {
 impl CountStates {
     /// Workers recorded.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.ends.len()
     }
 
     /// States kept over all workers, the clobbering forwards' included.
@@ -828,30 +783,17 @@ impl CountStates {
 
     /// Give back what the walk over-allocated: the states are kept.
     pub fn shrink_to_fit(&mut self) {
-        self.bytes.shrink_to_fit();
+        self.words.shrink_to_fit();
+        self.ends.shrink_to_fit();
     }
 
     /// Append the next worker's states.
     pub fn push(&mut self, worker: &WorkerStates) {
         let parsed = Worker::parse(&worker.words);
         let stride = 2 * parsed.held + 2;
-        self.bytes.reserve(worker.words.len());
-        for &n in &worker.words[..3 + parsed.boundary.len()] {
-            put(&mut self.bytes, n);
-        }
-        let mut before = 0;
-        for state in parsed.states.chunks_exact(stride) {
-            put(&mut self.bytes, state[0] - before);
-            before = state[0];
-            for &n in &state[1..] {
-                put(&mut self.bytes, n);
-            }
-        }
-        for &n in parsed.clobbered {
-            put(&mut self.bytes, n);
-        }
-        self.workers += 1;
         self.states += parsed.states.len() / stride + parsed.clobbered.len() / (stride - 1);
+        self.words.extend_from_slice(&worker.words);
+        self.ends.push(self.words.len());
     }
 
     /// Every worker's states priced under `sizes`, with the `(replica,
@@ -865,7 +807,7 @@ impl CountStates {
         // What each worker holds, ascending, in one pass over the placement;
         // a placement of another shape (no worker recorded) adds nothing.
         let placement = &sched.placement;
-        let mut held = vec![Vec::new(); self.workers];
+        let mut held = vec![Vec::new(); self.workers()];
         for replica in 0..placement.replicas() {
             for stage in 0..placement.d() {
                 let w = placement.worker(ReplicaId(replica), StageId(stage)).idx();
@@ -874,11 +816,10 @@ impl CountStates {
                 }
             }
         }
-        let (mut bytes, mut words) = (&self.bytes[..], Vec::new());
-        (held.into_iter())
-            .map(|held| {
-                Worker::decode(&mut bytes, &mut words);
-                let priced = Worker::parse(&words).price(&held, sizes);
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        (held.into_iter().zip(starts.zip(&self.ends)))
+            .map(|(held, (start, &end))| {
+                let priced = Worker::parse(&self.words[start..end]).price(&held, sizes);
                 (held, priced)
             })
             .collect()

@@ -74,7 +74,6 @@ use std::sync::Arc;
 use chimera::comm::{rendezvous_epoch, ClockSync};
 use chimera::comm::{Liveness, NetChaos, TcpConfig, TcpFabric, Transport};
 use chimera::core::analysis;
-use chimera::core::chimera::{chimera as chimera_sched, ChimeraConfig};
 use chimera::core::render;
 use chimera::core::schedule::{Schedule, Scheme, SyncStrategy};
 use chimera::core::sync::place_sync;
@@ -440,7 +439,7 @@ fn cmd_train(args: std::env::Args) {
         trace: sink.clone().map(|s| s as _),
         ..TrainOptions::default()
     };
-    let sched = chimera_sched(&ChimeraConfig::new(d, n)).expect("valid config");
+    let sched = build_schedule("chimera", d, n);
     let result = train(&sched, cfg, opts.clone()).expect("training succeeds");
     if let (Some(path), Some(sink)) = (&trace_path, &sink) {
         let events = sink.drain();
@@ -671,8 +670,8 @@ fn cmd_launch(args: std::env::Args) {
         eprintln!("--workers must be a positive multiple of --d (P = W·D)");
         std::process::exit(2);
     }
+    let sched = build_schedule("chimera", d, n);
     let w = workers / d;
-    let sched = chimera_sched(&ChimeraConfig::new(d, n)).expect("valid config");
     let cfg = launch_model(d);
     let opts = launch_opts(iterations);
     let trace_dir = flags.get("trace").cloned();
@@ -971,8 +970,8 @@ fn cmd_worker(args: std::env::Args) {
             std::process::exit(2);
         }
     };
+    let sched = build_schedule("chimera", d, n);
     let w = workers / d;
-    let sched = chimera_sched(&ChimeraConfig::new(d, n)).expect("valid config");
     let mut tcp_ep = match TcpFabric::connect(TcpConfig::new(rank, workers, coordinator)) {
         Ok(ep) => ep,
         Err(e) => {
@@ -1266,7 +1265,7 @@ fn cmd_overhead(args: std::env::Args) {
         heads: 4,
         ..ModelConfig::tiny()
     };
-    let sched = chimera_sched(&ChimeraConfig::new(d, n)).expect("valid config");
+    let sched = build_schedule("chimera", d, n);
     let mut events_captured = 0usize;
     let mut run = |traced: bool| -> f64 {
         let mut best = f64::INFINITY;

@@ -62,7 +62,7 @@ fn kill_and_simulated_crash_restart_from_the_same_iteration() {
         assert_eq!(replayed_iterations, k.min(ITERATIONS - restart));
         assert!(restart <= i && i < restart + replayed_iterations);
 
-        let plan = FaultPlan::new(1).crash_at(worker, u64::from(i) * iter_ns + epsilon_ns);
+        let plan = FaultPlan::default().crash_at(worker, u64::from(i) * iter_ns + epsilon_ns);
         let recovery = RecoveryModel {
             detect_s: 1.0,
             restore_s: 1.0,

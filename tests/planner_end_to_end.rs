@@ -302,3 +302,27 @@ fn simulate_refuses_a_span_that_is_not_b_hat() {
     assert_eq!(status, Some(0));
     assert!(stdout.contains("P=32 (W=8 D=4 B=4 N=16)"), "{stdout}");
 }
+
+/// Every subcommand that runs a Chimera schedule refuses a shape the
+/// generator rejects the way `render` and `verify` do: the generator's reason
+/// on stderr and exit status 2, never a panic.
+#[test]
+fn runners_refuse_a_shape_the_generator_rejects() {
+    for (args, d, n) in [
+        ("train 3 3 1", 3, 3),
+        ("train 2 0 1", 2, 0),
+        ("overhead-check 3 3 1", 3, 3),
+        ("launch --workers 3 --d 3 --transport local --iters 1", 3, 3),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_chimera-cli"))
+            .args(args.split(' '))
+            .output()
+            .expect("chimera-cli runs");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8");
+        let reason = chimera::core::build_named("chimera", d, n)
+            .expect_err("the generator rejects the shape")
+            .to_string();
+        assert_eq!(out.status.code(), Some(2), "{args}: {stderr}");
+        assert!(stderr.contains(&reason), "{args}: {stderr}");
+    }
+}
