@@ -43,7 +43,7 @@ use chimera_nn::checkpoint::{get_f32s, put_f32s, take, Buf, BufMut};
 use chimera_nn::{CheckpointError, ModelConfig, Optimizer, Stage, SyntheticData};
 
 use crate::error::TrainError;
-use crate::setup::{assemble, configure, reducer_members};
+use crate::setup::{assemble, configure, hand_out, reducer_members};
 use crate::worker::{SegmentSpec, TrainOptions, Worker};
 
 /// Control-plane tag carrying a worker's `(micro, loss)` pairs to rank 0.
@@ -149,7 +149,7 @@ pub fn train_worker_process_recoverable(
     w: u32,
     recovery: Option<&RecoverySpec>,
 ) -> Result<Option<DistOutcome>, TrainError> {
-    let run = configure(sched, cfg, &opts)?;
+    let mut run = configure(sched, cfg, &opts)?;
     let per_group = sched.num_workers() as u32;
     assert_eq!(
         ep.world(),
@@ -161,18 +161,17 @@ pub fn train_worker_process_recoverable(
     let wid = WorkerId(rank % per_group);
     let program = &run.programs[wid.idx()];
 
-    // Fresh state at iteration 0…
+    // Fresh state at iteration 0 — the held stages moved out of the `D` built
+    // ones, the rest dropped here…
     let kind = opts.optimizer_kind();
-    let mut stages: Vec<(u32, u32, Stage, Optimizer)> = sched
-        .placement
-        .held_by(wid)
-        .into_iter()
-        .map(|(r, s)| {
-            let stage = run.stages[s.idx()].clone();
-            let opt = Optimizer::new(kind, stage.num_params());
-            (r.0, s.0, stage, opt)
-        })
-        .collect();
+    let mut stages: Vec<(u32, u32, Stage, Optimizer)> =
+        (hand_out(std::mem::take(&mut run.stages), &[&program.held]).into_iter())
+            .flatten()
+            .map(|(r, s, stage)| {
+                let opt = Optimizer::new(kind, stage.num_params());
+                (r, s, stage, opt)
+            })
+            .collect();
     let mut losses: Vec<(u64, f32)> = Vec::new();
     let mut done: u32 = 0;
 

@@ -40,7 +40,7 @@ use chimera_trace::{now_ns, CounterEvent, Event, MetricsRegistry, SpanEvent, Spa
 use crate::error::{TrainError, WorkerError};
 use crate::fault::RecoveryPolicy;
 use crate::mem::MemReport;
-use crate::setup::{assemble, configure, reducer_members};
+use crate::setup::{assemble, configure, hand_out, reducer_members};
 use crate::worker::{SegmentSpec, TrainOptions, Worker};
 
 /// Outcome of a pipelined training run.
@@ -181,8 +181,10 @@ pub fn train_hybrid(
     });
 
     // Canonical state: `D` stages plus one optimizer per stage. All `2f·W`
-    // replicas of a stage evolve identically, so one copy is enough; it is
-    // cloned out to every (replica, stage) holder at each segment launch.
+    // replicas of a stage evolve identically, so one copy is enough; each
+    // segment launch hands it to the stage's holders (the first one takes
+    // it, the others clones), and while workers run the checkpoint is the
+    // supervisor's only copy.
     let kind = opts.optimizer_kind();
     let mut canon_stages = run.stages;
     let mut canon_opts: Vec<Optimizer> = canon_stages
@@ -216,8 +218,8 @@ pub fn train_hybrid(
             sched,
             &run.programs,
             &run.pool_plans,
-            &canon_stages,
-            &canon_opts,
+            canon_stages,
+            canon_opts,
             seg,
             w_active,
             &opts,
@@ -387,16 +389,17 @@ enum SegmentFailure {
     Fatal(TrainError),
 }
 
-/// Launch `w` pipeline groups on the canonical state, run one segment, and
-/// join. Classifies failures: a death outranks the timeouts it causes in
-/// peers (they unblock via their deadlines and report errors too).
+/// Launch `w` pipeline groups on the canonical state, which their workers
+/// take over ([`hand_out`]), run one segment, and join. Classifies failures:
+/// a death outranks the timeouts it causes in peers (they unblock via their
+/// deadlines and report errors too).
 #[allow(clippy::too_many_arguments)]
 fn run_segment(
     sched: &Schedule,
     programs: &[Arc<Program>],
     pool_plans: &[Vec<(usize, usize)>],
-    canon_stages: &[Stage],
-    canon_opts: &[Optimizer],
+    canon_stages: Vec<Stage>,
+    canon_opts: Vec<Optimizer>,
     seg: SegmentSpec,
     w: u32,
     opts: &TrainOptions,
@@ -418,30 +421,25 @@ fn run_segment(
         }
     }
 
-    // Spawn workers on clones of the canonical stage + optimizer state.
+    // Spawn workers on the canonical stage + optimizer state, handed out in
+    // spawn order (group-major).
+    let holders: Vec<&[(u32, u32)]> = (0..w)
+        .flat_map(|_| programs.iter().map(|p| p.held.as_slice()))
+        .collect();
+    let canon = canon_stages.into_iter().zip(canon_opts).collect();
+    let mut held_iter = hand_out(canon, &holders).into_iter();
     let mut handles = Vec::with_capacity(total_workers);
     let mut sync_iter = sync_per_worker.into_iter();
     let mut ep_iter = endpoints.into_iter();
     for g in 0..w {
         for (lw, (program, pool_plan)) in programs.iter().zip(pool_plans).enumerate() {
-            let wid = WorkerId(lw as u32);
             let ep: Arc<dyn Transport> = Arc::new(ep_iter.next().expect("endpoint per worker"));
             let sync = sync_iter.next().expect("sync map per worker");
-            let stages: Vec<(u32, u32, Stage, Optimizer)> = sched
-                .placement
-                .held_by(wid)
-                .into_iter()
-                .map(|(r, s)| {
-                    (
-                        r.0,
-                        s.0,
-                        canon_stages[s.0 as usize].clone(),
-                        canon_opts[s.0 as usize].clone(),
-                    )
-                })
+            let stages = (held_iter.next().expect("held state per worker").into_iter())
+                .map(|(r, s, (stage, opt))| (r, s, stage, opt))
                 .collect();
             let worker = Worker::new(
-                wid,
+                WorkerId(lw as u32),
                 program.clone(),
                 pool_plan.clone(),
                 g,

@@ -3,9 +3,11 @@
 //! point ([`crate::train_worker_process`]) — lower the schedule, set the
 //! kernel and pool switches, price the pool pre-size plan, order reducer
 //! members and assemble results through the functions here, so the same
-//! `(schedule, TrainOptions)` is the same program under either. Where state
-//! lives between segments (one canonical copy in the supervisor, a slice per
-//! rank on disk) is theirs; nothing else is.
+//! `(schedule, TrainOptions)` is the same program under either, and both hand
+//! the model to its holders through [`hand_out`] — moved, not copied, so each
+//! stage exists once per holder. Where state lives between segments (the
+//! supervisor's serialized checkpoint, a slice per rank on disk) is theirs;
+//! nothing else is.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -108,6 +110,43 @@ pub(crate) fn configure(
     })
 }
 
+/// Hand the per-stage `canon` state to its holders: `holders` lists, holder
+/// by holder, the `(replica, stage)` slots each one holds
+/// ([`Program::held`]), and each gets its slots back with the stage's state.
+/// The first holder of a stage takes `canon`'s own value and later holders
+/// clones of it, so a stage held `k` times costs `k − 1` copies; a stage
+/// nobody holds is dropped here.
+pub(crate) fn hand_out<T: Clone>(
+    canon: Vec<T>,
+    holders: &[&[(u32, u32)]],
+) -> Vec<Vec<(u32, u32, T)>> {
+    let mut left = vec![0usize; canon.len()];
+    for &(_, s) in holders.iter().flat_map(|held| held.iter()) {
+        left[s as usize] += 1;
+    }
+    let mut canon: Vec<Option<T>> = canon.into_iter().map(Some).collect();
+    // Walked from the last holder back, so the clones are made while the
+    // original is still here and the first holder is the one left to take it.
+    let mut handed: Vec<Vec<_>> = (holders.iter().rev())
+        .map(|held| {
+            (held.iter())
+                .map(|&(r, s)| {
+                    let (left, slot) = (&mut left[s as usize], &mut canon[s as usize]);
+                    *left -= 1;
+                    let state = if *left == 0 {
+                        slot.take()
+                    } else {
+                        slot.clone()
+                    };
+                    (r, s, state.expect("a stage outlives its first holder"))
+                })
+                .collect()
+        })
+        .collect();
+    handed.reverse();
+    handed
+}
+
 /// The members of `stage`'s allreduce group as global ranks
 /// (`group · D + holder`), in member order: every data-parallel group's
 /// holders, ranked (group, holder). The keyed reduction sums in key order,
@@ -152,4 +191,91 @@ pub(crate) fn assemble<T>(
         canonical.push(kept);
     }
     Ok((iteration_losses, canonical))
+}
+
+#[cfg(test)]
+mod tests {
+    use chimera_core::build_named;
+    use chimera_nn::{Optimizer, OptimizerKind};
+
+    use super::*;
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Where the stage's first weight lives: equal only for the same buffer.
+    fn wqkv_ptr(stage: &Stage) -> *const f32 {
+        stage.blocks[0].attn.wqkv.w.data().as_ptr()
+    }
+
+    #[test]
+    fn every_holder_gets_the_state_and_one_per_stage_the_original() {
+        for (scheme, f, d, w) in [
+            ("chimera", 1, 2, 1),
+            ("chimera", 1, 2, 2),
+            ("chimera", 1, 4, 1),
+            ("chimera", 1, 4, 2),
+            ("chimera-f2", 2, 4, 1),
+        ] {
+            let case = format!("{scheme} D={d} W={w}");
+            let sched = build_named(scheme, d, d).unwrap();
+            let cfg = ModelConfig {
+                layers: d as usize,
+                ..ModelConfig::tiny()
+            };
+            // Adam state that differs per stage and per element, so a slot
+            // handed the wrong stage's optimizer shows.
+            let canon: Vec<(Stage, Optimizer)> = (Stage::build_all(cfg, d).into_iter())
+                .map(|stage| {
+                    let n = stage.num_params();
+                    let x = stage.index as f32;
+                    let m = (0..n).map(|i| x + i as f32 * 0.25).collect();
+                    let v = (0..n).map(|i| x * 0.5 + i as f32).collect();
+                    let t = 3 + u64::from(stage.index);
+                    (stage, Optimizer::from_state(OptimizerKind::adam(), m, v, t))
+                })
+                .collect();
+            let expected: Vec<_> = (canon.iter())
+                .map(|(stage, opt)| {
+                    let (m, v, t) = opt.state();
+                    (bits(&stage.params()), bits(m), bits(v), t, wqkv_ptr(stage))
+                })
+                .collect();
+            let programs = lower(&sched, 1).programs;
+            let holders: Vec<&[(u32, u32)]> = (0..w)
+                .flat_map(|_| programs.iter().map(|p| p.held.as_slice()))
+                .collect();
+
+            let handed = hand_out(canon, &holders);
+            assert_eq!(handed.len(), holders.len(), "{case}");
+            let (mut slots, mut originals) = (vec![0; d as usize], vec![0; d as usize]);
+            let mut first_holder: Vec<Option<usize>> = vec![None; d as usize];
+            for (holder, (held, got)) in holders.iter().zip(&handed).enumerate() {
+                let slots_got: Vec<(u32, u32)> = got.iter().map(|&(r, s, _)| (r, s)).collect();
+                assert_eq!(&slots_got[..], *held, "{case}");
+                for (_, s, (stage, opt)) in got {
+                    let (params, m, v, t, ptr) = &expected[*s as usize];
+                    let state = opt.state();
+                    assert_eq!(&bits(&stage.params()), params, "{case} stage {s}");
+                    assert_eq!(
+                        (&bits(state.0), &bits(state.1), state.2),
+                        (m, v, *t),
+                        "{case} stage {s}"
+                    );
+                    let s = *s as usize;
+                    slots[s] += 1;
+                    let first = *first_holder[s].get_or_insert(holder);
+                    if wqkv_ptr(stage) == *ptr {
+                        originals[s] += 1;
+                        assert_eq!(holder, first, "{case}: stage {s}'s original");
+                    }
+                }
+            }
+            // `2f·W` holders per stage: the first takes the original, the
+            // other `2f·W − 1` clones.
+            assert_eq!(slots, vec![2 * f * w as usize; d as usize], "{case}");
+            assert_eq!(originals, vec![1; d as usize], "{case}");
+        }
+    }
 }

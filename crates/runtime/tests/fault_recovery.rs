@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use chimera_core::chimera::{chimera, ChimeraConfig};
-use chimera_nn::{ModelConfig, ReferenceTrainer, Stage, SyntheticData};
+use chimera_nn::{LrSchedule, ModelConfig, OptimizerKind, ReferenceTrainer, Stage, SyntheticData};
 use chimera_runtime::{
     train, train_hybrid, FaultSpec, MsgFault, RecoveryPolicy, TrainError, TrainOptions,
 };
@@ -47,6 +47,40 @@ fn kill_recovers_bit_identical_w1() {
             recovered.flat_params(),
             healthy.flat_params(),
             "kill at i{iteration}: recovery must be bit-identical"
+        );
+        assert_eq!(recovered.iteration_losses, healthy.iteration_losses);
+    }
+}
+
+/// Adam's moments and step count come back from the checkpoint bytes too —
+/// the supervisor keeps no other copy while a segment runs. A kill in the
+/// first segment restores the initial state, one in the second the state
+/// after two warm-up steps (non-zero second moment); both replay to the
+/// fault-free run bit for bit.
+#[test]
+fn kill_recovers_adam_state_bit_identical() {
+    let cfg = ModelConfig::tiny();
+    let sched = chimera(&ChimeraConfig::new(2, 2)).unwrap();
+    let mut o = opts(4);
+    o.optimizer = Some(OptimizerKind::adam());
+    o.lr_schedule = Some(LrSchedule::WarmupCosine {
+        base: 2e-3,
+        warmup: 2,
+        total: 10,
+        min: 1e-4,
+    });
+    o.checkpoint_every = Some(2);
+    let healthy = train(&sched, cfg, o.clone()).expect("fault-free run");
+
+    for iteration in [1, 3] {
+        let mut f = o.clone();
+        f.fault = Some(FaultSpec::kill_at(0, 1, iteration));
+        let recovered = train(&sched, cfg, f).expect("recovers from kill");
+        assert_eq!(recovered.recoveries, 1, "kill at i{iteration}");
+        assert_eq!(
+            recovered.flat_params(),
+            healthy.flat_params(),
+            "kill at i{iteration}: Adam recovery must be bit-identical"
         );
         assert_eq!(recovered.iteration_losses, healthy.iteration_losses);
     }

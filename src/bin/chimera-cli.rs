@@ -66,6 +66,7 @@
 //! land in `--stats-dir` and are aggregated into the printed `recoveries`
 //! line.
 
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -92,7 +93,7 @@ use chimera::serve::{
     RealSearcher, Searcher, ServeConfig, ServeError,
 };
 use chimera::sim::simulate;
-use chimera::trace::{now_ns, read_jsonl, write_jsonl, BufferSink, MetricsRegistry};
+use chimera::trace::{events_to_jsonl, now_ns, read_jsonl, BufferSink, MetricsRegistry};
 use chimera::verify::{memory_v2, verify_span, verify_with_memory, VerifyReport};
 use serde_json::Value;
 
@@ -118,6 +119,29 @@ fn parse<T: std::str::FromStr>(s: Option<String>, default: T) -> T {
 fn refuse(reason: impl std::fmt::Display) -> ! {
     eprintln!("chimera-cli: {reason}");
     std::process::exit(2);
+}
+
+/// A run that failed, or an output that cannot be written: what failed (the
+/// run, or the path) and why on stderr, exit status 1 — never a panic.
+fn fail(what: impl std::fmt::Display, why: impl std::fmt::Display) -> ! {
+    eprintln!("chimera-cli: {what}: {why}");
+    std::process::exit(1);
+}
+
+/// Create (or truncate) the output file at `path` before the work whose
+/// result it will hold, so a path that cannot be written fails at once.
+fn create_output(path: &str) -> std::fs::File {
+    std::fs::File::create(path).unwrap_or_else(|e| fail(path, e))
+}
+
+/// Write `bytes` to `out`, the file [`create_output`] opened at `path`.
+fn write_output(mut out: std::fs::File, path: &str, bytes: &[u8]) {
+    out.write_all(bytes).unwrap_or_else(|e| fail(path, e));
+}
+
+/// Create the directory `dir` (and its parents), or fail.
+fn create_dir(dir: &str) {
+    std::fs::create_dir_all(dir).unwrap_or_else(|e| fail(dir, e));
 }
 
 fn build_schedule(scheme: &str, d: u32, n: u32) -> Schedule {
@@ -440,10 +464,11 @@ fn cmd_train(args: std::env::Args) {
         ..TrainOptions::default()
     };
     let sched = build_schedule("chimera", d, n);
-    let result = train(&sched, cfg, opts.clone()).expect("training succeeds");
-    if let (Some(path), Some(sink)) = (&trace_path, &sink) {
+    let trace_out = trace_path.as_deref().map(|p| (p, create_output(p)));
+    let result = train(&sched, cfg, opts.clone()).unwrap_or_else(|e| fail("training", e));
+    if let (Some((path, out)), Some(sink)) = (trace_out, &sink) {
         let events = sink.drain();
-        write_jsonl(path, &events).expect("write trace file");
+        write_output(out, path, events_to_jsonl(&events).as_bytes());
         println!("trace: {} events -> {path}", events.len());
     }
     println!("Chimera D={d} N={n}, {iterations} iterations on {d} threads:");
@@ -676,7 +701,7 @@ fn cmd_launch(args: std::env::Args) {
     let opts = launch_opts(iterations);
     let trace_dir = flags.get("trace").cloned();
     if let Some(dir) = &trace_dir {
-        std::fs::create_dir_all(dir).expect("create trace directory");
+        create_dir(dir);
     }
 
     let (dist_losses, dist_params) = match transport.as_str() {
@@ -694,15 +719,20 @@ fn cmd_launch(args: std::env::Args) {
             let sink = trace_dir.as_ref().map(|_| Arc::new(BufferSink::new()));
             let mut local_opts = opts.clone();
             local_opts.trace = sink.clone().map(|s| s as _);
-            let result =
-                train_hybrid(&sched, cfg, local_opts, w).expect("in-process training succeeds");
-            if let (Some(dir), Some(sink)) = (&trace_dir, &sink) {
+            let trace_out = trace_dir.as_ref().map(|dir| {
                 let path = format!("{dir}/trace.jsonl");
+                let out = create_output(&path);
+                (path, out)
+            });
+            let metrics_out = flags.get("metrics-out").map(|p| (p, create_output(p)));
+            let result = train_hybrid(&sched, cfg, local_opts, w)
+                .unwrap_or_else(|e| fail("in-process training", e));
+            if let (Some((path, out)), Some(sink)) = (trace_out, &sink) {
                 let events = sink.drain();
-                write_jsonl(&path, &events).expect("write trace file");
+                write_output(out, &path, events_to_jsonl(&events).as_bytes());
                 println!("trace: {} events -> {path}", events.len());
             }
-            if let Some(path) = flags.get("metrics-out") {
+            if let Some((path, out)) = metrics_out {
                 // Single process: the "merged" view is just this process's
                 // registry under rank 0.
                 let snap = MetricsRegistry::global().snapshot();
@@ -713,7 +743,7 @@ fn cmd_launch(args: std::env::Args) {
                     "ranks": {"0": snap},
                     "totals": totals,
                 });
-                std::fs::write(path, merged.to_string()).expect("write metrics file");
+                write_output(out, path, merged.to_string().as_bytes());
                 println!("metrics -> {path}");
             }
             (result.iteration_losses.clone(), result.flat_params())
@@ -744,7 +774,7 @@ fn cmd_launch(args: std::env::Args) {
             let ckpt_every: u32 = flag(&flags, "ckpt-every", 1);
             let max_respawns: u32 = flag(&flags, "max-respawns", 3);
             if let Some(dir) = &ckpt_dir {
-                std::fs::create_dir_all(dir).expect("create checkpoint directory");
+                create_dir(dir);
             }
             let stats_dir_tmp = !flags.contains_key("stats-dir");
             let stats_dir = flags.get("stats-dir").cloned().unwrap_or_else(|| {
@@ -753,7 +783,13 @@ fn cmd_launch(args: std::env::Args) {
                     .display()
                     .to_string()
             });
-            std::fs::create_dir_all(&stats_dir).expect("create stats directory");
+            create_dir(&stats_dir);
+            // Rank 0 writes the merged metrics; a path it could not write
+            // fails here, before any worker is spawned.
+            let metrics_out = flags.get("metrics-out");
+            if let Some(out) = metrics_out.filter(|_| flags.contains_key("metrics-every")) {
+                create_output(out);
+            }
 
             // A free rendezvous port: bind ephemeral, remember, release.
             // Rank 0 rebinds it immediately, so reuse races are negligible.
@@ -930,7 +966,8 @@ fn cmd_launch(args: std::env::Args) {
 
     // Re-run the identical configuration in-process and demand bitwise
     // agreement.
-    let reference = train_hybrid(&sched, cfg, opts, w).expect("in-process training succeeds");
+    let reference =
+        train_hybrid(&sched, cfg, opts, w).unwrap_or_else(|e| fail("in-process training", e));
     let ref_params = reference.flat_params();
     let params_match = dist_params.len() == ref_params.len()
         && dist_params
@@ -1063,6 +1100,12 @@ fn cmd_worker(args: std::env::Args) {
         resume: flag(&flags, "resume", 0u32) != 0,
     });
     let sink = trace_path.as_ref().map(|_| Arc::new(BufferSink::new()));
+    // Every output this rank writes after training, opened before it.
+    let output = |name: &str| flags.get(name).map(|p| (p.as_str(), create_output(p)));
+    let result_out = output("out");
+    let stats_out = output("stats");
+    let trace_out = output("trace");
+    let metrics_out = aggregator.as_ref().and_then(|_| output("metrics-out"));
     let mut clock = ClockSync::identity();
     if let Some(s) = &sink {
         opts.trace = Some(s.clone());
@@ -1082,8 +1125,8 @@ fn cmd_worker(args: std::env::Args) {
     match train_worker_process_recoverable(ep, &sched, launch_model(d), opts, w, recovery.as_ref())
     {
         Ok(Some(outcome)) => {
-            if let Some(path) = flags.get("out") {
-                std::fs::write(path, outcome.encode()).expect("write result file");
+            if let Some((path, out)) = result_out {
+                write_output(out, path, &outcome.encode());
             }
         }
         Ok(None) => {}
@@ -1099,7 +1142,7 @@ fn cmd_worker(args: std::env::Args) {
     if !tcp_ep.drain_unacked(std::time::Duration::from_secs(5)) {
         eprintln!("rank {rank}: exiting with unacknowledged frames (peer gone?)");
     }
-    if let Some(path) = flags.get("stats") {
+    if let Some((path, out)) = stats_out {
         let s = tcp_ep.session_stats();
         let stats = serde_json::json!({
             "schema": "chimera-comm/session/v1",
@@ -1110,9 +1153,9 @@ fn cmd_worker(args: std::env::Args) {
             "chaos_events": s.chaos_events,
             "heartbeats_sent": s.heartbeats_sent,
         });
-        std::fs::write(path, stats.to_string()).expect("write session stats file");
+        write_output(out, path, stats.to_string().as_bytes());
     }
-    if let (Some(path), Some(sink)) = (&trace_path, &sink) {
+    if let (Some((path, out)), Some(sink)) = (trace_out, &sink) {
         // Export on the shared time axis: shift every event by this rank's
         // measured clock offset and stamp the rank as the process group, so
         // per-rank files overlay coherently in one viewer.
@@ -1124,7 +1167,7 @@ fn cmd_worker(args: std::env::Args) {
                 chimera::trace::Event::Counter(c) => c.pid = rank,
             }
         }
-        write_jsonl(path, &events).expect("write trace file");
+        write_output(out, path, events_to_jsonl(&events).as_bytes());
     }
     if let Some(p) = publisher {
         p.stop(); // sends the final snapshot
@@ -1133,8 +1176,8 @@ fn cmd_worker(args: std::env::Args) {
         // Give the other ranks' final snapshots a moment to arrive.
         std::thread::sleep(std::time::Duration::from_millis(100));
         let merged = agg.stop();
-        if let Some(path) = flags.get("metrics-out") {
-            std::fs::write(path, merged.to_string()).expect("write metrics file");
+        if let Some((path, out)) = metrics_out {
+            write_output(out, path, merged.to_string().as_bytes());
             eprintln!("rank 0: metrics -> {path}");
         } else {
             println!("{merged}");
@@ -1281,7 +1324,7 @@ fn cmd_overhead(args: std::env::Args) {
                 ..TrainOptions::default()
             };
             let t0 = std::time::Instant::now();
-            train(&sched, cfg, opts).expect("training succeeds");
+            train(&sched, cfg, opts).unwrap_or_else(|e| fail("training", e));
             best = best.min(t0.elapsed().as_secs_f64());
             if let Some(s) = &sink {
                 events_captured = s.drain().len();

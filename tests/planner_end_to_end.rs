@@ -326,3 +326,41 @@ fn runners_refuse_a_shape_the_generator_rejects() {
         assert!(stderr.contains(&reason), "{args}: {stderr}");
     }
 }
+
+/// An output path that cannot be written is a failure, not a panic: exit
+/// status 1 with the path on stderr, reported before any training runs. The
+/// paths sit below a regular file, so no user — root included — can create
+/// them.
+#[test]
+fn unwritable_outputs_fail_with_the_path() {
+    let bad = |name: &str| format!("{}/Cargo.toml/{name}", env!("CARGO_MANIFEST_DIR"));
+    let trace = bad("t.jsonl");
+    let metrics = bad("m.json");
+    let launch = [
+        "launch",
+        "--workers",
+        "2",
+        "--d",
+        "2",
+        "--transport",
+        "local",
+    ];
+    for args in [
+        ["train", "2", "4", "1", "--trace", &trace].as_slice(),
+        &[&launch[..], &["--iters", "1", "--metrics-out", &metrics]].concat(),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_chimera-cli"))
+            .args(args)
+            .output()
+            .expect("chimera-cli runs");
+        let stdout = String::from_utf8(out.stdout).expect("utf-8");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8");
+        let path = args.last().expect("the path is the last argument");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(path), "{args:?}: {stderr}");
+        assert!(
+            !stdout.contains("iter "),
+            "{args:?} trained first: {stdout}"
+        );
+    }
+}
