@@ -13,6 +13,13 @@
 //! All collective traffic travels under [`MsgKey::Coll`] keys carrying
 //! `(tag, round, sender)`, so concurrent groups (one per pipeline stage)
 //! and back-to-back rounds never collide even when the wire reorders.
+//!
+//! Gradients contributed during a round are held by the member and travel
+//! with its launch: the wire format is one contribution per member and
+//! round, and the root sums after the gather, not as pairs arrive. So a
+//! member here holds its round's gradients until the launch, and its
+//! contribute puts nothing back in the caller's pool: the buffers leave
+//! with the launch (the root's come home at its fetch).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,9 +50,15 @@ pub struct TransportKeyed {
     /// This endpoint's index in `members`.
     me: usize,
     deposit_round: AtomicU64,
+    /// The next round to fetch; advanced only when a fetch returns it.
     fetch_round: AtomicU64,
+    /// Gradients contributed since the last launch, which ships them.
+    held: Mutex<Contribution>,
     /// Root only: own contributions parked by round (never sent to self).
     stash: Mutex<HashMap<u64, Contribution>>,
+    /// Root only: the round being gathered, by member index. A fetch that
+    /// times out leaves what it has received here for the next one.
+    gathered: Mutex<Vec<Option<Contribution>>>,
     deposits: Arc<Counter>,
     fetches: Arc<Counter>,
     bytes_contributed: Arc<Counter>,
@@ -67,7 +80,9 @@ impl TransportKeyed {
             me,
             deposit_round: AtomicU64::new(0),
             fetch_round: AtomicU64::new(0),
+            held: Mutex::new(Vec::new()),
             stash: Mutex::new(HashMap::new()),
+            gathered: Mutex::new(Vec::new()),
             deposits: reg.counter("collectives.keyed.deposits"),
             fetches: reg.counter("collectives.keyed.fetches"),
             bytes_contributed: reg.counter("collectives.keyed.bytes_contributed"),
@@ -85,13 +100,22 @@ impl TransportKeyed {
 }
 
 impl KeyedReduce for TransportKeyed {
+    /// Hold the pair until the launch, which ships it: nothing is folded
+    /// here, so nothing goes back to the caller's pool.
+    fn contribute(&self, key: u64, grad: Vec<f32>) {
+        self.bytes_contributed.add(grad.len() as u64 * 4);
+        self.held.lock().push((key, grad));
+    }
+
     fn deposit(&self, contribution: Contribution) {
         self.deposits.inc();
         self.bytes_contributed
             .add(contribution.iter().map(|(_, v)| v.len() as u64 * 4).sum());
+        let mut all = std::mem::take(&mut *self.held.lock());
+        all.extend(contribution);
         let round = self.deposit_round.fetch_add(1, Ordering::Relaxed);
         if self.me == 0 {
-            self.stash.lock().insert(round, contribution);
+            self.stash.lock().insert(round, all);
         } else {
             // A failed send means the root is gone; the matching fetch will
             // hit its deadline and the worker reports the blocked op.
@@ -102,14 +126,13 @@ impl KeyedReduce for TransportKeyed {
                     round,
                     from: self.ep.rank(),
                 },
-                Payload::Keyed(contribution),
+                Payload::Keyed(all),
             );
         }
     }
 
     fn fetch_deadline(&self, timeout: Duration) -> Option<Reduced> {
-        self.fetches.inc();
-        let round = self.fetch_round.fetch_add(1, Ordering::Relaxed);
+        let round = self.fetch_round.load(Ordering::Relaxed);
         let root_key = MsgKey::Coll {
             tag: self.tag,
             round,
@@ -117,20 +140,34 @@ impl KeyedReduce for TransportKeyed {
         };
         if self.me != 0 {
             let sum = self.ep.recv_deadline(root_key, timeout).ok()?.into_flat();
+            self.fetch_round.store(round + 1, Ordering::Relaxed);
+            self.fetches.inc();
             return Some(Reduced::new(sum));
         }
         let deadline = Instant::now() + timeout;
-        // By member index, the root's own first.
-        let mut all = vec![self.stash.lock().remove(&round).unwrap_or_default()];
-        for &m in &self.members[1..] {
+        let mut gathered = self.gathered.lock();
+        gathered.resize_with(self.members.len(), || None);
+        // By member index, the root's own first: it is here once the root
+        // has launched the round.
+        if gathered[0].is_none() {
+            gathered[0] = Some(self.stash.lock().remove(&round)?);
+        }
+        for (slot, &m) in gathered.iter_mut().zip(&self.members).skip(1) {
+            if slot.is_some() {
+                continue;
+            }
             let remaining = deadline.saturating_duration_since(Instant::now());
             let key = MsgKey::Coll {
                 tag: self.tag,
                 round,
                 from: m,
             };
-            all.push(self.ep.recv_deadline(key, remaining).ok()?.into_keyed());
+            *slot = Some(self.ep.recv_deadline(key, remaining).ok()?.into_keyed());
         }
+        let all: Vec<Contribution> = gathered.drain(..).map(|c| c.expect("gathered")).collect();
+        drop(gathered);
+        self.fetch_round.store(round + 1, Ordering::Relaxed);
+        self.fetches.inc();
         let mut sum = Vec::new();
         sum_keyed(&mut sum, &all);
         for (_, buf) in all.into_iter().flatten() {
@@ -243,5 +280,95 @@ mod tests {
         let member = TransportKeyed::new(e0, 0, vec![0, 1]);
         member.deposit(vec![(0, vec![1.0])]);
         assert!(member.fetch_deadline(Duration::from_millis(50)).is_none());
+    }
+
+    /// A fetch that times out consumes nothing: at the root, the round's own
+    /// contribution and whatever it already gathered stay for the next
+    /// fetch; at a member, the next fetch waits for the same round.
+    #[test]
+    fn a_timed_out_fetch_leaves_the_round_for_the_next() {
+        let short = Duration::from_millis(50);
+        let long = Duration::from_secs(5);
+        // Root: deposits, times out, then the peer deposits.
+        let mut eps = fabric(2).into_iter();
+        let (root, peer) = (eps.next().unwrap(), eps.next().unwrap());
+        let root = TransportKeyed::new(root, 0, vec![0, 1]);
+        let peer = TransportKeyed::new(peer, 0, vec![0, 1]);
+        root.deposit(vec![(0, vec![1.0])]);
+        assert!(root.fetch_deadline(short).is_none());
+        peer.deposit(vec![(1, vec![2.0])]);
+        assert_eq!(root.fetch_deadline(long).as_deref(), Some(&[3.0][..]));
+        assert_eq!(peer.fetch_deadline(long).as_deref(), Some(&[3.0][..]));
+
+        // Member: deposits and times out before the root has reduced.
+        let mut eps = fabric(3).into_iter();
+        let (r0, r1, r2) = (
+            eps.next().unwrap(),
+            eps.next().unwrap(),
+            eps.next().unwrap(),
+        );
+        let members = vec![0, 1, 2];
+        let root = TransportKeyed::new(r0, 4, members.clone());
+        let early = TransportKeyed::new(r1, 4, members.clone());
+        let late = TransportKeyed::new(r2, 4, members);
+        early.deposit(vec![(1, vec![2.0])]);
+        assert!(early.fetch_deadline(short).is_none());
+        root.deposit(vec![(0, vec![1.0])]);
+        // The root gathers one member, then times out on the other.
+        assert!(root.fetch_deadline(short).is_none());
+        late.deposit(vec![(2, vec![4.0])]);
+        assert_eq!(root.fetch_deadline(long).as_deref(), Some(&[7.0][..]));
+        assert_eq!(early.fetch_deadline(long).as_deref(), Some(&[7.0][..]));
+        assert_eq!(late.fetch_deadline(long).as_deref(), Some(&[7.0][..]));
+    }
+
+    /// Contributed gradients travel with the launch and sum as if deposited
+    /// there, bit for bit with the shared-memory group's streaming path.
+    #[test]
+    fn contributions_ride_the_launch() {
+        let len = 2 * pool::MIN_POOLED;
+        let vals = [1e8f32, 1.0, -1e8, 1.0];
+        let shared = {
+            let handles: Vec<_> = crate::keyed_group(2)
+                .into_iter()
+                .map(|m| {
+                    thread::spawn(move || {
+                        for k in (m.rank()..4).step_by(2) {
+                            m.contribute(k as u64, vec![vals[k]; len]);
+                        }
+                        m.reduce(Vec::new()).to_vec()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .collect::<Vec<_>>()
+        };
+        let wired = {
+            let handles: Vec<_> = fabric(2)
+                .into_iter()
+                .enumerate()
+                .map(|(i, ep)| {
+                    thread::spawn(move || {
+                        let member = TransportKeyed::new(ep, 3, vec![0, 1]);
+                        let before = pool::local_stats().returns;
+                        for k in (i..4).step_by(2) {
+                            member.contribute(k as u64, vec![vals[k]; len]);
+                        }
+                        assert_eq!(pool::local_stats().returns, before, "held, not replaced");
+                        member.deposit(Vec::new());
+                        let out = member.fetch_deadline(Duration::from_secs(5)).unwrap();
+                        out.to_vec()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(shared, wired);
+        assert_eq!(shared[0], vec![((1e8f32 + 1.0) + -1e8) + 1.0; len]);
     }
 }

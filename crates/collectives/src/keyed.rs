@@ -1,35 +1,55 @@
-//! Keyed-ordered allreduce with non-blocking launch.
+//! Keyed-ordered allreduce that folds gradients as they are made.
 //!
 //! Gradient synchronization across pipeline replicas must reproduce the
 //! sequential reference's accumulation order to stay bit-exact: the
-//! reference sums per-micro-batch gradients in micro-batch order. Each
-//! member therefore contributes `(key, vector)` pairs (key = micro id); the
-//! reduction gathers all pairs, sorts by key, and sums in key order.
+//! reference sums per-micro-batch gradients in micro-batch order. Every
+//! gradient therefore enters its stage's group as a `(key, vector)` pair
+//! (key = global micro id), and the group sums the pairs in `(key, member)`
+//! order with the first term as the accumulator — the bits of
+//! [`sum_in_key_order`].
 //!
-//! The API is split like a non-blocking collective (§3.2 of the paper):
-//! [`KeyedMember::deposit`] never blocks (the launch), and
-//! [`KeyedMember::fetch`] blocks until the matching round's result is ready
-//! (the wait). Rounds are matched by per-member call order, so different
-//! members may interleave launches of several stages in different orders
-//! without deadlocking. [`KeyedMember::reduce`] is the blocking convenience
-//! combination.
+//! A round is split like a non-blocking collective (§3.2 of the paper):
+//! [`KeyedMember::contribute`] files one gradient in the member's current
+//! round as soon as its backward makes it; [`KeyedMember::deposit`] is the
+//! launch — it files the pairs it is given (the training runtime gives none)
+//! and closes the member's part of the round, never waiting; and
+//! [`KeyedMember::fetch`] waits until the round's sum is published. Rounds
+//! are matched by per-member call order, so different members may
+//! interleave launches of several stages in different orders without
+//! deadlocking. [`KeyedMember::reduce`] is the blocking deposit + fetch.
+//!
+//! # Folding as gradients arrive
+//!
+//! Each member contributes in increasing key order within a round (the
+//! runtime's front door refuses a schedule whose backwards would not). So
+//! once every member has launched or contributed a key ≥ `k`, no term with
+//! a key ≤ `k` can still arrive: the pending terms up to the least such
+//! frontier form a *run* that may be added to the accumulator now, and runs
+//! added one after another give the bits of one ordered sum over the round.
+//! A run is folded once it holds `2 ×` the group's size terms, or when
+//! every member has launched; the round is published when every member
+//! has launched and nothing is pending. A group therefore holds one
+//! accumulator and the terms not yet foldable, not one buffer per
+//! micro-batch: where the members' keys interleave, as Chimera's two
+//! directions' do, that is a bounded run whatever `N`. (Where one member's
+//! keys all rank above another's, its terms wait for the other's launch.)
 //!
 //! # Who touches which bytes
 //!
 //! The group mutex guards bookkeeping only — no arithmetic and no copy runs
-//! under it. A deposit files its buffers and moves on. The first member to
-//! *wait* for a completed round claims it: it takes every contribution out,
-//! **releases the lock**, and sums them in one blocked pass
-//! ([`chimera_tensor::ops::sum_ordered`]) into a result buffer the group
-//! owns; it then publishes the result and parks each contribution back in
-//! its depositor's slot. So the arithmetic lands on a member with nothing
-//! else to do — and when members wait for their stages in different orders,
-//! as the two directions of a bidirectional pipeline do, rounds completed
-//! together are summed side by side. A fetch hands out a [`Reduced`] handle
-//! on that one buffer (no per-member copy) and takes the member's own
-//! buffers home to its thread's pool, so every pool gets back exactly what
-//! it gave. The result buffer returns to the group's spare list when the
-//! last handle drops, and the next round reuses it.
+//! under it. The contributor or launcher whose arrival makes a run foldable
+//! takes the run and the accumulator out, **releases the lock**, and adds
+//! the run in one blocked pass ([`chimera_tensor::ops::add_ordered`]; a
+//! round's first term becomes its accumulator). A contributed buffer, once
+//! folded, joins the group's spares, and every contribute puts exactly one
+//! buffer of the same pool class back into the caller's thread-local pool
+//! at once — a spare, often its own just folded, or a fresh one while the
+//! group holds none — so a worker's pool gives one buffer per backward and
+//! gets one back, whoever folds. Pairs deposited at launch are read by a
+//! fold but never adopted: they wait for their depositor's fetch to take
+//! them home. A fetch hands out a [`Reduced`] handle on the accumulator (no
+//! per-member copy); when the last handle drops, the buffer joins the
+//! spares and a later round reuses it.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -43,14 +63,37 @@ use chimera_trace::{Counter, MetricsRegistry};
 
 type Contribution = Vec<(u64, Vec<f32>)>;
 
+/// A round's accumulator (if any term is folded yet) and a run to add to it.
+type Due = (Option<Vec<f32>>, Vec<Term>);
+
+/// A run is folded once it holds this many terms per member (or when the
+/// round completes): long enough that one blocked pass amortises a sweep of
+/// the accumulator, short enough that a group holds a bounded run.
+const FOLD_RUN: usize = 2;
+
+/// One filed gradient, waiting for its fold.
+struct Term {
+    key: u64,
+    member: usize,
+    buf: Vec<f32>,
+    /// Deposited at launch: a fold reads it, then it waits for its
+    /// depositor's fetch — never adopted as an accumulator or a spare.
+    launched: bool,
+}
+
 struct Round {
-    /// By rank: what each member deposited, until the round completes and
-    /// the reducer takes them all; after the reduction the same buffers
-    /// again, each waiting for its depositor's fetch to take it home.
-    contributions: Vec<Option<Contribution>>,
-    arrived: usize,
-    /// A member has taken the contributions and is summing them.
-    claimed: bool,
+    /// Per member: the largest key it has filed, `u64::MAX` once it has
+    /// launched (`None`: nothing yet). Terms up to the least are foldable.
+    frontier: Vec<Option<u64>>,
+    launched: usize,
+    /// Filed terms not yet folded, in arrival order.
+    pending: Vec<Term>,
+    /// The sum of every term folded so far; out while a fold runs.
+    acc: Option<Vec<f32>>,
+    folding: bool,
+    /// Per member: its launch-deposited buffers, folded, waiting for its
+    /// fetch to take them home.
+    home: Vec<Vec<Vec<f32>>>,
     result: Option<Reduced>,
     fetched: usize,
 }
@@ -58,12 +101,44 @@ struct Round {
 impl Round {
     fn new(n: usize) -> Self {
         Round {
-            contributions: (0..n).map(|_| None).collect(),
-            arrived: 0,
-            claimed: false,
+            frontier: vec![None; n],
+            launched: 0,
+            pending: Vec::new(),
+            acc: None,
+            folding: false,
+            home: vec![Vec::new(); n],
             result: None,
             fetched: 0,
         }
+    }
+
+    /// If a fold is due and none is running: take the foldable run out,
+    /// sorted into `(key, member)` order, with the accumulator.
+    fn take_due(&mut self, n: usize) -> Option<Due> {
+        let bound = (*self.frontier.iter().min()?)?;
+        let run = self.pending.iter().filter(|t| t.key <= bound).count();
+        if self.folding || run == 0 || (run < FOLD_RUN * n && self.launched < n) {
+            return None;
+        }
+        let mut run: Vec<Term> = self.pending.extract_if(.., |t| t.key <= bound).collect();
+        // Stable: one member's equal keys keep their filing order.
+        run.sort_by_key(|t| (t.key, t.member));
+        self.folding = true;
+        Some((self.acc.take(), run))
+    }
+
+    /// Publish the round once every member has launched and every term is
+    /// folded: `true` if this call did.
+    fn publish_if_complete(&mut self, n: usize, spares: &Spares) -> bool {
+        let done = self.launched == n && self.pending.is_empty() && !self.folding;
+        if !done || self.result.is_some() {
+            return false;
+        }
+        self.result = Some(Reduced::new(ResultBuf {
+            data: self.acc.take().unwrap_or_default(),
+            home: spares.clone(),
+        }));
+        true
     }
 }
 
@@ -75,7 +150,18 @@ struct State {
     fetch_round: Vec<u64>,
 }
 
-/// Result buffers no handle refers to any more, ready for the next round.
+impl State {
+    fn round_mut(&mut self, round: u64, n: usize) -> &mut Round {
+        let slot = (round - self.base) as usize;
+        while self.rounds.len() <= slot {
+            self.rounds.push_back(Round::new(n));
+        }
+        &mut self.rounds[slot]
+    }
+}
+
+/// Buffers the group holds and no round needs: folded contributions and
+/// results no handle refers to any more.
 type Spares = Arc<Mutex<Vec<Vec<f32>>>>;
 
 struct Shared {
@@ -100,7 +186,9 @@ impl AsRef<[f32]> for ResultBuf {
 
 impl Drop for ResultBuf {
     fn drop(&mut self) {
-        self.home.lock().push(std::mem::take(&mut self.data));
+        if self.data.capacity() > 0 {
+            self.home.lock().push(std::mem::take(&mut self.data));
+        }
     }
 }
 
@@ -111,9 +199,9 @@ pub struct KeyedMember {
     deposits: Arc<Counter>,
     fetches: Arc<Counter>,
     bytes_contributed: Arc<Counter>,
-    /// Nanoseconds spent summing completed rounds.
+    /// Nanoseconds spent folding runs.
     reduce_ns: Arc<Counter>,
-    /// Nanoseconds fetches spent blocked on a round still incomplete.
+    /// Nanoseconds fetches spent blocked on a round not yet published.
     wait_ns: Arc<Counter>,
 }
 
@@ -145,45 +233,98 @@ pub fn keyed_group(n: usize) -> Vec<KeyedMember> {
         .collect()
 }
 
-/// A completed round between being claimed and its published result: every
-/// contribution, by rank, and the buffer the sum goes into. Returned by
-/// [`KeyedMember::try_claim`]; [`Self::complete`] does the arithmetic.
-#[must_use = "the round's members wait until the reduction completes"]
-pub struct PendingReduction {
+/// A run some arrival made foldable, taken out of its round together with
+/// the round's accumulator: [`Self::sum`] adds it with no lock held,
+/// [`Self::publish`] puts the accumulator back. Returned by
+/// [`KeyedMember::file`] and [`KeyedMember::launch`]; contribute and deposit
+/// run each fold to its end themselves, and the steps are public so an
+/// interleaving explorer can step other members between them.
+#[must_use = "the round is not published until its folds are"]
+pub struct Fold {
     shared: Arc<Shared>,
     reduce_ns: Arc<Counter>,
     round: u64,
-    contributions: Vec<Contribution>,
-    out: Vec<f32>,
+    acc: Option<Vec<f32>>,
+    run: Vec<Term>,
+    summed: bool,
 }
 
-impl PendingReduction {
-    /// Sum the round outside the group lock, then publish it: the result
-    /// becomes fetchable and every contribution is parked for its depositor.
-    pub fn complete(self) {
-        let PendingReduction {
+impl Fold {
+    fn new(shared: Arc<Shared>, reduce_ns: Arc<Counter>, round: u64, (acc, run): Due) -> Self {
+        Fold {
             shared,
             reduce_ns,
             round,
-            contributions,
-            mut out,
-        } = self;
-        let start = Instant::now();
-        sum_keyed(&mut out, &contributions);
-        reduce_ns.add(start.elapsed().as_nanos() as u64);
-
-        let result = Reduced::new(ResultBuf {
-            data: out,
-            home: shared.spares.clone(),
-        });
-        let mut st = shared.state.lock();
-        let slot = (round - st.base) as usize;
-        let r = &mut st.rounds[slot];
-        for (parked, c) in r.contributions.iter_mut().zip(contributions) {
-            *parked = Some(c);
+            acc,
+            run,
+            summed: false,
         }
-        r.result = Some(result);
-        shared.cv.notify_all();
+    }
+
+    /// Add the run to the accumulator in `(key, member)` order. A round's
+    /// first term becomes its accumulator, unless it was deposited at launch:
+    /// then a spare, or a fresh buffer, takes a copy of it.
+    pub fn sum(&mut self) {
+        assert!(!self.summed, "a fold is summed once");
+        let start = Instant::now();
+        let (mut acc, skip) = match self.acc.take() {
+            Some(acc) => (acc, 0),
+            None if !self.run[0].launched => (std::mem::take(&mut self.run[0].buf), 1),
+            None => {
+                let mut acc = self.shared.spares.lock().pop().unwrap_or_default();
+                acc.clear();
+                acc.extend_from_slice(&self.run[0].buf);
+                (acc, 1)
+            }
+        };
+        let terms: Vec<&[f32]> = self.run[skip..].iter().map(|t| t.buf.as_slice()).collect();
+        ops::add_ordered(&mut acc, &terms);
+        self.acc = Some(acc);
+        self.summed = true;
+        self.reduce_ns.add(start.elapsed().as_nanos() as u64);
+    }
+
+    /// Put the accumulator back into its round, file the folded buffers — a
+    /// contributed one with the group's spares, a launch-deposited one for
+    /// its depositor's fetch — and publish the round if it is complete.
+    /// Returns the next fold due on the round, to be run the same way.
+    pub fn publish(self) -> Option<Fold> {
+        assert!(self.summed, "a fold is published after its sum");
+        let Fold {
+            shared,
+            reduce_ns,
+            round,
+            acc,
+            run,
+            ..
+        } = self;
+        let mut freed = Vec::with_capacity(run.len());
+        let mut st = shared.state.lock();
+        let r = st.round_mut(round, shared.n);
+        r.acc = acc;
+        r.folding = false;
+        for t in run {
+            if t.launched {
+                r.home[t.member].push(t.buf);
+            } else if t.buf.capacity() > 0 {
+                freed.push(t.buf);
+            }
+        }
+        let next = r.take_due(shared.n);
+        if r.publish_if_complete(shared.n, &shared.spares) {
+            shared.cv.notify_all();
+        }
+        drop(st);
+        shared.spares.lock().extend(freed);
+        next.map(|due| Fold::new(shared, reduce_ns, round, due))
+    }
+}
+
+/// Run `fold` and every fold it leads to.
+fn run_folds(mut fold: Option<Fold>) {
+    while let Some(mut f) = fold {
+        f.sum();
+        fold = f.publish();
     }
 }
 
@@ -198,57 +339,99 @@ impl KeyedMember {
         self.shared.n
     }
 
-    /// Non-blocking launch: contribute this member's `(key, vec)` pairs to
-    /// its next round. Bookkeeping only; a completed round is summed by the
-    /// first member that waits for it.
+    fn fold(&self, round: u64, due: Due) -> Fold {
+        Fold::new(self.shared.clone(), self.reduce_ns.clone(), round, due)
+    }
+
+    /// File one gradient under `key` in this member's current round (the one
+    /// its next launch closes), fold every run it makes foldable, and put
+    /// one buffer of `grad`'s pool class back into this thread's pool. Keys
+    /// must increase from one call to the next within a round.
+    pub fn contribute(&self, key: u64, grad: Vec<f32>) {
+        let capacity = grad.capacity();
+        run_folds(self.file(key, grad));
+        self.give_back(capacity);
+    }
+
+    /// [`Self::contribute`]'s first step: file the gradient and return the
+    /// fold its arrival made due, if any. Bookkeeping only.
+    pub fn file(&self, key: u64, grad: Vec<f32>) -> Option<Fold> {
+        self.bytes_contributed.add(grad.len() as u64 * 4);
+        let n = self.shared.n;
+        let mut st = self.shared.state.lock();
+        let round = st.deposit_round[self.rank];
+        let r = st.round_mut(round, n);
+        let frontier = &mut r.frontier[self.rank];
+        assert!(
+            *frontier < Some(key),
+            "member {} contributed key {key} after key {frontier:?} in one round",
+            self.rank
+        );
+        *frontier = Some(key);
+        r.pending.push(Term {
+            key,
+            member: self.rank,
+            buf: grad,
+            launched: false,
+        });
+        let due = r.take_due(n);
+        drop(st);
+        due.map(|due| self.fold(round, due))
+    }
+
+    /// [`Self::contribute`]'s last step: put one buffer of the pool class of
+    /// a `capacity`-float buffer into this thread's pool — a spare of the
+    /// group's, the latest first, or a fresh one while it holds none.
+    pub fn give_back(&self, capacity: usize) {
+        let class = |cap: usize| usize::BITS - cap.leading_zeros();
+        let spare = {
+            let mut spares = self.shared.spares.lock();
+            let at = (spares.iter()).rposition(|s| class(s.capacity()) == class(capacity));
+            at.map(|at| spares.swap_remove(at))
+        };
+        pool::put(spare.unwrap_or_else(|| Vec::with_capacity(capacity)));
+    }
+
+    /// Non-blocking launch: file this member's `(key, vec)` pairs (keys above
+    /// every key it contributed to the round) and close its part of the
+    /// round, folding what that makes foldable. The buffers go home at the
+    /// round's fetch.
     pub fn deposit(&self, contribution: Contribution) {
+        run_folds(self.launch(contribution));
+    }
+
+    /// [`Self::deposit`]'s first step: file the pairs, close the member's
+    /// part of the round and return the fold that made due, if any.
+    pub fn launch(&self, contribution: Contribution) -> Option<Fold> {
         let n = self.shared.n;
         self.deposits.inc();
         self.bytes_contributed
             .add(contribution.iter().map(|(_, v)| v.len() as u64 * 4).sum());
         let mut st = self.shared.state.lock();
-        let round_idx = st.deposit_round[self.rank];
+        let round = st.deposit_round[self.rank];
         st.deposit_round[self.rank] += 1;
-        let slot = (round_idx - st.base) as usize;
-        while st.rounds.len() <= slot {
-            st.rounds.push_back(Round::new(n));
-        }
-        let round = &mut st.rounds[slot];
-        round.contributions[self.rank] = Some(contribution);
-        round.arrived += 1;
-        if round.arrived == n {
-            // Whoever is parked on this round can claim it now.
+        let r = st.round_mut(round, n);
+        let frontier = &mut r.frontier[self.rank];
+        assert!(
+            contribution.iter().all(|&(key, _)| *frontier < Some(key)),
+            "member {} launched a key at or below one it contributed",
+            self.rank
+        );
+        *frontier = Some(u64::MAX);
+        r.launched += 1;
+        r.pending
+            .extend(contribution.into_iter().map(|(key, buf)| Term {
+                key,
+                member: self.rank,
+                buf,
+                launched: true,
+            }));
+        let due = r.take_due(n);
+        if r.publish_if_complete(n, &self.shared.spares) {
             self.shared.cv.notify_all();
         }
-    }
-
-    /// Claim this member's next un-fetched round if every member has
-    /// deposited and nobody is summing it yet: the reduction still to be
-    /// done, to be [`PendingReduction::complete`]d with no lock held. Every
-    /// fetch does this by itself; it is public so an interleaving explorer
-    /// can step other members between the claim and the publication.
-    pub fn try_claim(&self) -> Option<PendingReduction> {
-        self.claim(&mut self.shared.state.lock())
-    }
-
-    fn claim(&self, st: &mut State) -> Option<PendingReduction> {
-        let round_idx = st.fetch_round[self.rank];
-        let round = st.rounds.get_mut((round_idx - st.base) as usize)?;
-        if round.arrived < self.shared.n || round.claimed {
-            return None;
-        }
-        round.claimed = true;
-        Some(PendingReduction {
-            shared: self.shared.clone(),
-            reduce_ns: self.reduce_ns.clone(),
-            round: round_idx,
-            contributions: round
-                .contributions
-                .iter_mut()
-                .map(|c| c.take().expect("rank contributed"))
-                .collect(),
-            out: self.shared.spares.lock().pop().unwrap_or_default(),
-        })
+        drop(st);
+        due.map(|due| self.fold(round, due))
     }
 
     /// Blocking wait: returns the reduced vector of this member's next
@@ -261,13 +444,11 @@ impl KeyedMember {
     /// Consume this member's next un-fetched round if its result is
     /// published: a handle on the result plus the member's own deposited
     /// buffers, still to be pooled once the lock is released.
-    fn take_ready(&self, st: &mut State) -> Option<(Reduced, Contribution)> {
+    fn take_ready(&self, st: &mut State) -> Option<(Reduced, Vec<Vec<f32>>)> {
         let round_idx = st.fetch_round[self.rank];
         let round = st.rounds.get_mut((round_idx - st.base) as usize)?;
         let result = round.result.clone()?;
-        let mine = round.contributions[self.rank]
-            .take()
-            .expect("parked at publication, taken by this fetch only");
+        let mine = std::mem::take(&mut round.home[self.rank]);
         round.fetched += 1;
         st.fetch_round[self.rank] = round_idx + 1;
         // Retire fully-fetched rounds; dropping a round's handle is what
@@ -285,24 +466,14 @@ impl KeyedMember {
     }
 
     /// Wait on the group's condition variable until this member's next
-    /// un-fetched round is published or `deadline` passes — summing the round
-    /// itself if it is complete and unclaimed; the round is consumed only
-    /// when its result is returned.
+    /// un-fetched round is published or `deadline` passes; the round is
+    /// consumed only when its result is returned.
     fn fetch_until(&self, deadline: Option<Instant>) -> Option<Reduced> {
         let start = Instant::now();
-        let mut summing = Duration::ZERO;
         let mut st = self.shared.state.lock();
         let ready = loop {
             if let Some(ready) = self.take_ready(&mut st) {
                 break Some(ready);
-            }
-            if let Some(pending) = self.claim(&mut st) {
-                drop(st);
-                let claimed_at = Instant::now();
-                pending.complete();
-                summing += claimed_at.elapsed();
-                st = self.shared.state.lock();
-                continue;
             }
             match deadline {
                 None => self.shared.cv.wait(&mut st),
@@ -315,19 +486,14 @@ impl KeyedMember {
             }
         };
         drop(st);
-        self.wait_ns
-            .add(start.elapsed().saturating_sub(summing).as_nanos() as u64);
+        self.wait_ns.add(start.elapsed().as_nanos() as u64);
         ready.map(take_home)
     }
 
     /// Non-blocking wait: returns the reduced vector of this member's next
-    /// un-fetched round if every member has deposited (summing it first if
-    /// nobody has), `None` if the round is incomplete or another member is
-    /// summing it right now (the round is *not* consumed on `None`).
+    /// un-fetched round if it is published, `None` otherwise (the round is
+    /// *not* consumed on `None`).
     pub fn try_fetch(&self) -> Option<Reduced> {
-        if let Some(pending) = self.try_claim() {
-            pending.complete();
-        }
         let ready = self.take_ready(&mut self.shared.state.lock());
         ready.map(take_home)
     }
@@ -350,8 +516,8 @@ impl KeyedMember {
 
 /// Runs on the fetching member's thread with no lock held: its deposited
 /// buffers go back to the pool they were drawn from.
-fn take_home((result, mine): (Reduced, Contribution)) -> Reduced {
-    for (_, buf) in mine {
+fn take_home((result, mine): (Reduced, Vec<Vec<f32>>)) -> Reduced {
+    for buf in mine {
         pool::put(buf);
     }
     result
@@ -361,6 +527,10 @@ fn take_home((result, mine): (Reduced, Contribution)) -> Reduced {
 /// contract the runtime programs against; [`crate::dist::TransportKeyed`]
 /// is the wire-backed implementation.
 impl chimera_comm::KeyedReduce for KeyedMember {
+    fn contribute(&self, key: u64, grad: Vec<f32>) {
+        KeyedMember::contribute(self, key, grad);
+    }
+
     fn deposit(&self, contribution: Vec<(u64, Vec<f32>)>) {
         KeyedMember::deposit(self, contribution);
     }
@@ -615,5 +785,127 @@ mod tests {
             assert_eq!(a, vec![2.0]);
             assert_eq!(b, vec![20.0]);
         }
+    }
+
+    /// Interleaved keys over three members, each contributing as its
+    /// "backwards" run and launching empty, on values whose sum depends on
+    /// the order (1e8, 1, −1e8) and lengths around the kernel's block edge:
+    /// every member reads the oracle's bits, whatever the threads' timing.
+    #[test]
+    fn streamed_contributions_fold_to_the_key_ordered_sum() {
+        for (round, len) in [1, ops::SUM_CHUNK - 1, ops::SUM_CHUNK + 3]
+            .into_iter()
+            .enumerate()
+        {
+            let value = |key: u64, i: usize| [1e8f32, 1.0, -1e8][(key as usize + i) % 3];
+            // Member `r` holds the keys `k` with `k % 3 == r`, plus key 7 on
+            // every member: equal keys tie-break by member.
+            let keys = |r: usize| -> Vec<u64> {
+                let mut keys: Vec<u64> = (0..12u64).filter(|k| k % 3 == r as u64).collect();
+                keys.push(7);
+                keys.sort_unstable();
+                keys.dedup();
+                keys
+            };
+            let expected = sum_in_key_order((0..3).flat_map(|r| {
+                keys(r)
+                    .into_iter()
+                    .map(move |k| (k, r, (0..len).map(|i| value(k, i)).collect::<Vec<f32>>()))
+            }));
+            let handles: Vec<_> = keyed_group(3)
+                .into_iter()
+                .map(|m| {
+                    let keys = keys(m.rank());
+                    thread::spawn(move || {
+                        for (i, k) in keys.into_iter().enumerate() {
+                            if (i + m.rank() + round) % 2 == 0 {
+                                thread::yield_now();
+                            }
+                            m.contribute(k, (0..len).map(|i| value(k, i)).collect());
+                        }
+                        m.reduce(Vec::new()).to_vec()
+                    })
+                })
+                .collect();
+            for h in handles {
+                let got = h.join().unwrap();
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&expected), "len {len}");
+            }
+        }
+    }
+
+    /// Gradients contributed and pairs deposited at launch fold into one
+    /// key-ordered sum; the launch-deposited buffers go home at the fetch,
+    /// and every contribute puts exactly one buffer back at once.
+    #[test]
+    fn contributions_and_launch_pairs_share_a_round() {
+        let len = 2 * pool::MIN_POOLED;
+        let v = move |x: f32| vec![x; len];
+        let expected = sum_in_key_order([
+            (0, 0, v(1e8)),
+            (1, 1, v(1.0)),
+            (2, 0, v(-1e8)),
+            (3, 1, v(1.0)),
+        ]);
+        let mut g = keyed_group(2);
+        let (m1, m0) = (g.pop().unwrap(), g.pop().unwrap());
+        let launcher = thread::spawn(move || {
+            let before = pool::local_stats().returns;
+            m1.deposit(vec![(1, v(1.0)), (3, v(1.0))]);
+            let out = m1.fetch().to_vec();
+            (out, pool::local_stats().returns - before)
+        });
+        let before = pool::local_stats().returns;
+        m0.contribute(0, v(1e8));
+        assert_eq!(pool::local_stats().returns - before, 1);
+        m0.contribute(2, v(-1e8));
+        assert_eq!(pool::local_stats().returns - before, 2);
+        let out = m0.reduce(Vec::new()).to_vec();
+        assert_eq!(out, expected);
+        let (theirs, returned) = launcher.join().unwrap();
+        assert_eq!(theirs, expected);
+        assert_eq!(returned, 2, "the launch pairs went home at the fetch");
+    }
+
+    /// A worker's pool gives one buffer per backward and gets one back: from
+    /// the second round on, contributing from the pool never misses, and the
+    /// group settles on a fixed set of buffers however long the rounds are.
+    #[test]
+    fn contributing_from_the_pool_stays_balanced() {
+        let len = 4 * pool::MIN_POOLED;
+        let handles: Vec<_> = keyed_group(2)
+            .into_iter()
+            .map(|m| {
+                thread::spawn(move || {
+                    let mut misses = Vec::new();
+                    for round in 0..4u64 {
+                        let before = pool::local_stats().misses;
+                        for micro in 0..32u64 {
+                            let mut grad = pool::take_zeroed(len);
+                            grad.fill((round + micro) as f32);
+                            m.contribute(2 * micro + m.rank() as u64, grad);
+                        }
+                        drop(m.reduce(Vec::new()));
+                        misses.push(pool::local_stats().misses - before);
+                    }
+                    misses
+                })
+            })
+            .collect();
+        for h in handles {
+            let misses = h.join().unwrap();
+            assert!(misses[0] <= 1, "{misses:?}");
+            assert_eq!(&misses[1..], [0, 0, 0], "{misses:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "contributed key 3 after key Some(5)")]
+    fn a_key_out_of_order_is_refused() {
+        let mut g = keyed_group(1);
+        let m = g.pop().unwrap();
+        m.contribute(5, vec![1.0]);
+        m.contribute(3, vec![1.0]);
     }
 }

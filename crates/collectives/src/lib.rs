@@ -6,8 +6,9 @@
 //! gradient synchronization (the role GLOO's allreduce plays in the paper's
 //! implementation):
 //!
-//! * [`keyed`] — every member deposits `(key, gradient)` contributions; the
-//!   result is their sum in global key order, whichever member computes it
+//! * [`keyed`] — every member contributes `(key, gradient)` pairs as they
+//!   are made (or deposits them at launch); the result is their sum in
+//!   global key order, folded as the pairs arrive, whichever member folds
 //!   and however the threads interleave: bitwise deterministic, which is what
 //!   the bit-exact pipelined-vs-sequential equivalence tests rest on (and why
 //!   there is no ring allreduce here: it sums in ring-position order);
@@ -23,4 +24,4 @@ pub mod keyed;
 
 pub use compress::{dequantize, quantize, top_k, Quantized, Sparse};
 pub use dist::TransportKeyed;
-pub use keyed::{keyed_group, sum_in_key_order, KeyedMember, PendingReduction};
+pub use keyed::{keyed_group, sum_in_key_order, Fold, KeyedMember};

@@ -2,36 +2,72 @@
 //! (`KeyedMember`), driven by the `chimera_comm::modelcheck` explorer
 //! (run with `RUSTFLAGS="--cfg loom"`, see the CI `loom` job).
 //!
-//! A member's wait is up to three explorer steps — claim a completed,
-//! unclaimed round; sum it with the group lock released; fetch — so the
-//! other members run between them. The properties: every
-//! member of every interleaving observes the same bit-exact, key-ordered
-//! sum, and never before its reduction finished; rounds never bleed into
-//! each other even when a fast member runs a round ahead; every deposited
-//! buffer comes back exactly once; a result buffer is reused only after the
-//! round retired and every handle on it dropped.
+//! A member's contribute is up to three kinds of explorer step — file the
+//! gradient; sum a fold its arrival made due with the group lock released;
+//! publish that fold — and so is its launch, so the other members run
+//! between them. The buffer a contribute puts back rides on its last step
+//! (the file, or the publish of its last fold): it touches only the group's
+//! spare list, so where it sits decides which spare comes back, never a
+//! result. The properties: every member of every interleaving observes the
+//! key-ordered sum bit for bit — runs folded mid-round included — and never
+//! while a fold of its round is still out; rounds never bleed into each
+//! other; every contribute puts exactly one buffer back and every buffer
+//! deposited at launch goes home exactly once; a held result is never
+//! overwritten.
 #![cfg(loom)]
 
-use chimera_collectives::{keyed_group, sum_in_key_order, KeyedMember, PendingReduction};
+use chimera_collectives::{keyed_group, sum_in_key_order, Fold, KeyedMember};
 use chimera_comm::modelcheck::{explore, StepOutcome};
 use chimera_comm::Reduced;
 use chimera_tensor::pool;
 
-/// Floats per contribution: the smallest buffer the pool files, so a
-/// buffer's trip home shows in the pool's counters.
+/// Floats per gradient: the smallest buffer the pool files, so a buffer's
+/// trip into a pool shows in the pool's counters.
 const LEN: usize = pool::MIN_POOLED;
+
+/// One member's program, a round at a time.
+#[derive(Clone)]
+struct Plan {
+    /// Per round: the `(key, value)` pairs this member contributes, keys
+    /// increasing.
+    contributes: Vec<Vec<(u64, f32)>>,
+    /// Per round: the pairs it deposits at launch.
+    launches: Vec<Vec<(u64, f32)>>,
+}
+
+enum Next {
+    /// File the round's next contribution, or launch after the last.
+    Contribute,
+    /// Launch the round.
+    Launch,
+    /// Sum, then publish, the folds this member holds.
+    Fold,
+    /// Wait for the round's result.
+    Fetch,
+}
+
+struct Member {
+    plan: Plan,
+    round: usize,
+    /// Contributions filed this round.
+    filed: usize,
+    next: Next,
+    /// The fold this member is running and whether it has been summed.
+    fold: Option<(Fold, bool)>,
+    /// After its folds: put a buffer back (a contribute), or move on to
+    /// the fetch (a launch).
+    gives_back: bool,
+}
 
 struct World {
     members: Vec<KeyedMember>,
-    pc: Vec<usize>,
-    /// The round `rank` claimed, its arithmetic still to run.
-    pending: Vec<Option<(usize, PendingReduction)>>,
-    /// `results[rank]` = fetched handles in that member's round order,
-    /// emptied at once by members listed in `drops`.
+    state: Vec<Member>,
+    /// `results[rank]` = fetched handles in round order.
     results: Vec<Vec<Reduced>>,
-    /// `seen[rank]` = (first value, buffer address) of every fetch.
-    seen: Vec<Vec<(f32, usize)>>,
-    drops: Vec<bool>,
+    /// Folds summed or waiting, by round, across every member.
+    outstanding: Vec<usize>,
+    /// Most folds any round took.
+    folds_per_round: Vec<usize>,
     /// Pool puts (kept or discarded) on this thread before the run.
     puts_before: u64,
 }
@@ -42,90 +78,157 @@ fn pool_puts() -> u64 {
 }
 
 impl World {
-    fn new(n: usize) -> Self {
+    fn new(n: usize, plans: &[Plan]) -> Self {
+        let rounds = plans.iter().map(|p| p.launches.len()).max().unwrap_or(0);
         World {
             members: keyed_group(n),
-            pc: vec![0; n],
-            pending: (0..n).map(|_| None).collect(),
+            state: plans
+                .iter()
+                .map(|plan| Member {
+                    plan: plan.clone(),
+                    round: 0,
+                    filed: 0,
+                    next: Next::Contribute,
+                    fold: None,
+                    gives_back: false,
+                })
+                .collect(),
             results: (0..n).map(|_| Vec::new()).collect(),
-            seen: vec![Vec::new(); n],
-            drops: vec![false; n],
+            outstanding: vec![0; rounds],
+            folds_per_round: vec![0; rounds],
             puts_before: pool_puts(),
         }
     }
 }
 
-/// One member's step through a fixed program of `rounds` rounds of
-/// deposit, then (claim, sum,) fetch; `value(rank, round)` fills the one
-/// vector the member deposits under key 0.
-fn run_member(
-    w: &mut World,
-    rank: usize,
-    rounds: usize,
-    value: impl Fn(usize, usize) -> f32,
-) -> StepOutcome {
-    let (round, waiting) = (w.pc[rank] / 2, w.pc[rank] % 2 == 1);
-    if !waiting {
-        w.members[rank].deposit(vec![(0u64, vec![value(rank, round); LEN])]);
-        w.pc[rank] += 1;
-        return StepOutcome::Progress;
-    }
-    if let Some((_, p)) = w.pending[rank].take() {
-        p.complete();
-        return StepOutcome::Progress;
-    }
-    if let Some(p) = w.members[rank].try_claim() {
-        w.pending[rank] = Some((round, p));
-        return StepOutcome::Progress;
-    }
-    match w.members[rank].try_fetch() {
-        None => StepOutcome::Blocked,
-        Some(v) => {
-            assert!(
-                w.pending.iter().flatten().all(|&(r, _)| r != round),
-                "member {rank} fetched round {round} while its sum was still being computed"
-            );
-            w.seen[rank].push((v[0], v.as_ptr() as usize));
-            if !w.drops[rank] {
-                w.results[rank].push(v);
-            }
-            w.pc[rank] += 1;
-            if round + 1 == rounds {
-                StepOutcome::Done
-            } else {
-                StepOutcome::Progress
-            }
+/// The vector filed with value `v` in round `round`.
+fn value(v: f32, round: usize) -> Vec<f32> {
+    vec![v + (10 * round) as f32; LEN]
+}
+
+/// Take up the fold `fold` (if any) or finish the contribute / launch.
+fn after(w: &mut World, rank: usize, fold: Option<Fold>) {
+    let m = &mut w.state[rank];
+    match fold {
+        Some(fold) => {
+            w.outstanding[m.round] += 1;
+            w.folds_per_round[m.round] += 1;
+            m.fold = Some((fold, false));
+            m.next = Next::Fold;
         }
+        None if m.gives_back => {
+            w.members[rank].give_back(LEN);
+            m.filed += 1;
+            m.next = Next::Contribute;
+            m.gives_back = false;
+        }
+        None => m.next = Next::Fetch,
     }
 }
 
-/// Three members whose contributions are adversarial to float reassociation
-/// (1e8 + 1 + -1e8): the reduction must be the *key-ordered* sum, bit-exact
-/// and identical on every member, in every interleaving — arrival order
-/// must never leak into the result — and no member may see it while the
-/// reducer is still summing.
-#[test]
-fn reduction_is_bit_exact_order_independent_and_never_early() {
-    let vals = [1e8f32, 1.0, -1e8];
-    let expected = sum_in_key_order(vals.iter().enumerate().map(|(r, &v)| (0u64, r, vec![v])));
-    // Key-order is rank order here, and f32 addition is not associative:
-    // a different reduction order would visibly change the bits.
-    assert_eq!(expected, vec![(1e8f32 + 1.0) + -1e8]);
-
-    let ex = explore(
-        3,
-        || World::new(3),
-        move |w, t| run_member(w, t, 1, |rank, _| vals[rank]),
-        move |w, sched| {
-            for (rank, res) in w.results.iter().enumerate() {
-                assert_eq!(res.len(), 1);
-                assert!(
-                    res[0].iter().all(|v| v.to_bits() == expected[0].to_bits()),
-                    "schedule {sched:?}: member {rank} saw a reassociated sum"
-                );
+fn run_member(w: &mut World, rank: usize) -> StepOutcome {
+    let m = &mut w.state[rank];
+    let round = m.round;
+    match m.next {
+        Next::Contribute => {
+            let Some(&(key, v)) = m.plan.contributes[round].get(m.filed) else {
+                m.next = Next::Launch;
+                return run_member(w, rank);
+            };
+            m.gives_back = true;
+            let fold = w.members[rank].file(key, value(v, round));
+            after(w, rank, fold);
+        }
+        Next::Launch => {
+            let pairs = (m.plan.launches[round].iter())
+                .map(|&(key, v)| (key, value(v, round)))
+                .collect();
+            let fold = w.members[rank].launch(pairs);
+            after(w, rank, fold);
+        }
+        Next::Fold => {
+            let (mut fold, summed) = m.fold.take().expect("a fold to run");
+            if !summed {
+                fold.sum();
+                m.fold = Some((fold, true));
+            } else {
+                w.outstanding[round] -= 1;
+                let next = fold.publish();
+                after(w, rank, next);
             }
-            // One buffer per member went in; each came out to a pool once.
-            assert_eq!(pool_puts() - w.puts_before, 3, "schedule {sched:?}");
+        }
+        Next::Fetch => {
+            let Some(v) = w.members[rank].try_fetch() else {
+                return StepOutcome::Blocked;
+            };
+            assert_eq!(
+                w.outstanding[round], 0,
+                "member {rank} fetched round {round} while a fold of it was out"
+            );
+            w.results[rank].push(v);
+            m.round += 1;
+            m.filed = 0;
+            m.next = Next::Contribute;
+            if m.round == m.plan.launches.len() {
+                return StepOutcome::Done;
+            }
+        }
+    }
+    StepOutcome::Progress
+}
+
+/// What every member must fetch: per round, the key-ordered sum of every
+/// member's contributed and launched vectors.
+fn expected(plans: &[Plan]) -> Vec<Vec<f32>> {
+    let rounds = plans[0].launches.len();
+    (0..rounds)
+        .map(|round| {
+            sum_in_key_order(plans.iter().enumerate().flat_map(|(rank, p)| {
+                let pairs = p.contributes[round].iter().chain(&p.launches[round]);
+                pairs.map(move |&(k, v)| (k, rank, value(v, round)))
+            }))
+        })
+        .collect()
+}
+
+/// Explore `plans` on a group of their size and check every interleaving.
+/// Returns the largest number of folds one round took in any of them.
+fn check_all(plans: Vec<Plan>, min_executions: usize) -> usize {
+    let n = plans.len();
+    let expected = expected(&plans);
+    // One put per contribute, and one per pair deposited at launch (at its
+    // depositor's fetch).
+    let puts: usize = (plans.iter())
+        .flat_map(|p| p.contributes.iter().chain(&p.launches))
+        .map(Vec::len)
+        .sum();
+    let most_folds = std::cell::Cell::new(0);
+    let ex = explore(
+        n,
+        {
+            let plans = plans.clone();
+            move || World::new(n, &plans)
+        },
+        run_member,
+        |w, sched| {
+            for (rank, res) in w.results.iter().enumerate() {
+                assert_eq!(res.len(), expected.len(), "schedule {sched:?}");
+                for (round, (got, want)) in res.iter().zip(&expected).enumerate() {
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(got),
+                        bits(want),
+                        "schedule {sched:?}: member {rank}, round {round}"
+                    );
+                }
+            }
+            assert_eq!(
+                pool_puts() - w.puts_before,
+                puts as u64,
+                "schedule {sched:?}"
+            );
+            let folds = w.folds_per_round.iter().copied().max().unwrap_or(0);
+            most_folds.set(most_folds.get().max(folds));
         },
     );
     assert!(
@@ -134,98 +237,103 @@ fn reduction_is_bit_exact_order_independent_and_never_early() {
         ex.deadlocks
     );
     assert!(
-        ex.executions >= 3,
+        ex.executions >= min_executions,
         "only {} schedules explored",
         ex.executions
     );
+    most_folds.get()
 }
 
-/// Two members, three overlapping rounds: one member may deposit round
-/// `k + 1` before the other has touched round `k`. Rounds must stay isolated
-/// (round `k`'s result only ever contains round-`k` contributions), retired
-/// rounds must give their buffers back — and only retired, unreferenced
-/// ones: with member 0 holding every handle to the end, all three results
-/// live in distinct buffers and still read as fetched; with both members
-/// dropping at once, the group runs on a single buffer.
-#[test]
-fn overlapping_rounds_stay_isolated_and_recycle_only_dropped_results() {
-    const ROUNDS: usize = 3;
-    let value = |rank: usize, round: usize| (round * 10 + rank + 1) as f32;
-    // Round k: (10k + 1) + (10k + 2).
-    let expected: Vec<f32> = (0..ROUNDS).map(|k| (20 * k + 3) as f32).collect();
-
-    for hold in [true, false] {
-        let expected = expected.clone();
-        let ex = explore(
-            2,
-            move || {
-                let mut w = World::new(2);
-                w.drops = vec![!hold, true];
-                w
-            },
-            move |w, t| run_member(w, t, ROUNDS, value),
-            move |w, sched| {
-                for (rank, seen) in w.seen.iter().enumerate() {
-                    let values: Vec<f32> = seen.iter().map(|&(v, _)| v).collect();
-                    assert_eq!(
-                        values, expected,
-                        "schedule {sched:?}: member {rank} mixed rounds"
-                    );
-                }
-                let mut buffers: Vec<usize> = w.seen[0].iter().map(|&(_, p)| p).collect();
-                buffers.sort_unstable();
-                buffers.dedup();
-                if hold {
-                    assert_eq!(
-                        buffers.len(),
-                        ROUNDS,
-                        "schedule {sched:?}: a held result was reused"
-                    );
-                    for (held, want) in w.results[0].iter().zip(&expected) {
-                        assert!(
-                            held.iter().all(|v| v == want),
-                            "schedule {sched:?}: overwritten"
-                        );
-                    }
-                } else {
-                    assert_eq!(
-                        buffers.len(),
-                        1,
-                        "schedule {sched:?}: a free result was not reused"
-                    );
-                }
-                assert_eq!(
-                    pool_puts() - w.puts_before,
-                    2 * ROUNDS as u64,
-                    "schedule {sched:?}"
-                );
-            },
-        );
-        assert!(
-            ex.deadlock_free(),
-            "deadlocked schedules: {:?}",
-            ex.deadlocks
-        );
-        // A fast member running a full round ahead is among the schedules.
-        assert!(
-            ex.executions >= 5,
-            "only {} schedules explored",
-            ex.executions
-        );
+fn streaming(contributes: &[&[(u64, f32)]]) -> Plan {
+    Plan {
+        contributes: contributes.iter().map(|c| c.to_vec()).collect(),
+        launches: contributes.iter().map(|_| Vec::new()).collect(),
     }
 }
 
-/// A member that never deposits wedges everyone: every interleaving of the
+/// Three members with interleaved keys, adversarial to float reassociation
+/// (1e8 + 1 + −1e8 + 1): the fold must be the *key-ordered* sum, bit-exact
+/// and identical on every member, in every interleaving — arrival order
+/// must never leak into the result.
+#[test]
+fn folds_are_bit_exact_and_order_independent() {
+    // Key order differs from arrival order in most interleavings, and a
+    // different order would visibly change the bits.
+    assert_eq!(((1e8f32 + 1.0) + -1e8) + 1.0, 1.0);
+    assert_ne!(((1e8f32 + -1e8) + 1.0) + 1.0, 1.0);
+    let plans = vec![
+        streaming(&[&[(0, 1e8), (3, 1.0)]]),
+        streaming(&[&[(1, 1.0)]]),
+        streaming(&[&[(2, -1e8)]]),
+    ];
+    check_all(plans, 1000);
+}
+
+/// Two members whose keys make a run of four foldable before either
+/// launches: a fold mid-round, by whichever member's arrival made it due,
+/// then the rest at the last launch — and the same bits as one ordered sum.
+#[test]
+fn a_run_folds_mid_round_with_the_same_bits() {
+    let plans = vec![
+        streaming(&[&[(0, 1e8), (2, -1e8), (4, 0.5)]]),
+        streaming(&[&[(1, 1.0), (3, 1.0)]]),
+    ];
+    let most = check_all(plans, 100);
+    assert!(
+        most >= 2,
+        "no interleaving folded before the round completed"
+    );
+}
+
+/// A member running ahead has contributed key 2 while the other has not
+/// yet: the fold must stop below it, because the lagging member's own key 2
+/// ranks first. Folding it early would give `(1e8 − 1e8) + 1 = 1` instead
+/// of `(1e8 + 1) − 1e8 = 0`.
+#[test]
+fn a_fold_stops_below_a_lagging_members_equal_key() {
+    assert_ne!((1e8f32 + -1e8) + 1.0, (1e8f32 + 1.0) + -1e8);
+    let plans = vec![
+        streaming(&[&[(1, 0.0), (2, 1.0)]]),
+        streaming(&[&[(0, 1e8), (1, 0.0), (2, -1e8), (3, 0.0)]]),
+    ];
+    let most = check_all(plans, 100);
+    assert!(
+        most >= 2,
+        "no interleaving folded before the round completed"
+    );
+}
+
+/// Two rounds: member 0 contributes as it goes, member 1 deposits its pairs
+/// at launch, and either may run a round ahead. Rounds stay isolated, the
+/// launch pairs are folded but go home only at their depositor's fetch,
+/// and member 0's handles, held to the end, still read as fetched.
+#[test]
+fn rounds_stay_isolated_and_launch_pairs_go_home_at_the_fetch() {
+    let plans = vec![
+        streaming(&[&[(0, 3.0), (2, 7.0)], &[(1, 5.0)]]),
+        Plan {
+            contributes: vec![Vec::new(), Vec::new()],
+            launches: vec![vec![(1, 5.0)], vec![(0, 3.0), (2, 7.0)]],
+        },
+    ];
+    check_all(plans, 50);
+}
+
+/// A member that never launches wedges everyone: every interleaving of the
 /// remaining members deadlocks rather than completing with a partial sum.
 #[test]
-fn missing_contribution_never_yields_a_partial_sum() {
+fn missing_launch_never_yields_a_partial_sum() {
+    let plans = vec![
+        streaming(&[&[(0, 1.0), (2, 1.0)]]),
+        streaming(&[&[(1, 1.0), (3, 1.0)]]),
+    ];
     let ex = explore(
         2,
-        || World::new(3), // three-member group, member 2 never shows up
-        |w, t| run_member(w, t, 1, |_, _| 1.0),
+        || World::new(3, &plans), // member 2 never shows up
+        run_member,
         |w, sched| {
-            for seen in &w.seen {
-                assert!(seen.is_empty(), "schedule {sched:?} produced a partial sum");
+            for res in &w.results {
+                assert!(res.is_empty(), "schedule {sched:?} produced a partial sum");
             }
         },
     );
@@ -233,6 +341,6 @@ fn missing_contribution_never_yields_a_partial_sum() {
     assert_eq!(
         ex.deadlocks.len(),
         ex.executions,
-        "some interleaving completed without member 2's contribution"
+        "some interleaving completed without member 2's launch"
     );
 }

@@ -10,8 +10,9 @@
 //! steps by depth-first search, rebuilding the world from scratch to replay
 //! each branch. Because the inbox and keyed-reduce operations are
 //! linearizable (every operation happens under one lock — the keyed
-//! reduction, which sums with the lock released, is modelled as two steps,
-//! `try_claim` and `complete`), every real thread interleaving is
+//! reduction, which folds with the lock released, is modelled as separate
+//! steps: file or launch, `Fold::sum` and `Fold::publish`), every real
+//! thread interleaving is
 //! equivalent to some sequential schedule of steps — so exhausting the
 //! schedules exhausts the behaviors, including drop/park/wake orderings.
 //!

@@ -216,12 +216,22 @@ pub trait Transport: Send + Sync {
 /// shared-memory `chimera_collectives::KeyedMember` and by the
 /// transport-backed distributed reduction.
 pub trait KeyedReduce: Send {
-    /// Non-blocking launch: contribute `(key, vector)` pairs to this
-    /// member's next round.
+    /// File one gradient under `key` in this member's current round — the
+    /// one its next [`Self::deposit`] closes. Keys must increase from call
+    /// to call within a round. A member that folds gradients as they arrive
+    /// puts exactly one buffer of `grad`'s pool class back into the caller's
+    /// thread-local pool at once, so a caller that draws one buffer per
+    /// gradient from its pool never runs it dry; one that holds them until
+    /// the launch ships them with it and puts nothing back.
+    fn contribute(&self, key: u64, grad: Vec<f32>);
+
+    /// Non-blocking launch: add `(key, vector)` pairs to this member's
+    /// current round and close its part of it.
     fn deposit(&self, contribution: Vec<(u64, Vec<f32>)>);
 
     /// Deadline-aware wait for this member's next un-fetched round; `None`
-    /// on expiry.
+    /// on expiry. A wait that expires does not consume the round: the next
+    /// call waits for the same one.
     fn fetch_deadline(&self, timeout: Duration) -> Option<Reduced>;
 }
 

@@ -127,7 +127,8 @@ pub struct WorkerMemPlan {
     /// op's transient working set, for a zero-miss first iteration.
     pub classes: Vec<(usize, usize)>,
     /// Exact static peak of tracked dynamic memory (stashes, remats, weight
-    /// versions, pending gradients), in f32 elements.
+    /// versions, and the gradient a backward makes, which its stage's group
+    /// takes before the next op), in f32 elements.
     pub static_peak_elems: u64,
     /// Op index whose execution first attains the peak.
     pub cliff: Option<usize>,
@@ -192,7 +193,13 @@ pub(crate) fn plan_lowered(programs: &[Program], fp: &ModelFootprint) -> Vec<Wor
                             );
                         }
                     }
-                    BufferKind::WeightVersion | BufferKind::Grad => {
+                    // A backward's gradient is part of its own transient
+                    // working set: the prewarm's dry backward warms it, and
+                    // a folding group puts a buffer back in the same op (a
+                    // wire member keeps it until the launch; no plan slot
+                    // is kept for that).
+                    BufferKind::Grad => {}
+                    BufferKind::WeightVersion => {
                         if let Some(class) =
                             pool::class_of_request(fp.stages[b.stage as usize].params)
                         {
@@ -228,7 +235,8 @@ pub(crate) fn plan_lowered(programs: &[Program], fp: &ModelFootprint) -> Vec<Wor
 
 /// Element-exact accounting of the buffers a worker holds *across* ops:
 /// activation stashes, rematerializations, copy-on-update weight versions,
-/// and pending gradient contributions. Mirrors the event order of the static
+/// and the gradient a backward makes until its stage's group takes it at
+/// the end of the same op. Mirrors the event order of the static
 /// fold in [`chimera_verify::liveness::price`] — defs (with a peak check)
 /// before kills within one op — so the high-water mark is comparable to the
 /// static peak, element for element.

@@ -12,7 +12,7 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use chimera_core::op::Chunk;
+use chimera_core::op::{Chunk, OpKind};
 use chimera_core::program::{lower, Program};
 use chimera_core::schedule::Schedule;
 use chimera_core::StageId;
@@ -25,10 +25,11 @@ use crate::worker::TrainOptions;
 
 /// The runtime's front door: lower `sched` once for the whole run, or name
 /// the first op that cannot be executed — any defect
-/// [`chimera_core::program::lower`] finds, or a chunked row (§3.5's
+/// [`chimera_core::program::lower`] finds, a chunked row (§3.5's
 /// forward-doubling pairs and backward-halving halves lower, but the worker
-/// does not execute them yet). Returned before any thread exists that could
-/// panic on the op or leave its peers to time out.
+/// does not execute them yet), or a backward that would contribute its
+/// gradient out of key order ([`unordered_backward`]). Returned before any
+/// thread exists that could panic on the op or leave its peers to time out.
 fn lower_for_run(sched: &Schedule) -> Result<Vec<Program>, TrainError> {
     let lowered = lower(sched, 1);
     let chunked = lowered.programs.iter().enumerate().find_map(|(w, p)| {
@@ -37,9 +38,15 @@ fn lower_for_run(sched: &Schedule) -> Result<Vec<Program>, TrainError> {
                       backward-halving halves";
         Some((w, row.op_ix, reason))
     });
+    let unordered = lowered.programs.iter().enumerate().find_map(|(w, p)| {
+        let reason = "a worker's backwards for one stage must run in increasing micro-batch \
+                      order between its launches: the stage's group folds their gradients in \
+                      that order as they are made";
+        Some((w, unordered_backward(p)?, reason))
+    });
     let defect = lowered.defects.first();
     let defect = defect.map(|d| (d.worker as usize, d.op_ix, d.kind.reason()));
-    match defect.or(chunked) {
+    match defect.or(chunked).or(unordered) {
         None => Ok(lowered.programs),
         Some((w, op_ix, reason)) => Err(TrainError::UnsupportedSchedule {
             worker: w as u32,
@@ -48,6 +55,30 @@ fn lower_for_run(sched: &Schedule) -> Result<Vec<Program>, TrainError> {
             reason,
         }),
     }
+}
+
+/// The op index of the first backward in `program` that does not follow
+/// the previous one of its reducer in increasing micro order within a
+/// round, if any. A round runs from one launch of the reducer to the next;
+/// the one that wraps from an iteration's last launch into the next
+/// iteration is in key order whatever the micros, since every global micro
+/// id of the later iteration is larger.
+fn unordered_backward(program: &Program) -> Option<usize> {
+    let mut last = vec![None; program.reducer_stages.len()];
+    for row in &program.rows {
+        let last = &mut last[row.reducer as usize];
+        match row.op.kind {
+            OpKind::AllReduceLaunch => *last = None,
+            OpKind::Backward { .. } => {
+                if *last >= Some(row.op.micro.0) {
+                    return Some(row.op_ix);
+                }
+                *last = Some(row.op.micro.0);
+            }
+            OpKind::Forward | OpKind::AllReduceWait => {}
+        }
+    }
+    None
 }
 
 /// Kernel wall-clock timing, on for as long as a traced run holds this.

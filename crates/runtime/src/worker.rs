@@ -1,8 +1,9 @@
 //! One pipeline worker: a thread executing its lowered schedule (a
 //! [`chimera_core::program::Program`] of flat rows — the same rows the
 //! verifier prices) on real model stages. Everything a row touches — stage,
-//! optimizer, pending gradients, stash, weight version, reducer — sits in a
-//! `Vec` the row indexes; nothing is looked up by key.
+//! optimizer, stash, weight version, reducer — sits in a `Vec` the row
+//! indexes; nothing is looked up by key. A backward hands its gradient to
+//! the stage's reducer as it ends, so no row holds one past its own op.
 //!
 //! Workers are generic over the interconnect: all point-to-point traffic
 //! goes through a [`chimera_comm::Transport`] endpoint (crossbeam channels
@@ -224,8 +225,6 @@ struct Held {
     stage_id: u32,
     stage: Stage,
     opt: Optimizer,
-    /// This iteration's per-micro gradients, waiting for the next launch.
-    grads: Vec<(u64, Vec<f32>)>,
 }
 
 /// One worker's runtime state.
@@ -315,7 +314,6 @@ impl Worker {
                     stage_id,
                     stage,
                     opt,
-                    grads: Vec::new(),
                 }
             })
             .collect();
@@ -434,9 +432,10 @@ impl Worker {
     /// Pre-warm this thread's pool: one dry forward/backward cycle per held
     /// stage covers every transient size class a compute op touches; the
     /// liveness plan then tops each class up by the maximum number of
-    /// concurrently-held buffers (stashes, weight versions, pending
-    /// gradients). Shapes — not values — determine allocation, so zeroed
-    /// probe inputs warm exactly the classes training will request.
+    /// concurrently-held buffers (stashes, weight versions; a gradient is
+    /// the dry backward's own, since its group puts one back in the same
+    /// op). Shapes — not values — determine allocation, so zeroed probe
+    /// inputs warm exactly the classes training will request.
     fn prewarm(&mut self) {
         for h in &self.held {
             let (s, stage) = (h.stage_id, &h.stage);
@@ -557,10 +556,8 @@ impl Worker {
             OpKind::Forward => self.forward(row, u64::from(row.op.micro.0) + offset),
             OpKind::Backward { .. } => self.backward(row, u64::from(row.op.micro.0) + offset),
             OpKind::AllReduceLaunch => {
-                let contribution = std::mem::take(&mut self.held[h].grads);
-                let drained: usize = contribution.iter().map(|(_, g)| g.len()).sum();
-                self.reducers[row.reducer as usize].deposit(contribution);
-                self.mem.sub(drained);
+                // The round's gradients were contributed as they were made.
+                self.reducers[row.reducer as usize].deposit(Vec::new());
                 Ok(())
             }
             OpKind::AllReduceWait => {
@@ -664,12 +661,17 @@ impl Worker {
                 pool::put(parked);
             }
         }
-        held.grads.push((g, grad));
         self.mem.sub(stash.elements());
         drop(stash);
         if let (Some((to, key)), Some(dx)) = (row.send, dx) {
             self.send(to, key, g, dx)?;
         }
+        // The gradient joins its stage's round at once, after the boundary
+        // gradient is on its way; a folding group puts a buffer back in
+        // this thread's pool in its place.
+        let len = grad.len();
+        self.reducers[row.reducer as usize].contribute(g, grad);
+        self.mem.sub(len);
         Ok(())
     }
 

@@ -186,3 +186,35 @@ fn mixed_explicit_and_implicit_sync_is_refused() {
     assert!(reason.contains("disagree on its rounds"), "{reason}");
     assert!(!verify_span(&sched, 1).is_clean());
 }
+
+/// Gradients fold in key order as the backwards make them, so a worker
+/// must run one stage's backwards in increasing micro-batch order between
+/// launches. GPipe with its first two backwards swapped on both workers
+/// lowers without a defect — the messages still pair up — and the verifier
+/// has nothing against it, but `train` refuses it, naming the first
+/// backward that comes after a later micro-batch's.
+#[test]
+fn backwards_out_of_micro_order_are_refused() {
+    let mut sched = build_named("gpipe", 2, 4).expect("known scheme");
+    for ops in &mut sched.workers {
+        let first = ops
+            .iter()
+            .position(chimera_core::Op::is_backward)
+            .expect("a backward");
+        assert_eq!((ops[first].micro.0, ops[first + 1].micro.0), (0, 1));
+        ops.swap(first, first + 1);
+    }
+    assert!(chimera_core::program::lower(&sched, 1).defects.is_empty());
+    assert!(verify_span(&sched, 1).is_clean());
+
+    let err = train(&sched, ModelConfig::tiny(), TrainOptions::default()).unwrap_err();
+    let TrainError::UnsupportedSchedule { worker, op, reason } = &err else {
+        panic!("expected UnsupportedSchedule, got {err}");
+    };
+    let late = sched.workers[0]
+        .iter()
+        .find(|op| op.is_backward() && op.micro.0 == 0)
+        .expect("B0");
+    assert_eq!((*worker, op), (0, &late.to_string()));
+    assert!(reason.contains("increasing micro-batch order"), "{reason}");
+}

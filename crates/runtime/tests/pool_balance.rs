@@ -1,11 +1,14 @@
-//! Buffers go home: whichever worker happens to complete a gradient
+//! Buffers go home: whichever worker happens to fold or complete a gradient
 //! reduction, every worker's thread-local pool ends each iteration holding
 //! what it held at the start, so after the first (warming) iteration nothing
 //! misses — and tracked memory does not depend on the ordering either.
 //!
 //! Before the keyed allreduce returned contribution buffers to their
 //! depositors, the member that ran the reduction kept them all, so the pools
-//! drifted with thread timing (and resident memory with them).
+//! drifted with thread timing (and resident memory with them). Since the
+//! group folds gradients as they are made, each contribute puts one buffer
+//! back at once; at `N = 4D` contributions really wait in the group for a
+//! slower member's keys, and the pools must stay balanced all the same.
 
 use std::time::Duration;
 
@@ -58,8 +61,8 @@ fn make_last(sched: &Schedule, worker: usize) -> FaultSpec {
 
 #[test]
 fn pools_stay_balanced_whoever_reduces_last() {
-    for d in [2u32, 4] {
-        let sched = chimera(&ChimeraConfig::new(d, d)).expect("even depth");
+    for (d, n) in [(2u32, 2u32), (4, 4), (2, 8), (4, 16)] {
+        let sched = chimera(&ChimeraConfig::new(d, n)).expect("even depth");
         let undisturbed = run(&sched, None);
         let high_water =
             |r: &TrainResult| r.mem.iter().map(|m| m.high_water_elems).collect::<Vec<_>>();
@@ -68,7 +71,7 @@ fn pools_stay_balanced_whoever_reduces_last() {
             for (w, m) in result.mem.iter().enumerate() {
                 assert_eq!(
                     m.steady_misses, 0,
-                    "D={d}, {what}: worker {w}'s pool missed after the first iteration"
+                    "D={d} N={n}, {what}: worker {w}'s pool missed after the first iteration"
                 );
             }
         };
@@ -80,12 +83,12 @@ fn pools_stay_balanced_whoever_reduces_last() {
             assert_eq!(
                 high_water(&delayed),
                 high_water(&undisturbed),
-                "D={d}, {what}"
+                "D={d} N={n}, {what}"
             );
             assert_eq!(
                 delayed.flat_params(),
                 undisturbed.flat_params(),
-                "D={d}, {what}"
+                "D={d} N={n}, {what}"
             );
         }
     }

@@ -11,8 +11,8 @@
 //! (def and kill the same op), superseded weight versions of non-flushing
 //! schedules (the update that must park a still-referenced version → the
 //! last backward that reads it; one buffer per version, not per micro) and
-//! gradient contributions (backward → the next launch of its stage, or the
-//! end of the span under post-hoc synchronization).
+//! gradient contributions (def and kill the same backward: its stage's
+//! keyed group folds each one as it is made, so none waits for a launch).
 //!
 //! Every buffer gets an exact live range `[def, kill]` (op indices, inclusive
 //! on both ends: a buffer killed *by* op `i` is still resident while `i`
@@ -60,7 +60,8 @@ pub enum BufferKind {
     Remat,
     /// A superseded-but-referenced parameter version (weight stashing).
     WeightVersion,
-    /// One backward's flat gradient contribution awaiting its allreduce.
+    /// One backward's flat gradient contribution, handed to its stage's
+    /// allreduce group as the backward ends; def == kill.
     Grad,
 }
 
@@ -175,7 +176,7 @@ pub struct KindBreakdown {
     pub remat: f64,
     /// Stashed weight versions.
     pub weight_versions: f64,
-    /// Pending gradient contributions.
+    /// The gradient contribution of the backward running.
     pub grads: f64,
 }
 
@@ -338,8 +339,8 @@ impl Buffers<'_> {
 /// buffers each op defines and kills; the walk attaches sizes and keeps the
 /// running totals, remembering each live buffer in tables indexed by the
 /// row's own slots (through which the kill of its live range in `lives` is
-/// back-patched). The implicit post-hoc rows are not priced: gradients a
-/// schedule never launches stay pending to the end of the span.
+/// back-patched). The sync rows define nothing but the weight version a
+/// wait parks, and the implicit post-hoc rows are not priced.
 fn walk<S: BufferSizes>(program: &Program, sizes: &S, lives: &mut Vec<BufferLife>) -> WorkerPeaks {
     let mut buffers = Buffers {
         live: [0; 64],
@@ -348,11 +349,9 @@ fn walk<S: BufferSizes>(program: &Program, sizes: &S, lives: &mut Vec<BufferLife
         lives,
     };
     // The live buffer per stash slot and half, per version slot; per held
-    // stage, the pending gradient contributions and the number of updates so
-    // far (the next parked version's id).
+    // stage, the number of updates so far (the next parked version's id).
     let mut stash_live = vec![[Held::default(); 2]; program.stash_slots];
     let mut version_live = vec![Held::default(); program.version_slots];
-    let mut pending_grads: Vec<Vec<Held>> = vec![Vec::new(); program.held.len()];
     let mut updates = vec![0u64; program.held.len()];
 
     let mut cur = KindBreakdown::default();
@@ -419,15 +418,16 @@ fn walk<S: BufferSizes>(program: &Program, sizes: &S, lives: &mut Vec<BufferLife
                 let gsize = sizes.grad_contribution(op);
                 if gsize > 0.0 {
                     let class = sizes.size_class(gsize);
-                    let grad = life(BufferKind::Grad, i as u64, usize::MAX, gsize);
-                    pending_grads[h].push(buffers.def(grad, class));
+                    let grad = buffers.def(life(BufferKind::Grad, i as u64, i, gsize), class);
                     cur.grads += gsize;
                     check_peak(&cur, i);
+                    buffers.kill(grad, i);
                 }
                 // Kills: the consumed stash halves (and the transient
-                // rematerialization) die at this op's end, and with the
-                // last reader the weight version it read.
+                // rematerialization and gradient) die at this op's end, and
+                // with the last reader the weight version it read.
                 cur.remat -= remat_size;
+                cur.grads -= gsize;
                 for cov in row.covered() {
                     for b in halves_in(cov.kills) {
                         let dead = stash_live[cov.stash_slot as usize][b];
@@ -441,12 +441,7 @@ fn walk<S: BufferSizes>(program: &Program, sizes: &S, lives: &mut Vec<BufferLife
                     }
                 }
             }
-            OpKind::AllReduceLaunch => {
-                for dead in pending_grads[h].drain(..) {
-                    buffers.kill(dead, i);
-                    cur.grads -= dead.size;
-                }
-            }
+            OpKind::AllReduceLaunch => {}
             OpKind::AllReduceWait => {
                 if let Some(slot) = row.parks_version {
                     // Copy-on-update: the superseded version is still
