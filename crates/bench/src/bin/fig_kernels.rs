@@ -1,6 +1,8 @@
 //! Kernel-layer throughput harness: the microkernel's own rate (the tile
 //! ceiling every packed rate is reported as a fraction of), naive vs
-//! packed-panel vs packed+threaded GFLOP/s, backward-kernel rates,
+//! packed-panel vs packed+threaded GFLOP/s, backward-kernel rates (and
+//! model G's weight gradients under the `Add` epilogue beside a scratch
+//! folded in by `add_ordered`),
 //! elementwise ops
 //! (ns/element beside the libm loops they replaced), softmax over
 //! attention's stacked scores at every level (ns per live element and per
@@ -51,7 +53,7 @@ use chimera_nn::{
     Attention, ModelConfig, ReferenceTrainer, Stage, SyntheticData, TransformerBlock,
 };
 use chimera_tensor::{
-    gelu, gelu_backward, kernels, layernorm, pool, scale_mask_softmax_rows, softmax_rows,
+    gelu, gelu_backward, kernels, layernorm, ops, pool, scale_mask_softmax_rows, softmax_rows,
     softmax_rows_backward, Rng, Tensor,
 };
 
@@ -170,6 +172,48 @@ fn bench_backward(m: usize, k: usize, n: usize) -> (f64, f64) {
         kernels::matmul_t_into(&a, &bt, &mut out, m, k, n);
     });
     (gflops(m, k, n, t_mm), gflops(m, k, n, mm_t))
+}
+
+/// Single-threaded GFLOP/s of model G's weight gradients (`xᵀ·dy` of every
+/// weight of [`G_WEIGHTS`], one micro-batch of 64 rows) landing in an
+/// accumulator that already holds a sum: `[Add in the tile, the chain
+/// written into a zeroed scratch + add_ordered + the scratch cleared]` — the
+/// second is how a micro-batch after the first used to fold. Alternating
+/// rounds, best of each.
+fn bench_dw_epilogues(rounds: u32) -> [f64; 2] {
+    const ROWS: usize = 64;
+    kernels::set_threads(1);
+    let widest = G_WEIGHTS.iter().map(|&(i, o)| i.max(o)).max().unwrap_or(0);
+    let (x, dy) = (randvec(ROWS * widest, 40), randvec(ROWS * widest, 41));
+    let mut accs: Vec<Vec<f32>> = G_WEIGHTS.iter().map(|&(i, o)| vec![0.0; i * o]).collect();
+    let mut scratch = vec![0.0f32; widest * widest];
+    let flops: usize = G_WEIGHTS.iter().map(|&(i, o)| 2 * ROWS * i * o).sum();
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..rounds {
+        best[0] = best[0].min(time_per_call(5, || {
+            for (acc, &(i, o)) in accs.iter_mut().zip(&G_WEIGHTS) {
+                let (x, dy) = (&x[..ROWS * i], &dy[..ROWS * o]);
+                let ep = kernels::Epilogue::Add;
+                kernels::gemm_into(
+                    kernels::Product::TransA,
+                    x,
+                    dy,
+                    black_box(acc),
+                    (i, ROWS, o),
+                    ep,
+                );
+            }
+        }));
+        best[1] = best[1].min(time_per_call(5, || {
+            for (acc, &(i, o)) in accs.iter_mut().zip(&G_WEIGHTS) {
+                let g = &mut scratch[..i * o];
+                kernels::t_matmul_into(&x[..ROWS * i], &dy[..ROWS * o], black_box(g), ROWS, i, o);
+                ops::add_ordered(acc, &[g]);
+                g.fill(0.0);
+            }
+        }));
+    }
+    best.map(|secs| flops as f64 / secs / 1e9)
 }
 
 struct ElementwiseRow {
@@ -1097,6 +1141,7 @@ fn main() -> ExitCode {
     // Backward = dW (aᵀ@b) + dX (a@bᵀ), each the same flop count as the
     // forward product, so time ratio = fwd_rate/t_mm_rate + fwd_rate/mm_t_rate.
     let gemm_bwd_over_fwd = fwd_gf / t_mm_gf + fwd_gf / mm_t_gf;
+    let [dw_add_gf, dw_fold_gf] = bench_dw_epilogues(if smoke { 2 } else { 5 });
     print_table(
         "Backward-kernel rates (1t, headline shape)",
         &["kernel", "GFLOP/s", "rel. to fwd", "of ceiling"],
@@ -1124,6 +1169,18 @@ fn main() -> ExitCode {
                 "-".into(),
                 format!("{gemm_bwd_over_fwd:.2}"),
                 "-".into(),
+            ],
+            vec![
+                "dW G 64 rows, Add".into(),
+                format!("{dw_add_gf:.2}"),
+                "-".into(),
+                format!("{:.2}", dw_add_gf / ceiling),
+            ],
+            vec![
+                "dW G 64 rows, scratch+add".into(),
+                format!("{dw_fold_gf:.2}"),
+                "-".into(),
+                format!("{:.2}", dw_fold_gf / ceiling),
             ],
         ],
     );
@@ -1358,6 +1415,8 @@ fn main() -> ExitCode {
             "t_matmul_fraction_of_tile_ceiling": t_mm_gf / ceiling,
             "matmul_t_fraction_of_tile_ceiling": mm_t_gf / ceiling,
             "bwd_over_fwd": gemm_bwd_over_fwd,
+            "model_g_dw_add_gflops": dw_add_gf,
+            "model_g_dw_scratch_add_ordered_gflops": dw_fold_gf,
         }),
         "rows_per_call": rows_per_call.iter().map(|r| serde_json::json!({
             "rows": r.rows,

@@ -117,15 +117,6 @@ impl Sparse {
         }
         self.wire_bytes() as f64 / (4 * self.len) as f64
     }
-
-    /// Densify back to length `len`.
-    pub fn densify(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.len];
-        for (&i, &v) in self.indices.iter().zip(&self.values) {
-            out[i as usize] = v;
-        }
-        out
-    }
 }
 
 /// Keep the `k` largest-magnitude coordinates of `v`; returns the sparse
@@ -193,6 +184,15 @@ mod tests {
         assert_eq!(q.wire_bytes(), 4 + 500);
     }
 
+    /// `s` back at its full length `s.len`.
+    fn densify(s: &Sparse) -> Vec<f32> {
+        let mut out = vec![0.0f32; s.len];
+        for (&i, &v) in s.indices.iter().zip(&s.values) {
+            out[i as usize] = v;
+        }
+        out
+    }
+
     #[test]
     fn top_k_keeps_largest_and_residual_complements() {
         let v = vec![0.1f32, -5.0, 0.3, 2.0, -0.2];
@@ -200,7 +200,7 @@ mod tests {
         assert_eq!(s.indices, vec![1, 3]);
         assert_eq!(s.values, vec![-5.0, 2.0]);
         // message + residual == original
-        let dense = s.densify();
+        let dense = densify(&s);
         for i in 0..v.len() {
             assert_eq!(dense[i] + r[i], v[i]);
         }
@@ -214,7 +214,7 @@ mod tests {
     fn top_k_degenerate_cases() {
         let v = vec![1.0f32, 2.0];
         let (s, r) = top_k(&v, 10);
-        assert_eq!(s.densify(), v);
+        assert_eq!(densify(&s), v);
         assert!(r.iter().all(|&x| x == 0.0));
         let (s0, _) = top_k(&[], 3);
         assert_eq!(s0.len, 0);
@@ -231,7 +231,7 @@ mod tests {
         for _ in 0..16 {
             let with_fb: Vec<f32> = g.iter().zip(&residual).map(|(a, b)| a + b).collect();
             let (s, r) = top_k(&with_fb, 1);
-            for (t, d) in transmitted.iter_mut().zip(s.densify()) {
+            for (t, d) in transmitted.iter_mut().zip(densify(&s)) {
                 *t += d;
             }
             residual = r;

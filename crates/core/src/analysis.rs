@@ -108,12 +108,6 @@ pub fn onedir_practical_bubble_ratio(d: u32, n: u32) -> f64 {
     (d as f64 - 1.0) / (n as f64 + d as f64 - 1.0)
 }
 
-/// Number of bubble *slots* per worker in Chimera's equal-workload schedule:
-/// `D/f - 2` (§3.1/§3.6: `2(D/2f - 1)`).
-pub fn chimera_bubble_slots(d: u32, f: u32) -> u32 {
-    d / f - 2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,7 +120,9 @@ mod tests {
             let chim = table2(Scheme::Chimera, d, n).bubble_ratio;
             let dapple = table2(Scheme::Dapple, d, n).bubble_ratio;
             assert!(chim < dapple, "D={d}");
-            // Bubble *count* is halved: (D-2) vs 2(D-1).
+            // Bubble *count* is halved: Chimera's D/f - 2 slots per worker
+            // (§3.1/§3.6: 2(D/2f - 1)) at f = 1, vs 2(D-1).
+            let chimera_bubble_slots = |d: u32, f: u32| d / f - 2;
             assert!(chimera_bubble_slots(d, 1) <= (2 * (d - 1)) / 2);
         }
     }

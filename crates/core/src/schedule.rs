@@ -24,13 +24,6 @@ pub enum Scheme {
 }
 
 impl Scheme {
-    /// Synchronous schemes flush the pipeline every iteration and are
-    /// algorithmically equivalent to mini-batch SGD (Table 2's
-    /// "convergence friendly" column).
-    pub fn is_synchronous(self) -> bool {
-        !matches!(self, Scheme::PipeDream | Scheme::PipeDream2Bw)
-    }
-
     /// Human-readable name as used in the paper's figures.
     pub fn name(self) -> &'static str {
         match self {
@@ -310,10 +303,6 @@ mod tests {
 
     #[test]
     fn scheme_properties() {
-        assert!(Scheme::Chimera.is_synchronous());
-        assert!(Scheme::Gems.is_synchronous());
-        assert!(!Scheme::PipeDream.is_synchronous());
-        assert!(!Scheme::PipeDream2Bw.is_synchronous());
         assert_eq!(Scheme::PipeDream2Bw.name(), "PipeDream-2BW");
     }
 

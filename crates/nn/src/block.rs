@@ -6,7 +6,7 @@ use chimera_tensor::{
 
 use crate::attention::{Attention, AttnStash};
 use crate::linear::Linear;
-use crate::micros::Micros;
+use crate::micros::{self, Micros};
 
 /// Learnable layer-norm parameters.
 #[derive(Debug, Clone)]
@@ -42,8 +42,8 @@ impl LayerNorm {
     }
 
     /// [`LayerNorm::backward`] over `micros.count` stacked micro-batches:
-    /// `dx` row by row, `[dγ.., dβ..]` one chain per micro-batch, folded
-    /// into `grad` in micro order.
+    /// `dx` row by row, `[dγ.., dβ..]` one chain per micro-batch, landed in
+    /// `grad` in micro order.
     pub fn backward_stacked(
         &self,
         stash: &LayerNormStash,
@@ -53,8 +53,10 @@ impl LayerNorm {
     ) -> Tensor {
         let rows = micros.rows_each(dy.rows());
         let mut dx = pool::take_spare(dy.len());
-        micros.fold(grad, |m, g| {
-            layernorm_backward(stash, &self.gamma, dy, m * rows..(m + 1) * rows, &mut dx, g);
+        micros.fold(grad, |m, ep, g| {
+            micros::small(ep, g, |g| {
+                layernorm_backward(stash, &self.gamma, dy, m * rows..(m + 1) * rows, &mut dx, g);
+            });
         });
         Tensor::from_vec(dy.rows(), dy.cols(), dx)
     }

@@ -3,7 +3,7 @@
 
 use chimera_tensor::{Rng, Tensor};
 
-use crate::micros::Micros;
+use crate::micros::{self, Micros};
 
 /// Token embedding table plus learned position embeddings.
 #[derive(Debug, Clone)]
@@ -51,8 +51,9 @@ impl Embedding {
     }
 
     /// [`Embedding::backward`] over `micros.count` stacked micro-batches:
-    /// one scatter-add chain per micro-batch over its own rows, folded into
-    /// `grad` in micro order.
+    /// one scatter-add chain per micro-batch over its own rows, landed in
+    /// `grad` in micro order (a `Write` clears the tables first — whole
+    /// sequences cover every position, but not every token).
     pub fn backward_stacked(
         &self,
         tokens: &[u32],
@@ -64,19 +65,21 @@ impl Embedding {
         assert_eq!(grad.len(), self.num_params());
         let h = self.table.cols();
         let rows = micros.rows_each(tokens.len());
-        micros.fold(grad, |m, g| {
-            let (tg, pg) = g.split_at_mut(self.table.len());
-            let span = m * rows..(m + 1) * rows;
-            for (i, &t) in span.clone().zip(&tokens[span]) {
-                let (t, dyr) = (t as usize, dy.row(i));
-                for (g, &v) in tg[t * h..(t + 1) * h].iter_mut().zip(dyr) {
-                    *g += v;
+        micros.fold(grad, |m, ep, g| {
+            micros::small(ep, g, |g| {
+                let (tg, pg) = g.split_at_mut(self.table.len());
+                let span = m * rows..(m + 1) * rows;
+                for (i, &t) in span.clone().zip(&tokens[span]) {
+                    let (t, dyr) = (t as usize, dy.row(i));
+                    for (g, &v) in tg[t * h..(t + 1) * h].iter_mut().zip(dyr) {
+                        *g += v;
+                    }
+                    let p = i % seq;
+                    for (g, &v) in pg[p * h..(p + 1) * h].iter_mut().zip(dyr) {
+                        *g += v;
+                    }
                 }
-                let p = i % seq;
-                for (g, &v) in pg[p * h..(p + 1) * h].iter_mut().zip(dyr) {
-                    *g += v;
-                }
-            }
+            });
         });
     }
 

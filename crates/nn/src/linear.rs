@@ -1,8 +1,9 @@
 //! Fully-connected layer with explicit backward.
 
-use chimera_tensor::{kernels, Rng, Tensor};
+use chimera_tensor::kernels::{self, Product};
+use chimera_tensor::{Rng, Tensor};
 
-use crate::micros::Micros;
+use crate::micros::{self, Micros};
 
 /// `y = x W + b`, `W: [in, out]`.
 #[derive(Debug, Clone)]
@@ -45,7 +46,8 @@ impl Linear {
 
     /// [`Linear::backward`] over `micros.count` stacked micro-batches: `dx`
     /// is one product over every row, `[dW.., db..]` one chain per
-    /// micro-batch over its own rows, folded into `grad` in micro order.
+    /// micro-batch over its own rows, landed in `grad` in micro order — `dW`
+    /// by the product's own epilogue, `db` summed aside on an `Add`.
     pub fn backward_stacked(
         &self,
         x: &Tensor,
@@ -57,15 +59,18 @@ impl Linear {
         assert_eq!(x.rows(), dy.rows(), "t_matmul shape mismatch");
         let (input, output) = (self.w.rows(), self.w.cols());
         let rows = micros.rows_each(dy.rows());
-        micros.fold(grad, |m, g| {
+        micros.fold(grad, |m, ep, g| {
             let (gw, gb) = g.split_at_mut(self.w.len());
             let dy = micros.rows_of(dy, m);
-            kernels::t_matmul_into(micros.rows_of(x, m), dy, gw, rows, input, output);
-            for row in dy.chunks_exact(output) {
-                for (o, &v) in gb.iter_mut().zip(row) {
-                    *o += v;
+            let shape = (input, rows, output);
+            kernels::gemm_into(Product::TransA, micros.rows_of(x, m), dy, gw, shape, ep);
+            micros::small(ep, gb, |gb| {
+                for row in dy.chunks_exact(output) {
+                    for (o, &v) in gb.iter_mut().zip(row) {
+                        *o += v;
+                    }
                 }
-            }
+            });
         });
         dy.matmul_t(&self.w)
     }

@@ -4,7 +4,7 @@
 //! *bit-for-bit* — this is the executable form of the paper's
 //! "convergence friendly / no accuracy loss" claim (Table 2, §2).
 
-use chimera_tensor::pool;
+use chimera_tensor::{kernels::Epilogue, pool};
 
 use crate::data::SyntheticData;
 use crate::optim::{LrSchedule, Optimizer, OptimizerKind};
@@ -18,7 +18,9 @@ use crate::stage::Stage;
 ///
 /// A one-micro step holds the accumulator, one micro-batch's stash and a
 /// per-micro gradient of the model's size; a stacked step holds the
-/// accumulator, `k` stashes and a layer-sized scratch. `(k − 1) · stash ≤
+/// accumulator, `k` stashes and at most a layer-sized scratch (a bias or the
+/// embedding tables summed aside, or a weight's chains when a micro-batch
+/// is deeper than one packed slab). `(k − 1) · stash ≤
 /// params` makes the second never the larger: the group size is the memory
 /// the per-micro gradient buffer freed, spent on stashes.
 fn groups(n: u32, params: usize, stash: usize) -> impl Iterator<Item = u32> {
@@ -84,8 +86,9 @@ impl ReferenceTrainer {
     /// Per-micro gradients are accumulated in micro order and averaged via
     /// the head's `1/n` loss scale, exactly like the pipelined runtime. The
     /// micro-batches run in groups, each one stacked pass
-    /// ([`Stage::forward_stacked`], [`Stage::backward_into`]) that folds its
-    /// micro-batches' chains straight into the one accumulator per stage:
+    /// ([`Stage::forward_stacked`], [`Stage::backward_into`]) that lands its
+    /// micro-batches' chains straight in the one accumulator per stage — the
+    /// first group writes it, so it is never cleared, and later groups add —
     /// bit for bit the one-micro gradients summed in order. The group size
     /// follows from the model's sizes alone, so that the grouped step never
     /// holds more memory than the one-micro step it replaced.
@@ -95,7 +98,7 @@ impl ReferenceTrainer {
         let mut grads: Vec<Vec<f32>> = self
             .stages
             .iter()
-            .map(|s| pool::take_zeroed(s.num_params()))
+            .map(|s| pool::take_stale(s.num_params()))
             .collect();
         let params = self.stages.iter().map(Stage::num_params).sum();
         let stash = self
@@ -133,7 +136,12 @@ impl ReferenceTrainer {
             // Backward in reverse.
             let mut dy = None;
             for ((stage, stash), grad) in self.stages.iter().zip(stashes).zip(&mut grads).rev() {
-                dy = stage.backward_into(&stash, dy.take(), scale, grad, g == 0);
+                let first = if g == 0 {
+                    Epilogue::Write
+                } else {
+                    Epilogue::Add
+                };
+                dy = stage.backward_into(&stash, dy.take(), scale, grad, first);
             }
         }
         // Update: the learning rate follows the schedule by update step.

@@ -2,6 +2,7 @@
 //! deterministic construction so any partitioning yields bit-identical
 //! parameters.
 
+use chimera_tensor::kernels::Epilogue;
 use chimera_tensor::{pool, Rng, Tensor};
 
 use crate::block::{BlockStash, TransformerBlock};
@@ -286,38 +287,40 @@ impl Stage {
     /// Backward one micro-batch. The last stage starts from the loss
     /// (`dy = None`, scaled by `loss_scale`, typically `1/N`); other stages
     /// take the boundary gradient. Returns the gradient to send upstream
-    /// (`None` on stage 0) and the stage's flat parameter gradient.
+    /// (`None` on stage 0) and the stage's flat parameter gradient, written
+    /// into a pooled buffer that is not cleared first ([`pool::take_stale`]).
     pub fn backward(
         &self,
         stash: &MicroStash,
         dy: Option<Tensor>,
         loss_scale: f32,
     ) -> (Option<Tensor>, Vec<f32>) {
-        let mut grad = pool::take_zeroed(self.num_params());
-        let dx = self.backward_into(stash, dy, loss_scale, &mut grad, true);
+        let mut grad = pool::take_stale(self.num_params());
+        let dx = self.backward_into(stash, dy, loss_scale, &mut grad, Epilogue::Write);
         (dx, grad)
     }
 
     /// The backward of a stash of any number of stacked micro-batches:
     /// `dX` over all their rows at once, and each micro-batch's parameter
-    /// gradient one chain per weight, added into `grad` (flat,
-    /// [`Stage::params`] layout) in micro order — bit for bit
+    /// gradient one chain per weight, landed in `grad` (flat,
+    /// [`Stage::params`] layout) in micro order, the first micro-batch's
+    /// under `first` (see [`Micros::first`]) — under `Add`, bit for bit
     /// `ops::add_ordered(grad, &[g])` of each one-micro [`Stage::backward`]'s
-    /// `g` in turn. Pass `zeroed` only for a `grad` of `+0.0` that nothing
-    /// has been added to yet: the first micro-batch's chains then run in it.
+    /// `g` in turn; under `Write`, the same on a `grad` of `+0.0`, whatever
+    /// `grad` held: every element is written.
     pub fn backward_into(
         &self,
         stash: &MicroStash,
         dy: Option<Tensor>,
         loss_scale: f32,
         grad: &mut [f32],
-        zeroed: bool,
+        first: Epilogue,
     ) -> Option<Tensor> {
         assert!(stash.is_full(), "backward needs a full stash (recompute?)");
         assert_eq!(grad.len(), self.num_params());
         let micros = Micros {
             count: stash.micros,
-            first_in_place: zeroed,
+            first,
         };
         let emb_len = self.embedding.as_ref().map_or(0, Embedding::num_params);
         let head_len = self.head.as_ref().map_or(0, OutputHead::num_params);

@@ -1,20 +1,23 @@
 //! Stacked micro-batches against one micro-batch at a time, bit for bit.
 //!
 //! A stacked pass runs `k` micro-batches as one pass over their rows and
-//! folds each one's weight gradient, a chain of its own, into the
-//! accumulator in micro order. It must equal the one-micro calls with each
-//! micro-batch's gradient summed in by `ops::add_ordered`: module by module
-//! here, and for whole training iterations of the sequential reference
-//! against the per-micro trainer it replaced, which this file keeps as the
-//! oracle. Both run at every SIMD level the host has.
+//! lands each one's weight gradient, a chain of its own, in the accumulator
+//! in micro order, the first under the epilogue its caller names. It must
+//! equal the one-micro calls with each micro-batch's gradient summed in by
+//! `ops::add_ordered`: module by module here, for whole stages on buffers
+//! that hold NaN before a `Write` (so an element nothing writes shows), and
+//! for whole training iterations of the sequential reference against the
+//! per-micro trainer it replaced, which this file keeps as the oracle. All
+//! run at every SIMD level the host has.
 //!
 //! A binary of its own: the level cap is process-global.
 
 use chimera_nn::{
-    Attention, Embedding, LayerNorm, Linear, LrSchedule, Micros, ModelConfig, Optimizer,
-    OptimizerKind, OutputHead, ReferenceTrainer, Stage, SyntheticData, TransformerBlock,
+    Attention, Embedding, LayerNorm, Linear, LrSchedule, MicroStash, Micros, ModelConfig,
+    Optimizer, OptimizerKind, OutputHead, ReferenceTrainer, Stage, SyntheticData, TransformerBlock,
 };
-use chimera_tensor::{kernels, ops, pool, Rng, Tensor};
+use chimera_tensor::kernels::{self, Epilogue, KC};
+use chimera_tensor::{ops, pool, Rng, Tensor};
 
 #[path = "../../tensor/tests/common/mod.rs"]
 mod common;
@@ -108,11 +111,25 @@ fn micro(t: &Tensor, k: usize, m: usize) -> Tensor {
     t.rows_slice(m * rows, rows)
 }
 
+/// What an accumulator holds before a pass whose first micro-batch lands
+/// under `first`, and what its sum starts from: `Continue` runs on zeros,
+/// `Write` on NaN it must overwrite, `Add` on a sum already there.
+fn start_for(first: Epilogue, held: &[f32]) -> (Vec<f32>, Vec<f32>) {
+    let zeros = vec![0.0; held.len()];
+    match first {
+        Epilogue::Continue => (zeros.clone(), zeros),
+        Epilogue::Write => (vec![f32::NAN; held.len()], zeros),
+        Epilogue::Add => (held.to_vec(), held.to_vec()),
+    }
+}
+
+const EPILOGUES: [Epilogue; 3] = [Epilogue::Continue, Epilogue::Write, Epilogue::Add];
+
 /// `stacked(micros, grad)` against `one(m, grad)` for each of `k`
 /// micro-batches in turn: outputs part by part (the one-micro parts
-/// concatenated in micro order), and the gradient — in place on a zeroed
-/// accumulator, and folded into one that already holds a sum — against
-/// each one-micro gradient, taken from `+0.0`, summed in by `add_ordered`.
+/// concatenated in micro order), and the gradient — under every first
+/// epilogue, see [`start_for`] — against each one-micro gradient, taken
+/// from `+0.0`, summed in by `add_ordered`.
 fn assert_stacked_is_one_micro_at_a_time(
     what: &str,
     params: usize,
@@ -133,23 +150,14 @@ fn assert_stacked_is_one_micro_at_a_time(
     }
     let mut rng = Rng::new(params as u64);
     let held: Vec<f32> = (0..params).map(|_| rng.normal()).collect();
-    for first_in_place in [true, false] {
-        let start = if first_in_place {
-            vec![0.0; params]
-        } else {
-            held.clone()
-        };
-        let mut want_grad = start.clone();
+    for first in EPILOGUES {
+        let (mut grad, mut want_grad) = start_for(first, &held);
         for g in &grads {
             ops::add_ordered(&mut want_grad, &[g]);
         }
-        let mut grad = start;
-        let micros = Micros {
-            count: k,
-            first_in_place,
-        };
+        let micros = Micros { count: k, first };
         let got = stacked(micros, &mut grad);
-        let what = format!("{what} k={k} first_in_place={first_in_place}");
+        let what = format!("{what} k={k} first={first:?}");
         assert_eq!(got.len(), want.len(), "{what}");
         for (part, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_eq!(bits(g), bits(w), "{what}: output {part}");
@@ -287,6 +295,150 @@ fn every_module_stacked_is_one_micro_at_a_time() {
                     },
                 );
             }
+        }
+    });
+}
+
+/// One stage's backward over `k` stacked micro-batches of `micro_batch`
+/// sequences each, from random inputs: the stacked pass against each
+/// micro-batch's one-micro pass under `Continue` on a zeroed buffer — the
+/// zeroed-buffer path the one-micro module calls keep — summed in by
+/// `add_ordered`.
+struct StageCase {
+    stage: Stage,
+    k: usize,
+    x: Option<Tensor>,
+    tokens: Vec<u32>,
+    dy: Option<Tensor>,
+}
+
+impl StageCase {
+    fn new(cfg: ModelConfig, index: u32, depth: u32, micro_batch: usize, k: usize) -> Self {
+        let stage = Stage::build(cfg, index, depth);
+        let rows = k * micro_batch * cfg.seq;
+        let mut rng = Rng::new(u64::from(index) * 31 + k as u64);
+        let tokens = (0..rows).map(|_| rng.below(cfg.vocab as u32)).collect();
+        let x = (index > 0).then(|| Tensor::normal(rows, cfg.hidden, 0.5, &mut rng));
+        let dy = (index + 1 < depth).then(|| Tensor::normal(rows, cfg.hidden, 1.0, &mut rng));
+        StageCase {
+            stage,
+            k,
+            x,
+            tokens,
+            dy,
+        }
+    }
+
+    /// Micro-batch `m`'s rows of a stacked tensor, or all of them.
+    fn part(&self, t: &Option<Tensor>, m: Option<usize>) -> Option<Tensor> {
+        let t = t.as_ref()?;
+        Some(m.map_or_else(|| t.clone(), |m| micro(t, self.k, m)))
+    }
+
+    /// `(dx, grad)` of one pass over micro-batch `m` (or all of them), its
+    /// gradient landed by `land` on a stash of the pass.
+    fn run(
+        &self,
+        m: Option<usize>,
+        land: impl FnOnce(&Stage, &MicroStash, Option<Tensor>) -> (Option<Tensor>, Vec<f32>),
+    ) -> (Option<Tensor>, Vec<f32>) {
+        let span = m.map_or(0..self.tokens.len(), |m| {
+            let each = self.tokens.len() / self.k;
+            m * each..(m + 1) * each
+        });
+        let tokens = &self.tokens[span];
+        let s = &self.stage;
+        let first = self.x.is_none().then_some(tokens);
+        let last = self.dy.is_none().then_some(tokens);
+        let count = if m.is_some() { 1 } else { self.k };
+        let (_, _, stash) = s.forward_stacked(self.part(&self.x, m), first, last, count);
+        land(s, &stash, self.part(&self.dy, m))
+    }
+
+    /// The stacked pass's `dx` and gradient want, for an accumulator whose
+    /// sum starts from `base`.
+    fn oracle(&self, base: &[f32]) -> (Vec<f32>, Vec<f32>) {
+        let (mut dx, mut grad) = (Vec::new(), base.to_vec());
+        for m in 0..self.k {
+            let (d, g) = self.run(Some(m), |s, stash, dy| {
+                let mut g = vec![0.0; s.num_params()];
+                (
+                    s.backward_into(stash, dy, 0.25, &mut g, Epilogue::Continue),
+                    g,
+                )
+            });
+            dx.extend(d.map(|d| d.data().to_vec()).unwrap_or_default());
+            ops::add_ordered(&mut grad, &[&g]);
+        }
+        (dx, grad)
+    }
+}
+
+/// Every element of a stage's gradient is written, whatever the buffer
+/// held: `Stage::backward_into` under every first epilogue (a `Write` on a
+/// buffer of NaN) and `Stage::backward` on a pooled buffer of NaN equal the
+/// one-micro passes on zeroed buffers summed in order, bit for bit, for a
+/// first, a middle and a last stage of a tiny and an S-shaped model, one to
+/// three micro-batches, and once with a micro-batch deeper than the packed
+/// GEMM's `KC` slab (so `Add` takes its write-aside path).
+#[test]
+fn every_gradient_element_is_written() {
+    let small = ModelConfig {
+        vocab: 64,
+        hidden: 64,
+        seq: 16,
+        layers: 4,
+        heads: 4,
+        causal: true,
+        seed: 9,
+    };
+    let deep = 17;
+    assert!(deep * small.seq > KC, "a micro-batch past one slab");
+    let mut cases = Vec::new();
+    for (cfg, micro_batch) in [(ModelConfig::tiny(), 2), (small, 1)] {
+        for index in [0, 1, 3] {
+            for k in 1..=3 {
+                cases.push((cfg, index, micro_batch, k));
+            }
+        }
+    }
+    for index in [0, 1, 3] {
+        cases.push((small, index, deep, 2));
+    }
+    at_every_level(|level| {
+        for &(cfg, index, micro_batch, k) in &cases {
+            let what = format!(
+                "{} {cfg:?} stage {index} B {micro_batch} k {k}",
+                level.name()
+            );
+            let case = StageCase::new(cfg, index, 4, micro_batch, k);
+            let params = case.stage.num_params();
+            let mut rng = Rng::new(params as u64);
+            let held: Vec<f32> = (0..params).map(|_| rng.normal()).collect();
+            for first in EPILOGUES {
+                let (start, base) = start_for(first, &held);
+                let (want_dx, want) = case.oracle(&base);
+                let (dx, got) = case.run(None, |s, stash, dy| {
+                    let mut g = start;
+                    (s.backward_into(stash, dy, 0.25, &mut g, first), g)
+                });
+                let dx = dx.map(|d| d.data().to_vec()).unwrap_or_default();
+                assert_eq!(bits(&dx), bits(&want_dx), "{what} {first:?}: dx");
+                assert_eq!(bits(&got), bits(&want), "{what} {first:?}: gradient");
+            }
+            // `Stage::backward` takes the buffer last put in its class.
+            let (_, want) = case.oracle(&vec![0.0; params]);
+            let class = pool::class_of_request(params).expect("a pooled size");
+            let (_, got) = case.run(None, |s, stash, dy| {
+                let mut poisoned = Vec::with_capacity(1 << class);
+                poisoned.resize(params, f32::NAN);
+                let at = poisoned.as_ptr();
+                pool::put(poisoned);
+                let (dx, g) = s.backward(stash, dy, 0.25);
+                assert_eq!(g.as_ptr(), at, "{what}: the poisoned buffer");
+                (dx, g)
+            });
+            assert_eq!(bits(&got), bits(&want), "{what}: Stage::backward");
         }
     });
 }

@@ -25,20 +25,28 @@
 //!   thread, so its accumulation order never depends on the thread count or
 //!   the grid shape.
 //! * Packing copies operand panels but never reassociates arithmetic. All
-//!   three products ([`matmul_into`], [`t_matmul_into`], [`matmul_t_into`])
-//!   accumulate every output element in place with one exactly-rounded
-//!   [`f32::mul_add`] per `k` step, walking `k` in ascending order and
-//!   continuing from the value already in `out` — exactly the op chain of
-//!   the naive untiled loop, and the same chain for all three, so `dX` and
-//!   `dW` are one engine's work. Panel padding is zero-filled and only ever
-//!   feeds accumulator lanes whose results are discarded.
+//!   three products ([`Product`]) build every output element as one chain
+//!   of exactly-rounded [`f32::mul_add`] steps over ascending `k` — the op
+//!   chain of the naive untiled loop, the same for all three, so `dX` and
+//!   `dW` are one engine's work — and an [`Epilogue`] says where the chain
+//!   starts and lands: `Continue` starts from the value already in `out`
+//!   ([`matmul_into`] and its two siblings always do), `Write` starts from
+//!   `+0.0` and never reads `out` (bit for bit `Continue` on a zeroed
+//!   output, since such a chain is never `−0.0`), and `Add` starts from
+//!   `+0.0` and adds the chain to `out` with one exactly-rounded add per
+//!   element (bit for bit the chain written aside and folded in by
+//!   [`ops::add_ordered`]). Only the first `KC` slab takes the epilogue,
+//!   later slabs continue the chain, so `Add` deeper than one slab (or with
+//!   no slab at all, `k = 0`) writes into pool scratch and adds that. Panel
+//!   padding is zero-filled and only ever feeds accumulator lanes whose
+//!   results are discarded.
 //! * The strided, batched small-product kernel ([`gemm_batch`], attention's
 //!   six products) **writes** each output element as that same ascending
 //!   `mul_add` chain started at `+0.0`, for every combination of transposes
 //!   — including `q·kᵀ` and `dc·vᵀ`. One thread and one owner per element,
 //!   so there is no grid; of its two tiles the 8-lane one is safe code
 //!   whose `mul_add` *is* the fused instruction, and the wide one is the
-//!   microkernel started from zero (next bullet), so which of them a shape
+//!   microkernel under `Write` (next bullet), so which of them a shape
 //!   and a level select changes no bit. Its [`Triangle`] hints skip work without
 //!   touching the chain of anything that is read: `LowerOut` leaves whole
 //!   tiles above the diagonal uncomputed (unspecified, for a masked softmax
@@ -114,9 +122,9 @@ use std::time::Instant;
 
 use crate::micro;
 pub use crate::micro::{
-    gemm_micro, gemm_micro_from_zero, set_level_cap, simd_level, SimdLevel, LANES, MR, NR,
+    gemm_micro, gemm_micro_with, set_level_cap, simd_level, Epilogue, SimdLevel, LANES, MR, NR,
 };
-use crate::pool;
+use crate::{ops, pool};
 
 /// Row-stripe height of one packed `a` panel (a multiple of [`MR`]).
 pub const MC: usize = 64;
@@ -466,8 +474,9 @@ fn interleave8(rows: [&[f32]; 8], out: &mut [f32]) {
 
 // --- the packed-panel GEMM driver --------------------------------------------
 
-/// One grid cell of `out += op(a) @ op(b)`: the full five-loop packed nest
-/// over this cell's rows and columns.
+/// One grid cell of `op(a) @ op(b)` under `ep`: the full five-loop packed
+/// nest over this cell's rows and columns, the first slab of every column
+/// panel under `ep` and the rest continuing its chains.
 ///
 /// * `rows` — the cell's output-row views, each exactly the cell's width.
 /// * `(i0, j0)` — the cell's first output row and column (for reading `a`
@@ -478,22 +487,23 @@ fn gemm_cell(
     k: usize,
     (i0, j0): (usize, usize),
     rows: &mut [&mut [f32]],
-    apack: &mut [f32],
-    bpack: &mut [f32],
+    ep: Epilogue,
+    (apack, bpack): (&mut [f32], &mut [f32]),
 ) {
     let mrows = rows.len();
     let ncw = rows.first().map_or(0, |r| r.len());
     if mrows == 0 || ncw == 0 {
         return;
     }
-    // Stack staging tile for ragged edges: real cells are copied in, the
-    // microkernel runs full-size against zero-padded panels, and only the
-    // real cells are copied back out.
+    // Stack staging tile for ragged edges: real cells are copied in (unless
+    // the epilogue writes them), the microkernel runs full-size against
+    // zero-padded panels, and only the real cells are copied back out.
     let mut edge = [[0.0f32; NR]; MR];
     for jc in (0..ncw).step_by(NC) {
         let ncb = NC.min(ncw - jc);
         for k0 in (0..k).step_by(KC) {
             let kcb = KC.min(k - k0);
+            let ep = if k0 == 0 { ep } else { Epilogue::Continue };
             b.pack::<NR>(bpack, j0 + jc, ncb, k0, kcb);
             for ic in (0..mrows).step_by(MC) {
                 let mcb = MC.min(mrows - ic);
@@ -505,7 +515,8 @@ fn gemm_cell(
                         let aslab = &apack[q * kcb * MR..(q + 1) * kcb * MR];
                         let h = MR.min(mcb - ip);
                         if h == MR && w == NR {
-                            gemm_micro(
+                            gemm_micro_with(
+                                ep,
                                 aslab,
                                 bslab,
                                 kcb,
@@ -513,16 +524,15 @@ fn gemm_cell(
                                 jc + jp,
                             );
                         } else {
-                            for r in 0..h {
-                                let srcrow = &rows[ic + ip + r][jc + jp..jc + jp + w];
-                                edge[r][..w].copy_from_slice(srcrow);
-                                edge[r][w..].fill(0.0);
-                            }
-                            for row in edge.iter_mut().skip(h) {
-                                row.fill(0.0);
+                            for (r, staged) in edge.iter_mut().enumerate() {
+                                staged.fill(0.0);
+                                if r < h && ep != Epilogue::Write {
+                                    let srcrow = &rows[ic + ip + r][jc + jp..jc + jp + w];
+                                    staged[..w].copy_from_slice(srcrow);
+                                }
                             }
                             let mut views = edge.each_mut().map(|r| &mut r[..]);
-                            gemm_micro(aslab, bslab, kcb, &mut views, 0);
+                            gemm_micro_with(ep, aslab, bslab, kcb, &mut views, 0);
                             for r in 0..h {
                                 rows[ic + ip + r][jc + jp..jc + jp + w]
                                     .copy_from_slice(&edge[r][..w]);
@@ -593,26 +603,39 @@ fn split_grid(out: &mut [f32], m: usize, n: usize, tr: usize, tc: usize) -> Vec<
     cells
 }
 
-/// Run the packed engine over a `tr×tc` grid on scoped threads. Each cell
-/// gets its own pool-backed pack scratch, taken and returned on the calling
-/// thread (worker threads are scoped and short-lived, so routing scratch
-/// through *their* thread-local pools would leak a miss/discard pair per
-/// call).
+/// Run the packed engine under `ep` over a `tr×tc` grid on scoped threads.
+/// Each cell gets its own pool-backed pack scratch, taken and returned on
+/// the calling thread (worker threads are scoped and short-lived, so routing
+/// scratch through *their* thread-local pools would leak a miss/discard pair
+/// per call).
 fn run_grid(
     a: Source<'_>,
     b: Source<'_>,
     out: &mut [f32],
     (m, k, n): (usize, usize, usize),
+    ep: Epilogue,
     t: usize,
 ) {
     if m == 0 || n == 0 {
         return;
     }
+    match ep {
+        // A tile can add only a chain it holds whole: one slab deep, and
+        // at least one step.
+        Epilogue::Add if k == 0 || k > KC => {
+            let mut chains = pool::take_stale(m * n);
+            run_grid(a, b, &mut chains, (m, k, n), Epilogue::Write, t);
+            ops::add_ordered(out, &[&chains]);
+            return pool::put(chains);
+        }
+        Epilogue::Write if k == 0 => return out.fill(0.0),
+        _ => {}
+    }
     let (tr, tc) = grid_for(t.max(1), m, n);
     if tr * tc <= 1 {
         let mut rows: Vec<&mut [f32]> = out.chunks_mut(n).collect();
         let (mut apack, mut bpack) = take_scratch(m, k, n);
-        gemm_cell(a, b, k, (0, 0), &mut rows, &mut apack, &mut bpack);
+        gemm_cell(a, b, k, (0, 0), &mut rows, ep, (&mut apack, &mut bpack));
         put_scratch([(apack, bpack)]);
         return;
     }
@@ -626,7 +649,7 @@ fn run_grid(
             cells.into_iter().enumerate().zip(scratch.iter_mut())
         {
             let origin = (cut(idx / tc, m, tr), cut(idx % tc, n, tc));
-            s.spawn(move || gemm_cell(a, b, k, origin, &mut rows, apack, bpack));
+            s.spawn(move || gemm_cell(a, b, k, origin, &mut rows, ep, (apack, bpack)));
         }
     });
     put_scratch(scratch);
@@ -639,21 +662,67 @@ fn run_grid(
 // flops, and behind them only below ~2¹⁰, where a call costs a fraction of a
 // microsecond either way), so there is no small path to keep bit-identical.
 
-/// `out += a @ b` where `a: [m,k]`, `b: [k,n]`, `out: [m,n]`, all row-major.
-///
-/// Accumulates into `out` (zero it first for a plain product): every output
-/// element continues, from the value already there, one ascending chain of
-/// exactly-rounded `mul_add` steps over `k`, regardless of packing, tiling,
-/// or thread count.
-pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(out.len(), m * n);
-    let t = effective_threads(m, k, n);
-    matmul_into_with_threads(a, b, out, m, k, n, t);
+/// Which operand of a packed product is stored transposed. Every product
+/// is `m×k` by `k×n` into a row-major `out: [m,n]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Product {
+    /// `a @ b`: `a: [m,k]`, `b: [k,n]`.
+    Plain,
+    /// `aᵀ @ b`: `a: [k,m]`, `b: [k,n]` — the `dW = Xᵀ dY` pattern, without
+    /// materializing the transpose.
+    TransA,
+    /// `a @ bᵀ`: `a: [m,k]`, `b: [n,k]` — the `dX = dY Wᵀ` pattern.
+    TransB,
 }
 
-/// [`matmul_into`] with exactly `t` grid threads: bypasses the flop gate
-/// and the hardware-parallelism clamp. Bit-identical at every `t`; for tests
+/// `op(a) @ op(b)` into `out` under `ep`: every output element is one
+/// ascending chain of exactly-rounded `mul_add` steps over `k`, started and
+/// stored as [`Epilogue`] says, regardless of packing, tiling, or thread
+/// count.
+pub fn gemm_into(
+    product: Product,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    (m, k, n): (usize, usize, usize),
+    ep: Epilogue,
+) {
+    let t = effective_threads(m, k, n);
+    gemm_into_with_threads(product, a, b, out, (m, k, n), ep, t);
+}
+
+/// [`gemm_into`] with exactly `t` grid threads: bypasses the flop gate and
+/// the hardware-parallelism clamp. Bit-identical at every `t`; for tests
 /// and benches that must exercise the 2D grid regardless of shape or host.
+pub fn gemm_into_with_threads(
+    product: Product,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    (m, k, n): (usize, usize, usize),
+    ep: Epilogue,
+    t: usize,
+) {
+    debug_assert_eq!((a.len(), b.len(), out.len()), (m * k, k * n, m * n));
+    let (asrc, bsrc) = match product {
+        Product::Plain => (Source::rows(a, k), Source::depth(b, n)),
+        Product::TransA => (Source::depth(a, m), Source::depth(b, n)),
+        Product::TransB => (Source::rows(a, k), Source::rows(b, k)),
+    };
+    let t0 = enter(flops_of(m, k, n));
+    run_grid(asrc, bsrc, out, (m, k, n), ep, t);
+    leave(t0);
+}
+
+/// `out += a @ b` where `a: [m,k]`, `b: [k,n]`, `out: [m,n]`, all
+/// row-major: [`gemm_into`] under [`Epilogue::Continue`] (zero `out` first
+/// for a plain product).
+pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    gemm_into(Product::Plain, a, b, out, (m, k, n), Epilogue::Continue);
+}
+
+/// [`matmul_into`] with exactly `t` grid threads (see
+/// [`gemm_into_with_threads`]).
 pub fn matmul_into_with_threads(
     a: &[f32],
     b: &[f32],
@@ -663,26 +732,17 @@ pub fn matmul_into_with_threads(
     n: usize,
     t: usize,
 ) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    let t0 = enter(flops_of(m, k, n));
-    run_grid(Source::rows(a, k), Source::depth(b, n), out, (m, k, n), t);
-    leave(t0);
+    let ep = Epilogue::Continue;
+    gemm_into_with_threads(Product::Plain, a, b, out, (m, k, n), ep, t);
 }
 
-/// `out += aᵀ @ b` where `a: [k,m]`, `b: [k,n]`, `out: [m,n]` — the
-/// `dW = Xᵀ dY` pattern, without materializing the transpose.
-///
-/// Accumulates into `out`, so gradient buffers can take the product in
-/// place; the per-element chain is [`matmul_into`]'s.
+/// `out += aᵀ @ b` where `a: [k,m]`, `b: [k,n]`, `out: [m,n]`
+/// ([`Product::TransA`] under [`Epilogue::Continue`]).
 pub fn t_matmul_into(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usize) {
-    debug_assert_eq!(out.len(), m * n);
-    let t = effective_threads(m, k, n);
-    t_matmul_into_with_threads(a, b, out, k, m, n, t);
+    gemm_into(Product::TransA, a, b, out, (m, k, n), Epilogue::Continue);
 }
 
-/// [`t_matmul_into`] with exactly `t` grid threads (see
-/// [`matmul_into_with_threads`]).
+/// [`t_matmul_into`] with exactly `t` grid threads.
 pub fn t_matmul_into_with_threads(
     a: &[f32],
     b: &[f32],
@@ -692,25 +752,17 @@ pub fn t_matmul_into_with_threads(
     n: usize,
     t: usize,
 ) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    let t0 = enter(flops_of(m, k, n));
-    run_grid(Source::depth(a, m), Source::depth(b, n), out, (m, k, n), t);
-    leave(t0);
+    let ep = Epilogue::Continue;
+    gemm_into_with_threads(Product::TransA, a, b, out, (m, k, n), ep, t);
 }
 
-/// `out += a @ bᵀ` where `a: [m,k]`, `b: [n,k]`, `out: [m,n]` — the
-/// `dX = dY Wᵀ` pattern, without materializing the transpose.
-///
-/// Accumulates into `out`; the per-element chain is [`matmul_into`]'s.
+/// `out += a @ bᵀ` where `a: [m,k]`, `b: [n,k]`, `out: [m,n]`
+/// ([`Product::TransB`] under [`Epilogue::Continue`]).
 pub fn matmul_t_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(out.len(), m * n);
-    let t = effective_threads(m, k, n);
-    matmul_t_into_with_threads(a, b, out, m, k, n, t);
+    gemm_into(Product::TransB, a, b, out, (m, k, n), Epilogue::Continue);
 }
 
-/// [`matmul_t_into`] with exactly `t` grid threads (see
-/// [`matmul_into_with_threads`]).
+/// [`matmul_t_into`] with exactly `t` grid threads.
 pub fn matmul_t_into_with_threads(
     a: &[f32],
     b: &[f32],
@@ -720,11 +772,8 @@ pub fn matmul_t_into_with_threads(
     n: usize,
     t: usize,
 ) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    let t0 = enter(flops_of(m, k, n));
-    run_grid(Source::rows(a, k), Source::rows(b, k), out, (m, k, n), t);
-    leave(t0);
+    let ep = Epilogue::Continue;
+    gemm_into_with_threads(Product::TransB, a, b, out, (m, k, n), ep, t);
 }
 
 // --- strided, batched small products -----------------------------------------
@@ -825,7 +874,7 @@ fn live_part(
 /// microkernel's width (`n ≥ NR`: attention's score-shaped products, and
 /// all six at head widths from 32) and the level has a vector body, each
 /// item's blocks are packed as the packed engine packs them and every
-/// `MR×NR` tile is [`gemm_micro_from_zero`]'s. Otherwise each `b`
+/// `MR×NR` tile is [`gemm_micro_with`]'s under [`Epilogue::Write`]. Otherwise each `b`
 /// block is packed into [`LANES`]-wide panels, `a` is read in place, and
 /// the tile is [`MR`] rows of one 8-lane vector (`micro::axpy_tile`), which
 /// a narrow output (`d = 8`) fills where the wide tile would idle three
@@ -959,7 +1008,12 @@ fn batch_on_micro_tiles(
                             let bslab = &bpack[p * kcb * NR..][steps.start * NR..steps.end * NR];
                             let w = NR.min(jc + ncb - j);
                             let cells = &mut out[oo + i * ldo + j..];
-                            micro_tile(aslab, bslab, cells, ldo, (h, w), k0 == 0, &mut edge);
+                            let ep = if k0 == 0 {
+                                Epilogue::Write
+                            } else {
+                                Epilogue::Continue
+                            };
+                            micro_tile(aslab, bslab, cells, ldo, (h, w), ep, &mut edge);
                         }
                     }
                 }
@@ -969,17 +1023,16 @@ fn batch_on_micro_tiles(
     put_scratch([(apack, bpack)]);
 }
 
-/// One microkernel tile over the `h×w` cells at the head of `cells` (rows
-/// `ldo` apart): written from `+0.0` when `first`, accumulated into
-/// otherwise. A ragged tile is staged through `edge` as [`gemm_cell`]
-/// stages its own.
+/// One microkernel tile under `ep` over the `h×w` cells at the head of
+/// `cells` (rows `ldo` apart). A ragged tile is staged through `edge` as
+/// [`gemm_cell`] stages its own.
 fn micro_tile(
     aslab: &[f32],
     bslab: &[f32],
     cells: &mut [f32],
     ldo: usize,
     (h, w): (usize, usize),
-    first: bool,
+    ep: Epilogue,
     edge: &mut [[f32; NR]; MR],
 ) {
     let kcb = aslab.len() / MR;
@@ -987,20 +1040,16 @@ fn micro_tile(
         let mut rows = cells.chunks_mut(ldo);
         let mut rows: [&mut [f32]; MR] =
             std::array::from_fn(|_| &mut rows.next().expect("blocks checked on entry")[..NR]);
-        let tile = if first {
-            gemm_micro_from_zero
-        } else {
-            gemm_micro
-        };
-        return tile(aslab, bslab, kcb, &mut rows, 0);
+        return gemm_micro_with(ep, aslab, bslab, kcb, &mut rows, 0);
     }
     for (r, staged) in edge.iter_mut().enumerate() {
         staged.fill(0.0);
-        if r < h && !first {
+        if r < h && ep != Epilogue::Write {
             staged[..w].copy_from_slice(&cells[r * ldo..][..w]);
         }
     }
-    gemm_micro(
+    gemm_micro_with(
+        ep,
         aslab,
         bslab,
         kcb,

@@ -34,7 +34,8 @@
 //! `vfmadd…ps` at either width and `f32::mul_add` are the *same*
 //! exactly-rounded IEEE 754 fused multiply-add, and every body executes the
 //! identical per-element operation chain (ascending `k`, one fma per step,
-//! continuing from the value already in the output). All levels therefore
+//! started and stored as the [`Epilogue`] says — the store of `Add` is one
+//! exactly-rounded add, `cell + chain`, at every width). All levels therefore
 //! produce **bit-identical** results — dispatching on runtime CPU features
 //! never changes numerics, and neither does `-C target-cpu`. The equivalence
 //! proptests pin this by running every level the host has against the naive
@@ -148,6 +149,26 @@ pub fn simd_level() -> SimdLevel {
 
 // --- `out-tile += apanel @ bpanel` (the GEMM microkernel) --------------------
 
+/// How a GEMM tile meets the output cells it covers. All three run one
+/// chain per cell — `acc = a.mul_add(b, acc)` over ascending `k` — and
+/// differ only in where it starts and where it lands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Epilogue {
+    /// Start from the value already in the cell and store the chain there.
+    Continue,
+    /// Start from `+0.0` and store the chain; the cell is not read. Bit for
+    /// bit `Continue` on a zeroed cell.
+    Write,
+    /// Start from `+0.0` and store `cell + chain`, one exactly-rounded add
+    /// per cell: bit for bit the chain written aside and added in.
+    Add,
+}
+
+/// The three [`Epilogue`]s as a const parameter of the bodies.
+const CONTINUE: u8 = 0;
+const WRITE: u8 = 1;
+const ADD: u8 = 2;
+
 /// One `MR×NR` GEMM tile: `rows[r][j0 + c] += Σ_kk apack[kk·MR + r] ·
 /// bpack[kk·NR + c]`, `kk` ascending, one fma per step.
 ///
@@ -155,24 +176,28 @@ pub fn simd_level() -> SimdLevel {
 /// [`crate::kernels`]); `rows` must hold exactly [`MR`] row slices each
 /// covering at least `j0 + NR` elements.
 pub fn gemm_micro(apack: &[f32], bpack: &[f32], kcb: usize, rows: &mut [&mut [f32]], j0: usize) {
-    tile::<true>(apack, bpack, kcb, rows, j0);
+    tile::<CONTINUE>(apack, bpack, kcb, rows, j0);
 }
 
-/// [`gemm_micro`] with `=` for `+=`: the same chain started at `+0.0`
-/// instead of at what `rows` hold, which is not read.
-pub fn gemm_micro_from_zero(
+/// [`gemm_micro`] under any [`Epilogue`]: the same chain, started and
+/// stored as `ep` says.
+pub fn gemm_micro_with(
+    ep: Epilogue,
     apack: &[f32],
     bpack: &[f32],
     kcb: usize,
     rows: &mut [&mut [f32]],
     j0: usize,
 ) {
-    tile::<false>(apack, bpack, kcb, rows, j0);
+    match ep {
+        Epilogue::Continue => tile::<CONTINUE>(apack, bpack, kcb, rows, j0),
+        Epilogue::Write => tile::<WRITE>(apack, bpack, kcb, rows, j0),
+        Epilogue::Add => tile::<ADD>(apack, bpack, kcb, rows, j0),
+    }
 }
 
-/// The tile at the current level, continuing from `rows` when `LOAD` and
-/// from `+0.0` otherwise.
-fn tile<const LOAD: bool>(
+/// The tile at the current level under the epilogue `EP`.
+fn tile<const EP: u8>(
     apack: &[f32],
     bpack: &[f32],
     kcb: usize,
@@ -189,23 +214,23 @@ fn tile<const LOAD: bool>(
         // SAFETY: `simd_level` never exceeds what the CPU reports, so
         // avx512f is available; slice bounds asserted above match every
         // pointer access inside.
-        SimdLevel::Avx512 => unsafe { gemm_micro_avx512::<LOAD>(apack, bpack, kcb, rows, j0) },
+        SimdLevel::Avx512 => unsafe { gemm_micro_avx512::<EP>(apack, bpack, kcb, rows, j0) },
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2Fma => {
             for half in [0, NR / 2] {
                 // SAFETY: avx2+fma available as above; `half + NR/2 <= NR`,
                 // so the asserted bounds cover both half-passes.
-                unsafe { gemm_micro_avx2::<LOAD>(apack, bpack, kcb, rows, j0, half) };
+                unsafe { gemm_micro_avx2::<EP>(apack, bpack, kcb, rows, j0, half) };
             }
         }
-        _ => gemm_micro_scalar::<LOAD>(apack, bpack, kcb, rows, j0),
+        _ => gemm_micro_scalar::<EP>(apack, bpack, kcb, rows, j0),
     }
 }
 
 /// Scalar reference tile. Same op chain as the FMA tiles: `mul_add` is the
 /// same exactly-rounded operation as `vfmadd…ps`, so results are
 /// bit-identical.
-fn gemm_micro_scalar<const LOAD: bool>(
+fn gemm_micro_scalar<const EP: u8>(
     apack: &[f32],
     bpack: &[f32],
     kcb: usize,
@@ -213,7 +238,7 @@ fn gemm_micro_scalar<const LOAD: bool>(
     j0: usize,
 ) {
     let mut acc = [[0.0f32; NR]; MR];
-    if LOAD {
+    if EP == CONTINUE {
         for (r, row) in rows.iter().enumerate() {
             acc[r].copy_from_slice(&row[j0..j0 + NR]);
         }
@@ -229,7 +254,14 @@ fn gemm_micro_scalar<const LOAD: bool>(
         }
     }
     for (r, row) in rows.iter_mut().enumerate() {
-        row[j0..j0 + NR].copy_from_slice(&acc[r]);
+        let cells = &mut row[j0..j0 + NR];
+        if EP == ADD {
+            for (o, &v) in cells.iter_mut().zip(&acc[r]) {
+                *o += v;
+            }
+        } else {
+            cells.copy_from_slice(&acc[r]);
+        }
     }
 }
 
@@ -243,7 +275,7 @@ fn gemm_micro_scalar<const LOAD: bool>(
 /// [`tile`] hold.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn gemm_micro_avx512<const LOAD: bool>(
+unsafe fn gemm_micro_avx512<const EP: u8>(
     apack: &[f32],
     bpack: &[f32],
     kcb: usize,
@@ -254,7 +286,7 @@ unsafe fn gemm_micro_avx512<const LOAD: bool>(
     const W: usize = 16;
     unsafe {
         let mut acc: [[__m512; 2]; MR] = [[_mm512_setzero_ps(); 2]; MR];
-        if LOAD {
+        if EP == CONTINUE {
             for (r, row) in rows.iter().enumerate() {
                 let p = row.as_ptr().add(j0);
                 acc[r][0] = _mm512_loadu_ps(p);
@@ -276,8 +308,16 @@ unsafe fn gemm_micro_avx512<const LOAD: bool>(
         }
         for (r, row) in rows.iter_mut().enumerate() {
             let p = row.as_mut_ptr().add(j0);
-            _mm512_storeu_ps(p, acc[r][0]);
-            _mm512_storeu_ps(p.add(W), acc[r][1]);
+            let [lo, hi] = acc[r];
+            let (lo, hi) = match EP {
+                ADD => (
+                    _mm512_add_ps(_mm512_loadu_ps(p), lo),
+                    _mm512_add_ps(_mm512_loadu_ps(p.add(W)), hi),
+                ),
+                _ => (lo, hi),
+            };
+            _mm512_storeu_ps(p, lo);
+            _mm512_storeu_ps(p.add(W), hi);
         }
     }
 }
@@ -292,7 +332,7 @@ unsafe fn gemm_micro_avx512<const LOAD: bool>(
 /// bounds asserted in [`tile`] hold.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn gemm_micro_avx2<const LOAD: bool>(
+unsafe fn gemm_micro_avx2<const EP: u8>(
     apack: &[f32],
     bpack: &[f32],
     kcb: usize,
@@ -304,7 +344,7 @@ unsafe fn gemm_micro_avx2<const LOAD: bool>(
     const W: usize = 8;
     unsafe {
         let mut acc: [[__m256; 2]; MR] = [[_mm256_setzero_ps(); 2]; MR];
-        if LOAD {
+        if EP == CONTINUE {
             for (r, row) in rows.iter().enumerate() {
                 let p = row.as_ptr().add(j0 + half);
                 acc[r][0] = _mm256_loadu_ps(p);
@@ -326,8 +366,16 @@ unsafe fn gemm_micro_avx2<const LOAD: bool>(
         }
         for (r, row) in rows.iter_mut().enumerate() {
             let p = row.as_mut_ptr().add(j0 + half);
-            _mm256_storeu_ps(p, acc[r][0]);
-            _mm256_storeu_ps(p.add(W), acc[r][1]);
+            let [lo, hi] = acc[r];
+            let (lo, hi) = match EP {
+                ADD => (
+                    _mm256_add_ps(_mm256_loadu_ps(p), lo),
+                    _mm256_add_ps(_mm256_loadu_ps(p.add(W)), hi),
+                ),
+                _ => (lo, hi),
+            };
+            _mm256_storeu_ps(p, lo);
+            _mm256_storeu_ps(p.add(W), hi);
         }
     }
 }
@@ -413,30 +461,38 @@ mod tests {
             .collect()
     }
 
-    /// Every level the host has produces the scalar tile's bits, continuing
-    /// from a non-zero output at a column offset (on a host without FMA the
-    /// list is `[scalar]` and the test is trivially green).
+    /// Every level the host has produces the scalar tile's bits under every
+    /// epilogue, on a non-zero output at a column offset (on a host without
+    /// FMA the list is `[scalar]` and the test is trivially green).
     #[test]
     fn gemm_micro_levels_match_scalar() {
         let _cap = cap_lock();
-        for kcb in [0usize, 1, 5, 8, 64] {
-            let apack = seq(kcb * MR, 1);
-            let bpack = seq(kcb * NR, 2);
-            let run = |level: SimdLevel| {
-                set_level_cap(level);
-                let mut out: Vec<Vec<f32>> = (0..MR).map(|r| seq(NR + 3, 7 + r as u32)).collect();
-                let mut rows: Vec<&mut [f32]> = out.iter_mut().map(|r| &mut r[..]).collect();
-                gemm_micro(&apack, &bpack, kcb, &mut rows, 3);
-                out
-            };
-            let scalar = run(SimdLevel::Scalar);
-            for &level in SimdLevel::supported() {
-                let got = run(level);
-                for (a, b) in got.iter().flatten().zip(scalar.iter().flatten()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "kcb={kcb} {}", level.name());
+        for ep in [Epilogue::Continue, Epilogue::Write, Epilogue::Add] {
+            for kcb in [0usize, 1, 5, 8, 64] {
+                let apack = seq(kcb * MR, 1);
+                let bpack = seq(kcb * NR, 2);
+                let run = |level: SimdLevel| {
+                    set_level_cap(level);
+                    let mut out: Vec<Vec<f32>> =
+                        (0..MR).map(|r| seq(NR + 3, 7 + r as u32)).collect();
+                    let mut rows: Vec<&mut [f32]> = out.iter_mut().map(|r| &mut r[..]).collect();
+                    gemm_micro_with(ep, &apack, &bpack, kcb, &mut rows, 3);
+                    out
+                };
+                let scalar = run(SimdLevel::Scalar);
+                for &level in SimdLevel::supported() {
+                    let got = run(level);
+                    for (a, b) in got.iter().flatten().zip(scalar.iter().flatten()) {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{ep:?} kcb={kcb} {}",
+                            level.name()
+                        );
+                    }
                 }
+                set_level_cap(SimdLevel::Avx512);
             }
-            set_level_cap(SimdLevel::Avx512);
         }
     }
 

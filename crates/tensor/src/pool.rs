@@ -28,13 +28,17 @@
 //!
 //! # Determinism and checkpoint/restore
 //!
-//! Pooling recycles *capacity*, never *contents*: [`take_zeroed`] fully
-//! re-zeroes and [`take_spare`] returns a length-0 buffer that callers must
-//! fill before reading. Numeric results are therefore independent of pool
-//! state, and checkpoints taken mid-run are byte-identical with the pool on
-//! or off — fault recovery restores parameters by value and never serializes
-//! pool state. Disabling the pool ([`set_enabled`]`(false)`) degrades to
-//! plain allocation with no behavior change.
+//! Pooling recycles *capacity*; contents reach only a caller that overwrites
+//! them: [`take_zeroed`] fully re-zeroes, [`take_spare`] returns a length-0
+//! buffer that callers must fill before reading, and [`take_stale`] hands a
+//! recycled buffer back as it was to a caller that writes every element
+//! before it reads one (a gradient built by `Write` epilogues) — debug
+//! builds poison it with NaN, so a read before the write shows. Numeric
+//! results are therefore independent of pool state, and checkpoints taken
+//! mid-run are byte-identical with the pool on or off — fault recovery
+//! restores parameters by value and never serializes pool state. Disabling
+//! the pool ([`set_enabled`]`(false)`) degrades to plain allocation with no
+//! behavior change.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -150,54 +154,61 @@ fn class_for_capacity(cap: usize) -> usize {
     (usize::BITS - 1 - cap.leading_zeros()) as usize
 }
 
-/// A zero-filled buffer of exactly `len` floats, recycled when possible.
-pub fn take_zeroed(len: usize) -> Vec<f32> {
+/// A recycled buffer of the class serving `len`, as it was put back, or a
+/// new empty one of the class's full capacity (so it is maximally reusable
+/// when it comes back); `None` when `len` bypasses the pool.
+fn take_pooled(len: usize) -> Option<Vec<f32>> {
     if len < MIN_POOLED || !enabled() {
-        return vec![0.0; len];
+        return None;
     }
     let class = class_for_request(len);
     if class > MAX_CLASS {
-        return vec![0.0; len];
+        return None;
     }
-    match pop_counted(class) {
-        Some(mut v) => {
+    Some(match pop_counted(class) {
+        Some(v) => {
             HITS.fetch_add(1, Ordering::Relaxed);
-            v.clear();
-            v.resize(len, 0.0);
-            v
-        }
-        None => {
-            MISSES.fetch_add(1, Ordering::Relaxed);
-            // Allocate the full class size so the buffer is maximally
-            // reusable when it comes back.
-            let mut v = Vec::with_capacity(1 << class);
-            v.resize(len, 0.0);
-            v
-        }
-    }
-}
-
-/// An **empty** buffer with capacity for at least `len` floats; callers
-/// `extend`/`push` exactly the data they mean to read back.
-pub fn take_spare(len: usize) -> Vec<f32> {
-    if len < MIN_POOLED || !enabled() {
-        return Vec::with_capacity(len);
-    }
-    let class = class_for_request(len);
-    if class > MAX_CLASS {
-        return Vec::with_capacity(len);
-    }
-    match pop_counted(class) {
-        Some(mut v) => {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            v.clear();
             v
         }
         None => {
             MISSES.fetch_add(1, Ordering::Relaxed);
             Vec::with_capacity(1 << class)
         }
+    })
+}
+
+/// A zero-filled buffer of exactly `len` floats, recycled when possible.
+pub fn take_zeroed(len: usize) -> Vec<f32> {
+    let Some(mut v) = take_pooled(len) else {
+        return vec![0.0; len];
+    };
+    v.clear();
+    v.resize(len, 0.0);
+    v
+}
+
+/// An **empty** buffer with capacity for at least `len` floats; callers
+/// `extend`/`push` exactly the data they mean to read back.
+pub fn take_spare(len: usize) -> Vec<f32> {
+    let Some(mut v) = take_pooled(len) else {
+        return Vec::with_capacity(len);
+    };
+    v.clear();
+    v
+}
+
+/// A buffer of exactly `len` floats for a caller that writes every element
+/// before it reads one: a recycled buffer keeps its old contents, and only
+/// the part past its old length is zero-filled, so nothing is cleared that
+/// is about to be overwritten. Debug builds fill it with NaN instead, so an
+/// element read before it is written shows.
+pub fn take_stale(len: usize) -> Vec<f32> {
+    let mut v = take_pooled(len).unwrap_or_default();
+    v.resize(len, 0.0);
+    if cfg!(debug_assertions) {
+        v.fill(f32::NAN);
     }
+    v
 }
 
 /// Return a buffer's backing store to the current thread's pool. Buffers
@@ -308,11 +319,6 @@ pub fn local_stats() -> PoolStats {
     LOCAL.with(|l| l.borrow().stats)
 }
 
-/// Zero the current thread's counters (free lists are untouched).
-pub fn reset_local_stats() {
-    LOCAL.with(|l| l.borrow_mut().stats = PoolStats::new());
-}
-
 /// The size class a pooled request of `len` floats is served from, or `None`
 /// when the request bypasses the pool (too small or too large). This is the
 /// class a pre-sizing plan must provision for that request.
@@ -374,6 +380,32 @@ mod tests {
         assert_eq!(v2.capacity(), cap);
         assert_eq!(v2.len(), 900);
         assert!(v2.iter().all(|&x| x == 0.0));
+    }
+
+    /// A stale buffer keeps what a recycled buffer held (release) or is
+    /// NaN throughout (debug), and is zero past the recycled length.
+    #[test]
+    fn take_stale_keeps_contents_and_fills_the_tail() {
+        std::thread::spawn(|| {
+            set_enabled(true);
+            let mut held = Vec::with_capacity(1024);
+            held.resize(600, 7.0f32);
+            put(held);
+            let v = take_stale(1000);
+            assert_eq!(v.len(), 1000);
+            if cfg!(debug_assertions) {
+                assert!(v.iter().all(|x| x.is_nan()));
+            } else {
+                assert!(v[..600].iter().all(|&x| x == 7.0));
+                assert!(v[600..].iter().all(|&x| x == 0.0));
+            }
+            put(v);
+            let v = take_stale(700);
+            assert_eq!(v.len(), 700);
+            assert_eq!(local_stats().misses, 0, "one buffer, recycled twice");
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]
@@ -450,8 +482,6 @@ mod tests {
             // Prewarm tops up to the target, never shrinks.
             prewarm(class, 2);
             assert_eq!(spare_count(class), 4);
-            reset_local_stats();
-            assert_eq!(local_stats(), PoolStats::new());
         })
         .join()
         .unwrap();

@@ -114,13 +114,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consume the tensor, handing back its backing store (bypasses the
-    /// pool — the caller owns the buffer and should [`pool::put`] it when
-    /// done if it wants recycling).
-    pub fn into_data(mut self) -> Vec<f32> {
-        std::mem::take(&mut self.data)
-    }
-
     /// One row as a slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[f32] {
@@ -430,12 +423,6 @@ mod tests {
         let mut c = Tensor::zeros(1, 1);
         c.clone_from(&a);
         assert_eq!(c, a);
-    }
-
-    #[test]
-    fn into_data_hands_back_buffer() {
-        let a = t(2, 2, &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(a.into_data(), vec![1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 
 use proptest::prelude::*;
 
-use chimera_tensor::{kernels, Rng};
+use chimera_tensor::kernels::{Epilogue, Product};
+use chimera_tensor::{kernels, ops, Rng};
 
 mod common;
 use common::at_every_level;
@@ -152,6 +153,94 @@ fn packed_adversarial_shapes() {
     ];
     for (i, &(m, k, n)) in cases.iter().enumerate() {
         assert_packed_bitexact(m, k, n, 11_000 + i as u64);
+    }
+}
+
+/// `product` by the naive loop, continuing from `out`.
+fn naive(
+    product: Product,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    (m, k, n): (usize, usize, usize),
+) {
+    match product {
+        Product::Plain => kernels::naive::matmul_into(a, b, out, m, k, n),
+        Product::TransA => kernels::naive::t_matmul_into(a, b, out, k, m, n),
+        Product::TransB => kernels::naive::matmul_t_into(a, b, out, m, k, n),
+    }
+}
+
+/// `len` normals with a signed zero at every fifth and seventh place.
+fn with_zeros(len: usize, seed: u64) -> Vec<f32> {
+    let mut v = randvec(len, seed);
+    for (i, x) in v.iter_mut().enumerate() {
+        if i % 5 == 0 {
+            *x = -0.0;
+        } else if i % 7 == 0 {
+            *x = 0.0;
+        }
+    }
+    v
+}
+
+/// `Write` and `Add` for all three products against the naive loop on
+/// zeros (and that added in by `add_ordered`) and against the engine's own
+/// `Continue` on zeros added in the same way: at every level, at 1, 2 and 4
+/// grid threads, on ragged outputs, at depths on either side of one `KC`
+/// slab and two (`k > KC` takes `Add`'s write-aside path; so does `k = 0`),
+/// with signed zeros in both operands. `Write` runs on an output of NaN it
+/// must not read; `Add` on one holding `−0.0`, `±∞` and NaN among normals.
+#[test]
+fn epilogues_match_naive_and_the_written_fold() {
+    let (kc, mr, nr) = (kernels::KC, kernels::MR, kernels::NR);
+    let shapes = [
+        (mr + 1, nr + 5),
+        (3, 2 * nr + 17),
+        (kernels::MC + 5, nr - 1),
+    ];
+    let products = [Product::Plain, Product::TransA, Product::TransB];
+    let mut seed = 13_000;
+    for k in [0, 1, 63, kc - 1, kc, kc + 1, 2 * kc + 5] {
+        for (m, n) in shapes {
+            seed += 1;
+            let shape = (m, k, n);
+            let (a, b) = (with_zeros(m * k, seed), with_zeros(k * n, seed ^ 0x9E37));
+            let mut held = randvec(m * n, seed ^ 0x5851);
+            for (i, special) in [-0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN]
+                .into_iter()
+                .enumerate()
+            {
+                held[i * 3 % (m * n)] = special;
+            }
+            for product in products {
+                let mut written = vec![0.0f32; m * n];
+                naive(product, &a, &b, &mut written, shape);
+                let mut added = held.clone();
+                ops::add_ordered(&mut added, &[&written]);
+                at_every_level(|level| {
+                    for t in [1, 2, 4] {
+                        let what = format!("{product:?} {m}x{k}x{n} t={t} {}", level.name());
+                        let run = |ep: Epilogue, start: &[f32]| {
+                            let mut out = start.to_vec();
+                            kernels::gemm_into_with_threads(
+                                product, &a, &b, &mut out, shape, ep, t,
+                            );
+                            out
+                        };
+                        let continued = run(Epilogue::Continue, &vec![0.0; m * n]);
+                        assert_eq!(bits(&continued), bits(&written), "{what}: Continue");
+                        let mut folded = held.clone();
+                        ops::add_ordered(&mut folded, &[&continued]);
+                        assert_eq!(bits(&folded), bits(&added), "{what}: the fold");
+                        let got = run(Epilogue::Write, &vec![f32::NAN; m * n]);
+                        assert_eq!(bits(&got), bits(&written), "{what}: Write");
+                        let got = run(Epilogue::Add, &held);
+                        assert_eq!(bits(&got), bits(&added), "{what}: Add");
+                    }
+                });
+            }
+        }
     }
 }
 
