@@ -15,7 +15,7 @@
 //! vectors, so they re-partition exactly like the parameters themselves.
 
 /// The little-endian cursor traits checkpoints are written and read through;
-/// re-exported so the runtime's per-rank checkpoints use the same ones.
+/// re-exported so the runtime's checkpoint and result files use the same ones.
 pub use bytes::{Buf, BufMut};
 use bytes::{Bytes, BytesMut};
 
@@ -57,14 +57,9 @@ pub enum CheckpointError {
     /// [`load_state`] was asked to restore optimizer state from a
     /// parameters-only (version 1) checkpoint.
     MissingState,
-    /// A per-rank segment checkpoint written by another rank than the one
-    /// loading it.
-    WrongRank {
-        /// The loading rank.
-        expected: u32,
-        /// The rank stored in the file.
-        got: u32,
-    },
+    /// A well-formed checkpoint that another run wrote: what differs from
+    /// the run restoring it.
+    NotThisRun(&'static str),
     /// Reading or writing the checkpoint's backing storage failed.
     Io(String),
 }
@@ -90,8 +85,8 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::MissingState => {
                 write!(f, "checkpoint has no optimizer state (version 1)")
             }
-            CheckpointError::WrongRank { expected, got } => {
-                write!(f, "checkpoint of rank {got} offered to rank {expected}")
+            CheckpointError::NotThisRun(what) => {
+                write!(f, "checkpoint belongs to another run: {what}")
             }
             CheckpointError::Io(e) => write!(f, "checkpoint storage: {e}"),
         }

@@ -46,6 +46,6 @@ pub use embedding::Embedding;
 pub use head::OutputHead;
 pub use linear::Linear;
 pub use micros::Micros;
-pub use optim::{LrSchedule, Optimizer, OptimizerKind, Sgd, StepInFlight};
+pub use optim::{LrSchedule, Optimizer, OptimizerKind, StepInFlight};
 pub use reference::ReferenceTrainer;
 pub use stage::{MicroStash, ModelConfig, Stage, StageOutput};

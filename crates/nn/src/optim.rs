@@ -248,61 +248,24 @@ impl StepInFlight<'_> {
     }
 }
 
-/// Momentum SGD over a flat parameter vector (kept as the simple default;
-/// a thin wrapper over [`Optimizer`]).
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate η.
-    pub lr: f32,
-    /// Momentum μ.
-    pub momentum: f32,
-    inner: Optimizer,
-}
-
-impl Sgd {
-    /// New optimizer for `num_params` parameters.
-    pub fn new(lr: f32, momentum: f32, num_params: usize) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            inner: Optimizer::new(OptimizerKind::Sgd { momentum }, num_params),
-        }
-    }
-
-    /// Apply one update.
-    pub fn step(&mut self, params: &mut [f32], grad: &[f32]) {
-        self.inner.step(params, grad, self.lr);
-    }
-
-    /// Number of parameters managed.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// True when managing zero parameters.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn plain_sgd_step() {
-        let mut opt = Sgd::new(0.1, 0.0, 2);
+        let mut opt = Optimizer::new(OptimizerKind::Sgd { momentum: 0.0 }, 2);
         let mut p = vec![1.0, 2.0];
-        opt.step(&mut p, &[1.0, -1.0]);
+        opt.step(&mut p, &[1.0, -1.0], 0.1);
         assert_eq!(p, vec![0.9, 2.1]);
     }
 
     #[test]
     fn momentum_accumulates() {
-        let mut opt = Sgd::new(0.1, 0.9, 1);
+        let mut opt = Optimizer::new(OptimizerKind::Sgd { momentum: 0.9 }, 1);
         let mut p = vec![0.0];
-        opt.step(&mut p, &[1.0]); // v=1, p=-0.1
-        opt.step(&mut p, &[1.0]); // v=1.9, p=-0.29
+        opt.step(&mut p, &[1.0], 0.1); // v=1, p=-0.1
+        opt.step(&mut p, &[1.0], 0.1); // v=1.9, p=-0.29
         assert!((p[0] + 0.29).abs() < 1e-6);
     }
 
@@ -365,8 +328,9 @@ mod tests {
 
     #[test]
     fn len_and_empty() {
-        assert_eq!(Sgd::new(0.1, 0.0, 5).len(), 5);
-        assert!(Sgd::new(0.1, 0.0, 0).is_empty());
+        let sgd = OptimizerKind::Sgd { momentum: 0.0 };
+        assert_eq!(Optimizer::new(sgd, 5).len(), 5);
+        assert!(Optimizer::new(sgd, 0).is_empty());
         let o = Optimizer::new(OptimizerKind::adam(), 3);
         assert_eq!(o.len(), 3);
         assert_eq!(o.steps(), 0);

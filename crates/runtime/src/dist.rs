@@ -16,22 +16,26 @@
 //!
 //! # Cross-process recovery
 //!
-//! With a [`RecoverySpec`], training proceeds in **segments** of
-//! `every` iterations. After each segment — whose closing allreduce is a
-//! de-facto barrier, so no rank can be a full segment ahead — every rank
-//! writes its slice of the model (held stage replicas, optimizer moments
-//! and its loss log) to `rank{r}.seg{k}.ckpt` in a shared directory,
-//! atomically (tmp + rename). A checkpoint is **committed** only when all
-//! ranks have written it; on `resume`, every rank independently scans the
-//! directory for the newest committed segment and replays from there —
-//! deterministically, so the restarted run's final parameters are
-//! bit-identical to an uninterrupted one. A cross-process supervisor
-//! (`chimera-cli launch`) drives this: it detects a dead rank via exit
-//! codes and the transport failure detector, kills the stragglers, and
-//! gang-restarts every worker with `resume` set.
+//! With a [`RecoverySpec`], training proceeds in **segments** of `every`
+//! iterations, and the gather that ends every run also ends every segment:
+//! each rank ships rank 0 its segment losses and the parameters **and**
+//! optimizer moments of every `(replica, stage)` copy it holds. Rank 0
+//! checks that the copies agree, then writes one file, `dir/run.ckpt`: the
+//! run's per-iteration losses so far, followed by the canonical model and its
+//! optimizer state as [`chimera_nn::checkpoint::save_state`] bytes — the state
+//! the in-process supervisor keeps. It writes `run.ckpt.tmp` and renames it
+//! over the previous file; the rename is the commit. On `resume`, every rank
+//! reads that file, restores it with [`chimera_nn::checkpoint::load_state`]
+//! and takes its held stages from it the way the in-process supervisor does
+//! after a death, then replays deterministically — so the restarted run's
+//! final parameters are bit-identical to an uninterrupted one. A resume that
+//! finds every iteration committed runs no worker: rank 0 answers from the
+//! file. A cross-process supervisor (`chimera-cli launch`) drives this: it
+//! detects a dead rank via exit codes and the transport failure detector,
+//! kills the stragglers, and gang-restarts every worker with `resume` set.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -39,21 +43,37 @@ use chimera_collectives::TransportKeyed;
 use chimera_comm::{KeyedReduce, MsgKey, Payload, Rank, Transport};
 use chimera_core::schedule::Schedule;
 use chimera_core::WorkerId;
-use chimera_nn::checkpoint::{get_f32s, put_f32s, take, Buf, BufMut};
-use chimera_nn::{CheckpointError, ModelConfig, Optimizer, Stage, SyntheticData};
+use chimera_nn::checkpoint::{self, get_f32s, put_f32s, take, Buf, BufMut};
+use chimera_nn::{CheckpointError, ModelConfig, Optimizer, OptimizerKind, Stage, SyntheticData};
 
 use crate::error::TrainError;
 use crate::setup::{assemble, configure, hand_out, reducer_members};
 use crate::worker::{SegmentSpec, TrainOptions, Worker};
 
+// The gather keys below are the same for every segment of a run. Inboxes are
+// FIFO per key, so rank 0 reads each rank's segments in the order they were
+// sent; and no rank can finish segment k + 1 before rank 0 has run it (rank
+// 0 takes part in every iteration's pipeline and allreduces), so at most two
+// segments' messages wait under one key.
+
 /// Control-plane tag carrying a worker's `(micro, loss)` pairs to rank 0.
 const LOSS_TAG: u32 = u32::MAX;
 
-/// Control-plane tag for the final parameters of one `(replica, stage)`
-/// copy. Replica and stage ids are far below 2^16 in any runnable config.
+/// Control-plane tag for the parameters of one `(replica, stage)` copy.
+/// Replica ids are far below 2^16 and stage ids below 2^15 in any runnable
+/// config.
 fn stage_tag(replica: u32, stage: u32) -> u32 {
     (replica << 16) | stage
 }
+
+/// Control-plane tag for the optimizer moments of one `(replica, stage)`
+/// copy, shipped only when a checkpoint is due.
+fn moments_tag(replica: u32, stage: u32) -> u32 {
+    stage_tag(replica, stage) | 1 << 15
+}
+
+/// The committed checkpoint in a [`RecoverySpec::dir`].
+const CHECKPOINT_FILE: &str = "run.ckpt";
 
 /// What rank 0 assembles after a distributed run. Ranks other than 0 ship
 /// their slice to rank 0 and get `None`.
@@ -111,13 +131,13 @@ impl DistOutcome {
 #[derive(Debug, Clone)]
 pub struct RecoverySpec {
     /// Directory shared by all ranks (same host or shared filesystem)
-    /// holding the per-rank segment checkpoints.
+    /// holding the committed checkpoint, which rank 0 writes.
     pub dir: PathBuf,
     /// Segment length in iterations (a checkpoint after each). Zero means
     /// one segment for the whole run (checkpoint only at the end).
     pub every: u32,
-    /// Scan `dir` for the newest committed segment and replay from it.
-    /// With no committed checkpoint the run starts fresh.
+    /// Restore the committed checkpoint in `dir` and replay from it. With
+    /// no checkpoint there the run starts fresh.
     pub resume: bool,
 }
 
@@ -151,43 +171,62 @@ pub fn train_worker_process_recoverable(
 ) -> Result<Option<DistOutcome>, TrainError> {
     let mut run = configure(sched, cfg, &opts)?;
     let per_group = sched.num_workers() as u32;
-    assert_eq!(
-        ep.world(),
-        per_group * w,
-        "fabric size must be W·D (group-major)"
-    );
+    if ep.world() != per_group * w {
+        return Err(TrainError::FabricSize {
+            world: ep.world(),
+            expected: per_group * w,
+        });
+    }
     let rank = ep.rank();
     let group = rank / per_group;
     let wid = WorkerId(rank % per_group);
     let program = &run.programs[wid.idx()];
-
-    // Fresh state at iteration 0 — the held stages moved out of the `D` built
-    // ones, the rest dropped here…
     let kind = opts.optimizer_kind();
-    let mut stages: Vec<(u32, u32, Stage, Optimizer)> =
-        (hand_out(std::mem::take(&mut run.stages), &[&program.held]).into_iter())
-            .flatten()
-            .map(|(r, s, stage)| {
-                let opt = Optimizer::new(kind, stage.num_params());
-                (r, s, stage, opt)
-            })
-            .collect();
-    let mut losses: Vec<(u64, f32)> = Vec::new();
-    let mut done: u32 = 0;
-
-    // …unless resuming from the newest checkpoint committed by ALL ranks
-    // (ranks that got further before the crash roll back with everyone).
-    if let Some(rec) = recovery.filter(|r| r.resume) {
-        if let Some(seg) = latest_committed(&rec.dir, ep.world()) {
-            let path = rank_ckpt_path(&rec.dir, rank, seg);
-            (losses, stages) = load_rank_ckpt(&path, rank, kind, &stages)?;
-            done = seg;
-        }
-    }
-
-    let timeout = opts.recv_timeout;
     let iterations = opts.iterations;
 
+    // The canonical state at iteration 0, or the one rank 0 last committed
+    // (ranks that got further before the crash roll back with everyone).
+    let resumed = match recovery.filter(|r| r.resume) {
+        Some(rec) => read_checkpoint(&rec.dir.join(CHECKPOINT_FILE), cfg, kind, sched.d)?,
+        None => None,
+    };
+    let built = std::mem::take(&mut run.stages);
+    let (mut iteration_losses, canon): (Vec<f32>, Vec<(Stage, Optimizer)>) = match resumed {
+        Some((losses, stages, optimizers)) => {
+            drop(built);
+            (losses, stages.into_iter().zip(optimizers).collect())
+        }
+        None => {
+            let fresh = built.into_iter().map(|stage| {
+                let opt = Optimizer::new(kind, stage.num_params());
+                (stage, opt)
+            });
+            (Vec::new(), fresh.collect())
+        }
+    };
+    let mut done = iteration_losses.len() as u32;
+    if done > iterations {
+        let longer = CheckpointError::NotThisRun("more iterations than this run has");
+        return Err(longer.into());
+    }
+    if done == iterations {
+        // Every iteration is committed (or none asked for): nothing to run.
+        let flat_params = canon.iter().flat_map(|(stage, _)| stage.params()).collect();
+        return Ok((rank == 0).then_some(DistOutcome {
+            iteration_losses,
+            flat_params,
+        }));
+    }
+    // This worker's held stages, moved out of the `D` canonical ones; the
+    // rest are dropped here.
+    let mut stages: Vec<(u32, u32, Stage, Optimizer)> =
+        (hand_out(canon, &[&program.held]).into_iter().flatten())
+            .map(|(r, s, (stage, opt))| (r, s, stage, opt))
+            .collect();
+
+    // Rank 0's model to commit from, built at its first commit.
+    let mut model: Option<Vec<Stage>> = None;
+    let mut flat_params = Vec::new();
     while done < iterations {
         let len = match recovery {
             Some(rec) if rec.every > 0 => rec.every.min(iterations - done),
@@ -196,9 +235,6 @@ pub fn train_worker_process_recoverable(
         let seg = SegmentSpec {
             start_iter: done,
             iterations: len,
-            // W never degrades across process boundaries (the supervisor
-            // gang-restarts at full strength), so the cursor is derivable.
-            micro_base: done as u64 * sched.n as u64 * w as u64,
         };
         // One keyed-ordered allreduce group per held stage, rebuilt per
         // segment so a replayed segment restarts its rounds from zero on
@@ -226,214 +262,146 @@ pub fn train_worker_process_recoverable(
             seg,
         );
         let result = worker.run()?;
-        losses.extend(result.losses);
         stages = result.stages;
         done += len;
-        if let Some(rec) = recovery {
-            save_rank_ckpt(
-                &rank_ckpt_path(&rec.dir, rank, done),
-                rank,
-                &losses,
-                &stages,
-            )?;
-        }
-    }
+        // A checkpoint is due after every segment of a recoverable run.
+        let ckpt_due = recovery.is_some();
 
-    if rank != 0 {
-        // Ship this worker's slice to rank 0. A failed send means rank 0 is
-        // gone; there is nobody left to report to, so exit quietly.
-        let ship = |tag: u32, payload: Payload| {
-            let _ = ep.send(0, MsgKey::Ctrl { tag, from: rank }, payload);
+        if rank != 0 {
+            // Ship this worker's slice to rank 0. A failed send means rank 0
+            // is gone; there is nobody left to report to, and the next
+            // segment (if any) fails against the dead peer.
+            let ship = |tag: u32, payload: Payload| {
+                let _ = ep.send(0, MsgKey::Ctrl { tag, from: rank }, payload);
+            };
+            ship(LOSS_TAG, Payload::Losses(result.losses));
+            for (r, s, stage, opt) in &stages {
+                ship(stage_tag(*r, *s), Payload::Flat(stage.params()));
+                if ckpt_due {
+                    ship(moments_tag(*r, *s), Payload::Flat(moments_of(opt)));
+                }
+            }
+            continue;
+        }
+
+        // Rank 0: gather losses and every (replica, stage) copy. A gather
+        // that never completes is rank 0's own blocked wait.
+        let timeout = opts.recv_timeout;
+        let gather = |tag: u32, from: Rank| {
+            let key = MsgKey::Ctrl { tag, from };
+            ep.recv_deadline(key, timeout)
+                .map_err(|_| TrainError::Timeout {
+                    group: 0,
+                    worker: 0,
+                    iteration: done,
+                    op: format!("gather {}", key.describe()),
+                    waited: timeout,
+                })
         };
-        ship(LOSS_TAG, Payload::Losses(losses));
-        for (r, s, stage, _) in stages {
-            ship(stage_tag(r, s), Payload::Flat(stage.params()));
-        }
-        return Ok(None);
-    }
-
-    // Rank 0: gather losses and every (replica, stage) parameter copy. A
-    // gather that never completes is rank 0's own blocked wait.
-    let gather = |tag: u32, from: Rank| {
-        let key = MsgKey::Ctrl { tag, from };
-        ep.recv_deadline(key, timeout)
-            .map_err(|_| TrainError::Timeout {
-                group: 0,
-                worker: 0,
-                iteration: iterations,
-                op: format!("gather {}", key.describe()),
-                waited: timeout,
+        let mut losses = result.losses;
+        let mut copies: Vec<_> = (stages.iter())
+            .map(|(_, s, stage, opt)| {
+                let m = if ckpt_due {
+                    moments_of(opt)
+                } else {
+                    Vec::new()
+                };
+                (*s, (stage.params(), m))
             })
-    };
-    let mut copies: Vec<(u32, Vec<f32>)> = stages
-        .iter()
-        .map(|(_, s, stage, _)| (*s, stage.params()))
-        .collect();
-    for from in 1..ep.world() {
-        losses.extend(gather(LOSS_TAG, from)?.into_losses());
-        for (r, s) in sched.placement.held_by(WorkerId(from % per_group)) {
-            copies.push((s.0, gather(stage_tag(r.0, s.0), from)?.into_flat()));
+            .collect();
+        for from in 1..ep.world() {
+            losses.extend(gather(LOSS_TAG, from)?.into_losses());
+            for (r, s) in sched.placement.held_by(WorkerId(from % per_group)) {
+                let params = gather(stage_tag(r.0, s.0), from)?.into_flat();
+                let m = if ckpt_due {
+                    gather(moments_tag(r.0, s.0), from)?.into_flat()
+                } else {
+                    Vec::new()
+                };
+                copies.push((s.0, (params, m)));
+            }
+        }
+        let per_iteration = sched.n as usize * w as usize;
+        let (seg_losses, canonical) = assemble(sched.d, per_iteration, losses, copies, |c| {
+            Cow::Borrowed(&c.0)
+        })?;
+        iteration_losses.extend(seg_losses);
+        let (params, moments): (Vec<_>, Vec<_>) = canonical.into_iter().unzip();
+        if let Some(rec) = recovery {
+            // Every stage steps once per update, so rank 0's own count is
+            // every stage's.
+            let t = stages.first().map_or(0, |(.., opt)| opt.steps());
+            let model = model.get_or_insert_with(|| Stage::build_all(cfg, sched.d));
+            let optimizers: Vec<Optimizer> = (model.iter_mut().zip(&params).zip(moments))
+                .map(|((stage, p), mut m)| {
+                    stage.set_params(p);
+                    let v = m.split_off(stage.num_params());
+                    Optimizer::from_state(kind, m, v, t)
+                })
+                .collect();
+            let state = checkpoint::save_state(model, &optimizers);
+            commit(&rec.dir.join(CHECKPOINT_FILE), &iteration_losses, &state)?;
+        }
+        if done == iterations {
+            flat_params = params.concat();
         }
     }
-    let per_iteration = sched.n as usize * w as usize;
-    let (iteration_losses, canonical) =
-        assemble(sched.d, per_iteration, losses, copies, |c| Cow::Borrowed(c))?;
-    Ok(Some(DistOutcome {
+    Ok((rank == 0).then_some(DistOutcome {
         iteration_losses,
-        flat_params: canonical.concat(),
+        flat_params,
     }))
 }
 
-/// Magic for per-rank segment checkpoints (`b"CHPR"`, little-endian).
-const RANK_CKPT_MAGIC: u32 = u32::from_le_bytes(*b"CHPR");
-const RANK_CKPT_VERSION: u32 = 1;
-
-/// `dir/rank{r}.seg{k}.ckpt` — rank `r`'s state after `k` committed
-/// global iterations.
-fn rank_ckpt_path(dir: &Path, rank: Rank, seg: u32) -> PathBuf {
-    dir.join(format!("rank{rank}.seg{seg}.ckpt"))
+/// An optimizer's moments as one flat vector: the first moment, then the
+/// second (empty for SGD).
+fn moments_of(opt: &Optimizer) -> Vec<f32> {
+    let (m, v, _) = opt.state();
+    [m, v].concat()
 }
 
-/// Newest segment for which **every** rank's checkpoint exists — the
-/// commit rule that keeps a gang-restart consistent when some ranks died
-/// between finishing a segment and persisting it.
-pub fn latest_committed(dir: &Path, world: u32) -> Option<u32> {
-    let entries = std::fs::read_dir(dir).ok()?;
-    // seg -> how many ranks have it
-    let mut counts: HashMap<u32, u32> = HashMap::new();
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(rest) = name.strip_prefix("rank") else {
-            continue;
-        };
-        let Some(rest) = rest.strip_suffix(".ckpt") else {
-            continue;
-        };
-        let Some((r, s)) = rest.split_once(".seg") else {
-            continue;
-        };
-        let (Ok(r), Ok(s)) = (r.parse::<u32>(), s.parse::<u32>()) else {
-            continue;
-        };
-        if r < world {
-            *counts.entry(s).or_insert(0) += 1;
-        }
-    }
-    counts
-        .into_iter()
-        .filter(|&(_, n)| n >= world)
-        .map(|(s, _)| s)
-        .max()
-}
-
-/// Atomically persist one rank's segment state: its loss log plus, per
-/// held `(replica, stage)`: parameters and optimizer moments.
-fn save_rank_ckpt(
-    path: &Path,
-    rank: Rank,
-    losses: &[(u64, f32)],
-    stages: &[(u32, u32, Stage, Optimizer)],
-) -> Result<(), CheckpointError> {
-    let mut buf = Vec::new();
-    buf.put_u32_le(RANK_CKPT_MAGIC);
-    buf.put_u32_le(RANK_CKPT_VERSION);
-    buf.put_u32_le(rank);
-    buf.put_u64_le(losses.len() as u64);
-    for &(g, l) in losses {
-        buf.put_u64_le(g);
-        buf.put_f32_le(l);
-    }
-    buf.put_u32_le(stages.len() as u32);
-    for (r, s, stage, opt) in stages {
-        buf.put_u32_le(*r);
-        buf.put_u32_le(*s);
-        put_f32_vec(&mut buf, &stage.params());
-        let (m, v, t) = opt.state();
-        buf.put_u64_le(t);
-        put_f32_vec(&mut buf, m);
-        put_f32_vec(&mut buf, v);
-    }
+/// Atomically replace the committed checkpoint at `path`: the run's
+/// per-iteration losses (length-prefixed), then `state`
+/// ([`checkpoint::save_state`] bytes), written beside it and renamed over it.
+fn commit(path: &Path, losses: &[f32], state: &[u8]) -> Result<(), CheckpointError> {
     let io = |e: std::io::Error| CheckpointError::Io(format!("{}: {e}", path.display()));
+    let mut prefix = Vec::with_capacity(8 + 4 * losses.len());
+    put_f32_vec(&mut prefix, losses);
     let tmp = path.with_extension("ckpt.tmp");
-    std::fs::write(&tmp, &buf).map_err(io)?;
+    let mut file = std::fs::File::create(&tmp).map_err(io)?;
+    (file.write_all(&prefix))
+        .and_then(|()| file.write_all(state))
+        .map_err(io)?;
+    drop(file);
     std::fs::rename(&tmp, path).map_err(io)
 }
 
-/// One rank's decoded segment checkpoint: the `(iteration, loss)` log plus
-/// the rank's owned `(replica, stage)` entries with their optimizer state.
-type RankCkpt = (Vec<(u64, f32)>, Vec<(u32, u32, Stage, Optimizer)>);
+/// A committed checkpoint: per-iteration losses, stages and optimizers.
+type Committed = (Vec<f32>, Vec<Stage>, Vec<Optimizer>);
 
-/// Restore `rank`'s segment state. `template` fixes which
-/// `(replica, stage)` entries (and parameter shapes) this rank must hold;
-/// a checkpoint disagreeing with it is rejected rather than trusted — as is
-/// another rank's: every data-parallel group's worker `w` holds the same
-/// template, so only the stored rank tells their files apart.
-fn load_rank_ckpt(
+/// The committed state at `path`, re-partitioned into `depth` stages, or
+/// `None` when nothing is committed yet. A file that does not decode, or
+/// that another model or optimizer wrote, is an error.
+fn read_checkpoint(
     path: &Path,
-    rank: Rank,
-    kind: chimera_nn::OptimizerKind,
-    template: &[(u32, u32, Stage, Optimizer)],
-) -> Result<RankCkpt, CheckpointError> {
-    let raw =
-        std::fs::read(path).map_err(|e| CheckpointError::Io(format!("{}: {e}", path.display())))?;
+    cfg: ModelConfig,
+    kind: OptimizerKind,
+    depth: u32,
+) -> Result<Option<Committed>, CheckpointError> {
+    let raw = match std::fs::read(path) {
+        Ok(raw) => raw,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(CheckpointError::Io(format!("{}: {e}", path.display()))),
+    };
     let mut rd = raw.as_slice();
-    // magic, version, rank, loss count
-    let mut head = take(&mut rd, 4 + 4 + 4 + 8)?;
-    if head.get_u32_le() != RANK_CKPT_MAGIC {
-        return Err(CheckpointError::BadMagic);
+    let losses = get_f32_vec(&mut rd)?;
+    let (stages, optimizers) = checkpoint::load_state(rd, depth)?;
+    if *stages[0].config() != cfg {
+        return Err(CheckpointError::NotThisRun("another model configuration"));
     }
-    let version = head.get_u32_le();
-    if version != RANK_CKPT_VERSION {
-        return Err(CheckpointError::BadVersion(version));
+    if optimizers[0].kind() != kind {
+        return Err(CheckpointError::NotThisRun("another optimizer"));
     }
-    let stored = head.get_u32_le();
-    if stored != rank {
-        return Err(CheckpointError::WrongRank {
-            expected: rank,
-            got: stored,
-        });
-    }
-    let n_losses = usize::try_from(head.get_u64_le()).map_err(|_| CheckpointError::Truncated)?;
-    let mut log = take(
-        &mut rd,
-        n_losses.checked_mul(12).ok_or(CheckpointError::Truncated)?,
-    )?;
-    let losses = (0..n_losses)
-        .map(|_| (log.get_u64_le(), log.get_f32_le()))
-        .collect();
-    let n_stages = take(&mut rd, 4)?.get_u32_le() as usize;
-    if n_stages != template.len() {
-        return Err(CheckpointError::ShapeMismatch {
-            expected: template.len(),
-            got: n_stages,
-        });
-    }
-    let mut out = Vec::with_capacity(n_stages);
-    for (er, es, estage, _) in template {
-        let mut id = take(&mut rd, 8)?;
-        let (r, s) = (id.get_u32_le(), id.get_u32_le());
-        if (r, s) != (*er, *es) {
-            return Err(CheckpointError::BadMagic);
-        }
-        let params = get_f32_vec(&mut rd)?;
-        if params.len() != estage.num_params() {
-            return Err(CheckpointError::ShapeMismatch {
-                expected: estage.num_params(),
-                got: params.len(),
-            });
-        }
-        let t = take(&mut rd, 8)?.get_u64_le();
-        let m = get_f32_vec(&mut rd)?;
-        let v = get_f32_vec(&mut rd)?;
-        let mut stage = estage.clone();
-        stage.set_params(&params);
-        out.push((r, s, stage, Optimizer::from_state(kind, m, v, t)));
-    }
-    if !rd.is_empty() {
-        return Err(CheckpointError::Truncated);
-    }
-    Ok((losses, out))
+    Ok(Some((losses, stages, optimizers)))
 }
 
 #[cfg(test)]
@@ -441,6 +409,7 @@ mod tests {
     use super::*;
     use crate::runtime::train_hybrid;
     use chimera_comm::LocalFabric;
+    use chimera_core::build_named;
     use chimera_core::chimera::{chimera, ChimeraConfig};
     use std::thread;
     use std::time::Duration;
@@ -454,6 +423,51 @@ mod tests {
             data_seed: 11,
             ..TrainOptions::default()
         }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    /// Every rank of a `world`-rank fabric as a thread running the
+    /// per-process entry point; the results in rank order.
+    fn run_ranks(
+        sched: &Schedule,
+        cfg: ModelConfig,
+        opts: &TrainOptions,
+        w: u32,
+        world: u32,
+        rec: Option<&RecoverySpec>,
+    ) -> Vec<Result<Option<DistOutcome>, TrainError>> {
+        thread::scope(|scope| {
+            let ranks: Vec<_> = (LocalFabric::new(world).into_iter())
+                .map(|ep| {
+                    let opts = opts.clone();
+                    scope.spawn(move || {
+                        train_worker_process_recoverable(Arc::new(ep), sched, cfg, opts, w, rec)
+                    })
+                })
+                .collect();
+            ranks.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    /// A scratch directory of this test thread's own.
+    fn scratch_dir(what: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "chimera-{what}-{}-{:?}",
+            std::process::id(),
+            thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// The committed file's loss prefix and the `save_state` bytes behind it.
+    fn split_committed(raw: &[u8]) -> (Vec<f32>, &[u8]) {
+        let mut rd = raw;
+        let losses = get_f32_vec(&mut rd).unwrap();
+        (losses, rd)
     }
 
     /// The `launch` result file round-trips, and anything but a whole one —
@@ -482,53 +496,115 @@ mod tests {
         assert_eq!(DistOutcome::decode(&huge), Err(CheckpointError::Truncated));
     }
 
-    /// A rank checkpoint cut short is `Truncated`, not a panic, at any cut;
-    /// a whole one written by the rank's data-parallel twin is `WrongRank`.
+    /// One checkpoint format for both drivers. For Chimera and DAPPLE at
+    /// D = 2, W ∈ {1, 2}, checkpointing every iteration: the file rank 0
+    /// commits after k iterations is `train_hybrid`'s losses and parameters
+    /// after k iterations bit for bit, as `save_state` bytes that load at D
+    /// and re-partitioned at D = 1; resuming from it finishes the run
+    /// bit-identically (so the moments came back too), and resuming a
+    /// finished run answers from the file. Any damage to it — every cut
+    /// inside the loss prefix, cuts in the state, a flipped magic, a file
+    /// another model configuration wrote — makes `resume` a
+    /// `TrainError::Checkpoint` on every rank, never a panic.
     #[test]
-    fn truncated_rank_checkpoint_is_rejected() {
-        let sched = chimera(&ChimeraConfig::new(2, 2)).unwrap();
-        let kind = opts(1).optimizer_kind();
-        let canon = Stage::build_all(ModelConfig::tiny(), 2);
-        let stages: Vec<_> = (sched.placement.held_by(WorkerId(0)).into_iter())
-            .map(|(r, s)| {
-                let stage = canon[s.idx()].clone();
-                let opt = Optimizer::new(kind, stage.num_params());
-                (r.0, s.0, stage, opt)
-            })
-            .collect();
-        let dir = std::env::temp_dir().join(format!("chimera-rank-ckpt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = rank_ckpt_path(&dir, 0, 1);
-        save_rank_ckpt(&path, 0, &[(0, 3.5), (1, 3.25)], &stages).unwrap();
-        let whole = std::fs::read(&path).unwrap();
-        let (losses, restored) = load_rank_ckpt(&path, 0, kind, &stages).unwrap();
-        assert_eq!(losses, vec![(0, 3.5), (1, 3.25)]);
-        assert_eq!(restored[0].2.params(), stages[0].2.params());
-        // W = 2: rank D + 0 is worker 0 of the second group, same template.
-        let twin_path = rank_ckpt_path(&dir, 2, 1);
-        save_rank_ckpt(&twin_path, 2, &[(0, 3.5), (1, 3.25)], &stages).unwrap();
-        let twin = std::fs::read(&twin_path).unwrap();
-        let cuts = [0, 3, 19, 20, 44, 48, whole.len() / 2, whole.len() - 1];
-        let cut_short = |cut| {
-            (
-                format!("cut at {cut}"),
-                &whole[..cut],
-                CheckpointError::Truncated,
-            )
-        };
-        let mut cases: Vec<_> = cuts.into_iter().map(cut_short).collect();
-        let (expected, got) = (0, 2);
-        let wrong_rank = CheckpointError::WrongRank { expected, got };
-        cases.push(("rank 2's file as rank 0's".into(), &twin, wrong_rank));
-        for (what, bytes, error) in cases {
-            std::fs::write(&path, bytes).unwrap();
-            assert_eq!(
-                load_rank_ckpt(&path, 0, kind, &stages).err(),
-                Some(error),
-                "{what}"
-            );
+    fn the_committed_file_is_the_supervisors_checkpoint() {
+        let cfg = ModelConfig::tiny();
+        for (scheme, w) in [("chimera", 1), ("chimera", 2), ("dapple", 1), ("dapple", 2)] {
+            let case = format!("{scheme} W={w}");
+            let sched = build_named(scheme, 2, 2).unwrap();
+            let world = 2 * w;
+            let dir = scratch_dir("one-format");
+            let path = dir.join(CHECKPOINT_FILE);
+            let rec = |resume| RecoverySpec {
+                dir: dir.clone(),
+                every: 1,
+                resume,
+            };
+            let full = train_hybrid(&sched, cfg, opts(3), w).unwrap();
+            for k in [1, 3] {
+                let got = run_ranks(&sched, cfg, &opts(k), w, world, Some(&rec(false)));
+                let outcome = got[0].clone().unwrap().expect("rank 0 assembles");
+                let reference = train_hybrid(&sched, cfg, opts(k), w).unwrap();
+                let raw = std::fs::read(&path).unwrap();
+                let (losses, state) = split_committed(&raw);
+                assert_eq!(
+                    bits(&losses),
+                    bits(&reference.iteration_losses),
+                    "{case} k={k}"
+                );
+                assert_eq!(bits(&outcome.flat_params), bits(&reference.flat_params()));
+                for depth in [2, 1] {
+                    let (stages, optimizers) = checkpoint::load_state(state, depth).unwrap();
+                    let flat: Vec<f32> = stages.iter().flat_map(Stage::params).collect();
+                    assert_eq!(bits(&flat), bits(&reference.flat_params()), "{case} k={k}");
+                    assert!(optimizers.iter().all(|o| o.steps() == u64::from(k)));
+                }
+            }
+
+            // Resume after one committed iteration, then resume the finished run.
+            for got in run_ranks(&sched, cfg, &opts(1), w, world, Some(&rec(false))) {
+                got.unwrap();
+            }
+            for _ in 0..2 {
+                let got = run_ranks(&sched, cfg, &opts(3), w, world, Some(&rec(true)));
+                let mut got = got.into_iter().map(Result::unwrap);
+                let resumed = got.next().unwrap().expect("rank 0 assembles");
+                assert!(got.all(|o| o.is_none()), "{case}");
+                assert_eq!(
+                    bits(&resumed.flat_params),
+                    bits(&full.flat_params()),
+                    "{case}"
+                );
+                assert_eq!(
+                    bits(&resumed.iteration_losses),
+                    bits(&full.iteration_losses)
+                );
+            }
+
+            let whole = std::fs::read(&path).unwrap();
+            let prefix = 8 + 4 * 3;
+            // (what, file, the error when it is not just any checkpoint error)
+            let mut damaged: Vec<(String, Vec<u8>, Option<CheckpointError>)> = (0..prefix)
+                .chain([prefix + 4, prefix + 40, whole.len() / 2, whole.len() - 1])
+                .map(|cut| (format!("cut at {cut}"), whole[..cut].to_vec(), None))
+                .collect();
+            let mut flipped = whole.clone();
+            flipped[prefix] ^= 0xFF;
+            damaged.push((
+                "flipped magic".into(),
+                flipped,
+                Some(CheckpointError::BadMagic),
+            ));
+            let other = ModelConfig {
+                seed: cfg.seed + 1,
+                ..cfg
+            };
+            let stages = Stage::build_all(other, 2);
+            let kind = opts(3).optimizer_kind();
+            let optimizers: Vec<_> = (stages.iter())
+                .map(|s| Optimizer::new(kind, s.num_params()))
+                .collect();
+            commit(&path, &[3.5], &checkpoint::save_state(&stages, &optimizers)).unwrap();
+            let another = CheckpointError::NotThisRun("another model configuration");
+            damaged.push((
+                "another model".into(),
+                std::fs::read(&path).unwrap(),
+                Some(another),
+            ));
+            for (what, bytes, expected) in damaged {
+                std::fs::write(&path, bytes).unwrap();
+                for got in run_ranks(&sched, cfg, &opts(3), w, world, Some(&rec(true))) {
+                    let Err(TrainError::Checkpoint(e)) = got else {
+                        panic!("{case} {what}: {got:?}");
+                    };
+                    assert!(
+                        expected.as_ref().is_none_or(|x| *x == e),
+                        "{case} {what}: {e}"
+                    );
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// §3.5's chunked schedules are refused by every entry point with a typed
@@ -550,7 +626,7 @@ mod tests {
             |e: Option<TrainError>| matches!(e, Some(TrainError::UnsupportedSchedule { .. }));
         assert!(rejected(crate::train(&sched, cfg, opts(1)).err()));
         assert!(rejected(train_hybrid(&sched, cfg, opts(1), 2).err()));
-        // The check precedes even the fabric-size assertion.
+        // The check precedes even the fabric-size check.
         let ep = LocalFabric::new(1).pop().expect("one endpoint");
         let err = train_worker_process(Arc::new(ep), &sched, cfg, opts(1), 1).err();
         assert!(
@@ -558,6 +634,26 @@ mod tests {
             "{err:?}"
         );
         assert!(rejected(err));
+    }
+
+    /// A fabric that is not `W·D` ranks is refused on every rank with an
+    /// error naming both sizes, not a panic.
+    #[test]
+    fn a_fabric_of_the_wrong_size_is_refused_on_every_rank() {
+        let sched = chimera(&ChimeraConfig::new(2, 2)).unwrap();
+        let cfg = ModelConfig::tiny();
+        for got in run_ranks(&sched, cfg, &opts(1), 1, 3, None) {
+            let err = got.expect_err("3 ranks for W·D = 2");
+            assert_eq!(
+                err,
+                TrainError::FabricSize {
+                    world: 3,
+                    expected: 2
+                }
+            );
+            let text = err.to_string();
+            assert!(text.contains("3 ranks") && text.contains("= 2"), "{text}");
+        }
     }
 
     /// The cross-process recovery protocol end to end, minus the process
@@ -573,12 +669,7 @@ mod tests {
         let cfg = ModelConfig::tiny();
         let w = 2u32;
         let world = sched.num_workers() as u32 * w;
-        let dir = std::env::temp_dir().join(format!(
-            "chimera-gang-restart-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("gang-restart");
 
         // Round 1: rank 0 (group 0, worker 0) dies at iteration 3 — inside
         // the second 2-iteration segment. Everyone fails fast.
@@ -597,69 +688,29 @@ mod tests {
             every: 2,
             resume,
         };
-        let handles: Vec<_> = LocalFabric::new(world)
-            .into_iter()
-            .map(|e| {
-                let sched = sched.clone();
-                let opts = round1.clone();
-                let rec = rec(false);
-                let dying = e.rank() == 0;
-                thread::spawn(move || {
-                    let got = train_worker_process_recoverable(
-                        Arc::new(e),
-                        &sched,
-                        cfg,
-                        opts,
-                        w,
-                        Some(&rec),
-                    );
-                    (dying, got)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (dying, got) = h.join().unwrap();
+        let round1 = run_ranks(&sched, cfg, &round1, w, world, Some(&rec(false)));
+        for (rank, got) in round1.into_iter().enumerate() {
             let err = got.expect_err("round 1 must fail on every rank");
-            if dying {
+            if rank == 0 {
                 assert!(
                     matches!(err, TrainError::WorkerLost { .. }),
                     "killed rank reports itself lost, got {err}"
                 );
             }
         }
-        // The crash left segment 1 (iterations 0..2) committed by all ranks.
-        assert_eq!(latest_committed(&dir, world), Some(2));
+        // The crash left the first segment (iterations 0..2) committed.
+        let raw = std::fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
+        assert_eq!(split_committed(&raw).0.len(), 2);
 
         // Round 2: gang restart, no fault, resume from the committed
         // segment — the supervisor's respawn path.
-        let handles: Vec<_> = LocalFabric::new(world)
-            .into_iter()
-            .map(|e| {
-                let sched = sched.clone();
-                let rec = rec(true);
-                thread::spawn(move || {
-                    train_worker_process_recoverable(
-                        Arc::new(e),
-                        &sched,
-                        cfg,
-                        opts(4),
-                        w,
-                        Some(&rec),
-                    )
-                    .unwrap()
-                })
-            })
-            .collect();
-        let mut outcomes: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        let recovered = outcomes.remove(0).expect("rank 0 assembles the outcome");
+        let mut outcomes = run_ranks(&sched, cfg, &opts(4), w, world, Some(&rec(true)));
+        let recovered = (outcomes.remove(0).unwrap()).expect("rank 0 assembles the outcome");
+        assert!(outcomes.iter().all(|o| matches!(o, Ok(None))));
 
         let reference = train_hybrid(&sched, cfg, opts(4), w).unwrap();
-        let rec_bits: Vec<u32> = recovered.flat_params.iter().map(|f| f.to_bits()).collect();
-        let ref_bits: Vec<u32> = reference
-            .flat_params()
-            .iter()
-            .map(|f| f.to_bits())
-            .collect();
+        let rec_bits = bits(&recovered.flat_params);
+        let ref_bits = bits(&reference.flat_params());
         assert_eq!(rec_bits, ref_bits, "recovered run diverged from reference");
         assert_eq!(recovered.iteration_losses.len(), 4);
         for (a, b) in recovered

@@ -1,10 +1,10 @@
 //! Typed failures of the supervised training runtime.
 //!
 //! Worker threads report [`WorkerError`]s to the supervisor, which either
-//! recovers (checkpoint-restart / degraded continuation for worker deaths)
-//! or surfaces a [`TrainError`] to the caller. Nothing in the runtime hangs
-//! or panics on a lost peer: every blocking wait has a deadline, and every
-//! error names the worker, iteration, and operation involved.
+//! recovers (checkpoint-restart for worker deaths) or surfaces a
+//! [`TrainError`] to the caller. Nothing in the runtime hangs or panics on a
+//! lost peer: every blocking wait has a deadline, and every error names the
+//! worker, iteration, and operation involved.
 
 use std::time::Duration;
 
@@ -169,6 +169,14 @@ pub enum TrainError {
     },
     /// Saving or restoring a recovery checkpoint failed.
     Checkpoint(CheckpointError),
+    /// The per-process entry point was handed a fabric whose size is not
+    /// `W · D` ranks.
+    FabricSize {
+        /// Ranks in the fabric.
+        world: u32,
+        /// `W · D`, the ranks the run needs.
+        expected: u32,
+    },
     /// The schedule cannot be executed as written: lowering
     /// (`chimera_core::program::lower`) found a defect — an op on a worker
     /// that does not hold its `(replica, stage)`, a backward without its
@@ -218,6 +226,10 @@ impl std::fmt::Display for TrainError {
                 write!(f, "no worker returned stage {stage}")
             }
             TrainError::Checkpoint(e) => write!(f, "recovery checkpoint failed: {e}"),
+            TrainError::FabricSize { world, expected } => write!(
+                f,
+                "the fabric has {world} ranks, but W·D = {expected} workers need one each"
+            ),
             TrainError::UnsupportedSchedule { worker, op, reason } => write!(
                 f,
                 "the runtime cannot execute schedule op {op} on worker w{worker}: {reason}"

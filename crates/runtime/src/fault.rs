@@ -42,22 +42,6 @@ pub struct MsgFault {
     pub micro: u64,
 }
 
-/// What the supervisor does when a worker death is detected (and the
-/// recovery budget allows continuing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RecoveryPolicy {
-    /// Restore every stage from the last checkpoint and replay the lost
-    /// iterations with the same worker count. Final parameters are
-    /// bit-identical to the fault-free run.
-    #[default]
-    Restart,
-    /// With `W > 1` data-parallel groups: restore from the last checkpoint,
-    /// drop one replica group, and continue with `W-1` groups (allreduce
-    /// groups rescaled, gradient averaging rescaled to the smaller global
-    /// batch). Falls back to [`RecoveryPolicy::Restart`] when `W == 1`.
-    Degrade,
-}
-
 /// A deterministic fault-injection plan for one training run.
 #[derive(Debug, Clone, Default)]
 pub struct FaultSpec {

@@ -22,12 +22,9 @@ pub mod runtime;
 mod setup;
 pub mod worker;
 
-pub use dist::{
-    latest_committed, train_worker_process, train_worker_process_recoverable, DistOutcome,
-    RecoverySpec,
-};
+pub use dist::{train_worker_process, train_worker_process_recoverable, DistOutcome, RecoverySpec};
 pub use error::{TrainError, WorkerError};
-pub use fault::{FaultSpec, KillFault, MsgFault, RecoveryPolicy};
+pub use fault::{FaultSpec, KillFault, MsgFault};
 pub use mem::{MemReport, ModelFootprint, WorkerMemPlan};
 pub use runtime::{train, train_hybrid, TrainResult};
 pub use worker::{SegmentSpec, TrainOptions, Worker, WorkerResult};

@@ -18,8 +18,6 @@
 //! the supervisor restores every stage from the last checkpoint, and the
 //! segment is replayed — deterministic data order and keyed-ordered
 //! reduction make the recovered run **bit-identical** to a fault-free one.
-//! With [`crate::RecoveryPolicy::Degrade`] and `W > 1`, the supervisor
-//! instead drops one replica group and continues with `W-1` groups.
 //! Blocked waits with no detected death (a lost message) surface as
 //! [`TrainError::Timeout`] naming the blocked op.
 
@@ -38,7 +36,6 @@ use chimera_tensor::{kernels, pool};
 use chimera_trace::{now_ns, CounterEvent, Event, MetricsRegistry, SpanEvent, SpanKind, TraceSink};
 
 use crate::error::{TrainError, WorkerError};
-use crate::fault::RecoveryPolicy;
 use crate::mem::MemReport;
 use crate::setup::{assemble, configure, hand_out, reducer_members};
 use crate::worker::{SegmentSpec, TrainOptions, Worker};
@@ -52,9 +49,6 @@ pub struct TrainResult {
     pub stages: Vec<Stage>,
     /// Checkpoint-restart recoveries the supervisor performed.
     pub recoveries: u32,
-    /// Set when the run finished with fewer data-parallel groups than it
-    /// started with ([`RecoveryPolicy::Degrade`]); holds the final `W`.
-    pub degraded_to: Option<u32>,
     /// Per-worker tracked-memory reports for pipeline group 0 (ordered by
     /// local worker id), captured from the first — cold — segment. The
     /// high-water mark is comparable element-for-element with the static
@@ -76,7 +70,6 @@ impl std::fmt::Debug for TrainResult {
             .field("iterations", &self.iteration_losses.len())
             .field("stages", &self.stages.len())
             .field("recoveries", &self.recoveries)
-            .field("degraded_to", &self.degraded_to)
             .finish()
     }
 }
@@ -173,7 +166,6 @@ pub fn train_hybrid(
     let detected = reg.counter("runtime.recovery.detected_deaths");
     let restores = reg.counter("runtime.recovery.restores");
     let replayed = reg.counter("runtime.recovery.replayed_iterations");
-    let degrades = reg.counter("runtime.recovery.degrades");
 
     let sup = opts.trace.clone().map(|sink| SupervisorTrace {
         sink,
@@ -200,8 +192,6 @@ pub fn train_hybrid(
         .unwrap_or(opts.iterations.max(1));
     let mut iteration_losses: Vec<f32> = Vec::with_capacity(opts.iterations as usize);
     let mut done = 0u32;
-    let mut micro_base = 0u64;
-    let mut w_active = w;
     let mut recoveries = 0u32;
     let mut replaying = false;
     let mut mem: Vec<MemReport> = Vec::new();
@@ -211,7 +201,6 @@ pub fn train_hybrid(
         let seg = SegmentSpec {
             start_iter: done,
             iterations: seg_iters,
-            micro_base,
         };
         let seg_start = sup.as_ref().map(|_| now_ns());
         let outcome = run_segment(
@@ -221,7 +210,7 @@ pub fn train_hybrid(
             canon_stages,
             canon_opts,
             seg,
-            w_active,
+            w,
             &opts,
             data,
         );
@@ -250,7 +239,6 @@ pub fn train_hybrid(
                 drop(std::mem::take(&mut checkpoint_bytes));
                 checkpoint_bytes = checkpoint::save_state(&canon_stages, &canon_opts);
                 ckpt_saves.inc();
-                micro_base += seg_iters as u64 * sched.n as u64 * w_active as u64;
                 done += seg_iters;
             }
             Err(SegmentFailure::Death {
@@ -296,13 +284,6 @@ pub fn train_hybrid(
                         now_ns(),
                     );
                     sup.counter("runtime.recovery.restores", f64::from(recoveries));
-                }
-                if opts.on_worker_loss == RecoveryPolicy::Degrade && w_active > 1 {
-                    w_active -= 1;
-                    degrades.inc();
-                    if let Some(sup) = &sup {
-                        sup.counter("runtime.active_groups", f64::from(w_active));
-                    }
                 }
                 replaying = true;
             }
@@ -359,7 +340,6 @@ pub fn train_hybrid(
         iteration_losses,
         stages: canon_stages,
         recoveries,
-        degraded_to: (w_active < w).then_some(w_active),
         mem,
     })
 }

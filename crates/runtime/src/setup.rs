@@ -5,9 +5,9 @@
 //! members and assemble results through the functions here, so the same
 //! `(schedule, TrainOptions)` is the same program under either, and both hand
 //! the model to its holders through [`hand_out`] — moved, not copied, so each
-//! stage exists once per holder. Where state lives between segments (the
-//! supervisor's serialized checkpoint, a slice per rank on disk) is theirs;
-//! nothing else is.
+//! stage exists once per holder. Where the checkpoint lives between segments
+//! (the supervisor's memory, or rank 0's file of the same `save_state`
+//! bytes) is theirs; nothing else is.
 
 use std::borrow::Cow;
 use std::sync::Arc;

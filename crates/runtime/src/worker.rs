@@ -35,7 +35,7 @@ use chimera_tensor::{kernels, pool, Tensor};
 use chimera_trace::{now_ns, Counter, Event, MetricsRegistry, SpanEvent, SpanKind, TraceSink};
 
 use crate::error::WorkerError;
-use crate::fault::{FaultSpec, MsgFault, RecoveryPolicy};
+use crate::fault::{FaultSpec, MsgFault};
 use crate::mem::{MemReport, MemTracker};
 
 /// Training hyper-parameters shared by every worker.
@@ -73,8 +73,6 @@ pub struct TrainOptions {
     /// How many checkpoint-restart recoveries the supervisor may perform
     /// before giving up with [`crate::TrainError::WorkerLost`].
     pub max_recoveries: u32,
-    /// What the supervisor does on a detected worker death.
-    pub on_worker_loss: RecoveryPolicy,
     /// Intra-op kernel threads per matmul. `None` defers to the
     /// `CHIMERA_THREADS` environment variable (default 1). Results are
     /// bit-identical at any thread count — see `chimera_tensor::kernels`.
@@ -105,7 +103,6 @@ impl Default for TrainOptions {
             checkpoint_every: None,
             recv_timeout: Duration::from_secs(5),
             max_recoveries: 2,
-            on_worker_loss: RecoveryPolicy::Restart,
             threads: None,
             pool: true,
             prewarm: true,
@@ -212,10 +209,6 @@ pub struct SegmentSpec {
     pub start_iter: u32,
     /// Iterations in this segment.
     pub iterations: u32,
-    /// Global micro-batch id cursor at segment start (micros consumed by
-    /// all committed segments — not derivable from `start_iter` once a run
-    /// has degraded to fewer groups).
-    pub micro_base: u64,
 }
 
 /// One `(replica, stage)` this worker holds, with everything that belongs
@@ -355,10 +348,9 @@ impl Worker {
     /// Run the segment's iterations; consumes the worker.
     ///
     /// Global micro-batch ids interleave data-parallel groups group-major:
-    /// local iteration `i` consumes micros starting at
-    /// `micro_base + i·N·W + group·N` — the same ordering the sequential
-    /// reference uses, so keyed gradient reduction stays bit-exact across
-    /// `W`.
+    /// global iteration `i` consumes micros starting at `i·N·W + group·N` —
+    /// the same ordering the sequential reference uses, so keyed gradient
+    /// reduction stays bit-exact across `W`.
     pub fn run(mut self) -> Result<WorkerResult, WorkerError> {
         let program = self.program.clone();
         let prewarmed = self.opts.pool && self.opts.prewarm && pool::enabled();
@@ -374,9 +366,8 @@ impl Worker {
         for iter in 0..self.seg.iterations {
             self.cur_iter = self.seg.start_iter + iter;
             self.maybe_kill()?;
-            let offset = self.seg.micro_base
-                + iter as u64 * self.program.n as u64 * self.w_total as u64
-                + self.group as u64 * self.program.n as u64;
+            let n = self.program.n as u64;
+            let offset = (self.cur_iter as u64 * self.w_total as u64 + self.group as u64) * n;
             let mut posthoc_start = None;
             for (i, row) in program.rows.iter().enumerate() {
                 if i == program.implicit_from {
@@ -852,7 +843,6 @@ mod tests {
         let seg = SegmentSpec {
             start_iter: 0,
             iterations: 1,
-            micro_base: 0,
         };
         let data = SyntheticData::new(ModelConfig::tiny(), 1);
         let plan = run.pool_plans[0].clone();

@@ -1,16 +1,13 @@
 //! Fault injection against the real threaded runtime: killed workers are
 //! survived by checkpoint-restart (bit-identical to the fault-free run),
-//! lost messages surface as descriptive timeouts instead of hangs, and
-//! degraded-mode training continues on `W-1` groups.
+//! and lost messages surface as descriptive timeouts instead of hangs.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use chimera_core::chimera::{chimera, ChimeraConfig};
-use chimera_nn::{LrSchedule, ModelConfig, OptimizerKind, ReferenceTrainer, Stage, SyntheticData};
-use chimera_runtime::{
-    train, train_hybrid, FaultSpec, MsgFault, RecoveryPolicy, TrainError, TrainOptions,
-};
+use chimera_nn::{LrSchedule, ModelConfig, OptimizerKind};
+use chimera_runtime::{train, train_hybrid, FaultSpec, MsgFault, TrainError, TrainOptions};
 use chimera_trace::{BufferSink, Event, SpanKind};
 
 fn opts(iterations: u32) -> TrainOptions {
@@ -42,7 +39,6 @@ fn kill_recovers_bit_identical_w1() {
         f.fault = Some(FaultSpec::kill_at(0, 1, iteration));
         let recovered = train(&sched, cfg, f).expect("recovers from kill");
         assert_eq!(recovered.recoveries, 1, "kill at i{iteration}");
-        assert_eq!(recovered.degraded_to, None);
         assert_eq!(
             recovered.flat_params(),
             healthy.flat_params(),
@@ -207,67 +203,6 @@ fn delayed_message_only_slows_training() {
     let delayed = train(&sched, cfg, f).expect("delay is survivable");
     assert_eq!(delayed.recoveries, 0);
     assert_eq!(delayed.flat_params(), healthy.flat_params());
-}
-
-/// Degraded mode: after a kill with `RecoveryPolicy::Degrade`, a W = 2 run
-/// restores the checkpoint and continues on one group. The result equals
-/// sequential SGD over the actually-consumed micro-batch stream (N·W per
-/// iteration before the fault, N after).
-#[test]
-fn degrade_continues_on_w_minus_1() {
-    let cfg = ModelConfig::tiny();
-    let sched = chimera(&ChimeraConfig::new(2, 2)).unwrap();
-    let mut o = opts(4);
-    o.checkpoint_every = Some(2);
-    o.on_worker_loss = RecoveryPolicy::Degrade;
-    o.fault = Some(FaultSpec::kill_at(1, 0, 2));
-    let res = train_hybrid(&sched, cfg, o.clone(), 2).expect("degrades and finishes");
-    assert_eq!(res.recoveries, 1);
-    assert_eq!(res.degraded_to, Some(1));
-
-    // Reference: iterations 0-1 consume N·W = 4 micros each (committed
-    // before the fault), iterations 2-3 consume N = 2 each on the surviving
-    // group, continuing from micro 8.
-    let mut r = ReferenceTrainer::new(
-        Stage::build_all(cfg, sched.d),
-        SyntheticData::new(cfg, o.data_seed),
-        o.micro_batch,
-        o.lr,
-        o.momentum,
-    );
-    let mut ref_losses = Vec::new();
-    for (offset, count) in [(0u64, 4u32), (4, 4), (8, 2), (10, 2)] {
-        ref_losses.push(r.train_iteration(offset, count));
-    }
-    assert_eq!(res.flat_params(), r.flat_params());
-    for (a, b) in res.iteration_losses.iter().zip(&ref_losses) {
-        assert!((a - b).abs() < 1e-6, "loss {a} vs {b}");
-    }
-}
-
-/// With a single group the degrade policy has nothing to drop and falls
-/// back to checkpoint-restart.
-#[test]
-fn degrade_with_single_group_falls_back_to_restart() {
-    let cfg = ModelConfig::tiny();
-    let sched = chimera(&ChimeraConfig::new(2, 2)).unwrap();
-    let mut o = opts(3);
-    o.checkpoint_every = Some(1);
-    o.on_worker_loss = RecoveryPolicy::Degrade;
-    let healthy = train(&sched, cfg, opts_with_ckpt(&o)).expect("fault-free");
-    let mut f = o;
-    f.fault = Some(FaultSpec::kill_at(0, 0, 1));
-    let res = train(&sched, cfg, f).expect("restarts instead of degrading");
-    assert_eq!(res.recoveries, 1);
-    assert_eq!(res.degraded_to, None);
-    assert_eq!(res.flat_params(), healthy.flat_params());
-}
-
-fn opts_with_ckpt(o: &TrainOptions) -> TrainOptions {
-    TrainOptions {
-        fault: None,
-        ..o.clone()
-    }
 }
 
 /// An exhausted recovery budget surfaces as [`TrainError::WorkerLost`].

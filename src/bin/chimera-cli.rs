@@ -51,13 +51,14 @@
 //! sets are bit-identical. The hidden `worker` subcommand is what each
 //! spawned process executes.
 //!
-//! `launch` is also a **supervisor**: workers write committed segment
-//! checkpoints (`--ckpt-dir`/`--ckpt-every`), and when any worker process
-//! dies — e.g. an injected `--kill-rank R --kill-iter I` crash, or a rank
-//! that exits because the heartbeat failure detector declared a peer dead —
-//! the supervisor kills the remaining ranks, picks a fresh rendezvous port,
-//! and gang-restarts the job with `--resume`, which replays from the newest
-//! segment **every** rank committed. Seeded network chaos
+//! `launch` is also a **supervisor**: after every segment
+//! (`--ckpt-every`) rank 0 gathers the model and its optimizer state and
+//! commits one checkpoint file to `--ckpt-dir`, and when any worker process
+//! dies — e.g. an injected `--kill-rank R --kill-iter I` crash (rank 0, the
+//! writer, included), or a rank that exits because the heartbeat failure
+//! detector declared a peer dead — the supervisor kills the remaining ranks,
+//! picks a fresh rendezvous port, and gang-restarts the job with `--resume`,
+//! which replays from the last committed segment. Seeded network chaos
 //! (`--chaos-seed/-flaky/-dup/-reorder/-partition/-break`) is forwarded to
 //! every worker and healed below the transport by retransmit, receive-side
 //! dedup and session-resuming reconnect, so the final parameters stay
