@@ -22,7 +22,6 @@ const BINS: &[&str] = &[
     "fig18_large_batch_gpt2",
     "fig19_multi_pipeline",
     "ablation_allreduce",
-    "ablation_compression",
 ];
 
 fn main() {
@@ -49,5 +48,25 @@ fn main() {
     } else {
         eprintln!("\nFAILED: {failed:?}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::BINS;
+
+    /// A bin deleted from `src/bin/` but still listed here would only fail
+    /// when `all_experiments` tries to launch it.
+    #[test]
+    fn every_listed_bin_has_a_source_file() {
+        let bin_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        for bin in BINS {
+            let src = bin_dir.join(format!("{bin}.rs"));
+            assert!(
+                src.is_file(),
+                "{bin} is listed but {} is missing",
+                src.display()
+            );
+        }
     }
 }

@@ -11,9 +11,8 @@
 //! score-shaped product on either tile), model G's forward and `dX`
 //! products at 64, 128 and 256 rows per call (what stacking micro-batches
 //! buys), a transformer
-//! block's measured backward/forward balance for sim calibration, the
-//! zero-skip sparse entry point on 95%-zero input, and end-to-end training
-//! step time with the buffer pool on/off.
+//! block's measured backward/forward balance for sim calibration, and
+//! end-to-end training step time with the buffer pool on/off.
 //!
 //! Writes `BENCH_kernels.json` at the workspace root. The JSON carries a
 //! `calibration` section whose `bwd_over_fwd` —
@@ -686,27 +685,6 @@ fn bench_rows_per_call(rounds: u32) -> Vec<RowsPerCallRow> {
         .collect()
 }
 
-/// Dense kernel vs the documented sparse-aware entry point on an input
-/// that is 95% exact zeros (effective GFLOP/s: dense-equivalent flops over
-/// wall clock, so the zero-skip win shows up as a higher number).
-fn bench_zero_skip(m: usize, k: usize, n: usize) -> (f64, f64) {
-    let mut rng = Rng::new(3);
-    let mut a = Tensor::normal(m, k, 1.0, &mut rng);
-    for (i, v) in a.data_mut().iter_mut().enumerate() {
-        if i % 20 != 0 {
-            *v = 0.0;
-        }
-    }
-    let b = Tensor::normal(k, n, 1.0, &mut rng);
-    let dense = time_per_call(3, || {
-        std::hint::black_box(a.matmul(&b));
-    });
-    let skip = time_per_call(3, || {
-        std::hint::black_box(a.matmul_zero_skip(&b));
-    });
-    (gflops(m, k, n, dense), gflops(m, k, n, skip))
-}
-
 struct EndToEnd {
     pool_on_ms: f64,
     pool_off_ms: f64,
@@ -1314,23 +1292,6 @@ fn main() -> ExitCode {
             .collect::<Vec<_>>(),
     );
 
-    let (zs_m, zs_k, zs_n) = if smoke {
-        (128, 256, 256)
-    } else {
-        (256, 512, 512)
-    };
-    let (dense_gf, skip_gf) = bench_zero_skip(zs_m, zs_k, zs_n);
-    print_table(
-        "Zero-skip on 95%-zero input (effective GFLOP/s)",
-        &["shape", "dense", "zero-skip", "skip/dense"],
-        &[vec![
-            format!("{zs_m}x{zs_k}x{zs_n}"),
-            format!("{dense_gf:.2}"),
-            format!("{skip_gf:.2}"),
-            format!("{:.2}x", skip_gf / dense_gf),
-        ]],
-    );
-
     let e2e = bench_end_to_end(if smoke { 2 } else { 5 });
     print_table(
         "End-to-end reference-trainer step time",
@@ -1345,7 +1306,6 @@ fn main() -> ExitCode {
         ],
     );
 
-    let pack = kernels::pack_stats();
     let payload = serde_json::json!({
         "threads": threads,
         "hw_parallelism": hw_parallelism,
@@ -1435,17 +1395,6 @@ fn main() -> ExitCode {
             "block_fwd_ms": block_fwd * 1e3,
             "block_bwd_ms": block_bwd * 1e3,
             "bwd_over_fwd": bwd_over_fwd,
-        }),
-        "pack": serde_json::json!({
-            "calls": pack.calls,
-            "elems": pack.elems,
-        }),
-        "zero_skip": serde_json::json!({
-            "shape": format!("{zs_m}x{zs_k}x{zs_n}"),
-            "zero_fraction": 0.95,
-            "dense_gflops": dense_gf,
-            "skip_gflops": skip_gf,
-            "speedup": skip_gf / dense_gf,
         }),
         "end_to_end": serde_json::json!({
             "pool_on_ms_per_iter": e2e.pool_on_ms,

@@ -89,11 +89,6 @@ impl TransportKeyed {
         }
     }
 
-    /// Group size.
-    pub fn size(&self) -> usize {
-        self.members.len()
-    }
-
     fn root(&self) -> Rank {
         self.members[0]
     }

@@ -8,13 +8,13 @@
 //! order with the first term as the accumulator — the bits of
 //! [`sum_in_key_order`].
 //!
-//! A round is split like a non-blocking collective (§3.2 of the paper):
-//! [`KeyedMember::contribute`] files one gradient in the member's current
-//! round as soon as its backward makes it; [`KeyedMember::deposit`] is the
-//! launch — it files the pairs it is given (the training runtime gives none)
-//! and closes the member's part of the round, never waiting; and
-//! [`KeyedMember::fetch`] waits until the round's sum is published. Rounds
-//! are matched by per-member call order, so different members may
+//! A round is split like a non-blocking collective (§3.2 of the paper), in
+//! the three calls of [`chimera_comm::KeyedReduce`]: `contribute` files one
+//! gradient in the member's current round as soon as its backward makes it;
+//! `deposit` is the launch — it files the pairs it is given (the training
+//! runtime gives none) and closes the member's part of the round, never
+//! waiting; and `fetch_deadline` waits until the round's sum is published.
+//! Rounds are matched by per-member call order, so different members may
 //! interleave launches of several stages in different orders without
 //! deadlocking. [`KeyedMember::reduce`] is the blocking deposit + fetch.
 //!
@@ -334,11 +334,6 @@ impl KeyedMember {
         self.rank
     }
 
-    /// Group size.
-    pub fn size(&self) -> usize {
-        self.shared.n
-    }
-
     fn fold(&self, round: u64, due: Due) -> Fold {
         Fold::new(self.shared.clone(), self.reduce_ns.clone(), round, due)
     }
@@ -347,13 +342,13 @@ impl KeyedMember {
     /// its next launch closes), fold every run it makes foldable, and put
     /// one buffer of `grad`'s pool class back into this thread's pool. Keys
     /// must increase from one call to the next within a round.
-    pub fn contribute(&self, key: u64, grad: Vec<f32>) {
+    pub(crate) fn contribute(&self, key: u64, grad: Vec<f32>) {
         let capacity = grad.capacity();
         run_folds(self.file(key, grad));
         self.give_back(capacity);
     }
 
-    /// [`Self::contribute`]'s first step: file the gradient and return the
+    /// `contribute`'s first step: file the gradient and return the
     /// fold its arrival made due, if any. Bookkeeping only.
     pub fn file(&self, key: u64, grad: Vec<f32>) -> Option<Fold> {
         self.bytes_contributed.add(grad.len() as u64 * 4);
@@ -379,7 +374,7 @@ impl KeyedMember {
         due.map(|due| self.fold(round, due))
     }
 
-    /// [`Self::contribute`]'s last step: put one buffer of the pool class of
+    /// `contribute`'s last step: put one buffer of the pool class of
     /// a `capacity`-float buffer into this thread's pool — a spare of the
     /// group's, the latest first, or a fresh one while it holds none.
     pub fn give_back(&self, capacity: usize) {
@@ -396,11 +391,11 @@ impl KeyedMember {
     /// every key it contributed to the round) and close its part of the
     /// round, folding what that makes foldable. The buffers go home at the
     /// round's fetch.
-    pub fn deposit(&self, contribution: Contribution) {
+    pub(crate) fn deposit(&self, contribution: Contribution) {
         run_folds(self.launch(contribution));
     }
 
-    /// [`Self::deposit`]'s first step: file the pairs, close the member's
+    /// `deposit`'s first step: file the pairs, close the member's
     /// part of the round and return the fold that made due, if any.
     pub fn launch(&self, contribution: Contribution) -> Option<Fold> {
         let n = self.shared.n;
@@ -436,7 +431,7 @@ impl KeyedMember {
 
     /// Blocking wait: returns the reduced vector of this member's next
     /// un-fetched round (in deposit order).
-    pub fn fetch(&self) -> Reduced {
+    pub(crate) fn fetch(&self) -> Reduced {
         self.fetch_until(None)
             .expect("a wait without a deadline ends only with the result")
     }
@@ -498,16 +493,17 @@ impl KeyedMember {
         ready.map(take_home)
     }
 
-    /// [`Self::fetch`] with a hard deadline: gives up after `timeout`,
-    /// returning `None` without consuming the round. A member of a group
-    /// whose peer died would otherwise block forever on the condition
-    /// variable; every blocking wait in the training runtime goes through
-    /// this path.
-    pub fn fetch_deadline(&self, timeout: Duration) -> Option<Reduced> {
+    /// Wait for this member's next un-fetched round with a hard deadline:
+    /// gives up after `timeout`, returning `None` without consuming the
+    /// round. A member of a group whose peer died would otherwise block
+    /// forever on the condition variable; every blocking wait in the
+    /// training runtime goes through this path.
+    pub(crate) fn fetch_deadline(&self, timeout: Duration) -> Option<Reduced> {
         self.fetch_until(Some(Instant::now() + timeout))
     }
 
-    /// Blocking allreduce: [`Self::deposit`] + [`Self::fetch`].
+    /// Blocking allreduce: `deposit`, then wait for the round without a
+    /// deadline.
     pub fn reduce(&self, contribution: Contribution) -> Reduced {
         self.deposit(contribution);
         self.fetch()

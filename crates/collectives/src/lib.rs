@@ -14,14 +14,10 @@
 //!   there is no ring allreduce here: it sums in ring-position order);
 //! * [`dist`] — the same reduction over a [`chimera_comm::Transport`], so
 //!   a group can span OS processes (TCP backend) without the caller
-//!   changing anything;
-//! * [`compress`] — QSGD quantization and top-k sparsification with error
-//!   feedback (the paper's stated future work, §5).
+//!   changing anything.
 
-pub mod compress;
 pub mod dist;
 pub mod keyed;
 
-pub use compress::{dequantize, quantize, top_k, Quantized, Sparse};
 pub use dist::TransportKeyed;
 pub use keyed::{keyed_group, sum_in_key_order, Fold, KeyedMember};

@@ -6,13 +6,15 @@
 //! a checkpoint written from a `D=4` partition can be loaded as `D=8`
 //! stages (parameters are partition-independent, see [`crate::stage`]).
 //!
-//! Two format versions exist. Version 1 ([`save`]) stores parameters only.
-//! Version 2 ([`save_state`]) appends per-parameter optimizer state
-//! (momentum / Adam moments and the step count), which a supervised
-//! training runtime needs to resume **bit-identically** after a worker
-//! failure: under momentum or Adam, restarting with zeroed moments changes
-//! every subsequent update. Optimizer moments are flat per-parameter
-//! vectors, so they re-partition exactly like the parameters themselves.
+//! One format exists, version 2 ([`save_state`] / [`load_state`]): the
+//! parameters followed by per-parameter optimizer state (momentum / Adam
+//! moments and the step count), which a supervised training runtime needs
+//! to resume **bit-identically** after a worker failure: under momentum or
+//! Adam, restarting with zeroed moments changes every subsequent update.
+//! Optimizer moments are flat per-parameter vectors, so they re-partition
+//! exactly like the parameters themselves. Any other version, the retired
+//! parameters-only version 1 included, is refused as
+//! [`CheckpointError::BadVersion`].
 
 /// The little-endian cursor traits checkpoints are written and read through;
 /// re-exported so the runtime's checkpoint and result files use the same ones.
@@ -24,12 +26,10 @@ use crate::stage::{ModelConfig, Stage};
 
 /// Format magic ("CHIM").
 const MAGIC: u32 = 0x4348_494D;
-/// Version 1: parameters only.
-const VERSION_PARAMS: u32 = 1;
-/// Version 2: parameters + optimizer state.
-const VERSION_STATE: u32 = 2;
+/// The one format version: parameters + optimizer state.
+const VERSION: u32 = 2;
 
-/// Optimizer tags in the version-2 state section.
+/// Optimizer tags in the state section.
 const OPT_TAG_SGD: u8 = 0;
 const OPT_TAG_ADAM: u8 = 1;
 
@@ -54,9 +54,6 @@ pub enum CheckpointError {
     /// The optimizer-state section names an optimizer this build does not
     /// know.
     UnknownOptimizer(u8),
-    /// [`load_state`] was asked to restore optimizer state from a
-    /// parameters-only (version 1) checkpoint.
-    MissingState,
     /// A well-formed checkpoint that another run wrote: what differs from
     /// the run restoring it.
     NotThisRun(&'static str),
@@ -81,9 +78,6 @@ impl std::fmt::Display for CheckpointError {
             }
             CheckpointError::UnknownOptimizer(t) => {
                 write!(f, "unknown optimizer tag {t} in checkpoint state section")
-            }
-            CheckpointError::MissingState => {
-                write!(f, "checkpoint has no optimizer state (version 1)")
             }
             CheckpointError::NotThisRun(what) => {
                 write!(f, "checkpoint belongs to another run: {what}")
@@ -120,9 +114,9 @@ pub fn get_f32s(buf: &mut &[u8], n: usize) -> Result<Vec<f32>, CheckpointError> 
     Ok((0..n).map(|_| raw.get_f32_le()).collect())
 }
 
-fn put_header(buf: &mut BytesMut, cfg: &ModelConfig, version: u32, total: usize) {
+fn put_header(buf: &mut BytesMut, cfg: &ModelConfig, total: usize) {
     buf.put_u32_le(MAGIC);
-    buf.put_u32_le(version);
+    buf.put_u32_le(VERSION);
     buf.put_u64_le(cfg.vocab as u64);
     buf.put_u64_le(cfg.hidden as u64);
     buf.put_u64_le(cfg.seq as u64);
@@ -133,25 +127,10 @@ fn put_header(buf: &mut BytesMut, cfg: &ModelConfig, version: u32, total: usize)
     buf.put_u64_le(total as u64);
 }
 
-/// Serialize a full model (its stages must form a complete chain built for
-/// the same [`ModelConfig`]). Parameters only (format version 1); use
-/// [`save_state`] when the restore must also resume the optimizer.
-pub fn save(stages: &[Stage]) -> Bytes {
-    assert!(!stages.is_empty(), "cannot checkpoint an empty model");
-    let cfg = *stages[0].config();
-    let total: usize = stages.iter().map(Stage::num_params).sum();
-    let mut buf = BytesMut::with_capacity(64 + total * 4);
-    put_header(&mut buf, &cfg, VERSION_PARAMS, total);
-    for stage in stages {
-        put_f32s(&mut buf, &stage.params());
-    }
-    buf.freeze()
-}
-
-/// Serialize a full model together with its per-stage optimizer state
-/// (format version 2). `optimizers[s]` must manage exactly stage `s`'s
-/// parameters, and all stages must share one update rule and step count
-/// (true whenever every stage steps once per training iteration).
+/// Serialize a full model together with its per-stage optimizer state.
+/// `optimizers[s]` must manage exactly stage `s`'s parameters, and all
+/// stages must share one update rule and step count (true whenever every
+/// stage steps once per training iteration).
 pub fn save_state(stages: &[Stage], optimizers: &[Optimizer]) -> Bytes {
     assert!(!stages.is_empty(), "cannot checkpoint an empty model");
     assert_eq!(
@@ -177,7 +156,7 @@ pub fn save_state(stages: &[Stage], optimizers: &[Optimizer]) -> Bytes {
         OptimizerKind::Adam { .. } => 3, // params + m + v
     };
     let mut buf = BytesMut::with_capacity(96 + total * 4 * per_param);
-    put_header(&mut buf, &cfg, VERSION_STATE, total);
+    put_header(&mut buf, &cfg, total);
     for stage in stages {
         put_f32s(&mut buf, &stage.params());
     }
@@ -205,17 +184,19 @@ pub fn save_state(stages: &[Stage], optimizers: &[Optimizer]) -> Bytes {
     buf.freeze()
 }
 
-fn parse(
+/// Restore a model **and** its per-stage optimizer state, re-partitioned
+/// into `depth` stages.
+pub fn load_state(
     bytes: &[u8],
     depth: u32,
-) -> Result<(Vec<Stage>, Option<Vec<Optimizer>>), CheckpointError> {
+) -> Result<(Vec<Stage>, Vec<Optimizer>), CheckpointError> {
     let mut buf = bytes;
     let mut head = take(&mut buf, 8)?;
     if head.get_u32_le() != MAGIC {
         return Err(CheckpointError::BadMagic);
     }
     let version = head.get_u32_le();
-    if version != VERSION_PARAMS && version != VERSION_STATE {
+    if version != VERSION {
         return Err(CheckpointError::BadVersion(version));
     }
     let mut head = take(&mut buf, 5 * 8 + 1 + 8 + 8)?;
@@ -249,64 +230,40 @@ fn parse(
     for stage in &mut stages {
         stage.set_params(&get_f32s(&mut buf, stage.num_params())?);
     }
-    let optimizers = if version == VERSION_STATE {
-        let kind = match take(&mut buf, 1)?[0] {
-            OPT_TAG_SGD => OptimizerKind::Sgd {
-                momentum: take(&mut buf, 4)?.get_f32_le(),
-            },
-            OPT_TAG_ADAM => {
-                let mut hyper = take(&mut buf, 12)?;
-                OptimizerKind::Adam {
-                    beta1: hyper.get_f32_le(),
-                    beta2: hyper.get_f32_le(),
-                    eps: hyper.get_f32_le(),
-                }
+    let kind = match take(&mut buf, 1)?[0] {
+        OPT_TAG_SGD => OptimizerKind::Sgd {
+            momentum: take(&mut buf, 4)?.get_f32_le(),
+        },
+        OPT_TAG_ADAM => {
+            let mut hyper = take(&mut buf, 12)?;
+            OptimizerKind::Adam {
+                beta1: hyper.get_f32_le(),
+                beta2: hyper.get_f32_le(),
+                eps: hyper.get_f32_le(),
             }
-            other => return Err(CheckpointError::UnknownOptimizer(other)),
-        };
-        let t = take(&mut buf, 8)?.get_u64_le();
-        let m_flat = get_f32s(&mut buf, total)?;
-        let v_flat = match kind {
-            OptimizerKind::Sgd { .. } => Vec::new(),
-            OptimizerKind::Adam { .. } => get_f32s(&mut buf, total)?,
-        };
-        // Moments are flat per-parameter vectors in the same global order
-        // as the parameters, so they re-partition by the same split.
-        let mut optimizers = Vec::with_capacity(stages.len());
-        let mut off = 0;
-        for stage in &stages {
-            let n = stage.num_params();
-            let m = m_flat[off..off + n].to_vec();
-            let v = v_flat.get(off..off + n).unwrap_or_default().to_vec();
-            optimizers.push(Optimizer::from_state(kind, m, v, t));
-            off += n;
         }
-        Some(optimizers)
-    } else {
-        None
+        other => return Err(CheckpointError::UnknownOptimizer(other)),
+    };
+    let t = take(&mut buf, 8)?.get_u64_le();
+    let m_flat = get_f32s(&mut buf, total)?;
+    let v_flat = match kind {
+        OptimizerKind::Sgd { .. } => Vec::new(),
+        OptimizerKind::Adam { .. } => get_f32s(&mut buf, total)?,
     };
     if buf.remaining() != 0 {
         return Err(CheckpointError::Truncated);
     }
-    Ok((stages, optimizers))
-}
-
-/// Restore a model from `bytes`, re-partitioned into `depth` stages. Accepts
-/// both format versions; any optimizer state in a version-2 checkpoint is
-/// parsed (and validated) but discarded.
-pub fn load(bytes: &[u8], depth: u32) -> Result<Vec<Stage>, CheckpointError> {
-    parse(bytes, depth).map(|(stages, _)| stages)
-}
-
-/// Restore a model **and** its per-stage optimizer state from a version-2
-/// checkpoint, re-partitioned into `depth` stages. Fails with
-/// [`CheckpointError::MissingState`] on a parameters-only checkpoint.
-pub fn load_state(
-    bytes: &[u8],
-    depth: u32,
-) -> Result<(Vec<Stage>, Vec<Optimizer>), CheckpointError> {
-    let (stages, optimizers) = parse(bytes, depth)?;
-    let optimizers = optimizers.ok_or(CheckpointError::MissingState)?;
+    // Moments are flat per-parameter vectors in the same global order as
+    // the parameters, so they re-partition by the same split.
+    let mut optimizers = Vec::with_capacity(stages.len());
+    let mut off = 0;
+    for stage in &stages {
+        let n = stage.num_params();
+        let m = m_flat[off..off + n].to_vec();
+        let v = v_flat.get(off..off + n).unwrap_or_default().to_vec();
+        optimizers.push(Optimizer::from_state(kind, m, v, t));
+        off += n;
+    }
     Ok((stages, optimizers))
 }
 
@@ -329,23 +286,28 @@ mod tests {
         t.stages
     }
 
-    #[test]
-    fn roundtrip_is_bitexact() {
+    /// Magic, version, five config words, the causal flag, seed and
+    /// parameter count: where the parameters start.
+    const HEADER: usize = 8 + 5 * 8 + 1 + 8 + 8;
+
+    /// A trained D=2 model with momentum-SGD state, and its checkpoint.
+    fn saved() -> (Vec<Stage>, Bytes) {
         let stages = trained_model();
-        let bytes = save(&stages);
-        let restored = load(&bytes, 2).unwrap();
-        let a: Vec<f32> = stages.iter().flat_map(Stage::params).collect();
-        let b: Vec<f32> = restored.iter().flat_map(Stage::params).collect();
-        assert_eq!(a, b);
+        let optimizers: Vec<Optimizer> = stages
+            .iter()
+            .map(|s| Optimizer::new(OptimizerKind::Sgd { momentum: 0.9 }, s.num_params()))
+            .collect();
+        let bytes = save_state(&stages, &optimizers);
+        (stages, bytes)
     }
 
     #[test]
     fn repartition_on_load() {
-        let stages = trained_model(); // trained as D=2
-        let bytes = save(&stages);
+        let (stages, bytes) = saved(); // trained as D=2
         for depth in [1u32, 2, 4] {
-            let restored = load(&bytes, depth).unwrap();
+            let (restored, optimizers) = load_state(&bytes, depth).unwrap();
             assert_eq!(restored.len(), depth as usize);
+            assert_eq!(optimizers.len(), depth as usize);
             let a: Vec<f32> = stages.iter().flat_map(Stage::params).collect();
             let b: Vec<f32> = restored.iter().flat_map(Stage::params).collect();
             assert_eq!(a, b, "depth {depth}");
@@ -354,36 +316,65 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        assert_eq!(load(b"nope", 2).unwrap_err(), CheckpointError::Truncated);
-        let mut bytes = save(&trained_model()).to_vec();
+        assert_eq!(
+            load_state(b"nope", 2).unwrap_err(),
+            CheckpointError::Truncated
+        );
+        let mut bytes = saved().1.to_vec();
         bytes[0] ^= 0xFF;
-        assert_eq!(load(&bytes, 2).unwrap_err(), CheckpointError::BadMagic);
+        assert_eq!(
+            load_state(&bytes, 2).unwrap_err(),
+            CheckpointError::BadMagic
+        );
     }
 
     #[test]
     fn truncation_detected() {
-        let bytes = save(&trained_model());
-        let cut = &bytes[..bytes.len() - 4];
+        // Cut inside the parameters: fewer floats than the stored count.
+        let (stages, bytes) = saved();
+        let total: usize = stages.iter().map(Stage::num_params).sum();
+        let cut = &bytes[..HEADER + total * 4 - 4];
         assert!(matches!(
-            load(cut, 2),
+            load_state(cut, 2),
             Err(CheckpointError::ShapeMismatch { .. })
         ));
     }
 
     #[test]
     fn bad_depth_rejected() {
-        let bytes = save(&trained_model());
-        assert_eq!(load(&bytes, 3).unwrap_err(), CheckpointError::BadDepth(3));
-        assert_eq!(load(&bytes, 0).unwrap_err(), CheckpointError::BadDepth(0));
+        let bytes = saved().1;
+        assert_eq!(
+            load_state(&bytes, 3).unwrap_err(),
+            CheckpointError::BadDepth(3)
+        );
+        assert_eq!(
+            load_state(&bytes, 0).unwrap_err(),
+            CheckpointError::BadDepth(0)
+        );
     }
 
     #[test]
     fn version_checked() {
-        let mut bytes = save(&trained_model()).to_vec();
+        let mut bytes = saved().1.to_vec();
         bytes[4] = 99;
         assert_eq!(
-            load(&bytes, 2).unwrap_err(),
+            load_state(&bytes, 2).unwrap_err(),
             CheckpointError::BadVersion(99)
+        );
+    }
+
+    /// The retired parameters-only format (version 1: the header and the
+    /// parameters, nothing after them) is refused by its version, not
+    /// decoded.
+    #[test]
+    fn version_1_is_refused() {
+        let (stages, bytes) = saved();
+        let total: usize = stages.iter().map(Stage::num_params).sum();
+        let mut v1 = bytes[..HEADER + total * 4].to_vec();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            load_state(&v1, 2).unwrap_err(),
+            CheckpointError::BadVersion(1)
         );
     }
 
@@ -391,10 +382,10 @@ mod tests {
     fn stored_config_shape_mismatch_detected() {
         // Corrupt the stored hidden size: the config then disagrees with the
         // stored parameter count.
-        let mut bytes = save(&trained_model()).to_vec();
+        let mut bytes = saved().1.to_vec();
         bytes[16] = bytes[16].wrapping_add(8); // hidden u64 at offset 16
         assert!(matches!(
-            load(&bytes, 2),
+            load_state(&bytes, 2),
             Err(CheckpointError::ShapeMismatch { .. })
         ));
     }
@@ -465,29 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn load_accepts_state_checkpoints() {
-        let stages = trained_model();
-        let optimizers: Vec<Optimizer> = stages
-            .iter()
-            .map(|s| Optimizer::new(OptimizerKind::Sgd { momentum: 0.9 }, s.num_params()))
-            .collect();
-        let bytes = save_state(&stages, &optimizers);
-        let restored = load(&bytes, 2).unwrap();
-        let a: Vec<f32> = stages.iter().flat_map(Stage::params).collect();
-        let b: Vec<f32> = restored.iter().flat_map(Stage::params).collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn load_state_rejects_v1() {
-        let bytes = save(&trained_model());
-        assert_eq!(
-            load_state(&bytes, 2).unwrap_err(),
-            CheckpointError::MissingState
-        );
-    }
-
-    #[test]
     fn truncated_state_section_detected() {
         let stages = trained_model();
         let optimizers: Vec<Optimizer> = stages
@@ -501,16 +469,10 @@ mod tests {
 
     #[test]
     fn unknown_optimizer_tag_rejected() {
-        let stages = trained_model();
-        let optimizers: Vec<Optimizer> = stages
-            .iter()
-            .map(|s| Optimizer::new(OptimizerKind::Sgd { momentum: 0.0 }, s.num_params()))
-            .collect();
-        let bytes = save_state(&stages, &optimizers).to_vec();
+        let (stages, bytes) = saved();
         let total: usize = stages.iter().map(Stage::num_params).sum();
-        let tag_off = 8 + 5 * 8 + 1 + 8 + 8 + total * 4;
-        let mut bytes = bytes;
-        bytes[tag_off] = 7;
+        let mut bytes = bytes.to_vec();
+        bytes[HEADER + total * 4] = 7;
         assert_eq!(
             load_state(&bytes, 2).unwrap_err(),
             CheckpointError::UnknownOptimizer(7)

@@ -37,10 +37,7 @@ pub mod stage;
 
 pub use attention::Attention;
 pub use block::{LayerNorm, TransformerBlock};
-pub use checkpoint::{
-    load as load_checkpoint, load_state as load_checkpoint_state, save as save_checkpoint,
-    save_state as save_checkpoint_state, CheckpointError,
-};
+pub use checkpoint::CheckpointError;
 pub use data::SyntheticData;
 pub use embedding::Embedding;
 pub use head::OutputHead;

@@ -164,7 +164,6 @@ impl TrainConfig {
             comm_compute_interference: self.cluster.comm_compute_interference,
             p2p_host_overhead_s: self.cluster.p2p_host_overhead_s,
             p2p_host_s_per_byte: self.cluster.p2p_host_s_per_byte,
-            grad_compression: 1.0,
         }
     }
 }

@@ -142,6 +142,18 @@ pub enum TrainError {
         /// Recoveries attempted before giving up.
         recoveries: u32,
     },
+    /// An injected [`crate::KillFault`] fired on this rank of a per-process
+    /// run. That entry point recovers nothing itself: its supervisor
+    /// (`chimera-cli launch`) gang-restarts every rank from the committed
+    /// checkpoint, so no recovery budget is involved.
+    Killed {
+        /// Data-parallel group of the killed worker.
+        group: u32,
+        /// Local worker id of the killed worker.
+        worker: u32,
+        /// Iteration at whose start the kill fired.
+        iteration: u32,
+    },
     /// A worker blocked past its deadline with no detected death to blame —
     /// a lost message or a genuine deadlock. Names the blocked op.
     Timeout {
@@ -207,6 +219,14 @@ impl std::fmt::Display for TrainError {
                 "worker g{group}-w{worker} lost at iteration {iteration} after \
                  {recoveries} recovery attempt(s); recovery budget exhausted"
             ),
+            TrainError::Killed {
+                group,
+                worker,
+                iteration,
+            } => write!(
+                f,
+                "worker g{group}-w{worker} killed by injected fault at iteration {iteration}"
+            ),
             TrainError::Timeout {
                 group,
                 worker,
@@ -247,19 +267,19 @@ impl std::error::Error for TrainError {
     }
 }
 
-/// How a worker's failure reads to the caller of either driver: a kill the
-/// supervisor did not absorb is a lost worker; any other stop is a blocked
-/// wait, named by its op.
+/// How a worker's failure reads to the caller of either driver: a kill is
+/// reported as a kill (`train_hybrid` absorbs its workers' kills and reports
+/// only an exhausted budget, as [`TrainError::WorkerLost`]); any other stop
+/// is a blocked wait, named by its op.
 impl From<WorkerError> for TrainError {
     fn from(e: WorkerError) -> Self {
         let (group, worker, iteration) = e.location();
         let (op, waited) = match e {
             WorkerError::Killed { .. } => {
-                return TrainError::WorkerLost {
+                return TrainError::Killed {
                     group,
                     worker,
                     iteration,
-                    recoveries: 0,
                 }
             }
             WorkerError::RecvTimeout { op, waited, .. } => (op, waited),

@@ -213,7 +213,12 @@ fn exhausted_recovery_budget_reports_worker_lost() {
     let mut o = opts(2);
     o.max_recoveries = 0;
     o.fault = Some(FaultSpec::kill_at(0, 1, 0));
-    match train(&sched, cfg, o).expect_err("budget of zero cannot recover") {
+    let err = train(&sched, cfg, o).expect_err("budget of zero cannot recover");
+    assert!(
+        err.to_string().ends_with("recovery budget exhausted"),
+        "{err}"
+    );
+    match err {
         TrainError::WorkerLost {
             group,
             worker,

@@ -67,10 +67,6 @@ pub struct SimCostModel {
     pub p2p_host_overhead_s: f64,
     /// Host-side cost per p2p message endpoint: per-byte part (CPU copy).
     pub p2p_host_s_per_byte: f64,
-    /// Gradient-compression wire ratio applied to the allreduce payload
-    /// (1.0 = dense fp32; e.g. ~0.14 for 4-bit QSGD — the paper's stated
-    /// future work, §5). Compute costs of encode/decode are not modeled.
-    pub grad_compression: f64,
 }
 
 const NS: f64 = 1e9;
@@ -97,10 +93,9 @@ impl SimCostModel {
             alpha_s: self.network.inter.alpha_s,
             beta_s_per_byte: self.network.inter.beta_s_per_byte * self.allreduce_beta_factor,
         };
-        let bytes = (self.stages[stage.idx()].param_bytes as f64 * self.grad_compression) as u64;
         allreduce_time(
             self.allreduce_algo,
-            bytes,
+            self.stages[stage.idx()].param_bytes,
             self.allreduce_participants,
             link,
         )
@@ -228,7 +223,6 @@ mod tests {
             comm_compute_interference: 0.0,
             p2p_host_overhead_s: 0.0,
             p2p_host_s_per_byte: 0.0,
-            grad_compression: 1.0,
         }
     }
 

@@ -431,7 +431,6 @@ mod tests {
             comm_compute_interference: 0.0,
             p2p_host_overhead_s: 0.0,
             p2p_host_s_per_byte: 0.0,
-            grad_compression: 1.0,
         }
     }
 

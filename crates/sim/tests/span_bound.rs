@@ -72,7 +72,6 @@ fn preset_cost(scenario: &NetScenario, d: u32) -> SimCostModel {
         comm_compute_interference: 0.6,
         p2p_host_overhead_s: 1e-3,
         p2p_host_s_per_byte: 1.0 / 5e9,
-        grad_compression: 1.0,
     }
 }
 

@@ -148,32 +148,6 @@ impl Tensor {
         out
     }
 
-    /// `self @ other` with a per-element zero skip — the sparse-aware entry
-    /// point for embedding-style inputs (one-hot / mostly-zero rows), where
-    /// skipping whole AXPY rows beats the dense kernel by the sparsity
-    /// factor. On dense data the data-dependent branch defeats
-    /// vectorization; use [`Tensor::matmul`]. (`fig_kernels` benches both
-    /// on 95%-zero input to keep this trade-off measured.)
-    pub fn matmul_zero_skip(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = Tensor::zeros(m, n);
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            for (kk, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &other.data[kk * n..(kk + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
-    }
-
     /// `selfᵀ @ other` — `[k,m]ᵀ x [k,n] -> [m,n]` without materializing the
     /// transpose (the `dW = Xᵀ dY` pattern of linear-layer backward).
     pub fn t_matmul(&self, other: &Tensor) -> Tensor {
@@ -251,23 +225,6 @@ impl Tensor {
         for r in 0..self.rows {
             for (a, b) in self.row_mut(r).iter_mut().zip(bias) {
                 *a += b;
-            }
-        }
-    }
-
-    /// Column sums (`[1, cols]` as a plain vector) — the bias gradient.
-    pub fn sum_rows(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.cols];
-        self.sum_rows_into(&mut out);
-        out
-    }
-
-    /// `out += ` column sums, accumulating into a caller-owned slice.
-    pub fn sum_rows_into(&self, out: &mut [f32]) {
-        assert_eq!(out.len(), self.cols, "sum_rows_into size mismatch");
-        for r in 0..self.rows {
-            for (o, &v) in out.iter_mut().zip(self.row(r)) {
-                *o += v;
             }
         }
     }
@@ -388,21 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_skip_matches_dense_on_sparse_input() {
-        let mut rng = Rng::new(17);
-        let mut a = Tensor::normal(6, 8, 1.0, &mut rng);
-        for i in 0..a.len() {
-            if i % 3 != 0 {
-                a.data_mut()[i] = 0.0;
-            }
-        }
-        let b = Tensor::normal(8, 5, 1.0, &mut rng);
-        let dense = a.matmul(&b);
-        let sparse = a.matmul_zero_skip(&b);
-        assert!(dense.max_abs_diff(&sparse) < 1e-5);
-    }
-
-    #[test]
     fn acc_variants_match_allocating_ones() {
         let mut rng = Rng::new(23);
         let x = Tensor::normal(7, 4, 1.0, &mut rng);
@@ -410,9 +352,6 @@ mod tests {
         let mut acc = vec![0.0f32; 4 * 5];
         x.t_matmul_acc(&dy, &mut acc);
         assert_eq!(acc, x.t_matmul(&dy).data());
-        let mut sums = vec![0.0f32; 5];
-        dy.sum_rows_into(&mut sums);
-        assert_eq!(sums, dy.sum_rows());
     }
 
     #[test]
@@ -430,7 +369,6 @@ mod tests {
         let mut a = t(2, 2, &[1.0, 2.0, 3.0, 4.0]);
         a.add_row_broadcast(&[10.0, 20.0]);
         assert_eq!(a.data(), &[11.0, 22.0, 13.0, 24.0]);
-        assert_eq!(a.sum_rows(), vec![24.0, 46.0]);
     }
 
     #[test]
