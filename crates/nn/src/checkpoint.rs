@@ -16,10 +16,13 @@
 //! parameters-only version 1 included, is refused as
 //! [`CheckpointError::BadVersion`].
 
-/// The little-endian cursor traits checkpoints are written and read through;
-/// re-exported so the runtime's checkpoint and result files use the same ones.
-pub use bytes::{Buf, BufMut};
-use bytes::{Bytes, BytesMut};
+use std::borrow::Borrow;
+
+use bytes::BytesMut;
+/// The little-endian cursor traits checkpoints are written and read through,
+/// and the buffer [`save_state`] returns; re-exported so the runtime's
+/// checkpoint and result files use the same ones.
+pub use bytes::{Buf, BufMut, Bytes};
 
 use crate::optim::{Optimizer, OptimizerKind};
 use crate::stage::{ModelConfig, Stage};
@@ -127,22 +130,20 @@ fn put_header(buf: &mut BytesMut, cfg: &ModelConfig, total: usize) {
     buf.put_u64_le(total as u64);
 }
 
-/// Serialize a full model together with its per-stage optimizer state.
-/// `optimizers[s]` must manage exactly stage `s`'s parameters, and all
-/// stages must share one update rule and step count (true whenever every
-/// stage steps once per training iteration).
-pub fn save_state(stages: &[Stage], optimizers: &[Optimizer]) -> Bytes {
+/// Serialize a full model together with its per-stage optimizer state:
+/// `model[s]` is stage `s` and the optimizer managing exactly its
+/// parameters, owned or borrowed. All stages must share one update rule and
+/// step count (true whenever every stage steps once per training iteration).
+pub fn save_state<S: Borrow<Stage>, O: Borrow<Optimizer>>(model: &[(S, O)]) -> Bytes {
+    let (stages, optimizers): (Vec<&Stage>, Vec<&Optimizer>) = (model.iter())
+        .map(|(s, o)| (s.borrow(), o.borrow()))
+        .unzip();
     assert!(!stages.is_empty(), "cannot checkpoint an empty model");
-    assert_eq!(
-        stages.len(),
-        optimizers.len(),
-        "one optimizer per stage required"
-    );
     let cfg = *stages[0].config();
-    let total: usize = stages.iter().map(Stage::num_params).sum();
+    let total: usize = stages.iter().map(|s| s.num_params()).sum();
     let kind = optimizers[0].kind();
     let (_, _, t) = optimizers[0].state();
-    for (stage, opt) in stages.iter().zip(optimizers) {
+    for (stage, opt) in stages.iter().zip(&optimizers) {
         assert_eq!(
             opt.len(),
             stage.num_params(),
@@ -157,7 +158,7 @@ pub fn save_state(stages: &[Stage], optimizers: &[Optimizer]) -> Bytes {
     };
     let mut buf = BytesMut::with_capacity(96 + total * 4 * per_param);
     put_header(&mut buf, &cfg, total);
-    for stage in stages {
+    for stage in &stages {
         put_f32s(&mut buf, &stage.params());
     }
     match kind {
@@ -173,11 +174,11 @@ pub fn save_state(stages: &[Stage], optimizers: &[Optimizer]) -> Bytes {
         }
     }
     buf.put_u64_le(t);
-    for opt in optimizers {
+    for opt in &optimizers {
         put_f32s(&mut buf, opt.state().0);
     }
     if matches!(kind, OptimizerKind::Adam { .. }) {
-        for opt in optimizers {
+        for opt in &optimizers {
             put_f32s(&mut buf, opt.state().1);
         }
     }
@@ -297,7 +298,8 @@ mod tests {
             .iter()
             .map(|s| Optimizer::new(OptimizerKind::Sgd { momentum: 0.9 }, s.num_params()))
             .collect();
-        let bytes = save_state(&stages, &optimizers);
+        let model: Vec<_> = stages.iter().zip(&optimizers).collect();
+        let bytes = save_state(&model);
         (stages, bytes)
     }
 
@@ -414,7 +416,8 @@ mod tests {
                 stage.set_params(&params);
             }
         }
-        let bytes = save_state(&stages, &optimizers);
+        let model: Vec<_> = stages.iter().zip(&optimizers).collect();
+        let bytes = save_state(&model);
         let (restored, ropts) = load_state(&bytes, load_depth).unwrap();
         assert_eq!(restored.len(), load_depth as usize);
         assert_eq!(ropts.len(), load_depth as usize);
@@ -462,7 +465,8 @@ mod tests {
             .iter()
             .map(|s| Optimizer::new(OptimizerKind::adam(), s.num_params()))
             .collect();
-        let bytes = save_state(&stages, &optimizers);
+        let model: Vec<_> = stages.iter().zip(&optimizers).collect();
+        let bytes = save_state(&model);
         let cut = &bytes[..bytes.len() - 4];
         assert_eq!(load_state(cut, 2).unwrap_err(), CheckpointError::Truncated);
     }

@@ -1,54 +1,52 @@
-//! Multi-process training: the per-process worker entry point behind
-//! `chimera-cli launch` / `chimera-cli worker`.
+//! The per-rank entry point, and the one training loop behind every run.
 //!
-//! Every OS process owns exactly one pipeline worker (one transport rank);
-//! [`train_worker_process`] builds that worker against any
-//! [`chimera_comm::Transport`] endpoint — the TCP backend for real
-//! multi-process runs, the local backend in tests — wires its gradient
-//! synchronization through [`chimera_collectives::TransportKeyed`], runs the
-//! whole schedule, and gathers results at rank 0 over the control plane.
-//!
-//! Determinism is preserved end to end: stage initialization, data order,
-//! and the keyed-ordered reduction are all identical to the in-process
-//! [`crate::train_hybrid`] path, so a distributed run's final parameters are
-//! **bit-identical** to the threaded run's (and therefore to sequential
-//! SGD).
+//! A run is `W·D` ranks (§3.3), one pipeline worker each, rank `group · D +
+//! local worker id`. Every rank runs `run_rank`: train a segment of
+//! [`TrainOptions::checkpoint_every`] iterations, ship rank 0 the losses and
+//! the parameters of every `(replica, stage)` copy held — the optimizer
+//! moments too from the copy that keeps its stage (its first holder in rank
+//! order) — and go on. Rank 0 checks each copy against the kept one as it
+//! arrives, then commits the losses so far and the canonical model with its
+//! optimizer state as [`chimera_nn::checkpoint::save_state`] bytes. Only the
+//! fabric differs: rank threads over a [`chimera_comm::LocalFabric`]
+//! ([`crate::train_hybrid`]) reduce through in-process
+//! [`chimera_collectives::keyed_group`] members and commit to the
+//! supervisor's memory; rank processes ([`train_worker_process`]) reduce
+//! through [`chimera_collectives::TransportKeyed`] and, with a
+//! [`RecoverySpec`], commit `dir/run.ckpt` (written as `run.ckpt.tmp` and
+//! renamed over it: the rename is the commit), else run one segment. Stage
+//! initialization, data order and the keyed-ordered reduction are the same
+//! under either, so the final parameters are **bit-identical** across
+//! fabrics, and to sequential SGD.
 //!
 //! # Cross-process recovery
 //!
-//! With a [`RecoverySpec`], training proceeds in **segments** of `every`
-//! iterations, and the gather that ends every run also ends every segment:
-//! each rank ships rank 0 its segment losses and the parameters **and**
-//! optimizer moments of every `(replica, stage)` copy it holds. Rank 0
-//! checks that the copies agree, then writes one file, `dir/run.ckpt`: the
-//! run's per-iteration losses so far, followed by the canonical model and its
-//! optimizer state as [`chimera_nn::checkpoint::save_state`] bytes — the state
-//! the in-process supervisor keeps. It writes `run.ckpt.tmp` and renames it
-//! over the previous file; the rename is the commit. On `resume`, every rank
-//! reads that file, restores it with [`chimera_nn::checkpoint::load_state`]
-//! and takes its held stages from it the way the in-process supervisor does
-//! after a death, then replays deterministically — so the restarted run's
-//! final parameters are bit-identical to an uninterrupted one. A resume that
-//! finds every iteration committed runs no worker: rank 0 answers from the
-//! file. A cross-process supervisor (`chimera-cli launch`) drives this: it
-//! detects a dead rank via exit codes and the transport failure detector,
-//! kills the stragglers, and gang-restarts every worker with `resume` set.
+//! On `resume`, every rank restores the committed file and takes its held
+//! stages from it as the in-process supervisor does after a death, then
+//! replays deterministically, bit-identically to an uninterrupted run. A
+//! resume that finds every iteration committed runs no worker: rank 0
+//! answers from the file. `chimera-cli launch` drives this: it detects a
+//! dead rank via exit codes and the transport failure detector, kills the
+//! stragglers, and gang-restarts every worker with `resume` set.
 
-use std::borrow::Cow;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use chimera_collectives::TransportKeyed;
 use chimera_comm::{KeyedReduce, MsgKey, Payload, Rank, Transport};
+use chimera_core::program::Program;
 use chimera_core::schedule::Schedule;
 use chimera_core::WorkerId;
-use chimera_nn::checkpoint::{self, get_f32s, put_f32s, take, Buf, BufMut};
+use chimera_nn::checkpoint::{self, get_f32s, put_f32s, take, Buf, BufMut, Bytes};
 use chimera_nn::{CheckpointError, ModelConfig, Optimizer, OptimizerKind, Stage, SyntheticData};
+use chimera_trace::{now_ns, MetricsRegistry, SpanKind};
 
-use crate::error::TrainError;
-use crate::setup::{assemble, configure, hand_out, reducer_members};
-use crate::worker::{SegmentSpec, TrainOptions, Worker};
+use crate::error::{TrainError, WorkerError};
+use crate::mem::MemReport;
+use crate::runtime::SupervisorTrace;
+use crate::setup::{check_fabric, configure, hand_out, iteration_means, reducer_members, Run};
+use crate::worker::{Held, TrainOptions, Worker};
 
 // The gather keys below are the same for every segment of a run. Inboxes are
 // FIFO per key, so rank 0 reads each rank's segments in the order they were
@@ -67,7 +65,8 @@ fn stage_tag(replica: u32, stage: u32) -> u32 {
 }
 
 /// Control-plane tag for the optimizer moments of one `(replica, stage)`
-/// copy, shipped only when a checkpoint is due.
+/// copy, shipped only by the copy that keeps its stage, and only when a
+/// commit is due.
 fn moments_tag(replica: u32, stage: u32) -> u32 {
     stage_tag(replica, stage) | 1 << 15
 }
@@ -126,16 +125,14 @@ impl DistOutcome {
     }
 }
 
-/// How a worker process checkpoints for — and resumes after — a
-/// cross-process failure. See the module docs for the commit protocol.
+/// Where a worker process commits — and what it resumes from after a
+/// cross-process failure. The cadence is [`TrainOptions::checkpoint_every`];
+/// see the module docs for the commit protocol.
 #[derive(Debug, Clone)]
 pub struct RecoverySpec {
     /// Directory shared by all ranks (same host or shared filesystem)
     /// holding the committed checkpoint, which rank 0 writes.
     pub dir: PathBuf,
-    /// Segment length in iterations (a checkpoint after each). Zero means
-    /// one segment for the whole run (checkpoint only at the end).
-    pub every: u32,
     /// Restore the committed checkpoint in `dir` and replay from it. With
     /// no checkpoint there the run starts fresh.
     pub resume: bool,
@@ -159,7 +156,7 @@ pub fn train_worker_process(
     train_worker_process_recoverable(ep, sched, cfg, opts, w, None)
 }
 
-/// [`train_worker_process`] with segment checkpointing and resume — the
+/// [`train_worker_process`] with a committed checkpoint and resume — the
 /// worker half of the cross-process recovery protocol.
 pub fn train_worker_process_recoverable(
     ep: Arc<dyn Transport>,
@@ -170,186 +167,355 @@ pub fn train_worker_process_recoverable(
     recovery: Option<&RecoverySpec>,
 ) -> Result<Option<DistOutcome>, TrainError> {
     let mut run = configure(sched, cfg, &opts)?;
-    let per_group = sched.num_workers() as u32;
-    if ep.world() != per_group * w {
-        return Err(TrainError::FabricSize {
-            world: ep.world(),
-            expected: per_group * w,
-        });
-    }
+    check_fabric(sched, w, ep.world())?;
     let rank = ep.rank();
-    let group = rank / per_group;
-    let wid = WorkerId(rank % per_group);
-    let program = &run.programs[wid.idx()];
-    let kind = opts.optimizer_kind();
-    let iterations = opts.iterations;
+    let program = run.programs[(rank % sched.num_workers() as u32) as usize].clone();
 
     // The canonical state at iteration 0, or the one rank 0 last committed
     // (ranks that got further before the crash roll back with everyone).
     let resumed = match recovery.filter(|r| r.resume) {
-        Some(rec) => read_checkpoint(&rec.dir.join(CHECKPOINT_FILE), cfg, kind, sched.d)?,
+        Some(rec) => read_checkpoint(&rec.dir, cfg, opts.optimizer_kind(), sched.d)?,
         None => None,
     };
+    let replay = resumed.is_some();
     let built = std::mem::take(&mut run.stages);
-    let (mut iteration_losses, canon): (Vec<f32>, Vec<(Stage, Optimizer)>) = match resumed {
-        Some((losses, stages, optimizers)) => {
-            drop(built);
-            (losses, stages.into_iter().zip(optimizers).collect())
-        }
-        None => {
-            let fresh = built.into_iter().map(|stage| {
-                let opt = Optimizer::new(kind, stage.num_params());
-                (stage, opt)
-            });
-            (Vec::new(), fresh.collect())
-        }
-    };
-    let mut done = iteration_losses.len() as u32;
-    if done > iterations {
+    let (losses, canon) = resumed.unwrap_or_else(|| (Vec::new(), built));
+    let done = losses.len() as u32;
+    if done > opts.iterations {
         let longer = CheckpointError::NotThisRun("more iterations than this run has");
         return Err(longer.into());
     }
-    if done == iterations {
+    if done == opts.iterations {
         // Every iteration is committed (or none asked for): nothing to run.
         let flat_params = canon.iter().flat_map(|(stage, _)| stage.params()).collect();
         return Ok((rank == 0).then_some(DistOutcome {
-            iteration_losses,
+            iteration_losses: losses,
             flat_params,
         }));
     }
     // This worker's held stages, moved out of the `D` canonical ones; the
     // rest are dropped here.
-    let mut stages: Vec<(u32, u32, Stage, Optimizer)> =
-        (hand_out(canon, &[&program.held]).into_iter().flatten())
-            .map(|(r, s, (stage, opt))| (r, s, stage, opt))
-            .collect();
+    let held = hand_out(canon, &[&program.held]).pop().unwrap_or_default();
+    let sync = (program.reducer_stages.iter())
+        .map(|&s| {
+            let member = TransportKeyed::new(ep.clone(), s, reducer_members(sched, s, w));
+            (s, Box::new(member) as Box<dyn KeyedReduce>)
+        })
+        .collect();
+    let job = Job {
+        sched,
+        cfg,
+        opts,
+        w,
+        run: &run,
+        store: recovery.map_or(Store::None, |rec| {
+            Store::File(rec.dir.join(CHECKPOINT_FILE))
+        }),
+        replay,
+    };
+    let ranked = run_rank(&job, ep, sync, held, losses).map_err(TrainError::from)?;
+    Ok(ranked
+        .outcome
+        .map(|(iteration_losses, stages)| DistOutcome {
+            iteration_losses,
+            flat_params: stages.iter().flat_map(Stage::params).collect(),
+        }))
+}
 
-    // Rank 0's model to commit from, built at its first commit.
-    let mut model: Option<Vec<Stage>> = None;
-    let mut flat_params = Vec::new();
-    while done < iterations {
-        let len = match recovery {
-            Some(rec) if rec.every > 0 => rec.every.min(iterations - done),
-            _ => iterations - done,
-        };
-        let seg = SegmentSpec {
-            start_iter: done,
-            iterations: len,
-        };
-        // One keyed-ordered allreduce group per held stage, rebuilt per
-        // segment so a replayed segment restarts its rounds from zero on
-        // every rank.
-        let sync = (program.reducer_stages.iter())
-            .map(|&s| {
-                let members = reducer_members(sched, s, w);
-                (
-                    s,
-                    Box::new(TransportKeyed::new(ep.clone(), s, members)) as Box<dyn KeyedReduce>,
-                )
-            })
-            .collect();
-        let worker = Worker::new(
-            wid,
-            program.clone(),
-            run.pool_plans[wid.idx()].clone(),
-            group,
-            w,
-            stages,
-            sync,
-            ep.clone(),
-            SyntheticData::new(cfg, opts.data_seed),
-            opts.clone(),
-            seg,
-        );
-        let result = worker.run()?;
-        stages = result.stages;
+/// Where rank 0 commits after every segment.
+pub(crate) enum Store<'a> {
+    /// Nowhere: the run is one segment.
+    None,
+    /// The in-process supervisor's memory: the losses so far and the
+    /// [`checkpoint::save_state`] bytes.
+    Memory(&'a Mutex<Option<(Vec<f32>, Bytes)>>),
+    /// A file, `dir/run.ckpt` of a [`RecoverySpec`].
+    File(PathBuf),
+}
+
+/// What every rank of one attempt at a run shares.
+pub(crate) struct Job<'a> {
+    pub sched: &'a Schedule,
+    pub cfg: ModelConfig,
+    pub opts: TrainOptions,
+    pub w: u32,
+    pub run: &'a Run,
+    pub store: Store<'a>,
+    /// Restarted from a commit: rank 0 traces its first segment as a replay.
+    pub replay: bool,
+}
+
+/// Why a rank stopped early.
+pub(crate) enum Stop {
+    /// Its worker's own report, which the in-process supervisor classifies.
+    Worker(WorkerError),
+    /// The gather or the commit around the worker failed.
+    Run(TrainError),
+}
+
+impl From<Stop> for TrainError {
+    fn from(stop: Stop) -> Self {
+        match stop {
+            Stop::Worker(e) => e.into(),
+            Stop::Run(e) => e,
+        }
+    }
+}
+
+/// What a rank returns when the run is done.
+pub(crate) struct Ranked {
+    /// Rank 0's: the per-iteration losses and the `D` canonical stages.
+    pub outcome: Option<(Vec<f32>, Vec<Stage>)>,
+    /// The copies no outcome keeps, dropped by the caller: on the
+    /// supervisor's thread, whose pool then serves the next run's
+    /// [`hand_out`] clones.
+    pub _spare: Vec<Stage>,
+    /// The worker's tracked memory over its first segment.
+    pub mem: Option<MemReport>,
+}
+
+/// One rank's share of a run, from `iteration_losses.len()` committed
+/// iterations to the end: train a segment, ship rank 0 this rank's losses
+/// and copies (rank 0 gathers, checks and commits them), repeat. `held` is
+/// this rank's slice of the canonical state ([`hand_out`]), `sync` one
+/// reducer member from the fabric per stage it holds.
+pub(crate) fn run_rank(
+    job: &Job<'_>,
+    ep: Arc<dyn Transport>,
+    sync: Vec<(u32, Box<dyn KeyedReduce>)>,
+    held: Vec<(u32, u32, (Stage, Optimizer))>,
+    iteration_losses: Vec<f32>,
+) -> Result<Ranked, Stop> {
+    let (sched, opts) = (job.sched, &job.opts);
+    let per_group = sched.num_workers() as u32;
+    let rank = ep.rank();
+    let wid = WorkerId(rank % per_group);
+    let mut worker = Worker::new(
+        wid,
+        job.run.programs[wid.idx()].clone(),
+        job.run.pool_plans[wid.idx()].clone(),
+        rank / per_group,
+        job.w,
+        held,
+        sync,
+        ep.clone(),
+        SyntheticData::new(job.cfg, opts.data_seed),
+        opts.clone(),
+    );
+    let mut gather = Gather {
+        job,
+        ep: ep.as_ref(),
+        keepers: keepers(&job.run.programs, sched.d).map_err(Stop::Run)?,
+        commits: !matches!(job.store, Store::None),
+        iteration_losses,
+        rebuilt: (0..sched.d).map(|_| None).collect(),
+        replay: job.replay.then(now_ns),
+    };
+    let cadence = (opts.checkpoint_every)
+        .filter(|&c| c > 0 && gather.commits)
+        .unwrap_or(u32::MAX);
+    let mut done = gather.iteration_losses.len() as u32;
+    let (losses, len) = loop {
+        let len = cadence.min(opts.iterations - done);
+        let losses = worker.run(done, len).map_err(Stop::Worker)?;
         done += len;
-        // A checkpoint is due after every segment of a recoverable run.
-        let ckpt_due = recovery.is_some();
+        if done == opts.iterations {
+            break (losses, len);
+        }
+        gather.segment_end(losses, worker.held(), done, len)?;
+    };
+    // The run is over: everything of the worker but its copies goes before
+    // the last gather allocates, as an exited thread's would.
+    let mem = worker.report;
+    let mut held = worker.into_held();
+    gather.segment_end(losses, &held, done, len)?;
+    let outcome = (rank == 0).then(|| {
+        let stages = (0..sched.d).zip(gather.rebuilt).map(|(s, rebuilt)| {
+            let kept = |h: &Held| (0, h.replica) == gather.keepers[s as usize] && h.stage_id == s;
+            match held.iter().position(kept) {
+                Some(at) => held.swap_remove(at).stage,
+                None => rebuilt.expect("rebuilt at the gather").0,
+            }
+        });
+        (gather.iteration_losses, stages.collect())
+    });
+    let _spare = held.into_iter().map(|h| h.stage).collect();
+    Ok(Ranked {
+        outcome,
+        _spare,
+        mem,
+    })
+}
 
+/// The end of a segment, on either side of the gather.
+struct Gather<'a> {
+    job: &'a Job<'a>,
+    ep: &'a dyn Transport,
+    /// Per stage, the `(rank, replica)` whose copy is canonical.
+    keepers: Vec<(u32, u32)>,
+    /// Whether rank 0 commits after every segment.
+    commits: bool,
+    /// Rank 0's: the run's per-iteration losses so far.
+    iteration_losses: Vec<f32>,
+    /// Rank 0's copy of each stage it does not keep (with its optimizer
+    /// when commits are due), rebuilt from the keeper's.
+    rebuilt: Vec<Option<(Stage, Option<Optimizer>)>>,
+    /// When a replay started, until rank 0 commits it.
+    replay: Option<u64>,
+}
+
+impl Gather<'_> {
+    /// End segment `done − len..done` with this rank's `losses` and
+    /// `copies`. A rank other than 0 ships them: the parameters of every
+    /// copy, and the moments of the copies it keeps when a commit is due. A
+    /// failed send means rank 0 is gone; there is nobody left to report to,
+    /// and the next segment (if any) fails against the dead peer. Rank 0
+    /// gathers every rank's, checks every copy of every stage against the
+    /// kept one as it arrives, and commits.
+    fn segment_end(
+        &mut self,
+        mut losses: Vec<(u64, f32)>,
+        copies: &[Held],
+        done: u32,
+        len: u32,
+    ) -> Result<(), Stop> {
+        let (job, ep, opts) = (self.job, self.ep, &self.job.opts);
+        let (d, per_group) = (job.sched.d, job.sched.num_workers() as u32);
+        let rank = ep.rank();
         if rank != 0 {
-            // Ship this worker's slice to rank 0. A failed send means rank 0
-            // is gone; there is nobody left to report to, and the next
-            // segment (if any) fails against the dead peer.
-            let ship = |tag: u32, payload: Payload| {
+            let send = |tag: u32, payload: Payload| {
                 let _ = ep.send(0, MsgKey::Ctrl { tag, from: rank }, payload);
             };
-            ship(LOSS_TAG, Payload::Losses(result.losses));
-            for (r, s, stage, opt) in &stages {
-                ship(stage_tag(*r, *s), Payload::Flat(stage.params()));
-                if ckpt_due {
-                    ship(moments_tag(*r, *s), Payload::Flat(moments_of(opt)));
+            send(LOSS_TAG, Payload::Losses(losses));
+            for h in copies {
+                let (r, s) = (h.replica, h.stage_id);
+                send(stage_tag(r, s), Payload::Flat(h.stage.params()));
+                if self.commits && self.keepers[s as usize] == (rank, r) {
+                    send(moments_tag(r, s), Payload::Flat(moments_of(&h.opt)));
                 }
             }
-            continue;
+            return Ok(());
         }
-
-        // Rank 0: gather losses and every (replica, stage) copy. A gather
-        // that never completes is rank 0's own blocked wait.
-        let timeout = opts.recv_timeout;
+        // A gather that never completes is rank 0's own blocked wait.
         let gather = |tag: u32, from: Rank| {
             let key = MsgKey::Ctrl { tag, from };
-            ep.recv_deadline(key, timeout)
-                .map_err(|_| TrainError::Timeout {
+            (ep.recv_deadline(key, opts.recv_timeout)).map_err(|_| {
+                Stop::Run(TrainError::Timeout {
                     group: 0,
                     worker: 0,
                     iteration: done,
                     op: format!("gather {}", key.describe()),
-                    waited: timeout,
+                    waited: opts.recv_timeout,
                 })
-        };
-        let mut losses = result.losses;
-        let mut copies: Vec<_> = (stages.iter())
-            .map(|(_, s, stage, opt)| {
-                let m = if ckpt_due {
-                    moments_of(opt)
-                } else {
-                    Vec::new()
-                };
-                (*s, (stage.params(), m))
             })
-            .collect();
+        };
         for from in 1..ep.world() {
             losses.extend(gather(LOSS_TAG, from)?.into_losses());
-            for (r, s) in sched.placement.held_by(WorkerId(from % per_group)) {
-                let params = gather(stage_tag(r.0, s.0), from)?.into_flat();
-                let m = if ckpt_due {
-                    gather(moments_tag(r.0, s.0), from)?.into_flat()
+        }
+        let per_iteration = job.sched.n as usize * job.w as usize;
+        (self.iteration_losses).extend(iteration_means(losses, per_iteration));
+        // Every stage steps once per update, so rank 0's own count is every
+        // stage's.
+        let steps = copies.first().map_or(0, |h| h.opt.steps());
+        let own = |r: u32, s: u32| {
+            let mut copies = copies.iter();
+            let h = copies.find(|h| (h.replica, h.stage_id) == (r, s));
+            h.map(|h| (&h.stage, &h.opt))
+                .expect("rank 0 holds what its program holds")
+        };
+        for s in 0..d {
+            let (keeper, kept) = self.keepers[s as usize];
+            let reference = if keeper == 0 {
+                own(kept, s).0.params()
+            } else {
+                let params = gather(stage_tag(kept, s), keeper)?.into_flat();
+                let (stage, opt) = self.rebuilt[s as usize]
+                    .get_or_insert_with(|| (Stage::build(job.cfg, s, d), None));
+                stage.set_params(&params);
+                if self.commits {
+                    let mut m = gather(moments_tag(kept, s), keeper)?.into_flat();
+                    let v = m.split_off(stage.num_params());
+                    *opt = Some(Optimizer::from_state(opts.optimizer_kind(), m, v, steps));
+                }
+                params
+            };
+            // Each other copy is checked as it arrives, then dropped.
+            let holders = (0..ep.world()).flat_map(|from| {
+                let held = &job.run.programs[(from % per_group) as usize].held;
+                (held.iter())
+                    .filter(move |&&(_, s2)| s2 == s)
+                    .map(move |&(r, _)| (from, r))
+            });
+            for (from, r) in holders.filter(|&copy| copy != (keeper, kept)) {
+                let copy = if from == 0 {
+                    own(r, s).0.params()
                 } else {
-                    Vec::new()
+                    gather(stage_tag(r, s), from)?.into_flat()
                 };
-                copies.push((s.0, (params, m)));
+                if copy != reference {
+                    return Err(Stop::Run(TrainError::ReplicaDivergence { stage: s }));
+                }
             }
         }
-        let per_iteration = sched.n as usize * w as usize;
-        let (seg_losses, canonical) = assemble(sched.d, per_iteration, losses, copies, |c| {
-            Cow::Borrowed(&c.0)
-        })?;
-        iteration_losses.extend(seg_losses);
-        let (params, moments): (Vec<_>, Vec<_>) = canonical.into_iter().unzip();
-        if let Some(rec) = recovery {
-            // Every stage steps once per update, so rank 0's own count is
-            // every stage's.
-            let t = stages.first().map_or(0, |(.., opt)| opt.steps());
-            let model = model.get_or_insert_with(|| Stage::build_all(cfg, sched.d));
-            let optimizers: Vec<Optimizer> = (model.iter_mut().zip(&params).zip(moments))
-                .map(|((stage, p), mut m)| {
-                    stage.set_params(p);
-                    let v = m.split_off(stage.num_params());
-                    Optimizer::from_state(kind, m, v, t)
-                })
-                .collect();
-            let state = checkpoint::save_state(model, &optimizers);
-            commit(&rec.dir.join(CHECKPOINT_FILE), &iteration_losses, &state)?;
+        if !self.commits {
+            return Ok(());
         }
-        if done == iterations {
-            flat_params = params.concat();
+
+        let model: Vec<(&Stage, &Optimizer)> = (0..d)
+            .map(|s| match self.keepers[s as usize] {
+                (0, kept) => own(kept, s),
+                _ => {
+                    let (stage, opt) = self.rebuilt[s as usize].as_ref().expect("rebuilt above");
+                    (stage, opt.as_ref().expect("moments gathered above"))
+                }
+            })
+            .collect();
+        match &job.store {
+            Store::Memory(slot) => {
+                let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
+                // The superseded commit goes first: the two are never needed
+                // together, and each is the size of the model.
+                *slot = None;
+                let state = checkpoint::save_state(&model);
+                *slot = Some((self.iteration_losses.clone(), state));
+            }
+            Store::File(path) => {
+                let state = checkpoint::save_state(&model);
+                commit(path, &self.iteration_losses, &state).map_err(|e| Stop::Run(e.into()))?;
+            }
+            Store::None => unreachable!("commits are due only with a store"),
         }
+        let reg = MetricsRegistry::global();
+        reg.counter("runtime.checkpoint.saves").inc();
+        if let Some(start) = self.replay.take() {
+            reg.counter("runtime.recovery.replayed_iterations")
+                .add(u64::from(len));
+            if let Some(sink) = &opts.trace {
+                let lane = SupervisorTrace {
+                    sink: sink.clone(),
+                    track: ep.world(),
+                };
+                let name = format!("replay i{}..i{done}", done - len);
+                lane.span(SpanKind::Replay, name, start, now_ns());
+            }
+        }
+        Ok(())
     }
-    Ok((rank == 0).then_some(DistOutcome {
-        iteration_losses,
-        flat_params,
-    }))
+}
+
+/// Per stage, the `(rank, replica)` whose copy is the run's canonical one:
+/// the stage's first holder in rank order, always in group 0.
+fn keepers(programs: &[Arc<Program>], d: u32) -> Result<Vec<(u32, u32)>, TrainError> {
+    (0..d)
+        .map(|stage| {
+            (programs.iter().zip(0..))
+                .find_map(|(p, rank)| {
+                    let mut held = p.held.iter();
+                    held.find(|&&(_, s)| s == stage).map(|&(r, _)| (rank, r))
+                })
+                .ok_or(TrainError::MissingStage { stage })
+        })
+        .collect()
 }
 
 /// An optimizer's moments as one flat vector: the first moment, then the
@@ -375,19 +541,21 @@ fn commit(path: &Path, losses: &[f32], state: &[u8]) -> Result<(), CheckpointErr
     std::fs::rename(&tmp, path).map_err(io)
 }
 
-/// A committed checkpoint: per-iteration losses, stages and optimizers.
-type Committed = (Vec<f32>, Vec<Stage>, Vec<Optimizer>);
+/// A restored commit: per-iteration losses, and every stage with its
+/// optimizer.
+type Restored = (Vec<f32>, Vec<(Stage, Optimizer)>);
 
-/// The committed state at `path`, re-partitioned into `depth` stages, or
+/// The state committed in `dir`, re-partitioned into `depth` stages, or
 /// `None` when nothing is committed yet. A file that does not decode, or
 /// that another model or optimizer wrote, is an error.
 fn read_checkpoint(
-    path: &Path,
+    dir: &Path,
     cfg: ModelConfig,
     kind: OptimizerKind,
     depth: u32,
-) -> Result<Option<Committed>, CheckpointError> {
-    let raw = match std::fs::read(path) {
+) -> Result<Option<Restored>, CheckpointError> {
+    let path = dir.join(CHECKPOINT_FILE);
+    let raw = match std::fs::read(&path) {
         Ok(raw) => raw,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(CheckpointError::Io(format!("{}: {e}", path.display()))),
@@ -401,7 +569,7 @@ fn read_checkpoint(
     if optimizers[0].kind() != kind {
         return Err(CheckpointError::NotThisRun("another optimizer"));
     }
-    Ok(Some((losses, stages, optimizers)))
+    Ok(Some((losses, stages.into_iter().zip(optimizers).collect())))
 }
 
 #[cfg(test)]
@@ -422,6 +590,14 @@ mod tests {
             momentum: 0.9,
             data_seed: 11,
             ..TrainOptions::default()
+        }
+    }
+
+    /// [`opts`] committing every `k` iterations.
+    fn every(k: u32, iterations: u32) -> TrainOptions {
+        TrainOptions {
+            checkpoint_every: Some(k),
+            ..opts(iterations)
         }
     }
 
@@ -517,12 +693,11 @@ mod tests {
             let path = dir.join(CHECKPOINT_FILE);
             let rec = |resume| RecoverySpec {
                 dir: dir.clone(),
-                every: 1,
                 resume,
             };
             let full = train_hybrid(&sched, cfg, opts(3), w).unwrap();
             for k in [1, 3] {
-                let got = run_ranks(&sched, cfg, &opts(k), w, world, Some(&rec(false)));
+                let got = run_ranks(&sched, cfg, &every(1, k), w, world, Some(&rec(false)));
                 let outcome = got[0].clone().unwrap().expect("rank 0 assembles");
                 let reference = train_hybrid(&sched, cfg, opts(k), w).unwrap();
                 let raw = std::fs::read(&path).unwrap();
@@ -542,11 +717,11 @@ mod tests {
             }
 
             // Resume after one committed iteration, then resume the finished run.
-            for got in run_ranks(&sched, cfg, &opts(1), w, world, Some(&rec(false))) {
+            for got in run_ranks(&sched, cfg, &every(1, 1), w, world, Some(&rec(false))) {
                 got.unwrap();
             }
             for _ in 0..2 {
-                let got = run_ranks(&sched, cfg, &opts(3), w, world, Some(&rec(true)));
+                let got = run_ranks(&sched, cfg, &every(1, 3), w, world, Some(&rec(true)));
                 let mut got = got.into_iter().map(Result::unwrap);
                 let resumed = got.next().unwrap().expect("rank 0 assembles");
                 assert!(got.all(|o| o.is_none()), "{case}");
@@ -584,7 +759,8 @@ mod tests {
             let optimizers: Vec<_> = (stages.iter())
                 .map(|s| Optimizer::new(kind, s.num_params()))
                 .collect();
-            commit(&path, &[3.5], &checkpoint::save_state(&stages, &optimizers)).unwrap();
+            let model: Vec<_> = stages.iter().zip(&optimizers).collect();
+            commit(&path, &[3.5], &checkpoint::save_state(&model)).unwrap();
             let another = CheckpointError::NotThisRun("another model configuration");
             damaged.push((
                 "another model".into(),
@@ -593,7 +769,7 @@ mod tests {
             ));
             for (what, bytes, expected) in damaged {
                 std::fs::write(&path, bytes).unwrap();
-                for got in run_ranks(&sched, cfg, &opts(3), w, world, Some(&rec(true))) {
+                for got in run_ranks(&sched, cfg, &every(1, 3), w, world, Some(&rec(true))) {
                     let Err(TrainError::Checkpoint(e)) = got else {
                         panic!("{case} {what}: {got:?}");
                     };
@@ -636,6 +812,34 @@ mod tests {
         assert!(rejected(err));
     }
 
+    /// `W = 0` is the same typed error under either fabric — rank threads of
+    /// the in-process supervisor, or a worker process on its endpoint —
+    /// before anything runs.
+    #[test]
+    fn no_data_parallel_group_is_refused_under_either_fabric() {
+        let sched = chimera(&ChimeraConfig::new(2, 2)).unwrap();
+        let cfg = ModelConfig::tiny();
+        let threads = train_hybrid(&sched, cfg, opts(1), 0).expect_err("W = 0");
+        assert_eq!(
+            threads,
+            TrainError::FabricSize {
+                world: 0,
+                expected: 0
+            }
+        );
+        for got in run_ranks(&sched, cfg, &opts(1), 0, 2, None) {
+            let process = got.expect_err("W = 0");
+            assert_eq!(
+                process,
+                TrainError::FabricSize {
+                    world: 2,
+                    expected: 0
+                }
+            );
+            assert!(process.to_string().contains("W = 0"), "{process}");
+        }
+    }
+
     /// A fabric that is not `W·D` ranks is refused on every rank with an
     /// error naming both sizes, not a panic.
     #[test]
@@ -673,7 +877,7 @@ mod tests {
 
         // Round 1: rank 0 (group 0, worker 0) dies at iteration 3 — inside
         // the second 2-iteration segment. Everyone fails fast.
-        let mut round1 = opts(4);
+        let mut round1 = every(2, 4);
         round1.recv_timeout = Duration::from_millis(300);
         round1.fault = Some(FaultSpec {
             kill: Some(KillFault {
@@ -685,7 +889,6 @@ mod tests {
         });
         let rec = |resume| RecoverySpec {
             dir: dir.clone(),
-            every: 2,
             resume,
         };
         let round1 = run_ranks(&sched, cfg, &round1, w, world, Some(&rec(false)));
@@ -706,7 +909,7 @@ mod tests {
 
         // Round 2: gang restart, no fault, resume from the committed
         // segment — the supervisor's respawn path.
-        let mut outcomes = run_ranks(&sched, cfg, &opts(4), w, world, Some(&rec(true)));
+        let mut outcomes = run_ranks(&sched, cfg, &every(2, 4), w, world, Some(&rec(true)));
         let recovered = (outcomes.remove(0).unwrap()).expect("rank 0 assembles the outcome");
         assert!(outcomes.iter().all(|o| matches!(o, Ok(None))));
 

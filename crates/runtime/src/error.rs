@@ -1,8 +1,8 @@
 //! Typed failures of the supervised training runtime.
 //!
-//! Worker threads report [`WorkerError`]s to the supervisor, which either
-//! recovers (checkpoint-restart for worker deaths) or surfaces a
-//! [`TrainError`] to the caller. Nothing in the runtime hangs or panics on a
+//! Workers report [`WorkerError`]s through their rank to the in-process
+//! supervisor, which either recovers (checkpoint-restart for worker deaths)
+//! or surfaces a [`TrainError`] to the caller. Nothing in the runtime hangs or panics on a
 //! lost peer: every blocking wait has a deadline, and every error names the
 //! worker, iteration, and operation involved.
 
@@ -10,8 +10,8 @@ use std::time::Duration;
 
 use chimera_nn::CheckpointError;
 
-/// Why one worker thread stopped early. Internal to the runtime's
-/// supervision loop, but public so tests can exercise workers directly.
+/// Why one worker stopped early: what the in-process supervisor classifies
+/// into a death to recover from or a blocked wait to report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WorkerError {
     /// An injected [`crate::KillFault`] fired on this worker.
@@ -181,8 +181,8 @@ pub enum TrainError {
     },
     /// Saving or restoring a recovery checkpoint failed.
     Checkpoint(CheckpointError),
-    /// The per-process entry point was handed a fabric whose size is not
-    /// `W · D` ranks.
+    /// A run was asked for `W = 0` data-parallel groups, or handed a fabric
+    /// whose size is not `W · D` ranks.
     FabricSize {
         /// Ranks in the fabric.
         world: u32,
@@ -246,6 +246,11 @@ impl std::fmt::Display for TrainError {
                 write!(f, "no worker returned stage {stage}")
             }
             TrainError::Checkpoint(e) => write!(f, "recovery checkpoint failed: {e}"),
+            TrainError::FabricSize { world, expected: 0 } => write!(
+                f,
+                "W = 0 data-parallel groups (the fabric has {world} ranks): a run needs at \
+                 least one"
+            ),
             TrainError::FabricSize { world, expected } => write!(
                 f,
                 "the fabric has {world} ranks, but W·D = {expected} workers need one each"
@@ -267,7 +272,7 @@ impl std::error::Error for TrainError {
     }
 }
 
-/// How a worker's failure reads to the caller of either driver: a kill is
+/// How a worker's failure reads to the caller of a worker process: a kill is
 /// reported as a kill (`train_hybrid` absorbs its workers' kills and reports
 /// only an exhausted budget, as [`TrainError::WorkerLost`]); any other stop
 /// is a blocked wait, named by its op.

@@ -2,9 +2,9 @@
 //!
 //! A [`FaultSpec`] describes deterministic, targeted faults: kill one worker
 //! at a given iteration, or lose / stall one specific p2p boundary message
-//! for good. All three are interpreted in one place, [`crate::Worker`]
+//! for good. All three are interpreted in one place, the worker
 //! (iteration start for kills, `send` for message faults), so they behave
-//! the same over every transport and under either driver, and a faulty run
+//! the same over every fabric and transport, and a faulty run
 //! is exactly reproducible — which is what lets the recovery tests assert
 //! bit-identical final parameters against the fault-free run. Faults
 //! *beneath* the session (loss healed by retransmit, duplication, reorder,

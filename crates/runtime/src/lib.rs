@@ -27,4 +27,4 @@ pub use error::{TrainError, WorkerError};
 pub use fault::{FaultSpec, KillFault, MsgFault};
 pub use mem::{MemReport, ModelFootprint, WorkerMemPlan};
 pub use runtime::{train, train_hybrid, TrainResult};
-pub use worker::{SegmentSpec, TrainOptions, Worker, WorkerResult};
+pub use worker::TrainOptions;

@@ -12,7 +12,7 @@
 //! * [`plan`] prices the lowered programs — the rows the workers are about to
 //!   execute — expands each statically-live buffer into its pool size-class
 //!   census and takes the max-overlap per class: the number of same-class
-//!   buffers ever held concurrently. [`crate::worker::Worker`] pre-warms its
+//!   buffers ever held concurrently. Each worker pre-warms its
 //!   thread-local pool to that plan, so even the cold first micro-batch
 //!   allocates nothing.
 //! * [`MemTracker`] measures the same buffers op for op inside the worker;

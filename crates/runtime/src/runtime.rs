@@ -1,44 +1,38 @@
-//! Orchestration and supervision: spawn one thread per pipeline worker,
-//! wire transport endpoints ([`chimera_comm::LocalFabric`]) and allreduce
-//! groups, execute a schedule for several training iterations, and
-//! reassemble the model.
-//!
-//! Supports the paper's hybrid of pipeline and data parallelism (§3.3): the
-//! bidirectional pipeline group of `D` workers is replicated `W` times
-//! (`P = W·D` threads); point-to-point communication stays within a group,
-//! while each stage's gradient allreduce spans all `2f·W` replicas.
+//! The in-process supervisor: a run's `W·D` ranks (§3.3) as threads of
+//! this process over a [`chimera_comm::LocalFabric`], each running the one
+//! per-rank loop ([`crate::dist`]) with in-process keyed allreduce members.
+//! The bidirectional pipeline group of `D` workers is replicated `W` times;
+//! point-to-point communication stays within a group, while each stage's
+//! gradient allreduce spans all `2f·W` replicas.
 //!
 //! # Supervised recovery
 //!
-//! Training proceeds in **segments** of [`TrainOptions::checkpoint_every`]
-//! iterations. After each segment the supervisor verifies replica
-//! agreement and snapshots parameters *and* optimizer state via
-//! [`chimera_nn::checkpoint`]. When a worker dies mid-segment (an injected
-//! [`crate::KillFault`] or a panic), its peers' deadlined waits unblock,
-//! the supervisor restores every stage from the last checkpoint, and the
-//! segment is replayed — deterministic data order and keyed-ordered
-//! reduction make the recovered run **bit-identical** to a fault-free one.
-//! Blocked waits with no detected death (a lost message) surface as
-//! [`TrainError::Timeout`] naming the blocked op.
+//! Rank 0 commits the run to the supervisor's memory after every segment of
+//! [`TrainOptions::checkpoint_every`] iterations: the losses so far and the
+//! model's parameters *and* optimizer state as [`chimera_nn::checkpoint`]
+//! bytes. When a rank dies mid-run (an injected [`crate::KillFault`] or a
+//! panic), its peers' deadlined waits unblock, and the supervisor restarts
+//! every rank from the last commit — deterministic data order and
+//! keyed-ordered reduction make the recovered run **bit-identical** to a
+//! fault-free one. Blocked waits with no detected death (a lost message)
+//! surface as [`TrainError::Timeout`] naming the blocked op.
 
-use std::borrow::Cow;
-use std::sync::Arc;
-use std::thread;
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::{self, ScopedJoinHandle};
 
 use chimera_collectives::keyed_group;
 use chimera_comm::{KeyedReduce, LocalFabric, Transport};
-use chimera_core::program::Program;
 use chimera_core::schedule::Schedule;
-use chimera_core::WorkerId;
 use chimera_nn::checkpoint;
-use chimera_nn::{ModelConfig, Optimizer, Stage, SyntheticData};
+use chimera_nn::{ModelConfig, Optimizer, Stage};
 use chimera_tensor::{kernels, pool};
 use chimera_trace::{now_ns, CounterEvent, Event, MetricsRegistry, SpanEvent, SpanKind, TraceSink};
 
+use crate::dist::{run_rank, Job, Ranked, Stop, Store};
 use crate::error::{TrainError, WorkerError};
 use crate::mem::MemReport;
-use crate::setup::{assemble, configure, hand_out, reducer_members};
-use crate::worker::{SegmentSpec, TrainOptions, Worker};
+use crate::setup::{check_fabric, configure, hand_out, reducer_members};
+use crate::worker::TrainOptions;
 
 /// Outcome of a pipelined training run.
 pub struct TrainResult {
@@ -50,9 +44,10 @@ pub struct TrainResult {
     /// Checkpoint-restart recoveries the supervisor performed.
     pub recoveries: u32,
     /// Per-worker tracked-memory reports for pipeline group 0 (ordered by
-    /// local worker id), captured from the first — cold — segment. The
-    /// high-water mark is comparable element-for-element with the static
-    /// liveness analysis ([`crate::mem::plan`]).
+    /// local worker id), captured from the first — cold — segment of the
+    /// attempt that finished. The high-water mark is comparable
+    /// element-for-element with the static liveness analysis
+    /// ([`crate::mem::plan`]).
     pub mem: Vec<MemReport>,
 }
 
@@ -105,15 +100,16 @@ pub fn train(
     train_hybrid(sched, cfg, opts, 1)
 }
 
-/// The supervisor's own trace lane (track id = worker count at launch, so
-/// it sits below the worker lanes in the Chrome view).
-struct SupervisorTrace {
-    sink: Arc<dyn TraceSink>,
-    track: u32,
+/// The run's own trace lane (track id = the `W·D` rank count, so it sits
+/// below the worker lanes in the Chrome view): the supervisor's detections
+/// and restores, rank 0's replays.
+pub(crate) struct SupervisorTrace {
+    pub sink: Arc<dyn TraceSink>,
+    pub track: u32,
 }
 
 impl SupervisorTrace {
-    fn span(&self, kind: SpanKind, name: String, start_ns: u64, end_ns: u64) {
+    pub(crate) fn span(&self, kind: SpanKind, name: String, start_ns: u64, end_ns: u64) {
         self.sink.record(Event::Span(SpanEvent {
             kind,
             name,
@@ -140,156 +136,125 @@ impl SupervisorTrace {
 }
 
 /// Execute `sched` replicated over `w` data-parallel pipeline groups
-/// (`P = w·D` threads). Every stage replica starts from the
+/// (`P = w·D` rank threads). Every stage replica starts from the
 /// partition-independent deterministic initialization; gradient
 /// synchronization across all `2f·w` replicas of a stage uses the
 /// keyed-ordered allreduce, so the result is bit-identical to the sequential
 /// reference (which accumulates the same `N·w` micro-batches in ascending
 /// order) for synchronous schedules — including across checkpoint-restart
-/// recoveries.
+/// recoveries. `w = 0` is [`TrainError::FabricSize`], as for a worker process.
 pub fn train_hybrid(
     sched: &Schedule,
     cfg: ModelConfig,
     mut opts: TrainOptions,
     w: u32,
 ) -> Result<TrainResult, TrainError> {
-    assert!(w >= 1);
     let pool_before = pool::stats();
     let kernels_before = kernels::stats();
     let pack_before = kernels::pack_stats();
-    let run = configure(sched, cfg, &opts)?;
-    let d = sched.d;
-    let data = SyntheticData::new(cfg, opts.data_seed);
+    let mut run = configure(sched, cfg, &opts)?;
+    let per_group = sched.num_workers() as u32;
+    let world = per_group.saturating_mul(w);
+    check_fabric(sched, w, world)?;
 
     let reg = MetricsRegistry::global();
-    let ckpt_saves = reg.counter("runtime.checkpoint.saves");
-    let detected = reg.counter("runtime.recovery.detected_deaths");
-    let restores = reg.counter("runtime.recovery.restores");
-    let replayed = reg.counter("runtime.recovery.replayed_iterations");
-
-    let sup = opts.trace.clone().map(|sink| SupervisorTrace {
-        sink,
-        track: sched.num_workers() as u32 * w,
-    });
+    let sup = (opts.trace.clone()).map(|sink| SupervisorTrace { sink, track: world });
 
     // Canonical state: `D` stages plus one optimizer per stage. All `2f·W`
     // replicas of a stage evolve identically, so one copy is enough; each
-    // segment launch hands it to the stage's holders (the first one takes
-    // it, the others clones), and while workers run the checkpoint is the
-    // supervisor's only copy.
-    let kind = opts.optimizer_kind();
-    let mut canon_stages = run.stages;
-    let mut canon_opts: Vec<Optimizer> = canon_stages
-        .iter()
-        .map(|s| Optimizer::new(kind, s.num_params()))
-        .collect();
-    let mut checkpoint_bytes = checkpoint::save_state(&canon_stages, &canon_opts);
-    ckpt_saves.inc();
+    // attempt hands it to the stage's holders (the first one takes it, the
+    // others clones), and while ranks run the commit is the supervisor's
+    // only copy. The first commit is the initial state.
+    let mut canon = std::mem::take(&mut run.stages);
+    let committed = Mutex::new(Some((Vec::new(), checkpoint::save_state(&canon))));
+    reg.counter("runtime.checkpoint.saves").inc();
 
-    let seg_len = opts
-        .checkpoint_every
-        .filter(|&c| c > 0)
-        .unwrap_or(opts.iterations.max(1));
-    let mut iteration_losses: Vec<f32> = Vec::with_capacity(opts.iterations as usize);
-    let mut done = 0u32;
+    let mut losses: Vec<f32> = Vec::new();
     let mut recoveries = 0u32;
-    let mut replaying = false;
-    let mut mem: Vec<MemReport> = Vec::new();
-
-    while done < opts.iterations {
-        let seg_iters = seg_len.min(opts.iterations - done);
-        let seg = SegmentSpec {
-            start_iter: done,
-            iterations: seg_iters,
-        };
-        let seg_start = sup.as_ref().map(|_| now_ns());
-        let outcome = run_segment(
+    let (iteration_losses, stages, mem) = loop {
+        let done = losses.len() as u32;
+        if done == opts.iterations {
+            let stages = canon.into_iter().map(|(stage, _)| stage).collect();
+            break (losses, stages, Vec::new());
+        }
+        let job = Job {
             sched,
-            &run.programs,
-            &run.pool_plans,
-            canon_stages,
-            canon_opts,
-            seg,
+            cfg,
+            opts: opts.clone(),
             w,
-            &opts,
-            data,
-        );
-        match outcome {
-            Ok(out) => {
-                if replaying {
-                    replaying = false;
-                    replayed.add(seg_iters as u64);
-                    if let (Some(sup), Some(start)) = (&sup, seg_start) {
-                        sup.span(
-                            SpanKind::Replay,
-                            format!("replay i{}..i{}", done, done + seg_iters),
-                            start,
-                            now_ns(),
-                        );
-                    }
-                }
-                iteration_losses.extend(out.iteration_losses);
-                if mem.is_empty() {
-                    mem = out.mem;
-                }
-                canon_stages = out.stages;
-                canon_opts = out.optimizers;
-                // The superseded checkpoint goes first: the two are never
-                // needed together, and each is the size of the model.
-                drop(std::mem::take(&mut checkpoint_bytes));
-                checkpoint_bytes = checkpoint::save_state(&canon_stages, &canon_opts);
-                ckpt_saves.inc();
-                done += seg_iters;
+            run: &run,
+            store: Store::Memory(&committed),
+            replay: recoveries > 0,
+        };
+        // Join everyone, then classify: the most telling end (`severity`),
+        // the first in rank order among equals.
+        let joined = run_ranks(&job, canon, &losses);
+        let worst = (0..joined.len())
+            .min_by_key(|&rank| severity(&joined[rank]))
+            .expect("a run has ranks");
+        let mut ranks = joined.into_iter();
+        let (g, lw) = (worst as u32 / per_group, worst as u32 % per_group);
+        let (group, worker, iteration, at_ns) = match ranks.nth(worst).expect("joined") {
+            Ok(Ok(rank0)) => {
+                // Every rank finished: rank 0 returns the run, and group 0's
+                // ranks their memory reports.
+                let group0 = ranks.take(per_group as usize - 1);
+                let rest = group0.filter_map(|joined| joined.ok()?.ok()?.mem);
+                let mem = rank0.mem.into_iter().chain(rest).collect();
+                let (losses, stages) = rank0.outcome.expect("rank 0 returns the run");
+                break (losses, stages, mem);
             }
-            Err(SegmentFailure::Death {
+            Ok(Err(Stop::Worker(WorkerError::Killed {
                 group,
                 worker,
                 iteration,
                 at_ns,
-            }) => {
-                detected.inc();
-                let detected_at = now_ns();
-                if let Some(sup) = &sup {
-                    sup.span(
-                        SpanKind::Detect,
-                        format!("detect death g{group}-w{worker} i{iteration}"),
-                        at_ns.unwrap_or(detected_at),
-                        detected_at,
-                    );
-                }
-                recoveries += 1;
-                if recoveries > opts.max_recoveries {
-                    return Err(TrainError::WorkerLost {
-                        group,
-                        worker,
-                        iteration,
-                        recoveries: recoveries - 1,
-                    });
-                }
-                // The kill fired (or the worker panicked); don't re-kill
-                // during the replay.
-                if let Some(fault) = &mut opts.fault {
-                    fault.kill = None;
-                }
-                let restore_start = sup.as_ref().map(|_| now_ns());
-                let (stages, optimizers) = checkpoint::load_state(&checkpoint_bytes, d)?;
-                canon_stages = stages;
-                canon_opts = optimizers;
-                restores.inc();
-                if let (Some(sup), Some(start)) = (&sup, restore_start) {
-                    sup.span(
-                        SpanKind::Restore,
-                        format!("restore checkpoint @i{done}"),
-                        start,
-                        now_ns(),
-                    );
-                    sup.counter("runtime.recovery.restores", f64::from(recoveries));
-                }
-                replaying = true;
-            }
-            Err(SegmentFailure::Fatal(e)) => return Err(e),
+            }))) => (group, worker, iteration, Some(at_ns)),
+            // A panicked thread, located by its rank.
+            Err(_) => (g, lw, done, None),
+            Ok(Err(stop)) => return Err(stop.into()),
+        };
+        reg.counter("runtime.recovery.detected_deaths").inc();
+        let detected_at = now_ns();
+        if let Some(sup) = &sup {
+            sup.span(
+                SpanKind::Detect,
+                format!("detect death g{group}-w{worker} i{iteration}"),
+                at_ns.unwrap_or(detected_at),
+                detected_at,
+            );
         }
-    }
+        recoveries += 1;
+        if recoveries > opts.max_recoveries {
+            return Err(TrainError::WorkerLost {
+                group,
+                worker,
+                iteration,
+                recoveries: recoveries - 1,
+            });
+        }
+        // The kill fired (or the worker panicked); don't re-kill during the
+        // replay.
+        if let Some(fault) = &mut opts.fault {
+            fault.kill = None;
+        }
+        let restore_start = sup.as_ref().map(|_| now_ns());
+        let slot = committed.lock().unwrap_or_else(PoisonError::into_inner);
+        let (done, state) = slot.as_ref().expect("rank 0 leaves a whole commit");
+        let (stages, optimizers) = checkpoint::load_state(state, sched.d)?;
+        (losses, canon) = (done.clone(), stages.into_iter().zip(optimizers).collect());
+        drop(slot);
+        reg.counter("runtime.recovery.restores").inc();
+        if let (Some(sup), Some(start)) = (&sup, restore_start) {
+            sup.span(
+                SpanKind::Restore,
+                format!("restore checkpoint @i{}", losses.len()),
+                start,
+                now_ns(),
+            );
+            sup.counter("runtime.recovery.restores", f64::from(recoveries));
+        }
+    };
 
     // A healthy traced run emits no supervisor events at all: recovery
     // spans/counters appear only when a recovery actually happened.
@@ -338,185 +303,63 @@ pub fn train_hybrid(
 
     Ok(TrainResult {
         iteration_losses,
-        stages: canon_stages,
+        stages,
         recoveries,
         mem,
     })
 }
 
-struct SegmentOutcome {
-    /// Mean loss of each iteration of the segment.
-    iteration_losses: Vec<f32>,
-    /// Canonical stages, deduplicated from verified replica copies.
-    stages: Vec<Stage>,
-    /// Canonical per-stage optimizer state.
-    optimizers: Vec<Optimizer>,
-    /// Group-0 per-worker memory reports, ordered by local worker id.
-    mem: Vec<MemReport>,
+/// What one rank thread returns: its result, or the panic that ended it.
+type Joined = thread::Result<Result<Ranked, Stop>>;
+
+/// How telling a rank's end is, most first: a death (a reported kill, which
+/// carries the fault's time, then a panic) outranks the errors it causes in
+/// peers; with none, a lost message or deadlock is named best by an expired
+/// receive, then an allreduce wait, a failed send, a failed gather or commit.
+fn severity(joined: &Joined) -> u8 {
+    match joined {
+        Ok(Err(Stop::Worker(WorkerError::Killed { .. }))) => 0,
+        Err(_) => 1,
+        Ok(Err(Stop::Worker(WorkerError::RecvTimeout { .. }))) => 2,
+        Ok(Err(Stop::Worker(WorkerError::AllReduceTimeout { .. }))) => 3,
+        Ok(Err(Stop::Worker(WorkerError::PeerGone { .. }))) => 4,
+        Ok(Err(Stop::Run(_))) => 5,
+        Ok(Ok(_)) => 6,
+    }
 }
 
-enum SegmentFailure {
-    /// A worker died (injected kill or panic) — recoverable.
-    Death {
-        group: u32,
-        worker: u32,
-        iteration: u32,
-        /// When the fault fired, if the worker reported it.
-        at_ns: Option<u64>,
-    },
-    /// A worker blocked past its deadline with no death to blame, or the
-    /// replicas it returned do not assemble.
-    Fatal(TrainError),
-}
-
-/// Launch `w` pipeline groups on the canonical state, which their workers
-/// take over ([`hand_out`]), run one segment, and join. Classifies failures:
-/// a death outranks the timeouts it causes in peers (they unblock via their
-/// deadlines and report errors too).
-#[allow(clippy::too_many_arguments)]
-fn run_segment(
-    sched: &Schedule,
-    programs: &[Arc<Program>],
-    pool_plans: &[Vec<(usize, usize)>],
-    canon_stages: Vec<Stage>,
-    canon_opts: Vec<Optimizer>,
-    seg: SegmentSpec,
-    w: u32,
-    opts: &TrainOptions,
-    data: SyntheticData,
-) -> Result<SegmentOutcome, SegmentFailure> {
-    let d = sched.d;
-    let per_group = sched.num_workers();
-    let total_workers = per_group * w as usize;
-
-    // Interconnect: one in-process fabric endpoint per global worker
-    // (group-major layout), and one keyed allreduce group per stage.
-    let endpoints = LocalFabric::new(total_workers as u32);
-    let mut sync_per_worker: Vec<Vec<(u32, Box<dyn KeyedReduce>)>> =
-        (0..total_workers).map(|_| Vec::new()).collect();
-    for s in 0..d {
+/// Run every rank of `job` as a thread over a fresh [`LocalFabric`], from
+/// `losses.len()` committed iterations on: each takes its slice of `canon`
+/// ([`hand_out`]) and one in-process keyed allreduce member per stage it
+/// holds. Joined in rank order.
+fn run_ranks(job: &Job<'_>, canon: Vec<(Stage, Optimizer)>, losses: &[f32]) -> Vec<Joined> {
+    let (sched, w) = (job.sched, job.w);
+    let per_group = sched.num_workers() as u32;
+    let mut sync: Vec<Vec<(u32, Box<dyn KeyedReduce>)>> =
+        (0..per_group * w).map(|_| Vec::new()).collect();
+    for s in 0..sched.d {
         let ranks = reducer_members(sched, s, w);
         for (member, rank) in keyed_group(ranks.len()).into_iter().zip(ranks) {
-            sync_per_worker[rank as usize].push((s, Box::new(member) as _));
+            sync[rank as usize].push((s, Box::new(member)));
         }
     }
-
-    // Spawn workers on the canonical stage + optimizer state, handed out in
-    // spawn order (group-major).
     let holders: Vec<&[(u32, u32)]> = (0..w)
-        .flat_map(|_| programs.iter().map(|p| p.held.as_slice()))
+        .flat_map(|_| job.run.programs.iter().map(|p| p.held.as_slice()))
         .collect();
-    let canon = canon_stages.into_iter().zip(canon_opts).collect();
-    let mut held_iter = hand_out(canon, &holders).into_iter();
-    let mut handles = Vec::with_capacity(total_workers);
-    let mut sync_iter = sync_per_worker.into_iter();
-    let mut ep_iter = endpoints.into_iter();
-    for g in 0..w {
-        for (lw, (program, pool_plan)) in programs.iter().zip(pool_plans).enumerate() {
-            let ep: Arc<dyn Transport> = Arc::new(ep_iter.next().expect("endpoint per worker"));
-            let sync = sync_iter.next().expect("sync map per worker");
-            let stages = (held_iter.next().expect("held state per worker").into_iter())
-                .map(|(r, s, (stage, opt))| (r, s, stage, opt))
-                .collect();
-            let worker = Worker::new(
-                WorkerId(lw as u32),
-                program.clone(),
-                pool_plan.clone(),
-                g,
-                w,
-                stages,
-                sync,
-                ep,
-                data,
-                opts.clone(),
-                seg,
-            );
-            handles.push((
-                g,
-                lw as u32,
+    let held = hand_out(canon, &holders);
+    let endpoints = LocalFabric::new(per_group * w);
+    thread::scope(|scope| {
+        let ranks: Vec<_> = (endpoints.into_iter().zip(sync).zip(held))
+            .map(|((ep, sync), held)| {
+                let (g, lw) = (ep.rank() / per_group, ep.rank() % per_group);
                 thread::Builder::new()
                     .name(format!("chimera-g{g}-w{lw}"))
-                    .spawn(move || worker.run())
-                    .expect("spawn worker"),
-            ));
-        }
-    }
-
-    // Join everyone, then classify. A kill makes its peers fail too (send
-    // errors, deadlined waits), so a detected death takes precedence over
-    // the secondary errors it causes; a blocked wait with *no* death
-    // anywhere is a lost message or deadlock and is fatal — the receive that
-    // expired names it best, then an allreduce wait, then a failed send.
-    let mut death: Option<(u32, u32, u32, Option<u64>)> = None;
-    let mut blocked: Option<(u32, WorkerError)> = None;
-    let mut results = Vec::with_capacity(total_workers);
-    for (g, lw, h) in handles {
-        match h.join() {
-            Err(_) => {
-                // Panicked thread: location known from the spawn loop.
-                death.get_or_insert((g, lw, seg.start_iter, None));
-            }
-            Ok(Err(WorkerError::Killed {
-                group,
-                worker,
-                iteration,
-                at_ns,
-            })) => {
-                // A reported kill beats a bare panic: it carries the fault
-                // timestamp for the detection-latency span.
-                if death.is_none_or(|(.., at)| at.is_none()) {
-                    death = Some((group, worker, iteration, Some(at_ns)));
-                }
-            }
-            Ok(Err(e)) => {
-                let rank = match e {
-                    WorkerError::RecvTimeout { .. } => 0,
-                    WorkerError::AllReduceTimeout { .. } => 1,
-                    _ => 2,
-                };
-                if blocked.as_ref().is_none_or(|&(r, _)| rank < r) {
-                    blocked = Some((rank, e));
-                }
-            }
-            Ok(Ok(res)) => results.push((g, res)),
-        }
-    }
-    if let Some((group, worker, iteration, at_ns)) = death {
-        return Err(SegmentFailure::Death {
-            group,
-            worker,
-            iteration,
-            at_ns,
-        });
-    }
-    if let Some((_, e)) = blocked {
-        return Err(SegmentFailure::Fatal(e.into()));
-    }
-
-    let mut losses: Vec<(u64, f32)> = Vec::new();
-    let mut copies: Vec<(u32, (Stage, Optimizer))> = Vec::new();
-    // Joined in spawn order, so group 0's reports arrive by local worker id.
-    let mut mem: Vec<MemReport> = Vec::new();
-    for (g, res) in results {
-        losses.extend(res.losses);
-        if g == 0 {
-            mem.push(res.mem);
-        }
-        copies.extend(res.stages.into_iter().map(|(_, s, st, opt)| (s, (st, opt))));
-    }
-    let (iteration_losses, canonical) = assemble(
-        d,
-        sched.n as usize * w as usize,
-        losses,
-        copies,
-        |(stage, _)| Cow::Owned(stage.params()),
-    )
-    .map_err(SegmentFailure::Fatal)?;
-    let (stages, optimizers) = canonical.into_iter().unzip();
-    Ok(SegmentOutcome {
-        iteration_losses,
-        stages,
-        optimizers,
-        mem,
+                    .spawn_scoped(scope, move || {
+                        run_rank(job, Arc::new(ep), sync, held, losses.to_vec())
+                    })
+                    .expect("spawn rank")
+            })
+            .collect();
+        ranks.into_iter().map(ScopedJoinHandle::join).collect()
     })
 }

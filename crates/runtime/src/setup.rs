@@ -1,22 +1,19 @@
-//! What a run is configured with, decided once: both drivers — the
-//! in-process supervisor ([`crate::train_hybrid`]) and the per-process entry
-//! point ([`crate::train_worker_process`]) — lower the schedule, set the
-//! kernel and pool switches, price the pool pre-size plan, order reducer
-//! members and assemble results through the functions here, so the same
-//! `(schedule, TrainOptions)` is the same program under either, and both hand
-//! the model to its holders through [`hand_out`] — moved, not copied, so each
-//! stage exists once per holder. Where the checkpoint lives between segments
-//! (the supervisor's memory, or rank 0's file of the same `save_state`
-//! bytes) is theirs; nothing else is.
+//! What a run is configured with, decided once, for every rank of it: lower
+//! the schedule, set the kernel and pool switches, price the pool pre-size
+//! plan, refuse a fabric that is not `W·D` ranks, order reducer members,
+//! hand the model to its holders through [`hand_out`] — moved, not copied,
+//! so each stage exists once per holder — and average the gathered losses.
+//! The in-process supervisor ([`crate::train_hybrid`]) and a worker process
+//! ([`crate::train_worker_process`]) both go through here and then run the
+//! same per-rank loop ([`crate::dist`]).
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use chimera_core::op::{Chunk, OpKind};
 use chimera_core::program::{lower, Program};
 use chimera_core::schedule::Schedule;
 use chimera_core::StageId;
-use chimera_nn::{ModelConfig, Stage};
+use chimera_nn::{ModelConfig, Optimizer, Stage};
 use chimera_tensor::{kernels, pool};
 
 use crate::error::TrainError;
@@ -97,8 +94,9 @@ pub(crate) struct Run {
     /// Per worker, its [`crate::mem::WorkerMemPlan::classes`] (empty when
     /// prewarming is off — the workers would ignore the plan anyway).
     pub pool_plans: Vec<Vec<(usize, usize)>>,
-    /// The `D` stages at their partition-independent initialization.
-    pub stages: Vec<Stage>,
+    /// The `D` stages at their partition-independent initialization, each
+    /// with a fresh optimizer.
+    pub stages: Vec<(Stage, Optimizer)>,
     _timing: Option<KernelTiming>,
 }
 
@@ -106,7 +104,8 @@ pub(crate) struct Run {
 /// the process-wide kernel switches from `opts` (thread count only affects
 /// wall clock — kernels are bit-identical at any setting — the pool only
 /// allocation traffic, and tracing pays for kernel timing so untraced runs
-/// skip the two clock reads per matmul), build the initial stages, and price
+/// skip the two clock reads per matmul), build the initial stages with fresh
+/// optimizers, and price
 /// the programs just lowered into pool pre-sizing plans: one measured
 /// footprint probe and one liveness pricing per run, shared by every segment
 /// and replica group (all are schedule-identical, and sizes depend on shapes
@@ -133,10 +132,15 @@ pub(crate) fn configure(
     } else {
         vec![Vec::new(); programs.len()]
     };
+    let kind = opts.optimizer_kind();
+    let fresh = |stage: Stage| {
+        let opt = Optimizer::new(kind, stage.num_params());
+        (stage, opt)
+    };
     Ok(Run {
         programs: programs.into_iter().map(Arc::new).collect(),
         pool_plans,
-        stages,
+        stages: stages.into_iter().map(fresh).collect(),
         _timing: timing,
     })
 }
@@ -181,8 +185,8 @@ pub(crate) fn hand_out<T: Clone>(
 /// The members of `stage`'s allreduce group as global ranks
 /// (`group · D + holder`), in member order: every data-parallel group's
 /// holders, ranked (group, holder). The keyed reduction sums in key order,
-/// not member order, but member 0 is who reduces over a transport — so both
-/// drivers must agree on it.
+/// not member order, but member 0 is who reduces over a transport — so
+/// every fabric must agree on it.
 pub(crate) fn reducer_members(sched: &Schedule, stage: u32, w: u32) -> Vec<u32> {
     let per_group = sched.num_workers() as u32;
     let holders = sched.placement.stage_holders(StageId(stage));
@@ -191,43 +195,30 @@ pub(crate) fn reducer_members(sched: &Schedule, stage: u32, w: u32) -> Vec<u32> 
         .collect()
 }
 
-/// Assemble what workers hand back: the per-iteration mean loss over
-/// `per_iteration` (`N·W`) micro-batches, and one canonical copy per stage
-/// `0..d` after verifying that all `2f·W` replica `copies` of it —
-/// `(stage, copy)`, flattened by `flat` — agree bit for bit.
-pub(crate) fn assemble<T>(
-    d: u32,
-    per_iteration: usize,
-    mut losses: Vec<(u64, f32)>,
-    copies: impl IntoIterator<Item = (u32, T)>,
-    flat: impl for<'a> Fn(&'a T) -> Cow<'a, [f32]>,
-) -> Result<(Vec<f32>, Vec<T>), TrainError> {
+/// Refuse a fabric of `world` ranks for `w` replicated pipeline groups of
+/// `sched` unless it is exactly `W·D` ranks with `W ≥ 1` — the same
+/// [`TrainError::FabricSize`] under every fabric.
+pub(crate) fn check_fabric(sched: &Schedule, w: u32, world: u32) -> Result<(), TrainError> {
+    let expected = (sched.num_workers() as u32).saturating_mul(w);
+    if w == 0 || world != expected {
+        return Err(TrainError::FabricSize { world, expected });
+    }
+    Ok(())
+}
+
+/// The per-iteration mean loss over `per_iteration` (`N·W`) micro-batches
+/// of gathered `(global_micro, loss)` pairs.
+pub(crate) fn iteration_means(mut losses: Vec<(u64, f32)>, per_iteration: usize) -> Vec<f32> {
     losses.sort_unstable_by_key(|&(micro, _)| micro);
-    let iteration_losses = losses
-        .chunks_exact(per_iteration)
+    (losses.chunks_exact(per_iteration))
         .map(|it| (it.iter().map(|&(_, l)| l as f64).sum::<f64>() / per_iteration as f64) as f32)
-        .collect();
-    let mut by_stage: Vec<Vec<T>> = (0..d).map(|_| Vec::new()).collect();
-    for (stage, copy) in copies {
-        by_stage[stage as usize].push(copy);
-    }
-    let mut canonical = Vec::with_capacity(d as usize);
-    for (stage, mut replicas) in (0..d).zip(by_stage) {
-        let kept = replicas.pop().ok_or(TrainError::MissingStage { stage })?;
-        let reference = flat(&kept);
-        if replicas.iter().any(|copy| flat(copy) != reference) {
-            return Err(TrainError::ReplicaDivergence { stage });
-        }
-        drop(reference);
-        canonical.push(kept);
-    }
-    Ok((iteration_losses, canonical))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use chimera_core::build_named;
-    use chimera_nn::{Optimizer, OptimizerKind};
+    use chimera_nn::OptimizerKind;
 
     use super::*;
 

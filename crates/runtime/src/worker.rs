@@ -19,9 +19,9 @@
 //! The worker is also where a [`FaultSpec`] is interpreted — all of it: the
 //! kill at an iteration's start, a lost or stalled boundary message in
 //! `send`. These are the faults *above* the session layer, which no
-//! transport can heal; both drivers run this worker, so they behave the
-//! same under either and over every backend. Faults beneath the session are
-//! the transport's (`chimera_comm::NetChaos`).
+//! transport can heal; every rank runs this worker, so they behave the same
+//! over every fabric. Faults beneath the session are the transport's
+//! (`chimera_comm::NetChaos`).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -61,10 +61,10 @@ pub struct TrainOptions {
     pub trace: Option<Arc<dyn TraceSink>>,
     /// Injected faults for this run; `None` trains healthy.
     pub fault: Option<FaultSpec>,
-    /// Checkpoint cadence in iterations: the supervisor snapshots params +
-    /// optimizer state every this many iterations and can replay at most
-    /// one cadence worth of work after a failure. `None` checkpoints only
-    /// the initial state (a failure replays the whole run).
+    /// Checkpoint cadence in iterations, under every fabric: rank 0 commits
+    /// params + optimizer state every this many iterations, so a restart
+    /// replays at most one cadence worth of work. `None` (or zero) commits
+    /// only at the end of the run — in-process, after the initial state.
     pub checkpoint_every: Option<u32>,
     /// Deadline for any single blocking wait (p2p receive, allreduce
     /// completion). On expiry the worker reports a descriptive error
@@ -187,43 +187,19 @@ fn msg_key(key: KeyTemplate, micro: u64) -> MsgKey {
     }
 }
 
-/// What a worker thread returns on success.
-pub struct WorkerResult {
-    /// `(global_micro, loss)` for every micro-batch whose head this worker
-    /// executed.
-    pub losses: Vec<(u64, f32)>,
-    /// Final stage replicas with their optimizer state,
-    /// `(replica, stage, Stage, Optimizer)`.
-    pub stages: Vec<(u32, u32, Stage, Optimizer)>,
-    /// Tracked-memory high-water mark and first-iteration pool behavior.
-    pub mem: MemReport,
-}
-
-/// The slice of the global training run one spawned worker executes. The
-/// supervisor trains in segments of [`TrainOptions::checkpoint_every`]
-/// iterations; after a failure it replays the current segment from the last
-/// checkpoint.
-#[derive(Debug, Clone, Copy)]
-pub struct SegmentSpec {
-    /// Global (0-based) iteration the segment starts at.
-    pub start_iter: u32,
-    /// Iterations in this segment.
-    pub iterations: u32,
-}
-
 /// One `(replica, stage)` this worker holds, with everything that belongs
 /// to it. Rows address it by its index in [`Worker::held`].
-struct Held {
-    replica: u32,
-    stage_id: u32,
-    stage: Stage,
-    opt: Optimizer,
+pub(crate) struct Held {
+    pub replica: u32,
+    pub stage_id: u32,
+    pub stage: Stage,
+    pub opt: Optimizer,
 }
 
-/// One worker's runtime state.
-pub struct Worker {
+/// One worker's runtime state, kept across the segments of a run.
+pub(crate) struct Worker {
     /// This worker's id within its pipeline group.
-    pub id: WorkerId,
+    id: WorkerId,
     /// Data-parallel group this worker belongs to (`0..W`, §3.3).
     group: u32,
     /// Total number of replicated pipeline groups `W`.
@@ -239,7 +215,6 @@ pub struct Worker {
     ep: Arc<dyn Transport>,
     data: SyntheticData,
     opts: TrainOptions,
-    seg: SegmentSpec,
     /// Global iteration currently executing (for fault matching and error
     /// diagnostics).
     cur_iter: u32,
@@ -258,11 +233,14 @@ pub struct Worker {
     losses: Vec<(u64, f32)>,
     /// Element-exact accounting of held-across-op buffers.
     mem: MemTracker,
+    /// Tracked memory and pool behaviour of the first — cold — segment;
+    /// `None` until it ran.
+    pub(crate) report: Option<MemReport>,
     tracer: Option<Tracer>,
 }
 
 impl Worker {
-    /// Assemble a worker executing segment `seg` of `program`. Each
+    /// Assemble a worker executing `program`. Each
     /// `(replica, stage)` entry carries the stage parameters **and** the
     /// optimizer state it resumes from — fresh at iteration 0, restored from
     /// a checkpoint after a recovery; `sync` holds one `(stage, member)` per
@@ -276,12 +254,11 @@ impl Worker {
         pool_plan: Vec<(usize, usize)>,
         group: u32,
         w_total: u32,
-        mut stages: Vec<(u32, u32, Stage, Optimizer)>,
+        mut stages: Vec<(u32, u32, (Stage, Optimizer))>,
         mut sync: Vec<(u32, Box<dyn KeyedReduce>)>,
         ep: Arc<dyn Transport>,
         data: SyntheticData,
         opts: TrainOptions,
-        seg: SegmentSpec,
     ) -> Self {
         stages.sort_by_key(|&(r, s, ..)| (r, s));
         assert!(
@@ -300,7 +277,7 @@ impl Worker {
         );
         let held: Vec<Held> = stages
             .into_iter()
-            .map(|(replica, stage_id, stage, opt)| {
+            .map(|(replica, stage_id, (stage, opt))| {
                 debug_assert_eq!(opt.len(), stage.num_params());
                 Held {
                     replica,
@@ -333,27 +310,34 @@ impl Worker {
             ep,
             data,
             opts,
-            seg,
-            cur_iter: seg.start_iter,
+            cur_iter: 0,
             stashes: (0..program.stash_slots).map(|_| None).collect(),
             versions: vec![None; program.version_slots],
             program,
             pool_plan,
             losses: Vec::new(),
             mem: MemTracker::default(),
+            report: None,
             tracer,
         }
     }
 
-    /// Run the segment's iterations; consumes the worker.
+    /// Run global iterations `start..start + iterations` and return the
+    /// `(global_micro, loss)` of every micro-batch whose head ran here. The
+    /// first call pre-warms the pool and records [`Worker::report`].
     ///
     /// Global micro-batch ids interleave data-parallel groups group-major:
     /// global iteration `i` consumes micros starting at `i·N·W + group·N` —
     /// the same ordering the sequential reference uses, so keyed gradient
     /// reduction stays bit-exact across `W`.
-    pub fn run(mut self) -> Result<WorkerResult, WorkerError> {
+    pub(crate) fn run(
+        &mut self,
+        start: u32,
+        iterations: u32,
+    ) -> Result<Vec<(u64, f32)>, WorkerError> {
         let program = self.program.clone();
-        let prewarmed = self.opts.pool && self.opts.prewarm && pool::enabled();
+        let cold = self.report.is_none();
+        let prewarmed = cold && self.opts.pool && self.opts.prewarm && pool::enabled();
         if prewarmed {
             self.prewarm();
         }
@@ -363,8 +347,8 @@ impl Worker {
         let misses = || pool::local_stats().misses - miss_base;
         let mut first_micro_misses = None;
         let mut first_iter_misses = 0;
-        for iter in 0..self.seg.iterations {
-            self.cur_iter = self.seg.start_iter + iter;
+        for iter in 0..iterations {
+            self.cur_iter = start + iter;
             self.maybe_kill()?;
             let n = self.program.n as u64;
             let offset = (self.cur_iter as u64 * self.w_total as u64 + self.group as u64) * n;
@@ -395,29 +379,34 @@ impl Worker {
                 first_iter_misses = misses();
             }
         }
-        // Published per worker, so a driver that gathers no `MemReport`s
-        // (one rank per process) can still state "the cold start allocated
-        // nothing".
-        let first_micro_misses = first_micro_misses.unwrap_or(0);
-        MetricsRegistry::global()
-            .counter("runtime.pool.first_micro_misses")
-            .add(first_micro_misses);
-        Ok(WorkerResult {
-            losses: self.losses,
-            stages: self
-                .held
-                .into_iter()
-                .map(|h| (h.replica, h.stage_id, h.stage, h.opt))
-                .collect(),
-            mem: MemReport {
+        if cold {
+            // Published per worker, so a run whose caller gathers no
+            // `MemReport`s (one rank per process) can still state "the cold
+            // start allocated nothing".
+            let first_micro_misses = first_micro_misses.unwrap_or(0);
+            MetricsRegistry::global()
+                .counter("runtime.pool.first_micro_misses")
+                .add(first_micro_misses);
+            self.report = Some(MemReport {
                 high_water_elems: self.mem.high_water(),
                 high_at_op: self.mem.high_at(),
                 first_micro_misses,
                 first_iter_misses,
                 steady_misses: misses() - first_iter_misses,
                 prewarmed,
-            },
-        })
+            });
+        }
+        Ok(std::mem::take(&mut self.losses))
+    }
+
+    /// The `(replica, stage)` copies this worker holds, with their optimizers.
+    pub(crate) fn held(&self) -> &[Held] {
+        &self.held
+    }
+
+    /// The held copies, moved out.
+    pub(crate) fn into_held(self) -> Vec<Held> {
+        self.held
     }
 
     /// Pre-warm this thread's pool: one dry forward/backward cycle per held
@@ -829,9 +818,9 @@ mod tests {
         let ep: Arc<dyn Transport> = Arc::new(eps.pop().expect("rank 0"));
         let stages = (program.held.iter())
             .map(|&(r, s)| {
-                let stage = run.stages[s as usize].clone();
+                let stage = run.stages[s as usize].0.clone();
                 let opt = Optimizer::new(opts.optimizer_kind(), stage.num_params());
-                (r, s, stage, opt)
+                (r, s, (stage, opt))
             })
             .collect();
         let sync = (program.reducer_stages.iter())
@@ -840,10 +829,6 @@ mod tests {
                 (s, Box::new(member) as Box<dyn KeyedReduce>)
             })
             .collect();
-        let seg = SegmentSpec {
-            start_iter: 0,
-            iterations: 1,
-        };
         let data = SyntheticData::new(ModelConfig::tiny(), 1);
         let plan = run.pool_plans[0].clone();
         let worker = Worker::new(
@@ -857,7 +842,6 @@ mod tests {
             ep,
             data,
             opts,
-            seg,
         );
         (worker, peer)
     }

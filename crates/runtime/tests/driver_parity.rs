@@ -1,15 +1,16 @@
-//! Driver parity, one table: the same `(schedule, TrainOptions)` through the
-//! in-process supervisor (`train_hybrid`) and through the per-process entry
-//! point (`train_worker_process`, every rank a thread with its own endpoint
-//! of a `LocalFabric`) is the same program — same bits, same typed failure
-//! for a lost message, same fault counters, same kernel and pool switches,
-//! same cold-start pool behaviour.
+//! Fabric parity, one table: every run is `W·D` ranks of the one per-rank
+//! loop, and the same `(schedule, TrainOptions)` over the thread fabric
+//! (`train_hybrid`: rank threads over a `LocalFabric`, in-process reducers)
+//! and over the TCP loopback fabric (`train_worker_process` on each endpoint
+//! of `TcpFabric::loopback`, reducing over the wire) is the same program —
+//! same bits, same typed failure for a lost message, same fault counters,
+//! same kernel and pool switches, same cold-start pool behaviour.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::Duration;
 
-use chimera_comm::LocalFabric;
+use chimera_comm::{TcpFabric, Transport};
 use chimera_core::named::build_named;
 use chimera_core::schedule::Schedule;
 use chimera_nn::ModelConfig;
@@ -60,21 +61,21 @@ fn first_activation() -> MsgFault {
     }
 }
 
-/// Every rank of the `W·D` fabric as a thread; results by rank.
-fn per_process(
+/// Every rank of the `W·D` run on its endpoint of a TCP loopback fabric,
+/// one thread each, as `benchmark/src/train.rs` runs `tcp_small`; results
+/// by rank.
+fn over_tcp(
     sched: &Schedule,
     opts: &TrainOptions,
     w: u32,
 ) -> Vec<Result<Option<DistOutcome>, TrainError>> {
     let world = sched.num_workers() as u32 * w;
+    let endpoints = TcpFabric::loopback(world).expect("loopback fabric");
     thread::scope(|s| {
-        let ranks: Vec<_> = LocalFabric::new(world)
-            .into_iter()
+        let ranks: Vec<_> = (endpoints.into_iter())
             .map(|ep| {
-                let opts = opts.clone();
-                s.spawn(move || {
-                    train_worker_process(Arc::new(ep), sched, ModelConfig::tiny(), opts, w)
-                })
+                let (ep, opts) = (Arc::new(ep) as Arc<dyn Transport>, opts.clone());
+                s.spawn(move || train_worker_process(ep, sched, ModelConfig::tiny(), opts, w))
             })
             .collect();
         ranks
@@ -84,9 +85,9 @@ fn per_process(
     })
 }
 
-/// Rank 0's assembled outcome of a per-process run that must succeed.
-fn per_process_outcome(sched: &Schedule, opts: &TrainOptions, w: u32) -> DistOutcome {
-    let mut ranks = per_process(sched, opts, w).into_iter();
+/// Rank 0's assembled outcome of a TCP run that must succeed.
+fn over_tcp_outcome(sched: &Schedule, opts: &TrainOptions, w: u32) -> DistOutcome {
+    let mut ranks = over_tcp(sched, opts, w).into_iter();
     let outcome = ranks.next().expect("rank 0").expect("rank 0 trains");
     assert!(
         ranks.all(|r| matches!(r, Ok(None))),
@@ -107,8 +108,8 @@ fn counter(name: &str) -> u64 {
 fn parameters_and_losses_are_bit_identical() {
     let _serial = serial();
     each_case(|case, sched, w| {
-        let reference = train_hybrid(sched, ModelConfig::tiny(), opts(3), w).expect("in-process");
-        let dist = per_process_outcome(sched, &opts(3), w);
+        let reference = train_hybrid(sched, ModelConfig::tiny(), opts(3), w).expect("threads");
+        let dist = over_tcp_outcome(sched, &opts(3), w);
         assert_eq!(
             bits(&dist.flat_params),
             bits(&reference.flat_params()),
@@ -123,10 +124,10 @@ fn parameters_and_losses_are_bit_identical() {
     });
 }
 
-/// A message lost above the session is lost under either driver: both fail
-/// with the typed `Timeout` naming micro 0's receive — the in-process error
-/// is, field for field, one of the errors the ranks return — and every rank
-/// returns instead of hanging.
+/// A message lost above the session is lost over either fabric: both fail
+/// with the typed `Timeout` naming micro 0's receive — the thread fabric's
+/// error is, field for field, one of the errors the TCP ranks return — and
+/// every rank returns instead of hanging.
 #[test]
 fn a_dropped_message_is_the_same_timeout() {
     let _serial = serial();
@@ -137,24 +138,24 @@ fn a_dropped_message_is_the_same_timeout() {
             ..FaultSpec::default()
         });
         let dropped = counter("runtime.fault.dropped_msgs");
-        let in_process =
+        let threads =
             train_hybrid(sched, ModelConfig::tiny(), o.clone(), w).expect_err("lost message");
         assert_eq!(counter("runtime.fault.dropped_msgs"), dropped + 1, "{case}");
-        match &in_process {
+        match &threads {
             TrainError::Timeout { group: 0, op, .. } => assert!(
                 op.starts_with("recv ") && op.contains(" m0@s"),
                 "{case}: blocked op {op}"
             ),
             other => panic!("{case}: expected Timeout in group 0, got {other}"),
         }
-        let ranks: Vec<TrainError> = per_process(sched, &o, w)
+        let ranks: Vec<TrainError> = over_tcp(sched, &o, w)
             .into_iter()
             .map(|r| r.expect_err("every rank fails"))
             .collect();
         assert_eq!(counter("runtime.fault.dropped_msgs"), dropped + 2, "{case}");
         assert!(
-            ranks.contains(&in_process),
-            "{case}: in-process {in_process:?} is none of {ranks:?}"
+            ranks.contains(&threads),
+            "{case}: threads {threads:?} is none of {ranks:?}"
         );
         for e in &ranks {
             assert!(matches!(e, TrainError::Timeout { .. }), "{case}: {e}");
@@ -173,13 +174,13 @@ fn a_delayed_message_completes_and_is_counted_once() {
             ..FaultSpec::default()
         });
         let delayed = counter("runtime.fault.delayed_msgs");
-        let in_process = train_hybrid(sched, ModelConfig::tiny(), o.clone(), w).expect("delay");
+        let threads = train_hybrid(sched, ModelConfig::tiny(), o.clone(), w).expect("delay");
         assert_eq!(counter("runtime.fault.delayed_msgs"), delayed + 1, "{case}");
-        let dist = per_process_outcome(sched, &o, w);
+        let dist = over_tcp_outcome(sched, &o, w);
         assert_eq!(counter("runtime.fault.delayed_msgs"), delayed + 2, "{case}");
-        assert_eq!(in_process.recoveries, 0, "{case}");
+        assert_eq!(threads.recoveries, 0, "{case}");
         assert_eq!(
-            bits(&in_process.flat_params()),
+            bits(&threads.flat_params()),
             bits(&healthy.flat_params()),
             "{case}"
         );
@@ -205,16 +206,16 @@ fn threads_and_pool_are_honoured() {
             ..opts(1)
         };
         reset();
-        train_hybrid(sched, ModelConfig::tiny(), o.clone(), w).expect("in-process");
+        train_hybrid(sched, ModelConfig::tiny(), o.clone(), w).expect("threads");
         assert_eq!((kernels::threads(), pool::enabled()), (2, false), "{case}");
         reset();
-        per_process_outcome(sched, &o, w);
+        over_tcp_outcome(sched, &o, w);
         assert_eq!((kernels::threads(), pool::enabled()), (2, false), "{case}");
     });
     reset();
 }
 
-/// `mem_oracle`'s cold-start assertion, from both drivers: with prewarming
+/// `mem_oracle`'s cold-start assertion, over both fabrics: with prewarming
 /// on, the liveness-planned pool makes every worker's first micro-batch
 /// allocate nothing; with it off, the same counter moves under both.
 #[test]
@@ -223,26 +224,26 @@ fn the_first_micro_batch_allocates_nothing() {
     let misses = || counter("runtime.pool.first_micro_misses");
     each_case(|case, sched, w| {
         let base = misses();
-        let res = train_hybrid(sched, ModelConfig::tiny(), opts(1), w).expect("in-process");
+        let res = train_hybrid(sched, ModelConfig::tiny(), opts(1), w).expect("threads");
         assert!(res.mem.iter().all(|m| m.prewarmed), "{case}");
-        assert_eq!(misses(), base, "{case}: in-process cold start missed");
-        per_process_outcome(sched, &opts(1), w);
-        assert_eq!(misses(), base, "{case}: per-process cold start missed");
+        assert_eq!(misses(), base, "{case}: thread-fabric cold start missed");
+        over_tcp_outcome(sched, &opts(1), w);
+        assert_eq!(misses(), base, "{case}: TCP cold start missed");
 
         let cold = TrainOptions {
             prewarm: false,
             ..opts(1)
         };
-        train_hybrid(sched, ModelConfig::tiny(), cold.clone(), w).expect("in-process");
-        let after_in_process = misses();
+        train_hybrid(sched, ModelConfig::tiny(), cold.clone(), w).expect("threads");
+        let after_threads = misses();
         assert!(
-            after_in_process > base,
-            "{case}: counter not wired in-process"
+            after_threads > base,
+            "{case}: counter not wired over threads"
         );
-        per_process_outcome(sched, &cold, w);
+        over_tcp_outcome(sched, &cold, w);
         assert!(
-            misses() > after_in_process,
-            "{case}: counter not wired per-process"
+            misses() > after_threads,
+            "{case}: counter not wired over TCP"
         );
     });
 }

@@ -1097,9 +1097,11 @@ fn cmd_worker(args: std::env::Args) {
     // gang-restart protocol).
     let recovery = flags.get("ckpt-dir").map(|dir| RecoverySpec {
         dir: PathBuf::from(dir),
-        every: flag(&flags, "ckpt-every", 1u32),
         resume: flag(&flags, "resume", 0u32) != 0,
     });
+    if recovery.is_some() {
+        opts.checkpoint_every = Some(flag(&flags, "ckpt-every", 1u32));
+    }
     let sink = trace_path.as_ref().map(|_| Arc::new(BufferSink::new()));
     // Every output this rank writes after training, opened before it.
     let output = |name: &str| flags.get(name).map(|p| (p.as_str(), create_output(p)));
