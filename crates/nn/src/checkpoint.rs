@@ -102,10 +102,20 @@ pub fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], CheckpointErro
     Ok(head)
 }
 
-/// Append `vals` as little-endian `f32`s (no length prefix).
+/// Floats encoded per [`BufMut::put_slice`] call by [`put_f32s`].
+const BLOCK: usize = 1024;
+
+/// Append `vals` as little-endian `f32`s (no length prefix), a block of
+/// 1 024 at a time: the bytes of `put_f32_le` per float, without a buffer
+/// call per float.
 pub fn put_f32s(buf: &mut impl BufMut, vals: &[f32]) {
-    for &v in vals {
-        buf.put_f32_le(v);
+    let mut block = [0u8; 4 * BLOCK];
+    for chunk in vals.chunks(BLOCK) {
+        let bytes = &mut block[..4 * chunk.len()];
+        for (out, v) in bytes.chunks_exact_mut(4).zip(chunk) {
+            out.copy_from_slice(&v.to_le_bytes());
+        }
+        buf.put_slice(bytes);
     }
 }
 
@@ -113,8 +123,9 @@ pub fn put_f32s(buf: &mut impl BufMut, vals: &[f32]) {
 /// allocated for them.
 pub fn get_f32s(buf: &mut &[u8], n: usize) -> Result<Vec<f32>, CheckpointError> {
     let bytes = n.checked_mul(4).ok_or(CheckpointError::Truncated)?;
-    let mut raw = take(buf, bytes)?;
-    Ok((0..n).map(|_| raw.get_f32_le()).collect())
+    let raw = take(buf, bytes)?;
+    let le = |b: &[u8]| f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    Ok(raw.chunks_exact(4).map(le).collect())
 }
 
 fn put_header(buf: &mut BytesMut, cfg: &ModelConfig, total: usize) {
@@ -158,8 +169,11 @@ pub fn save_state<S: Borrow<Stage>, O: Borrow<Optimizer>>(model: &[(S, O)]) -> B
     };
     let mut buf = BytesMut::with_capacity(96 + total * 4 * per_param);
     put_header(&mut buf, &cfg, total);
+    let mut flat = Vec::new();
     for stage in &stages {
-        put_f32s(&mut buf, &stage.params());
+        flat.clear();
+        stage.write_params(&mut flat);
+        put_f32s(&mut buf, &flat);
     }
     match kind {
         OptimizerKind::Sgd { momentum } => {
@@ -246,24 +260,25 @@ pub fn load_state(
         other => return Err(CheckpointError::UnknownOptimizer(other)),
     };
     let t = take(&mut buf, 8)?.get_u64_le();
-    let m_flat = get_f32s(&mut buf, total)?;
-    let v_flat = match kind {
-        OptimizerKind::Sgd { .. } => Vec::new(),
-        OptimizerKind::Adam { .. } => get_f32s(&mut buf, total)?,
-    };
+    let moments = total.checked_mul(4).ok_or(CheckpointError::Truncated)?;
+    let mut m_flat = take(&mut buf, moments)?;
+    let adam = matches!(kind, OptimizerKind::Adam { .. });
+    let mut v_flat = if adam { take(&mut buf, moments)? } else { &[] };
     if buf.remaining() != 0 {
         return Err(CheckpointError::Truncated);
     }
     // Moments are flat per-parameter vectors in the same global order as
     // the parameters, so they re-partition by the same split.
     let mut optimizers = Vec::with_capacity(stages.len());
-    let mut off = 0;
     for stage in &stages {
         let n = stage.num_params();
-        let m = m_flat[off..off + n].to_vec();
-        let v = v_flat.get(off..off + n).unwrap_or_default().to_vec();
+        let m = get_f32s(&mut m_flat, n)?;
+        let v = if adam {
+            get_f32s(&mut v_flat, n)?
+        } else {
+            Vec::new()
+        };
         optimizers.push(Optimizer::from_state(kind, m, v, t));
-        off += n;
     }
     Ok((stages, optimizers))
 }
@@ -301,6 +316,70 @@ mod tests {
         let model: Vec<_> = stages.iter().zip(&optimizers).collect();
         let bytes = save_state(&model);
         (stages, bytes)
+    }
+
+    /// The per-float codec [`put_f32s`] and [`get_f32s`] replaced, kept as
+    /// their oracle.
+    fn put_each(buf: &mut Vec<u8>, vals: &[f32]) {
+        for &v in vals {
+            buf.put_f32_le(v);
+        }
+    }
+
+    fn get_each(mut raw: &[u8], n: usize) -> Vec<f32> {
+        (0..n).map(|_| raw.get_f32_le()).collect()
+    }
+
+    /// The block codec writes the per-float loop's bytes and reads back its
+    /// bits — NaN payloads (quiet and signalling, either sign), ±0.0,
+    /// subnormals, ±∞ and arbitrary bit patterns — at every length around a
+    /// block boundary; a read past the end is `Truncated` and consumes
+    /// nothing.
+    #[test]
+    fn block_codec_matches_the_per_float_loop() {
+        let special = [
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7FC0_1234),
+            f32::from_bits(0xFF80_0001),
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(0x007F_FFFF),
+            f32::MIN_POSITIVE / 3.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN,
+            -1.5,
+        ];
+        let mut x = 0x9E37_79B9u32;
+        for len in [0, 1, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7] {
+            let vals: Vec<f32> = (0..len)
+                .map(|i| {
+                    x ^= x << 13;
+                    x ^= x >> 17;
+                    x ^= x << 5;
+                    special.get(i % 28).copied().unwrap_or(f32::from_bits(x))
+                })
+                .collect();
+            let (mut bulk, mut each) = (vec![7u8], vec![7u8]);
+            put_f32s(&mut bulk, &vals);
+            put_each(&mut each, &vals);
+            assert_eq!(bulk, each, "len {len}");
+            let mut rd = &bulk[1..];
+            let got = get_f32s(&mut rd, len).unwrap();
+            assert!(rd.is_empty(), "len {len}");
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&get_each(&each[1..], len)), "len {len}");
+            assert_eq!(bits(&got), bits(&vals), "len {len}");
+            let mut short = &bulk[1..];
+            assert_eq!(
+                get_f32s(&mut short, len + 1),
+                Err(CheckpointError::Truncated)
+            );
+            assert_eq!(short.len(), 4 * len);
+        }
     }
 
     #[test]

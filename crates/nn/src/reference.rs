@@ -155,10 +155,7 @@ impl ReferenceTrainer {
 
     /// Concatenated flat parameters of the whole model.
     pub fn flat_params(&self) -> Vec<f32> {
-        self.stages
-            .iter()
-            .flat_map(super::stage::Stage::params)
-            .collect()
+        Stage::flat_params(&self.stages)
     }
 }
 

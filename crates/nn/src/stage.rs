@@ -358,16 +358,36 @@ impl Stage {
     /// back when done (the optimizer update path does).
     pub fn params(&self) -> Vec<f32> {
         let mut out = pool::take_spare(self.num_params());
+        self.write_params(&mut out);
+        out
+    }
+
+    /// Append the flat parameters ([`Stage::params`] layout) to `out`.
+    pub fn write_params(&self, out: &mut Vec<f32>) {
+        out.reserve(self.num_params());
         if let Some(e) = &self.embedding {
-            e.write_params(&mut out);
+            e.write_params(out);
         }
         for b in &self.blocks {
-            b.write_params(&mut out);
+            b.write_params(out);
         }
         if let Some(h) = &self.head {
-            h.write_params(&mut out);
+            h.write_params(out);
         }
-        out
+    }
+
+    /// The parameters of `stages`, in order, as one vector allocated once.
+    pub fn flat_params<'a, I>(stages: I) -> Vec<f32>
+    where
+        I: IntoIterator<Item = &'a Stage>,
+        I::IntoIter: Clone,
+    {
+        let stages = stages.into_iter();
+        let mut flat = Vec::with_capacity(stages.clone().map(Stage::num_params).sum());
+        for stage in stages {
+            stage.write_params(&mut flat);
+        }
+        flat
     }
 
     /// One optimizer update applied where the parameters live: `grad` (flat,

@@ -11,10 +11,14 @@
 //! fabric differs: rank threads over a [`chimera_comm::LocalFabric`]
 //! ([`crate::train_hybrid`]) reduce through in-process
 //! [`chimera_collectives::keyed_group`] members and commit to the
-//! supervisor's memory; rank processes ([`train_worker_process`]) reduce
-//! through [`chimera_collectives::TransportKeyed`] and, with a
-//! [`RecoverySpec`], commit `dir/run.ckpt` (written as `run.ckpt.tmp` and
-//! renamed over it: the rename is the commit), else run one segment. Stage
+//! supervisor's memory after every segment but the last (a finished run
+//! restarts nothing, so its last segment is gathered and checked, not
+//! committed); rank processes ([`train_worker_process`]) reduce through
+//! [`chimera_collectives::TransportKeyed`] and, with a [`RecoverySpec`],
+//! commit `dir/run.ckpt` after every segment, the last included (written as
+//! `run.ckpt.tmp` and renamed over it: the rename is the commit), else run
+//! one segment. Nothing commits iteration 0: its state depends on the
+//! configuration alone, and every driver builds it from there. Stage
 //! initialization, data order and the keyed-ordered reduction are the same
 //! under either, so the final parameters are **bit-identical** across
 //! fabrics, and to sequential SGD.
@@ -23,11 +27,12 @@
 //!
 //! On `resume`, every rank restores the committed file and takes its held
 //! stages from it as the in-process supervisor does after a death, then
-//! replays deterministically, bit-identically to an uninterrupted run. A
-//! resume that finds every iteration committed runs no worker: rank 0
-//! answers from the file. `chimera-cli launch` drives this: it detects a
-//! dead rank via exit codes and the transport failure detector, kills the
-//! stragglers, and gang-restarts every worker with `resume` set.
+//! replays deterministically, bit-identically to an uninterrupted run; with
+//! no file yet it starts from the configuration. A resume that finds every
+//! iteration committed runs no worker: rank 0 answers from the file.
+//! `chimera-cli launch` drives this: it detects a dead rank via exit codes
+//! and the transport failure detector, kills the stragglers, and
+//! gang-restarts every worker with `resume` set.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -187,7 +192,7 @@ pub fn train_worker_process_recoverable(
     }
     if done == opts.iterations {
         // Every iteration is committed (or none asked for): nothing to run.
-        let flat_params = canon.iter().flat_map(|(stage, _)| stage.params()).collect();
+        let flat_params = Stage::flat_params(canon.iter().map(|(stage, _)| stage));
         return Ok((rank == 0).then_some(DistOutcome {
             iteration_losses: losses,
             flat_params,
@@ -218,18 +223,21 @@ pub fn train_worker_process_recoverable(
         .outcome
         .map(|(iteration_losses, stages)| DistOutcome {
             iteration_losses,
-            flat_params: stages.iter().flat_map(Stage::params).collect(),
+            flat_params: Stage::flat_params(&stages),
         }))
 }
 
-/// Where rank 0 commits after every segment.
+/// Where rank 0 commits at the end of a segment.
 pub(crate) enum Store<'a> {
     /// Nowhere: the run is one segment.
     None,
     /// The in-process supervisor's memory: the losses so far and the
-    /// [`checkpoint::save_state`] bytes.
+    /// [`checkpoint::save_state`] bytes, after every segment but the last —
+    /// a finished run restarts nothing, and the supervisor takes the final
+    /// stages from rank 0's outcome.
     Memory(&'a Mutex<Option<(Vec<f32>, Bytes)>>),
-    /// A file, `dir/run.ckpt` of a [`RecoverySpec`].
+    /// A file, `dir/run.ckpt` of a [`RecoverySpec`], after every segment:
+    /// `resume` reads the last one too.
     File(PathBuf),
 }
 
@@ -306,13 +314,12 @@ pub(crate) fn run_rank(
         job,
         ep: ep.as_ref(),
         keepers: keepers(&job.run.programs, sched.d).map_err(Stop::Run)?,
-        commits: !matches!(job.store, Store::None),
         iteration_losses,
         rebuilt: (0..sched.d).map(|_| None).collect(),
         replay: job.replay.then(now_ns),
     };
     let cadence = (opts.checkpoint_every)
-        .filter(|&c| c > 0 && gather.commits)
+        .filter(|&c| c > 0 && !matches!(job.store, Store::None))
         .unwrap_or(u32::MAX);
     let mut done = gather.iteration_losses.len() as u32;
     let (losses, len) = loop {
@@ -353,25 +360,33 @@ struct Gather<'a> {
     ep: &'a dyn Transport,
     /// Per stage, the `(rank, replica)` whose copy is canonical.
     keepers: Vec<(u32, u32)>,
-    /// Whether rank 0 commits after every segment.
-    commits: bool,
     /// Rank 0's: the run's per-iteration losses so far.
     iteration_losses: Vec<f32>,
     /// Rank 0's copy of each stage it does not keep (with its optimizer
-    /// when commits are due), rebuilt from the keeper's.
+    /// when a commit is due), rebuilt from the keeper's.
     rebuilt: Vec<Option<(Stage, Option<Optimizer>)>>,
-    /// When a replay started, until rank 0 commits it.
+    /// When a replay started, until rank 0 gathers it.
     replay: Option<u64>,
 }
 
 impl Gather<'_> {
+    /// Whether rank 0 commits the segment that ends at `done` iterations —
+    /// every rank asks, since the keepers ship moments only for a commit.
+    fn commit_due(&self, done: u32) -> bool {
+        match self.job.store {
+            Store::None => false,
+            Store::Memory(_) => done < self.job.opts.iterations,
+            Store::File(_) => true,
+        }
+    }
+
     /// End segment `done − len..done` with this rank's `losses` and
     /// `copies`. A rank other than 0 ships them: the parameters of every
     /// copy, and the moments of the copies it keeps when a commit is due. A
     /// failed send means rank 0 is gone; there is nobody left to report to,
     /// and the next segment (if any) fails against the dead peer. Rank 0
     /// gathers every rank's, checks every copy of every stage against the
-    /// kept one as it arrives, and commits.
+    /// kept one as it arrives, and commits when one is due.
     fn segment_end(
         &mut self,
         mut losses: Vec<(u64, f32)>,
@@ -382,6 +397,7 @@ impl Gather<'_> {
         let (job, ep, opts) = (self.job, self.ep, &self.job.opts);
         let (d, per_group) = (job.sched.d, job.sched.num_workers() as u32);
         let rank = ep.rank();
+        let due = self.commit_due(done);
         if rank != 0 {
             let send = |tag: u32, payload: Payload| {
                 let _ = ep.send(0, MsgKey::Ctrl { tag, from: rank }, payload);
@@ -390,7 +406,7 @@ impl Gather<'_> {
             for h in copies {
                 let (r, s) = (h.replica, h.stage_id);
                 send(stage_tag(r, s), Payload::Flat(h.stage.params()));
-                if self.commits && self.keepers[s as usize] == (rank, r) {
+                if due && self.keepers[s as usize] == (rank, r) {
                     send(moments_tag(r, s), Payload::Flat(moments_of(&h.opt)));
                 }
             }
@@ -432,7 +448,9 @@ impl Gather<'_> {
                 let (stage, opt) = self.rebuilt[s as usize]
                     .get_or_insert_with(|| (Stage::build(job.cfg, s, d), None));
                 stage.set_params(&params);
-                if self.commits {
+                // The superseded moments go before the new ones arrive.
+                *opt = None;
+                if due {
                     let mut m = gather(moments_tag(kept, s), keeper)?.into_flat();
                     let v = m.split_off(stage.num_params());
                     *opt = Some(Optimizer::from_state(opts.optimizer_kind(), m, v, steps));
@@ -457,7 +475,20 @@ impl Gather<'_> {
                 }
             }
         }
-        if !self.commits {
+        let reg = MetricsRegistry::global();
+        if let Some(start) = self.replay.take() {
+            reg.counter("runtime.recovery.replayed_iterations")
+                .add(u64::from(len));
+            if let Some(sink) = &opts.trace {
+                let lane = SupervisorTrace {
+                    sink: sink.clone(),
+                    track: ep.world(),
+                };
+                let name = format!("replay i{}..i{done}", done - len);
+                lane.span(SpanKind::Replay, name, start, now_ns());
+            }
+        }
+        if !due {
             return Ok(());
         }
 
@@ -485,20 +516,7 @@ impl Gather<'_> {
             }
             Store::None => unreachable!("commits are due only with a store"),
         }
-        let reg = MetricsRegistry::global();
         reg.counter("runtime.checkpoint.saves").inc();
-        if let Some(start) = self.replay.take() {
-            reg.counter("runtime.recovery.replayed_iterations")
-                .add(u64::from(len));
-            if let Some(sink) = &opts.trace {
-                let lane = SupervisorTrace {
-                    sink: sink.clone(),
-                    track: ep.world(),
-                };
-                let name = format!("replay i{}..i{done}", done - len);
-                lane.span(SpanKind::Replay, name, start, now_ns());
-            }
-        }
         Ok(())
     }
 }

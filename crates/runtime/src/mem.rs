@@ -63,24 +63,23 @@ fn census(stash: &MicroStash) -> Vec<(usize, usize)> {
 }
 
 impl ModelFootprint {
-    /// Measure every stage's footprint by one probe forward per stage on
-    /// synthetic shapes. Stash sizes depend only on shapes, never values, so
-    /// the probe numbers are exactly what the training loop will stash.
-    pub fn probe(stages: &[Stage], micro_batch: usize) -> Self {
-        let d = stages.len();
+    /// Measure every stage's footprint (`stages` in stage order) by one
+    /// probe forward per stage on synthetic shapes. Stash sizes depend only
+    /// on shapes, never values, so the probe numbers are exactly what the
+    /// training loop will stash.
+    pub fn probe<'a>(stages: impl IntoIterator<Item = &'a Stage>, micro_batch: usize) -> Self {
         let fps = stages
-            .iter()
-            .enumerate()
-            .map(|(s, stage)| {
+            .into_iter()
+            .map(|stage| {
                 let cfg = stage.config();
                 let rows = micro_batch * cfg.seq;
                 let tokens = vec![0u32; rows];
                 let targets = vec![0u32; rows];
-                let last = s + 1 == d;
-                let x = (s > 0).then(|| Tensor::zeros(rows, cfg.hidden));
+                let (first, last) = (stage.index == 0, stage.index + 1 == stage.depth);
+                let x = (!first).then(|| Tensor::zeros(rows, cfg.hidden));
                 let (_, mut stash) = stage.forward(
                     x,
-                    (s == 0).then_some(tokens.as_slice()),
+                    first.then_some(tokens.as_slice()),
                     last.then_some(targets.as_slice()),
                 );
                 let full_elems = stash.elements();

@@ -8,14 +8,18 @@
 //! # Supervised recovery
 //!
 //! Rank 0 commits the run to the supervisor's memory after every segment of
-//! [`TrainOptions::checkpoint_every`] iterations: the losses so far and the
-//! model's parameters *and* optimizer state as [`chimera_nn::checkpoint`]
-//! bytes. When a rank dies mid-run (an injected [`crate::KillFault`] or a
-//! panic), its peers' deadlined waits unblock, and the supervisor restarts
-//! every rank from the last commit — deterministic data order and
-//! keyed-ordered reduction make the recovered run **bit-identical** to a
-//! fault-free one. Blocked waits with no detected death (a lost message)
-//! surface as [`TrainError::Timeout`] naming the blocked op.
+//! [`TrainOptions::checkpoint_every`] iterations but the last: the losses so
+//! far and the model's parameters *and* optimizer state as
+//! [`chimera_nn::checkpoint`] bytes. Nothing else is serialized — the state
+//! at iteration 0 is the configuration's, and a finished run restarts
+//! nothing — so a run without a cadence commits nothing. When a rank dies
+//! mid-run (an injected [`crate::KillFault`] or a panic), its peers'
+//! deadlined waits unblock, and the supervisor restarts every rank from the
+//! last commit, or, before the first, from freshly built initial stages —
+//! deterministic initialization, data order and keyed-ordered reduction
+//! make the recovered run **bit-identical** to a fault-free one. Blocked
+//! waits with no detected death (a lost message) surface as
+//! [`TrainError::Timeout`] naming the blocked op.
 
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, ScopedJoinHandle};
@@ -31,7 +35,7 @@ use chimera_trace::{now_ns, CounterEvent, Event, MetricsRegistry, SpanEvent, Spa
 use crate::dist::{run_rank, Job, Ranked, Stop, Store};
 use crate::error::{TrainError, WorkerError};
 use crate::mem::MemReport;
-use crate::setup::{check_fabric, configure, hand_out, reducer_members};
+use crate::setup::{check_fabric, configure, hand_out, initial_state, reducer_members};
 use crate::worker::TrainOptions;
 
 /// Outcome of a pipelined training run.
@@ -55,7 +59,7 @@ impl TrainResult {
     /// Concatenated flat parameters, comparable with
     /// [`chimera_nn::ReferenceTrainer::flat_params`].
     pub fn flat_params(&self) -> Vec<f32> {
-        self.stages.iter().flat_map(Stage::params).collect()
+        Stage::flat_params(&self.stages)
     }
 }
 
@@ -163,11 +167,11 @@ pub fn train_hybrid(
     // Canonical state: `D` stages plus one optimizer per stage. All `2f·W`
     // replicas of a stage evolve identically, so one copy is enough; each
     // attempt hands it to the stage's holders (the first one takes it, the
-    // others clones), and while ranks run the commit is the supervisor's
-    // only copy. The first commit is the initial state.
+    // others clones), and while ranks run the last commit is the
+    // supervisor's only copy. Before rank 0's first commit there is none:
+    // the state at iteration 0 is rebuilt from the configuration.
     let mut canon = std::mem::take(&mut run.stages);
-    let committed = Mutex::new(Some((Vec::new(), checkpoint::save_state(&canon))));
-    reg.counter("runtime.checkpoint.saves").inc();
+    let committed = Mutex::new(None);
 
     let mut losses: Vec<f32> = Vec::new();
     let mut recoveries = 0u32;
@@ -240,9 +244,16 @@ pub fn train_hybrid(
         }
         let restore_start = sup.as_ref().map(|_| now_ns());
         let slot = committed.lock().unwrap_or_else(PoisonError::into_inner);
-        let (done, state) = slot.as_ref().expect("rank 0 leaves a whole commit");
-        let (stages, optimizers) = checkpoint::load_state(state, sched.d)?;
-        (losses, canon) = (done.clone(), stages.into_iter().zip(optimizers).collect());
+        (losses, canon) = match slot.as_ref() {
+            Some((done, state)) => {
+                let (stages, optimizers) = checkpoint::load_state(state, sched.d)?;
+                (done.clone(), stages.into_iter().zip(optimizers).collect())
+            }
+            None => (
+                Vec::new(),
+                initial_state(cfg, sched.d, opts.optimizer_kind()),
+            ),
+        };
         drop(slot);
         reg.counter("runtime.recovery.restores").inc();
         if let (Some(sup), Some(start)) = (&sup, restore_start) {

@@ -1,8 +1,10 @@
 //! What a run is configured with, decided once, for every rank of it: lower
-//! the schedule, set the kernel and pool switches, price the pool pre-size
-//! plan, refuse a fabric that is not `W·D` ranks, order reducer members,
-//! hand the model to its holders through [`hand_out`] — moved, not copied,
-//! so each stage exists once per holder — and average the gathered losses.
+//! the schedule, set the kernel and pool switches, build the state at
+//! iteration 0 ([`initial_state`] — the one place it is made, so no driver
+//! commits it), price the pool pre-size plan, refuse a fabric that is not
+//! `W·D` ranks, order reducer members, hand the model to its holders
+//! through [`hand_out`] — moved, not copied, so each stage exists once per
+//! holder — and average the gathered losses.
 //! The in-process supervisor ([`crate::train_hybrid`]) and a worker process
 //! ([`crate::train_worker_process`]) both go through here and then run the
 //! same per-rank loop ([`crate::dist`]).
@@ -13,7 +15,7 @@ use chimera_core::op::{Chunk, OpKind};
 use chimera_core::program::{lower, Program};
 use chimera_core::schedule::Schedule;
 use chimera_core::StageId;
-use chimera_nn::{ModelConfig, Optimizer, Stage};
+use chimera_nn::{ModelConfig, Optimizer, OptimizerKind, Stage};
 use chimera_tensor::{kernels, pool};
 
 use crate::error::TrainError;
@@ -124,25 +126,39 @@ pub(crate) fn configure(
         kernels::set_timing(true);
         KernelTiming
     });
-    let stages = Stage::build_all(cfg, sched.d);
+    let stages = initial_state(cfg, sched.d, opts.optimizer_kind());
     let pool_plans = if opts.pool && opts.prewarm {
-        let fp = ModelFootprint::probe(&stages, opts.micro_batch);
+        let fp = ModelFootprint::probe(stages.iter().map(|(stage, _)| stage), opts.micro_batch);
         let plans = plan_lowered(&programs, &fp);
         plans.into_iter().map(|plan| plan.classes).collect()
     } else {
         vec![Vec::new(); programs.len()]
     };
-    let kind = opts.optimizer_kind();
-    let fresh = |stage: Stage| {
-        let opt = Optimizer::new(kind, stage.num_params());
-        (stage, opt)
-    };
     Ok(Run {
         programs: programs.into_iter().map(Arc::new).collect(),
         pool_plans,
-        stages: stages.into_iter().map(fresh).collect(),
+        stages,
         _timing: timing,
     })
+}
+
+/// A run's state before its first update — commit zero: the `d` stages of
+/// `cfg` at their partition-independent initialization ([`Stage::build`]),
+/// each with a fresh optimizer of `kind`. It depends on nothing else, so no
+/// driver serializes it: [`configure`] builds it for a run's first attempt,
+/// and the in-process supervisor again for an attempt restarted before rank
+/// 0's first commit.
+pub(crate) fn initial_state(
+    cfg: ModelConfig,
+    d: u32,
+    kind: OptimizerKind,
+) -> Vec<(Stage, Optimizer)> {
+    (Stage::build_all(cfg, d).into_iter())
+        .map(|stage| {
+            let opt = Optimizer::new(kind, stage.num_params());
+            (stage, opt)
+        })
+        .collect()
 }
 
 /// Hand the per-stage `canon` state to its holders: `holders` lists, holder

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use chimera_core::chimera::{chimera, ChimeraConfig};
-use chimera_nn::{LrSchedule, ModelConfig, OptimizerKind};
+use chimera_nn::{LrSchedule, ModelConfig, OptimizerKind, ReferenceTrainer, Stage, SyntheticData};
 use chimera_runtime::{train, train_hybrid, FaultSpec, MsgFault, TrainError, TrainOptions};
 use chimera_trace::{BufferSink, Event, SpanKind};
 
@@ -21,6 +21,20 @@ fn opts(iterations: u32) -> TrainOptions {
         // blocked peers of a killed worker from stalling the test.
         recv_timeout: Duration::from_millis(300),
         ..TrainOptions::default()
+    }
+}
+
+/// [`opts`] under Adam with a warm-up schedule.
+fn adam_opts(iterations: u32) -> TrainOptions {
+    TrainOptions {
+        optimizer: Some(OptimizerKind::adam()),
+        lr_schedule: Some(LrSchedule::WarmupCosine {
+            base: 2e-3,
+            warmup: 2,
+            total: 10,
+            min: 1e-4,
+        }),
+        ..opts(iterations)
     }
 }
 
@@ -50,21 +64,15 @@ fn kill_recovers_bit_identical_w1() {
 
 /// Adam's moments and step count come back from the checkpoint bytes too —
 /// the supervisor keeps no other copy while a segment runs. A kill in the
-/// first segment restores the initial state, one in the second the state
-/// after two warm-up steps (non-zero second moment); both replay to the
-/// fault-free run bit for bit.
+/// first segment, before anything is committed, restarts from freshly
+/// built initial stages with fresh optimizers; one in the second restores
+/// the committed state after two warm-up steps (non-zero second moment).
+/// Both replay to the fault-free run bit for bit.
 #[test]
 fn kill_recovers_adam_state_bit_identical() {
     let cfg = ModelConfig::tiny();
     let sched = chimera(&ChimeraConfig::new(2, 2)).unwrap();
-    let mut o = opts(4);
-    o.optimizer = Some(OptimizerKind::adam());
-    o.lr_schedule = Some(LrSchedule::WarmupCosine {
-        base: 2e-3,
-        warmup: 2,
-        total: 10,
-        min: 1e-4,
-    });
+    let mut o = adam_opts(4);
     o.checkpoint_every = Some(2);
     let healthy = train(&sched, cfg, o.clone()).expect("fault-free run");
 
@@ -98,6 +106,63 @@ fn kill_recovers_bit_identical_w2() {
     assert_eq!(recovered.recoveries, 1);
     assert_eq!(recovered.flat_params(), healthy.flat_params());
     assert_eq!(recovered.iteration_losses, healthy.iteration_losses);
+}
+
+/// The sequential trainer's parameters after `o.iterations` iterations of
+/// `N·w` micro-batches, under `o`'s optimizer and learning-rate schedule.
+fn sequential(cfg: ModelConfig, d: u32, n: u32, w: u32, o: &TrainOptions) -> Vec<f32> {
+    let mut reference = ReferenceTrainer::with_optimizer(
+        Stage::build_all(cfg, d),
+        SyntheticData::new(cfg, o.data_seed),
+        o.micro_batch,
+        o.optimizer_kind(),
+        o.schedule(),
+    );
+    let per_iteration = n * w;
+    for it in 0..o.iterations {
+        reference.train_iteration(u64::from(it * per_iteration), per_iteration);
+    }
+    reference.flat_params()
+}
+
+/// A kill before rank 0's first commit — in iteration 0 (worker 0, so at
+/// W = 1 rank 0 itself) or 1 (worker 1), with no cadence, where the run
+/// commits nothing, or a cadence of 3 over 4 iterations — restarts every
+/// rank from initial stages built afresh from the configuration. Under
+/// momentum SGD and Adam, W ∈ {1, 2}, the recovered run is bit-identical to
+/// the fault-free one and to the sequential trainer.
+#[test]
+fn kill_before_the_first_commit_restarts_from_the_configuration() {
+    let cfg = ModelConfig::tiny();
+    let (d, n) = (2, 2);
+    let sched = chimera(&ChimeraConfig::new(d, n)).unwrap();
+    for (optimizer, base) in [("sgd", opts(4)), ("adam", adam_opts(4))] {
+        for every in [None, Some(3)] {
+            for w in [1, 2] {
+                let case = format!("{optimizer} every {every:?} W={w}");
+                let o = TrainOptions {
+                    checkpoint_every: every,
+                    ..base.clone()
+                };
+                let healthy = train_hybrid(&sched, cfg, o.clone(), w).expect("fault-free run");
+                let reference = sequential(cfg, d, n, w, &o);
+                assert_eq!(healthy.flat_params(), reference, "{case}");
+                for iteration in [0, 1] {
+                    let mut f = o.clone();
+                    f.fault = Some(FaultSpec::kill_at(w - 1, iteration, iteration));
+                    let recovered = train_hybrid(&sched, cfg, f, w)
+                        .unwrap_or_else(|e| panic!("{case} kill at i{iteration}: {e}"));
+                    let case = format!("{case} kill at i{iteration}");
+                    assert_eq!(recovered.recoveries, 1, "{case}");
+                    assert_eq!(recovered.flat_params(), reference, "{case}");
+                    assert_eq!(
+                        recovered.iteration_losses, healthy.iteration_losses,
+                        "{case}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// The CI soak matrix: kill every (group, worker) id once mid-run; each
